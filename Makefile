@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
+.PHONY: all build vet test race bench-smoke bench-build verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
 
 all: build
 
@@ -39,7 +39,14 @@ zerocopy-guard:
 bench-smoke:
 	$(GO) test -run='^$$' -bench=. -benchtime=10x .
 
-verify: vet build race bench-smoke zerocopy-guard allocguard
+# bench-build vets and tests the benchmark module (bench/, a module of its
+# own that tier-1 `go test ./...` does not see) against the tree as it is, so
+# an internal/* API change that breaks the benchmark fails here and not at
+# the next benchmark run.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+verify: vet build race bench-smoke bench-build zerocopy-guard allocguard
 
 # chaos is the resilience gate: the fault-injection suite — seeded fault
 # network, circuit breaker, reconnect/retry, deadline teardown, overload
@@ -69,9 +76,9 @@ bench1:
 bench2:
 	$(GO) run ./cmd/benchharness -experiment bench2 -warmup 200 -observations 2000 -out BENCH_2.json
 
-# bench3 regenerates BENCH_3.json, the write-coalescing + channel-striping
-# sweep over the paced wire: the PR-4 single-stripe baseline against
-# one/two/four stripes with adaptive coalescing at both ends.
+# bench3 regenerates BENCH_3.json, the write-batching + channel-striping
+# sweep over the paced wire: one, two and four stripes (batching is always
+# on at both ends).
 bench3:
 	$(GO) run ./cmd/benchharness -experiment bench3 -warmup 200 -observations 2000 -out BENCH_3.json
 

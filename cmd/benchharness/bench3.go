@@ -15,18 +15,16 @@ import (
 	"repro/internal/transport"
 )
 
-// bench3Snapshot is the schema of BENCH_3.json: the write-coalescing and
+// bench3Snapshot is the schema of BENCH_3.json: the write-batching and
 // channel-striping sweep. The workload is heavy pipelining over TCP
 // loopback through a paced wire — every write CALL costs a fixed delay
 // (modelling the syscall + NIC-doorbell + small-packet overhead of an
 // embedded-class link, in the same simulated-platform style as the Table 2
-// experiments), charged once per vectored write. The servant does no work,
-// so the wire is the bottleneck being amortised: coalescing pays the
-// per-call cost once for a whole batch, striping opens parallel paced
-// lanes. Four configurations run the same in-flight sweep: the PR-4
-// baseline (one stripe, one write call per frame) and one/two/four stripes
-// with adaptive coalescing on at both ends. Durations are nanoseconds so
-// the file diffs cleanly across runs.
+// experiments). The servant does no work, so the wire is the bottleneck
+// being amortised: batching pays the per-call cost once for a whole batch,
+// striping opens parallel paced lanes. Batching is always on, so the three
+// configurations are one, two and four stripes over the same in-flight
+// sweep. Durations are nanoseconds so the file diffs cleanly across runs.
 type bench3Snapshot struct {
 	Meta         benchMeta      `json:"meta"`
 	Observations int            `json:"observations_per_level"`
@@ -34,25 +32,20 @@ type bench3Snapshot struct {
 	PayloadBytes int            `json:"payload_bytes"`
 	PerWriteNs   int64          `json:"wire_cost_per_write_ns"`
 	Configs      []bench3Config `json:"configs"`
-	// SpeedupAt64 is the 4-stripe coalesced throughput at 64 in-flight over
-	// the baseline at 64 in-flight; the acceptance floor is 1.5.
+	// SpeedupAt64 is the 4-stripe throughput at 64 in-flight over the
+	// single stripe's: what parallel lanes add once every lane batches.
 	SpeedupAt64 float64 `json:"speedup_at_64"`
-	// LoneCallerRatio is the coalesced single-stripe median at 1 in-flight
-	// over the baseline's — the adaptive policy's no-latency-tax guarantee;
-	// the acceptance ceiling is 1.05.
-	LoneCallerRatio float64 `json:"lone_caller_median_ratio"`
 }
 
 type bench3Config struct {
-	Name     string        `json:"name"`
-	Stripes  int           `json:"stripes"`
-	Coalesce bool          `json:"coalesce"`
-	Levels   []bench3Level `json:"levels"`
-	// FramesPerFlush averages the coalescer's batch size over the whole
-	// sweep (client and server flushes combined); 1.0 means no batching.
+	Name    string        `json:"name"`
+	Stripes int           `json:"stripes"`
+	Levels  []bench3Level `json:"levels"`
+	// FramesPerFlush averages the batch size of the batched flushes over
+	// the whole sweep (client and server combined).
 	FramesPerFlush float64 `json:"frames_per_flush"`
-	// WritesSaved counts wire writes the coalescer eliminated: frames
-	// carried minus flushes issued.
+	// WritesSaved counts wire writes batching eliminated: frames carried in
+	// batches minus flushes issued.
 	WritesSaved int64 `json:"writes_saved"`
 }
 
@@ -64,7 +57,7 @@ type bench3Level struct {
 	JitterNs      int64   `json:"jitter_ns"`
 }
 
-// bench3Levels sweeps in-flight depth: 1 is the lone-caller latency guard,
+// bench3Levels sweeps in-flight depth: 1 is the lone caller's direct write,
 // 64 is where batches form and stripes matter.
 var bench3Levels = []int{1, 4, 16, 64}
 
@@ -76,8 +69,8 @@ var bench3Levels = []int{1, 4, 16, 64}
 const bench3WireCost = 50 * time.Microsecond
 
 // pacedNetwork wraps a transport with a fixed cost per write CALL — paid
-// once whether the call carries one frame or a whole coalesced batch, which
-// is exactly the cost structure write coalescing exists to exploit.
+// once whether the call carries one frame or a whole batch, which is exactly
+// the cost structure write batching exists to exploit.
 type pacedNetwork struct {
 	inner transport.Network
 	cost  time.Duration
@@ -122,13 +115,8 @@ func (c pacedConn) Write(b []byte) (int, error) {
 	return c.Conn.Write(b)
 }
 
-func (c pacedConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	time.Sleep(c.cost)
-	return transport.WriteBuffers(c.Conn, bufs)
-}
-
 func runBench3(warmup, obs int, outPath string) error {
-	fmt.Printf("== BENCH_3 snapshot: adaptive write coalescing + striped channel pool ==\n")
+	fmt.Printf("== BENCH_3 snapshot: write batching + striped channel pool ==\n")
 	fmt.Printf("   (%d observations per level after %d warm-up iterations; TCP loopback)\n\n", obs, warmup)
 
 	const payloadBytes = 256
@@ -138,18 +126,8 @@ func runBench3(warmup, obs int, outPath string) error {
 		PerWriteNs: int64(bench3WireCost),
 	}
 
-	configs := []struct {
-		name     string
-		stripes  int
-		coalesce bool
-	}{
-		{"baseline-1stripe", 1, false},
-		{"coalesce-1stripe", 1, true},
-		{"coalesce-2stripe", 2, true},
-		{"coalesce-4stripe", 4, true},
-	}
-	for _, c := range configs {
-		cfg, err := runBench3Config(c.name, c.stripes, c.coalesce, warmup, obs, payloadBytes)
+	for _, stripes := range []int{1, 2, 4} {
+		cfg, err := runBench3Config(fmt.Sprintf("%dstripe", stripes), stripes, warmup, obs, payloadBytes)
 		if err != nil {
 			return err
 		}
@@ -161,11 +139,7 @@ func runBench3(warmup, obs int, outPath string) error {
 	if t := levelAt(base.Levels, 64); t > 0 {
 		snap.SpeedupAt64 = levelAt(four.Levels, 64) / t
 	}
-	if m := medianAt(base.Levels, 1); m > 0 {
-		snap.LoneCallerRatio = medianAt(snap.Configs[1].Levels, 1) / m
-	}
-	fmt.Printf("  speedup at 64 in-flight (4 stripes coalesced vs baseline): %.2fx\n", snap.SpeedupAt64)
-	fmt.Printf("  lone-caller median ratio (coalesced vs baseline):          %.3f\n\n", snap.LoneCallerRatio)
+	fmt.Printf("  speedup at 64 in-flight (4 stripes vs 1): %.2fx\n\n", snap.SpeedupAt64)
 
 	data, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
@@ -188,29 +162,16 @@ func levelAt(levels []bench3Level, inFlight int) float64 {
 	return 0
 }
 
-func medianAt(levels []bench3Level, inFlight int) float64 {
-	for _, lv := range levels {
-		if lv.InFlight == inFlight {
-			return float64(lv.MedianNs)
-		}
-	}
-	return 0
-}
-
-// runBench3Config stands up a fresh server+client pair in the given
-// configuration, runs the in-flight sweep, and reads the coalescing
-// counters' deltas for the whole sweep.
-func runBench3Config(name string, stripes int, coalesce bool, warmup, obs, payloadBytes int) (bench3Config, error) {
+// runBench3Config stands up a fresh server+client pair with the given stripe
+// count, runs the in-flight sweep, and reads the batching counters' deltas
+// for the whole sweep.
+func runBench3Config(name string, stripes int, warmup, obs, payloadBytes int) (bench3Config, error) {
 	net := pacedNetwork{inner: transport.TCP{}, cost: bench3WireCost}
 	scfg := orb.ServerConfig{
 		Network: net, Addr: "127.0.0.1:0", ScopePoolCount: 4, Concurrency: 16,
 	}
 	ccfg := orb.ClientConfig{
 		Network: net, ScopePoolCount: 4, PipelineDepth: 128, Channels: stripes,
-	}
-	if coalesce {
-		scfg.Coalesce = &orb.CoalesceConfig{}
-		ccfg.Coalesce = &orb.CoalesceConfig{}
 	}
 	srv, err := orb.NewServer(scfg)
 	if err != nil {
@@ -235,7 +196,7 @@ func runBench3Config(name string, stripes int, coalesce bool, warmup, obs, paylo
 	flush0 := telemetry.Default.Counter("coalesce_flush_total").Value()
 	frames0 := telemetry.Default.Counter("coalesce_frames_total").Value()
 
-	cfg := bench3Config{Name: name, Stripes: stripes, Coalesce: coalesce}
+	cfg := bench3Config{Name: name, Stripes: stripes}
 	for _, level := range bench3Levels {
 		lv, err := bench3Measure(cl, level, obs, payloadBytes)
 		if err != nil {
@@ -254,10 +215,8 @@ func runBench3Config(name string, stripes int, coalesce bool, warmup, obs, paylo
 		cfg.FramesPerFlush = float64(frames) / float64(flushes)
 		cfg.WritesSaved = frames - flushes
 	}
-	if coalesce {
-		fmt.Printf("  %-17s frames/flush %.2f, wire writes saved %d\n",
-			name, cfg.FramesPerFlush, cfg.WritesSaved)
-	}
+	fmt.Printf("  %-17s frames/flush %.2f, wire writes saved %d\n",
+		name, cfg.FramesPerFlush, cfg.WritesSaved)
 	fmt.Println()
 	return cfg, nil
 }

@@ -36,8 +36,7 @@ type ClientConfig struct {
 	RefreshInterval time.Duration
 	// MaxMessage bounds a reply body; zero selects orb.DefaultMaxMessage.
 	MaxMessage int
-	// Coalesce and ReactorShards pass through to the underlying orb client.
-	Coalesce      *orb.CoalesceConfig
+	// ReactorShards passes through to the underlying orb client.
 	ReactorShards int
 	// Collocate opts the client into the collocated fast path (see
 	// orb.ClientConfig.Collocate): when a resolved group member is an
@@ -90,7 +89,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		Channels:      cfg.Channels,
 		Resilience:    res,
 		MaxMessage:    cfg.MaxMessage,
-		Coalesce:      cfg.Coalesce,
 		ReactorShards: cfg.ReactorShards,
 		Collocate:     cfg.Collocate,
 	})

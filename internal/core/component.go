@@ -333,10 +333,16 @@ func (c *Component) maybeQuiesce() {
 		// binding that still names it is merely dormant — addPending rejects
 		// deliveries while the shell is disposed, and the resolveIn fallback
 		// re-instantiates. The shell is stashed only after teardown so a
-		// concurrent revival can never race the wedge release.
+		// concurrent revival can never race the wedge release, and the three
+		// steps hold instMu so no instantiation can fall between them: a
+		// sender that found the child forgotten but not yet stashed would
+		// build a second shell and rebind the ports to it, and the revival
+		// after that would take this one back while the ports name the other.
+		c.mgr.instMu.Lock()
 		c.mgr.forget(c)
 		c.teardown()
 		c.mgr.stashShell(c)
+		c.mgr.instMu.Unlock()
 	} else {
 		c.mgr.detach(c)
 		c.teardown()

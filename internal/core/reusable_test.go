@@ -211,3 +211,64 @@ func TestReusableChildConcurrentStorm(t *testing.T) {
 		t.Errorf("handler errors: %d (%v)", n, err)
 	}
 }
+
+// TestReusableQuiesceAtomicAgainstInstantiate opens the window inside a
+// Reusable shell's quiescence — forgotten by the SMM, not yet stashed; the
+// area's finalizer runs exactly there — and lets a sender arrive in it. The
+// sender must wait for the stash and revive that shell. If it could
+// instantiate instead, it would build a second shell and rebind the port to
+// it, the first would land in the stash behind it, and the next revival
+// would serve from a shell the port is not bound to: every later send spins
+// in resolveIn until "owner kept quiescing".
+func TestReusableQuiesceAtomicAgainstInstantiate(t *testing.T) {
+	app := newTestApp(t, AppConfig{
+		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 14, Count: 2}},
+	})
+	h := newReusableHarness(t, app)
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	smm := h.parent.SMM()
+	pin, err := smm.Connect("Worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan error, 1)
+	pin.Component().Area().AddFinalizer(func() {
+		go func() { sent <- h.sendErr(1) }()
+		select {
+		case err := <-sent:
+			sent <- err // the sender got through the window; keep its result
+		case <-time.After(100 * time.Millisecond):
+			// The sender is parked until the stash lands.
+		}
+	})
+	pin.Disconnect()
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	waitRecv(t, h.served)
+	waitGone(t, smm, "Worker")
+
+	live, err := smm.Connect("Worker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Disconnect()
+	smm.mu.Lock()
+	port := smm.in["Worker.in"]
+	smm.mu.Unlock()
+	if owner, _ := port.binding(); owner != live.Component() {
+		t.Fatalf("Worker.in is bound to shell %p, the live child is %p", owner, live.Component())
+	}
+	h.mu.Lock()
+	setups := h.setups
+	h.mu.Unlock()
+	if setups != 1 {
+		t.Errorf("Setup ran %d times: a second shell was built inside the quiescence window", setups)
+	}
+	h.send(t, 2)
+	if v := waitRecv(t, h.served); v != 2 {
+		t.Errorf("served %d after the revival, want 2", v)
+	}
+}

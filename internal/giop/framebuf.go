@@ -9,14 +9,19 @@ import (
 	"repro/internal/memory"
 )
 
-// FrameBuf is a refcounted, pooled buffer holding one GIOP frame body as it
-// arrived from the wire. It is the unit of zero-copy delivery: the reader
-// fills a frame directly from the socket, the demultiplexer hands the same
-// frame to whoever consumes the message, and the decoded views (object key,
-// payload) alias the frame's bytes rather than copying them. Reference
+// FrameBuf is a refcounted holder of one GIOP frame body as it arrived from
+// the wire. It is the unit of zero-copy delivery: the demultiplexer hands
+// the frame to whoever consumes the message, and the decoded views (object
+// key, payload) alias the frame's bytes rather than copying them. Reference
 // counting makes the handoff explicit — every party that holds the frame
 // past a function boundary Retains it and Releases when done; the last
-// Release revokes all outstanding loans and returns the buffer to a
+// Release revokes all outstanding loans and gives the bytes back.
+//
+// A frame's bytes live in one of two places. A frame carved by a
+// FrameReader is a view into the reader's read-ahead slab: the frame holds
+// one reference on the slab, and the slab — not the frame — is the pooled
+// buffer. A frame from AcquireFrame (one that straddled a slab end, one
+// larger than a slab, or a caller's own) has a buffer of its own from a
 // size-classed pool.
 //
 // A frame starts with one reference, owned by whoever acquired it (usually
@@ -25,13 +30,70 @@ import (
 // the common variant of that bug (a held byte view) into ErrStale instead
 // of silent corruption.
 type FrameBuf struct {
-	buf   []byte // capacity fixed by size class
+	buf   []byte // own buffer (capacity fixed by size class), or a window of slab
 	n     int    // body length of the frame currently held
-	class int32  // index into framePools; -1 = oversized, not pooled
+	class int32  // index into framePools; -1 = oversized or a slab view, not pooled by class
+	slab  *slab  // non-nil for a view: the slab buf points into
 	refs  atomic.Int32
 	owner memory.LoanOwner
+}
 
-	leakSite string // acquire site, recorded only in leak-check mode
+// slabSize is the read-ahead unit: one Read fills as much of a slab as the
+// socket has, and every frame that arrived whole in it is delivered without
+// another syscall or copy.
+const slabSize = 16 << 10
+
+// slab is a pooled read-ahead buffer shared by the FrameReader filling it
+// and the frames carved out of it. It returns to the pool when the reader
+// has moved on and the last carved frame is released.
+type slab struct {
+	buf  [slabSize]byte
+	refs atomic.Int32
+}
+
+var (
+	slabPool = sync.Pool{New: func() any { return new(slab) }}
+	viewPool sync.Pool // *FrameBuf headers of released slab views
+)
+
+// acquireSlab returns an empty slab with one reference, the reader's.
+func acquireSlab() *slab {
+	s := slabPool.Get().(*slab)
+	s.refs.Store(1)
+	if leakCheck.Load() {
+		leakRegister(s)
+	}
+	return s
+}
+
+// release drops one reference; the last one returns the slab to the pool.
+func (s *slab) release() {
+	if s.refs.Add(-1) > 0 {
+		return
+	}
+	if leakCheck.Load() {
+		leakUnregister(s)
+	}
+	slabPool.Put(s)
+}
+
+// carve returns a frame viewing s.buf[off:off+n] with one reference held by
+// the caller. The view keeps the slab alive until its final Release.
+func (s *slab) carve(off, n int) *FrameBuf {
+	frameAcquires.Add(1)
+	f, _ := viewPool.Get().(*FrameBuf)
+	if f == nil {
+		f = &FrameBuf{class: -1}
+	} else {
+		frameRecycles.Add(1)
+	}
+	s.refs.Add(1)
+	f.slab, f.buf, f.n = s, s.buf[off:off+n:off+n], n
+	f.refs.Store(1)
+	if leakCheck.Load() {
+		leakRegister(f)
+	}
+	return f
 }
 
 // frameClassSizes are the pooled body capacities. The ladder matches the
@@ -42,32 +104,40 @@ var frameClassSizes = [...]int{256, 1024, 4096, 16384, 65536, 262144, MaxMessage
 
 var framePools [len(frameClassSizes)]sync.Pool
 
-// Frame telemetry: acquires, pool recycles, and explicit Detach copies. The
-// detach counter is the honest ledger of the zero-copy design — every byte
-// that escapes a frame by copying is counted here.
+// Frame telemetry: acquires, pool recycles, explicit Detach copies, and the
+// bytes a FrameReader had to move because a frame did not fit its slab. The
+// detach and move counters are the honest ledger of the zero-copy design —
+// every byte that is copied between the socket and the consumer is counted
+// here.
 var (
 	frameAcquires atomic.Int64
 	frameRecycles atomic.Int64
 	frameDetaches atomic.Int64
+	frameMoved    atomic.Int64
 )
 
 // FrameStats is a snapshot of frame-pool activity.
 type FrameStats struct {
-	// Acquired counts AcquireFrame calls.
+	// Acquired counts frames handed out: one per AcquireFrame call and one
+	// per frame a FrameReader delivers from its slab.
 	Acquired int64
 	// Recycled counts frames returned by a pool rather than freshly
 	// allocated (a lower bound: sync.Pool may drop buffers under GC).
 	Recycled int64
 	// Detached counts explicit Detach copies out of frames.
 	Detached int64
+	// MovedBytes counts bytes a FrameReader copied from a slab because the
+	// frame they belong to ran past the slab's end.
+	MovedBytes int64
 }
 
 // ReadFrameStats returns the process-wide frame counters.
 func ReadFrameStats() FrameStats {
 	return FrameStats{
-		Acquired: frameAcquires.Load(),
-		Recycled: frameRecycles.Load(),
-		Detached: frameDetaches.Load(),
+		Acquired:   frameAcquires.Load(),
+		Recycled:   frameRecycles.Load(),
+		Detached:   frameDetaches.Load(),
+		MovedBytes: frameMoved.Load(),
 	}
 }
 
@@ -153,7 +223,11 @@ func (f *FrameBuf) Release() {
 		leakUnregister(f)
 	}
 	f.n = 0
-	if f.class >= 0 {
+	if s := f.slab; s != nil {
+		f.slab, f.buf = nil, nil
+		viewPool.Put(f)
+		s.release()
+	} else if f.class >= 0 {
 		framePools[f.class].Put(f)
 	}
 }
@@ -176,14 +250,14 @@ func (f *FrameBuf) Detach() []byte {
 	return out
 }
 
-// Leak-check mode: a registry of live frames for tests. Enabled it makes
-// AcquireFrame record the acquire site and CheckFrameLeaks report frames
-// never released — the wire-buffer analogue of a scoped-memory region that
-// is entered and never exited.
+// Leak-check mode: a registry of live frames and slabs for tests. Enabled it
+// records the site of every acquire and CheckFrameLeaks reports the frames
+// never released and the slabs never returned — the wire-buffer analogue of
+// a scoped-memory region that is entered and never exited.
 var (
 	leakCheck atomic.Bool
 	leakMu    sync.Mutex
-	leakLive  map[*FrameBuf]string
+	leakLive  map[any]string // *FrameBuf or *slab → acquire site
 )
 
 // SetFrameLeakCheck switches frame leak tracking on or off. Turning it on
@@ -192,14 +266,14 @@ func SetFrameLeakCheck(on bool) {
 	leakMu.Lock()
 	defer leakMu.Unlock()
 	if on {
-		leakLive = make(map[*FrameBuf]string)
+		leakLive = make(map[any]string)
 	} else {
 		leakLive = nil
 	}
 	leakCheck.Store(on)
 }
 
-func leakRegister(f *FrameBuf) {
+func leakRegister(f any) {
 	site := "unknown"
 	if _, file, line, ok := runtime.Caller(2); ok {
 		site = fmt.Sprintf("%s:%d", file, line)
@@ -211,7 +285,7 @@ func leakRegister(f *FrameBuf) {
 	leakMu.Unlock()
 }
 
-func leakUnregister(f *FrameBuf) {
+func leakUnregister(f any) {
 	leakMu.Lock()
 	if leakLive != nil {
 		delete(leakLive, f)
@@ -219,9 +293,9 @@ func leakUnregister(f *FrameBuf) {
 	leakMu.Unlock()
 }
 
-// CheckFrameLeaks returns the acquire sites of frames still unreleased, one
-// string per live frame. Tests enable leak-check mode, run a workload to
-// quiescence, and fail on a non-empty result.
+// CheckFrameLeaks returns the acquire sites of frames still unreleased and
+// slabs still held, one string per live object. Tests enable leak-check
+// mode, run a workload to quiescence, and fail on a non-empty result.
 func CheckFrameLeaks() []string {
 	leakMu.Lock()
 	defer leakMu.Unlock()

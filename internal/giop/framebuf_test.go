@@ -159,15 +159,21 @@ func TestFrameLeakCheck(t *testing.T) {
 	}
 }
 
-// TestFrameReaderNextAliasesScratch pins the Next ownership contract: the
-// returned body aliases the reader's internal scratch buffer and is only
-// valid until the following Next call.
-func TestFrameReaderNextAliasesScratch(t *testing.T) {
-	var wire []byte
-	wire = MarshalRequest(wire, LittleEndian, &Request{RequestID: 1, Operation: "a", ObjectKey: []byte("k"), Payload: []byte("first")})
-	wire = MarshalRequest(wire, LittleEndian, &Request{RequestID: 2, Operation: "a", ObjectKey: []byte("k"), Payload: []byte("SECND")})
+// TestFrameReaderNextAliasesSlab pins the Next ownership contract: the
+// returned body aliases the reader's read-ahead slab — two frames that
+// arrived together are served by one Read — and is only valid until the
+// following Next call, which may reuse the slab from its start.
+func TestFrameReaderNextAliasesSlab(t *testing.T) {
+	frame := func(id uint32, payload string) []byte {
+		return MarshalRequest(nil, LittleEndian, &Request{RequestID: id, Operation: "a", ObjectKey: []byte("k"), Payload: []byte(payload)})
+	}
+	src := &scriptReader{steps: []readStep{
+		{data: append(frame(1, "first"), frame(2, "SECND")...)},
+		{data: frame(3, "third")},
+	}}
+	fr := NewFrameReader(src, 1<<10)
+	defer fr.Close()
 
-	fr := NewFrameReader(bytes.NewReader(wire), 1<<10)
 	_, body1, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
@@ -176,20 +182,25 @@ func TestFrameReaderNextAliasesScratch(t *testing.T) {
 	if err != nil || string(req1.Payload) != "first" {
 		t.Fatalf("req1 = %+v, %v", req1, err)
 	}
-	// req1.Payload borrows from body1, which borrows from the scratch; after
-	// the next frame overwrites the scratch the old view must show the new
-	// frame's bytes — proof of aliasing, and of why Next's contract demands
-	// copying before the next call.
-	snapshot := string(req1.Payload)
 	_, body2, err := fr.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &body1[0] != &body2[0] {
-		t.Error("second Next returned a different backing array; want reused scratch")
+	if src.reads != 1 {
+		t.Errorf("two frames that arrived together took %d Reads, want 1", src.reads)
 	}
-	if string(req1.Payload) == snapshot {
-		t.Error("old payload view unchanged after the scratch was overwritten")
+	if req2, err := UnmarshalRequest(LittleEndian, body2); err != nil || string(req2.Payload) != "SECND" {
+		t.Fatalf("req2 = %+v, %v", req2, err)
+	}
+	// req1.Payload borrows from body1, which borrows from the slab; the third
+	// frame lands at the slab's start and the old view shows its bytes —
+	// proof of aliasing, and of why Next's contract demands copying before
+	// the next call.
+	if _, _, err := fr.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if string(req1.Payload) != "third" {
+		t.Errorf("old payload view = %q after the slab was reused, want the third frame's bytes", req1.Payload)
 	}
 }
 

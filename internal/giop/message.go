@@ -381,65 +381,17 @@ func DecodeRequest(order ByteOrder, body []byte, req *Request) error {
 	return nil
 }
 
-// PriorityUnparsed is the sentinel PeekRequestPriority returns alongside
-// ok=false when the body is malformed or truncated: it lies outside the
-// RT-CORBA priority band (1..31), so a caller that ignores ok and feeds the
-// value to a band clamp cannot silently impersonate a valid priority.
+// PriorityUnparsed is the sentinel PeekRequestInfo leaves in
+// RequestInfo.Priority alongside ok=false when the body is malformed or
+// truncated: it lies outside the RT-CORBA priority band (1..31), so a caller
+// that ignores ok and feeds the value to a band clamp cannot silently
+// impersonate a valid priority.
 const PriorityUnparsed byte = 0xFF
-
-// PeekRequestPriority extracts the Priority octet from an encoded request
-// body without materialising strings or copying. The server's read loop
-// uses it to submit each request to the dispatch pool at the propagated
-// RT-CORBA priority before the full (allocating) demarshal runs inside the
-// RequestProcessing scope. A malformed body — truncated mid-field, or
-// declaring more service contexts than its bytes could possibly hold —
-// returns (PriorityUnparsed, false); it never guesses a default.
-func PeekRequestPriority(order ByteOrder, body []byte) (byte, bool) {
-	d := Decoder{order: order, buf: body}
-	nctx, err := d.ReadULong()
-	if err != nil {
-		return PriorityUnparsed, false
-	}
-	// Each service context is at least 8 bytes (id + length); a count the
-	// remaining bytes cannot hold is corruption, rejected before the loop
-	// walks (and re-walks) a hostile count.
-	if uint64(nctx)*8 > uint64(d.Remaining()) {
-		return PriorityUnparsed, false
-	}
-	for i := uint32(0); i < nctx; i++ {
-		if _, err := d.ReadULong(); err != nil { // context id
-			return PriorityUnparsed, false
-		}
-		if err := d.skipOctetSeq(); err != nil { // context data
-			return PriorityUnparsed, false
-		}
-	}
-	if _, err := d.ReadULong(); err != nil { // request id
-		return PriorityUnparsed, false
-	}
-	if _, err := d.ReadBool(); err != nil { // response expected
-		return PriorityUnparsed, false
-	}
-	if err := d.skipOctetSeq(); err != nil { // object key
-		return PriorityUnparsed, false
-	}
-	if err := d.skipString(); err != nil { // operation
-		return PriorityUnparsed, false
-	}
-	if err := d.skipOctetSeq(); err != nil { // principal
-		return PriorityUnparsed, false
-	}
-	p, err := d.ReadOctet()
-	if err != nil {
-		return PriorityUnparsed, false
-	}
-	return p, true
-}
 
 // RequestInfo is the pre-dispatch view of an encoded request body: every
 // field admission control needs before the full demarshal runs inside the
-// RequestProcessing scope. Extracted without materialising strings or
-// copying, like PeekRequestPriority.
+// RequestProcessing scope, extracted without materialising strings or
+// copying.
 type RequestInfo struct {
 	// RequestID correlates an admission-rejection reply with the request.
 	RequestID uint32
@@ -455,10 +407,12 @@ type RequestInfo struct {
 }
 
 // PeekRequestInfo extracts a RequestInfo from an encoded request body with
-// one alloc-free walk. The same hostile-input discipline as
-// PeekRequestPriority applies: a malformed or truncated body returns
-// (partial info with Priority == PriorityUnparsed, false) and never guesses
-// defaults.
+// one alloc-free walk. The server's read loop uses it to admit each request
+// and submit it to the dispatch pool at the propagated RT-CORBA priority
+// before the full demarshal runs inside the RequestProcessing scope. A
+// malformed body — truncated mid-field, or declaring more service contexts
+// than its bytes could possibly hold — returns (partial info with Priority ==
+// PriorityUnparsed, false); it never guesses defaults.
 func PeekRequestInfo(order ByteOrder, body []byte) (RequestInfo, bool) {
 	info := RequestInfo{Priority: PriorityUnparsed}
 	d := Decoder{order: order, buf: body}
@@ -466,7 +420,9 @@ func PeekRequestInfo(order ByteOrder, body []byte) (RequestInfo, bool) {
 	if err != nil {
 		return info, false
 	}
-	// See PeekRequestPriority: bound hostile context counts before walking.
+	// Each service context is at least 8 bytes (id + length); a count the
+	// remaining bytes cannot hold is corruption, rejected before the loop
+	// walks (and re-walks) a hostile count.
 	if uint64(nctx)*8 > uint64(d.Remaining()) {
 		return info, false
 	}

@@ -2,114 +2,20 @@ package giop
 
 import "testing"
 
-// peekBody marshals a request and returns just the body bytes the server's
-// read loop would hand to PeekRequestPriority.
-func peekBody(t *testing.T, order ByteOrder, req *Request) []byte {
-	t.Helper()
-	wire := MarshalRequest(nil, order, req)
-	if len(wire) <= HeaderSize {
-		t.Fatalf("marshalled request too short: %d bytes", len(wire))
-	}
-	return wire[HeaderSize:]
-}
-
-func TestPeekRequestPriorityRoundTrip(t *testing.T) {
-	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
-		req := &Request{
-			RequestID: 7, ResponseExpected: true,
-			ObjectKey: []byte("echo"), Operation: "ping",
-			Priority: 23, Payload: []byte("x"),
-		}
-		body := peekBody(t, order, req)
-		p, ok := PeekRequestPriority(order, body)
-		if !ok || p != 23 {
-			t.Errorf("order %v: peek = (%d, %v), want (23, true)", order, p, ok)
-		}
-	}
-}
-
-// A request with a zero trace id marshals an empty service-context sequence;
-// the peek must walk straight past it.
-func TestPeekRequestPriorityZeroServiceContexts(t *testing.T) {
-	req := &Request{
+// A request with a zero trace id and no tenant marshals an empty
+// service-context sequence; the peek must walk straight past it.
+func TestPeekRequestInfoZeroServiceContexts(t *testing.T) {
+	wire := MarshalRequest(nil, BigEndian, &Request{
 		RequestID: 1, ResponseExpected: true,
 		ObjectKey: []byte("k"), Operation: "op", Priority: 5,
-	}
-	body := peekBody(t, BigEndian, req)
+	})
+	body := wire[HeaderSize:]
 	var d = Decoder{order: BigEndian, buf: body}
 	if nctx, err := d.ReadULong(); err != nil || nctx != 0 {
 		t.Fatalf("expected zero service contexts on the wire, got %d (err %v)", nctx, err)
 	}
-	if p, ok := PeekRequestPriority(BigEndian, body); !ok || p != 5 {
-		t.Errorf("peek = (%d, %v), want (5, true)", p, ok)
-	}
-}
-
-// And with a trace context present the peek must skip over it.
-func TestPeekRequestPriorityWithTraceContext(t *testing.T) {
-	req := &Request{
-		RequestID: 2, ResponseExpected: true,
-		ObjectKey: []byte("k"), Operation: "op", Priority: 9,
-		TraceID: 0xABCD, SpanID: 0x1234,
-	}
-	body := peekBody(t, LittleEndian, req)
-	if p, ok := PeekRequestPriority(LittleEndian, body); !ok || p != 9 {
-		t.Errorf("peek = (%d, %v), want (9, true)", p, ok)
-	}
-}
-
-// Truncating the body anywhere before the priority octet must yield the
-// sentinel, never a fabricated priority.
-func TestPeekRequestPriorityTruncated(t *testing.T) {
-	req := &Request{
-		RequestID: 3, ResponseExpected: true,
-		ObjectKey: []byte("servant"), Operation: "operation", Priority: 17,
-	}
-	body := peekBody(t, BigEndian, req)
-	// Find where the priority octet lives: it is the last interesting byte
-	// before the 8-alignment pad (this request has no payload), so every
-	// strict prefix that excludes it must fail.
-	full, ok := PeekRequestPriority(BigEndian, body)
-	if !ok || full != 17 {
-		t.Fatalf("full body peek = (%d, %v), want (17, true)", full, ok)
-	}
-	for n := 0; n < len(body); n++ {
-		p, ok := PeekRequestPriority(BigEndian, body[:n])
-		if ok && p == 17 {
-			// The alignment pad after the priority octet may legitimately be
-			// cut; a successful peek must still return the true priority.
-			continue
-		}
-		if ok {
-			t.Fatalf("truncated to %d bytes: peek fabricated (%d, true)", n, p)
-		}
-		if p != PriorityUnparsed {
-			t.Fatalf("truncated to %d bytes: value %d, want PriorityUnparsed sentinel", n, p)
-		}
-	}
-}
-
-// A context count larger than the remaining bytes could possibly encode is
-// rejected up front instead of walked.
-func TestPeekRequestPriorityOversizedContextCount(t *testing.T) {
-	for _, nctx := range []uint32{2, 1000, 0xFFFFFFFF} {
-		var e Encoder
-		e.Reset(BigEndian, nil)
-		e.WriteULong(nctx)
-		// One plausible-looking context entry, regardless of the count.
-		e.WriteULong(TraceContextID)
-		e.WriteULong(4)
-		e.WriteOctet(1)
-		e.WriteOctet(2)
-		e.WriteOctet(3)
-		e.WriteOctet(4)
-		p, ok := PeekRequestPriority(BigEndian, e.Bytes())
-		if ok {
-			t.Errorf("nctx=%d: peek accepted a hostile context count (p=%d)", nctx, p)
-		}
-		if p != PriorityUnparsed {
-			t.Errorf("nctx=%d: value %d, want PriorityUnparsed sentinel", nctx, p)
-		}
+	if info, ok := PeekRequestInfo(BigEndian, body); !ok || info.Priority != 5 {
+		t.Errorf("peek = (%+v, %v), want priority 5", info, ok)
 	}
 }
 

@@ -66,11 +66,11 @@ func TestTenantContextZeroCostWhenAbsent(t *testing.T) {
 func TestPeekRequestInfoRoundTrip(t *testing.T) {
 	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
 		for _, tc := range []struct {
-			name           string
-			tenant         uint64
-			tier           uint8
-			trace          uint64
-			oneway         bool
+			name   string
+			tenant uint64
+			tier   uint8
+			trace  uint64
+			oneway bool
 		}{
 			{name: "plain"},
 			{name: "tenanted", tenant: 42, tier: 1},
@@ -119,7 +119,7 @@ func TestPeekRequestInfoAllocFree(t *testing.T) {
 }
 
 // Truncating the body anywhere before the priority octet must fail the peek
-// with the sentinel priority, mirroring the PeekRequestPriority discipline.
+// with the sentinel priority, never a fabricated one.
 func TestPeekRequestInfoTruncated(t *testing.T) {
 	req := &Request{
 		RequestID: 8, ResponseExpected: true,
@@ -146,7 +146,8 @@ func TestPeekRequestInfoTruncated(t *testing.T) {
 	}
 }
 
-// A hostile context count is rejected before the walk, like the priority peek.
+// A context count larger than the remaining bytes could possibly encode is
+// rejected up front instead of walked.
 func TestPeekRequestInfoOversizedContextCount(t *testing.T) {
 	for _, nctx := range []uint32{2, 1000, 0xFFFFFFFF} {
 		var e Encoder

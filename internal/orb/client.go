@@ -74,11 +74,9 @@ type ClientConfig struct {
 	// a band is preserved (stripe.go). Zero or one keeps the single
 	// connection; values above 32 clamp.
 	Channels int
-	// Coalesce opts the send path into adaptive write coalescing
-	// (coalesce.go): concurrent senders' frames are flushed as one vectored
-	// write, amortising syscalls under pipelining with no latency tax on a
-	// lone caller. Nil disables coalescing (every frame is its own write,
-	// the PR-4 discipline).
+	// Coalesce is ignored: write batching is always on (coalesce.go).
+	//
+	// Deprecated: kept so that existing configurations compile.
 	Coalesce *CoalesceConfig
 	// ReactorShards shards each connection's demux pending table: entries
 	// hash by request id to per-shard maps with their own locks, so
@@ -99,7 +97,7 @@ type ClientConfig struct {
 	// (local.go): when a member of the target set is an orb.Server in this
 	// process on this same Network, Invoke/InvokeView/InvokeOneway dispatch
 	// the servant directly on the caller's goroutine — no GIOP encode/
-	// decode, no coalescer, no stripes, no reactor. Server-side policy is
+	// decode, no connection writer, no stripes, no reactor. Server-side policy is
 	// preserved exactly: the overload Admit gate, tenant classification,
 	// retiring-key sheds, in-flight/latency instruments, and trace spans
 	// all see collocated traffic identically to remote traffic. The
@@ -138,8 +136,7 @@ type Client struct {
 	closed   atomic.Bool
 	network  transport.Network
 	addr     string
-	res      *resilience     // nil unless ClientConfig.Resilience was set
-	coalesce *CoalesceConfig // nil unless ClientConfig.Coalesce was set
+	res      *resilience // nil unless ClientConfig.Resilience was set
 	inflight atomic.Int64
 	gauge    *telemetry.GaugeHandle
 
@@ -262,10 +259,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Resilience != nil {
 		cl.res = newResilience(*cfg.Resilience)
 	}
-	if cfg.Coalesce != nil {
-		co := cfg.Coalesce.withDefaults()
-		cl.coalesce = &co
-	}
 	channels := cfg.Channels
 	if channels <= 0 {
 		channels = 1
@@ -310,14 +303,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		}
 	}
 
-	// The marshalling pipeline's width caps how many frames can be inside
-	// the coalescer at once, which in turn caps batch sizes; widen it when
-	// coalescing is on.
-	sendWidth := 2
-	if cl.coalesce != nil && cl.coalesce.SendWidth > sendWidth {
-		sendWidth = cl.coalesce.SendWidth
-	}
-
 	threading := core.ThreadingShared
 	if cfg.Synchronous {
 		threading = core.ThreadingSynchronous
@@ -337,7 +322,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 			Name:       "Transport",
 			MemorySize: transportSize,
 			Persistent: true,
-			Setup:      cl.transportSetup(threading, mpSize, cfg.ScopePoolCount > 0, depth, sendWidth),
+			Setup:      cl.transportSetup(threading, mpSize, cfg.ScopePoolCount > 0, depth),
 		})
 	})
 	if err != nil {
@@ -364,10 +349,16 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 // the Out port feeding MessageProcessing, the per-request child definition,
 // and the start function that dials every stripe's connection and launches
 // its reactor.
-func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool bool, depth, sendWidth int) func(*core.Component) error {
+func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool bool, depth int) func(*core.Component) error {
 	return func(tc *core.Component) error {
 		orbSMM := tc.Parent().SMM()
 		tSMM := tc.SMM()
+		// Two relay threads per stripe: a sender returns as soon as its
+		// frame is written or batched, so width does not cap batch sizes,
+		// but the thread that owns a stripe's wire is held for the length of
+		// its write — on a slow wire one more must keep marshalling behind
+		// it, for every stripe that can be flushing at once.
+		sendWidth := 2 * len(cl.stripes)
 
 		toMP, err := core.AddOutPort(tc, tSMM, core.OutPortConfig{
 			Name: "toMP", Type: invokeType, Dests: []string{"MessageProcessing.request"},
@@ -446,12 +437,13 @@ func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool
 
 // processInvoke runs in the MessageProcessing component's scope: it enters
 // a pooled per-request scope nested under it, marshals the GIOP request
-// there, registers the invocation's pending entry, and writes the frame.
-// It does NOT wait for the reply — the connection's demux reactor completes
-// the caller's channel when the matching reply arrives — so the component
-// pipeline stays available for the next submission and invocations pipeline
-// on the wire. The request scope is reclaimed on return (the frame has been
-// written by then), keeping memory bounded per in-flight request.
+// there, registers the invocation's pending entry, and hands the frame to
+// the connection's writer. It does NOT wait for the reply — the connection's
+// demux reactor completes the caller's channel when the matching reply
+// arrives — so the component pipeline stays available for the next
+// submission and invocations pipeline on the wire. The request scope is
+// reclaimed on return (the frame has been written or copied into the
+// connection's batch by then), keeping memory bounded per in-flight request.
 func (cl *Client) processInvoke(p *core.Proc, msg core.Message) error {
 	in := msg.(*invokeMsg)
 	if in.pe.state.Load() == pendingCancelled {
@@ -547,7 +539,7 @@ func (cl *Client) submit(ctx *memory.Context, in *invokeMsg) error {
 			return nil
 		}
 	}
-	if err := mc.send(wire); err != nil {
+	if err := mc.send(wire, in.oneway); err != nil {
 		werr := fmt.Errorf("orb client: write: %w", cl.mapWireErr(err))
 		if in.oneway {
 			// Oneway entries never register, so fail() cannot reach them.
@@ -1012,7 +1004,7 @@ func (cl *Client) locateOnce(key string) (bool, []string, error) {
 	wb.B = giop.MarshalLocateRequest(wb.B, cl.order, &giop.LocateRequest{
 		RequestID: id, ObjectKey: []byte(key),
 	})
-	err = mc.send(wb.B)
+	err = mc.send(wb.B, true)
 	giop.PutBuffer(wb)
 	_ = err // a send failure completed the registered entry with the wire error
 	res := cl.await(pe)

@@ -1,242 +1,216 @@
 package orb
 
 import (
+	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/giop"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
-// This file is the adaptive write-coalescing layer shared by the client mux
-// send path and the server reply path. Senders hand the coalescer one framed
-// GIOP message each and block until their frame reaches the connection; the
-// first sender to find the writer idle becomes the flusher and writes every
-// queued frame as one vectored write (group commit). The policy is adaptive
-// with no timers: a lone caller's frame flushes immediately — the idle
-// flusher takes a batch of one — while under contention frames pile up
-// behind the in-progress write and the next flush drains them all, bounded
-// by MaxBatchFrames/MaxBatchBytes. Blocking the sender (rather than copying
-// the frame and returning) is load-bearing twice over: the frame bytes live
-// in a pooled per-request scope that is reclaimed when the sender's handler
-// returns, and oneway invocations report write errors synchronously.
+// This file is the one write path of every ORB connection: client requests
+// and server replies alike go through a connWriter, which amortises write
+// syscalls by construction and has nothing to configure.
+//
+// A sender that is alone on the connection — no other invocation in flight,
+// as the caller observes from its in-flight count — writes its own bytes
+// directly: no copy, no yield, one write per frame, the lock-step path.
+// Otherwise the frame is copied into a batch buffer owned by the connection
+// and the sender returns at once; the first sender to append becomes the
+// flusher, yields one scheduler pass so that every submitter already
+// runnable lands its frame too, then writes the lot with one write. Frames
+// arriving during that write collect in the second buffer and go out in the
+// flusher's next pass. Returning before the flush is what lets a two-thread
+// marshalling pipeline fill a batch; the copy is what makes it safe, because
+// the sender's frame lives in a per-request scope reclaimed when its handler
+// returns.
 
-// CoalesceConfig opts an ORB endpoint into adaptive write coalescing.
-// The zero value of each field selects its default.
-type CoalesceConfig struct {
-	// MaxBatchFrames bounds how many frames one vectored write carries;
-	// zero selects 32.
-	MaxBatchFrames int
-	// MaxBatchBytes bounds the byte size of one vectored write; zero
-	// selects 64 KiB. A single frame larger than the bound still flushes
-	// (alone) — the bound caps batching, not frame size.
-	MaxBatchBytes int
-	// SendWidth widens the client's marshalling pipeline (the Transport and
-	// MessageProcessing port pools) so that many requests can be in the
-	// coalescer at once; zero selects 8. Without widening, the default
-	// two-thread pipeline caps batches at two frames regardless of load.
-	// Ignored by the server, whose width is ServerConfig.Concurrency.
-	SendWidth int
-}
+// CoalesceConfig used to opt an endpoint into write coalescing and size its
+// batches. Batching is now always on and sizes itself from the traffic.
+//
+// Deprecated: the type and the Coalesce fields that carry it are ignored;
+// they remain so that existing configurations compile.
+type CoalesceConfig struct{}
 
-// Coalescing defaults.
+// Batch bounds: a flush carries at most this many frames and bytes. A sender
+// that finds the batch full waits for the flusher to take it; a frame too
+// large to batch is written directly.
 const (
-	defaultMaxBatchFrames = 32
-	defaultMaxBatchBytes  = 64 << 10
-	defaultSendWidth      = 8
+	maxBatchFrames = 32
+	maxBatchBytes  = 64 << 10
 )
 
-// withDefaults fills zero fields.
-func (c CoalesceConfig) withDefaults() CoalesceConfig {
-	if c.MaxBatchFrames <= 0 {
-		c.MaxBatchFrames = defaultMaxBatchFrames
-	}
-	if c.MaxBatchBytes <= 0 {
-		c.MaxBatchBytes = defaultMaxBatchBytes
-	}
-	if c.SendWidth <= 0 {
-		c.SendWidth = defaultSendWidth
-	}
-	return c
-}
-
-// Coalescing metrics, exported at /metrics with the compadres_ prefix.
-// frames/flush — the syscall amortisation factor — is
-// coalesce_frames_total / coalesce_flush_total; the histogram carries the
-// distribution of batch sizes behind that mean.
+// Write-path metrics, exported at /metrics with the compadres_ prefix. They
+// count batched flushes only — a direct write is one frame by definition —
+// so coalesce_frames_total / coalesce_flush_total is the mean batch and the
+// histogram its distribution. giop's wire_read_frames is the read-side twin.
 var (
 	coalesceFlushTotal  = telemetry.NewCounter("coalesce_flush_total")
 	coalesceFramesTotal = telemetry.NewCounter("coalesce_frames_total")
 	coalesceBatchFrames = telemetry.NewHistogram("coalesce_batch_frames")
 )
 
-// coalescer serialises writes to one connection through a flush queue.
-// Frames flush strictly in enqueue order, so a sender's frame has been
-// written exactly when the flushed-sequence counter passes the sequence it
-// was enqueued at. After a write error the coalescer is dead: the error is
-// sticky, queued frames are dropped (their senders get the error), and
-// every later write fails fast — a partial frame has desynchronised GIOP
-// framing, so the connection is unusable anyway.
-type coalescer struct {
-	conn writerConn
-	// timeout, when non-nil, bounds each flush via the connection's write
-	// deadline (the client passes its per-invoke timeout; the server passes
-	// nil).
-	timeout   func() time.Duration
-	maxFrames int
-	maxBytes  int
+// sendMode is what a sender knows about its frame.
+type sendMode int
 
-	mu       sync.Mutex
-	cond     sync.Cond
-	queue    [][]byte
-	flushing bool
-	head     uint64 // sequence of the last enqueued frame
-	done     uint64 // sequence of the last flushed frame
-	err      error  // sticky first write error
-	batch    [][]byte
+const (
+	// sendBatched: other invocations are in flight on the connection, so
+	// more frames are likely on their way; batch with them.
+	sendBatched sendMode = iota
+	// sendAlone: nothing else is in flight; write directly if the wire is
+	// free.
+	sendAlone
+	// sendInline: the caller reports this frame's own write error (oneways,
+	// Locate); wait for the wire and write directly.
+	sendInline
+)
+
+// modeFor picks a frame's mode from what its sender knows: whether it must
+// report the write's own error, and how many invocations (its own included)
+// are in flight on the connection.
+func modeFor(inline bool, inflight int64) sendMode {
+	switch {
+	case inline:
+		return sendInline
+	case inflight <= 1:
+		return sendAlone
+	}
+	return sendBatched
 }
 
-// writerConn is the slice of transport.Conn the coalescer needs; tests
-// substitute scripted writers.
+// writerConn is the slice of transport.Conn the writer needs; tests
+// substitute counting and scripted writers.
 type writerConn interface {
 	Write(p []byte) (int, error)
 }
 
-// newCoalescer builds a coalescer over conn with cfg's (default-filled)
-// bounds.
-func newCoalescer(conn writerConn, cfg CoalesceConfig, timeout func() time.Duration) *coalescer {
-	cfg = cfg.withDefaults()
-	co := &coalescer{
-		conn:      conn,
-		timeout:   timeout,
-		maxFrames: cfg.MaxBatchFrames,
-		maxBytes:  cfg.MaxBatchBytes,
-		queue:     make([][]byte, 0, cfg.MaxBatchFrames),
-		batch:     make([][]byte, 0, cfg.MaxBatchFrames),
-	}
-	co.cond.L = &co.mu
-	return co
+// connWriter serialises writes to one connection. At most one goroutine
+// owns the wire at a time (busy); it leaves only with the batch empty, so a
+// frame appended while the wire is owned is always flushed by that owner and
+// its sender need not wait. After a write error the writer is dead: the
+// error is sticky, batched frames are dropped, and every later write fails
+// fast — a partial frame has desynchronised GIOP framing, so the connection
+// is unusable anyway.
+type connWriter struct {
+	conn writerConn
+	// timeout, when non-nil, bounds each write via the connection's write
+	// deadline (the client passes its per-invoke timeout; the server nil).
+	timeout func() time.Duration
+	// yield is the flusher's one scheduler pass before its first write.
+	yield func()
+
+	mu   sync.Mutex
+	cond sync.Cond // the wire was released, or the batch was taken
+	busy bool
+	err  error // sticky first write error
+	// batch collects frames (allocated on first use); spare is the second
+	// buffer, idle or being written by the wire's owner.
+	batch, spare *giop.Buffer
+	frames       int
 }
 
-// write enqueues one frame and blocks until it has been written or the
-// coalescer has failed. The frame bytes are referenced, never copied, and
-// are released before write returns — callers may reclaim them immediately.
-// owner reports whether THIS call performed the failing flush: exactly one
-// caller per wire fault sees owner=true, and only it may charge the fault
-// to the breaker and fail the connection, preserving the mux invariant that
-// one wire event counts one breaker failure however many senders it
-// strands.
-func (co *coalescer) write(frame []byte) (err error, owner bool) {
-	co.mu.Lock()
-	if co.err != nil {
-		err = co.err
-		co.mu.Unlock()
+func newConnWriter(conn writerConn, timeout func() time.Duration) *connWriter {
+	w := &connWriter{conn: conn, timeout: timeout, yield: runtime.Gosched}
+	w.cond.L = &w.mu
+	return w
+}
+
+// write sends one frame. The bytes are not referenced after write returns.
+// A nil error means the frame was written (sendAlone on a free wire,
+// sendInline) or is batched behind the wire's owner; a batched frame's write
+// error reaches the connection, not its sender. owner reports that THIS call
+// hit the writer's first write error: exactly one caller per wire fault sees
+// it, and only it may charge the fault to a breaker and kill the connection,
+// however many senders the fault strands.
+func (w *connWriter) write(frame []byte, mode sendMode) (err error, owner bool) {
+	if len(frame) > maxBatchBytes {
+		mode = sendInline
+	}
+	w.mu.Lock()
+	for w.err == nil && w.busy && (mode == sendInline || w.full(len(frame))) {
+		w.cond.Wait()
+	}
+	if w.err != nil {
+		err = w.err
+		w.mu.Unlock()
 		return err, false
 	}
-	co.queue = append(co.queue, frame)
-	co.head++
-	seq := co.head
-	for {
-		if co.err != nil {
-			err = co.err
-			co.mu.Unlock()
-			return err, false
-		}
-		if co.done >= seq {
-			// Flushed — frames leave the queue strictly in enqueue order, so
-			// the counter passing our sequence means our frame went out even
-			// if a later flush failed.
-			co.mu.Unlock()
-			return nil, false
-		}
-		if co.flushing {
-			co.cond.Wait()
-			continue
-		}
-		// Writer idle: become the flusher. Take the longest queue prefix
-		// within the batch bounds (always at least one frame, so an
-		// over-bound frame still flushes alone) and write it outside the
-		// lock as one vectored write; frames arriving meanwhile queue behind
-		// the flushing flag and ride the next batch.
-		take, bytes := 0, 0
-		for take < len(co.queue) && take < co.maxFrames {
-			if take > 0 && bytes+len(co.queue[take]) > co.maxBytes {
-				break
-			}
-			bytes += len(co.queue[take])
-			take++
-		}
-		batch := append(co.batch[:0], co.queue[:take]...)
-		rest := copy(co.queue, co.queue[take:])
-		for i := rest; i < len(co.queue); i++ {
-			co.queue[i] = nil
-		}
-		co.queue = co.queue[:rest]
-		co.flushing = true
-		co.mu.Unlock()
-
-		werr := co.flush(batch)
-		// The batch was consumed (possibly resliced) by the vectored write;
-		// drop the frame references before the senders reclaim their scopes.
-		for i := range batch {
-			batch[i] = nil
-		}
-		co.batch = batch[:0]
-
-		co.mu.Lock()
-		co.flushing = false
-		if werr != nil {
-			co.err = werr
-			// Dead coalescer: unhook the unflushed frames so their scoped
-			// buffers can be reclaimed; their senders wake to the sticky
-			// error above.
-			for i := range co.queue {
-				co.queue[i] = nil
-			}
-			co.queue = co.queue[:0]
-			co.cond.Broadcast()
-			co.mu.Unlock()
-			return werr, true
-		}
-		co.done += uint64(take)
-		coalesceFlushTotal.Inc()
-		coalesceFramesTotal.Add(int64(take))
-		coalesceBatchFrames.Record(int64(take))
-		co.cond.Broadcast()
-		// Loop: if our own frame was beyond this batch, keep flushing (or
-		// wait for a successor flusher) until the counter covers it.
+	if !w.busy && mode != sendBatched {
+		w.busy = true
+		w.mu.Unlock()
+		err = w.out(frame)
+		w.mu.Lock()
+		return w.release(err)
 	}
+	if w.batch == nil {
+		w.batch = giop.GetBuffer()
+	}
+	w.batch.B = append(w.batch.B, frame...)
+	w.frames++
+	if w.busy {
+		w.mu.Unlock()
+		return nil, false
+	}
+	w.busy = true
+	w.mu.Unlock()
+	w.yield()
+	w.mu.Lock()
+	return w.release(nil)
 }
 
-// flush writes one batch to the connection as a single vectored write,
-// bounded by the write deadline when one is configured.
-func (co *coalescer) flush(batch [][]byte) error {
-	if co.timeout != nil {
-		if t := co.timeout(); t > 0 {
-			if wd, ok := co.conn.(writeDeadliner); ok {
+// full reports whether a frame of n bytes must wait for the next batch.
+func (w *connWriter) full(n int) bool {
+	return w.frames >= maxBatchFrames || (w.frames > 0 && len(w.batch.B)+n > maxBatchBytes)
+}
+
+// release is how the wire's owner leaves: it flushes batches until none is
+// left, frees the wire, and records the first error. It is called with mu
+// held and returns with it released.
+func (w *connWriter) release(err error) (error, bool) {
+	for err == nil && w.frames > 0 {
+		out, n := w.batch, int64(w.frames)
+		w.batch, w.spare, w.frames = w.spare, nil, 0
+		w.cond.Broadcast()
+		w.mu.Unlock()
+		if err = w.out(out.B); err == nil {
+			coalesceFlushTotal.Inc()
+			coalesceFramesTotal.Add(n)
+			coalesceBatchFrames.Record(n)
+		}
+		out.B = out.B[:0]
+		w.mu.Lock()
+		if w.batch == nil {
+			w.batch = out
+		} else {
+			w.spare = out
+		}
+	}
+	w.busy = false
+	if err != nil {
+		w.err = err
+		for _, b := range [...]*giop.Buffer{w.batch, w.spare} {
+			if b != nil {
+				giop.PutBuffer(b)
+			}
+		}
+		w.batch, w.spare, w.frames = nil, nil, 0
+	}
+	w.cond.Broadcast()
+	w.mu.Unlock()
+	return err, err != nil
+}
+
+// out writes p to the connection, bounded by the write deadline when one is
+// configured.
+func (w *connWriter) out(p []byte) error {
+	if w.timeout != nil {
+		if t := w.timeout(); t > 0 {
+			if wd, ok := w.conn.(writeDeadliner); ok {
 				_ = wd.SetWriteDeadline(time.Now().Add(t))
 			}
 		}
 	}
-	_, err := writeBatch(co.conn, batch)
+	_, err := w.conn.Write(p)
 	return err
-}
-
-// writeBatch routes a batch through the transport's vectored-write helper
-// when the writer is a full connection (writev on TCP, sequential parity
-// elsewhere) and degrades to sequential writes for the scripted writers the
-// tests substitute.
-func writeBatch(w writerConn, bufs [][]byte) (int64, error) {
-	if c, ok := w.(transport.Conn); ok {
-		return transport.WriteBuffers(c, bufs)
-	}
-	var total int64
-	for _, b := range bufs {
-		n, err := w.Write(b)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
 }

@@ -4,75 +4,56 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/corba"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
 
-// gatedWriter is a scripted transport.Conn with the BuffersWriter
-// capability: every flush parks until the test releases it, so the tests
-// can deterministically pile senders into the coalescer's queue while a
-// flush is "on the wire", and each flush is recorded as the whole batch it
-// carried.
-type gatedWriter struct {
+// countingWriter is a scripted writerConn: it records every Write as the
+// bytes it carried, can fail from a given write on, and can park writes
+// behind a gate so a test can pile senders up while one is "on the wire".
+type countingWriter struct {
 	mu      sync.Mutex
-	gate    chan struct{} // receive = permission for one flush
-	batches [][][]byte    // frames carried by each flush
-	failOn  int           // 1-based flush index to fail at; 0 = never
+	writes  [][]byte
+	failOn  int           // 1-based write index to fail from; 0 = never
+	gate    chan struct{} // non-nil: every Write first receives from it
 	failErr error
 }
 
-func newGatedWriter() *gatedWriter {
-	return &gatedWriter{gate: make(chan struct{}, 64), failErr: errors.New("scripted write failure")}
+func newCountingWriter() *countingWriter {
+	return &countingWriter{failErr: errors.New("scripted write failure")}
 }
 
-func (w *gatedWriter) Read(p []byte) (int, error) { return 0, io.EOF }
-func (w *gatedWriter) Close() error               { return nil }
-
-func (w *gatedWriter) Write(p []byte) (int, error) {
-	n, err := w.WriteBuffers([][]byte{p})
-	return int(n), err
-}
-
-func (w *gatedWriter) WriteBuffers(bufs [][]byte) (int64, error) {
-	<-w.gate
+func (w *countingWriter) Write(p []byte) (int, error) {
+	if w.gate != nil {
+		<-w.gate
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	cp := make([][]byte, len(bufs))
-	for i, b := range bufs {
-		cp[i] = append([]byte(nil), b...)
-	}
-	w.batches = append(w.batches, cp)
-	if w.failOn != 0 && len(w.batches) >= w.failOn {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	if w.failOn != 0 && len(w.writes) >= w.failOn {
 		return 0, w.failErr
 	}
-	var n int64
-	for _, b := range bufs {
-		n += int64(len(b))
-	}
-	return n, nil
+	return len(p), nil
 }
 
-// allow releases n flushes.
-func (w *gatedWriter) allow(n int) {
-	for i := 0; i < n; i++ {
-		w.gate <- struct{}{}
-	}
-}
-
-// flushSizes returns the frame count each flush carried.
-func (w *gatedWriter) flushSizes() []int {
+// calls returns how many Writes reached the connection.
+func (w *countingWriter) calls() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make([]int, len(w.batches))
-	for i, b := range w.batches {
-		out[i] = len(b)
-	}
-	return out
+	return len(w.writes)
+}
+
+// stream returns everything written, in order.
+func (w *countingWriter) stream() []byte {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return bytes.Join(w.writes, nil)
 }
 
 // waitFor spins until cond holds.
@@ -87,212 +68,334 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition never reached")
 }
 
-// waitHead blocks until n frames have been enqueued in total.
-func waitHead(t *testing.T, co *coalescer, n uint64) {
-	t.Helper()
-	waitFor(t, func() bool {
-		co.mu.Lock()
-		defer co.mu.Unlock()
-		return co.head >= n
-	})
+// countYields replaces a writer's yield with a counter.
+func countYields(w *connWriter) *int {
+	n := new(int)
+	w.yield = func() { *n++ }
+	return n
 }
 
-// waitFlushing blocks until a flush is in progress.
-func waitFlushing(t *testing.T, co *coalescer) {
-	t.Helper()
-	waitFor(t, func() bool {
-		co.mu.Lock()
-		defer co.mu.Unlock()
-		return co.flushing
-	})
-}
-
-// TestCoalescerLoneCallerImmediate pins the no-latency-tax half of the
-// adaptive policy: a sender finding the writer idle flushes immediately, so
-// sequential callers see one flush per frame and zero queueing.
-func TestCoalescerLoneCallerImmediate(t *testing.T) {
-	w := newGatedWriter()
-	w.allow(64)
-	co := newCoalescer(w, CoalesceConfig{}, nil)
-	for i := 0; i < 5; i++ {
+// TestWriterLoneSenderDirect pins the lock-step half of the policy: a sender
+// that is alone writes its own bytes — one write per frame, no yield, no
+// batch buffer ever allocated — and so does an inline sender.
+func TestWriterLoneSenderDirect(t *testing.T) {
+	conn := newCountingWriter()
+	w := newConnWriter(conn, nil)
+	yields := countYields(w)
+	for i, mode := range []sendMode{sendAlone, sendAlone, sendInline, sendAlone, sendInline} {
 		frame := []byte(fmt.Sprintf("frame-%d", i))
-		if err, _ := co.write(frame); err != nil {
+		if err, _ := w.write(frame, mode); err != nil {
 			t.Fatalf("write %d: %v", i, err)
 		}
-	}
-	sizes := w.flushSizes()
-	if len(sizes) != 5 {
-		t.Fatalf("lone callers produced %d flushes, want 5 (one each)", len(sizes))
-	}
-	for i, n := range sizes {
-		if n != 1 {
-			t.Errorf("flush %d carried %d frames, want 1", i, n)
+		if got := conn.calls(); got != i+1 {
+			t.Fatalf("after %d lone frames the connection saw %d writes, want one each", i+1, got)
 		}
+	}
+	if *yields != 0 {
+		t.Errorf("lone senders yielded %d times, want 0", *yields)
+	}
+	if w.batch != nil || w.spare != nil {
+		t.Error("lone senders allocated a batch buffer")
+	}
+	if got := conn.stream(); string(got) != "frame-0frame-1frame-2frame-3frame-4" {
+		t.Errorf("stream = %q", got)
 	}
 }
 
-// TestCoalescerBatchesQueuedSenders pins the group-commit half: senders
-// arriving while a flush is in progress queue up and go out together in the
-// next vectored write, in enqueue order.
-func TestCoalescerBatchesQueuedSenders(t *testing.T) {
-	w := newGatedWriter()
-	co := newCoalescer(w, CoalesceConfig{}, nil)
+// TestWriterBatchesConcurrentSenders pins the pipelined half: 16 senders on
+// one P, each returning as soon as its frame is appended, go out in a
+// handful of writes — the flusher's one yield lets every runnable sender
+// land its frames first — with every frame intact and each sender's frames
+// in its own order.
+func TestWriterBatchesConcurrentSenders(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	conn := newCountingWriter()
+	w := newConnWriter(conn, nil)
 
-	results := make(chan error, 3)
-	go func() { err, _ := co.write([]byte("first")); results <- err }()
-	waitFlushing(t, co)
-	go func() { err, _ := co.write([]byte("second")); results <- err }()
-	waitHead(t, co, 2)
-	go func() { err, _ := co.write([]byte("third")); results <- err }()
-	waitHead(t, co, 3)
+	const senders, rounds = 16, 50
+	const frameLen = len("<00:00>")
+	flushes0, frames0 := coalesceFlushTotal.Value(), coalesceFramesTotal.Value()
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				if err, _ := w.write([]byte(fmt.Sprintf("<%02d:%02d>", s, r)), sendBatched); err != nil {
+					t.Errorf("sender %d round %d: %v", s, r, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	waitFor(t, func() bool { w.mu.Lock(); defer w.mu.Unlock(); return !w.busy })
 
-	flushesBefore := coalesceFlushTotal.Value()
-	w.allow(64) // release the wire
-	for i := 0; i < 3; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("sender %d: %v", i, err)
+	const frames = senders * rounds
+	if got := conn.calls(); got > frames/4 {
+		t.Errorf("%d frames took %d writes, want at most %d", frames, got, frames/4)
+	}
+	if got := coalesceFramesTotal.Value() - frames0; got != frames {
+		t.Errorf("coalesce_frames_total moved by %d, want %d", got, frames)
+	}
+	if got := coalesceFlushTotal.Value() - flushes0; got != int64(conn.calls()) {
+		t.Errorf("coalesce_flush_total moved by %d for %d writes", got, conn.calls())
+	}
+	for _, b := range conn.writes {
+		if n := len(b) / frameLen; n > maxBatchFrames {
+			t.Errorf("one write carried %d frames, over the %d-frame bound", n, maxBatchFrames)
 		}
 	}
-	sizes := w.flushSizes()
-	if len(sizes) != 2 || sizes[0] != 1 || sizes[1] != 2 {
-		t.Fatalf("flush sizes = %v, want [1 2] (lone head, then the queued pair)", sizes)
+	// Every frame arrived whole, once, and per sender in order.
+	next := make([]int, senders)
+	stream := conn.stream()
+	if len(stream) != frames*frameLen {
+		t.Fatalf("stream is %d bytes, want %d", len(stream), frames*frameLen)
 	}
-	w.mu.Lock()
-	batch := w.batches[1]
-	w.mu.Unlock()
-	if !bytes.Equal(batch[0], []byte("second")) || !bytes.Equal(batch[1], []byte("third")) {
-		t.Errorf("second flush carried %q,%q — enqueue order violated", batch[0], batch[1])
-	}
-	if got := coalesceFlushTotal.Value() - flushesBefore; got != 2 {
-		t.Errorf("coalesce_flush_total advanced by %d, want 2", got)
+	for off := 0; off < len(stream); off += frameLen {
+		var s, r int
+		if _, err := fmt.Sscanf(string(stream[off:off+frameLen]), "<%02d:%02d>", &s, &r); err != nil {
+			t.Fatalf("torn frame %q at %d", stream[off:off+frameLen], off)
+		}
+		if r != next[s] {
+			t.Fatalf("sender %d frame %d arrived when %d was due", s, r, next[s])
+		}
+		next[s]++
 	}
 }
 
-// TestCoalescerMaxBatchFrames pins the batch bound: five queued frames
-// behind a one-frame flush drain in ceil(5/2) batches when MaxBatchFrames
-// is 2, never one giant write.
-func TestCoalescerMaxBatchFrames(t *testing.T) {
-	w := newGatedWriter()
-	co := newCoalescer(w, CoalesceConfig{MaxBatchFrames: 2}, nil)
+// TestWriterFramesBehindABusyWire pins who flushes what: frames appended
+// while another sender owns the wire return at once and go out, together and
+// in order, in that owner's next pass; an inline sender waits its turn and
+// then writes alone.
+func TestWriterFramesBehindABusyWire(t *testing.T) {
+	conn := newCountingWriter()
+	conn.gate = make(chan struct{})
+	w := newConnWriter(conn, nil)
 
-	const extra = 5
-	results := make(chan error, extra+1)
-	go func() { err, _ := co.write([]byte("head")); results <- err }()
-	waitFlushing(t, co)
-	for i := 0; i < extra; i++ {
-		i := i
-		go func() { err, _ := co.write([]byte(fmt.Sprintf("q-%d", i))); results <- err }()
-	}
-	waitHead(t, co, extra+1)
-	w.allow(64)
-	for i := 0; i < extra+1; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("sender %d: %v", i, err)
+	first := make(chan error, 1)
+	go func() { err, _ := w.write([]byte("first"), sendAlone); first <- err }()
+	waitFor(t, func() bool { w.mu.Lock(); defer w.mu.Unlock(); return w.busy })
+	for _, f := range []string{"second", "third"} {
+		if err, _ := w.write([]byte(f), sendBatched); err != nil {
+			t.Fatalf("%s: %v", f, err)
 		}
 	}
-	sizes := w.flushSizes()
-	want := []int{1, 2, 2, 1}
-	if len(sizes) != len(want) {
-		t.Fatalf("flush sizes = %v, want %v", sizes, want)
+	inline := make(chan error, 1)
+	go func() { err, _ := w.write([]byte("inline"), sendInline); inline <- err }()
+
+	conn.gate <- struct{}{} // the direct write of "first"
+	conn.gate <- struct{}{} // the owner's next pass
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	conn.gate <- struct{}{} // the inline sender, once the wire is free
+	if err := <-inline; err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"first", "secondthird", "inline"}
+	if len(conn.writes) != len(want) {
+		t.Fatalf("writes = %q, want %q", conn.writes, want)
 	}
 	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("flush sizes = %v, want %v", sizes, want)
+		if string(conn.writes[i]) != want[i] {
+			t.Fatalf("writes = %q, want %q", conn.writes, want)
 		}
 	}
 }
 
-// TestCoalescerMaxBatchBytes pins the byte bound: frames stop joining a
-// batch once it would exceed MaxBatchBytes, but an over-bound frame alone
-// still flushes.
-func TestCoalescerMaxBatchBytes(t *testing.T) {
-	w := newGatedWriter()
-	co := newCoalescer(w, CoalesceConfig{MaxBatchBytes: 10}, nil)
+// TestWriterBatchBounds pins the two limits: a sender that finds the batch
+// full waits for the next one, and a frame too large to batch is written
+// directly, never copied.
+func TestWriterBatchBounds(t *testing.T) {
+	conn := newCountingWriter()
+	conn.gate = make(chan struct{}, 64)
+	w := newConnWriter(conn, nil)
 
-	results := make(chan error, 4)
-	go func() { err, _ := co.write([]byte("head")); results <- err }()
-	waitFlushing(t, co)
-	// 6 + 6 bytes > 10 → the pair must split; the 16-byte frame exceeds the
-	// bound outright and must still go out (alone).
-	go func() { err, _ := co.write([]byte("sixby1")); results <- err }()
-	go func() { err, _ := co.write([]byte("sixby2")); results <- err }()
-	go func() { err, _ := co.write([]byte("sixteen-bytes-xx")); results <- err }()
-	waitHead(t, co, 4)
-	w.allow(64)
-	for i := 0; i < 4; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("sender %d: %v", i, err)
+	head := make(chan error, 1)
+	go func() { err, _ := w.write([]byte("h"), sendAlone); head <- err }()
+	waitFor(t, func() bool { w.mu.Lock(); defer w.mu.Unlock(); return w.busy })
+	done := make(chan error, maxBatchFrames+1)
+	for i := 0; i <= maxBatchFrames; i++ {
+		go func() { err, _ := w.write([]byte("q"), sendBatched); done <- err }()
+	}
+	waitFor(t, func() bool { w.mu.Lock(); defer w.mu.Unlock(); return w.frames == maxBatchFrames })
+	for i := 0; i < 3; i++ {
+		conn.gate <- struct{}{}
+	}
+	if err := <-head; err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= maxBatchFrames; i++ {
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
 	}
-	sizes := w.flushSizes()
-	if len(sizes) != 4 {
-		t.Fatalf("flush sizes = %v, want 4 flushes (byte bound splits the queue)", sizes)
+	waitFor(t, func() bool { w.mu.Lock(); defer w.mu.Unlock(); return !w.busy })
+	if got := []int{len(conn.writes[0]), len(conn.writes[1]), len(conn.writes[2])}; got[0] != 1 || got[1] != maxBatchFrames || got[2] != 1 {
+		t.Errorf("write sizes = %v, want [1 %d 1]: the sender past the bound rides the next batch", got, maxBatchFrames)
 	}
-	for i, n := range sizes {
-		if n != 1 {
-			t.Errorf("flush %d carried %d frames, want 1 (10-byte bound)", i, n)
-		}
+
+	big := make([]byte, maxBatchBytes+1)
+	conn.gate <- struct{}{}
+	if err, _ := w.write(big, sendBatched); err != nil {
+		t.Fatal(err)
+	}
+	if last := conn.writes[len(conn.writes)-1]; len(last) != len(big) {
+		t.Errorf("oversized frame went out as a %d-byte write", len(last))
+	}
+	if cap(w.batch.B) > maxBatchBytes {
+		t.Errorf("batch buffer grew to %d bytes: the oversized frame was copied", cap(w.batch.B))
 	}
 }
 
-// TestCoalescerWriteErrorOwnership pins single-ownership of a failed flush:
-// exactly one sender (the flusher) sees owner=true, every queued sender
-// gets the same error with owner=false, and later writes fail fast.
-func TestCoalescerWriteErrorOwnership(t *testing.T) {
-	w := newGatedWriter()
-	w.failOn = 1 // the first flush fails
-	co := newCoalescer(w, CoalesceConfig{}, nil)
+// TestWriterErrorOwnership pins single ownership of a wire fault: the one
+// sender whose write failed sees owner=true, frames batched behind it are
+// dropped without a second report, an inline sender gets the error itself,
+// and every later write fails fast.
+func TestWriterErrorOwnership(t *testing.T) {
+	conn := newCountingWriter()
+	conn.gate = make(chan struct{}, 8)
+	conn.failOn = 1
+	w := newConnWriter(conn, nil)
 
 	type res struct {
 		err   error
 		owner bool
 	}
-	results := make(chan res, 3)
-	go func() { err, own := co.write([]byte("first")); results <- res{err, own} }()
-	waitFlushing(t, co)
-	go func() { err, own := co.write([]byte("second")); results <- res{err, own} }()
-	go func() { err, own := co.write([]byte("third")); results <- res{err, own} }()
-	waitHead(t, co, 3)
-	w.allow(64)
+	first := make(chan res, 1)
+	go func() { err, own := w.write([]byte("first"), sendAlone); first <- res{err, own} }()
+	waitFor(t, func() bool { w.mu.Lock(); defer w.mu.Unlock(); return w.busy })
+	if err, own := w.write([]byte("second"), sendBatched); err != nil || own {
+		t.Fatalf("batched behind the doomed write: (%v, %v), want (nil, false)", err, own)
+	}
+	inline := make(chan res, 1)
+	go func() { err, own := w.write([]byte("oneway"), sendInline); inline <- res{err, own} }()
+	conn.gate <- struct{}{}
 
-	owners := 0
-	for i := 0; i < 3; i++ {
-		r := <-results
-		if r.err == nil {
-			t.Fatalf("sender %d: expected the scripted failure", i)
-		}
-		if !errors.Is(r.err, w.failErr) {
-			t.Errorf("sender %d: error %v, want the scripted failure", i, r.err)
-		}
-		if r.owner {
-			owners++
-		}
+	if r := <-first; !errors.Is(r.err, conn.failErr) || !r.owner {
+		t.Errorf("failing sender got (%v, %v), want the scripted failure with ownership", r.err, r.owner)
 	}
-	if owners != 1 {
-		t.Errorf("%d senders claimed ownership of the wire fault, want exactly 1", owners)
+	if r := <-inline; !errors.Is(r.err, conn.failErr) || r.owner {
+		t.Errorf("inline sender got (%v, %v), want the error without ownership", r.err, r.owner)
 	}
-	if err, owner := co.write([]byte("late")); err == nil || owner {
-		t.Errorf("write after failure: (%v, %v), want sticky error without ownership", err, owner)
+	if err, own := w.write([]byte("late"), sendBatched); !errors.Is(err, conn.failErr) || own {
+		t.Errorf("write after failure: (%v, %v), want the sticky error without ownership", err, own)
 	}
-	co.mu.Lock()
-	left := len(co.queue)
-	co.mu.Unlock()
-	if left != 0 {
-		t.Errorf("dead coalescer still holds %d queued frames", left)
+	if conn.calls() != 1 {
+		t.Errorf("dead writer reached the connection %d times, want 1", conn.calls())
+	}
+	if w.frames != 0 || w.batch != nil || w.spare != nil {
+		t.Error("dead writer still holds batched frames")
 	}
 }
 
-// TestCoalescedEchoEndToEnd runs a pipelined workload with coalescing on at
-// BOTH ends (requests and replies batch) and demands full correctness:
-// every caller gets its own payload back and the pending table drains.
-func TestCoalescedEchoEndToEnd(t *testing.T) {
+// TestWriterFlushErrorOwnership is the same rule for a failing batch flush:
+// the flusher — and nobody whose frame it carried — owns the fault.
+func TestWriterFlushErrorOwnership(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	conn := newCountingWriter()
+	conn.failOn = 1
+	w := newConnWriter(conn, nil)
+
+	const senders = 8
+	owners := make(chan bool, senders)
+	var wg sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, own := w.write([]byte("doomed"), sendBatched)
+			owners <- own
+		}()
+	}
+	wg.Wait()
+	close(owners)
+	n := 0
+	for own := range owners {
+		if own {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d senders claimed the failed flush, want exactly 1", n)
+	}
+}
+
+// breakableNet hands out connections whose writes fail once broken is set.
+type breakableNet struct {
+	transport.Network
+	broken *atomic.Bool
+	err    error
+}
+
+type breakableConn struct {
+	transport.Conn
+	net *breakableNet
+}
+
+func (n *breakableNet) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err != nil {
+		return nil, err
+	}
+	return breakableConn{c, n}, nil
+}
+
+func (c breakableConn) Write(p []byte) (int, error) {
+	if c.net.broken.Load() {
+		return 0, c.net.err
+	}
+	return c.Conn.Write(p)
+}
+
+// TestOnewayWriteErrorSurfacesSynchronously drives the inline mode end to
+// end: a oneway whose write fails reports that write's error from the call
+// itself — no reply will ever carry it — with another invocation in flight
+// on the connection or not.
+func TestOnewayWriteErrorSurfacesSynchronously(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		inner := transport.NewInproc()
+		srv := startEchoServer(t, inner, "", ServerConfig{})
+		gate, entered := make(chan struct{}), make(chan struct{}, 1)
+		srv.RegisterServant("slow", corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
+			entered <- struct{}{}
+			<-gate
+			return in, nil
+		}))
+		net := &breakableNet{Network: inner, broken: new(atomic.Bool), err: errors.New("scripted wire fault")}
+		cl := dial(t, net, srv.Addr(), ClientConfig{})
+		if err := cl.InvokeOneway("echo", "echo", []byte("fine"), sched.NormPriority); err != nil {
+			t.Fatalf("busy=%v: healthy oneway: %v", busy, err)
+		}
+		pending := make(chan error, 1)
+		if busy {
+			go func() {
+				_, err := cl.Invoke("slow", "wait", []byte("x"), sched.NormPriority)
+				pending <- err
+			}()
+			<-entered // its request is written and being served
+		}
+		net.broken.Store(true)
+		if err := cl.InvokeOneway("echo", "echo", []byte("lost"), sched.NormPriority); !errors.Is(err, net.err) {
+			t.Errorf("busy=%v: oneway over a broken wire returned %v, want its own write error", busy, err)
+		}
+		close(gate)
+		if busy {
+			if err := <-pending; err == nil {
+				t.Errorf("busy=%v: the invocation in flight on the killed connection succeeded", busy)
+			}
+		}
+	}
+}
+
+// TestBatchedEchoEndToEnd runs a pipelined workload — requests and replies
+// both batch — and demands full correctness: every caller gets its own
+// payload back, the pending table drains, and batches did form.
+func TestBatchedEchoEndToEnd(t *testing.T) {
 	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{
-		Concurrency: 16, Coalesce: &CoalesceConfig{},
-	})
-	cl := dial(t, net, srv.Addr(), ClientConfig{
-		PipelineDepth: 64, Coalesce: &CoalesceConfig{},
-	})
+	srv := startEchoServer(t, net, "", ServerConfig{Concurrency: 16})
+	cl := dial(t, net, srv.Addr(), ClientConfig{PipelineDepth: 64})
 
 	flushesBefore := coalesceFlushTotal.Value()
 	const workers, rounds = 16, 25
@@ -326,15 +429,14 @@ func TestCoalescedEchoEndToEnd(t *testing.T) {
 		t.Errorf("inflight = %d after all replies", got)
 	}
 	if coalesceFlushTotal.Value() == flushesBefore {
-		t.Error("coalesce_flush_total did not advance: the coalesced path was not exercised")
+		t.Error("coalesce_flush_total did not advance: 16 pipelined callers never formed a batch")
 	}
 }
 
-// TestCoalescedConnDeathFailsOnce is TestMuxConnDeathFailsAllPendingOnce
-// with coalescing on: a wire cut stranding a whole batch of coalesced
-// senders must still count ONE breaker failure — the flush owner's — not
-// one per blocked sender.
-func TestCoalescedConnDeathFailsOnce(t *testing.T) {
+// TestBatchedConnDeathFailsOnce is TestMuxConnDeathFailsAllPendingOnce for
+// the batched path: a wire cut stranding a whole batch of senders must still
+// count ONE breaker failure — the wire owner's — not one per sender.
+func TestBatchedConnDeathFailsOnce(t *testing.T) {
 	net := transport.NewInproc()
 	rs := newRawServer(t, net)
 	const callers = 8
@@ -347,7 +449,6 @@ func TestCoalescedConnDeathFailsOnce(t *testing.T) {
 		conn.Close()
 	})
 	cl := dial(t, net, rs.addr, ClientConfig{
-		Coalesce:   &CoalesceConfig{},
 		Resilience: &ResilienceConfig{BreakerThreshold: 2, MaxRetries: 0},
 	})
 
@@ -371,6 +472,6 @@ func TestCoalescedConnDeathFailsOnce(t *testing.T) {
 		t.Errorf("inflight = %d after connection death", got)
 	}
 	if st := cl.stripes[0].brk.State(); st != breakerClosed {
-		t.Errorf("breaker state = %d after one wire event with coalescing on", st)
+		t.Errorf("breaker state = %d after one wire event", st)
 	}
 }

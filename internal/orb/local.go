@@ -16,9 +16,9 @@ import (
 
 // Collocated invocation fast path: when the dial target is an orb.Server
 // living in this process on the same Network, an opted-in client's
-// Invoke/InvokeView/InvokeOneway skip GIOP marshalling, the coalescer, the
-// stripes, and the demux reactor entirely and call the servant directly on
-// the caller's goroutine — the canonical middleware collocation
+// Invoke/InvokeView/InvokeOneway skip GIOP marshalling, the connection
+// writer, the stripes, and the demux reactor entirely and call the servant
+// directly on the caller's goroutine — the canonical middleware collocation
 // optimisation. The direct path is NOT allowed to dodge any server-side
 // policy: the overload Admit gate, tenant classification, the retiring-key
 // shed, the in-flight gauges, the latency sample feeding the AIMD limit,

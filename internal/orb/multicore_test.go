@@ -1,0 +1,98 @@
+package orb
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/sched"
+	"repro/internal/transport"
+)
+
+// TestConcurrentInvokersMultiCore is the regression test for the
+// GOMAXPROCS ≥ 2 wedge: 16 closed-loop invokers on one connection, on four
+// Ps, over both transports and both port threadings. A sender arriving while
+// a MessageProcessing or RequestProcessing shell quiesced used to be able to
+// build a second shell in the window (core.maybeQuiesce), after which every
+// invocation spun in resolveIn for ten seconds and failed with "owner kept
+// quiescing"; that took a fraction of a second to happen.
+func TestConcurrentInvokersMultiCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	window := 2 * time.Second
+	if testing.Short() {
+		window = 300 * time.Millisecond
+	}
+	cases := []struct {
+		name string
+		net  transport.Network
+		addr string
+		sync bool
+	}{
+		{"inproc/pool", transport.NewInproc(), "", false},
+		{"inproc/synchronous", transport.NewInproc(), "", true},
+		{"tcp/pool", transport.TCP{}, "127.0.0.1:0", false},
+		{"tcp/synchronous", transport.TCP{}, "127.0.0.1:0", true},
+	}
+	// The four run side by side (the group returns when all have): the
+	// same window of load on the machine as one of them, and more
+	// preemption inside each.
+	t.Run("group", func(t *testing.T) {
+		for _, tc := range cases {
+			tc := tc
+			t.Run(tc.name, func(t *testing.T) {
+				t.Parallel()
+				runInvokers(t, tc.net, tc.addr, tc.sync, window)
+			})
+		}
+	})
+}
+
+// runInvokers drives 16 closed-loop invokers through one client for window
+// and demands zero errors and an empty pipeline at the end.
+func runInvokers(t *testing.T, net transport.Network, addr string, synchronous bool, window time.Duration) {
+	srv := startEchoServer(t, net, addr, ServerConfig{ScopePoolCount: 4, Synchronous: synchronous})
+	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 4, Synchronous: synchronous})
+
+	const invokers = 16
+	var ops atomic.Int64
+	errs := make([]error, invokers)
+	deadline := time.Now().Add(window)
+	var wg sync.WaitGroup
+	for i := 0; i < invokers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			payload := bytes.Repeat([]byte{byte(i)}, 256)
+			for time.Now().Before(deadline) {
+				got, err := cl.Invoke("echo", "echo", payload, sched.NormPriority)
+				if err == nil && !bytes.Equal(got, payload) {
+					err = fmt.Errorf("cross-talk: a reply of %d bytes starting %v", len(got), got[:1])
+				}
+				if err != nil {
+					errs[i] = fmt.Errorf("after %d ops: %w", ops.Load(), err)
+					return
+				}
+				ops.Add(1)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("invoker %d: %v", i, err)
+		}
+	}
+	if got := cl.Inflight(); got != 0 {
+		t.Errorf("client inflight = %d after every invoker returned", got)
+	}
+	if err := srv.Drain(time.Second); err != nil {
+		t.Error(err)
+	}
+	if ops.Load() == 0 {
+		t.Error("no invocation completed")
+	}
+}

@@ -16,17 +16,15 @@ import (
 )
 
 // This file is the client half of the multiplexed invocation core: one
-// writer-serialised send path plus one reader-goroutine demux reactor per
-// connection. Requests carry monotonically increasing ids; the reactor
-// matches each inbound reply to its in-flight pending-table entry by id and
-// completes the caller's channel, so many invocations pipeline over a
-// single GIOP connection and complete out of order. The whole-exchange
-// mutex the client used to hold for a full round trip is gone — the only
-// serialisation left on the hot path is the write lock for the request
-// frame itself. The pending table is sharded (ClientConfig.ReactorShards):
-// entries hash to per-shard maps with their own locks, so concurrent
-// registrations and completions at high pipelining no longer serialise on
-// one table mutex.
+// batching writer (coalesce.go) plus one demux reactor per connection.
+// Requests carry monotonically increasing ids; the reactor matches each
+// inbound reply to its in-flight pending-table entry by id and completes the
+// caller's channel, so many invocations pipeline over a single GIOP
+// connection and complete out of order. The only serialisation on the hot
+// path is the connection's writer. The pending table is sharded
+// (ClientConfig.ReactorShards): entries hash to per-shard maps with their own
+// locks, so concurrent registrations and completions at high pipelining no
+// longer serialise on one table mutex.
 
 // Mux counters, exported at /metrics with the compadres_ prefix.
 var (
@@ -125,7 +123,7 @@ type pendingSeg struct {
 }
 
 // muxConn is one multiplexed connection: the sharded pending table, the
-// write lock, and the reactor goroutine demultiplexing its replies. A wire
+// writer, and the reactor goroutine demultiplexing its replies. A wire
 // fault from either direction fails every pending entry exactly once with a
 // transport-level error, counts a single failure against the owning
 // stripe's breaker, and detaches the connection from its stripe so the next
@@ -135,12 +133,7 @@ type muxConn struct {
 	cl   *Client
 	st   *stripe
 	conn transport.Conn
-
-	wmu sync.Mutex // serialises request writes (uncoalesced path)
-	// co, when non-nil, replaces the direct write path with the adaptive
-	// write coalescer: senders enqueue frames and block until a vectored
-	// flush covers them.
-	co *coalescer
+	w    *connWriter
 
 	// segs is the pending table, sharded by id. dead/deadErr are the
 	// connection's kill state: deadErr is written under deadMu strictly
@@ -183,9 +176,7 @@ func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 	for i := range mc.segs {
 		mc.segs[i].m = make(map[uint32]*muxPending, 16)
 	}
-	if cl.coalesce != nil {
-		mc.co = newCoalescer(conn, *cl.coalesce, cl.invokeTimeout)
-	}
+	mc.w = newConnWriter(conn, cl.invokeTimeout)
 	mc.fr = giop.NewFrameReader(conn, uint32(cl.maxMsg))
 	_, canDeadline := conn.(readDeadliner)
 	if cl.leaderFollower && (cl.invokeTimeout() <= 0 || canDeadline) {
@@ -303,31 +294,19 @@ func (mc *muxConn) retire(grace time.Duration) {
 	}()
 }
 
-// send writes one request frame: through the coalescer when configured
-// (blocking until a vectored flush covers the frame), else directly under
-// the write lock. When the client has a per-invoke deadline configured the
-// write itself is bounded by it too — a peer that stopped reading must not
-// wedge the submit path forever. Any write error (a partial frame
-// desynchronises GIOP framing) kills the connection; with coalescing, many
-// senders may observe the same error but only the flush owner reports it,
-// preserving one-breaker-failure-per-wire-event.
-func (mc *muxConn) send(wire []byte) error {
-	if mc.co != nil {
-		err, owner := mc.co.write(wire)
-		if err != nil && owner {
-			mc.sendFailed(err)
-		}
-		return err
-	}
-	mc.wmu.Lock()
-	if t := mc.cl.invokeTimeout(); t > 0 {
-		if wd, ok := mc.conn.(writeDeadliner); ok {
-			_ = wd.SetWriteDeadline(time.Now().Add(t))
-		}
-	}
-	_, err := mc.conn.Write(wire)
-	mc.wmu.Unlock()
-	if err != nil {
+// send hands one request frame to the connection's writer. A caller with
+// nothing else in flight on the stripe writes directly; otherwise the frame
+// is batched and send returns before it is on the wire. inline (oneways,
+// Locate) waits for the frame's own write so its error is the caller's to
+// report. When the client has a per-invoke deadline the write itself is
+// bounded by it too — a peer that stopped reading must not wedge the submit
+// path forever. Any write error (a partial frame desynchronises GIOP
+// framing) kills the connection; many senders may observe the same error but
+// only the one that hit it reports it, preserving
+// one-breaker-failure-per-wire-event.
+func (mc *muxConn) send(wire []byte, inline bool) error {
+	err, owner := mc.w.write(wire, modeFor(inline, mc.st.inflight.Load()))
+	if owner {
 		mc.sendFailed(err)
 	}
 	return err

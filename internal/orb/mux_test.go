@@ -120,7 +120,7 @@ func TestMuxStaleReplyDropped(t *testing.T) {
 }
 
 // TestMuxOutOfOrderCompletion pins pipelining itself: two invocations in
-// flight at once, replies written in reverse order, each caller receiving
+// flight at once, replies written in reverse id order, each caller receiving
 // exactly its own payload — and the reorder counter advancing, the
 // observable proof the completions crossed.
 func TestMuxOutOfOrderCompletion(t *testing.T) {
@@ -131,8 +131,9 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 			order giop.ByteOrder
 			req   *giop.Request
 		}
-		// Collect both requests before answering either, then reply in
-		// reverse arrival order.
+		// Collect both requests before answering either, then reply highest
+		// id first (the two submissions race through the client's pipeline,
+		// so arrival order is not id order).
 		var batch []pend
 		for len(batch) < 2 {
 			order, req := readRequest(t, conn)
@@ -140,6 +141,9 @@ func TestMuxOutOfOrderCompletion(t *testing.T) {
 				return
 			}
 			batch = append(batch, pend{order, req})
+		}
+		if batch[0].req.RequestID > batch[1].req.RequestID {
+			batch[0], batch[1] = batch[1], batch[0]
 		}
 		for i := len(batch) - 1; i >= 0; i-- {
 			writeEcho(t, conn, batch[i].order, batch[i].req.RequestID, batch[i].req.Payload)

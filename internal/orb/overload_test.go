@@ -172,8 +172,14 @@ func TestOverloadSoakTieredLoad(t *testing.T) {
 	ctrl := overload.NewController(overload.Config{
 		TargetP99: 2 * time.Millisecond,
 		Window:    5 * time.Millisecond,
-		MinLimit:  2,
-		MaxLimit:  32,
+		// The floor is one the limiter cannot hold TargetP99 at against this
+		// servant and 48 callers, so latency keeps breaching and the
+		// brown-out ladder has to engage — tier preference is the ladder's
+		// job. At a floor of 2 the limit settles at 3, latency holds, the
+		// ladder idles, and admission is first come, first served across
+		// tiers: tier 0 then beats best-effort only by luck.
+		MinLimit: 8,
+		MaxLimit: 32,
 	})
 	defer ctrl.Close()
 

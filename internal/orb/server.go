@@ -43,10 +43,9 @@ type ServerConfig struct {
 	// many servant invocations in flight; replies go out in completion
 	// order, not arrival order. Zero selects DefaultConcurrency.
 	Concurrency int
-	// Coalesce opts reply writes into adaptive write coalescing
-	// (coalesce.go): replies completing close together flush as one
-	// vectored write per connection. Nil disables coalescing; SendWidth is
-	// ignored (reply concurrency is Concurrency).
+	// Coalesce is ignored: write batching is always on (coalesce.go).
+	//
+	// Deprecated: kept so that existing configurations compile.
 	Coalesce *CoalesceConfig
 	// Shards moves request demultiplexing off the per-connection reader
 	// goroutines onto a fixed pool of dispatch shards: each connection is
@@ -64,7 +63,7 @@ type ServerConfig struct {
 	// requests queue on a tenant-fair port (DRR across tenant classes within
 	// each priority band, EDF within a class) and their completion latency
 	// drives the AIMD in-flight limit and the brown-out ladder. Nil (the
-	// default) keeps the uncontrolled dispatch path bit-for-bit.
+	// default) dispatches every request uncontrolled.
 	Overload *overload.Controller
 	// RequestDeadline, with Overload set, stamps every admitted request with
 	// a relative queueing deadline: work still queued past it is shed at
@@ -146,7 +145,6 @@ type Server struct {
 	rpSize      int64
 	repPool     *memory.ScopePool
 	concurrency int
-	coalesce    *CoalesceConfig // nil unless ServerConfig.Coalesce was set
 
 	// ctrl is the overload controller (nil = uncontrolled); reqDeadline the
 	// queueing deadline stamped on admitted requests when ctrl is set.
@@ -182,27 +180,29 @@ type inbound struct {
 
 // serverConn is the per-connection state owned by a Transport instance.
 type serverConn struct {
+	srv  *Server
 	conn transport.Conn
-	wmu  sync.Mutex // serialises reply writes (uncoalesced path)
-	co   *coalescer // nil unless ServerConfig.Coalesce was set
+	w    *connWriter
 	// shard is the dispatch shard this connection hashed to at accept time
 	// (nil = inline dispatch). Fixed per connection, so one connection's
 	// requests dispatch in arrival order regardless of shard count.
 	shard *dispatchShard
 }
 
-// write sends one framed message: through the reply coalescer when
-// configured (blocking until a vectored flush covers the frame — the reply
-// buffer lives in a pooled request scope reclaimed when the handler
-// returns), else directly under the write lock.
-func (sc *serverConn) write(b []byte) error {
-	if sc.co != nil {
-		err, _ := sc.co.write(b)
-		return err
+// write hands one framed message to the connection's writer. With no other
+// request in flight on the server it is written directly; otherwise it is
+// batched with the replies completing around it and write returns before it
+// is on the wire. inline (Locate replies) waits for the frame's own write.
+// The one caller that hits a write error records the fault and closes the
+// connection, which ends its reader loop.
+func (sc *serverConn) write(b []byte, inline bool) error {
+	err, owner := sc.w.write(b, modeFor(inline, sc.srv.inflight.Load()))
+	if owner {
+		if !cleanClose(err) {
+			telemetry.RecordFault("orb.server.write", wireErr("write", sc.srv.ln.Addr(), err))
+		}
+		sc.conn.Close()
 	}
-	sc.wmu.Lock()
-	defer sc.wmu.Unlock()
-	_, err := sc.conn.Write(b)
 	return err
 }
 
@@ -270,10 +270,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Synchronous {
 		srv.threading = core.ThreadingSynchronous
-	}
-	if cfg.Coalesce != nil {
-		co := cfg.Coalesce.withDefaults()
-		srv.coalesce = &co
 	}
 	if n := resolveShards(cfg.Shards); n > 0 {
 		for i := 0; i < n; i++ {
@@ -532,10 +528,7 @@ func (s *Server) acceptLoop() {
 // child of the POA) and pins it open for the connection's lifetime.
 func (s *Server) addConnection(conn transport.Conn) error {
 	seq := s.connSeq.Add(1)
-	sc := &serverConn{conn: conn}
-	if s.coalesce != nil {
-		sc.co = newCoalescer(conn, *s.coalesce, nil)
-	}
+	sc := &serverConn{srv: s, conn: conn, w: newConnWriter(conn, nil)}
 	if n := len(s.shards); n > 0 {
 		// Fixed connection→shard assignment: one connection's requests all
 		// dispatch through one lane, preserving their arrival order.
@@ -630,10 +623,10 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 // request bytes are never copied again: the dispatched message's raw slice
 // aliases the frame, and the frame reference is released when the pooled
 // message is recycled after its handler returns. Requests dispatch
-// concurrently (up to the configured Concurrency) and each reply goes out
-// under the connection's write lock as its servant finishes — out of order
-// when completions cross — while the demultiplexing client matches them
-// back to callers by request id. With shards configured, the reader only
+// concurrently (up to the configured Concurrency) and each reply goes to the
+// connection's writer as its servant finishes — out of order when
+// completions cross — while the demultiplexing client matches them back to
+// callers by request id. With shards configured, the reader only
 // frames bytes; the connection's dispatch shard runs the peek-and-send.
 func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 	fr := giop.NewFrameReader(sc.conn, uint32(s.maxMsg))
@@ -682,12 +675,9 @@ func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 			wb.B = giop.MarshalLocateReply(wb.B, h.Order, &giop.LocateReply{
 				RequestID: req.RequestID, Status: status, Forward: fwd,
 			})
-			err = sc.write(wb.B)
+			err = sc.write(wb.B, true)
 			giop.PutBuffer(wb)
 			if err != nil {
-				if !cleanClose(err) {
-					telemetry.RecordFault("orb.server.write", wireErr("write", s.ln.Addr(), err))
-				}
 				sc.conn.Close()
 				return
 			}
@@ -730,78 +720,52 @@ func (s *Server) shardLoop(sh *dispatchShard) {
 	}
 }
 
-// dispatch moves one framed request into the RequestProcessing port: it
-// takes ownership of the frame reference, handing it to the pooled message
-// on success (released when the message recycles) and releasing it on a
-// failed message grab. It reports false when the connection should drop —
-// pool exhaustion is answered with disconnection, the hard-real-time stance
-// on overload.
+// dispatch moves one framed request into the RequestProcessing port. One
+// alloc-free peek classifies it (priority, tenant id and tier, response
+// expectation) before anything is demarshalled or pooled: the request is
+// dispatched at the priority the client stamped on it, so a high-priority
+// invocation overtakes queued lower ones, and under overload control the
+// controller decides its fate first. A rejection answers expecting callers
+// with a shed reply and keeps the connection — overload is a load condition,
+// not a protocol error. dispatch takes ownership of the frame reference,
+// handing it (and, when admitted, the controller slot: done, OnShed, or Reset
+// releases it exactly once) to the pooled message. It reports false when the
+// connection should drop — pool exhaustion is answered with disconnection,
+// the hard-real-time stance on overload.
 func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, h giop.Header, fb *giop.FrameBuf) bool {
-	if s.ctrl != nil {
-		return s.dispatchAdmitted(sc, toRP, h, fb)
-	}
-	msg, err := toRP.GetMessage()
-	if err != nil {
-		fb.Release()
-		return false
-	}
-	m := msg.(*requestMsg)
-	m.setFrame(fb, h.Order)
-	m.conn = sc
-	m.inflight = &s.inflight
-	s.inflight.Add(1)
-	// Dispatch at the priority the client stamped on the request, so a
-	// high-priority invocation overtakes queued lower ones instead of
-	// waiting behind the arrival order.
-	prio := sched.NormPriority
-	if p, ok := giop.PeekRequestPriority(h.Order, m.raw); ok {
-		if cand := sched.Priority(p); cand.Valid() {
-			prio = cand
-		}
-	}
-	// On a send error the enqueue path has already recycled the message
-	// (envelope completion runs Reset), releasing the frame reference with it.
-	return toRP.Send(msg, prio) == nil
-}
-
-// dispatchAdmitted is the overload-controlled dispatch path: one alloc-free
-// peek classifies the request (tenant id, tier, priority, response
-// expectation) before anything is demarshalled or pooled, and the controller
-// decides its fate. A rejection answers expecting callers with a shed reply
-// and keeps the connection — overload is a load condition, not a protocol
-// error. An admission hands the request to the pooled message armed with the
-// controller slot: done, OnShed, or Reset releases it exactly once.
-func (s *Server) dispatchAdmitted(sc *serverConn, toRP *core.OutPort, h giop.Header, fb *giop.FrameBuf) bool {
 	info, peeked := giop.PeekRequestInfo(h.Order, fb.Body())
 	prio := sched.NormPriority
-	if peeked {
-		if cand := sched.Priority(info.Priority); cand.Valid() {
-			prio = cand
-		}
+	if cand := sched.Priority(info.Priority); peeked && cand.Valid() {
+		prio = cand
 	}
-	admitAt := telemetry.Now()
-	d := s.ctrl.Admit(info.TenantID, overload.Tier(info.TenantTier), prio)
-	if !d.OK {
-		if peeked && info.ResponseExpected {
-			// The brown-out shed carries the controller's back-off hint, so
-			// the client paces its retry to the server's recovery horizon.
-			writeShedReply(sc, h.Order, info.RequestID, int64(s.ctrl.RetryAfter()))
+	var admitAt int64
+	var class uint8
+	if s.ctrl != nil {
+		admitAt = telemetry.Now()
+		d := s.ctrl.Admit(info.TenantID, overload.Tier(info.TenantTier), prio)
+		if !d.OK {
+			if peeked && info.ResponseExpected {
+				// The brown-out shed carries the controller's back-off hint, so
+				// the client paces its retry to the server's recovery horizon.
+				writeShedReply(sc, h.Order, info.RequestID, int64(s.ctrl.RetryAfter()))
+			}
+			fb.Release()
+			return true
 		}
-		fb.Release()
-		return true
+		class = d.Class
 	}
 	msg, err := toRP.GetMessage()
 	if err != nil {
-		s.ctrl.Dropped()
+		if s.ctrl != nil {
+			s.ctrl.Dropped()
+		}
 		fb.Release()
 		return false
 	}
 	m := msg.(*requestMsg)
 	m.setFrame(fb, h.Order)
 	m.conn = sc
-	m.ctrl = s.ctrl
-	m.admitAt = admitAt
-	m.class = d.Class
+	m.ctrl, m.admitAt, m.class = s.ctrl, admitAt, class
 	m.inflight = &s.inflight
 	s.inflight.Add(1)
 	// On a send error the enqueue path has already recycled the message
@@ -826,7 +790,7 @@ func writeShedReply(sc *serverConn, order giop.ByteOrder, requestID uint32, retr
 		RetryAfterNs: retryAfterNs,
 		Payload:      shedReplyPayload,
 	})
-	_ = sc.write(wb.B)
+	_ = sc.write(wb.B, false)
 	giop.PutBuffer(wb)
 }
 
@@ -926,7 +890,7 @@ func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 			SpanID:    serverSpan,
 			Payload:   payload,
 		})
-		if err := m.conn.write(wire); err != nil {
+		if err := m.conn.write(wire, false); err != nil {
 			return fmt.Errorf("orb server: write reply: %w", wireErr("write", s.ln.Addr(), err))
 		}
 		return nil
@@ -935,8 +899,8 @@ func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 		// slot as a drop (a failed reply write is not a latency sample).
 		return err
 	}
-	// Full service time — admission to reply-on-the-wire — is the latency
-	// signal driving the AIMD limit.
+	// Full service time — admission to reply written or batched behind the
+	// wire's owner — is the latency signal driving the AIMD limit.
 	m.done()
 	return nil
 }

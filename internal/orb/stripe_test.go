@@ -111,15 +111,15 @@ func TestStripeFailoverIsolated(t *testing.T) {
 }
 
 // TestStripedStorm is the full-stack soak: 64 concurrent invokers across
-// all priority bands, 4 stripes, write coalescing on both ends. Every reply
+// all priority bands, 4 stripes, requests and replies batching. Every reply
 // must match its request and the pending tables must drain.
 func TestStripedStorm(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{
-		Concurrency: 16, Coalesce: &CoalesceConfig{},
+		Concurrency: 16,
 	})
 	cl := dial(t, net, srv.Addr(), ClientConfig{
-		Channels: 4, PipelineDepth: 64, Coalesce: &CoalesceConfig{},
+		Channels: 4, PipelineDepth: 64,
 	})
 
 	const workers, rounds = 64, 20

@@ -58,6 +58,9 @@ func startRemoteSink(t *testing.T, net transport.Network) (*orb.Server, chan [2]
 	sink, err := app.NewImmortalComponent("Sink", func(c *core.Component) error {
 		_, err := core.AddInPort(c, c.SMM(), core.InPortConfig{
 			Name: "in", Type: wireType,
+			// Requests arrive in bursts (a batch per read): a full buffer
+			// must park the dispatching server thread, not fail the send.
+			Overflow: core.OverflowBlock,
 			Handler: core.HandlerFunc(func(p *core.Proc, m core.Message) error {
 				got <- [2]int64{m.(*wireMsg).value, int64(p.Priority())}
 				return nil

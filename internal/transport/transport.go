@@ -40,9 +40,10 @@ type Network interface {
 // BuffersWriter is the optional vectored-write capability of a Conn: a
 // batch of buffers delivered to the peer as one logical write. Connections
 // that expose it (or that are net.Conns, which Go can writev under the
-// hood) let the ORBs' write-coalescing layer flush a whole batch of GIOP
-// frames in one syscall; everything else falls back to sequential Writes
-// with identical observable behaviour.
+// hood) let a caller holding several buffers flush them in one syscall;
+// everything else falls back to sequential Writes with identical observable
+// behaviour. (The ORB's own writer batches into one contiguous buffer and
+// needs a single Write.)
 type BuffersWriter interface {
 	// WriteBuffers writes every buffer in order and returns the total byte
 	// count written. On error the count reflects the prefix that reached
