@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-build verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
+.PHONY: all build vet test race bench-smoke bench-build orb-loc verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
 
 all: build
 
@@ -46,11 +46,19 @@ bench-smoke:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-verify: vet build race bench-smoke bench-build zerocopy-guard allocguard
+# orb-loc prints the size of the component-structured ORB next to the
+# hand-coded baseline it is judged against (ROADMAP aim 2), non-test lines.
+orb-loc:
+	@for d in internal/orb internal/rtzen; do \
+		printf '%-16s %5d lines\n' $$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
+	done
+
+verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 
 # chaos is the resilience gate: the fault-injection suite — seeded fault
 # network, circuit breaker, reconnect/retry, deadline teardown, overload
-# shedding, transport error-chain parity, the demux-reactor edge cases
+# shedding, transport error-chain parity, the invocation conformance table
+# (every entry point × wire and collocated transports), the demux edge cases
 # (stale replies, out-of-order completion, mid-flight connection death, the
 # 64-invoker storm), the cluster failover soak (kill one of three replicas
 # under load: >=99% success, zero breaker trips, the re-added member takes
@@ -62,7 +70,7 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard
 # so failures replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11
@@ -82,9 +90,9 @@ bench2:
 bench3:
 	$(GO) run ./cmd/benchharness -experiment bench3 -warmup 200 -observations 2000 -out BENCH_3.json
 
-# bench4 regenerates BENCH_4.json, the zero-copy + sharding snapshot: the
-# Fig. 11 grid on the refcounted frame path, the shard-count throughput
-# sweep, and per-op copy accounting for Invoke vs InvokeView.
+# bench4 regenerates BENCH_4.json, the zero-copy snapshot: the Fig. 11 grid
+# on the refcounted frame path and per-op copy accounting for Invoke vs
+# InvokeView.
 bench4:
 	$(GO) run ./cmd/benchharness -experiment bench4 -warmup 200 -observations 2000 -out BENCH_4.json
 
@@ -110,9 +118,8 @@ bench6:
 bench7:
 	$(GO) run ./cmd/benchharness -experiment bench7 -out BENCH_7.json
 
-# bench8 regenerates BENCH_8.json, the collocation + multi-core snapshot:
-# the collocated direct path against real loopback TCP at equal concurrency
-# (>=5x), the matched-shards sweep at GOMAXPROCS 1 and NumCPU (>=2x at 16
-# in flight on a multi-core host), and the Fig. 11 256B cell re-run.
+# bench8 regenerates BENCH_8.json, the collocation snapshot: the direct
+# transport against real loopback TCP at equal concurrency (>=5x) and the
+# Fig. 11 256B cell re-run.
 bench8:
 	$(GO) run ./cmd/benchharness -experiment bench8 -out BENCH_8.json

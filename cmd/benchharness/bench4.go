@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/corba"
@@ -20,15 +19,11 @@ import (
 )
 
 // bench4Snapshot is the schema of BENCH_4.json: the zero-copy request path
-// and reactor-sharding snapshot. Three sections:
+// snapshot. Two sections:
 //
 //   - fig11: the paper's Fig. 11 grid re-run on the refcounted frame path,
 //     with the Compadres/RTZen median ratio per message size. This is the
 //     headline overhead number the PR moves.
-//   - shards: in-process echo throughput swept over matched client/server
-//     shard counts. Sharding buys parallelism, so on a single-core host the
-//     sweep is expected flat — the contract it pins there is "no worse than
-//     inline"; the scaling claim needs a multi-core run.
 //   - copy_path: counted payload copies and frame detaches per operation
 //     for the copying Invoke against the lending InvokeView. InvokeView's
 //     steady-state figure must be 0.0 — the same invariant the
@@ -44,8 +39,6 @@ type bench4Snapshot struct {
 	// MedianRatio256 is the Compadres/RTZen median ratio at the 256-byte
 	// point — the single number tracked across PRs.
 	MedianRatio256 float64          `json:"median_ratio_256"`
-	Shards         []bench4ShardRow `json:"shards"`
-	ShardSpeedup   float64          `json:"shard_speedup_best_vs_1"`
 	CopyPath       []bench4CopyPath `json:"copy_path"`
 }
 
@@ -58,13 +51,6 @@ type bench4Fig11Row struct {
 	MedianRatio       float64 `json:"median_ratio"`
 }
 
-type bench4ShardRow struct {
-	Shards        int     `json:"shards"`
-	ThroughputOps float64 `json:"throughput_ops_per_sec"`
-	MedianNs      int64   `json:"median_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-}
-
 type bench4CopyPath struct {
 	API         string  `json:"api"`
 	Ops         int     `json:"ops"`
@@ -73,13 +59,8 @@ type bench4CopyPath struct {
 	DetachPerOp float64 `json:"frame_detaches_per_op"`
 }
 
-// bench4ShardCounts sweeps the inline path and three pool widths; on
-// multi-core hosts the wider pools are where read+dispatch parallelism
-// shows up.
-var bench4ShardCounts = []int{1, 2, 4, 8}
-
 func runBench4(warmup, obs int, outPath string) error {
-	fmt.Printf("== BENCH_4 snapshot: zero-copy request path + reactor sharding ==\n")
+	fmt.Printf("== BENCH_4 snapshot: zero-copy request path ==\n")
 	fmt.Printf("   (%d observations after %d warm-up iterations)\n\n", obs, warmup)
 
 	snap := bench4Snapshot{
@@ -128,27 +109,6 @@ func runBench4(warmup, obs int, outPath string) error {
 	}
 	fmt.Println()
 
-	// --- shard sweep ---
-	fmt.Printf("  Shard sweep (in-process echo, 32 pipelined invokers):\n")
-	for _, shards := range bench4ShardCounts {
-		row, err := runBench4Shards(shards, warmup, obs)
-		if err != nil {
-			return err
-		}
-		snap.Shards = append(snap.Shards, row)
-		fmt.Printf("    shards=%d: %10.0f ops/s  median %sµs  p99 %sµs\n",
-			shards, row.ThroughputOps,
-			metrics.Micros(time.Duration(row.MedianNs)),
-			metrics.Micros(time.Duration(row.P99Ns)))
-	}
-	base := snap.Shards[0].ThroughputOps
-	for _, row := range snap.Shards {
-		if base > 0 && row.ThroughputOps/base > snap.ShardSpeedup {
-			snap.ShardSpeedup = row.ThroughputOps / base
-		}
-	}
-	fmt.Printf("    best vs 1 shard: %.2fx (GOMAXPROCS=%d)\n\n", snap.ShardSpeedup, snap.GOMAXPROCS)
-
 	// --- copy path ---
 	fmt.Printf("  Copy accounting per reply (512B payload):\n")
 	for _, view := range []bool{false, true} {
@@ -172,87 +132,6 @@ func runBench4(warmup, obs int, outPath string) error {
 	}
 	fmt.Printf("wrote %s\n", outPath)
 	return nil
-}
-
-// runBench4Shards stands up a matched shard-count pair and drives 32
-// pipelined invokers through it, measuring wall-clock throughput.
-func runBench4Shards(shards, warmup, obs int) (bench4ShardRow, error) {
-	net := transport.NewInproc()
-	srv, err := orb.NewServer(orb.ServerConfig{
-		Network: net, Addr: "bench4", ScopePoolCount: 4,
-		Shards: shards, Concurrency: 8,
-	})
-	if err != nil {
-		return bench4ShardRow{}, err
-	}
-	defer srv.Close()
-	srv.RegisterServant("echo", corba.EchoServant{})
-	srv.ServeBackground()
-
-	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: net, Addr: "bench4", ScopePoolCount: 4,
-		ReactorShards: shards, PipelineDepth: 128, MsgPoolCapacity: 256,
-	})
-	if err != nil {
-		return bench4ShardRow{}, err
-	}
-	defer cl.Close()
-
-	const invokers = 32
-	drive := func(total int, observe func(time.Duration)) error {
-		per := total / invokers
-		if per == 0 {
-			per = 1
-		}
-		var wg sync.WaitGroup
-		errs := make([]error, invokers)
-		for w := 0; w < invokers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				payload := make([]byte, 256)
-				for i := 0; i < per; i++ {
-					t0 := time.Now()
-					if _, err := cl.Invoke("echo", "echo", payload, sched.NormPriority); err != nil {
-						errs[w] = fmt.Errorf("worker %d invoke %d: %w", w, i, err)
-						return
-					}
-					if observe != nil {
-						observe(time.Since(t0))
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	if err := drive(warmup, nil); err != nil {
-		return bench4ShardRow{}, err
-	}
-	samples := make([]time.Duration, 0, obs)
-	var mu sync.Mutex
-	start := time.Now()
-	if err := drive(obs, func(d time.Duration) {
-		mu.Lock()
-		samples = append(samples, d)
-		mu.Unlock()
-	}); err != nil {
-		return bench4ShardRow{}, err
-	}
-	wall := time.Since(start)
-	s := metrics.Summarize(samples)
-	return bench4ShardRow{
-		Shards:        shards,
-		ThroughputOps: float64(len(samples)) / wall.Seconds(),
-		MedianNs:      int64(s.Median),
-		P99Ns:         int64(s.P99),
-	}, nil
 }
 
 // runBench4CopyPath measures counted payload copies, copied bytes, and

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 	"repro/internal/transport"
 )
 
-// bench8Snapshot is the schema of BENCH_8.json: the collocated-invocation
-// fast path and multi-core parallel dispatch snapshot. Three sections:
+// bench8Snapshot is the schema of BENCH_8.json: the collocated (direct
+// transport) invocation snapshot. Two sections:
 //
 //   - collocation: 256B echo round trip through the collocated direct path
 //     against the same workload over real loopback TCP at equal concurrency.
@@ -27,29 +26,17 @@ import (
 //     (must be 0.0 — the zero-copy contract) and the share of invocations
 //     the collocated counter accounts for (must be 1.0 — nothing leaked to
 //     the wire).
-//   - multicore: the shard sweep (matched server Shards × client
-//     ReactorShards) run at GOMAXPROCS=1 and GOMAXPROCS=NumCPU with 16
-//     pipelined invokers. The tracked number is the NumCPU/1 throughput
-//     ratio at the 16-in-flight column; ≥2x on a multi-core host. On a
-//     single-core host the two legs coincide (GOMAXPROCS=NumCPU=1) and the
-//     ratio is 1.0 by construction — SingleCoreHost flags that run so the
-//     diff reader does not mistake it for a scaling regression.
 //   - fig11_256: the paper's Fig. 11 256-byte cell re-run on this tree, so
 //     the wire fast path's headline number is pinned alongside the
 //     collocated one (the collocation registry probe must not tax it).
 //
 // Durations are nanoseconds so the file diffs cleanly across runs.
 type bench8Snapshot struct {
-	Meta           benchMeta         `json:"meta"`
-	Observations   int               `json:"observations"`
-	Warmup         int               `json:"warmup"`
-	SingleCoreHost bool              `json:"single_core_host"`
-	Collocation    bench8Collocation `json:"collocation"`
-	Multicore      []bench8CoreRow   `json:"multicore"`
-	// MulticoreSpeedup is the GOMAXPROCS=NumCPU vs GOMAXPROCS=1 throughput
-	// ratio at the best shard count of the 16-in-flight column.
-	MulticoreSpeedup float64 `json:"multicore_speedup_numcpu_vs_1"`
-	Fig11_256        struct {
+	Meta         benchMeta         `json:"meta"`
+	Observations int               `json:"observations"`
+	Warmup       int               `json:"warmup"`
+	Collocation  bench8Collocation `json:"collocation"`
+	Fig11_256    struct {
 		CompadresMedianNs int64 `json:"compadres_median_ns"`
 		CompadresP99Ns    int64 `json:"compadres_p99_ns"`
 		RTZenMedianNs     int64 `json:"rtzen_median_ns"`
@@ -73,32 +60,16 @@ type bench8Collocation struct {
 	Speedup float64 `json:"speedup_collocated_vs_tcp"`
 }
 
-// bench8CoreRow is one (GOMAXPROCS, shard count) cell of the sweep.
-type bench8CoreRow struct {
-	GOMAXPROCS    int     `json:"gomaxprocs"`
-	Shards        int     `json:"shards"`
-	Invokers      int     `json:"invokers"`
-	ThroughputOps float64 `json:"throughput_ops_per_sec"`
-	MedianNs      int64   `json:"median_ns"`
-	P99Ns         int64   `json:"p99_ns"`
-}
-
-// bench8ShardCounts sweeps the inline path and two pool widths; the
-// 16-invoker load keeps every width saturated.
-var bench8ShardCounts = []int{1, 2, 4}
-
-// bench8Invokers is the fixed in-flight column of the sweep and the equal
-// concurrency of the collocation comparison.
+// bench8Invokers is the equal concurrency of the collocation comparison.
 const bench8Invokers = 16
 
 func runBench8(warmup, obs int, outPath string) error {
-	fmt.Printf("== BENCH_8 snapshot: collocated fast path + multi-core dispatch ==\n")
+	fmt.Printf("== BENCH_8 snapshot: collocated direct transport ==\n")
 	fmt.Printf("   (%d observations after %d warm-up iterations)\n\n", obs, warmup)
 
 	snap := bench8Snapshot{
 		Meta:         currentBenchMeta(),
 		Observations: obs, Warmup: warmup,
-		SingleCoreHost: runtime.NumCPU() == 1,
 	}
 
 	// --- collocated vs loopback TCP ---
@@ -116,44 +87,6 @@ func runBench8(warmup, obs int, outPath string) error {
 		metrics.Micros(time.Duration(col.TCPMedianNs)),
 		metrics.Micros(time.Duration(col.TCPP99Ns)), col.TCPOps)
 	fmt.Printf("    speedup   : %.1fx (bar: >=5x)\n\n", col.Speedup)
-
-	// --- multi-core shard sweep ---
-	numCPU := runtime.NumCPU()
-	fmt.Printf("  Multi-core sweep (matched shards, %d invokers, GOMAXPROCS 1 and %d):\n",
-		bench8Invokers, numCPU)
-	procs := []int{1}
-	if numCPU > 1 {
-		procs = append(procs, numCPU)
-	}
-	best := map[int]float64{}
-	prev := runtime.GOMAXPROCS(0)
-	for _, p := range procs {
-		runtime.GOMAXPROCS(p)
-		for _, shards := range bench8ShardCounts {
-			row, err := runBench8Shards(p, shards, warmup, obs)
-			if err != nil {
-				runtime.GOMAXPROCS(prev)
-				return err
-			}
-			snap.Multicore = append(snap.Multicore, row)
-			if row.ThroughputOps > best[p] {
-				best[p] = row.ThroughputOps
-			}
-			fmt.Printf("    GOMAXPROCS=%d shards=%d: %10.0f ops/s  median %sµs  p99 %sµs\n",
-				p, shards, row.ThroughputOps,
-				metrics.Micros(time.Duration(row.MedianNs)),
-				metrics.Micros(time.Duration(row.P99Ns)))
-		}
-	}
-	runtime.GOMAXPROCS(prev)
-	if numCPU > 1 && best[1] > 0 {
-		snap.MulticoreSpeedup = best[numCPU] / best[1]
-	} else {
-		// GOMAXPROCS=NumCPU and GOMAXPROCS=1 are the same leg on this host.
-		snap.MulticoreSpeedup = 1.0
-	}
-	fmt.Printf("    speedup at %d in flight: %.2fx (bar: >=2x on a multi-core host; single_core_host=%v)\n\n",
-		bench8Invokers, snap.MulticoreSpeedup, snap.SingleCoreHost)
 
 	// --- Fig. 11 256B re-run ---
 	fmt.Printf("  Fig. 11 256B re-run (wire fast path unchanged by the registry probe):\n")
@@ -328,44 +261,4 @@ func bench8Drive(cl *orb.Client, warmup, obs int) (metrics.Summary, float64, err
 	}
 	wall := time.Since(start)
 	return metrics.Summarize(samples), float64(len(samples)) / wall.Seconds(), nil
-}
-
-// runBench8Shards is one cell of the multi-core sweep: a matched
-// server-Shards × client-ReactorShards pair over the wire path (collocation
-// off — the sweep measures the parallel dispatch pipeline, and the direct
-// path would bypass exactly the machinery under test).
-func runBench8Shards(procs, shards, warmup, obs int) (bench8CoreRow, error) {
-	net := transport.NewInproc()
-	srv, err := orb.NewServer(orb.ServerConfig{
-		Network: net, Addr: "bench8core", ScopePoolCount: 4,
-		Shards: shards, Concurrency: 8,
-	})
-	if err != nil {
-		return bench8CoreRow{}, err
-	}
-	defer srv.Close()
-	srv.RegisterServant("echo", echoNoCopy)
-	srv.ServeBackground()
-
-	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: net, Addr: "bench8core", ScopePoolCount: 4,
-		ReactorShards: shards, PipelineDepth: 128, MsgPoolCapacity: 256,
-	})
-	if err != nil {
-		return bench8CoreRow{}, err
-	}
-	defer cl.Close()
-
-	sum, ops, err := bench8Drive(cl, warmup, obs)
-	if err != nil {
-		return bench8CoreRow{}, err
-	}
-	return bench8CoreRow{
-		GOMAXPROCS:    procs,
-		Shards:        shards,
-		Invokers:      bench8Invokers,
-		ThroughputOps: ops,
-		MedianNs:      int64(sum.Median),
-		P99Ns:         int64(sum.P99),
-	}, nil
 }

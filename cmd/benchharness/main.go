@@ -8,11 +8,11 @@
 //	benchharness -experiment bench1      # BENCH_1.json snapshot (Fig. 11 + dispatch path)
 //	benchharness -experiment bench2      # BENCH_2.json snapshot (pipelined concurrency sweep)
 //	benchharness -experiment bench3      # BENCH_3.json snapshot (coalescing + striping sweep)
-//	benchharness -experiment bench4      # BENCH_4.json snapshot (zero-copy path + shard sweep)
+//	benchharness -experiment bench4      # BENCH_4.json snapshot (zero-copy path)
 //	benchharness -experiment bench5      # BENCH_5.json snapshot (cluster failover under load)
 //	benchharness -experiment bench6      # BENCH_6.json snapshot (tiered overload control)
 //	benchharness -experiment bench7      # BENCH_7.json snapshot (live reconfiguration)
-//	benchharness -experiment bench8      # BENCH_8.json snapshot (collocated fast path + multi-core dispatch)
+//	benchharness -experiment bench8      # BENCH_8.json snapshot (collocated direct transport)
 //	benchharness -experiment chaos       # resilient invocation under seeded fault injection
 //	benchharness -experiment all
 //

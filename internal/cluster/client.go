@@ -36,9 +36,7 @@ type ClientConfig struct {
 	RefreshInterval time.Duration
 	// MaxMessage bounds a reply body; zero selects orb.DefaultMaxMessage.
 	MaxMessage int
-	// ReactorShards passes through to the underlying orb client.
-	ReactorShards int
-	// Collocate opts the client into the collocated fast path (see
+	// Collocate opts the client into the direct transport (see
 	// orb.ClientConfig.Collocate): when a resolved group member is an
 	// orb.Server in this process on this Network, invocations dispatch the
 	// servant directly. The decision is re-detected after every retarget —
@@ -86,11 +84,10 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		Resolve: func() ([]string, error) {
 			return Resolve(cfg.Network, cfg.Directory, cfg.Group)
 		},
-		Channels:      cfg.Channels,
-		Resilience:    res,
-		MaxMessage:    cfg.MaxMessage,
-		ReactorShards: cfg.ReactorShards,
-		Collocate:     cfg.Collocate,
+		Channels:   cfg.Channels,
+		Resilience: res,
+		MaxMessage: cfg.MaxMessage,
+		Collocate:  cfg.Collocate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial group %q: %w", cfg.Group, err)

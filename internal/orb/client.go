@@ -54,8 +54,6 @@ type ClientConfig struct {
 	// Synchronous dispatches the component ports on the calling thread
 	// instead of port thread pools.
 	Synchronous bool
-	// MsgPoolCapacity overrides the per-type message pool capacity.
-	MsgPoolCapacity int
 	// PipelineDepth bounds how many invocations may be queued through the
 	// client's component pipeline at once (the buffer size of the internal
 	// relay ports). Invocations beyond it fail fast with ErrBufferFull —
@@ -78,14 +76,6 @@ type ClientConfig struct {
 	//
 	// Deprecated: kept so that existing configurations compile.
 	Coalesce *CoalesceConfig
-	// ReactorShards shards each connection's demux pending table: entries
-	// hash by request id to per-shard maps with their own locks, so
-	// concurrent registrations (submitters) and completions (the reactor)
-	// stop serialising on one table mutex at high pipelining. Composes with
-	// Channels: every stripe's connection gets its own sharded table.
-	// Zero or one keeps a single shard; AutoShards sizes to GOMAXPROCS;
-	// values clamp to the same bound as ServerConfig.Shards.
-	ReactorShards int
 	// Tenant classifies this client's traffic for server-side overload
 	// control: every request carries the id and QoS tier in a GIOP service
 	// context (giop.TenantContextID), which a controller-equipped server
@@ -93,21 +83,19 @@ type ClientConfig struct {
 	// Tenant stamps nothing — the wire stays byte-identical to an
 	// overload-unaware client.
 	Tenant overload.Tenant
-	// Collocate opts the client into the collocated invocation fast path
-	// (local.go): when a member of the target set is an orb.Server in this
-	// process on this same Network, Invoke/InvokeView/InvokeOneway dispatch
-	// the servant directly on the caller's goroutine — no GIOP encode/
-	// decode, no connection writer, no stripes, no reactor. Server-side policy is
-	// preserved exactly: the overload Admit gate, tenant classification,
-	// retiring-key sheds, in-flight/latency instruments, and trace spans
-	// all see collocated traffic identically to remote traffic. The
+	// Collocate opts the client into the direct transport: when a member of
+	// the target set is an orb.Server in this process on this same Network
+	// (local.go), every invocation runs the server's admit and execute stages
+	// inline on the caller's goroutine — no GIOP encode/decode, no connection
+	// writer, no stripes, no reactor. It is the same pipeline a wire request
+	// passes through, so server-side policy cannot differ between the two. The
 	// collocation decision is re-validated per invoke against the process
 	// registry and the client's route generation, so a server swap or a
-	// Retarget falls the client back to the wire path, never a stale
-	// pointer. Contract difference from the wire: a collocated Invoke's
-	// reply aliases the slice the servant returned (no marshal copies), so
-	// servants must hand out bytes they will not mutate afterwards; and
-	// Locate always uses the wire.
+	// Retarget falls the client back to the wire, never a stale pointer.
+	// Contract difference from the wire: a collocated Invoke's reply aliases
+	// the slice the servant returned (no marshal copies), so servants must
+	// hand out bytes they will not mutate afterwards; and Locate always uses
+	// the wire.
 	Collocate bool
 }
 
@@ -175,14 +163,6 @@ type Client struct {
 	// Only set for synchronous clients, whose submissions register the
 	// pending entry on the caller's goroutine before await runs.
 	leaderFollower bool
-
-	// reactorShards is the per-connection pending-table shard count
-	// (resolved from ClientConfig.ReactorShards, minimum 1); shardOps
-	// counts registrations per shard across all stripes, exported as
-	// per-shard gauges when sharding is on.
-	reactorShards int
-	shardOps      []atomic.Int64
-	shardGauges   []*telemetry.GaugeHandle
 }
 
 // DialClient builds the client component structure and connects it. The
@@ -208,9 +188,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	transportSize := int64(8*maxMsg + 32768)
 
 	appCfg := core.AppConfig{Name: "CompadresORBClient", ImmortalSize: 1 << 20}
-	if cfg.MsgPoolCapacity != 0 {
-		appCfg.MsgPoolCapacity = cfg.MsgPoolCapacity
-	} else if need := depth + 8; need > core.DefaultMsgPoolCapacity {
+	if need := depth + 8; need > core.DefaultMsgPoolCapacity {
 		// PipelineDepth is the intended in-flight bound; the pooled message
 		// instances backing the relay ports must cover it, or the pool —
 		// not the configured depth — becomes the effective ceiling.
@@ -270,19 +248,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	if channels > maxChannels {
 		channels = maxChannels
 	}
-	cl.reactorShards = resolveShards(cfg.ReactorShards)
-	if cl.reactorShards < 1 {
-		cl.reactorShards = 1
-	}
-	if cl.reactorShards > 1 {
-		cl.shardOps = make([]atomic.Int64, cl.reactorShards)
-		for i := range cl.shardOps {
-			ops := &cl.shardOps[i]
-			cl.shardGauges = append(cl.shardGauges, telemetry.Default.RegisterGauge(
-				"demux_ops", fmt.Sprintf("orb.client.rshard%d", i),
-				func() int64 { return ops.Load() }))
-		}
-	}
 	for i := 0; i < channels; i++ {
 		st := &stripe{cl: cl, idx: i}
 		st.setTarget(addrs[i%len(addrs)])
@@ -309,7 +274,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		cl.leaderFollower = true
 	}
 
-	orbComp, err := app.NewImmortalComponent("ORB", func(c *core.Component) error {
+	_, err = app.NewImmortalComponent("ORB", func(c *core.Component) error {
 		smm := c.SMM()
 		out, err := core.AddOutPort(c, smm, core.OutPortConfig{
 			Name: "toTransport", Type: invokeType, Dests: []string{"Transport.request"},
@@ -330,7 +295,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		app.Stop()
 		return nil, err
 	}
-	_ = orbComp
 	if err := app.Start(); err != nil {
 		cl.gauge.Unregister()
 		app.Stop()
@@ -593,7 +557,11 @@ func getTimer(d time.Duration) *time.Timer {
 	return time.NewTimer(d)
 }
 
+// putTimer recycles an armed timer; nil (no deadline configured) is a no-op.
 func putTimer(t *time.Timer) {
+	if t == nil {
+		return
+	}
 	if !t.Stop() {
 		select {
 		case <-t.C:
@@ -603,6 +571,50 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
+// call is the client half of the invocation pipeline, the one path every
+// entry point takes: closed-check, request id, client span, in-flight count,
+// then the transport — direct when the collocation binding names a live
+// in-process server, the wire otherwise — and the server's answer mapped to
+// the caller's result. A binding found stale (the server shut down between
+// detection and dispatch) is dropped and the same call goes out over the wire,
+// so a hot swap of a collocated server never loses an invocation; detection
+// skips closed servers, so the next call lands on the wire even before the
+// registry bump is observed. A non-nil frame means payload aliases an arrival
+// buffer: the caller owns one reference and must release it. The results are
+// separate values, not an invokeResult, so that the direct transport's stay in
+// registers.
+func (cl *Client) call(key, op string, payload []byte, prio sched.Priority, oneway bool) (reply []byte, frame *giop.FrameBuf, err error) {
+	if cl.closed.Load() {
+		return nil, nil, corba.ErrClosed
+	}
+	id := cl.nextID.Add(1)
+	trace, span, started := startSpan(uint64(id))
+	cl.inflight.Add(1)
+	srv := cl.localServer()
+	if srv != nil {
+		// The priority crosses as the byte the wire would carry.
+		status, out, retryAfter, ok := srv.direct(key, op, payload, byte(prio), cl.tenant, trace, uint64(id), oneway)
+		if !ok {
+			cl.local.Store(nil)
+			srv = nil
+		} else {
+			collocatedInvokeTotal.Inc()
+			if status == giop.ReplyNoException {
+				reply = out
+			} else {
+				err = exception(status, out, retryAfter)
+			}
+		}
+	}
+	if srv == nil {
+		res := cl.wire(id, key, op, payload, prio, oneway, trace, span)
+		reply, frame, err = res.payload, res.frame, res.err
+	}
+	cl.inflight.Add(-1)
+	endSpan(trace, span, started)
+	return reply, frame, err
+}
+
 // Invoke performs one synchronous request/reply at the given priority. The
 // payload is not retained past the call. Under a ResilienceConfig the call
 // fails fast with ErrCircuitOpen while the breaker is open; it is never
@@ -610,19 +622,7 @@ func putTimer(t *time.Timer) {
 // Concurrent Invokes pipeline over the shared connection and may complete
 // in any order.
 func (cl *Client) Invoke(key, op string, payload []byte, prio sched.Priority) ([]byte, error) {
-	if cl.closed.Load() {
-		return nil, corba.ErrClosed
-	}
-	if srv := cl.localServer(); srv != nil {
-		if out, err, handled := cl.invokeCollocated(srv, key, op, payload, prio, false); handled {
-			return out, err
-		}
-	}
-	st, err := cl.pickStripe(prio)
-	if err != nil {
-		return nil, err
-	}
-	return consumeReply(cl.invokeOnce(st, key, op, payload, prio, false))
+	return consumeReply(cl.call(key, op, payload, prio, false))
 }
 
 // InvokeView is the zero-copy Invoke: instead of returning a heap copy of
@@ -633,63 +633,37 @@ func (cl *Client) Invoke(key, op string, payload []byte, prio sched.Priority) ([
 // afterwards; a view that needs the bytes past its return must escape
 // explicitly with Loan.Detach (a counted copy into memory the caller owns).
 func (cl *Client) InvokeView(key, op string, payload []byte, prio sched.Priority, view func(reply memory.Loan) error) error {
-	if cl.closed.Load() {
-		return corba.ErrClosed
-	}
-	if srv := cl.localServer(); srv != nil {
-		if out, err, handled := cl.invokeCollocated(srv, key, op, payload, prio, false); handled {
-			if err != nil {
-				return err
-			}
-			if view != nil {
-				// The collocated reply is the servant's own slice — no frame
-				// to revoke; lend from a one-shot owner, as the frameless
-				// wire path does.
-				return view((&memory.LoanOwner{}).Lend(out))
-			}
-			return nil
+	reply, frame, err := cl.call(key, op, payload, prio, false)
+	if frame == nil {
+		// An error, or the direct transport's reply: the servant's own slice,
+		// no frame to revoke; lend from a one-shot owner.
+		if err == nil && view != nil {
+			err = view((&memory.LoanOwner{}).Lend(reply))
 		}
-	}
-	st, err := cl.pickStripe(prio)
-	if err != nil {
 		return err
 	}
-	res := cl.invokeOnce(st, key, op, payload, prio, false)
-	if res.err != nil {
-		res.release()
-		return res.err
-	}
-	var verr error
 	if view != nil {
-		if res.frame != nil {
-			verr = view(res.frame.Lend(res.payload))
-		} else {
-			// Frameless success (cannot happen on the reply path today, but
-			// keep the contract total): lend from a one-shot owner that is
-			// never revoked.
-			verr = view((&memory.LoanOwner{}).Lend(res.payload))
-		}
+		err = view(frame.Lend(reply))
 	}
-	res.release()
-	return verr
+	frame.Release()
+	return err
 }
 
-// consumeReply turns an invokeResult into the legacy ([]byte, error) shape:
-// a payload that aliases an arrival frame is copied out (the copy is
-// counted — this is the price of the retained-slice API) and the frame
-// released.
-func consumeReply(res invokeResult) ([]byte, error) {
-	if res.frame == nil {
-		return res.payload, res.err
+// consumeReply turns call's result into the legacy ([]byte, error) shape: a
+// payload that aliases an arrival frame is copied out (the copy is counted —
+// this is the price of the retained-slice API) and the frame released.
+func consumeReply(reply []byte, frame *giop.FrameBuf, err error) ([]byte, error) {
+	if frame == nil {
+		return reply, err
 	}
 	var out []byte
-	if len(res.payload) > 0 {
-		out = make([]byte, len(res.payload))
-		copy(out, res.payload)
-		countPayloadCopy(len(res.payload))
+	if len(reply) > 0 {
+		out = make([]byte, len(reply))
+		copy(out, reply)
+		countPayloadCopy(len(reply))
 	}
-	res.release()
-	return out, res.err
+	frame.Release()
+	return out, err
 }
 
 // InvokeIdempotent is Invoke for operations that are safe to execute more
@@ -699,44 +673,46 @@ func consumeReply(res invokeResult) ([]byte, error) {
 // replies to abandoned attempts are dropped by the demux reactor. Without
 // resilience it behaves exactly like Invoke.
 func (cl *Client) InvokeIdempotent(key, op string, payload []byte, prio sched.Priority) ([]byte, error) {
-	if cl.closed.Load() {
-		return nil, corba.ErrClosed
-	}
 	return cl.withRetry(func() ([]byte, error) {
-		if srv := cl.localServer(); srv != nil {
-			if out, err, handled := cl.invokeCollocated(srv, key, op, payload, prio, false); handled {
-				return out, err
-			}
-		}
-		st, err := cl.pickStripe(prio)
-		if err != nil {
-			return nil, err
-		}
-		return consumeReply(cl.invokeOnce(st, key, op, payload, prio, false))
+		return consumeReply(cl.call(key, op, payload, prio, false))
 	})
 }
 
-// invokeOnce runs one pass through the component pipeline: arm a pending
-// entry, submit the invocation toward the chosen stripe, and wait for the
-// reactor (or a failure path) to complete it. The returned result may carry
-// a frame reference (payload aliasing the arrival buffer); the caller owns
-// it and must release it via consumeReply, InvokeView, or release.
-func (cl *Client) invokeOnce(st *stripe, key, op string, payload []byte, prio sched.Priority, oneway bool) invokeResult {
+// InvokeOneway sends a request without waiting for a reply; what the servant
+// made of it — or whether the server admitted it at all — is not reported, on
+// either transport. Oneways are idempotent from the transport's point of view
+// (no reply is matched), so under a ResilienceConfig transport failures are
+// retried within the retry budget like InvokeIdempotent. Over the wire the
+// call returns once the frame is written.
+func (cl *Client) InvokeOneway(key, op string, payload []byte, prio sched.Priority) error {
+	_, err := cl.withRetry(func() ([]byte, error) {
+		return consumeReply(cl.call(key, op, payload, prio, true))
+	})
+	return err
+}
+
+// wire is the wire transport: pick a stripe, then one pass through the
+// component pipeline — arm a pending entry, submit the invocation toward the
+// stripe, and wait for the demux (or a failure path) to complete it.
+func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Priority, oneway bool, trace, span uint64) invokeResult {
+	st, err := cl.pickStripe(prio)
+	if err != nil {
+		return invokeResult{err: err}
+	}
 	msg, err := cl.invoke.GetMessage()
 	if err != nil {
 		return invokeResult{err: err}
 	}
 	m := msg.(*invokeMsg)
-	m.id = cl.nextID.Add(1)
+	m.id = id
 	m.setKey(key)
 	m.op, m.payload, m.prio = op, payload, prio
 	m.oneway = oneway
 	m.st = st
-	pe := getPending(m.id, bandOf(prio))
+	pe := getPending(id, bandOf(prio))
 	m.pe = pe
-	// Open a trace around the round trip. The ids are captured in locals
-	// because the pooled message is recycled once its handler returns.
-	trace, span, started := startSpan(uint64(m.id))
+	// The trace context rides the pooled message, which is recycled once its
+	// handler returns.
 	m.trace, m.span = trace, span
 	if err := cl.invoke.Send(msg, prio); err != nil {
 		// The message's fate is uncertain: a racing dispatcher may still run
@@ -748,146 +724,81 @@ func (cl *Client) invokeOnce(st *stripe, key, op string, payload []byte, prio sc
 		// result-borne frame reference from stranding in an abandoned
 		// channel.
 		if pe.state.CompareAndSwap(pendingArmed, pendingCancelled) {
-			endSpan(trace, span, started)
 			return invokeResult{err: err}
 		}
-		res := <-pe.done
-		putPending(pe)
-		endSpan(trace, span, started)
-		return res
+		return pe.result()
 	}
-	res := cl.await(pe)
-	endSpan(trace, span, started)
-	return res
+	return cl.await(pe)
 }
 
-// await blocks until the entry completes or the per-invoke deadline
-// expires. On expiry the entry is cancelled and unhooked from the pending
-// table: the connection stays up — the reactor simply drops the stale reply
-// when (if) it arrives — so one slow invocation no longer tears down the
-// pipeline for everyone else sharing the connection.
+// await blocks until the entry completes or the per-invoke deadline expires.
+// On a leader/follower connection it also volunteers for the leader token: a
+// caller that wins it reads frames off the wire itself (mux.lead), completing
+// other callers' entries until its own reply arrives — the reply that matters
+// to this caller never crosses a goroutine boundary — while followers wake
+// from their channel exactly as under the dedicated reactor. A
+// reactor-demuxed connection is the same select with a nil leader channel.
 func (cl *Client) await(pe *muxPending) invokeResult {
-	if mc := pe.mc.Load(); mc != nil && mc.lf {
-		return cl.awaitLF(mc, pe)
+	mc := pe.mc.Load()
+	var leader chan struct{}
+	if mc != nil && mc.lf {
+		leader = mc.leaderCh
 	}
 	timeout := cl.invokeTimeout()
-	if timeout <= 0 {
-		res := <-pe.done
-		putPending(pe)
-		return res
+	if leader == nil && timeout <= 0 {
+		// Only the completion arm is live: a plain receive, which is 1–2 % of
+		// orb_pipelined's throughput cheaper than a one-armed select.
+		return pe.result()
 	}
-	t := getTimer(timeout)
-	select {
-	case res := <-pe.done:
-		putTimer(t)
-		putPending(pe)
-		return res
-	case <-t.C:
-		timerPool.Put(t) // fired: already drained
-		if cl.cancelPending(pe) {
-			invokeTimeoutTotal.Inc()
-			return invokeResult{err: fmt.Errorf("%w: no reply within %v", ErrDeadlineExceeded, timeout)}
-		}
-		// Lost the race: a completion is already in flight. Take it.
-		res := <-pe.done
-		putPending(pe)
-		return res
-	}
-}
-
-// awaitLF is await for leader/follower connections: wait on the completion
-// channel AND volunteer for the connection's leader token. A caller that
-// wins the token reads frames off the wire itself (mux.lead), completing
-// other callers' entries until its own reply arrives — the reply that
-// matters to this caller never crosses a goroutine boundary. Followers whose
-// replies the leader completes wake from their channel exactly as under the
-// dedicated reactor.
-func (cl *Client) awaitLF(mc *muxConn, pe *muxPending) invokeResult {
-	timeout := cl.invokeTimeout()
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
 	// Fast path: a parked token means no reader is active on the connection.
-	// Take it with one non-blocking channel op — no timer armed, no 3-way
-	// select — and demux our own reply.
+	// Take it with one non-blocking channel op — no timer armed — and demux
+	// our own reply.
 	select {
-	case <-mc.leaderCh:
-		return cl.leadAfterToken(mc, pe, deadline, nil)
+	case <-leader:
+		return mc.lead(pe, deadline)
 	default:
 	}
 	var t *time.Timer
-	var tC <-chan time.Time
+	var expired <-chan time.Time
 	if timeout > 0 {
-		t = getTimer(time.Until(deadline))
-		tC = t.C
+		t = getTimer(timeout)
+		expired = t.C
 	}
 	select {
 	case res := <-pe.done:
-		if t != nil {
-			putTimer(t)
-		}
-		putPending(pe)
-		return res
-	case <-mc.leaderCh:
-		return cl.leadAfterToken(mc, pe, deadline, t)
-	case <-tC:
-		timerPool.Put(t) // fired: already drained
-		if cl.cancelPending(pe) {
-			invokeTimeoutTotal.Inc()
-			return invokeResult{err: fmt.Errorf("%w: no reply within %v", ErrDeadlineExceeded, timeout)}
-		}
-		// Lost the race: a completion is already in flight. Take it.
-		res := <-pe.done
-		putPending(pe)
-		return res
-	}
-}
-
-// leadAfterToken runs once the caller holds mc's leader token: it re-checks
-// the completion channel (the outgoing leader may have completed this entry
-// and released the token in either order — leading with a completed entry
-// would wedge on a read no reply answers), then reads the wire until the
-// entry resolves. t, when non-nil, is the caller's armed deadline timer; it
-// is recycled here (lead bounds the read with the conn deadline instead).
-func (cl *Client) leadAfterToken(mc *muxConn, pe *muxPending, deadline time.Time, t *time.Timer) invokeResult {
-	select {
-	case res := <-pe.done:
-		mc.leaderCh <- struct{}{}
-		if t != nil {
-			putTimer(t)
-		}
-		putPending(pe)
-		return res
-	default:
-	}
-	res, recycle := mc.lead(pe, deadline)
-	if t != nil {
 		putTimer(t)
-	}
-	if recycle {
 		putPending(pe)
+		return res
+	case <-leader:
+		putTimer(t) // lead bounds its reads with the conn deadline instead
+		return mc.lead(pe, deadline)
+	case <-expired:
+		timerPool.Put(t) // fired: already drained
+		return cl.expire(pe)
 	}
-	return res
 }
 
-// cancelPending claims an entry for its caller after a deadline expiry. On
-// success the entry is removed from the pending table (best effort: the
-// connection failer clears whole tables anyway) and — because the submit
-// path may still hold the pointer — the entry and its channel are abandoned
-// to the collector, never recycled.
-func (cl *Client) cancelPending(pe *muxPending) bool {
+// expire resolves an entry whose invoke deadline passed — the one
+// deadline-expiry path of followers, reactor waiters and a leader alike. The
+// entry is cancelled and unhooked from its pending table: the connection stays
+// up — the demux simply drops the stale reply when (if) it arrives — so one
+// slow invocation does not tear down the pipeline for everyone sharing it.
+// Because the submit path may still hold the pointer, a cancelled entry and
+// its channel are abandoned to the collector, never recycled.
+func (cl *Client) expire(pe *muxPending) invokeResult {
 	if !pe.state.CompareAndSwap(pendingArmed, pendingCancelled) {
-		return false
+		// Lost the race: a completion is already committed. Take it.
+		return pe.result()
 	}
-	// Best effort: the entry is tabled on at most one stripe's connection
-	// (the failer clears whole tables anyway).
-	for _, st := range cl.stripes {
-		if mc := st.cur.Load(); mc != nil && mc.unregister(pe) {
-			break
-		}
+	if mc := pe.mc.Load(); mc != nil {
+		mc.unregister(pe)
 	}
-	return true
+	invokeTimeoutTotal.Inc()
+	return invokeResult{err: fmt.Errorf("%w: no reply within %v", ErrDeadlineExceeded, cl.invokeTimeout())}
 }
 
 // withRetry runs op and, when resilience is enabled, retries retriable
@@ -1014,31 +925,8 @@ func (cl *Client) locateOnce(key string) (bool, []string, error) {
 	return res.here, res.fwd, nil
 }
 
-// InvokeOneway sends a request without waiting for a reply. Oneways are
-// idempotent from the transport's point of view (no reply is matched), so
-// under a ResilienceConfig transport failures are retried within the retry
-// budget like InvokeIdempotent. The call returns once the frame is written.
-func (cl *Client) InvokeOneway(key, op string, payload []byte, prio sched.Priority) error {
-	if cl.closed.Load() {
-		return corba.ErrClosed
-	}
-	_, err := cl.withRetry(func() ([]byte, error) {
-		if srv := cl.localServer(); srv != nil {
-			if out, err, handled := cl.invokeCollocated(srv, key, op, payload, prio, true); handled {
-				return out, err
-			}
-		}
-		st, err := cl.pickStripe(prio)
-		if err != nil {
-			return nil, err
-		}
-		return consumeReply(cl.invokeOnce(st, key, op, payload, prio, true))
-	})
-	return err
-}
-
-// Inflight reports the number of invocations currently awaiting replies on
-// the multiplexed connection (also exported as the `inflight` gauge).
+// Inflight reports the number of invocations in progress on either transport
+// (also exported as the `inflight` gauge).
 func (cl *Client) Inflight() int64 { return cl.inflight.Load() }
 
 // App exposes the underlying component application (for tests and the bench
@@ -1059,9 +947,6 @@ func (cl *Client) Close() {
 		if st.gauge != nil {
 			st.gauge.Unregister()
 		}
-	}
-	for _, g := range cl.shardGauges {
-		g.Unregister()
 	}
 	cl.gauge.Unregister()
 	cl.app.Stop()

@@ -7,11 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/corba"
 	"repro/internal/memory"
-	"repro/internal/overload"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
@@ -33,10 +31,10 @@ func wireSent(cl *Client) int64 {
 // is how tests stand up a genuinely remote-looking member in one process.
 type netAlias struct{ transport.Network }
 
-// TestCollocatedInvokeBasic pins the fast path end to end: an opted-in
-// client resolves the in-process server, Invoke/InvokeIdempotent/InvokeView/
-// InvokeOneway all produce wire-identical results, the collocated counter
-// moves, and the stripes never see a request.
+// TestCollocatedInvokeBasic pins the direct transport end to end: an opted-in
+// client resolves the in-process server, every entry point answers, the
+// collocated counter moves, and the stripes never see a request. (That the
+// answers match the wire's in every scenario is TestInvokeConformance's job.)
 func TestCollocatedInvokeBasic(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})
@@ -106,102 +104,6 @@ func TestCollocatedOptOut(t *testing.T) {
 	if got := wireSent(cl); got == 0 {
 		t.Error("opt-out client sent nothing over the wire")
 	}
-}
-
-// TestCollocatedOverloadParity is the regression test for the admission
-// contract: a collocated invoke increments the same controller in-flight
-// gauge and server in-flight count as a remote one, is rejected by the
-// brown-out admission ladder under the exact same conditions, and surfaces
-// the byte-identical shed error a wire client gets.
-func TestCollocatedOverloadParity(t *testing.T) {
-	ctrl := overload.NewController(overload.Config{MinLimit: 1, MaxLimit: 1})
-	defer ctrl.Close()
-	net := transport.NewInproc()
-	release := make(chan struct{})
-	srv := startEchoServer(t, net, "", ServerConfig{Overload: ctrl})
-	srv.RegisterServant("block", blockServant{release: release})
-
-	holder := dial(t, net, srv.Addr(), ClientConfig{
-		Collocate: true,
-		Tenant:    overload.Tenant{ID: 1, Tier: overload.Tier1},
-	})
-	beLocal := dial(t, net, srv.Addr(), ClientConfig{
-		Collocate: true,
-		Tenant:    overload.Tenant{ID: 2, Tier: overload.TierBestEffort},
-	})
-	beWire := dial(t, net, srv.Addr(), ClientConfig{
-		Tenant: overload.Tenant{ID: 3, Tier: overload.TierBestEffort},
-	})
-
-	// Occupy the single admission slot through the COLLOCATED path and show
-	// both in-flight instruments see it — the gauges Drain and the AIMD
-	// controller read are shared with the wire path.
-	done := make(chan error, 1)
-	go func() {
-		_, err := holder.Invoke("block", "echo", []byte("hold"), sched.NormPriority)
-		done <- err
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for ctrl.Inflight() != 1 || srv.Inflight() != 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("collocated invoke invisible to instruments: ctrl.Inflight=%d srv.Inflight=%d",
-				ctrl.Inflight(), srv.Inflight())
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// With the slot held, a best-effort arrival is shed at admission on both
-	// paths — same error identity, same detail payload, same back-off hint
-	// plumbing.
-	shedBefore := overload.AdmissionSheds()
-	_, localErr := beLocal.Invoke("echo", "echo", []byte("x"), sched.NormPriority)
-	_, wireErr := beWire.Invoke("echo", "echo", []byte("x"), sched.NormPriority)
-	if overload.AdmissionSheds()-shedBefore != 2 {
-		t.Errorf("admission_shed_total moved by %d, want 2 (one per path)",
-			overload.AdmissionSheds()-shedBefore)
-	}
-	var localShed, wireShed *ShedError
-	if !errors.As(localErr, &localShed) {
-		t.Fatalf("collocated best-effort invoke = %v, want *ShedError", localErr)
-	}
-	if !errors.As(wireErr, &wireShed) {
-		t.Fatalf("wire best-effort invoke = %v, want *ShedError", wireErr)
-	}
-	if localShed.Detail != wireShed.Detail {
-		t.Errorf("shed detail differs: collocated %q vs wire %q", localShed.Detail, wireShed.Detail)
-	}
-	if !errors.Is(localErr, ErrShed) || !errors.Is(localErr, corba.ErrSystemException) {
-		t.Errorf("collocated shed error %v lost its Is() identities", localErr)
-	}
-
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("admitted collocated invoke failed after release: %v", err)
-	}
-	// The completion returned its slot via the same Done() latency sample.
-	pollInflightZero(t, ctrl)
-}
-
-// TestCollocatedRetiringShed pins the drain interaction: once a servant's
-// key is retiring, the collocated path sheds with the same retry-after error
-// the wire path answers, instead of reporting a missing servant.
-func TestCollocatedRetiringShed(t *testing.T) {
-	ctrl := overload.NewController(overload.Config{})
-	defer ctrl.Close()
-	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{Overload: ctrl})
-	cl := dial(t, net, srv.Addr(), ClientConfig{Collocate: true})
-
-	if _, err := cl.Invoke("echo", "echo", []byte("up"), sched.NormPriority); err != nil {
-		t.Fatal(err)
-	}
-	srv.UnregisterServant("echo")
-	_, err := cl.Invoke("echo", "echo", []byte("gone"), sched.NormPriority)
-	var shed *ShedError
-	if !errors.As(err, &shed) {
-		t.Fatalf("invoke of retiring key = %v, want *ShedError", err)
-	}
-	pollInflightZero(t, ctrl)
 }
 
 // TestCollocatedRetargetInvalidation pins the route-generation contract: a

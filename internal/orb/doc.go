@@ -18,6 +18,13 @@
 // client Transport is a level-1 child here, and the server's level-4
 // RequestProcessing is a level-3 child.
 //
+// Every invocation takes one pipeline — classify, admit, span, deadline,
+// transport, complete — whichever entry point made it: Client.call on the
+// client, Server.admit and execute on the server. The wire (GIOP through the
+// component structure above) and the direct transport (an in-process server,
+// ClientConfig.Collocate) differ only in how a request reaches admit and how
+// the answer gets back, so server-side policy is written once.
+//
 // Both this ORB and the hand-coded internal/rtzen baseline share the
 // internal/giop codec, the internal/transport networks, and the
 // internal/corba servants, so the Fig. 11 comparison isolates the component

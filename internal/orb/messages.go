@@ -1,11 +1,8 @@
 package orb
 
 import (
-	"sync/atomic"
-
 	"repro/internal/core"
 	"repro/internal/giop"
-	"repro/internal/overload"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
@@ -119,81 +116,54 @@ type requestMsg struct {
 	raw   []byte
 	frame *giop.FrameBuf
 	order giop.ByteOrder
-	conn  *serverConn
-
-	// Overload-control feedback (nil ctrl when the server runs without a
-	// controller): the request holds one admitted in-flight slot from Admit
-	// until exactly one of done (completion latency recorded), OnShed
-	// (evicted or expired in the queue), or Reset (any other unwind —
-	// dispatch failure, pool recycle after an error) releases it. admitAt is
-	// the admission timestamp and class the fair-queue lane from the Admit
-	// decision.
-	ctrl    *overload.Controller
-	admitAt int64
-	class   uint8
-
-	// inflight is the server-wide dispatched-request counter (Server.Drain's
-	// quiescence signal), incremented when dispatch hands the request to the
-	// port and decremented exactly once when the message recycles.
-	inflight *atomic.Int64
+	// conn is the connection the request arrived on; set by dispatch, it also
+	// marks the message as counted in the server's in-flight total (Drain's
+	// quiescence signal) until it recycles.
+	conn *serverConn
+	// ad is the request's admission. The slot it holds is settled by exactly
+	// one of execute, OnShed (evicted or expired in the queue), or Reset (any
+	// other unwind — a failed Send, a demarshal error).
+	ad admission
 }
 
-// Reset implements core.Message; it releases the message's frame reference.
-// A still-armed controller slot means the message unwound without reaching
-// done or OnShed (a failed Send recycles through here): release the slot as
-// a drop, never as a latency sample.
+// Reset implements core.Message; it releases the message's frame reference
+// and in-flight count. A still-held admission slot means the message unwound
+// without reaching execute or OnShed: release it as a drop, never as a
+// latency sample.
 func (m *requestMsg) Reset() {
-	if m.inflight != nil {
-		m.inflight.Add(-1)
-		m.inflight = nil
+	if m.conn != nil {
+		m.conn.srv.inflight.Add(-1)
+		m.conn = nil
 	}
-	if m.ctrl != nil {
-		m.ctrl.Dropped()
-		m.ctrl = nil
-	}
+	m.ad.drop()
+	m.ad = admission{}
 	if m.frame != nil {
 		m.frame.Release()
 		m.frame = nil
 	}
 	m.raw = nil
 	m.order = giop.BigEndian
-	m.conn = nil
-	m.admitAt = 0
-	m.class = 0
-}
-
-// done records the request's completion latency with the controller and
-// disarms the slot so Reset will not double-release it.
-func (m *requestMsg) done() {
-	if m.ctrl == nil {
-		return
-	}
-	m.ctrl.Done(telemetry.Now() - m.admitAt)
-	m.ctrl = nil
 }
 
 // TenantClass implements core.TenantClassed: fair-mode request ports divide
 // a priority band's bandwidth across these lanes.
-func (m *requestMsg) TenantClass() uint8 { return m.class }
+func (m *requestMsg) TenantClass() uint8 { return m.ad.class }
 
 // OnShed implements core.ShedAware: the queue evicted this request (overflow
-// victim) or shed it at dequeue (deadline already passed). The in-flight slot
-// releases as a drop — shed work never executed, so it is not a latency
-// signal — and, when the client expects a response, a system-exception reply
-// tells it the request was shed rather than leaving the call to hang until
-// its invoke timeout.
+// victim) or shed it at dequeue (deadline already passed). The slot releases
+// as a drop — shed work never executed, so it is not a latency signal — and,
+// when the client expects a response, a shed reply tells it so rather than
+// leaving the call to hang until its invoke timeout.
 func (m *requestMsg) OnShed() {
-	if m.ctrl == nil {
+	if m.ad.ctrl == nil {
 		return
 	}
-	ctrl := m.ctrl
-	ctrl.Dropped()
-	m.ctrl = nil
+	m.ad.drop()
 	if m.conn == nil {
 		return
 	}
 	if info, ok := giop.PeekRequestInfo(m.order, m.raw); ok && info.ResponseExpected {
-		writeShedReply(m.conn, m.order, info.RequestID, int64(ctrl.RetryAfter()))
+		writeShedReply(m.conn, m.order, info.RequestID)
 	}
 }
 

@@ -21,10 +21,7 @@ import (
 // inbound reply to its in-flight pending-table entry by id and completes the
 // caller's channel, so many invocations pipeline over a single GIOP
 // connection and complete out of order. The only serialisation on the hot
-// path is the connection's writer. The pending table is sharded
-// (ClientConfig.ReactorShards): entries hash to per-shard maps with their own
-// locks, so concurrent registrations and completions at high pipelining no
-// longer serialise on one table mutex.
+// path is the connection's writer.
 
 // Mux counters, exported at /metrics with the compadres_ prefix.
 var (
@@ -96,6 +93,14 @@ func getPending(id uint32, band int32) *muxPending {
 	return pe
 }
 
+// result receives the entry's single result and recycles the entry; for a
+// caller that knows a completion is committed or on its way.
+func (pe *muxPending) result() invokeResult {
+	res := <-pe.done
+	putPending(pe)
+	return res
+}
+
 // putPending recycles a completed entry and its (drained) channel. Only the
 // caller that received the entry's single result may call this.
 func putPending(pe *muxPending) {
@@ -115,36 +120,26 @@ type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
 // next leader) instead of wedging on the wire.
 type readDeadliner interface{ SetReadDeadline(time.Time) error }
 
-// pendingSeg is one shard of a connection's pending table: its own lock and
-// map, so registrations hashing to different shards never contend.
-type pendingSeg struct {
-	mu sync.Mutex
-	m  map[uint32]*muxPending
-}
-
-// muxConn is one multiplexed connection: the sharded pending table, the
-// writer, and the reactor goroutine demultiplexing its replies. A wire
-// fault from either direction fails every pending entry exactly once with a
-// transport-level error, counts a single failure against the owning
-// stripe's breaker, and detaches the connection from its stripe so the next
-// invoke routed there triggers one supervised redial — not one per
-// in-flight caller.
+// muxConn is one multiplexed connection: the pending table, the writer, and
+// the reactor goroutine demultiplexing its replies. A wire fault from either
+// direction fails every pending entry exactly once with a transport-level
+// error, counts a single failure against the owning stripe's breaker, and
+// detaches the connection from its stripe so the next invoke routed there
+// triggers one supervised redial — not one per in-flight caller.
 type muxConn struct {
 	cl   *Client
 	st   *stripe
 	conn transport.Conn
 	w    *connWriter
 
-	// segs is the pending table, sharded by id. dead/deadErr are the
-	// connection's kill state: deadErr is written under deadMu strictly
-	// before dead is stored, and fail's sweep of each segment happens
-	// after the store while holding that segment's lock — so a register
-	// that saw dead==false under its segment lock either completes before
-	// the sweep reaches the segment or is collected by it; no entry can
-	// strand.
-	segs    []pendingSeg
+	// mu guards the pending table and the kill state. fail sets deadErr and
+	// dead and sweeps the table in one critical section, so a register either
+	// lands before the sweep and is collected by it, or sees dead and is
+	// refused; no entry can strand. dead is atomic only so that readers
+	// outside the lock can poll it.
+	mu      sync.Mutex
+	pend    map[uint32]*muxPending
 	dead    atomic.Bool
-	deadMu  sync.Mutex
 	deadErr error
 
 	// maxDone is the highest request id completed so far, maintained by the
@@ -172,10 +167,7 @@ type muxConn struct {
 // deadlines when one is needed — caller-driven leader/follower demux.
 func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 	cl := st.cl
-	mc := &muxConn{cl: cl, st: st, conn: conn, segs: make([]pendingSeg, cl.reactorShards)}
-	for i := range mc.segs {
-		mc.segs[i].m = make(map[uint32]*muxPending, 16)
-	}
+	mc := &muxConn{cl: cl, st: st, conn: conn, pend: make(map[uint32]*muxPending, 16)}
 	mc.w = newConnWriter(conn, cl.invokeTimeout)
 	mc.fr = giop.NewFrameReader(conn, uint32(cl.maxMsg))
 	_, canDeadline := conn.(readDeadliner)
@@ -189,92 +181,73 @@ func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 	return mc
 }
 
-// seg returns the pending-table shard an id hashes to.
-func (mc *muxConn) seg(id uint32) *pendingSeg {
-	return &mc.segs[int(id)%len(mc.segs)]
-}
-
-// loadDeadErr returns the connection's kill error (call only after dead
-// reads true).
-func (mc *muxConn) loadDeadErr() error {
-	mc.deadMu.Lock()
-	defer mc.deadMu.Unlock()
-	return mc.deadErr
+// account moves the stripe's and the priority band's in-flight counts, which
+// follow an entry's time in the pending table: the write path reads the
+// first to tell a lone sender from a pipelined one, the stripe selector the
+// second to keep a busy band on one stripe.
+func (mc *muxConn) account(band int32, delta int64) {
+	mc.st.inflight.Add(delta)
+	mc.cl.bandInflight[band].Add(delta)
 }
 
 // register places an armed entry in the pending table. It fails if the
 // connection already died (the entry is then still owned by the caller) and
 // reports false without error if the caller cancelled the entry while the
-// invocation was queued — the request must not reach the wire.
+// invocation was queued — the request must not reach the wire. pe.mc is
+// published before the cancellation check, so a caller whose cancel lands
+// after the check finds the connection and unhooks the entry itself.
 func (mc *muxConn) register(pe *muxPending) (bool, error) {
-	seg := mc.seg(pe.id)
-	seg.mu.Lock()
+	mc.mu.Lock()
 	if mc.dead.Load() {
-		seg.mu.Unlock()
-		return false, mc.loadDeadErr()
+		err := mc.deadErr
+		mc.mu.Unlock()
+		return false, err
 	}
+	pe.mc.Store(mc)
 	if pe.state.Load() == pendingCancelled {
-		seg.mu.Unlock()
+		mc.mu.Unlock()
 		return false, nil
 	}
-	seg.m[pe.id] = pe
-	seg.mu.Unlock()
-	pe.mc.Store(mc)
-	mc.cl.inflight.Add(1)
-	mc.st.inflight.Add(1)
-	mc.cl.bandInflight[pe.band].Add(1)
-	if ops := mc.cl.shardOps; ops != nil {
-		ops[int(pe.id)%len(ops)].Add(1)
-	}
+	mc.pend[pe.id] = pe
+	mc.mu.Unlock()
+	mc.account(pe.band, 1)
 	return true, nil
 }
 
-// unregister removes an entry the caller is abandoning (deadline expiry).
-// It reports whether the entry was still tabled here.
-func (mc *muxConn) unregister(pe *muxPending) bool {
-	seg := mc.seg(pe.id)
-	seg.mu.Lock()
-	cur, ok := seg.m[pe.id]
-	if ok && cur == pe {
-		delete(seg.m, pe.id)
-		seg.mu.Unlock()
-		mc.cl.inflight.Add(-1)
-		mc.st.inflight.Add(-1)
-		mc.cl.bandInflight[pe.band].Add(-1)
-		return true
+// unregister removes an entry the caller is abandoning (deadline expiry), if
+// it is still tabled here.
+func (mc *muxConn) unregister(pe *muxPending) {
+	mc.mu.Lock()
+	tabled := mc.pend[pe.id] == pe
+	if tabled {
+		delete(mc.pend, pe.id)
 	}
-	seg.mu.Unlock()
-	return false
+	mc.mu.Unlock()
+	if tabled {
+		mc.account(pe.band, -1)
+	}
 }
 
-// take removes and returns the entry for id, used by the reactor when a
-// reply arrives.
+// take removes and returns the entry for id, used by the demux when a reply
+// arrives.
 func (mc *muxConn) take(id uint32) (*muxPending, bool) {
-	seg := mc.seg(id)
-	seg.mu.Lock()
-	pe, ok := seg.m[id]
+	mc.mu.Lock()
+	pe, ok := mc.pend[id]
 	if ok {
-		delete(seg.m, id)
+		delete(mc.pend, id)
 	}
-	seg.mu.Unlock()
+	mc.mu.Unlock()
 	if ok {
-		mc.cl.inflight.Add(-1)
-		mc.st.inflight.Add(-1)
-		mc.cl.bandInflight[pe.band].Add(-1)
+		mc.account(pe.band, -1)
 	}
 	return pe, ok
 }
 
 // pending reports how many entries are still tabled on the connection.
 func (mc *muxConn) pending() int {
-	n := 0
-	for i := range mc.segs {
-		seg := &mc.segs[i]
-		seg.mu.Lock()
-		n += len(seg.m)
-		seg.mu.Unlock()
-	}
-	return n
+	mc.mu.Lock()
+	defer mc.mu.Unlock()
+	return len(mc.pend)
 }
 
 // retire drains the connection out of service: it detaches from the stripe
@@ -328,35 +301,24 @@ func (mc *muxConn) sendFailed(err error) {
 // detaches the connection, and — under supervision — a single breaker
 // failure is recorded for the whole batch.
 func (mc *muxConn) fail(err error) {
-	mc.deadMu.Lock()
+	mc.mu.Lock()
 	if mc.dead.Load() {
-		mc.deadMu.Unlock()
+		mc.mu.Unlock()
 		return
 	}
 	mc.deadErr = err
 	mc.dead.Store(true)
-	mc.deadMu.Unlock()
-
-	var victims []*muxPending
-	for i := range mc.segs {
-		seg := &mc.segs[i]
-		seg.mu.Lock()
-		for id, pe := range seg.m {
-			delete(seg.m, id)
-			victims = append(victims, pe)
-		}
-		seg.mu.Unlock()
-	}
+	victims := mc.pend
+	mc.pend = nil
+	mc.mu.Unlock()
 
 	_ = mc.conn.Close()
 	mc.st.detach(mc)
 	if n := len(victims); n > 0 {
-		mc.cl.inflight.Add(-int64(n))
-		mc.st.inflight.Add(-int64(n))
 		telemetry.Record(telemetry.EvState, muxLabel, 0, 0, uint64(n))
 	}
 	for _, pe := range victims {
-		mc.cl.bandInflight[pe.band].Add(-1)
+		mc.account(pe.band, -1)
 		pe.complete(invokeResult{err: err})
 	}
 }
@@ -455,7 +417,7 @@ func (mc *muxConn) deliver(pe *muxPending, r invokeResult, own *muxPending) (inv
 		// A racing completion already committed (connection failer): its
 		// result is the entry's fate; this frame reference never transferred.
 		r.release()
-		return <-pe.done, true, false
+		return <-pe.done, true, false // lead recycles the entry
 	}
 	if !pe.complete(r) {
 		// The caller cancelled between take and complete: the frame
@@ -466,14 +428,21 @@ func (mc *muxConn) deliver(pe *muxPending, r invokeResult, own *muxPending) (inv
 	return invokeResult{}, false, false
 }
 
-// lead runs the caller-as-leader demux loop: the caller holds the token and
-// reads frames, completing other callers' entries, until its own reply
-// arrives or its invoke deadline expires. Exactly one token exists per
+// lead runs the caller-as-leader demux loop. The caller holds the token; it
+// first re-checks its completion channel (the outgoing leader may have
+// completed this entry and released the token in either order — leading with
+// a completed entry would wedge on a read no reply answers), then reads
+// frames, completing other callers' entries, until its own reply arrives or
+// its invoke deadline (zero: none) expires. Exactly one token exists per
 // connection; every exit path returns it to leaderCh (cap 1, never blocks).
-// recycle reports whether pe may be recycled (false when the entry was
-// cancelled on deadline expiry and abandoned to the collector).
-func (mc *muxConn) lead(pe *muxPending, deadline time.Time) (res invokeResult, recycle bool) {
-	cl := mc.cl
+func (mc *muxConn) lead(pe *muxPending, deadline time.Time) invokeResult {
+	select {
+	case res := <-pe.done:
+		mc.leaderCh <- struct{}{}
+		putPending(pe)
+		return res
+	default:
+	}
 	var rep giop.Reply
 	var loc giop.LocateReply
 	for {
@@ -483,34 +452,32 @@ func (mc *muxConn) lead(pe *muxPending, deadline time.Time) (res invokeResult, r
 			}
 		}
 		h, fb, err := mc.fr.NextFrame()
-		if err != nil {
-			if !deadline.IsZero() && errors.Is(err, os.ErrDeadlineExceeded) && !mc.dead.Load() {
-				// Our own invoke deadline fired while leading. The resumable
-				// FrameReader kept any partial frame; the connection stays up.
-				// Hand the token to the next waiter, then resolve our entry
-				// the same way a timed-out follower would.
-				mc.leaderCh <- struct{}{}
-				if cl.cancelPending(pe) {
-					invokeTimeoutTotal.Inc()
-					return invokeResult{err: fmt.Errorf("%w: no reply within %v", ErrDeadlineExceeded, cl.invokeTimeout())}, false
-				}
-				return <-pe.done, true
-			}
-			mc.fr.Close()
-			mc.readFailed(err)
+		if err != nil && !deadline.IsZero() && errors.Is(err, os.ErrDeadlineExceeded) && !mc.dead.Load() {
+			// Our own invoke deadline fired while leading. The resumable
+			// FrameReader kept any partial frame; the connection stays up.
+			// Hand the token to the next waiter, then resolve our entry the
+			// same way a timed-out follower does.
 			mc.leaderCh <- struct{}{}
-			// fail completed every tabled entry — ours included.
-			return <-pe.done, true
+			return mc.cl.expire(pe)
 		}
-		res, mine, fatal := mc.handleFrame(h, fb, &rep, &loc, pe)
+		var res invokeResult
+		var mine, fatal bool
+		if err != nil {
+			mc.readFailed(err)
+			fatal = true
+		} else {
+			res, mine, fatal = mc.handleFrame(h, fb, &rep, &loc, pe)
+		}
 		if fatal {
+			// fail completed every tabled entry — ours included.
 			mc.fr.Close()
 			mc.leaderCh <- struct{}{}
-			return <-pe.done, true
+			return pe.result()
 		}
 		if mine {
 			mc.leaderCh <- struct{}{}
-			return res, true
+			putPending(pe)
+			return res
 		}
 	}
 }
@@ -550,30 +517,33 @@ func (mc *muxConn) readFailed(err error) {
 	mc.fail(fmt.Errorf("orb client: read: %w", mc.cl.mapWireErr(wireErr("read", mc.cl.addr, err))))
 }
 
-// replyResult maps a decoded GIOP reply to the caller-visible result. A
-// successful reply's payload still aliases the arrival frame; the frame
-// reference rides the result to the caller, who releases it after copying
-// the payload out (Invoke) or finishing with the view (InvokeView).
-// Exception replies format their message — a copy — and the frame is
-// released here.
+// replyResult turns a decoded reply into the caller's result. A success's
+// payload still aliases the arrival frame; the frame reference rides the
+// result to the caller, who releases it after copying the payload out
+// (Invoke) or finishing with the view (InvokeView). An exception's message is
+// formatted — a copy — and the frame released here: error results never carry
+// a frame.
 func replyResult(rep *giop.Reply, fb *giop.FrameBuf) invokeResult {
-	switch rep.Status {
-	case giop.ReplyNoException:
+	if rep.Status == giop.ReplyNoException {
 		return invokeResult{payload: rep.Payload, frame: fb}
-	case giop.ReplyUserException:
-		err := fmt.Errorf("%w: %s", corba.ErrUserException, rep.Payload)
-		fb.Release()
-		return invokeResult{err: err}
+	}
+	err := exception(rep.Status, rep.Payload, rep.RetryAfterNs)
+	fb.Release()
+	return invokeResult{err: err}
+}
+
+// exception is the one mapping from a server's answer that is not a success —
+// the (status, payload, retryAfter) triple, decoded off the wire or handed
+// over by the direct transport — to the error the caller sees. A retry-after
+// hint marks a system exception as a shed: it surfaces as a ShedError so the
+// retry loop can pace to the server's horizon.
+func exception(status giop.ReplyStatus, payload []byte, retryAfterNs int64) error {
+	switch {
+	case status == giop.ReplyUserException:
+		return fmt.Errorf("%w: %s", corba.ErrUserException, payload)
+	case retryAfterNs > 0:
+		return &ShedError{RetryAfter: time.Duration(retryAfterNs), Detail: string(payload)}
 	default:
-		var err error
-		if rep.RetryAfterNs > 0 {
-			// A retry-after hint marks the exception as a shed: surface it as
-			// a ShedError so the retry loop can pace to the server's horizon.
-			err = &ShedError{RetryAfter: time.Duration(rep.RetryAfterNs), Detail: string(rep.Payload)}
-		} else {
-			err = fmt.Errorf("%w: %s", corba.ErrSystemException, rep.Payload)
-		}
-		fb.Release()
-		return invokeResult{err: err}
+		return fmt.Errorf("%w: %s", corba.ErrSystemException, payload)
 	}
 }

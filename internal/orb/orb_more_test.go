@@ -41,7 +41,7 @@ func TestLittleEndianClient(t *testing.T) {
 func TestConcurrentInvokesOneClient(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})
-	cl := dial(t, net, srv.Addr(), ClientConfig{MsgPoolCapacity: 64})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
 	_ = srv
 
 	var wg sync.WaitGroup

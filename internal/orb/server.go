@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +35,6 @@ type ServerConfig struct {
 	// Synchronous dispatches ports on the reading thread instead of port
 	// thread pools.
 	Synchronous bool
-	// MsgPoolCapacity overrides the per-type message pool capacity.
-	MsgPoolCapacity int
 	// Concurrency bounds how many requests one connection processes at
 	// once (the RequestProcessing pool width). Pipelined clients keep that
 	// many servant invocations in flight; replies go out in completion
@@ -47,16 +44,6 @@ type ServerConfig struct {
 	//
 	// Deprecated: kept so that existing configurations compile.
 	Coalesce *CoalesceConfig
-	// Shards moves request demultiplexing off the per-connection reader
-	// goroutines onto a fixed pool of dispatch shards: each connection is
-	// hashed to one shard at accept time (so per-connection FIFO order is
-	// preserved) and its reader only frames bytes, handing whole frames to
-	// the shard for priority peeking and port dispatch. This removes the
-	// one-goroutine-per-connection dispatch ceiling when many connections
-	// multiplex onto few cores. Zero keeps dispatch inline on the reader
-	// (the pre-shard behaviour); AutoShards sizes the pool to GOMAXPROCS;
-	// explicit positive values are honoured as given (tests pin 1/2/8).
-	Shards int
 	// Overload opts the server into closed-loop overload control (see
 	// internal/overload): every request is classified by its tenant service
 	// context and admitted, credited, or shed before demarshalling; admitted
@@ -70,31 +57,6 @@ type ServerConfig struct {
 	// dequeue (counted as deadline_shed_total, answered with a shed reply)
 	// instead of executing late. Zero stamps no deadline.
 	RequestDeadline time.Duration
-}
-
-// AutoShards selects a GOMAXPROCS-bounded shard count for
-// ServerConfig.Shards and ClientConfig.ReactorShards.
-const AutoShards = -1
-
-// maxShards bounds explicit shard counts.
-const maxShards = 64
-
-// resolveShards maps a Shards knob to a concrete count: 0 stays 0 (inline),
-// AutoShards becomes GOMAXPROCS, and anything else clamps to [1, maxShards].
-func resolveShards(n int) int {
-	if n == 0 {
-		return 0
-	}
-	if n == AutoShards {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	return n
 }
 
 // DefaultConcurrency is the per-connection request-processing width used
@@ -150,32 +112,6 @@ type Server struct {
 	// queueing deadline stamped on admitted requests when ctrl is set.
 	ctrl        *overload.Controller
 	reqDeadline time.Duration
-
-	// shards is the dispatch pool (empty = inline dispatch on the reader);
-	// shardWg tracks its goroutines and gauges their telemetry handles.
-	shards  []*dispatchShard
-	shardWg sync.WaitGroup
-	gauges  []*telemetry.GaugeHandle
-}
-
-// dispatchShard is one dispatch lane: connections hashed to it enqueue
-// framed requests on ch; its goroutine runs the GetMessage → priority peek →
-// port Send sequence that the reader loop would otherwise run inline. The
-// channel is bounded, so a shard that falls behind parks its readers — the
-// same wire-level backpressure the inline path gets from OverflowBlock.
-type dispatchShard struct {
-	ch         chan inbound
-	dispatched atomic.Int64
-}
-
-// inbound is one framed request travelling reader → shard. The frame
-// reference travels with it: the shard's dispatch either hands it to a
-// pooled message (released on recycle) or releases it on a failed dispatch.
-type inbound struct {
-	sc   *serverConn
-	toRP *core.OutPort
-	h    giop.Header
-	fb   *giop.FrameBuf
 }
 
 // serverConn is the per-connection state owned by a Transport instance.
@@ -183,10 +119,6 @@ type serverConn struct {
 	srv  *Server
 	conn transport.Conn
 	w    *connWriter
-	// shard is the dispatch shard this connection hashed to at accept time
-	// (nil = inline dispatch). Fixed per connection, so one connection's
-	// requests dispatch in arrival order regardless of shard count.
-	shard *dispatchShard
 }
 
 // write hands one framed message to the connection's writer. With no other
@@ -223,9 +155,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 
 	appCfg := core.AppConfig{Name: "CompadresORBServer", ImmortalSize: 1 << 20}
-	if cfg.MsgPoolCapacity != 0 {
-		appCfg.MsgPoolCapacity = cfg.MsgPoolCapacity
-	} else if need := 3*concurrency + 8; need > core.DefaultMsgPoolCapacity {
+	if need := 3*concurrency + 8; need > core.DefaultMsgPoolCapacity {
 		// A connection can hold queue (2×concurrency) plus in-process
 		// (concurrency) requests outstanding; the message pool must cover
 		// that or the reader loop sheds connections under pipelined load.
@@ -271,21 +201,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Synchronous {
 		srv.threading = core.ThreadingSynchronous
 	}
-	if n := resolveShards(cfg.Shards); n > 0 {
-		for i := 0; i < n; i++ {
-			sh := &dispatchShard{ch: make(chan inbound, 2*concurrency)}
-			srv.shards = append(srv.shards, sh)
-			srv.shardWg.Add(1)
-			go srv.shardLoop(sh)
-			srv.gauges = append(srv.gauges, telemetry.Default.RegisterGauge(
-				"shard_dispatched", fmt.Sprintf("orb.server.shard%d", i),
-				func() int64 { return sh.dispatched.Load() }))
-		}
-	}
-
 	ln, err := cfg.Network.Listen(cfg.Addr)
 	if err != nil {
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
@@ -304,13 +221,11 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	})
 	if err != nil {
 		ln.Close()
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
 	if err := app.Start(); err != nil {
 		ln.Close()
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
@@ -319,7 +234,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	h, err := app.Component("ORB").SMM().Connect("POA")
 	if err != nil {
 		ln.Close()
-		srv.stopShards()
 		app.Stop()
 		return nil, err
 	}
@@ -400,16 +314,6 @@ func (s *Server) setRetiringLocked(key string, retiring bool) {
 	s.retiring.Store(&m)
 }
 
-// isRetiring reports whether key was unregistered by a drain.
-func (s *Server) isRetiring(key []byte) bool {
-	p := s.retiring.Load()
-	if p == nil {
-		return false
-	}
-	_, ok := (*p)[string(key)]
-	return ok
-}
-
 // Inflight returns the dispatched-but-not-completed request count.
 func (s *Server) Inflight() int64 { return s.inflight.Load() }
 
@@ -446,7 +350,7 @@ func (s *Server) SetLocateForwarder(fn func(key []byte) []string) {
 // forwarder hit is OBJECT_FORWARD with the group's addresses, anything else
 // UNKNOWN_OBJECT.
 func (s *Server) locateStatus(key []byte) (giop.LocateStatus, []string) {
-	if _, ok := s.servant(key); ok {
+	if _, ok := lookup(&s.servants, key); ok {
 		return giop.LocateObjectHere, nil
 	}
 	if p := s.locateFwd.Load(); p != nil {
@@ -455,16 +359,6 @@ func (s *Server) locateStatus(key []byte) (giop.LocateStatus, []string) {
 		}
 	}
 	return giop.LocateUnknownObject, nil
-}
-
-// servant resolves an object key without copying it to a string on the heap.
-func (s *Server) servant(key []byte) (corba.Servant, bool) {
-	p := s.servants.Load()
-	if p == nil {
-		return nil, false
-	}
-	sv, ok := (*p)[string(key)]
-	return sv, ok
 }
 
 // Addr returns the bound listen address.
@@ -529,11 +423,6 @@ func (s *Server) acceptLoop() {
 func (s *Server) addConnection(conn transport.Conn) error {
 	seq := s.connSeq.Add(1)
 	sc := &serverConn{srv: s, conn: conn, w: newConnWriter(conn, nil)}
-	if n := len(s.shards); n > 0 {
-		// Fixed connection→shard assignment: one connection's requests all
-		// dispatch through one lane, preserving their arrival order.
-		sc.shard = s.shards[int((seq-1)%uint64(n))]
-	}
 	s.mu.Lock()
 	s.conns = append(s.conns, sc)
 	s.mu.Unlock()
@@ -626,8 +515,7 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 // concurrently (up to the configured Concurrency) and each reply goes to the
 // connection's writer as its servant finishes — out of order when
 // completions cross — while the demultiplexing client matches them back to
-// callers by request id. With shards configured, the reader only
-// frames bytes; the connection's dispatch shard runs the peek-and-send.
+// callers by request id.
 func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 	fr := giop.NewFrameReader(sc.conn, uint32(s.maxMsg))
 	defer fr.Close()
@@ -646,15 +534,6 @@ func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 		}
 		switch h.Type {
 		case giop.MsgRequest:
-			if sc.shard != nil {
-				// Hand the frame (and its reference) to the connection's
-				// dispatch lane. The bounded channel is the backpressure:
-				// a full lane parks this reader, which stops reading the
-				// socket. Shard channels outlive every reader (Close drains
-				// them only after the readers exit), so the send is safe.
-				sc.shard.ch <- inbound{sc: sc, toRP: toRP, h: h, fb: fb}
-				continue
-			}
 			if !s.dispatch(sc, toRP, h, fb) {
 				sc.conn.Close()
 				return
@@ -692,107 +571,40 @@ func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 	}
 }
 
-// stopShards closes the dispatch lanes, waits the shard goroutines out, and
-// unregisters their gauges. Callers must guarantee no reader can still send
-// into a lane (no readers were ever started, or wg.Wait has returned).
-func (s *Server) stopShards() {
-	for _, sh := range s.shards {
-		close(sh.ch)
-	}
-	s.shardWg.Wait()
-	for _, g := range s.gauges {
-		g.Unregister()
-	}
-	s.shards, s.gauges = nil, nil
+// admission is one request's pass through the admit stage: the priority it
+// queues at and, under overload control, the in-flight slot it holds. The
+// slot is released exactly once — done (a latency sample) or drop (not one) —
+// by whichever stage settles the request; both are no-ops afterwards, so an
+// unwind may always call drop.
+type admission struct {
+	prio  sched.Priority
+	class uint8 // fair-queue lane
+	at    int64 // admission timestamp
+	ctrl  *overload.Controller
 }
 
-// shardLoop drains one dispatch lane until Close closes its channel (after
-// every reader goroutine has exited). A failed dispatch closes the offending
-// connection but keeps the lane serving its other connections.
-func (s *Server) shardLoop(sh *dispatchShard) {
-	defer s.shardWg.Done()
-	for in := range sh.ch {
-		if s.dispatch(in.sc, in.toRP, in.h, in.fb) {
-			sh.dispatched.Add(1)
-		} else {
-			in.sc.conn.Close()
-		}
+// done releases the slot with admission-to-now as the latency sample that
+// drives the AIMD limit.
+func (a *admission) done() {
+	if a.ctrl != nil {
+		a.ctrl.Done(telemetry.Now() - a.at)
+		a.ctrl = nil
 	}
 }
 
-// dispatch moves one framed request into the RequestProcessing port. One
-// alloc-free peek classifies it (priority, tenant id and tier, response
-// expectation) before anything is demarshalled or pooled: the request is
-// dispatched at the priority the client stamped on it, so a high-priority
-// invocation overtakes queued lower ones, and under overload control the
-// controller decides its fate first. A rejection answers expecting callers
-// with a shed reply and keeps the connection — overload is a load condition,
-// not a protocol error. dispatch takes ownership of the frame reference,
-// handing it (and, when admitted, the controller slot: done, OnShed, or Reset
-// releases it exactly once) to the pooled message. It reports false when the
-// connection should drop — pool exhaustion is answered with disconnection,
-// the hard-real-time stance on overload.
-func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, h giop.Header, fb *giop.FrameBuf) bool {
-	info, peeked := giop.PeekRequestInfo(h.Order, fb.Body())
-	prio := sched.NormPriority
-	if cand := sched.Priority(info.Priority); peeked && cand.Valid() {
-		prio = cand
+// drop releases the slot of a request that never ran to completion.
+func (a *admission) drop() {
+	if a.ctrl != nil {
+		a.ctrl.Dropped()
+		a.ctrl = nil
 	}
-	var admitAt int64
-	var class uint8
-	if s.ctrl != nil {
-		admitAt = telemetry.Now()
-		d := s.ctrl.Admit(info.TenantID, overload.Tier(info.TenantTier), prio)
-		if !d.OK {
-			if peeked && info.ResponseExpected {
-				// The brown-out shed carries the controller's back-off hint, so
-				// the client paces its retry to the server's recovery horizon.
-				writeShedReply(sc, h.Order, info.RequestID, int64(s.ctrl.RetryAfter()))
-			}
-			fb.Release()
-			return true
-		}
-		class = d.Class
-	}
-	msg, err := toRP.GetMessage()
-	if err != nil {
-		if s.ctrl != nil {
-			s.ctrl.Dropped()
-		}
-		fb.Release()
-		return false
-	}
-	m := msg.(*requestMsg)
-	m.setFrame(fb, h.Order)
-	m.conn = sc
-	m.ctrl, m.admitAt, m.class = s.ctrl, admitAt, class
-	m.inflight = &s.inflight
-	s.inflight.Add(1)
-	// On a send error the enqueue path has already recycled the message
-	// (Reset), releasing the frame reference and the controller slot with it.
-	return toRP.Send(msg, prio) == nil
 }
 
-// shedReplyPayload is the body of the system exception answering a shed
-// request.
-var shedReplyPayload = []byte("orb: overload: request shed")
-
-// writeShedReply answers one shed request with a system-exception reply so
-// the caller fails fast instead of hanging until its invoke timeout. A
-// positive retryAfterNs rides along in the retry-after service context as
-// the suggested back-off. Best effort: a write failure means the connection
-// is dying, and its reader loop owns that diagnosis.
-func writeShedReply(sc *serverConn, order giop.ByteOrder, requestID uint32, retryAfterNs int64) {
-	wb := giop.GetBuffer()
-	wb.B = giop.MarshalReply(wb.B, order, &giop.Reply{
-		RequestID:    requestID,
-		Status:       giop.ReplySystemException,
-		RetryAfterNs: retryAfterNs,
-		Payload:      shedReplyPayload,
-	})
-	_ = sc.write(wb.B, false)
-	giop.PutBuffer(wb)
-}
+// Fixed exception bodies.
+var (
+	shedReplyPayload = []byte("orb: overload: request shed")
+	noServantPayload = []byte(corba.ErrNoServant.Error())
+)
 
 // retireRetryAfterNs is the back-off hinted to stragglers addressing a
 // retiring servant on a server without an overload controller: long enough
@@ -800,72 +612,184 @@ func writeShedReply(sc *serverConn, order giop.ByteOrder, requestID uint32, retr
 // stall the caller.
 const retireRetryAfterNs = int64(20 * time.Millisecond)
 
-// retryAfterNs is the back-off hint stamped on shed replies: the overload
-// controller's level-scaled window when one is running, the retirement
-// default otherwise.
-func (s *Server) retryAfterNs() int64 {
+// shed is the answer to a request the server refuses to run — rejected at
+// admission, expired in the queue, or addressed to a retiring servant: a
+// system exception whose positive retry-after hint (ns) marks it as a shed.
+// The hint is the controller's level-scaled window when one is running, the
+// retirement default otherwise.
+func (s *Server) shed() (status giop.ReplyStatus, payload []byte, retryAfter int64) {
+	retryAfter = retireRetryAfterNs
 	if s.ctrl != nil {
-		return int64(s.ctrl.RetryAfter())
+		retryAfter = int64(s.ctrl.RetryAfter())
 	}
-	return retireRetryAfterNs
+	return giop.ReplySystemException, shedReplyPayload, retryAfter
 }
 
-// processRequest runs in the RequestProcessing component's scope: it
-// demarshals the request there, invokes the servant, and marshals and
-// writes the reply from the same scope, which is reclaimed (or returned to
-// the pool) when the component quiesces.
+// admit is the admission stage every request passes, whichever transport
+// carried it. The priority byte is validated — an out-of-band value queues at
+// NormPriority, though the servant is still shown the byte as sent — and under
+// overload control the controller classifies the tenant and admits or sheds.
+// ok false means shed: answer with s.shed(), nothing is held.
+func (s *Server) admit(rawPrio byte, tenantID uint64, tier uint8) (ad admission, ok bool) {
+	ad.prio = sched.NormPriority
+	if cand := sched.Priority(rawPrio); cand.Valid() {
+		ad.prio = cand
+	}
+	if s.ctrl != nil {
+		ad.at = telemetry.Now()
+		d := s.ctrl.Admit(tenantID, overload.Tier(tier), ad.prio)
+		if !d.OK {
+			return ad, false
+		}
+		ad.class, ad.ctrl = d.Class, s.ctrl
+	}
+	return ad, true
+}
+
+// lookup reads a copy-on-write map keyed by object key. Keys arrive as the
+// raw ObjectKey bytes off the wire or as the caller's string on the direct
+// transport; neither is converted on the heap.
+func lookup[V any, K string | []byte](p *atomic.Pointer[map[string]V], key K) (V, bool) {
+	if m := p.Load(); m != nil {
+		v, ok := (*m)[string(key)]
+		return v, ok
+	}
+	var zero V
+	return zero, false
+}
+
+// execute is the execution stage of an admitted request, on whichever
+// goroutine the transport runs it: a RequestProcessing port thread for the
+// wire, the caller's own for the direct transport. It sheds work that
+// outlived its queueing deadline, opens the server span under the caller's
+// trace (corr is the request id), resolves the servant — a key a drain
+// unbound is shed with the back-off hint, so the caller's directory re-routes
+// the retry to a surviving replica — runs it, and settles ad's slot exactly
+// once. The answer is the (status, payload, retryAfter) triple a GIOP reply
+// carries on the wire and the direct transport hands over as it is; span is
+// the server span id, zero when untraced.
+func execute[K string | []byte](s *Server, ad *admission, key K, op string, payload []byte, rawPrio byte, trace, corr uint64) (status giop.ReplyStatus, out []byte, retryAfter int64, span uint64) {
+	var started int64
+	if trace != 0 && telemetry.VerboseEnabled() {
+		span = telemetry.NewID()
+		telemetry.Record(telemetry.EvSpanStart, serverSpanLabel, trace, span, corr)
+		started = telemetry.Now()
+	}
+	if ad.ctrl != nil && s.reqDeadline > 0 && telemetry.Now() > ad.at+int64(s.reqDeadline) {
+		ad.drop()
+		status, out, retryAfter = s.shed()
+	} else if sv, ok := lookup(&s.servants, key); ok {
+		var err error
+		if ps, ok := sv.(corba.PrioritizedServant); ok {
+			out, err = ps.InvokeWithPriority(op, payload, rawPrio)
+		} else {
+			out, err = sv.Invoke(op, payload)
+		}
+		// A user exception is a completion like any other.
+		ad.done()
+		if err != nil {
+			status, out = giop.ReplyUserException, []byte(err.Error())
+		}
+	} else if _, retiring := lookup(&s.retiring, key); retiring {
+		ad.drop()
+		status, out, retryAfter = s.shed()
+	} else {
+		ad.done()
+		status, out = giop.ReplySystemException, noServantPayload
+	}
+	if span != 0 {
+		telemetry.Record(telemetry.EvSpanEnd, serverSpanLabel, trace, span, uint64(telemetry.Now()-started))
+	}
+	return status, out, retryAfter, span
+}
+
+// direct is the collocated transport's server half: admit and execute inline
+// on the caller's goroutine, the answer handed back by value — no frame, no
+// queue, no reply. The payload of a success is the servant's own slice. As on
+// the wire, a oneway's answer goes nowhere. ok false means the server has
+// shut down and nothing ran.
+func (s *Server) direct(key, op string, payload []byte, rawPrio byte, tn overload.Tenant, trace, corr uint64, oneway bool) (status giop.ReplyStatus, out []byte, retryAfter int64, ok bool) {
+	if s.closed.Load() {
+		return 0, nil, 0, false
+	}
+	if ad, admitted := s.admit(rawPrio, tn.ID, uint8(tn.Tier)); admitted {
+		s.inflight.Add(1)
+		status, out, retryAfter, _ = execute(s, &ad, key, op, payload, rawPrio, trace, corr)
+		s.inflight.Add(-1)
+	} else {
+		status, out, retryAfter = s.shed()
+	}
+	if oneway {
+		return giop.ReplyNoException, nil, 0, true
+	}
+	return status, out, retryAfter, true
+}
+
+// dispatch is the wire transport's admission: one alloc-free peek classifies
+// the framed request (priority, tenant id and tier, response expectation)
+// before anything is demarshalled or pooled, admit decides its fate, and an
+// admitted request queues on the RequestProcessing port at its validated
+// priority — so a high-priority invocation overtakes queued lower ones. A
+// rejection answers expecting callers with a shed reply and keeps the
+// connection — overload is a load condition, not a protocol error. dispatch
+// takes ownership of the frame reference, handing it and the admission to the
+// pooled message, whose recycle releases both. It reports false when the
+// connection should drop — pool exhaustion is answered with disconnection,
+// the hard-real-time stance on overload.
+func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, h giop.Header, fb *giop.FrameBuf) bool {
+	info, peeked := giop.PeekRequestInfo(h.Order, fb.Body())
+	ad, ok := s.admit(info.Priority, info.TenantID, info.TenantTier)
+	if !ok {
+		if peeked && info.ResponseExpected {
+			writeShedReply(sc, h.Order, info.RequestID)
+		}
+		fb.Release()
+		return true
+	}
+	msg, err := toRP.GetMessage()
+	if err != nil {
+		ad.drop()
+		fb.Release()
+		return false
+	}
+	m := msg.(*requestMsg)
+	m.setFrame(fb, h.Order)
+	m.conn, m.ad = sc, ad
+	s.inflight.Add(1)
+	// On a send error the enqueue path has already recycled the message
+	// (Reset), releasing the frame reference and the admission with it.
+	return toRP.Send(msg, ad.prio) == nil
+}
+
+// writeShedReply answers a request shed before it reached execute — at
+// admission or in the queue — so the caller fails fast with the back-off hint
+// instead of hanging until its invoke timeout. Best effort: a write failure
+// means the connection is dying, and its reader loop owns that diagnosis.
+func writeShedReply(sc *serverConn, order giop.ByteOrder, requestID uint32) {
+	status, payload, retryAfter := sc.srv.shed()
+	wb := giop.GetBuffer()
+	wb.B = giop.MarshalReply(wb.B, order, &giop.Reply{
+		RequestID:    requestID,
+		Status:       status,
+		RetryAfterNs: retryAfter,
+		Payload:      payload,
+	})
+	_ = sc.write(wb.B, false)
+	giop.PutBuffer(wb)
+}
+
+// processRequest is the wire transport's execution, run in the
+// RequestProcessing component's scope: it demarshals the request there,
+// executes it, and marshals and writes the outcome from the same scope, which
+// is reclaimed (or returned to the pool) when the component quiesces.
 func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 	m := msg.(*requestMsg)
 	var req giop.Request
 	if err := giop.DecodeRequest(m.order, m.raw, &req); err != nil {
 		return fmt.Errorf("orb server: demarshal: %w", err)
 	}
-
-	// Continue the caller's trace: open a server span under the trace id
-	// carried in the request's service context, and echo it in the reply so
-	// the client can stitch the round trip.
-	var serverSpan uint64
-	var spanStart int64
-	if req.TraceID != 0 && telemetry.VerboseEnabled() {
-		serverSpan = telemetry.NewID()
-		telemetry.Record(telemetry.EvSpanStart, serverSpanLabel, req.TraceID, serverSpan, uint64(req.RequestID))
-		spanStart = telemetry.Now()
-		defer func() {
-			telemetry.Record(telemetry.EvSpanEnd, serverSpanLabel, req.TraceID, serverSpan, uint64(telemetry.Now()-spanStart))
-		}()
-	}
-
-	var (
-		status  giop.ReplyStatus
-		payload []byte
-	)
-	sv, ok := s.servant(req.ObjectKey)
-	if !ok {
-		if s.isRetiring(req.ObjectKey) {
-			// A drain unbound this servant; the request raced the unbind or
-			// was already queued. Shed it with a back-off hint — the caller's
-			// directory re-routes the retry to a surviving replica — and let
-			// the recycle release any controller slot as a drop.
-			if req.ResponseExpected {
-				writeShedReply(m.conn, m.order, req.RequestID, s.retryAfterNs())
-			}
-			return nil
-		}
-		status = giop.ReplySystemException
-		payload = []byte(corba.ErrNoServant.Error())
-	} else {
-		out, err := invokeServant(sv, &req)
-		if err != nil {
-			status = giop.ReplyUserException
-			payload = []byte(err.Error())
-		} else {
-			payload = out
-		}
-	}
+	status, out, retryAfter, span := execute(s, &m.ad, req.ObjectKey, req.Operation, req.Payload, req.Priority, req.TraceID, uint64(req.RequestID))
 	if !req.ResponseExpected {
-		// The servant ran: record the completion (admit→finish) with the
-		// overload controller even though no reply goes out.
-		m.done()
 		return nil
 	}
 
@@ -873,8 +797,10 @@ func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 	if err != nil {
 		return fmt.Errorf("orb server: reply scope: %w", err)
 	}
-	if err := p.Context().Enter(area, func(ctx *memory.Context) error {
-		wireCap := giop.HeaderSize + 48 + len(payload)
+	return p.Context().Enter(area, func(ctx *memory.Context) error {
+		// Room for the header, the fixed reply fields and both service
+		// contexts (trace, retry-after).
+		wireCap := giop.HeaderSize + 64 + len(out)
 		ref, err := ctx.Alloc(wireCap)
 		if err != nil {
 			return fmt.Errorf("orb server: reply buffer: %w", err)
@@ -883,35 +809,21 @@ func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 		if err != nil {
 			return err
 		}
+		// The reply echoes the trace and carries the server span, so the
+		// client can stitch the round trip.
 		wire := giop.MarshalReply(buf[:0], m.order, &giop.Reply{
-			RequestID: req.RequestID,
-			Status:    status,
-			TraceID:   req.TraceID,
-			SpanID:    serverSpan,
-			Payload:   payload,
+			RequestID:    req.RequestID,
+			Status:       status,
+			TraceID:      req.TraceID,
+			SpanID:       span,
+			RetryAfterNs: retryAfter,
+			Payload:      out,
 		})
 		if err := m.conn.write(wire, false); err != nil {
 			return fmt.Errorf("orb server: write reply: %w", wireErr("write", s.ln.Addr(), err))
 		}
 		return nil
-	}); err != nil {
-		// The unwind recycles the message; Reset releases the controller
-		// slot as a drop (a failed reply write is not a latency sample).
-		return err
-	}
-	// Full service time — admission to reply written or batched behind the
-	// wire's owner — is the latency signal driving the AIMD limit.
-	m.done()
-	return nil
-}
-
-// invokeServant dispatches to the priority-aware interface when the servant
-// provides it.
-func invokeServant(sv corba.Servant, req *giop.Request) ([]byte, error) {
-	if ps, ok := sv.(corba.PrioritizedServant); ok {
-		return ps.InvokeWithPriority(req.Operation, req.Payload, req.Priority)
-	}
-	return sv.Invoke(req.Operation, req.Payload)
+	})
 }
 
 // Close shuts the server down: the listener and all connections close, the
@@ -935,11 +847,6 @@ func (s *Server) Close() {
 		_ = sc.conn.Close()
 	}
 	s.wg.Wait()
-	// Readers are gone: no more sends into the dispatch lanes. Close them
-	// and let the shards drain what is queued (each queued frame is either
-	// dispatched — its reply write fails on the closed socket — or released
-	// by a failed dispatch) before the component application stops.
-	s.stopShards()
 	for i := len(handles) - 1; i >= 0; i-- {
 		handles[i].Disconnect()
 	}

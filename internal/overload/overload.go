@@ -298,6 +298,13 @@ func (c *Controller) Limit() int { return int(c.limit.Load()) }
 // Inflight returns the admitted-but-not-completed count.
 func (c *Controller) Inflight() int64 { return c.inflight.Load() }
 
+// Counts returns the current control window's accumulators: completions
+// (Done), released-without-sample slots (Dropped) and admission sheds since
+// the last control step.
+func (c *Controller) Counts() (done, dropped, shed int64) {
+	return c.doneCount.Load(), c.dropCount.Load(), c.shedCount.Load()
+}
+
 // Level returns the current brown-out ladder level (0..3).
 func (c *Controller) Level() int { return int(c.level.Load()) }
 
