@@ -20,11 +20,13 @@ race: build vet
 	$(GO) test -race ./...
 
 # allocguard compares the steady-state round trip's allocation profile with
-# telemetry recording on and off, plus the collocated ORB invocation
-# variant; every variant must be 0 allocs/op (and the collocated one 0
-# counted payload copies).
+# telemetry recording on and off, plus the collocated ORB invocation and the
+# Wire variant (the remote lock-step path: synchronous ORB over the
+# in-process transport, InvokeView); every variant must be 0 allocs/op (the
+# two ORB ones 0 counted payload copies too), and one Wire invocation must
+# enter exactly 8 scopes.
 allocguard:
-	$(GO) test -run TestSteadyStateRoundTripAllocFree .
+	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
 
 # zerocopy-guard pins the counted-copy contract: InvokeView delivers reply
@@ -65,12 +67,14 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # traffic again), and the live-reconfiguration soaks (hot-swap under load,
 # route-rebuild storm, rolling upgrades back and forth under traffic), and
 # the collocated swap-under-traffic soak (closing the collocated member
-# under full load: every invocation falls back to the wire, zero drops) —
-# under the race detector. Every fault schedule in these tests is seeded,
-# so failures replay.
+# under full load: every invocation falls back to the wire, zero drops), and
+# the component lifecycle (the reference-model histories, the Reusable
+# revive/quiesce tests, the multi-core invoker storm) — under the race
+# detector. Every fault schedule and history in these tests is seeded, so
+# failures replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11

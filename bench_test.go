@@ -243,6 +243,59 @@ func BenchmarkSteadyStateRoundTrip(b *testing.B) {
 			b.Fatalf("collocated round trip charged %d payload copies, want 0", d)
 		}
 	})
+	// The Wire variant is the remote lock-step path, the one Fig. 11
+	// measures: marshal, frame, the per-request MessageProcessing and
+	// RequestProcessing components revived and reclaimed, demarshal, reply.
+	// With the shells' wedges embedded and operation names interned it has
+	// no allocation left either.
+	b.Run("Wire", func(b *testing.B) {
+		invoke, done := newWirePair(b)
+		defer done()
+		for i := 0; i < 64; i++ {
+			invoke()
+		}
+		b.SetBytes(256)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			invoke()
+		}
+	})
+}
+
+// newWirePair stands up a Synchronous ORB server and client over the
+// in-process transport — the orb_lockstep shape — and returns one 256-byte
+// InvokeView echo against a servant that answers with its input slice, plus
+// the teardown.
+func newWirePair(tb testing.TB) (invoke func(), done func()) {
+	tb.Helper()
+	net := transport.NewInproc()
+	srv, err := orb.NewServer(orb.ServerConfig{Network: net, ScopePoolCount: 4, Synchronous: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv.RegisterServant("echo", corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
+		return in, nil
+	}))
+	srv.ServeBackground()
+	cl, err := orb.DialClient(orb.ClientConfig{Network: net, Addr: srv.Addr(), ScopePoolCount: 4, Synchronous: true})
+	if err != nil {
+		srv.Close()
+		tb.Fatal(err)
+	}
+	payload := make([]byte, 256)
+	view := func(reply memory.Loan) error {
+		if reply.Len() != len(payload) {
+			return fmt.Errorf("echoed %d bytes, want %d", reply.Len(), len(payload))
+		}
+		return nil
+	}
+	invoke = func() {
+		if err := cl.InvokeView("echo", "echo", payload, sched.NormPriority, view); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return invoke, func() { cl.Close(); srv.Close() }
 }
 
 // newCollocatedPair stands up an overload-gated ORB server and a
@@ -346,6 +399,43 @@ func TestSteadyStateRoundTripAllocFree(t *testing.T) {
 			t.Errorf("collocated round trip charged %d payload copies, want 0", d)
 		}
 	})
+	t.Run("Wire", func(t *testing.T) {
+		invoke, done := newWirePair(t)
+		defer done()
+		for i := 0; i < 64; i++ {
+			invoke()
+		}
+		copiesBefore := telemetry.NewCounter("payload_copy_total").Value()
+		if allocs := testing.AllocsPerRun(200, invoke); allocs != 0 {
+			t.Errorf("remote lock-step round trip allocates %.1f objects/op, want 0", allocs)
+		}
+		if d := telemetry.NewCounter("payload_copy_total").Value() - copiesBefore; d != 0 {
+			t.Errorf("InvokeView round trip charged %d payload copies, want 0", d)
+		}
+	})
+}
+
+// TestWireRoundTripScopeEnters pins what one remote lock-step invocation
+// costs in scope crossings. On the client, 1 to dispatch in Transport, 2 in
+// MessageProcessing below it and 1 for the request scope; on the server, 3
+// to dispatch in RequestProcessing (POA, Transport, itself) and 1 for the
+// request scope. Reviving the two per-request components enters nothing:
+// their headers are charged as their areas are pinned.
+func TestWireRoundTripScopeEnters(t *testing.T) {
+	invoke, done := newWirePair(t)
+	defer done()
+	for i := 0; i < 64; i++ {
+		invoke()
+	}
+	enters := telemetry.NewCounter("scope_enter_total")
+	const ops = 100
+	before := enters.Value()
+	for i := 0; i < ops; i++ {
+		invoke()
+	}
+	if d := enters.Value() - before; d != 8*ops {
+		t.Errorf("%d invocations entered %d scopes, want %d (8 each)", ops, d, 8*ops)
+	}
 }
 
 func BenchmarkAblationCrossScope_SharedObject(b *testing.B) {

@@ -59,13 +59,13 @@ const (
 type App struct {
 	name    string
 	model   *memory.Model
+	pools   map[int]*memory.ScopePool // written only by NewApp
 	msgCap  int
 	onError func(error)
 
 	mu       sync.Mutex
 	top      []*Component
 	topNames map[string]*Component
-	pools    map[int]*memory.ScopePool
 	started  bool
 	stopped  bool
 	errCount int64
@@ -137,12 +137,9 @@ func (a *App) Name() string { return a.name }
 // Model returns the application's memory model.
 func (a *App) Model() *memory.Model { return a.model }
 
-// ScopePool returns the pool configured for the given level, or nil.
-func (a *App) ScopePool(level int) *memory.ScopePool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.pools[level]
-}
+// ScopePool returns the pool configured for the given level, or nil. The
+// table is fixed by NewApp, so reading it takes no lock.
+func (a *App) ScopePool(level int) *memory.ScopePool { return a.pools[level] }
 
 // NewImmortalComponent creates a top-level component in immortal memory.
 // setup (which may be nil) adds the component's ports, child definitions,

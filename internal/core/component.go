@@ -1,8 +1,9 @@
 package core
 
 import (
+	"errors"
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -51,44 +52,56 @@ type Component struct {
 	app    *App
 	name   string
 	parent *Component
-	area   *memory.Area
-	wedge  *memory.Wedge // nil for immortal components
-	level  int           // 0 for immortal components
-	mgr    *SMM          // the SMM that instantiated this component (nil for top-level)
-	def    *ChildDef     // blueprint this instance came from (nil for top-level)
+	level  int       // 0 for immortal components
+	mgr    *SMM      // the SMM that instantiated this component (nil for top-level)
+	def    *ChildDef // blueprint this instance came from (nil for top-level)
 
-	// started flips once the instance's start function has run (child
-	// instances only). Message dispatch checks it — one atomic load on the
-	// hot path — so a component never processes a message before it has
-	// finished initialising. startWait is created lazily, under liveMu, only
-	// by a delivery that actually races instantiation; it is closed (and the
-	// waiters released) when started flips.
-	started   atomic.Bool
-	startWait chan struct{}
+	// The shell's memory, rewritten only by open: the goroutine that builds
+	// the shell or claims it parked owns it exclusively until it publishes
+	// life as live, and everyone else reads it under a reservation.
+	area  *memory.Area
+	wedge memory.Wedge   // pins area; never armed for immortal components
+	chain []*memory.Area // scoped ancestor path, outermost first, ending at area
 
-	// Construction-time state; smm is created lazily under app.mu.
-	smm       *SMM
-	childDefs map[string]*ChildDef
+	// life is the component's whole liveness state in one word (see the
+	// layout below). Every per-message transition is a CAS on it.
+	life atomic.Uint64
+	// startWait is created lazily by a delivery that actually races the
+	// start function, and closed when lifeStarted is set.
+	startWait atomic.Pointer[chan struct{}]
+
+	// smm is created lazily under app.mu and read without it.
+	smm       atomic.Pointer[SMM]
+	childDefs map[string]*ChildDef // under app.mu
 	startFn   func(*Proc) error
-
-	// chain caches the component's scoped ancestor path (outermost first),
-	// built once: area and parent are fixed for the instance's lifetime.
-	chainOnce sync.Once
-	chain     []*memory.Area
-
-	// Liveness accounting. liveMu is the innermost lock: it is taken with
-	// an SMM lock held but never the other way around.
-	liveMu       sync.Mutex
-	pending      int // in-flight messages targeted at this component
-	handles      int // live Connect handles
-	liveChildren int // instantiated, not-yet-disposed children
-	autoDispose  bool
-	disposed     bool
-	// retired marks an instance swapped out by SMM.Swap: it must be
-	// reclaimed at quiescence like any disconnect, but its shell must never
-	// be stashed for revival — the blueprint it came from has been replaced.
-	retired bool
 }
+
+// Layout of Component.life. The three counts are what keeps an instance
+// alive; the flags say what happens when they reach zero.
+//
+//	bits 0..23   pending: in-flight messages targeted at this component
+//	bits 24..39  handles: live Connect handles
+//	bits 40..55  children: instantiated, not yet disposed children
+//	lifeStarted  the start function has run; dispatch waits for it
+//	lifeAuto     reclaim at quiescence (transient, disconnected or retired)
+//	lifeRetired  never park: not Reusable, swapped out, or force-disposed
+//	lifeParked   a disposed Reusable shell, area released, free to claim
+//	lifeDisposed no area; with neither lifeParked nor lifeRetired the shell is
+//	             in transition, owned by the one goroutine closing or opening it
+const (
+	pendingOne  uint64 = 1
+	handleOne   uint64 = 1 << 24
+	childOne    uint64 = 1 << 40
+	pendingMask        = handleOne - 1
+	handleMask         = childOne - handleOne
+	countMask          = 1<<56 - 1
+
+	lifeStarted  uint64 = 1 << 59
+	lifeAuto     uint64 = 1 << 60
+	lifeRetired  uint64 = 1 << 61
+	lifeParked   uint64 = 1 << 62
+	lifeDisposed uint64 = 1 << 63
+)
 
 // Name returns the component's instance name.
 func (c *Component) Name() string { return c.name }
@@ -115,23 +128,22 @@ func (c *Component) Area() *memory.Area { return c.area }
 func (c *Component) Level() int { return c.level }
 
 // Disposed reports whether the component instance has been reclaimed.
-func (c *Component) Disposed() bool {
-	c.liveMu.Lock()
-	defer c.liveMu.Unlock()
-	return c.disposed
-}
+func (c *Component) Disposed() bool { return c.life.Load()&lifeDisposed != 0 }
 
 // SMM returns the component's scoped memory manager — the single manager
 // through which it communicates with all of its children — creating it on
 // first use. Its message pools and buffers are charged to this component's
 // memory area.
 func (c *Component) SMM() *SMM {
+	if s := c.smm.Load(); s != nil {
+		return s
+	}
 	c.app.mu.Lock()
 	defer c.app.mu.Unlock()
-	if c.smm == nil {
-		c.smm = newSMM(c)
+	if c.smm.Load() == nil {
+		c.smm.Store(newSMM(c))
 	}
-	return c.smm
+	return c.smm.Load()
 }
 
 // SetStart registers the component's start function (the paper's _start),
@@ -179,62 +191,53 @@ func (c *Component) Exec(fn func(*memory.Context) error) error {
 	return err
 }
 
-// scopeChain returns the component's cached scoped-area path, outermost
-// first, ending at c's own area.
-func (c *Component) scopeChain() []*memory.Area {
-	c.chainOnce.Do(func() {
-		var chain []*memory.Area
-		for cc := c; cc != nil && cc.area.Kind() == memory.KindScoped; cc = cc.parent {
-			chain = append(chain, cc.area)
-		}
-		for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-			chain[i], chain[j] = chain[j], chain[i]
-		}
-		c.chain = chain
-	})
-	return c.chain
-}
-
 // enterChain enters the component's ancestor areas outermost-first, then
 // runs fn with the context current in c's area.
 func (c *Component) enterChain(ctx *memory.Context, fn func(*memory.Context) error) error {
 	if c.area.Kind() != memory.KindScoped {
 		return ctx.ExecuteInArea(c.area, fn)
 	}
-	return ctx.EnterChain(c.scopeChain(), fn)
+	return ctx.EnterChain(c.chain, fn)
 }
 
 // waitStarted blocks until the instance's start function has completed.
 // Top-level components (nil mgr) never block: their start order is
 // App.Start's contract.
 func (c *Component) waitStarted() {
-	if c.mgr == nil || c.started.Load() {
+	if c.mgr == nil || c.life.Load()&lifeStarted != 0 {
 		return
 	}
-	c.liveMu.Lock()
-	if c.started.Load() {
-		c.liveMu.Unlock()
-		return
+	ch := c.startWait.Load()
+	for ch == nil {
+		fresh := make(chan struct{})
+		if c.startWait.CompareAndSwap(nil, &fresh) {
+			ch = &fresh
+		} else {
+			ch = c.startWait.Load()
+		}
 	}
-	if c.startWait == nil {
-		c.startWait = make(chan struct{})
+	// markStarted sets the flag before it looks for a channel, so either it
+	// saw this one and closes it or the flag is already visible here.
+	if c.life.Load()&lifeStarted == 0 {
+		<-*ch
 	}
-	ch := c.startWait
-	c.liveMu.Unlock()
-	<-ch
 }
 
 // markStarted releases deliveries parked in waitStarted. It runs whether or
 // not the start function succeeded — a failed instance is force-disposed
 // right after, and the parked dispatches fail on the disposed check.
 func (c *Component) markStarted() {
-	c.liveMu.Lock()
-	c.started.Store(true)
-	if c.startWait != nil {
-		close(c.startWait)
-		c.startWait = nil
+	for {
+		w := c.life.Load()
+		if c.life.CompareAndSwap(w, w|lifeStarted) {
+			break
+		}
 	}
-	c.liveMu.Unlock()
+	if c.startWait.Load() != nil {
+		if ch := c.startWait.Swap(nil); ch != nil {
+			close(*ch)
+		}
+	}
 }
 
 // runStart invokes the start function (if any) in the component's context.
@@ -249,15 +252,9 @@ func (c *Component) runStart() error {
 
 // shutdown tears the component's subtree down (Stop path).
 func (c *Component) shutdown() {
-	if smm := c.currentSMM(); smm != nil {
+	if smm := c.smm.Load(); smm != nil {
 		smm.shutdown()
 	}
-}
-
-func (c *Component) currentSMM() *SMM {
-	c.app.mu.Lock()
-	defer c.app.mu.Unlock()
-	return c.smm
 }
 
 // childDef looks up a child blueprint.
@@ -267,100 +264,221 @@ func (c *Component) childDef(name string) *ChildDef {
 	return c.childDefs[name]
 }
 
-// addPending registers an in-flight message targeted at this component,
-// failing if the instance has already been disposed.
-func (c *Component) addPending() bool {
-	c.liveMu.Lock()
-	defer c.liveMu.Unlock()
-	if c.disposed {
+// reserve registers one pending message on a live instance, first reopening
+// a parked shell: the CAS that takes the parked bit makes the caller the
+// shell's only owner. A shell in transition is about to be parked or
+// published by its owner, so reserve waits for that instead of letting the
+// caller build a second shell beside it. errGone means the instance will
+// never serve again.
+func (c *Component) reserve() error {
+	var b backoff
+	for {
+		w := c.life.Load()
+		switch {
+		case w&lifeDisposed == 0:
+			if c.life.CompareAndSwap(w, w+pendingOne) {
+				return nil
+			}
+		case w&lifeRetired != 0:
+			return errGone
+		case w&lifeParked != 0:
+			if c.life.CompareAndSwap(w, w&^lifeParked) {
+				return c.reopen()
+			}
+		default:
+			if !b.wait() {
+				return fmt.Errorf("core: %q: instance kept quiescing", c.Path())
+			}
+		}
+	}
+}
+
+// errGone is reserve's report that the instance is disposed for good.
+var errGone = errors.New("core: instance gone")
+
+// backoff paces a wait for another goroutine's transition: yield a few
+// times (the window is normally a wedge release), then sleep in 20µs steps
+// up to resolveRetryBound, stamped only once the wait got that far.
+type backoff struct {
+	spins    int
+	deadline time.Time
+}
+
+func (b *backoff) wait() bool {
+	if b.spins++; b.spins <= 64 {
+		runtime.Gosched()
+		return true
+	}
+	if b.deadline.IsZero() {
+		b.deadline = time.Now().Add(resolveRetryBound)
+	}
+	time.Sleep(20 * time.Microsecond)
+	return time.Now().Before(b.deadline)
+}
+
+// resolveRetryBound caps a wait on a shell in transition. The owner of the
+// transition never blocks on the waiter, so sustained loss for this long
+// means something is wedged and the error is the honest report.
+const resolveRetryBound = 10 * time.Second
+
+// release drops delta from the counts and sets the given flags. The single
+// caller whose CAS takes the last reservation of an auto-dispose instance
+// also sets lifeDisposed and closes the instance: the runtime behaviour
+// behind the paper's "after the messages are processed by the component,
+// the scoped memory objects are reclaimed".
+func (c *Component) release(delta, set uint64) {
+	for !c.tryRelease(c.life.Load(), delta, set) {
+	}
+}
+
+// tryRelease is one attempt at release against the observed word w.
+func (c *Component) tryRelease(w, delta, set uint64) bool {
+	n := (w - delta) | set
+	last := n&(lifeDisposed|lifeAuto) == lifeAuto && n&countMask == 0
+	if last {
+		n |= lifeDisposed
+	}
+	if !c.life.CompareAndSwap(w, n) {
 		return false
 	}
-	c.pending++
+	if last {
+		c.close(n)
+	}
 	return true
 }
 
-// donePending retires one in-flight message.
-func (c *Component) donePending() {
-	c.liveMu.Lock()
-	c.pending--
-	c.liveMu.Unlock()
-}
-
-// addHandle registers a Connect handle, failing on a disposed instance.
-func (c *Component) addHandle() bool {
-	c.liveMu.Lock()
-	defer c.liveMu.Unlock()
-	if c.disposed {
-		return false
+// childBorn registers one live child, failing on a disposed parent.
+func (c *Component) childBorn() bool {
+	for {
+		w := c.life.Load()
+		if w&lifeDisposed != 0 {
+			return false
+		}
+		if c.life.CompareAndSwap(w, w+childOne) {
+			return true
+		}
 	}
-	c.handles++
-	return true
 }
 
-// childGone retires one live child.
-func (c *Component) childGone() {
-	c.liveMu.Lock()
-	c.liveChildren--
-	c.liveMu.Unlock()
-}
-
-// childBorn registers one live child.
-func (c *Component) childBorn() {
-	c.liveMu.Lock()
-	c.liveChildren++
-	c.liveMu.Unlock()
-}
-
-// maybeQuiesce disposes the instance if it is transient and fully
-// quiescent, then propagates the check to the parent. It is the runtime
-// behaviour behind the paper's "after the messages are processed by the
-// component, the scoped memory objects are reclaimed".
-func (c *Component) maybeQuiesce() {
-	if c.mgr == nil {
-		return
+// open registers the shell with its parent — which then cannot close under
+// it — and gives it its memory: an area (from the level's pool when the
+// blueprint asks), pinned under the parent's with the component header
+// charged in the same step, and the scope chain ending at it. The caller
+// owns the shell exclusively.
+func (c *Component) open() error {
+	if !c.parent.childBorn() {
+		return ErrStopped
 	}
-	c.liveMu.Lock()
-	if c.disposed || !c.autoDispose || c.pending > 0 || c.handles > 0 || c.liveChildren > 0 {
-		c.liveMu.Unlock()
-		return
+	area, err := c.acquireArea()
+	if err != nil {
+		c.parent.release(childOne, 0)
+		return err
 	}
-	c.disposed = true
-	retired := c.retired
-	c.liveMu.Unlock()
-
-	if c.def != nil && c.def.Reusable && !retired {
-		// Keep the port bindings: the same shell comes back on revival, so a
-		// binding that still names it is merely dormant — addPending rejects
-		// deliveries while the shell is disposed, and the resolveIn fallback
-		// re-instantiates. The shell is stashed only after teardown so a
-		// concurrent revival can never race the wedge release, and the three
-		// steps hold instMu so no instantiation can fall between them: a
-		// sender that found the child forgotten but not yet stashed would
-		// build a second shell and rebind the ports to it, and the revival
-		// after that would take this one back while the ports name the other.
-		c.mgr.instMu.Lock()
-		c.mgr.forget(c)
-		c.teardown()
-		c.mgr.stashShell(c)
-		c.mgr.instMu.Unlock()
+	if err := c.wedge.Pin(area, c.parent.area, componentHeaderBytes); err != nil {
+		if w, perr := memory.Pin(area, c.parent.area); perr == nil {
+			w.Release() // reclaiming the untouched area is its one way back to a pool
+		}
+		c.parent.release(childOne, 0)
+		return fmt.Errorf("child %q header: %w", c.name, err)
+	}
+	c.area = area
+	if c.chain == nil {
+		c.chain = append(append(c.chain, c.parent.chain...), area)
 	} else {
+		// The pool may hand back a different region on every revival.
+		c.chain[len(c.chain)-1] = area
+	}
+	return nil
+}
+
+// acquireArea takes the instance's area from the level's scope pool, or
+// creates one of the blueprint's size.
+func (c *Component) acquireArea() (*memory.Area, error) {
+	if !c.def.UsePool {
+		return c.app.model.NewLTScoped(c.Path(), c.def.MemorySize), nil
+	}
+	pool := c.app.ScopePool(c.level)
+	if pool == nil {
+		return nil, fmt.Errorf("core: child %q wants the level-%d scope pool, but none is configured", c.name, c.level)
+	}
+	area, err := pool.Acquire()
+	if err != nil {
+		return nil, fmt.Errorf("child %q: %w", c.name, err)
+	}
+	return area, nil
+}
+
+// reopen revives a parked shell its caller has just claimed: a fresh area,
+// then one store publishes it live with the caller's message already
+// pending, so it cannot quiesce under the reviver. Setup does not re-run —
+// the very same shell returns, so its port bindings never went away — but
+// the start function does. On failure the shell goes back to parked.
+func (c *Component) reopen() error {
+	err := ErrStopped
+	if !c.mgr.stopped.Load() {
+		err = c.open()
+	}
+	if err != nil {
+		c.life.Store(lifeDisposed | lifeParked | lifeAuto)
+		return err
+	}
+	if c.startFn == nil {
+		c.life.Store(pendingOne | lifeAuto | lifeStarted)
+		return nil
+	}
+	c.life.Store(pendingOne | lifeAuto)
+	return c.start()
+}
+
+// start runs the start function of a published instance and releases the
+// deliveries waiting for it. A failed start retires the instance and gives
+// up the caller's pending message; deliveries that raced in drain first.
+func (c *Component) start() error {
+	err := c.runStart()
+	c.markStarted()
+	if err != nil {
+		c.release(pendingOne, lifeAuto|lifeRetired)
+		return fmt.Errorf("child %q start: %w", c.name, err)
+	}
+	return nil
+}
+
+// close reclaims an instance whose last reservation just went; w is the
+// word that CAS installed. Only its winner runs it. A Reusable shell keeps
+// its place in the SMM and its port bindings — a binding that names a parked
+// shell is merely dormant, the next reserve through it reopens the shell —
+// and is parked only after the wedge is released, so a revival can never
+// race the reclaim. Anything else is detached and dropped.
+func (c *Component) close(w uint64) {
+	if w&lifeRetired != 0 {
 		c.mgr.detach(c)
 		c.teardown()
+	} else {
+		c.teardown()
+		c.life.Store(lifeDisposed | lifeParked | lifeAuto)
 	}
-	if p := c.parent; p != nil {
-		p.childGone()
-		p.maybeQuiesce()
-	}
+	c.parent.release(childOne, 0)
 }
 
 // retire marks the instance for reclamation at quiescence (like an explicit
-// Disconnect) and bars its shell from being stashed for revival: a
-// swapped-out version must never come back under the new blueprint.
-func (c *Component) retire() {
-	c.liveMu.Lock()
-	c.autoDispose = true
-	c.retired = true
-	c.liveMu.Unlock()
+// Disconnect) and bars its shell from parking or reviving: a swapped-out
+// version must never come back under the new blueprint. It reports whether
+// the instance was live. A shell in transition settles first.
+func (c *Component) retire() bool {
+	var b backoff
+	for {
+		w := c.life.Load()
+		if w&(lifeDisposed|lifeParked|lifeRetired) == lifeDisposed && b.wait() {
+			continue
+		}
+		if w&lifeDisposed != 0 {
+			if c.life.CompareAndSwap(w, w&^lifeParked|lifeRetired) {
+				return false
+			}
+		} else if c.tryRelease(w, 0, lifeAuto|lifeRetired) {
+			return true
+		}
+	}
 }
 
 // awaitDisposed waits — bounded by timeout — for the instance to be
@@ -381,50 +499,38 @@ func (c *Component) awaitDisposed(timeout time.Duration) bool {
 // deliveries on this instance, queued messages on its SMM's In ports, or a
 // busy child.
 func (c *Component) busy() bool {
-	c.liveMu.Lock()
-	pending := c.pending
-	c.liveMu.Unlock()
-	if pending > 0 {
+	if c.life.Load()&pendingMask > 0 {
 		return true
 	}
-	smm := c.currentSMM()
+	smm := c.smm.Load()
 	return smm != nil && smm.busy()
 }
 
-// forceDispose reclaims the instance regardless of quiescence (Stop path;
-// pools must already be drained).
+// forceDispose reclaims the instance at Stop: its subtree first, then the
+// instance itself as soon as no handler is inside it. Port pools are
+// already drained, but a synchronous port runs its handler on the sender's
+// thread, so a message may still be pending; its release closes the
+// instance instead — releasing the area under a running handler would let
+// the handler's exit reclaim it a second time. Handles stop counting: Stop
+// outranks a pin. Whoever sets lifeDisposed tears down, so racing the
+// quiescence winner this backs off and the wedge is released once.
 func (c *Component) forceDispose() {
-	c.liveMu.Lock()
-	if c.disposed {
-		c.liveMu.Unlock()
-		return
-	}
-	c.disposed = true
-	c.liveMu.Unlock()
-
-	if c.mgr != nil {
-		c.mgr.detach(c)
-	}
-	c.teardown()
-	if p := c.parent; p != nil {
-		p.childGone()
+	c.shutdown()
+	for {
+		w := c.life.Load()
+		if w&lifeDisposed != 0 || c.tryRelease(w, w&handleMask, lifeAuto|lifeRetired) {
+			return
+		}
 	}
 }
 
 // teardown shuts the component's own SMM down and releases its area. Most
 // transient instances never created an SMM of their own (their ports live on
-// the parent's), so the common path is one lock cycle and the wedge release.
+// the parent's), so the common path is one load and the wedge release.
 func (c *Component) teardown() {
-	c.app.mu.Lock()
-	smm := c.smm
-	c.app.mu.Unlock()
-	if smm != nil {
+	if smm := c.smm.Load(); smm != nil {
 		smm.shutdown()
-		c.app.mu.Lock()
-		c.smm = nil
-		c.app.mu.Unlock()
+		c.smm.Store(nil)
 	}
-	if c.wedge != nil {
-		c.wedge.Release()
-	}
+	c.wedge.Release()
 }

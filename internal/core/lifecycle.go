@@ -14,14 +14,15 @@ package core
 //  1. The blueprint flips under instMu, so deliveries that miss a binding
 //     park inside materialize until the swap commits — a bounded sender
 //     pause, never a drop.
-//  2. The outgoing instance is retired (autoDispose, revival barred) and
-//     detached: its port bindings lose their owner but keep their handler,
-//     so deliveries already buffered drain against the old version while
-//     nothing new can reserve it.
-//  3. The swap waits — bounded — for the instance to dispose at quiescence
-//     (pending == 0, handles == 0), then one routeGen bump republishes every
-//     cached route. The next delivery instantiates the new version through
-//     the ordinary resolveIn slow path.
+//  2. The outgoing shell is retired (lifeAuto, lifeRetired: a parked one is
+//     dead at once, a live one never parks) and detached: its port bindings
+//     lose their owner but keep their handler, so deliveries already
+//     buffered drain against the old version while nothing new can reserve
+//     it.
+//  3. The swap waits — bounded — for a live instance to dispose at
+//     quiescence (no pending, no handles), then one routeGen bump
+//     republishes every cached route. The next delivery builds the new
+//     version through the ordinary resolveIn slow path.
 
 import (
 	"errors"
@@ -230,25 +231,19 @@ func (s *SMM) Swap(def ChildDef, opts SwapOptions) (SwapStats, error) {
 	owner.childDefs[def.Name] = &d
 	app.mu.Unlock()
 
-	s.mu.Lock()
-	delete(s.shells, def.Name) // an old-version Reusable shell must not revive
-	old := s.children[def.Name]
-	s.mu.Unlock()
-
 	st.Drained = true
-	if old != nil {
-		st.ReplacedLive = true
-		// Retire before detach: once the binding is unbound nothing new can
-		// reserve the instance, and the retired flag keeps its quiescence
-		// from stashing an old-version shell.
-		old.retire()
+	if old := s.shell(def.Name); old != nil {
+		// Retire before detach: the flag keeps an old-version shell from
+		// parking or reviving, and once the binding is unbound nothing new
+		// can reserve the instance. An already-quiet instance disposes
+		// inside retire; a busy one at its final release. Buffered deliveries
+		// still dispatch on the old handler (unbind keeps it), so the drain
+		// completes old-version work on old-version code.
+		st.ReplacedLive = old.retire()
 		s.detach(old)
-		// Already-quiet instances dispose here; busy ones at their final
-		// donePending. Buffered deliveries still dispatch on the old
-		// handler (unbind keeps it), so the drain completes old-version
-		// work on old-version code.
-		old.maybeQuiesce()
-		st.Drained = old.awaitDisposed(timeout)
+		if st.ReplacedLive {
+			st.Drained = old.awaitDisposed(timeout)
+		}
 	}
 
 	// One atomic flip republishes every cached route against the rebound

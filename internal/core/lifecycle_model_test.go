@@ -1,0 +1,592 @@
+package core
+
+// An executable reference model for the component lifecycle: the packed
+// liveness word (Component.life) and the per-name shell slot in the SMM.
+//
+// The implementation is driven with seeded random concurrent histories of
+// {send, Connect/Disconnect, Swap, Stop}; every point where user code can
+// see the lifecycle — Setup, the start function, a handler's entry and exit,
+// the area's finalizer — appends an event to one totally ordered log. Those
+// points nest strictly inside the real transitions (a handler runs between
+// its message's reserve and release, the start function after the claim and
+// before any handler, the finalizer between the last release and the park),
+// so replaying the log through the sequential model below accepts it only
+// if the concurrent execution kept the lifecycle's rules.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/memory"
+	"repro/internal/sched"
+)
+
+type evKind uint8
+
+const (
+	evSetup     evKind = iota // a fresh shell was built for (child, version)
+	evOpen                    // the start function ran: one area acquired
+	evBegin                   // a handler entered
+	evEnd                     // the handler returned
+	evReclaim                 // the area's finalizer ran: one area reclaimed
+	evSent                    // a send returned nil
+	evSwapBegin               // Swap away from `version` was called
+	evSwapEnd                 // ... and returned
+	evStop                    // App.Stop was called
+)
+
+// incarnation names one open→reclaim span of a shell: areas are reused, and
+// a reclaim bumps the generation.
+type incarnation struct {
+	area *memory.Area
+	gen  uint64
+}
+
+type event struct {
+	kind    evKind
+	child   string
+	shell   *Component
+	version int
+	inc     incarnation
+	val     int64
+}
+
+// eventLog is the totally ordered history: a slot is claimed with one
+// atomic add, so recording never serialises the goroutines it observes.
+type eventLog struct {
+	n   atomic.Int64
+	evs []event
+}
+
+func (l *eventLog) add(e event) {
+	if i := l.n.Add(1) - 1; int(i) < len(l.evs) {
+		l.evs[i] = e
+	}
+}
+
+// modelShell is the sequential model of one shell.
+type modelShell struct {
+	child    string
+	version  int
+	open     bool
+	inc      incarnation
+	handlers int
+	opens    int
+	reclaims int
+}
+
+// lifecycleModel replays a history and reports the first rule it breaks.
+type lifecycleModel struct {
+	shells    map[*Component]*modelShell
+	setups    map[string]int  // "child/version" → shells built
+	swapBegun map[string]bool // "child/version" → a Swap away from it started
+	swapDone  map[string]bool // ... and returned: the version is retired for good
+	handled   map[int64]int
+	sent      map[int64]bool
+	stopping  bool
+}
+
+func key(child string, version int) string { return fmt.Sprintf("%s/%d", child, version) }
+
+// openShell is the parked→live transition: exactly one area acquire.
+func (m *lifecycleModel) openShell(s *modelShell, inc incarnation) error {
+	if s.open {
+		return fmt.Errorf("%s opened while already open: two acquires for one revival", key(s.child, s.version))
+	}
+	if m.swapDone[key(s.child, s.version)] {
+		return fmt.Errorf("%s revived after the swap that retired it returned", key(s.child, s.version))
+	}
+	for _, o := range m.shells {
+		if o == s || !o.open || o.child != s.child {
+			continue
+		}
+		// A second open shell under one name is legal only while it drains:
+		// an older version whose swap has begun.
+		if o.version >= s.version || !m.swapBegun[key(o.child, o.version)] {
+			return fmt.Errorf("%s opened while %s is live: two live shells for one name",
+				key(s.child, s.version), key(o.child, o.version))
+		}
+	}
+	s.open, s.inc = true, inc
+	s.opens++
+	return nil
+}
+
+func (m *lifecycleModel) apply(e event) error {
+	s := m.shells[e.shell]
+	if e.shell != nil && s == nil && e.kind != evSetup {
+		return fmt.Errorf("event %d on a shell that was never set up", e.kind)
+	}
+	switch e.kind {
+	case evSetup:
+		if s != nil {
+			return fmt.Errorf("Setup re-ran on the shell of %s", key(s.child, s.version))
+		}
+		k := key(e.child, e.version)
+		if m.setups[k]++; m.setups[k] > 1 {
+			return fmt.Errorf("%s: a second shell was built beside the first", k)
+		}
+		m.shells[e.shell] = &modelShell{child: e.child, version: e.version}
+	case evOpen:
+		return m.openShell(s, e.inc)
+	case evBegin:
+		if !s.open {
+			// A child without a start function shows its revival only
+			// through the first handler of the incarnation.
+			if e.child == "Worker" {
+				return fmt.Errorf("handler ran in %s while it was parked or disposed", key(s.child, s.version))
+			}
+			if err := m.openShell(s, e.inc); err != nil {
+				return err
+			}
+		}
+		if s.inc != e.inc {
+			return fmt.Errorf("handler of %s ran in area %s@%d, the shell's incarnation is %s@%d",
+				key(s.child, s.version), e.inc.area.Name(), e.inc.gen, s.inc.area.Name(), s.inc.gen)
+		}
+		s.handlers++
+		if m.handled[e.val]++; m.handled[e.val] > 1 {
+			return fmt.Errorf("message %d handled twice", e.val)
+		}
+	case evEnd:
+		if s.handlers--; s.handlers < 0 {
+			return fmt.Errorf("%s: pending went negative", key(s.child, s.version))
+		}
+	case evReclaim:
+		if !s.open || s.inc != e.inc {
+			return fmt.Errorf("%s reclaimed %s@%d twice, or while parked", key(s.child, s.version), e.inc.area.Name(), e.inc.gen)
+		}
+		if s.handlers > 0 && !m.stopping {
+			return fmt.Errorf("%s reclaimed with %d handlers inside", key(s.child, s.version), s.handlers)
+		}
+		s.open = false
+		s.reclaims++
+	case evSent:
+		m.sent[e.val] = true
+	case evSwapBegin:
+		m.swapBegun[key(e.child, e.version)] = true
+	case evSwapEnd:
+		m.swapDone[key(e.child, e.version)] = true
+	case evStop:
+		m.stopping = true
+	}
+	return nil
+}
+
+// modelRig is one app under test: parent P with two Reusable pooled
+// children. Worker has a start function, takes handles, and dispatches on
+// pool threads; Bare is the ORB's per-request shape — no start function,
+// synchronous port — so its revival is the reopen fast path.
+type modelRig struct {
+	app    *App
+	parent *Component
+	log    *eventLog
+
+	swapMu    sync.Mutex
+	version   map[string]int
+	nextVal   atomic.Int64
+	finalized sync.Map // incarnation → struct{}: Bare hooks its finalizer from the handler
+}
+
+func (r *modelRig) def(child string, version int) ChildDef {
+	threading, start := ThreadingSynchronous, false
+	if child == "Worker" {
+		threading, start = ThreadingShared, true
+	}
+	return ChildDef{
+		Name: child, UsePool: true, Reusable: true,
+		Setup: func(c *Component) error {
+			r.log.add(event{kind: evSetup, child: child, shell: c, version: version})
+			hook := func(c *Component) incarnation {
+				inc := incarnation{c.Area(), c.Area().Generation()}
+				c.Area().AddFinalizer(func() {
+					r.log.add(event{kind: evReclaim, child: child, shell: c, inc: inc})
+				})
+				return inc
+			}
+			if start {
+				c.SetStart(func(p *Proc) error {
+					r.log.add(event{kind: evOpen, child: child, shell: c, inc: hook(c)})
+					return nil
+				})
+			}
+			_, err := AddInPort(c, r.parent.SMM(), InPortConfig{
+				Name: "in", Type: intType, Threading: threading, MaxThreads: 4,
+				BufferSize: 32, Overflow: OverflowBlock,
+				Handler: HandlerFunc(func(p *Proc, m Message) error {
+					// The owner is the shell the message reserved, which during
+					// a swap can be the outgoing one under the incoming handler.
+					owner := p.Component()
+					inc := incarnation{owner.Area(), owner.Area().Generation()}
+					if !start {
+						if _, hooked := r.finalized.LoadOrStore(inc, struct{}{}); !hooked {
+							hook(owner)
+						}
+					}
+					v := m.(*intMsg).value
+					r.log.add(event{kind: evBegin, child: child, shell: owner, inc: inc, val: v})
+					runtime.Gosched() // widen the window a quiesce could wrongly slip into
+					r.log.add(event{kind: evEnd, child: child, shell: owner})
+					return nil
+				}),
+			})
+			return err
+		},
+	}
+}
+
+func newModelRig(t *testing.T) *modelRig {
+	r := &modelRig{
+		log:     &eventLog{evs: make([]event, 1<<16)},
+		version: map[string]int{"Worker": 0, "Bare": 0},
+	}
+	r.app = newTestApp(t, AppConfig{
+		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 12, Count: modelPoolCount, Grow: true}},
+	})
+	var err error
+	r.parent, err = r.app.NewImmortalComponent("P", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, child := range []string{"Worker", "Bare"} {
+		if err := r.parent.DefineChild(r.def(child, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AddOutPort(r.parent, r.parent.SMM(), OutPortConfig{
+			Name: "to" + child, Type: intType, Dests: []string{child + ".in"},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+const modelPoolCount = 4
+
+func (r *modelRig) send(child string) error {
+	out, err := r.parent.SMM().GetOutPort("to" + child)
+	if err != nil {
+		return err
+	}
+	var m Message
+	for {
+		if m, err = out.GetMessage(); err == nil {
+			break
+		}
+		if !errors.Is(err, ErrPoolEmpty) {
+			return err
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	v := r.nextVal.Add(1)
+	m.(*intMsg).value = v
+	if err := out.Send(m, sched.NormPriority); err != nil {
+		return err
+	}
+	r.log.add(event{kind: evSent, val: v})
+	return nil
+}
+
+func (r *modelRig) swap(child string) error {
+	r.swapMu.Lock()
+	defer r.swapMu.Unlock()
+	from := r.version[child]
+	r.log.add(event{kind: evSwapBegin, child: child, version: from})
+	_, err := r.parent.SMM().Swap(r.def(child, from+1), SwapOptions{DrainTimeout: 5 * time.Second})
+	r.version[child] = from + 1
+	r.log.add(event{kind: evSwapEnd, child: child, version: from})
+	return err
+}
+
+// randomOp runs one operation of the mix.
+func (r *modelRig) randomOp(rng *rand.Rand, swaps bool) error {
+	switch n := rng.Intn(100); {
+	case n < 35:
+		return r.send("Worker")
+	case n < 70:
+		return r.send("Bare")
+	case n < 88 || !swaps:
+		h, err := r.parent.SMM().Connect("Worker")
+		if err != nil {
+			return err
+		}
+		if rng.Intn(2) == 0 {
+			runtime.Gosched()
+		}
+		h.Disconnect()
+		return nil
+	case n < 95:
+		return r.swap("Worker")
+	default:
+		return r.swap("Bare")
+	}
+}
+
+// replay runs the recorded history through the sequential model.
+func (r *modelRig) replay(t *testing.T) *lifecycleModel {
+	t.Helper()
+	n := int(r.log.n.Load())
+	if n > len(r.log.evs) {
+		t.Fatalf("history of %d events overflowed the log", n)
+	}
+	m := &lifecycleModel{
+		shells: map[*Component]*modelShell{}, setups: map[string]int{},
+		swapBegun: map[string]bool{}, swapDone: map[string]bool{},
+		handled: map[int64]int{}, sent: map[int64]bool{},
+	}
+	for i, e := range r.log.evs[:n] {
+		if err := m.apply(e); err != nil {
+			t.Fatalf("event %d of %d: %v", i, n, err)
+		}
+	}
+	return m
+}
+
+// atRest checks what must hold once every operation has returned and every
+// message has been handled: all shells closed, areas balanced, counts zero.
+func (r *modelRig) atRest(t *testing.T, m *lifecycleModel) {
+	t.Helper()
+	for v := range m.sent {
+		if m.handled[v] != 1 {
+			t.Errorf("message %d was sent and handled %d times", v, m.handled[v])
+		}
+	}
+	opens := 0
+	for c, s := range m.shells {
+		opens += s.opens
+		if s.open || s.opens != s.reclaims {
+			t.Errorf("%s: %d opens, %d reclaims, open=%v at rest", key(s.child, s.version), s.opens, s.reclaims, s.open)
+		}
+		w := c.life.Load()
+		if w&countMask != 0 || w&lifeDisposed == 0 {
+			t.Errorf("%s: life word %#x at rest, want disposed with zero counts", key(s.child, s.version), w)
+		}
+		current := s.version == r.version[s.child]
+		if parked := w&(lifeParked|lifeRetired) == lifeParked; parked != current && !m.stopping {
+			t.Errorf("%s: life word %#x, parked=%v but current=%v", key(s.child, s.version), w, parked, current)
+		}
+	}
+	if w := r.parent.life.Load(); w&countMask != 0 {
+		t.Errorf("parent life word %#x at rest, want zero counts", w)
+	}
+	created, reused, free := r.app.ScopePool(1).Stats()
+	if int64(free) != created {
+		t.Errorf("scope pool at rest: %d of %d areas free", free, created)
+	}
+	if acquires := reused + created - modelPoolCount; acquires != int64(opens) {
+		t.Errorf("scope pool served %d acquires for %d revivals", acquires, opens)
+	}
+}
+
+// settle waits for the pool threads to finish what the senders queued.
+func (r *modelRig) settle(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		smm := r.parent.SMM()
+		created, _, free := r.app.ScopePool(1).Stats()
+		if smm.Child("Worker") == nil && smm.Child("Bare") == nil && int64(free) == created && !r.parent.busy() {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("assembly did not come to rest")
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// storm runs the operation mix from several goroutines. With stopping set
+// (the App.Stop race) the first error ends a goroutine quietly: a send then
+// fails with ErrStopped or on a port pool already shut down.
+func (r *modelRig) storm(t *testing.T, seed int64, goroutines, ops int, swaps, stopping bool) {
+	t.Helper()
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed*1000 + int64(g)))
+			for i := 0; i < ops; i++ {
+				if err := r.randomOp(rng, swaps); err != nil {
+					if !stopping {
+						errs <- err
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// TestLifecycleModelRandomHistories checks seeded concurrent histories
+// against the sequential model at GOMAXPROCS 1, 2 and 4 (2 is where the
+// PR 12 quiesce/instantiate wedge showed). Phase one mixes sends, handles
+// and swaps and must come to rest balanced; phase two races the same mix
+// against App.Stop, where forceDispose meets the quiescence winner.
+func TestLifecycleModelRandomHistories(t *testing.T) {
+	for _, procs := range []int{1, 2, 4} {
+		for _, seed := range []int64{1, 2, 3} {
+			procs, seed := procs, seed
+			t.Run(fmt.Sprintf("procs=%d/seed=%d", procs, seed), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				r := newModelRig(t)
+				r.storm(t, seed, 4, 150, true, false)
+				r.settle(t)
+				r.atRest(t, r.replay(t))
+				if n, err := r.app.Errors(); n != 0 {
+					t.Errorf("handler errors: %d (%v)", n, err)
+				}
+				// The ports must name the one live shell.
+				h, err := r.parent.SMM().Connect("Worker")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if owner, _ := r.parent.SMM().inPort("Worker.in").binding(); owner != h.Component() {
+					t.Errorf("Worker.in is bound to %p, the live shell is %p", owner, h.Component())
+				}
+				h.Disconnect()
+
+				stopped := make(chan struct{})
+				go func() {
+					defer close(stopped)
+					time.Sleep(time.Duration(seed) * 300 * time.Microsecond)
+					r.log.add(event{kind: evStop})
+					r.app.Stop()
+				}()
+				r.storm(t, seed+100, 4, 1<<20, false, true)
+				<-stopped
+				m := r.replay(t)
+				for c, s := range m.shells {
+					if !c.Disposed() || s.open {
+						t.Errorf("%s survived Stop (open=%v, life %#x)", key(s.child, s.version), s.open, c.life.Load())
+					}
+				}
+				if created, _, free := r.app.ScopePool(1).Stats(); int64(free) != created {
+					t.Errorf("scope pool after Stop: %d of %d areas free", free, created)
+				}
+			})
+		}
+	}
+}
+
+// TestReviveQuiesceLockBudget pins the cost of a pooled Reusable child's
+// revive→quiesce cycle. Every SMM and app mutex is held by the test while
+// the cycles run — through a real Send on a synchronous port, and through
+// reserve/release directly — so the cycle takes none of them; it allocates
+// nothing; and it makes exactly one pool acquire and one reclaim, which is
+// where its four remaining mutex acquisitions are: ScopePool.Acquire, the
+// area lock in Wedge.Pin (pin and header charge together), the area lock in
+// the final drop, and ScopePool's put.
+func TestReviveQuiesceLockBudget(t *testing.T) {
+	app := newTestApp(t, AppConfig{
+		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 12, Count: 2}},
+	})
+	handled := 0
+	parent, err := app.NewImmortalComponent("P", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smm := parent.SMM()
+	if err := parent.DefineChild(ChildDef{
+		Name: "Bare", UsePool: true, Reusable: true,
+		Setup: func(c *Component) error {
+			_, err := AddInPort(c, smm, InPortConfig{
+				Name: "in", Type: intType, Threading: ThreadingSynchronous,
+				Handler: HandlerFunc(func(*Proc, Message) error { handled++; return nil }),
+			})
+			return err
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := AddOutPort(parent, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"Bare.in"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		m, err := out.GetMessage()
+		if err == nil {
+			err = out.Send(m, sched.NormPriority)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < 8; i++ { // build the shell, warm routes and pools
+		send()
+	}
+	shell := smm.shell("Bare")
+	parked := lifeDisposed | lifeParked | lifeAuto
+	cycle := func() {
+		if err := shell.reserve(); err != nil {
+			t.Error(err)
+		}
+		if shell.Disposed() {
+			t.Error("shell not live after reserve")
+		}
+		shell.release(pendingOne, 0)
+		if w := shell.life.Load(); w != parked {
+			t.Errorf("life word %#x after the last release, want parked %#x", w, parked)
+		}
+	}
+
+	const cycles = 100
+	pool := app.ScopePool(1)
+	_, reusedBefore, _ := pool.Stats()
+	gen := shell.Area().Generation()
+	app.mu.Lock()
+	smm.mu.Lock()
+	smm.instMu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < cycles/2; i++ {
+			send()
+			cycle()
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("a revive→quiesce cycle blocked on an SMM or app mutex")
+	}
+	smm.instMu.Unlock()
+	smm.mu.Unlock()
+	app.mu.Unlock()
+	<-done
+
+	created, reused, free := pool.Stats()
+	if reused-reusedBefore != cycles || created != 2 || free != 2 {
+		t.Errorf("pool after %d cycles: %d acquires, %d created, %d free; want one acquire per revival and all areas back",
+			cycles, reused-reusedBefore, created, free)
+	}
+	// The pool's free list is LIFO, so a lone shell cycles one area: its
+	// generation counts the reclaims.
+	if g := shell.Area().Generation() - gen; g != cycles {
+		t.Errorf("area reclaimed %d times over %d cycles, want one reclaim per quiesce", g, cycles)
+	}
+	// (The whole send is pinned at 0 allocs/op by the repo-level
+	// TestSteadyStateRoundTripAllocFree/Wire; its sync.Pools make that a
+	// non-race check, while the bare cycle has none.)
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("revive→quiesce cycle allocates %.1f objects, want 0", allocs)
+	}
+}

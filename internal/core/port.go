@@ -197,6 +197,16 @@ type bufItem struct {
 	deadline int64 // telemetry timestamp; 0 = none
 }
 
+// drop releases a queued delivery that will never be handled: shed by an
+// overflow policy, expired at dequeue, or orphaned by a shutdown.
+func (it bufItem) drop() {
+	if sa, ok := it.msg.(ShedAware); ok {
+		sa.OnShed()
+	}
+	it.env.done()
+	it.owner.release(pendingOne, 0)
+}
+
 // portBinding is an InPort's current owner/handler pair, swapped atomically
 // on (re)instantiation so the send path reads it without a lock.
 type portBinding struct {
@@ -570,16 +580,14 @@ func (p *InPort) bind(owner *Component, h Handler) {
 	p.bound.Store(&portBinding{owner: owner, handler: h})
 }
 
-// unbind detaches the port when its owner is disposed. The handler is kept,
-// matching the port structure surviving the instance: a delivery already
-// buffered drains against the old handler only if a rebind restores an
-// owner first.
-func (p *InPort) unbind() {
-	var h Handler
-	if b := p.bound.Load(); b != nil {
-		h = b.handler
+// unbind detaches the port from owner if it is still bound to it. The
+// handler is kept, matching the port structure surviving the instance: a
+// delivery already buffered drains against the old handler. The CAS leaves
+// alone a binding the owner's successor has already taken.
+func (p *InPort) unbind(owner *Component) {
+	if b := p.bound.Load(); b != nil && b.owner == owner {
+		p.bound.CompareAndSwap(b, &portBinding{handler: b.handler})
 	}
-	p.bound.Store(&portBinding{handler: h})
 }
 
 // markProcessed bumps the processed counter.

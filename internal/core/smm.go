@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -62,15 +61,15 @@ type SMM struct {
 	owner *Component
 	area  *memory.Area
 
-	// instMu serialises child instantiation; it is taken before mu and
-	// never while holding mu.
+	// instMu serialises building a child's shell and swapping its blueprint;
+	// it is taken before mu and never while holding mu. Reviving and
+	// parking an existing shell take neither.
 	instMu sync.Mutex
 
 	mu       sync.Mutex
 	in       map[string]*InPort
 	out      map[string]*OutPort
-	children map[string]*Component
-	shells   map[string]*Component // disposed Reusable shells awaiting revival
+	children map[string]*Component // each name's current shell: live, or a parked Reusable one
 	msgPools map[string]*msgPool
 	shared   *sched.Pool
 	pools    []*sched.Pool // all pools owned by this SMM, for shutdown
@@ -161,9 +160,10 @@ func (s *SMM) GetInPort(name string) (*InPort, error) {
 
 // Child returns the live instance of the named child, or nil.
 func (s *SMM) Child(name string) *Component {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.children[name]
+	if c := s.shell(name); c != nil && !c.Disposed() {
+		return c
+	}
+	return nil
 }
 
 // MsgPoolStats reports (capacity, in-flight, gets, returns) for the pool of
@@ -472,17 +472,19 @@ func (s *SMM) poolFor(typ MessageType) *msgPool {
 // keeps it alive until Disconnect — the paper's connect()/disconnect() with
 // a handle, implemented with a wedge on the child's scope.
 func (s *SMM) Connect(name string) (*Handle, error) {
-	for attempt := 0; attempt < 3; attempt++ {
-		child, err := s.materialize(name)
-		if err != nil {
-			return nil, err
-		}
-		if child.addHandle() {
-			return &Handle{smm: s, child: child}, nil
-		}
-		// The instance quiesced between materialize and addHandle; retry.
+	child, err := s.materialize(name)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("core: connect %q: instance kept quiescing", name)
+	// The pending message materialize reserved becomes the handle.
+	child.life.Add(handleOne - pendingOne)
+	h := &Handle{smm: s, child: child}
+	if s.stopped.Load() {
+		// Stop no longer counts handles and may have passed this one by.
+		h.Disconnect()
+		return nil, ErrStopped
+	}
+	return h, nil
 }
 
 // Disconnect releases a handle obtained from Connect (paper-style spelling;
@@ -491,11 +493,9 @@ func (s *SMM) Disconnect(h *Handle) { h.Disconnect() }
 
 // Handle keeps a child component instance alive.
 type Handle struct {
-	smm   *SMM
-	child *Component
-
-	mu       sync.Mutex
-	released bool
+	smm      *SMM
+	child    *Component
+	released atomic.Bool
 }
 
 // Component returns the pinned child instance.
@@ -504,205 +504,106 @@ func (h *Handle) Component() *Component { return h.child }
 // Disconnect releases the handle. When it was the last thing keeping a
 // quiescent child alive, the child is reclaimed. Disconnect is idempotent.
 func (h *Handle) Disconnect() {
-	h.mu.Lock()
-	if h.released {
-		h.mu.Unlock()
+	if h.released.Swap(true) {
 		return
 	}
-	h.released = true
-	h.mu.Unlock()
-
 	c := h.child
-	c.liveMu.Lock()
-	c.handles--
-	// A disconnect is an explicit kill request: even persistent children
-	// become eligible for reclamation once quiescent.
-	c.autoDispose = true
-	c.liveMu.Unlock()
-	c.maybeQuiesce()
+	for {
+		w := c.life.Load()
+		// A disconnect is an explicit kill request: even persistent children
+		// become eligible for reclamation once quiescent. No handle left in
+		// the word means Stop already took this one.
+		if w&handleMask == 0 || c.tryRelease(w, handleOne, lifeAuto) {
+			return
+		}
+	}
 }
 
-// materialize returns the live instance of the named child, instantiating
-// it if necessary. It never holds s.mu across user code.
+// materialize returns the named child's instance with one pending message
+// already reserved on it, reviving its parked shell or building a fresh one
+// as needed. It never holds a lock across user code: a revival's start
+// function runs inside reserve, before instMu is taken, and a fresh build's
+// after it is dropped, so either may send to siblings whose instantiation
+// needs the same lock; deliveries racing in meanwhile park in waitStarted.
 func (s *SMM) materialize(name string) (*Component, error) {
-	s.mu.Lock()
-	if c := s.children[name]; c != nil {
-		s.mu.Unlock()
-		return c, nil
-	}
-	if s.stopped.Load() {
-		s.mu.Unlock()
-		return nil, ErrStopped
-	}
-	s.mu.Unlock()
-
-	s.instMu.Lock()
-	// Double-check under instMu: another goroutine may have won.
-	s.mu.Lock()
-	if c := s.children[name]; c != nil {
-		s.mu.Unlock()
+	for {
+		if s.stopped.Load() {
+			return nil, ErrStopped
+		}
+		c := s.shell(name)
+		if c != nil {
+			if err := c.reserve(); err != errGone {
+				if err != nil {
+					return nil, err
+				}
+				return c, nil
+			}
+		}
+		// No shell, or one disposed for good: build its successor, unless
+		// another builder got there first.
+		s.instMu.Lock()
+		if s.shell(name) != c {
+			s.instMu.Unlock()
+			continue
+		}
+		def := s.owner.childDef(name)
+		if def == nil {
+			s.instMu.Unlock()
+			return nil, fmt.Errorf("%w: %q in %q", ErrUnknownChild, name, s.owner.name)
+		}
+		child, err := s.build(def)
 		s.instMu.Unlock()
-		return c, nil
+		if err == nil {
+			err = child.start()
+		}
+		if err != nil {
+			return nil, err
+		}
+		return child, nil
 	}
-	s.mu.Unlock()
-
-	def := s.owner.childDef(name)
-	if def == nil {
-		s.instMu.Unlock()
-		return nil, fmt.Errorf("%w: %q in %q", ErrUnknownChild, name, s.owner.name)
-	}
-	child, err := s.instantiate(def)
-	s.instMu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-
-	// Run the start function outside instMu so it may send messages —
-	// including to siblings whose instantiation needs the same lock.
-	// Deliveries racing in meanwhile park in waitStarted.
-	startErr := child.runStart()
-	child.markStarted()
-	if startErr != nil {
-		child.forceDispose()
-		return nil, fmt.Errorf("child %q start: %w", def.Name, startErr)
-	}
-	return child, nil
 }
 
-// instantiate builds a child instance from its blueprint: acquire the
-// scoped area (from the level's pool when requested), pin it under the
-// owner's area, charge the component header, and run Setup. The caller
-// (materialize, holding instMu) runs the start function afterwards.
-func (s *SMM) instantiate(def *ChildDef) (*Component, error) {
-	app := s.owner.app
-	level := s.owner.level + 1
+// shell returns the named child's current shell in whatever state, or nil.
+func (s *SMM) shell(name string) *Component {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.children[name]
+}
 
-	var area *memory.Area
-	if def.UsePool {
-		pool := app.ScopePool(level)
-		if pool == nil {
-			return nil, fmt.Errorf("core: child %q wants the level-%d scope pool, but none is configured", def.Name, level)
-		}
-		var err error
-		area, err = pool.Acquire()
-		if err != nil {
-			return nil, fmt.Errorf("child %q: %w", def.Name, err)
-		}
-	} else {
-		area = app.model.NewLTScoped(s.owner.Path()+"/"+def.Name, def.MemorySize)
-	}
-
-	wedge, err := memory.Pin(area, s.area)
-	if err != nil {
-		return nil, fmt.Errorf("child %q: %w", def.Name, err)
-	}
-
-	if def.Reusable {
-		if shell := s.takeShell(def.Name); shell != nil {
-			return s.revive(shell, def, area, wedge)
-		}
-	}
-
+// build constructs a child's shell from its blueprint — open its area, run
+// Setup — and exposes it, live with the caller's message pending. Runs under
+// instMu; the caller runs the start function afterwards.
+func (s *SMM) build(def *ChildDef) (*Component, error) {
 	child := &Component{
-		app:         app,
-		name:        def.Name,
-		parent:      s.owner,
-		area:        area,
-		wedge:       wedge,
-		level:       level,
-		mgr:         s,
-		def:         def,
-		autoDispose: !def.Persistent,
+		app:    s.owner.app,
+		name:   def.Name,
+		parent: s.owner,
+		level:  s.owner.level + 1,
+		mgr:    s,
+		def:    def,
 	}
-
-	fail := func(err error) (*Component, error) {
-		wedge.Release()
+	life := pendingOne
+	if !def.Persistent {
+		life |= lifeAuto
+	}
+	if !def.Reusable {
+		life |= lifeRetired
+	}
+	child.life.Store(life)
+	if err := child.open(); err != nil {
 		return nil, err
 	}
-	if err := child.Exec(func(ctx *memory.Context) error {
-		_, aerr := ctx.Alloc(componentHeaderBytes)
-		return aerr
-	}); err != nil {
-		return fail(fmt.Errorf("child %q header: %w", def.Name, err))
-	}
-	s.owner.childBorn()
 	if err := def.Setup(child); err != nil {
-		s.owner.childGone()
-		return fail(fmt.Errorf("child %q setup: %w", def.Name, err))
+		child.life.Store(lifeDisposed | lifeRetired)
+		s.detach(child) // whatever ports Setup got as far as binding
+		child.wedge.Release()
+		s.owner.release(childOne, 0)
+		return nil, fmt.Errorf("child %q setup: %w", def.Name, err)
 	}
-
 	s.mu.Lock()
 	s.children[def.Name] = child
 	s.mu.Unlock()
 	return child, nil
-}
-
-// revive re-arms a stashed Reusable shell with a freshly acquired area
-// (already pinned by the caller): the chain's own-area slot is swapped, the
-// header is re-charged, and the shell is re-exposed. Exposure — the children
-// insert and the disposed flip — happens in a single s.mu critical section
-// so no reader can ever observe the shell in the table while still marked
-// disposed. started is cleared before exposure; the caller (materialize)
-// re-runs the start function and marks it. Runs under instMu.
-func (s *SMM) revive(c *Component, def *ChildDef, area *memory.Area, wedge *memory.Wedge) (*Component, error) {
-	c.area = area
-	c.wedge = wedge
-	if n := len(c.chain); n > 0 {
-		// The cached scope chain ends at the instance's own area, which
-		// changes per revival (the pool may hand back a different region).
-		c.chain[n-1] = area
-	}
-	c.started.Store(false)
-
-	if err := c.Exec(func(ctx *memory.Context) error {
-		_, aerr := ctx.Alloc(componentHeaderBytes)
-		return aerr
-	}); err != nil {
-		// The shell stays disposed and is dropped, not re-stashed: the next
-		// instantiation rebuilds from scratch.
-		wedge.Release()
-		return nil, fmt.Errorf("child %q header: %w", def.Name, err)
-	}
-	s.owner.childBorn()
-
-	s.mu.Lock()
-	s.children[def.Name] = c
-	c.liveMu.Lock()
-	c.disposed = false
-	c.liveMu.Unlock()
-	s.mu.Unlock()
-	return c, nil
-}
-
-// forget removes a disposed Reusable child from the children table, leaving
-// its port bindings in place for revival.
-func (s *SMM) forget(c *Component) {
-	s.mu.Lock()
-	if s.children[c.name] == c {
-		delete(s.children, c.name)
-	}
-	s.mu.Unlock()
-}
-
-// stashShell parks a torn-down Reusable shell for the next instantiation.
-func (s *SMM) stashShell(c *Component) {
-	s.mu.Lock()
-	if s.shells == nil {
-		s.shells = make(map[string]*Component)
-	}
-	s.shells[c.name] = c
-	s.mu.Unlock()
-}
-
-// takeShell claims a stashed shell, if any.
-func (s *SMM) takeShell(name string) *Component {
-	s.mu.Lock()
-	c := s.shells[name]
-	if c != nil {
-		delete(s.shells, name)
-	}
-	s.mu.Unlock()
-	return c
 }
 
 // detach unbinds a disposed child's ports and forgets the instance. The
@@ -714,9 +615,7 @@ func (s *SMM) detach(c *Component) {
 		delete(s.children, c.name)
 	}
 	for _, p := range s.in {
-		if owner, _ := p.binding(); owner == c {
-			p.unbind()
-		}
+		p.unbind(c)
 	}
 	for _, p := range s.out {
 		p.mu.Lock()
@@ -727,57 +626,50 @@ func (s *SMM) detach(c *Component) {
 	}
 }
 
-// resolveIn returns the In port for a qualified destination name, with a
-// live owner bound — instantiating the owning child if needed. This is the
-// proxy behaviour of §2.2: "the SMM checks the proxies for the existing
-// component or, if none are found, creates a new scoped memory component
-// which should receive the message".
+// resolveIn returns the In port for a qualified destination name and its
+// owner with one pending message reserved — instantiating the owning child
+// if needed. This is the proxy behaviour of §2.2: "the SMM checks the
+// proxies for the existing component or, if none are found, creates a new
+// scoped memory component which should receive the message".
 func (s *SMM) resolveIn(qname string) (*InPort, *Component, error) {
 	compName, _, ok := strings.Cut(qname, ".")
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q is not a qualified name", ErrUnknownPort, qname)
 	}
-	// Losing the binding race means a concurrent quiesce, swap, or revival
-	// won it between materialize and addPending — always transient progress
-	// elsewhere, never a terminal state — so the retry is bounded by time,
-	// not by attempts: back-to-back swaps can legitimately beat a descheduled
-	// sender several times in a row, and a send must not be dropped because
-	// reconfiguration was busy. A stopping app exits via materialize's
-	// ErrStopped.
-	deadline := time.Now().Add(resolveRetryBound)
-	for attempt := 0; ; attempt++ {
-		s.mu.Lock()
-		p := s.in[qname]
-		s.mu.Unlock()
-		if p != nil {
-			if owner, _ := p.binding(); owner != nil && owner.addPending() {
-				return p, owner, nil
-			}
-		}
-		if compName == s.owner.name {
-			if p == nil {
-				return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPort, qname)
-			}
-			// The owner itself is never transient; a nil binding here means
-			// the app is stopping.
-			return nil, nil, ErrStopped
-		}
-		if _, err := s.materialize(compName); err != nil {
-			return nil, nil, fmt.Errorf("deliver to %q: %w", qname, err)
-		}
-		if attempt >= 2 {
-			if time.Now().After(deadline) {
-				return nil, nil, fmt.Errorf("core: deliver to %q: owner kept quiescing", qname)
-			}
-			time.Sleep(20 * time.Microsecond) // let the winning swap/quiesce settle
+	p := s.inPort(qname)
+	if p != nil {
+		if owner, _ := p.binding(); owner != nil && owner.reserve() == nil {
+			return p, owner, nil
 		}
 	}
+	if compName == s.owner.name {
+		if p == nil {
+			return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPort, qname)
+		}
+		// The owner itself is never transient; a nil binding here means
+		// the app is stopping.
+		return nil, nil, ErrStopped
+	}
+	// The reservation is made inside materialize, so no quiesce can win the
+	// instance back before the message is queued; a swap that retires it
+	// from here on finds it busy and drains this delivery on the old version.
+	owner, err := s.materialize(compName)
+	if err != nil {
+		return nil, nil, fmt.Errorf("deliver to %q: %w", qname, err)
+	}
+	if p = s.inPort(qname); p == nil {
+		owner.release(pendingOne, 0)
+		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownPort, qname)
+	}
+	return p, owner, nil
 }
 
-// resolveRetryBound caps resolveIn's retry loop. Each lost race is caused by
-// a reconfiguration that committed in the window, so sustained loss for this
-// long means something is wedged and the send error is the honest report.
-const resolveRetryBound = 10 * time.Second
+// inPort looks a registered In port up by qualified name.
+func (s *SMM) inPort(qname string) *InPort {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.in[qname]
+}
 
 // routeSet is one OutPort's cached resolution of destination names to In
 // ports; it stays valid while gen matches the SMM's routeGen.
@@ -925,14 +817,15 @@ func (s *SMM) sendSerialized(p *OutPort, msg Message, prio sched.Priority, deadl
 
 // deliverAsync reserves the destination owner, enqueues the item, and
 // schedules a dispatch at the message priority. The cached route resolves
-// the In port without touching the SMM; the slow path (unregistered port,
-// quiescing or never-instantiated owner) falls back to resolveIn, which
+// the In port without touching the SMM, and reserving through its binding
+// revives a parked owner on the spot; the slow path (unregistered port,
+// never-instantiated or replaced owner) falls back to resolveIn, which
 // materializes the owning child.
 func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
 	in := r.in
 	var owner *Component
 	if in != nil {
-		if o, _ := in.binding(); o != nil && o.addPending() {
+		if o, _ := in.binding(); o != nil && o.reserve() == nil {
 			owner = o
 		}
 	}
@@ -945,15 +838,14 @@ func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, pri
 		}
 	}
 	if in.typ.Name != p.typ.Name {
-		owner.donePending()
+		owner.release(pendingOne, 0)
 		env.done()
 		return fmt.Errorf("%w: %q sends %q, %q accepts %q",
 			ErrTypeMismatch, p.qname, p.typ.Name, r.dest, in.typ.Name)
 	}
 	victim, evicted, err := in.push(bufItem{env: env, msg: msg, prio: prio, owner: owner, deadline: deadline})
 	if err != nil {
-		owner.donePending()
-		owner.maybeQuiesce()
+		owner.release(pendingOne, 0)
 		env.done()
 		return err
 	}
@@ -962,12 +854,7 @@ func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, pri
 		// release the victim's reservations outside the port lock. The
 		// dispatch already submitted for the victim will pop a different
 		// (newer) item or nothing — both are fine.
-		if sa, ok := victim.msg.(ShedAware); ok {
-			sa.OnShed()
-		}
-		victim.owner.donePending()
-		victim.owner.maybeQuiesce()
-		victim.env.done()
+		victim.drop()
 	}
 	if err := in.pool.Submit(prio, in.dispatchFn); err != nil {
 		// Pool already shut down. Retract exactly the item just pushed —
@@ -975,7 +862,7 @@ func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, pri
 		// delivery while this one stays queued against a recycled
 		// completion channel.
 		if it, ok := in.removeItem(env, msg); ok {
-			it.owner.donePending()
+			it.owner.release(pendingOne, 0)
 			it.env.done()
 		}
 		return err
@@ -1030,12 +917,7 @@ func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
 				telemetry.ReportDeadlineShed(in.label, it.deadline, now, 0, int(it.prio))
 				in.dropped.Add(1)
 				in.recordShed(it.prio, shedCauseExpired)
-				if sa, ok := it.msg.(ShedAware); ok {
-					sa.OnShed()
-				}
-				it.env.done()
-				owner.donePending()
-				owner.maybeQuiesce()
+				it.drop()
 				return
 			}
 			telemetry.ReportDeadlineMiss(in.label, it.deadline, now, 0, int(prio))
@@ -1058,8 +940,7 @@ func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
 	}
 	in.markProcessed()
 	it.env.done()
-	owner.donePending()
-	owner.maybeQuiesce()
+	owner.release(pendingOne, 0)
 }
 
 // process invokes a handler, converting panics into errors so one failing
@@ -1083,7 +964,7 @@ func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priori
 		in := r.in
 		var owner *Component
 		if in != nil {
-			if o, _ := in.binding(); o != nil && o.addPending() {
+			if o, _ := in.binding(); o != nil && o.reserve() == nil {
 				owner = o
 			}
 		}
@@ -1098,7 +979,7 @@ func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priori
 			}
 		}
 		if in.typ.Name != p.typ.Name {
-			owner.donePending()
+			owner.release(pendingOne, 0)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("%w: %q sends %q, %q accepts %q",
 					ErrTypeMismatch, p.qname, p.typ.Name, r.dest, in.typ.Name)
@@ -1123,8 +1004,7 @@ func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priori
 		})
 		in.received.Add(1)
 		in.processed.Add(1)
-		owner.donePending()
-		owner.maybeQuiesce()
+		owner.release(pendingOne, 0)
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
@@ -1155,9 +1035,16 @@ func (s *SMM) shutdown() {
 	}
 	// Retire this SMM's telemetry gauges so long-lived processes (tests,
 	// servers cycling applications) do not accumulate dead entries, and
-	// wake any senders parked on OverflowBlock ports.
+	// wake any senders parked on OverflowBlock ports. A delivery still
+	// buffered has lost its dispatch to the shutdown (a sender whose Submit
+	// failed retracts its own item, which may be the one another sender's
+	// dispatch already took), and its owner cannot close under it.
+	var orphans []bufItem
 	for _, p := range s.in {
 		p.closePort()
+		for it, ok := p.pop(); ok; it, ok = p.pop() {
+			orphans = append(orphans, it)
+		}
 		p.gauges.Unregister()
 	}
 	for _, p := range s.out {
@@ -1171,6 +1058,9 @@ func (s *SMM) shutdown() {
 		s.genGauge = nil
 	}
 	s.mu.Unlock()
+	for _, it := range orphans {
+		it.drop()
+	}
 	for _, c := range children {
 		c.forceDispose()
 	}

@@ -272,22 +272,29 @@ func (d *Decoder) ReadDouble() (float64, error) {
 
 // ReadString reads a CDR string.
 func (d *Decoder) ReadString() (string, error) {
+	raw, err := d.readStringBytes()
+	return string(raw), err
+}
+
+// readStringBytes reads a CDR string as the bytes before its terminator,
+// aliasing the decoder's buffer.
+func (d *Decoder) readStringBytes() ([]byte, error) {
 	n, err := d.ReadULong()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n == 0 {
-		return "", fmt.Errorf("%w: zero-length string encoding", ErrBadString)
+		return nil, fmt.Errorf("%w: zero-length string encoding", ErrBadString)
 	}
 	if err := d.need(int(n)); err != nil {
-		return "", err
+		return nil, err
 	}
 	raw := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
 	if raw[n-1] != 0 {
-		return "", fmt.Errorf("%w: missing NUL terminator", ErrBadString)
+		return nil, fmt.Errorf("%w: missing NUL terminator", ErrBadString)
 	}
-	return string(raw[:n-1]), nil
+	return raw[:n-1], nil
 }
 
 // skipString advances past a CDR string without materialising it (the

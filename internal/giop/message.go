@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 )
 
 // GIOP message types (GIOP 1.0).
@@ -364,9 +365,11 @@ func DecodeRequest(order ByteOrder, body []byte, req *Request) error {
 	if req.ObjectKey, err = d.ReadOctetSeq(); err != nil {
 		return err
 	}
-	if req.Operation, err = d.ReadString(); err != nil {
+	op, err := d.readStringBytes()
+	if err != nil {
 		return err
 	}
+	req.Operation = internOp(op)
 	if _, err = d.ReadOctetSeq(); err != nil { // principal
 		return err
 	}
@@ -379,6 +382,44 @@ func DecodeRequest(order ByteOrder, body []byte, req *Request) error {
 		req.Payload = body[d.Pos():]
 	}
 	return nil
+}
+
+// opNames interns decoded operation names, so the steady-state request
+// decode allocates no string: a server sees the same few names for its whole
+// life. The table is copy-on-write — a hit is one load and one map lookup
+// keyed by the raw bytes, which Go does without building the string — and
+// bounded both ways, so a peer sending unique or huge names costs itself the
+// per-request string it always did and the table nothing.
+var opNames atomic.Pointer[map[string]string]
+
+const (
+	maxOpNames   = 256 // entries; later names are decoded, not kept
+	maxOpNameLen = 64  // bytes; longer names are never kept
+)
+
+// internOp returns raw as a string, shared with every earlier request that
+// named the same operation while the table has room for it.
+func internOp(raw []byte) string {
+	var old map[string]string // a nil map reads as empty
+	p := opNames.Load()
+	if p != nil {
+		old = *p
+	}
+	if s, ok := old[string(raw)]; ok {
+		return s
+	}
+	s := string(raw)
+	if len(raw) > maxOpNameLen || len(old) >= maxOpNames {
+		return s
+	}
+	grown := make(map[string]string, len(old)+1)
+	for k, v := range old {
+		grown[k] = v
+	}
+	grown[s] = s
+	// A lost race drops this insert; the name is interned by a later request.
+	opNames.CompareAndSwap(p, &grown)
+	return s
 }
 
 // PriorityUnparsed is the sentinel PeekRequestInfo leaves in

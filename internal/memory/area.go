@@ -458,10 +458,23 @@ func (a *Area) alloc(n int) (Ref, error) {
 		a.allocs++
 		return Ref{area: a, gen: a.genNow(), data: make([]byte, n)}, nil
 	}
+	if err := a.fitsLocked(n); err != nil {
+		return Ref{}, err
+	}
+	return a.carveLocked(n), nil
+}
+
+// fitsLocked reports ErrOutOfMemory unless n more bytes fit the arena.
+func (a *Area) fitsLocked(n int) error {
 	if a.used+int64(n) > a.capacity {
-		return Ref{}, fmt.Errorf("%w: %q needs %d bytes, %d free",
+		return fmt.Errorf("%w: %q needs %d bytes, %d free",
 			ErrOutOfMemory, a.name, n, a.capacity-a.used)
 	}
+	return nil
+}
+
+// carveLocked hands out the next n bytes of the arena; fitsLocked passed.
+func (a *Area) carveLocked(n int) Ref {
 	off := a.used
 	a.used += int64(n)
 	a.allocs++
@@ -470,7 +483,7 @@ func (a *Area) alloc(n int) (Ref, error) {
 		// VT areas zero lazily at allocation time.
 		zero(data)
 	}
-	return Ref{area: a, gen: a.genNow(), data: data}, nil
+	return Ref{area: a, gen: a.genNow(), data: data}
 }
 
 func zero(b []byte) {

@@ -1,14 +1,23 @@
 package memory
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Wedge pins a scoped area open, modelling the wedge-thread pattern
 // (Pizlo et al., ISORC'04) used by the Compadres scoped memory managers: a
 // parked thread whose only job is to keep the scope's reference count above
 // zero so the region is not reclaimed between messages.
+//
+// The zero Wedge holds nothing. A released wedge may pin again, so a
+// long-lived owner (a component shell revived once per request) embeds one
+// and re-arms it instead of allocating a wedge per pin.
 type Wedge struct {
-	area     *Area
-	released bool
+	area *Area
+	// armed is the hold itself: Pin sets it after the area's count moved,
+	// Release takes it with a CAS, so racing releases drop the area once.
+	armed atomic.Bool
 }
 
 // Pin wedges the area open as if entered from `from` (the would-be parent).
@@ -16,15 +25,48 @@ type Wedge struct {
 // Enter; for an active one the single-parent rule is enforced. Pinning heap
 // or immortal areas is a no-op that still returns a releasable Wedge.
 func Pin(a *Area, from *Area) (*Wedge, error) {
+	w := new(Wedge)
+	if err := w.Pin(a, from, 0); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// Pin is the package-level Pin through an existing, unarmed wedge, and
+// charges header bytes to the area in the same critical section: the wedge
+// thread's own allocation, made as it arrives, without the caller walking a
+// scope stack down to the area. One goroutine owns a wedge between its
+// Release and its next Pin.
+func (w *Wedge) Pin(a *Area, from *Area, header int) error {
+	if w.armed.Load() {
+		return fmt.Errorf("memory: wedge still holds %q, cannot pin %q", w.area.name, a.name)
+	}
+	if err := a.pin(from, header); err != nil {
+		return err
+	}
+	w.area = a
+	w.armed.Store(true)
+	return nil
+}
+
+// pin adds one wedge to the area's holders and allocates header bytes in it.
+func (a *Area) pin(from *Area, header int) error {
 	if a.kind != KindScoped {
-		return &Wedge{area: a}, nil
+		if header == 0 {
+			return nil
+		}
+		_, err := a.alloc(header)
+		return err
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	if err := a.fitsLocked(header); err != nil {
+		return err // before the count moves: nothing to undo
+	}
 	for {
 		s := a.state.Load()
 		if s&wedgeMask == wedgeMask {
-			return nil, fmt.Errorf("memory: %q: wedge count saturated", a.name)
+			return fmt.Errorf("memory: %q: wedge count saturated", a.name)
 		}
 		if s&holderMask == 0 {
 			// Sole prospective holder: fix parent and level, exactly like a
@@ -33,28 +75,30 @@ func Pin(a *Area, from *Area) (*Wedge, error) {
 			a.parent.Store(from)
 			a.level = from.scopeLevel() + 1
 			a.state.Store(s + wedgeDelta)
-			return &Wedge{area: a}, nil
+			break
 		}
 		if p := a.parent.Load(); p != from {
-			return nil, fmt.Errorf("%w: %q is parented under %q, cannot pin from %q",
+			return fmt.Errorf("%w: %q is parented under %q, cannot pin from %q",
 				ErrScopedCycle, a.name, p.Name(), from.Name())
 		}
 		if a.state.CompareAndSwap(s, s+wedgeDelta) {
-			return &Wedge{area: a}, nil
+			break
 		}
 	}
+	if header > 0 {
+		a.carveLocked(header)
+	}
+	return nil
 }
 
-// Area returns the pinned area.
+// Area returns the area the wedge last pinned.
 func (w *Wedge) Area() *Area { return w.area }
 
 // Release removes the wedge. If it was the last holder the area is
-// reclaimed. Release is idempotent.
+// reclaimed. Release is idempotent and safe against a concurrent Release:
+// exactly one caller drops the hold.
 func (w *Wedge) Release() {
-	if w.released || w.area.kind != KindScoped {
-		w.released = true
-		return
+	if w.armed.CompareAndSwap(true, false) && w.area.kind == KindScoped {
+		w.area.dropSlow(wedgeDelta)
 	}
-	w.released = true
-	w.area.dropSlow(wedgeDelta)
 }

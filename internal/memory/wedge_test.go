@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"sync"
 	"testing"
 )
 
@@ -129,4 +130,74 @@ func TestWedgeRunsFinalizers(t *testing.T) {
 	if !ran {
 		t.Error("finalizer not run on wedge-triggered reclamation")
 	}
+}
+
+// An embedded wedge is re-pinned once per revival of its owner, and the
+// owner's two reclaim paths (the quiescence winner and a forced dispose)
+// may both call Release on the same hold. Every round must drop the area
+// exactly once — a double drop would reclaim it under the second wedge —
+// and charge the header in the same step as the pin.
+func TestWedgeRepinRacingReleases(t *testing.T) {
+	m := NewModel(Config{})
+	pool, err := m.NewScopePool(ScopePoolConfig{Name: "p", AreaSize: 256, Count: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w Wedge // the zero wedge holds nothing
+	w.Release()
+	for round := 0; round < 2000; round++ {
+		a, err := pool.Acquire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := Pin(a, m.Immortal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Pin(a, m.Immortal(), 128); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if a.Used() != 128 || a.Allocations() != 1 {
+			t.Fatalf("round %d: header charge used %d bytes in %d allocations, want 128 in 1", round, a.Used(), a.Allocations())
+		}
+		if err := w.Pin(a, m.Immortal(), 0); err == nil {
+			t.Fatal("an armed wedge pinned again")
+		}
+		var wg sync.WaitGroup
+		for i := 0; i < 3; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w.Release()
+			}()
+		}
+		wg.Wait()
+		if !a.Active() {
+			t.Fatalf("round %d: racing releases dropped the area more than once", round)
+		}
+		other.Release()
+		if a.Active() {
+			t.Fatalf("round %d: area still held after its last wedge", round)
+		}
+	}
+	if created, _, free := pool.Stats(); int64(free) != created {
+		t.Errorf("pool at rest: %d of %d areas free", free, created)
+	}
+}
+
+// A header that does not fit fails the pin before the holder count moves.
+func TestWedgePinHeaderMustFit(t *testing.T) {
+	m := NewModel(Config{})
+	a := m.NewLTScoped("a", 64)
+	var w Wedge
+	if err := w.Pin(a, m.Immortal(), 65); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if a.Active() {
+		t.Error("a failed pin left the area held")
+	}
+	if err := w.Pin(a, m.Immortal(), 64); err != nil {
+		t.Fatal(err)
+	}
+	w.Release()
 }
