@@ -24,9 +24,11 @@ race: build vet
 # Wire variant (the remote lock-step path: synchronous ORB over the
 # in-process transport, InvokeView); every variant must be 0 allocs/op (the
 # two ORB ones 0 counted payload copies too), and one Wire invocation must
-# enter exactly 8 scopes.
+# enter exactly 8 scopes. Under them all, a buffered write and the read that
+# drains it on the in-process transport allocate nothing, deadline set or not.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
+	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
 
 # zerocopy-guard pins the counted-copy contract: InvokeView delivers reply
@@ -39,7 +41,7 @@ zerocopy-guard:
 # catch a bench that no longer compiles or errors out, without the cost of
 # a full measurement run.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=10x .
+	$(GO) test -run='^$$' -bench=. -benchtime=10x . ./internal/transport/
 
 # bench-build vets and tests the benchmark module (bench/, a module of its
 # own that tier-1 `go test ./...` does not see) against the tree as it is, so
@@ -69,12 +71,14 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # the collocated swap-under-traffic soak (closing the collocated member
 # under full load: every invocation falls back to the wire, zero drops), and
 # the component lifecycle (the reference-model histories, the Reusable
-# revive/quiesce tests, the multi-core invoker storm) — under the race
-# detector. Every fault schedule and history in these tests is seeded, so
+# revive/quiesce tests, the multi-core invoker storm), and the stream
+# contract every transport connection keeps (in-process ring, TCP, fault
+# wrapper: chunking, wrap-around, close, deadlines, backpressure, writer
+# atomicity) — under the race detector. Every fault schedule and history in these tests is seeded, so
 # failures replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11

@@ -196,6 +196,12 @@ func (a *assembler) populate(c *core.Component) error {
 			Name: pp.Port, Type: typ, Handler: h,
 			BufferSize: pp.Buffer,
 		}
+		if a.exported(pp) {
+			// The sender is a server thread at the near end of a buffered
+			// wire: a full buffer must park it, which stops its reads and so
+			// the remote sender, not fail the remote send.
+			icfg.Overflow = core.OverflowBlock
+		}
 		if pp.HasAttrs {
 			switch {
 			case pp.Min == 0 && pp.Max == 0:
@@ -230,6 +236,16 @@ func (a *assembler) populate(c *core.Component) error {
 		c.SetStart(binding.Start)
 	}
 	return nil
+}
+
+// exported reports whether the plan publishes pp to other processes.
+func (a *assembler) exported(pp *PortPlan) bool {
+	for _, ex := range a.plan.Exports {
+		if ex.Instance == pp.Instance && ex.Port == pp.Port {
+			return true
+		}
+	}
+	return false
 }
 
 // resolveSMM locates the SMM of the named mediator instance relative to c:

@@ -144,6 +144,15 @@ func TestTwoProcessDeployment(t *testing.T) {
 	if serverDep.Addr() != "sink-process" {
 		t.Errorf("server addr = %q", serverDep.Addr())
 	}
+	// An exported port parks its sender on a full buffer: over a buffered
+	// wire that, not a failed send, is what holds a remote sender back.
+	in, err := serverDep.App.Component("Collector").SMM().GetInPort("Collector.in")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Overflow() != core.OverflowBlock {
+		t.Errorf("exported port overflow = %v, want %v", in.Overflow(), core.OverflowBlock)
+	}
 
 	// --- Process A: the source, bridging Emitter.out across the network.
 	clientPlan := compilePlan(t, clientDefs, clientApp)

@@ -1,5 +1,5 @@
 // Package fault is a deterministic fault-injection layer over
-// transport.Network. It wraps a real network (TCP or the in-process pipe)
+// transport.Network. It wraps a real network (TCP or the in-process one)
 // and injects the failure modes a DRE system must survive — dial refusal,
 // connection drop after a byte budget, added latency and jitter, partial
 // writes, and byte corruption — under a seeded pseudo-random schedule, so a
@@ -205,9 +205,9 @@ func (l *listener) Accept() (transport.Conn, error) {
 func (l *listener) Close() error { return l.inner.Close() }
 func (l *listener) Addr() string { return l.inner.Addr() }
 
-// deadliner is the optional deadline surface both net.TCPConn and net.Pipe
-// provide; the wrapper forwards it so resilient clients can bound reads on
-// a faulty connection.
+// deadliner is the optional deadline surface both net.TCPConn and the
+// in-process stream provide; the wrapper forwards it so resilient clients can
+// bound reads on a faulty connection.
 type deadliner interface {
 	SetDeadline(t time.Time) error
 }
@@ -328,7 +328,7 @@ func (c *conn) Write(p []byte) (int, error) {
 func (c *conn) Close() error { return c.inner.Close() }
 
 // SetDeadline forwards to the inner connection when it supports deadlines
-// (both TCP connections and in-process pipes do).
+// (both TCP connections and in-process streams do).
 func (c *conn) SetDeadline(t time.Time) error {
 	if d, ok := c.inner.(deadliner); ok {
 		return d.SetDeadline(t)

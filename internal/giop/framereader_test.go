@@ -7,6 +7,9 @@ import (
 	"math/rand"
 	"os"
 	"testing"
+	"time"
+
+	"repro/internal/transport"
 )
 
 // readStep is one scripted stretch of a stream: data is handed out (across
@@ -137,8 +140,78 @@ func chunked(rng *rand.Rand, wire []byte) []readStep {
 // random streams and random chunkings, NextFrame and Next deliver exactly
 // the frames — and end with the same class of error — that the plain
 // two-reads-per-frame ReadMessageLimited does on the unchunked stream, and
-// every slab and frame is back in its pool afterwards.
+// every slab and frame is back in its pool afterwards. The chunks come from
+// a script, deadline expiries between them included.
 func TestFrameReaderMatchesReadMessage(t *testing.T) {
+	frameReaderProperty(t, func(rng *rand.Rand, wire []byte) (io.Reader, func()) {
+		return &scriptReader{steps: chunked(rng, wire)}, func() {}
+	})
+}
+
+// TestFrameReaderMatchesReadMessageInproc runs the same property over a real
+// in-process connection: a writer goroutine sends the chunks as Writes (the
+// largest several times the connection's buffer, so it parks mid-chunk) and
+// closes; the reader's deadline expires, already passed, before one read in
+// four.
+func TestFrameReaderMatchesReadMessageInproc(t *testing.T) {
+	net := transport.NewInproc()
+	l, err := net.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	frameReaderProperty(t, func(rng *rand.Rand, wire []byte) (io.Reader, func()) {
+		client, err := net.Dial(l.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		server, err := l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := chunked(rng, wire)
+		written := make(chan struct{})
+		go func() {
+			defer close(written)
+			defer client.Close()
+			for _, st := range steps {
+				if _, err := client.Write(st.data); err != nil {
+					return // the reader gave up on a hostile frame and closed
+				}
+			}
+		}()
+		return &expiringReader{conn: server.(deadlineConn), rng: rng}, func() {
+			server.Close()
+			<-written
+		}
+	})
+}
+
+// deadlineConn is a connection whose reads can be bounded.
+type deadlineConn interface {
+	io.Reader
+	SetReadDeadline(time.Time) error
+}
+
+// expiringReader reads from conn, one time in four under a deadline that has
+// already passed.
+type expiringReader struct {
+	conn deadlineConn
+	rng  *rand.Rand
+}
+
+func (r *expiringReader) Read(p []byte) (int, error) {
+	if r.rng.Intn(4) == 0 {
+		_ = r.conn.SetReadDeadline(time.Unix(1, 0))
+		defer r.conn.SetReadDeadline(time.Time{})
+	}
+	return r.conn.Read(p)
+}
+
+// frameReaderProperty checks the property over 300 seeded streams; source
+// turns a stream into the reader under test's input and a function that
+// releases it.
+func frameReaderProperty(t *testing.T, source func(rng *rand.Rand, wire []byte) (io.Reader, func())) {
 	SetFrameLeakCheck(true)
 	defer SetFrameLeakCheck(false)
 
@@ -163,7 +236,8 @@ func TestFrameReaderMatchesReadMessage(t *testing.T) {
 		}
 
 		useNext := seed%2 == 0
-		fr := NewFrameReader(&scriptReader{steps: chunked(rng, wire)}, maxBody)
+		src, done := source(rng, wire)
+		fr := NewFrameReader(src, maxBody)
 		// Frames held across later reads, released out of order: their bytes
 		// must still be the oracle's when they go.
 		type heldFrame struct {
@@ -223,6 +297,7 @@ func TestFrameReaderMatchesReadMessage(t *testing.T) {
 			release(0)
 		}
 		fr.Close()
+		done()
 		if leaks := CheckFrameLeaks(); len(leaks) != 0 {
 			t.Fatalf("seed %d: %d buffers never returned: %v", seed, len(leaks), leaks)
 		}

@@ -297,22 +297,6 @@ func (a *Area) enter(from *Area) error {
 	return a.enterSlow(from)
 }
 
-// enterCached re-enters an area previously validated at generation gen: a
-// single guarded CAS. It succeeds only while the generation is unchanged
-// and the area is still held open — which together imply the area has kept
-// the parent it was validated with, so no parent check is needed.
-func (a *Area) enterCached(gen uint64) bool {
-	for {
-		s := a.state.Load()
-		if s>>genShift != gen || s&holderMask == 0 || s&entrantMask == entrantMask {
-			return false
-		}
-		if a.state.CompareAndSwap(s, s+entrantDelta) {
-			return true
-		}
-	}
-}
-
 // enterSlow is the mutex path: first entrant fixes the parent (RTSJ binds
 // the scope's parent at first entry and clears it on reclamation); re-entry
 // of an active area enforces the single-parent rule.
@@ -364,7 +348,7 @@ func (a *Area) exit() {
 }
 
 // dropSlow releases one holder (an entrant or a wedge) under the mutex,
-// reclaiming the area if it was the last. A concurrent cached/fast enter
+// reclaiming the area if it was the last. A concurrent fast enter
 // can race the count back up between the caller's check and the lock
 // acquisition, so the decision is re-taken in a CAS loop.
 func (a *Area) dropSlow(delta uint64) {

@@ -23,27 +23,11 @@ type Context struct {
 	stack  []*Area
 	noHeap bool
 
-	// cc caches the last validated EnterChain walk so steady-state re-entry
-	// of the same chain from the same base area is a guarded CAS per level
-	// instead of a full mutex walk. Revocation is the generation bump: a
-	// reclaimed (or re-parented — re-parenting requires a reclaim) level
-	// fails its generation check and forces a fresh validated walk.
-	cc chainCache
-
 	// execArea/execIdx cache the stack position where the last
 	// ExecuteInArea target was found; validated against the live stack, so
 	// a hit is one bounds check and one pointer compare.
 	execArea *Area
 	execIdx  int
-}
-
-// chainCache remembers one validated EnterChain walk: the base (the
-// context's current area when the chain was validated — level 0's parent),
-// the chain itself, and each level's generation at validation time.
-type chainCache struct {
-	base  *Area
-	chain []*Area
-	gens  []uint64
 }
 
 // NewContext returns a context modelling a RealtimeThread: its scope stack
@@ -130,82 +114,33 @@ func (c *Context) Enter(a *Area, fn func(*Context) error) error {
 // pops and exits them innermost-first. It is semantically equivalent to the
 // same sequence of nested Enter calls, without the per-level closures — the
 // steady-state dispatch path uses it with a component's cached ancestor
-// chain so entering an N-deep scope costs no allocation.
+// chain so entering an N-deep scope costs no allocation. A level that is
+// held open (the usual case for all but the leaf) is entered with one CAS
+// (Area.enter's fast path).
 func (c *Context) EnterChain(areas []*Area, fn func(*Context) error) (err error) {
-	if c.enterChainCached(areas) {
-		defer func() {
-			for i := len(areas) - 1; i >= 0; i-- {
-				c.stack = c.stack[:len(c.stack)-1]
-				areas[i].exit()
-			}
-			scopeExits.Add(int64(len(areas)))
-		}()
-		return fn(c)
-	}
-	return c.enterChainWalk(areas, fn)
-}
-
-// enterChainCached attempts the flattened re-entry: when the requested
-// chain and base match the cached walk, each level is entered with a single
-// generation-guarded CAS (Area.enterCached). Any level whose generation
-// moved — reclaimed, hence possibly re-parented — fails the guard; the
-// levels already entered are unwound and the caller falls back to the full
-// validated walk, which re-populates the cache.
-func (c *Context) enterChainCached(areas []*Area) bool {
-	cc := &c.cc
-	if len(areas) == 0 || cc.base != c.Current() || len(cc.chain) != len(areas) {
-		return false
-	}
-	for i, a := range areas {
-		if a != cc.chain[i] {
-			return false
-		}
-	}
-	for i, a := range areas {
-		if !a.enterCached(cc.gens[i]) {
-			for j := i - 1; j >= 0; j-- {
-				areas[j].exit()
-			}
-			return false
-		}
-	}
-	c.stack = append(c.stack, areas...)
-	scopeEnters.Add(int64(len(areas)))
-	return true
-}
-
-// enterChainWalk is the full validated walk: per-level no-heap and
-// single-parent checks through Area.enter. On full success the walk is
-// recorded in the chain cache (generations are stable while this context
-// holds each level open, so reading them here is race-free).
-func (c *Context) enterChainWalk(areas []*Area, fn func(*Context) error) (err error) {
-	base := c.Current()
-	entered := 0
+	base := len(c.stack)
 	defer func() {
-		for ; entered > 0; entered-- {
+		n := len(c.stack) - base
+		scopeExits.Add(int64(n))
+		for ; n > 0; n-- {
 			top := c.stack[len(c.stack)-1]
 			c.stack = c.stack[:len(c.stack)-1]
 			top.exit()
-			scopeExits.Inc()
 		}
 	}()
 	for _, a := range areas {
 		if c.noHeap && a.kind == KindHeap {
-			return fmt.Errorf("%w: enter %q", ErrHeapAccess, a.name)
+			err = fmt.Errorf("%w: enter %q", ErrHeapAccess, a.name)
+			break
 		}
-		if err := a.enter(c.Current()); err != nil {
-			return err
+		if err = a.enter(c.Current()); err != nil {
+			break
 		}
-		scopeEnters.Inc()
 		c.stack = append(c.stack, a)
-		entered++
 	}
-	cc := &c.cc
-	cc.base = base
-	cc.chain = append(cc.chain[:0], areas...)
-	cc.gens = cc.gens[:0]
-	for _, a := range areas {
-		cc.gens = append(cc.gens, a.genNow())
+	scopeEnters.Add(int64(len(c.stack) - base))
+	if err != nil {
+		return err
 	}
 	return fn(c)
 }

@@ -683,7 +683,10 @@ func (cl *Client) InvokeIdempotent(key, op string, payload []byte, prio sched.Pr
 // either transport. Oneways are idempotent from the transport's point of view
 // (no reply is matched), so under a ResilienceConfig transport failures are
 // retried within the retry budget like InvokeIdempotent. Over the wire the
-// call returns once the frame is written.
+// call returns once the transport has taken the frame: buffered, as on any
+// socket, not yet read by the server. A Close that follows does not lose it
+// — the closing end's bytes drain before the server sees the end of the
+// stream.
 func (cl *Client) InvokeOneway(key, op string, payload []byte, prio sched.Priority) error {
 	_, err := cl.withRetry(func() ([]byte, error) {
 		return consumeReply(cl.call(key, op, payload, prio, true))

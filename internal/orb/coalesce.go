@@ -119,10 +119,12 @@ func newConnWriter(conn writerConn, timeout func() time.Duration) *connWriter {
 // write sends one frame. The bytes are not referenced after write returns.
 // A nil error means the frame was written (sendAlone on a free wire,
 // sendInline) or is batched behind the wire's owner; a batched frame's write
-// error reaches the connection, not its sender. owner reports that THIS call
-// hit the writer's first write error: exactly one caller per wire fault sees
-// it, and only it may charge the fault to a breaker and kill the connection,
-// however many senders the fault strands.
+// error reaches the connection, not its sender. Written means taken by the
+// transport, which buffers it, in process as on a socket: nothing here learns
+// when the peer reads it. owner reports that THIS call hit the writer's first
+// write error: exactly one caller per wire fault sees it, and only it may
+// charge the fault to a breaker and kill the connection, however many senders
+// the fault strands.
 func (w *connWriter) write(frame []byte, mode sendMode) (err error, owner bool) {
 	if len(frame) > maxBatchBytes {
 		mode = sendInline

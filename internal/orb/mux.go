@@ -109,9 +109,9 @@ func putPending(pe *muxPending) {
 	pendingPool.Put(pe)
 }
 
-// writeDeadliner is the optional write-deadline support of net.TCPConn,
-// net.Pipe, and the fault-injection wrapper; the mux uses it to bound a
-// request write without disturbing the reactor's blocking read.
+// writeDeadliner is the optional write-deadline support of net.TCPConn, the
+// in-process stream, and the fault-injection wrapper; the mux uses it to
+// bound a request write without disturbing the reactor's blocking read.
 type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
 
 // readDeadliner is the matching read-deadline support; leader/follower mode
@@ -182,9 +182,9 @@ func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 }
 
 // account moves the stripe's and the priority band's in-flight counts, which
-// follow an entry's time in the pending table: the write path reads the
-// first to tell a lone sender from a pipelined one, the stripe selector the
-// second to keep a busy band on one stripe.
+// follow an entry's time in the pending table: the stripe selector reads
+// the first to find the least loaded stripe, the second to keep a busy band
+// on one stripe.
 func (mc *muxConn) account(band int32, delta int64) {
 	mc.st.inflight.Add(delta)
 	mc.cl.bandInflight[band].Add(delta)
@@ -255,7 +255,10 @@ func (mc *muxConn) pending() int {
 // — and closes in the background once the in-flight invocations drain,
 // bounded by grace. The eventual close is ErrClosed-classified, so retiring
 // a healthy connection during a Retarget never charges the stripe's breaker
-// and loses nothing that was already accepted onto the wire.
+// and loses nothing that was already accepted onto the wire: a tabled
+// invocation is waited for, and a oneway — written, so buffered by the
+// transport, but in no table — is still read by the server, because a closed
+// end's bytes drain before its peer sees the end of the stream.
 func (mc *muxConn) retire(grace time.Duration) {
 	mc.st.detach(mc)
 	go func() {
@@ -267,9 +270,14 @@ func (mc *muxConn) retire(grace time.Duration) {
 	}()
 }
 
-// send hands one request frame to the connection's writer. A caller with
-// nothing else in flight on the stripe writes directly; otherwise the frame
-// is batched and send returns before it is on the wire. inline (oneways,
+// send hands one request frame to the connection's writer. The client's only
+// caller writes directly; otherwise the frame is batched and send returns
+// before it is on the wire. "Only caller" counts everyone inside an
+// invocation, not the stripe's pending table: a caller whose reply was
+// matched but who has not run again yet is about to send its next request,
+// and on one processor a sender that took itself for alone would hand the
+// thread on, hop by hop, for a whole time slice while the others starve
+// (over the in-process stream: 16 callers, p99.9 30-40 ms). inline (oneways,
 // Locate) waits for the frame's own write so its error is the caller's to
 // report. When the client has a per-invoke deadline the write itself is
 // bounded by it too — a peer that stopped reading must not wedge the submit
@@ -278,7 +286,7 @@ func (mc *muxConn) retire(grace time.Duration) {
 // only the one that hit it reports it, preserving
 // one-breaker-failure-per-wire-event.
 func (mc *muxConn) send(wire []byte, inline bool) error {
-	err, owner := mc.w.write(wire, modeFor(inline, mc.st.inflight.Load()))
+	err, owner := mc.w.write(wire, modeFor(inline, mc.cl.inflight.Load()))
 	if owner {
 		mc.sendFailed(err)
 	}

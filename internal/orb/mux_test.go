@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,6 +329,55 @@ func TestMuxStorm64(t *testing.T) {
 	}
 	if n, err := srv.App().Errors(); n != 0 {
 		t.Errorf("server handler errors: %d (%v)", n, err)
+	}
+}
+
+// TestMuxConcurrentInvokersShareOneProcessor pins fairness between closed-loop
+// callers on one processor over the in-process transport, where a write
+// readies its reader directly: the callers must take turns. A sender that
+// took itself for the only one (its peers' replies matched, the peers not yet
+// run again) would write directly, and every hop of its round trip would hand
+// the thread straight to the next, round after round, until the scheduler's
+// 10 ms time slice ran out — over a thousand consecutive completions by one
+// caller while fifteen wait.
+func TestMuxConcurrentInvokersShareOneProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
+
+	const callers, rounds = 16, 1000
+	order := make([]int32, callers*rounds) // order[k]: who completed k-th
+	var seq atomic.Int64
+	var wg sync.WaitGroup
+	for c := int32(0); c < callers; c++ {
+		wg.Add(1)
+		go func(c int32) {
+			defer wg.Done()
+			body := make([]byte, 256)
+			for i := 0; i < rounds; i++ {
+				if _, err := cl.Invoke("echo", "echo", body, sched.NormPriority); err != nil {
+					t.Errorf("caller %d: %v", c, err)
+					return
+				}
+				order[seq.Add(1)-1] = c
+			}
+		}(c)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	// The tail, where the early finishers are gone, is left out.
+	longest, run := 0, 0
+	for k := 1; k < len(order)/2; k++ {
+		if run++; order[k] != order[k-1] {
+			run = 0
+		}
+		longest = max(longest, run+1)
+	}
+	if longest > 64 {
+		t.Errorf("one caller completed %d invocations in a row while %d others waited", longest, callers-1)
 	}
 }
 

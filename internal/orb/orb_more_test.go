@@ -79,6 +79,45 @@ func TestOnewayAfterCloseRejected(t *testing.T) {
 	}
 }
 
+// TestOnewayThenCloseReachesServant pins what "written" promises on a
+// buffered wire: oneways the client wrote and then closed behind are still
+// in the transport's buffer, and the server reads every one of them before
+// it sees the end of the stream — in process exactly as over TCP.
+func TestOnewayThenCloseReachesServant(t *testing.T) {
+	for _, nw := range []struct {
+		name string
+		net  transport.Network
+		addr string
+	}{
+		{"inproc", transport.NewInproc(), ""},
+		{"tcp", transport.TCP{}, "127.0.0.1:0"},
+	} {
+		t.Run(nw.name, func(t *testing.T) {
+			const n = 20
+			got := make(chan string, n)
+			srv := startEchoServer(t, nw.net, nw.addr, ServerConfig{})
+			srv.RegisterServant("sink", corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
+				got <- string(in)
+				return nil, nil
+			}))
+			cl := dial(t, nw.net, srv.Addr(), ClientConfig{Synchronous: true})
+			for i := 0; i < n; i++ {
+				if err := cl.InvokeOneway("sink", "push", []byte{byte('a' + i)}, sched.NormPriority); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cl.Close()
+			seen := make(map[string]bool)
+			for i := 0; i < n; i++ {
+				seen[<-got] = true
+			}
+			if len(seen) != n {
+				t.Errorf("servant saw %d distinct oneways, want %d", len(seen), n)
+			}
+		})
+	}
+}
+
 func TestServerComponentTopology(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})

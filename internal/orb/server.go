@@ -321,7 +321,13 @@ func (s *Server) Inflight() int64 { return s.inflight.Load() }
 // dispatched request to complete: queued, in-servant, and writing-reply
 // work all count. It does not stop the listener or refuse new requests;
 // the caller removes the server from its directory (and unregisters
-// retiring servants) first, so the tail it waits on is finite.
+// retiring servants) first, so the tail it waits on is finite. A request
+// still in a connection's buffer — written by its client, not yet read here
+// — is not dispatched and is not waited for, on TCP and in-process alike:
+// the caller's settle delay is what lets those arrive, and one cut off by a
+// Close that follows fails at its client as a transport error. A reply this
+// server has written is the transport's to deliver: Close lets the peer read
+// what is buffered before it sees the end of the stream.
 func (s *Server) Drain(timeout time.Duration) error {
 	if timeout == 0 {
 		timeout = time.Second

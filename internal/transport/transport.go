@@ -1,7 +1,9 @@
 // Package transport provides the byte-stream substrate both ORBs run on:
-// real TCP (the paper's loopback-network setup) and an in-process pipe
-// network for deterministic benchmarking. Both expose the same Dial/Listen
-// interface, so the ORBs are transport-agnostic.
+// real TCP (the paper's loopback-network setup) and an in-process network
+// for deterministic, kernel-free benchmarking. Both expose the same
+// Dial/Listen interface and the same stream contract — a buffered wire: a
+// Write returns once its bytes are queued, not once the peer has read them
+// (stream.go) — so the ORBs are transport-agnostic.
 package transport
 
 import (
@@ -54,8 +56,8 @@ type BuffersWriter interface {
 
 // WriteBuffers writes bufs to c as one logical vectored write: through the
 // connection's own BuffersWriter capability when it has one, through
-// net.Buffers (writev on TCP, sequential writes on pipes) when c is a
-// net.Conn, and through plain sequential Writes otherwise — which is how a
+// net.Buffers (writev on TCP) when c is a net.Conn, and through plain
+// sequential Writes otherwise — the in-process stream, and how a
 // fault-injection wrapper sees each frame individually and can fault any
 // one of them. All three paths deliver the same byte stream to the peer;
 // on error the returned count is the bytes written before the failure.
@@ -159,9 +161,10 @@ func (t *tcpListener) Accept() (Conn, error) {
 func (t *tcpListener) Close() error { return t.l.Close() }
 func (t *tcpListener) Addr() string { return t.l.Addr().String() }
 
-// Inproc is an in-process network: Dial returns one end of a net.Pipe whose
-// other end is delivered to the listener. It gives the benchmarks a
-// deterministic, kernel-free transport.
+// Inproc is an in-process network: Dial returns one end of a buffered
+// full-duplex stream (stream.go) whose other end is delivered to the
+// listener. It gives the benchmarks a deterministic, kernel-free transport
+// that behaves like the loopback socket the paper measured over.
 type Inproc struct {
 	mu        sync.Mutex
 	listeners map[string]*inprocListener
@@ -197,7 +200,7 @@ func (n *Inproc) Dial(addr string) (Conn, error) {
 	if l == nil {
 		return nil, opError("dial", addr, ErrNoListener)
 	}
-	client, server := net.Pipe()
+	client, server := newStreamPair()
 	select {
 	case l.backlog <- server:
 		return client, nil

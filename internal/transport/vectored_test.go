@@ -11,12 +11,12 @@ import (
 )
 
 // The vectored-write capability has three delivery paths — an explicit
-// BuffersWriter, net.Conn (writev on TCP, sequential on pipes), and the
-// plain sequential fallback — and the parity contract is that every one of
-// them puts the identical byte stream on the wire. These tests run the same
-// batches over TCP, the in-process network, and a fault wrapper (which,
-// exposing only Write, exercises the sequential fallback so injected faults
-// land on individual frames).
+// BuffersWriter, net.Conn (writev on TCP), and the plain sequential fallback
+// — and the parity contract is that every one of them puts the identical
+// byte stream on the wire. These tests run the same batches over TCP, the
+// in-process network (the fallback: its stream is neither), and a fault
+// wrapper (which, exposing only Write, exercises the fallback too, so
+// injected faults land on individual frames).
 
 // vecNetworks enumerates the transports the parity tests sweep.
 func vecNetworks() []struct {
