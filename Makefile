@@ -25,10 +25,12 @@ race: build vet
 # in-process transport, InvokeView); every variant must be 0 allocs/op (the
 # two ORB ones 0 counted payload copies too), and one Wire invocation must
 # enter exactly 8 scopes. Under them all, a buffered write and the read that
-# drains it on the in-process transport allocate nothing, deadline set or not.
+# drains it on the in-process transport allocate nothing, deadline set or not,
+# and neither does an In port's push + pop, keyed or not.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
+	$(GO) test -run TestInPortPushPopAllocFree ./internal/core/
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
 
 # zerocopy-guard pins the counted-copy contract: InvokeView delivers reply
@@ -41,7 +43,7 @@ zerocopy-guard:
 # catch a bench that no longer compiles or errors out, without the cost of
 # a full measurement run.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=. -benchtime=10x . ./internal/transport/
+	$(GO) test -run='^$$' -bench=. -benchtime=10x . ./internal/transport/ ./internal/core/
 
 # bench-build vets and tests the benchmark module (bench/, a module of its
 # own that tier-1 `go test ./...` does not see) against the tree as it is, so
@@ -51,9 +53,10 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # orb-loc prints the size of the component-structured ORB next to the
-# hand-coded baseline it is judged against (ROADMAP aim 2), non-test lines.
+# hand-coded baseline it is judged against (ROADMAP aim 2), and of the
+# component runtime under it, non-test lines.
 orb-loc:
-	@for d in internal/orb internal/rtzen; do \
+	@for d in internal/orb internal/rtzen internal/core; do \
 		printf '%-16s %5d lines\n' $$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 	done
 
@@ -74,11 +77,12 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # revive/quiesce tests, the multi-core invoker storm), and the stream
 # contract every transport connection keeps (in-process ring, TCP, fault
 # wrapper: chunking, wrap-around, close, deadlines, backpressure, writer
-# atomicity) — under the race detector. Every fault schedule and history in these tests is seeded, so
+# atomicity), and the In-port buffer replayed against its sort-based
+# reference — under the race detector. Every fault schedule and history in these tests is seeded, so
 # failures replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11

@@ -179,6 +179,16 @@ func (c *Component) DefineChild(def ChildDef) error {
 	return nil
 }
 
+// UndefineChild forgets a blueprint registered with DefineChild, so that a
+// parent defining one child per unit of work (the ORB server: a Transport
+// per connection) does not collect them. An instance already built from it
+// lives on until it is reclaimed.
+func (c *Component) UndefineChild(name string) {
+	c.app.mu.Lock()
+	delete(c.childDefs, name)
+	c.app.mu.Unlock()
+}
+
 // Exec runs fn inside the component's memory context: a no-heap context
 // whose scope stack is entered down to the component's area, so allocations
 // land in the component's region and the RTSJ access rules apply. Contexts

@@ -143,7 +143,7 @@ func (s *SMM) busy() bool {
 	s.mu.Lock()
 	for _, p := range s.in {
 		p.mu.Lock()
-		d := p.depthLocked()
+		d := p.queue.Len()
 		p.mu.Unlock()
 		if d > 0 {
 			s.mu.Unlock()

@@ -8,72 +8,9 @@ import (
 	"repro/internal/sched"
 )
 
-// newTestInPort builds a bare InPort for buffer-level tests.
-func newTestInPort(capacity int) *InPort {
-	return &InPort{
-		qname:    "T.in",
-		short:    "in",
-		typ:      MessageType{Name: "t", Size: 1, New: func() Message { return &testMsg{} }},
-		buf:      make([]bufItem, 0, capacity),
-		capacity: capacity,
-	}
-}
-
 type testMsg struct{ v int }
 
 func (m *testMsg) Reset() { m.v = 0 }
-
-// TestInPortSequentialOrdering pushes a seeded random workload and checks
-// pops come out sorted by (priority descending, push order).
-func TestInPortSequentialOrdering(t *testing.T) {
-	const seed = 42
-	const n = 300
-	rng := rand.New(rand.NewSource(seed))
-	p := newTestInPort(n)
-
-	type pushed struct {
-		prio sched.Priority
-		msg  *testMsg
-	}
-	var items []pushed
-	for i := 0; i < n; i++ {
-		it := pushed{
-			prio: sched.MinPriority + sched.Priority(rng.Intn(int(sched.MaxPriority))),
-			msg:  &testMsg{v: i},
-		}
-		items = append(items, it)
-		if _, _, err := p.push(bufItem{msg: it.msg, prio: it.prio}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	lastPrio := sched.MaxPriority + 1
-	lastSeqAtPrio := -1
-	for i := 0; i < n; i++ {
-		it, ok := p.pop()
-		if !ok {
-			t.Fatalf("pop %d: buffer empty early", i)
-		}
-		if it.prio > lastPrio {
-			t.Fatalf("pop %d: priority %d after %d; not highest-first", i, it.prio, lastPrio)
-		}
-		v := it.msg.(*testMsg).v
-		if it.prio == lastPrio && v < lastSeqAtPrio {
-			t.Fatalf("pop %d: push-order %d after %d at priority %d; not FIFO within priority",
-				i, v, lastSeqAtPrio, it.prio)
-		}
-		if it.prio < lastPrio {
-			lastPrio = it.prio
-			lastSeqAtPrio = -1
-		}
-		if v > lastSeqAtPrio {
-			lastSeqAtPrio = v
-		}
-	}
-	if _, ok := p.pop(); ok {
-		t.Fatal("buffer not empty after draining")
-	}
-}
 
 // TestInPortConcurrentProducersFIFO has several producers race pushes while
 // one consumer drains, and checks each producer's per-priority stream pops
@@ -84,7 +21,7 @@ func TestInPortConcurrentProducersFIFO(t *testing.T) {
 		producers = 5
 		perProd   = 200
 	)
-	p := newTestInPort(producers * perProd)
+	p := newTestPort(producers*perProd, OverflowReject, false)
 
 	type tag struct{ prod, seq, prio int }
 	var pushWG sync.WaitGroup

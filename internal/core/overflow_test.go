@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,18 +14,14 @@ import (
 // overflowType is the message type used by the end-to-end shedding test.
 var overflowType = MessageType{Name: "OverflowTest", Size: 16, New: func() Message { return &testMsg{} }}
 
-// newOverflowPort builds a bare InPort (no SMM) for white-box policy tests.
-func newOverflowPort(capacity int, policy Overflow) *InPort {
-	p := &InPort{
-		qname:    "T.in",
-		capacity: capacity,
-		buf:      make([]bufItem, 0, capacity),
-		overflow: policy,
-	}
-	if policy == OverflowBlock {
-		p.notFull = sync.NewCond(&p.mu)
-	}
-	return p
+// newTestPort builds a bare InPort (no SMM, pool or binding) for white-box
+// buffer tests, through the constructor registerIn uses. keyed is
+// InPortConfig.Fair.
+func newTestPort(capacity int, policy Overflow, keyed bool, weights ...int32) *InPort {
+	return newInPort("T.in", InPortConfig{
+		Name: "in", Type: overflowType, BufferSize: capacity,
+		Overflow: policy, Fair: keyed, FairWeights: weights,
+	})
 }
 
 func mustPush(t *testing.T, p *InPort, v int, prio sched.Priority) {
@@ -45,168 +42,210 @@ func popValues(p *InPort) []int {
 	}
 }
 
-func TestOverflowReject(t *testing.T) {
-	p := newOverflowPort(2, OverflowReject)
+// wantQueue drains p and checks the surviving messages and their order.
+func wantQueue(t *testing.T, p *InPort, want ...int) {
+	t.Helper()
+	if got := popValues(p); !slices.Equal(got, want) {
+		t.Fatalf("queue = %v, want %v", got, want)
+	}
+}
+
+// blockedPush fills a one-slot Block port and parks a second sender on it.
+func blockedPush(t *testing.T, keyed bool) (*InPort, <-chan error) {
+	t.Helper()
+	p := newTestPort(1, OverflowBlock, keyed)
 	mustPush(t, p, 1, sched.NormPriority)
-	mustPush(t, p, 2, sched.NormPriority)
-	_, _, err := p.push(bufItem{msg: &testMsg{v: 3}, prio: sched.NormPriority})
-	if !errors.Is(err, ErrBufferFull) {
-		t.Fatalf("err = %v, want ErrBufferFull", err)
-	}
-	if _, _, dropped := p.Stats(); dropped != 1 {
-		t.Errorf("dropped = %d, want 1", dropped)
-	}
-	if p.Shed() != 0 {
-		t.Errorf("reject policy counted shed = %d, want 0", p.Shed())
-	}
-}
-
-func TestOverflowDropOldest(t *testing.T) {
-	p := newOverflowPort(3, OverflowDropOldest)
-	mustPush(t, p, 1, sched.NormPriority)
-	mustPush(t, p, 2, sched.NormPriority)
-	mustPush(t, p, 3, sched.NormPriority)
-	victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: sched.NormPriority})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !evicted || victim.msg.(*testMsg).v != 1 {
-		t.Fatalf("evicted = %v victim = %+v, want oldest (v=1)", evicted, victim.msg)
-	}
-	got := popValues(p)
-	want := []int{2, 3, 4}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("queue after drop-oldest = %v, want %v", got, want)
-		}
-	}
-	if p.Shed() != 1 {
-		t.Errorf("shed = %d, want 1", p.Shed())
-	}
-}
-
-func TestOverflowShedLowestPrefersLowPriorityVictim(t *testing.T) {
-	p := newOverflowPort(3, OverflowShedLowest)
-	mustPush(t, p, 1, 5)
-	mustPush(t, p, 2, 20)
-	mustPush(t, p, 3, 10)
-
-	// A higher-priority newcomer evicts the priority-5 victim.
-	victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !evicted || victim.prio != 5 {
-		t.Fatalf("victim prio = %d (evicted=%v), want 5", victim.prio, evicted)
-	}
-
-	// A newcomer no more urgent than everything queued is itself shed.
-	_, _, err = p.push(bufItem{msg: &testMsg{v: 5}, prio: 10})
-	if !errors.Is(err, ErrBufferFull) {
-		t.Fatalf("low-priority newcomer err = %v, want ErrBufferFull", err)
-	}
-
-	got := popValues(p)
-	want := []int{2, 4, 3} // prio 20, 15, 10
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("queue after shedding = %v, want %v", got, want)
-		}
-	}
-	if p.Shed() != 2 {
-		t.Errorf("shed = %d, want 2 (one victim, one rejected newcomer)", p.Shed())
-	}
-}
-
-func TestOverflowShedLowestTieBreaksOldest(t *testing.T) {
-	p := newOverflowPort(2, OverflowShedLowest)
-	mustPush(t, p, 1, 5)
-	mustPush(t, p, 2, 5)
-	victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 3}, prio: 9})
-	if err != nil || !evicted {
-		t.Fatal(err)
-	}
-	if victim.msg.(*testMsg).v != 1 {
-		t.Errorf("victim = v%d, want the older v1", victim.msg.(*testMsg).v)
-	}
-}
-
-func TestOverflowBlockUnblocksOnPop(t *testing.T) {
-	p := newOverflowPort(1, OverflowBlock)
-	mustPush(t, p, 1, sched.NormPriority)
-
 	pushed := make(chan error, 1)
 	go func() {
 		_, _, err := p.push(bufItem{msg: &testMsg{v: 2}, prio: sched.NormPriority})
 		pushed <- err
 	}()
-
 	select {
 	case err := <-pushed:
 		t.Fatalf("push on a full Block port returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	if it, ok := p.pop(); !ok || it.msg.(*testMsg).v != 1 {
-		t.Fatal("pop failed")
+	return p, pushed
+}
+
+// TestOverflowPolicies is the one table of buffer-full behaviour: every
+// policy's contract, run over an un-keyed and a keyed (InPortConfig.Fair)
+// port — there is one buffer, so there is one set of rules.
+func TestOverflowPolicies(t *testing.T) {
+	rows := []struct {
+		name string
+		run  func(t *testing.T, keyed bool)
+	}{
+		{"Reject", func(t *testing.T, keyed bool) {
+			p := newTestPort(2, OverflowReject, keyed)
+			mustPush(t, p, 1, sched.NormPriority)
+			mustPush(t, p, 2, sched.NormPriority)
+			_, _, err := p.push(bufItem{msg: &testMsg{v: 3}, prio: sched.NormPriority})
+			if !errors.Is(err, ErrBufferFull) {
+				t.Fatalf("err = %v, want ErrBufferFull", err)
+			}
+			if _, _, dropped := p.Stats(); dropped != 1 {
+				t.Errorf("dropped = %d, want 1", dropped)
+			}
+			if p.Shed() != 0 {
+				t.Errorf("reject policy counted shed = %d, want 0", p.Shed())
+			}
+			wantQueue(t, p, 1, 2)
+		}},
+		{"BlockUnblocksOnPop", func(t *testing.T, keyed bool) {
+			p, pushed := blockedPush(t, keyed)
+			if it, ok := p.pop(); !ok || it.msg.(*testMsg).v != 1 {
+				t.Fatal("pop failed")
+			}
+			select {
+			case err := <-pushed:
+				if err != nil {
+					t.Fatalf("blocked push failed after space freed: %v", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("push still blocked after pop freed a slot")
+			}
+		}},
+		{"BlockWokenByClose", func(t *testing.T, keyed bool) {
+			p, pushed := blockedPush(t, keyed)
+			p.closePort()
+			select {
+			case err := <-pushed:
+				if !errors.Is(err, ErrStopped) {
+					t.Fatalf("err = %v, want ErrStopped", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("blocked push not woken by closePort")
+			}
+		}},
+		{"DropOldest", func(t *testing.T, keyed bool) {
+			p := newTestPort(3, OverflowDropOldest, keyed)
+			mustPush(t, p, 1, 20) // oldest, despite the higher band
+			mustPush(t, p, 2, 5)
+			mustPush(t, p, 3, 5)
+			victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 10})
+			if err != nil || !evicted || victim.msg.(*testMsg).v != 1 {
+				t.Fatalf("victim = %+v (evicted %v, err %v), want the oldest, v1", victim.msg, evicted, err)
+			}
+			wantQueue(t, p, 4, 2, 3)
+			if p.Shed() != 1 {
+				t.Errorf("shed = %d, want 1", p.Shed())
+			}
+		}},
+		{"ShedLowestVictim", func(t *testing.T, keyed bool) {
+			p := newTestPort(3, OverflowShedLowest, keyed)
+			mustPush(t, p, 1, 5)
+			mustPush(t, p, 2, 20)
+			mustPush(t, p, 3, 10)
+			// A higher-priority newcomer evicts the priority-5 victim.
+			victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 15})
+			if err != nil || !evicted || victim.prio != 5 {
+				t.Fatalf("victim prio = %d (evicted %v, err %v), want 5", victim.prio, evicted, err)
+			}
+			// A newcomer no more urgent than everything queued is itself shed.
+			if _, _, err = p.push(bufItem{msg: &testMsg{v: 5}, prio: 10}); !errors.Is(err, ErrBufferFull) {
+				t.Fatalf("low-priority newcomer err = %v, want ErrBufferFull", err)
+			}
+			wantQueue(t, p, 2, 4, 3) // prio 20, 15, 10
+			if p.Shed() != 2 {
+				t.Errorf("shed = %d, want 2 (one victim, one rejected newcomer)", p.Shed())
+			}
+		}},
+		{"ShedLowestTakesOldestOfLowestBand", func(t *testing.T, keyed bool) {
+			p := newTestPort(3, OverflowShedLowest, keyed)
+			mustPush(t, p, 1, 5)
+			if _, _, err := p.push(bufItem{msg: &classedMsg{testMsg: testMsg{v: 2}, class: 1}, prio: 5}); err != nil {
+				t.Fatal(err)
+			}
+			mustPush(t, p, 3, 5)
+			victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 9})
+			if err != nil || !evicted {
+				t.Fatalf("evicted = %v, err = %v", evicted, err)
+			}
+			if victim.msg.(*testMsg).v != 1 {
+				t.Errorf("victim = v%d, want the oldest of the band, v1", victim.msg.(*testMsg).v)
+			}
+		}},
+		{"ShedLowestClampsThePriorities", func(t *testing.T, keyed bool) {
+			// Out-of-band priorities queue in the top band, as the dispatch
+			// pool runs them: none outranks another.
+			p := newTestPort(1, OverflowShedLowest, keyed)
+			mustPush(t, p, 1, sched.MaxPriority)
+			if _, _, err := p.push(bufItem{msg: &testMsg{v: 2}, prio: sched.MaxPriority + 9}); !errors.Is(err, ErrBufferFull) {
+				t.Fatalf("err = %v, want ErrBufferFull: the newcomer does not outrank the top band", err)
+			}
+		}},
+		{"RemoveItemExact", func(t *testing.T, keyed bool) {
+			// The retraction contract the send path relies on: when a dispatch
+			// submission fails after its item was pushed, removeItem pulls back
+			// that exact delivery, not whichever message is next in queue order
+			// (which could orphan another sender's delivery while the failed one
+			// stayed queued against a recycled completion channel).
+			p := newTestPort(4, OverflowReject, keyed)
+			envs := [3]*envelope{{}, {}, {}}
+			msgs := [3]*testMsg{{v: 1}, {v: 2}, {v: 3}}
+			prios := [3]sched.Priority{5, 25, 5} // v2 is what a naive pop returns
+			for i := range envs {
+				if _, _, err := p.push(bufItem{env: envs[i], msg: msgs[i], prio: prios[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			it, ok := p.removeItem(envs[2], msgs[2])
+			if !ok || it.msg.(*testMsg).v != 3 {
+				t.Fatalf("removeItem = (%+v, %v), want the exact (env2, v3) delivery", it.msg, ok)
+			}
+			if _, ok := p.removeItem(envs[2], msgs[2]); ok {
+				t.Fatal("removeItem found an already-retracted delivery")
+			}
+			wantQueue(t, p, 2, 1)
+		}},
+		{"ShedCountersPerCauseAndBand", func(t *testing.T, keyed bool) {
+			// Every shed is attributed to its policy and the victim's band:
+			// brown-out control needs to know WHAT it is dropping.
+			dropOldest7 := shedBandCounter(shedCauseDropOldest, 7).Value()
+			shedLowest5 := shedBandCounter(shedCauseShedLowest, 5).Value()
+			shedLowest9 := shedBandCounter(shedCauseShedLowest, 9).Value()
+
+			p := newTestPort(1, OverflowDropOldest, keyed)
+			mustPush(t, p, 1, 7)
+			mustPush(t, p, 2, 12)
+			if got := shedBandCounter(shedCauseDropOldest, 7).Value(); got != dropOldest7+1 {
+				t.Errorf("shed_dropoldest_band_7_total = %d, want %d", got, dropOldest7+1)
+			}
+
+			q := newTestPort(1, OverflowShedLowest, keyed)
+			mustPush(t, q, 1, 5)
+			mustPush(t, q, 2, 20)
+			if got := shedBandCounter(shedCauseShedLowest, 5).Value(); got != shedLowest5+1 {
+				t.Errorf("shed_shedlowest_band_5_total = %d, want %d (evicted victim)", got, shedLowest5+1)
+			}
+			if _, _, err := q.push(bufItem{msg: &testMsg{v: 3}, prio: 9}); !errors.Is(err, ErrBufferFull) {
+				t.Fatalf("err = %v, want ErrBufferFull", err)
+			}
+			if got := shedBandCounter(shedCauseShedLowest, 9).Value(); got != shedLowest9+1 {
+				t.Errorf("shed_shedlowest_band_9_total = %d, want %d (rejected newcomer)", got, shedLowest9+1)
+			}
+		}},
+		{"ShedAwareOnShed", testShedAwareOnShed},
 	}
-	select {
-	case err := <-pushed:
-		if err != nil {
-			t.Fatalf("blocked push failed after space freed: %v", err)
+	for _, row := range rows {
+		for _, kind := range []struct {
+			name  string
+			keyed bool
+		}{{"unkeyed", false}, {"keyed", true}} {
+			t.Run(row.name+"/"+kind.name, func(t *testing.T) { row.run(t, kind.keyed) })
 		}
-	case <-time.After(time.Second):
-		t.Fatal("push still blocked after pop freed a slot")
 	}
 }
 
-func TestOverflowBlockWokenByClose(t *testing.T) {
-	p := newOverflowPort(1, OverflowBlock)
-	mustPush(t, p, 1, sched.NormPriority)
-	pushed := make(chan error, 1)
-	go func() {
-		_, _, err := p.push(bufItem{msg: &testMsg{v: 2}, prio: sched.NormPriority})
-		pushed <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	p.closePort()
-	select {
-	case err := <-pushed:
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("err = %v, want ErrStopped", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("blocked push not woken by closePort")
+// Out-of-range priorities clamp into the shed-counter table instead of
+// panicking.
+func TestShedBandCounterClamps(t *testing.T) {
+	if c := shedBandCounter(shedCauseExpired, -3); c != shedBandCounter(shedCauseExpired, 0) {
+		t.Error("negative priority did not clamp to band 0")
 	}
-}
-
-// TestRemoveItemRetractsExactDelivery pins the retraction contract the send
-// path relies on: when a dispatch submission fails after its item was
-// pushed, removeItem must pull back that exact delivery — not whichever
-// message tops the priority heap. (The old code popped an arbitrary item,
-// which could orphan another sender's delivery while the failed one stayed
-// queued against a completion channel its caller had already recycled.)
-func TestRemoveItemRetractsExactDelivery(t *testing.T) {
-	p := newOverflowPort(4, OverflowReject)
-	envs := [3]*envelope{{}, {}, {}}
-	msgs := [3]*testMsg{{v: 1}, {v: 2}, {v: 3}}
-	// v2 is the highest priority: a naive pop would return it.
-	prios := [3]sched.Priority{5, 25, 5}
-	for i := range envs {
-		if _, _, err := p.push(bufItem{env: envs[i], msg: msgs[i], prio: prios[i]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, ok := p.removeItem(envs[2], msgs[2])
-	if !ok || it.msg.(*testMsg).v != 3 {
-		t.Fatalf("removeItem = (%+v, %v), want the exact (env2, v3) delivery", it.msg, ok)
-	}
-	if _, ok := p.removeItem(envs[2], msgs[2]); ok {
-		t.Fatal("removeItem found an already-retracted delivery")
-	}
-	got := popValues(p)
-	want := []int{2, 1} // heap order among the survivors
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("surviving queue = %v, want %v", got, want)
+	if c := shedBandCounter(shedCauseExpired, 99); c != shedBandCounter(shedCauseExpired, sched.MaxPriority) {
+		t.Error("oversized priority did not clamp to the top band")
 	}
 }
 
@@ -312,64 +351,6 @@ func TestOverflowEndToEndShedLowest(t *testing.T) {
 	}
 }
 
-// newFairOverflowPort builds a bare fair-mode InPort for white-box tests.
-func newFairOverflowPort(capacity int, policy Overflow, weights []int32) *InPort {
-	p := &InPort{
-		qname:    "T.fair",
-		capacity: capacity,
-		overflow: policy,
-		fair:     sched.NewFairQueue(weights),
-		slab:     make([]bufItem, capacity),
-		freeList: make([]uint32, capacity),
-	}
-	for i := range p.freeList {
-		p.freeList[i] = uint32(capacity - 1 - i)
-	}
-	if policy == OverflowBlock {
-		p.notFull = sync.NewCond(&p.mu)
-	}
-	return p
-}
-
-// Every overflow shed is attributed to its policy and the victim's priority
-// band: brown-out control needs to know WHAT it is dropping, not just how
-// much.
-func TestShedCountersPerPolicyAndBand(t *testing.T) {
-	dropOldest7 := shedBandCounter(shedCauseDropOldest, 7).Value()
-	shedLowest5 := shedBandCounter(shedCauseShedLowest, 5).Value()
-	shedLowest9 := shedBandCounter(shedCauseShedLowest, 9).Value()
-
-	// DropOldest eviction: the victim rode band 7.
-	p := newOverflowPort(1, OverflowDropOldest)
-	mustPush(t, p, 1, 7)
-	mustPush(t, p, 2, 12)
-	if got := shedBandCounter(shedCauseDropOldest, 7).Value(); got != dropOldest7+1 {
-		t.Errorf("shed_dropoldest_band_7_total = %d, want %d", got, dropOldest7+1)
-	}
-
-	// ShedLowest eviction: victim band 5. Newcomer rejection: band 9.
-	q := newOverflowPort(1, OverflowShedLowest)
-	mustPush(t, q, 1, 5)
-	mustPush(t, q, 2, 20)
-	if got := shedBandCounter(shedCauseShedLowest, 5).Value(); got != shedLowest5+1 {
-		t.Errorf("shed_shedlowest_band_5_total = %d, want %d (evicted victim)", got, shedLowest5+1)
-	}
-	if _, _, err := q.push(bufItem{msg: &testMsg{v: 3}, prio: 9}); !errors.Is(err, ErrBufferFull) {
-		t.Fatalf("err = %v, want ErrBufferFull", err)
-	}
-	if got := shedBandCounter(shedCauseShedLowest, 9).Value(); got != shedLowest9+1 {
-		t.Errorf("shed_shedlowest_band_9_total = %d, want %d (rejected newcomer)", got, shedLowest9+1)
-	}
-
-	// Out-of-range priorities clamp into the band table instead of panicking.
-	if c := shedBandCounter(shedCauseExpired, -3); c != shedBandCounter(shedCauseExpired, 0) {
-		t.Error("negative priority did not clamp to band 0")
-	}
-	if c := shedBandCounter(shedCauseExpired, 99); c != shedBandCounter(shedCauseExpired, sched.MaxPriority) {
-		t.Error("oversized priority did not clamp to the top band")
-	}
-}
-
 // classedMsg is a testMsg carrying a tenant class and a shed observer.
 type classedMsg struct {
 	testMsg
@@ -387,46 +368,11 @@ func (m *classedMsg) OnShed() {
 // classedType is the pooled message type for ShedAware end-to-end tests.
 var classedType = MessageType{Name: "ClassedTest", Size: 32, New: func() Message { return &classedMsg{} }}
 
-// A fair-mode port preserves the overflow-policy contracts: Reject refuses
-// newcomers, DropOldest evicts the globally oldest, ShedLowest raids only
-// the lowest band and rejects an un-urgent newcomer.
-func TestFairPortOverflowPolicies(t *testing.T) {
-	p := newFairOverflowPort(2, OverflowReject, nil)
-	mustPush(t, p, 1, 10)
-	mustPush(t, p, 2, 10)
-	if _, _, err := p.push(bufItem{msg: &testMsg{v: 3}, prio: 10}); !errors.Is(err, ErrBufferFull) {
-		t.Fatalf("fair Reject err = %v, want ErrBufferFull", err)
-	}
-
-	p = newFairOverflowPort(2, OverflowDropOldest, nil)
-	mustPush(t, p, 1, 20) // oldest, despite the higher band
-	mustPush(t, p, 2, 5)
-	victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 3}, prio: 10})
-	if err != nil || !evicted || victim.msg.(*testMsg).v != 1 {
-		t.Fatalf("fair DropOldest victim = %+v (evicted %v, err %v), want v1", victim.msg, evicted, err)
-	}
-
-	p = newFairOverflowPort(2, OverflowShedLowest, nil)
-	mustPush(t, p, 1, 5)
-	mustPush(t, p, 2, 20)
-	victim, evicted, err = p.push(bufItem{msg: &testMsg{v: 3}, prio: 15})
-	if err != nil || !evicted || victim.prio != 5 {
-		t.Fatalf("fair ShedLowest victim prio = %d (evicted %v, err %v), want 5", victim.prio, evicted, err)
-	}
-	if _, _, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 15}); !errors.Is(err, ErrBufferFull) {
-		t.Fatalf("fair ShedLowest un-urgent newcomer err = %v, want ErrBufferFull", err)
-	}
-	got := popValues(p)
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("fair queue after shedding = %v, want [2 3]", got)
-	}
-}
-
-// A fair port divides a contested band across tenant classes while a plain
-// heap port serves pure FIFO within the band — the starvation the fair mode
+// A keyed port divides a contested band across tenant classes where an
+// un-keyed one serves pure FIFO within the band — the starvation the key
 // exists to fix.
 func TestFairPortDividesBandAcrossClasses(t *testing.T) {
-	p := newFairOverflowPort(16, OverflowReject, nil)
+	p := newTestPort(16, OverflowReject, true)
 	// Tenant A floods 12 messages before tenant B's 4 arrive.
 	for i := 0; i < 12; i++ {
 		mustPush(t, p, 100+i, 10)
@@ -452,33 +398,9 @@ func TestFairPortDividesBandAcrossClasses(t *testing.T) {
 	}
 }
 
-// removeItem retracts the exact delivery on a fair port too.
-func TestFairPortRemoveItemExact(t *testing.T) {
-	p := newFairOverflowPort(4, OverflowReject, nil)
-	envs := [3]*envelope{{}, {}, {}}
-	msgs := [3]*testMsg{{v: 1}, {v: 2}, {v: 3}}
-	prios := [3]sched.Priority{5, 25, 5}
-	for i := range envs {
-		if _, _, err := p.push(bufItem{env: envs[i], msg: msgs[i], prio: prios[i]}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	it, ok := p.removeItem(envs[2], msgs[2])
-	if !ok || it.msg.(*testMsg).v != 3 {
-		t.Fatalf("removeItem = (%+v, %v), want the exact (env2, v3) delivery", it.msg, ok)
-	}
-	if _, ok := p.removeItem(envs[2], msgs[2]); ok {
-		t.Fatal("removeItem found an already-retracted delivery")
-	}
-	got := popValues(p)
-	if len(got) != 2 || got[0] != 2 || got[1] != 1 {
-		t.Fatalf("surviving queue = %v, want [2 1]", got)
-	}
-}
-
 // An eviction victim's OnShed hook fires exactly once, before release, so
 // admission accounting can return the victim's in-flight slot.
-func TestShedAwareOnShedFiresOnEviction(t *testing.T) {
+func testShedAwareOnShed(t *testing.T, keyed bool) {
 	app := newTestApp(t, AppConfig{})
 	block := make(chan struct{})
 	started := make(chan struct{}, 8)
@@ -493,7 +415,7 @@ func TestShedAwareOnShedFiresOnEviction(t *testing.T) {
 		_, aerr = AddInPort(c, smm, InPortConfig{
 			Name: "in", Type: classedType, BufferSize: 1,
 			Threading: ThreadingDedicated, MinThreads: 1, MaxThreads: 1,
-			Overflow: OverflowDropOldest,
+			Overflow: OverflowDropOldest, Fair: keyed,
 			Handler: HandlerFunc(func(p *Proc, m Message) error {
 				started <- struct{}{}
 				<-block

@@ -129,8 +129,8 @@ func shedBandCounter(cause shedCause, prio sched.Priority) *telemetry.Counter {
 }
 
 // TenantClassed is implemented by messages that carry a tenant fairness
-// class (see sched.MaxTenantClasses); a fair-mode In port queues them in
-// that class's lane. Messages without it ride class 0.
+// class (see sched.MaxTenantClasses); a Fair In port queues them in that
+// class's lane. Messages without it ride class 0.
 type TenantClassed interface{ TenantClass() uint8 }
 
 // ShedAware is implemented by messages that must observe being shed — by
@@ -158,10 +158,12 @@ type InPortConfig struct {
 	MinThreads, MaxThreads int
 	// Overflow selects the buffer-full policy; zero selects OverflowReject.
 	Overflow Overflow
-	// Fair replaces the port's priority heap with a tenant-fair buffer:
-	// strict priority across bands, deficit-weighted round robin across
-	// tenant classes within a band (messages report their class via
-	// TenantClassed), and earliest-deadline-first ordering inside a class.
+	// Fair keys the port's buffer by tenant and deadline. Every port drains
+	// strict priority across bands; a Fair port also divides a band across
+	// tenant classes by deficit-weighted round robin (messages report their
+	// class via TenantClassed) and runs earliest-deadline-first inside a
+	// class. Without it every message rides class 0 with no deadline key:
+	// FIFO within a priority, the paper's order.
 	Fair bool
 	// FairWeights are the per-class DRR weights for a Fair port (see
 	// sched.NewFairQueue); nil shares the band equally.
@@ -193,7 +195,6 @@ type bufItem struct {
 	msg      Message
 	prio     sched.Priority
 	owner    *Component
-	seq      uint64
 	deadline int64 // telemetry timestamp; 0 = none
 }
 
@@ -226,19 +227,19 @@ type InPort struct {
 
 	// mu guards only the buffer; the binding and the stats counters are
 	// read and written without it.
-	mu       sync.Mutex
-	buf      []bufItem // priority heap, preallocated at the declared capacity
-	capacity int
-	seq      uint64
-	closed   bool
-	overflow Overflow
-	notFull  *sync.Cond // non-nil only for OverflowBlock ports
-
-	// Fair mode replaces buf: the fair queue orders slab indices, and the
-	// freeList recycles slots. All three are nil/unused on heap ports.
-	fair        *sched.FairQueue
+	// The buffer: queued items sit in slab, preallocated at the declared
+	// capacity; queue orders their slab indices and free recycles vacated
+	// ones. keyed (InPortConfig.Fair) says whether a push keys the queue by
+	// the message's tenant class and deadline or by priority alone.
+	mu          sync.Mutex
+	queue       sched.FairQueue
 	slab        []bufItem
-	freeList    []uint32
+	free        []uint32
+	capacity    int
+	keyed       bool
+	closed      bool
+	overflow    Overflow
+	notFull     *sync.Cond // non-nil only for OverflowBlock ports
 	shedExpired bool
 
 	bound      atomic.Pointer[portBinding]
@@ -281,16 +282,44 @@ func (p *InPort) Overflow() Overflow { return p.overflow }
 // QueueMax reports the buffer's depth high-water mark.
 func (p *InPort) QueueMax() int64 { return p.depthMax.Load() }
 
+// newInPort builds a port and its buffer from an already-defaulted config;
+// the caller attaches the SMM, the dispatch pool and the binding.
+func newInPort(qname string, cfg InPortConfig) *InPort {
+	p := &InPort{
+		qname:       qname,
+		short:       cfg.Name,
+		typ:         cfg.Type,
+		queue:       *sched.NewFairQueue(cfg.FairWeights),
+		slab:        make([]bufItem, cfg.BufferSize),
+		free:        make([]uint32, cfg.BufferSize),
+		capacity:    cfg.BufferSize,
+		keyed:       cfg.Fair,
+		overflow:    cfg.Overflow,
+		shedExpired: cfg.ShedExpired,
+		label:       telemetry.Label(qname),
+	}
+	for i := range p.free {
+		p.free[i] = uint32(cfg.BufferSize - 1 - i)
+	}
+	if cfg.Overflow == OverflowBlock {
+		p.notFull = sync.NewCond(&p.mu)
+	}
+	return p
+}
+
 // push enqueues an item, applying the port's overflow policy when the
 // buffer is at capacity. The buffer is a priority queue: pop hands out the
-// highest-priority pending message (FIFO within a priority), so the pool
-// worker that dequeues — itself scheduled at the message's priority —
-// processes the message that justified its priority. The backing array is
-// preallocated at the port's declared capacity, so push never allocates.
+// highest-priority pending message (FIFO within a priority; a Fair port
+// shares the band across tenants and runs the nearest deadline first), so
+// the pool worker that dequeues — itself scheduled at the message's
+// priority — processes the message that justified its priority. Slab and
+// queue are preallocated at the port's declared capacity, so push never
+// allocates once a priority level has been used.
 //
 // When a policy evicts a queued message to admit the new one, the victim is
 // returned with evicted == true; the caller must release its envelope and
-// owner reservation outside the port lock.
+// owner reservation outside the port lock. DropOldest takes the message
+// queued longest; ShedLowest the oldest message of the lowest band.
 func (p *InPort) push(it bufItem) (victim bufItem, evicted bool, err error) {
 	var cause shedCause
 	p.mu.Lock()
@@ -298,10 +327,10 @@ func (p *InPort) push(it bufItem) (victim bufItem, evicted bool, err error) {
 		p.mu.Unlock()
 		return bufItem{}, false, fmt.Errorf("%w: %q", ErrStopped, p.qname)
 	}
-	if p.depthLocked() == p.capacity {
+	if p.queue.Len() == p.capacity {
 		switch p.overflow {
 		case OverflowBlock:
-			for p.depthLocked() == p.capacity && !p.closed {
+			for p.queue.Len() == p.capacity && !p.closed {
 				p.notFull.Wait()
 			}
 			if p.closed {
@@ -309,10 +338,10 @@ func (p *InPort) push(it bufItem) (victim bufItem, evicted bool, err error) {
 				return bufItem{}, false, fmt.Errorf("%w: %q", ErrStopped, p.qname)
 			}
 		case OverflowDropOldest:
-			victim = p.evictOldestLocked()
-			evicted, cause = true, shedCauseDropOldest
+			h, _ := p.queue.PopOldest()
+			victim, evicted, cause = p.takeSlotLocked(h), true, shedCauseDropOldest
 		case OverflowShedLowest:
-			if p.lowestPrioLocked() >= it.prio {
+			if lowest, _ := p.queue.PeekLowestPrio(); lowest >= it.prio.Clamp() {
 				// Nothing queued is less urgent than the newcomer: shed
 				// the newcomer itself.
 				p.mu.Unlock()
@@ -321,30 +350,27 @@ func (p *InPort) push(it bufItem) (victim bufItem, evicted bool, err error) {
 				return bufItem{}, false, fmt.Errorf("%w: %q shed priority-%d message (capacity %d)",
 					ErrBufferFull, p.qname, it.prio, p.capacity)
 			}
-			victim = p.evictLowestLocked()
-			evicted, cause = true, shedCauseShedLowest
+			h, _ := p.queue.PopLowest()
+			victim, evicted, cause = p.takeSlotLocked(h), true, shedCauseShedLowest
 		default: // OverflowReject
 			p.mu.Unlock()
 			p.dropped.Add(1)
 			return bufItem{}, false, fmt.Errorf("%w: %q (capacity %d)", ErrBufferFull, p.qname, p.capacity)
 		}
 	}
-	p.seq++
-	it.seq = p.seq
-	if p.fair != nil {
-		var class uint8
+	var class uint8
+	var deadline int64
+	if p.keyed {
+		deadline = it.deadline
 		if tc, ok := it.msg.(TenantClassed); ok {
 			class = tc.TenantClass()
 		}
-		h := p.freeList[len(p.freeList)-1]
-		p.freeList = p.freeList[:len(p.freeList)-1]
-		p.slab[h] = it
-		p.fair.Push(h, class, it.prio, it.deadline)
-	} else {
-		p.buf = append(p.buf, it)
-		p.siftUp(len(p.buf) - 1)
 	}
-	if d := int64(p.depthLocked()); d > p.depthMax.Load() {
+	h := p.free[len(p.free)-1]
+	p.free = p.free[:len(p.free)-1]
+	p.slab[h] = it
+	p.queue.Push(h, class, it.prio, deadline)
+	if d := int64(p.queue.Len()); d > p.depthMax.Load() {
 		p.depthMax.Store(d) // still under mu, so load+store cannot regress
 	}
 	p.mu.Unlock()
@@ -354,14 +380,6 @@ func (p *InPort) push(it bufItem) (victim bufItem, evicted bool, err error) {
 		p.recordShed(victim.prio, cause)
 	}
 	return victim, evicted, nil
-}
-
-// depthLocked returns the buffered message count; called with mu held.
-func (p *InPort) depthLocked() int {
-	if p.fair != nil {
-		return p.fair.Len()
-	}
-	return len(p.buf)
 }
 
 // recordShed accounts one message removed by an overflow policy (or an
@@ -374,145 +392,47 @@ func (p *InPort) recordShed(prio sched.Priority, cause shedCause) {
 	telemetry.Record(telemetry.EvShed, p.label, 0, 0, uint64(prio))
 }
 
-// lowestPrioLocked returns the priority of the least-urgent queued message;
-// called with mu held on a non-empty buffer.
-func (p *InPort) lowestPrioLocked() sched.Priority {
-	if p.fair != nil {
-		prio, _ := p.fair.PeekLowestPrio()
-		return prio
-	}
-	return p.buf[p.lowestLocked()].prio
-}
-
-// evictOldestLocked removes and returns the longest-queued message; called
-// with mu held on a non-empty buffer.
-func (p *InPort) evictOldestLocked() bufItem {
-	if p.fair != nil {
-		h, _ := p.fair.PopOldest()
-		return p.takeSlotLocked(h)
-	}
-	return p.evictLocked(p.oldestLocked())
-}
-
-// evictLowestLocked removes and returns the ShedLowest victim; called with
-// mu held on a non-empty buffer. The heap picks the oldest of the lowest
-// band (most staleness recovered); the fair queue picks the newest (least
-// sunk queue time) — both shed from the least-urgent band only.
-func (p *InPort) evictLowestLocked() bufItem {
-	if p.fair != nil {
-		h, _ := p.fair.PopLowest()
-		return p.takeSlotLocked(h)
-	}
-	return p.evictLocked(p.lowestLocked())
-}
-
-// takeSlotLocked vacates fair-mode slab slot h and returns its item.
+// takeSlotLocked vacates slab slot h, which the queue no longer holds, and
+// returns its item. Small enough to inline: the item is copied once.
 func (p *InPort) takeSlotLocked(h uint32) bufItem {
 	it := p.slab[h]
 	p.slab[h] = bufItem{}
-	p.freeList = append(p.freeList, h)
+	p.free = append(p.free, h)
 	return it
 }
 
-// oldestLocked returns the index of the item with the smallest sequence
-// number. Called with mu held on a full buffer; O(capacity), cold path.
-func (p *InPort) oldestLocked() int {
-	best := 0
-	for i := 1; i < len(p.buf); i++ {
-		if p.buf[i].seq < p.buf[best].seq {
-			best = i
-		}
-	}
-	return best
-}
-
-// lowestLocked returns the index of the lowest-priority item, oldest among
-// ties. Called with mu held on a full buffer; O(capacity), cold path.
-func (p *InPort) lowestLocked() int {
-	best := 0
-	for i := 1; i < len(p.buf); i++ {
-		if p.buf[i].prio < p.buf[best].prio ||
-			(p.buf[i].prio == p.buf[best].prio && p.buf[i].seq < p.buf[best].seq) {
-			best = i
-		}
-	}
-	return best
-}
-
-// evictLocked removes and returns the item at heap index i, restoring heap
-// order. Called with mu held.
-func (p *InPort) evictLocked(i int) bufItem {
-	it := p.buf[i]
-	last := len(p.buf) - 1
-	p.buf[i] = p.buf[last]
-	p.buf[last] = bufItem{}
-	p.buf = p.buf[:last]
-	if i < len(p.buf) {
-		p.siftDown(i)
-		p.siftUp(i)
-	}
-	return it
-}
-
-// pop dequeues the highest-priority item; ok reports whether one was
-// present.
-func (p *InPort) pop() (bufItem, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fair != nil {
-		h, ok := p.fair.Pop()
-		if !ok {
-			return bufItem{}, false
-		}
-		it := p.takeSlotLocked(h)
-		if p.notFull != nil {
-			p.notFull.Signal()
-		}
-		return it, true
-	}
-	if len(p.buf) == 0 {
-		return bufItem{}, false
-	}
-	it := p.buf[0]
-	last := len(p.buf) - 1
-	p.buf[0] = p.buf[last]
-	p.buf[last] = bufItem{}
-	p.buf = p.buf[:last]
-	if len(p.buf) > 0 {
-		p.siftDown(0)
-	}
+// slotFreedLocked lets a sender parked on a full Block port proceed.
+func (p *InPort) slotFreedLocked() {
 	if p.notFull != nil {
 		p.notFull.Signal()
 	}
-	return it, true
+}
+
+// pop dequeues the next item in queue order; ok reports whether one was
+// present.
+func (p *InPort) pop() (bufItem, bool) {
+	var it bufItem
+	p.mu.Lock()
+	h, ok := p.queue.Pop()
+	if ok {
+		it = p.takeSlotLocked(h)
+		p.slotFreedLocked()
+	}
+	p.mu.Unlock()
+	return it, ok
 }
 
 // removeItem removes the exact queued delivery identified by its envelope
 // and message, reporting whether it was still buffered. Used when a
 // dispatch submission fails after the item was pushed: the caller must
-// retract that item, not whichever happens to top the heap.
+// retract that item, not whichever is next in queue order.
 func (p *InPort) removeItem(env *envelope, msg Message) (bufItem, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.fair != nil {
-		for h := range p.slab {
-			if p.slab[h].env == env && p.slab[h].msg == msg && p.fair.Remove(uint32(h)) {
-				it := p.takeSlotLocked(uint32(h))
-				if p.notFull != nil {
-					p.notFull.Signal()
-				}
-				return it, true
-			}
-		}
-		return bufItem{}, false
-	}
-	for i := range p.buf {
-		if p.buf[i].env == env && p.buf[i].msg == msg {
-			it := p.evictLocked(i)
-			if p.notFull != nil {
-				p.notFull.Signal()
-			}
-			return it, true
+	for h := range p.slab {
+		if p.slab[h].env == env && p.slab[h].msg == msg && p.queue.Remove(uint32(h)) {
+			p.slotFreedLocked()
+			return p.takeSlotLocked(uint32(h)), true
 		}
 	}
 	return bufItem{}, false
@@ -527,43 +447,6 @@ func (p *InPort) closePort() {
 		p.notFull.Broadcast()
 	}
 	p.mu.Unlock()
-}
-
-// itemLess orders by descending priority, then FIFO.
-func itemLess(a, b bufItem) bool {
-	if a.prio != b.prio {
-		return a.prio > b.prio
-	}
-	return a.seq < b.seq
-}
-
-func (p *InPort) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !itemLess(p.buf[i], p.buf[parent]) {
-			return
-		}
-		p.buf[i], p.buf[parent] = p.buf[parent], p.buf[i]
-		i = parent
-	}
-}
-
-func (p *InPort) siftDown(i int) {
-	n := len(p.buf)
-	for {
-		best := i
-		if l := 2*i + 1; l < n && itemLess(p.buf[l], p.buf[best]) {
-			best = l
-		}
-		if r := 2*i + 2; r < n && itemLess(p.buf[r], p.buf[best]) {
-			best = r
-		}
-		if best == i {
-			return
-		}
-		p.buf[i], p.buf[best] = p.buf[best], p.buf[i]
-		i = best
-	}
 }
 
 // binding returns the current owner and handler.

@@ -1,0 +1,241 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/sched"
+)
+
+// refItem is one delivery queued in the reference buffer.
+type refItem struct {
+	id       int
+	band     sched.Priority // clamped, as the queue files it
+	class    int
+	deadline int64
+}
+
+// due is the EDF key: no deadline sorts after every real one.
+func (it refItem) due() int64 {
+	if it.deadline == 0 {
+		return math.MaxInt64
+	}
+	return it.deadline
+}
+
+// refPort is the oracle the port buffer is replayed against: the deleted
+// binary heap's order written as a sort. items stay in arrival order, so a
+// stable sort is FIFO among equals and items[0] is the oldest.
+type refPort struct {
+	keyed   bool
+	weights [sched.MaxTenantClasses]int32
+	items   []refItem
+	drr     map[sched.Priority]*refDRR
+}
+
+// refDRR is one band's round-robin state.
+type refDRR struct {
+	deficit [sched.MaxTenantClasses]int32
+	cursor  int
+}
+
+// next returns the item a pop must hand out: highest band, then FIFO — and
+// on a keyed port the band's DRR winner class, earliest deadline first.
+func (r *refPort) next() refItem {
+	s := slices.Clone(r.items)
+	sort.SliceStable(s, func(i, j int) bool {
+		if s[i].band != s[j].band {
+			return s[i].band > s[j].band
+		}
+		return r.keyed && s[i].due() < s[j].due()
+	})
+	if !r.keyed {
+		return s[0]
+	}
+	var lanes [sched.MaxTenantClasses][]refItem
+	for _, it := range s {
+		if it.band == s[0].band {
+			lanes[it.class] = append(lanes[it.class], it)
+		}
+	}
+	return lanes[r.turn(s[0].band, &lanes)][0]
+}
+
+// turn picks the class whose turn it is in a band, charging its deficit. A
+// single occupied class is no contest and no DRR turn.
+func (r *refPort) turn(band sched.Priority, lanes *[sched.MaxTenantClasses][]refItem) int {
+	occupied, only := 0, 0
+	for c := range lanes {
+		if len(lanes[c]) > 0 {
+			occupied, only = occupied+1, c
+		}
+	}
+	if occupied == 1 {
+		return only
+	}
+	d := r.drr[band]
+	for {
+		for i := range lanes {
+			c := (d.cursor + i) % len(lanes)
+			if len(lanes[c]) == 0 || d.deficit[c] <= 0 {
+				continue
+			}
+			if d.deficit[c]--; d.deficit[c] <= 0 || len(lanes[c]) == 1 {
+				d.cursor = (c + 1) % len(lanes)
+			} else {
+				d.cursor = c
+			}
+			return c
+		}
+		for c := range lanes {
+			if len(lanes[c]) > 0 {
+				d.deficit[c] = r.weights[c]
+			}
+		}
+	}
+}
+
+// take removes item id. A class emptied by anything but an uncontested pop
+// forfeits what is left of its round.
+func (r *refPort) take(id int, uncontested bool) {
+	i := slices.IndexFunc(r.items, func(it refItem) bool { return it.id == id })
+	gone := r.items[i]
+	r.items = slices.Delete(r.items, i, i+1)
+	same := func(it refItem) bool { return it.band == gone.band && it.class == gone.class }
+	if !uncontested && !slices.ContainsFunc(r.items, same) {
+		r.drr[gone.band].deficit[gone.class] = 0
+	}
+}
+
+// uncontested reports whether the top band holds a single class.
+func (r *refPort) uncontested(top refItem) bool {
+	return !slices.ContainsFunc(r.items, func(it refItem) bool { return it.band == top.band && it.class != top.class })
+}
+
+// lowest returns the ShedLowest victim: the oldest item of the lowest band.
+func (r *refPort) lowest() refItem {
+	best := r.items[0]
+	for _, it := range r.items {
+		if it.band < best.band {
+			best = it
+		}
+	}
+	return best
+}
+
+// TestPortBufferModel replays seeded random push/pop/evict/remove histories
+// through a real port and the reference, item for item. An un-keyed port
+// must dequeue (priority descending, FIFO) whatever class and deadline its
+// messages carry; a keyed port band ▸ DRR ▸ EDF. Both shed the same victims.
+// A failure prints seed and step; the same seed replays it.
+func TestPortBufferModel(t *testing.T) {
+	prios := []sched.Priority{-2, 1, 5, 5, 10, 15, 15, 31, 40}
+	policies := []Overflow{OverflowReject, OverflowDropOldest, OverflowShedLowest}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		keyed := seed%2 == 0
+		capacity := 2 + rng.Intn(10)
+		weights := []int32{int32(1 + rng.Intn(3)), 1, int32(1 + rng.Intn(2))}
+		p := newTestPort(capacity, policies[rng.Intn(len(policies))], keyed, weights...)
+		ref := &refPort{keyed: keyed, drr: map[sched.Priority]*refDRR{}}
+		for c := range ref.weights {
+			ref.weights[c] = 1
+			if c < len(weights) {
+				ref.weights[c] = weights[c]
+			}
+		}
+		envs := map[int]*envelope{}
+		msgs := map[int]*classedMsg{}
+		fail := func(step int, format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d (keyed=%v, %v, cap %d) step %d: "+format,
+				append([]any{seed, keyed, p.overflow, capacity, step}, args...)...)
+		}
+		idOf := func(it bufItem) int { return it.msg.(*classedMsg).v }
+
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6: // push
+				id := step
+				class := rng.Intn(4)
+				if rng.Intn(8) == 0 {
+					class = 200 // folds into the last lane
+				}
+				var deadline int64
+				if rng.Intn(2) == 0 {
+					deadline = 1 + rng.Int63n(50)
+				}
+				prio := prios[rng.Intn(len(prios))]
+				envs[id], msgs[id] = &envelope{}, &classedMsg{testMsg: testMsg{v: id}, class: uint8(class)}
+				victim, evicted, err := p.push(bufItem{env: envs[id], msg: msgs[id], prio: prio, deadline: deadline})
+
+				nw := refItem{id: id, band: prio.Clamp()}
+				if keyed {
+					nw.class, nw.deadline = min(class, sched.MaxTenantClasses-1), deadline
+				}
+				if ref.drr[nw.band] == nil {
+					ref.drr[nw.band] = &refDRR{}
+				}
+				wantVictim, wantErr := -1, false
+				if len(ref.items) == capacity {
+					switch p.overflow {
+					case OverflowDropOldest:
+						wantVictim = ref.items[0].id
+					case OverflowShedLowest:
+						if low := ref.lowest(); low.band < nw.band {
+							wantVictim = low.id
+						} else {
+							wantErr = true
+						}
+					default:
+						wantErr = true
+					}
+				}
+				if wantErr != (err != nil) || (err != nil && !errors.Is(err, ErrBufferFull)) {
+					fail(step, "push err = %v, want an error: %v", err, wantErr)
+				}
+				if evicted != (wantVictim >= 0) || (evicted && idOf(victim) != wantVictim) {
+					fail(step, "push evicted %v (item %d), want victim %d", evicted, idOf(victim), wantVictim)
+				}
+				if wantVictim >= 0 {
+					ref.take(wantVictim, false)
+				}
+				if !wantErr {
+					ref.items = append(ref.items, nw)
+				}
+			case op < 9: // pop
+				it, ok := p.pop()
+				if ok != (len(ref.items) > 0) {
+					fail(step, "pop ok = %v with %d items in the reference", ok, len(ref.items))
+				}
+				if ok {
+					want := ref.next()
+					if idOf(it) != want.id {
+						fail(step, "pop = item %d, want %d (%+v)", idOf(it), want.id, want)
+					}
+					ref.take(want.id, ref.uncontested(want))
+				}
+			default: // retract a delivery, queued or not
+				id := rng.Intn(step + 1)
+				if envs[id] == nil {
+					continue
+				}
+				queued := slices.ContainsFunc(ref.items, func(it refItem) bool { return it.id == id })
+				it, ok := p.removeItem(envs[id], msgs[id])
+				if ok != queued || (ok && idOf(it) != id) {
+					fail(step, "removeItem(%d) = (%v, %v), reference has it queued: %v", id, it.msg, ok, queued)
+				}
+				if queued {
+					ref.take(id, false)
+				}
+			}
+			if p.queue.Len() != len(ref.items) || len(p.free)+len(ref.items) != capacity {
+				fail(step, "depth %d, %d free slots; reference holds %d", p.queue.Len(), len(p.free), len(ref.items))
+			}
+		}
+	}
+}

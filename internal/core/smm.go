@@ -257,31 +257,9 @@ func (s *SMM) registerIn(c *Component, cfg InPortConfig) (*InPort, error) {
 		return nil, err
 	}
 
-	p := &InPort{
-		qname:       qname,
-		short:       cfg.Name,
-		typ:         cfg.Type,
-		smm:         s,
-		capacity:    bufSize,
-		overflow:    cfg.Overflow,
-		shedExpired: cfg.ShedExpired,
-		label:       telemetry.Label(qname),
-	}
-	if cfg.Fair {
-		// Tenant-fair buffer: the fair queue orders preallocated slab
-		// slots, so fair-mode pushes allocate nothing at steady state.
-		p.fair = sched.NewFairQueue(cfg.FairWeights)
-		p.slab = make([]bufItem, bufSize)
-		p.freeList = make([]uint32, bufSize)
-		for i := range p.freeList {
-			p.freeList[i] = uint32(bufSize - 1 - i)
-		}
-	} else {
-		p.buf = make([]bufItem, 0, bufSize)
-	}
-	if cfg.Overflow == OverflowBlock {
-		p.notFull = sync.NewCond(&p.mu)
-	}
+	cfg.BufferSize = bufSize
+	p := newInPort(qname, cfg)
+	p.smm = s
 	// The dispatch closure is created once per port, so the per-message
 	// Submit passes a preexisting function value instead of allocating.
 	p.dispatchFn = func(prio sched.Priority) { s.dispatch(p, prio) }
@@ -500,6 +478,15 @@ type Handle struct {
 
 // Component returns the pinned child instance.
 func (h *Handle) Component() *Component { return h.child }
+
+// Idle reports whether handles are all that keeps the instance alive: no
+// message is pending on it and none of its children is live. An instance
+// reclaimed by the goroutine that made it idle tears its SMM's pools down
+// from one of their own workers; a holder that waits for Idle before it
+// disconnects reclaims the instance itself.
+func (h *Handle) Idle() bool {
+	return h.child.life.Load()&(countMask&^handleMask) == 0
+}
 
 // Disconnect releases the handle. When it was the last thing keeping a
 // quiescent child alive, the child is reclaimed. Disconnect is idempotent.
@@ -815,13 +802,14 @@ func (s *SMM) sendSerialized(p *OutPort, msg Message, prio sched.Priority, deadl
 	return firstErr
 }
 
-// deliverAsync reserves the destination owner, enqueues the item, and
-// schedules a dispatch at the message priority. The cached route resolves
-// the In port without touching the SMM, and reserving through its binding
+// receiver resolves one of p's routes to its In port and that port's owner,
+// with one pending message reserved on the owner. The cached route finds
+// the port without touching the SMM, and reserving through its binding
 // revives a parked owner on the spot; the slow path (unregistered port,
 // never-instantiated or replaced owner) falls back to resolveIn, which
-// materializes the owning child.
-func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
+// materializes the owning child. A port of another message type is refused
+// with the reservation released.
+func (s *SMM) receiver(p *OutPort, r *route) (*InPort, *Component, error) {
 	in := r.in
 	var owner *Component
 	if in != nil {
@@ -831,17 +819,25 @@ func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, pri
 	}
 	if owner == nil {
 		var err error
-		in, owner, err = s.resolveIn(r.dest)
-		if err != nil {
-			env.done()
-			return err
+		if in, owner, err = s.resolveIn(r.dest); err != nil {
+			return nil, nil, err
 		}
 	}
 	if in.typ.Name != p.typ.Name {
 		owner.release(pendingOne, 0)
-		env.done()
-		return fmt.Errorf("%w: %q sends %q, %q accepts %q",
+		return nil, nil, fmt.Errorf("%w: %q sends %q, %q accepts %q",
 			ErrTypeMismatch, p.qname, p.typ.Name, r.dest, in.typ.Name)
+	}
+	return in, owner, nil
+}
+
+// deliverAsync reserves the destination owner, enqueues the item, and
+// schedules a dispatch at the message priority.
+func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
+	in, owner, err := s.receiver(p, r)
+	if err != nil {
+		env.done()
+		return err
 	}
 	victim, evicted, err := in.push(bufItem{env: env, msg: msg, prio: prio, owner: owner, deadline: deadline})
 	if err != nil {
@@ -960,29 +956,10 @@ func (s *SMM) process(h Handler, p *Proc, msg Message) (err error) {
 func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
 	var firstErr error
 	for i := range rs.routes {
-		r := &rs.routes[i]
-		in := r.in
-		var owner *Component
-		if in != nil {
-			if o, _ := in.binding(); o != nil && o.reserve() == nil {
-				owner = o
-			}
-		}
-		if owner == nil {
-			var err error
-			in, owner, err = s.resolveIn(r.dest)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-		}
-		if in.typ.Name != p.typ.Name {
-			owner.release(pendingOne, 0)
+		in, owner, err := s.receiver(p, &rs.routes[i])
+		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("%w: %q sends %q, %q accepts %q",
-					ErrTypeMismatch, p.qname, p.typ.Name, r.dest, in.typ.Name)
+				firstErr = err
 			}
 			continue
 		}
@@ -993,7 +970,7 @@ func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priori
 			}
 		}
 		_, handler := in.binding()
-		err := proc.ctx.ExecuteInArea(s.area, func(actx *memory.Context) error {
+		err = proc.ctx.ExecuteInArea(s.area, func(actx *memory.Context) error {
 			run := func(hctx *memory.Context) error {
 				return s.process(handler, &Proc{comp: owner, smm: s, ctx: hctx, prio: prio}, msg)
 			}

@@ -89,9 +89,9 @@ type PingPongConfig struct {
 	// Mechanism overrides the cross-scope mechanism; zero keeps the
 	// default shared object.
 	Mechanism core.Mechanism
-	// Fair runs every in port in tenant-fair mode (DRR across tenant
-	// classes, EDF within a class — the queue an overload-controlled ORB
-	// server uses), so the steady-state benches can pin that the fair
+	// Fair keys every in port by tenant class and deadline (DRR across
+	// tenant classes, EDF within a class — how an overload-controlled ORB
+	// server queues), so the steady-state benches can pin that the keyed
 	// dispatch path costs no allocations either.
 	Fair bool
 }

@@ -743,6 +743,23 @@ func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Pri
 // reactor-demuxed connection is the same select with a nil leader channel.
 func (cl *Client) await(pe *muxPending) invokeResult {
 	mc := pe.mc.Load()
+	for mc == nil && cl.leaderFollower {
+		// Concurrent senders on a synchronous port each dispatch the oldest
+		// queued message, not their own: another caller's thread is carrying
+		// this invocation and has not bound it to a connection yet. Waiting
+		// on the entry alone would leave this caller out of the leader
+		// election — and its reply unread once the other callers are gone.
+		t := getTimer(20 * time.Microsecond)
+		select {
+		case res := <-pe.done:
+			putTimer(t)
+			putPending(pe)
+			return res
+		case <-t.C:
+			timerPool.Put(t)
+		}
+		mc = pe.mc.Load()
+	}
 	var leader chan struct{}
 	if mc != nil && mc.lf {
 		leader = mc.leaderCh

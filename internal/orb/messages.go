@@ -145,8 +145,8 @@ func (m *requestMsg) Reset() {
 	m.order = giop.BigEndian
 }
 
-// TenantClass implements core.TenantClassed: fair-mode request ports divide
-// a priority band's bandwidth across these lanes.
+// TenantClass implements core.TenantClassed: a Fair request port divides a
+// priority band's bandwidth across these lanes.
 func (m *requestMsg) TenantClass() uint8 { return m.ad.class }
 
 // OnShed implements core.ShedAware: the queue evicted this request (overflow

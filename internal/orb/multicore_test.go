@@ -20,6 +20,13 @@ import (
 // build a second shell in the window (core.maybeQuiesce), after which every
 // invocation spun in resolveIn for ten seconds and failed with "owner kept
 // quiescing"; that took a fraction of a second to happen.
+//
+// The synchronous cases also guard the leader election of Client.await:
+// concurrent senders on a synchronous port dispatch the oldest queued
+// message, so a caller can return from Send while another caller's thread
+// still carries its invocation. One that then waited on its entry alone, out
+// of the election, was left hanging when its reply arrived after every other
+// caller had gone (one run of this package in twenty).
 func TestConcurrentInvokersMultiCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	window := 2 * time.Second

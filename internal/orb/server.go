@@ -95,9 +95,11 @@ type Server struct {
 	// connection; Drain polls it to zero.
 	inflight atomic.Int64
 
+	// conns holds every connection with a running reader loop; poaPin keeps
+	// the POA instantiated for the server's lifetime.
 	mu      sync.Mutex
-	conns   []*serverConn
-	handles []*core.Handle
+	conns   map[*serverConn]struct{}
+	poaPin  *core.Handle
 	connSeq atomic.Uint64
 	closed  atomic.Bool
 	wg      sync.WaitGroup
@@ -119,6 +121,13 @@ type serverConn struct {
 	srv  *Server
 	conn transport.Conn
 	w    *connWriter
+
+	// name is the connection's Transport child of the POA and pin the handle
+	// that keeps it instantiated; pin is set (or left nil, when instantiation
+	// failed) before pinned is closed, and the reader's exit waits for that.
+	name   string
+	pin    *core.Handle
+	pinned chan struct{}
 }
 
 // write hands one framed message to the connection's writer. With no other
@@ -190,6 +199,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	srv := &Server{
 		app:         app,
 		maxMsg:      maxMsg,
+		conns:       make(map[*serverConn]struct{}),
 		threading:   core.ThreadingShared,
 		usePool:     cfg.ScopePoolCount > 0,
 		rpSize:      rpSize,
@@ -237,9 +247,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		app.Stop()
 		return nil, err
 	}
-	srv.mu.Lock()
-	srv.handles = append(srv.handles, h)
-	srv.mu.Unlock()
+	srv.poaPin = h
 	// Publish the endpoint to the process-local collocation registry
 	// (local.go): a Collocate-enabled client in this process dialling this
 	// network+address invokes servants directly.
@@ -425,31 +433,48 @@ func (s *Server) acceptLoop() {
 }
 
 // addConnection builds the per-connection Transport component (a scoped
-// child of the POA) and pins it open for the connection's lifetime.
+// child of the POA) and pins it open for the connection's lifetime: until
+// its reader loop exits (see retire).
 func (s *Server) addConnection(conn transport.Conn) error {
-	seq := s.connSeq.Add(1)
-	sc := &serverConn{srv: s, conn: conn, w: newConnWriter(conn, nil)}
-	s.mu.Lock()
-	s.conns = append(s.conns, sc)
-	s.mu.Unlock()
-
-	name := fmt.Sprintf("Transport%d", seq)
+	sc := &serverConn{
+		srv: s, conn: conn, w: newConnWriter(conn, nil),
+		name:   fmt.Sprintf("Transport%d", s.connSeq.Add(1)),
+		pinned: make(chan struct{}),
+	}
 	if err := s.poa.DefineChild(core.ChildDef{
-		Name:       name,
+		Name:       sc.name,
 		MemorySize: int64(8*s.maxMsg + 32768),
 		Persistent: true,
 		Setup:      s.transportSetup(sc),
 	}); err != nil {
 		return err
 	}
-	h, err := s.poa.SMM().Connect(name)
+	var err error
+	sc.pin, err = s.poa.SMM().Connect(sc.name)
+	close(sc.pinned)
 	if err != nil {
-		return err
+		s.poa.UndefineChild(sc.name)
 	}
+	return err
+}
+
+// retire lets a connection go once its reader loop has exited: the server
+// forgets it, and its Transport — scope, request port and pool, gauges — is
+// reclaimed with the blueprint it was built from. The reader waits for the
+// requests it dispatched to recycle first, so that it, not a worker of the
+// Transport's own pool, is the one that reclaims the instance.
+func (s *Server) retire(sc *serverConn) {
 	s.mu.Lock()
-	s.handles = append(s.handles, h)
+	delete(s.conns, sc)
 	s.mu.Unlock()
-	return nil
+	if <-sc.pinned; sc.pin == nil {
+		return
+	}
+	for !sc.pin.Idle() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	sc.pin.Disconnect()
+	s.poa.UndefineChild(sc.name)
 }
 
 // transportSetup wires one Transport instance: the Out port feeding its
@@ -501,10 +526,17 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 			return err
 		}
 		tc.SetStart(func(p *core.Proc) error {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.closed.Load() {
+				return transport.ErrClosed
+			}
+			s.conns[sc] = struct{}{}
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
 				s.readLoop(sc, toRP)
+				s.retire(sc)
 			}()
 			return nil
 		})
@@ -833,7 +865,8 @@ func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 }
 
 // Close shuts the server down: the listener and all connections close, the
-// reader loops exit, and the component application stops.
+// reader loops exit once their requests have finished, and the component
+// application stops.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -846,15 +879,12 @@ func (s *Server) Close() {
 	_ = s.ln.Close()
 	s.mu.Lock()
 	conns := s.conns
-	handles := s.handles
-	s.conns, s.handles = nil, nil
+	s.conns = nil
 	s.mu.Unlock()
-	for _, sc := range conns {
+	for sc := range conns {
 		_ = sc.conn.Close()
 	}
-	s.wg.Wait()
-	for i := len(handles) - 1; i >= 0; i-- {
-		handles[i].Disconnect()
-	}
+	s.wg.Wait() // every reader retires its own connection on the way out
+	s.poaPin.Disconnect()
 	s.app.Stop()
 }

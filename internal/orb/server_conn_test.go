@@ -1,0 +1,162 @@
+package orb
+
+import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/corba"
+	"repro/internal/sched"
+	"repro/internal/transport"
+)
+
+// gatedServant parks every invocation until its gate opens.
+type gatedServant struct{ entered, gate chan struct{} }
+
+func (g gatedServant) Invoke(op string, in []byte) ([]byte, error) {
+	g.entered <- struct{}{}
+	<-g.gate
+	return in, nil
+}
+
+// connChurn is one reconnect cycle: dial, invoke, close.
+func connChurn(net transport.Network, addr string) error {
+	cl, err := DialClient(ClientConfig{Network: net, Addr: addr})
+	if err != nil {
+		return err
+	}
+	defer cl.Close()
+	_, err = cl.Invoke("echo", "echo", []byte("x"), sched.NormPriority)
+	return err
+}
+
+// liveTransports counts the per-connection Transport children the POA still
+// has instantiated — each pins a scoped area and owns a port and a pool.
+func liveTransports(srv *Server) int {
+	n := 0
+	for i := uint64(1); i <= srv.connSeq.Load(); i++ {
+		if srv.poa.SMM().Child(fmt.Sprintf("Transport%d", i)) != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// A connection the peer has closed is let go: reconnect churn (breaker
+// redials, Retarget, rolling upgrades) must not grow a long-lived server.
+// Before, every connection that ever existed kept its serverConn, handle,
+// Transport scope and pool worker until Server.Close.
+func TestServerLetsClosedConnectionsGo(t *testing.T) {
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	settled := func() (conns, transports, goroutines int) {
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			srv.mu.Lock()
+			conns = len(srv.conns)
+			srv.mu.Unlock()
+			transports, goroutines = liveTransports(srv), runtime.NumGoroutine()
+			if conns+transports == 0 || time.Now().After(deadline) {
+				return
+			}
+		}
+	}
+	for i := 0; i < 20; i++ { // warm the pools the process keeps
+		if err := connChurn(net, srv.Addr()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, _, before := settled()
+	for i := 0; i < 500; i++ {
+		if err := connChurn(net, srv.Addr()); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	conns, transports, after := settled()
+	if conns != 0 || transports != 0 {
+		t.Errorf("after 500 closed connections the server still holds %d connections and %d live Transport scopes, want 0 and 0", conns, transports)
+	}
+	if after > before+5 {
+		t.Errorf("goroutines grew from %d to %d over 500 reconnects", before, after)
+	}
+
+	// A connection closed with a request still in its servant goes too, once
+	// the request has recycled — and on the reader's thread, not a worker's.
+	g := gatedServant{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	srv.RegisterServant("gated", g)
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = cl.Invoke("gated", "op", []byte("x"), sched.NormPriority)
+	}()
+	<-g.entered
+	cl.Close()
+	<-done
+	time.Sleep(5 * time.Millisecond)
+	if n := liveTransports(srv); n != 1 {
+		t.Errorf("%d live Transports while a request is still in its servant, want 1", n)
+	}
+	close(g.gate)
+	if conns, transports, _ := settled(); conns != 0 || transports != 0 {
+		t.Errorf("connection closed mid-request not let go: %d connections, %d Transports", conns, transports)
+	}
+	// The Transport's pool shuts down by waiting for its workers, so the
+	// worker that ran the request must not be the one that reclaims it.
+	time.Sleep(20 * time.Millisecond)
+	stacks := make([]byte, 1<<20)
+	if stacks = stacks[:runtime.Stack(stacks, true)]; bytes.Contains(stacks, []byte("sched.(*Pool).Shutdown")) {
+		t.Error("a goroutine is parked in Pool.Shutdown: the Transport was reclaimed from its own pool's worker")
+	}
+}
+
+// Closing the server in the middle of reconnect churn is clean: readers that
+// are retiring their connections and Close do not trip over each other.
+func TestServerCloseDuringConnectionChurn(t *testing.T) {
+	net := transport.NewInproc()
+	srv, err := NewServer(ServerConfig{Network: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.RegisterServant("echo", corba.EchoServant{})
+	srv.ServeBackground()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var cycles [4]int
+	for w := range cycles {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if connChurn(net, srv.Addr()) == nil { // errors are the close landing
+					cycles[w]++
+				}
+			}
+		}()
+	}
+	time.Sleep(50 * time.Millisecond)
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Server.Close hung during connection churn")
+	}
+	close(stop)
+	wg.Wait()
+	if n := liveTransports(srv); n != 0 {
+		t.Errorf("%d Transports outlived Server.Close", n)
+	}
+	for w, n := range cycles {
+		if n == 0 {
+			t.Errorf("churner %d completed no cycle before the close", w)
+		}
+	}
+}

@@ -34,32 +34,37 @@ func entryLess(a, b fairEntry) bool {
 }
 
 // fairBand is one priority level's queue: an EDF min-heap per tenant class
-// plus deficit-round-robin state arbitrating between the classes.
+// plus deficit-round-robin state arbitrating between the classes. occ leads,
+// so class-0-only traffic stays within the band's first cache line.
 type fairBand struct {
-	classes [MaxTenantClasses][]fairEntry
 	occ     uint32 // bitmask of non-empty classes
-	deficit [MaxTenantClasses]int32
 	cursor  int
+	classes [MaxTenantClasses][]fairEntry
+	deficit [MaxTenantClasses]int32
 }
 
 // FairQueue is a two-level real-time queue: strict priority across the 31
 // RTSJ bands (identical to the Pool's pending queue), and within a band,
 // deficit-weighted round robin across up to MaxTenantClasses tenant classes
-// with earliest-deadline-first ordering inside each class. It is the
-// buffer discipline behind tenant-fair In ports: a flooding tenant can fill
-// its own lane but cannot starve a same-priority neighbour, and within any
-// lane the message closest to its deadline runs first.
+// with earliest-deadline-first ordering inside each class. It is the buffer
+// discipline of every In port: a flooding tenant can fill its own lane but
+// cannot starve a same-priority neighbour, and within any lane the message
+// closest to its deadline runs first. Traffic pushed at class 0 with no
+// deadline — what an un-keyed port pushes — is served strict priority, then
+// FIFO.
 //
 // The queue stores opaque uint32 handles supplied by the caller (slab
 // indices, typically), so it imposes no boxing and its steady state
-// allocates nothing. It is not safe for concurrent use; callers hold their
-// own lock (InPort already serialises its buffer).
+// allocates nothing: a band's ~300 B fairBand is allocated once, the first
+// time that priority level is used, and its class heaps grow to the
+// caller's depth and stay. It is not safe for concurrent use; callers hold
+// their own lock (InPort already serialises its buffer).
 type FairQueue struct {
-	weights [MaxTenantClasses]int32
-	bands   [numPriorities]*fairBand
 	mask    uint32 // bit i set = band i non-empty
 	size    int
 	seq     uint64
+	weights [MaxTenantClasses]int32
+	bands   [numPriorities]*fairBand
 }
 
 // NewFairQueue builds a queue with the given per-class DRR weights (pops
@@ -79,17 +84,6 @@ func NewFairQueue(weights []int32) *FairQueue {
 // Len returns the number of queued handles.
 func (q *FairQueue) Len() int { return q.size }
 
-// bandIndex clamps a priority into the band array.
-func bandIndex(prio Priority) int {
-	if prio < MinPriority {
-		prio = MinPriority
-	}
-	if prio > MaxPriority {
-		prio = MaxPriority
-	}
-	return int(prio - MinPriority)
-}
-
 // Push enqueues a handle at the given priority, tenant class, and deadline
 // (a telemetry timestamp; 0 = none). Classes at or past MaxTenantClasses
 // fold into the last lane.
@@ -97,7 +91,7 @@ func (q *FairQueue) Push(handle uint32, class uint8, prio Priority, deadline int
 	if class >= MaxTenantClasses {
 		class = MaxTenantClasses - 1
 	}
-	bi := bandIndex(prio)
+	bi := int(prio.Clamp() - MinPriority)
 	b := q.bands[bi]
 	if b == nil {
 		b = &fairBand{}
@@ -106,33 +100,46 @@ func (q *FairQueue) Push(handle uint32, class uint8, prio Priority, deadline int
 	q.seq++
 	h := &b.classes[class]
 	*h = append(*h, fairEntry{handle: handle, deadline: deadline, seq: q.seq})
-	entrySiftUp(*h, len(*h)-1)
+	if deadline != 0 { // a deadline-less newcomer already sorts last
+		entrySiftUp(*h, len(*h)-1)
+	}
 	b.occ |= 1 << class
 	q.mask |= 1 << uint(bi)
 	q.size++
 }
 
 // Pop dequeues the next handle: highest non-empty band; within it, the DRR
-// winner's earliest-deadline entry.
+// winner's earliest-deadline entry. DRR only arbitrates a contested band:
+// while a single class is occupied it pops straight from that class and the
+// deficits stay as they are.
 func (q *FairQueue) Pop() (uint32, bool) {
 	if q.mask == 0 {
 		return 0, false
 	}
 	bi := bits.Len32(q.mask) - 1
 	b := q.bands[bi]
-	e := b.popDRR(&q.weights)
+	var handle uint32
+	if b.occ&(b.occ-1) == 0 {
+		c := bits.TrailingZeros32(b.occ)
+		handle = entryPop(&b.classes[c])
+		if len(b.classes[c]) == 0 {
+			b.occ = 0
+		}
+	} else {
+		handle = b.popDRR(&q.weights)
+	}
 	if b.occ == 0 {
 		q.mask &^= 1 << uint(bi)
 	}
 	q.size--
-	return e.handle, true
+	return handle, true
 }
 
 // popDRR runs the deficit round robin over the band's occupied classes.
 // Each pop costs one unit of the winning class's deficit; when no occupied
 // class has deficit left, every occupied class refills to its weight and
 // the round restarts. Called on a non-empty band.
-func (b *fairBand) popDRR(weights *[MaxTenantClasses]int32) fairEntry {
+func (b *fairBand) popDRR(weights *[MaxTenantClasses]int32) uint32 {
 	for {
 		for i := 0; i < MaxTenantClasses; i++ {
 			c := (b.cursor + i) % MaxTenantClasses
@@ -140,7 +147,7 @@ func (b *fairBand) popDRR(weights *[MaxTenantClasses]int32) fairEntry {
 				continue
 			}
 			b.cursor = c
-			e := entryPop(&b.classes[c])
+			handle := entryPop(&b.classes[c])
 			b.deficit[c]--
 			if len(b.classes[c]) == 0 {
 				b.occ &^= 1 << c
@@ -149,7 +156,7 @@ func (b *fairBand) popDRR(weights *[MaxTenantClasses]int32) fairEntry {
 			if b.deficit[c] <= 0 {
 				b.cursor = (c + 1) % MaxTenantClasses
 			}
-			return e
+			return handle
 		}
 		for c := 0; c < MaxTenantClasses; c++ {
 			if b.occ&(1<<c) != 0 {
@@ -168,46 +175,38 @@ func (q *FairQueue) PeekLowestPrio() (Priority, bool) {
 	return Priority(bits.TrailingZeros32(q.mask)) + MinPriority, true
 }
 
-// PopLowest removes and returns the newest handle from the lowest band —
-// the ShedLowest victim: least urgent priority, least sunk queue time.
+// PopLowest removes and returns the oldest handle of the lowest band — the
+// ShedLowest victim: least urgent priority, most staleness recovered.
 // O(band size); eviction is a cold path.
 func (q *FairQueue) PopLowest() (uint32, bool) {
-	if q.mask == 0 {
-		return 0, false
-	}
-	bi := bits.TrailingZeros32(q.mask)
-	b := q.bands[bi]
-	bestC, bestI := -1, -1
-	var bestSeq uint64
-	for c := 0; c < MaxTenantClasses; c++ {
-		for i, e := range b.classes[c] {
-			if bestC < 0 || e.seq > bestSeq {
-				bestC, bestI, bestSeq = c, i, e.seq
-			}
-		}
-	}
-	return q.removeAt(bi, bestC, bestI), true
+	bi := bits.TrailingZeros32(q.mask) // past every band when the queue is empty
+	return q.popOldest(bi, bi+1)
 }
 
 // PopOldest removes and returns the handle queued longest, across all
 // bands — the DropOldest victim. O(n); eviction is a cold path.
 func (q *FairQueue) PopOldest() (uint32, bool) {
-	if q.size == 0 {
-		return 0, false
-	}
-	bestB, bestC, bestI := -1, -1, -1
+	return q.popOldest(0, numPriorities)
+}
+
+// popOldest removes the longest-queued handle of bands [lo, hi).
+func (q *FairQueue) popOldest(lo, hi int) (uint32, bool) {
+	bestB, bestC, bestI := -1, 0, 0
 	var bestSeq uint64
-	for bi := range q.bands {
+	for bi := lo; bi < min(hi, numPriorities); bi++ {
 		if q.mask&(1<<uint(bi)) == 0 {
 			continue
 		}
-		for c := 0; c < MaxTenantClasses; c++ {
+		for c := range q.bands[bi].classes {
 			for i, e := range q.bands[bi].classes[c] {
 				if bestB < 0 || e.seq < bestSeq {
 					bestB, bestC, bestI, bestSeq = bi, c, i, e.seq
 				}
 			}
 		}
+	}
+	if bestB < 0 {
+		return 0, false
 	}
 	return q.removeAt(bestB, bestC, bestI), true
 }
@@ -239,7 +238,6 @@ func (q *FairQueue) removeAt(bi, c, i int) uint32 {
 	e := (*h)[i]
 	last := len(*h) - 1
 	(*h)[i] = (*h)[last]
-	(*h)[last] = fairEntry{}
 	*h = (*h)[:last]
 	if i < last {
 		entrySiftDown(*h, i)
@@ -256,16 +254,18 @@ func (q *FairQueue) removeAt(bi, c, i int) uint32 {
 	return e.handle
 }
 
-func entryPop(h *[]fairEntry) fairEntry {
-	e := (*h)[0]
-	last := len(*h) - 1
-	(*h)[0] = (*h)[last]
-	(*h)[last] = fairEntry{}
-	*h = (*h)[:last]
+// entryPop removes the heap's first entry and returns its handle — the
+// handle alone: loading the whole entry right behind the narrower stores of
+// the Push that wrote it stalls on store forwarding.
+func entryPop(h *[]fairEntry) uint32 {
+	s := *h
+	handle, last := s[0].handle, len(s)-1
+	*h = s[:last]
 	if last > 0 {
-		entrySiftDown(*h, 0)
+		s[0] = s[last]
+		entrySiftDown(s[:last], 0)
 	}
-	return e
+	return handle
 }
 
 func entrySiftUp(h []fairEntry, i int) {

@@ -85,20 +85,20 @@ func TestFairQueueEDFWithinClass(t *testing.T) {
 	}
 }
 
-// PopLowest takes the newest handle from the lowest band; PopOldest the
-// globally oldest; Remove deletes an exact handle.
+// PopLowest takes the oldest handle of the lowest band, whatever its class
+// or deadline; PopOldest the globally oldest; Remove deletes an exact handle.
 func TestFairQueueEviction(t *testing.T) {
 	q := NewFairQueue(nil)
 	q.Push(1, 0, 20, 0) // oldest overall
-	q.Push(2, 0, 5, 0)
-	q.Push(3, 1, 5, 0) // newest in the lowest band
+	q.Push(3, 1, 5, 0)  // oldest in the lowest band
+	q.Push(2, 0, 5, 9)  // newer, though first in pop order
 	q.Push(4, 0, 20, 0)
 
 	if p, ok := q.PeekLowestPrio(); !ok || p != 5 {
 		t.Fatalf("PeekLowestPrio = (%d, %v), want 5", p, ok)
 	}
 	if h, ok := q.PopLowest(); !ok || h != 3 {
-		t.Fatalf("PopLowest = (%d, %v), want 3 (newest of band 5)", h, ok)
+		t.Fatalf("PopLowest = (%d, %v), want 3 (oldest of band 5)", h, ok)
 	}
 	if h, ok := q.PopOldest(); !ok || h != 1 {
 		t.Fatalf("PopOldest = (%d, %v), want 1", h, ok)
@@ -135,26 +135,48 @@ func TestFairQueueClamping(t *testing.T) {
 	}
 }
 
-// Steady-state push/pop must not allocate: the fair queue sits on the
-// dispatch path of fair-mode In ports.
+// Steady-state push/pop must not allocate: the queue sits on the dispatch
+// path of every In port. A band is allocated the first time its priority is
+// used, so each round warms up at the priority it measures.
 func TestFairQueueAllocFree(t *testing.T) {
-	q := NewFairQueue(nil)
-	// Warm the band and its class heap.
-	for i := uint32(0); i < 8; i++ {
-		q.Push(i, uint8(i%2), 10, int64(i))
-	}
-	for q.Len() > 0 {
-		q.Pop()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		for i := uint32(0); i < 8; i++ {
-			q.Push(i, uint8(i%2), 10, int64(i))
+	for _, tc := range []struct {
+		name    string
+		classes uint32 // 1 = the uncontested straight-from-the-class pop
+	}{{"one class", 1}, {"contested", 2}} {
+		q := NewFairQueue(nil)
+		round := func() {
+			for i := uint32(0); i < 8; i++ {
+				q.Push(i, uint8(i%tc.classes), 10, int64(i))
+			}
+			for q.Len() > 0 {
+				q.Pop()
+			}
 		}
-		for q.Len() > 0 {
-			q.Pop()
+		round() // warm band 10 and its class heaps
+		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+			t.Errorf("%s: steady-state push/pop allocates %.1f objects/op, want 0", tc.name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state push/pop allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// An uncontested band pops straight from its one class: FIFO, and no DRR
+// turn is spent, so the contest that follows starts from a full round.
+func TestFairQueueUncontestedPopSpendsNoDeficit(t *testing.T) {
+	q := NewFairQueue([]int32{2, 1})
+	for i := uint32(0); i < 5; i++ {
+		q.Push(i, 0, 10, 0)
+	}
+	for want := uint32(0); want < 3; want++ {
+		if h, _ := q.Pop(); h != want {
+			t.Fatalf("uncontested pop = %d, want %d (FIFO)", h, want)
+		}
+	}
+	q.Push(100, 1, 10, 0)
+	q.Push(101, 1, 10, 0)
+	want := []uint32{3, 4, 100, 101} // class 0's whole weight-2 round, then class 1
+	for i, w := range want {
+		if h, _ := q.Pop(); h != w {
+			t.Fatalf("contested pop %d = %d, want %d", i, h, w)
+		}
 	}
 }

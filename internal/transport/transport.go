@@ -203,6 +203,11 @@ func (n *Inproc) Dial(addr string) (Conn, error) {
 	client, server := newStreamPair()
 	select {
 	case l.backlog <- server:
+		select {
+		case <-l.done():
+			l.drain() // closed around the hand-off: nobody will accept it
+		default:
+		}
 		return client, nil
 	case <-l.done():
 		return nil, opError("dial", addr, ErrClosed)
@@ -249,11 +254,25 @@ func (l *inprocListener) Close() error {
 	}
 	close(l.closed)
 	l.mu.Unlock()
+	l.drain()
 
 	l.net.mu.Lock()
 	delete(l.net.listeners, l.addr)
 	l.net.mu.Unlock()
 	return nil
+}
+
+// drain closes the connections dialled but never accepted, so their clients
+// see the listener go instead of waiting on a peer that will never read.
+func (l *inprocListener) drain() {
+	for {
+		select {
+		case c := <-l.backlog:
+			_ = c.Close()
+		default:
+			return
+		}
+	}
 }
 
 func (l *inprocListener) Addr() string { return l.addr }
