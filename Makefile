@@ -24,14 +24,16 @@ race: build vet
 # Wire variant (the remote lock-step path: synchronous ORB over the
 # in-process transport, InvokeView); every variant must be 0 allocs/op (the
 # two ORB ones 0 counted payload copies too), and one Wire invocation must
-# enter exactly 8 scopes. Under them all, a buffered write and the read that
+# enter exactly 5 scopes. Under them all, a buffered write and the read that
 # drains it on the in-process transport allocate nothing, deadline set or not,
-# and neither does an In port's push + pop, keyed or not.
+# and neither does an In port's push + pop, keyed or not, nor a send to a
+# synchronous port, with the sender's context or without.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
-	$(GO) test -run TestInPortPushPopAllocFree ./internal/core/
+	$(GO) test -run 'TestInPortPushPopAllocFree|TestSyncPortCallAllocFree' ./internal/core/
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
+	$(GO) test -run='^$$' -bench=BenchmarkSyncPortCall -benchtime=20000x ./internal/core/
 
 # zerocopy-guard pins the counted-copy contract: InvokeView delivers reply
 # payloads with zero payload copies and zero frame detaches at steady state,
@@ -54,9 +56,9 @@ bench-build:
 
 # orb-loc prints the size of the component-structured ORB next to the
 # hand-coded baseline it is judged against (ROADMAP aim 2), and of the
-# component runtime under it, non-test lines.
+# component runtime and the scheduler under it, non-test lines.
 orb-loc:
-	@for d in internal/orb internal/rtzen internal/core; do \
+	@for d in internal/orb internal/rtzen internal/core internal/sched; do \
 		printf '%-16s %5d lines\n' $$d $$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 	done
 
@@ -78,11 +80,13 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # contract every transport connection keeps (in-process ring, TCP, fault
 # wrapper: chunking, wrap-around, close, deadlines, backpressure, writer
 # atomicity), and the In-port buffer replayed against its sort-based
-# reference — under the race detector. Every fault schedule and history in these tests is seeded, so
+# reference, and the synchronous port's call contract (whose scopes a send
+# enters from where the sender stands, concurrent senders each running their
+# own message, nested calls, Stop racing calls) — under the race detector. Every fault schedule and history in these tests is seeded, so
 # failures replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11

@@ -416,11 +416,14 @@ func TestSteadyStateRoundTripAllocFree(t *testing.T) {
 }
 
 // TestWireRoundTripScopeEnters pins what one remote lock-step invocation
-// costs in scope crossings. On the client, 1 to dispatch in Transport, 2 in
-// MessageProcessing below it and 1 for the request scope; on the server, 3
-// to dispatch in RequestProcessing (POA, Transport, itself) and 1 for the
-// request scope. Reviving the two per-request components enters nothing:
-// their headers are charged as their areas are pinned.
+// costs in scope crossings: a synchronous port is a call on the sender's
+// scope stack, so each hop enters only the area below where the sender
+// stands. On the client, Transport 1 (the caller has no context: a pooled
+// one, from the top), MessageProcessing 1 (from Transport's handler) and the
+// request scope 1; on the server, RequestProcessing 1 (the reader is resident
+// in its Transport's scope) and the reply scope 1. Reviving the two
+// per-request components enters nothing: their headers are charged as their
+// areas are pinned.
 func TestWireRoundTripScopeEnters(t *testing.T) {
 	invoke, done := newWirePair(t)
 	defer done()
@@ -433,8 +436,8 @@ func TestWireRoundTripScopeEnters(t *testing.T) {
 	for i := 0; i < ops; i++ {
 		invoke()
 	}
-	if d := enters.Value() - before; d != 8*ops {
-		t.Errorf("%d invocations entered %d scopes, want %d (8 each)", ops, d, 8*ops)
+	if d := enters.Value() - before; d != 5*ops {
+		t.Errorf("%d invocations entered %d scopes, want %d (5 each)", ops, d, 5*ops)
 	}
 }
 

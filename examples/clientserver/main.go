@@ -78,7 +78,7 @@ func run() error {
 							return err
 						}
 						req.(*MyInteger).Value = 3
-						return p3.Send(req, 3)
+						return p3.SendFrom(p, req, 3)
 					}),
 				}); err != nil {
 					return err
@@ -117,7 +117,7 @@ func run() error {
 							return err
 						}
 						rep.(*MyInteger).Value = 4
-						return p5.Send(rep, 3)
+						return p5.SendFrom(p, rep, 3)
 					}),
 				}); err != nil {
 					return err

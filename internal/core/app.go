@@ -75,22 +75,23 @@ type App struct {
 	// Terminate, and Stop drive it.
 	phase atomic.Int32
 
-	// ctxPool recycles no-heap memory contexts across Exec calls, so the
-	// steady-state dispatch path does not allocate a context (and its scope
-	// stack) per message.
-	ctxPool sync.Pool
+	// calls recycles callStates — a no-heap memory context and the state of
+	// one handler invocation — across Exec calls and deliveries, so the
+	// steady-state delivery path allocates neither a context (and its scope
+	// stack) nor a Proc per message.
+	calls sync.Pool
 }
 
-// getNoHeapCtx takes a recycled no-heap context (scope stack at immortal).
-func (a *App) getNoHeapCtx() *memory.Context {
-	return a.ctxPool.Get().(*memory.Context)
+// getCall takes a recycled callState, its context's scope stack at immortal.
+func (a *App) getCall() *callState {
+	return a.calls.Get().(*callState)
 }
 
-// putNoHeapCtx recycles a context whose scope stack is back at its base;
-// unbalanced stacks (a panic unwound past Exec) are dropped.
-func (a *App) putNoHeapCtx(ctx *memory.Context) {
-	if ctx.Depth() == 1 {
-		a.ctxPool.Put(ctx)
+// putCall recycles a callState whose context's scope stack is back at its
+// base; one left unbalanced (a panic unwound past Exec) is dropped.
+func (a *App) putCall(cs *callState) {
+	if cs.ctx.Depth() == 1 {
+		a.calls.Put(cs)
 	}
 }
 
@@ -109,7 +110,7 @@ func NewApp(cfg AppConfig) (*App, error) {
 		topNames: make(map[string]*Component),
 		pools:    make(map[int]*memory.ScopePool),
 	}
-	a.ctxPool.New = func() any { return a.model.NewNoHeapContext() }
+	a.calls.New = func() any { return newCallState(a.model.NewNoHeapContext()) }
 	for _, spec := range cfg.ScopePools {
 		if spec.Level < 1 {
 			return nil, fmt.Errorf("core: scope pool level %d: levels start at 1", spec.Level)

@@ -195,19 +195,20 @@ func (c *Component) UndefineChild(name string) {
 // are drawn from the app's pool; a context is recycled only when fn left the
 // scope stack balanced (a panic drops it instead).
 func (c *Component) Exec(fn func(*memory.Context) error) error {
-	ctx := c.app.getNoHeapCtx()
-	err := c.enterChain(ctx, fn)
-	c.app.putNoHeapCtx(ctx)
+	cs := c.app.getCall()
+	err := c.enterChain(cs.ctx, fn)
+	c.app.putCall(cs)
 	return err
 }
 
-// enterChain enters the component's ancestor areas outermost-first, then
-// runs fn with the context current in c's area.
+// enterChain runs fn with ctx current in c's area, entering the part of the
+// component's scope chain ctx does not already stand in: all of it for a fresh
+// context, one area for a sender's context that is current in c's parent.
 func (c *Component) enterChain(ctx *memory.Context, fn func(*memory.Context) error) error {
 	if c.area.Kind() != memory.KindScoped {
 		return ctx.ExecuteInArea(c.area, fn)
 	}
-	return ctx.EnterChain(c.chain, fn)
+	return ctx.EnterBelow(c.chain, fn)
 }
 
 // waitStarted blocks until the instance's start function has completed.

@@ -50,12 +50,14 @@ type msgPool struct {
 	area *memory.Area
 	ref  memory.Ref // the arena charge for the pooled instances
 
-	mu    sync.Mutex // guards free only
-	free  []Message
-	total int
+	// mu guards free and the two counts: a get or a put is one lock pair
+	// and no other atomic read-modify-write.
+	mu      sync.Mutex
+	free    []Message
+	total   int
+	gets    int64
+	returns int64
 
-	gets        atomic.Int64
-	returns     atomic.Int64
 	inFlightMax atomic.Int64 // high-water mark of outstanding instances
 
 	gauges *telemetry.GaugeHandle
@@ -92,8 +94,8 @@ func (p *msgPool) get() (Message, error) {
 	if f := int64(p.total - n + 1); f > p.inFlightMax.Load() {
 		p.inFlightMax.Store(f) // still under mu, so load+store cannot regress
 	}
+	p.gets++
 	p.mu.Unlock()
-	p.gets.Add(1)
 	return m, nil
 }
 
@@ -102,16 +104,15 @@ func (p *msgPool) put(m Message) {
 	m.Reset()
 	p.mu.Lock()
 	p.free = append(p.free, m)
+	p.returns++
 	p.mu.Unlock()
-	p.returns.Add(1)
 }
 
 // stats reports (capacity, in-flight, gets, returns).
 func (p *msgPool) stats() (capacity, inFlight int, gets, returns int64) {
 	p.mu.Lock()
-	freeN := len(p.free)
-	p.mu.Unlock()
-	return p.total, p.total - freeN, p.gets.Load(), p.returns.Load()
+	defer p.mu.Unlock()
+	return p.total, p.total - len(p.free), p.gets, p.returns
 }
 
 // envelope tracks one sent message through all of its receivers so it can

@@ -14,8 +14,8 @@ import (
 type Threading int
 
 // Dispatch policies. Shared ports draw workers from the SMM's one shared
-// pool; Dedicated ports own a pool; Synchronous ports run the handler on
-// the sending thread (the paper's pool-size-zero case).
+// pool; Dedicated ports own a pool; a Synchronous port (the paper's pool size
+// zero) has neither pool nor buffer: a send to it is a call on the sender's thread.
 const (
 	ThreadingShared Threading = iota + 1
 	ThreadingDedicated
@@ -149,7 +149,9 @@ type InPortConfig struct {
 	// Type is the message type accepted by the port.
 	Type MessageType
 	// BufferSize bounds the port's message buffer; zero selects
-	// DefaultBufferSize.
+	// DefaultBufferSize. It, Overflow, Fair, FairWeights and ShedExpired
+	// describe a buffered port; a Synchronous port has nothing to overflow,
+	// order or let expire, and ignores them.
 	BufferSize int
 	// Threading selects the dispatch policy; zero selects ThreadingShared.
 	Threading Threading
@@ -220,10 +222,10 @@ type portBinding struct {
 // and persists across re-instantiations of a transient child; only the
 // owner/handler binding changes.
 type InPort struct {
-	qname string // "Component.Port"
-	short string
-	typ   MessageType
-	smm   *SMM
+	qname       string // "Component.Port"
+	short       string
+	typ         MessageType
+	synchronous bool // no buffer, pool or dispatchFn: SMM.call is the port
 
 	// mu guards only the buffer; the binding and the stats counters are
 	// read and written without it.
@@ -244,7 +246,6 @@ type InPort struct {
 
 	bound      atomic.Pointer[portBinding]
 	pool       *sched.Pool
-	dedicated  bool
 	dispatchFn func(sched.Priority) // created once; avoids a closure per send
 
 	received  atomic.Int64
@@ -263,7 +264,7 @@ func (p *InPort) Name() string { return p.qname }
 // Type returns the port's message type.
 func (p *InPort) Type() MessageType { return p.typ }
 
-// Capacity returns the buffer capacity.
+// Capacity returns the buffer capacity: zero for a synchronous port.
 func (p *InPort) Capacity() int { return p.capacity }
 
 // Stats reports messages received (enqueued), processed, and dropped
@@ -282,9 +283,15 @@ func (p *InPort) Overflow() Overflow { return p.overflow }
 // QueueMax reports the buffer's depth high-water mark.
 func (p *InPort) QueueMax() int64 { return p.depthMax.Load() }
 
-// newInPort builds a port and its buffer from an already-defaulted config;
-// the caller attaches the SMM, the dispatch pool and the binding.
+// newInPort builds a port and, unless it is synchronous, its buffer from an
+// already-defaulted config; the caller attaches the dispatch pool and binding.
 func newInPort(qname string, cfg InPortConfig) *InPort {
+	if cfg.Threading == ThreadingSynchronous {
+		return &InPort{
+			qname: qname, short: cfg.Name, typ: cfg.Type,
+			synchronous: true, label: telemetry.Label(qname),
+		}
+	}
 	p := &InPort{
 		qname:       qname,
 		short:       cfg.Name,
@@ -473,11 +480,6 @@ func (p *InPort) unbind(owner *Component) {
 	}
 }
 
-// markProcessed bumps the processed counter.
-func (p *InPort) markProcessed() {
-	p.processed.Add(1)
-}
-
 // OutPort sends messages from a component. Like InPort, the structure
 // persists in the SMM across owner re-instantiations.
 type OutPort struct {
@@ -545,36 +547,31 @@ func (p *OutPort) SendDeadline() time.Duration {
 	return time.Duration(p.sendDeadline.Load())
 }
 
-// msgPool returns the message pool for the port's type.
-func (p *OutPort) msgPool() *msgPool {
-	if p.pool != nil {
-		return p.pool
-	}
-	return p.smm.poolFor(p.typ)
-}
-
 // GetMessage takes a message instance from the SMM's pool for this port's
 // type, per the paper's getMessage(). The instance must either be sent
 // (ownership transfers to the framework) or returned with PutBack.
 func (p *OutPort) GetMessage() (Message, error) {
-	return p.msgPool().get()
+	return p.pool.get()
 }
 
 // PutBack returns an unsent message to the pool.
 func (p *OutPort) PutBack(m Message) {
-	p.msgPool().put(m)
+	p.pool.put(m)
 }
 
 // Send delivers msg to every connected destination at the given priority
-// using the SMM's configured cross-scope mechanism. The handoff mechanism
-// needs the sender's memory context; use SendFrom for it.
+// using the SMM's configured cross-scope mechanism. A handler the send calls
+// on this thread (a synchronous port's) runs on a pooled memory context that
+// enters the receiver's scope chain from the top.
 func (p *OutPort) Send(msg Message, prio sched.Priority) error {
 	return p.smm.send(p, nil, msg, prio)
 }
 
-// SendFrom is Send with the sender's memory context supplied, enabling the
-// handoff mechanism (the sending thread walks through the common ancestor
-// area into the receiver's area).
+// SendFrom is Send on the sender's own memory context, which must belong to
+// the calling goroutine: a handler the send calls leaves the sender's scope
+// through the deepest area it shares with the receiver and enters only what
+// lies below — one area from the receiver's parent. Prefer it with a Proc in
+// hand; the handoff mechanism requires it.
 func (p *OutPort) SendFrom(proc *Proc, msg Message, prio sched.Priority) error {
 	return p.smm.send(p, proc, msg, prio)
 }

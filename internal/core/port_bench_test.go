@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/memory"
 	"repro/internal/sched"
 )
 
@@ -57,5 +58,108 @@ func TestInPortPushPopAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(1000, cycle); allocs != 0 {
 			t.Errorf("%s: push+pop allocates %.1f objects/op, want 0", v, allocs)
 		}
+	}
+}
+
+// syncPortCall runs body with one steady-state send to a synchronous port —
+// GetMessage, the call, the message recycled — from a persistent scoped
+// component Mid to its persistent child Sink, two scopes below immortal.
+// "send" is the bare Send: a pooled context enters Sink's chain from the top,
+// two areas. "sendfrom_parent" supplies the sender's context, current in Mid:
+// one area.
+func syncPortCall(tb testing.TB, variant string, body func(call func())) {
+	app, err := NewApp(AppConfig{Name: "synccall"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer app.Stop()
+	var out *OutPort
+	top, err := app.NewImmortalComponent("Top", func(c *Component) error {
+		return c.DefineChild(ChildDef{
+			Name: "Mid", MemorySize: 1 << 14, Persistent: true,
+			Setup: func(mid *Component) error {
+				smm := mid.SMM()
+				var err error
+				if out, err = AddOutPort(mid, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"Sink.in"}}); err != nil {
+					return err
+				}
+				return mid.DefineChild(ChildDef{
+					Name: "Sink", MemorySize: 1 << 12, Persistent: true,
+					Setup: func(sink *Component) error {
+						_, err := AddInPort(sink, smm, InPortConfig{
+							Name: "in", Type: intType, Threading: ThreadingSynchronous,
+							Handler: HandlerFunc(func(*Proc, Message) error { return nil }),
+						})
+						return err
+					},
+				})
+			},
+		})
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	h, err := top.SMM().Connect("Mid")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer h.Disconnect()
+	mid := h.Component()
+	send := func(proc *Proc) func() {
+		return func() {
+			m, err := out.GetMessage()
+			if err == nil {
+				err = out.SendFrom(proc, m, sched.NormPriority)
+			}
+			if err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	if variant == "send" {
+		body(send(nil))
+		return
+	}
+	if err := mid.Exec(func(ctx *memory.Context) error {
+		body(send(NewProc(mid, mid.SMM(), ctx, sched.NormPriority)))
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+var syncPortCallVariants = []string{"send", "sendfrom_parent"}
+
+func BenchmarkSyncPortCall(b *testing.B) {
+	for _, v := range syncPortCallVariants {
+		b.Run(v, func(b *testing.B) {
+			syncPortCall(b, v, func(call func()) {
+				call() // instantiates the child
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					call()
+				}
+			})
+		})
+	}
+}
+
+// TestSyncPortCallAllocFree pins a send to a synchronous port at zero
+// allocations, with the sender's context and without.
+func TestSyncPortCallAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; the guard runs in the non-race suite")
+	}
+	for _, v := range syncPortCallVariants {
+		syncPortCall(t, v, func(call func()) {
+			call()
+			if allocs := testing.AllocsPerRun(1000, call); allocs != 0 {
+				t.Errorf("%s: a synchronous send allocates %.1f objects/op, want 0", v, allocs)
+			}
+		})
 	}
 }

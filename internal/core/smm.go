@@ -239,30 +239,28 @@ func (s *SMM) registerIn(c *Component, cfg InPortConfig) (*InPort, error) {
 		threading = ThreadingShared
 	}
 	minT, maxT := cfg.MinThreads, cfg.MaxThreads
-	if threading != ThreadingSynchronous {
-		if minT == 0 {
-			minT = 1
-		}
-		if maxT == 0 {
-			maxT = 4
-		}
+	if minT == 0 {
+		minT = 1
+	}
+	if maxT == 0 {
+		maxT = 4
 	}
 
-	// Charge the port header and buffer slots to the SMM's area and make
-	// sure the message pool for the type exists.
-	if err := s.charge(portHeaderBytes + bufSize*bufferSlotBytes); err != nil {
+	// Charge the port header and (a synchronous port has none) buffer slots
+	// to the SMM's area and make sure the message pool for the type exists.
+	bytes := portHeaderBytes
+	if threading != ThreadingSynchronous {
+		bytes += bufSize * bufferSlotBytes
+	}
+	if err := s.charge(bytes); err != nil {
 		return nil, fmt.Errorf("in port %q: %w", qname, err)
 	}
 	if _, err := s.ensurePool(cfg.Type); err != nil {
 		return nil, err
 	}
 
-	cfg.BufferSize = bufSize
+	cfg.BufferSize, cfg.Threading = bufSize, threading
 	p := newInPort(qname, cfg)
-	p.smm = s
-	// The dispatch closure is created once per port, so the per-message
-	// Submit passes a preexisting function value instead of allocating.
-	p.dispatchFn = func(prio sched.Priority) { s.dispatch(p, prio) }
 	p.bind(c, cfg.Handler)
 
 	s.mu.Lock()
@@ -281,14 +279,16 @@ func (s *SMM) registerIn(c *Component, cfg InPortConfig) (*InPort, error) {
 		p.pool = s.shared
 	case ThreadingDedicated:
 		p.pool = sched.NewPool(sched.PoolConfig{Name: qname, Min: minT, Max: maxT})
-		p.dedicated = true
 		s.pools = append(s.pools, p.pool)
 	case ThreadingSynchronous:
-		p.pool = sched.NewPool(sched.PoolConfig{Name: qname, Max: 0})
-		p.dedicated = true
-		s.pools = append(s.pools, p.pool)
+		// No pool, no dispatch: SMM.call is the whole port.
 	default:
 		return nil, fmt.Errorf("core: in port %q: unknown threading policy %v", qname, threading)
+	}
+	if p.pool != nil {
+		// The dispatch closure is created once per port, so the per-message
+		// Submit passes a preexisting function value instead of allocating.
+		p.dispatchFn = func(prio sched.Priority) { s.dispatch(p, prio) }
 	}
 	s.in[qname] = p
 	s.routeGen.Add(1) // a new In port may resolve a previously dangling route
@@ -420,30 +420,11 @@ func (s *SMM) ensurePool(typ MessageType) (*msgPool, error) {
 	}
 	s.msgPools[typ.Name] = p
 	p.gauges = telemetry.Default.RegisterGauges(s.owner.name+"/"+typ.Name, map[string]func() int64{
-		"msgpool_gets":          p.gets.Load,
-		"msgpool_returns":       p.returns.Load,
+		"msgpool_gets":          func() int64 { _, _, gets, _ := p.stats(); return gets },
+		"msgpool_returns":       func() int64 { _, _, _, returns := p.stats(); return returns },
 		"msgpool_in_flight_max": p.inFlightMax.Load,
 	})
 	return p, nil
-}
-
-// poolFor returns the (already ensured) pool for typ; panics are avoided by
-// falling back to ensurePool, whose only failure mode is area exhaustion.
-func (s *SMM) poolFor(typ MessageType) *msgPool {
-	s.mu.Lock()
-	p := s.msgPools[typ.Name]
-	s.mu.Unlock()
-	if p != nil {
-		return p
-	}
-	p, err := s.ensurePool(typ)
-	if err != nil {
-		// Report through the app and return an empty pool so callers see
-		// ErrPoolEmpty rather than a nil dereference.
-		s.owner.app.reportError(err)
-		return &msgPool{typ: typ, area: s.area}
-	}
-	return p
 }
 
 // Connect instantiates (or finds) the named child and returns a Handle that
@@ -718,7 +699,8 @@ func (s *SMM) buildRoutes(p *OutPort) *routeSet {
 	}
 }
 
-// send routes one message per the SMM's configured mechanism.
+// send routes one message per the SMM's configured mechanism; proc is nil
+// unless the sender supplied its execution context (SendFrom).
 func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) error {
 	if s.stopped.Load() {
 		return ErrStopped
@@ -737,15 +719,15 @@ func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) err
 
 	var err error
 	switch mech {
-	case MechanismSharedObject:
-		err = s.sendShared(p, msg, prio, deadline, rs)
-	case MechanismSerialization:
-		err = s.sendSerialized(p, msg, prio, deadline, rs)
-	case MechanismHandoff:
-		if proc == nil {
+	case MechanismSharedObject, MechanismHandoff:
+		// Handoff is the shared object with every receiver called, whatever
+		// its port's threading, on the caller's scope stack.
+		if mech == MechanismHandoff && proc == nil {
 			return fmt.Errorf("%w: out port %q", ErrNeedsCallerContext, p.qname)
 		}
-		err = s.sendHandoff(p, proc, msg, prio, deadline, rs)
+		err = s.sendShared(p, proc, msg, prio, deadline, rs, mech == MechanismHandoff)
+	case MechanismSerialization:
+		err = s.sendSerialized(p, proc, msg, prio, deadline, rs)
 	default:
 		err = fmt.Errorf("core: unknown mechanism %v", mech)
 	}
@@ -756,24 +738,54 @@ func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) err
 	return err
 }
 
-// sendShared implements the default shared-object mechanism: the pooled
-// message itself is enqueued for every receiver and returns to the pool
-// after the last one processes it.
-func (s *SMM) sendShared(p *OutPort, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
-	env := newEnvelope(msg, p.msgPool(), len(rs.routes))
+// sendShared implements the shared-object mechanism: the pooled message
+// itself goes to every receiver and returns to the pool after the last one
+// has processed it. A receiver behind a synchronous port — every receiver
+// when handoff is set — is called on the spot, the others get the message in
+// their buffer; only a send that buffers or fans out takes an envelope.
+func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet, handoff bool) error {
+	pool := p.pool
+	var env *envelope
+	if len(rs.routes) > 1 {
+		env = newEnvelope(msg, pool, len(rs.routes))
+	}
 	var firstErr error
 	for i := range rs.routes {
-		if err := s.deliverAsync(p, &rs.routes[i], env, msg, prio, deadline); err != nil && firstErr == nil {
+		in, owner, err := s.receiver(p, &rs.routes[i])
+		switch {
+		case err != nil:
+			settle(env, pool, msg)
+		case in.synchronous || handoff:
+			s.call(in, owner, proc, msg, prio, deadline)
+			settle(env, pool, msg)
+			owner.release(pendingOne, 0)
+		default:
+			if env == nil {
+				env = newEnvelope(msg, pool, 1)
+			}
+			err = s.enqueue(in, owner, env, msg, prio, deadline)
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
+// settle records one receiver finished with msg: on the send's envelope, or,
+// the send's one receiver being a call, straight back into the pool.
+func settle(env *envelope, pool *msgPool, msg Message) {
+	if env != nil {
+		env.done()
+	} else {
+		pool.put(msg)
+	}
+}
+
 // sendSerialized implements the serialization mechanism: the message is
 // encoded once, returned to its pool immediately, and an independent copy
-// is rebuilt for every receiver.
-func (s *SMM) sendSerialized(p *OutPort, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
+// is rebuilt for every receiver and dropped once that receiver is done.
+func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
 	bm, ok := msg.(encoding.BinaryMarshaler)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotSerializable, p.typ.Name)
@@ -782,7 +794,7 @@ func (s *SMM) sendSerialized(p *OutPort, msg Message, prio sched.Priority, deadl
 	if err != nil {
 		return fmt.Errorf("serialize %q: %w", p.typ.Name, err)
 	}
-	p.msgPool().put(msg)
+	p.pool.put(msg)
 
 	var firstErr error
 	for i := range rs.routes {
@@ -794,8 +806,16 @@ func (s *SMM) sendSerialized(p *OutPort, msg Message, prio sched.Priority, deadl
 		if err := um.UnmarshalBinary(data); err != nil {
 			return fmt.Errorf("deserialize %q: %w", p.typ.Name, err)
 		}
-		env := newEnvelope(fresh, nil, 1) // no pool: the copy is dropped
-		if err := s.deliverAsync(p, &rs.routes[i], env, fresh, prio, deadline); err != nil && firstErr == nil {
+		in, owner, err := s.receiver(p, &rs.routes[i])
+		switch {
+		case err != nil:
+		case in.synchronous:
+			s.call(in, owner, proc, fresh, prio, deadline)
+			owner.release(pendingOne, 0)
+		default:
+			err = s.enqueue(in, owner, newEnvelope(fresh, nil, 1), fresh, prio, deadline)
+		}
+		if err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -831,14 +851,9 @@ func (s *SMM) receiver(p *OutPort, r *route) (*InPort, *Component, error) {
 	return in, owner, nil
 }
 
-// deliverAsync reserves the destination owner, enqueues the item, and
-// schedules a dispatch at the message priority.
-func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
-	in, owner, err := s.receiver(p, r)
-	if err != nil {
-		env.done()
-		return err
-	}
+// enqueue buffers one delivery, its owner reserved, and schedules a dispatch at
+// the message priority; on failure it gives reservation and envelope share back.
+func (s *SMM) enqueue(in *InPort, owner *Component, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
 	victim, evicted, err := in.push(bufItem{env: env, msg: msg, prio: prio, owner: owner, deadline: deadline})
 	if err != nil {
 		owner.release(pendingOne, 0)
@@ -866,77 +881,102 @@ func (s *SMM) deliverAsync(p *OutPort, r *route, env *envelope, msg Message, pri
 	return nil
 }
 
-// dispatchState carries one in-flight dispatch through the owner's memory
-// context. Instances are pooled and each owns a preconstructed closure over
-// itself, so the steady-state dispatch allocates neither a closure nor a
-// Proc. Handlers must not retain the *Proc past the call (the same contract
-// as for the message itself).
-type dispatchState struct {
-	smm     *SMM
-	it      bufItem
-	handler Handler
-	prio    sched.Priority
-	proc    Proc
-	fn      func(*memory.Context) error
-}
-
-var dispatchStatePool = sync.Pool{New: func() any {
-	ds := new(dispatchState)
-	ds.fn = func(ctx *memory.Context) error {
-		ds.proc = Proc{comp: ds.it.owner, smm: ds.smm, ctx: ctx, prio: ds.prio}
-		return ds.smm.process(ds.handler, &ds.proc, ds.it.msg)
-	}
-	return ds
-}}
-
-// dispatch runs on a pool worker (or inline for synchronous ports): it pops
-// one buffered message and processes it in the owner's memory context.
+// dispatch runs on a pool worker: it pops one buffered message and processes
+// it in the owner's memory context.
 func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
 	it, ok := in.pop()
 	if !ok {
 		return
 	}
-	owner := it.owner
+	// A ShedExpired port drops a message already dead at dequeue instead of
+	// executing it — counted as a deadline shed, never as a miss or a
+	// dispatch latency, because the handler never ran.
+	if in.shedExpired && it.deadline > 0 {
+		if now := telemetry.Now(); now > it.deadline {
+			telemetry.ReportDeadlineShed(in.label, it.deadline, now, 0, int(it.prio))
+			in.dropped.Add(1)
+			in.recordShed(it.prio, shedCauseExpired)
+			it.drop()
+			return
+		}
+	}
+	s.deliver(in, it.owner, nil, it.msg, prio, it.deadline)
+	it.env.done()
+	it.owner.release(pendingOne, 0)
+}
+
+// call is a send to a synchronous port (or any port, under the handoff
+// mechanism): no buffer, no envelope, no pool — the sender's thread, which
+// holds owner reserved until the message is recycled, is the receiver's.
+func (s *SMM) call(in *InPort, owner *Component, proc *Proc, msg Message, prio sched.Priority, deadline int64) {
+	in.received.Add(1)
+	s.deliver(in, owner, proc, msg, prio.Clamp(), deadline)
+}
+
+// deliver is the one delivery routine behind every port: wait out the
+// reserved owner's start function, report a start past the deadline, enter
+// the owner's scopes — on the sender's context from wherever it stands, or,
+// when the sender lent none, on a pooled one from the top — and run the
+// handler, whose error goes to the app: the message was delivered.
+func (s *SMM) deliver(in *InPort, owner *Component, sender *Proc, msg Message, prio sched.Priority, deadline int64) {
 	// Never process a message before the owner finished initialising. (A
 	// synchronous port whose owner sends to itself from its own start
 	// function would deadlock here; send asynchronously or after Start.)
 	owner.waitStarted()
 	telemetry.RecordVerbose(telemetry.EvDispatch, in.label, 0, 0, uint64(prio))
-	// Deadline check: the handler is about to start; if the deadline already
-	// passed, the message is late no matter how fast processing is. A
-	// ShedExpired port drops the dead message here instead of executing it —
-	// counted as a deadline shed, never as a miss or a dispatch latency,
-	// because the handler never ran.
-	if it.deadline > 0 {
-		if now := telemetry.Now(); now > it.deadline {
-			if in.shedExpired {
-				telemetry.ReportDeadlineShed(in.label, it.deadline, now, 0, int(it.prio))
-				in.dropped.Add(1)
-				in.recordShed(it.prio, shedCauseExpired)
-				it.drop()
-				return
-			}
-			telemetry.ReportDeadlineMiss(in.label, it.deadline, now, 0, int(prio))
+	// The handler is about to start; if the deadline already passed, the
+	// message is late no matter how fast processing is.
+	if deadline > 0 {
+		if now := telemetry.Now(); now > deadline {
+			telemetry.ReportDeadlineMiss(in.label, deadline, now, 0, int(prio))
 		}
 	}
 	_, handler := in.binding()
 	if handler == nil {
-		// Owner disposed between push and dispatch with no rebinding; the
-		// message is dropped.
+		// Owner disposed since it was reserved with no rebinding; the message
+		// is dropped.
 		s.owner.app.reportError(fmt.Errorf("core: %q: no handler bound", in.qname))
 	} else {
-		ds := dispatchStatePool.Get().(*dispatchState)
-		ds.smm, ds.it, ds.handler, ds.prio = s, it, handler, prio
-		err := owner.Exec(ds.fn)
-		ds.smm, ds.it, ds.handler, ds.proc = nil, bufItem{}, nil, Proc{}
-		dispatchStatePool.Put(ds)
+		app := s.owner.app
+		cs := app.getCall()
+		ctx := cs.ctx
+		if sender != nil {
+			ctx = sender.ctx
+		}
+		cs.smm, cs.owner, cs.handler, cs.msg, cs.prio = s, owner, handler, msg, prio
+		err := owner.enterChain(ctx, cs.fn)
+		cs.smm, cs.owner, cs.handler, cs.msg, cs.proc = nil, nil, nil, nil, Proc{}
+		app.putCall(cs)
 		if err != nil {
-			s.owner.app.reportError(fmt.Errorf("core: %q handler: %w", in.qname, err))
+			app.reportError(fmt.Errorf("core: %q handler: %w", in.qname, err))
 		}
 	}
-	in.markProcessed()
-	it.env.done()
-	owner.release(pendingOne, 0)
+	in.processed.Add(1)
+}
+
+// callState carries one handler invocation through the owner's memory
+// context: its Proc, a preconstructed closure over itself, and a no-heap
+// context of its own for a delivery whose sender lent none (and for
+// Component.Exec). Instances are pooled per App, so the steady state allocates
+// none of the three. Handlers must not retain the *Proc past the call.
+type callState struct {
+	ctx     *memory.Context
+	smm     *SMM
+	owner   *Component
+	handler Handler
+	msg     Message
+	prio    sched.Priority
+	proc    Proc
+	fn      func(*memory.Context) error
+}
+
+func newCallState(ctx *memory.Context) *callState {
+	cs := &callState{ctx: ctx}
+	cs.fn = func(ctx *memory.Context) error {
+		cs.proc = Proc{comp: cs.owner, smm: cs.smm, ctx: ctx, prio: cs.prio}
+		return cs.smm.process(cs.handler, &cs.proc, cs.msg)
+	}
+	return cs
 }
 
 // process invokes a handler, converting panics into errors so one failing
@@ -948,46 +988,6 @@ func (s *SMM) process(h Handler, p *Proc, msg Message) (err error) {
 		}
 	}()
 	return h.Process(p, msg)
-}
-
-// sendHandoff implements the handoff pattern: the sending thread leaves its
-// own scope via the common ancestor (the SMM's area, already on its scope
-// stack) and enters the receiver's area to run the handler synchronously.
-func (s *SMM) sendHandoff(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
-	var firstErr error
-	for i := range rs.routes {
-		in, owner, err := s.receiver(p, &rs.routes[i])
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		owner.waitStarted()
-		if deadline > 0 {
-			if now := telemetry.Now(); now > deadline {
-				telemetry.ReportDeadlineMiss(in.label, deadline, now, 0, int(prio))
-			}
-		}
-		_, handler := in.binding()
-		err = proc.ctx.ExecuteInArea(s.area, func(actx *memory.Context) error {
-			run := func(hctx *memory.Context) error {
-				return s.process(handler, &Proc{comp: owner, smm: s, ctx: hctx, prio: prio}, msg)
-			}
-			if owner.area == s.area {
-				return run(actx)
-			}
-			return actx.Enter(owner.area, run)
-		})
-		in.received.Add(1)
-		in.processed.Add(1)
-		owner.release(pendingOne, 0)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	p.msgPool().put(msg)
-	return firstErr
 }
 
 // shutdown drains and stops every pool owned by this SMM, then disposes

@@ -183,7 +183,7 @@ func newShadowApp(shadow bool) (*shadowApp, error) {
 							return err
 						}
 						fwd.(*pingMsg).value = m.(*pingMsg).value
-						return toC.Send(fwd, p.Priority())
+						return toC.SendFrom(p, fwd, p.Priority())
 					}))); err != nil {
 					return err
 				}
@@ -207,7 +207,7 @@ func newShadowApp(shadow bool) (*shadowApp, error) {
 								return err
 							}
 							fwd.(*pingMsg).value = m.(*pingMsg).value
-							return up.Send(fwd, p.Priority())
+							return up.SendFrom(p, fwd, p.Priority())
 						}))); err != nil {
 						return err
 					}
@@ -237,7 +237,7 @@ func newShadowApp(shadow bool) (*shadowApp, error) {
 								return err
 							}
 							fwd.(*pingMsg).value = m.(*pingMsg).value + 1
-							return out.Send(fwd, p.Priority())
+							return out.SendFrom(p, fwd, p.Priority())
 						}
 						if _, err := core.AddInPort(cc, bSMM, sync("in", core.HandlerFunc(handler))); err != nil {
 							return err

@@ -150,7 +150,7 @@ func NewPingPong(cfg PingPongConfig) (*PingPong, error) {
 						return err
 					}
 					req.(*pingMsg).value = in.value
-					return sendVia(p3, p, req, 3)
+					return p3.SendFrom(p, req, 3)
 				}), 10)
 				p2.Name = "P2"
 				if _, err := core.AddInPort(cl, smm, p2); err != nil {
@@ -182,7 +182,7 @@ func NewPingPong(cfg PingPongConfig) (*PingPong, error) {
 						return err
 					}
 					rep.(*pingMsg).value = in.value + 1
-					return sendVia(p5, p, rep, 3)
+					return p5.SendFrom(p, rep, 3)
 				}), 20)
 				p4.Name = "P4"
 				_, err = core.AddInPort(sv, smm, p4)
@@ -210,15 +210,6 @@ func NewPingPong(cfg PingPongConfig) (*PingPong, error) {
 		return nil, err
 	}
 	return pp, nil
-}
-
-// sendVia uses SendFrom when the SMM runs the handoff mechanism (which
-// needs the sender's scope stack) and plain Send otherwise.
-func sendVia(out *core.OutPort, p *core.Proc, msg core.Message, prio sched.Priority) error {
-	if p.SMM().Mechanism() == core.MechanismHandoff {
-		return out.SendFrom(p, msg, prio)
-	}
-	return out.Send(msg, prio)
 }
 
 // App exposes the underlying application.

@@ -145,6 +145,30 @@ func (c *Context) EnterChain(areas []*Area, fn func(*Context) error) (err error)
 	return fn(c)
 }
 
+// EnterBelow runs fn with the context current in the last area of chain — a
+// scoped ancestor path, outermost first, each level parented under the one
+// before it — entering only the levels that lie below the deepest one
+// already on the scope stack. It is the handoff pattern generalised:
+// RTSJ's executeInArea on the common ancestor, then enter what is left. A
+// thread standing in the chain's parent enters one area, a thread in a
+// sibling scope executes in the shared ancestor and enters the levels under
+// it, and a thread with no area of the chain on its stack starts from its
+// primordial area and enters the whole chain, as EnterChain does.
+func (c *Context) EnterBelow(chain []*Area, fn func(*Context) error) error {
+	i, from := len(chain)-1, c.stack[0]
+	for i >= 0 && !c.onStack(chain[i]) {
+		i--
+	}
+	if i >= 0 {
+		from = chain[i]
+	}
+	if from != c.Current() {
+		c.stack = append(c.stack, from)
+		defer func(n int) { c.stack = c.stack[:n] }(len(c.stack) - 1)
+	}
+	return c.EnterChain(chain[i+1:], fn)
+}
+
 // ExecuteInArea runs fn with the context's allocation area temporarily
 // switched to a, without pushing a new scope. As in RTSJ, a must already be
 // on the context's scope stack or be a primordial (heap/immortal) area;

@@ -160,8 +160,8 @@ type Client struct {
 	// leaderFollower enables caller-driven demux: awaiting callers take
 	// turns holding a per-connection leader token and read replies
 	// themselves, so a round trip needs no reactor-to-caller rendezvous.
-	// Only set for synchronous clients, whose submissions register the
-	// pending entry on the caller's goroutine before await runs.
+	// Only set for synchronous clients: their ports are calls, so each
+	// caller's own goroutine registers its pending entry before await runs.
 	leaderFollower bool
 }
 
@@ -346,7 +346,7 @@ func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool
 				}
 				out := fwd.(*invokeMsg)
 				out.copyFrom(in)
-				if err := toMP.Send(fwd, in.prio); err != nil {
+				if err := toMP.SendFrom(p, fwd, in.prio); err != nil {
 					in.pe.complete(invokeResult{err: err})
 					return err
 				}
@@ -571,6 +571,11 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
+// awaitUnbound counts leader/follower callers that reached await with an
+// entry neither bound to a connection nor completed — exported at /metrics as
+// compadres_await_unbound_total, and zero by construction (see await).
+var awaitUnbound = telemetry.NewCounter("await_unbound_total")
+
 // call is the client half of the invocation pipeline, the one path every
 // entry point takes: closed-check, request id, client span, in-flight count,
 // then the transport — direct when the collocation binding names a live
@@ -743,22 +748,12 @@ func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Pri
 // reactor-demuxed connection is the same select with a nil leader channel.
 func (cl *Client) await(pe *muxPending) invokeResult {
 	mc := pe.mc.Load()
-	for mc == nil && cl.leaderFollower {
-		// Concurrent senders on a synchronous port each dispatch the oldest
-		// queued message, not their own: another caller's thread is carrying
-		// this invocation and has not bound it to a connection yet. Waiting
-		// on the entry alone would leave this caller out of the leader
-		// election — and its reply unread once the other callers are gone.
-		t := getTimer(20 * time.Microsecond)
-		select {
-		case res := <-pe.done:
-			putTimer(t)
-			putPending(pe)
-			return res
-		case <-t.C:
-			timerPool.Put(t)
-		}
-		mc = pe.mc.Load()
+	if mc == nil && cl.leaderFollower && pe.state.Load() == pendingArmed {
+		// A synchronous client's Send carries the invocation to register (or
+		// to a completion) on this very goroutine. An entry neither bound nor
+		// completed here would sit out the leader election below, with nobody
+		// obliged to read its reply.
+		awaitUnbound.Inc()
 	}
 	var leader chan struct{}
 	if mc != nil && mc.lf {

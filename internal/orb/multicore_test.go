@@ -21,12 +21,12 @@ import (
 // invocation spun in resolveIn for ten seconds and failed with "owner kept
 // quiescing"; that took a fraction of a second to happen.
 //
-// The synchronous cases also guard the leader election of Client.await:
-// concurrent senders on a synchronous port dispatch the oldest queued
-// message, so a caller can return from Send while another caller's thread
-// still carries its invocation. One that then waited on its entry alone, out
-// of the election, was left hanging when its reply arrived after every other
-// caller had gone (one run of this package in twenty).
+// The synchronous cases also guard the leader election of Client.await: a
+// caller that waited on its entry alone, out of the election, was left
+// hanging when its reply arrived after every other caller had gone (one run
+// of this package in twenty, while synchronous ports still buffered and a
+// caller could return from Send with another caller's thread carrying its
+// invocation).
 func TestConcurrentInvokersMultiCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	window := 2 * time.Second
@@ -101,5 +101,27 @@ func runInvokers(t *testing.T, net transport.Network, addr string, synchronous b
 	}
 	if ops.Load() == 0 {
 		t.Error("no invocation completed")
+	}
+}
+
+// TestConcurrentInvokersReachAwaitBound pins what Client.await relies on
+// instead of polling: a synchronous port is a call, so every leader/follower
+// caller comes back from Send with its own entry registered on a connection
+// or already completed — never with another caller's thread still carrying
+// it. 16 callers on 2 and on 4 processors must never be counted unbound.
+func TestConcurrentInvokersReachAwaitBound(t *testing.T) {
+	window := time.Second
+	if testing.Short() {
+		window = 200 * time.Millisecond
+	}
+	for _, procs := range []int{2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			before := awaitUnbound.Value()
+			runInvokers(t, transport.NewInproc(), "", true, window)
+			if d := awaitUnbound.Value() - before; d != 0 {
+				t.Errorf("%d callers reached await with an entry neither bound nor completed", d)
+			}
+		})
 	}
 }

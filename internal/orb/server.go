@@ -535,7 +535,16 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 			s.wg.Add(1)
 			go func() {
 				defer s.wg.Done()
-				s.readLoop(sc, toRP)
+				// The reader is resident in its Transport's scope (the paper's
+				// Fig. 10): it stands in RequestProcessing's parent, so relaying
+				// a request into a synchronous port enters one area, not the
+				// chain from the POA down.
+				if err := tc.Exec(func(ctx *memory.Context) error {
+					s.readLoop(sc, toRP, core.NewProc(tc, tSMM, ctx, sched.NormPriority))
+					return nil
+				}); err != nil {
+					sc.conn.Close()
+				}
 				s.retire(sc)
 			}()
 			return nil
@@ -554,7 +563,7 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 // connection's writer as its servant finishes — out of order when
 // completions cross — while the demultiplexing client matches them back to
 // callers by request id.
-func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
+func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort, proc *core.Proc) {
 	fr := giop.NewFrameReader(sc.conn, uint32(s.maxMsg))
 	defer fr.Close()
 	for {
@@ -572,7 +581,7 @@ func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort) {
 		}
 		switch h.Type {
 		case giop.MsgRequest:
-			if !s.dispatch(sc, toRP, h, fb) {
+			if !s.dispatch(sc, toRP, proc, h, fb) {
 				sc.conn.Close()
 				return
 			}
@@ -774,7 +783,7 @@ func (s *Server) direct(key, op string, payload []byte, rawPrio byte, tn overloa
 // pooled message, whose recycle releases both. It reports false when the
 // connection should drop — pool exhaustion is answered with disconnection,
 // the hard-real-time stance on overload.
-func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, h giop.Header, fb *giop.FrameBuf) bool {
+func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, proc *core.Proc, h giop.Header, fb *giop.FrameBuf) bool {
 	info, peeked := giop.PeekRequestInfo(h.Order, fb.Body())
 	ad, ok := s.admit(info.Priority, info.TenantID, info.TenantTier)
 	if !ok {
@@ -794,9 +803,10 @@ func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, h giop.Header, fb 
 	m.setFrame(fb, h.Order)
 	m.conn, m.ad = sc, ad
 	s.inflight.Add(1)
-	// On a send error the enqueue path has already recycled the message
-	// (Reset), releasing the frame reference and the admission with it.
-	return toRP.Send(msg, ad.prio) == nil
+	// On a send error the port has already recycled the message (Reset),
+	// releasing the frame reference and the admission with it. proc is the
+	// reader's own: a synchronous port runs the request here, on its stack.
+	return toRP.SendFrom(proc, msg, ad.prio) == nil
 }
 
 // writeShedReply answers a request shed before it reached execute — at

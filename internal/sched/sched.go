@@ -6,10 +6,10 @@
 // the message's priority, exactly as §2.2 of the paper describes.
 //
 // A Pool is either shared among several In ports or dedicated to one; it
-// starts with Min workers and grows on backlog up to Max. A pool configured
-// with Max == 0 executes submissions synchronously on the caller, matching
-// the paper's "if these values are 0, the calling thread executes the
-// process() method of the In port synchronously".
+// starts with Min workers and grows on backlog up to Max. The paper's "if
+// these values are 0, the calling thread executes the process() method of the
+// In port synchronously" is not a pool at all: such a port calls its handler
+// itself (core.SMM.call) and owns none.
 //
 // The pending queue is a fixed array of per-priority FIFO rings — one ring
 // per RTSJ priority level — plus a bitmask of non-empty levels. Selecting
@@ -73,8 +73,7 @@ type PoolConfig struct {
 	Name string
 	// Min is the number of workers started eagerly.
 	Min int
-	// Max bounds worker growth. Max == 0 selects synchronous execution on
-	// the caller; otherwise Max is raised to at least Min.
+	// Max bounds worker growth; it is raised to at least Min, and to one.
 	Max int
 }
 
@@ -94,13 +93,12 @@ type Pool struct {
 	shutdown bool
 	done     sync.WaitGroup
 
-	// Activity counters are atomics so the hot paths (synchronous Submit,
-	// post-task accounting) never take the pool mutex for bookkeeping.
+	// Activity counters are atomics so the post-task accounting never takes
+	// the pool mutex for bookkeeping.
 	executed atomic.Int64
 	spawned  atomic.Int64
 	maxQueue atomic.Int64
 	missed   atomic.Int64
-	stopped  atomic.Bool // mirrors shutdown for lock-free reads
 
 	label  telemetry.LabelID
 	gauges *telemetry.GaugeHandle
@@ -119,8 +117,6 @@ type PoolStats struct {
 	// DeadlineMisses counts tasks submitted via SubmitUntil that started
 	// after their deadline.
 	DeadlineMisses int64
-	// Synchronous reports a Max == 0 pool.
-	Synchronous bool
 }
 
 // NewPool creates a pool per cfg and starts cfg.Min workers.
@@ -130,11 +126,11 @@ func NewPool(cfg PoolConfig) *Pool {
 		minWorkers = 0
 	}
 	maxWorkers := cfg.Max
-	if maxWorkers < 0 {
-		maxWorkers = 0
-	}
-	if maxWorkers > 0 && maxWorkers < minWorkers {
+	if maxWorkers < minWorkers {
 		maxWorkers = minWorkers
+	}
+	if maxWorkers < 1 {
+		maxWorkers = 1
 	}
 	p := &Pool{name: cfg.Name, min: minWorkers, max: maxWorkers}
 	p.cond = sync.NewCond(&p.mu)
@@ -149,25 +145,20 @@ func NewPool(cfg PoolConfig) *Pool {
 		"pool_queue_max":       func() int64 { return p.maxQueue.Load() },
 		"pool_deadline_missed": func() int64 { return p.missed.Load() },
 	})
-	if p.max > 0 {
-		p.mu.Lock()
-		for i := 0; i < p.min; i++ {
-			p.spawnLocked()
-		}
-		p.mu.Unlock()
+	p.mu.Lock()
+	for i := 0; i < p.min; i++ {
+		p.spawnLocked()
 	}
+	p.mu.Unlock()
 	return p
 }
 
 // Name returns the pool's diagnostic name.
 func (p *Pool) Name() string { return p.name }
 
-// Synchronous reports whether Submit executes tasks inline on the caller.
-func (p *Pool) Synchronous() bool { return p.max == 0 }
-
 // Submit schedules fn at the given priority. The worker that eventually runs
 // fn passes the (clamped) priority through, modelling priority inheritance
-// from the message. For a synchronous pool, fn runs before Submit returns.
+// from the message.
 func (p *Pool) Submit(prio Priority, fn func(Priority)) error {
 	return p.SubmitUntil(prio, 0, fn)
 }
@@ -179,16 +170,6 @@ func (p *Pool) Submit(prio Priority, fn func(Priority)) error {
 // miss handler). deadline == 0 means none.
 func (p *Pool) SubmitUntil(prio Priority, deadline int64, fn func(Priority)) error {
 	prio = prio.Clamp()
-	if p.max == 0 {
-		if p.stopped.Load() {
-			return ErrPoolShutdown
-		}
-		p.checkDeadline(deadline, prio)
-		p.executed.Add(1)
-		fn(prio)
-		return nil
-	}
-
 	p.mu.Lock()
 	if p.shutdown {
 		p.mu.Unlock()
@@ -228,7 +209,6 @@ func (p *Pool) Shutdown() {
 		return
 	}
 	p.shutdown = true
-	p.stopped.Store(true)
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.done.Wait()
@@ -258,7 +238,6 @@ func (p *Pool) Stats() PoolStats {
 		Executed:       p.executed.Load(),
 		MaxQueue:       int(p.maxQueue.Load()),
 		DeadlineMisses: p.missed.Load(),
-		Synchronous:    p.max == 0,
 	}
 }
 

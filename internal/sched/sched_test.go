@@ -33,28 +33,6 @@ func TestPriorityClampAndValid(t *testing.T) {
 	}
 }
 
-func TestSynchronousPoolRunsInline(t *testing.T) {
-	p := NewPool(PoolConfig{Name: "sync", Min: 0, Max: 0})
-	defer p.Shutdown()
-	if !p.Synchronous() {
-		t.Fatal("Synchronous() = false for Max=0")
-	}
-	ran := false
-	var gotPrio Priority
-	if err := p.Submit(50, func(pr Priority) { ran = true; gotPrio = pr }); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Error("synchronous submit did not run before returning")
-	}
-	if gotPrio != MaxPriority {
-		t.Errorf("priority = %d, want clamped %d", gotPrio, MaxPriority)
-	}
-	if s := p.Stats(); s.Executed != 1 || !s.Synchronous {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
 func TestPriorityOrderingSingleWorker(t *testing.T) {
 	p := NewPool(PoolConfig{Name: "ordered", Min: 1, Max: 1})
 	defer p.Shutdown()
@@ -187,19 +165,16 @@ func TestPoolShutdownDrainsQueue(t *testing.T) {
 	p.Shutdown()
 }
 
-func TestSynchronousPoolShutdown(t *testing.T) {
-	p := NewPool(PoolConfig{Name: "sync", Max: 0})
-	p.Shutdown()
-	if err := p.Submit(NormPriority, func(Priority) {}); !errors.Is(err, ErrPoolShutdown) {
-		t.Errorf("err = %v, want ErrPoolShutdown", err)
-	}
-}
-
 func TestNegativeConfigNormalised(t *testing.T) {
 	p := NewPool(PoolConfig{Name: "neg", Min: -1, Max: -1})
 	defer p.Shutdown()
-	if !p.Synchronous() {
-		t.Error("negative max should normalise to synchronous")
+	ran := make(chan struct{})
+	if err := p.Submit(NormPriority, func(Priority) { close(ran) }); err != nil {
+		t.Fatal(err)
+	}
+	<-ran // a pool always has room for one worker
+	if s := p.Stats(); s.Workers != 1 || s.Spawned != 1 {
+		t.Errorf("stats = %+v, want one worker grown on demand", s)
 	}
 }
 
