@@ -21,7 +21,7 @@ import (
 // traffic one exchange at a time (the behaviour of the pre-mux client,
 // reproduced with a caller-side mutex). Under lockstep one connection can
 // never occupy more than one server worker, however wide the server's
-// processing pool is; the demux reactor is what lets a single connection
+// processing pool is; demultiplexing replies by id lets a single connection
 // keep the whole pool busy. Durations are nanoseconds so the file diffs
 // cleanly across runs.
 type bench2Snapshot struct {
@@ -74,7 +74,7 @@ func runBench2(warmup, obs int, outPath string) error {
 	srv.ServeBackground()
 
 	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: net, Addr: "bench2", ScopePoolCount: 4, PipelineDepth: 128,
+		Network: net, Addr: "bench2", ScopePoolCount: 4,
 	})
 	if err != nil {
 		return err

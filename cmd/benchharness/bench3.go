@@ -171,7 +171,7 @@ func runBench3Config(name string, stripes int, warmup, obs, payloadBytes int) (b
 		Network: net, Addr: "127.0.0.1:0", ScopePoolCount: 4, Concurrency: 16,
 	}
 	ccfg := orb.ClientConfig{
-		Network: net, ScopePoolCount: 4, PipelineDepth: 128, Channels: stripes,
+		Network: net, ScopePoolCount: 4, Channels: stripes,
 	}
 	srv, err := orb.NewServer(scfg)
 	if err != nil {

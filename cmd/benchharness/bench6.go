@@ -208,7 +208,6 @@ func runBench6(warmup, observations int, outPath string) error {
 	for ti, tier := range bench6Tiers {
 		cl, err := orb.DialClient(orb.ClientConfig{
 			Network: net, Addr: "bench6", Tenant: tier.tenant,
-			PipelineDepth: 2 * (baseWorkers + surgeBE),
 		})
 		if err != nil {
 			return err

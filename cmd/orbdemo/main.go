@@ -159,7 +159,7 @@ func run(mode, addr, orbKind string, size, n, warmup int, metricsAddr string, ch
 
 // runConcurrent sweeps pipelined invocation levels 1, 2, 4, … up to the
 // requested concurrency over ONE multiplexed client connection, printing
-// median, P99, and throughput per level — the demux reactor is what lets a
+// median, P99, and throughput per level — demultiplexing replies by id lets a
 // single GIOP connection carry all of them at once.
 func runConcurrent(orbKind, addr string, size, n, warmup int, chaos bool, concurrency int) error {
 	if orbKind != "compadres" {
@@ -170,7 +170,6 @@ func runConcurrent(orbKind, addr string, size, n, warmup int, chaos bool, concur
 	}
 	cl, err := orb.DialClient(orb.ClientConfig{
 		Network: transport.TCP{}, Addr: addr, ScopePoolCount: 4,
-		PipelineDepth: 2 * concurrency,
 	})
 	if err != nil {
 		return err

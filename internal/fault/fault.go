@@ -205,25 +205,6 @@ func (l *listener) Accept() (transport.Conn, error) {
 func (l *listener) Close() error { return l.inner.Close() }
 func (l *listener) Addr() string { return l.inner.Addr() }
 
-// deadliner is the optional deadline surface both net.TCPConn and the
-// in-process stream provide; the wrapper forwards it so resilient clients can
-// bound reads on a faulty connection.
-type deadliner interface {
-	SetDeadline(t time.Time) error
-}
-
-// readDeadliner and writeDeadliner are the directional halves of the same
-// surface. The multiplexed client bounds request writes without disturbing
-// its reactor's blocking read, so the wrapper must forward each direction
-// independently.
-type readDeadliner interface {
-	SetReadDeadline(t time.Time) error
-}
-
-type writeDeadliner interface {
-	SetWriteDeadline(t time.Time) error
-}
-
 // conn injects the per-connection fault modes around an inner connection.
 type conn struct {
 	n       *Network
@@ -327,28 +308,17 @@ func (c *conn) Write(p []byte) (int, error) {
 
 func (c *conn) Close() error { return c.inner.Close() }
 
-// SetDeadline forwards to the inner connection when it supports deadlines
-// (both TCP connections and in-process streams do).
+// SetDeadline sets both halves, so resilient clients can bound reads and
+// writes on a faulty connection.
 func (c *conn) SetDeadline(t time.Time) error {
-	if d, ok := c.inner.(deadliner); ok {
-		return d.SetDeadline(t)
+	if err := c.inner.SetReadDeadline(t); err != nil {
+		return err
 	}
-	return nil
+	return c.inner.SetWriteDeadline(t)
 }
 
-// SetReadDeadline forwards the read half when the inner connection has one.
-func (c *conn) SetReadDeadline(t time.Time) error {
-	if d, ok := c.inner.(readDeadliner); ok {
-		return d.SetReadDeadline(t)
-	}
-	return nil
-}
-
-// SetWriteDeadline forwards the write half when the inner connection has
-// one.
-func (c *conn) SetWriteDeadline(t time.Time) error {
-	if d, ok := c.inner.(writeDeadliner); ok {
-		return d.SetWriteDeadline(t)
-	}
-	return nil
-}
+// SetReadDeadline and SetWriteDeadline forward each direction independently:
+// the multiplexed client bounds a request write without disturbing the read a
+// waiting caller is blocked in.
+func (c *conn) SetReadDeadline(t time.Time) error  { return c.inner.SetReadDeadline(t) }
+func (c *conn) SetWriteDeadline(t time.Time) error { return c.inner.SetWriteDeadline(t) }

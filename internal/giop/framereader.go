@@ -21,7 +21,7 @@ const slabLowWater = 1 << 10
 // one Read takes whatever the stream has into a pooled slab, and every frame
 // that arrived whole in it is delivered without another Read — NextFrame as
 // a refcounted zero-copy view of the slab, Next as a plain slice of it. Both
-// demultiplexing endpoints — the client's reply reactor and the server's
+// demultiplexing endpoints — the client's leading caller and the server's
 // per-connection read loop — and the RTZen baseline sit in a tight
 // frame-at-a-time loop over one connection; a burst of pipelined frames
 // costs them one syscall, a lone frame one instead of two.
@@ -34,8 +34,8 @@ const slabLowWater = 1 << 10
 // The reader is resumable: a deadline expiry or injected short read in the
 // middle of a header or body leaves the partial bytes in the reader, and
 // the following call continues exactly where the stream stopped. That lets a
-// reactor poll with read deadlines (to notice shutdown) without ever tearing
-// a half-received frame. Close gives back the slab and any partial frame;
+// reader bound its reads with deadlines (the client's leader, by its invoke
+// deadline) without ever tearing a half-received frame. Close gives back the slab and any partial frame;
 // a reader abandoned without it leaves them to the collector.
 type FrameReader struct {
 	r       io.Reader

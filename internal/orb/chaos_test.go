@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/corba"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -153,9 +154,9 @@ func TestResilientClientSurvivesServerRestart(t *testing.T) {
 
 // TestInvokeDeadlineTearsDownAndRecovers parks the servant so the reply
 // never comes: the per-invoke deadline fires and the caller gets
-// ErrDeadlineExceeded. Under the demux reactor the connection SURVIVES a
-// timeout — the reactor keeps framing synchronised and drops the stale
-// reply whenever it shows up — so the follow-up invoke rides the same
+// ErrDeadlineExceeded. The connection SURVIVES a timeout — the demux keeps
+// framing synchronised and drops the stale reply whenever the next leader
+// reads it — so the follow-up invoke rides the same
 // multiplexed connection (or redials if the wire did die); either way it
 // must succeed. (The name keeps its historical teardown phrasing; what it
 // pins is deadline expiry followed by recovery.)
@@ -204,42 +205,49 @@ func TestInvokeDeadlineTearsDownAndRecovers(t *testing.T) {
 	}
 }
 
-// TestInvokeErrorPathsDoNotCrossTalk floods a client whose single GIOP
-// connection is stalled behind a parked servant, so invokes fail on every
-// client-side error path (relay buffer full, outer send rejected). The
-// regression being pinned: a completion channel recycled on an error path
-// whose message could still reach a handler would hand one caller another
-// caller's reply. Every successful invoke must get exactly its own payload
-// back, during the storm and after it.
+// TestInvokeErrorPathsDoNotCrossTalk floods a client whose connection is
+// stalled behind a peer that is not reading, so callers pile up inside the
+// pipeline — blocked on the wire, each holding its pooled messages — until the
+// one client-side reject there is trips: the message pool runs dry and the
+// next callers fail fast with core.ErrPoolEmpty. The regression being pinned:
+// a pending entry recycled on an error path while something could still
+// complete it would hand one caller another caller's reply. Every successful
+// invoke must get exactly its own payload back, during the storm and after it.
 func TestInvokeErrorPathsDoNotCrossTalk(t *testing.T) {
 	net := transport.NewInproc()
+	rs := newRawServer(t, net)
 	release := make(chan struct{})
-	srv := startEchoServer(t, net, "", ServerConfig{})
-	srv.RegisterServant("block", blockServant{release: release})
-	// A shallow pipeline makes the storm overrun the client-side bounds
-	// deterministically: the relay buffers reject once 8 invocations are
-	// queued, and the message pool caps how many callers even get that far.
-	cl := dial(t, net, srv.Addr(), ClientConfig{PipelineDepth: 8})
+	rs.serve(func(conn transport.Conn) {
+		<-release
+		echoUntilClosed(conn)
+	})
+	cl := dial(t, net, rs.addr, ClientConfig{})
 
-	const callers = 80
+	// A ring and a batch of 1 KiB frames go through before the wire backs up;
+	// the pool's worth of callers behind them block, the rest are rejected.
+	const callers = clientMsgPoolCapacity + 96
 	type result struct {
 		sent []byte
 		got  []byte
 		err  error
 	}
 	results := make([]result, callers)
+	var rejected atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			payload := make([]byte, 8)
+			payload := make([]byte, 1024)
 			binary.BigEndian.PutUint64(payload, uint64(i)|0xABCD<<16)
-			got, err := cl.Invoke("block", "echo", payload, sched.NormPriority)
+			got, err := cl.Invoke("echo", "echo", payload, sched.NormPriority)
+			if err != nil {
+				rejected.Add(1)
+			}
 			results[i] = result{sent: payload, got: got, err: err}
 		}(i)
 	}
-	time.Sleep(200 * time.Millisecond) // let the pipeline jam and reject
+	waitFor(t, func() bool { return rejected.Load() > 0 })
 	close(release)
 	wg.Wait()
 
@@ -247,20 +255,20 @@ func TestInvokeErrorPathsDoNotCrossTalk(t *testing.T) {
 	for i, r := range results {
 		if r.err != nil {
 			failures++
+			if !errors.Is(r.err, core.ErrPoolEmpty) {
+				t.Errorf("caller %d: err = %v, want core.ErrPoolEmpty", i, r.err)
+			}
 			continue
 		}
 		if !bytes.Equal(r.got, r.sent) {
-			t.Fatalf("caller %d: cross-talk! sent %x got %x", i, r.sent, r.got)
+			t.Fatalf("caller %d: cross-talk! sent %x got %x", i, r.sent[:8], r.got[:8])
 		}
-	}
-	if failures == 0 {
-		t.Error("storm produced no failures; the error paths were not exercised")
 	}
 	if failures == callers {
 		t.Error("storm produced no successes; nothing verified delivery")
 	}
 
-	// After the storm every channel in the pool must be clean: a fresh
+	// After the storm every entry in the pool must be clean: a fresh
 	// sequential batch must match exactly.
 	for i := 0; i < 20; i++ {
 		payload := []byte(fmt.Sprintf("seq-%d", i))

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,14 +52,11 @@ type ClientConfig struct {
 	// (paper's scope-pool optimisation); zero creates fresh scopes per
 	// instantiation.
 	ScopePoolCount int
-	// Synchronous dispatches the component ports on the calling thread
-	// instead of port thread pools.
+	// Synchronous is ignored: the client's component ports are always calls
+	// on the invoking goroutine (the paper's pool size 0, §2.2).
+	//
+	// Deprecated: kept so that existing configurations compile.
 	Synchronous bool
-	// PipelineDepth bounds how many invocations may be queued through the
-	// client's component pipeline at once (the buffer size of the internal
-	// relay ports). Invocations beyond it fail fast with ErrBufferFull —
-	// the client-side backpressure signal. Zero selects DefaultPipelineDepth.
-	PipelineDepth int
 	// Resilience opts the client into supervised-connection behaviour:
 	// redial with backoff, per-invoke deadlines, retry budgets for
 	// idempotent operations, and a circuit breaker. Nil (the default)
@@ -87,7 +85,7 @@ type ClientConfig struct {
 	// the target set is an orb.Server in this process on this same Network
 	// (local.go), every invocation runs the server's admit and execute stages
 	// inline on the caller's goroutine — no GIOP encode/decode, no connection
-	// writer, no stripes, no reactor. It is the same pipeline a wire request
+	// writer, no stripes, no demux. It is the same pipeline a wire request
 	// passes through, so server-side policy cannot differ between the two. The
 	// collocation decision is re-validated per invoke against the process
 	// registry and the client's route generation, so a server swap or a
@@ -102,17 +100,20 @@ type ClientConfig struct {
 // DefaultMaxMessage is the default bound on message bodies.
 const DefaultMaxMessage = 4096
 
-// DefaultPipelineDepth is the default bound on queued invocations; deep
-// enough that a 64-caller pipelined burst rides one connection without
-// tripping client-side backpressure.
-const DefaultPipelineDepth = 128
+// clientMsgPoolCapacity is the per-port pool of invocation messages. A caller
+// holds one from each of the two ports only while it is inside the pipeline —
+// marshalling, or blocked on the wire — not while it awaits its reply, so this
+// bounds the callers submitting at one instant, not the invocations in flight;
+// one more fails fast with core.ErrPoolEmpty.
+const clientMsgPoolCapacity = 128
 
-// Client is the component-structured ORB client of Fig. 10 (left). Its
-// invocations pipeline over one multiplexed GIOP connection: submissions
-// are marshalled and written by the component pipeline, and a per-connection
-// demux reactor (mux.go) matches replies to in-flight pending-table entries
-// by request id, so concurrent invokes overlap on the wire instead of
-// serialising behind a whole-exchange lock.
+// Client is the component-structured ORB client of Fig. 10 (left). Its ports
+// are calls: every invocation is marshalled, registered in its connection's
+// pending table and written on its caller's goroutine, and the callers
+// awaiting replies demultiplex the connection themselves (mux.go) — one of
+// them at a time reads, matching each reply to its entry by request id — so
+// concurrent invokes overlap on one multiplexed GIOP connection, complete in
+// any order, and the client owns no thread.
 type Client struct {
 	app      *core.App
 	invoke   *core.OutPort
@@ -156,13 +157,6 @@ type Client struct {
 	lastResolve int64
 	retargetMu  sync.Mutex
 	rotate      atomic.Uint32
-
-	// leaderFollower enables caller-driven demux: awaiting callers take
-	// turns holding a per-connection leader token and read replies
-	// themselves, so a round trip needs no reactor-to-caller rendezvous.
-	// Only set for synchronous clients: their ports are calls, so each
-	// caller's own goroutine registers its pending entry before await runs.
-	leaderFollower bool
 }
 
 // DialClient builds the client component structure and connects it. The
@@ -177,23 +171,13 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	if maxMsg == 0 {
 		maxMsg = DefaultMaxMessage
 	}
-	depth := cfg.PipelineDepth
-	if depth <= 0 {
-		depth = DefaultPipelineDepth
-	}
 
 	// Area budgets: the Transport holds port structures and pools; each
 	// MessageProcessing marshals one request and one reply.
 	mpSize := int64(4*maxMsg + 8192)
 	transportSize := int64(8*maxMsg + 32768)
 
-	appCfg := core.AppConfig{Name: "CompadresORBClient", ImmortalSize: 1 << 20}
-	if need := depth + 8; need > core.DefaultMsgPoolCapacity {
-		// PipelineDepth is the intended in-flight bound; the pooled message
-		// instances backing the relay ports must cover it, or the pool —
-		// not the configured depth — becomes the effective ceiling.
-		appCfg.MsgPoolCapacity = need
-	}
+	appCfg := core.AppConfig{Name: "CompadresORBClient", ImmortalSize: 1 << 20, MsgPoolCapacity: clientMsgPoolCapacity}
 	if cfg.ScopePoolCount > 0 {
 		appCfg.ScopePools = []core.ScopePoolSpec{
 			{Level: 2, AreaSize: mpSize, Count: cfg.ScopePoolCount, Grow: true},
@@ -268,12 +252,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		}
 	}
 
-	threading := core.ThreadingShared
-	if cfg.Synchronous {
-		threading = core.ThreadingSynchronous
-		cl.leaderFollower = true
-	}
-
 	_, err = app.NewImmortalComponent("ORB", func(c *core.Component) error {
 		smm := c.SMM()
 		out, err := core.AddOutPort(c, smm, core.OutPortConfig{
@@ -287,7 +265,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 			Name:       "Transport",
 			MemorySize: transportSize,
 			Persistent: true,
-			Setup:      cl.transportSetup(threading, mpSize, cfg.ScopePoolCount > 0, depth),
+			Setup:      cl.transportSetup(mpSize, cfg.ScopePoolCount > 0),
 		})
 	})
 	if err != nil {
@@ -300,29 +278,19 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		app.Stop()
 		return nil, err
 	}
-	if cl.res != nil && cl.res.cfg.InvokeTimeout > 0 {
-		// Stamp the invoke timeout on the port as a send deadline, so the
-		// deadline monitor counts invokes whose handler starts late, in
-		// addition to the submit-and-wait enforcement in await.
-		cl.invoke.SetSendDeadline(cl.res.cfg.InvokeTimeout)
-	}
 	return cl, nil
 }
 
 // transportSetup wires one Transport instance: the In port fed by the ORB,
 // the Out port feeding MessageProcessing, the per-request child definition,
-// and the start function that dials every stripe's connection and launches
-// its reactor.
-func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool bool, depth int) func(*core.Component) error {
+// and the start function that dials every stripe's connection. Both In ports
+// are synchronous — the paper's pool size 0, "on the calling thread" (§2.2):
+// a caller blocks for its reply either way, so a thread pool in front of the
+// wire would buy no concurrency.
+func (cl *Client) transportSetup(mpSize int64, usePool bool) func(*core.Component) error {
 	return func(tc *core.Component) error {
 		orbSMM := tc.Parent().SMM()
 		tSMM := tc.SMM()
-		// Two relay threads per stripe: a sender returns as soon as its
-		// frame is written or batched, so width does not cap batch sizes,
-		// but the thread that owns a stripe's wire is held for the length of
-		// its write — on a slow wire one more must keep marshalling behind
-		// it, for every stripe that can be flushing at once.
-		sendWidth := 2 * len(cl.stripes)
 
 		toMP, err := core.AddOutPort(tc, tSMM, core.OutPortConfig{
 			Name: "toMP", Type: invokeType, Dests: []string{"MessageProcessing.request"},
@@ -335,8 +303,7 @@ func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool
 		// scope: get a fresh pooled message from its own SMM and copy the
 		// invocation over (messages never cross SMM pools).
 		if _, err := core.AddInPort(tc, orbSMM, core.InPortConfig{
-			Name: "request", Type: invokeType, Threading: threading,
-			MinThreads: 1, MaxThreads: sendWidth, BufferSize: depth,
+			Name: "request", Type: invokeType, Threading: core.ThreadingSynchronous,
 			Handler: core.HandlerFunc(func(p *core.Proc, msg core.Message) error {
 				in := msg.(*invokeMsg)
 				fwd, err := toMP.GetMessage()
@@ -366,8 +333,7 @@ func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool
 			Reusable: true,
 			Setup: func(mp *core.Component) error {
 				_, err := core.AddInPort(mp, tSMM, core.InPortConfig{
-					Name: "request", Type: invokeType, Threading: threading,
-					MinThreads: 1, MaxThreads: sendWidth, BufferSize: depth,
+					Name: "request", Type: invokeType, Threading: core.ThreadingSynchronous,
 					Handler: core.HandlerFunc(cl.processInvoke),
 				})
 				return err
@@ -399,77 +365,56 @@ func (cl *Client) transportSetup(threading core.Threading, mpSize int64, usePool
 	}
 }
 
-// processInvoke runs in the MessageProcessing component's scope: it enters
-// a pooled per-request scope nested under it, marshals the GIOP request
-// there, registers the invocation's pending entry, and hands the frame to
-// the connection's writer. It does NOT wait for the reply — the connection's
-// demux reactor completes the caller's channel when the matching reply
-// arrives — so the component pipeline stays available for the next
-// submission and invocations pipeline on the wire. The request scope is
-// reclaimed on return (the frame has been written or copied into the
-// connection's batch by then), keeping memory bounded per in-flight request.
+// processInvoke runs in the MessageProcessing component's scope, on the
+// invoking goroutine: it enters a pooled per-request scope nested under it and
+// submits the invocation there. It does NOT wait for the reply — the caller
+// does that next, in await — so the request scope is reclaimed on return (the
+// frame has been written or copied into the connection's batch by then),
+// keeping memory bounded per in-flight request.
+//
+// Completion ownership: an entry that never made it into a pending table is
+// still this goroutine's alone and is completed here — with the error that
+// stopped it, or, a oneway, with the successful write no reply will follow.
+// From the moment register tables it, ONLY the demux or the connection failer
+// completes it: a send failure kills the connection, and fail() delivers the
+// error to every tabled entry, this one included. Completing here as well
+// would race that sweep — if this complete won, the caller could recycle and
+// re-arm the entry through the pool while the failer still holds the stale
+// pointer, and its late complete would hand the entry's next owner a
+// stranger's error.
 func (cl *Client) processInvoke(p *core.Proc, msg core.Message) error {
 	in := msg.(*invokeMsg)
-	if in.pe.state.Load() == pendingCancelled {
-		// The caller gave up (deadline) while this submission was queued:
-		// drop it before it reaches the wire.
-		return nil
-	}
+	tabled := false
 	area, err := cl.reqPool.Acquire()
-	if err != nil {
-		in.pe.complete(invokeResult{err: err})
+	if err == nil {
+		err = p.Context().Enter(area, func(ctx *memory.Context) (err error) {
+			tabled, err = cl.submit(ctx, in)
+			return err
+		})
+	}
+	if tabled {
 		return err
 	}
-	var submitErr error
-	if err := p.Context().Enter(area, func(ctx *memory.Context) error {
-		submitErr = cl.submit(ctx, in)
-		return nil
-	}); err != nil {
-		in.pe.complete(invokeResult{err: err})
-		return err
+	if err == nil && cl.res != nil {
+		in.st.brk.Success()
 	}
-	if submitErr != nil {
-		// submit already completed the entry on its pre-registration error
-		// paths; once the entry is registered, only the reactor or the
-		// connection failer may complete it. Completing here as well would
-		// race the failer: if this complete won, the caller could recycle
-		// and re-arm the entry through the pool while the failer still
-		// holds the stale pointer, and its late complete would hand the
-		// entry's next owner a stranger's error.
-		return submitErr
-	}
-	if in.oneway {
-		// No reply will be demultiplexed: the successful write is the
-		// completion.
-		if cl.res != nil {
-			in.st.brk.Success()
-		}
-		in.pe.complete(invokeResult{})
-	}
-	return nil
+	in.pe.complete(invokeResult{err: err})
+	return err
 }
 
 // submit marshals one request with buffers charged to the current scope,
 // registers its pending entry with the live connection (redialling under
-// supervision if none is up), and writes the frame.
-//
-// Completion ownership: every error before the entry is registered
-// completes the entry here (this goroutine is its only holder); from the
-// moment register succeeds, ONLY the reactor or the connection failer
-// completes it — a send failure kills the connection, and fail() delivers
-// the error to every tabled entry, this one included.
-func (cl *Client) submit(ctx *memory.Context, in *invokeMsg) error {
+// supervision if none is up), and writes the frame. tabled reports that the
+// entry entered the connection's pending table, whatever happened next.
+func (cl *Client) submit(ctx *memory.Context, in *invokeMsg) (tabled bool, err error) {
 	wireCap := giop.HeaderSize + 96 + len(in.key) + len(in.op) + len(in.payload)
 	wireRef, err := ctx.Alloc(wireCap)
 	if err != nil {
-		err = fmt.Errorf("orb client: marshal buffer: %w", err)
-		in.pe.complete(invokeResult{err: err})
-		return err
+		return false, fmt.Errorf("orb client: marshal buffer: %w", err)
 	}
 	wireBuf, err := wireRef.Bytes()
 	if err != nil {
-		in.pe.complete(invokeResult{err: err})
-		return err
+		return false, err
 	}
 	wire := giop.MarshalRequest(wireBuf[:0], cl.order, &giop.Request{
 		RequestID:        in.id,
@@ -486,36 +431,17 @@ func (cl *Client) submit(ctx *memory.Context, in *invokeMsg) error {
 
 	mc, err := in.st.conn()
 	if err != nil {
-		in.pe.complete(invokeResult{err: err})
-		return err
+		return false, err
 	}
 	if !in.oneway {
-		ok, err := mc.register(in.pe)
-		if err != nil {
-			// The connection was already dead: the entry never entered the
-			// table, so it is still exclusively ours to complete.
-			in.pe.complete(invokeResult{err: err})
-			return err
-		}
-		if !ok {
-			// Cancelled while queued; nothing was sent and the caller has
-			// abandoned the entry.
-			return nil
+		if err := mc.register(in.pe); err != nil {
+			return false, err // the connection was already dead
 		}
 	}
 	if err := mc.send(wire, in.oneway); err != nil {
-		werr := fmt.Errorf("orb client: write: %w", cl.mapWireErr(err))
-		if in.oneway {
-			// Oneway entries never register, so fail() cannot reach them.
-			in.pe.complete(invokeResult{err: werr})
-		}
-		// Registered entries: send already failed the connection, and
-		// fail() completes every tabled entry (this one included) exactly
-		// once. Completing here too would race that sweep — see
-		// processInvoke.
-		return werr
+		return !in.oneway, fmt.Errorf("orb client: write: %w", cl.mapWireErr(err))
 	}
-	return nil
+	return !in.oneway, nil
 }
 
 // invokeTimeout returns the per-invoke deadline, zero when unconfigured.
@@ -535,15 +461,6 @@ func (cl *Client) mapWireErr(err error) error {
 	}
 	return err
 }
-
-// doneChanPool recycles completion channels across Invoke calls. A channel
-// returns to the pool only after its single result has been received, so a
-// recycled channel is always empty. A channel whose outcome is uncertain —
-// the entry was cancelled, so a racing submitter may still hold it — is
-// abandoned instead of recycled: a late write to an abandoned cap-1 channel
-// is harmless, while a late write to a recycled one would hand some other
-// invocation a stranger's reply.
-var doneChanPool = sync.Pool{New: func() any { return make(chan invokeResult, 1) }}
 
 // timerPool recycles the deadline timers armed per invoke when an
 // InvokeTimeout is configured.
@@ -571,10 +488,15 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// awaitUnbound counts leader/follower callers that reached await with an
-// entry neither bound to a connection nor completed — exported at /metrics as
-// compadres_await_unbound_total, and zero by construction (see await).
+// awaitUnbound counts callers whose Send returned with their entry neither
+// bound to a connection nor completed: the pipeline dropped the message
+// without running a handler (a scope that could not be entered, a component
+// disposed under the send). Exported at /metrics as
+// compadres_await_unbound_total; zero on every path that works.
 var awaitUnbound = telemetry.NewCounter("await_unbound_total")
+
+// errUnbound is what such a caller gets instead of a reply nobody will read.
+var errUnbound = errors.New("orb client: invocation dropped before it reached a connection")
 
 // call is the client half of the invocation pipeline, the one path every
 // entry point takes: closed-check, request id, client span, in-flight count,
@@ -675,7 +597,7 @@ func consumeReply(reply []byte, frame *giop.FrameBuf, err error) ([]byte, error)
 // than once. Under a ResilienceConfig, transport-level failures are retried
 // up to MaxRetries times within the retry budget, with capped exponential
 // backoff between attempts; each retry uses a fresh request id, and stale
-// replies to abandoned attempts are dropped by the demux reactor. Without
+// replies to abandoned attempts are dropped by the demux. Without
 // resilience it behaves exactly like Invoke.
 func (cl *Client) InvokeIdempotent(key, op string, payload []byte, prio sched.Priority) ([]byte, error) {
 	return cl.withRetry(func() ([]byte, error) {
@@ -699,9 +621,23 @@ func (cl *Client) InvokeOneway(key, op string, payload []byte, prio sched.Priori
 	return err
 }
 
+// yieldEvery is how many invocations apart a client's callers give the
+// scheduler one pass, starting with its first. Over the in-process transport
+// every hop of a lone caller's round trip readies the next goroutine directly,
+// and Go runs a readied goroutine next, inside the current time slice and ahead
+// of the run queue: on one processor a closed-loop caller that starts alone can
+// keep goroutines that have not begun waiting for as long as it goes on (16
+// callers of 4,000 invocations each ran one after the other in four runs out
+// of ten; of four loops of dial, invoke, close, two never finished a cycle).
+// The pass is taken inside the invocation, so whoever it lets in finds the
+// connection shared and batches; with nobody waiting it costs about 5 ns an
+// invocation.
+const yieldEvery = 32
+
 // wire is the wire transport: pick a stripe, then one pass through the
-// component pipeline — arm a pending entry, submit the invocation toward the
-// stripe, and wait for the demux (or a failure path) to complete it.
+// component pipeline — arm a pending entry, carry the invocation to the
+// stripe's connection on this goroutine, and wait for the demux (or a failure
+// path) to complete it.
 func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Priority, oneway bool, trace, span uint64) invokeResult {
 	st, err := cl.pickStripe(prio)
 	if err != nil {
@@ -722,49 +658,37 @@ func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Pri
 	// The trace context rides the pooled message, which is recycled once its
 	// handler returns.
 	m.trace, m.span = trace, span
+	if id%yieldEvery == 1 {
+		runtime.Gosched()
+	}
 	if err := cl.invoke.Send(msg, prio); err != nil {
-		// The message's fate is uncertain: a racing dispatcher may still run
-		// the handler and complete the entry. Claim it; if the claim fails,
-		// a completion is already committed (complete moves armed→done
-		// before sending on the cap-1 channel), so take that result — it is
-		// the invocation's true fate, and draining it lets the entry and
-		// channel recycle instead of leaking to the collector, and keeps a
-		// result-borne frame reference from stranding in an abandoned
-		// channel.
-		if pe.state.CompareAndSwap(pendingArmed, pendingCancelled) {
-			return invokeResult{err: err}
-		}
-		return pe.result()
+		// A send to a synchronous port fails only before the handler is
+		// called: the entry never left this goroutine.
+		putPending(pe)
+		return invokeResult{err: err}
 	}
 	return cl.await(pe)
 }
 
 // await blocks until the entry completes or the per-invoke deadline expires.
-// On a leader/follower connection it also volunteers for the leader token: a
-// caller that wins it reads frames off the wire itself (mux.lead), completing
-// other callers' entries until its own reply arrives — the reply that matters
-// to this caller never crosses a goroutine boundary — while followers wake
-// from their channel exactly as under the dedicated reactor. A
-// reactor-demuxed connection is the same select with a nil leader channel.
+// Send carried the invocation to register (or to a completion) on this very
+// goroutine, so a bound entry's caller volunteers for its connection's leader
+// token: the one that wins it reads frames off the wire itself (mux.lead),
+// completing other callers' entries until its own reply arrives — the reply
+// that matters to this caller never crosses a goroutine boundary — while the
+// followers wake from their channel.
 func (cl *Client) await(pe *muxPending) invokeResult {
-	mc := pe.mc.Load()
-	if mc == nil && cl.leaderFollower && pe.state.Load() == pendingArmed {
-		// A synchronous client's Send carries the invocation to register (or
-		// to a completion) on this very goroutine. An entry neither bound nor
-		// completed here would sit out the leader election below, with nobody
-		// obliged to read its reply.
-		awaitUnbound.Inc()
-	}
-	var leader chan struct{}
-	if mc != nil && mc.lf {
-		leader = mc.leaderCh
+	mc := pe.mc
+	if mc == nil {
+		if pe.state.Load() == pendingArmed {
+			// Nobody else holds the entry and nobody would read its reply.
+			awaitUnbound.Inc()
+			putPending(pe)
+			return invokeResult{err: errUnbound}
+		}
+		return pe.result() // a oneway's write, or an error on the way to one
 	}
 	timeout := cl.invokeTimeout()
-	if leader == nil && timeout <= 0 {
-		// Only the completion arm is live: a plain receive, which is 1–2 % of
-		// orb_pipelined's throughput cheaper than a one-armed select.
-		return pe.result()
-	}
 	var deadline time.Time
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
@@ -773,7 +697,7 @@ func (cl *Client) await(pe *muxPending) invokeResult {
 	// Take it with one non-blocking channel op — no timer armed — and demux
 	// our own reply.
 	select {
-	case <-leader:
+	case <-mc.leaderCh:
 		return mc.lead(pe, deadline)
 	default:
 	}
@@ -788,7 +712,7 @@ func (cl *Client) await(pe *muxPending) invokeResult {
 		putTimer(t)
 		putPending(pe)
 		return res
-	case <-leader:
+	case <-mc.leaderCh:
 		putTimer(t) // lead bounds its reads with the conn deadline instead
 		return mc.lead(pe, deadline)
 	case <-expired:
@@ -798,20 +722,19 @@ func (cl *Client) await(pe *muxPending) invokeResult {
 }
 
 // expire resolves an entry whose invoke deadline passed — the one
-// deadline-expiry path of followers, reactor waiters and a leader alike. The
-// entry is cancelled and unhooked from its pending table: the connection stays
-// up — the demux simply drops the stale reply when (if) it arrives — so one
-// slow invocation does not tear down the pipeline for everyone sharing it.
-// Because the submit path may still hold the pointer, a cancelled entry and
-// its channel are abandoned to the collector, never recycled.
+// deadline-expiry path of followers and a leader alike. The entry is cancelled
+// and unhooked from its pending table: the connection stays up — the demux
+// simply drops the stale reply when (if) it arrives — so one slow invocation
+// does not tear down the pipeline for everyone sharing it. Because a leader
+// that already took the entry off the table, or the connection failer sweeping
+// it, may still hold the pointer, a cancelled entry is abandoned to the
+// collector, never recycled.
 func (cl *Client) expire(pe *muxPending) invokeResult {
 	if !pe.state.CompareAndSwap(pendingArmed, pendingCancelled) {
 		// Lost the race: a completion is already committed. Take it.
 		return pe.result()
 	}
-	if mc := pe.mc.Load(); mc != nil {
-		mc.unregister(pe)
-	}
+	pe.mc.unregister(pe)
 	invokeTimeoutTotal.Inc()
 	return invokeResult{err: fmt.Errorf("%w: no reply within %v", ErrDeadlineExceeded, cl.invokeTimeout())}
 }
@@ -873,8 +796,8 @@ func endSpan(trace, span uint64, started int64) {
 
 // Locate probes whether the server hosts the object key, using the GIOP
 // LocateRequest/LocateReply exchange. Unlike Invoke it bypasses the
-// component structure: locate is a transport-level question, answered by
-// the same demux reactor that matches invocation replies. The Transport
+// component structure: locate is a transport-level question, answered through
+// the same demux that matches invocation replies. The Transport
 // must already be connected (issue any Invoke first, or rely on lazy
 // instantiation via a throwaway call).
 func (cl *Client) Locate(key string) (bool, error) {
@@ -918,12 +841,8 @@ func (cl *Client) locateOnce(key string) (bool, []string, error) {
 	id := cl.nextID.Add(1)
 	pe := getPending(id, bandOf(sched.NormPriority))
 	pe.locate = true
-	ok, err := mc.register(pe)
-	if err != nil || !ok {
+	if err := mc.register(pe); err != nil {
 		putPending(pe) // never registered; we are the only holder
-		if err == nil {
-			err = corba.ErrClosed
-		}
 		return false, nil, fmt.Errorf("orb client: locate: %w", err)
 	}
 	wb := giop.GetBuffer()

@@ -21,10 +21,10 @@ import (
 // flusher, yields one scheduler pass so that every submitter already
 // runnable lands its frame too, then writes the lot with one write. Frames
 // arriving during that write collect in the second buffer and go out in the
-// flusher's next pass. Returning before the flush is what lets a two-thread
-// marshalling pipeline fill a batch; the copy is what makes it safe, because
-// the sender's frame lives in a per-request scope reclaimed when its handler
-// returns.
+// flusher's next pass. Returning before the flush is what lets the senders
+// behind the flusher — callers on the client, port threads on the server —
+// fill a batch; the copy is what makes it safe, because the sender's frame
+// lives in a per-request scope reclaimed when its handler returns.
 
 // CoalesceConfig used to opt an endpoint into write coalescing and size its
 // batches. Batching is now always on and sizes itself from the traffic.
@@ -83,6 +83,7 @@ func modeFor(inline bool, inflight int64) sendMode {
 // substitute counting and scripted writers.
 type writerConn interface {
 	Write(p []byte) (int, error)
+	SetWriteDeadline(t time.Time) error
 }
 
 // connWriter serialises writes to one connection. At most one goroutine
@@ -208,9 +209,7 @@ func (w *connWriter) release(err error) (error, bool) {
 func (w *connWriter) out(p []byte) error {
 	if w.timeout != nil {
 		if t := w.timeout(); t > 0 {
-			if wd, ok := w.conn.(writeDeadliner); ok {
-				_ = wd.SetWriteDeadline(time.Now().Add(t))
-			}
+			_ = w.conn.SetWriteDeadline(time.Now().Add(t))
 		}
 	}
 	_, err := w.conn.Write(p)

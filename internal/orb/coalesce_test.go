@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/corba"
 	"repro/internal/sched"
@@ -41,6 +42,9 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
+
+// SetWriteDeadline completes writerConn; the scripted writer has no clock.
+func (w *countingWriter) SetWriteDeadline(time.Time) error { return nil }
 
 // calls returns how many Writes reached the connection.
 func (w *countingWriter) calls() int {
@@ -395,7 +399,7 @@ func TestOnewayWriteErrorSurfacesSynchronously(t *testing.T) {
 func TestBatchedEchoEndToEnd(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{Concurrency: 16})
-	cl := dial(t, net, srv.Addr(), ClientConfig{PipelineDepth: 64})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
 
 	flushesBefore := coalesceFlushTotal.Value()
 	const workers, rounds = 16, 25

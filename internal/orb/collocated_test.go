@@ -75,7 +75,7 @@ func TestCollocatedInvokeBasic(t *testing.T) {
 	}
 
 	// Error shape parity: a user exception through the fast path is the same
-	// corba.ErrUserException wrap the demux reactor surfaces.
+	// corba.ErrUserException wrap the demux surfaces.
 	srv.RegisterServant("fail", corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
 		return nil, fmt.Errorf("boom")
 	}))

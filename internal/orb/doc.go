@@ -5,8 +5,11 @@
 // immortal memory; the Transport component is a scoped child created when
 // the first request arrives and holds the connection; a MessageProcessing
 // component is created per request in the deepest scope, marshals the GIOP
-// request there, performs the round trip, and destroys itself — its scope
-// is reclaimed (or returned to the level's pool) when it goes quiescent.
+// request there, writes it, and destroys itself — its scope is reclaimed (or
+// returned to the level's pool) when it goes quiescent. The client's ports are
+// calls (the paper's pool size 0): all three run on the invoking goroutine,
+// which then waits for its reply and, taking turns with the other waiters,
+// reads the connection. The client owns no thread.
 //
 // The server is a four-level structure: ORB (immortal) → POA/Acceptor
 // (scoped, accepts connections) → one Transport per connection (scoped,

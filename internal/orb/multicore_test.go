@@ -15,18 +15,17 @@ import (
 
 // TestConcurrentInvokersMultiCore is the regression test for the
 // GOMAXPROCS ≥ 2 wedge: 16 closed-loop invokers on one connection, on four
-// Ps, over both transports and both port threadings. A sender arriving while
-// a MessageProcessing or RequestProcessing shell quiesced used to be able to
-// build a second shell in the window (core.maybeQuiesce), after which every
-// invocation spun in resolveIn for ten seconds and failed with "owner kept
-// quiescing"; that took a fraction of a second to happen.
+// Ps, over both transports and both server port threadings. A sender arriving
+// while a MessageProcessing or RequestProcessing shell quiesced used to be
+// able to build a second shell in the window (core.maybeQuiesce), after which
+// every invocation spun in resolveIn for ten seconds and failed with "owner
+// kept quiescing"; that took a fraction of a second to happen.
 //
-// The synchronous cases also guard the leader election of Client.await: a
-// caller that waited on its entry alone, out of the election, was left
-// hanging when its reply arrived after every other caller had gone (one run
-// of this package in twenty, while synchronous ports still buffered and a
-// caller could return from Send with another caller's thread carrying its
-// invocation).
+// Every case also guards the leader election of Client.await: a caller that
+// waited on its entry alone, out of the election, was left hanging when its
+// reply arrived after every other caller had gone (one run of this package in
+// twenty, while synchronous ports still buffered and a caller could return
+// from Send with another caller's thread carrying its invocation).
 func TestConcurrentInvokersMultiCore(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	window := 2 * time.Second
@@ -62,7 +61,7 @@ func TestConcurrentInvokersMultiCore(t *testing.T) {
 // and demands zero errors and an empty pipeline at the end.
 func runInvokers(t *testing.T, net transport.Network, addr string, synchronous bool, window time.Duration) {
 	srv := startEchoServer(t, net, addr, ServerConfig{ScopePoolCount: 4, Synchronous: synchronous})
-	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 4, Synchronous: synchronous})
+	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 4})
 
 	const invokers = 16
 	var ops atomic.Int64
@@ -105,10 +104,10 @@ func runInvokers(t *testing.T, net transport.Network, addr string, synchronous b
 }
 
 // TestConcurrentInvokersReachAwaitBound pins what Client.await relies on
-// instead of polling: a synchronous port is a call, so every leader/follower
-// caller comes back from Send with its own entry registered on a connection
-// or already completed — never with another caller's thread still carrying
-// it. 16 callers on 2 and on 4 processors must never be counted unbound.
+// instead of polling: a synchronous port is a call, so every caller comes back
+// from Send with its own entry registered on a connection or already
+// completed — never with another caller's thread still carrying it. 16 callers
+// on 2 and on 4 processors must never be counted unbound.
 func TestConcurrentInvokersReachAwaitBound(t *testing.T) {
 	window := time.Second
 	if testing.Short() {

@@ -15,13 +15,14 @@ import (
 	"repro/internal/transport"
 )
 
-// This file is the client half of the multiplexed invocation core: one
-// batching writer (coalesce.go) plus one demux reactor per connection.
-// Requests carry monotonically increasing ids; the reactor matches each
-// inbound reply to its in-flight pending-table entry by id and completes the
-// caller's channel, so many invocations pipeline over a single GIOP
-// connection and complete out of order. The only serialisation on the hot
-// path is the connection's writer.
+// This file is the client half of the multiplexed invocation core: per
+// connection one batching writer (coalesce.go), one pending table and one
+// leader token. Requests carry monotonically increasing ids; whichever waiting
+// caller holds the token reads the connection, matches each inbound reply to
+// its in-flight pending-table entry by id and completes that caller's channel
+// (its own reply it simply returns with), so many invocations pipeline over a
+// single GIOP connection and complete out of order. No goroutine belongs to a
+// connection: one nobody is waiting on is not read.
 
 // Mux counters, exported at /metrics with the compadres_ prefix.
 var (
@@ -34,11 +35,11 @@ var (
 	muxReorderTotal = telemetry.NewCounter("mux_reorder_total")
 )
 
-// muxLabel marks reactor lifecycle events in the flight recorder.
+// muxLabel marks connection-death sweeps in the flight recorder.
 var muxLabel = telemetry.Label("orb.client.mux")
 
 // Pending-entry states. Exactly one party moves an entry out of armed —
-// the reactor (or connection failer) via complete, or the waiting caller
+// the demux leader (or connection failer) via complete, or the waiting caller
 // via cancel — so the completion channel receives at most one result.
 const (
 	pendingArmed int32 = iota
@@ -47,9 +48,14 @@ const (
 )
 
 // muxPending is one in-flight invocation: the slot a reply id resolves to.
-// Entries are pooled; an entry whose caller cancelled it (deadline expiry)
-// is abandoned to the collector instead of recycled, because the submit
-// path may still hold a reference.
+// Entries are pooled, each with the cap-1 completion channel it was born with.
+// An entry returns to the pool only after its single result has been received,
+// so a recycled channel is always empty. An entry whose outcome is uncertain —
+// its caller cancelled it (deadline expiry), so a demux leader or the
+// connection failer may still hold the pointer — is abandoned to the collector
+// instead, channel and all: a late write to an abandoned cap-1 channel is
+// harmless, while a late write to a recycled one would hand some other
+// invocation a stranger's reply.
 type muxPending struct {
 	id     uint32
 	locate bool
@@ -59,10 +65,10 @@ type muxPending struct {
 	band  int32
 	done  chan invokeResult
 	state atomic.Int32
-	// mc is the connection the entry registered on, published by register so
-	// the awaiting caller can volunteer as that connection's demux leader
-	// (leader/follower mode). Nil until registered.
-	mc atomic.Pointer[muxConn]
+	// mc is the connection the entry registered on, nil until then: its
+	// caller registers it and then, on the same goroutine, volunteers as that
+	// connection's demux leader. Nobody else reads it.
+	mc *muxConn
 }
 
 // complete delivers res to the waiting caller if the entry is still armed.
@@ -78,18 +84,19 @@ func (pe *muxPending) complete(res invokeResult) bool {
 	return true
 }
 
-// pendingPool recycles entries across invocations, alongside doneChanPool.
-var pendingPool = sync.Pool{New: func() any { return new(muxPending) }}
+// pendingPool recycles entries, and their channels, across invocations.
+var pendingPool = sync.Pool{New: func() any {
+	return &muxPending{done: make(chan invokeResult, 1)}
+}}
 
-// getPending returns an armed entry wired to a pooled completion channel.
+// getPending returns an armed entry.
 func getPending(id uint32, band int32) *muxPending {
 	pe := pendingPool.Get().(*muxPending)
 	pe.id = id
 	pe.locate = false
 	pe.band = band
-	pe.mc.Store(nil)
+	pe.mc = nil
 	pe.state.Store(pendingArmed)
-	pe.done = doneChanPool.Get().(chan invokeResult)
 	return pe
 }
 
@@ -101,31 +108,19 @@ func (pe *muxPending) result() invokeResult {
 	return res
 }
 
-// putPending recycles a completed entry and its (drained) channel. Only the
-// caller that received the entry's single result may call this.
-func putPending(pe *muxPending) {
-	doneChanPool.Put(pe.done)
-	pe.done = nil
-	pendingPool.Put(pe)
-}
-
-// writeDeadliner is the optional write-deadline support of net.TCPConn, the
-// in-process stream, and the fault-injection wrapper; the mux uses it to
-// bound a request write without disturbing the reactor's blocking read.
-type writeDeadliner interface{ SetWriteDeadline(time.Time) error }
-
-// readDeadliner is the matching read-deadline support; leader/follower mode
-// uses it so a leader whose own invoke deadline expires can abort its
-// blocking read (the resumable FrameReader keeps any partial frame for the
-// next leader) instead of wedging on the wire.
-type readDeadliner interface{ SetReadDeadline(time.Time) error }
+// putPending recycles an entry whose channel is empty: only the caller that
+// received its single result, or that never let it out of its hands, may call
+// this.
+func putPending(pe *muxPending) { pendingPool.Put(pe) }
 
 // muxConn is one multiplexed connection: the pending table, the writer, and
-// the reactor goroutine demultiplexing its replies. A wire fault from either
-// direction fails every pending entry exactly once with a transport-level
-// error, counts a single failure against the owning stripe's breaker, and
-// detaches the connection from its stripe so the next invoke routed there
-// triggers one supervised redial — not one per in-flight caller.
+// the leader token its waiting callers pass around to demultiplex its replies.
+// A wire fault from either direction fails every pending entry exactly once
+// with a transport-level error, counts a single failure against the owning
+// stripe's breaker, and detaches the connection from its stripe so the next
+// invoke routed there triggers one supervised redial — not one per in-flight
+// caller. A connection that dies with nobody waiting on it is found dead by
+// the next invocation written to it, which fails the same way.
 type muxConn struct {
 	cl   *Client
 	st   *stripe
@@ -142,42 +137,29 @@ type muxConn struct {
 	dead    atomic.Bool
 	deadErr error
 
-	// maxDone is the highest request id completed so far, maintained by the
-	// demux reader alone (the dedicated reactor, or whichever caller holds
-	// the leader token); a completion below it is an out-of-order reply.
-	maxDone uint32
-
-	// Leader/follower demux (lf true): there is no dedicated reactor
-	// goroutine. Awaiting callers select on their completion channel and on
-	// leaderCh; whoever wins the single token reads frames off fr, completing
-	// other callers' entries, until its own reply arrives — then it hands the
-	// token to the next waiter. This removes one goroutine rendezvous from
-	// every round trip (the caller demultiplexes its own reply, as RTZen's
-	// waiter does). Token handoff through the channel serialises access to fr
-	// and maxDone. The mode is only safe when registration happens on the
-	// caller's goroutine before await (synchronous clients); shared-threading
-	// clients keep the dedicated reactor.
-	lf       bool
+	// Awaiting callers select on their completion channel and on leaderCh;
+	// whoever wins the single token reads frames off fr, completing other
+	// callers' entries, until its own reply arrives — then it hands the token
+	// to the next waiter. The caller demultiplexes its own reply, as RTZen's
+	// waiter does, so a round trip has no reader-to-caller rendezvous. Token
+	// handoff through the channel serialises access to fr and maxDone. It is
+	// safe because every caller registers its entry on its own goroutine
+	// before it awaits: an entry in the table always has a waiter to lead.
 	leaderCh chan struct{}
 	fr       *giop.FrameReader
+	// maxDone is the highest request id completed so far; a completion below
+	// it is an out-of-order reply.
+	maxDone uint32
 }
 
-// newMuxConn wraps conn for st and starts its demux: a dedicated reactor
-// goroutine, or — for synchronous clients whose connection supports read
-// deadlines when one is needed — caller-driven leader/follower demux.
+// newMuxConn wraps conn for st, its leader token parked.
 func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 	cl := st.cl
 	mc := &muxConn{cl: cl, st: st, conn: conn, pend: make(map[uint32]*muxPending, 16)}
 	mc.w = newConnWriter(conn, cl.invokeTimeout)
 	mc.fr = giop.NewFrameReader(conn, uint32(cl.maxMsg))
-	_, canDeadline := conn.(readDeadliner)
-	if cl.leaderFollower && (cl.invokeTimeout() <= 0 || canDeadline) {
-		mc.lf = true
-		mc.leaderCh = make(chan struct{}, 1)
-		mc.leaderCh <- struct{}{}
-	} else {
-		go mc.reactor()
-	}
+	mc.leaderCh = make(chan struct{}, 1)
+	mc.leaderCh <- struct{}{}
 	return mc
 }
 
@@ -190,28 +172,21 @@ func (mc *muxConn) account(band int32, delta int64) {
 	mc.cl.bandInflight[band].Add(delta)
 }
 
-// register places an armed entry in the pending table. It fails if the
-// connection already died (the entry is then still owned by the caller) and
-// reports false without error if the caller cancelled the entry while the
-// invocation was queued — the request must not reach the wire. pe.mc is
-// published before the cancellation check, so a caller whose cancel lands
-// after the check finds the connection and unhooks the entry itself.
-func (mc *muxConn) register(pe *muxPending) (bool, error) {
+// register places an armed entry in the pending table and notes the
+// connection on it. It fails if the connection already died; the entry is then
+// still owned by the caller.
+func (mc *muxConn) register(pe *muxPending) error {
 	mc.mu.Lock()
 	if mc.dead.Load() {
 		err := mc.deadErr
 		mc.mu.Unlock()
-		return false, err
+		return err
 	}
-	pe.mc.Store(mc)
-	if pe.state.Load() == pendingCancelled {
-		mc.mu.Unlock()
-		return false, nil
-	}
+	pe.mc = mc
 	mc.pend[pe.id] = pe
 	mc.mu.Unlock()
 	mc.account(pe.band, 1)
-	return true, nil
+	return nil
 }
 
 // unregister removes an entry the caller is abandoning (deadline expiry), if
@@ -287,6 +262,11 @@ func (mc *muxConn) retire(grace time.Duration) {
 // one-breaker-failure-per-wire-event.
 func (mc *muxConn) send(wire []byte, inline bool) error {
 	err, owner := mc.w.write(wire, modeFor(inline, mc.cl.inflight.Load()))
+	if err != nil {
+		// Classified like a read error: a write is how a connection that died
+		// with nobody waiting on it is found out.
+		err = wireErr("write", mc.cl.addr, err)
+	}
 	if owner {
 		mc.sendFailed(err)
 	}
@@ -294,8 +274,8 @@ func (mc *muxConn) send(wire []byte, inline bool) error {
 }
 
 // sendFailed records one write fault, charges one breaker failure to the
-// stripe, and kills the connection. The reactor's subsequent
-// closed-connection exit is classified clean and not re-counted.
+// stripe, and kills the connection. The error a leader's read then ends with
+// finds the connection already dead and is not counted again.
 func (mc *muxConn) sendFailed(err error) {
 	telemetry.RecordFault("orb.client.write", err)
 	if mc.cl.res != nil {
@@ -321,6 +301,14 @@ func (mc *muxConn) fail(err error) {
 	mc.mu.Unlock()
 
 	_ = mc.conn.Close()
+	select {
+	case <-mc.leaderCh:
+		// Nobody is reading, so the reader's buffers are ours to give back; a
+		// leader gives them back itself when its read fails.
+		mc.fr.Close()
+		mc.leaderCh <- struct{}{}
+	default:
+	}
 	mc.st.detach(mc)
 	if n := len(victims); n > 0 {
 		telemetry.Record(telemetry.EvState, muxLabel, 0, 0, uint64(n))
@@ -331,37 +319,16 @@ func (mc *muxConn) fail(err error) {
 	}
 }
 
-// reactor is the demultiplexing read loop: it frames replies off the
-// connection into pooled refcounted buffers, matches each to its pending
-// entry by request id, and completes the caller's channel with the reply
-// payload still aliasing the arrival frame — the frame reference transfers
-// to the caller on a successful complete, and the bytes are not copied on
-// this path. Replies bearing unknown ids — stale answers to abandoned
-// invocations, or corruption — are counted, released, and dropped without
-// wedging the stream. The reactor exits when the connection dies, failing
-// whatever is still in flight.
-func (mc *muxConn) reactor() {
-	defer mc.fr.Close()
-	var rep giop.Reply
-	var loc giop.LocateReply
-	for {
-		h, fb, err := mc.fr.NextFrame()
-		if err != nil {
-			mc.readFailed(err)
-			return
-		}
-		if _, _, fatal := mc.handleFrame(h, fb, &rep, &loc, nil); fatal {
-			return
-		}
-	}
-}
-
-// handleFrame demultiplexes one inbound frame: decode, match, complete.
-// own, when non-nil, is the reading caller's entry (leader/follower mode):
-// if the frame resolves it, the result is returned directly with mine=true
-// instead of taking the completion-channel rendezvous. fatal reports that
-// the frame killed the connection (fail has run; every tabled entry,
-// including own, completes with the error).
+// handleFrame demultiplexes one inbound frame for the leader whose entry is
+// own: decode, match, complete. A reply's payload still aliases the arrival
+// frame (pooled, refcounted) — the frame reference transfers to the caller on
+// a successful complete, and the bytes are not copied on this path. If the
+// frame resolves own, the result is returned directly with mine=true instead
+// of taking the completion-channel rendezvous. Replies bearing unknown ids —
+// stale answers to abandoned invocations, or corruption — are counted,
+// released, and dropped without wedging the stream. fatal reports that the
+// frame killed the connection (fail has run; every tabled entry, including
+// own, completes with the error).
 func (mc *muxConn) handleFrame(h giop.Header, fb *giop.FrameBuf, rep *giop.Reply, loc *giop.LocateReply, own *muxPending) (res invokeResult, mine, fatal bool) {
 	switch h.Type {
 	case giop.MsgReply:
@@ -451,14 +418,12 @@ func (mc *muxConn) lead(pe *muxPending, deadline time.Time) invokeResult {
 		return res
 	default:
 	}
+	if !deadline.IsZero() {
+		_ = mc.conn.SetReadDeadline(deadline)
+	}
 	var rep giop.Reply
 	var loc giop.LocateReply
 	for {
-		if !deadline.IsZero() {
-			if rd, ok := mc.conn.(readDeadliner); ok {
-				_ = rd.SetReadDeadline(deadline)
-			}
-		}
 		h, fb, err := mc.fr.NextFrame()
 		if err != nil && !deadline.IsZero() && errors.Is(err, os.ErrDeadlineExceeded) && !mc.dead.Load() {
 			// Our own invoke deadline fired while leading. The resumable
@@ -490,8 +455,8 @@ func (mc *muxConn) lead(pe *muxPending, deadline time.Time) invokeResult {
 	}
 }
 
-// noteOrder maintains the reorder counter: the reactor observing a
-// completion below the highest completed id has seen replies cross.
+// noteOrder maintains the reorder counter: a leader observing a completion
+// below the highest completed id has seen replies cross.
 func (mc *muxConn) noteOrder(id uint32) {
 	if id < mc.maxDone {
 		muxReorderTotal.Inc()
@@ -508,7 +473,7 @@ func (mc *muxConn) brkSuccess() {
 	}
 }
 
-// readFailed classifies a reactor read error and kills the connection: a
+// readFailed classifies a leader's read error and kills the connection: a
 // clean shutdown (client closed, peer closed between frames) fails pending
 // entries with ErrClosed and stays off the fault log; anything else — a
 // reply cut off mid-frame, an over-bound body — is a recorded fault that

@@ -81,10 +81,28 @@ func writeEcho(t *testing.T, conn transport.Conn, order giop.ByteOrder, id uint3
 	}
 }
 
-// TestMuxStaleReplyDropped pins the reactor's unknown-id path: a reply
+// echoUntilClosed answers every request with its own payload until the
+// connection ends.
+func echoUntilClosed(conn transport.Conn) {
+	var req giop.Request
+	for {
+		h, body, err := giop.ReadMessageLimited(conn, nil, 1<<16)
+		if err != nil || h.Type != giop.MsgRequest || giop.DecodeRequest(h.Order, body, &req) != nil {
+			return
+		}
+		wire := giop.MarshalReply(nil, h.Order, &giop.Reply{
+			RequestID: req.RequestID, Status: giop.ReplyNoException, Payload: req.Payload,
+		})
+		if _, err := conn.Write(wire); err != nil {
+			return
+		}
+	}
+}
+
+// TestMuxStaleReplyDropped pins the demux's unknown-id path: a reply
 // bearing an id that matches no pending entry is counted and dropped, and
 // the invocation stream keeps flowing — the stale frame must not wedge the
-// reactor or complete the wrong caller.
+// leader reading it or complete the wrong caller.
 func TestMuxStaleReplyDropped(t *testing.T) {
 	net := transport.NewInproc()
 	rs := newRawServer(t, net)
@@ -251,7 +269,7 @@ func TestMuxSubmissionOrderPerBand(t *testing.T) {
 		mu.Unlock()
 		return nil, nil
 	}))
-	cl := dial(t, net, srv.Addr(), ClientConfig{Synchronous: true})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
 
 	const perBand = 40
 	bands := []sched.Priority{sched.NormPriority, sched.MaxPriority - 1}
@@ -285,50 +303,61 @@ func TestMuxSubmissionOrderPerBand(t *testing.T) {
 	}
 }
 
-// TestMuxStorm64 is the -race storm: 64 invokers hammer one multiplexed
-// connection concurrently, every reply must land with its own caller, and
-// the pending table must drain completely.
+// TestMuxStorm64 is the -race storm, on one, two and four processors: 64
+// invokers hammer one multiplexed connection of a default client concurrently,
+// every reply must land with its own caller, the pending table must drain
+// completely, and no caller may come out of the pipeline unbound — each one's
+// own goroutine registered its entry, so each one can be led to its reply.
 func TestMuxStorm64(t *testing.T) {
-	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{Concurrency: 16})
-	cl := dial(t, net, srv.Addr(), ClientConfig{PipelineDepth: 128})
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			net := transport.NewInproc()
+			srv := startEchoServer(t, net, "", ServerConfig{Concurrency: 16})
+			cl := dial(t, net, srv.Addr(), ClientConfig{})
+			unboundBefore := awaitUnbound.Value()
 
-	const invokers = 64
-	const perInvoker = 25
-	var wg sync.WaitGroup
-	errs := make([]error, invokers)
-	for i := 0; i < invokers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j := 0; j < perInvoker; j++ {
-				payload := []byte(fmt.Sprintf("invoker-%d-call-%d", i, j))
-				got, err := cl.Invoke("echo", "echo", payload, sched.NormPriority)
+			const invokers = 64
+			const perInvoker = 25
+			var wg sync.WaitGroup
+			errs := make([]error, invokers)
+			for i := 0; i < invokers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for j := 0; j < perInvoker; j++ {
+						payload := []byte(fmt.Sprintf("invoker-%d-call-%d", i, j))
+						got, err := cl.Invoke("echo", "echo", payload, sched.NormPriority)
+						if err != nil {
+							errs[i] = fmt.Errorf("call %d: %w", j, err)
+							return
+						}
+						if !bytes.Equal(got, payload) {
+							errs[i] = fmt.Errorf("call %d: cross-talk: got %q want %q", j, got, payload)
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			for i, err := range errs {
 				if err != nil {
-					errs[i] = fmt.Errorf("call %d: %w", j, err)
-					return
-				}
-				if !bytes.Equal(got, payload) {
-					errs[i] = fmt.Errorf("call %d: cross-talk: got %q want %q", j, got, payload)
-					return
+					t.Errorf("invoker %d: %v", i, err)
 				}
 			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("invoker %d: %v", i, err)
-		}
-	}
-	if got := cl.Inflight(); got != 0 {
-		t.Errorf("inflight = %d after storm drained", got)
-	}
-	if n, err := cl.App().Errors(); n != 0 {
-		t.Errorf("client handler errors: %d (%v)", n, err)
-	}
-	if n, err := srv.App().Errors(); n != 0 {
-		t.Errorf("server handler errors: %d (%v)", n, err)
+			if got := cl.Inflight(); got != 0 {
+				t.Errorf("inflight = %d after storm drained", got)
+			}
+			if d := awaitUnbound.Value() - unboundBefore; d != 0 {
+				t.Errorf("await_unbound_total advanced by %d", d)
+			}
+			if n, err := cl.App().Errors(); n != 0 {
+				t.Errorf("client handler errors: %d (%v)", n, err)
+			}
+			if n, err := srv.App().Errors(); n != 0 {
+				t.Errorf("server handler errors: %d (%v)", n, err)
+			}
+		})
 	}
 }
 

@@ -100,7 +100,7 @@ func TestOnewayThenCloseReachesServant(t *testing.T) {
 				got <- string(in)
 				return nil, nil
 			}))
-			cl := dial(t, nw.net, srv.Addr(), ClientConfig{Synchronous: true})
+			cl := dial(t, nw.net, srv.Addr(), ClientConfig{})
 			for i := 0; i < n; i++ {
 				if err := cl.InvokeOneway("sink", "push", []byte{byte('a' + i)}, sched.NormPriority); err != nil {
 					t.Fatal(err)

@@ -85,7 +85,7 @@ func TestEchoRoundTripTCP(t *testing.T) {
 func TestEchoWithScopePoolsAndSynchronous(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{ScopePoolCount: 2, Synchronous: true})
-	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 2, Synchronous: true})
+	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 2})
 
 	for i := 0; i < 20; i++ {
 		msg := []byte(fmt.Sprintf("msg-%d", i))
@@ -250,7 +250,7 @@ func TestConfigSurface(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{ClientConfig{}, 14},
+		{ClientConfig{}, 13},
 		{ServerConfig{}, 9},
 	} {
 		if typ := reflect.TypeOf(c.cfg); typ.NumField() != c.want {

@@ -223,7 +223,6 @@ func TestOverloadSoakTieredLoad(t *testing.T) {
 	for ti, tier := range tiers {
 		cl, err := DialClient(ClientConfig{
 			Network: jitter, Addr: "overload-soak", Tenant: tier.tenant,
-			PipelineDepth: workers * 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@ func TestReplicaStripesSpreadMembers(t *testing.T) {
 	startEchoServer(t, net, "r0", ServerConfig{Concurrency: 8})
 	startEchoServer(t, net, "r1", ServerConfig{Concurrency: 8})
 	cl := dial(t, net, "", ClientConfig{
-		Addrs: []string{"r0", "r1"}, Channels: 4, PipelineDepth: 32,
+		Addrs: []string{"r0", "r1"}, Channels: 4,
 	})
 
 	if len(cl.stripes) != 4 {

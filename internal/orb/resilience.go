@@ -24,10 +24,10 @@ var (
 	// the threshold and the cooldown has not yet elapsed.
 	ErrCircuitOpen = errors.New("orb client: circuit open")
 	// ErrDeadlineExceeded is returned when a per-invoke deadline elapses
-	// before the reply arrives. The connection stays up — the demux reactor
-	// keeps the framing synchronised and simply drops the stale reply when
-	// it eventually arrives — so one slow invocation no longer forces a
-	// teardown on everyone sharing the pipeline.
+	// before the reply arrives. The connection stays up — the demux keeps
+	// the framing synchronised and simply drops the stale reply when it
+	// eventually arrives — so one slow invocation does not force a teardown
+	// on everyone sharing the pipeline.
 	ErrDeadlineExceeded = errors.New("orb client: invoke deadline exceeded")
 	// ErrShed marks a reply reporting the server shed the request — overload
 	// brown-out or a draining replica — rather than executing it. Shed
@@ -92,9 +92,7 @@ type ResilienceConfig struct {
 	// Zeros select 16 and 8.
 	RetryBudgetTokens, RetryBudgetEarnEvery int
 	// InvokeTimeout bounds one wire exchange (write + reply read) via the
-	// connection's deadline support, and stamps the same bound on the invoke
-	// port as a send deadline so queue latency is monitored too. Zero means
-	// no deadline.
+	// connection's deadlines. Zero means no deadline.
 	InvokeTimeout time.Duration
 	// BreakerThreshold is the consecutive transport-fault count that opens
 	// the circuit; zero selects 5.
@@ -261,7 +259,7 @@ func (r *resilience) resetDelay() {
 
 // retriable reports whether err is a transport-level failure that an
 // idempotent operation may safely retry: the request either never left the
-// process (local backpressure, open breaker) or the connection died and was
+// process (message pool exhausted, open breaker) or the connection died and was
 // torn down (the retry goes out with a fresh request id on a fresh
 // connection, and stale replies are suppressed by id). Servant-level
 // results — user/system exceptions — are never retried.
@@ -277,7 +275,7 @@ func retriable(err error) bool {
 		return true
 	case errors.Is(err, ErrCircuitOpen), errors.Is(err, ErrDeadlineExceeded):
 		return true
-	case errors.Is(err, core.ErrBufferFull):
+	case errors.Is(err, core.ErrPoolEmpty), errors.Is(err, errUnbound):
 		return true
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF),
 		errors.Is(err, io.ErrClosedPipe), errors.Is(err, net.ErrClosed),

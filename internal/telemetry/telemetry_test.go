@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -243,36 +242,6 @@ func TestEnableToggle(t *testing.T) {
 	Record(EvSend, 0, 0, 0, 0)
 	if Default.Ring().Len() != before+1 {
 		t.Error("enabled recorder did not record")
-	}
-}
-
-func TestRecorderConcurrent(t *testing.T) {
-	rec := NewRecorderIn(NewRegistry(16), "bridge", 100)
-	const workers, per = 8, 250
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				rec.Record(time.Duration(j+1) * time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if rec.Count() != workers*per {
-		t.Errorf("recorder count = %d, want %d", rec.Count(), workers*per)
-	}
-	if rec.Histogram().Count() != workers*per {
-		t.Errorf("histogram count = %d", rec.Histogram().Count())
-	}
-	sum := rec.Summarize()
-	if sum.Count != workers*per || sum.Min != time.Microsecond || sum.Max != per*time.Microsecond {
-		t.Errorf("summary = %+v", sum)
-	}
-	rec.Reset()
-	if rec.Count() != 0 {
-		t.Error("reset did not clear the sample")
 	}
 }
 

@@ -12,13 +12,19 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/telemetry"
 )
 
-// Conn is a bidirectional byte stream between a client and a server.
+// Conn is a bidirectional byte stream between a client and a server. The
+// deadlines are net.Conn's: a Read (Write) pending at or begun after t fails
+// with os.ErrDeadlineExceeded, the zero time removes the bound, and the stream
+// stays usable afterwards.
 type Conn interface {
 	io.ReadWriteCloser
+	SetReadDeadline(t time.Time) error
+	SetWriteDeadline(t time.Time) error
 }
 
 // Listener accepts inbound connections.
