@@ -24,12 +24,15 @@ race: build vet
 # Wire variant (the remote lock-step path: synchronous ORB over the
 # in-process transport, InvokeView); every variant must be 0 allocs/op (the
 # two ORB ones 0 counted payload copies too), and one Wire invocation must
-# enter exactly 5 scopes. Under them all, a buffered write and the read that
-# drains it on the in-process transport allocate nothing, deadline set or not,
-# and neither does an In port's push + pop, keyed or not, nor a send to a
-# synchronous port, with the sender's context or without.
+# enter exactly 3 scopes and overflow into none. Under them all, a buffered
+# write and the read that drains it on the in-process transport allocate
+# nothing, deadline set or not, and neither does an In port's push + pop,
+# keyed or not, nor a send to a synchronous port, with the sender's context
+# or without, nor a scratch buffer, whether it fits the area its thread
+# stands in or overflows into a nested pooled one.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
+	$(GO) test -run TestScratchAllocFree ./internal/memory/
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
 	$(GO) test -run 'TestInPortPushPopAllocFree|TestSyncPortCallAllocFree' ./internal/core/
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
@@ -64,8 +67,8 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		if [ $$d = internal/orb ] && [ $$n -gt 3524 ]; then \
-			echo "internal/orb is over the ratchet of 3524 non-test lines"; fail=1; \
+		if [ $$d = internal/orb ] && [ $$n -gt 3516 ]; then \
+			echo "internal/orb is over the ratchet of 3516 non-test lines"; fail=1; \
 		fi; \
 	done; exit $$fail
 
@@ -92,12 +95,17 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # atomicity), and the In-port buffer replayed against its sort-based
 # reference, and the synchronous port's call contract (whose scopes a send
 # enters from where the sender stands, concurrent senders each running their
-# own message, nested calls, Stop racing calls) — under the race detector. Every fault schedule and history in these tests is seeded, so
-# failures replay.
+# own message, nested calls, Stop racing calls), and the scratch buffer's
+# overflow rule (threads sharing a held-open area fill it and not a byte
+# more; requests parked in RequestProcessing, a handle on MessageProcessing,
+# sixteen pipelined callers: every call succeeds, the overflow pools stay
+# bounded), and a failed send's message ownership — under the race detector.
+# Every fault schedule and history in these tests is seeded, so failures
+# replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall' \
-		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop' \
+		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11
 # grid and the dispatch-path latency/allocation numbers.

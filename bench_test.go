@@ -419,11 +419,12 @@ func TestSteadyStateRoundTripAllocFree(t *testing.T) {
 // costs in scope crossings: a synchronous port is a call on the sender's
 // scope stack, so each hop enters only the area below where the sender
 // stands. On the client, Transport 1 (the caller has no context: a pooled
-// one, from the top), MessageProcessing 1 (from Transport's handler) and the
-// request scope 1; on the server, RequestProcessing 1 (the reader is resident
-// in its Transport's scope) and the reply scope 1. Reviving the two
-// per-request components enters nothing: their headers are charged as their
-// areas are pinned.
+// one, from the top) and MessageProcessing 1 (from Transport's handler); on
+// the server, RequestProcessing 1 (the reader is resident in its Transport's
+// scope). The request and the reply are marshalled in the two per-request
+// components' own areas — a lone caller always finds room there, so nothing
+// overflows into a nested scope — and reviving those components enters
+// nothing: their headers are charged as their areas are pinned.
 func TestWireRoundTripScopeEnters(t *testing.T) {
 	invoke, done := newWirePair(t)
 	defer done()
@@ -431,13 +432,17 @@ func TestWireRoundTripScopeEnters(t *testing.T) {
 		invoke()
 	}
 	enters := telemetry.NewCounter("scope_enter_total")
+	overflows := telemetry.NewCounter("scope_overflow_total")
 	const ops = 100
-	before := enters.Value()
+	before, spilled := enters.Value(), overflows.Value()
 	for i := 0; i < ops; i++ {
 		invoke()
 	}
-	if d := enters.Value() - before; d != 5*ops {
-		t.Errorf("%d invocations entered %d scopes, want %d (5 each)", ops, d, 5*ops)
+	if d := enters.Value() - before; d != 3*ops {
+		t.Errorf("%d invocations entered %d scopes, want %d (3 each)", ops, d, 3*ops)
+	}
+	if d := overflows.Value() - spilled; d != 0 {
+		t.Errorf("%d of %d lock-step invocations overflowed their component's area", d, ops)
 	}
 }
 

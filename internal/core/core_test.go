@@ -497,7 +497,6 @@ func TestSendErrors(t *testing.T) {
 	if err := uc.Send(m3, 1); !errors.Is(err, ErrUnknownPort) {
 		t.Errorf("no-dest err = %v", err)
 	}
-	uc.PutBack(m3)
 }
 
 func TestMessagePoolExhaustion(t *testing.T) {

@@ -161,7 +161,6 @@ func TestMechanismHandoff(t *testing.T) {
 	if err := op.Send(m, 1); !errors.Is(err, ErrNeedsCallerContext) {
 		t.Fatalf("context-free handoff err = %v, want ErrNeedsCallerContext", err)
 	}
-	op.PutBack(m)
 
 	// ...but SendFrom within the parent's execution context works, and the
 	// whole chain (P -> A -> B) runs synchronously on the calling thread.

@@ -123,7 +123,6 @@ type envelope struct {
 	msg       Message
 	pool      *msgPool
 	remaining atomic.Int32
-	release   func() // optional extra cleanup (serialization scratch, etc.)
 }
 
 var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
@@ -131,7 +130,7 @@ var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
 // newEnvelope takes a recycled envelope and arms it for n receivers.
 func newEnvelope(msg Message, pool *msgPool, n int) *envelope {
 	e := envelopePool.Get().(*envelope)
-	e.msg, e.pool, e.release = msg, pool, nil
+	e.msg, e.pool = msg, pool
 	e.remaining.Store(int32(n))
 	return e
 }
@@ -145,9 +144,6 @@ func (e *envelope) done() {
 	if e.pool != nil {
 		e.pool.put(e.msg)
 	}
-	if e.release != nil {
-		e.release()
-	}
-	e.msg, e.pool, e.release = nil, nil, nil
+	e.msg, e.pool = nil, nil
 	envelopePool.Put(e)
 }

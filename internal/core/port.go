@@ -559,10 +559,18 @@ func (p *OutPort) PutBack(m Message) {
 	p.pool.put(m)
 }
 
+// refuse recycles a message whose send could not start, and returns err.
+func (p *OutPort) refuse(m Message, err error) error {
+	p.pool.put(m)
+	return err
+}
+
 // Send delivers msg to every connected destination at the given priority
 // using the SMM's configured cross-scope mechanism. A handler the send calls
 // on this thread (a synchronous port's) runs on a pooled memory context that
-// enters the receiver's scope chain from the top.
+// enters the receiver's scope chain from the top. Send consumes msg whether
+// it succeeds or not — a failed send has recycled it (Reset ran): the caller
+// neither reuses it nor puts it back.
 func (p *OutPort) Send(msg Message, prio sched.Priority) error {
 	return p.smm.send(p, nil, msg, prio)
 }
@@ -571,7 +579,8 @@ func (p *OutPort) Send(msg Message, prio sched.Priority) error {
 // the calling goroutine: a handler the send calls leaves the sender's scope
 // through the deepest area it shares with the receiver and enters only what
 // lies below — one area from the receiver's parent. Prefer it with a Proc in
-// hand; the handoff mechanism requires it.
+// hand; the handoff mechanism requires it. Like Send, it consumes msg on every
+// outcome.
 func (p *OutPort) SendFrom(proc *Proc, msg Message, prio sched.Priority) error {
 	return p.smm.send(p, proc, msg, prio)
 }

@@ -118,42 +118,32 @@ func (s *SMM) SetMechanism(m Mechanism) {
 func (s *SMM) GetOutPort(name string) (*OutPort, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.out[name]; ok {
-		return p, nil
-	}
-	var found *OutPort
-	for _, p := range s.out {
-		if p.short == name {
-			if found != nil {
-				return nil, fmt.Errorf("%w: out port %q is ambiguous", ErrUnknownPort, name)
-			}
-			found = p
-		}
-	}
-	if found == nil {
-		return nil, fmt.Errorf("%w: out port %q", ErrUnknownPort, name)
-	}
-	return found, nil
+	return findPort(s.out, "out", name, func(p *OutPort) string { return p.short })
 }
 
 // GetInPort looks an In port up by qualified or unambiguous short name.
 func (s *SMM) GetInPort(name string) (*InPort, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if p, ok := s.in[name]; ok {
+	return findPort(s.in, "in", name, func(p *InPort) string { return p.short })
+}
+
+// findPort is the lookup behind GetOutPort and GetInPort.
+func findPort[P *InPort | *OutPort](ports map[string]P, kind, name string, short func(P) string) (P, error) {
+	if p, ok := ports[name]; ok {
 		return p, nil
 	}
-	var found *InPort
-	for _, p := range s.in {
-		if p.short == name {
+	var found P
+	for _, p := range ports {
+		if short(p) == name {
 			if found != nil {
-				return nil, fmt.Errorf("%w: in port %q is ambiguous", ErrUnknownPort, name)
+				return nil, fmt.Errorf("%w: %s port %q is ambiguous", ErrUnknownPort, kind, name)
 			}
 			found = p
 		}
 	}
 	if found == nil {
-		return nil, fmt.Errorf("%w: in port %q", ErrUnknownPort, name)
+		return nil, fmt.Errorf("%w: %s port %q", ErrUnknownPort, kind, name)
 	}
 	return found, nil
 }
@@ -437,7 +427,7 @@ func (s *SMM) Connect(name string) (*Handle, error) {
 	}
 	// The pending message materialize reserved becomes the handle.
 	child.life.Add(handleOne - pendingOne)
-	h := &Handle{smm: s, child: child}
+	h := &Handle{child: child}
 	if s.stopped.Load() {
 		// Stop no longer counts handles and may have passed this one by.
 		h.Disconnect()
@@ -452,7 +442,6 @@ func (s *SMM) Disconnect(h *Handle) { h.Disconnect() }
 
 // Handle keeps a child component instance alive.
 type Handle struct {
-	smm      *SMM
 	child    *Component
 	released atomic.Bool
 }
@@ -700,15 +689,17 @@ func (s *SMM) buildRoutes(p *OutPort) *routeSet {
 }
 
 // send routes one message per the SMM's configured mechanism; proc is nil
-// unless the sender supplied its execution context (SendFrom).
+// unless the sender supplied its execution context (SendFrom). Whatever it
+// returns, the message is the framework's: a send refused before any receiver
+// was tried recycles it as one that a receiver failed does.
 func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) error {
 	if s.stopped.Load() {
-		return ErrStopped
+		return p.refuse(msg, ErrStopped)
 	}
 	mech := Mechanism(s.mechanism.Load())
 	rs := s.routesFor(p)
 	if len(rs.routes) == 0 {
-		return fmt.Errorf("%w: out port %q has no destinations", ErrUnknownPort, p.qname)
+		return p.refuse(msg, fmt.Errorf("%w: out port %q has no destinations", ErrUnknownPort, p.qname))
 	}
 
 	// Stamp the absolute deadline once per send; every receiver inherits it.
@@ -723,13 +714,13 @@ func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) err
 		// Handoff is the shared object with every receiver called, whatever
 		// its port's threading, on the caller's scope stack.
 		if mech == MechanismHandoff && proc == nil {
-			return fmt.Errorf("%w: out port %q", ErrNeedsCallerContext, p.qname)
+			return p.refuse(msg, fmt.Errorf("%w: out port %q", ErrNeedsCallerContext, p.qname))
 		}
 		err = s.sendShared(p, proc, msg, prio, deadline, rs, mech == MechanismHandoff)
 	case MechanismSerialization:
 		err = s.sendSerialized(p, proc, msg, prio, deadline, rs)
 	default:
-		err = fmt.Errorf("core: unknown mechanism %v", mech)
+		err = p.refuse(msg, fmt.Errorf("core: unknown mechanism %v", mech))
 	}
 	if err == nil {
 		p.sent.Add(1)
@@ -788,13 +779,13 @@ func settle(env *envelope, pool *msgPool, msg Message) {
 func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
 	bm, ok := msg.(encoding.BinaryMarshaler)
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotSerializable, p.typ.Name)
+		return p.refuse(msg, fmt.Errorf("%w: %q", ErrNotSerializable, p.typ.Name))
 	}
 	data, err := bm.MarshalBinary()
+	p.pool.put(msg)
 	if err != nil {
 		return fmt.Errorf("serialize %q: %w", p.typ.Name, err)
 	}
-	p.pool.put(msg)
 
 	var firstErr error
 	for i := range rs.routes {

@@ -448,9 +448,26 @@ func (a *Area) alloc(n int) (Ref, error) {
 	return a.carveLocked(n), nil
 }
 
+// tryAlloc is alloc on a scoped area its caller stands in (so it is held
+// open), for a caller with somewhere else to go: when the n bytes do not fit
+// it reports false and builds no error.
+func (a *Area) tryAlloc(n int) (Ref, bool) {
+	a.mu.Lock()
+	if n < 0 || !a.roomLocked(n) {
+		a.mu.Unlock()
+		return Ref{}, false
+	}
+	ref := a.carveLocked(n)
+	a.mu.Unlock()
+	return ref, true
+}
+
+// roomLocked reports whether n more bytes fit the arena.
+func (a *Area) roomLocked(n int) bool { return a.used+int64(n) <= a.capacity }
+
 // fitsLocked reports ErrOutOfMemory unless n more bytes fit the arena.
 func (a *Area) fitsLocked(n int) error {
-	if a.used+int64(n) > a.capacity {
+	if !a.roomLocked(n) {
 		return fmt.Errorf("%w: %q needs %d bytes, %d free",
 			ErrOutOfMemory, a.name, n, a.capacity-a.used)
 	}

@@ -12,6 +12,9 @@ import (
 var (
 	scopeEnters = telemetry.NewCounter("scope_enter_total")
 	scopeExits  = telemetry.NewCounter("scope_exit_total")
+	// scopeOverflows counts Scratch buffers that did not fit the area their
+	// thread stood in and took a nested pooled one.
+	scopeOverflows = telemetry.NewCounter("scope_overflow_total")
 )
 
 // Context models one (real-time) thread's scope stack. A Context must be
@@ -213,6 +216,38 @@ func (c *Context) Alloc(n int) (Ref, error) {
 		return Ref{}, fmt.Errorf("%w: alloc in %q", ErrHeapAccess, cur.name)
 	}
 	return cur.alloc(n)
+}
+
+// Scratch runs fn with n bytes that live no longer than the call, in the area
+// the thread already stands in when that is a scoped one with room for them,
+// and otherwise in an area of pool entered beneath it for the length of fn. It
+// is for the per-request buffer of a component whose own area is reclaimed
+// when the component quiesces: a request that finds room costs one
+// allocation and no scope, and while overlapping requests keep the component
+// from quiescing its area fills to its fixed capacity and every further
+// request takes the nested area, as if there were no shortcut — memory stays
+// bounded by the two area sizes either way. The choice is made under the
+// lock the allocation takes anyway. A primordial current area always takes
+// the pool, since immortal memory would keep the bytes for good. An error
+// that is not fn's own wraps the pool's or the nested area's.
+func (c *Context) Scratch(pool *ScopePool, n int, fn func(Ref) error) error {
+	if cur := c.Current(); cur.kind == KindScoped {
+		if ref, ok := cur.tryAlloc(n); ok {
+			return fn(ref)
+		}
+	}
+	scopeOverflows.Inc()
+	area, err := pool.Acquire()
+	if err != nil {
+		return fmt.Errorf("scratch buffer: %w", err)
+	}
+	return c.Enter(area, func(ic *Context) error {
+		ref, err := ic.Alloc(n)
+		if err != nil {
+			return fmt.Errorf("scratch buffer: %w", err)
+		}
+		return fn(ref)
+	})
 }
 
 // AllocIn allocates n bytes in area a, which must be on the context's scope

@@ -173,7 +173,8 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	}
 
 	// Area budgets: the Transport holds port structures and pools; each
-	// MessageProcessing marshals one request and one reply.
+	// MessageProcessing marshals the requests that pass through it until it
+	// next quiesces — one, for a lone caller — as far as they fit.
 	mpSize := int64(4*maxMsg + 8192)
 	transportSize := int64(8*maxMsg + 32768)
 
@@ -188,9 +189,10 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 
-	// Each in-flight request marshals into its own pooled scope nested
-	// under MessageProcessing, so pipelined invokes cannot exhaust the
-	// component's fixed region (the RTZen per-request scope pattern).
+	// The overflow scopes: a request that finds MessageProcessing's own
+	// area full — it is reclaimed only when the component quiesces, which
+	// pipelined invokes can put off indefinitely — marshals in one of these,
+	// nested under it (the RTZen per-request scope pattern).
 	reqPool, err := app.Model().NewScopePool(memory.ScopePoolConfig{
 		Name:     "orb.client.request",
 		AreaSize: int64(3*maxMsg + 4096),
@@ -366,11 +368,13 @@ func (cl *Client) transportSetup(mpSize int64, usePool bool) func(*core.Componen
 }
 
 // processInvoke runs in the MessageProcessing component's scope, on the
-// invoking goroutine: it enters a pooled per-request scope nested under it and
-// submits the invocation there. It does NOT wait for the reply — the caller
-// does that next, in await — so the request scope is reclaimed on return (the
-// frame has been written or copied into the connection's batch by then),
-// keeping memory bounded per in-flight request.
+// invoking goroutine, and submits the invocation from a wire buffer carved out
+// of that scope — or, when overlapping invocations have filled it, out of a
+// pooled scope nested under it (memory.Context.Scratch). It does NOT wait for
+// the reply — the caller does that next, in await — so the buffer is dead on
+// return (the frame has been written or copied into the connection's batch by
+// then) and goes when its scope is reclaimed: memory stays bounded however
+// many invocations are in flight.
 //
 // Completion ownership: an entry that never made it into a pending table is
 // still this goroutine's alone and is completed here — with the error that
@@ -385,13 +389,11 @@ func (cl *Client) transportSetup(mpSize int64, usePool bool) func(*core.Componen
 func (cl *Client) processInvoke(p *core.Proc, msg core.Message) error {
 	in := msg.(*invokeMsg)
 	tabled := false
-	area, err := cl.reqPool.Acquire()
-	if err == nil {
-		err = p.Context().Enter(area, func(ctx *memory.Context) (err error) {
-			tabled, err = cl.submit(ctx, in)
-			return err
-		})
-	}
+	wireCap := giop.HeaderSize + 96 + len(in.key) + len(in.op) + len(in.payload)
+	err := p.Context().Scratch(cl.reqPool, wireCap, func(buf memory.Ref) (err error) {
+		tabled, err = cl.submit(buf, in)
+		return err
+	})
 	if tabled {
 		return err
 	}
@@ -402,17 +404,12 @@ func (cl *Client) processInvoke(p *core.Proc, msg core.Message) error {
 	return err
 }
 
-// submit marshals one request with buffers charged to the current scope,
-// registers its pending entry with the live connection (redialling under
-// supervision if none is up), and writes the frame. tabled reports that the
-// entry entered the connection's pending table, whatever happened next.
-func (cl *Client) submit(ctx *memory.Context, in *invokeMsg) (tabled bool, err error) {
-	wireCap := giop.HeaderSize + 96 + len(in.key) + len(in.op) + len(in.payload)
-	wireRef, err := ctx.Alloc(wireCap)
-	if err != nil {
-		return false, fmt.Errorf("orb client: marshal buffer: %w", err)
-	}
-	wireBuf, err := wireRef.Bytes()
+// submit marshals one request into buf, registers its pending entry with the
+// live connection (redialling under supervision if none is up), and writes the
+// frame. tabled reports that the entry entered the connection's pending table,
+// whatever happened next.
+func (cl *Client) submit(buf memory.Ref, in *invokeMsg) (tabled bool, err error) {
+	wireBuf, err := buf.Bytes()
 	if err != nil {
 		return false, err
 	}

@@ -24,7 +24,7 @@ import (
 // flusher's next pass. Returning before the flush is what lets the senders
 // behind the flusher — callers on the client, port threads on the server —
 // fill a batch; the copy is what makes it safe, because the sender's frame
-// lives in a per-request scope reclaimed when its handler returns.
+// lives in a scope reclaimed when its handler returns or soon after.
 
 // CoalesceConfig used to opt an endpoint into write coalescing and size its
 // batches. Batching is now always on and sizes itself from the traffic.

@@ -182,9 +182,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 
-	// Reply buffers live in pooled per-request scopes nested under
-	// RequestProcessing, so pipelined requests cannot exhaust the
-	// component's fixed region.
+	// The overflow scopes: a reply that finds RequestProcessing's own area
+	// full — it is reclaimed only when the component quiesces, which
+	// overlapping requests can put off indefinitely — is marshalled in one
+	// of these, nested under it.
 	repPool, err := app.Model().NewScopePool(memory.ScopePoolConfig{
 		Name:     "orb.server.reply",
 		AreaSize: int64(2*maxMsg + 4096),
@@ -829,7 +830,9 @@ func writeShedReply(sc *serverConn, order giop.ByteOrder, requestID uint32) {
 // processRequest is the wire transport's execution, run in the
 // RequestProcessing component's scope: it demarshals the request there,
 // executes it, and marshals and writes the outcome from the same scope, which
-// is reclaimed (or returned to the pool) when the component quiesces.
+// is reclaimed (or returned to the pool) when the component quiesces — or,
+// when requests overlapping in the component have filled it, from a pooled
+// scope nested under it (memory.Context.Scratch).
 func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 	m := msg.(*requestMsg)
 	var req giop.Request
@@ -841,18 +844,10 @@ func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 		return nil
 	}
 
-	area, err := s.repPool.Acquire()
-	if err != nil {
-		return fmt.Errorf("orb server: reply scope: %w", err)
-	}
-	return p.Context().Enter(area, func(ctx *memory.Context) error {
-		// Room for the header, the fixed reply fields and both service
-		// contexts (trace, retry-after).
-		wireCap := giop.HeaderSize + 64 + len(out)
-		ref, err := ctx.Alloc(wireCap)
-		if err != nil {
-			return fmt.Errorf("orb server: reply buffer: %w", err)
-		}
+	// Room for the header, the fixed reply fields and both service contexts
+	// (trace, retry-after).
+	wireCap := giop.HeaderSize + 64 + len(out)
+	return p.Context().Scratch(s.repPool, wireCap, func(ref memory.Ref) error {
 		buf, err := ref.Bytes()
 		if err != nil {
 			return err

@@ -9,6 +9,9 @@ import (
 	"time"
 
 	"repro/internal/corba"
+	"repro/internal/core"
+	"repro/internal/giop"
+	"repro/internal/overload"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
@@ -158,5 +161,60 @@ func TestServerCloseDuringConnectionChurn(t *testing.T) {
 		if n == 0 {
 			t.Errorf("churner %d completed no cycle before the close", w)
 		}
+	}
+}
+
+// A request whose relay into RequestProcessing loses to the component
+// application stopping is released, not leaked: the failed send recycled the
+// pooled message, so its frame reference, its share of the server's in-flight
+// count and its admission slot are all back.
+func TestDispatchLosingToStopReleasesTheRequest(t *testing.T) {
+	giop.SetFrameLeakCheck(true)
+	defer giop.SetFrameLeakCheck(false)
+
+	ctrl := overload.NewController(overload.Config{})
+	defer ctrl.Close()
+	srv := &Server{ctrl: ctrl}
+	app, err := core.NewApp(core.AppConfig{Name: "dispatch-stop"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var toRP *core.OutPort
+	comp, err := app.NewImmortalComponent("T", func(c *core.Component) (err error) {
+		toRP, err = core.AddOutPort(c, c.SMM(), core.OutPortConfig{Name: "toRP", Type: requestType, Dests: []string{"T.request"}})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	app.Stop()
+
+	wire := giop.MarshalRequest(nil, giop.BigEndian, &giop.Request{
+		RequestID: 7, ResponseExpected: true, ObjectKey: []byte("echo"), Operation: "echo", Payload: []byte("x"),
+	})
+	fr := giop.NewFrameReader(bytes.NewReader(wire), DefaultMaxMessage)
+	h, fb, err := fr.NextFrame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.dispatch(&serverConn{srv: srv}, toRP, nil, h, fb) {
+		t.Fatal("dispatch into a stopped application reported the connection healthy")
+	}
+	fr.Close()
+
+	if n := srv.inflight.Load(); n != 0 {
+		t.Errorf("server in-flight = %d after the failed relay", n)
+	}
+	if n := ctrl.Inflight(); n != 0 {
+		t.Errorf("admission slots held = %d after the failed relay", n)
+	}
+	if _, inFlight, _, _ := comp.SMM().MsgPoolStats(requestType.Name); inFlight != 0 {
+		t.Errorf("request messages in flight = %d", inFlight)
+	}
+	if leaks := giop.CheckFrameLeaks(); len(leaks) != 0 {
+		t.Errorf("frames leaked: %v", leaks)
 	}
 }
