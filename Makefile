@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-build orb-loc verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
+.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
 
 all: build
 
@@ -29,12 +29,14 @@ race: build vet
 # nothing, deadline set or not, and neither does an In port's push + pop,
 # keyed or not, nor a send to a synchronous port, with the sender's context
 # or without, nor a scratch buffer, whether it fits the area its thread
-# stands in or overflows into a nested pooled one.
+# stands in or overflows into a nested pooled one, nor a sched.Signal Notify
+# with nobody waiting (every release of a component calls one).
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
 	$(GO) test -run TestScratchAllocFree ./internal/memory/
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
 	$(GO) test -run 'TestInPortPushPopAllocFree|TestSyncPortCallAllocFree' ./internal/core/
+	$(GO) test -run TestSignalNotifyAllocFree ./internal/sched/
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
 	$(GO) test -run='^$$' -bench=BenchmarkSyncPortCall -benchtime=20000x ./internal/core/
 
@@ -67,12 +69,23 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		if [ $$d = internal/orb ] && [ $$n -gt 3516 ]; then \
-			echo "internal/orb is over the ratchet of 3516 non-test lines"; fail=1; \
+		if [ $$d = internal/orb ] && [ $$n -gt 3485 ]; then \
+			echo "internal/orb is over the ratchet of 3485 non-test lines"; fail=1; \
 		fi; \
 	done; exit $$fail
 
-verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
+# no-poll is a ratchet on waiting: nothing in the component runtime, the
+# memory model, the scheduler or the ORB sleeps to poll for a condition
+# another goroutine could signal — such a wait is a sched.Signal Wait on a
+# predicate, and whoever changes the state notifies. It fails on any
+# time.Sleep in a non-test file there except the one pacing
+# Client.withRetry's retries, which is a delay, not a wait.
+no-poll:
+	@awk '/^func /{fn=$$0} /time\.Sleep\(/ && fn !~ /withRetry/ {print FILENAME ":" FNR ": " $$0; bad=1} \
+		END {if (bad) {print "polling sleeps: wait on a sched.Signal instead"; exit 1}}' \
+		$$(ls internal/core/*.go internal/memory/*.go internal/sched/*.go internal/orb/*.go | grep -v _test.go)
+
+verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll
 
 # chaos is the resilience gate: the fault-injection suite — seeded fault
 # network, circuit breaker, reconnect/retry, deadline teardown, overload
@@ -99,12 +112,16 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # overflow rule (threads sharing a held-open area fill it and not a byte
 # more; requests parked in RequestProcessing, a handle on MessageProcessing,
 # sixteen pipelined callers: every call succeeds, the overflow pools stay
-# bounded), and a failed send's message ownership — under the race detector.
+# bounded), and a failed send's message ownership, and the wake-on-transition
+# signal every wait rides (no lost wakeup across 64 waiters, deadlines kept,
+# overlapping Drains and Stop), a Close that fails connections a Retarget is
+# still retiring, and connection churn that interns no new labels — under the
+# race detector.
 # Every fault schedule and history in these tests is seeded, so failures
 # replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11

@@ -68,11 +68,12 @@ type App struct {
 	topNames map[string]*Component
 	started  bool
 	stopped  bool
+	drainers int // Drains in progress
 	errCount int64
 	lastErr  error
 
 	// phase is the mission-style lifecycle state (see Phase); Start, Drain,
-	// Terminate, and Stop drive it.
+	// Terminate, and Stop drive it, under mu, and anyone may read it.
 	phase atomic.Int32
 
 	// calls recycles callStates — a no-heap memory context and the state of
@@ -200,10 +201,10 @@ func (a *App) Start() error {
 		return nil
 	}
 	a.started = true
+	a.phase.Store(int32(PhaseRunning))
 	top := make([]*Component, len(a.top))
 	copy(top, a.top)
 	a.mu.Unlock()
-	a.phase.Store(int32(PhaseRunning))
 
 	for _, c := range top {
 		if err := c.runStart(); err != nil {
@@ -223,10 +224,10 @@ func (a *App) Stop() {
 		return
 	}
 	a.stopped = true
+	a.phase.Store(int32(PhaseTerminated))
 	top := make([]*Component, len(a.top))
 	copy(top, a.top)
 	a.mu.Unlock()
-	a.phase.Store(int32(PhaseTerminated))
 
 	for _, c := range top {
 		c.shutdown()

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -44,6 +43,20 @@ type ChildDef struct {
 	Setup func(*Component) error
 }
 
+// check rejects a blueprint DefineChild or Swap cannot build from.
+func (def *ChildDef) check() error {
+	if err := checkName(def.Name); err != nil {
+		return err
+	}
+	if def.Setup == nil {
+		return fmt.Errorf("core: child %q: nil Setup", def.Name)
+	}
+	if !def.UsePool && def.MemorySize <= 0 {
+		return fmt.Errorf("core: child %q: non-positive memory size %d", def.Name, def.MemorySize)
+	}
+	return nil
+}
+
 // Component is one Compadres component: a named artifact bound to a memory
 // area, communicating through typed ports. Top-level components live in
 // immortal memory; children live in scoped areas pinned open for the
@@ -66,9 +79,9 @@ type Component struct {
 	// life is the component's whole liveness state in one word (see the
 	// layout below). Every per-message transition is a CAS on it.
 	life atomic.Uint64
-	// startWait is created lazily by a delivery that actually races the
-	// start function, and closed when lifeStarted is set.
-	startWait atomic.Pointer[chan struct{}]
+	// changed is notified after every transition of life somebody may wait
+	// for: started, a release (idle, disposed), a shell parked or published.
+	changed sched.Signal
 
 	// smm is created lazily under app.mu and read without it.
 	smm       atomic.Pointer[SMM]
@@ -154,14 +167,8 @@ func (c *Component) SetStart(fn func(*Proc) error) { c.startFn = fn }
 // DefineChild registers a child blueprint. The child is instantiated by the
 // component's SMM on demand.
 func (c *Component) DefineChild(def ChildDef) error {
-	if err := checkName(def.Name); err != nil {
+	if err := def.check(); err != nil {
 		return err
-	}
-	if def.Setup == nil {
-		return fmt.Errorf("core: child %q: nil Setup", def.Name)
-	}
-	if !def.UsePool && def.MemorySize <= 0 {
-		return fmt.Errorf("core: child %q: non-positive memory size %d", def.Name, def.MemorySize)
 	}
 	c.app.mu.Lock()
 	defer c.app.mu.Unlock()
@@ -218,37 +225,16 @@ func (c *Component) waitStarted() {
 	if c.mgr == nil || c.life.Load()&lifeStarted != 0 {
 		return
 	}
-	ch := c.startWait.Load()
-	for ch == nil {
-		fresh := make(chan struct{})
-		if c.startWait.CompareAndSwap(nil, &fresh) {
-			ch = &fresh
-		} else {
-			ch = c.startWait.Load()
-		}
-	}
-	// markStarted sets the flag before it looks for a channel, so either it
-	// saw this one and closes it or the flag is already visible here.
-	if c.life.Load()&lifeStarted == 0 {
-		<-*ch
-	}
+	c.changed.Wait(func() bool { return c.life.Load()&lifeStarted != 0 }, time.Time{})
 }
 
 // markStarted releases deliveries parked in waitStarted. It runs whether or
 // not the start function succeeded — a failed instance is force-disposed
 // right after, and the parked dispatches fail on the disposed check.
 func (c *Component) markStarted() {
-	for {
-		w := c.life.Load()
-		if c.life.CompareAndSwap(w, w|lifeStarted) {
-			break
-		}
+	for w := c.life.Load(); !c.life.CompareAndSwap(w, w|lifeStarted); w = c.life.Load() {
 	}
-	if c.startWait.Load() != nil {
-		if ch := c.startWait.Swap(nil); ch != nil {
-			close(*ch)
-		}
-	}
+	c.changed.Notify()
 }
 
 // runStart invokes the start function (if any) in the component's context.
@@ -282,7 +268,6 @@ func (c *Component) childDef(name string) *ChildDef {
 // caller build a second shell beside it. errGone means the instance will
 // never serve again.
 func (c *Component) reserve() error {
-	var b backoff
 	for {
 		w := c.life.Load()
 		switch {
@@ -297,7 +282,7 @@ func (c *Component) reserve() error {
 				return c.reopen()
 			}
 		default:
-			if !b.wait() {
+			if !c.awaitSettled() {
 				return fmt.Errorf("core: %q: instance kept quiescing", c.Path())
 			}
 		}
@@ -307,24 +292,12 @@ func (c *Component) reserve() error {
 // errGone is reserve's report that the instance is disposed for good.
 var errGone = errors.New("core: instance gone")
 
-// backoff paces a wait for another goroutine's transition: yield a few
-// times (the window is normally a wedge release), then sleep in 20µs steps
-// up to resolveRetryBound, stamped only once the wait got that far.
-type backoff struct {
-	spins    int
-	deadline time.Time
-}
-
-func (b *backoff) wait() bool {
-	if b.spins++; b.spins <= 64 {
-		runtime.Gosched()
-		return true
-	}
-	if b.deadline.IsZero() {
-		b.deadline = time.Now().Add(resolveRetryBound)
-	}
-	time.Sleep(20 * time.Microsecond)
-	return time.Now().Before(b.deadline)
+// awaitSettled waits, up to resolveRetryBound, for the owner of a shell in
+// transition to park or publish it.
+func (c *Component) awaitSettled() bool {
+	return c.changed.Wait(func() bool {
+		return c.life.Load()&(lifeDisposed|lifeParked|lifeRetired) != lifeDisposed
+	}, time.Now().Add(resolveRetryBound))
 }
 
 // resolveRetryBound caps a wait on a shell in transition. The owner of the
@@ -342,7 +315,8 @@ func (c *Component) release(delta, set uint64) {
 	}
 }
 
-// tryRelease is one attempt at release against the observed word w.
+// tryRelease is one attempt at release against the observed word w; a
+// successful one notifies waiters, after closing the instance if it was last.
 func (c *Component) tryRelease(w, delta, set uint64) bool {
 	n := (w - delta) | set
 	last := n&(lifeDisposed|lifeAuto) == lifeAuto && n&countMask == 0
@@ -355,6 +329,7 @@ func (c *Component) tryRelease(w, delta, set uint64) bool {
 	if last {
 		c.close(n)
 	}
+	c.changed.Notify()
 	return true
 }
 
@@ -430,15 +405,22 @@ func (c *Component) reopen() error {
 		err = c.open()
 	}
 	if err != nil {
-		c.life.Store(lifeDisposed | lifeParked | lifeAuto)
+		c.publish(lifeDisposed | lifeParked | lifeAuto)
 		return err
 	}
 	if c.startFn == nil {
-		c.life.Store(pendingOne | lifeAuto | lifeStarted)
+		c.publish(pendingOne | lifeAuto | lifeStarted)
 		return nil
 	}
-	c.life.Store(pendingOne | lifeAuto)
+	c.publish(pendingOne | lifeAuto)
 	return c.start()
+}
+
+// publish ends a transition its caller owns: the shell goes live or back to
+// parked, and whoever waited for it settling re-reads the word.
+func (c *Component) publish(w uint64) {
+	c.life.Store(w)
+	c.changed.Notify()
 }
 
 // start runs the start function of a published instance and releases the
@@ -466,7 +448,7 @@ func (c *Component) close(w uint64) {
 		c.teardown()
 	} else {
 		c.teardown()
-		c.life.Store(lifeDisposed | lifeParked | lifeAuto)
+		c.publish(lifeDisposed | lifeParked | lifeAuto)
 	}
 	c.parent.release(childOne, 0)
 }
@@ -476,10 +458,11 @@ func (c *Component) close(w uint64) {
 // version must never come back under the new blueprint. It reports whether
 // the instance was live. A shell in transition settles first.
 func (c *Component) retire() bool {
-	var b backoff
+	settling := true
 	for {
 		w := c.life.Load()
-		if w&(lifeDisposed|lifeParked|lifeRetired) == lifeDisposed && b.wait() {
+		if settling && w&(lifeDisposed|lifeParked|lifeRetired) == lifeDisposed {
+			settling = c.awaitSettled()
 			continue
 		}
 		if w&lifeDisposed != 0 {
@@ -492,29 +475,27 @@ func (c *Component) retire() bool {
 	}
 }
 
-// awaitDisposed waits — bounded by timeout — for the instance to be
-// reclaimed, reporting whether it was. The 50µs poll keeps the reconfig
-// pause measurement fine-grained without touching the per-message paths.
-func (c *Component) awaitDisposed(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for !c.Disposed() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	return true
-}
+// busy reports in-flight work anywhere in the component's subtree.
+func (c *Component) busy() bool { return c.firstBusy() != nil }
 
-// busy reports in-flight work anywhere in the component's subtree: pending
-// deliveries on this instance, queued messages on its SMM's In ports, or a
-// busy child.
-func (c *Component) busy() bool {
-	if c.life.Load()&pendingMask > 0 {
-		return true
+// firstBusy returns the first component in c's subtree, parents first, with
+// a delivery pending on it — buffered or in its handler, either holds the
+// owner's reservation — or nil. A swapped-out instance has left the tree:
+// Swap drains it.
+func (c *Component) firstBusy() *Component {
+	if c.life.Load()&pendingMask != 0 {
+		return c
 	}
 	smm := c.smm.Load()
-	return smm != nil && smm.busy()
+	if smm == nil {
+		return nil
+	}
+	for _, child := range smm.childShells() {
+		if b := child.firstBusy(); b != nil {
+			return b
+		}
+	}
+	return nil
 }
 
 // forceDispose reclaims the instance at Stop: its subtree first, then the

@@ -279,16 +279,11 @@ func TestClientServerRoundTrip(t *testing.T) {
 	}
 
 	// Pools balance: every message returned.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		_, inFlight, gets, returns := smm.MsgPoolStats("Int")
-		if inFlight == 0 && gets == returns && gets >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool not balanced: inflight %d gets %d returns %d", inFlight, gets, returns)
-		}
-		time.Sleep(time.Millisecond)
+	if err := app.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if _, inFlight, gets, returns := smm.MsgPoolStats("Int"); inFlight != 0 || gets != returns || gets < 3 {
+		t.Fatalf("pool not balanced: inflight %d gets %d returns %d", inFlight, gets, returns)
 	}
 }
 
@@ -308,12 +303,11 @@ func TestTransientChildrenReclaimedAtQuiescence(t *testing.T) {
 
 	// Both children should quiesce and be reclaimed.
 	smm := imc.SMM()
-	deadline := time.Now().Add(2 * time.Second)
-	for smm.Child("Client") != nil || smm.Child("Server") != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("transient children not reclaimed")
-		}
-		time.Sleep(time.Millisecond)
+	if err := app.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if smm.Child("Client") != nil || smm.Child("Server") != nil {
+		t.Fatal("transient children not reclaimed")
 	}
 
 	// A second trigger re-instantiates them and still works.
@@ -360,12 +354,11 @@ func TestConnectHandleKeepsChildAlive(t *testing.T) {
 
 	h.Disconnect()
 	h.Disconnect() // idempotent
-	deadline := time.Now().Add(2 * time.Second)
-	for smm.Child("Server") != nil {
-		if time.Now().After(deadline) {
-			t.Fatal("server not reclaimed after disconnect")
-		}
-		time.Sleep(time.Millisecond)
+	if err := app.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if smm.Child("Server") != nil {
+		t.Fatal("server not reclaimed after disconnect")
 	}
 	if !server.Disposed() {
 		t.Error("server instance not marked disposed")
@@ -664,18 +657,11 @@ func TestHandlerPanicIsolatedAndReported(t *testing.T) {
 	if err := out.Send(m, 1); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n, err := app.Errors(); n == 1 {
-			if err == nil {
-				t.Error("nil last error")
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("panic not reported")
-		}
-		time.Sleep(time.Millisecond)
+	if err := app.Drain(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := app.Errors(); n != 1 || err == nil {
+		t.Fatalf("panic not reported: %d errors, last %v", n, err)
 	}
 	// The message still returned to its pool.
 	_, inFlight, _, _ := comp.SMM().MsgPoolStats("Int")

@@ -81,11 +81,14 @@ var (
 func (a *App) Phase() Phase { return Phase(a.phase.Load()) }
 
 // Drain waits — bounded by timeout (zero selects DefaultDrainTimeout) — for
-// the assembly to quiesce: no in-flight deliveries on any component and no
-// queued messages on any In port, over every top-level subtree. Drain
+// the assembly to quiesce: no delivery pending, buffered or in a handler, on
+// any component of any top-level subtree. It walks the tree to the first
+// busy component, waits for that one to go quiet, and walks again. Drain
 // observes; it does not gate new sends — the caller pauses its producers
 // (or has removed the assembly from its directory) first, which is what
 // keeps in-flight handlers free to send downstream while the level drops.
+// A running App reads PhaseDraining while any Drain waits; Drains may
+// overlap, and a Stop that lands meanwhile is never undone.
 func (a *App) Drain(timeout time.Duration) error {
 	if timeout == 0 {
 		timeout = DefaultDrainTimeout
@@ -97,29 +100,31 @@ func (a *App) Drain(timeout time.Duration) error {
 	}
 	top := make([]*Component, len(a.top))
 	copy(top, a.top)
+	if a.drainers++; a.drainers == 1 {
+		a.phase.CompareAndSwap(int32(PhaseRunning), int32(PhaseDraining))
+	}
 	a.mu.Unlock()
+	defer func() {
+		a.mu.Lock()
+		if a.drainers--; a.drainers == 0 {
+			a.phase.CompareAndSwap(int32(PhaseDraining), int32(PhaseRunning))
+		}
+		a.mu.Unlock()
+	}()
 
-	prev := a.phase.Swap(int32(PhaseDraining))
 	start := telemetry.Now()
 	deadline := time.Now().Add(timeout)
-	for {
-		busy := false
-		for _, c := range top {
-			if c.busy() {
-				busy = true
-				break
-			}
+	for i := 0; i < len(top); {
+		b := top[i].firstBusy()
+		if b == nil {
+			i++
+			continue
 		}
-		if !busy {
-			break
-		}
-		if time.Now().After(deadline) {
-			a.phase.Store(prev)
+		if !b.changed.Wait(func() bool { return b.life.Load()&pendingMask == 0 }, deadline) {
 			return fmt.Errorf("%w: app %q still busy after %v", ErrDrainTimeout, a.name, timeout)
 		}
-		time.Sleep(100 * time.Microsecond)
+		i = 0
 	}
-	a.phase.Store(prev)
 	drainTotal.Inc()
 	telemetry.Record(telemetry.EvDrain, telemetry.Label(a.name), 0, 0, uint64(telemetry.Now()-start))
 	return nil
@@ -137,30 +142,15 @@ func (a *App) Terminate(timeout time.Duration) error {
 	return err
 }
 
-// busy reports whether any In port of this SMM still buffers messages or
-// any live child subtree has in-flight work.
-func (s *SMM) busy() bool {
+// childShells snapshots the SMM's child shells, live or parked.
+func (s *SMM) childShells() []*Component {
 	s.mu.Lock()
-	for _, p := range s.in {
-		p.mu.Lock()
-		d := p.queue.Len()
-		p.mu.Unlock()
-		if d > 0 {
-			s.mu.Unlock()
-			return true
-		}
-	}
+	defer s.mu.Unlock()
 	children := make([]*Component, 0, len(s.children))
 	for _, c := range s.children {
 		children = append(children, c)
 	}
-	s.mu.Unlock()
-	for _, c := range children {
-		if c.busy() {
-			return true
-		}
-	}
-	return false
+	return children
 }
 
 // SwapOptions configures SMM.Swap.
@@ -196,14 +186,8 @@ type SwapStats struct {
 // paused.
 func (s *SMM) Swap(def ChildDef, opts SwapOptions) (SwapStats, error) {
 	var st SwapStats
-	if err := checkName(def.Name); err != nil {
-		return st, err
-	}
-	if def.Setup == nil {
-		return st, fmt.Errorf("core: swap %q: nil Setup", def.Name)
-	}
-	if !def.UsePool && def.MemorySize <= 0 {
-		return st, fmt.Errorf("core: swap %q: non-positive memory size %d", def.Name, def.MemorySize)
+	if err := def.check(); err != nil {
+		return st, fmt.Errorf("swap: %w", err)
 	}
 	if s.stopped.Load() {
 		return st, ErrStopped
@@ -242,7 +226,7 @@ func (s *SMM) Swap(def ChildDef, opts SwapOptions) (SwapStats, error) {
 		st.ReplacedLive = old.retire()
 		s.detach(old)
 		if st.ReplacedLive {
-			st.Drained = old.awaitDisposed(timeout)
+			st.Drained = old.changed.Wait(old.Disposed, time.Now().Add(timeout))
 		}
 	}
 

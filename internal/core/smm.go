@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -427,6 +428,7 @@ func (s *SMM) Connect(name string) (*Handle, error) {
 	}
 	// The pending message materialize reserved becomes the handle.
 	child.life.Add(handleOne - pendingOne)
+	child.changed.Notify()
 	h := &Handle{child: child}
 	if s.stopped.Load() {
 		// Stop no longer counts handles and may have passed this one by.
@@ -449,13 +451,15 @@ type Handle struct {
 // Component returns the pinned child instance.
 func (h *Handle) Component() *Component { return h.child }
 
-// Idle reports whether handles are all that keeps the instance alive: no
-// message is pending on it and none of its children is live. An instance
+// AwaitIdle waits — until deadline, the zero time for no bound — for handles
+// to be all that keeps the instance alive: no message pending on it and none
+// of its children live. It reports whether that happened. An instance
 // reclaimed by the goroutine that made it idle tears its SMM's pools down
-// from one of their own workers; a holder that waits for Idle before it
+// from one of their own workers; a holder that awaits idleness before it
 // disconnects reclaims the instance itself.
-func (h *Handle) Idle() bool {
-	return h.child.life.Load()&(countMask&^handleMask) == 0
+func (h *Handle) AwaitIdle(deadline time.Time) bool {
+	c := h.child
+	return c.changed.Wait(func() bool { return c.life.Load()&(countMask&^handleMask) == 0 }, deadline)
 }
 
 // Disconnect releases the handle. When it was the last thing keeping a
@@ -996,11 +1000,8 @@ func (s *SMM) shutdown() {
 		p.Shutdown()
 	}
 
+	children := s.childShells()
 	s.mu.Lock()
-	children := make([]*Component, 0, len(s.children))
-	for _, c := range s.children {
-		children = append(children, c)
-	}
 	// Retire this SMM's telemetry gauges so long-lived processes (tests,
 	// servers cycling applications) do not accumulate dead entries, and
 	// wake any senders parked on OverflowBlock ports. A delivery still

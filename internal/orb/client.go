@@ -150,12 +150,14 @@ type Client struct {
 	// resolve the optional re-resolution hook (guarded by resolveMu with a
 	// lastResolve rate limit so a burst of failing stripes triggers one
 	// directory round trip, not one each), retargetMu serialises Retarget
-	// sweeps, and rotate spreads failed-over stripes across survivors.
+	// sweeps and Close and guards retiring (connections a Retarget took out of
+	// service, not yet closed), and rotate spreads failed-over stripes.
 	members     atomic.Pointer[[]string]
 	resolve     func() ([]string, error)
 	resolveMu   sync.Mutex
 	lastResolve int64
 	retargetMu  sync.Mutex
+	retiring    map[*muxConn]struct{}
 	rotate      atomic.Uint32
 }
 
@@ -218,6 +220,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		addr:      addrs[0],
 		resolve:   cfg.Resolve,
 		collocate: cfg.Collocate,
+		retiring:  make(map[*muxConn]struct{}),
 	}
 	cl.members.Store(&addrs)
 	if cfg.Resilience != nil {
@@ -270,12 +273,10 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 			Setup:      cl.transportSetup(mpSize, cfg.ScopePoolCount > 0),
 		})
 	})
-	if err != nil {
-		cl.gauge.Unregister()
-		app.Stop()
-		return nil, err
+	if err == nil {
+		err = app.Start()
 	}
-	if err := app.Start(); err != nil {
+	if err != nil {
 		cl.gauge.Unregister()
 		app.Stop()
 		return nil, err
@@ -731,7 +732,7 @@ func (cl *Client) expire(pe *muxPending) invokeResult {
 		// Lost the race: a completion is already committed. Take it.
 		return pe.result()
 	}
-	pe.mc.unregister(pe)
+	pe.mc.take(pe.id, pe)
 	invokeTimeoutTotal.Inc()
 	return invokeResult{err: fmt.Errorf("%w: no reply within %v", ErrDeadlineExceeded, cl.invokeTimeout())}
 }
@@ -826,14 +827,9 @@ func (cl *Client) locateOnce(key string) (bool, []string, error) {
 	if err != nil {
 		return false, nil, err
 	}
-	mc := st.cur.Load()
-	if mc == nil {
-		if cl.res == nil || cl.closed.Load() {
-			return false, nil, fmt.Errorf("%w: transport not yet connected; invoke first", corba.ErrClosed)
-		}
-		if mc, err = st.conn(); err != nil {
-			return false, nil, err
-		}
+	mc, err := st.conn() // unsupervised, ErrClosed until an invoke has connected
+	if err != nil {
+		return false, nil, err
 	}
 	id := cl.nextID.Add(1)
 	pe := getPending(id, bandOf(sched.NormPriority))
@@ -864,21 +860,27 @@ func (cl *Client) Inflight() int64 { return cl.inflight.Load() }
 // harness).
 func (cl *Client) App() *core.App { return cl.app }
 
-// Close shuts the client down: every stripe's connection is closed (failing
-// any in-flight invocations with ErrClosed) and the component application
-// stopped.
+// Close shuts the client down: every connection is closed — each stripe's
+// and each one a Retarget is still retiring — failing any in-flight
+// invocations with ErrClosed, and the component application stopped.
 func (cl *Client) Close() {
 	if cl.closed.Swap(true) {
 		return
 	}
+	closed := fmt.Errorf("orb client: %w", corba.ErrClosed)
 	for _, st := range cl.stripes {
 		if mc := st.cur.Load(); mc != nil {
-			mc.fail(fmt.Errorf("orb client: %w", corba.ErrClosed))
+			mc.fail(closed)
 		}
 		if st.gauge != nil {
 			st.gauge.Unregister()
 		}
 	}
+	cl.retargetMu.Lock()
+	for mc := range cl.retiring {
+		mc.fail(closed)
+	}
+	cl.retargetMu.Unlock()
 	cl.gauge.Unregister()
 	cl.app.Stop()
 }

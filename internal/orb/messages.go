@@ -132,7 +132,7 @@ type requestMsg struct {
 // latency sample.
 func (m *requestMsg) Reset() {
 	if m.conn != nil {
-		m.conn.srv.inflight.Add(-1)
+		m.conn.srv.settled()
 		m.conn = nil
 	}
 	m.ad.drop()

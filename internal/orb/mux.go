@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/corba"
 	"repro/internal/giop"
+	"repro/internal/sched"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
@@ -130,12 +131,14 @@ type muxConn struct {
 	// mu guards the pending table and the kill state. fail sets deadErr and
 	// dead and sweeps the table in one critical section, so a register either
 	// lands before the sweep and is collected by it, or sees dead and is
-	// refused; no entry can strand. dead is atomic only so that readers
-	// outside the lock can poll it.
+	// refused; no entry can strand. dead is atomic so that readers outside
+	// the lock can check it. quiet is notified when the table empties or the
+	// connection dies: retire waits for either.
 	mu      sync.Mutex
 	pend    map[uint32]*muxPending
 	dead    atomic.Bool
 	deadErr error
+	quiet   sched.Signal
 
 	// Awaiting callers select on their completion channel and on leaderCh;
 	// whoever wins the single token reads frames off fr, completing other
@@ -189,59 +192,51 @@ func (mc *muxConn) register(pe *muxPending) error {
 	return nil
 }
 
-// unregister removes an entry the caller is abandoning (deadline expiry), if
-// it is still tabled here.
-func (mc *muxConn) unregister(pe *muxPending) {
+// take removes the entry tabled under id and returns it: for the demux, a
+// reply's entry (want nil); for a caller abandoning its entry on deadline
+// expiry, want itself, if it is still tabled here. It returns nil when there
+// is none.
+func (mc *muxConn) take(id uint32, want *muxPending) *muxPending {
 	mc.mu.Lock()
-	tabled := mc.pend[pe.id] == pe
-	if tabled {
-		delete(mc.pend, pe.id)
+	pe := mc.pend[id]
+	if pe == nil || want != nil && pe != want {
+		mc.mu.Unlock()
+		return nil
 	}
+	delete(mc.pend, id)
+	emptied := len(mc.pend) == 0
 	mc.mu.Unlock()
-	if tabled {
-		mc.account(pe.band, -1)
+	mc.account(pe.band, -1)
+	if emptied {
+		mc.quiet.Notify()
 	}
-}
-
-// take removes and returns the entry for id, used by the demux when a reply
-// arrives.
-func (mc *muxConn) take(id uint32) (*muxPending, bool) {
-	mc.mu.Lock()
-	pe, ok := mc.pend[id]
-	if ok {
-		delete(mc.pend, id)
-	}
-	mc.mu.Unlock()
-	if ok {
-		mc.account(pe.band, -1)
-	}
-	return pe, ok
-}
-
-// pending reports how many entries are still tabled on the connection.
-func (mc *muxConn) pending() int {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return len(mc.pend)
+	return pe
 }
 
 // retire drains the connection out of service: it detaches from the stripe
 // immediately — the next invoke routed there dials the stripe's (new) target
-// — and closes in the background once the in-flight invocations drain,
-// bounded by grace. The eventual close is ErrClosed-classified, so retiring
-// a healthy connection during a Retarget never charges the stripe's breaker
-// and loses nothing that was already accepted onto the wire: a tabled
-// invocation is waited for, and a oneway — written, so buffered by the
-// transport, but in no table — is still read by the server, because a closed
-// end's bytes drain before its peer sees the end of the stream.
+// — and closes once the in-flight invocations drain, bounded by grace, or
+// when the client closes. The eventual close is ErrClosed-classified, so
+// retiring a healthy connection during a Retarget never charges the stripe's
+// breaker and loses nothing that was already accepted onto the wire: a
+// tabled invocation is waited for, and a oneway — written, so buffered by
+// the transport, but in no table — is still read by the server, because a
+// closed end's bytes drain before its peer sees the end of the stream. The
+// caller holds retargetMu, and the client is not closed.
 func (mc *muxConn) retire(grace time.Duration) {
 	mc.st.detach(mc)
+	cl := mc.cl
+	cl.retiring[mc] = struct{}{}
 	go func() {
-		deadline := time.Now().Add(grace)
-		for mc.pending() > 0 && !mc.dead.Load() && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
+		mc.quiet.Wait(func() bool { // nothing tabled, or dead
+			mc.mu.Lock()
+			defer mc.mu.Unlock()
+			return len(mc.pend) == 0
+		}, time.Now().Add(grace))
 		mc.fail(fmt.Errorf("orb client: retired: %w", corba.ErrClosed))
+		cl.retargetMu.Lock()
+		delete(cl.retiring, mc)
+		cl.retargetMu.Unlock()
 	}()
 }
 
@@ -299,6 +294,7 @@ func (mc *muxConn) fail(err error) {
 	victims := mc.pend
 	mc.pend = nil
 	mc.mu.Unlock()
+	mc.quiet.Notify()
 
 	_ = mc.conn.Close()
 	select {
@@ -343,8 +339,8 @@ func (mc *muxConn) handleFrame(h giop.Header, fb *giop.FrameBuf, rep *giop.Reply
 			// stitched round trip.
 			telemetry.Record(telemetry.EvNetRecv, clientReplyLabel, rep.TraceID, rep.SpanID, uint64(len(fb.Body())))
 		}
-		pe, ok := mc.take(rep.RequestID)
-		if !ok {
+		pe := mc.take(rep.RequestID, nil)
+		if pe == nil {
 			fb.Release()
 			muxStaleDropTotal.Inc()
 			return invokeResult{}, false, false
@@ -359,8 +355,8 @@ func (mc *muxConn) handleFrame(h giop.Header, fb *giop.FrameBuf, rep *giop.Reply
 			mc.readFailed(err)
 			return invokeResult{}, false, true
 		}
-		pe, ok := mc.take(loc.RequestID)
-		if !ok || !pe.locate {
+		pe := mc.take(loc.RequestID, nil)
+		if pe == nil || !pe.locate {
 			muxStaleDropTotal.Inc()
 			return invokeResult{}, false, false
 		}

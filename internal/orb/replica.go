@@ -49,11 +49,11 @@ func (cl *Client) Members() []string {
 // clean close, so a rolling Retarget never charges any stripe's breaker. An
 // empty addrs is ignored (the previous membership stands).
 func (cl *Client) Retarget(addrs []string) {
+	cl.retargetMu.Lock()
+	defer cl.retargetMu.Unlock()
 	if len(addrs) == 0 || cl.closed.Load() {
 		return
 	}
-	cl.retargetMu.Lock()
-	defer cl.retargetMu.Unlock()
 	list := append([]string(nil), addrs...)
 	cl.members.Store(&list)
 	// A retarget is a route-generation bump for the collocation cache: the

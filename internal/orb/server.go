@@ -92,17 +92,21 @@ type Server struct {
 	retiring atomic.Pointer[map[string]struct{}]
 
 	// inflight counts dispatched-but-not-recycled requests across every
-	// connection; Drain polls it to zero.
+	// connection; quiet is notified when it reaches zero.
 	inflight atomic.Int64
+	quiet    sched.Signal
 
 	// conns holds every connection with a running reader loop; poaPin keeps
-	// the POA instantiated for the server's lifetime.
-	mu      sync.Mutex
-	conns   map[*serverConn]struct{}
-	poaPin  *core.Handle
-	connSeq atomic.Uint64
-	closed  atomic.Bool
-	wg      sync.WaitGroup
+	// the POA instantiated for the server's lifetime. freeSlots holds retired
+	// Transports' names for reuse (a name interns telemetry labels for good);
+	// connSeq counts those minted, the peak of concurrent connections.
+	mu        sync.Mutex
+	conns     map[*serverConn]struct{}
+	freeSlots []string
+	poaPin    *core.Handle
+	connSeq   atomic.Uint64
+	closed    atomic.Bool
+	wg        sync.WaitGroup
 
 	threading   core.Threading
 	usePool     bool
@@ -116,18 +120,15 @@ type Server struct {
 	reqDeadline time.Duration
 }
 
-// serverConn is the per-connection state owned by a Transport instance.
+// serverConn is the per-connection state owned by a Transport instance: name
+// is the connection's Transport child of the POA, toRP that Transport's port
+// into RequestProcessing.
 type serverConn struct {
 	srv  *Server
 	conn transport.Conn
 	w    *connWriter
-
-	// name is the connection's Transport child of the POA and pin the handle
-	// that keeps it instantiated; pin is set (or left nil, when instantiation
-	// failed) before pinned is closed, and the reader's exit waits for that.
-	name   string
-	pin    *core.Handle
-	pinned chan struct{}
+	name string
+	toRP *core.OutPort
 }
 
 // write hands one framed message to the connection's writer. With no other
@@ -230,25 +231,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			},
 		})
 	})
+	if err == nil {
+		err = app.Start()
+	}
+	if err == nil {
+		// Instantiate the POA/Acceptor (level-2 scope in the paper's
+		// counting) and keep it pinned for the server's lifetime.
+		srv.poaPin, err = app.Component("ORB").SMM().Connect("POA")
+	}
 	if err != nil {
 		ln.Close()
 		app.Stop()
 		return nil, err
 	}
-	if err := app.Start(); err != nil {
-		ln.Close()
-		app.Stop()
-		return nil, err
-	}
-	// Instantiate the POA/Acceptor (level-2 scope in the paper's counting)
-	// and keep it pinned for the server's lifetime.
-	h, err := app.Component("ORB").SMM().Connect("POA")
-	if err != nil {
-		ln.Close()
-		app.Stop()
-		return nil, err
-	}
-	srv.poaPin = h
 	// Publish the endpoint to the process-local collocation registry
 	// (local.go): a Collocate-enabled client in this process dialling this
 	// network+address invokes servants directly.
@@ -261,17 +256,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 func (s *Server) RegisterServant(key string, sv corba.Servant) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var old map[string]corba.Servant
-	if p := s.servants.Load(); p != nil {
-		old = *p
-	}
-	m := make(map[string]corba.Servant, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	m[key] = sv
-	s.servants.Store(&m)
-	s.setRetiringLocked(key, false)
+	copyOnWrite(&s.servants, func(m map[string]corba.Servant) { m[key] = sv })
+	copyOnWrite(&s.retiring, func(m map[string]struct{}) { delete(m, key) })
 }
 
 // UnregisterServant unbinds a servant and marks its key retiring: requests
@@ -282,49 +268,33 @@ func (s *Server) RegisterServant(key string, sv corba.Servant) {
 func (s *Server) UnregisterServant(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	old := s.servants.Load()
-	if old == nil {
-		s.setRetiringLocked(key, true)
-		return
-	}
-	if _, ok := (*old)[key]; !ok {
-		s.setRetiringLocked(key, true)
-		return
-	}
-	m := make(map[string]corba.Servant, len(*old)-1)
-	for k, v := range *old {
-		if k != key {
-			m[k] = v
-		}
-	}
-	s.servants.Store(&m)
-	s.setRetiringLocked(key, true)
+	copyOnWrite(&s.servants, func(m map[string]corba.Servant) { delete(m, key) })
+	copyOnWrite(&s.retiring, func(m map[string]struct{}) { m[key] = struct{}{} })
 }
 
-// setRetiringLocked adds or removes key on the copy-on-write retiring set.
-// Called with s.mu held.
-func (s *Server) setRetiringLocked(key string, retiring bool) {
-	var old map[string]struct{}
-	if p := s.retiring.Load(); p != nil {
-		old = *p
+// copyOnWrite swaps the map behind p for an edited copy; callers hold mu.
+func copyOnWrite[V any](p *atomic.Pointer[map[string]V], edit func(map[string]V)) {
+	var old map[string]V
+	if cur := p.Load(); cur != nil {
+		old = *cur
 	}
-	if _, ok := old[key]; ok == retiring {
-		return
+	m := make(map[string]V, len(old)+1)
+	for k, v := range old {
+		m[k] = v
 	}
-	m := make(map[string]struct{}, len(old)+1)
-	for k := range old {
-		m[k] = struct{}{}
-	}
-	if retiring {
-		m[key] = struct{}{}
-	} else {
-		delete(m, key)
-	}
-	s.retiring.Store(&m)
+	edit(m)
+	p.Store(&m)
 }
 
 // Inflight returns the dispatched-but-not-completed request count.
 func (s *Server) Inflight() int64 { return s.inflight.Load() }
+
+// settled counts one dispatched request complete.
+func (s *Server) settled() {
+	if s.inflight.Add(-1) == 0 {
+		s.quiet.Notify()
+	}
+}
 
 // Drain waits — bounded by timeout, zero selecting one second — for every
 // dispatched request to complete: queued, in-servant, and writing-reply
@@ -341,13 +311,9 @@ func (s *Server) Drain(timeout time.Duration) error {
 	if timeout == 0 {
 		timeout = time.Second
 	}
-	deadline := time.Now().Add(timeout)
-	for s.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("orb server: drain: %d requests still in flight after %v",
-				s.inflight.Load(), timeout)
-		}
-		time.Sleep(100 * time.Microsecond)
+	if !s.quiet.Wait(func() bool { return s.inflight.Load() == 0 }, time.Now().Add(timeout)) {
+		return fmt.Errorf("orb server: drain: %d requests still in flight after %v",
+			s.inflight.Load(), timeout)
 	}
 	return nil
 }
@@ -434,14 +400,20 @@ func (s *Server) acceptLoop() {
 }
 
 // addConnection builds the per-connection Transport component (a scoped
-// child of the POA) and pins it open for the connection's lifetime: until
-// its reader loop exits (see retire).
+// child of the POA), pins it open for the connection's lifetime and starts
+// the connection's reader, which retires it on the way out. The reader is
+// resident in its Transport's scope (the paper's Fig. 10): it stands in
+// RequestProcessing's parent, so relaying a request into a synchronous port
+// enters one area, not the chain from the POA down.
 func (s *Server) addConnection(conn transport.Conn) error {
-	sc := &serverConn{
-		srv: s, conn: conn, w: newConnWriter(conn, nil),
-		name:   fmt.Sprintf("Transport%d", s.connSeq.Add(1)),
-		pinned: make(chan struct{}),
+	sc := &serverConn{srv: s, conn: conn, w: newConnWriter(conn, nil)}
+	s.mu.Lock()
+	if n := len(s.freeSlots); n > 0 {
+		sc.name, s.freeSlots = s.freeSlots[n-1], s.freeSlots[:n-1]
+	} else {
+		sc.name = fmt.Sprintf("Transport%d", s.connSeq.Add(1))
 	}
+	s.mu.Unlock()
 	if err := s.poa.DefineChild(core.ChildDef{
 		Name:       sc.name,
 		MemorySize: int64(8*s.maxMsg + 32768),
@@ -450,13 +422,40 @@ func (s *Server) addConnection(conn transport.Conn) error {
 	}); err != nil {
 		return err
 	}
-	var err error
-	sc.pin, err = s.poa.SMM().Connect(sc.name)
-	close(sc.pinned)
+	pin, err := s.poa.SMM().Connect(sc.name)
 	if err != nil {
-		s.poa.UndefineChild(sc.name)
+		s.freeSlot(sc.name)
+		return err
 	}
-	return err
+	s.mu.Lock()
+	if s.closed.Load() {
+		s.mu.Unlock()
+		pin.Disconnect()
+		return transport.ErrClosed
+	}
+	s.conns[sc] = struct{}{}
+	s.wg.Add(1)
+	s.mu.Unlock()
+	go func() {
+		defer s.wg.Done()
+		tc := pin.Component()
+		if err := tc.Exec(func(ctx *memory.Context) error {
+			s.readLoop(sc, core.NewProc(tc, tc.SMM(), ctx, sched.NormPriority))
+			return nil
+		}); err != nil {
+			sc.conn.Close()
+		}
+		s.retire(sc, pin)
+	}()
+	return nil
+}
+
+// freeSlot forgets a gone Transport's blueprint and frees its name for reuse.
+func (s *Server) freeSlot(name string) {
+	s.poa.UndefineChild(name)
+	s.mu.Lock()
+	s.freeSlots = append(s.freeSlots, name)
+	s.mu.Unlock()
 }
 
 // retire lets a connection go once its reader loop has exited: the server
@@ -464,22 +463,17 @@ func (s *Server) addConnection(conn transport.Conn) error {
 // reclaimed with the blueprint it was built from. The reader waits for the
 // requests it dispatched to recycle first, so that it, not a worker of the
 // Transport's own pool, is the one that reclaims the instance.
-func (s *Server) retire(sc *serverConn) {
+func (s *Server) retire(sc *serverConn, pin *core.Handle) {
 	s.mu.Lock()
 	delete(s.conns, sc)
 	s.mu.Unlock()
-	if <-sc.pinned; sc.pin == nil {
-		return
-	}
-	for !sc.pin.Idle() {
-		time.Sleep(100 * time.Microsecond)
-	}
-	sc.pin.Disconnect()
-	s.poa.UndefineChild(sc.name)
+	pin.AwaitIdle(time.Time{})
+	pin.Disconnect()
+	s.freeSlot(sc.name)
 }
 
 // transportSetup wires one Transport instance: the Out port feeding its
-// RequestProcessing child and the reader loop that frames GIOP requests.
+// RequestProcessing child, and that child.
 func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 	return func(tc *core.Component) error {
 		tSMM := tc.SMM()
@@ -526,30 +520,7 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 		}); err != nil {
 			return err
 		}
-		tc.SetStart(func(p *core.Proc) error {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.closed.Load() {
-				return transport.ErrClosed
-			}
-			s.conns[sc] = struct{}{}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				// The reader is resident in its Transport's scope (the paper's
-				// Fig. 10): it stands in RequestProcessing's parent, so relaying
-				// a request into a synchronous port enters one area, not the
-				// chain from the POA down.
-				if err := tc.Exec(func(ctx *memory.Context) error {
-					s.readLoop(sc, toRP, core.NewProc(tc, tSMM, ctx, sched.NormPriority))
-					return nil
-				}); err != nil {
-					sc.conn.Close()
-				}
-				s.retire(sc)
-			}()
-			return nil
-		})
+		sc.toRP = toRP
 		return nil
 	}
 }
@@ -564,7 +535,7 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 // connection's writer as its servant finishes — out of order when
 // completions cross — while the demultiplexing client matches them back to
 // callers by request id.
-func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort, proc *core.Proc) {
+func (s *Server) readLoop(sc *serverConn, proc *core.Proc) {
 	fr := giop.NewFrameReader(sc.conn, uint32(s.maxMsg))
 	defer fr.Close()
 	for {
@@ -582,7 +553,7 @@ func (s *Server) readLoop(sc *serverConn, toRP *core.OutPort, proc *core.Proc) {
 		}
 		switch h.Type {
 		case giop.MsgRequest:
-			if !s.dispatch(sc, toRP, proc, h, fb) {
+			if !s.dispatch(sc, sc.toRP, proc, h, fb) {
 				sc.conn.Close()
 				return
 			}
@@ -763,7 +734,7 @@ func (s *Server) direct(key, op string, payload []byte, rawPrio byte, tn overloa
 	if ad, admitted := s.admit(rawPrio, tn.ID, uint8(tn.Tier)); admitted {
 		s.inflight.Add(1)
 		status, out, retryAfter, _ = execute(s, &ad, key, op, payload, rawPrio, trace, corr)
-		s.inflight.Add(-1)
+		s.settled()
 	} else {
 		status, out, retryAfter = s.shed()
 	}

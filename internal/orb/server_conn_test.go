@@ -2,6 +2,7 @@ package orb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/giop"
 	"repro/internal/overload"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -55,16 +57,14 @@ func liveTransports(srv *Server) int {
 func TestServerLetsClosedConnectionsGo(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})
+	// The POA is idle once no Transport is left under it; a connection
+	// leaves the server's table before its Transport goes.
 	settled := func() (conns, transports, goroutines int) {
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			srv.mu.Lock()
-			conns = len(srv.conns)
-			srv.mu.Unlock()
-			transports, goroutines = liveTransports(srv), runtime.NumGoroutine()
-			if conns+transports == 0 || time.Now().After(deadline) {
-				return
-			}
-		}
+		srv.poaPin.AwaitIdle(time.Now().Add(5 * time.Second))
+		srv.mu.Lock()
+		conns = len(srv.conns)
+		srv.mu.Unlock()
+		return conns, liveTransports(srv), runtime.NumGoroutine()
 	}
 	for i := 0; i < 20; i++ { // warm the pools the process keeps
 		if err := connChurn(net, srv.Addr()); err != nil {
@@ -98,17 +98,16 @@ func TestServerLetsClosedConnectionsGo(t *testing.T) {
 	<-g.entered
 	cl.Close()
 	<-done
-	time.Sleep(5 * time.Millisecond)
-	if n := liveTransports(srv); n != 1 {
-		t.Errorf("%d live Transports while a request is still in its servant, want 1", n)
+	if srv.poaPin.AwaitIdle(time.Now().Add(5*time.Millisecond)) || liveTransports(srv) != 1 {
+		t.Errorf("%d live Transports while a request is still in its servant, want 1", liveTransports(srv))
 	}
 	close(g.gate)
+	// The Transport's pool shuts down by waiting for its workers, so the
+	// worker that ran the request must not be the one that reclaims it: that
+	// one would park in Shutdown, and the POA would never go idle.
 	if conns, transports, _ := settled(); conns != 0 || transports != 0 {
 		t.Errorf("connection closed mid-request not let go: %d connections, %d Transports", conns, transports)
 	}
-	// The Transport's pool shuts down by waiting for its workers, so the
-	// worker that ran the request must not be the one that reclaims it.
-	time.Sleep(20 * time.Millisecond)
 	stacks := make([]byte, 1<<20)
 	if stacks = stacks[:runtime.Stack(stacks, true)]; bytes.Contains(stacks, []byte("sched.(*Pool).Shutdown")) {
 		t.Error("a goroutine is parked in Pool.Shutdown: the Transport was reclaimed from its own pool's worker")
@@ -216,5 +215,59 @@ func TestDispatchLosingToStopReleasesTheRequest(t *testing.T) {
 	}
 	if leaks := giop.CheckFrameLeaks(); len(leaks) != 0 {
 		t.Errorf("frames leaked: %v", leaks)
+	}
+}
+
+// Close fails an invocation in flight on a connection a Retarget is still
+// retiring. Before, Close failed only the stripes' current connections, so the
+// caller stayed blocked until its reply came or the retire grace (2 s) ran
+// out, and the retiring connection outlived the client.
+func TestClientCloseFailsRetiringConnections(t *testing.T) {
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	g := gatedServant{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	srv.RegisterServant("gated", g)
+	defer close(g.gate)
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
+	errs := make(chan error, 1)
+	go func() {
+		_, err := cl.Invoke("gated", "op", []byte("x"), sched.NormPriority)
+		errs <- err
+	}()
+	<-g.entered
+	cl.Retarget([]string{"elsewhere"}) // the stripe moves on; its connection retires with the call on it
+	cl.Close()
+	select {
+	case err := <-errs:
+		if !errors.Is(err, corba.ErrClosed) {
+			t.Fatalf("invocation in flight at Close = %v, want ErrClosed", err)
+		}
+	case <-time.After(retireGrace / 2):
+		t.Fatal("an invocation on a retiring connection still blocked after Close")
+	}
+}
+
+// A connection's Transport takes the name of one that has retired, so the
+// telemetry labels it interns (its request port, its pool) stay bounded by the
+// peak of concurrent connections instead of growing by two per accept.
+func TestServerConnectionLabelsBounded(t *testing.T) {
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	churn := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := connChurn(net, srv.Addr()); err != nil {
+				t.Fatalf("cycle %d: %v", i, err)
+			}
+		}
+	}
+	churn(20)
+	before := telemetry.Label(t.Name() + ".before")
+	churn(1000)
+	after := telemetry.Label(t.Name() + ".after")
+	grew := after - before - 1
+	t.Logf("1000 reconnects: %d new labels, %d Transport names minted", grew, srv.connSeq.Load())
+	if grew > 8 {
+		t.Errorf("1000 reconnects interned %d new telemetry labels, want at most 8 (Transport names minted: %d)",
+			grew, srv.connSeq.Load())
 	}
 }

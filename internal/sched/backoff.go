@@ -57,10 +57,6 @@ func (b *Backoff) Next() time.Duration {
 // Reset restarts the schedule from Base (the jitter stream continues).
 func (b *Backoff) Reset() { b.attempt = 0 }
 
-// Attempt returns how many delays have been handed out since the last
-// Reset.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // RetryBudget is a token bucket bounding how many retries a client may
 // spend: each retry takes one token, each success earns a fraction back
 // (one token per EarnEvery successes), and the bucket is capped, so a hard
