@@ -30,9 +30,11 @@ race: build vet
 # keyed or not, nor a send to a synchronous port, with the sender's context
 # or without, nor a scratch buffer, whether it fits the area its thread
 # stands in or overflows into a nested pooled one, nor a sched.Signal Notify
-# with nobody waiting (every release of a component calls one).
+# with nobody waiting (every release of a component calls one), nor an
+# overload controller's Admit + Done, untiered or for a registered tenant.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
+	$(GO) test -run TestAdmitDoneAllocFree ./internal/overload/
 	$(GO) test -run TestScratchAllocFree ./internal/memory/
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
 	$(GO) test -run 'TestInPortPushPopAllocFree|TestSyncPortCallAllocFree' ./internal/core/
@@ -69,8 +71,8 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		if [ $$d = internal/orb ] && [ $$n -gt 3485 ]; then \
-			echo "internal/orb is over the ratchet of 3485 non-test lines"; fail=1; \
+		if [ $$d = internal/orb ] && [ $$n -gt 3484 ]; then \
+			echo "internal/orb is over the ratchet of 3484 non-test lines"; fail=1; \
 		fi; \
 	done; exit $$fail
 

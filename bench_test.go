@@ -180,7 +180,8 @@ func BenchmarkSteadyStateRoundTrip(b *testing.B) {
 			// The OverloadOn variant runs the round trip exactly the way an
 			// overload-controlled server does: tenant-fair in ports, and the
 			// controller's Admit/Done bracketing every operation (a single
-			// untiered tenant, id 0). The acceptance bar: still 0 allocs/op.
+			// untiered tenant, id 0), timed from Admit's Decision.At as the
+			// server times it. The acceptance bar: still 0 allocs/op.
 			var ctrl *overload.Controller
 			if variant.overload {
 				ctrl = overload.NewController(overload.Config{})
@@ -197,14 +198,14 @@ func BenchmarkSteadyStateRoundTrip(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if ctrl != nil {
-					start := telemetry.Now()
-					if d := ctrl.Admit(0, overload.Tier1, sched.NormPriority); !d.OK {
+					d := ctrl.Admit(0, overload.Tier1, sched.NormPriority)
+					if !d.OK {
 						b.Fatal("steady-state round trip shed")
 					}
 					if _, err := pp.RoundTrip(int64(i)); err != nil {
 						b.Fatal(err)
 					}
-					ctrl.Done(telemetry.Now() - start)
+					ctrl.Done(telemetry.Now() - d.At)
 					continue
 				}
 				if _, err := pp.RoundTrip(int64(i)); err != nil {
@@ -353,14 +354,14 @@ func TestSteadyStateRoundTripAllocFree(t *testing.T) {
 			seq := int64(0)
 			roundTrip := func() {
 				if ctrl != nil {
-					start := telemetry.Now()
-					if d := ctrl.Admit(0, overload.Tier1, sched.NormPriority); !d.OK {
+					d := ctrl.Admit(0, overload.Tier1, sched.NormPriority)
+					if !d.OK {
 						t.Fatal("steady-state round trip shed")
 					}
 					if _, err := pp.RoundTrip(seq); err != nil {
 						t.Fatal(err)
 					}
-					ctrl.Done(telemetry.Now() - start)
+					ctrl.Done(telemetry.Now() - d.At)
 					seq++
 					return
 				}

@@ -256,8 +256,11 @@ func TestDistributedPipelineOverORB(t *testing.T) {
 	}
 	defer sinkApp.Stop()
 	sink, err := sinkApp.NewImmortalComponent("Sink", func(c *core.Component) error {
+		// An exported port blocks its remote senders while full, as the
+		// compiler configures every <Exported> port: with the default Reject
+		// policy a burst that outruns the handler fails the remote send.
 		_, err := core.AddInPort(c, c.SMM(), core.InPortConfig{
-			Name: "in", Type: tickType,
+			Name: "in", Type: tickType, Overflow: core.OverflowBlock,
 			Handler: core.HandlerFunc(func(p *core.Proc, m core.Message) error {
 				got <- m.(*tick).seq
 				return nil
@@ -344,7 +347,10 @@ func TestDistributedPipelineOverORB(t *testing.T) {
 		case v := <-got:
 			seen[v] = true
 		case <-time.After(5 * time.Second):
-			t.Fatalf("distributed pipeline stalled at %d/%d", i, n)
+			srcN, srcErr := srcApp.Errors()
+			sinkN, sinkErr := sinkApp.Errors()
+			t.Fatalf("distributed pipeline stalled at %d/%d; source app errors: %d (%v); sink app errors: %d (%v)",
+				i, n, srcN, srcErr, sinkN, sinkErr)
 		}
 	}
 	if len(seen) != n {

@@ -598,7 +598,7 @@ func (s *Server) readLoop(sc *serverConn, proc *core.Proc) {
 type admission struct {
 	prio  sched.Priority
 	class uint8 // fair-queue lane
-	at    int64 // admission timestamp
+	at    int64 // admission timestamp, the controller's Decision.At
 	ctrl  *overload.Controller
 }
 
@@ -655,12 +655,11 @@ func (s *Server) admit(rawPrio byte, tenantID uint64, tier uint8) (ad admission,
 		ad.prio = cand
 	}
 	if s.ctrl != nil {
-		ad.at = telemetry.Now()
 		d := s.ctrl.Admit(tenantID, overload.Tier(tier), ad.prio)
 		if !d.OK {
 			return ad, false
 		}
-		ad.class, ad.ctrl = d.Class, s.ctrl
+		ad.class, ad.at, ad.ctrl = d.Class, d.At, s.ctrl
 	}
 	return ad, true
 }

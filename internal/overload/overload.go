@@ -3,11 +3,14 @@
 // driven by a windowed p99 latency signal, and a graceful brown-out ladder
 // for sustained overload.
 //
-// The control loop is inline: every completion (Done/Dropped) checks whether
-// the current control window has elapsed and, if so, runs one control step
-// on the completing goroutine — no background ticker, no lifecycle to leak.
-// The admission fast path is allocation-free: three atomic operations for an
-// untiered tenant under the limit.
+// The controller owns admission time. Every arrival (Admit) reads the clock
+// once; when the current control window has elapsed, the arrival that wins
+// the window CAS runs one control step on its own goroutine before deciding —
+// no background ticker, no lifecycle to leak — and the timestamp goes back in
+// Decision.At, so the server times the request without a clock read of its
+// own. Completions (Done/Dropped) only release the slot and record. The
+// admission fast path is allocation-free: one clock read and one atomic add
+// for an untiered tenant under the limit.
 //
 // The pieces compose as follows under load:
 //
@@ -213,6 +216,11 @@ type tenantState struct {
 	credit atomic.Int64
 }
 
+// maxTenants caps the tenant registry. The id is whatever a client puts on
+// the wire, so past the cap an unseen id is not registered: it is accounted
+// on its tier's shared spill state instead.
+const maxTenants = 1024
+
 // Decision is an Admit verdict.
 type Decision struct {
 	// OK reports whether the request was admitted. A false decision has
@@ -221,6 +229,9 @@ type Decision struct {
 	// Class is the fair-queue tenant class for the admitted request (see
 	// sched.FairQueue); 0 for unclassified traffic.
 	Class uint8
+	// At is the admitted request's arrival time (telemetry.Now): Done's
+	// latency sample is measured from it.
+	At int64
 }
 
 // Controller is the overload-control state machine. All methods are safe
@@ -235,13 +246,13 @@ type Controller struct {
 	// win is the two-phase latency histogram behind the p99 control signal.
 	win latencyWindow
 
-	// Window accumulators, swapped out by each control step.
-	doneCount atomic.Int64
+	// Window accumulators, swapped out by each control step. Completions
+	// are counted by win itself: one Done is one sample.
 	shedCount atomic.Int64
 	dropCount atomic.Int64
 
-	// windowEnd is the telemetry timestamp at which the next inline control
-	// step fires; stepMu serialises the step itself.
+	// windowEnd is the telemetry timestamp at which the next arrival runs a
+	// control step; stepMu serialises the step itself.
 	windowEnd atomic.Int64
 	stepMu    sync.Mutex
 
@@ -253,11 +264,15 @@ type Controller struct {
 
 	// def is the implicit state for unclassified traffic (tenant id 0);
 	// tenants maps explicit tenant ids copy-on-write, with mu guarding
-	// inserts. classSeq hands out fair-queue classes round-robin.
-	def      tenantState
-	tenants  atomic.Pointer[map[uint64]*tenantState]
-	mu       sync.Mutex
-	classSeq atomic.Uint32
+	// inserts, up to maxTenants. Ids past the cap share spill[tier], which
+	// joins the credit refill once spillLive[tier] is set. classSeq hands
+	// out fair-queue classes round-robin.
+	def       tenantState
+	spill     [NumTiers]tenantState
+	spillLive [NumTiers]atomic.Bool
+	tenants   atomic.Pointer[map[uint64]*tenantState]
+	mu        sync.Mutex
+	classSeq  atomic.Uint32
 
 	gauges *telemetry.GaugeHandle
 }
@@ -270,6 +285,13 @@ func NewController(cfg Config) *Controller {
 	c.limit.Store(int64(c.cfg.MaxLimit))
 	c.def = tenantState{tier: Tier1}
 	c.def.credit.Store(int64(c.cfg.MaxLimit))
+	// Each spill state has a fixed fair-queue lane, counted down from the
+	// top; registered tenants are dealt lanes round-robin and may share it.
+	for t := range c.spill {
+		s := &c.spill[t]
+		s.tier, s.class = Tier(t), uint8(sched.MaxTenantClasses-1-t)
+		s.credit.Store(int64(c.cfg.MaxLimit))
+	}
 	// Baseline the process-wide deadline counters: only misses from this
 	// controller's lifetime count toward its burst signal.
 	c.lastMisses = telemetry.DeadlineMisses()
@@ -302,7 +324,7 @@ func (c *Controller) Inflight() int64 { return c.inflight.Load() }
 // (Done), released-without-sample slots (Dropped) and admission sheds since
 // the last control step.
 func (c *Controller) Counts() (done, dropped, shed int64) {
-	return c.doneCount.Load(), c.dropCount.Load(), c.shedCount.Load()
+	return c.win.count(), c.dropCount.Load(), c.shedCount.Load()
 }
 
 // Level returns the current brown-out ladder level (0..3).
@@ -317,7 +339,9 @@ func (c *Controller) RetryAfter() time.Duration {
 }
 
 // state resolves a tenant's accounting, registering unseen tenants on a
-// copy-on-write map (cold path). Tenant id 0 is the implicit default.
+// copy-on-write map (cold path) until it holds maxTenants; later unseen ids
+// share their tier's spill state, with neither lock nor allocation. Tenant id
+// 0 is the implicit default.
 func (c *Controller) state(id uint64, tier Tier) *tenantState {
 	if id == 0 {
 		return &c.def
@@ -326,6 +350,9 @@ func (c *Controller) state(id uint64, tier Tier) *tenantState {
 		if ts, ok := (*m)[id]; ok {
 			return ts
 		}
+		if len(*m) >= maxTenants {
+			return c.spilled(tier)
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -333,6 +360,9 @@ func (c *Controller) state(id uint64, tier Tier) *tenantState {
 	if m := c.tenants.Load(); m != nil {
 		if ts, ok := (*m)[id]; ok {
 			return ts
+		}
+		if len(*m) >= maxTenants {
+			return c.spilled(tier)
 		}
 		old = *m
 	}
@@ -352,6 +382,15 @@ func (c *Controller) state(id uint64, tier Tier) *tenantState {
 	return ts
 }
 
+// spilled returns tier's spill state, marking it live so the next control
+// step deals it a share of the refill.
+func (c *Controller) spilled(tier Tier) *tenantState {
+	if !c.spillLive[tier].Load() {
+		c.spillLive[tier].Store(true)
+	}
+	return &c.spill[tier]
+}
+
 // congested reports whether in-flight work has reached three quarters of
 // the limit — the LevelShedLowest trigger for priority- and tier-based
 // shedding ahead of the hard limit.
@@ -359,11 +398,20 @@ func (c *Controller) congested() bool {
 	return c.inflight.Load()*4 >= c.limit.Load()*3
 }
 
-// Admit decides one request's fate before any demarshalling or queueing.
-// The fast path — unclassified tenant, ladder at LevelNormal, under the
-// limit — is three atomic operations and no allocation. A false decision is
-// already fully accounted; the caller just rejects the request.
+// Admit decides one request's fate before any demarshalling or queueing. It
+// reads the clock once: that timestamp is the admitted request's Decision.At,
+// and once the control window has elapsed it steps the controller first, so
+// the arrival is judged by the fresh limit and ladder level. The fast path —
+// unclassified tenant, ladder at LevelNormal, under the limit — is that one
+// clock read, one atomic add and no allocation. A false decision is already
+// fully accounted; the caller just rejects the request.
 func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
+	now := telemetry.Now()
+	// The CAS on windowEnd elects one arrival to step; everyone else
+	// proceeds.
+	if end := c.windowEnd.Load(); now >= end && c.windowEnd.CompareAndSwap(end, now+int64(c.cfg.Window)) {
+		c.step()
+	}
 	tier = tier.Clamp()
 	if lvl := c.level.Load(); lvl != LevelNormal {
 		switch {
@@ -381,9 +429,9 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 	lim := c.limit.Load()
 	if n <= lim {
 		if id == 0 {
-			return Decision{OK: true}
+			return Decision{OK: true, At: now}
 		}
-		return Decision{OK: true, Class: c.state(id, tier).class}
+		return Decision{OK: true, Class: c.state(id, tier).class, At: now}
 	}
 	// Over the limit: the headroom is contested. A hard cap bounds how far
 	// in-flight work may overshoot; inside it, admission spends the
@@ -394,7 +442,7 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 	}
 	ts := c.state(id, tier)
 	if ts.credit.Add(-1) >= 0 {
-		return Decision{OK: true, Class: ts.class}
+		return Decision{OK: true, Class: ts.class, At: now}
 	}
 	c.inflight.Add(-1)
 	return c.shed(id, tier)
@@ -408,14 +456,12 @@ func (c *Controller) shed(id uint64, tier Tier) Decision {
 	return Decision{}
 }
 
-// Done records one admitted request's completion latency (admit to finish,
-// in nanoseconds) — the control signal for the AIMD limit — and releases
-// its in-flight slot. It also drives the inline control loop.
+// Done records one admitted request's completion latency (Decision.At to
+// finish, in nanoseconds) — the control signal for the AIMD limit — and
+// releases its in-flight slot. It reads no clock and never steps.
 func (c *Controller) Done(latency int64) {
 	c.inflight.Add(-1)
 	c.win.record(latency)
-	c.doneCount.Add(1)
-	c.maybeStep()
 }
 
 // Dropped releases an admitted request's in-flight slot without recording a
@@ -425,26 +471,11 @@ func (c *Controller) Done(latency int64) {
 func (c *Controller) Dropped() {
 	c.inflight.Add(-1)
 	c.dropCount.Add(1)
-	c.maybeStep()
-}
-
-// maybeStep runs a control step when the window has elapsed. The CAS on
-// windowEnd elects one completing goroutine; everyone else proceeds.
-func (c *Controller) maybeStep() {
-	now := telemetry.Now()
-	end := c.windowEnd.Load()
-	if now < end {
-		return
-	}
-	if !c.windowEnd.CompareAndSwap(end, now+int64(c.cfg.Window)) {
-		return
-	}
-	c.step()
 }
 
 // Tick forces a control step immediately, regardless of the window clock.
 // Tests and callers that want an external cadence (a ticker goroutine) use
-// it; production servers rely on the inline stepping alone.
+// it; production servers rely on the steps arrivals run.
 func (c *Controller) Tick() {
 	c.windowEnd.Store(telemetry.Now() + int64(c.cfg.Window))
 	c.step()
@@ -456,8 +487,7 @@ func (c *Controller) step() {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 
-	p99, samples := c.win.swap()
-	done := c.doneCount.Swap(0)
+	p99, done := c.win.swap() // one Done is one sample
 	shed := c.shedCount.Swap(0)
 	c.dropCount.Store(0)
 
@@ -474,7 +504,7 @@ func (c *Controller) step() {
 	// too few samples move nothing — a rejection burst with no completions
 	// is not a latency signal.
 	breach := false
-	if samples >= int64(c.cfg.MinSamples) && p99 > int64(c.cfg.TargetP99) {
+	if done >= int64(c.cfg.MinSamples) && p99 > int64(c.cfg.TargetP99) {
 		breach = true
 	}
 	if missDelta >= int64(c.cfg.MissBurst) {
@@ -488,7 +518,7 @@ func (c *Controller) step() {
 			lim = int64(c.cfg.MinLimit)
 		}
 		c.limit.Store(lim)
-	case samples >= int64(c.cfg.MinSamples):
+	case done >= int64(c.cfg.MinSamples):
 		lim += int64(c.cfg.Step)
 		if lim > int64(c.cfg.MaxLimit) {
 			lim = int64(c.cfg.MaxLimit)
@@ -525,19 +555,32 @@ func (c *Controller) step() {
 
 	// Refill credits: the contested headroom refills to (at least) one
 	// limit's worth of over-limit admissions per window, dealt to tenants
-	// in proportion to their tier weights.
+	// in proportion to their tier weights. A live spill state is one more
+	// tenant of its tier.
 	refill := done
 	if refill < lim {
 		refill = lim
 	}
-	total := int64(c.cfg.TierWeights[c.def.tier])
+	credited := make([]*tenantState, 0, 1+NumTiers)
+	credited = append(credited, &c.def)
+	for t := range c.spill {
+		if c.spillLive[t].Load() {
+			credited = append(credited, &c.spill[t])
+		}
+	}
 	m := c.tenants.Load()
+	var total int64
+	for _, ts := range credited {
+		total += int64(c.cfg.TierWeights[ts.tier])
+	}
 	if m != nil {
 		for _, ts := range *m {
 			total += int64(c.cfg.TierWeights[ts.tier])
 		}
 	}
-	c.def.credit.Store(int64(c.cfg.TierWeights[c.def.tier]) * refill / total)
+	for _, ts := range credited {
+		ts.credit.Store(int64(c.cfg.TierWeights[ts.tier]) * refill / total)
+	}
 	if m != nil {
 		for _, ts := range *m {
 			ts.credit.Store(int64(c.cfg.TierWeights[ts.tier]) * refill / total)
@@ -604,6 +647,17 @@ func winLow(i int) int64 {
 // record adds one sample to the active half.
 func (w *latencyWindow) record(v int64) {
 	w.buckets[w.active.Load()&1][winIndex(v)].Add(1)
+}
+
+// count returns the samples recorded since the last swap. It sums both
+// halves: the frozen one is zero unless a record raced the swap.
+func (w *latencyWindow) count() (samples int64) {
+	for h := range w.buckets {
+		for i := range w.buckets[h] {
+			samples += w.buckets[h][i].Load()
+		}
+	}
+	return samples
 }
 
 // swap freezes the active half, zeroing and returning its p99 upper bound

@@ -68,6 +68,100 @@ func TestAIMDRaiseAndCut(t *testing.T) {
 	}
 }
 
+// Arrivals step the controller, completions do not: once the window has
+// elapsed, Dones at breach latency leave the limit alone, and the next Admit
+// runs the step — and is judged by the cut limit.
+func TestAIMDStepsOnArrival(t *testing.T) {
+	cfg := testConfig()
+	cfg.Window = time.Millisecond
+	c := NewController(cfg)
+	defer c.Close()
+	c.limit.Store(64)
+
+	// Any step these arrivals run sees no samples and moves nothing.
+	for i := 0; i < 16; i++ {
+		if !c.Admit(0, Tier0, sched.NormPriority).OK {
+			t.Fatalf("admit %d rejected", i)
+		}
+	}
+	time.Sleep(2 * cfg.Window)
+	for i := 0; i < 16; i++ {
+		c.Done(int64(10 * time.Millisecond))
+	}
+	if got := c.Limit(); got != 64 {
+		t.Fatalf("limit = %d after completions alone, want 64: Done must not step", got)
+	}
+	d := c.Admit(0, Tier0, sched.NormPriority)
+	if !d.OK {
+		t.Fatal("stepping arrival rejected")
+	}
+	c.Dropped()
+	if got := c.Limit(); got != 32 {
+		t.Errorf("limit = %d after the next arrival, want 64/2: Admit must step", got)
+	}
+}
+
+// Admit stamps the decision with the clock read it steps by.
+func TestOverloadAdmitStampsArrival(t *testing.T) {
+	c := NewController(testConfig())
+	defer c.Close()
+	before := telemetry.Now()
+	d := c.Admit(0, Tier1, sched.NormPriority)
+	after := telemetry.Now()
+	if !d.OK {
+		t.Fatal("rejected")
+	}
+	c.Done(after - d.At)
+	if d.At < before || d.At > after {
+		t.Errorf("Decision.At = %d, want within [%d, %d]", d.At, before, after)
+	}
+}
+
+// Counts reports one completion per Done — the histogram's samples stand in
+// for a counter of their own — in a window, after a Tick empties it, and
+// after a 16-goroutine storm.
+func TestOverloadCountsTrackDone(t *testing.T) {
+	c := NewController(testConfig())
+	defer c.Close()
+	admitN(t, c, 5, 100*time.Microsecond)
+	if !c.Admit(0, Tier0, sched.NormPriority).OK {
+		t.Fatal("rejected")
+	}
+	c.Dropped()
+	if done, dropped, _ := c.Counts(); done != 5 || dropped != 1 {
+		t.Errorf("Counts = (%d, %d), want (5, 1)", done, dropped)
+	}
+	c.Tick()
+	if done, dropped, shed := c.Counts(); done != 0 || dropped != 0 || shed != 0 {
+		t.Errorf("Counts after Tick = (%d, %d, %d), want zeros", done, dropped, shed)
+	}
+	admitN(t, c, 3, time.Millisecond)
+	if done, _, _ := c.Counts(); done != 3 {
+		t.Errorf("done = %d after Tick and 3 completions, want 3", done)
+	}
+
+	c.Tick()
+	const workers, perWorker = 16, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if !c.Admit(uint64(w%4), Tier0, sched.NormPriority).OK {
+					t.Error("storm admit rejected")
+					return
+				}
+				c.Done(int64(i) * 1000)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if done, _, _ := c.Counts(); done != workers*perWorker {
+		t.Errorf("done = %d after the storm, want %d", done, workers*perWorker)
+	}
+}
+
 // The limit never leaves [MinLimit, MaxLimit].
 func TestAIMDBounds(t *testing.T) {
 	cfg := testConfig()
@@ -482,5 +576,109 @@ func TestBrownoutDeescalatesThroughRejectionStorm(t *testing.T) {
 	}
 	if got := c.Level(); got != int(LevelNormal) {
 		t.Errorf("level = %d after rejection-storm recovery, want Normal", got)
+	}
+}
+
+// The ladder comes down on arrivals alone. At LevelRejectByTier a server
+// whose traffic is all tier 1 sheds every arrival, so nothing completes: a
+// controller that stepped only on completions would stay at the top level
+// for good. No Tick here — the real window clock drives every step.
+func TestBrownoutDeescalatesWithoutCompletions(t *testing.T) {
+	cfg := testConfig()
+	cfg.Window = time.Millisecond
+	c := NewController(cfg)
+	defer c.Close()
+	c.setLevel(LevelRejectByTier)
+
+	deadline := time.Now().Add(time.Second)
+	for c.Level() != int(LevelNormal) && time.Now().Before(deadline) {
+		if c.Admit(5, Tier1, sched.NormPriority).OK {
+			c.Dropped()
+		}
+	}
+	if got := c.Level(); got != int(LevelNormal) {
+		t.Errorf("level = %d after 1s of shed tier-1 arrivals, want Normal", got)
+	}
+	if got := c.Inflight(); got != 0 {
+		t.Errorf("inflight = %d, want 0", got)
+	}
+}
+
+// The tenant registry is bounded: past maxTenants an unseen id is accounted
+// on its tier's spill state — no insert, no lock, no allocation — and the
+// tier policy holds for spilled ids exactly as for registered ones.
+func TestOverloadTenantRegistryBounded(t *testing.T) {
+	c := NewController(testConfig())
+	defer c.Close()
+	first := c.state(1, Tier0)
+	for id := uint64(1); id <= 10000; id++ {
+		d := c.Admit(id, Tier(id%NumTiers), sched.NormPriority)
+		if !d.OK {
+			t.Fatalf("tenant %d rejected", id)
+		}
+		if d.Class == 0 {
+			t.Fatalf("tenant %d given the reserved class 0", id)
+		}
+		c.Dropped()
+	}
+	if n := len(*c.tenants.Load()); n > maxTenants {
+		t.Fatalf("registry holds %d tenants, cap is %d", n, maxTenants)
+	}
+	if c.state(1, Tier0) != first {
+		t.Error("a registered tenant lost its state to the spill")
+	}
+	for tier := range c.spillLive {
+		if !c.spillLive[tier].Load() {
+			t.Errorf("no arrival spilled onto tier %d's state", tier)
+		}
+	}
+
+	c.setLevel(LevelRejectBestEffort)
+	if c.Admit(20001, TierBestEffort, sched.MaxPriority).OK {
+		t.Error("a spilled best-effort id passed LevelRejectBestEffort")
+	}
+	c.setLevel(LevelRejectByTier)
+	if !c.Admit(20002, Tier0, sched.MinPriority).OK {
+		t.Error("a spilled tier-0 id was rejected at LevelRejectByTier")
+	} else {
+		c.Dropped()
+	}
+	if got := c.Inflight(); got != 0 {
+		t.Errorf("inflight = %d, want 0", got)
+	}
+
+	// A live spill state shares the refill as one more tenant of its tier.
+	// A large limit makes every share non-zero.
+	const refill = 1 << 20
+	c.limit.Store(refill)
+	c.Tick()
+	w := c.cfg.TierWeights
+	total := int64(w[Tier1] + w[Tier0] + w[Tier1] + w[TierBestEffort]) // default + three spills
+	for _, ts := range *c.tenants.Load() {
+		total += int64(w[ts.tier])
+	}
+	want := int64(w[Tier0]) * refill / total
+	if got := first.credit.Load(); got != want {
+		t.Errorf("registered tier-0 credit = %d, want %d of a refill over every weight", got, want)
+	}
+	if got := c.spill[Tier0].credit.Load(); got != want {
+		t.Errorf("tier-0 spill credit = %d, want %d, the share of a registered tier-0 tenant", got, want)
+	}
+	c.limit.Store(int64(c.cfg.MaxLimit))
+
+	c.setLevel(LevelNormal)
+	id := uint64(30000)
+	allocs := testing.AllocsPerRun(200, func() {
+		id++
+		if !c.Admit(id, Tier1, sched.NormPriority).OK {
+			t.Fatal("spilled admit rejected")
+		}
+		c.Dropped()
+	})
+	if allocs != 0 {
+		t.Errorf("spilled Admit allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := len(*c.tenants.Load()); n > maxTenants {
+		t.Errorf("registry grew to %d past its cap of %d", n, maxTenants)
 	}
 }
