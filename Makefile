@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos
+.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos fuzz-smoke
 
 all: build
 
@@ -47,6 +47,13 @@ allocguard:
 # while the copying Invoke is charged exactly one copy per call.
 zerocopy-guard:
 	$(GO) test -run 'TestInvokeViewZeroPayloadCopies|TestInvokeViewLoanScope' -count=1 ./internal/orb/
+
+# fuzz-smoke explores the GIOP request peek against the full decoder for ten
+# seconds: never a panic, and every body DecodeRequest accepts peeks to the
+# same id, response flag, priority and tenant. The seed corpus alone runs
+# with the tier-1 tests.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzPeekRequestInfo -fuzztime 10s ./internal/giop/
 
 # bench-smoke runs every benchmark a handful of iterations — enough to
 # catch a bench that no longer compiles or errors out, without the cost of
@@ -117,14 +124,17 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # bounded), and a failed send's message ownership, and the wake-on-transition
 # signal every wait rides (no lost wakeup across 64 waiters, deadlines kept,
 # overlapping Drains and Stop), a Close that fails connections a Retarget is
-# still retiring, and connection churn that interns no new labels — under the
-# race detector.
+# still retiring, and connection churn that interns no new labels, and the
+# pinned scope entry a delivery makes on its reservation (refusals, no holder
+# moves, the stack restored), Exec refusing a disposed instance, what each
+# kind of In port counts, and the request peek's fuzz seeds — under the race
+# detector.
 # Every fault schedule and history in these tests is seeded, so failures
 # replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels' \
-		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzPeekRequestInfo' \
+		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/ ./internal/giop/
 
 # bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11
 # grid and the dispatch-path latency/allocation numbers.

@@ -201,17 +201,35 @@ func (c *Component) UndefineChild(name string) {
 // land in the component's region and the RTSJ access rules apply. Contexts
 // are drawn from the app's pool; a context is recycled only when fn left the
 // scope stack balanced (a panic drops it instead).
+//
+// Exec reserves nothing, so it enters the chain as a counted holder
+// (memory.Context.EnterChain), and its caller must keep a live instance alive
+// across the call: with a handle, a pending delivery, or from the instance's
+// own start function. A disposed instance — a parked Reusable shell, whose
+// area went back to its pool, included — is refused with an error wrapping
+// ErrStopped and nothing is entered.
 func (c *Component) Exec(fn func(*memory.Context) error) error {
+	if c.Disposed() {
+		return fmt.Errorf("core: exec in %q: %w", c.Path(), ErrStopped)
+	}
 	cs := c.app.getCall()
-	err := c.enterChain(cs.ctx, fn)
+	var err error
+	if c.area.Kind() != memory.KindScoped {
+		err = cs.ctx.ExecuteInArea(c.area, fn)
+	} else {
+		err = cs.ctx.EnterChain(c.chain, fn)
+	}
 	c.app.putCall(cs)
 	return err
 }
 
-// enterChain runs fn with ctx current in c's area, entering the part of the
-// component's scope chain ctx does not already stand in: all of it for a fresh
-// context, one area for a sender's context that is current in c's parent.
-func (c *Component) enterChain(ctx *memory.Context, fn func(*memory.Context) error) error {
+// enterReserved runs a delivery's fn with ctx current in c's area, which the
+// delivery holds reserved: the reservation keeps c open, so its wedge and
+// every ancestor's stay armed, and ctx stands in the part of the scope chain
+// it is not already in without touching an area word
+// (memory.Context.EnterBelow) — all of it for a fresh context, one area for
+// a sender's context that is current in c's parent.
+func (c *Component) enterReserved(ctx *memory.Context, fn func(*memory.Context) error) error {
 	if c.area.Kind() != memory.KindScoped {
 		return ctx.ExecuteInArea(c.area, fn)
 	}

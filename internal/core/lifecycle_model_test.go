@@ -12,6 +12,13 @@ package core
 // before any handler, the finalizer between the last release and the park),
 // so replaying the log through the sequential model below accepts it only
 // if the concurrent execution kept the lifecycle's rules.
+//
+// A handler stands in its owner's area on the delivery's reservation alone
+// (memory.Context.EnterBelow moves no holder count), so the handler logs the
+// area's generation and whether a wedge holds it at entry and at exit: the
+// reservation must keep the area pinned and unreclaimed for the whole call.
+// Mutation check: a delivery that gives its reservation back before deliver
+// returns fails this model.
 
 import (
 	"errors"
@@ -55,6 +62,7 @@ type event struct {
 	version int
 	inc     incarnation
 	val     int64
+	pinned  bool // evBegin/evEnd: a wedge held the handler's area
 }
 
 // eventLog is the totally ordered history: a slot is claimed with one
@@ -88,6 +96,7 @@ type lifecycleModel struct {
 	swapBegun map[string]bool // "child/version" → a Swap away from it started
 	swapDone  map[string]bool // ... and returned: the version is retired for good
 	handled   map[int64]int
+	inside    map[int64]incarnation // message → the area its running handler entered
 	sent      map[int64]bool
 	stopping  bool
 }
@@ -136,6 +145,10 @@ func (m *lifecycleModel) apply(e event) error {
 	case evOpen:
 		return m.openShell(s, e.inc)
 	case evBegin:
+		if !e.pinned {
+			return fmt.Errorf("handler of %s entered %s@%d with no wedge holding it",
+				key(s.child, s.version), e.inc.area.Name(), e.inc.gen)
+		}
 		if !s.open {
 			// A child without a start function shows its revival only
 			// through the first handler of the incarnation.
@@ -154,7 +167,14 @@ func (m *lifecycleModel) apply(e event) error {
 		if m.handled[e.val]++; m.handled[e.val] > 1 {
 			return fmt.Errorf("message %d handled twice", e.val)
 		}
+		m.inside[e.val] = e.inc
 	case evEnd:
+		entered := m.inside[e.val]
+		delete(m.inside, e.val)
+		if e.inc != entered || !e.pinned {
+			return fmt.Errorf("handler of %s entered %s@%d and left it at @%d, pinned=%v: the area went from under it",
+				key(s.child, s.version), entered.area.Name(), entered.gen, e.inc.gen, e.pinned)
+		}
 		if s.handlers--; s.handlers < 0 {
 			return fmt.Errorf("%s: pending went negative", key(s.child, s.version))
 		}
@@ -223,16 +243,18 @@ func (r *modelRig) def(child string, version int) ChildDef {
 					// The owner is the shell the message reserved, which during
 					// a swap can be the outgoing one under the incoming handler.
 					owner := p.Component()
-					inc := incarnation{owner.Area(), owner.Area().Generation()}
+					area := owner.Area()
+					inc := incarnation{area, area.Generation()}
 					if !start {
 						if _, hooked := r.finalized.LoadOrStore(inc, struct{}{}); !hooked {
 							hook(owner)
 						}
 					}
 					v := m.(*intMsg).value
-					r.log.add(event{kind: evBegin, child: child, shell: owner, inc: inc, val: v})
+					r.log.add(event{kind: evBegin, child: child, shell: owner, inc: inc, val: v, pinned: area.Pinned()})
 					runtime.Gosched() // widen the window a quiesce could wrongly slip into
-					r.log.add(event{kind: evEnd, child: child, shell: owner})
+					r.log.add(event{kind: evEnd, child: child, shell: owner,
+						inc: incarnation{area, area.Generation()}, val: v, pinned: area.Pinned()})
 					return nil
 				}),
 			})
@@ -341,7 +363,7 @@ func (r *modelRig) replay(t *testing.T) *lifecycleModel {
 	m := &lifecycleModel{
 		shells: map[*Component]*modelShell{}, setups: map[string]int{},
 		swapBegun: map[string]bool{}, swapDone: map[string]bool{},
-		handled: map[int64]int{}, sent: map[int64]bool{},
+		handled: map[int64]int{}, inside: map[int64]incarnation{}, sent: map[int64]bool{},
 	}
 	for i, e := range r.log.evs[:n] {
 		if err := m.apply(e); err != nil {

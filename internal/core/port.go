@@ -248,7 +248,7 @@ type InPort struct {
 	pool       *sched.Pool
 	dispatchFn func(sched.Priority) // created once; avoids a closure per send
 
-	received  atomic.Int64
+	received  atomic.Int64 // buffered ports only; see Stats
 	processed atomic.Int64
 	dropped   atomic.Int64
 	shed      atomic.Int64 // subset of dropped: removed by an overflow policy
@@ -268,8 +268,14 @@ func (p *InPort) Type() MessageType { return p.typ }
 func (p *InPort) Capacity() int { return p.capacity }
 
 // Stats reports messages received (enqueued), processed, and dropped
-// (buffer full).
+// (buffer full). A synchronous port has nothing to enqueue: it counts a call
+// once, when the handler returns, and reports that count as both received
+// and processed.
 func (p *InPort) Stats() (received, processed, dropped int64) {
+	if p.synchronous {
+		n := p.processed.Load()
+		return n, n, p.dropped.Load()
+	}
 	return p.received.Load(), p.processed.Load(), p.dropped.Load()
 }
 

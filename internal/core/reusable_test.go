@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/memory"
 	"repro/internal/sched"
 )
 
@@ -271,4 +272,83 @@ func TestReusableQuiesceAtomicAgainstInstantiate(t *testing.T) {
 	if v := waitRecv(t, h.served); v != 2 {
 		t.Errorf("served %d after the revival, want 2", v)
 	}
+}
+
+// TestExecRefusesDisposedInstance runs Exec on a Reusable shell that has
+// parked, its area back in the scope pool. Exec must refuse it with
+// ErrStopped and enter nothing: entering the area the shell gave back
+// reclaims it on the way out and returns it to the pool a second time, after
+// which two acquires hand out one region. Exec on the revived instance, held
+// by a handle, runs in its area as ever.
+func TestExecRefusesDisposedInstance(t *testing.T) {
+	app := newTestApp(t, AppConfig{
+		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 12, Count: 1, Grow: true}},
+	})
+	parent, err := app.NewImmortalComponent("P", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smm := parent.SMM()
+	if err := parent.DefineChild(ChildDef{
+		Name: "Sink", UsePool: true, Reusable: true,
+		Setup: func(c *Component) error {
+			_, err := AddInPort(c, smm, InPortConfig{
+				Name: "in", Type: intType, Threading: ThreadingSynchronous,
+				Handler: HandlerFunc(func(*Proc, Message) error { return nil }),
+			})
+			return err
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	out, err := AddOutPort(parent, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"Sink.in"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := out.GetMessage()
+	if err == nil {
+		err = out.Send(m, sched.NormPriority)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := app.ScopePool(1)
+	balanced := func(when string) {
+		t.Helper()
+		if created, _, free := pool.Stats(); int64(free) != created {
+			t.Errorf("%s: scope pool holds %d free areas, %d created", when, free, created)
+		}
+	}
+	shell := smm.shell("Sink")
+	if !shell.Disposed() {
+		t.Fatal("the synchronous child did not park after its one message")
+	}
+	balanced("parked")
+
+	ran := false
+	err = shell.Exec(func(*memory.Context) error { ran = true; return nil })
+	if !errors.Is(err, ErrStopped) || ran {
+		t.Errorf("Exec on a parked shell: err %v, fn ran %v; want ErrStopped and nothing entered", err, ran)
+	}
+	balanced("after Exec on the parked shell")
+
+	h, err := smm.Connect("Sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := h.Component()
+	err = live.Exec(func(ctx *memory.Context) error {
+		if ctx.Current() != live.Area() {
+			t.Errorf("Exec current in %v, want the instance's area %v", ctx.Current(), live.Area())
+		}
+		return nil
+	})
+	h.Disconnect()
+	if err != nil {
+		t.Errorf("Exec on a live instance: %v", err)
+	}
+	balanced("after the revived instance parked again")
 }

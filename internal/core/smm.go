@@ -283,8 +283,12 @@ func (s *SMM) registerIn(c *Component, cfg InPortConfig) (*InPort, error) {
 	}
 	s.in[qname] = p
 	s.routeGen.Add(1) // a new In port may resolve a previously dangling route
+	received := p.received.Load
+	if p.synchronous {
+		received = p.processed.Load // see InPort.Stats
+	}
 	p.gauges = telemetry.Default.RegisterGauges(qname, map[string]func() int64{
-		"port_received":  p.received.Load,
+		"port_received":  received,
 		"port_processed": p.processed.Load,
 		"port_dropped":   p.dropped.Load,
 		"port_shed":      p.shed.Load,
@@ -751,6 +755,9 @@ func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priorit
 		case err != nil:
 			settle(env, pool, msg)
 		case in.synchronous || handoff:
+			if !in.synchronous {
+				in.received.Add(1) // a buffered port counts arrivals under handoff too
+			}
 			s.call(in, owner, proc, msg, prio, deadline)
 			settle(env, pool, msg)
 			owner.release(pendingOne, 0)
@@ -902,17 +909,19 @@ func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
 
 // call is a send to a synchronous port (or any port, under the handoff
 // mechanism): no buffer, no envelope, no pool — the sender's thread, which
-// holds owner reserved until the message is recycled, is the receiver's.
+// holds owner reserved until the message is recycled, is the receiver's. A
+// synchronous port counts the call once, as processed, when deliver returns.
 func (s *SMM) call(in *InPort, owner *Component, proc *Proc, msg Message, prio sched.Priority, deadline int64) {
-	in.received.Add(1)
 	s.deliver(in, owner, proc, msg, prio.Clamp(), deadline)
 }
 
 // deliver is the one delivery routine behind every port: wait out the
-// reserved owner's start function, report a start past the deadline, enter
-// the owner's scopes — on the sender's context from wherever it stands, or,
-// when the sender lent none, on a pooled one from the top — and run the
-// handler, whose error goes to the app: the message was delivered.
+// reserved owner's start function, report a start past the deadline, stand in
+// the owner's scopes on its reservation — on the sender's context from
+// wherever it stands, or, when the sender lent none, on a pooled one from the
+// top — and run the handler, whose error goes to the app: the message was
+// delivered. Every caller holds owner reserved until deliver returns; that
+// hold is the scope hold, so no area word is written on the way in or out.
 func (s *SMM) deliver(in *InPort, owner *Component, sender *Proc, msg Message, prio sched.Priority, deadline int64) {
 	// Never process a message before the owner finished initialising. (A
 	// synchronous port whose owner sends to itself from its own start
@@ -939,7 +948,7 @@ func (s *SMM) deliver(in *InPort, owner *Component, sender *Proc, msg Message, p
 			ctx = sender.ctx
 		}
 		cs.smm, cs.owner, cs.handler, cs.msg, cs.prio = s, owner, handler, msg, prio
-		err := owner.enterChain(ctx, cs.fn)
+		err := owner.enterReserved(ctx, cs.fn)
 		cs.smm, cs.owner, cs.handler, cs.msg, cs.proc = nil, nil, nil, nil, Proc{}
 		app.putCall(cs)
 		if err != nil {

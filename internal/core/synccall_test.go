@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -238,6 +239,86 @@ func TestSyncCallConcurrentSenders(t *testing.T) {
 	}
 	if n, err := app.Errors(); n != 0 {
 		t.Errorf("%d handler errors, last: %v", n, err)
+	}
+}
+
+// TestInPortStatsByPortKind pins what each kind of In port counts. A
+// synchronous port counts a call once, when its handler returns, and reports
+// that count as received and processed alike, in Stats and in the
+// port_received gauge; a buffered port counts the enqueue and the processing
+// apart, as it always has.
+func TestInPortStatsByPortKind(t *testing.T) {
+	const sends = 5
+	for _, threading := range []Threading{ThreadingSynchronous, ThreadingShared, ThreadingDedicated} {
+		t.Run(threading.String(), func(t *testing.T) {
+			app := newTestApp(t, AppConfig{})
+			name := "Stats" + threading.String()
+			handled := make(chan int64, sends)
+			var in *InPort
+			var out *OutPort
+			top, err := app.NewImmortalComponent("Top", func(c *Component) error {
+				smm := c.SMM()
+				var err error
+				if out, err = AddOutPort(c, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{name + ".in"}}); err != nil {
+					return err
+				}
+				return c.DefineChild(ChildDef{
+					Name: name, MemorySize: 1 << 12,
+					Setup: func(s *Component) error {
+						var err error
+						in, err = AddInPort(s, smm, InPortConfig{
+							Name: "in", Type: intType, Threading: threading,
+							Handler: HandlerFunc(func(_ *Proc, m Message) error {
+								handled <- m.(*intMsg).value
+								return nil
+							}),
+						})
+						return err
+					},
+				})
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := app.Start(); err != nil {
+				t.Fatal(err)
+			}
+			h, err := top.SMM().Connect(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer h.Disconnect()
+			for i := 0; i < sends; i++ {
+				m, err := out.GetMessage()
+				if err == nil {
+					err = out.Send(m, sched.NormPriority)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Every delivery is counted before it gives its reservation back.
+			if !h.AwaitIdle(time.Now().Add(5 * time.Second)) {
+				t.Fatal("deliveries still pending after 5 s")
+			}
+			if len(handled) != sends {
+				t.Fatalf("%d of %d messages handled", len(handled), sends)
+			}
+			received, processed, dropped := in.Stats()
+			if received != sends || processed != sends || dropped != 0 || out.Sent() != sends {
+				t.Errorf("received %d, processed %d, dropped %d, sent %d; want %d, %d, 0, %d",
+					received, processed, dropped, out.Sent(), sends, sends, sends)
+			}
+			gauge := int64(-1)
+			for _, g := range telemetry.Default.Snapshot(telemetry.SnapshotOptions{}).Gauges {
+				if g.Name == "port_received" && g.Label == in.Name() {
+					gauge = g.Value
+				}
+			}
+			if gauge != sends {
+				t.Errorf("port_received gauge %d, want %d", gauge, sends)
+			}
+		})
 	}
 }
 

@@ -249,6 +249,26 @@ func (a *Area) Generation() uint64 {
 	return a.genNow()
 }
 
+// Pinned reports whether at least one wedge holds the scoped area open.
+func (a *Area) Pinned() bool { return a.state.Load()&wedgeMask != 0 }
+
+// standIn is the check behind a pinned enter (Context.EnterBelow): a thread
+// may stand in the area from `from` without a hold of its own only while a
+// wedge holds it and it is parented under `from`. Loads only — the wedge's
+// owner keeps both true for as long as the caller holds the owner.
+func (a *Area) standIn(from *Area) error {
+	pinned := a.Pinned()
+	p := a.parent.Load()
+	if !pinned || p == nil {
+		return fmt.Errorf("%w: %q is not pinned open", ErrInactive, a.name)
+	}
+	if p != from {
+		return fmt.Errorf("%w: %q is parented under %q, cannot enter from %q",
+			ErrScopedCycle, a.name, p.Name(), from.Name())
+	}
+	return nil
+}
+
 // AddFinalizer registers fn to run (LIFO) when the area is next reclaimed.
 // It is the analogue of scoped-object finalisation and is used by the
 // component runtime to tear down structures living in a dying scope.

@@ -6,12 +6,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Scope traffic counters: every Enter/EnterChain level is one enter and,
-// on unwind, one exit. Counter adds are sharded atomics, so the dispatch
-// path's scope walk stays allocation- and lock-free.
+// Scope traffic counters: every level Enter, EnterChain or EnterBelow pushes
+// is one enter (exits mirror them and are not counted). Counter adds are
+// sharded atomics, so the dispatch path's scope walk stays allocation- and
+// lock-free.
 var (
 	scopeEnters = telemetry.NewCounter("scope_enter_total")
-	scopeExits  = telemetry.NewCounter("scope_exit_total")
 	// scopeOverflows counts Scratch buffers that did not fit the area their
 	// thread stood in and took a nested pooled one.
 	scopeOverflows = telemetry.NewCounter("scope_overflow_total")
@@ -107,7 +107,6 @@ func (c *Context) Enter(a *Area, fn func(*Context) error) error {
 	defer func() {
 		c.stack = c.stack[:len(c.stack)-1]
 		a.exit()
-		scopeExits.Inc()
 	}()
 	return fn(c)
 }
@@ -123,9 +122,7 @@ func (c *Context) Enter(a *Area, fn func(*Context) error) error {
 func (c *Context) EnterChain(areas []*Area, fn func(*Context) error) (err error) {
 	base := len(c.stack)
 	defer func() {
-		n := len(c.stack) - base
-		scopeExits.Add(int64(n))
-		for ; n > 0; n-- {
+		for n := len(c.stack) - base; n > 0; n-- {
 			top := c.stack[len(c.stack)-1]
 			c.stack = c.stack[:len(c.stack)-1]
 			top.exit()
@@ -148,16 +145,29 @@ func (c *Context) EnterChain(areas []*Area, fn func(*Context) error) (err error)
 	return fn(c)
 }
 
-// EnterBelow runs fn with the context current in the last area of chain — a
-// scoped ancestor path, outermost first, each level parented under the one
-// before it — entering only the levels that lie below the deepest one
-// already on the scope stack. It is the handoff pattern generalised:
-// RTSJ's executeInArea on the common ancestor, then enter what is left. A
-// thread standing in the chain's parent enters one area, a thread in a
-// sibling scope executes in the shared ancestor and enters the levels under
-// it, and a thread with no area of the chain on its stack starts from its
-// primordial area and enters the whole chain, as EnterChain does.
+// EnterBelow is the pinned enter. It runs fn with the context current in the
+// last area of chain — a scoped ancestor path, outermost first, each level
+// parented under the one before it and held open by a wedge for the whole
+// call — entering only the levels that lie below the deepest one already on
+// the scope stack. It is the handoff pattern generalised: RTSJ's
+// executeInArea on the common ancestor, then enter what is left. A thread
+// standing in the chain's parent enters one area, a thread in a sibling
+// scope executes in the shared ancestor and enters the levels under it, and
+// a thread with no area of the chain on its stack starts from its primordial
+// area and enters the whole chain.
+//
+// Whatever keeps the chain pinned for the caller is the caller's scope hold,
+// so no area's holder count moves: a level is pushed after a load-only check
+// that a wedge holds it (else ErrInactive) and that it is parented under the
+// current area (else ErrScopedCycle), and popped with no exit. A component
+// delivery holds its receiver reserved, and an open component keeps its own
+// wedge and its parent open, so every level of its chain qualifies. A
+// caller that holds nothing pinning the chain uses EnterChain. The levels
+// pushed count as scope enters, as EnterChain's do; the stack comes back as
+// it was on every return and on a panic.
 func (c *Context) EnterBelow(chain []*Area, fn func(*Context) error) error {
+	base := len(c.stack)
+	defer func() { c.stack = c.stack[:base] }()
 	i, from := len(chain)-1, c.stack[0]
 	for i >= 0 && !c.onStack(chain[i]) {
 		i--
@@ -167,9 +177,16 @@ func (c *Context) EnterBelow(chain []*Area, fn func(*Context) error) error {
 	}
 	if from != c.Current() {
 		c.stack = append(c.stack, from)
-		defer func(n int) { c.stack = c.stack[:n] }(len(c.stack) - 1)
 	}
-	return c.EnterChain(chain[i+1:], fn)
+	below := chain[i+1:]
+	for _, a := range below {
+		if err := a.standIn(c.Current()); err != nil {
+			return err
+		}
+		c.stack = append(c.stack, a)
+	}
+	scopeEnters.Add(int64(len(below)))
+	return fn(c)
 }
 
 // ExecuteInArea runs fn with the context's allocation area temporarily

@@ -14,7 +14,9 @@
 //     zeroing cost on creation and reuse, mirroring LTScopedMemory.
 //   - Context models a (real-time) thread's scope stack. Entering an area
 //     pushes it; the single-parent rule is enforced on entry; the area is
-//     reclaimed when the last entrant leaves and no wedge pins it.
+//     reclaimed when the last entrant leaves and no wedge pins it. A thread
+//     whose caller keeps a pinned chain pinned stands in it without
+//     entering as a holder (EnterBelow).
 //   - CheckAccess implements the RTSJ assignment rules (Table 1 of the
 //     Compadres paper): anything may reference heap or immortal, while a
 //     scoped area may be referenced only from itself or a descendant.

@@ -160,3 +160,158 @@ func TestEnterBelowEntersOnlyWhatIsMissing(t *testing.T) {
 		}
 	}
 }
+
+// pinChain creates one scoped area per name and pins each under the one
+// before it (the first under immortal memory), the way an open component and
+// its open ancestors hold their areas; the wedges are released at cleanup.
+func pinChain(t *testing.T, m *Model, names ...string) []*Area {
+	t.Helper()
+	chain := make([]*Area, len(names))
+	from := m.Immortal()
+	for i, name := range names {
+		a := m.NewLTScoped(name, 4096)
+		w, err := Pin(a, from)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(w.Release)
+		chain[i], from = a, a
+	}
+	return chain
+}
+
+// TestEnterBelowMovesNoHolder: a pinned enter writes no area word. Inside fn
+// every level of the chain is held by its wedge alone, and on the way out
+// nothing is reclaimed — the generation stands and the allocation fn made
+// is still there.
+func TestEnterBelowMovesNoHolder(t *testing.T) {
+	m := NewModel(Config{})
+	chain := pinChain(t, m, "p", "b", "c")
+	var gens []uint64
+	for _, a := range chain {
+		gens = append(gens, a.Generation())
+	}
+	ctx := m.NewNoHeapContext()
+	err := ctx.EnterBelow(chain, func(ic *Context) error {
+		for _, a := range chain {
+			if h := a.holders(); h != wedgeDelta {
+				t.Errorf("%s: holders %#x inside fn, want its wedge alone (%#x)", a.Name(), h, wedgeDelta)
+			}
+		}
+		_, err := ic.Alloc(64)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range chain {
+		if h, g := a.holders(), a.Generation(); h != wedgeDelta || g != gens[i] {
+			t.Errorf("%s after EnterBelow: holders %#x generation %d, want %#x and %d", a.Name(), h, g, wedgeDelta, gens[i])
+		}
+	}
+	if used := chain[2].Used(); used != 64 {
+		t.Errorf("leaf holds %d bytes after EnterBelow, want the 64 fn allocated", used)
+	}
+}
+
+// TestEnterBelowRefusesUnpinnedLevel: a level no wedge holds is refused
+// with ErrInactive before fn runs — whether nothing holds it at all or
+// another thread's entry keeps it active — and no holder count moves.
+func TestEnterBelowRefusesUnpinnedLevel(t *testing.T) {
+	m := NewModel(Config{})
+	chain := pinChain(t, m, "p", "b")
+	loose := m.NewLTScoped("loose", 4096)
+	unpinned := append(slices.Clone(chain), loose)
+	try := func(name string) {
+		ctx := m.NewNoHeapContext()
+		before := loose.holders()
+		err := ctx.EnterBelow(unpinned, func(*Context) error {
+			t.Errorf("%s: fn ran under an unpinned level", name)
+			return nil
+		})
+		if !errors.Is(err, ErrInactive) {
+			t.Errorf("%s: err = %v, want ErrInactive", name, err)
+		}
+		if ctx.Depth() != 1 || loose.holders() != before {
+			t.Errorf("%s: depth %d, holders %#x → %#x after the refusal", name, ctx.Depth(), before, loose.holders())
+		}
+	}
+	try("never entered")
+	other := m.NewNoHeapContext()
+	if err := other.EnterChain(unpinned, func(*Context) error {
+		try("active through an entrant")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEnterBelowRefusesLevelParentedElsewhere: a pinned level whose parent
+// is not the level before it in the chain is refused with ErrScopedCycle.
+func TestEnterBelowRefusesLevelParentedElsewhere(t *testing.T) {
+	m := NewModel(Config{})
+	chain := pinChain(t, m, "p", "b")
+	elsewhere := pinChain(t, m, "x", "c") // c is pinned under x, not b
+	ctx := m.NewNoHeapContext()
+	err := ctx.EnterBelow(append(slices.Clone(chain), elsewhere[1]), func(*Context) error {
+		t.Error("fn ran under a level parented elsewhere")
+		return nil
+	})
+	if !errors.Is(err, ErrScopedCycle) {
+		t.Fatalf("err = %v, want ErrScopedCycle", err)
+	}
+	if ctx.Depth() != 1 {
+		t.Errorf("depth %d after the refusal, want 1", ctx.Depth())
+	}
+}
+
+// TestEnterBelowRestoresStack: whatever way fn leaves — an error, a panic, or
+// not running because a level was refused — the scope stack is the caller's
+// again, including the shared ancestor pushed for a sender in a sibling
+// scope, and no area's holders moved.
+func TestEnterBelowRestoresStack(t *testing.T) {
+	m := NewModel(Config{})
+	chain := pinChain(t, m, "p", "b", "c")
+	sibling := m.NewLTScoped("a", 4096) // b's sibling, where the sender stands
+	broken := append(slices.Clone(chain), m.NewLTScoped("unpinned", 4096))
+	boom := errors.New("handler failed")
+	for _, tc := range []struct {
+		name  string
+		chain []*Area
+		fn    func(*Context) error
+		want  error // nil: fn panics
+	}{
+		{"fn error", chain, func(*Context) error { return boom }, boom},
+		{"fn panic", chain, func(*Context) error { panic("handler") }, nil},
+		{"refused level", broken, func(*Context) error { return nil }, ErrInactive},
+	} {
+		ctx := m.NewNoHeapContext()
+		err := ctx.EnterChain([]*Area{chain[0], sibling}, func(ctx *Context) error {
+			before := ctx.Stack()
+			var err error
+			panicked := func() (panicked bool) {
+				defer func() { panicked = recover() != nil }()
+				err = ctx.EnterBelow(tc.chain, tc.fn)
+				return false
+			}()
+			switch {
+			case tc.want == nil && !panicked:
+				t.Errorf("%s: the panic did not come through", tc.name)
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+			}
+			if after := ctx.Stack(); !slices.Equal(before, after) {
+				t.Errorf("%s: scope stack %v became %v", tc.name, before, after)
+			}
+			for _, a := range chain[1:] {
+				if h := a.holders(); h != wedgeDelta {
+					t.Errorf("%s: %s holders %#x, want its wedge alone", tc.name, a.Name(), h)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+}
