@@ -28,7 +28,8 @@ race: build vet
 # write and the read that drains it on the in-process transport allocate
 # nothing, deadline set or not, and neither does an In port's push + pop,
 # keyed or not, nor a send to a synchronous port, with the sender's context
-# or without, nor a scratch buffer, whether it fits the area its thread
+# or without or three nested in the Fig. 6 shape (each on a call frame, so
+# the same guard holds under -race in `make race`), nor a scratch buffer, whether it fits the area its thread
 # stands in or overflows into a nested pooled one, nor a sched.Signal Notify
 # with nobody waiting (every release of a component calls one), nor an
 # overload controller's Admit + Done, untiered or for a registered tenant.
@@ -117,7 +118,8 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # atomicity), and the In-port buffer replayed against its sort-based
 # reference, and the synchronous port's call contract (whose scopes a send
 # enters from where the sender stands, concurrent senders each running their
-# own message, nested calls, Stop racing calls), and the scratch buffer's
+# own message, nested calls, Stop racing calls, which call frame each hop
+# runs on and the fall-back past two), and the scratch buffer's
 # overflow rule (threads sharing a held-open area fill it and not a byte
 # more; requests parked in RequestProcessing, a handle on MessageProcessing,
 # sixteen pipelined callers: every call succeeds, the overflow pools stay

@@ -107,9 +107,10 @@ func Dial(cfg ClientConfig) (*Client, error) {
 }
 
 // refresher periodically re-resolves the group and retargets stripes when
-// the membership changed. This is the heal-forward path: a member re-added
-// to the directory starts receiving stripes within one interval, without
-// waiting for a survivor to die first.
+// the membership changed or a stripe left its round-robin member (see
+// needsRetarget). This is the heal-forward path: a member re-added to the
+// directory starts receiving stripes within one interval, without waiting
+// for a survivor to die first.
 func (c *Client) refresher(every time.Duration) {
 	defer c.wg.Done()
 	tick := time.NewTicker(every)
@@ -123,10 +124,9 @@ func (c *Client) refresher(every time.Duration) {
 			if err != nil || len(members) == 0 {
 				continue // transient: keep the current membership
 			}
-			if sameMembers(c.Members(), members) {
-				continue
+			if c.needsRetarget(members) {
+				c.Retarget(members)
 			}
-			c.Retarget(members)
 		}
 	}
 }
@@ -138,10 +138,32 @@ func (c *Client) Refresh() error {
 	if err != nil {
 		return err
 	}
-	if !sameMembers(c.Members(), members) {
+	if c.needsRetarget(members) {
 		c.Retarget(members)
 	}
 	return nil
+}
+
+// needsRetarget reports whether the resolved members differ from the
+// client's, or some stripe targets another member than its round-robin
+// share of them. A failover moves a stripe to a survivor without changing
+// the member list (the directory may still name the dead member, or the
+// failover may not have re-resolved), so a member that comes back gets its
+// stripes only from a retarget that compares stripes, not lists.
+func (c *Client) needsRetarget(members []string) bool {
+	if len(members) == 0 {
+		return false
+	}
+	cur := c.Members()
+	if !sameMembers(cur, members) {
+		return true
+	}
+	for i, st := range c.StripeStates() {
+		if st.Addr != cur[i%len(cur)] {
+			return true
+		}
+	}
+	return false
 }
 
 // Group returns the group key this client resolves.

@@ -280,6 +280,53 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 }
 
+// TestClusterFailedOverStripesReturn pins the re-added member contract with
+// no clock: the directory answers [m0 m1 m2] throughout, m1 dies,
+// invocations fail each of its stripes over to a survivor, m1 comes back,
+// and one Refresh gives it its round-robin stripes again although the member
+// list never changed. Every wait is a bounded count of invocations.
+func TestClusterFailedOverStripesReturn(t *testing.T) {
+	net := transport.NewInproc()
+	for _, addr := range []string{"m0", "m1", "m2"} {
+		startReplica(t, net, addr)
+	}
+	_, dsrv := startDirectory(t, net, "dir", "m0", "m1", "m2")
+	c, err := Dial(ClientConfig{Network: net, Directory: dsrv.Addr(), Group: testGroup, Channels: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// invokeUntil invokes, one band after another, until done holds or the
+	// bound runs out, and reports whether done held.
+	invokeUntil := func(done func() bool) bool {
+		for i := 0; i < 1000 && !done(); i++ {
+			prio := sched.MinPriority + sched.Priority(i%31)
+			if _, err := c.InvokeIdempotent(testGroup, "echo", []byte("hi"), prio); err != nil {
+				t.Fatalf("invocation %d: %v", i, err)
+			}
+		}
+		return done()
+	}
+	serverAt(t, "m1").Close()
+	if !invokeUntil(func() bool { return c.MemberLoads()["m1"].Stripes == 0 }) {
+		t.Fatalf("m1's stripes did not fail over in 1000 invocations: %+v", c.MemberLoads())
+	}
+
+	startReplica(t, net, "m1")
+	if err := c.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	loads := c.MemberLoads()
+	if loads["m1"].Stripes < 1 {
+		t.Fatalf("after the refresh the returned member holds no stripe: %+v (members %v)", loads, c.Members())
+	}
+	sent := loads["m1"].Sent
+	if !invokeUntil(func() bool { return c.MemberLoads()["m1"].Sent > sent }) {
+		t.Fatalf("the returned member took no invocation in 1000: %+v", c.MemberLoads())
+	}
+}
+
 // TestClusterRefresherHealsReaddedMember exercises the background refresher:
 // no explicit Refresh call — the ticker notices the directory change and
 // retargets on its own.

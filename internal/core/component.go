@@ -82,6 +82,11 @@ type Component struct {
 	// changed is notified after every transition of life somebody may wait
 	// for: started, a release (idle, disposed), a shell parked or published.
 	changed sched.Signal
+	// frames are the shell's resident call frames. A reservation for a call
+	// claims a free one in its reserve CAS and gives it back in its release,
+	// both on the frame bits of life, and its holder alone touches it in
+	// between. Each is built on its first claim and lives as long as the shell.
+	frames [2]callState
 
 	// smm is created lazily under app.mu and read without it.
 	smm       atomic.Pointer[SMM]
@@ -95,6 +100,8 @@ type Component struct {
 //	bits 0..23   pending: in-flight messages targeted at this component
 //	bits 24..39  handles: live Connect handles
 //	bits 40..55  children: instantiated, not yet disposed children
+//	bits 56..57  frames: frames[0] and frames[1] are held, each by one of
+//	             the pending reservations (so both are clear at zero counts)
 //	lifeStarted  the start function has run; dispatch waits for it
 //	lifeAuto     reclaim at quiescence (transient, disconnected or retired)
 //	lifeRetired  never park: not Reusable, swapped out, or force-disposed
@@ -108,6 +115,8 @@ const (
 	pendingMask        = handleOne - 1
 	handleMask         = childOne - handleOne
 	countMask          = 1<<56 - 1
+	frameOne    uint64 = 1 << 56
+	frameMask          = 3 * frameOne
 
 	lifeStarted  uint64 = 1 << 59
 	lifeAuto     uint64 = 1 << 60
@@ -285,26 +294,45 @@ func (c *Component) childDef(name string) *ChildDef {
 // published by its owner, so reserve waits for that instead of letting the
 // caller build a second shell beside it. errGone means the instance will
 // never serve again.
-func (c *Component) reserve() error {
+//
+// A reservation for a call (call set) claims the lowest free call frame in
+// the same CAS and returns its bit: 0 when both frames are held or the
+// reservation reopened the shell. Its release gives the bit back with the
+// message, release(pendingOne|frame, 0).
+func (c *Component) reserve(call bool) (frame uint64, err error) {
 	for {
 		w := c.life.Load()
 		switch {
 		case w&lifeDisposed == 0:
-			if c.life.CompareAndSwap(w, w+pendingOne) {
-				return nil
+			if call {
+				free := ^w & frameMask
+				frame = free & -free
+			}
+			if c.life.CompareAndSwap(w, (w+pendingOne)|frame) {
+				return frame, nil
 			}
 		case w&lifeRetired != 0:
-			return errGone
+			return 0, errGone
 		case w&lifeParked != 0:
 			if c.life.CompareAndSwap(w, w&^lifeParked) {
-				return c.reopen()
+				return 0, c.reopen()
 			}
 		default:
 			if !c.awaitSettled() {
-				return fmt.Errorf("core: %q: instance kept quiescing", c.Path())
+				return 0, fmt.Errorf("core: %q: instance kept quiescing", c.Path())
 			}
 		}
 	}
+}
+
+// frame returns the call frame whose bit a reservation for a call claimed,
+// building it on its first claim.
+func (c *Component) frame(bit uint64) *callState {
+	cs := &c.frames[bit>>57&1]
+	if cs.fn == nil {
+		cs.init(c.app.model.NewNoHeapContext())
+	}
+	return cs
 }
 
 // errGone is reserve's report that the instance is disposed for good.

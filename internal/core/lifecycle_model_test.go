@@ -19,6 +19,16 @@ package core
 // reservation must keep the area pinned and unreclaimed for the whole call.
 // Mutation check: a delivery that gives its reservation back before deliver
 // returns fails this model.
+//
+// A handler also logs the call state it runs on — one of its owner's two
+// call frames, or one from App.calls — and the frame bits of the owner's
+// life word, at entry and at exit; the area's finalizer logs the frame bits
+// too. No call state may carry two handlers at once, a handler's frame must
+// be held in the word for its whole span, and no frame may be held across a
+// park (the word the last release installed) or a swap (the outgoing
+// version's handlers have all returned). Mutation check: a release that
+// does not clear the frame bit its reserve claimed, or that clears one it
+// did not claim, fails this model.
 
 import (
 	"errors"
@@ -62,7 +72,17 @@ type event struct {
 	version int
 	inc     incarnation
 	val     int64
-	pinned  bool // evBegin/evEnd: a wedge held the handler's area
+	pinned  bool   // evBegin/evEnd: a wedge held the handler's area
+	proc    *Proc  // evBegin/evEnd: the handler's call state
+	frame   int    // evBegin/evEnd: frameOf(proc)
+	held    uint64 // evBegin/evEnd/evReclaim: the frame bits of the shell's life word
+}
+
+// span is one handler running on a call state.
+type span struct {
+	val   int64
+	shell *Component
+	frame int
 }
 
 // eventLog is the totally ordered history: a slot is claimed with one
@@ -97,11 +117,23 @@ type lifecycleModel struct {
 	swapDone  map[string]bool // ... and returned: the version is retired for good
 	handled   map[int64]int
 	inside    map[int64]incarnation // message → the area its running handler entered
+	running   map[*Proc]span        // call state → the handler running on it
 	sent      map[int64]bool
+	framed    int // handlers that ran on a call frame
 	stopping  bool
 }
 
 func key(child string, version int) string { return fmt.Sprintf("%s/%d", child, version) }
+
+// frameHeld checks that a handler on one of its owner's call frames finds
+// the frame's bit set in the owner's life word.
+func frameHeld(s *modelShell, e event) error {
+	if e.frame >= 0 && e.held&(frameOne<<e.frame) == 0 {
+		return fmt.Errorf("handler of message %d in %s runs on frame %d, which the life word's frame bits %#x do not hold",
+			e.val, key(s.child, s.version), e.frame, e.held)
+	}
+	return nil
+}
 
 // openShell is the parked→live transition: exactly one area acquire.
 func (m *lifecycleModel) openShell(s *modelShell, inc incarnation) error {
@@ -168,12 +200,30 @@ func (m *lifecycleModel) apply(e event) error {
 			return fmt.Errorf("message %d handled twice", e.val)
 		}
 		m.inside[e.val] = e.inc
+		if o, busy := m.running[e.proc]; busy {
+			return fmt.Errorf("handler of message %d entered call state %p (frame %d) while message %d runs on it",
+				e.val, e.proc, e.frame, o.val)
+		}
+		m.running[e.proc] = span{e.val, e.shell, e.frame}
+		if e.frame >= 0 {
+			m.framed++
+		}
+		if err := frameHeld(s, e); err != nil {
+			return err
+		}
 	case evEnd:
 		entered := m.inside[e.val]
 		delete(m.inside, e.val)
 		if e.inc != entered || !e.pinned {
 			return fmt.Errorf("handler of %s entered %s@%d and left it at @%d, pinned=%v: the area went from under it",
 				key(s.child, s.version), entered.area.Name(), entered.gen, e.inc.gen, e.pinned)
+		}
+		if sp := m.running[e.proc]; sp.val != e.val {
+			return fmt.Errorf("handler of message %d left call state %p, which message %d entered", e.val, e.proc, sp.val)
+		}
+		delete(m.running, e.proc)
+		if err := frameHeld(s, e); err != nil {
+			return err
 		}
 		if s.handlers--; s.handlers < 0 {
 			return fmt.Errorf("%s: pending went negative", key(s.child, s.version))
@@ -185,6 +235,9 @@ func (m *lifecycleModel) apply(e event) error {
 		if s.handlers > 0 && !m.stopping {
 			return fmt.Errorf("%s reclaimed with %d handlers inside", key(s.child, s.version), s.handlers)
 		}
+		if e.held != 0 {
+			return fmt.Errorf("%s parked with frame bits %#x held", key(s.child, s.version), e.held)
+		}
 		s.open = false
 		s.reclaims++
 	case evSent:
@@ -193,6 +246,12 @@ func (m *lifecycleModel) apply(e event) error {
 		m.swapBegun[key(e.child, e.version)] = true
 	case evSwapEnd:
 		m.swapDone[key(e.child, e.version)] = true
+		for _, sp := range m.running {
+			if o := m.shells[sp.shell]; sp.frame >= 0 && o.child == e.child && o.version == e.version {
+				return fmt.Errorf("%s: message %d still runs on frame %d after the swap away from it returned",
+					key(o.child, o.version), sp.val, sp.frame)
+			}
+		}
 	case evStop:
 		m.stopping = true
 	}
@@ -226,7 +285,7 @@ func (r *modelRig) def(child string, version int) ChildDef {
 			hook := func(c *Component) incarnation {
 				inc := incarnation{c.Area(), c.Area().Generation()}
 				c.Area().AddFinalizer(func() {
-					r.log.add(event{kind: evReclaim, child: child, shell: c, inc: inc})
+					r.log.add(event{kind: evReclaim, child: child, shell: c, inc: inc, held: c.life.Load() & frameMask})
 				})
 				return inc
 			}
@@ -250,11 +309,13 @@ func (r *modelRig) def(child string, version int) ChildDef {
 							hook(owner)
 						}
 					}
-					v := m.(*intMsg).value
-					r.log.add(event{kind: evBegin, child: child, shell: owner, inc: inc, val: v, pinned: area.Pinned()})
+					v, f := m.(*intMsg).value, frameOf(p)
+					r.log.add(event{kind: evBegin, child: child, shell: owner, inc: inc, val: v, pinned: area.Pinned(),
+						proc: p, frame: f, held: owner.life.Load() & frameMask})
 					runtime.Gosched() // widen the window a quiesce could wrongly slip into
 					r.log.add(event{kind: evEnd, child: child, shell: owner,
-						inc: incarnation{area, area.Generation()}, val: v, pinned: area.Pinned()})
+						inc: incarnation{area, area.Generation()}, val: v, pinned: area.Pinned(),
+						proc: p, frame: f, held: owner.life.Load() & frameMask})
 					return nil
 				}),
 			})
@@ -363,7 +424,7 @@ func (r *modelRig) replay(t *testing.T) *lifecycleModel {
 	m := &lifecycleModel{
 		shells: map[*Component]*modelShell{}, setups: map[string]int{},
 		swapBegun: map[string]bool{}, swapDone: map[string]bool{},
-		handled: map[int64]int{}, inside: map[int64]incarnation{}, sent: map[int64]bool{},
+		handled: map[int64]int{}, inside: map[int64]incarnation{}, running: map[*Proc]span{}, sent: map[int64]bool{},
 	}
 	for i, e := range r.log.evs[:n] {
 		if err := m.apply(e); err != nil {
@@ -467,14 +528,29 @@ func TestLifecycleModelRandomHistories(t *testing.T) {
 			t.Run(fmt.Sprintf("procs=%d/seed=%d", procs, seed), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 				r := newModelRig(t)
+				// A send into Bare held live by a handle runs on a call frame
+				// whatever the storm's interleaving, so the frame rules always
+				// have a span to check.
+				h, err := r.parent.SMM().Connect("Bare")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := r.send("Bare"); err != nil {
+					t.Fatal(err)
+				}
+				h.Disconnect()
 				r.storm(t, seed, 4, 150, true, false)
 				r.settle(t)
-				r.atRest(t, r.replay(t))
+				m := r.replay(t)
+				r.atRest(t, m)
+				if m.framed == 0 {
+					t.Error("no handler ran on a call frame: the frame rules went unchecked")
+				}
 				if n, err := r.app.Errors(); n != 0 {
 					t.Errorf("handler errors: %d (%v)", n, err)
 				}
 				// The ports must name the one live shell.
-				h, err := r.parent.SMM().Connect("Worker")
+				h, err = r.parent.SMM().Connect("Worker")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -492,7 +568,7 @@ func TestLifecycleModelRandomHistories(t *testing.T) {
 				}()
 				r.storm(t, seed+100, 4, 1<<20, false, true)
 				<-stopped
-				m := r.replay(t)
+				m = r.replay(t)
 				for c, s := range m.shells {
 					if !c.Disposed() || s.open {
 						t.Errorf("%s survived Stop (open=%v, life %#x)", key(s.child, s.version), s.open, c.life.Load())
@@ -558,7 +634,7 @@ func TestReviveQuiesceLockBudget(t *testing.T) {
 	shell := smm.shell("Bare")
 	parked := lifeDisposed | lifeParked | lifeAuto
 	cycle := func() {
-		if err := shell.reserve(); err != nil {
+		if _, err := shell.reserve(false); err != nil {
 			t.Error(err)
 		}
 		if shell.Disposed() {

@@ -64,10 +64,15 @@ func TestInPortPushPopAllocFree(t *testing.T) {
 // syncPortCall runs body with one steady-state send to a synchronous port —
 // GetMessage, the call, the message recycled — from a persistent scoped
 // component Mid to its persistent child Sink, two scopes below immortal.
-// "send" is the bare Send: a pooled context enters Sink's chain from the top,
-// two areas. "sendfrom_parent" supplies the sender's context, current in Mid:
-// one area.
+// "send" is the bare Send: the call frame's own context enters Sink's chain
+// from the top, two areas. "sendfrom_parent" supplies the sender's context,
+// current in Mid: one area. "nested_fig6" is the paper's round trip instead
+// (fig6Call): three calls nested on one stack, both of Client's frames in use.
 func syncPortCall(tb testing.TB, variant string, body func(call func())) {
+	if variant == "nested_fig6" {
+		fig6Call(tb, nil, body)
+		return
+	}
 	app, err := NewApp(AppConfig{Name: "synccall"})
 	if err != nil {
 		tb.Fatal(err)
@@ -131,7 +136,92 @@ func syncPortCall(tb testing.TB, variant string, body func(call func())) {
 	}
 }
 
-var syncPortCallVariants = []string{"send", "sendfrom_parent"}
+// fig6Call runs body with one steady-state round trip in the shape of the
+// paper's Fig. 6: a bare Send from IMC into Client.P2, whose handler calls
+// Server.P4, whose handler calls back into Client.P6 — three synchronous
+// hops nested on one stack, Client reserved twice, each hop a bare Send from
+// the top as the Fig. 6 handlers make it. When seen is non-nil, hop i
+// records the call frame it ran on (frameOf) in seen[i].
+func fig6Call(tb testing.TB, seen *[3]int, body func(call func())) {
+	app, err := NewApp(AppConfig{Name: "fig6"})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer app.Stop()
+	var p1 *OutPort
+	_, err = app.NewImmortalComponent("IMC", func(imc *Component) error {
+		smm := imc.SMM()
+		var err error
+		if p1, err = AddOutPort(imc, smm, OutPortConfig{Name: "P1", Type: intType, Dests: []string{"Client.P2"}}); err != nil {
+			return err
+		}
+		// hop is hop i's handler: record the frame, then call on out, if any.
+		hop := func(i int, out *OutPort) Handler {
+			return HandlerFunc(func(p *Proc, m Message) error {
+				if seen != nil {
+					seen[i] = frameOf(p)
+				}
+				if out == nil {
+					return nil
+				}
+				next, err := out.GetMessage()
+				if err != nil {
+					return err
+				}
+				next.(*intMsg).value = m.(*intMsg).value + 1
+				return out.Send(next, p.Priority())
+			})
+		}
+		// port gives c the synchronous In port in, running hop i, which calls
+		// on the Out port out toward dest unless out is empty.
+		port := func(c *Component, in string, i int, out, dest string) error {
+			var o *OutPort
+			if out != "" {
+				var err error
+				if o, err = AddOutPort(c, smm, OutPortConfig{Name: out, Type: intType, Dests: []string{dest}}); err != nil {
+					return err
+				}
+			}
+			_, err := AddInPort(c, smm, InPortConfig{Name: in, Type: intType, Threading: ThreadingSynchronous, Handler: hop(i, o)})
+			return err
+		}
+		if err := imc.DefineChild(ChildDef{
+			Name: "Client", MemorySize: 1 << 14, Persistent: true,
+			Setup: func(c *Component) error {
+				if err := port(c, "P2", 0, "P3", "Server.P4"); err != nil {
+					return err
+				}
+				return port(c, "P6", 2, "", "")
+			},
+		}); err != nil {
+			return err
+		}
+		return imc.DefineChild(ChildDef{
+			Name: "Server", MemorySize: 1 << 14, Persistent: true,
+			Setup: func(c *Component) error { return port(c, "P4", 1, "P5", "Client.P6") },
+		})
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := app.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	body(func() {
+		m, err := p1.GetMessage()
+		if err == nil {
+			err = p1.Send(m, sched.NormPriority)
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	})
+	if n, err := app.Errors(); n != 0 {
+		tb.Fatalf("%d handler errors, last: %v", n, err)
+	}
+}
+
+var syncPortCallVariants = []string{"send", "sendfrom_parent", "nested_fig6"}
 
 func BenchmarkSyncPortCall(b *testing.B) {
 	for _, v := range syncPortCallVariants {
@@ -149,11 +239,11 @@ func BenchmarkSyncPortCall(b *testing.B) {
 }
 
 // TestSyncPortCallAllocFree pins a send to a synchronous port at zero
-// allocations, with the sender's context and without.
+// allocations, with the sender's context and without, and the nested Fig. 6
+// round trip. Every hop runs on a call frame its receiver's reservation
+// claimed, not on a pooled call state, so the guard holds under -race too,
+// where sync.Pool drops items.
 func TestSyncPortCallAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; the guard runs in the non-race suite")
-	}
 	for _, v := range syncPortCallVariants {
 		syncPortCall(t, v, func(call func()) {
 			call()

@@ -497,7 +497,7 @@ func (s *SMM) materialize(name string) (*Component, error) {
 		}
 		c := s.shell(name)
 		if c != nil {
-			if err := c.reserve(); err != errGone {
+			if _, err := c.reserve(false); err != errGone {
 				if err != nil {
 					return nil, err
 				}
@@ -603,8 +603,10 @@ func (s *SMM) resolveIn(qname string) (*InPort, *Component, error) {
 	}
 	p := s.inPort(qname)
 	if p != nil {
-		if owner, _ := p.binding(); owner != nil && owner.reserve() == nil {
-			return p, owner, nil
+		if owner, _ := p.binding(); owner != nil {
+			if _, err := owner.reserve(false); err == nil {
+				return p, owner, nil
+			}
 		}
 	}
 	if compName == s.owner.name {
@@ -750,7 +752,7 @@ func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priorit
 	}
 	var firstErr error
 	for i := range rs.routes {
-		in, owner, err := s.receiver(p, &rs.routes[i])
+		in, owner, frame, err := s.receiver(p, &rs.routes[i], handoff)
 		switch {
 		case err != nil:
 			settle(env, pool, msg)
@@ -758,9 +760,9 @@ func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priorit
 			if !in.synchronous {
 				in.received.Add(1) // a buffered port counts arrivals under handoff too
 			}
-			s.call(in, owner, proc, msg, prio, deadline)
+			s.call(in, owner, frame, proc, msg, prio, deadline)
 			settle(env, pool, msg)
-			owner.release(pendingOne, 0)
+			owner.release(pendingOne|frame, 0)
 		default:
 			if env == nil {
 				env = newEnvelope(msg, pool, 1)
@@ -808,12 +810,12 @@ func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Pri
 		if err := um.UnmarshalBinary(data); err != nil {
 			return fmt.Errorf("deserialize %q: %w", p.typ.Name, err)
 		}
-		in, owner, err := s.receiver(p, &rs.routes[i])
+		in, owner, frame, err := s.receiver(p, &rs.routes[i], false)
 		switch {
 		case err != nil:
 		case in.synchronous:
-			s.call(in, owner, proc, fresh, prio, deadline)
-			owner.release(pendingOne, 0)
+			s.call(in, owner, frame, proc, fresh, prio, deadline)
+			owner.release(pendingOne|frame, 0)
 		default:
 			err = s.enqueue(in, owner, newEnvelope(fresh, nil, 1), fresh, prio, deadline)
 		}
@@ -827,30 +829,34 @@ func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Pri
 // receiver resolves one of p's routes to its In port and that port's owner,
 // with one pending message reserved on the owner. The cached route finds
 // the port without touching the SMM, and reserving through its binding
-// revives a parked owner on the spot; the slow path (unregistered port,
-// never-instantiated or replaced owner) falls back to resolveIn, which
-// materializes the owning child. A port of another message type is refused
-// with the reservation released.
-func (s *SMM) receiver(p *OutPort, r *route) (*InPort, *Component, error) {
+// revives a parked owner on the spot — and, for a call (a synchronous port,
+// or any port under handoff), claims one of the owner's call frames; the
+// slow path (unregistered port, never-instantiated or replaced owner) falls
+// back to resolveIn, which materializes the owning child and claims none. A
+// port of another message type is refused with the reservation released.
+func (s *SMM) receiver(p *OutPort, r *route, handoff bool) (*InPort, *Component, uint64, error) {
 	in := r.in
 	var owner *Component
+	var frame uint64
 	if in != nil {
-		if o, _ := in.binding(); o != nil && o.reserve() == nil {
-			owner = o
+		if o, _ := in.binding(); o != nil {
+			if f, err := o.reserve(in.synchronous || handoff); err == nil {
+				owner, frame = o, f
+			}
 		}
 	}
 	if owner == nil {
 		var err error
 		if in, owner, err = s.resolveIn(r.dest); err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 	}
 	if in.typ.Name != p.typ.Name {
-		owner.release(pendingOne, 0)
-		return nil, nil, fmt.Errorf("%w: %q sends %q, %q accepts %q",
+		owner.release(pendingOne|frame, 0)
+		return nil, nil, 0, fmt.Errorf("%w: %q sends %q, %q accepts %q",
 			ErrTypeMismatch, p.qname, p.typ.Name, r.dest, in.typ.Name)
 	}
-	return in, owner, nil
+	return in, owner, frame, nil
 }
 
 // enqueue buffers one delivery, its owner reserved, and schedules a dispatch at
@@ -902,27 +908,30 @@ func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
 			return
 		}
 	}
-	s.deliver(in, it.owner, nil, it.msg, prio, it.deadline)
+	s.deliver(in, it.owner, 0, nil, it.msg, prio, it.deadline)
 	it.env.done()
 	it.owner.release(pendingOne, 0)
 }
 
 // call is a send to a synchronous port (or any port, under the handoff
 // mechanism): no buffer, no envelope, no pool — the sender's thread, which
-// holds owner reserved until the message is recycled, is the receiver's. A
+// holds owner reserved until the message is recycled, is the receiver's, and
+// runs the handler on the call frame its reservation claimed, if any. A
 // synchronous port counts the call once, as processed, when deliver returns.
-func (s *SMM) call(in *InPort, owner *Component, proc *Proc, msg Message, prio sched.Priority, deadline int64) {
-	s.deliver(in, owner, proc, msg, prio.Clamp(), deadline)
+func (s *SMM) call(in *InPort, owner *Component, frame uint64, proc *Proc, msg Message, prio sched.Priority, deadline int64) {
+	s.deliver(in, owner, frame, proc, msg, prio.Clamp(), deadline)
 }
 
 // deliver is the one delivery routine behind every port: wait out the
 // reserved owner's start function, report a start past the deadline, stand in
 // the owner's scopes on its reservation — on the sender's context from
-// wherever it stands, or, when the sender lent none, on a pooled one from the
-// top — and run the handler, whose error goes to the app: the message was
-// delivered. Every caller holds owner reserved until deliver returns; that
-// hold is the scope hold, so no area word is written on the way in or out.
-func (s *SMM) deliver(in *InPort, owner *Component, sender *Proc, msg Message, prio sched.Priority, deadline int64) {
+// wherever it stands, or, when the sender lent none, on the call state's own
+// from the top — and run the handler, whose error goes to the app: the
+// message was delivered. Every caller holds owner reserved until deliver
+// returns; that hold is the scope hold, so no area word is written on the way
+// in or out. The call state is the owner's frame the reservation claimed, or,
+// with frame 0, one from App.calls.
+func (s *SMM) deliver(in *InPort, owner *Component, frame uint64, sender *Proc, msg Message, prio sched.Priority, deadline int64) {
 	// Never process a message before the owner finished initialising. (A
 	// synchronous port whose owner sends to itself from its own start
 	// function would deadlock here; send asynchronously or after Start.)
@@ -942,7 +951,12 @@ func (s *SMM) deliver(in *InPort, owner *Component, sender *Proc, msg Message, p
 		s.owner.app.reportError(fmt.Errorf("core: %q: no handler bound", in.qname))
 	} else {
 		app := s.owner.app
-		cs := app.getCall()
+		var cs *callState
+		if frame != 0 {
+			cs = owner.frame(frame)
+		} else {
+			cs = app.getCall()
+		}
 		ctx := cs.ctx
 		if sender != nil {
 			ctx = sender.ctx
@@ -950,7 +964,9 @@ func (s *SMM) deliver(in *InPort, owner *Component, sender *Proc, msg Message, p
 		cs.smm, cs.owner, cs.handler, cs.msg, cs.prio = s, owner, handler, msg, prio
 		err := owner.enterReserved(ctx, cs.fn)
 		cs.smm, cs.owner, cs.handler, cs.msg, cs.proc = nil, nil, nil, nil, Proc{}
-		app.putCall(cs)
+		if frame == 0 {
+			app.putCall(cs)
+		}
 		if err != nil {
 			app.reportError(fmt.Errorf("core: %q handler: %w", in.qname, err))
 		}
@@ -961,8 +977,9 @@ func (s *SMM) deliver(in *InPort, owner *Component, sender *Proc, msg Message, p
 // callState carries one handler invocation through the owner's memory
 // context: its Proc, a preconstructed closure over itself, and a no-heap
 // context of its own for a delivery whose sender lent none (and for
-// Component.Exec). Instances are pooled per App, so the steady state allocates
-// none of the three. Handlers must not retain the *Proc past the call.
+// Component.Exec). A component shell keeps two as its call frames; the rest
+// are pooled per App. Either way the steady state allocates none of the
+// three. Handlers must not retain the *Proc past the call.
 type callState struct {
 	ctx     *memory.Context
 	smm     *SMM
@@ -975,12 +992,18 @@ type callState struct {
 }
 
 func newCallState(ctx *memory.Context) *callState {
-	cs := &callState{ctx: ctx}
+	cs := new(callState)
+	cs.init(ctx)
+	return cs
+}
+
+// init gives cs its context and its closure.
+func (cs *callState) init(ctx *memory.Context) {
+	cs.ctx = ctx
 	cs.fn = func(ctx *memory.Context) error {
 		cs.proc = Proc{comp: cs.owner, smm: cs.smm, ctx: ctx, prio: cs.prio}
 		return cs.smm.process(cs.handler, &cs.proc, cs.msg)
 	}
-	return cs
 }
 
 // process invokes a handler, converting panics into errors so one failing

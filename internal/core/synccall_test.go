@@ -327,12 +327,14 @@ func TestInPortStatsByPortKind(t *testing.T) {
 // handler on the same scope stack. Coming back to a scope already on the
 // stack is an executeInArea, not a second entry: A ▸ B ▸ A ▸ … enters A and B
 // once each, and unwinds to where it started with nothing left pending on
-// either.
+// either. Each component's first two nested entries run on its two call
+// frames; from the third on, the hop falls back to App.calls.
 func TestSyncCallNested(t *testing.T) {
 	const hops = 40
 	app := newTestApp(t, AppConfig{MsgPoolCapacity: hops + 1})
 	var deepest int
 	var comps [2]*Component
+	var frames [hops + 1]int // by hop: the frame its handler ran on
 	bounce := func(self int, next string) func(*Component) error {
 		return func(c *Component) error {
 			comps[self] = c
@@ -345,6 +347,7 @@ func TestSyncCallNested(t *testing.T) {
 				Name: "in", Type: intType, Threading: ThreadingSynchronous,
 				Handler: HandlerFunc(func(p *Proc, m Message) error {
 					left := m.(*intMsg).value
+					frames[left] = frameOf(p)
 					if p.Context().Current() != p.Component().Area() {
 						t.Errorf("hop %d: current in %v, want %v", left, p.Context().Current(), p.Component().Area())
 					}
@@ -407,6 +410,19 @@ func TestSyncCallNested(t *testing.T) {
 	// slot per hop back into a scope the stack already holds.
 	if want := 3 + hops; deepest != want {
 		t.Errorf("deepest scope stack %d, want %d: the hops did not nest on one stack", deepest, want)
+	}
+	// The first hop into A instantiates it (a slow-path reservation, no
+	// frame), so do the first into B; later hops alternate A and B from the top.
+	for left := hops; left >= 0; left-- {
+		entry := (hops - left) / 2 // how many times this component was entered before
+		want := entry - 1
+		if entry == 0 || want > 1 {
+			want = -1
+		}
+		if frames[left] != want {
+			t.Errorf("hop %d (entry %d into %s) ran on frame %d, want %d",
+				left, entry+1, comps[(hops-left)%2].Name(), frames[left], want)
+		}
 	}
 	for _, c := range comps {
 		if !c.Disposed() {

@@ -74,8 +74,8 @@ func (cl *Client) Retarget(addrs []string) {
 }
 
 // refreshMembers re-resolves the membership through the Resolve hook,
-// single-flight and rate-limited; on error or an empty answer the previous
-// membership stands.
+// single-flight, rate-limited from its first resolve on (Now counts from
+// process start); on error or an empty answer the previous membership stands.
 func (cl *Client) refreshMembers() []string {
 	if cl.resolve == nil {
 		return cl.Members()
@@ -83,7 +83,7 @@ func (cl *Client) refreshMembers() []string {
 	cl.resolveMu.Lock()
 	defer cl.resolveMu.Unlock()
 	now := telemetry.Now()
-	if now-cl.lastResolve < int64(resolveMinInterval) {
+	if cl.lastResolve != 0 && now-cl.lastResolve < int64(resolveMinInterval) {
 		return cl.Members()
 	}
 	cl.lastResolve = now
