@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll verify bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 allocguard zerocopy-guard chaos fuzz-smoke
+.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll verify bench5 bench6 bench7 allocguard zerocopy-guard chaos fuzz-smoke
 
 all: build
 
@@ -138,29 +138,6 @@ chaos:
 		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzPeekRequestInfo' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/ ./internal/giop/
 
-# bench1 regenerates BENCH_1.json, the checked-in snapshot of the Fig. 11
-# grid and the dispatch-path latency/allocation numbers.
-bench1:
-	$(GO) run ./cmd/benchharness -experiment bench1 -warmup 200 -observations 2000 -out BENCH_1.json
-
-# bench2 regenerates BENCH_2.json, the pipelined-invocation concurrency
-# sweep (1/4/16/64 in flight over one multiplexed connection) plus the
-# lockstep baseline it is judged against.
-bench2:
-	$(GO) run ./cmd/benchharness -experiment bench2 -warmup 200 -observations 2000 -out BENCH_2.json
-
-# bench3 regenerates BENCH_3.json, the write-batching + channel-striping
-# sweep over the paced wire: one, two and four stripes (batching is always
-# on at both ends).
-bench3:
-	$(GO) run ./cmd/benchharness -experiment bench3 -warmup 200 -observations 2000 -out BENCH_3.json
-
-# bench4 regenerates BENCH_4.json, the zero-copy snapshot: the Fig. 11 grid
-# on the refcounted frame path and per-op copy accounting for Invoke vs
-# InvokeView.
-bench4:
-	$(GO) run ./cmd/benchharness -experiment bench4 -warmup 200 -observations 2000 -out BENCH_4.json
-
 # bench5 regenerates BENCH_5.json, the cluster-failover snapshot: three
 # replicas under sustained load with one member killed and re-added
 # mid-run, recording per-phase goodput/p99, the failover gap, breaker
@@ -182,9 +159,3 @@ bench6:
 # trips must both be 0, every member drained).
 bench7:
 	$(GO) run ./cmd/benchharness -experiment bench7 -out BENCH_7.json
-
-# bench8 regenerates BENCH_8.json, the collocation snapshot: the direct
-# transport against real loopback TCP at equal concurrency (>=5x) and the
-# Fig. 11 256B cell re-run.
-bench8:
-	$(GO) run ./cmd/benchharness -experiment bench8 -out BENCH_8.json

@@ -7,10 +7,10 @@ package repro_test
 //
 // Naming:
 //
-//	BenchmarkTable2_*            — Table 2 rows (per-platform round trip)
-//	BenchmarkFig9_*              — Fig. 9 series (same workload; the figure
-//	                               is the distribution, printed by the
-//	                               harness; the bench reports the mean)
+//	BenchmarkTable2_*            — Table 2 rows (per-platform round trip);
+//	                               Fig. 9 is the same workload's distribution,
+//	                               which only `benchharness -experiment fig9`
+//	                               renders, so it has no bench of its own
 //	BenchmarkFig11_*             — Fig. 11 cells (ORB × message size)
 //	BenchmarkAblation*           — design-choice ablations
 //	BenchmarkFramework*          — micro-benches of the framework hot paths
@@ -57,12 +57,6 @@ func benchPingPong(b *testing.B, model platform.Model) {
 func BenchmarkTable2_Mackinac(b *testing.B)  { benchPingPong(b, platform.Mackinac()) }
 func BenchmarkTable2_TimesysRI(b *testing.B) { benchPingPong(b, platform.TimesysRI()) }
 func BenchmarkTable2_JDK14(b *testing.B)     { benchPingPong(b, platform.JDK14()) }
-
-// Fig. 9 uses the same workload as Table 2; the figure itself (min/median/
-// max distribution) is rendered by `benchharness -experiment fig9`.
-func BenchmarkFig9_Mackinac(b *testing.B)  { benchPingPong(b, platform.Mackinac()) }
-func BenchmarkFig9_TimesysRI(b *testing.B) { benchPingPong(b, platform.TimesysRI()) }
-func BenchmarkFig9_JDK14(b *testing.B)     { benchPingPong(b, platform.JDK14()) }
 
 // benchCompadresEcho drives one Fig. 11 Compadres ORB cell.
 func benchCompadresEcho(b *testing.B, size int) {

@@ -5,14 +5,9 @@
 //	benchharness -experiment fig9        # Fig. 9: latency distributions per platform
 //	benchharness -experiment fig11       # Fig. 11: Compadres ORB vs RTZen by size
 //	benchharness -experiment ablations   # cross-scope / shadow-port / scope-pool
-//	benchharness -experiment bench1      # BENCH_1.json snapshot (Fig. 11 + dispatch path)
-//	benchharness -experiment bench2      # BENCH_2.json snapshot (pipelined concurrency sweep)
-//	benchharness -experiment bench3      # BENCH_3.json snapshot (coalescing + striping sweep)
-//	benchharness -experiment bench4      # BENCH_4.json snapshot (zero-copy path)
 //	benchharness -experiment bench5      # BENCH_5.json snapshot (cluster failover under load)
 //	benchharness -experiment bench6      # BENCH_6.json snapshot (tiered overload control)
 //	benchharness -experiment bench7      # BENCH_7.json snapshot (live reconfiguration)
-//	benchharness -experiment bench8      # BENCH_8.json snapshot (collocated direct transport)
 //	benchharness -experiment chaos       # resilient invocation under seeded fault injection
 //	benchharness -experiment all
 //
@@ -39,10 +34,10 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "table2 | fig9 | fig11 | ablations | bench1 | bench2 | bench3 | bench4 | bench5 | bench6 | bench7 | bench8 | chaos | all")
+		experiment = flag.String("experiment", "all", "table2 | fig9 | fig11 | ablations | bench5 | bench6 | bench7 | chaos | all")
 		obs        = flag.Int("observations", metrics.DefaultObservations, "steady-state observations per configuration")
 		warmup     = flag.Int("warmup", metrics.DefaultWarmup, "warm-up iterations discarded before measuring")
-		out        = flag.String("out", "", "output path for the bench1/bench2/bench3 snapshot (default BENCH_<n>.json)")
+		out        = flag.String("out", "", "output path for the bench5/bench6/bench7 snapshot (default BENCH_<n>.json)")
 		seed       = flag.Uint64("seed", 1, "chaos fault-schedule seed")
 		telem      = flag.Bool("telemetry", true, "record runtime telemetry during experiments")
 		telemOut   = flag.String("telemetry-out", "", "write a telemetry JSON snapshot (with flight-recorder events) to this file after the run")
@@ -76,6 +71,12 @@ func writeTelemetrySnapshot(path string) error {
 }
 
 func run(experiment string, warmup, obs int, out string, seed uint64) error {
+	if obs < 1 {
+		return fmt.Errorf("-observations %d: must be at least 1", obs)
+	}
+	if warmup < 0 {
+		return fmt.Errorf("-warmup %d: must not be negative", warmup)
+	}
 	switch experiment {
 	case "table2":
 		return runTable2(warmup, obs, false)
@@ -85,26 +86,6 @@ func run(experiment string, warmup, obs int, out string, seed uint64) error {
 		return runFig11(warmup, obs)
 	case "ablations":
 		return runAblations(warmup, obs)
-	case "bench1":
-		if out == "" {
-			out = "BENCH_1.json"
-		}
-		return runBench1(warmup, obs, out)
-	case "bench2":
-		if out == "" {
-			out = "BENCH_2.json"
-		}
-		return runBench2(warmup, obs, out)
-	case "bench3":
-		if out == "" {
-			out = "BENCH_3.json"
-		}
-		return runBench3(warmup, obs, out)
-	case "bench4":
-		if out == "" {
-			out = "BENCH_4.json"
-		}
-		return runBench4(warmup, obs, out)
 	case "bench5":
 		if out == "" {
 			out = "BENCH_5.json"
@@ -120,11 +101,6 @@ func run(experiment string, warmup, obs int, out string, seed uint64) error {
 			out = "BENCH_7.json"
 		}
 		return runBench7(warmup, obs, out)
-	case "bench8":
-		if out == "" {
-			out = "BENCH_8.json"
-		}
-		return runBench8(warmup, obs, out)
 	case "chaos":
 		return runChaos(warmup, obs, seed)
 	case "all":

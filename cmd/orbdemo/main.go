@@ -113,6 +113,16 @@ func dialClient(orbKind, addr string) (echoClient, error) {
 }
 
 func run(mode, addr, orbKind string, size, n, warmup int, metricsAddr string, chaos bool, seed uint64, concurrency int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n %d: must be at least 1", n)
+	case warmup < 0:
+		return fmt.Errorf("-warmup %d: must not be negative", warmup)
+	case size < 0:
+		return fmt.Errorf("-size %d: must not be negative", size)
+	case concurrency < 1:
+		return fmt.Errorf("-concurrency %d: must be at least 1", concurrency)
+	}
 	// The demo's contract is full observability: when telemetry is on at
 	// all, record the per-hop events (spans, send/dispatch) too.
 	telemetry.Verbose(telemetry.Enabled())

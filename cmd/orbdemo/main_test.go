@@ -118,6 +118,22 @@ func TestRunErrors(t *testing.T) {
 	if err := run("both", "127.0.0.1:0", "rtzen", 64, 10, 1, "", true, 1, 1); err == nil {
 		t.Error("-chaos with the rtzen baseline accepted")
 	}
+	// Out-of-range counts are usage errors, refused before anything is
+	// started or allocated.
+	for _, c := range []struct {
+		name                         string
+		size, n, warmup, concurrency int
+	}{
+		{"-n -1", 64, -1, 1, 1},
+		{"-n 0", 64, 0, 1, 1},
+		{"-size -1", -1, 10, 1, 1},
+		{"-warmup -1", 64, 10, -1, 1},
+		{"-concurrency 0", 64, 10, 1, 0},
+	} {
+		if err := run("both", "127.0.0.1:0", "compadres", c.size, c.n, c.warmup, "", false, 1, c.concurrency); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
 }
 
 func TestRunConcurrentSweep(t *testing.T) {

@@ -2,9 +2,10 @@
 // Fig. 9 (round-trip latency and jitter of the component framework on three
 // platforms), Fig. 11 (Compadres ORB vs RTZen across message sizes), and
 // the ablations DESIGN.md calls out (cross-scope mechanisms, shadow ports,
-// scope pools). The same entry points back cmd/benchharness and the
-// testing.B benchmarks, so the printed rows and the benches cannot drift
-// apart.
+// scope pools, synchronous vs pooled dispatch). The same entry points back
+// cmd/benchharness's paper tables and the root testing.B benchmarks, so the
+// printed rows and the benches cannot drift apart. The repository
+// benchmark under bench/ drives its own workloads and does not use them.
 package experiments
 
 import (

@@ -67,43 +67,26 @@ func TestPingPongMechanisms(t *testing.T) {
 	}
 }
 
+// TestRunTable2Shape checks the table's rows and sample counts. The jitter
+// ordering between the platforms is a property of their seeded noise models,
+// pinned in virtual time by platform's TestJitterOrdering; measured on the
+// wall clock here, host noise would decide it.
 func TestRunTable2Shape(t *testing.T) {
-	// Jitter is max − min, so a single host-scheduler hiccup (other test
-	// packages share this machine's CPUs) can corrupt one run; the paper's
-	// ordering must hold in at least one of a few attempts.
-	const attempts = 3
-	var lastErr string
-	for attempt := 0; attempt < attempts; attempt++ {
-		rows, err := RunTable2(50, 400)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 3 {
-			t.Fatalf("rows = %d", len(rows))
-		}
-		byName := map[string]PlatformRow{}
-		for _, r := range rows {
-			byName[r.Platform] = r
-			if r.Summary.Count != 400 {
-				t.Errorf("%s count = %d", r.Platform, r.Summary.Count)
-			}
-			if len(r.Samples) != 400 {
-				t.Errorf("%s samples = %d", r.Platform, len(r.Samples))
-			}
-		}
-		// The paper's headline relationships.
-		jdk, mack, ri := byName["JDK14"], byName["Mackinac"], byName["TimesysRI"]
-		switch {
-		case jdk.Summary.Jitter <= mack.Summary.Jitter:
-			lastErr = fmt.Sprintf("JDK jitter %v <= Mackinac %v", jdk.Summary.Jitter, mack.Summary.Jitter)
-		case mack.Summary.Jitter <= ri.Summary.Jitter:
-			lastErr = fmt.Sprintf("Mackinac jitter %v <= RI %v", mack.Summary.Jitter, ri.Summary.Jitter)
-		default:
-			return // shape holds
-		}
-		t.Logf("attempt %d: %s", attempt, lastErr)
+	rows, err := RunTable2(50, 400)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Errorf("jitter ordering never held: %s", lastErr)
+	if len(rows) != 3 {
+		t.Fatalf("rows = %d", len(rows))
+	}
+	for _, r := range rows {
+		if r.Summary.Count != 400 {
+			t.Errorf("%s count = %d", r.Platform, r.Summary.Count)
+		}
+		if len(r.Samples) != 400 {
+			t.Errorf("%s samples = %d", r.Platform, len(r.Samples))
+		}
+	}
 }
 
 func TestRunFig11Shape(t *testing.T) {

@@ -13,7 +13,7 @@ import (
 // copying a reply out of its arrival frame before release, and explicit
 // FrameBuf/Loan Detach escapes — count here, so "zero copies per op" is a
 // measured property, not a claim. Exported at /metrics with the compadres_
-// prefix; bench4 reports bytes-copied-per-op from these.
+// prefix; the benchmark's giop.payload_copies_per_op is read from these.
 var (
 	payloadCopyTotal = telemetry.NewCounter("payload_copy_total")
 	payloadCopyBytes = telemetry.NewCounter("payload_copy_bytes")
