@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll verify bench5 bench6 bench7 allocguard zerocopy-guard chaos fuzz-smoke
+.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll no-sleep verify bench5 bench6 bench7 allocguard zerocopy-guard chaos fuzz-smoke
 
 all: build
 
@@ -72,15 +72,17 @@ bench-build:
 # orb-loc prints the size of the component-structured ORB next to the
 # hand-coded baseline it is judged against (ROADMAP aim 2), and of the
 # component runtime and the scheduler under it, non-test lines — and is a
-# ratchet: it fails when internal/orb is larger than the figure below, the
-# size the last PR that shrank it landed at. A PR that shrinks it further
-# lowers the figure; one that has to grow it deletes something first.
+# ratchet: it fails when internal/orb, internal/core or internal/sched is
+# larger than its figure below, the size the last PR that shrank it landed
+# at. A PR that shrinks one further lowers its figure; one that has to grow
+# it deletes something first.
 orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		if [ $$d = internal/orb ] && [ $$n -gt 3484 ]; then \
-			echo "internal/orb is over the ratchet of 3484 non-test lines"; fail=1; \
+		case $$d in internal/orb) max=3481;; internal/core) max=3118;; internal/sched) max=731;; *) max=;; esac; \
+		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
+			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \
 	done; exit $$fail
 
@@ -95,7 +97,18 @@ no-poll:
 		END {if (bad) {print "polling sleeps: wait on a sched.Signal instead"; exit 1}}' \
 		$$(ls internal/core/*.go internal/memory/*.go internal/sched/*.go internal/orb/*.go | grep -v _test.go)
 
-verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll
+# no-sleep is a ratchet on sleeping tests (ROADMAP 2(d)): a test that sleeps
+# to let something happen is slow where the wait is long and flaky where it
+# is short, and a wait on the condition is neither. It fails when the test
+# files under internal/ call time.Sleep more often than the figure below,
+# the count the last PR that cut it landed at; a PR that replaces a sleep
+# with a wait lowers the figure.
+no-sleep:
+	@n=$$(grep -ro 'time\.Sleep(' --include='*_test.go' internal | wc -l); \
+	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
+	if [ $$n -gt 45 ]; then echo "over the ratchet of 45: wait on the condition instead"; exit 1; fi
+
+verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
 
 # chaos is the resilience gate: the fault-injection suite — seeded fault
 # network, circuit breaker, reconnect/retry, deadline teardown, overload

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -106,11 +105,11 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// refresher periodically re-resolves the group and retargets stripes when
-// the membership changed or a stripe left its round-robin member (see
-// needsRetarget). This is the heal-forward path: a member re-added to the
-// directory starts receiving stripes within one interval, without waiting
-// for a survivor to die first.
+// refresher periodically re-resolves the group and retargets the stripes to
+// it; orb.Client.Retarget does nothing while the membership stands and every
+// stripe targets its round-robin member. This is the heal-forward path: a
+// member re-added to the directory starts receiving stripes within one
+// interval, without waiting for a survivor to die first.
 func (c *Client) refresher(every time.Duration) {
 	defer c.wg.Done()
 	tick := time.NewTicker(every)
@@ -124,9 +123,7 @@ func (c *Client) refresher(every time.Duration) {
 			if err != nil || len(members) == 0 {
 				continue // transient: keep the current membership
 			}
-			if c.needsRetarget(members) {
-				c.Retarget(members)
-			}
+			c.Retarget(members)
 		}
 	}
 }
@@ -138,32 +135,8 @@ func (c *Client) Refresh() error {
 	if err != nil {
 		return err
 	}
-	if c.needsRetarget(members) {
-		c.Retarget(members)
-	}
+	c.Retarget(members)
 	return nil
-}
-
-// needsRetarget reports whether the resolved members differ from the
-// client's, or some stripe targets another member than its round-robin
-// share of them. A failover moves a stripe to a survivor without changing
-// the member list (the directory may still name the dead member, or the
-// failover may not have re-resolved), so a member that comes back gets its
-// stripes only from a retarget that compares stripes, not lists.
-func (c *Client) needsRetarget(members []string) bool {
-	if len(members) == 0 {
-		return false
-	}
-	cur := c.Members()
-	if !sameMembers(cur, members) {
-		return true
-	}
-	for i, st := range c.StripeStates() {
-		if st.Addr != cur[i%len(cur)] {
-			return true
-		}
-	}
-	return false
 }
 
 // Group returns the group key this client resolves.
@@ -204,21 +177,4 @@ func (c *Client) MemberLoads() map[string]MemberLoad {
 		out[st.Addr] = ml
 	}
 	return out
-}
-
-// sameMembers compares two address lists as sets.
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	as := append([]string(nil), a...)
-	bs := append([]string(nil), b...)
-	sort.Strings(as)
-	sort.Strings(bs)
-	for i := range as {
-		if as[i] != bs[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -202,8 +202,9 @@ func TestDeadlineMissAsyncDispatch(t *testing.T) {
 // TestDeadlineShedAtDequeue pins the accounting fix for work shed at
 // dequeue: a ShedExpired port drops a message whose deadline already passed
 // WITHOUT running the handler, counts it as deadline_shed_total (not
-// deadline_miss_total), fires the message's OnShed hook, and never invokes
-// the miss handler — a shed is not a late execution.
+// deadline_miss_total), fires the message's OnShed hook, never invokes the
+// miss handler — a shed is not a late execution — and leaves the owner's
+// pending count and the message pool at rest.
 func TestDeadlineShedAtDequeue(t *testing.T) {
 	misses := missCollector(t)
 	app := newTestApp(t, AppConfig{})
@@ -264,6 +265,7 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 	// already dead when its dispatch finally pops it.
 	shedsBefore := telemetry.DeadlineSheds()
 	missesBefore := telemetry.DeadlineMisses()
+	bandBefore := shedBandCounter(sched.MaxPriority).Value()
 	var onShed atomic.Int32
 	out.SetSendDeadline(5 * time.Millisecond)
 	m2, err := out.GetMessage()
@@ -308,8 +310,19 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 	if in.Shed() != 1 {
 		t.Errorf("port shed = %d, want 1", in.Shed())
 	}
-	// Attribution: the expired shed landed in the victim's band counter.
+	// Attribution: the expired shed landed in its band's counter.
 	// (MaxPriority band; other tests do not shed expired work there.)
+	if got := shedBandCounter(sched.MaxPriority).Value(); got != bandBefore+1 {
+		t.Errorf("shed_expired_band_31_total = %d, want %d", got, bandBefore+1)
+	}
+	// The drop released what the send reserved: once the owner holds no
+	// pending delivery, both messages are back in the pool.
+	if !comp.changed.Wait(func() bool { return comp.life.Load()&pendingMask == 0 }, time.Now().Add(5*time.Second)) {
+		t.Fatalf("owner still holds %d pending deliveries after the shed", comp.life.Load()&pendingMask)
+	}
+	if _, inFlight, gets, returns := comp.SMM().MsgPoolStats(classedType.Name); inFlight != 0 || gets != returns {
+		t.Errorf("message pool: %d in flight, %d gets vs %d returns after the shed, want none in flight", inFlight, gets, returns)
+	}
 	app.Stop()
 }
 

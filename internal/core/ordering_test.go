@@ -33,7 +33,7 @@ func TestInPortConcurrentProducersFIFO(t *testing.T) {
 			for i := 0; i < perProd; i++ {
 				prio := sched.MinPriority + sched.Priority(rng.Intn(5))
 				msg := &testMsg{v: prod*1_000_000 + i}
-				if _, _, err := p.push(bufItem{msg: msg, prio: prio}); err != nil {
+				if err := p.push(bufItem{msg: msg, prio: prio}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -11,7 +11,7 @@ import (
 	"repro/internal/sched"
 )
 
-// overflowType is the message type used by the end-to-end shedding test.
+// overflowType is the message type of the white-box buffer tests.
 var overflowType = MessageType{Name: "OverflowTest", Size: 16, New: func() Message { return &testMsg{} }}
 
 // newTestPort builds a bare InPort (no SMM, pool or binding) for white-box
@@ -26,7 +26,7 @@ func newTestPort(capacity int, policy Overflow, keyed bool, weights ...int32) *I
 
 func mustPush(t *testing.T, p *InPort, v int, prio sched.Priority) {
 	t.Helper()
-	if _, _, err := p.push(bufItem{msg: &testMsg{v: v}, prio: prio}); err != nil {
+	if err := p.push(bufItem{msg: &testMsg{v: v}, prio: prio}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -57,8 +57,7 @@ func blockedPush(t *testing.T, keyed bool) (*InPort, <-chan error) {
 	mustPush(t, p, 1, sched.NormPriority)
 	pushed := make(chan error, 1)
 	go func() {
-		_, _, err := p.push(bufItem{msg: &testMsg{v: 2}, prio: sched.NormPriority})
-		pushed <- err
+		pushed <- p.push(bufItem{msg: &testMsg{v: 2}, prio: sched.NormPriority})
 	}()
 	select {
 	case err := <-pushed:
@@ -68,9 +67,11 @@ func blockedPush(t *testing.T, keyed bool) (*InPort, <-chan error) {
 	return p, pushed
 }
 
-// TestOverflowPolicies is the one table of buffer-full behaviour: every
-// policy's contract, run over an un-keyed and a keyed (InPortConfig.Fair)
-// port — there is one buffer, so there is one set of rules.
+// TestOverflowPolicies is the one table of buffer behaviour: both overflow
+// policies' contracts, the retraction the send path relies on and the hook a
+// delivery dropped unhandled fires, run over an un-keyed and a keyed
+// (InPortConfig.Fair) port — there is one buffer, so there is one set of
+// rules.
 func TestOverflowPolicies(t *testing.T) {
 	rows := []struct {
 		name string
@@ -80,15 +81,14 @@ func TestOverflowPolicies(t *testing.T) {
 			p := newTestPort(2, OverflowReject, keyed)
 			mustPush(t, p, 1, sched.NormPriority)
 			mustPush(t, p, 2, sched.NormPriority)
-			_, _, err := p.push(bufItem{msg: &testMsg{v: 3}, prio: sched.NormPriority})
-			if !errors.Is(err, ErrBufferFull) {
+			if err := p.push(bufItem{msg: &testMsg{v: 3}, prio: sched.NormPriority}); !errors.Is(err, ErrBufferFull) {
 				t.Fatalf("err = %v, want ErrBufferFull", err)
 			}
 			if _, _, dropped := p.Stats(); dropped != 1 {
 				t.Errorf("dropped = %d, want 1", dropped)
 			}
 			if p.Shed() != 0 {
-				t.Errorf("reject policy counted shed = %d, want 0", p.Shed())
+				t.Errorf("a refused newcomer counted as shed = %d, want 0", p.Shed())
 			}
 			wantQueue(t, p, 1, 2)
 		}},
@@ -118,63 +118,6 @@ func TestOverflowPolicies(t *testing.T) {
 				t.Fatal("blocked push not woken by closePort")
 			}
 		}},
-		{"DropOldest", func(t *testing.T, keyed bool) {
-			p := newTestPort(3, OverflowDropOldest, keyed)
-			mustPush(t, p, 1, 20) // oldest, despite the higher band
-			mustPush(t, p, 2, 5)
-			mustPush(t, p, 3, 5)
-			victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 10})
-			if err != nil || !evicted || victim.msg.(*testMsg).v != 1 {
-				t.Fatalf("victim = %+v (evicted %v, err %v), want the oldest, v1", victim.msg, evicted, err)
-			}
-			wantQueue(t, p, 4, 2, 3)
-			if p.Shed() != 1 {
-				t.Errorf("shed = %d, want 1", p.Shed())
-			}
-		}},
-		{"ShedLowestVictim", func(t *testing.T, keyed bool) {
-			p := newTestPort(3, OverflowShedLowest, keyed)
-			mustPush(t, p, 1, 5)
-			mustPush(t, p, 2, 20)
-			mustPush(t, p, 3, 10)
-			// A higher-priority newcomer evicts the priority-5 victim.
-			victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 15})
-			if err != nil || !evicted || victim.prio != 5 {
-				t.Fatalf("victim prio = %d (evicted %v, err %v), want 5", victim.prio, evicted, err)
-			}
-			// A newcomer no more urgent than everything queued is itself shed.
-			if _, _, err = p.push(bufItem{msg: &testMsg{v: 5}, prio: 10}); !errors.Is(err, ErrBufferFull) {
-				t.Fatalf("low-priority newcomer err = %v, want ErrBufferFull", err)
-			}
-			wantQueue(t, p, 2, 4, 3) // prio 20, 15, 10
-			if p.Shed() != 2 {
-				t.Errorf("shed = %d, want 2 (one victim, one rejected newcomer)", p.Shed())
-			}
-		}},
-		{"ShedLowestTakesOldestOfLowestBand", func(t *testing.T, keyed bool) {
-			p := newTestPort(3, OverflowShedLowest, keyed)
-			mustPush(t, p, 1, 5)
-			if _, _, err := p.push(bufItem{msg: &classedMsg{testMsg: testMsg{v: 2}, class: 1}, prio: 5}); err != nil {
-				t.Fatal(err)
-			}
-			mustPush(t, p, 3, 5)
-			victim, evicted, err := p.push(bufItem{msg: &testMsg{v: 4}, prio: 9})
-			if err != nil || !evicted {
-				t.Fatalf("evicted = %v, err = %v", evicted, err)
-			}
-			if victim.msg.(*testMsg).v != 1 {
-				t.Errorf("victim = v%d, want the oldest of the band, v1", victim.msg.(*testMsg).v)
-			}
-		}},
-		{"ShedLowestClampsThePriorities", func(t *testing.T, keyed bool) {
-			// Out-of-band priorities queue in the top band, as the dispatch
-			// pool runs them: none outranks another.
-			p := newTestPort(1, OverflowShedLowest, keyed)
-			mustPush(t, p, 1, sched.MaxPriority)
-			if _, _, err := p.push(bufItem{msg: &testMsg{v: 2}, prio: sched.MaxPriority + 9}); !errors.Is(err, ErrBufferFull) {
-				t.Fatalf("err = %v, want ErrBufferFull: the newcomer does not outrank the top band", err)
-			}
-		}},
 		{"RemoveItemExact", func(t *testing.T, keyed bool) {
 			// The retraction contract the send path relies on: when a dispatch
 			// submission fails after its item was pushed, removeItem pulls back
@@ -186,7 +129,7 @@ func TestOverflowPolicies(t *testing.T) {
 			msgs := [3]*testMsg{{v: 1}, {v: 2}, {v: 3}}
 			prios := [3]sched.Priority{5, 25, 5} // v2 is what a naive pop returns
 			for i := range envs {
-				if _, _, err := p.push(bufItem{env: envs[i], msg: msgs[i], prio: prios[i]}); err != nil {
+				if err := p.push(bufItem{env: envs[i], msg: msgs[i], prio: prios[i]}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -198,33 +141,6 @@ func TestOverflowPolicies(t *testing.T) {
 				t.Fatal("removeItem found an already-retracted delivery")
 			}
 			wantQueue(t, p, 2, 1)
-		}},
-		{"ShedCountersPerCauseAndBand", func(t *testing.T, keyed bool) {
-			// Every shed is attributed to its policy and the victim's band:
-			// brown-out control needs to know WHAT it is dropping.
-			dropOldest7 := shedBandCounter(shedCauseDropOldest, 7).Value()
-			shedLowest5 := shedBandCounter(shedCauseShedLowest, 5).Value()
-			shedLowest9 := shedBandCounter(shedCauseShedLowest, 9).Value()
-
-			p := newTestPort(1, OverflowDropOldest, keyed)
-			mustPush(t, p, 1, 7)
-			mustPush(t, p, 2, 12)
-			if got := shedBandCounter(shedCauseDropOldest, 7).Value(); got != dropOldest7+1 {
-				t.Errorf("shed_dropoldest_band_7_total = %d, want %d", got, dropOldest7+1)
-			}
-
-			q := newTestPort(1, OverflowShedLowest, keyed)
-			mustPush(t, q, 1, 5)
-			mustPush(t, q, 2, 20)
-			if got := shedBandCounter(shedCauseShedLowest, 5).Value(); got != shedLowest5+1 {
-				t.Errorf("shed_shedlowest_band_5_total = %d, want %d (evicted victim)", got, shedLowest5+1)
-			}
-			if _, _, err := q.push(bufItem{msg: &testMsg{v: 3}, prio: 9}); !errors.Is(err, ErrBufferFull) {
-				t.Fatalf("err = %v, want ErrBufferFull", err)
-			}
-			if got := shedBandCounter(shedCauseShedLowest, 9).Value(); got != shedLowest9+1 {
-				t.Errorf("shed_shedlowest_band_9_total = %d, want %d (rejected newcomer)", got, shedLowest9+1)
-			}
 		}},
 		{"ShedAwareOnShed", testShedAwareOnShed},
 	}
@@ -241,113 +157,11 @@ func TestOverflowPolicies(t *testing.T) {
 // Out-of-range priorities clamp into the shed-counter table instead of
 // panicking.
 func TestShedBandCounterClamps(t *testing.T) {
-	if c := shedBandCounter(shedCauseExpired, -3); c != shedBandCounter(shedCauseExpired, 0) {
+	if c := shedBandCounter(-3); c != shedBandCounter(0) {
 		t.Error("negative priority did not clamp to band 0")
 	}
-	if c := shedBandCounter(shedCauseExpired, 99); c != shedBandCounter(shedCauseExpired, sched.MaxPriority) {
+	if c := shedBandCounter(99); c != shedBandCounter(sched.MaxPriority) {
 		t.Error("oversized priority did not clamp to the top band")
-	}
-}
-
-// TestOverflowEndToEndShedLowest drives a real component whose slow In port
-// uses priority-aware shedding: under overload every high-priority message
-// survives while low-priority traffic is shed, and the SMM's bookkeeping
-// (pending counts, message pool) stays balanced.
-func TestOverflowEndToEndShedLowest(t *testing.T) {
-	app, err := NewApp(AppConfig{Name: "shed", ImmortalSize: 1 << 20, MsgPoolCapacity: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer app.Stop()
-
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var seen []int
-
-	var out *OutPort
-	_, err = app.NewImmortalComponent("T", func(c *Component) error {
-		smm := c.SMM()
-		var aerr error
-		out, aerr = AddOutPort(c, smm, OutPortConfig{
-			Name: "out", Type: overflowType, Dests: []string{"T.in"},
-		})
-		if aerr != nil {
-			return aerr
-		}
-		_, aerr = AddInPort(c, smm, InPortConfig{
-			Name: "in", Type: overflowType, BufferSize: 4,
-			Threading: ThreadingDedicated, MinThreads: 1, MaxThreads: 1,
-			Overflow: OverflowShedLowest,
-			Handler: HandlerFunc(func(p *Proc, m Message) error {
-				<-release
-				mu.Lock()
-				seen = append(seen, m.(*testMsg).v)
-				mu.Unlock()
-				return nil
-			}),
-		})
-		return aerr
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := app.Start(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flood: far more messages than the buffer holds, low priority first.
-	const total = 24
-	var sendErrs int
-	for i := 0; i < total; i++ {
-		m, err := out.GetMessage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.(*testMsg).v = i
-		prio := sched.Priority(2)
-		if i >= total-4 {
-			prio = sched.Priority(28) // the last four are critical
-		}
-		if err := out.Send(m, prio); err != nil {
-			sendErrs++
-		}
-	}
-	close(release)
-
-	deadline := time.After(5 * time.Second)
-	for {
-		in, err := app.Component("T").SMM().GetInPort("T.in")
-		if err != nil {
-			t.Fatal(err)
-		}
-		received, processed, dropped := in.Stats()
-		// dropped = rejected newcomers (surfaced as Send errors) + evicted
-		// victims; only non-evicted arrivals ever reach the handler.
-		evictions := dropped - int64(sendErrs)
-		if processed == received-evictions {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("handler drained %d of %d", processed, received)
-		case <-time.After(5 * time.Millisecond):
-		}
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	critical := 0
-	for _, v := range seen {
-		if v >= total-4 {
-			critical++
-		}
-	}
-	if critical != 4 {
-		t.Errorf("only %d of 4 critical messages survived overload; seen = %v", critical, seen)
-	}
-	in, _ := app.Component("T").SMM().GetInPort("T.in")
-	if in.Shed() == 0 && sendErrs == 0 {
-		t.Error("no shedding recorded despite flooding a 4-slot buffer")
 	}
 }
 
@@ -378,7 +192,7 @@ func TestFairPortDividesBandAcrossClasses(t *testing.T) {
 		mustPush(t, p, 100+i, 10)
 	}
 	for i := 0; i < 4; i++ {
-		if _, _, err := p.push(bufItem{msg: &classedMsg{testMsg: testMsg{v: 200 + i}, class: 1}, prio: 10}); err != nil {
+		if err := p.push(bufItem{msg: &classedMsg{testMsg: testMsg{v: 200 + i}, class: 1}, prio: 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -398,14 +212,19 @@ func TestFairPortDividesBandAcrossClasses(t *testing.T) {
 	}
 }
 
-// An eviction victim's OnShed hook fires exactly once, before release, so
-// admission accounting can return the victim's in-flight slot.
+// A queued delivery dropped unhandled — here expired at dequeue on a
+// ShedExpired port — fires its OnShed hook exactly once, before release, so
+// admission accounting can return its in-flight slot, and the shed is
+// attributed to its band.
 func testShedAwareOnShed(t *testing.T, keyed bool) {
 	app := newTestApp(t, AppConfig{})
 	block := make(chan struct{})
-	started := make(chan struct{}, 8)
+	release := sync.OnceFunc(func() { close(block) })
+	t.Cleanup(release) // before app.Stop: a parked handler would hold it
+	started := make(chan struct{})
+	var handled, shed atomic.Int32
 	var out *OutPort
-	_, err := app.NewImmortalComponent("SA", func(c *Component) error {
+	comp, err := app.NewImmortalComponent("SA", func(c *Component) error {
 		smm := c.SMM()
 		var aerr error
 		out, aerr = AddOutPort(c, smm, OutPortConfig{Name: "out", Type: classedType, Dests: []string{"SA.in"}})
@@ -415,10 +234,12 @@ func testShedAwareOnShed(t *testing.T, keyed bool) {
 		_, aerr = AddInPort(c, smm, InPortConfig{
 			Name: "in", Type: classedType, BufferSize: 1,
 			Threading: ThreadingDedicated, MinThreads: 1, MaxThreads: 1,
-			Overflow: OverflowDropOldest, Fair: keyed,
+			Fair: keyed, ShedExpired: true,
 			Handler: HandlerFunc(func(p *Proc, m Message) error {
-				started <- struct{}{}
-				<-block
+				if handled.Add(1) == 1 {
+					close(started)
+					<-block
+				}
 				return nil
 			}),
 		})
@@ -430,26 +251,34 @@ func testShedAwareOnShed(t *testing.T, keyed bool) {
 	if err := app.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer app.Stop()
-	defer close(block)
 
-	var shed atomic.Int32
-	send := func() {
+	send := func(prio sched.Priority) {
 		m, err := out.GetMessage()
 		if err != nil {
 			t.Fatal(err)
 		}
 		m.(*classedMsg).onShed = func() { shed.Add(1) }
-		if err := out.Send(m, sched.NormPriority); err != nil {
+		if err := out.Send(m, prio); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	send() // pins the worker
+	const band = 3
+	before := shedBandCounter(band).Value()
+	send(sched.NormPriority) // pins the worker
 	<-started
-	send() // waits in the 1-slot buffer
-	send() // evicts the waiter: its OnShed must fire
+	out.SetSendDeadline(time.Nanosecond)
+	send(band) // waits in the buffer, expired by the time the worker pops it
+	release()
+	if !comp.changed.Wait(func() bool { return comp.life.Load()&pendingMask == 0 }, time.Now().Add(5*time.Second)) {
+		t.Fatal("the expired delivery was never released")
+	}
 	if got := shed.Load(); got != 1 {
-		t.Errorf("OnShed fired %d times after one eviction, want 1", got)
+		t.Errorf("OnShed fired %d times after one expired shed, want 1", got)
+	}
+	if got := handled.Load(); got != 1 {
+		t.Errorf("handler ran %d times, want 1: the expired delivery must not run", got)
+	}
+	if got := shedBandCounter(band).Value(); got != before+1 {
+		t.Errorf("shed_expired_band_%d_total = %d, want %d", band, got, before+1)
 	}
 }

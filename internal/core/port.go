@@ -42,8 +42,8 @@ const DefaultBufferSize = 8
 
 // Overflow selects what a Send does when an In port's bounded buffer is at
 // capacity. A hard-real-time system cannot let queues grow without bound;
-// these policies make the degradation mode an explicit per-port choice
-// instead of an accident.
+// the policy makes the full-buffer behaviour an explicit per-port choice,
+// fixed when the port is declared.
 type Overflow int
 
 const (
@@ -54,14 +54,6 @@ const (
 	// down). Do not combine with ThreadingSynchronous self-sends: the
 	// sender would wait on itself.
 	OverflowBlock
-	// OverflowDropOldest sheds the oldest queued message to admit the new
-	// one — bounded staleness for periodic telemetry-style traffic.
-	OverflowDropOldest
-	// OverflowShedLowest is priority-aware shedding: the lowest-priority
-	// queued message (oldest among ties) is shed if the newcomer outranks
-	// it; otherwise the newcomer itself is rejected. Overload degrades
-	// low-priority traffic first, preserving deadline-critical messages.
-	OverflowShedLowest
 )
 
 // String returns the policy name.
@@ -71,48 +63,27 @@ func (o Overflow) String() string {
 		return "Reject"
 	case OverflowBlock:
 		return "Block"
-	case OverflowDropOldest:
-		return "DropOldest"
-	case OverflowShedLowest:
-		return "ShedLowest"
 	default:
 		return fmt.Sprintf("Overflow(%d)", int(o))
 	}
 }
 
-// shedTotal counts messages dropped by overflow shedding across all ports,
-// exported at /metrics as compadres_shed_total.
+// shedTotal counts messages a ShedExpired port dropped at dequeue across
+// all ports, exported at /metrics as compadres_shed_total.
 var shedTotal = telemetry.NewCounter("shed_total")
 
-// shedCause classifies why a message was shed, for the per-policy/per-band
-// counters that let an overload controller attribute what it is dropping.
-type shedCause uint8
-
-const (
-	// shedCauseDropOldest: evicted by OverflowDropOldest.
-	shedCauseDropOldest shedCause = iota
-	// shedCauseShedLowest: removed by OverflowShedLowest — the evicted
-	// victim, or the rejected newcomer when nothing queued is less urgent.
-	shedCauseShedLowest
-	// shedCauseExpired: dropped at dequeue because its deadline had passed
-	// (ShedExpired ports).
-	shedCauseExpired
-	numShedCauses
-)
-
-var shedCauseNames = [numShedCauses]string{"dropoldest", "shedlowest", "expired"}
-
-// shedBandCounters caches the per-(cause, priority band) shed counters.
-// Counters are created lazily — shedding is a cold path and most of the
-// 3×31 grid never fires. Racing creations agree: the registry dedups by
-// name, so every racer caches the same *Counter.
-var shedBandCounters [numShedCauses][numShedBands]atomic.Pointer[telemetry.Counter]
+// shedBandCounters caches the per-priority-band expired-shed counters, which
+// let an overload controller attribute what it is dropping. Counters are
+// created lazily — shedding is a cold path and most of the 31 bands never
+// fire. Racing creations agree: the registry dedups by name, so every racer
+// caches the same *Counter.
+var shedBandCounters [numShedBands]atomic.Pointer[telemetry.Counter]
 
 // numShedBands covers priorities 0 (unknown) through sched.MaxPriority.
 const numShedBands = int(sched.MaxPriority) + 1
 
-// shedBandCounter returns the counter "shed_<cause>_band_<prio>_total".
-func shedBandCounter(cause shedCause, prio sched.Priority) *telemetry.Counter {
+// shedBandCounter returns the counter "shed_expired_band_<prio>_total".
+func shedBandCounter(prio sched.Priority) *telemetry.Counter {
 	b := int(prio)
 	if b < 0 {
 		b = 0
@@ -120,11 +91,11 @@ func shedBandCounter(cause shedCause, prio sched.Priority) *telemetry.Counter {
 	if b >= numShedBands {
 		b = numShedBands - 1
 	}
-	if c := shedBandCounters[cause][b].Load(); c != nil {
+	if c := shedBandCounters[b].Load(); c != nil {
 		return c
 	}
-	c := telemetry.NewCounter(fmt.Sprintf("shed_%s_band_%d_total", shedCauseNames[cause], b))
-	shedBandCounters[cause][b].Store(c)
+	c := telemetry.NewCounter(fmt.Sprintf("shed_expired_band_%d_total", b))
+	shedBandCounters[b].Store(c)
 	return c
 }
 
@@ -133,11 +104,11 @@ func shedBandCounter(cause shedCause, prio sched.Priority) *telemetry.Counter {
 // class's lane. Messages without it ride class 0.
 type TenantClassed interface{ TenantClass() uint8 }
 
-// ShedAware is implemented by messages that must observe being shed — by
-// an overflow eviction or an expired-deadline drop at dequeue — so upstream
-// accounting (admission controllers, in-flight limiters) can release the
-// resources reserved for them. OnShed runs before the message's envelope is
-// released, at most once per delivery.
+// ShedAware is implemented by messages that must observe being dropped
+// unhandled after they were queued — shed at dequeue past their deadline, or
+// orphaned by a shutdown — so upstream accounting (admission controllers,
+// in-flight limiters) can release the resources reserved for them. OnShed
+// runs before the message's envelope is released, at most once per delivery.
 type ShedAware interface{ OnShed() }
 
 // InPortConfig parameterises AddInPort. It mirrors the paper's
@@ -200,8 +171,8 @@ type bufItem struct {
 	deadline int64 // telemetry timestamp; 0 = none
 }
 
-// drop releases a queued delivery that will never be handled: shed by an
-// overflow policy, expired at dequeue, or orphaned by a shutdown.
+// drop releases a queued delivery that will never be handled: expired at
+// dequeue or orphaned by a shutdown.
 func (it bufItem) drop() {
 	if sa, ok := it.msg.(ShedAware); ok {
 		sa.OnShed()
@@ -251,7 +222,7 @@ type InPort struct {
 	received  atomic.Int64 // buffered ports only; see Stats
 	processed atomic.Int64
 	dropped   atomic.Int64
-	shed      atomic.Int64 // subset of dropped: removed by an overflow policy
+	shed      atomic.Int64 // subset of dropped: expired at dequeue
 	depthMax  atomic.Int64 // queue depth high-water mark
 
 	label  telemetry.LabelID
@@ -279,7 +250,7 @@ func (p *InPort) Stats() (received, processed, dropped int64) {
 	return p.received.Load(), p.processed.Load(), p.dropped.Load()
 }
 
-// Shed reports how many messages the port's overflow policy removed (a
+// Shed reports how many messages a ShedExpired port dropped at dequeue (a
 // subset of dropped).
 func (p *InPort) Shed() int64 { return p.shed.Load() }
 
@@ -320,55 +291,32 @@ func newInPort(qname string, cfg InPortConfig) *InPort {
 	return p
 }
 
-// push enqueues an item, applying the port's overflow policy when the
-// buffer is at capacity. The buffer is a priority queue: pop hands out the
-// highest-priority pending message (FIFO within a priority; a Fair port
-// shares the band across tenants and runs the nearest deadline first), so
-// the pool worker that dequeues — itself scheduled at the message's
-// priority — processes the message that justified its priority. Slab and
-// queue are preallocated at the port's declared capacity, so push never
-// allocates once a priority level has been used.
-//
-// When a policy evicts a queued message to admit the new one, the victim is
-// returned with evicted == true; the caller must release its envelope and
-// owner reservation outside the port lock. DropOldest takes the message
-// queued longest; ShedLowest the oldest message of the lowest band.
-func (p *InPort) push(it bufItem) (victim bufItem, evicted bool, err error) {
-	var cause shedCause
+// push enqueues an item, applying the port's overflow policy (refuse or
+// wait) when the buffer is at capacity. The buffer is a priority queue: pop
+// hands out the highest-priority pending message (FIFO within a priority; a
+// Fair port shares the band across tenants and runs the nearest deadline
+// first), so the pool worker that dequeues — itself scheduled at the
+// message's priority — processes the message that justified its priority.
+// Slab and queue are preallocated at the port's declared capacity, so push
+// never allocates once a priority level has been used.
+func (p *InPort) push(it bufItem) error {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return bufItem{}, false, fmt.Errorf("%w: %q", ErrStopped, p.qname)
+		return fmt.Errorf("%w: %q", ErrStopped, p.qname)
 	}
 	if p.queue.Len() == p.capacity {
-		switch p.overflow {
-		case OverflowBlock:
-			for p.queue.Len() == p.capacity && !p.closed {
-				p.notFull.Wait()
-			}
-			if p.closed {
-				p.mu.Unlock()
-				return bufItem{}, false, fmt.Errorf("%w: %q", ErrStopped, p.qname)
-			}
-		case OverflowDropOldest:
-			h, _ := p.queue.PopOldest()
-			victim, evicted, cause = p.takeSlotLocked(h), true, shedCauseDropOldest
-		case OverflowShedLowest:
-			if lowest, _ := p.queue.PeekLowestPrio(); lowest >= it.prio.Clamp() {
-				// Nothing queued is less urgent than the newcomer: shed
-				// the newcomer itself.
-				p.mu.Unlock()
-				p.dropped.Add(1)
-				p.recordShed(it.prio, shedCauseShedLowest)
-				return bufItem{}, false, fmt.Errorf("%w: %q shed priority-%d message (capacity %d)",
-					ErrBufferFull, p.qname, it.prio, p.capacity)
-			}
-			h, _ := p.queue.PopLowest()
-			victim, evicted, cause = p.takeSlotLocked(h), true, shedCauseShedLowest
-		default: // OverflowReject
+		if p.overflow != OverflowBlock {
 			p.mu.Unlock()
 			p.dropped.Add(1)
-			return bufItem{}, false, fmt.Errorf("%w: %q (capacity %d)", ErrBufferFull, p.qname, p.capacity)
+			return fmt.Errorf("%w: %q (capacity %d)", ErrBufferFull, p.qname, p.capacity)
+		}
+		for p.queue.Len() == p.capacity && !p.closed {
+			p.notFull.Wait()
+		}
+		if p.closed {
+			p.mu.Unlock()
+			return fmt.Errorf("%w: %q", ErrStopped, p.qname)
 		}
 	}
 	var class uint8
@@ -388,20 +336,16 @@ func (p *InPort) push(it bufItem) (victim bufItem, evicted bool, err error) {
 	}
 	p.mu.Unlock()
 	p.received.Add(1)
-	if evicted {
-		p.dropped.Add(1)
-		p.recordShed(victim.prio, cause)
-	}
-	return victim, evicted, nil
+	return nil
 }
 
-// recordShed accounts one message removed by an overflow policy (or an
-// expired-deadline drop): the port's shed stat, the aggregate shed_total,
-// the per-cause/per-band attribution counter, and an EvShed ring event.
-func (p *InPort) recordShed(prio sched.Priority, cause shedCause) {
+// recordShed accounts one message dropped at dequeue past its deadline: the
+// port's shed stat, the aggregate shed_total, the per-band attribution
+// counter, and an EvShed ring event.
+func (p *InPort) recordShed(prio sched.Priority) {
 	p.shed.Add(1)
 	shedTotal.Inc()
-	shedBandCounter(cause, prio).Inc()
+	shedBandCounter(prio).Inc()
 	telemetry.Record(telemetry.EvShed, p.label, 0, 0, uint64(prio))
 }
 

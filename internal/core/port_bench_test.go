@@ -19,7 +19,7 @@ func portPushPop(variant string) func() {
 		msgs[c] = &classedMsg{class: uint8(c)}
 	}
 	push := func(c int) {
-		if _, _, err := p.push(bufItem{msg: msgs[c], prio: sched.NormPriority}); err != nil {
+		if err := p.push(bufItem{msg: msgs[c], prio: sched.NormPriority}); err != nil {
 			panic(err)
 		}
 	}

@@ -862,18 +862,10 @@ func (s *SMM) receiver(p *OutPort, r *route, handoff bool) (*InPort, *Component,
 // enqueue buffers one delivery, its owner reserved, and schedules a dispatch at
 // the message priority; on failure it gives reservation and envelope share back.
 func (s *SMM) enqueue(in *InPort, owner *Component, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
-	victim, evicted, err := in.push(bufItem{env: env, msg: msg, prio: prio, owner: owner, deadline: deadline})
-	if err != nil {
+	if err := in.push(bufItem{env: env, msg: msg, prio: prio, owner: owner, deadline: deadline}); err != nil {
 		owner.release(pendingOne, 0)
 		env.done()
 		return err
-	}
-	if evicted {
-		// An overflow policy shed a queued delivery to admit this one:
-		// release the victim's reservations outside the port lock. The
-		// dispatch already submitted for the victim will pop a different
-		// (newer) item or nothing — both are fine.
-		victim.drop()
 	}
 	if err := in.pool.Submit(prio, in.dispatchFn); err != nil {
 		// Pool already shut down. Retract exactly the item just pushed —
@@ -903,7 +895,7 @@ func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
 		if now := telemetry.Now(); now > it.deadline {
 			telemetry.ReportDeadlineShed(in.label, it.deadline, now, 0, int(it.prio))
 			in.dropped.Add(1)
-			in.recordShed(it.prio, shedCauseExpired)
+			in.recordShed(it.prio)
 			it.drop()
 			return
 		}

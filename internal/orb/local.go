@@ -104,11 +104,14 @@ func (cl *Client) localServer() *Server {
 	return srv
 }
 
-// bumpRoute invalidates the cached collocation decision after a retarget
-// or membership refresh; the next invoke re-detects against the new
-// membership.
-func (cl *Client) bumpRoute() {
+// setMembers installs a copy of addrs as the membership. It may gain or lose
+// an in-process member, so a collocating client bumps its route generation:
+// the next invoke re-detects instead of trusting the old decision.
+func (cl *Client) setMembers(addrs []string) []string {
+	list := append([]string(nil), addrs...)
+	cl.members.Store(&list)
 	if cl.collocate {
 		cl.routeGen.Add(1)
 	}
+	return list
 }

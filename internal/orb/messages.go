@@ -121,7 +121,7 @@ type requestMsg struct {
 	// quiescence signal) until it recycles.
 	conn *serverConn
 	// ad is the request's admission. The slot it holds is settled by exactly
-	// one of execute, OnShed (evicted or expired in the queue), or Reset (any
+	// one of execute, OnShed (expired or orphaned in the queue), or Reset (any
 	// other unwind — a failed Send, a demarshal error).
 	ad admission
 }
@@ -149,8 +149,8 @@ func (m *requestMsg) Reset() {
 // priority band's bandwidth across these lanes.
 func (m *requestMsg) TenantClass() uint8 { return m.ad.class }
 
-// OnShed implements core.ShedAware: the queue evicted this request (overflow
-// victim) or shed it at dequeue (deadline already passed). The slot releases
+// OnShed implements core.ShedAware: the port shed this request at dequeue
+// (deadline already passed) or a shutdown orphaned it queued. The slot releases
 // as a drop — shed work never executed, so it is not a latency signal — and,
 // when the client expects a response, a shed reply tells it so rather than
 // leaving the call to hang until its invoke timeout.

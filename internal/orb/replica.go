@@ -1,21 +1,18 @@
 package orb
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/telemetry"
 )
 
-// This file generalises the striped channel pool (stripe.go) from "N
-// connections to one host" to "N stripes spread across M replicas". The
-// stripes themselves are unchanged — P2C selection, sticky bands, per-stripe
-// breakers and single-flight redial all still apply — what changes is where
-// each stripe dials: members of a replica set, assigned round-robin and
-// re-assigned when the set changes (Retarget) or a member refuses a dial
-// (failoverTarget). A member death therefore fails over instead of tripping
-// the client: its connection dies cleanly (no breaker charge), the next
-// invoke's redial fails once, and the stripe moves to a survivor discovered
-// through the Resolve hook.
+// This file spreads the striped channel pool (stripe.go) across a replica
+// set: stripe i dials member i mod M, re-assigned when the set changes
+// (Retarget) or a member refuses a dial (failoverTarget). A member death
+// fails over instead of tripping the client: its connection dies cleanly (no
+// breaker charge), the next redial fails once, and the stripe moves to a
+// survivor discovered through the Resolve hook.
 
 // Replica counters, exported at /metrics with the compadres_ prefix.
 var (
@@ -35,31 +32,22 @@ const resolveMinInterval = 10 * time.Millisecond
 const retireGrace = 2 * time.Second
 
 // Members returns the replica addresses the client currently spreads over.
-func (cl *Client) Members() []string {
-	if p := cl.members.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
+func (cl *Client) Members() []string { return *cl.members.Load() }
 
 // Retarget replaces the replica set: stripes are reassigned round-robin over
 // addrs, and a stripe whose target changed retires its live connection —
 // detached immediately so new invokes dial the new member, closed in the
 // background once accepted invocations drain. Retiring is classified as a
 // clean close, so a rolling Retarget never charges any stripe's breaker. An
-// empty addrs is ignored (the previous membership stands).
+// empty addrs is ignored (the previous membership stands), and so is the
+// current membership while every stripe targets its share of it.
 func (cl *Client) Retarget(addrs []string) {
 	cl.retargetMu.Lock()
 	defer cl.retargetMu.Unlock()
-	if len(addrs) == 0 || cl.closed.Load() {
+	if len(addrs) == 0 || cl.closed.Load() || cl.spreadOver(addrs) {
 		return
 	}
-	list := append([]string(nil), addrs...)
-	cl.members.Store(&list)
-	// A retarget is a route-generation bump for the collocation cache: the
-	// new membership may gain or lose an in-process member, so the next
-	// invoke re-detects instead of trusting the old decision.
-	cl.bumpRoute()
+	list := cl.setMembers(addrs)
 	for i, st := range cl.stripes {
 		want := list[i%len(list)]
 		if st.target() == want {
@@ -71,6 +59,20 @@ func (cl *Client) Retarget(addrs []string) {
 			mc.retire(retireGrace)
 		}
 	}
+}
+
+// spreadOver reports whether addrs is the membership as a set and stripe i
+// targets member i mod its size, the share Retarget would deal it.
+func (cl *Client) spreadOver(addrs []string) bool {
+	cur := cl.Members()
+	same := len(cur) == len(addrs)
+	for _, a := range addrs {
+		same = same && slices.Contains(cur, a)
+	}
+	for i, st := range cl.stripes {
+		same = same && st.target() == cur[i%len(cur)]
+	}
+	return same
 }
 
 // refreshMembers re-resolves the membership through the Resolve hook,
@@ -96,10 +98,7 @@ func (cl *Client) refreshMembers() []string {
 	if len(addrs) == 0 {
 		return cl.Members()
 	}
-	list := append([]string(nil), addrs...)
-	cl.members.Store(&list)
-	cl.bumpRoute()
-	return list
+	return cl.setMembers(addrs)
 }
 
 // failoverTarget picks a replacement dial target for a stripe whose dial to
@@ -115,7 +114,6 @@ func (cl *Client) failoverTarget(failed string) (string, bool) {
 	start := int(cl.rotate.Add(1)) % n
 	for i := 0; i < n; i++ {
 		if cand := members[(start+i)%n]; cand != failed {
-			stripeRetargetTotal.Inc()
 			return cand, true
 		}
 	}

@@ -180,3 +180,76 @@ func TestServerLocateForward(t *testing.T) {
 		t.Errorf("unknown key: here=%v fwd=%v, want neither", here, fwd)
 	}
 }
+
+// TestRetargetToCurrentMembershipIsNoop: Retarget owns the stripe-assignment
+// rule, so a caller may hand it the resolved membership on every refresh.
+// While that is the current membership as a set and every stripe targets its
+// round-robin share, it stores nothing, bumps no route generation and leaves
+// every stripe's connection where it is.
+func TestRetargetToCurrentMembershipIsNoop(t *testing.T) {
+	net := transport.NewInproc()
+	startEchoServer(t, net, "r0", ServerConfig{})
+	startEchoServer(t, net, "r1", ServerConfig{})
+	cl := dial(t, net, "", ClientConfig{
+		Addrs: []string{"r0", "r1"}, Channels: 4, Collocate: true,
+		Resilience: &ResilienceConfig{},
+	})
+	conns := make([]*muxConn, len(cl.stripes))
+	for i, st := range cl.stripes {
+		mc, err := st.conn()
+		if err != nil {
+			t.Fatalf("stripe %d: %v", i, err)
+		}
+		conns[i] = mc
+	}
+	members, gen := cl.Members(), cl.routeGen.Load()
+
+	for _, addrs := range [][]string{{"r0", "r1"}, {"r1", "r0"}} {
+		cl.Retarget(addrs)
+		if got := cl.routeGen.Load(); got != gen {
+			t.Errorf("Retarget(%v) moved the route generation %d -> %d", addrs, gen, got)
+		}
+		if got := cl.Members(); &got[0] != &members[0] {
+			t.Errorf("Retarget(%v) stored the membership again: %v", addrs, got)
+		}
+		for i, st := range cl.stripes {
+			if st.cur.Load() != conns[i] || st.target() != members[i%2] {
+				t.Errorf("Retarget(%v) touched stripe %d (target %q)", addrs, i, st.target())
+			}
+		}
+	}
+
+	// A stripe off its share is work for the same membership.
+	cl.stripes[1].setTarget("r0")
+	cl.Retarget([]string{"r0", "r1"})
+	if got := cl.stripes[1].target(); got != "r1" {
+		t.Errorf("stripe 1 targets %q after the retarget, want its share r1", got)
+	}
+	if cl.routeGen.Load() == gen {
+		t.Error("a retarget that moved a stripe did not bump the route generation")
+	}
+}
+
+// TestFailoverRefusedAlternateCountsNoRetarget: a stripe whose member
+// refuses the dial tries one alternate; when that refuses too the stripe
+// keeps its target, and stripe_retarget_total must not count a move that
+// did not happen.
+func TestFailoverRefusedAlternateCountsNoRetarget(t *testing.T) {
+	net := transport.NewInproc() // nobody listens: every dial is refused
+	cl := dial(t, net, "", ClientConfig{
+		Addrs:      []string{"gone0", "gone1"},
+		Resolve:    func() ([]string, error) { return []string{"gone0", "gone1"}, nil },
+		Resilience: &ResilienceConfig{},
+	})
+	st := cl.stripes[0]
+	before := stripeRetargetTotal.Value()
+	if _, err := st.conn(); err == nil {
+		t.Fatal("dial succeeded with no listener")
+	}
+	if got := st.target(); got != "gone0" {
+		t.Errorf("stripe moved to %q on a refused failover, want it on gone0", got)
+	}
+	if got := stripeRetargetTotal.Value(); got != before {
+		t.Errorf("stripe_retarget_total = %d after a refused failover, want %d", got, before)
+	}
+}

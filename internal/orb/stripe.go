@@ -62,12 +62,7 @@ type stripe struct {
 func (st *stripe) live() bool { return st.cur.Load() != nil }
 
 // target returns the stripe's current dial address.
-func (st *stripe) target() string {
-	if p := st.addr.Load(); p != nil {
-		return *p
-	}
-	return st.cl.addr
-}
+func (st *stripe) target() string { return *st.addr.Load() }
 
 // setTarget moves the stripe's dial address.
 func (st *stripe) setTarget(a string) { st.addr.Store(&a) }
@@ -102,6 +97,7 @@ func (st *stripe) conn() (*muxConn, error) {
 		if alt, ok := cl.failoverTarget(addr); ok {
 			if conn, err = cl.network.Dial(alt); err == nil {
 				st.setTarget(alt)
+				stripeRetargetTotal.Inc()
 			}
 		}
 	}

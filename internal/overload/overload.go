@@ -132,15 +132,16 @@ type Config struct {
 	// level — deliberately larger than EscalateAfter for hysteresis. Zero
 	// selects 8.
 	DeescalateAfter int
-	// TierWeights are the fair-share weights per tier. Zeros select
-	// {16, 4, 1}: a tier-0 tenant gets 16× a best-effort tenant's share of
-	// the contested headroom.
-	TierWeights [NumTiers]int
-	// ShedPrioBelow is the LevelShedLowest priority threshold: while at that
-	// level and congested, non-Tier0 requests below this priority are shed.
-	// Zero selects the lower half of the band (sched.NormPriority / 2).
-	ShedPrioBelow sched.Priority
 }
+
+// tierWeights are the fair-share weights per tier: a tier-0 tenant gets 16×
+// a best-effort tenant's share of the contested headroom.
+var tierWeights = [NumTiers]int{16, 4, 1}
+
+// shedPrioBelow is the LevelShedLowest priority threshold: while at that
+// level and congested, non-Tier0 requests below this priority — the lower
+// half of the band — are shed.
+const shedPrioBelow = sched.NormPriority / 2
 
 func (c Config) withDefaults() Config {
 	if c.TargetP99 <= 0 {
@@ -175,14 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeescalateAfter <= 0 {
 		c.DeescalateAfter = 8
-	}
-	for i := range c.TierWeights {
-		if c.TierWeights[i] <= 0 {
-			c.TierWeights[i] = [NumTiers]int{16, 4, 1}[i]
-		}
-	}
-	if c.ShedPrioBelow <= 0 {
-		c.ShedPrioBelow = sched.NormPriority / 2
 	}
 	return c
 }
@@ -420,7 +413,7 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 		case lvl >= LevelRejectBestEffort && tier == TierBestEffort:
 			return c.shed(id, tier)
 		case lvl >= LevelShedLowest && c.congested():
-			if tier == TierBestEffort || (tier != Tier0 && prio < c.cfg.ShedPrioBelow) {
+			if tier == TierBestEffort || (tier != Tier0 && prio < shedPrioBelow) {
 				return c.shed(id, tier)
 			}
 		}
@@ -571,19 +564,19 @@ func (c *Controller) step() {
 	m := c.tenants.Load()
 	var total int64
 	for _, ts := range credited {
-		total += int64(c.cfg.TierWeights[ts.tier])
+		total += int64(tierWeights[ts.tier])
 	}
 	if m != nil {
 		for _, ts := range *m {
-			total += int64(c.cfg.TierWeights[ts.tier])
+			total += int64(tierWeights[ts.tier])
 		}
 	}
 	for _, ts := range credited {
-		ts.credit.Store(int64(c.cfg.TierWeights[ts.tier]) * refill / total)
+		ts.credit.Store(int64(tierWeights[ts.tier]) * refill / total)
 	}
 	if m != nil {
 		for _, ts := range *m {
-			ts.credit.Store(int64(c.cfg.TierWeights[ts.tier]) * refill / total)
+			ts.credit.Store(int64(tierWeights[ts.tier]) * refill / total)
 		}
 	}
 }

@@ -253,13 +253,12 @@ func TestDeadlineShedBurstCutsLimit(t *testing.T) {
 func TestWeightedCreditSharing(t *testing.T) {
 	cfg := testConfig()
 	cfg.MinLimit, cfg.MaxLimit = 4, 8
-	cfg.TierWeights = [NumTiers]int{12, 3, 1}
 	c := NewController(cfg)
 	defer c.Close()
 	c.limit.Store(8)
 
 	// Register both tenants, then Tick to deal window credits:
-	// refill = max(done, limit) = 8 over weights {12 (t0), 1 (be), 4 (def t1)}.
+	// refill = max(done, limit) = 8 over weights {16 (t0), 1 (be), 4 (def t1)}.
 	if d := c.Admit(1, Tier0, 24); !d.OK {
 		t.Fatal("tier-0 registration admit rejected")
 	}
@@ -276,8 +275,8 @@ func TestWeightedCreditSharing(t *testing.T) {
 			t.Fatalf("fill admit %d rejected", i)
 		}
 	}
-	// Contested now. Best effort (weight 1 of 17, credit 0) is shed at
-	// once; tier 0 (weight 12, credit 5) keeps landing.
+	// Contested now. Best effort (weight 1 of 21, credit 0) is shed at
+	// once; tier 0 (weight 16, credit 6) keeps landing.
 	beOK, t0OK := 0, 0
 	for i := 0; i < 4; i++ {
 		if c.Admit(2, TierBestEffort, 8).OK {
@@ -390,8 +389,7 @@ func TestBrownoutLadder(t *testing.T) {
 func TestShedLowestSelectivity(t *testing.T) {
 	cfg := testConfig()
 	cfg.MinLimit, cfg.MaxLimit = 16, 16
-	cfg.ShedPrioBelow = 10
-	c := NewController(cfg)
+	c := NewController(cfg) // sheds below priority 7, the lower half of the band
 	defer c.Close()
 	c.setLevel(LevelShedLowest)
 
@@ -652,7 +650,7 @@ func TestOverloadTenantRegistryBounded(t *testing.T) {
 	const refill = 1 << 20
 	c.limit.Store(refill)
 	c.Tick()
-	w := c.cfg.TierWeights
+	w := tierWeights
 	total := int64(w[Tier1] + w[Tier0] + w[Tier1] + w[TierBestEffort]) // default + three spills
 	for _, ts := range *c.tenants.Load() {
 		total += int64(w[ts.tier])

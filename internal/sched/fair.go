@@ -166,51 +166,6 @@ func (b *fairBand) popDRR(weights *[MaxTenantClasses]int32) uint32 {
 	}
 }
 
-// PeekLowestPrio returns the priority of the least-urgent queued handle —
-// the band that ShedLowest eviction would raid — without removing it.
-func (q *FairQueue) PeekLowestPrio() (Priority, bool) {
-	if q.mask == 0 {
-		return 0, false
-	}
-	return Priority(bits.TrailingZeros32(q.mask)) + MinPriority, true
-}
-
-// PopLowest removes and returns the oldest handle of the lowest band — the
-// ShedLowest victim: least urgent priority, most staleness recovered.
-// O(band size); eviction is a cold path.
-func (q *FairQueue) PopLowest() (uint32, bool) {
-	bi := bits.TrailingZeros32(q.mask) // past every band when the queue is empty
-	return q.popOldest(bi, bi+1)
-}
-
-// PopOldest removes and returns the handle queued longest, across all
-// bands — the DropOldest victim. O(n); eviction is a cold path.
-func (q *FairQueue) PopOldest() (uint32, bool) {
-	return q.popOldest(0, numPriorities)
-}
-
-// popOldest removes the longest-queued handle of bands [lo, hi).
-func (q *FairQueue) popOldest(lo, hi int) (uint32, bool) {
-	bestB, bestC, bestI := -1, 0, 0
-	var bestSeq uint64
-	for bi := lo; bi < min(hi, numPriorities); bi++ {
-		if q.mask&(1<<uint(bi)) == 0 {
-			continue
-		}
-		for c := range q.bands[bi].classes {
-			for i, e := range q.bands[bi].classes[c] {
-				if bestB < 0 || e.seq < bestSeq {
-					bestB, bestC, bestI, bestSeq = bi, c, i, e.seq
-				}
-			}
-		}
-	}
-	if bestB < 0 {
-		return 0, false
-	}
-	return q.removeAt(bestB, bestC, bestI), true
-}
-
 // Remove deletes a specific handle wherever it is queued, reporting whether
 // it was found. O(n); retraction is a cold path.
 func (q *FairQueue) Remove(handle uint32) bool {
@@ -231,11 +186,10 @@ func (q *FairQueue) Remove(handle uint32) bool {
 }
 
 // removeAt deletes heap position i of class c in band bi, restoring heap
-// order and the occupancy masks, and returns the removed handle.
-func (q *FairQueue) removeAt(bi, c, i int) uint32 {
+// order and the occupancy masks.
+func (q *FairQueue) removeAt(bi, c, i int) {
 	b := q.bands[bi]
 	h := &b.classes[c]
-	e := (*h)[i]
 	last := len(*h) - 1
 	(*h)[i] = (*h)[last]
 	*h = (*h)[:last]
@@ -251,7 +205,6 @@ func (q *FairQueue) removeAt(bi, c, i int) uint32 {
 		}
 	}
 	q.size--
-	return e.handle
 }
 
 // entryPop removes the heap's first entry and returns its handle — the

@@ -85,32 +85,27 @@ func TestFairQueueEDFWithinClass(t *testing.T) {
 	}
 }
 
-// PopLowest takes the oldest handle of the lowest band, whatever its class
-// or deadline; PopOldest the globally oldest; Remove deletes an exact handle.
-func TestFairQueueEviction(t *testing.T) {
+// Remove deletes an exact handle wherever it is queued, whatever its band,
+// class or deadline, and leaves the rest in pop order.
+func TestFairQueueRemove(t *testing.T) {
 	q := NewFairQueue(nil)
-	q.Push(1, 0, 20, 0) // oldest overall
-	q.Push(3, 1, 5, 0)  // oldest in the lowest band
-	q.Push(2, 0, 5, 9)  // newer, though first in pop order
+	q.Push(1, 0, 20, 0)
+	q.Push(3, 1, 5, 0)
+	q.Push(2, 0, 5, 9)
 	q.Push(4, 0, 20, 0)
 
-	if p, ok := q.PeekLowestPrio(); !ok || p != 5 {
-		t.Fatalf("PeekLowestPrio = (%d, %v), want 5", p, ok)
+	for _, h := range []uint32{3, 4} {
+		if !q.Remove(h) {
+			t.Fatalf("Remove(%d) did not find the handle", h)
+		}
+		if q.Remove(h) {
+			t.Fatalf("Remove(%d) found an already-removed handle", h)
+		}
 	}
-	if h, ok := q.PopLowest(); !ok || h != 3 {
-		t.Fatalf("PopLowest = (%d, %v), want 3 (oldest of band 5)", h, ok)
-	}
-	if h, ok := q.PopOldest(); !ok || h != 1 {
-		t.Fatalf("PopOldest = (%d, %v), want 1", h, ok)
-	}
-	if !q.Remove(4) {
-		t.Fatal("Remove(4) did not find the handle")
-	}
-	if q.Remove(4) {
-		t.Fatal("Remove(4) found an already-removed handle")
-	}
-	if h, ok := q.Pop(); !ok || h != 2 {
-		t.Fatalf("final pop = (%d, %v), want 2", h, ok)
+	for _, want := range []uint32{1, 2} {
+		if h, ok := q.Pop(); !ok || h != want {
+			t.Fatalf("pop = (%d, %v), want %d", h, ok, want)
+		}
 	}
 	if q.Len() != 0 {
 		t.Errorf("len = %d after draining, want 0", q.Len())

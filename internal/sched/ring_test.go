@@ -14,8 +14,8 @@ import (
 func TestRingWrapAroundFIFO(t *testing.T) {
 	var r ring
 	var got []int
-	push := func(v int) { r.push(task{fn: func(Priority) { got = append(got, v) }}) }
-	pop := func() { r.pop().fn(NormPriority) }
+	push := func(v int) { r.push(func(Priority) { got = append(got, v) }) }
+	pop := func() { r.pop()(NormPriority) }
 
 	next := 0
 	for round := 0; round < 5; round++ {

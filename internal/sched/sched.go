@@ -98,9 +98,7 @@ type Pool struct {
 	executed atomic.Int64
 	spawned  atomic.Int64
 	maxQueue atomic.Int64
-	missed   atomic.Int64
 
-	label  telemetry.LabelID
 	gauges *telemetry.GaugeHandle
 }
 
@@ -114,9 +112,6 @@ type PoolStats struct {
 	Executed int64
 	// MaxQueue is the high-water mark of the pending queue.
 	MaxQueue int
-	// DeadlineMisses counts tasks submitted via SubmitUntil that started
-	// after their deadline.
-	DeadlineMisses int64
 }
 
 // NewPool creates a pool per cfg and starts cfg.Min workers.
@@ -138,12 +133,10 @@ func NewPool(cfg PoolConfig) *Pool {
 	if cfg.Name != "" {
 		label = "pool." + cfg.Name
 	}
-	p.label = telemetry.Label(label)
 	p.gauges = telemetry.Default.RegisterGauges(label, map[string]func() int64{
-		"pool_workers":         func() int64 { p.mu.Lock(); defer p.mu.Unlock(); return int64(p.workers) },
-		"pool_executed":        func() int64 { return p.executed.Load() },
-		"pool_queue_max":       func() int64 { return p.maxQueue.Load() },
-		"pool_deadline_missed": func() int64 { return p.missed.Load() },
+		"pool_workers":   func() int64 { p.mu.Lock(); defer p.mu.Unlock(); return int64(p.workers) },
+		"pool_executed":  func() int64 { return p.executed.Load() },
+		"pool_queue_max": func() int64 { return p.maxQueue.Load() },
 	})
 	p.mu.Lock()
 	for i := 0; i < p.min; i++ {
@@ -160,15 +153,6 @@ func (p *Pool) Name() string { return p.name }
 // fn passes the (clamped) priority through, modelling priority inheritance
 // from the message.
 func (p *Pool) Submit(prio Priority, fn func(Priority)) error {
-	return p.SubmitUntil(prio, 0, fn)
-}
-
-// SubmitUntil is Submit with a deadline: a telemetry timestamp
-// (telemetry.Now() units) by which fn must have started. A task that starts
-// late is still executed, but the miss is counted against the pool and
-// reported through telemetry (counter, flight-recorder event, registered
-// miss handler). deadline == 0 means none.
-func (p *Pool) SubmitUntil(prio Priority, deadline int64, fn func(Priority)) error {
 	prio = prio.Clamp()
 	p.mu.Lock()
 	if p.shutdown {
@@ -176,7 +160,7 @@ func (p *Pool) SubmitUntil(prio Priority, deadline int64, fn func(Priority)) err
 		return ErrPoolShutdown
 	}
 	idx := int(prio - MinPriority)
-	p.rings[idx].push(task{fn: fn, deadline: deadline})
+	p.rings[idx].push(fn)
 	p.mask |= 1 << uint(idx)
 	p.queued++
 	if q := int64(p.queued); q > p.maxQueue.Load() {
@@ -215,29 +199,16 @@ func (p *Pool) Shutdown() {
 	p.gauges.Unregister()
 }
 
-// checkDeadline reports a deadline miss when the task is starting after its
-// deadline. Hot path: one clock read only when a deadline is present.
-func (p *Pool) checkDeadline(deadline int64, prio Priority) {
-	if deadline <= 0 {
-		return
-	}
-	if now := telemetry.Now(); now > deadline {
-		p.missed.Add(1)
-		telemetry.ReportDeadlineMiss(p.label, deadline, now, 0, int(prio))
-	}
-}
-
 // Stats returns a snapshot of pool activity.
 func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	workers := p.workers
 	p.mu.Unlock()
 	return PoolStats{
-		Workers:        workers,
-		Spawned:        p.spawned.Load(),
-		Executed:       p.executed.Load(),
-		MaxQueue:       int(p.maxQueue.Load()),
-		DeadlineMisses: p.missed.Load(),
+		Workers:  workers,
+		Spawned:  p.spawned.Load(),
+		Executed: p.executed.Load(),
+		MaxQueue: int(p.maxQueue.Load()),
 	}
 }
 
@@ -270,39 +241,30 @@ func (p *Pool) run() {
 		}
 		// Highest non-empty priority level: one find-MSB over the mask.
 		idx := 31 - bits.LeadingZeros32(p.mask)
-		t := p.rings[idx].pop()
+		fn := p.rings[idx].pop()
 		if p.rings[idx].empty() {
 			p.mask &^= 1 << uint(idx)
 		}
 		p.queued--
 		p.mu.Unlock()
 
-		prio := Priority(idx) + MinPriority
-		p.checkDeadline(t.deadline, prio)
-		t.fn(prio)
+		fn(Priority(idx) + MinPriority)
 		p.executed.Add(1)
 	}
-}
-
-// task is one queued submission: the handler plus its (optional) start
-// deadline.
-type task struct {
-	fn       func(Priority)
-	deadline int64
 }
 
 // ring is a growable circular FIFO of tasks for one priority level. Slots
 // are reused in place, so a warmed ring enqueues and dequeues without
 // allocating.
 type ring struct {
-	buf  []task
+	buf  []func(Priority)
 	head int // index of the oldest element
 	n    int // number of queued elements
 }
 
 func (r *ring) empty() bool { return r.n == 0 }
 
-func (r *ring) push(t task) {
+func (r *ring) push(t func(Priority)) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
@@ -310,9 +272,9 @@ func (r *ring) push(t task) {
 	r.n++
 }
 
-func (r *ring) pop() task {
+func (r *ring) pop() func(Priority) {
 	t := r.buf[r.head]
-	r.buf[r.head] = task{}
+	r.buf[r.head] = nil
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	return t
@@ -325,7 +287,7 @@ func (r *ring) grow() {
 	if newCap == 0 {
 		newCap = ringInitialCap
 	}
-	nb := make([]task, newCap)
+	nb := make([]func(Priority), newCap)
 	for i := 0; i < r.n; i++ {
 		nb[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
 	}

@@ -33,8 +33,8 @@ const (
 	// open/half-open/close, connection supervisor reconnect (arg = new
 	// state code, subsystem-defined).
 	EvState
-	// EvShed is a message dropped by an overloaded port's overflow policy
-	// (arg = the shed message's priority).
+	// EvShed is a message a ShedExpired port dropped at dequeue (arg = the
+	// shed message's priority).
 	EvShed
 	// EvDeadlineShed is a message dropped at dequeue because its deadline
 	// had already passed — never executed, unlike EvDeadlineMiss

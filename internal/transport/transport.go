@@ -45,47 +45,29 @@ type Network interface {
 	Dial(addr string) (Conn, error)
 }
 
-// BuffersWriter is the optional vectored-write capability of a Conn: a
-// batch of buffers delivered to the peer as one logical write. Connections
-// that expose it (or that are net.Conns, which Go can writev under the
-// hood) let a caller holding several buffers flush them in one syscall;
-// everything else falls back to sequential Writes with identical observable
-// behaviour. (The ORB's own writer batches into one contiguous buffer and
-// needs a single Write.)
-type BuffersWriter interface {
-	// WriteBuffers writes every buffer in order and returns the total byte
-	// count written. On error the count reflects the prefix that reached
-	// the connection. The bufs slice and its elements may be consumed
-	// (resliced) by the call; callers must not reuse their contents.
-	WriteBuffers(bufs [][]byte) (int64, error)
-}
-
-// WriteBuffers writes bufs to c as one logical vectored write: through the
-// connection's own BuffersWriter capability when it has one, through
-// net.Buffers (writev on TCP) when c is a net.Conn, and through plain
-// sequential Writes otherwise — the in-process stream, and how a
-// fault-injection wrapper sees each frame individually and can fault any
-// one of them. All three paths deliver the same byte stream to the peer;
-// on error the returned count is the bytes written before the failure.
-// The bufs slice is consumed: its header and elements may be resliced.
+// WriteBuffers writes bufs to c as one logical vectored write: through
+// net.Buffers (writev on TCP, one syscall for the batch) when c is a
+// net.Conn, and through plain sequential Writes otherwise — the in-process
+// stream, and how a fault-injection wrapper sees each frame individually and
+// can fault any one of them. Both paths deliver the same byte stream to the
+// peer; on error the returned count is the bytes written before the failure.
+// The bufs slice is consumed: its header and elements may be resliced. (The
+// ORB's own writer batches into one contiguous buffer and needs a single
+// Write.)
 func WriteBuffers(c Conn, bufs [][]byte) (int64, error) {
-	switch w := c.(type) {
-	case BuffersWriter:
-		return w.WriteBuffers(bufs)
-	case net.Conn:
+	if w, ok := c.(net.Conn); ok {
 		nb := net.Buffers(bufs)
 		return nb.WriteTo(w)
-	default:
-		var total int64
-		for _, b := range bufs {
-			n, err := c.Write(b)
-			total += int64(n)
-			if err != nil {
-				return total, err
-			}
-		}
-		return total, nil
 	}
+	var total int64
+	for _, b := range bufs {
+		n, err := c.Write(b)
+		total += int64(n)
+		if err != nil {
+			return total, err
+		}
+	}
+	return total, nil
 }
 
 // ErrClosed reports use of a closed listener or network endpoint.

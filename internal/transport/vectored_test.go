@@ -10,10 +10,9 @@ import (
 	"repro/internal/transport"
 )
 
-// The vectored-write capability has three delivery paths — an explicit
-// BuffersWriter, net.Conn (writev on TCP), and the plain sequential fallback
-// — and the parity contract is that every one of them puts the identical
-// byte stream on the wire. These tests run the same batches over TCP, the
+// The vectored write has two delivery paths — net.Conn (writev on TCP) and
+// the plain sequential fallback — and the parity contract is that both put
+// the identical byte stream on the wire. These tests run the same batches over TCP, the
 // in-process network (the fallback: its stream is neither), and a fault
 // wrapper (which, exposing only Write, exercises the fallback too, so
 // injected faults land on individual frames).
@@ -112,60 +111,6 @@ func TestWriteBuffersParity(t *testing.T) {
 				l.Close()
 			}
 		})
-	}
-}
-
-// buffersWriterConn wraps a Conn with an explicit BuffersWriter so the
-// capability branch (not the net.Conn branch) is exercised and observable.
-type buffersWriterConn struct {
-	transport.Conn
-	calls int
-}
-
-func (c *buffersWriterConn) WriteBuffers(bufs [][]byte) (int64, error) {
-	c.calls++
-	var total int64
-	for _, b := range bufs {
-		n, err := c.Conn.Write(b)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// TestWriteBuffersCapabilityPreferred pins the dispatch order: a connection
-// advertising BuffersWriter gets exactly one WriteBuffers call, and the
-// stream it delivers matches the other paths byte for byte.
-func TestWriteBuffersCapabilityPreferred(t *testing.T) {
-	n := transport.NewInproc()
-	l, err := n.Listen("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	got := collectAccept(t, l)
-	raw, err := n.Dial(l.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &buffersWriterConn{Conn: raw}
-	batch := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma")}
-	want := flatten(batch)
-	wrote, err := transport.WriteBuffers(c, clone(batch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.calls != 1 {
-		t.Errorf("BuffersWriter called %d times, want 1", c.calls)
-	}
-	if wrote != int64(len(want)) {
-		t.Errorf("wrote %d bytes, want %d", wrote, len(want))
-	}
-	c.Close()
-	if b := <-got; !bytes.Equal(b, want) {
-		t.Errorf("stream mismatch: got %q, want %q", b, want)
 	}
 }
 
