@@ -71,16 +71,17 @@ bench-build:
 
 # orb-loc prints the size of the component-structured ORB next to the
 # hand-coded baseline it is judged against (ROADMAP aim 2), and of the
-# component runtime and the scheduler under it, non-test lines — and is a
-# ratchet: it fails when internal/orb, internal/core or internal/sched is
-# larger than its figure below, the size the last PR that shrank it landed
-# at. A PR that shrinks one further lowers its figure; one that has to grow
+# component runtime, the scheduler, the memory model and the GIOP codec under
+# it, non-test lines — and is a ratchet: it fails when internal/orb,
+# internal/core, internal/sched, internal/memory or internal/giop is larger
+# than its figure below, the size the last PR that shrank it landed at. A PR that shrinks one further lowers its figure; one that has to grow
 # it deletes something first.
 orb-loc:
-	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched; do \
+	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched internal/memory internal/giop; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		case $$d in internal/orb) max=3481;; internal/core) max=3118;; internal/sched) max=731;; *) max=;; esac; \
+		case $$d in internal/orb) max=3394;; internal/core) max=3118;; internal/sched) max=731;; \
+			internal/memory) max=1252;; internal/giop) max=1679;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \
@@ -106,7 +107,7 @@ no-poll:
 no-sleep:
 	@n=$$(grep -ro 'time\.Sleep(' --include='*_test.go' internal | wc -l); \
 	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
-	if [ $$n -gt 45 ]; then echo "over the ratchet of 45: wait on the condition instead"; exit 1; fi
+	if [ $$n -gt 44 ]; then echo "over the ratchet of 44: wait on the condition instead"; exit 1; fi
 
 verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
 

@@ -561,7 +561,7 @@ func BenchmarkFrameworkGIOPMarshal(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := giop.UnmarshalRequest(h.Order, wire[giop.HeaderSize:]); err != nil {
+				if err := giop.DecodeRequest(h.Order, wire[giop.HeaderSize:], new(giop.Request)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -153,17 +153,6 @@ func frameClassFor(n int) int {
 	return -1
 }
 
-// frameClassCap rounds n up to its size class capacity (or returns n for
-// oversized requests). ReadMessageLimited uses it so a scratch buffer grown
-// for one frame is reused by every later frame of the same class instead of
-// reallocating per message.
-func frameClassCap(n int) int {
-	if c := frameClassFor(n); c >= 0 {
-		return frameClassSizes[c]
-	}
-	return n
-}
-
 // AcquireFrame returns a frame whose buffer holds at least n bytes, with
 // one reference held by the caller. Frames come from a per-size-class pool;
 // an oversized request (beyond MaxMessageSize) is satisfied with an
@@ -236,9 +225,6 @@ func (f *FrameBuf) Release() {
 // The loan fails with memory.ErrStale once the frame is fully released —
 // the scope rule that makes borrowed decode views safe to hand to handlers.
 func (f *FrameBuf) Lend(b []byte) memory.Loan { return f.owner.Lend(b) }
-
-// View is Lend over the whole body.
-func (f *FrameBuf) View() memory.Loan { return f.owner.Lend(f.Body()) }
 
 // Detach copies the frame body into fresh caller-owned memory — the
 // explicit escape hatch for a handler that needs the bytes past its return

@@ -93,7 +93,7 @@ func TestFrameLoansGoStaleAtRelease(t *testing.T) {
 	copy(f.buf, "payload!")
 	f.setLen(8)
 
-	view := f.View()
+	view := f.Lend(f.Body())
 	window := f.Lend(f.Body()[2:5])
 	if b, err := view.Bytes(); err != nil || string(b) != "payload!" {
 		t.Fatalf("live view = %q, %v", b, err)
@@ -178,8 +178,8 @@ func TestFrameReaderNextAliasesSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req1, err := UnmarshalRequest(LittleEndian, body1)
-	if err != nil || string(req1.Payload) != "first" {
+	req1 := new(Request)
+	if err := DecodeRequest(LittleEndian, body1, req1); err != nil || string(req1.Payload) != "first" {
 		t.Fatalf("req1 = %+v, %v", req1, err)
 	}
 	_, body2, err := fr.Next()
@@ -189,7 +189,7 @@ func TestFrameReaderNextAliasesSlab(t *testing.T) {
 	if src.reads != 1 {
 		t.Errorf("two frames that arrived together took %d Reads, want 1", src.reads)
 	}
-	if req2, err := UnmarshalRequest(LittleEndian, body2); err != nil || string(req2.Payload) != "SECND" {
+	if req2 := new(Request); DecodeRequest(LittleEndian, body2, req2) != nil || string(req2.Payload) != "SECND" {
 		t.Fatalf("req2 = %+v, %v", req2, err)
 	}
 	// req1.Payload borrows from body1, which borrows from the slab; the third
@@ -256,12 +256,12 @@ func TestFrameReaderNextFrameResumes(t *testing.T) {
 		headers = append(headers, h)
 	}
 
-	req, err := UnmarshalRequest(headers[0].Order, frames[0].Body())
-	if err != nil || req.RequestID != 7 || len(req.Payload) != 300 {
+	req := new(Request)
+	if err := DecodeRequest(headers[0].Order, frames[0].Body(), req); err != nil || req.RequestID != 7 || len(req.Payload) != 300 {
 		t.Fatalf("reassembled request = %+v, %v", req, err)
 	}
-	rep, err := UnmarshalReply(headers[1].Order, frames[1].Body())
-	if err != nil || string(rep.Payload) != "done" {
+	rep := new(Reply)
+	if err := DecodeReply(headers[1].Order, frames[1].Body(), rep); err != nil || string(rep.Payload) != "done" {
 		t.Fatalf("reassembled reply = %+v, %v", rep, err)
 	}
 	frames[0].Release()

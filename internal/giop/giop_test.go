@@ -229,8 +229,8 @@ func TestRequestRoundTrip(t *testing.T) {
 			if h.Type != MsgRequest || int(h.Size) != len(wire)-HeaderSize {
 				t.Fatalf("header = %+v, wire %d", h, len(wire))
 			}
-			got, err := UnmarshalRequest(h.Order, wire[HeaderSize:])
-			if err != nil {
+			got := new(Request)
+			if err := DecodeRequest(h.Order, wire[HeaderSize:], got); err != nil {
 				t.Fatal(err)
 			}
 			if got.RequestID != 77 || !got.ResponseExpected || string(got.ObjectKey) != "poa/echo" ||
@@ -252,8 +252,8 @@ func TestReplyRoundTrip(t *testing.T) {
 		if h.Type != MsgReply {
 			t.Fatalf("type = %v", h.Type)
 		}
-		got, err := UnmarshalReply(h.Order, wire[HeaderSize:])
-		if err != nil {
+		got := new(Reply)
+		if err := DecodeReply(h.Order, wire[HeaderSize:], got); err != nil {
 			t.Fatal(err)
 		}
 		if got.RequestID != 77 || got.Status != ReplyNoException || !bytes.Equal(got.Payload, rep.Payload) {
@@ -266,8 +266,8 @@ func TestEmptyPayloads(t *testing.T) {
 	req := &Request{RequestID: 1, Operation: "ping", ObjectKey: []byte("k")}
 	wire := MarshalRequest(nil, BigEndian, req)
 	h, _ := ParseHeader(wire)
-	got, err := UnmarshalRequest(h.Order, wire[HeaderSize:])
-	if err != nil {
+	got := new(Request)
+	if err := DecodeRequest(h.Order, wire[HeaderSize:], got); err != nil {
 		t.Fatal(err)
 	}
 	if len(got.Payload) != 0 {
@@ -277,8 +277,8 @@ func TestEmptyPayloads(t *testing.T) {
 	rep := &Reply{RequestID: 1}
 	wire = MarshalReply(nil, BigEndian, rep)
 	h, _ = ParseHeader(wire)
-	gotRep, err := UnmarshalReply(h.Order, wire[HeaderSize:])
-	if err != nil {
+	gotRep := new(Reply)
+	if err := DecodeReply(h.Order, wire[HeaderSize:], gotRep); err != nil {
 		t.Fatal(err)
 	}
 	if len(gotRep.Payload) != 0 {
@@ -290,15 +290,15 @@ func TestReadMessage(t *testing.T) {
 	req := &Request{RequestID: 5, Operation: "op", ObjectKey: []byte("k"), Payload: []byte{1, 2, 3, 4}}
 	wire := MarshalRequest(nil, LittleEndian, req)
 
-	h, body, err := ReadMessage(bytes.NewReader(wire), make([]byte, 16))
+	h, body, err := ReadMessageLimited(bytes.NewReader(wire), make([]byte, 16), MaxMessageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.Type != MsgRequest || h.Order != LittleEndian {
 		t.Errorf("header = %+v", h)
 	}
-	got, err := UnmarshalRequest(h.Order, body)
-	if err != nil {
+	got := new(Request)
+	if err := DecodeRequest(h.Order, body, got); err != nil {
 		t.Fatal(err)
 	}
 	if got.RequestID != 5 || got.Operation != "op" {
@@ -306,10 +306,10 @@ func TestReadMessage(t *testing.T) {
 	}
 
 	// Short reads surface as errors.
-	if _, _, err := ReadMessage(bytes.NewReader(wire[:HeaderSize+2]), nil); err == nil {
+	if _, _, err := ReadMessageLimited(bytes.NewReader(wire[:HeaderSize+2]), nil, MaxMessageSize); err == nil {
 		t.Error("truncated body accepted")
 	}
-	if _, _, err := ReadMessage(bytes.NewReader(nil), nil); !errors.Is(err, io.EOF) {
+	if _, _, err := ReadMessageLimited(bytes.NewReader(nil), nil, MaxMessageSize); !errors.Is(err, io.EOF) {
 		t.Errorf("empty reader err = %v", err)
 	}
 }
@@ -320,16 +320,16 @@ func TestTwoMessagesBackToBack(t *testing.T) {
 	wire = MarshalReply(wire, BigEndian, &Reply{RequestID: 1, Payload: []byte("x")})
 
 	r := bytes.NewReader(wire)
-	h1, _, err := ReadMessage(r, nil)
+	h1, _, err := ReadMessageLimited(r, nil, MaxMessageSize)
 	if err != nil || h1.Type != MsgRequest {
 		t.Fatalf("first: %v %v", h1, err)
 	}
-	h2, body2, err := ReadMessage(r, nil)
+	h2, body2, err := ReadMessageLimited(r, nil, MaxMessageSize)
 	if err != nil || h2.Type != MsgReply {
 		t.Fatalf("second: %v %v", h2, err)
 	}
-	rep, err := UnmarshalReply(h2.Order, body2)
-	if err != nil || string(rep.Payload) != "x" {
+	rep := new(Reply)
+	if err := DecodeReply(h2.Order, body2, rep); err != nil || string(rep.Payload) != "x" {
 		t.Fatalf("reply: %+v %v", rep, err)
 	}
 }
@@ -353,8 +353,8 @@ func TestPropertyRequestRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := UnmarshalRequest(h.Order, wire[HeaderSize:])
-		if err != nil {
+		got := new(Request)
+		if err := DecodeRequest(h.Order, wire[HeaderSize:], got); err != nil {
 			return false
 		}
 		payloadOK := bytes.Equal(got.Payload, payload) || (len(got.Payload) == 0 && len(payload) == 0)
@@ -374,8 +374,8 @@ func TestPropertyDecoderRobustness(t *testing.T) {
 		if little {
 			order = LittleEndian
 		}
-		_, _ = UnmarshalRequest(order, body) // must not panic
-		_, _ = UnmarshalReply(order, body)
+		_ = DecodeRequest(order, body, new(Request)) // must not panic
+		_ = DecodeReply(order, body, new(Reply))
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -394,8 +394,8 @@ func TestLocateRoundTrip(t *testing.T) {
 		if h.Type != MsgLocateRequest {
 			t.Fatalf("type = %v", h.Type)
 		}
-		got, err := UnmarshalLocateRequest(h.Order, wire[HeaderSize:])
-		if err != nil {
+		got := new(LocateRequest)
+		if err := DecodeLocateRequest(h.Order, wire[HeaderSize:], got); err != nil {
 			t.Fatal(err)
 		}
 		if got.RequestID != 9 || string(got.ObjectKey) != "echo" {
@@ -408,8 +408,8 @@ func TestLocateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotRep, err := UnmarshalLocateReply(h.Order, wire[HeaderSize:])
-		if err != nil {
+		gotRep := new(LocateReply)
+		if err := DecodeLocateReply(h.Order, wire[HeaderSize:], gotRep); err != nil {
 			t.Fatal(err)
 		}
 		if gotRep.RequestID != 9 || gotRep.Status != LocateObjectHere {
@@ -417,10 +417,10 @@ func TestLocateRoundTrip(t *testing.T) {
 		}
 	}
 	// Truncation surfaces cleanly.
-	if _, err := UnmarshalLocateRequest(BigEndian, []byte{1}); !errors.Is(err, ErrTruncated) {
+	if err := DecodeLocateRequest(BigEndian, []byte{1}, new(LocateRequest)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short locate request err = %v", err)
 	}
-	if _, err := UnmarshalLocateReply(BigEndian, []byte{1, 2, 3, 4}); !errors.Is(err, ErrTruncated) {
+	if err := DecodeLocateReply(BigEndian, []byte{1, 2, 3, 4}, new(LocateReply)); !errors.Is(err, ErrTruncated) {
 		t.Errorf("short locate reply err = %v", err)
 	}
 }

@@ -109,7 +109,8 @@ func TestEncoderReset(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoMatchesUnmarshal round-trips via both APIs.
+// TestDecodeIntoMatchesUnmarshal decodes the same body into a fresh struct
+// and into a reused one holding stale fields: every field must agree.
 func TestDecodeIntoMatchesUnmarshal(t *testing.T) {
 	req := &Request{
 		RequestID: 9, ResponseExpected: true, ObjectKey: []byte("svc"),
@@ -118,8 +119,8 @@ func TestDecodeIntoMatchesUnmarshal(t *testing.T) {
 	frame := MarshalRequest(nil, LittleEndian, req)
 	body := frame[HeaderSize:]
 
-	viaPtr, err := UnmarshalRequest(LittleEndian, body)
-	if err != nil {
+	fresh := new(Request)
+	if err := DecodeRequest(LittleEndian, body, fresh); err != nil {
 		t.Fatal(err)
 	}
 	// Reused struct with stale fields from a previous decode.
@@ -127,10 +128,10 @@ func TestDecodeIntoMatchesUnmarshal(t *testing.T) {
 	if err := DecodeRequest(LittleEndian, body, &into); err != nil {
 		t.Fatal(err)
 	}
-	if into.RequestID != viaPtr.RequestID || into.Operation != viaPtr.Operation ||
-		!bytes.Equal(into.ObjectKey, viaPtr.ObjectKey) || !bytes.Equal(into.Payload, viaPtr.Payload) ||
-		into.Priority != viaPtr.Priority || into.ResponseExpected != viaPtr.ResponseExpected {
-		t.Errorf("DecodeRequest = %+v, UnmarshalRequest = %+v", into, viaPtr)
+	if into.RequestID != fresh.RequestID || into.Operation != fresh.Operation ||
+		!bytes.Equal(into.ObjectKey, fresh.ObjectKey) || !bytes.Equal(into.Payload, fresh.Payload) ||
+		into.Priority != fresh.Priority || into.ResponseExpected != fresh.ResponseExpected {
+		t.Errorf("decode into reused = %+v, into fresh = %+v", into, fresh)
 	}
 
 	rep := &Reply{RequestID: 9, Status: ReplyUserException}

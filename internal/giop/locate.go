@@ -87,15 +87,6 @@ func DecodeLocateRequest(order ByteOrder, body []byte, req *LocateRequest) error
 	return nil
 }
 
-// UnmarshalLocateRequest decodes a LocateRequest body into a fresh struct.
-func UnmarshalLocateRequest(order ByteOrder, body []byte) (*LocateRequest, error) {
-	var req LocateRequest
-	if err := DecodeLocateRequest(order, body, &req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
 // MarshalLocateReply encodes a full LocateReply message into buf, in place.
 func MarshalLocateReply(buf []byte, order ByteOrder, rep *LocateReply) []byte {
 	start := len(buf)
@@ -158,13 +149,4 @@ func DecodeLocateReply(order ByteOrder, body []byte, rep *LocateReply) error {
 	}
 	rep.Forward = fwd
 	return nil
-}
-
-// UnmarshalLocateReply decodes a LocateReply body into a fresh struct.
-func UnmarshalLocateReply(order ByteOrder, body []byte) (*LocateReply, error) {
-	var rep LocateReply
-	if err := DecodeLocateReply(order, body, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
 }

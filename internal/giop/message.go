@@ -503,16 +503,6 @@ func PeekRequestInfo(order ByteOrder, body []byte) (RequestInfo, bool) {
 	return info, true
 }
 
-// UnmarshalRequest decodes a request body into a fresh Request. Prefer
-// DecodeRequest with a reused struct on hot paths.
-func UnmarshalRequest(order ByteOrder, body []byte) (*Request, error) {
-	var req Request
-	if err := DecodeRequest(order, body, &req); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
 // MarshalReply encodes a full Reply message (header + body) into buf, in
 // place like MarshalRequest.
 func MarshalReply(buf []byte, order ByteOrder, rep *Reply) []byte {
@@ -571,28 +561,13 @@ func DecodeReply(order ByteOrder, body []byte, rep *Reply) error {
 	return nil
 }
 
-// UnmarshalReply decodes a reply body into a fresh Reply. Prefer DecodeReply
-// with a reused struct on hot paths.
-func UnmarshalReply(order ByteOrder, body []byte) (*Reply, error) {
-	var rep Reply
-	if err := DecodeReply(order, body, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// ReadMessage reads one framed GIOP message from r, using buf as scratch
-// when large enough. It returns the header and the body (which may alias
-// buf). Bodies are bounded only by the protocol-wide MaxMessageSize; use
-// ReadMessageLimited to enforce an endpoint's region budget.
-func ReadMessage(r io.Reader, buf []byte) (Header, []byte, error) {
-	return ReadMessageLimited(r, buf, MaxMessageSize)
-}
-
-// ReadMessageLimited is ReadMessage with a caller-imposed bound on the body
-// size. An over-limit frame fails with ErrTooLarge before any body byte is
-// read — an endpoint whose buffers live in a fixed scoped region must
-// reject what it cannot hold rather than grow.
+// ReadMessageLimited reads one framed GIOP message from r, using buf as
+// scratch when large enough, and returns the header and the body (which may
+// alias buf). Bodies over maxBody fail with ErrTooLarge before any body byte
+// is read — an endpoint whose buffers live in a fixed scoped region must
+// reject what it cannot hold rather than grow. It is the plain two-read
+// framing that FrameReader is checked against; the ORB read loops use
+// FrameReader.
 func ReadMessageLimited(r io.Reader, buf []byte, maxBody uint32) (Header, []byte, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -613,12 +588,7 @@ func ReadMessageLimited(r io.Reader, buf []byte, maxBody uint32) (Header, []byte
 	}
 	body := buf
 	if cap(body) < int(h.Size) {
-		// Scratch too small: grow it once to the body's size class rather
-		// than allocating the exact size per message. Callers that keep the
-		// returned buffer as their next scratch (FrameReader, the ORB read
-		// loops) then reuse one buffer for every later frame of the same
-		// class instead of paying an allocation per large message.
-		body = make([]byte, 0, frameClassCap(int(h.Size)))
+		body = make([]byte, h.Size)
 	}
 	body = body[:h.Size]
 	if _, err := io.ReadFull(r, body); err != nil {

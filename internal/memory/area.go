@@ -175,7 +175,6 @@ type Area struct {
 	buf        []byte
 	finalizers []func()
 	pool       *ScopePool
-	portal     Ref
 }
 
 // Name returns the area's diagnostic name.
@@ -270,10 +269,9 @@ func (a *Area) standIn(from *Area) error {
 }
 
 // AddFinalizer registers fn to run (LIFO) when the area is next reclaimed.
-// It is the analogue of scoped-object finalisation and is used by the
-// component runtime to tear down structures living in a dying scope.
-// Registering on heap or immortal areas is allowed but the finalizer will
-// never run.
+// It is the analogue of scoped-object finalisation; no runtime code registers
+// one, but tests observe reclamation through it. Registering on heap or
+// immortal areas is allowed but the finalizer will never run.
 func (a *Area) AddFinalizer(fn func()) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -427,7 +425,6 @@ func (a *Area) reclaimLocked() []func() {
 	a.used = 0
 	a.allocs = 0
 	a.level = 0
-	a.portal = Ref{}
 	if a.linear {
 		// Linear-time reuse cost, like LTScopedMemory — but proportional to
 		// what the scope actually allocated, not its capacity. alloc hands

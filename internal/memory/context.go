@@ -60,34 +60,6 @@ func (c *Context) Current() *Area { return c.stack[len(c.stack)-1] }
 // primordial area.
 func (c *Context) Depth() int { return len(c.stack) }
 
-// Fork returns a new context with a copy of this context's scope stack,
-// re-entering every scoped area on it. It models handing work to another
-// real-time thread that starts in the same memory area (as the Compadres
-// thread pools do when dispatching a message handler). The returned release
-// function must be called exactly once, when the forked context's work is
-// done, to exit the re-entered scopes.
-func (c *Context) Fork() (*Context, func(), error) {
-	nc := &Context{model: c.model, noHeap: c.noHeap, stack: make([]*Area, 0, len(c.stack))}
-	nc.stack = append(nc.stack, c.stack[0])
-	for i := 1; i < len(c.stack); i++ {
-		a := c.stack[i]
-		if err := a.enter(nc.Current()); err != nil {
-			nc.unwind()
-			return nil, nil, fmt.Errorf("fork scope stack: %w", err)
-		}
-		nc.stack = append(nc.stack, a)
-	}
-	return nc, nc.unwind, nil
-}
-
-func (c *Context) unwind() {
-	for len(c.stack) > 1 {
-		top := c.stack[len(c.stack)-1]
-		c.stack = c.stack[:len(c.stack)-1]
-		top.exit()
-	}
-}
-
 // Enter pushes the area onto the scope stack, runs fn, then pops it. For a
 // scoped area the single-parent rule is enforced: if the area is already
 // active its parent must equal the context's current area. When the last

@@ -86,66 +86,6 @@ func TestAllocInConvenience(t *testing.T) {
 	}
 }
 
-func TestForkReEntersScopeStack(t *testing.T) {
-	m := NewModel(Config{})
-	ctx := m.NewContext()
-	a := m.NewLTScoped("a", 64)
-	b := m.NewLTScoped("b", 64)
-
-	err := ctx.Enter(a, func(c1 *Context) error {
-		return c1.Enter(b, func(c2 *Context) error {
-			fc, release, err := c2.Fork()
-			if err != nil {
-				return err
-			}
-			if fc.Current() != b || fc.Depth() != 3 {
-				t.Errorf("forked current = %v depth %d", fc.Current().Name(), fc.Depth())
-			}
-			// The fork holds b open even after the original exits... simulate
-			// by checking entrant counts indirectly: allocate from fork.
-			if _, err := fc.Alloc(8); err != nil {
-				t.Errorf("alloc from fork: %v", err)
-			}
-			release()
-			return nil
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Active() || b.Active() {
-		t.Error("scopes leaked after fork release")
-	}
-}
-
-func TestForkKeepsScopeAliveAfterParentExit(t *testing.T) {
-	m := NewModel(Config{})
-	ctx := m.NewContext()
-	a := m.NewLTScoped("a", 64)
-
-	var fc *Context
-	var release func()
-	err := ctx.Enter(a, func(c *Context) error {
-		var err error
-		fc, release, err = c.Fork()
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Original context has exited, but the fork still holds a open.
-	if !a.Active() {
-		t.Fatal("scope reclaimed while fork alive")
-	}
-	if _, err := fc.Alloc(8); err != nil {
-		t.Errorf("alloc from surviving fork: %v", err)
-	}
-	release()
-	if a.Active() {
-		t.Error("scope still active after fork release")
-	}
-}
-
 func TestStackSnapshot(t *testing.T) {
 	m := NewModel(Config{})
 	ctx := m.NewContext()

@@ -44,8 +44,6 @@ type ClientConfig struct {
 	// returns the current member addresses; errors and empty lists leave the
 	// previous membership in place.
 	Resolve func() ([]string, error)
-	// Order selects the CDR byte order; BigEndian by default.
-	Order giop.ByteOrder
 	// MaxMessage bounds a reply body; zero selects DefaultMaxMessage.
 	MaxMessage int
 	// ScopePoolCount pre-creates that many MessageProcessing scopes
@@ -92,8 +90,7 @@ type ClientConfig struct {
 	// Retarget falls the client back to the wire, never a stale pointer.
 	// Contract difference from the wire: a collocated Invoke's reply aliases
 	// the slice the servant returned (no marshal copies), so servants must
-	// hand out bytes they will not mutate afterwards; and Locate always uses
-	// the wire.
+	// hand out bytes they will not mutate afterwards.
 	Collocate bool
 }
 
@@ -120,7 +117,6 @@ type Client struct {
 	reqPool  *memory.ScopePool
 	nextID   atomic.Uint32
 	maxMsg   int
-	order    giop.ByteOrder
 	tenant   overload.Tenant
 	closed   atomic.Bool
 	network  transport.Network
@@ -214,7 +210,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		app:       app,
 		reqPool:   reqPool,
 		maxMsg:    maxMsg,
-		order:     cfg.Order,
 		tenant:    cfg.Tenant,
 		network:   cfg.Network,
 		addr:      addrs[0],
@@ -414,7 +409,7 @@ func (cl *Client) submit(buf memory.Ref, in *invokeMsg) (tabled bool, err error)
 	if err != nil {
 		return false, err
 	}
-	wire := giop.MarshalRequest(wireBuf[:0], cl.order, &giop.Request{
+	wire := giop.MarshalRequest(wireBuf[:0], giop.BigEndian, &giop.Request{
 		RequestID:        in.id,
 		ResponseExpected: !in.oneway,
 		ObjectKey:        in.keyBuf,
@@ -790,66 +785,6 @@ func endSpan(trace, span uint64, started int64) {
 		return
 	}
 	telemetry.Record(telemetry.EvSpanEnd, clientSpanLabel, trace, span, uint64(telemetry.Now()-started))
-}
-
-// Locate probes whether the server hosts the object key, using the GIOP
-// LocateRequest/LocateReply exchange. Unlike Invoke it bypasses the
-// component structure: locate is a transport-level question, answered through
-// the same demux that matches invocation replies. The Transport
-// must already be connected (issue any Invoke first, or rely on lazy
-// instantiation via a throwaway call).
-func (cl *Client) Locate(key string) (bool, error) {
-	here, _, err := cl.LocateEx(key)
-	return here, err
-}
-
-// LocateEx is Locate with the forwarding evidence: when the server answers
-// LocateObjectForward — a group directory redirecting the probe — fwd
-// carries the addresses of the group members actually hosting the object
-// (here is false; the probed server itself does not serve it).
-func (cl *Client) LocateEx(key string) (here bool, fwd []string, err error) {
-	if cl.closed.Load() {
-		return false, nil, corba.ErrClosed
-	}
-	_, err = cl.withRetry(func() ([]byte, error) {
-		var err error
-		here, fwd, err = cl.locateOnce(key)
-		return nil, err
-	})
-	return here, fwd, err
-}
-
-// locateOnce performs one LocateRequest/LocateReply exchange through a
-// stripe's multiplexed connection (locate carries no priority; it routes
-// under the normal band).
-func (cl *Client) locateOnce(key string) (bool, []string, error) {
-	st, err := cl.pickStripe(sched.NormPriority)
-	if err != nil {
-		return false, nil, err
-	}
-	mc, err := st.conn() // unsupervised, ErrClosed until an invoke has connected
-	if err != nil {
-		return false, nil, err
-	}
-	id := cl.nextID.Add(1)
-	pe := getPending(id, bandOf(sched.NormPriority))
-	pe.locate = true
-	if err := mc.register(pe); err != nil {
-		putPending(pe) // never registered; we are the only holder
-		return false, nil, fmt.Errorf("orb client: locate: %w", err)
-	}
-	wb := giop.GetBuffer()
-	wb.B = giop.MarshalLocateRequest(wb.B, cl.order, &giop.LocateRequest{
-		RequestID: id, ObjectKey: []byte(key),
-	})
-	err = mc.send(wb.B, true)
-	giop.PutBuffer(wb)
-	_ = err // a send failure completed the registered entry with the wire error
-	res := cl.await(pe)
-	if res.err != nil {
-		return false, nil, fmt.Errorf("orb client: locate: %w", res.err)
-	}
-	return res.here, res.fwd, nil
 }
 
 // Inflight reports the number of invocations in progress on either transport

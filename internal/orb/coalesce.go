@@ -61,8 +61,8 @@ const (
 	// sendAlone: nothing else is in flight; write directly if the wire is
 	// free.
 	sendAlone
-	// sendInline: the caller reports this frame's own write error (oneways,
-	// Locate); wait for the wire and write directly.
+	// sendInline: the caller reports this frame's own write error (client
+	// oneways, server Locate replies); wait for the wire and write directly.
 	sendInline
 )
 

@@ -81,11 +81,6 @@ func TestIdleConnectionDeathFoundByNextInvocation(t *testing.T) {
 			}
 
 			restart()
-			if here, err := cl.Locate("echo"); err != nil || !here {
-				t.Errorf("Locate across the death = (%v, %v)", here, err)
-			}
-
-			restart()
 			reached := false
 			for i := 0; i < 50 && !reached; i++ {
 				if err := cl.InvokeOneway("sink", "push", []byte{byte(i)}, sched.NormPriority); err != nil {

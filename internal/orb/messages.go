@@ -25,20 +25,16 @@ func countPayloadCopy(n int) {
 	payloadCopyBytes.Add(int64(n))
 }
 
-// invokeResult carries a completed invocation back to the caller; here is
-// the answer of a LocateReply. When frame is non-nil, payload aliases the
-// arrival frame's buffer and ownership of one frame reference travels with
-// the result: whoever receives it from the completion channel must release
-// the frame once the payload has been consumed (copied out, or viewed under
-// InvokeView). Error results never carry a frame.
+// invokeResult carries a completed invocation back to the caller. When frame
+// is non-nil, payload aliases the arrival frame's buffer and ownership of one
+// frame reference travels with the result: whoever receives it from the
+// completion channel must release the frame once the payload has been
+// consumed (copied out, or viewed under InvokeView). Error results never
+// carry a frame.
 type invokeResult struct {
 	payload []byte
 	err     error
-	here    bool
-	// fwd is a LocateReply's forwarding-address list (LocateObjectForward):
-	// the members of the server group actually hosting the probed object.
-	fwd   []string
-	frame *giop.FrameBuf
+	frame   *giop.FrameBuf
 }
 
 // release drops the result's frame reference, if any.

@@ -58,8 +58,7 @@ const (
 // harmless, while a late write to a recycled one would hand some other
 // invocation a stranger's reply.
 type muxPending struct {
-	id     uint32
-	locate bool
+	id uint32
 	// band is the priority band the invocation was routed under; the stripe
 	// selector's per-band in-flight accounting is decremented with it when
 	// the entry leaves the pending table.
@@ -94,7 +93,6 @@ var pendingPool = sync.Pool{New: func() any {
 func getPending(id uint32, band int32) *muxPending {
 	pe := pendingPool.Get().(*muxPending)
 	pe.id = id
-	pe.locate = false
 	pe.band = band
 	pe.mc = nil
 	pe.state.Store(pendingArmed)
@@ -247,14 +245,13 @@ func (mc *muxConn) retire(grace time.Duration) {
 // matched but who has not run again yet is about to send its next request,
 // and on one processor a sender that took itself for alone would hand the
 // thread on, hop by hop, for a whole time slice while the others starve
-// (over the in-process stream: 16 callers, p99.9 30-40 ms). inline (oneways,
-// Locate) waits for the frame's own write so its error is the caller's to
-// report. When the client has a per-invoke deadline the write itself is
-// bounded by it too — a peer that stopped reading must not wedge the submit
-// path forever. Any write error (a partial frame desynchronises GIOP
-// framing) kills the connection; many senders may observe the same error but
-// only the one that hit it reports it, preserving
-// one-breaker-failure-per-wire-event.
+// (over the in-process stream: 16 callers, p99.9 30-40 ms). inline (oneways)
+// waits for the frame's own write so its error is the caller's to report.
+// When the client has a per-invoke deadline the write itself is bounded by it
+// too — a peer that stopped reading must not wedge the submit path forever.
+// Any write error (a partial frame desynchronises GIOP framing) kills the
+// connection; many senders may observe the same error but only the one that
+// hit it reports it, preserving one-breaker-failure-per-wire-event.
 func (mc *muxConn) send(wire []byte, inline bool) error {
 	err, owner := mc.w.write(wire, modeFor(inline, mc.cl.inflight.Load()))
 	if err != nil {
@@ -325,7 +322,7 @@ func (mc *muxConn) fail(err error) {
 // released, and dropped without wedging the stream. fatal reports that the
 // frame killed the connection (fail has run; every tabled entry, including
 // own, completes with the error).
-func (mc *muxConn) handleFrame(h giop.Header, fb *giop.FrameBuf, rep *giop.Reply, loc *giop.LocateReply, own *muxPending) (res invokeResult, mine, fatal bool) {
+func (mc *muxConn) handleFrame(h giop.Header, fb *giop.FrameBuf, rep *giop.Reply, own *muxPending) (res invokeResult, mine, fatal bool) {
 	switch h.Type {
 	case giop.MsgReply:
 		if err := giop.DecodeReply(h.Order, fb.Body(), rep); err != nil {
@@ -348,28 +345,14 @@ func (mc *muxConn) handleFrame(h giop.Header, fb *giop.FrameBuf, rep *giop.Reply
 		mc.noteOrder(rep.RequestID)
 		mc.brkSuccess()
 		return mc.deliver(pe, replyResult(rep, fb), own)
-	case giop.MsgLocateReply:
-		err := giop.DecodeLocateReply(h.Order, fb.Body(), loc)
-		fb.Release() // locate results carry no payload view
-		if err != nil {
-			mc.readFailed(err)
-			return invokeResult{}, false, true
-		}
-		pe := mc.take(loc.RequestID, nil)
-		if pe == nil || !pe.locate {
-			muxStaleDropTotal.Inc()
-			return invokeResult{}, false, false
-		}
-		mc.noteOrder(loc.RequestID)
-		mc.brkSuccess()
-		return mc.deliver(pe, invokeResult{here: loc.Status == giop.LocateObjectHere, fwd: loc.Forward}, own)
 	case giop.MsgCloseConnection:
 		fb.Release()
 		mc.fail(fmt.Errorf("orb client: %w", corba.ErrClosed))
 		return invokeResult{}, false, true
 	default:
-		// A request-direction or unknown message on the reply stream is
-		// a protocol violation; the connection cannot be trusted.
+		// The client solicits replies only: a request-direction message, a
+		// LocateReply or an unknown type on the reply stream is a protocol
+		// violation; the connection cannot be trusted.
 		fb.Release()
 		mc.fail(fmt.Errorf("orb client: unexpected %v message", h.Type))
 		return invokeResult{}, false, true
@@ -418,7 +401,6 @@ func (mc *muxConn) lead(pe *muxPending, deadline time.Time) invokeResult {
 		_ = mc.conn.SetReadDeadline(deadline)
 	}
 	var rep giop.Reply
-	var loc giop.LocateReply
 	for {
 		h, fb, err := mc.fr.NextFrame()
 		if err != nil && !deadline.IsZero() && errors.Is(err, os.ErrDeadlineExceeded) && !mc.dead.Load() {
@@ -435,7 +417,7 @@ func (mc *muxConn) lead(pe *muxPending, deadline time.Time) invokeResult {
 			mc.readFailed(err)
 			fatal = true
 		} else {
-			res, mine, fatal = mc.handleFrame(h, fb, &rep, &loc, pe)
+			res, mine, fatal = mc.handleFrame(h, fb, &rep, pe)
 		}
 		if fatal {
 			// fail completed every tabled entry — ours included.

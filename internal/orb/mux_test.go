@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -246,6 +247,61 @@ func TestMuxConnDeathFailsAllPendingOnce(t *testing.T) {
 	}
 	if st := cl.stripes[0].brk.State(); st != breakerClosed {
 		t.Errorf("breaker state = %d after one wire event; %d victims were each counted as a failure", st, callers)
+	}
+}
+
+// TestMuxUnsolicitedLocateReplyFailsConnection pins the demux's one
+// exchange: the client never sends a LocateRequest, so a LocateReply on its
+// connection — even one bearing the id of an invocation in flight — is a
+// protocol violation. The connection fails and every tabled invocation
+// completes with an error, while the server holds the connection open and
+// answers nothing else: none may be left waiting.
+func TestMuxUnsolicitedLocateReplyFailsConnection(t *testing.T) {
+	net := transport.NewInproc()
+	rs := newRawServer(t, net)
+	const callers = 4
+	hold := make(chan struct{})
+	defer close(hold)
+	rs.serve(func(conn transport.Conn) {
+		var first uint32
+		for i := 0; i < callers; i++ {
+			_, req := readRequest(t, conn)
+			if req == nil {
+				return
+			}
+			if i == 0 {
+				first = req.RequestID
+			}
+		}
+		wire := giop.MarshalLocateReply(nil, giop.BigEndian, &giop.LocateReply{
+			RequestID: first, Status: giop.LocateObjectHere,
+		})
+		if _, err := conn.Write(wire); err != nil {
+			t.Errorf("raw server write: %v", err)
+		}
+		<-hold
+	})
+	cl := dial(t, net, rs.addr, ClientConfig{})
+
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			_, err := cl.Invoke("echo", "echo", []byte("x"), sched.NormPriority)
+			errs <- err
+		}()
+	}
+	for i := 0; i < callers; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "unexpected LocateReply") {
+				t.Errorf("invocation %d = %v, want the protocol violation", i, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d invocations still waiting after an unsolicited LocateReply", callers-i, callers)
+		}
+	}
+	if got := cl.Inflight(); got != 0 {
+		t.Errorf("inflight = %d after the connection failed", got)
 	}
 }
 

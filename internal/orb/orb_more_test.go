@@ -24,18 +24,80 @@ func TestOversizedReplyFailsCleanly(t *testing.T) {
 	}
 }
 
+// TestLittleEndianClient sends a little-endian request frame from a raw
+// peer: the server decodes it and answers in the byte order the request came
+// in, with the echoed payload.
 func TestLittleEndianClient(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})
-	cl := dial(t, net, srv.Addr(), ClientConfig{Order: giop.LittleEndian})
-	_ = srv
-	got, err := cl.Invoke("echo", "echo", []byte("LE"), sched.NormPriority)
+	conn := rawDial(t, net, srv.Addr())
+	h, rep := rawInvoke(t, conn, giop.LittleEndian, 7, "echo", []byte("LE"))
+	if h.Order != giop.LittleEndian {
+		t.Errorf("reply byte order = %v, want little-endian", h.Order)
+	}
+	if rep.RequestID != 7 || rep.Status != giop.ReplyNoException || string(rep.Payload) != "LE" {
+		t.Errorf("reply = id %d, status %v, payload %q; want id 7, no exception, %q", rep.RequestID, rep.Status, rep.Payload, "LE")
+	}
+}
+
+// rawDial opens a connection to a server with no client in between, for
+// tests that speak GIOP frames to it directly.
+func rawDial(t *testing.T, net transport.Network, addr string) transport.Conn {
+	t.Helper()
+	conn, err := net.Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "LE" {
-		t.Errorf("echo = %q", got)
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// rawRoundTrip writes one frame and reads the next one back.
+func rawRoundTrip(t *testing.T, conn transport.Conn, wire []byte) (giop.Header, []byte) {
+	t.Helper()
+	if _, err := conn.Write(wire); err != nil {
+		t.Fatal(err)
 	}
+	h, body, err := giop.ReadMessageLimited(conn, nil, DefaultMaxMessage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, body
+}
+
+// rawInvoke sends one request in the given byte order and decodes its reply.
+func rawInvoke(t *testing.T, conn transport.Conn, order giop.ByteOrder, id uint32, key string, payload []byte) (giop.Header, giop.Reply) {
+	t.Helper()
+	h, body := rawRoundTrip(t, conn, giop.MarshalRequest(nil, order, &giop.Request{
+		RequestID: id, ResponseExpected: true, ObjectKey: []byte(key), Operation: "echo", Payload: payload,
+	}))
+	var rep giop.Reply
+	if h.Type != giop.MsgReply {
+		t.Fatalf("answer to a request is a %v", h.Type)
+	}
+	if err := giop.DecodeReply(h.Order, body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	return h, rep
+}
+
+// rawLocate sends one LocateRequest and decodes the server's LocateReply.
+func rawLocate(t *testing.T, conn transport.Conn, id uint32, key string) giop.LocateReply {
+	t.Helper()
+	h, body := rawRoundTrip(t, conn, giop.MarshalLocateRequest(nil, giop.BigEndian, &giop.LocateRequest{
+		RequestID: id, ObjectKey: []byte(key),
+	}))
+	var rep giop.LocateReply
+	if h.Type != giop.MsgLocateReply {
+		t.Fatalf("answer to a locate request is a %v", h.Type)
+	}
+	if err := giop.DecodeLocateReply(h.Order, body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.RequestID != id {
+		t.Fatalf("locate reply id = %d, want %d", rep.RequestID, id)
+	}
+	return rep
 }
 
 func TestConcurrentInvokesOneClient(t *testing.T) {
@@ -173,35 +235,22 @@ func TestDialFailureSurfacesOnFirstInvoke(t *testing.T) {
 	}
 }
 
+// TestLocate probes a server with raw LocateRequest frames: a registered
+// servant is OBJECT_HERE, an unknown key UNKNOWN_OBJECT, and the connection
+// still carries requests afterwards.
 func TestLocate(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})
-	cl := dial(t, net, srv.Addr(), ClientConfig{})
-	_ = srv
+	conn := rawDial(t, net, srv.Addr())
 
-	// Before any invoke the transport is not yet connected.
-	if _, err := cl.Locate("echo"); err == nil {
-		t.Error("locate before transport connect succeeded")
+	if rep := rawLocate(t, conn, 1, "echo"); rep.Status != giop.LocateObjectHere || rep.Forward != nil {
+		t.Errorf("registered servant: status %v, forward %v; want OBJECT_HERE and no forward", rep.Status, rep.Forward)
 	}
-	if _, err := cl.Invoke("echo", "ping", nil, sched.NormPriority); err != nil {
-		t.Fatal(err)
-	}
-	here, err := cl.Locate("echo")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !here {
-		t.Error("registered servant not located")
-	}
-	here, err = cl.Locate("ghost")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if here {
-		t.Error("unregistered servant located")
+	if rep := rawLocate(t, conn, 2, "ghost"); rep.Status != giop.LocateUnknownObject || rep.Forward != nil {
+		t.Errorf("unregistered servant: status %v, forward %v; want UNKNOWN_OBJECT and no forward", rep.Status, rep.Forward)
 	}
 	// The connection remains usable for requests afterwards.
-	if _, err := cl.Invoke("echo", "ping", nil, sched.NormPriority); err != nil {
-		t.Errorf("post-locate invoke: %v", err)
+	if _, rep := rawInvoke(t, conn, giop.BigEndian, 3, "echo", []byte("after")); rep.Status != giop.ReplyNoException || string(rep.Payload) != "after" {
+		t.Errorf("post-locate invoke: status %v, payload %q", rep.Status, rep.Payload)
 	}
 }

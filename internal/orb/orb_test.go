@@ -250,7 +250,7 @@ func TestConfigSurface(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{ClientConfig{}, 13},
+		{ClientConfig{}, 12},
 		{ServerConfig{}, 9},
 	} {
 		if typ := reflect.TypeOf(c.cfg); typ.NumField() != c.want {

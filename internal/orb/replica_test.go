@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/giop"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
@@ -137,7 +138,9 @@ func TestReplicaFailoverAndReadd(t *testing.T) {
 
 // TestServerLocateForward installs a forwarder on a server with no matching
 // servant and demands the Locate probe comes back OBJECT_FORWARD with the
-// group's addresses, while a locally-served key still answers OBJECT_HERE.
+// group's addresses, while a locally-served key still answers OBJECT_HERE, a
+// key nobody serves UNKNOWN_OBJECT, and the same server still answers an
+// invocation afterwards.
 func TestServerLocateForward(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})
@@ -147,37 +150,26 @@ func TestServerLocateForward(t *testing.T) {
 		}
 		return nil
 	})
-	cl := dial(t, net, srv.Addr(), ClientConfig{})
-	// The Transport dials on first submission; warm it up.
-	if _, err := cl.Invoke("echo", "echo", []byte("warmup"), sched.NormPriority); err != nil {
-		t.Fatal(err)
-	}
+	conn := rawDial(t, net, srv.Addr())
 
-	here, fwd, err := cl.LocateEx("group/echo")
-	if err != nil {
-		t.Fatal(err)
+	rep := rawLocate(t, conn, 1, "group/echo")
+	if rep.Status != giop.LocateObjectForward {
+		t.Errorf("forwarded key: status %v, want OBJECT_FORWARD", rep.Status)
 	}
-	if here {
-		t.Error("forwarded key reported OBJECT_HERE")
-	}
-	if len(fwd) != 3 || fwd[0] != "m0" || fwd[1] != "m1" || fwd[2] != "m2" {
+	if fwd := rep.Forward; len(fwd) != 3 || fwd[0] != "m0" || fwd[1] != "m1" || fwd[2] != "m2" {
 		t.Errorf("forward list = %v, want [m0 m1 m2]", fwd)
 	}
 
-	here, fwd, err = cl.LocateEx("echo")
-	if err != nil {
-		t.Fatal(err)
+	if rep := rawLocate(t, conn, 2, "echo"); rep.Status != giop.LocateObjectHere || rep.Forward != nil {
+		t.Errorf("local key: status %v, forward %v; want OBJECT_HERE and no forward", rep.Status, rep.Forward)
 	}
-	if !here || fwd != nil {
-		t.Errorf("local key: here=%v fwd=%v, want here and no forward", here, fwd)
+	if rep := rawLocate(t, conn, 3, "nowhere"); rep.Status != giop.LocateUnknownObject || rep.Forward != nil {
+		t.Errorf("unknown key: status %v, forward %v; want UNKNOWN_OBJECT and no forward", rep.Status, rep.Forward)
 	}
 
-	here, fwd, err = cl.LocateEx("nowhere")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if here || fwd != nil {
-		t.Errorf("unknown key: here=%v fwd=%v, want neither", here, fwd)
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
+	if out, err := cl.Invoke("echo", "echo", []byte("after"), sched.NormPriority); err != nil || string(out) != "after" {
+		t.Errorf("invoke after the probes = (%q, %v)", out, err)
 	}
 }
 

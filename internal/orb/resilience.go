@@ -84,7 +84,7 @@ type ResilienceConfig struct {
 	// selects 1ms and 250ms.
 	ReconnectBase, ReconnectMax time.Duration
 	// MaxRetries bounds retry attempts beyond the first try for idempotent
-	// operations (InvokeIdempotent, Locate, InvokeOneway); zero selects 3.
+	// operations (InvokeIdempotent, InvokeOneway); zero selects 3.
 	MaxRetries int
 	// RetryBudgetTokens/RetryBudgetEarnEvery parameterise the token bucket
 	// that bounds aggregate retry volume: the bucket starts with Tokens,

@@ -114,25 +114,28 @@ type Config struct {
 	// 1024. The limit starts at MaxLimit (optimistic, like gradient
 	// limiters) and converges down under load.
 	MinLimit, MaxLimit int
-	// Step is the additive raise per healthy window. Zero selects 4.
-	Step int
-	// Backoff is the multiplicative cut on breach, in percent of the current
-	// limit that survives (e.g. 75 keeps three quarters). Zero selects 75.
-	BackoffPct int
-	// MinSamples is the minimum completions in a window for its p99 to move
-	// the limit either way. Zero selects 16.
-	MinSamples int
-	// MissBurst is the deadline-miss (or dequeue-shed) count within one
-	// window treated as a breach regardless of p99. Zero selects 8.
-	MissBurst int
-	// EscalateAfter is how many consecutive overloaded windows raise the
-	// brown-out ladder one level. Zero selects 3.
-	EscalateAfter int
-	// DeescalateAfter is how many consecutive healthy windows lower it one
-	// level — deliberately larger than EscalateAfter for hysteresis. Zero
-	// selects 8.
-	DeescalateAfter int
 }
+
+// The control law's fixed gains.
+const (
+	// raiseStep is the additive raise per healthy window.
+	raiseStep = 4
+	// backoffPct is the multiplicative cut on breach, in percent of the
+	// current limit that survives: three quarters.
+	backoffPct = 75
+	// minSamples is the minimum completions in a window for its p99 to move
+	// the limit either way.
+	minSamples = 16
+	// missBurst is the deadline-miss (or dequeue-shed) count within one
+	// window treated as a breach regardless of p99.
+	missBurst = 8
+	// escalateAfter is how many consecutive overloaded windows raise the
+	// brown-out ladder one level.
+	escalateAfter = 3
+	// deescalateAfter is how many consecutive healthy windows lower it one
+	// level — deliberately larger than escalateAfter for hysteresis.
+	deescalateAfter = 8
+)
 
 // tierWeights are the fair-share weights per tier: a tier-0 tenant gets 16×
 // a best-effort tenant's share of the contested headroom.
@@ -158,24 +161,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxLimit < c.MinLimit {
 		c.MaxLimit = c.MinLimit
-	}
-	if c.Step <= 0 {
-		c.Step = 4
-	}
-	if c.BackoffPct <= 0 || c.BackoffPct >= 100 {
-		c.BackoffPct = 75
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 16
-	}
-	if c.MissBurst <= 0 {
-		c.MissBurst = 8
-	}
-	if c.EscalateAfter <= 0 {
-		c.EscalateAfter = 3
-	}
-	if c.DeescalateAfter <= 0 {
-		c.DeescalateAfter = 8
 	}
 	return c
 }
@@ -497,22 +482,22 @@ func (c *Controller) step() {
 	// too few samples move nothing — a rejection burst with no completions
 	// is not a latency signal.
 	breach := false
-	if done >= int64(c.cfg.MinSamples) && p99 > int64(c.cfg.TargetP99) {
+	if done >= minSamples && p99 > int64(c.cfg.TargetP99) {
 		breach = true
 	}
-	if missDelta >= int64(c.cfg.MissBurst) {
+	if missDelta >= missBurst {
 		breach = true
 	}
 	lim := c.limit.Load()
 	switch {
 	case breach:
-		lim = lim * int64(c.cfg.BackoffPct) / 100
+		lim = lim * backoffPct / 100
 		if lim < int64(c.cfg.MinLimit) {
 			lim = int64(c.cfg.MinLimit)
 		}
 		c.limit.Store(lim)
-	case done >= int64(c.cfg.MinSamples):
-		lim += int64(c.cfg.Step)
+	case done >= minSamples:
+		lim += raiseStep
 		if lim > int64(c.cfg.MaxLimit) {
 			lim = int64(c.cfg.MaxLimit)
 		}
@@ -526,21 +511,21 @@ func (c *Controller) step() {
 	// rejections show up as sheds — without the gate, rejected tenants that
 	// keep retrying would hold `shed >= done` forever and the ladder would
 	// never walk back down. Rejections with ample in-flight headroom are
-	// policy, not pressure. Escalation needs EscalateAfter consecutive
-	// overloaded windows, de-escalation DeescalateAfter healthy ones — the
+	// policy, not pressure. Escalation needs escalateAfter consecutive
+	// overloaded windows, de-escalation deescalateAfter healthy ones — the
 	// asymmetry is the hysteresis.
 	overloaded := breach || (shed > 0 && shed >= done && c.congested())
 	if overloaded {
 		c.healthyRun = 0
 		c.overloadRun++
-		if c.overloadRun >= c.cfg.EscalateAfter {
+		if c.overloadRun >= escalateAfter {
 			c.overloadRun = 0
 			c.setLevel(c.level.Load() + 1)
 		}
 	} else {
 		c.overloadRun = 0
 		c.healthyRun++
-		if c.healthyRun >= c.cfg.DeescalateAfter {
+		if c.healthyRun >= deescalateAfter {
 			c.healthyRun = 0
 			c.setLevel(c.level.Load() - 1)
 		}

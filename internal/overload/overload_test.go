@@ -1,6 +1,7 @@
 package overload
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,16 +14,19 @@ import (
 // (Window = 1h), so tests drive every control step explicitly with Tick.
 func testConfig() Config {
 	return Config{
-		TargetP99:       time.Millisecond,
-		Window:          time.Hour,
-		MinLimit:        4,
-		MaxLimit:        128,
-		Step:            4,
-		BackoffPct:      50,
-		MinSamples:      8,
-		MissBurst:       8,
-		EscalateAfter:   2,
-		DeescalateAfter: 3,
+		TargetP99: time.Millisecond,
+		Window:    time.Hour,
+		MinLimit:  4,
+		MaxLimit:  128,
+	}
+}
+
+// TestConfigSurface pins the number of settable values a Controller has:
+// the control target, the window and the limit's bounds. The control law's
+// gains are constants; adding a setting should be a conscious diff here.
+func TestConfigSurface(t *testing.T) {
+	if n := reflect.TypeOf(Config{}).NumField(); n != 4 {
+		t.Errorf("Config has %d fields, want 4", n)
 	}
 }
 
@@ -57,14 +61,14 @@ func TestAIMDRaiseAndCut(t *testing.T) {
 
 	admitN(t, c, 16, 10*time.Millisecond) // 10× the target
 	c.Tick()
-	if got := c.Limit(); got != 34 {
-		t.Errorf("breach window: limit = %d, want 68/2", got)
+	if got := c.Limit(); got != 51 {
+		t.Errorf("breach window: limit = %d, want 68*3/4", got)
 	}
 
-	admitN(t, c, 3, 10*time.Millisecond) // breach latency, but < MinSamples
+	admitN(t, c, 3, 10*time.Millisecond) // breach latency, but < minSamples
 	c.Tick()
-	if got := c.Limit(); got != 34 {
-		t.Errorf("thin window moved the limit to %d, want unchanged 34", got)
+	if got := c.Limit(); got != 51 {
+		t.Errorf("thin window moved the limit to %d, want unchanged 51", got)
 	}
 }
 
@@ -72,19 +76,18 @@ func TestAIMDRaiseAndCut(t *testing.T) {
 // elapsed, Dones at breach latency leave the limit alone, and the next Admit
 // runs the step — and is judged by the cut limit.
 func TestAIMDStepsOnArrival(t *testing.T) {
-	cfg := testConfig()
-	cfg.Window = time.Millisecond
-	c := NewController(cfg)
+	c := NewController(testConfig())
 	defer c.Close()
 	c.limit.Store(64)
 
-	// Any step these arrivals run sees no samples and moves nothing.
 	for i := 0; i < 16; i++ {
 		if !c.Admit(0, Tier0, sched.NormPriority).OK {
 			t.Fatalf("admit %d rejected", i)
 		}
 	}
-	time.Sleep(2 * cfg.Window)
+	// The hour-long window ends now, as if it had elapsed; Tick would run
+	// the step itself and leave nothing for the arrival to prove.
+	c.windowEnd.Store(telemetry.Now())
 	for i := 0; i < 16; i++ {
 		c.Done(int64(10 * time.Millisecond))
 	}
@@ -96,8 +99,8 @@ func TestAIMDStepsOnArrival(t *testing.T) {
 		t.Fatal("stepping arrival rejected")
 	}
 	c.Dropped()
-	if got := c.Limit(); got != 32 {
-		t.Errorf("limit = %d after the next arrival, want 64/2: Admit must step", got)
+	if got := c.Limit(); got != 48 {
+		t.Errorf("limit = %d after the next arrival, want 64*3/4: Admit must step", got)
 	}
 }
 
@@ -169,14 +172,14 @@ func TestAIMDBounds(t *testing.T) {
 	c := NewController(cfg)
 	defer c.Close()
 	for i := 0; i < 10; i++ {
-		admitN(t, c, 8, 10*time.Millisecond)
+		admitN(t, c, minSamples, 10*time.Millisecond)
 		c.Tick()
 	}
 	if got := c.Limit(); got != 4 {
 		t.Errorf("after sustained breach: limit = %d, want floor 4", got)
 	}
 	for i := 0; i < 20; i++ {
-		admitN(t, c, 8, 10*time.Microsecond)
+		admitN(t, c, minSamples, 10*time.Microsecond)
 		c.Tick()
 	}
 	if got := c.Limit(); got != 16 {
@@ -204,7 +207,7 @@ func TestRejectionsAreNotLatencySignal(t *testing.T) {
 		{name: "drops beside healthy traffic", fast: 16, dropped: 200,
 			wantLimit: func(s int) int { return s + 4 }},
 		{name: "genuine breach still cuts", slow: 16, dropped: 50,
-			wantLimit: func(s int) int { return s / 2 }},
+			wantLimit: func(s int) int { return s * 3 / 4 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := NewController(testConfig())
@@ -242,8 +245,8 @@ func TestDeadlineShedBurstCutsLimit(t *testing.T) {
 		telemetry.ReportDeadlineShed(telemetry.Label("test.port"), 0, 1, 0, 15)
 	}
 	c.Tick()
-	if got := c.Limit(); got != 32 {
-		t.Errorf("limit = %d after deadline-shed burst, want 64/2", got)
+	if got := c.Limit(); got != 48 {
+		t.Errorf("limit = %d after deadline-shed burst, want 64*3/4", got)
 	}
 }
 
@@ -318,13 +321,11 @@ func TestHardCap(t *testing.T) {
 	}
 }
 
-// The brown-out ladder escalates after EscalateAfter consecutive overloaded
-// windows, de-escalates after DeescalateAfter healthy ones, and each level
-// rejects what it promises.
+// The brown-out ladder escalates after escalateAfter (3) consecutive
+// overloaded windows, de-escalates after deescalateAfter (8) healthy ones, and
+// each level rejects what it promises.
 func TestBrownoutLadder(t *testing.T) {
-	cfg := testConfig()
-	cfg.EscalateAfter, cfg.DeescalateAfter = 2, 3
-	c := NewController(cfg)
+	c := NewController(testConfig())
 	defer c.Close()
 	c.limit.Store(64)
 
@@ -332,17 +333,19 @@ func TestBrownoutLadder(t *testing.T) {
 	healthyWindow := func() { admitN(t, c, 16, 10*time.Microsecond); c.Tick() }
 
 	overloadWindow()
+	overloadWindow()
 	if got := c.Level(); got != int(LevelNormal) {
-		t.Fatalf("one overloaded window escalated to %d; hysteresis requires 2", got)
+		t.Fatalf("two overloaded windows escalated to %d; hysteresis requires 3", got)
 	}
 	overloadWindow()
 	if got := c.Level(); got != int(LevelShedLowest) {
-		t.Fatalf("level = %d after 2 overloaded windows, want ShedLowest", got)
+		t.Fatalf("level = %d after 3 overloaded windows, want ShedLowest", got)
 	}
 	overloadWindow()
 	overloadWindow()
+	overloadWindow()
 	if got := c.Level(); got != int(LevelRejectBestEffort) {
-		t.Fatalf("level = %d after 4 overloaded windows, want RejectBestEffort", got)
+		t.Fatalf("level = %d after 6 overloaded windows, want RejectBestEffort", got)
 	}
 	// At level 2, best effort is rejected outright regardless of congestion.
 	if c.Admit(9, TierBestEffort, 24).OK {
@@ -353,6 +356,7 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 	c.Dropped()
 
+	overloadWindow()
 	overloadWindow()
 	overloadWindow()
 	if got := c.Level(); got != int(LevelRejectByTier) {
@@ -366,17 +370,18 @@ func TestBrownoutLadder(t *testing.T) {
 	}
 	c.Dropped()
 
-	// De-escalation: one level per DeescalateAfter healthy windows.
-	healthyWindow()
-	healthyWindow()
+	// De-escalation: one level per deescalateAfter healthy windows.
+	for i := 0; i < 7; i++ {
+		healthyWindow()
+	}
 	if got := c.Level(); got != int(LevelRejectByTier) {
-		t.Fatalf("level dropped to %d after 2 healthy windows; hysteresis requires 3", got)
+		t.Fatalf("level dropped to %d after 7 healthy windows; hysteresis requires 8", got)
 	}
 	healthyWindow()
 	if got := c.Level(); got != int(LevelRejectBestEffort) {
-		t.Fatalf("level = %d after 3 healthy windows, want RejectBestEffort", got)
+		t.Fatalf("level = %d after 8 healthy windows, want RejectBestEffort", got)
 	}
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 16; i++ {
 		healthyWindow()
 	}
 	if got := c.Level(); got != int(LevelNormal) {
@@ -554,14 +559,13 @@ func TestControllerStorm(t *testing.T) {
 // true indefinitely — without the congestion gate the brown-out would be
 // self-sustaining and never de-escalate after the real pressure is gone.
 func TestBrownoutDeescalatesThroughRejectionStorm(t *testing.T) {
-	cfg := testConfig()
-	cfg.EscalateAfter, cfg.DeescalateAfter = 2, 2
-	c := NewController(cfg)
+	c := NewController(testConfig())
 	defer c.Close()
 	c.limit.Store(64)
 	c.setLevel(LevelRejectByTier)
 
-	for w := 0; w < 10 && c.Level() != int(LevelNormal); w++ {
+	// Three levels down at deescalateAfter healthy windows each, with slack.
+	for w := 0; w < 3*deescalateAfter+6 && c.Level() != int(LevelNormal); w++ {
 		// A trickle of healthy completions (tier 0 passes every level)...
 		admitN(t, c, 4, 10*time.Microsecond)
 		// ...while a shed tenant retries hard: many rejections, no inflight.

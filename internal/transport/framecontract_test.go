@@ -96,8 +96,8 @@ func TestFrameReleaseParity(t *testing.T) {
 						res.err = err
 						break
 					}
-					req, err := giop.UnmarshalRequest(h.Order, fb.Body())
-					if err != nil {
+					req := new(giop.Request)
+					if err := giop.DecodeRequest(h.Order, fb.Body(), req); err != nil {
 						res.err = fmt.Errorf("decode: %w", err)
 						fb.Release()
 						break
