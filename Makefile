@@ -107,7 +107,7 @@ no-poll:
 no-sleep:
 	@n=$$(grep -ro 'time\.Sleep(' --include='*_test.go' internal | wc -l); \
 	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
-	if [ $$n -gt 44 ]; then echo "over the ratchet of 44: wait on the condition instead"; exit 1; fi
+	if [ $$n -gt 42 ]; then echo "over the ratchet of 42: wait on the condition instead"; exit 1; fi
 
 verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
 

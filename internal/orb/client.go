@@ -580,7 +580,8 @@ func consumeReply(reply []byte, frame *giop.FrameBuf, err error) ([]byte, error)
 	if len(reply) > 0 {
 		out = make([]byte, len(reply))
 		copy(out, reply)
-		countPayloadCopy(len(reply))
+		payloadCopyTotal.Inc()
+		payloadCopyBytes.Add(int64(len(reply)))
 	}
 	frame.Release()
 	return out, err

@@ -75,12 +75,14 @@ func spanCounts(trace uint64) (clientStart, clientEnd, serverStart, serverEnd in
 
 // TestInvokeConformance pins that an invocation means the same thing whichever
 // transport carries it and whichever entry point made it: for every scenario
-// the caller-visible outcome, what the overload controller was told (one Done,
-// one Dropped or one admission shed per call — never two, never none), the
-// server's in-flight count afterwards, and the spans of a traced call are
-// asserted identically over the inproc wire, the TCP wire and the direct
-// (collocated) transport. A oneway reports nothing to its caller on any of
-// them; everything else about it is the same.
+// the caller-visible outcome, what the overload controller was told (one
+// completion, one Dropped or one admission shed per call — never two, never
+// none), the server's in-flight count afterwards, and the spans of a traced
+// call are asserted identically over the inproc wire, the TCP wire and the
+// direct (collocated) transport. A oneway reports nothing to its caller on
+// any of them; everything else about it is the same. The "sampled" row runs
+// once the controller times only some admissions: the server must still
+// stamp every one for its queueing deadline.
 func TestInvokeConformance(t *testing.T) {
 	type outcome int
 	const (
@@ -102,6 +104,7 @@ func TestInvokeConformance(t *testing.T) {
 		prio     sched.Priority
 		deadline time.Duration // ServerConfig.RequestDeadline
 		holdSlot bool          // occupy the controller's only slot first
+		sampled  bool          // drive the controller past its sampling threshold first
 		traced   bool
 		want     outcome
 		fate     fate
@@ -112,6 +115,7 @@ func TestInvokeConformance(t *testing.T) {
 		{name: "retiring key", key: "retired", prio: sched.NormPriority, want: wantShed, fate: fateDropped},
 		{name: "admission shed", key: "probe", prio: sched.NormPriority, holdSlot: true, want: wantShed, fate: fateShed},
 		{name: "queueing deadline passed", key: "probe", prio: sched.NormPriority, deadline: time.Nanosecond, want: wantShed, fate: fateDropped},
+		{name: "queueing deadline passed, sampled", key: "probe", prio: sched.NormPriority, deadline: time.Nanosecond, sampled: true, want: wantShed, fate: fateDropped},
 		{name: "priority 0", key: "probe", prio: 0, want: wantEcho, fate: fateDone},
 		{name: "priority 40", key: "probe", prio: 40, want: wantEcho, fate: fateDone},
 		{name: "traced", key: "probe", prio: sched.NormPriority, traced: true, want: wantEcho, fate: fateDone},
@@ -174,6 +178,15 @@ func TestInvokeConformance(t *testing.T) {
 				if sc.traced {
 					telemetry.Verbose(true)
 					defer telemetry.Verbose(false)
+				}
+				if sc.sampled {
+					// A window of 2^16 arrivals: the controller now times
+					// one in 2^6, and the deadline must hold for the rest.
+					for i := 0; i < 1<<16; i++ {
+						ctrl.Admit(0, overload.Tier0, sched.NormPriority)
+						ctrl.Completed()
+					}
+					ctrl.Tick()
 				}
 				if sc.holdSlot {
 					if !ctrl.Admit(1, overload.Tier0, sched.NormPriority).OK {

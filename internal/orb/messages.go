@@ -19,12 +19,6 @@ var (
 	payloadCopyBytes = telemetry.NewCounter("payload_copy_bytes")
 )
 
-// countPayloadCopy records one payload copy of n bytes.
-func countPayloadCopy(n int) {
-	payloadCopyTotal.Inc()
-	payloadCopyBytes.Add(int64(n))
-}
-
 // invokeResult carries a completed invocation back to the caller. When frame
 // is non-nil, payload aliases the arrival frame's buffer and ownership of one
 // frame reference travels with the result: whoever receives it from the
@@ -125,14 +119,15 @@ type requestMsg struct {
 // Reset implements core.Message; it releases the message's frame reference
 // and in-flight count. A still-held admission slot means the message unwound
 // without reaching execute or OnShed: release it as a drop, never as a
-// latency sample.
+// completion — and before the in-flight count, so a Drain that returns finds
+// the controller's slot released too.
 func (m *requestMsg) Reset() {
+	m.ad.drop()
+	m.ad = admission{}
 	if m.conn != nil {
 		m.conn.srv.settled()
 		m.conn = nil
 	}
-	m.ad.drop()
-	m.ad = admission{}
 	if m.frame != nil {
 		m.frame.Release()
 		m.frame = nil
@@ -161,14 +156,6 @@ func (m *requestMsg) OnShed() {
 	if info, ok := giop.PeekRequestInfo(m.order, m.raw); ok && info.ResponseExpected {
 		writeShedReply(m.conn, m.order, info.RequestID)
 	}
-}
-
-// setFrame adopts one frame reference: raw aliases the frame body and the
-// reference is released by Reset when the message is recycled.
-func (m *requestMsg) setFrame(fb *giop.FrameBuf, order giop.ByteOrder) {
-	m.frame = fb
-	m.raw = fb.Body()
-	m.order = order
 }
 
 var requestType = core.MessageType{

@@ -50,8 +50,7 @@ func TestOverloadTenantRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// Done fires after the reply write, racing the client's receive: poll.
-	pollInflightZero(t, ctrl)
+	drainControlled(t, srv, ctrl)
 	if lim := ctrl.Limit(); lim < 4 {
 		t.Errorf("limit collapsed to %d under light load", lim)
 	}
@@ -79,7 +78,7 @@ func TestOverloadRTZenClientCarriesTenant(t *testing.T) {
 	if err != nil || string(out) != "cross-orb" {
 		t.Fatalf("rtzen invoke via controlled server = (%q, %v)", out, err)
 	}
-	pollInflightZero(t, ctrl)
+	drainControlled(t, srv, ctrl)
 }
 
 // TestOverloadShedsAboveHardCap pins the reject path end to end: with the
@@ -100,6 +99,7 @@ func TestOverloadShedsAboveHardCap(t *testing.T) {
 
 	const callers = 8
 	var shed, okCount atomic.Int64
+	sheds := make(chan struct{}, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
@@ -112,6 +112,7 @@ func TestOverloadShedsAboveHardCap(t *testing.T) {
 				okCount.Add(1)
 			case errors.Is(err, corba.ErrSystemException):
 				shed.Add(1)
+				sheds <- struct{}{}
 			default:
 				t.Errorf("caller %d: unexpected result (%q, %v)", i, out, err)
 			}
@@ -119,12 +120,13 @@ func TestOverloadShedsAboveHardCap(t *testing.T) {
 	}
 	// The shed replies come back while the admitted request is still parked;
 	// wait for all but one caller to fail, then release the survivor.
-	deadline := time.Now().Add(5 * time.Second)
-	for shed.Load() < callers-1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d callers shed; rejects are not flowing", shed.Load(), callers)
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < callers-1; i++ {
+		select {
+		case <-sheds:
+		case <-timeout:
+			t.Fatalf("only %d/%d callers shed; rejects are not flowing", i, callers)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	close(release)
 	wg.Wait()
@@ -135,9 +137,9 @@ func TestOverloadShedsAboveHardCap(t *testing.T) {
 	if got := shed.Load(); got != callers-1 {
 		t.Errorf("shed callers = %d, want %d", got, callers-1)
 	}
-	// Every slot came back: the admitted one via Done, the shed ones never
-	// held one.
-	pollInflightZero(t, ctrl)
+	// Every slot came back: the admitted one as a completion, the shed ones
+	// never held one.
+	drainControlled(t, srv, ctrl)
 
 	// The connection survived the rejections: a fresh invoke still works.
 	out, err := cl.Invoke("echo", "echo", []byte("after"), sched.NormPriority)
@@ -146,16 +148,16 @@ func TestOverloadShedsAboveHardCap(t *testing.T) {
 	}
 }
 
-// pollInflightZero waits briefly for the controller's in-flight count to
-// drain (Done fires after the reply write, which races the client's receive).
-func pollInflightZero(t *testing.T, ctrl *overload.Controller) {
+// drainControlled waits for srv to settle every request it dispatched and
+// checks that the controller holds no slot then: a request releases its
+// slot before the server stops counting it, on every path.
+func drainControlled(t *testing.T, srv *Server, ctrl *overload.Controller) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for ctrl.Inflight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("controller inflight = %d never drained to 0", ctrl.Inflight())
-		}
-		time.Sleep(time.Millisecond)
+	if err := srv.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctrl.Inflight(); got != 0 {
+		t.Errorf("controller inflight = %d after Drain, want 0", got)
 	}
 }
 
@@ -264,7 +266,7 @@ func TestOverloadSoakTieredLoad(t *testing.T) {
 	if overload.AdmissionSheds() == shedBefore && ctrl.Limit() == 32 {
 		t.Error("soak shed nothing and never cut the limit; the overload was not an overload")
 	}
-	pollInflightZero(t, ctrl)
+	drainControlled(t, srv, ctrl)
 
 	// The server is still healthy after the storm: the guaranteed tenant's
 	// next request round-trips (tier-0 passes every brown-out level).

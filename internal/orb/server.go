@@ -592,23 +592,26 @@ func (s *Server) readLoop(sc *serverConn, proc *core.Proc) {
 
 // admission is one request's pass through the admit stage: the priority it
 // queues at and, under overload control, the in-flight slot it holds. The
-// slot is released exactly once — done (a latency sample) or drop (not one) —
-// by whichever stage settles the request; both are no-ops afterwards, so an
-// unwind may always call drop.
+// slot is released exactly once — done (a completion, timed if the
+// controller sampled it) or drop (not one) — by whichever stage settles the
+// request; both are no-ops afterwards, so an unwind may always call drop.
 type admission struct {
-	prio  sched.Priority
-	class uint8 // fair-queue lane
-	at    int64 // admission timestamp, the controller's Decision.At
-	ctrl  *overload.Controller
+	prio    sched.Priority
+	class   uint8 // fair-queue lane
+	sampled bool  // the controller timed it: done reports a latency
+	at      int64 // arrival stamp (Decision.At, or the deadline's own); 0 = none
+	ctrl    *overload.Controller
 }
 
-// done releases the slot with admission-to-now as the latency sample that
-// drives the AIMD limit.
+// done releases the slot as a completion, a sampled one with admission-to-now
+// as the latency sample that drives the AIMD limit.
 func (a *admission) done() {
-	if a.ctrl != nil {
+	if a.ctrl != nil && a.sampled {
 		a.ctrl.Done(telemetry.Now() - a.at)
-		a.ctrl = nil
+	} else if a.ctrl != nil {
+		a.ctrl.Completed()
 	}
+	a.ctrl = nil
 }
 
 // drop releases the slot of a request that never ran to completion.
@@ -659,7 +662,11 @@ func (s *Server) admit(rawPrio byte, tenantID uint64, tier uint8) (ad admission,
 		if !d.OK {
 			return ad, false
 		}
-		ad.class, ad.at, ad.ctrl = d.Class, d.At, s.ctrl
+		ad.class, ad.at, ad.sampled, ad.ctrl = d.Class, d.At, d.At != 0, s.ctrl
+		if !ad.sampled && s.reqDeadline > 0 {
+			// The deadline runs from arrival, timed or not.
+			ad.at = telemetry.Now()
+		}
 	}
 	return ad, true
 }
@@ -693,7 +700,7 @@ func execute[K string | []byte](s *Server, ad *admission, key K, op string, payl
 		telemetry.Record(telemetry.EvSpanStart, serverSpanLabel, trace, span, corr)
 		started = telemetry.Now()
 	}
-	if ad.ctrl != nil && s.reqDeadline > 0 && telemetry.Now() > ad.at+int64(s.reqDeadline) {
+	if ad.at != 0 && s.reqDeadline > 0 && telemetry.Now() > ad.at+int64(s.reqDeadline) {
 		ad.drop()
 		status, out, retryAfter = s.shed()
 	} else if sv, ok := lookup(&s.servants, key); ok {
@@ -771,7 +778,7 @@ func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, proc *core.Proc, h
 		return false
 	}
 	m := msg.(*requestMsg)
-	m.setFrame(fb, h.Order)
+	m.frame, m.raw, m.order = fb, fb.Body(), h.Order // the message adopts the frame reference
 	m.conn, m.ad = sc, ad
 	s.inflight.Add(1)
 	// On a send error the port has already recycled the message (Reset),

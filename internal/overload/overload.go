@@ -3,14 +3,20 @@
 // driven by a windowed p99 latency signal, and a graceful brown-out ladder
 // for sustained overload.
 //
-// The controller owns admission time. Every arrival (Admit) reads the clock
-// once; when the current control window has elapsed, the arrival that wins
-// the window CAS runs one control step on its own goroutine before deciding —
-// no background ticker, no lifecycle to leak — and the timestamp goes back in
-// Decision.At, so the server times the request without a clock read of its
-// own. Completions (Done/Dropped) only release the slot and record. The
-// admission fast path is allocation-free: one clock read and one atomic add
-// for an untiered tenant under the limit.
+// The controller owns admission time, and it times a sample of admissions,
+// not every one. While the previous control window saw at most 2,048
+// arrivals every arrival is sampled; above that an arrival is sampled with
+// probability 2^-k, k sized so a steady rate yields 1,024–2,047 samples a
+// window — enough for the p99 the control law reads from 25%-wide buckets.
+// Only a sampled arrival reads the clock: when the current window has
+// elapsed, the sampled arrival that wins the window CAS runs one control
+// step on its own goroutine before deciding — no background ticker, no
+// lifecycle to leak — and the timestamp goes back in Decision.At, so the
+// server times the request without a clock read of its own. Completions
+// (Done for a sampled request, Completed for any other, Dropped for work
+// that never ran) only release the slot, count and record. The admission
+// fast path is allocation-free: for an untiered tenant under the limit, one
+// atomic add and, at rate, usually no clock read.
 //
 // The pieces compose as follows under load:
 //
@@ -27,6 +33,7 @@ package overload
 
 import (
 	"math/bits"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -135,6 +142,10 @@ const (
 	// deescalateAfter is how many consecutive healthy windows lower it one
 	// level — deliberately larger than escalateAfter for hysteresis.
 	deescalateAfter = 8
+	// sampleBudget is the fewest latency samples a window aims for once it
+	// stops sampling every arrival, at twice this many arrivals: the p99 is
+	// then about the tenth-largest sample, which the 25% buckets resolve.
+	sampleBudget = 1024
 )
 
 // tierWeights are the fair-share weights per tier: a tier-0 tenant gets 16×
@@ -207,25 +218,33 @@ type Decision struct {
 	// Class is the fair-queue tenant class for the admitted request (see
 	// sched.FairQueue); 0 for unclassified traffic.
 	Class uint8
-	// At is the admitted request's arrival time (telemetry.Now): Done's
-	// latency sample is measured from it.
+	// At is the admitted request's arrival time (telemetry.Now) when the
+	// controller sampled it — Done's latency sample is measured from it —
+	// and 0 when it did not: settle such a request with Completed.
 	At int64
 }
 
 // Controller is the overload-control state machine. All methods are safe
-// for concurrent use; Admit, Done, and Dropped are allocation-free.
+// for concurrent use; Admit, Done, Completed and Dropped are
+// allocation-free.
 type Controller struct {
 	cfg Config
 
 	limit    atomic.Int64
 	inflight atomic.Int64
 	level    atomic.Int32
+	// shift is the window's sampling exponent k: Admit samples one arrival
+	// in 2^k. Each control step sets it from the arrivals of the window it
+	// closes.
+	shift atomic.Uint32
 
-	// win is the two-phase latency histogram behind the p99 control signal.
+	// win is the two-phase latency histogram of the sampled completions
+	// behind the p99 control signal.
 	win latencyWindow
 
-	// Window accumulators, swapped out by each control step. Completions
-	// are counted by win itself: one Done is one sample.
+	// Window accumulators, swapped out by each control step. doneCount
+	// counts every completion, sampled or not.
+	doneCount atomic.Int64
 	shedCount atomic.Int64
 	dropCount atomic.Int64
 
@@ -298,11 +317,12 @@ func (c *Controller) Limit() int { return int(c.limit.Load()) }
 // Inflight returns the admitted-but-not-completed count.
 func (c *Controller) Inflight() int64 { return c.inflight.Load() }
 
-// Counts returns the current control window's accumulators: completions
-// (Done), released-without-sample slots (Dropped) and admission sheds since
-// the last control step.
+// Counts returns the current control window's accumulators since the last
+// control step: completions (Done and Completed alike — every completion,
+// not the samples among them), slots released without running (Dropped)
+// and admission sheds.
 func (c *Controller) Counts() (done, dropped, shed int64) {
-	return c.win.count(), c.dropCount.Load(), c.shedCount.Load()
+	return c.doneCount.Load(), c.dropCount.Load(), c.shedCount.Load()
 }
 
 // Level returns the current brown-out ladder level (0..3).
@@ -376,19 +396,26 @@ func (c *Controller) congested() bool {
 	return c.inflight.Load()*4 >= c.limit.Load()*3
 }
 
-// Admit decides one request's fate before any demarshalling or queueing. It
-// reads the clock once: that timestamp is the admitted request's Decision.At,
-// and once the control window has elapsed it steps the controller first, so
-// the arrival is judged by the fresh limit and ladder level. The fast path —
-// unclassified tenant, ladder at LevelNormal, under the limit — is that one
-// clock read, one atomic add and no allocation. A false decision is already
-// fully accounted; the caller just rejects the request.
+// Admit decides one request's fate before any demarshalling or queueing.
+// A sampled arrival (see the package comment) reads the clock once: that
+// timestamp is the admitted request's Decision.At, and once the control
+// window has elapsed it steps the controller first, so the arrival is judged
+// by the fresh limit and ladder level. Any other arrival reads no clock and
+// gets At 0. The fast path — unclassified tenant, ladder at LevelNormal,
+// under the limit — is one atomic add, a draw from the runtime's per-thread
+// generator while sampling one in 2^k, and no allocation. A false decision is
+// already fully accounted; the caller just rejects the request.
 func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
-	now := telemetry.Now()
-	// The CAS on windowEnd elects one arrival to step; everyone else
-	// proceeds.
-	if end := c.windowEnd.Load(); now >= end && c.windowEnd.CompareAndSwap(end, now+int64(c.cfg.Window)) {
-		c.step()
+	var now int64
+	// The draw, not a shared counter, picks the sample: it costs no
+	// contended atomic and cannot alias with a periodic request stream.
+	if k := c.shift.Load(); k == 0 || rand.Uint64()>>(64-k) == 0 {
+		now = telemetry.Now()
+		// The CAS on windowEnd elects one arrival to step; everyone else
+		// proceeds.
+		if end := c.windowEnd.Load(); now >= end && c.windowEnd.CompareAndSwap(end, now+int64(c.cfg.Window)) {
+			c.step()
+		}
 	}
 	tier = tier.Clamp()
 	if lvl := c.level.Load(); lvl != LevelNormal {
@@ -434,12 +461,21 @@ func (c *Controller) shed(id uint64, tier Tier) Decision {
 	return Decision{}
 }
 
-// Done records one admitted request's completion latency (Decision.At to
-// finish, in nanoseconds) — the control signal for the AIMD limit — and
-// releases its in-flight slot. It reads no clock and never steps.
+// Done settles a sampled completion: it releases the request's in-flight
+// slot, counts the completion and records its latency (Decision.At to
+// finish, in nanoseconds) — the control signal for the AIMD limit. It reads
+// no clock and never steps.
 func (c *Controller) Done(latency int64) {
-	c.inflight.Add(-1)
+	c.Completed()
 	c.win.record(latency)
+}
+
+// Completed settles a completion that was not sampled (Decision.At 0): it
+// releases the slot and counts the completion, which the ladder and the
+// credit refill need, without a latency. It reads no clock and never steps.
+func (c *Controller) Completed() {
+	c.inflight.Add(-1)
+	c.doneCount.Add(1)
 }
 
 // Dropped releases an admitted request's in-flight slot without recording a
@@ -459,15 +495,20 @@ func (c *Controller) Tick() {
 	c.step()
 }
 
-// step is one control-loop iteration: read the window's signals, move the
-// AIMD limit, walk the brown-out ladder, refill tenant credits.
+// step is one control-loop iteration: read the window's signals, size the
+// next window's sample, move the AIMD limit, walk the brown-out ladder,
+// refill tenant credits.
 func (c *Controller) step() {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 
-	p99, done := c.win.swap() // one Done is one sample
+	p99, samples := c.win.swap()
+	done := c.doneCount.Swap(0)
 	shed := c.shedCount.Swap(0)
-	c.dropCount.Store(0)
+	dropped := c.dropCount.Swap(0)
+	// Every arrival of the closing window ended as a completion, a drop or
+	// a shed (or is still in flight): their sum sizes the next sample.
+	c.shift.Store(sampleShift(done + dropped + shed))
 
 	// Deadline misses and dequeue sheds this window, from the process-wide
 	// counters (the dispatch path reports there; the controller only needs
@@ -482,7 +523,7 @@ func (c *Controller) step() {
 	// too few samples move nothing — a rejection burst with no completions
 	// is not a latency signal.
 	breach := false
-	if done >= minSamples && p99 > int64(c.cfg.TargetP99) {
+	if samples >= minSamples && p99 > int64(c.cfg.TargetP99) {
 		breach = true
 	}
 	if missDelta >= missBurst {
@@ -496,7 +537,7 @@ func (c *Controller) step() {
 			lim = int64(c.cfg.MinLimit)
 		}
 		c.limit.Store(lim)
-	case done >= minSamples:
+	case samples >= minSamples:
 		lim += raiseStep
 		if lim > int64(c.cfg.MaxLimit) {
 			lim = int64(c.cfg.MaxLimit)
@@ -566,6 +607,16 @@ func (c *Controller) step() {
 	}
 }
 
+// sampleShift returns the sampling exponent k for a window that follows one
+// of n arrivals: 0 (sample all) up to 2*sampleBudget, else the k at which
+// n>>k falls in [sampleBudget, 2*sampleBudget).
+func sampleShift(n int64) uint32 {
+	if n <= 2*sampleBudget {
+		return 0
+	}
+	return uint32(bits.Len64(uint64(n)) - bits.Len64(sampleBudget))
+}
+
 // setLevel clamps and applies a ladder transition, recording it.
 func (c *Controller) setLevel(lvl int32) {
 	if lvl < LevelNormal {
@@ -582,10 +633,10 @@ func (c *Controller) setLevel(lvl int32) {
 	telemetry.Record(telemetry.EvState, brownoutLabel, 0, 0, uint64(lvl))
 }
 
-// latencyWindow is a two-phase log-linear histogram: completions record into
-// the active half, and each control step swaps halves and reads the frozen
-// one. Four sub-buckets per octave give ~25% quantile resolution — plenty
-// for a control signal. Records racing a swap may land in either half; the
+// latencyWindow is a two-phase log-linear histogram: sampled completions
+// record into the active half, and each control step swaps halves and reads
+// the frozen one. Four sub-buckets per octave give ~25% quantile resolution
+// — plenty for a control signal. Records racing a swap may land in either half; the
 // smear is at most one window and biases nothing.
 type latencyWindow struct {
 	active  atomic.Uint32
@@ -625,17 +676,6 @@ func winLow(i int) int64 {
 // record adds one sample to the active half.
 func (w *latencyWindow) record(v int64) {
 	w.buckets[w.active.Load()&1][winIndex(v)].Add(1)
-}
-
-// count returns the samples recorded since the last swap. It sums both
-// halves: the frozen one is zero unless a record raced the swap.
-func (w *latencyWindow) count() (samples int64) {
-	for h := range w.buckets {
-		for i := range w.buckets[h] {
-			samples += w.buckets[h][i].Load()
-		}
-	}
-	return samples
 }
 
 // swap freezes the active half, zeroing and returning its p99 upper bound

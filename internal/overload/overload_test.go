@@ -120,9 +120,8 @@ func TestOverloadAdmitStampsArrival(t *testing.T) {
 	}
 }
 
-// Counts reports one completion per Done — the histogram's samples stand in
-// for a counter of their own — in a window, after a Tick empties it, and
-// after a 16-goroutine storm.
+// Counts reports one completion per Done in a window, after a Tick empties
+// it, and after a 16-goroutine storm.
 func TestOverloadCountsTrackDone(t *testing.T) {
 	c := NewController(testConfig())
 	defer c.Close()
@@ -462,7 +461,9 @@ func TestTenantClassAssignment(t *testing.T) {
 }
 
 // The admission fast path and the completion path must not allocate: they
-// run per request on the dispatch path.
+// run per request on the dispatch path. Both settle paths are covered: a
+// sampled arrival completed with Done, and — past the sampling threshold —
+// an unsampled one completed with Completed.
 func TestAdmitDoneAllocFree(t *testing.T) {
 	c := NewController(testConfig())
 	defer c.Close()
@@ -485,6 +486,85 @@ func TestAdmitDoneAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("registered-tenant Admit+Done allocates %.1f objects/op, want 0", allocs)
+	}
+
+	// A window of 2^16 arrivals makes the next one sample 1 in 2^6.
+	for i := 0; i < 1<<16; i++ {
+		c.Admit(0, Tier1, sched.NormPriority)
+		c.Completed()
+	}
+	c.Tick()
+	if k := c.shift.Load(); k != 6 {
+		t.Fatalf("sampling 1 in 2^%d after 2^16 arrivals, want 2^6", k)
+	}
+	unsampled := 0
+	allocs = testing.AllocsPerRun(200, func() {
+		d := c.Admit(0, Tier1, sched.NormPriority)
+		if !d.OK {
+			t.Fatal("rejected")
+		}
+		if d.At == 0 {
+			unsampled++
+		}
+		c.Completed()
+	})
+	if allocs != 0 {
+		t.Errorf("unsampled Admit+Completed allocates %.1f objects/op, want 0", allocs)
+	}
+	if unsampled == 0 {
+		t.Error("no arrival of 201 went unsampled at 1 in 2^6")
+	}
+}
+
+// The sample is sized from the arrivals of the window before: all of them
+// up to 2,048, then 1 in 2^k for 1,024–2,047 samples.
+func TestSampleShift(t *testing.T) {
+	for _, tc := range []struct {
+		n int64
+		k uint32
+	}{{0, 0}, {1, 0}, {2048, 0}, {2049, 1}, {4095, 1}, {4096, 2}, {100_000, 6}, {1 << 40, 30}} {
+		k := sampleShift(tc.n)
+		if k != tc.k {
+			t.Errorf("sampleShift(%d) = %d, want %d", tc.n, k, tc.k)
+		}
+		if got := tc.n >> k; tc.n > 2048 && (got < sampleBudget || got >= 2*sampleBudget) {
+			t.Errorf("%d arrivals at 1 in 2^%d leave %d samples, want 1,024–2,047", tc.n, k, got)
+		}
+	}
+}
+
+// Past the threshold an unsampled arrival reads no clock (At 0) and its
+// Completed counts exactly like a Done: the ladder's shed >= done and the
+// credit refill see every completion, the histogram only the samples.
+func TestCompletedCountsWithoutSample(t *testing.T) {
+	c := NewController(testConfig())
+	defer c.Close()
+	for i := 0; i < 4096; i++ {
+		settle(c, c.Admit(0, Tier1, sched.NormPriority), int64(time.Microsecond))
+	}
+	c.Tick()
+	if k := c.shift.Load(); k != 2 {
+		t.Fatalf("sampling 1 in 2^%d after 4,096 arrivals, want 2^2", k)
+	}
+	sampled := 0
+	for i := 0; i < 4096; i++ {
+		d := c.Admit(0, Tier1, sched.NormPriority)
+		if d.At != 0 {
+			sampled++
+		}
+		settle(c, d, int64(time.Microsecond))
+	}
+	if sampled < 700 || sampled > 1400 {
+		t.Errorf("%d of 4,096 arrivals sampled at 1 in 4, want about 1,024", sampled)
+	}
+	if done, _, _ := c.Counts(); done != 4096 {
+		t.Errorf("done = %d, want every one of 4,096 completions", done)
+	}
+	if _, samples := c.win.swap(); samples != int64(sampled) {
+		t.Errorf("histogram holds %d samples, want the %d sampled", samples, sampled)
+	}
+	if got := c.Inflight(); got != 0 {
+		t.Errorf("inflight = %d, want 0", got)
 	}
 }
 
