@@ -240,7 +240,8 @@ func BenchmarkSteadyStateRoundTrip(b *testing.B) {
 	})
 	// The Wire variant is the remote lock-step path, the one Fig. 11
 	// measures: marshal, frame, the per-request MessageProcessing and
-	// RequestProcessing components revived and reclaimed, demarshal, reply.
+	// RequestProcessing components revived and their areas reclaimed in
+	// place, demarshal, reply.
 	// With the shells' wedges embedded and operation names interned it has
 	// no allocation left either.
 	b.Run("Wire", func(b *testing.B) {
@@ -413,13 +414,14 @@ func TestSteadyStateRoundTripAllocFree(t *testing.T) {
 // TestWireRoundTripScopeEnters pins what one remote lock-step invocation
 // costs in scope crossings: a synchronous port is a call on the sender's
 // scope stack, so each hop enters only the area below where the sender
-// stands. On the client, Transport 1 (the caller has no context: a pooled
-// one, from the top) and MessageProcessing 1 (from Transport's handler); on
-// the server, RequestProcessing 1 (the reader is resident in its Transport's
-// scope). The request and the reply are marshalled in the two per-request
-// components' own areas — a lone caller always finds room there, so nothing
-// overflows into a nested scope — and reviving those components enters
-// nothing: their headers are charged as their areas are pinned.
+// stands. On the client, Transport and MessageProcessing, 2 (the caller has
+// no context: its call frame enters the chain from the top in one pinned
+// enter); on the server, RequestProcessing 1 (the reader is resident in its
+// Transport's scope). The request and the reply are marshalled in the two
+// per-request components' own areas — a lone caller always finds room
+// there, so nothing overflows into a nested scope — and reviving those
+// components enters nothing: they keep their areas, reclaimed in place with
+// the header charged again.
 func TestWireRoundTripScopeEnters(t *testing.T) {
 	invoke, done := newWirePair(t)
 	defer done()

@@ -28,14 +28,19 @@ type ChildDef struct {
 	// Persistent keeps the instance alive at quiescence; it is reclaimed
 	// only by Handle.Disconnect or App.Stop.
 	Persistent bool
-	// Reusable lets the SMM cache the component shell at quiescence and
+	// Reusable lets the SMM park the component shell at quiescence and
 	// revive it on the next instantiation instead of rebuilding it. The
-	// memory semantics are unchanged — the scoped area is still reclaimed at
-	// quiescence and a fresh one acquired, charged, and pinned on revival,
-	// and the start function re-runs — but Setup runs only on the shell's
-	// first construction: its port registrations and bindings survive
-	// because the very same shell returns. Only set this for children whose
-	// Setup is pure declaration (ports, handlers, start function) with no
+	// parked shell keeps its scoped area, reclaimed in place under its wedge
+	// (SCJ's reset of a handler's private memory at the end of a release):
+	// the generation moves on, so every Ref into the finished work goes
+	// stale, the used bytes are zeroed and the header charged afresh. The
+	// area goes back to its pool only when the shell is disposed for good —
+	// swapped out, or stopped with its parent — so a pool holds one area per
+	// Reusable shell, not per in-flight instance. The start function re-runs
+	// on every revival, but Setup runs only on the shell's first
+	// construction: its port registrations and bindings survive because the
+	// very same shell returns. Only set this for children whose Setup is
+	// pure declaration (ports, handlers, start function) with no
 	// per-instance side effects outside the component's area.
 	Reusable bool
 	// Setup declares the child's ports, nested child definitions, and start
@@ -69,9 +74,8 @@ type Component struct {
 	mgr    *SMM      // the SMM that instantiated this component (nil for top-level)
 	def    *ChildDef // blueprint this instance came from (nil for top-level)
 
-	// The shell's memory, rewritten only by open: the goroutine that builds
-	// the shell or claims it parked owns it exclusively until it publishes
-	// life as live, and everyone else reads it under a reservation.
+	// The shell's memory, written only by open as the shell is built, before
+	// anyone else can see it. A parked Reusable shell keeps all three.
 	area  *memory.Area
 	wedge memory.Wedge   // pins area; never armed for immortal components
 	chain []*memory.Area // scoped ancestor path, outermost first, ending at area
@@ -105,9 +109,11 @@ type Component struct {
 //	lifeStarted  the start function has run; dispatch waits for it
 //	lifeAuto     reclaim at quiescence (transient, disconnected or retired)
 //	lifeRetired  never park: not Reusable, swapped out, or force-disposed
-//	lifeParked   a disposed Reusable shell, area released, free to claim
-//	lifeDisposed no area; with neither lifeParked nor lifeRetired the shell is
-//	             in transition, owned by the one goroutine closing or opening it
+//	lifeParked   a disposed Reusable shell, its area reclaimed in place and
+//	             held by its wedge alone, free to claim
+//	lifeDisposed no live instance; with neither lifeParked nor lifeRetired the
+//	             shell is in transition, owned by the one goroutine closing or
+//	             opening it
 const (
 	pendingOne  uint64 = 1
 	handleOne   uint64 = 1 << 24
@@ -215,8 +221,8 @@ func (c *Component) UndefineChild(name string) {
 // (memory.Context.EnterChain), and its caller must keep a live instance alive
 // across the call: with a handle, a pending delivery, or from the instance's
 // own start function. A disposed instance — a parked Reusable shell, whose
-// area went back to its pool, included — is refused with an error wrapping
-// ErrStopped and nothing is entered.
+// area its wedge alone holds between two revivals, included — is refused with
+// an error wrapping ErrStopped and nothing is entered.
 func (c *Component) Exec(fn func(*memory.Context) error) error {
 	if c.Disposed() {
 		return fmt.Errorf("core: exec in %q: %w", c.Path(), ErrStopped)
@@ -395,8 +401,8 @@ func (c *Component) childBorn() bool {
 // open registers the shell with its parent — which then cannot close under
 // it — and gives it its memory: an area (from the level's pool when the
 // blueprint asks), pinned under the parent's with the component header
-// charged in the same step, and the scope chain ending at it. The caller
-// owns the shell exclusively.
+// charged in the same step, and the scope chain ending at it. It runs once,
+// as the shell is built; the caller owns the shell exclusively.
 func (c *Component) open() error {
 	if !c.parent.childBorn() {
 		return ErrStopped
@@ -407,19 +413,14 @@ func (c *Component) open() error {
 		return err
 	}
 	if err := c.wedge.Pin(area, c.parent.area, componentHeaderBytes); err != nil {
-		if w, perr := memory.Pin(area, c.parent.area); perr == nil {
-			w.Release() // reclaiming the untouched area is its one way back to a pool
+		if c.wedge.Pin(area, c.parent.area, 0) == nil {
+			c.wedge.Release() // reclaiming the untouched area is its one way back to a pool
 		}
 		c.parent.release(childOne, 0)
 		return fmt.Errorf("child %q header: %w", c.name, err)
 	}
 	c.area = area
-	if c.chain == nil {
-		c.chain = append(append(c.chain, c.parent.chain...), area)
-	} else {
-		// The pool may hand back a different region on every revival.
-		c.chain[len(c.chain)-1] = area
-	}
+	c.chain = append(append(c.chain, c.parent.chain...), area)
 	return nil
 }
 
@@ -440,19 +441,17 @@ func (c *Component) acquireArea() (*memory.Area, error) {
 	return area, nil
 }
 
-// reopen revives a parked shell its caller has just claimed: a fresh area,
-// then one store publishes it live with the caller's message already
-// pending, so it cannot quiesce under the reviver. Setup does not re-run —
-// the very same shell returns, so its port bindings never went away — but
-// the start function does. On failure the shell goes back to parked.
+// reopen revives a parked shell its caller has just claimed. The shell kept
+// its area, reclaimed in place and pinned by its wedge, so the revival only
+// registers with the parent; then one store publishes it live with the
+// caller's message already pending, so it cannot quiesce under the reviver.
+// Setup does not re-run — the very same shell returns, so its port bindings
+// never went away — but the start function does. On failure the shell goes
+// back to parked, for a Stop to dispose.
 func (c *Component) reopen() error {
-	err := ErrStopped
-	if !c.mgr.stopped.Load() {
-		err = c.open()
-	}
-	if err != nil {
+	if c.mgr.stopped.Load() || !c.parent.childBorn() {
 		c.publish(lifeDisposed | lifeParked | lifeAuto)
-		return err
+		return ErrStopped
 	}
 	if c.startFn == nil {
 		c.publish(pendingOne | lifeAuto | lifeStarted)
@@ -483,27 +482,38 @@ func (c *Component) start() error {
 }
 
 // close reclaims an instance whose last reservation just went; w is the
-// word that CAS installed. Only its winner runs it. A Reusable shell keeps
-// its place in the SMM and its port bindings — a binding that names a parked
-// shell is merely dormant, the next reserve through it reopens the shell —
-// and is parked only after the wedge is released, so a revival can never
-// race the reclaim. Anything else is detached and dropped.
+// word that CAS installed. Only its winner runs it. The instance's own SMM
+// goes first — most transient instances never created one (their ports live
+// on the parent's). A Reusable shell then keeps its place in the SMM, its
+// port bindings — a binding that names a parked shell is merely dormant, the
+// next reserve through it reopens the shell — and its area, which its wedge
+// reclaims in place in one critical section; it is parked only after that,
+// so a revival can never race the reclaim. Anything else — a shell whose SMM
+// has stopped, or whose area somebody else still holds, included — is
+// detached and releases its area for good.
 func (c *Component) close(w uint64) {
-	if w&lifeRetired != 0 {
-		c.mgr.detach(c)
-		c.teardown()
-	} else {
-		c.teardown()
+	if smm := c.smm.Load(); smm != nil {
+		smm.shutdown()
+		c.smm.Store(nil)
+	}
+	if w&lifeRetired == 0 && !c.mgr.stopped.Load() && c.wedge.Reclaim(componentHeaderBytes) {
 		c.publish(lifeDisposed | lifeParked | lifeAuto)
+	} else {
+		c.mgr.detach(c)
+		c.wedge.Release()
+		c.publish(w | lifeRetired)
 	}
 	c.parent.release(childOne, 0)
 }
 
 // retire marks the instance for reclamation at quiescence (like an explicit
 // Disconnect) and bars its shell from parking or reviving: a swapped-out
-// version must never come back under the new blueprint. It reports whether
+// version must never come back under the new blueprint. A parked shell is
+// disposed for good on the spot: the CAS that takes its parked bit makes the
+// caller the one to release its wedge. handles masks the handle count to
+// drop with it: handleMask at Stop, which outranks a pin. It reports whether
 // the instance was live. A shell in transition settles first.
-func (c *Component) retire() bool {
+func (c *Component) retire(handles uint64) bool {
 	settling := true
 	for {
 		w := c.life.Load()
@@ -513,9 +523,12 @@ func (c *Component) retire() bool {
 		}
 		if w&lifeDisposed != 0 {
 			if c.life.CompareAndSwap(w, w&^lifeParked|lifeRetired) {
+				if w&lifeParked != 0 {
+					c.wedge.Release()
+				}
 				return false
 			}
-		} else if c.tryRelease(w, 0, lifeAuto|lifeRetired) {
+		} else if c.tryRelease(w, w&handles, lifeAuto|lifeRetired) {
 			return true
 		}
 	}
@@ -545,30 +558,14 @@ func (c *Component) firstBusy() *Component {
 }
 
 // forceDispose reclaims the instance at Stop: its subtree first, then the
-// instance itself as soon as no handler is inside it. Port pools are
-// already drained, but a synchronous port runs its handler on the sender's
-// thread, so a message may still be pending; its release closes the
-// instance instead — releasing the area under a running handler would let
-// the handler's exit reclaim it a second time. Handles stop counting: Stop
-// outranks a pin. Whoever sets lifeDisposed tears down, so racing the
-// quiescence winner this backs off and the wedge is released once.
+// instance itself — a parked shell at once, a live one as soon as no handler
+// is inside it. Port pools are already drained, but a synchronous port runs
+// its handler on the sender's thread, so a message may still be pending; its
+// release closes the instance instead — releasing the area under a running
+// handler would let the handler's exit reclaim it a second time. Whoever
+// sets lifeDisposed or takes the parked bit releases the wedge, so racing
+// the quiescence winner this backs off and the wedge is released once.
 func (c *Component) forceDispose() {
 	c.shutdown()
-	for {
-		w := c.life.Load()
-		if w&lifeDisposed != 0 || c.tryRelease(w, w&handleMask, lifeAuto|lifeRetired) {
-			return
-		}
-	}
-}
-
-// teardown shuts the component's own SMM down and releases its area. Most
-// transient instances never created an SMM of their own (their ports live on
-// the parent's), so the common path is one load and the wedge release.
-func (c *Component) teardown() {
-	if smm := c.smm.Load(); smm != nil {
-		smm.shutdown()
-		c.smm.Store(nil)
-	}
-	c.wedge.Release()
+	c.retire(handleMask)
 }

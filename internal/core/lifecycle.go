@@ -223,7 +223,7 @@ func (s *SMM) Swap(def ChildDef, opts SwapOptions) (SwapStats, error) {
 		// inside retire; a busy one at its final release. Buffered deliveries
 		// still dispatch on the old handler (unbind keeps it), so the drain
 		// completes old-version work on old-version code.
-		st.ReplacedLive = old.retire()
+		st.ReplacedLive = old.retire(0)
 		s.detach(old)
 		if st.ReplacedLive {
 			st.Drained = old.changed.Wait(old.Disposed, time.Now().Add(timeout))

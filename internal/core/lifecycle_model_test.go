@@ -20,6 +20,16 @@ package core
 // Mutation check: a delivery that gives its reservation back before deliver
 // returns fails this model.
 //
+// A parked Reusable shell keeps its area, reclaimed in place under its wedge
+// (the finalizer logs that reclaim), so each revival must come back in the
+// same area one generation on, and no shell may open in an area another
+// shell still holds: open, or parked and not yet swapped out. At rest every
+// parked shell holds its area with its wedge alone, and the pool's free
+// areas plus the parked shells' are all the areas it created; after Stop
+// every area is back in the pool. Mutation check: skipping the generation
+// bump of the in-place reclaim, or dropping the wedge release when a parked
+// shell is retired, fails this model.
+//
 // A handler also logs the call state it runs on — one of its owner's two
 // call frames, or one from App.calls — and the frame bits of the owner's
 // life word, at entry and at exit; the area's finalizer logs the frame bits
@@ -35,6 +45,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -48,7 +59,7 @@ type evKind uint8
 
 const (
 	evSetup     evKind = iota // a fresh shell was built for (child, version)
-	evOpen                    // the start function ran: one area acquired
+	evOpen                    // the start function ran: the shell is live
 	evBegin                   // a handler entered
 	evEnd                     // the handler returned
 	evReclaim                 // the area's finalizer ran: one area reclaimed
@@ -58,8 +69,8 @@ const (
 	evStop                    // App.Stop was called
 )
 
-// incarnation names one open→reclaim span of a shell: areas are reused, and
-// a reclaim bumps the generation.
+// incarnation names one open→reclaim span of a shell: a shell keeps its area
+// across parks, and every reclaim bumps the generation.
 type incarnation struct {
 	area *memory.Area
 	gen  uint64
@@ -135,13 +146,28 @@ func frameHeld(s *modelShell, e event) error {
 	return nil
 }
 
-// openShell is the parked→live transition: exactly one area acquire.
+// openShell is the parked→live transition. A revival comes back in the area
+// the shell parked with, one reclaim on; a shell's first open takes an area
+// no other shell holds.
 func (m *lifecycleModel) openShell(s *modelShell, inc incarnation) error {
 	if s.open {
-		return fmt.Errorf("%s opened while already open: two acquires for one revival", key(s.child, s.version))
+		return fmt.Errorf("%s opened while already open: two revivals at once", key(s.child, s.version))
 	}
 	if m.swapDone[key(s.child, s.version)] {
 		return fmt.Errorf("%s revived after the swap that retired it returned", key(s.child, s.version))
+	}
+	if s.opens > 0 && (inc.area != s.inc.area || inc.gen != s.inc.gen+1) {
+		return fmt.Errorf("%s revived in %s@%d, it parked in %s@%d: want the same area one generation on",
+			key(s.child, s.version), inc.area.Name(), inc.gen, s.inc.area.Name(), s.inc.gen)
+	}
+	for _, o := range m.shells {
+		// A shell holds its area while open, and while parked unless a swap
+		// or Stop may have disposed of it.
+		holds := o.open || o.opens > 0 && !m.swapBegun[key(o.child, o.version)] && !m.stopping
+		if o != s && holds && o.inc.area == inc.area {
+			return fmt.Errorf("%s opened in %s, which %s still holds",
+				key(s.child, s.version), inc.area.Name(), key(o.child, o.version))
+		}
 	}
 	for _, o := range m.shells {
 		if o == s || !o.open || o.child != s.child {
@@ -435,7 +461,9 @@ func (r *modelRig) replay(t *testing.T) *lifecycleModel {
 }
 
 // atRest checks what must hold once every operation has returned and every
-// message has been handled: all shells closed, areas balanced, counts zero.
+// message has been handled: all shells closed, counts zero, every parked
+// shell holding its area with its wedge alone, and the pool's areas all
+// either free or held by a parked shell.
 func (r *modelRig) atRest(t *testing.T, m *lifecycleModel) {
 	t.Helper()
 	for v := range m.sent {
@@ -443,9 +471,8 @@ func (r *modelRig) atRest(t *testing.T, m *lifecycleModel) {
 			t.Errorf("message %d was sent and handled %d times", v, m.handled[v])
 		}
 	}
-	opens := 0
+	held := 0
 	for c, s := range m.shells {
-		opens += s.opens
 		if s.open || s.opens != s.reclaims {
 			t.Errorf("%s: %d opens, %d reclaims, open=%v at rest", key(s.child, s.version), s.opens, s.reclaims, s.open)
 		}
@@ -454,36 +481,50 @@ func (r *modelRig) atRest(t *testing.T, m *lifecycleModel) {
 			t.Errorf("%s: life word %#x at rest, want disposed with zero counts", key(s.child, s.version), w)
 		}
 		current := s.version == r.version[s.child]
-		if parked := w&(lifeParked|lifeRetired) == lifeParked; parked != current && !m.stopping {
+		parked := w&(lifeParked|lifeRetired) == lifeParked
+		if parked != current && !m.stopping {
 			t.Errorf("%s: life word %#x, parked=%v but current=%v", key(s.child, s.version), w, parked, current)
+		}
+		if parked {
+			held++
+			if entrants, wedges := holders(c.Area()); c.wedge.Area() != c.Area() || entrants != 0 || wedges != 1 {
+				t.Errorf("%s parked in %v, its wedge holding %v: want its own wedge alone", key(s.child, s.version), c.Area(), c.wedge.Area())
+			}
 		}
 	}
 	if w := r.parent.life.Load(); w&countMask != 0 {
 		t.Errorf("parent life word %#x at rest, want zero counts", w)
 	}
 	created, reused, free := r.app.ScopePool(1).Stats()
-	if int64(free) != created {
-		t.Errorf("scope pool at rest: %d of %d areas free", free, created)
+	if int64(free+held) != created {
+		t.Errorf("scope pool at rest: %d areas free and %d held by parked shells, %d created", free, held, created)
 	}
-	if acquires := reused + created - modelPoolCount; acquires != int64(opens) {
-		t.Errorf("scope pool served %d acquires for %d revivals", acquires, opens)
+	// Only building a shell takes an area; a revival reuses its own.
+	if acquires := reused + created - modelPoolCount; acquires != int64(len(m.shells)) {
+		t.Errorf("scope pool served %d acquires for %d shells built", acquires, len(m.shells))
 	}
 }
 
-// settle waits for the pool threads to finish what the senders queued.
+// holders reads an area's entrant and wedge counts off its String form.
+func holders(a *memory.Area) (entrants, wedges int) {
+	s := a.String()
+	if _, err := fmt.Sscanf(s[strings.LastIndex(s, "entrants"):], "entrants %d, wedges %d)", &entrants, &wedges); err != nil {
+		panic(err)
+	}
+	return entrants, wedges
+}
+
+// settle waits for the assembly to come to rest: Drain for every delivery
+// the senders queued, then the parent's child count for the last close to
+// have parked or disposed its shell.
 func (r *modelRig) settle(t *testing.T) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		smm := r.parent.SMM()
-		created, _, free := r.app.ScopePool(1).Stats()
-		if smm.Child("Worker") == nil && smm.Child("Bare") == nil && int64(free) == created && !r.parent.busy() {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("assembly did not come to rest")
-		}
-		time.Sleep(200 * time.Microsecond)
+	if err := r.app.Drain(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p := r.parent
+	if !p.changed.Wait(func() bool { return p.life.Load()&countMask < childOne }, time.Now().Add(5*time.Second)) {
+		t.Fatalf("parent life word %#x: a child never finished closing", p.life.Load())
 	}
 }
 
@@ -586,10 +627,9 @@ func TestLifecycleModelRandomHistories(t *testing.T) {
 // revive→quiesce cycle. Every SMM and app mutex is held by the test while
 // the cycles run — through a real Send on a synchronous port, and through
 // reserve/release directly — so the cycle takes none of them; it allocates
-// nothing; and it makes exactly one pool acquire and one reclaim, which is
-// where its four remaining mutex acquisitions are: ScopePool.Acquire, the
-// area lock in Wedge.Pin (pin and header charge together), the area lock in
-// the final drop, and ScopePool's put.
+// nothing; and it touches the scope pool not at all: the shell keeps its
+// area, and its one remaining mutex acquisition is the area lock of the
+// in-place reclaim (Wedge.Reclaim), which moves the generation by one.
 func TestReviveQuiesceLockBudget(t *testing.T) {
 	app := newTestApp(t, AppConfig{
 		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 12, Count: 2}},
@@ -649,7 +689,8 @@ func TestReviveQuiesceLockBudget(t *testing.T) {
 	const cycles = 100
 	pool := app.ScopePool(1)
 	_, reusedBefore, _ := pool.Stats()
-	gen := shell.Area().Generation()
+	area := shell.Area()
+	gen := area.Generation()
 	app.mu.Lock()
 	smm.mu.Lock()
 	smm.instMu.Lock()
@@ -672,13 +713,14 @@ func TestReviveQuiesceLockBudget(t *testing.T) {
 	<-done
 
 	created, reused, free := pool.Stats()
-	if reused-reusedBefore != cycles || created != 2 || free != 2 {
-		t.Errorf("pool after %d cycles: %d acquires, %d created, %d free; want one acquire per revival and all areas back",
+	if reused != reusedBefore || created != 2 || free != 1 {
+		t.Errorf("pool after %d cycles: %d acquires, %d created, %d free; want none, the shell holding one area of two",
 			cycles, reused-reusedBefore, created, free)
 	}
-	// The pool's free list is LIFO, so a lone shell cycles one area: its
-	// generation counts the reclaims.
-	if g := shell.Area().Generation() - gen; g != cycles {
+	if shell.Area() != area {
+		t.Errorf("the shell moved from %v to %v", area, shell.Area())
+	}
+	if g := area.Generation() - gen; g != cycles {
 		t.Errorf("area reclaimed %d times over %d cycles, want one reclaim per quiesce", g, cycles)
 	}
 	// (The whole send is pinned at 0 allocs/op by the repo-level

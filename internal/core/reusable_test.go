@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -101,22 +102,28 @@ func (h *reusableHarness) send(t *testing.T, v int64) {
 	}
 }
 
-// waitGone blocks until the named child has quiesced out of the SMM.
+// waitGone blocks until the named child has quiesced: its shell disposed and
+// settled, parked or retired, and not in transition.
 func waitGone(t *testing.T, smm *SMM, name string) {
 	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for smm.Child(name) != nil {
-		if time.Now().After(deadline) {
-			t.Fatalf("child %q not reclaimed", name)
-		}
-		time.Sleep(time.Millisecond)
+	c := smm.shell(name)
+	if c == nil {
+		return
+	}
+	gone := func() bool {
+		w := c.life.Load()
+		return w&lifeDisposed != 0 && w&(lifeParked|lifeRetired) != 0
+	}
+	if !c.changed.Wait(gone, time.Now().Add(2*time.Second)) {
+		t.Fatalf("child %q not reclaimed: life word %#x", name, c.life.Load())
 	}
 }
 
 // TestReusableChildRevivesShell drives several dispose/revive cycles through
 // a Reusable child and pins the contract: the identical shell serves every
 // message, Setup ran exactly once, the start function ran once per
-// instantiation, and the scoped area still cycles through the pool.
+// instantiation, and the shell keeps the one area it took from the pool,
+// reclaimed in place at every quiescence.
 func TestReusableChildRevivesShell(t *testing.T) {
 	app := newTestApp(t, AppConfig{
 		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 14, Count: 2}},
@@ -153,14 +160,17 @@ func TestReusableChildRevivesShell(t *testing.T) {
 			t.Errorf("message %d served by a different shell", i)
 		}
 	}
-	// The memory semantics are untouched: every instantiation went through
-	// the pool (pre-created areas only, heavy reuse).
-	created, reused, _ := app.ScopePool(1).Stats()
-	if created != 2 {
-		t.Errorf("pool created = %d, want 2", created)
+	for i, name := range h.areaName {
+		if name != h.areaName[0] {
+			t.Errorf("message %d served in area %q, the shell's is %q", i, name, h.areaName[0])
+		}
 	}
-	if reused < rounds-2 {
-		t.Errorf("pool reused = %d, want >= %d", reused, rounds-2)
+	// One acquisition, for the build; the parked shell holds the area.
+	if created, reused, free := app.ScopePool(1).Stats(); created != 2 || reused != 1 || free != 1 {
+		t.Errorf("pool: %d created, %d acquired, %d free; want 2, 1, 1", created, reused, free)
+	}
+	if g := h.shells[0].Area().Generation(); g != rounds {
+		t.Errorf("area generation %d after %d quiescences, want one reclaim each", g, rounds)
 	}
 	if n, err := app.Errors(); n != 0 {
 		t.Errorf("handler errors: %d (%v)", n, err)
@@ -274,23 +284,13 @@ func TestReusableQuiesceAtomicAgainstInstantiate(t *testing.T) {
 	}
 }
 
-// TestExecRefusesDisposedInstance runs Exec on a Reusable shell that has
-// parked, its area back in the scope pool. Exec must refuse it with
-// ErrStopped and enter nothing: entering the area the shell gave back
-// reclaims it on the way out and returns it to the pool a second time, after
-// which two acquires hand out one region. Exec on the revived instance, held
-// by a handle, runs in its area as ever.
-func TestExecRefusesDisposedInstance(t *testing.T) {
-	app := newTestApp(t, AppConfig{
-		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 12, Count: 1, Grow: true}},
-	})
-	parent, err := app.NewImmortalComponent("P", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+// reusableSink defines a Reusable pooled child behind a synchronous port on
+// parent and returns the Out port that drives it.
+func reusableSink(t *testing.T, parent *Component, name string) *OutPort {
+	t.Helper()
 	smm := parent.SMM()
 	if err := parent.DefineChild(ChildDef{
-		Name: "Sink", UsePool: true, Reusable: true,
+		Name: name, UsePool: true, Reusable: true,
 		Setup: func(c *Component) error {
 			_, err := AddInPort(c, smm, InPortConfig{
 				Name: "in", Type: intType, Threading: ThreadingSynchronous,
@@ -301,13 +301,16 @@ func TestExecRefusesDisposedInstance(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	out, err := AddOutPort(parent, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"Sink.in"}})
+	out, err := AddOutPort(parent, smm, OutPortConfig{Name: "to" + name, Type: intType, Dests: []string{name + ".in"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := app.Start(); err != nil {
-		t.Fatal(err)
-	}
+	return out
+}
+
+// sendOne sends one message and fails the test on an error.
+func sendOne(t *testing.T, out *OutPort) {
+	t.Helper()
 	m, err := out.GetMessage()
 	if err == nil {
 		err = out.Send(m, sched.NormPriority)
@@ -315,25 +318,51 @@ func TestExecRefusesDisposedInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := app.ScopePool(1)
-	balanced := func(when string) {
-		t.Helper()
-		if created, _, free := pool.Stats(); int64(free) != created {
-			t.Errorf("%s: scope pool holds %d free areas, %d created", when, free, created)
-		}
+}
+
+// TestExecRefusesDisposedInstance runs Exec on a Reusable shell that has
+// parked, holding its reclaimed area with its wedge alone. Exec must refuse
+// it with ErrStopped and enter nothing: an entrant would keep the area from
+// its next in-place reclaim, and one that outlived a retirement would reclaim
+// it into the pool under a shell still using it. Exec on the revived
+// instance, held by a handle, runs in the same area as ever.
+func TestExecRefusesDisposedInstance(t *testing.T) {
+	app := newTestApp(t, AppConfig{
+		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 12, Count: 1, Grow: true}},
+	})
+	parent, err := app.NewImmortalComponent("P", nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	smm := parent.SMM()
+	out := reusableSink(t, parent, "Sink")
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	sendOne(t, out)
+	pool := app.ScopePool(1)
 	shell := smm.shell("Sink")
 	if !shell.Disposed() {
 		t.Fatal("the synchronous child did not park after its one message")
 	}
-	balanced("parked")
+	area := shell.Area()
+	untouched := func(when string, gen uint64) {
+		t.Helper()
+		if entrants, wedges := holders(area); entrants != 0 || wedges != 1 || area.Generation() != gen {
+			t.Errorf("%s: %d entrants, %d wedges, generation %d; want the wedge alone at %d", when, entrants, wedges, area.Generation(), gen)
+		}
+		if created, reused, free := pool.Stats(); created != 1 || reused != 1 || free != 0 {
+			t.Errorf("%s: scope pool %d created, %d acquired, %d free; want the shell's one area", when, created, reused, free)
+		}
+	}
+	untouched("parked", 1)
 
 	ran := false
 	err = shell.Exec(func(*memory.Context) error { ran = true; return nil })
 	if !errors.Is(err, ErrStopped) || ran {
 		t.Errorf("Exec on a parked shell: err %v, fn ran %v; want ErrStopped and nothing entered", err, ran)
 	}
-	balanced("after Exec on the parked shell")
+	untouched("after Exec on the parked shell", 1)
 
 	h, err := smm.Connect("Sink")
 	if err != nil {
@@ -341,8 +370,8 @@ func TestExecRefusesDisposedInstance(t *testing.T) {
 	}
 	live := h.Component()
 	err = live.Exec(func(ctx *memory.Context) error {
-		if ctx.Current() != live.Area() {
-			t.Errorf("Exec current in %v, want the instance's area %v", ctx.Current(), live.Area())
+		if ctx.Current() != area {
+			t.Errorf("Exec current in %v, want the instance's area %v", ctx.Current(), area)
 		}
 		return nil
 	})
@@ -350,5 +379,71 @@ func TestExecRefusesDisposedInstance(t *testing.T) {
 	if err != nil {
 		t.Errorf("Exec on a live instance: %v", err)
 	}
-	balanced("after the revived instance parked again")
+	untouched("after the revived instance parked again", 2)
+	app.Stop()
+	if created, _, free := pool.Stats(); int64(free) != created {
+		t.Errorf("after Stop: %d of %d areas free", free, created)
+	}
+}
+
+// TestReusableParkedShellOwnsItsArea parks two Reusable siblings served from
+// one scope pool and checks that each holds an area of its own, pinned by its
+// own wedge and nobody else, across revivals. Swapping one out disposes of its
+// parked shell: the area goes back to the pool exactly once, and the new
+// version's shell takes it.
+func TestReusableParkedShellOwnsItsArea(t *testing.T) {
+	app := newTestApp(t, AppConfig{
+		ScopePools: []ScopePoolSpec{{Level: 1, AreaSize: 1 << 12, Count: 2}},
+	})
+	parent, err := app.NewImmortalComponent("P", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smm := parent.SMM()
+	outs := []*OutPort{reusableSink(t, parent, "A"), reusableSink(t, parent, "B")}
+	if err := app.Start(); err != nil {
+		t.Fatal(err)
+	}
+	pool := app.ScopePool(1)
+	owns := func(when string, names ...string) {
+		t.Helper()
+		seen := map[*memory.Area]string{}
+		for _, name := range names {
+			c := smm.shell(name)
+			if w := c.life.Load(); w&(lifeParked|lifeRetired) != lifeParked {
+				t.Fatalf("%s: %s life word %#x, want parked", when, name, w)
+			}
+			a := c.Area()
+			if other, dup := seen[a]; dup {
+				t.Errorf("%s: %s and %s both hold %v", when, other, name, a)
+			}
+			seen[a] = name
+			if entrants, wedges := holders(a); c.wedge.Area() != a || entrants != 0 || wedges != 1 {
+				t.Errorf("%s: %s's area %v has %d entrants and %d wedges, its wedge holds %v; want its own wedge alone",
+					when, name, a, entrants, wedges, c.wedge.Area())
+			}
+		}
+		if created, _, free := pool.Stats(); int64(free+len(names)) != created {
+			t.Errorf("%s: %d areas free and %d held by parked shells, %d created", when, free, len(names), created)
+		}
+	}
+	for round := 0; round < 3; round++ {
+		for _, out := range outs {
+			sendOne(t, out)
+		}
+		owns(fmt.Sprintf("round %d", round+1), "A", "B")
+	}
+
+	old := smm.shell("A")
+	if _, err := smm.Swap(*old.def, SwapOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, free := pool.Stats(); free != 1 {
+		t.Errorf("after swapping the parked A out: %d areas free, want its one", free)
+	}
+	sendOne(t, outs[0])
+	if smm.shell("A") == old {
+		t.Fatal("the swapped-out shell served again")
+	}
+	owns("after the swap", "A", "B")
 }

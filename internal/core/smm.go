@@ -505,9 +505,9 @@ func (s *SMM) materialize(name string) (*Component, error) {
 			}
 		}
 		// No shell, or one disposed for good: build its successor, unless
-		// another builder got there first.
+		// another builder got there first or a Stop disposed of it.
 		s.instMu.Lock()
-		if s.shell(name) != c {
+		if s.shell(name) != c || s.stopped.Load() {
 			s.instMu.Unlock()
 			continue
 		}

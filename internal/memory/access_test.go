@@ -18,12 +18,12 @@ func TestAccessRulesTable1(t *testing.T) {
 	err := ctx.Enter(a, func(c1 *Context) error {
 		// Pin B and C open as siblings under A, like two real-time threads
 		// parked in them.
-		wb, err := Pin(b, a)
+		wb, err := newWedge(b, a)
 		if err != nil {
 			return err
 		}
 		defer wb.Release()
-		wc, err := Pin(c, a)
+		wc, err := newWedge(c, a)
 		if err != nil {
 			return err
 		}

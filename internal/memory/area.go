@@ -371,30 +371,23 @@ func (a *Area) exit() {
 // acquisition, so the decision is re-taken in a CAS loop.
 func (a *Area) dropSlow(delta uint64) {
 	a.mu.Lock()
-	var fins []func()
-	reclaimed := false
 	for {
 		s := a.state.Load()
-		if s&holderMask != delta {
-			// Not the last holder after all.
-			if a.state.CompareAndSwap(s, s-delta) {
-				a.mu.Unlock()
+		if a.state.CompareAndSwap(s, s-delta) {
+			if s&holderMask != delta {
+				a.mu.Unlock() // not the last holder after all
 				return
 			}
-			continue
-		}
-		// Dropping to zero holders. Once this CAS lands no lock-free enter
-		// can succeed (they require holders > 0) and slow enters are blocked
-		// on mu, so reclaimLocked runs with the area quiescent.
-		if a.state.CompareAndSwap(s, s-delta) {
-			fins = a.reclaimLocked()
-			reclaimed = true
 			break
 		}
 	}
+	// Dropped to zero holders. Once that CAS landed no lock-free enter can
+	// succeed (they require holders > 0) and slow enters are blocked on mu,
+	// so reclaimLocked runs with the area quiescent.
+	fins := a.reclaimLocked(0)
 	a.mu.Unlock()
 	runFinalizers(fins)
-	if reclaimed && a.pool != nil {
+	if a.pool != nil {
 		a.pool.put(a)
 	}
 }
@@ -414,17 +407,20 @@ func (a *Area) scopeLevel() int {
 // (callers must run them after releasing the lock, LIFO order preserved by
 // runFinalizers). Callers guarantee holders == 0 and hold mu. The
 // generation bump is published first so lock-free Ref checks go stale
-// before the arena is rezeroed.
-func (a *Area) reclaimLocked() []func() {
+// before the arena is rezeroed. keep is the holder count the area comes
+// out with: none leaves it unparented, a wedge keeps parent and level.
+func (a *Area) reclaimLocked(keep uint64) []func() {
 	s := a.state.Load()
-	a.state.Store((s>>genShift + 1) << genShift)
-	a.parent.Store(nil)
+	a.state.Store((s>>genShift+1)<<genShift | keep)
+	if keep == 0 {
+		a.parent.Store(nil)
+		a.level = 0
+	}
 	fins := a.finalizers
 	a.finalizers = nil
 	used := a.used
 	a.used = 0
 	a.allocs = 0
-	a.level = 0
 	if a.linear {
 		// Linear-time reuse cost, like LTScopedMemory — but proportional to
 		// what the scope actually allocated, not its capacity. alloc hands

@@ -102,17 +102,17 @@ func TestEnterBelowEntersOnlyWhatIsMissing(t *testing.T) {
 	chain := []*Area{p, b, c}
 
 	// Hold the chain open the way components do, so parents are fixed.
-	w1, err := Pin(p, m.Immortal())
+	w1, err := newWedge(p, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w1.Release()
-	w2, err := Pin(b, p)
+	w2, err := newWedge(b, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer w2.Release()
-	w3, err := Pin(c, b)
+	w3, err := newWedge(c, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func pinChain(t *testing.T, m *Model, names ...string) []*Area {
 	from := m.Immortal()
 	for i, name := range names {
 		a := m.NewLTScoped(name, 4096)
-		w, err := Pin(a, from)
+		w, err := newWedge(a, from)
 		if err != nil {
 			t.Fatal(err)
 		}

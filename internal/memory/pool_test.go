@@ -114,7 +114,7 @@ func TestScopePoolReturnViaWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := Pin(a, m.Immortal())
+	w, err := newWedge(a, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,17 +61,10 @@ func CheckAccess(from, to *Area) error {
 	if to.holders() == 0 {
 		return &AccessError{From: from.name, To: to.name}
 	}
-	for a := from; a != nil; a = parentOf(a) {
+	for a := from; a != nil; a = a.parent.Load() { // primordial areas have none
 		if a == to {
 			return nil
 		}
 	}
 	return &AccessError{From: from.name, To: to.name}
-}
-
-func parentOf(a *Area) *Area {
-	if a.kind != KindScoped {
-		return nil
-	}
-	return a.parent.Load()
 }

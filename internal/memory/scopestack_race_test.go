@@ -87,7 +87,7 @@ func TestEnterChainRaceStorm(t *testing.T) {
 	b := m.NewLTScoped("b", 1<<16)
 	foreign := m.NewLTScoped("foreign", 4096)
 
-	wf, err := Pin(foreign, m.Immortal())
+	wf, err := newWedge(foreign, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestEnterChainRaceStorm(t *testing.T) {
 					runtime.Gosched()
 				}
 			}
-			if w, err := Pin(a, foreign); err == nil {
+			if w, err := newWedge(a, foreign); err == nil {
 				disruptions.Add(1)
 				w.Release()
 			}

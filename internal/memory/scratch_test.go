@@ -195,7 +195,7 @@ func TestScratchSharedAreaFillsThenOverflows(t *testing.T) {
 		size    = 96
 	)
 	m, comp, pool := scratchFixture(t, 8192, 1024)
-	hold, err := Pin(comp, m.Immortal())
+	hold, err := newWedge(comp, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,9 +10,8 @@ import (
 // parked thread whose only job is to keep the scope's reference count above
 // zero so the region is not reclaimed between messages.
 //
-// The zero Wedge holds nothing. A released wedge may pin again, so a
-// long-lived owner (a component shell revived once per request) embeds one
-// and re-arms it instead of allocating a wedge per pin.
+// The zero Wedge holds nothing; a released one may pin again. A component
+// shell embeds one and keeps its area pinned across quiescence (Reclaim).
 type Wedge struct {
 	area *Area
 	// armed is the hold itself: Pin sets it after the area's count moved,
@@ -20,23 +19,12 @@ type Wedge struct {
 	armed atomic.Bool
 }
 
-// Pin wedges the area open as if entered from `from` (the would-be parent).
-// For an inactive scoped area this fixes its parent exactly like a first
-// Enter; for an active one the single-parent rule is enforced. Pinning heap
-// or immortal areas is a no-op that still returns a releasable Wedge.
-func Pin(a *Area, from *Area) (*Wedge, error) {
-	w := new(Wedge)
-	if err := w.Pin(a, from, 0); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// Pin is the package-level Pin through an existing, unarmed wedge, and
-// charges header bytes to the area in the same critical section: the wedge
-// thread's own allocation, made as it arrives, without the caller walking a
-// scope stack down to the area. One goroutine owns a wedge between its
-// Release and its next Pin.
+// Pin wedges the area open as if entered from `from` (the would-be parent)
+// and charges it header bytes in the same critical section: the wedge
+// thread's own allocation, made as it arrives. For an inactive scoped area
+// this fixes its parent exactly like a first Enter; for an active one the
+// single-parent rule is enforced. Pinning heap or immortal areas is a no-op
+// that still leaves a releasable wedge. One goroutine owns a wedge.
 func (w *Wedge) Pin(a *Area, from *Area, header int) error {
 	if w.armed.Load() {
 		return fmt.Errorf("memory: wedge still holds %q, cannot pin %q", w.area.name, a.name)
@@ -52,11 +40,7 @@ func (w *Wedge) Pin(a *Area, from *Area, header int) error {
 // pin adds one wedge to the area's holders and allocates header bytes in it.
 func (a *Area) pin(from *Area, header int) error {
 	if a.kind != KindScoped {
-		if header == 0 {
-			return nil
-		}
-		_, err := a.alloc(header)
-		return err
+		return nil
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -93,6 +77,30 @@ func (a *Area) pin(from *Area, header int) error {
 
 // Area returns the area the wedge last pinned.
 func (w *Wedge) Area() *Area { return w.area }
+
+// Reclaim resets the scoped area the wedge alone holds, in place and in one
+// critical section, as if reclaimed and pinned again: the generation bumps
+// (every Ref into it goes stale), finalizers run, the used bytes are zeroed
+// and header bytes charged afresh; parent and level stay. With any other
+// holder it reports false and changes nothing.
+func (w *Wedge) Reclaim(header int) bool {
+	a := w.area
+	if !w.armed.Load() {
+		return false
+	}
+	a.mu.Lock() // a heap or immortal area has no holders: refused below
+	s := a.state.Load()
+	if s&holderMask != wedgeDelta || !a.state.CompareAndSwap(s, s-wedgeDelta) {
+		a.mu.Unlock()
+		return false
+	}
+	// No holder left: lock-free enters fail and slow ones wait on mu.
+	fins := a.reclaimLocked(wedgeDelta)
+	a.carveLocked(header)
+	a.mu.Unlock()
+	runFinalizers(fins)
+	return true
+}
 
 // Release removes the wedge. If it was the last holder the area is
 // reclaimed. Release is idempotent and safe against a concurrent Release:

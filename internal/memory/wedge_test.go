@@ -6,12 +6,21 @@ import (
 	"testing"
 )
 
+// newWedge pins a on a wedge of its own, as if entered from `from`.
+func newWedge(a, from *Area) (*Wedge, error) {
+	w := new(Wedge)
+	if err := w.Pin(a, from, 0); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
 func TestWedgeKeepsScopeAlive(t *testing.T) {
 	m := NewModel(Config{})
 	ctx := m.NewContext()
 	a := m.NewLTScoped("a", 64)
 
-	w, err := Pin(a, m.Heap())
+	w, err := newWedge(a, m.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,28 +60,28 @@ func TestWedgeSingleParentRule(t *testing.T) {
 	b := m.NewLTScoped("b", 64)
 	shared := m.NewLTScoped("s", 64)
 
-	wa, err := Pin(a, m.Heap())
+	wa, err := newWedge(a, m.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wa.Release()
-	wb, err := Pin(b, m.Heap())
+	wb, err := newWedge(b, m.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wb.Release()
 
-	ws, err := Pin(shared, a)
+	ws, err := newWedge(shared, a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ws.Release()
 
-	if _, err := Pin(shared, b); !errors.Is(err, ErrScopedCycle) {
+	if _, err := newWedge(shared, b); !errors.Is(err, ErrScopedCycle) {
 		t.Errorf("second-parent pin err = %v, want ErrScopedCycle", err)
 	}
 	// Same parent pin is fine.
-	ws2, err := Pin(shared, a)
+	ws2, err := newWedge(shared, a)
 	if err != nil {
 		t.Errorf("same-parent pin: %v", err)
 	} else {
@@ -83,11 +92,11 @@ func TestWedgeSingleParentRule(t *testing.T) {
 func TestWedgeReleaseIdempotent(t *testing.T) {
 	m := NewModel(Config{})
 	a := m.NewLTScoped("a", 64)
-	w1, err := Pin(a, m.Heap())
+	w1, err := newWedge(a, m.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := Pin(a, m.Heap())
+	w2, err := newWedge(a, m.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +113,7 @@ func TestWedgeReleaseIdempotent(t *testing.T) {
 
 func TestWedgeOnPrimordialIsNoOp(t *testing.T) {
 	m := NewModel(Config{})
-	w, err := Pin(m.Immortal(), m.Heap())
+	w, err := newWedge(m.Immortal(), m.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +129,7 @@ func TestWedgeOnPrimordialIsNoOp(t *testing.T) {
 func TestWedgeRunsFinalizers(t *testing.T) {
 	m := NewModel(Config{})
 	a := m.NewLTScoped("a", 64)
-	w, err := Pin(a, m.Heap())
+	w, err := newWedge(a, m.Heap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +159,7 @@ func TestWedgeRepinRacingReleases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		other, err := Pin(a, m.Immortal())
+		other, err := newWedge(a, m.Immortal())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,4 +209,80 @@ func TestWedgePinHeaderMustFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Release()
+}
+
+// TestWedgeReclaimInPlace pins the in-place reclaim a parked component shell
+// makes: the area stays held and parented, its generation moves by one (a Ref
+// into the old contents goes stale), its finalizers run, its bytes are zeroed
+// and the header is charged again. With another holder it refuses and
+// changes nothing, and an unarmed wedge reclaims nothing.
+func TestWedgeReclaimInPlace(t *testing.T) {
+	m := NewModel(Config{})
+	pool, err := m.NewScopePool(ScopePoolConfig{Name: "p", AreaSize: 256, Count: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := pool.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parent := m.NewLTScoped("parent", 64)
+	hold, err := newWedge(parent, m.Immortal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Release()
+	var w Wedge
+	if err := w.Pin(a, parent, 32); err != nil {
+		t.Fatal(err)
+	}
+	var ref Ref
+	if err := m.NewNoHeapContext().EnterChain([]*Area{parent, a}, func(c *Context) error {
+		ref, err = c.Alloc(16)
+		if err == nil {
+			b, _ := ref.Bytes()
+			copy(b, "request")
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	finalized := 0
+	a.AddFinalizer(func() { finalized++ })
+	gen := a.Generation()
+	if !w.Reclaim(32) {
+		t.Fatal("the sole wedge could not reclaim its area")
+	}
+	if a.Generation() != gen+1 || ref.Valid() || finalized != 1 {
+		t.Errorf("after reclaim: generation +%d, old ref valid %v, finalizers run %d; want +1, false, 1",
+			a.Generation()-gen, ref.Valid(), finalized)
+	}
+	if !a.Pinned() || a.Parent() != parent || a.Level() != 2 || a.Used() != 32 || a.Allocations() != 1 {
+		t.Errorf("after reclaim: pinned %v, parent %v, level %d, %d bytes in %d allocations; want the header alone, parent and level kept",
+			a.Pinned(), a.Parent(), a.Level(), a.Used(), a.Allocations())
+	}
+	for i, b := range a.buf[32:48] {
+		if b != 0 {
+			t.Fatalf("byte %d of the old contents survived the reclaim", 32+i)
+		}
+	}
+	if _, _, free := pool.Stats(); free != 0 {
+		t.Error("an in-place reclaim returned the area to its pool")
+	}
+
+	other, err := newWedge(a, parent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Reclaim(32) || a.Generation() != gen+1 || a.Used() != 32 {
+		t.Error("reclaimed with a second holder")
+	}
+	other.Release()
+	w.Release()
+	if w.Reclaim(0) || a.Generation() != gen+2 {
+		t.Error("a released wedge reclaimed, or the last release did not")
+	}
+	if _, _, free := pool.Stats(); free != 1 {
+		t.Error("the last release did not return the area to its pool")
+	}
 }

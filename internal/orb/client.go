@@ -47,8 +47,8 @@ type ClientConfig struct {
 	// MaxMessage bounds a reply body; zero selects DefaultMaxMessage.
 	MaxMessage int
 	// ScopePoolCount pre-creates that many MessageProcessing scopes
-	// (paper's scope-pool optimisation); zero creates fresh scopes per
-	// instantiation.
+	// (paper's scope-pool optimisation), of which the client holds one; zero
+	// creates a fresh scope when MessageProcessing is first built.
 	ScopePoolCount int
 	// Synchronous is ignored: the client's component ports are always calls
 	// on the invoking goroutine (the paper's pool size 0, §2.2).
@@ -97,23 +97,26 @@ type ClientConfig struct {
 // DefaultMaxMessage is the default bound on message bodies.
 const DefaultMaxMessage = 4096
 
-// clientMsgPoolCapacity is the per-port pool of invocation messages. A caller
-// holds one from each of the two ports only while it is inside the pipeline —
-// marshalling, or blocked on the wire — not while it awaits its reply, so this
-// bounds the callers submitting at one instant, not the invocations in flight;
-// one more fails fast with core.ErrPoolEmpty.
+// clientMsgPoolCapacity is the pool of invocation messages. A caller holds
+// one only while it is inside the pipeline — marshalling, or blocked on the
+// wire — not while it awaits its reply, so this bounds the callers submitting
+// at one instant, not the invocations in flight; one more fails fast with
+// core.ErrPoolEmpty.
 const clientMsgPoolCapacity = 128
 
-// Client is the component-structured ORB client of Fig. 10 (left). Its ports
-// are calls: every invocation is marshalled, registered in its connection's
-// pending table and written on its caller's goroutine, and the callers
-// awaiting replies demultiplex the connection themselves (mux.go) — one of
-// them at a time reads, matching each reply to its entry by request id — so
-// concurrent invokes overlap on one multiplexed GIOP connection, complete in
-// any order, and the client owns no thread.
+// Client is the component-structured ORB client of Fig. 10 (left): ORB →
+// Transport → MessageProcessing. The caller sends each invocation on
+// Transport's port into MessageProcessing, a call: it is marshalled,
+// registered in its connection's pending table and written on its caller's
+// goroutine, and the callers awaiting replies demultiplex the connection
+// themselves (mux.go) — one of them at a time reads, matching each reply to
+// its entry by request id — so concurrent invokes overlap on one multiplexed
+// GIOP connection, complete in any order, and the client owns no thread.
 type Client struct {
-	app      *core.App
-	invoke   *core.OutPort
+	app *core.App
+	// invoke is Transport's port into MessageProcessing, set once the first
+	// wire invocation has instantiated the Transport (see toMP).
+	invoke   atomic.Pointer[core.OutPort]
 	reqPool  *memory.ScopePool
 	nextID   atomic.Uint32
 	maxMsg   int
@@ -155,11 +158,17 @@ type Client struct {
 	retargetMu  sync.Mutex
 	retiring    map[*muxConn]struct{}
 	rotate      atomic.Uint32
+
+	// transport is the handle that keeps the Transport instance — and with
+	// it the invoke port — alive until Close; transportMu serialises its
+	// instantiation.
+	transportMu sync.Mutex
+	transport   *core.Handle
 }
 
 // DialClient builds the client component structure and connects it. The
 // Transport component dials when it is instantiated — which happens when
-// the first request message arrives, exactly as §3.2 describes — so the
+// the first invocation goes out on the wire, as §3.2 describes — so the
 // network connection is established lazily.
 func DialClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Network == nil {
@@ -253,14 +262,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	}
 
 	_, err = app.NewImmortalComponent("ORB", func(c *core.Component) error {
-		smm := c.SMM()
-		out, err := core.AddOutPort(c, smm, core.OutPortConfig{
-			Name: "toTransport", Type: invokeType, Dests: []string{"Transport.request"},
-		})
-		if err != nil {
-			return err
-		}
-		cl.invoke = out
 		return c.DefineChild(core.ChildDef{
 			Name:       "Transport",
 			MemorySize: transportSize,
@@ -279,55 +280,26 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	return cl, nil
 }
 
-// transportSetup wires one Transport instance: the In port fed by the ORB,
-// the Out port feeding MessageProcessing, the per-request child definition,
-// and the start function that dials every stripe's connection. Both In ports
-// are synchronous — the paper's pool size 0, "on the calling thread" (§2.2):
-// a caller blocks for its reply either way, so a thread pool in front of the
-// wire would buy no concurrency.
+// transportSetup wires one Transport instance: the Out port feeding
+// MessageProcessing, on which callers send their invocations, the per-request
+// child definition, and the start function that dials every stripe's
+// connection. MessageProcessing's In port is synchronous — the paper's pool
+// size 0, "on the calling thread" (§2.2): a caller blocks for its reply
+// either way, so a thread pool in front of the wire would buy no concurrency.
 func (cl *Client) transportSetup(mpSize int64, usePool bool) func(*core.Component) error {
 	return func(tc *core.Component) error {
-		orbSMM := tc.Parent().SMM()
 		tSMM := tc.SMM()
-
-		toMP, err := core.AddOutPort(tc, tSMM, core.OutPortConfig{
+		if _, err := core.AddOutPort(tc, tSMM, core.OutPortConfig{
 			Name: "toMP", Type: invokeType, Dests: []string{"MessageProcessing.request"},
-		})
-		if err != nil {
-			return err
-		}
-
-		// The Transport relays requests from the ORB into the deepest
-		// scope: get a fresh pooled message from its own SMM and copy the
-		// invocation over (messages never cross SMM pools).
-		if _, err := core.AddInPort(tc, orbSMM, core.InPortConfig{
-			Name: "request", Type: invokeType, Threading: core.ThreadingSynchronous,
-			Handler: core.HandlerFunc(func(p *core.Proc, msg core.Message) error {
-				in := msg.(*invokeMsg)
-				fwd, err := toMP.GetMessage()
-				if err != nil {
-					in.pe.complete(invokeResult{err: err})
-					return err
-				}
-				out := fwd.(*invokeMsg)
-				out.copyFrom(in)
-				if err := toMP.SendFrom(p, fwd, in.prio); err != nil {
-					in.pe.complete(invokeResult{err: err})
-					return err
-				}
-				return nil
-			}),
 		}); err != nil {
 			return err
 		}
-
 		if err := tc.DefineChild(core.ChildDef{
 			Name:       "MessageProcessing",
 			MemorySize: mpSize,
 			UsePool:    usePool,
 			// Setup is pure declaration (one In port on the parent's SMM), so
-			// the shell survives quiescence and only the area cycles per
-			// request.
+			// the shell survives quiescence, its area reclaimed in place.
 			Reusable: true,
 			Setup: func(mp *core.Component) error {
 				_, err := core.AddInPort(mp, tSMM, core.InPortConfig{
@@ -629,15 +601,21 @@ func (cl *Client) InvokeOneway(key, op string, payload []byte, prio sched.Priori
 const yieldEvery = 32
 
 // wire is the wire transport: pick a stripe, then one pass through the
-// component pipeline — arm a pending entry, carry the invocation to the
-// stripe's connection on this goroutine, and wait for the demux (or a failure
-// path) to complete it.
+// component pipeline — arm a pending entry, send the invocation into
+// MessageProcessing, which carries it to the stripe's connection on this
+// goroutine, and wait for the demux (or a failure path) to complete it. The
+// send is a call whose frame enters Transport and MessageProcessing in one
+// pinned enter.
 func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Priority, oneway bool, trace, span uint64) invokeResult {
 	st, err := cl.pickStripe(prio)
 	if err != nil {
 		return invokeResult{err: err}
 	}
-	msg, err := cl.invoke.GetMessage()
+	out, err := cl.toMP()
+	if err != nil {
+		return invokeResult{err: err}
+	}
+	msg, err := out.GetMessage()
 	if err != nil {
 		return invokeResult{err: err}
 	}
@@ -655,13 +633,38 @@ func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Pri
 	if id%yieldEvery == 1 {
 		runtime.Gosched()
 	}
-	if err := cl.invoke.Send(msg, prio); err != nil {
+	if err := out.Send(msg, prio); err != nil {
 		// A send to a synchronous port fails only before the handler is
 		// called: the entry never left this goroutine.
 		putPending(pe)
 		return invokeResult{err: err}
 	}
 	return cl.await(pe)
+}
+
+// toMP returns the invoke port, instantiating the Transport on the first call
+// — its start function dials — and again after a start that failed.
+func (cl *Client) toMP() (*core.OutPort, error) {
+	if out := cl.invoke.Load(); out != nil {
+		return out, nil
+	}
+	cl.transportMu.Lock()
+	defer cl.transportMu.Unlock()
+	if out := cl.invoke.Load(); out != nil {
+		return out, nil
+	}
+	h, err := cl.app.Component("ORB").SMM().Connect("Transport")
+	if err != nil {
+		return nil, err
+	}
+	out, err := h.Component().SMM().GetOutPort("Transport.toMP")
+	if err != nil {
+		h.Disconnect()
+		return nil, err
+	}
+	cl.transport = h
+	cl.invoke.Store(out)
+	return out, nil
 }
 
 // await blocks until the entry completes or the per-invoke deadline expires.

@@ -2,20 +2,20 @@
 // composed from Compadres components (§3.2, Fig. 10).
 //
 // The client is a three-level scoped structure: the ORB component lives in
-// immortal memory; the Transport component is a scoped child created when
-// the first request arrives and holds the connection; a MessageProcessing
-// component is created per request in the deepest scope, marshals the GIOP
-// request there, writes it, and destroys itself — its scope is reclaimed (or
-// returned to the level's pool) when it goes quiescent. The client's ports are
-// calls (the paper's pool size 0): all three run on the invoking goroutine,
-// which then waits for its reply and, taking turns with the other waiters,
-// reads the connection. The client owns no thread.
+// immortal memory; the Transport component is a scoped child the first wire
+// invocation instantiates, and holds the connection; a MessageProcessing
+// component is revived per request in the deepest scope, marshals the GIOP
+// request there, writes it, and quiesces — its scope is reclaimed in place,
+// kept by its parked shell for the next request. The invoking goroutine sends
+// each request on the Transport's port into MessageProcessing, a call (the
+// paper's pool size 0), then waits for its reply and, taking turns with the
+// other waiters, reads the connection. The client owns no thread.
 //
 // The server is a four-level structure: ORB (immortal) → POA/Acceptor
 // (scoped, accepts connections) → one Transport per connection (scoped,
 // reads framed requests) → one RequestProcessing per request (deepest
 // scope, demarshals, invokes the servant, marshals and writes the reply,
-// then destroys itself).
+// then quiesces, its scope reclaimed in place like MessageProcessing's).
 //
 // Scope levels: the paper counts immortal memory as level 1, so its level-2
 // client Transport is a level-1 child here, and the server's level-4

@@ -144,12 +144,15 @@ func TestIdleClientOwnsNoThread(t *testing.T) {
 }
 
 // TestClientSynchronousIsInert pins that the deprecated field selects
-// nothing: set or not, the client's two In ports are calls (no buffer to have
-// a capacity) and its connection hands out a leader token.
+// nothing: set or not, the client ORB has no In port (callers send straight
+// into MessageProcessing on Transport's port), MessageProcessing's port is a
+// call (no buffer to have a capacity), and the connection hands out a leader
+// token.
 func TestClientSynchronousIsInert(t *testing.T) {
 	type shape struct {
-		TransportCap, MPCap int
-		Token               bool
+		ORBInPort bool
+		MPCap     int
+		Token     bool
 	}
 	var shapes []shape
 	for _, synchronous := range []bool{false, true} {
@@ -161,16 +164,13 @@ func TestClientSynchronousIsInert(t *testing.T) {
 			t.Fatal(err)
 		}
 		orbSMM := cl.App().Component("ORB").SMM()
-		tr, err := orbSMM.GetInPort("Transport.request")
-		if err != nil {
-			t.Fatal(err)
-		}
-		mp, err := orbSMM.Child("Transport").SMM().GetInPort("MessageProcessing.request")
-		if err != nil {
-			t.Fatal(err)
+		_, err := orbSMM.GetInPort("Transport.request")
+		mp, merr := orbSMM.Child("Transport").SMM().GetInPort("MessageProcessing.request")
+		if merr != nil {
+			t.Fatal(merr)
 		}
 		shapes = append(shapes, shape{
-			TransportCap: tr.Capacity(), MPCap: mp.Capacity(),
+			ORBInPort: err == nil, MPCap: mp.Capacity(),
 			Token: cl.stripes[0].cur.Load().leaderCh != nil,
 		})
 	}
@@ -194,9 +194,9 @@ func TestRetriableBeforeFirstByte(t *testing.T) {
 		want bool
 	}{
 		{"pickStripe: every breaker open", ErrCircuitOpen, true},
-		{"invoke.GetMessage / toMP.GetMessage: pool empty", fmt.Errorf("%w: type %q", core.ErrPoolEmpty, "InvokeRequest"), true},
-		{"invoke.Send: client stopped", core.ErrStopped, false},
-		{"invoke.Send: unsupervised first dial", fmt.Errorf("orb client dial %q: %w", "a", dialErr), true},
+		{"invoke.GetMessage: pool empty", fmt.Errorf("%w: type %q", core.ErrPoolEmpty, "InvokeRequest"), true},
+		{"toMP / invoke.Send: client stopped", core.ErrStopped, false},
+		{"toMP: unsupervised first dial", fmt.Errorf("child %q start: %w", "Transport", fmt.Errorf("orb client dial %q: %w", "a", dialErr)), true},
 		{"await: dropped in the pipeline", errUnbound, true},
 		{"reqPool.Acquire: scope pool exhausted", memory.ErrPoolExhausted, false},
 		{"submit: marshal buffer over budget", fmt.Errorf("orb client: marshal buffer: %w", memory.ErrOutOfMemory), false},

@@ -39,11 +39,12 @@ func (r *invokeResult) release() {
 	}
 }
 
-// invokeMsg travels from the client ORB component through the Transport to
-// the MessageProcessing component. Each Invoke installs its own pending
-// entry, so pooled reuse cannot cross replies between concurrent callers.
-// keyBuf is a message-owned copy of the object key bytes (capacity reused
-// across pool cycles) so marshalling needs no string→[]byte conversion.
+// invokeMsg carries one invocation from its caller into the client's
+// MessageProcessing component, drawn from the Transport's message pool. Each
+// Invoke installs its own pending entry, so pooled reuse cannot cross replies
+// between concurrent callers. keyBuf is a message-owned copy of the object
+// key bytes (capacity reused across pool cycles) so marshalling needs no
+// string→[]byte conversion.
 type invokeMsg struct {
 	id      uint32
 	key     string
@@ -77,17 +78,6 @@ func (m *invokeMsg) Reset() {
 func (m *invokeMsg) setKey(key string) {
 	m.key = key
 	m.keyBuf = append(m.keyBuf[:0], key...)
-}
-
-// copyFrom copies an invocation between pooled messages, keeping the
-// destination's own key buffer (the source message is recycled as soon as
-// its handler returns, while the copy may still be marshalling). The payload
-// slice header aliases the caller's bytes — the caller blocks in await until
-// the invocation completes, so no byte copy is needed.
-func (m *invokeMsg) copyFrom(src *invokeMsg) {
-	kb := m.keyBuf
-	*m = *src
-	m.keyBuf = append(kb[:0], src.keyBuf...)
 }
 
 var invokeType = core.MessageType{

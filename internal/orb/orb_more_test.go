@@ -211,7 +211,9 @@ func TestServerComponentTopology(t *testing.T) {
 		t.Errorf("path = %q", tr.Path())
 	}
 
-	// Fig. 10 left: client ORB (immortal) -> Transport (lazy, persistent).
+	// Fig. 10 left: client ORB (immortal) -> Transport (lazy, held by the
+	// client's handle) -> MessageProcessing (per request). The ORB has no In
+	// port: callers send on Transport's port into MessageProcessing.
 	clOrb := cl.App().Component("ORB")
 	clTr := clOrb.SMM().Child("Transport")
 	if clTr == nil {
@@ -219,6 +221,38 @@ func TestServerComponentTopology(t *testing.T) {
 	}
 	if clTr.Level() != 1 {
 		t.Errorf("client Transport level = %d", clTr.Level())
+	}
+	if cl.transport == nil || cl.transport.Component() != clTr {
+		t.Error("the client's handle does not hold the live Transport")
+	}
+	if _, err := clOrb.SMM().GetInPort("Transport.request"); err == nil {
+		t.Error("the client ORB still has an In port")
+	}
+	if out, err := clTr.SMM().GetOutPort("Transport.toMP"); err != nil || cl.invoke.Load() != out {
+		t.Errorf("invocations go out on %v, want Transport's port into MessageProcessing (%v)", cl.invoke.Load(), err)
+	}
+	if clTr.SMM().Child("MessageProcessing") != nil {
+		t.Error("MessageProcessing still live after its one request")
+	}
+}
+
+// TestFirstInvokeRetriesTransport invokes a server that is not listening yet:
+// the lazy Transport's dial fails that invoke, and the next one, once the
+// server listens, instantiates the Transport afresh and succeeds.
+func TestFirstInvokeRetriesTransport(t *testing.T) {
+	net := transport.NewInproc()
+	cl := dial(t, net, "later", ClientConfig{})
+	if _, err := cl.Invoke("echo", "ping", nil, sched.NormPriority); err == nil {
+		t.Fatal("invoke against a dead address succeeded")
+	}
+	if cl.transport != nil || cl.invoke.Load() != nil {
+		t.Error("a failed Transport start left the client holding it")
+	}
+	startEchoServer(t, net, "later", ServerConfig{})
+	for i := 0; i < 2; i++ {
+		if got, err := cl.Invoke("echo", "echo", []byte("up"), sched.NormPriority); err != nil || string(got) != "up" {
+			t.Fatalf("invoke %d after the server listens: %q, %v", i, got, err)
+		}
 	}
 }
 

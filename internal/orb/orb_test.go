@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"repro/internal/corba"
+	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
@@ -97,18 +99,24 @@ func TestEchoWithScopePoolsAndSynchronous(t *testing.T) {
 			t.Fatalf("invoke %d: got %q", i, got)
 		}
 	}
-	// The client scope pool must be recycling MessageProcessing areas.
-	created, reused, _ := cl.App().ScopePool(2).Stats()
-	if created > 4 {
-		t.Errorf("client MP scopes created = %d, pooling not effective", created)
-	}
-	if reused < 10 {
-		t.Errorf("client MP scopes reused = %d", reused)
-	}
-	// And the server pool likewise for RequestProcessing.
-	sc, sr, _ := srv.App().ScopePool(3).Stats()
-	if sc > 4 || sr < 10 {
-		t.Errorf("server RP scopes: created %d reused %d", sc, sr)
+	// MessageProcessing took one pooled area when it was built and keeps it,
+	// reclaimed in place once per invocation; RequestProcessing likewise.
+	for _, side := range []struct {
+		name string
+		pool *memory.ScopePool
+		smm  *core.SMM
+		comp string
+	}{
+		{"client MP", cl.App().ScopePool(2), cl.App().Component("ORB").SMM().Child("Transport").SMM(), "MessageProcessing"},
+		{"server RP", srv.App().ScopePool(3), srv.poa.SMM().Child("Transport1").SMM(), "RequestProcessing"},
+	} {
+		if created, reused, free := side.pool.Stats(); created != 2 || reused != 1 || free != 1 {
+			t.Errorf("%s scopes: %d created, %d handed out, %d free; want 2, 1, 1", side.name, created, reused, free)
+		}
+		// Twenty invocations, and the probe's own revival.
+		if gen := perRequestArea(t, side.smm, side.comp).Generation(); gen != 21 {
+			t.Errorf("%s area reclaimed %d times by 20 invocations and one probe, want 21", side.name, gen)
+		}
 	}
 }
 

@@ -29,8 +29,8 @@ type ServerConfig struct {
 	Addr    string
 	// MaxMessage bounds a request body; zero selects DefaultMaxMessage.
 	MaxMessage int
-	// ScopePoolCount pre-creates that many RequestProcessing scopes; zero
-	// creates fresh scopes per instantiation.
+	// ScopePoolCount pre-creates that many RequestProcessing scopes, one
+	// held per live connection; zero creates a fresh scope per connection.
 	ScopePoolCount int
 	// Synchronous dispatches ports on the reading thread instead of port
 	// thread pools.
@@ -493,7 +493,7 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 			MemorySize: s.rpSize,
 			UsePool:    s.usePool,
 			// Pure-declaration Setup: the shell is revived across requests,
-			// only the scoped area cycles.
+			// its area reclaimed in place.
 			Reusable: true,
 			Setup: func(rp *core.Component) error {
 				// Concurrency pool workers dispatch requests side by side;

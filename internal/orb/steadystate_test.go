@@ -3,6 +3,7 @@ package orb
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -15,12 +16,27 @@ func reusedOf(p *memory.ScopePool) int64 {
 	return reused
 }
 
+// perRequestArea returns the area a per-request component's shell keeps,
+// reviving the shell through a handle to read it; the handle's release
+// reclaims the area once.
+func perRequestArea(t *testing.T, smm *core.SMM, name string) *memory.Area {
+	t.Helper()
+	h, err := smm.Connect(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := h.Component().Area()
+	h.Disconnect()
+	return a
+}
+
 // TestSteadyStateMemory drives thousands of invocations from a lone caller
 // and verifies the central RTSJ claim the whole design serves: in steady
 // state, no memory region grows. Immortal usage is flat, the per-request
-// components' areas recycle once per invocation and hold each request's
-// bytes themselves — the overflow pools are never touched — and every pooled
-// message returns.
+// components keep their areas, reclaimed in place once per invocation — the
+// generation moves by one each time and no pool hands out or creates an area
+// — and hold each request's bytes themselves — the overflow pools are never
+// touched — and every pooled message returns.
 //
 // That is exact wherever the ports are calls: the client always, and a
 // Synchronous server. Behind a pool-threaded port the thread that ran a
@@ -57,6 +73,10 @@ func TestSteadyStateMemory(t *testing.T) {
 			clientImmortal := cl.App().Model().Immortal().Used()
 			serverImmortal := srv.App().Model().Immortal().Used()
 			reqReused, repReused := reusedOf(cl.reqPool), reusedOf(srv.repPool)
+			tSMM := cl.App().Component("ORB").SMM().Child("Transport").SMM()
+			mpArea := perRequestArea(t, tSMM, "MessageProcessing")
+			rpArea := perRequestArea(t, srv.poa.SMM().Child("Transport1").SMM(), "RequestProcessing")
+			mpGen, rpGen := mpArea.Generation(), rpArea.Generation()
 			mpCreated, mpReused, _ := cl.App().ScopePool(2).Stats()
 			rpCreated, rpReused, _ := srv.App().ScopePool(3).Stats()
 			overflows := telemetry.NewCounter("scope_overflow_total")
@@ -79,28 +99,34 @@ func TestSteadyStateMemory(t *testing.T) {
 			if d := reusedOf(cl.reqPool) - reqReused; d != 0 {
 				t.Errorf("client overflow areas drawn by a lone caller = %d", d)
 			}
-			if c2, r2, _ := cl.App().ScopePool(2).Stats(); r2-mpReused != ops || c2 != mpCreated {
-				t.Errorf("client MP areas: created %d->%d, reused +%d across %d invocations", mpCreated, c2, r2-mpReused, ops)
+			if d := mpArea.Generation() - mpGen; d != ops {
+				t.Errorf("client MP area reclaimed %d times across %d invocations", d, ops)
+			}
+			if c2, r2, _ := cl.App().ScopePool(2).Stats(); r2 != mpReused || c2 != mpCreated {
+				t.Errorf("client MP pool: created %d->%d, handed out +%d across %d invocations", mpCreated, c2, r2-mpReused, ops)
 			}
 
 			// The server: the same, exactly, when its port is a call.
 			repDrawn := reusedOf(srv.repPool) - repReused
 			rpCreated2, rpReused2, _ := srv.App().ScopePool(3).Stats()
+			if rpReused2 != rpReused || rpCreated2 != rpCreated {
+				t.Errorf("server RP pool: created %d->%d, handed out +%d across %d invocations", rpCreated, rpCreated2, rpReused2-rpReused, ops)
+			}
+			rpReclaims := rpArea.Generation() - rpGen
 			if row.synchronous {
 				if repDrawn != 0 || overflows.Value() != spilled {
 					t.Errorf("server overflow areas drawn by a lone caller = %d (scope_overflow_total +%d)", repDrawn, overflows.Value()-spilled)
 				}
-				if rpReused2-rpReused != ops || rpCreated2 != rpCreated {
-					t.Errorf("server RP areas: created %d->%d, reused +%d across %d invocations", rpCreated, rpCreated2, rpReused2-rpReused, ops)
+				if rpReclaims != ops {
+					t.Errorf("server RP area reclaimed %d times across %d invocations", rpReclaims, ops)
 				}
-			} else if created, _, _ := srv.repPool.Stats(); created > 4 || rpCreated2 > rpCreated+2 {
-				t.Errorf("server pools grew under a lone caller: overflow areas %d, RP areas %d->%d", created, rpCreated, rpCreated2)
+			} else if created, _, _ := srv.repPool.Stats(); created > 4 || rpReclaims == 0 || rpReclaims > ops {
+				t.Errorf("server under a lone caller: %d overflow areas, RP area reclaimed %d times across %d invocations", created, rpReclaims, ops)
 			}
 
-			// All pooled messages are back home on both sides.
-			clOrb := cl.App().Component("ORB")
-			if _, inFlight, _, _ := clOrb.SMM().MsgPoolStats("InvokeRequest"); inFlight != 0 {
-				t.Errorf("client ORB pool in flight = %d", inFlight)
+			// All pooled messages are back home.
+			if _, inFlight, _, _ := tSMM.MsgPoolStats("InvokeRequest"); inFlight != 0 {
+				t.Errorf("client invocation pool in flight = %d", inFlight)
 			}
 		})
 	}
