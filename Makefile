@@ -49,12 +49,13 @@ allocguard:
 zerocopy-guard:
 	$(GO) test -run 'TestInvokeViewZeroPayloadCopies|TestInvokeViewLoanScope' -count=1 ./internal/orb/
 
-# fuzz-smoke explores the GIOP request peek against the full decoder for ten
-# seconds: never a panic, and every body DecodeRequest accepts peeks to the
-# same id, response flag, priority and tenant. The seed corpus alone runs
-# with the tier-1 tests.
+# fuzz-smoke explores the GIOP request and reply decoders for five seconds
+# each (-fuzz takes one target a run): never a panic, and every body a
+# decoder accepts re-marshals to one that decodes to an equal message. The
+# seed corpora alone run with the tier-1 tests.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzPeekRequestInfo -fuzztime 10s ./internal/giop/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/giop/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeReply -fuzztime 5s ./internal/giop/
 
 # bench-smoke runs every benchmark a handful of iterations — enough to
 # catch a bench that no longer compiles or errors out, without the cost of
@@ -80,8 +81,8 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched internal/memory internal/giop; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		case $$d in internal/orb) max=3382;; internal/core) max=3115;; internal/sched) max=731;; \
-			internal/memory) max=1249;; internal/giop) max=1679;; *) max=;; esac; \
+		case $$d in internal/orb) max=3381;; internal/core) max=3115;; internal/sched) max=731;; \
+			internal/memory) max=1249;; internal/giop) max=1557;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \
@@ -107,7 +108,7 @@ no-poll:
 no-sleep:
 	@n=$$(grep -ro 'time\.Sleep(' --include='*_test.go' internal | wc -l); \
 	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
-	if [ $$n -gt 40 ]; then echo "over the ratchet of 40: wait on the condition instead"; exit 1; fi
+	if [ $$n -gt 38 ]; then echo "over the ratchet of 38: wait on the condition instead"; exit 1; fi
 
 verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
 
@@ -143,13 +144,13 @@ verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc
 # still retiring, and connection churn that interns no new labels, and the
 # pinned scope entry a delivery makes on its reservation (refusals, no holder
 # moves, the stack restored), Exec refusing a disposed instance, what each
-# kind of In port counts, and the request peek's fuzz seeds — under the race
+# kind of In port counts, and the GIOP decoders' fuzz seeds — under the race
 # detector.
 # Every fault schedule and history in these tests is seeded, so failures
 # replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzPeekRequestInfo' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzDecode' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/ ./internal/giop/
 
 # bench5 regenerates BENCH_5.json, the cluster-failover snapshot: three

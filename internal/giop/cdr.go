@@ -297,36 +297,6 @@ func (d *Decoder) readStringBytes() ([]byte, error) {
 	return raw[:n-1], nil
 }
 
-// skipString advances past a CDR string without materialising it (the
-// string conversion in ReadString is the only allocation on that path).
-func (d *Decoder) skipString() error {
-	n, err := d.ReadULong()
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		return fmt.Errorf("%w: zero-length string encoding", ErrBadString)
-	}
-	if err := d.need(int(n)); err != nil {
-		return err
-	}
-	d.pos += int(n)
-	return nil
-}
-
-// skipOctetSeq advances past a CDR sequence<octet>.
-func (d *Decoder) skipOctetSeq() error {
-	n, err := d.ReadULong()
-	if err != nil {
-		return err
-	}
-	if err := d.need(int(n)); err != nil {
-		return err
-	}
-	d.pos += int(n)
-	return nil
-}
-
 // ReadOctetSeq reads a CDR sequence<octet>. The returned slice aliases the
 // decoder's buffer.
 func (d *Decoder) ReadOctetSeq() ([]byte, error) {

@@ -1,16 +1,28 @@
 package giop
 
-import "testing"
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
 
-// FuzzPeekRequestInfo checks the admission-time peek against the full
-// request decoder on arbitrary bodies. PeekRequestInfo must never panic, and
-// whenever DecodeRequest accepts a body the peek must accept it too and
-// report the same request id, response flag, priority and tenant
-// classification — the server admits and queues a request on what the peek
-// says, then serves it on what the decoder says. The seed corpus (marshalled
-// requests in both byte orders, with and without the trace and tenant
-// service contexts) runs with the tier-1 tests; `make fuzz-smoke` explores.
-func FuzzPeekRequestInfo(f *testing.F) {
+// The fuzz targets below check the decoders on arbitrary bodies: they never
+// panic, and a body they accept re-marshals to one that decodes to an equal
+// message — so nothing a decoder reports can be lost or changed on its way
+// back to the wire. Their seed corpora (marshalled messages in both byte
+// orders, with and without each service context) run with the tier-1 tests;
+// `make fuzz-smoke` explores.
+
+func orderOf(little bool) ByteOrder {
+	if little {
+		return LittleEndian
+	}
+	return BigEndian
+}
+
+// FuzzDecodeRequest: the one reader of the request grammar, which the server
+// runs on every request before admitting it.
+func FuzzDecodeRequest(f *testing.F) {
 	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
 		for _, ctx := range []struct{ trace, tenant uint64 }{{0, 0}, {0xABC, 0}, {0, 42}, {0xABC, 42}} {
 			req := &Request{
@@ -24,27 +36,54 @@ func FuzzPeekRequestInfo(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, body []byte, little bool) {
-		order := BigEndian
-		if little {
-			order = LittleEndian
-		}
-		info, ok := PeekRequestInfo(order, body)
-		if !ok && info.Priority != PriorityUnparsed {
-			t.Fatalf("peek refused the body but left priority %d, want PriorityUnparsed", info.Priority)
-		}
+		order := orderOf(little)
 		var req Request
 		if DecodeRequest(order, body, &req) != nil {
 			return
 		}
-		if !ok {
-			t.Fatalf("DecodeRequest accepted a body PeekRequestInfo refused: %+v", req)
+		var again Request
+		if err := DecodeRequest(order, MarshalRequest(nil, order, &req)[HeaderSize:], &again); err != nil {
+			t.Fatalf("re-marshalled %+v does not decode: %v", req, err)
 		}
-		want := RequestInfo{
-			RequestID: req.RequestID, ResponseExpected: req.ResponseExpected, Priority: req.Priority,
-			TenantID: req.TenantID, TenantTier: req.TenantTier,
+		if !bytes.Equal(again.ObjectKey, req.ObjectKey) || !bytes.Equal(again.Payload, req.Payload) {
+			t.Fatalf("key/payload %q/%q came back as %q/%q", req.ObjectKey, req.Payload, again.ObjectKey, again.Payload)
 		}
-		if info != want {
-			t.Fatalf("peek %+v, decode %+v", info, want)
+		req.ObjectKey, req.Payload, again.ObjectKey, again.Payload = nil, nil, nil, nil
+		if !reflect.DeepEqual(again, req) {
+			t.Fatalf("decoded %+v, re-marshalled and decoded %+v", req, again)
+		}
+	})
+}
+
+// FuzzDecodeReply: the client's reader of every reply, retry-after hints
+// included.
+func FuzzDecodeReply(f *testing.F) {
+	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
+		for _, ctx := range []struct{ trace, retryAfter int64 }{{0, 0}, {0xABC, 0}, {0, 5e6}, {0xABC, 5e6}} {
+			rep := &Reply{
+				RequestID: 77, Status: ReplySystemException,
+				TraceID: uint64(ctx.trace), SpanID: uint64(ctx.trace + 1),
+				RetryAfterNs: ctx.retryAfter, Payload: []byte("payload"),
+			}
+			f.Add(MarshalReply(nil, order, rep)[HeaderSize:], order == LittleEndian)
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte, little bool) {
+		order := orderOf(little)
+		var rep Reply
+		if DecodeReply(order, body, &rep) != nil {
+			return
+		}
+		var again Reply
+		if err := DecodeReply(order, MarshalReply(nil, order, &rep)[HeaderSize:], &again); err != nil {
+			t.Fatalf("re-marshalled %+v does not decode: %v", rep, err)
+		}
+		if !bytes.Equal(again.Payload, rep.Payload) {
+			t.Fatalf("payload %q came back as %q", rep.Payload, again.Payload)
+		}
+		rep.Payload, again.Payload = nil, nil
+		if !reflect.DeepEqual(again, rep) {
+			t.Fatalf("decoded %+v, re-marshalled and decoded %+v", rep, again)
 		}
 	})
 }

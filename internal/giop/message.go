@@ -94,7 +94,7 @@ const traceContextLen = 16
 // TenantContextID tags the tenant-classification service context ("TENT" in
 // ASCII). Its data is exactly 9 octets — the tenant id (8 bytes in the
 // message's byte order) followed by one QoS-tier octet — so the server's
-// admission control can classify a request without demarshalling it.
+// admission control can classify a request before it queues.
 // Requests from an untenanted client (tenant id zero) omit the context
 // entirely: their wire form is byte-identical to a tenant-unaware peer's.
 const TenantContextID uint32 = 0x54454E54
@@ -215,91 +215,84 @@ type Reply struct {
 	Payload []byte
 }
 
-// readTraceContext extracts trace/span from a service-context entry, given
-// its id and data; non-trace entries and malformed data yield zeros.
-func readTraceContext(order ByteOrder, id uint32, data []byte) (trace, span uint64) {
-	if id != TraceContextID || len(data) != traceContextLen {
-		return 0, 0
-	}
-	return order.order().Uint64(data[0:8]), order.order().Uint64(data[8:16])
+// contexts is what a message's service-context sequence carries, in the
+// three kinds this ORB speaks: trace (requests and replies), tenant
+// (requests) and retry-after (replies). A zero field is an absent context.
+type contexts struct {
+	trace, span uint64
+	tenant      uint64
+	tier        uint8
+	retryAfter  int64
 }
 
-// writeRequestContexts emits a request's service-context sequence: the trace
-// slot when traced, the tenant slot when tenanted, the empty sequence when
-// neither. Context data is written as raw bytes in the stream's byte order —
-// Encoder.WriteULongLong would 8-align relative to the stream origin and
-// corrupt the octet-seq length; the 9-byte tenant data is safe because every
-// later field re-aligns relative to the stream origin.
-func writeRequestContexts(e *Encoder, order ByteOrder, req *Request) {
+// writeContexts emits the service-context sequence, one entry per present
+// kind, the empty sequence when none is. Context data is written as raw bytes
+// in the stream's byte order — Encoder.WriteULongLong would 8-align relative
+// to the stream origin and corrupt the octet-seq length; the 9-byte tenant
+// data is safe because every later field re-aligns relative to the origin.
+func (e *Encoder) writeContexts(c contexts) {
 	n := uint32(0)
-	if req.TraceID != 0 {
+	if c.trace != 0 {
 		n++
 	}
-	if req.TenantID != 0 {
+	if c.tenant != 0 {
+		n++
+	}
+	if c.retryAfter > 0 {
 		n++
 	}
 	e.WriteULong(n)
-	if req.TraceID != 0 {
+	o := e.order.order()
+	if c.trace != 0 {
 		e.WriteULong(TraceContextID)
 		e.WriteULong(traceContextLen) // octet-seq length
-		e.buf = order.order().AppendUint64(e.buf, req.TraceID)
-		e.buf = order.order().AppendUint64(e.buf, req.SpanID)
+		e.buf = o.AppendUint64(o.AppendUint64(e.buf, c.trace), c.span)
 	}
-	if req.TenantID != 0 {
+	if c.tenant != 0 {
 		e.WriteULong(TenantContextID)
-		e.WriteULong(tenantContextLen) // octet-seq length
-		e.buf = order.order().AppendUint64(e.buf, req.TenantID)
-		e.buf = append(e.buf, req.TenantTier)
+		e.WriteULong(tenantContextLen)
+		e.buf = append(o.AppendUint64(e.buf, c.tenant), c.tier)
 	}
-}
-
-// writeReplyContexts emits a reply's service-context sequence: the trace
-// slot when traced, the retry-after slot when the server suggests a
-// back-off, the empty sequence when neither. Context data is written as raw
-// bytes in the stream's byte order (see writeRequestContexts).
-func writeReplyContexts(e *Encoder, order ByteOrder, rep *Reply) {
-	n := uint32(0)
-	if rep.TraceID != 0 {
-		n++
-	}
-	if rep.RetryAfterNs > 0 {
-		n++
-	}
-	e.WriteULong(n)
-	if rep.TraceID != 0 {
-		e.WriteULong(TraceContextID)
-		e.WriteULong(traceContextLen) // octet-seq length
-		e.buf = order.order().AppendUint64(e.buf, rep.TraceID)
-		e.buf = order.order().AppendUint64(e.buf, rep.SpanID)
-	}
-	if rep.RetryAfterNs > 0 {
+	if c.retryAfter > 0 {
 		e.WriteULong(RetryAfterContextID)
-		e.WriteULong(retryAfterContextLen) // octet-seq length
-		e.buf = order.order().AppendUint64(e.buf, uint64(rep.RetryAfterNs))
+		e.WriteULong(retryAfterContextLen)
+		e.buf = o.AppendUint64(e.buf, uint64(c.retryAfter))
 	}
 }
 
-// readRetryAfterContext extracts the back-off hint from a service-context
-// entry; non-retry entries, malformed data, and non-positive hints yield
-// zero.
-func readRetryAfterContext(order ByteOrder, id uint32, data []byte) int64 {
-	if id != RetryAfterContextID || len(data) != retryAfterContextLen {
-		return 0
+// readContexts reads a service-context sequence. An entry of an unknown kind,
+// of the wrong length, or with a zero trace or tenant id or a non-positive
+// hint is skipped, not misread; a count the remaining bytes cannot hold is
+// refused before the loop walks it.
+func (d *Decoder) readContexts() (c contexts, err error) {
+	n, err := d.ReadULong()
+	if err != nil {
+		return c, err
 	}
-	ns := int64(order.order().Uint64(data))
-	if ns < 0 {
-		return 0
+	// Each entry is at least 8 bytes: its id and its data length.
+	if uint64(n)*8 > uint64(d.Remaining()) {
+		return c, fmt.Errorf("%w: %d service contexts in %d bytes", ErrTruncated, n, d.Remaining())
 	}
-	return ns
-}
-
-// readTenantContext extracts tenant id/tier from a service-context entry;
-// non-tenant entries and malformed data yield zeros.
-func readTenantContext(order ByteOrder, id uint32, data []byte) (tenant uint64, tier uint8) {
-	if id != TenantContextID || len(data) != tenantContextLen {
-		return 0, 0
+	o := d.order.order()
+	for ; n > 0; n-- {
+		id, err := d.ReadULong()
+		if err != nil {
+			return c, err
+		}
+		data, err := d.ReadOctetSeq()
+		if err != nil {
+			return c, err
+		}
+		switch {
+		case id == TraceContextID && len(data) == traceContextLen && o.Uint64(data) != 0:
+			c.trace, c.span = o.Uint64(data), o.Uint64(data[8:])
+		case id == TenantContextID && len(data) == tenantContextLen && o.Uint64(data) != 0:
+			c.tenant, c.tier = o.Uint64(data), data[8]
+		case id == RetryAfterContextID && len(data) == retryAfterContextLen && int64(o.Uint64(data)) > 0:
+			c.retryAfter = int64(o.Uint64(data))
+		}
 	}
-	return order.order().Uint64(data[0:8]), data[8]
+	return c, nil
 }
 
 // patchSize back-fills the Size field of the header that starts at offset
@@ -317,7 +310,7 @@ func MarshalRequest(buf []byte, order ByteOrder, req *Request) []byte {
 	buf = AppendHeader(buf, Header{Type: MsgRequest, Order: order})
 	var e Encoder
 	e.Reset(order, buf)
-	writeRequestContexts(&e, order, req)
+	e.writeContexts(contexts{trace: req.TraceID, span: req.SpanID, tenant: req.TenantID, tier: req.TenantTier})
 	e.WriteULong(req.RequestID)
 	e.WriteBool(req.ResponseExpected)
 	e.WriteOctetSeq(req.ObjectKey)
@@ -334,28 +327,11 @@ func MarshalRequest(buf []byte, order ByteOrder, req *Request) []byte {
 // req, overwriting every field. ObjectKey and Payload alias body.
 func DecodeRequest(order ByteOrder, body []byte, req *Request) error {
 	d := Decoder{order: order, buf: body}
-	nctx, err := d.ReadULong()
+	c, err := d.readContexts()
 	if err != nil {
 		return err
 	}
-	req.TraceID, req.SpanID = 0, 0
-	req.TenantID, req.TenantTier = 0, 0
-	for i := uint32(0); i < nctx; i++ {
-		id, err := d.ReadULong() // context id
-		if err != nil {
-			return err
-		}
-		data, err := d.ReadOctetSeq() // context data
-		if err != nil {
-			return err
-		}
-		if trace, span := readTraceContext(order, id, data); trace != 0 {
-			req.TraceID, req.SpanID = trace, span
-		}
-		if tenant, tier := readTenantContext(order, id, data); tenant != 0 {
-			req.TenantID, req.TenantTier = tenant, tier
-		}
-	}
+	req.TraceID, req.SpanID, req.TenantID, req.TenantTier = c.trace, c.span, c.tenant, c.tier
 	if req.RequestID, err = d.ReadULong(); err != nil {
 		return err
 	}
@@ -422,85 +398,34 @@ func internOp(raw []byte) string {
 	return s
 }
 
-// PriorityUnparsed is the sentinel PeekRequestInfo leaves in
-// RequestInfo.Priority alongside ok=false when the body is malformed or
-// truncated: it lies outside the RT-CORBA priority band (1..31), so a caller
+// PriorityUnparsed is the priority PeekRequestInfo reports for a body it
+// refuses: it lies outside the RT-CORBA priority band (1..31), so a caller
 // that ignores ok and feeds the value to a band clamp cannot silently
 // impersonate a valid priority.
 const PriorityUnparsed byte = 0xFF
 
-// RequestInfo is the pre-dispatch view of an encoded request body: every
-// field admission control needs before the full demarshal runs inside the
-// RequestProcessing scope, extracted without materialising strings or
-// copying.
+// RequestInfo is the part of a request admission control reads: the
+// Request fields of the same names.
 type RequestInfo struct {
-	// RequestID correlates an admission-rejection reply with the request.
-	RequestID uint32
-	// ResponseExpected is false for oneway operations (no rejection reply).
+	RequestID        uint32
 	ResponseExpected bool
-	// Priority is the propagated RT-CORBA priority octet (PriorityUnparsed
-	// when the body is malformed).
-	Priority byte
-	// TenantID and TenantTier are the tenant service context's
-	// classification; zeros when the request carries none.
-	TenantID   uint64
-	TenantTier uint8
+	Priority         byte
+	TenantID         uint64
+	TenantTier       uint8
 }
 
-// PeekRequestInfo extracts a RequestInfo from an encoded request body with
-// one alloc-free walk. The server's read loop uses it to admit each request
-// and submit it to the dispatch pool at the propagated RT-CORBA priority
-// before the full demarshal runs inside the RequestProcessing scope. A
-// malformed body — truncated mid-field, or declaring more service contexts
-// than its bytes could possibly hold — returns (partial info with Priority ==
-// PriorityUnparsed, false); it never guesses defaults.
+// PeekRequestInfo is DecodeRequest reduced to a RequestInfo. A body
+// DecodeRequest refuses yields (RequestInfo{Priority: PriorityUnparsed},
+// false).
 func PeekRequestInfo(order ByteOrder, body []byte) (RequestInfo, bool) {
-	info := RequestInfo{Priority: PriorityUnparsed}
-	d := Decoder{order: order, buf: body}
-	nctx, err := d.ReadULong()
-	if err != nil {
-		return info, false
+	var req Request
+	if DecodeRequest(order, body, &req) != nil {
+		return RequestInfo{Priority: PriorityUnparsed}, false
 	}
-	// Each service context is at least 8 bytes (id + length); a count the
-	// remaining bytes cannot hold is corruption, rejected before the loop
-	// walks (and re-walks) a hostile count.
-	if uint64(nctx)*8 > uint64(d.Remaining()) {
-		return info, false
-	}
-	for i := uint32(0); i < nctx; i++ {
-		id, err := d.ReadULong() // context id
-		if err != nil {
-			return info, false
-		}
-		data, err := d.ReadOctetSeq() // context data (aliases body)
-		if err != nil {
-			return info, false
-		}
-		if tenant, tier := readTenantContext(order, id, data); tenant != 0 {
-			info.TenantID, info.TenantTier = tenant, tier
-		}
-	}
-	if info.RequestID, err = d.ReadULong(); err != nil {
-		return info, false
-	}
-	if info.ResponseExpected, err = d.ReadBool(); err != nil {
-		return info, false
-	}
-	if err := d.skipOctetSeq(); err != nil { // object key
-		return info, false
-	}
-	if err := d.skipString(); err != nil { // operation
-		return info, false
-	}
-	if err := d.skipOctetSeq(); err != nil { // principal
-		return info, false
-	}
-	p, err := d.ReadOctet()
-	if err != nil {
-		return info, false
-	}
-	info.Priority = p
-	return info, true
+	return RequestInfo{
+		RequestID: req.RequestID, ResponseExpected: req.ResponseExpected, Priority: req.Priority,
+		TenantID: req.TenantID, TenantTier: req.TenantTier,
+	}, true
 }
 
 // MarshalReply encodes a full Reply message (header + body) into buf, in
@@ -510,7 +435,7 @@ func MarshalReply(buf []byte, order ByteOrder, rep *Reply) []byte {
 	buf = AppendHeader(buf, Header{Type: MsgReply, Order: order})
 	var e Encoder
 	e.Reset(order, buf)
-	writeReplyContexts(&e, order, rep)
+	e.writeContexts(contexts{trace: rep.TraceID, span: rep.SpanID, retryAfter: rep.RetryAfterNs})
 	e.WriteULong(rep.RequestID)
 	e.WriteULong(uint32(rep.Status))
 	e.align(8)
@@ -523,28 +448,11 @@ func MarshalReply(buf []byte, order ByteOrder, rep *Reply) []byte {
 // overwriting every field. Payload aliases body.
 func DecodeReply(order ByteOrder, body []byte, rep *Reply) error {
 	d := Decoder{order: order, buf: body}
-	nctx, err := d.ReadULong()
+	c, err := d.readContexts()
 	if err != nil {
 		return err
 	}
-	rep.TraceID, rep.SpanID = 0, 0
-	rep.RetryAfterNs = 0
-	for i := uint32(0); i < nctx; i++ {
-		id, err := d.ReadULong()
-		if err != nil {
-			return err
-		}
-		data, err := d.ReadOctetSeq()
-		if err != nil {
-			return err
-		}
-		if trace, span := readTraceContext(order, id, data); trace != 0 {
-			rep.TraceID, rep.SpanID = trace, span
-		}
-		if ns := readRetryAfterContext(order, id, data); ns != 0 {
-			rep.RetryAfterNs = ns
-		}
-	}
+	rep.TraceID, rep.SpanID, rep.RetryAfterNs = c.trace, c.span, c.retryAfter
 	if rep.RequestID, err = d.ReadULong(); err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package giop
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -119,7 +120,8 @@ func TestPeekRequestInfoAllocFree(t *testing.T) {
 }
 
 // Truncating the body anywhere before the priority octet must fail the peek
-// with the sentinel priority, never a fabricated one.
+// with the sentinel priority, never a fabricated one; so must an operation
+// name that lost its NUL terminator, which DecodeRequest refuses too.
 func TestPeekRequestInfoTruncated(t *testing.T) {
 	req := &Request{
 		RequestID: 8, ResponseExpected: true,
@@ -144,11 +146,24 @@ func TestPeekRequestInfoTruncated(t *testing.T) {
 			t.Fatalf("truncated to %d bytes: priority %d, want sentinel", n, info.Priority)
 		}
 	}
+	unterminated := bytes.Clone(body)
+	unterminated[bytes.Index(unterminated, []byte("operation\x00"))+len("operation")] = '!'
+	if info, ok := PeekRequestInfo(BigEndian, unterminated); ok || info.Priority != PriorityUnparsed {
+		t.Errorf("unterminated operation: peek = (%+v, %v), want refused", info, ok)
+	}
+	if err := DecodeRequest(BigEndian, unterminated, new(Request)); !errors.Is(err, ErrBadString) {
+		t.Errorf("unterminated operation: DecodeRequest err = %v, want ErrBadString", err)
+	}
 }
 
 // A context count larger than the remaining bytes could possibly encode is
-// rejected up front instead of walked.
+// refused up front instead of walked, by the peek and by both decoders.
 func TestPeekRequestInfoOversizedContextCount(t *testing.T) {
+	accepts := map[string]func(body []byte) bool{
+		"PeekRequestInfo": func(b []byte) bool { _, ok := PeekRequestInfo(BigEndian, b); return ok },
+		"DecodeRequest":   func(b []byte) bool { return DecodeRequest(BigEndian, b, new(Request)) == nil },
+		"DecodeReply":     func(b []byte) bool { return DecodeReply(BigEndian, b, new(Reply)) == nil },
+	}
 	for _, nctx := range []uint32{2, 1000, 0xFFFFFFFF} {
 		var e Encoder
 		e.Reset(BigEndian, nil)
@@ -159,8 +174,10 @@ func TestPeekRequestInfoOversizedContextCount(t *testing.T) {
 		e.WriteOctet(2)
 		e.WriteOctet(3)
 		e.WriteOctet(4)
-		if info, ok := PeekRequestInfo(BigEndian, e.Bytes()); ok {
-			t.Errorf("nctx=%d: peek accepted a hostile context count (%+v)", nctx, info)
+		for name, accept := range accepts {
+			if accept(e.Bytes()) {
+				t.Errorf("nctx=%d: %s accepted a hostile context count", nctx, name)
+			}
 		}
 	}
 }

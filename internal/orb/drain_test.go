@@ -16,8 +16,9 @@ import (
 func TestServerDrainWaitsForInflight(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{})
-	release := make(chan struct{})
+	entered, release := make(chan struct{}), make(chan struct{})
 	srv.RegisterServant("slow", corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
+		close(entered)
 		<-release
 		return in, nil
 	}))
@@ -28,12 +29,10 @@ func TestServerDrainWaitsForInflight(t *testing.T) {
 		_, err := cl.Invoke("slow", "op", []byte("x"), sched.NormPriority)
 		done <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Inflight() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("request never became in-flight")
-		}
-		time.Sleep(100 * time.Microsecond)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("request never reached the servant")
 	}
 
 	if err := srv.Drain(20 * time.Millisecond); err == nil {

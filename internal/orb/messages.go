@@ -87,13 +87,12 @@ var invokeType = core.MessageType{
 }
 
 // requestMsg travels from a server Transport to its RequestProcessing
-// child: one framed GIOP request. The message owns one reference on the
-// arrival frame; raw aliases the frame's body, so the request bytes travel
-// socket→servant with no intermediate copy. Reset — which every pooled
-// recycle path runs, including dispatch-error unwinds — releases the
-// reference, bounding the frame's life to the dispatch turn.
+// child: one GIOP request, decoded at admission. Its key and payload alias
+// the arrival frame, on which the message owns one reference, so the request
+// bytes travel socket→servant uncopied. Reset — which every pooled recycle
+// path runs, dispatch-error unwinds too — releases the reference.
 type requestMsg struct {
-	raw   []byte
+	req   giop.Request
 	frame *giop.FrameBuf
 	order giop.ByteOrder
 	// conn is the connection the request arrived on; set by dispatch, it also
@@ -102,7 +101,7 @@ type requestMsg struct {
 	conn *serverConn
 	// ad is the request's admission. The slot it holds is settled by exactly
 	// one of execute, OnShed (expired or orphaned in the queue), or Reset (any
-	// other unwind — a failed Send, a demarshal error).
+	// other unwind — a failed Send).
 	ad admission
 }
 
@@ -122,7 +121,7 @@ func (m *requestMsg) Reset() {
 		m.frame.Release()
 		m.frame = nil
 	}
-	m.raw = nil
+	m.req = giop.Request{}
 	m.order = giop.BigEndian
 }
 
@@ -143,8 +142,8 @@ func (m *requestMsg) OnShed() {
 	if m.conn == nil {
 		return
 	}
-	if info, ok := giop.PeekRequestInfo(m.order, m.raw); ok && info.ResponseExpected {
-		writeShedReply(m.conn, m.order, info.RequestID)
+	if m.req.ResponseExpected {
+		writeShedReply(m.conn, m.order, m.req.RequestID)
 	}
 }
 

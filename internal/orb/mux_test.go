@@ -474,18 +474,22 @@ func TestMuxRemoteProxyConcurrentSends(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{Concurrency: 16})
 
+	const senders = 16
+	const perSender = 20
 	var mu sync.Mutex
 	seen := make(map[string]int)
+	all := make(chan struct{})
 	srv.RegisterServant("sink", corba.ServantFunc(func(op string, payload []byte) ([]byte, error) {
 		mu.Lock()
 		seen[string(payload)]++
+		if len(seen) == senders*perSender && seen[string(payload)] == 1 {
+			close(all)
+		}
 		mu.Unlock()
 		return nil, nil
 	}))
 	cl := dial(t, net, srv.Addr(), ClientConfig{})
 
-	const senders = 16
-	const perSender = 20
 	var wg sync.WaitGroup
 	for i := 0; i < senders; i++ {
 		wg.Add(1)
@@ -502,17 +506,10 @@ func TestMuxRemoteProxyConcurrentSends(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Oneways complete at write time; give the servant a moment to drain.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		mu.Lock()
-		n := len(seen)
-		mu.Unlock()
-		if n == senders*perSender || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-		runtime.Gosched()
+	// Oneways complete at write time; wait for the servant to see the last.
+	select {
+	case <-all:
+	case <-time.After(2 * time.Second):
 	}
 	mu.Lock()
 	defer mu.Unlock()

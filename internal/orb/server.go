@@ -750,23 +750,27 @@ func (s *Server) direct(key, op string, payload []byte, rawPrio byte, tn overloa
 	return status, out, retryAfter, true
 }
 
-// dispatch is the wire transport's admission: one alloc-free peek classifies
-// the framed request (priority, tenant id and tier, response expectation)
-// before anything is demarshalled or pooled, admit decides its fate, and an
+// dispatch is the wire transport's admission: the request's one decode,
+// before anything is pooled, gives admit its priority and tenant, and an
 // admitted request queues on the RequestProcessing port at its validated
 // priority — so a high-priority invocation overtakes queued lower ones. A
 // rejection answers expecting callers with a shed reply and keeps the
 // connection — overload is a load condition, not a protocol error. dispatch
 // takes ownership of the frame reference, handing it and the admission to the
 // pooled message, whose recycle releases both. It reports false when the
-// connection should drop — pool exhaustion is answered with disconnection,
-// the hard-real-time stance on overload.
+// connection should drop: on a body that does not decode, and on pool
+// exhaustion, the hard-real-time stance on overload.
 func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, proc *core.Proc, h giop.Header, fb *giop.FrameBuf) bool {
-	info, peeked := giop.PeekRequestInfo(h.Order, fb.Body())
-	ad, ok := s.admit(info.Priority, info.TenantID, info.TenantTier)
+	var req giop.Request
+	if err := giop.DecodeRequest(h.Order, fb.Body(), &req); err != nil {
+		fb.Release()
+		telemetry.RecordFault("orb.server.demarshal", wireErr("demarshal", s.ln.Addr(), err))
+		return false
+	}
+	ad, ok := s.admit(req.Priority, req.TenantID, req.TenantTier)
 	if !ok {
-		if peeked && info.ResponseExpected {
-			writeShedReply(sc, h.Order, info.RequestID)
+		if req.ResponseExpected {
+			writeShedReply(sc, h.Order, req.RequestID)
 		}
 		fb.Release()
 		return true
@@ -778,7 +782,7 @@ func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, proc *core.Proc, h
 		return false
 	}
 	m := msg.(*requestMsg)
-	m.frame, m.raw, m.order = fb, fb.Body(), h.Order // the message adopts the frame reference
+	m.frame, m.req, m.order = fb, req, h.Order // the message adopts the frame reference
 	m.conn, m.ad = sc, ad
 	s.inflight.Add(1)
 	// On a send error the port has already recycled the message (Reset),
@@ -805,17 +809,13 @@ func writeShedReply(sc *serverConn, order giop.ByteOrder, requestID uint32) {
 }
 
 // processRequest is the wire transport's execution, run in the
-// RequestProcessing component's scope: it demarshals the request there,
-// executes it, and marshals and writes the outcome from the same scope, which
-// is reclaimed (or returned to the pool) when the component quiesces — or,
-// when requests overlapping in the component have filled it, from a pooled
-// scope nested under it (memory.Context.Scratch).
+// RequestProcessing component's scope: it executes the decoded request and
+// marshals and writes the outcome from that scope, which is reclaimed when
+// the component quiesces — or, when requests overlapping in the component
+// have filled it, from a pooled scope nested under it (memory.Context.Scratch).
 func (s *Server) processRequest(p *core.Proc, msg core.Message) error {
 	m := msg.(*requestMsg)
-	var req giop.Request
-	if err := giop.DecodeRequest(m.order, m.raw, &req); err != nil {
-		return fmt.Errorf("orb server: demarshal: %w", err)
-	}
+	req := &m.req
 	status, out, retryAfter, span := execute(s, &m.ad, req.ObjectKey, req.Operation, req.Payload, req.Priority, req.TraceID, uint64(req.RequestID))
 	if !req.ResponseExpected {
 		return nil

@@ -271,3 +271,63 @@ func TestServerConnectionLabelsBounded(t *testing.T) {
 			grew, srv.connSeq.Load())
 	}
 }
+
+// tapNet hands every connection it dials to the test as well, so the test
+// can write onto a client's connection behind the client's back.
+type tapNet struct {
+	transport.Network
+	dialed chan transport.Conn
+}
+
+func (n tapNet) Dial(addr string) (transport.Conn, error) {
+	c, err := n.Network.Dial(addr)
+	if err == nil {
+		n.dialed <- c
+	}
+	return c, err
+}
+
+// A request whose body does not decode is a protocol error: the server
+// records an orb.server.demarshal fault and closes the connection, so a call
+// pending on it fails at once instead of waiting out its invoke timeout.
+func TestUndecodableRequestFaultClosesConnection(t *testing.T) {
+	inproc := transport.NewInproc()
+	srv := startEchoServer(t, inproc, "", ServerConfig{})
+	g := gatedServant{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	srv.RegisterServant("gated", g)
+	defer close(g.gate)
+	tap := tapNet{inproc, make(chan transport.Conn, 1)}
+	cl := dial(t, tap, srv.Addr(), ClientConfig{Resilience: &ResilienceConfig{InvokeTimeout: time.Minute}})
+	errs := make(chan error, 1)
+	go func() {
+		_, err := cl.Invoke("gated", "op", []byte("x"), sched.NormPriority)
+		errs <- err
+	}()
+	<-g.entered
+	conn := <-tap.dialed
+	_, before := telemetry.Default.Faults()
+
+	// Three bytes cannot hold a request's service-context count.
+	bad := append(giop.AppendHeader(nil, giop.Header{Type: giop.MsgRequest, Order: giop.BigEndian, Size: 3}), 0, 0, 0)
+	if _, err := conn.Write(bad); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	select {
+	case err := <-errs:
+		if err == nil {
+			t.Fatal("the call pending on the closed connection succeeded")
+		}
+		t.Logf("pending call failed after %v: %v", time.Since(start), err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("the call pending on the connection still waits 5 s after the undecodable request")
+	}
+	faults, total := telemetry.Default.Faults()
+	found := false
+	for _, f := range faults[max(0, len(faults)-int(total-before)):] {
+		found = found || f.Label == "orb.server.demarshal"
+	}
+	if !found {
+		t.Errorf("no orb.server.demarshal fault among the %d recorded since the bad frame", total-before)
+	}
+}
