@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race bench-smoke bench-build orb-loc no-poll no-sleep verify bench5 bench6 bench7 allocguard zerocopy-guard chaos fuzz-smoke
+.PHONY: all build vet fmt-check test race bench-smoke bench-build orb-loc no-poll no-sleep verify bench5 bench6 bench7 allocguard zerocopy-guard chaos fuzz-smoke
 
 all: build
 
@@ -12,6 +12,12 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# fmt-check fails on any tracked Go file gofmt would rewrite. It lists the
+# files git tracks, so build directories such as .bench_build/ are never read.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "not gofmt-clean:"; echo "$$out"; exit 1; fi
 
 # race is the concurrency gate: everything must compile and vet clean, then
 # the full test suite runs under the race detector (the flight recorder,
@@ -81,8 +87,8 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched internal/memory internal/giop; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		case $$d in internal/orb) max=3381;; internal/core) max=3115;; internal/sched) max=731;; \
-			internal/memory) max=1249;; internal/giop) max=1557;; *) max=;; esac; \
+		case $$d in internal/orb) max=3367;; internal/core) max=3115;; internal/sched) max=731;; \
+			internal/memory) max=1235;; internal/giop) max=1557;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \
@@ -110,7 +116,7 @@ no-sleep:
 	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
 	if [ $$n -gt 38 ]; then echo "over the ratchet of 38: wait on the condition instead"; exit 1; fi
 
-verify: vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
+verify: fmt-check vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
 
 # chaos is the resilience gate: the fault-injection suite — seeded fault
 # network, circuit breaker, reconnect/retry, deadline teardown, overload

@@ -62,16 +62,14 @@ func BenchmarkTable2_JDK14(b *testing.B)     { benchPingPong(b, platform.JDK14()
 func benchCompadresEcho(b *testing.B, size int) {
 	b.Helper()
 	net := transport.NewInproc()
-	srv, err := orb.NewServer(orb.ServerConfig{Network: net, ScopePoolCount: 4, Synchronous: true})
+	srv, err := orb.NewServer(orb.ServerConfig{Network: net, Synchronous: true})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
 	srv.RegisterServant("echo", corba.EchoServant{})
 	srv.ServeBackground()
-	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: net, Addr: srv.Addr(), ScopePoolCount: 4, Synchronous: true,
-	})
+	cl, err := orb.DialClient(orb.ClientConfig{Network: net, Addr: srv.Addr(), Synchronous: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -266,7 +264,7 @@ func BenchmarkSteadyStateRoundTrip(b *testing.B) {
 func newWirePair(tb testing.TB) (invoke func(), done func()) {
 	tb.Helper()
 	net := transport.NewInproc()
-	srv, err := orb.NewServer(orb.ServerConfig{Network: net, ScopePoolCount: 4, Synchronous: true})
+	srv, err := orb.NewServer(orb.ServerConfig{Network: net, Synchronous: true})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -274,7 +272,7 @@ func newWirePair(tb testing.TB) (invoke func(), done func()) {
 		return in, nil
 	}))
 	srv.ServeBackground()
-	cl, err := orb.DialClient(orb.ClientConfig{Network: net, Addr: srv.Addr(), ScopePoolCount: 4, Synchronous: true})
+	cl, err := orb.DialClient(orb.ClientConfig{Network: net, Addr: srv.Addr(), Synchronous: true})
 	if err != nil {
 		srv.Close()
 		tb.Fatal(err)

@@ -100,7 +100,7 @@ func runBench5(warmup, obs int, outPath string) error {
 	group := remote.PortKey("Bench5.In")
 
 	startReplica := func(addr string) (*orb.Server, error) {
-		srv, err := orb.NewServer(orb.ServerConfig{Network: net, Addr: addr, ScopePoolCount: 4})
+		srv, err := orb.NewServer(orb.ServerConfig{Network: net, Addr: addr})
 		if err != nil {
 			return nil, err
 		}

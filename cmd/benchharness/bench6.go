@@ -34,17 +34,17 @@ import (
 //
 // Durations are nanoseconds so the file diffs cleanly across runs.
 type bench6Snapshot struct {
-	Meta          benchMeta `json:"meta"`
-	ServiceNs     int64     `json:"service_ns"`
-	Concurrency   int       `json:"concurrency"`
-	TargetP99Ns   int64     `json:"target_p99_ns"`
-	WindowNs      int64     `json:"window_ns"`
-	MinLimit      int       `json:"min_limit"`
-	MaxLimit      int       `json:"max_limit"`
-	BaseWorkers   int       `json:"base_workers_per_tier"`
-	SurgeWorkers  int       `json:"surge_workers"`
-	PhaseNs       int64     `json:"phase_ns"`
-	Phases        []bench6Phase `json:"phases"`
+	Meta         benchMeta     `json:"meta"`
+	ServiceNs    int64         `json:"service_ns"`
+	Concurrency  int           `json:"concurrency"`
+	TargetP99Ns  int64         `json:"target_p99_ns"`
+	WindowNs     int64         `json:"window_ns"`
+	MinLimit     int           `json:"min_limit"`
+	MaxLimit     int           `json:"max_limit"`
+	BaseWorkers  int           `json:"base_workers_per_tier"`
+	SurgeWorkers int           `json:"surge_workers"`
+	PhaseNs      int64         `json:"phase_ns"`
+	Phases       []bench6Phase `json:"phases"`
 	// Tier0P99RatioVsUnloaded is overload-phase tier-0 p99 divided by
 	// unloaded-phase tier-0 p99. Acceptance: <= 1.5.
 	Tier0P99RatioVsUnloaded float64 `json:"tier0_p99_ratio_vs_unloaded"`

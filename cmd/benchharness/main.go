@@ -195,7 +195,7 @@ func runChaos(warmup, obs int, seed uint64) error {
 
 func runChaosVariant(w *tabwriter.Writer, warmup, obs int, seed uint64, chaos bool) error {
 	base := transport.NewInproc()
-	srv, err := orb.NewServer(orb.ServerConfig{Network: base, Addr: "chaos", ScopePoolCount: 4})
+	srv, err := orb.NewServer(orb.ServerConfig{Network: base, Addr: "chaos"})
 	if err != nil {
 		return err
 	}
@@ -218,7 +218,7 @@ func runChaosVariant(w *tabwriter.Writer, warmup, obs int, seed uint64, chaos bo
 		clientNet = fn
 	}
 	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: clientNet, Addr: "chaos", ScopePoolCount: 4,
+		Network: clientNet, Addr: "chaos",
 		Resilience: &orb.ResilienceConfig{
 			Seed:                 seed,
 			MaxRetries:           6,

@@ -77,9 +77,7 @@ type echoClient interface {
 func startServer(orbKind, addr string) (echoServer, error) {
 	switch orbKind {
 	case "compadres":
-		srv, err := orb.NewServer(orb.ServerConfig{
-			Network: transport.TCP{}, Addr: addr, ScopePoolCount: 4,
-		})
+		srv, err := orb.NewServer(orb.ServerConfig{Network: transport.TCP{}, Addr: addr})
 		if err != nil {
 			return nil, err
 		}
@@ -102,9 +100,7 @@ func startServer(orbKind, addr string) (echoServer, error) {
 func dialClient(orbKind, addr string) (echoClient, error) {
 	switch orbKind {
 	case "compadres":
-		return orb.DialClient(orb.ClientConfig{
-			Network: transport.TCP{}, Addr: addr, ScopePoolCount: 4,
-		})
+		return orb.DialClient(orb.ClientConfig{Network: transport.TCP{}, Addr: addr})
 	case "rtzen":
 		return rtzen.DialClient(rtzen.ClientConfig{Network: transport.TCP{}, Addr: addr})
 	default:
@@ -178,9 +174,7 @@ func runConcurrent(orbKind, addr string, size, n, warmup int, chaos bool, concur
 	if chaos {
 		return fmt.Errorf("-concurrency and -chaos are separate demos; pick one")
 	}
-	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: transport.TCP{}, Addr: addr, ScopePoolCount: 4,
-	})
+	cl, err := orb.DialClient(orb.ClientConfig{Network: transport.TCP{}, Addr: addr})
 	if err != nil {
 		return err
 	}
@@ -268,7 +262,7 @@ func runClient(orbKind, addr string, size, n, warmup int, chaos bool, seed uint6
 			LatencyMax:       500 * time.Microsecond,
 		})
 		ccl, derr := orb.DialClient(orb.ClientConfig{
-			Network: chaosNet, Addr: addr, ScopePoolCount: 4,
+			Network: chaosNet, Addr: addr,
 			Resilience: &orb.ResilienceConfig{
 				Seed:                 seed,
 				InvokeTimeout:        2 * time.Second,

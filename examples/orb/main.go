@@ -52,9 +52,7 @@ func temperatureServant() corba.Servant {
 
 func run() error {
 	// --- Server side: ORB -> POA/Acceptor -> Transport -> RequestProcessing.
-	srv, err := orb.NewServer(orb.ServerConfig{
-		Network: transport.TCP{}, Addr: "127.0.0.1:0", ScopePoolCount: 4,
-	})
+	srv, err := orb.NewServer(orb.ServerConfig{Network: transport.TCP{}, Addr: "127.0.0.1:0"})
 	if err != nil {
 		return err
 	}
@@ -65,9 +63,7 @@ func run() error {
 	fmt.Println("Compadres ORB server listening on", srv.Addr())
 
 	// --- Client side: ORB -> Transport -> MessageProcessing.
-	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: transport.TCP{}, Addr: srv.Addr(), ScopePoolCount: 4,
-	})
+	cl, err := orb.DialClient(orb.ClientConfig{Network: transport.TCP{}, Addr: srv.Addr()})
 	if err != nil {
 		return err
 	}

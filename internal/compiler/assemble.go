@@ -65,6 +65,28 @@ func (r *Registry) RegisterClass(name string, b ClassBinding) error {
 	return nil
 }
 
+// check rejects the subtree rooted at the named instance if a port's message
+// type has no registered Go type or a class with In ports has no binding.
+func (r *Registry) check(plan *Plan, name string) error {
+	ip := plan.Instances[name]
+	for _, pp := range ip.Ports {
+		if _, ok := r.types[pp.Type]; !ok {
+			return fmt.Errorf("%w: message type %q (port %s) has no registered Go type",
+				ErrCompile, pp.Type, pp.QualifiedName())
+		}
+	}
+	if _, ok := r.bindings[ip.Class.Name]; !ok && len(inPorts(ip)) > 0 {
+		return fmt.Errorf("%w: class %q has In ports but no registered binding",
+			ErrCompile, ip.Class.Name)
+	}
+	for _, c := range ip.Children {
+		if err := r.check(plan, c); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Assemble builds a runnable core.App from a compiled plan and the
 // programmer-supplied implementations — the runtime equivalent of the RTSJ
 // glue code the paper's compiler generates. The returned app has not been
@@ -77,16 +99,11 @@ func Assemble(plan *Plan, reg *Registry, opts ...AssembleOption) (*core.App, err
 
 	// Up-front checks so failures surface before any instantiation.
 	for _, name := range plan.Order {
-		ip := plan.Instances[name]
-		for _, pp := range ip.Ports {
-			if _, ok := reg.types[pp.Type]; !ok {
-				return nil, fmt.Errorf("%w: message type %q (port %s) has no registered Go type",
-					ErrCompile, pp.Type, pp.QualifiedName())
-			}
+		if plan.Instances[name].Parent != "" {
+			continue
 		}
-		if _, ok := reg.bindings[ip.Class.Name]; !ok && len(inPorts(ip)) > 0 {
-			return nil, fmt.Errorf("%w: class %q has In ports but no registered binding",
-				ErrCompile, ip.Class.Name)
+		if err := reg.check(plan, name); err != nil {
+			return nil, err
 		}
 	}
 
@@ -219,15 +236,7 @@ func (a *assembler) populate(c *core.Component) error {
 	}
 
 	for _, childName := range ip.Children {
-		cp := a.plan.Instances[childName]
-		def := core.ChildDef{
-			Name:       childName,
-			MemorySize: cp.Inst.MemorySize,
-			UsePool:    cp.Inst.UsePool,
-			Persistent: cp.Inst.Persistent,
-			Setup:      func(child *core.Component) error { return a.populate(child) },
-		}
-		if err := c.DefineChild(def); err != nil {
+		if err := c.DefineChild(a.childDef(childName)); err != nil {
 			return fmt.Errorf("instance %q child %q: %w", c.Name(), childName, err)
 		}
 	}
@@ -236,6 +245,19 @@ func (a *assembler) populate(c *core.Component) error {
 		c.SetStart(binding.Start)
 	}
 	return nil
+}
+
+// childDef is the blueprint of the named child instance, its Setup the
+// populate pass that wires it.
+func (a *assembler) childDef(name string) core.ChildDef {
+	inst := a.plan.Instances[name].Inst
+	return core.ChildDef{
+		Name:       name,
+		MemorySize: inst.MemorySize,
+		UsePool:    inst.UsePool,
+		Persistent: inst.Persistent,
+		Setup:      func(c *core.Component) error { return a.populate(c) },
+	}
 }
 
 // exported reports whether the plan publishes pp to other processes.

@@ -240,37 +240,11 @@ func ChildDefFor(plan *Plan, reg *Registry, app *core.App, child string) (core.C
 	}
 	// The same up-front checks Assemble runs, scoped to the subtree, so a
 	// swap fails before the live assembly is touched.
-	var walk func(name string) error
-	walk = func(name string) error {
-		sub := plan.Instances[name]
-		for _, pp := range sub.Ports {
-			if _, ok := reg.types[pp.Type]; !ok {
-				return fmt.Errorf("%w: message type %q (port %s) has no registered Go type",
-					ErrCompile, pp.Type, pp.QualifiedName())
-			}
-		}
-		if _, ok := reg.bindings[sub.Class.Name]; !ok && len(inPorts(sub)) > 0 {
-			return fmt.Errorf("%w: class %q has In ports but no registered binding",
-				ErrCompile, sub.Class.Name)
-		}
-		for _, c := range sub.Children {
-			if err := walk(c); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(child); err != nil {
+	if err := reg.check(plan, child); err != nil {
 		return core.ChildDef{}, err
 	}
 	asm := &assembler{plan: plan, reg: reg, app: app}
-	return core.ChildDef{
-		Name:       child,
-		MemorySize: ip.Inst.MemorySize,
-		UsePool:    ip.Inst.UsePool,
-		Persistent: ip.Inst.Persistent,
-		Setup:      func(c *core.Component) error { return asm.populate(c) },
-	}, nil
+	return asm.childDef(child), nil
 }
 
 // diffRTSJ rejects memory-architecture changes: immortal size and scoped

@@ -331,3 +331,58 @@ func TestSendAtExtremePriorities(t *testing.T) {
 		t.Errorf("seen = %v, want clamped min and max", seen)
 	}
 }
+
+// TestBufferedDeliveryRunsAtMessagePriority pins that a buffered message is
+// handled at its own priority, not at the priority of the pool task whose
+// worker popped it: with the port's only worker parked in a handler, a
+// priority-25 message waits in the buffer, and a dispatch run for a
+// priority-5 task — as a worker holding one would — hands it over at 25.
+func TestBufferedDeliveryRunsAtMessagePriority(t *testing.T) {
+	app := newTestApp(t, AppConfig{})
+	got := make(chan sched.Priority, 2)
+	block := make(chan struct{})
+	comp, err := app.NewImmortalComponent("C", func(c *Component) error {
+		smm := c.SMM()
+		if _, err := AddInPort(c, smm, InPortConfig{
+			Name: "in", Type: intType,
+			Threading: ThreadingDedicated, MinThreads: 1, MaxThreads: 1,
+			Handler: HandlerFunc(func(p *Proc, m Message) error {
+				got <- p.Priority()
+				if m.(*intMsg).value == 1 {
+					<-block
+				}
+				return nil
+			}),
+		}); err != nil {
+			return err
+		}
+		_, err := AddOutPort(c, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"C.in"}})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer close(block)
+	out, _ := comp.SMM().GetOutPort("out")
+	send := func(v int64, prio sched.Priority) {
+		t.Helper()
+		m, err := out.GetMessage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.(*intMsg).value = v
+		if err := out.Send(m, prio); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1, 10)
+	if p := <-got; p != 10 {
+		t.Fatalf("parking message handled at %d, want 10", p)
+	}
+	send(2, 25)
+	in, _ := comp.SMM().GetInPort("C.in")
+	comp.SMM().dispatch(in, 5)
+	if p := <-got; p != 25 {
+		t.Errorf("priority-25 message handled at %d by a priority-5 task's dispatch", p)
+	}
+}

@@ -882,8 +882,8 @@ func (s *SMM) enqueue(in *InPort, owner *Component, env *envelope, msg Message, 
 }
 
 // dispatch runs on a pool worker: it pops one buffered message and processes
-// it in the owner's memory context.
-func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
+// it in the owner's memory context, at its priority (not the waking task's).
+func (s *SMM) dispatch(in *InPort, _ sched.Priority) {
 	it, ok := in.pop()
 	if !ok {
 		return
@@ -900,7 +900,7 @@ func (s *SMM) dispatch(in *InPort, prio sched.Priority) {
 			return
 		}
 	}
-	s.deliver(in, it.owner, 0, nil, it.msg, prio, it.deadline)
+	s.deliver(in, it.owner, 0, nil, it.msg, it.prio.Clamp(), it.deadline)
 	it.env.done()
 	it.owner.release(pendingOne, 0)
 }

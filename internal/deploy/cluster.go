@@ -28,8 +28,6 @@ type ClusterConfig struct {
 	// NodeAddr names the listen address of one replica process; nil lets
 	// the network auto-assign (each replica must get a distinct address).
 	NodeAddr func(node string, replica int) string
-	// ScopePoolCount tunes every endpoint's request scopes.
-	ScopePoolCount int
 }
 
 // Replica is one running process of a node's sub-plan.
@@ -90,9 +88,7 @@ func RunCluster(plan *compiler.Plan, reg *compiler.Registry, cfg ClusterConfig, 
 		opts:      opts,
 		next:      make(map[string]int),
 	}
-	srv, err := orb.NewServer(orb.ServerConfig{
-		Network: cfg.Network, Addr: cfg.DirectoryAddr, ScopePoolCount: cfg.ScopePoolCount,
-	})
+	srv, err := orb.NewServer(orb.ServerConfig{Network: cfg.Network, Addr: cfg.DirectoryAddr})
 	if err != nil {
 		return nil, fmt.Errorf("%w: directory listen: %v", ErrDeploy, err)
 	}
@@ -140,9 +136,7 @@ func (d *ClusterDeployment) startReplicaLocked(node string, plan *compiler.Plan,
 	if d.cfg.NodeAddr != nil {
 		addr = d.cfg.NodeAddr(node, idx)
 	}
-	dep, err := Run(sub, reg, Config{
-		Network: d.cfg.Network, ListenAddr: addr, ScopePoolCount: d.cfg.ScopePoolCount,
-	}, d.opts...)
+	dep, err := Run(sub, reg, Config{Network: d.cfg.Network, ListenAddr: addr}, d.opts...)
 	if err != nil {
 		return nil, fmt.Errorf("%w: node %q replica %d: %v", ErrDeploy, node, idx, err)
 	}

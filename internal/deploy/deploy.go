@@ -34,8 +34,6 @@ type Config struct {
 	// ListenAddr is where the ORB server binds when the plan exports
 	// ports (for TCP, ":0" picks an ephemeral port).
 	ListenAddr string
-	// ScopePoolCount tunes the ORB endpoints' request scopes.
-	ScopePoolCount int
 }
 
 // Deployment is one running process of a distributed Compadres application.
@@ -77,9 +75,7 @@ func Run(plan *compiler.Plan, reg *compiler.Registry, cfg Config, opts ...compil
 	// Publish exported ports before starting, so peers that race us see
 	// every port as soon as the listener answers.
 	if len(plan.Exports) > 0 {
-		srv, err := orb.NewServer(orb.ServerConfig{
-			Network: cfg.Network, Addr: cfg.ListenAddr, ScopePoolCount: cfg.ScopePoolCount,
-		})
+		srv, err := orb.NewServer(orb.ServerConfig{Network: cfg.Network, Addr: cfg.ListenAddr})
 		if err != nil {
 			return fail(fmt.Errorf("%w: listen: %v", ErrDeploy, err))
 		}
@@ -107,9 +103,7 @@ func Run(plan *compiler.Plan, reg *compiler.Registry, cfg Config, opts ...compil
 		cl, ok := d.clients[rc.Addr]
 		if !ok {
 			var err error
-			cl, err = orb.DialClient(orb.ClientConfig{
-				Network: cfg.Network, Addr: rc.Addr, ScopePoolCount: cfg.ScopePoolCount,
-			})
+			cl, err = orb.DialClient(orb.ClientConfig{Network: cfg.Network, Addr: rc.Addr})
 			if err != nil {
 				return fail(fmt.Errorf("%w: remote %s: %v", ErrDeploy, rc.Addr, err))
 			}

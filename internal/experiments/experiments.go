@@ -331,9 +331,7 @@ func RunFig11(sizes []int, warmup, observations int) ([]Fig11Point, error) {
 
 func runFig11Compadres(size, warmup, observations int) (Fig11Point, error) {
 	net := transport.NewInproc()
-	srv, err := orb.NewServer(orb.ServerConfig{
-		Network: net, ScopePoolCount: 4, Synchronous: true,
-	})
+	srv, err := orb.NewServer(orb.ServerConfig{Network: net, Synchronous: true})
 	if err != nil {
 		return Fig11Point{}, err
 	}
@@ -341,9 +339,7 @@ func runFig11Compadres(size, warmup, observations int) (Fig11Point, error) {
 	srv.RegisterServant("echo", corba.EchoServant{})
 	srv.ServeBackground()
 
-	cl, err := orb.DialClient(orb.ClientConfig{
-		Network: net, Addr: srv.Addr(), ScopePoolCount: 4, Synchronous: true,
-	})
+	cl, err := orb.DialClient(orb.ClientConfig{Network: net, Addr: srv.Addr(), Synchronous: true})
 	if err != nil {
 		return Fig11Point{}, err
 	}

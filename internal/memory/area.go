@@ -52,9 +52,6 @@ type Model struct {
 	immortal *Area
 
 	nextID atomic.Uint64
-
-	mu     sync.Mutex
-	scoped int64 // live scoped areas, for stats
 }
 
 // NewModel creates a memory model with the given configuration.
@@ -111,18 +108,7 @@ func (m *Model) newScoped(name string, size int64, linear bool) *Area {
 	if linear {
 		zero(a.buf) // linear-time creation cost
 	}
-	m.mu.Lock()
-	m.scoped++
-	m.mu.Unlock()
 	return a
-}
-
-// LiveScopedAreas reports the number of scoped areas created and not yet
-// released back to a pool or dropped.
-func (m *Model) LiveScopedAreas() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.scoped
 }
 
 // Scoped-area lifecycle state is packed into one atomic word so the

@@ -350,13 +350,3 @@ func TestVTScopedZeroesOnAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLiveScopedAreasCount(t *testing.T) {
-	m := NewModel(Config{})
-	before := m.LiveScopedAreas()
-	m.NewLTScoped("x", 16)
-	m.NewVTScoped("y", 16)
-	if got := m.LiveScopedAreas() - before; got != 2 {
-		t.Errorf("live scoped delta = %d, want 2", got)
-	}
-}

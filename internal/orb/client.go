@@ -46,9 +46,10 @@ type ClientConfig struct {
 	Resolve func() ([]string, error)
 	// MaxMessage bounds a reply body; zero selects DefaultMaxMessage.
 	MaxMessage int
-	// ScopePoolCount pre-creates that many MessageProcessing scopes
-	// (paper's scope-pool optimisation), of which the client holds one; zero
-	// creates a fresh scope when MessageProcessing is first built.
+	// ScopePoolCount is ignored: MessageProcessing keeps the area it makes
+	// when first built (a Reusable shell), so there is no pool to size.
+	//
+	// Deprecated: kept so that existing configurations compile.
 	ScopePoolCount int
 	// Synchronous is ignored: the client's component ports are always calls
 	// on the invoking goroutine (the paper's pool size 0, §2.2).
@@ -185,13 +186,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	mpSize := int64(4*maxMsg + 8192)
 	transportSize := int64(8*maxMsg + 32768)
 
-	appCfg := core.AppConfig{Name: "CompadresORBClient", ImmortalSize: 1 << 20, MsgPoolCapacity: clientMsgPoolCapacity}
-	if cfg.ScopePoolCount > 0 {
-		appCfg.ScopePools = []core.ScopePoolSpec{
-			{Level: 2, AreaSize: mpSize, Count: cfg.ScopePoolCount, Grow: true},
-		}
-	}
-	app, err := core.NewApp(appCfg)
+	app, err := core.NewApp(core.AppConfig{Name: "CompadresORBClient", ImmortalSize: 1 << 20, MsgPoolCapacity: clientMsgPoolCapacity})
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +261,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 			Name:       "Transport",
 			MemorySize: transportSize,
 			Persistent: true,
-			Setup:      cl.transportSetup(mpSize, cfg.ScopePoolCount > 0),
+			Setup:      cl.transportSetup(mpSize),
 		})
 	})
 	if err == nil {
@@ -286,7 +281,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 // connection. MessageProcessing's In port is synchronous — the paper's pool
 // size 0, "on the calling thread" (§2.2): a caller blocks for its reply
 // either way, so a thread pool in front of the wire would buy no concurrency.
-func (cl *Client) transportSetup(mpSize int64, usePool bool) func(*core.Component) error {
+func (cl *Client) transportSetup(mpSize int64) func(*core.Component) error {
 	return func(tc *core.Component) error {
 		tSMM := tc.SMM()
 		if _, err := core.AddOutPort(tc, tSMM, core.OutPortConfig{
@@ -297,9 +292,8 @@ func (cl *Client) transportSetup(mpSize int64, usePool bool) func(*core.Componen
 		if err := tc.DefineChild(core.ChildDef{
 			Name:       "MessageProcessing",
 			MemorySize: mpSize,
-			UsePool:    usePool,
 			// Setup is pure declaration (one In port on the parent's SMM), so
-			// the shell survives quiescence, its area reclaimed in place.
+			// the shell survives quiescence, its own area reclaimed in place.
 			Reusable: true,
 			Setup: func(mp *core.Component) error {
 				_, err := core.AddInPort(mp, tSMM, core.InPortConfig{

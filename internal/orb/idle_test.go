@@ -143,23 +143,25 @@ func TestIdleClientOwnsNoThread(t *testing.T) {
 	}
 }
 
-// TestClientSynchronousIsInert pins that the deprecated field selects
-// nothing: set or not, the client ORB has no In port (callers send straight
+// TestDeprecatedConfigIsInert pins that the fields the endpoints ignore select
+// nothing. Set or not, the client ORB has no In port (callers send straight
 // into MessageProcessing on Transport's port), MessageProcessing's port is a
-// call (no buffer to have a capacity), and the connection hands out a leader
-// token.
-func TestClientSynchronousIsInert(t *testing.T) {
+// call (no buffer to have a capacity), the connection hands out a leader
+// token, neither endpoint has a scope pool at its per-request component's
+// level (each shell makes its own area), and both have used the same immortal
+// bytes after the first invocation.
+func TestDeprecatedConfigIsInert(t *testing.T) {
 	type shape struct {
-		ORBInPort bool
-		MPCap     int
-		Token     bool
+		ORBInPort            bool
+		MPCap                int
+		Token                bool
+		MPPool, RPPool       bool
+		ClientImm, ServerImm int64
 	}
-	var shapes []shape
-	for _, synchronous := range []bool{false, true} {
+	build := func(ccfg ClientConfig, scfg ServerConfig) shape {
 		net := transport.NewInproc()
-		rs := newRawServer(t, net)
-		rs.serve(echoUntilClosed)
-		cl := dial(t, net, rs.addr, ClientConfig{Synchronous: synchronous})
+		srv := startEchoServer(t, net, "", scfg)
+		cl := dial(t, net, srv.Addr(), ccfg)
 		if _, err := cl.Invoke("echo", "echo", []byte("x"), sched.NormPriority); err != nil {
 			t.Fatal(err)
 		}
@@ -169,16 +171,30 @@ func TestClientSynchronousIsInert(t *testing.T) {
 		if merr != nil {
 			t.Fatal(merr)
 		}
-		shapes = append(shapes, shape{
+		return shape{
 			ORBInPort: err == nil, MPCap: mp.Capacity(),
-			Token: cl.stripes[0].cur.Load().leaderCh != nil,
-		})
+			Token:  cl.stripes[0].cur.Load().leaderCh != nil,
+			MPPool: cl.App().ScopePool(2) != nil, RPPool: srv.App().ScopePool(3) != nil,
+			ClientImm: cl.App().Model().Immortal().Used(),
+			ServerImm: srv.App().Model().Immortal().Used(),
+		}
 	}
-	if shapes[0] != shapes[1] {
-		t.Errorf("Synchronous false built %+v, true built %+v", shapes[0], shapes[1])
+	unset := build(ClientConfig{}, ServerConfig{})
+	for _, row := range []struct {
+		field string
+		cl    ClientConfig
+		srv   ServerConfig
+	}{
+		{"ClientConfig.Synchronous", ClientConfig{Synchronous: true}, ServerConfig{}},
+		{"ClientConfig.ScopePoolCount", ClientConfig{ScopePoolCount: 4}, ServerConfig{}},
+		{"ServerConfig.ScopePoolCount", ClientConfig{}, ServerConfig{ScopePoolCount: 4}},
+	} {
+		if set := build(row.cl, row.srv); set != unset {
+			t.Errorf("%s set built %+v, unset %+v", row.field, set, unset)
+		}
 	}
-	if want := (shape{Token: true}); shapes[0] != want {
-		t.Errorf("client shape = %+v, want %+v", shapes[0], want)
+	if want := (shape{Token: true, ClientImm: unset.ClientImm, ServerImm: unset.ServerImm}); unset != want {
+		t.Errorf("endpoint shape = %+v, want %+v", unset, want)
 	}
 }
 

@@ -60,8 +60,8 @@ func TestConcurrentInvokersMultiCore(t *testing.T) {
 // runInvokers drives 16 closed-loop invokers through one client for window
 // and demands zero errors and an empty pipeline at the end.
 func runInvokers(t *testing.T, net transport.Network, addr string, synchronous bool, window time.Duration) {
-	srv := startEchoServer(t, net, addr, ServerConfig{ScopePoolCount: 4, Synchronous: synchronous})
-	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 4})
+	srv := startEchoServer(t, net, addr, ServerConfig{Synchronous: synchronous})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
 
 	const invokers = 16
 	var ops atomic.Int64

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/corba"
 	"repro/internal/core"
-	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
@@ -86,8 +85,8 @@ func TestEchoRoundTripTCP(t *testing.T) {
 
 func TestEchoWithScopePoolsAndSynchronous(t *testing.T) {
 	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{ScopePoolCount: 2, Synchronous: true})
-	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 2})
+	srv := startEchoServer(t, net, "", ServerConfig{Synchronous: true})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
 
 	for i := 0; i < 20; i++ {
 		msg := []byte(fmt.Sprintf("msg-%d", i))
@@ -99,20 +98,16 @@ func TestEchoWithScopePoolsAndSynchronous(t *testing.T) {
 			t.Fatalf("invoke %d: got %q", i, got)
 		}
 	}
-	// MessageProcessing took one pooled area when it was built and keeps it,
+	// MessageProcessing created its area when it was built and keeps it,
 	// reclaimed in place once per invocation; RequestProcessing likewise.
 	for _, side := range []struct {
 		name string
-		pool *memory.ScopePool
 		smm  *core.SMM
 		comp string
 	}{
-		{"client MP", cl.App().ScopePool(2), cl.App().Component("ORB").SMM().Child("Transport").SMM(), "MessageProcessing"},
-		{"server RP", srv.App().ScopePool(3), srv.poa.SMM().Child("Transport1").SMM(), "RequestProcessing"},
+		{"client MP", cl.App().Component("ORB").SMM().Child("Transport").SMM(), "MessageProcessing"},
+		{"server RP", srv.poa.SMM().Child("Transport1").SMM(), "RequestProcessing"},
 	} {
-		if created, reused, free := side.pool.Stats(); created != 2 || reused != 1 || free != 1 {
-			t.Errorf("%s scopes: %d created, %d handed out, %d free; want 2, 1, 1", side.name, created, reused, free)
-		}
 		// Twenty invocations, and the probe's own revival.
 		if gen := perRequestArea(t, side.smm, side.comp).Generation(); gen != 21 {
 			t.Errorf("%s area reclaimed %d times by 20 invocations and one probe, want 21", side.name, gen)

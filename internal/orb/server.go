@@ -29,8 +29,10 @@ type ServerConfig struct {
 	Addr    string
 	// MaxMessage bounds a request body; zero selects DefaultMaxMessage.
 	MaxMessage int
-	// ScopePoolCount pre-creates that many RequestProcessing scopes, one
-	// held per live connection; zero creates a fresh scope per connection.
+	// ScopePoolCount is ignored: each connection's RequestProcessing keeps
+	// the area it makes when first built, so there is no pool to size.
+	//
+	// Deprecated: kept so that existing configurations compile.
 	ScopePoolCount int
 	// Synchronous dispatches ports on the reading thread instead of port
 	// thread pools.
@@ -109,7 +111,6 @@ type Server struct {
 	wg        sync.WaitGroup
 
 	threading   core.Threading
-	usePool     bool
 	rpSize      int64
 	repPool     *memory.ScopePool
 	concurrency int
@@ -171,13 +172,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		// that or the reader loop sheds connections under pipelined load.
 		appCfg.MsgPoolCapacity = need
 	}
-	if cfg.ScopePoolCount > 0 {
-		appCfg.ScopePools = []core.ScopePoolSpec{
-			// Level 3 holds the RequestProcessing scopes (ORB is level 0,
-			// POA 1, Transport 2).
-			{Level: 3, AreaSize: rpSize, Count: cfg.ScopePoolCount, Grow: true},
-		}
-	}
 	app, err := core.NewApp(appCfg)
 	if err != nil {
 		return nil, err
@@ -203,7 +197,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		maxMsg:      maxMsg,
 		conns:       make(map[*serverConn]struct{}),
 		threading:   core.ThreadingShared,
-		usePool:     cfg.ScopePoolCount > 0,
 		rpSize:      rpSize,
 		repPool:     repPool,
 		concurrency: concurrency,
@@ -491,9 +484,8 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 		if err := tc.DefineChild(core.ChildDef{
 			Name:       "RequestProcessing",
 			MemorySize: s.rpSize,
-			UsePool:    s.usePool,
 			// Pure-declaration Setup: the shell is revived across requests,
-			// its area reclaimed in place.
+			// its area created when first built and reclaimed in place.
 			Reusable: true,
 			Setup: func(rp *core.Component) error {
 				// Concurrency pool workers dispatch requests side by side;

@@ -19,8 +19,8 @@ import (
 // stopped counting, the Invoke half would fail first.
 func TestInvokeViewZeroPayloadCopies(t *testing.T) {
 	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{ScopePoolCount: 2})
-	cl := dial(t, net, srv.Addr(), ClientConfig{ScopePoolCount: 2})
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
 
 	payload := bytes.Repeat([]byte{0x7E}, 512)
 
