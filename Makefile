@@ -39,8 +39,11 @@ race: build vet
 # stands in or overflows into a nested pooled one, nor a sched.Signal Notify
 # with nobody waiting (every release of a component calls one), nor an
 # overload controller's Admit + Done, untiered or for a registered tenant.
+# Set-up is guarded too: standing an ORB server and client up over the
+# in-process transport, one Invoke and closing both allocates under 1 MiB,
+# because immortal memory commits only what it holds.
 allocguard:
-	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters' .
+	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters|TestSetupHeapBytes' .
 	$(GO) test -run TestAdmitDoneAllocFree ./internal/overload/
 	$(GO) test -run TestScratchAllocFree ./internal/memory/
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
@@ -88,7 +91,7 @@ orb-loc:
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
 		case $$d in internal/orb) max=3367;; internal/core) max=3115;; internal/sched) max=731;; \
-			internal/memory) max=1235;; internal/giop) max=1557;; *) max=;; esac; \
+			internal/memory) max=1233;; internal/giop) max=1557;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \

@@ -17,6 +17,7 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/corba"
@@ -438,6 +439,44 @@ func TestWireRoundTripScopeEnters(t *testing.T) {
 	}
 	if d := overflows.Value() - spilled; d != 0 {
 		t.Errorf("%d of %d lock-step invocations overflowed their component's area", d, ops)
+	}
+}
+
+// TestSetupHeapBytes pins what standing an ORB endpoint pair up costs the Go
+// heap: a server and a client over the in-process transport, one Invoke, both
+// closed. Each endpoint's memory model commits immortal memory only as its
+// components allocate it, so a cycle costs what the endpoints hold: under
+// 1 MiB, less than either endpoint's immortal budget alone.
+func TestSetupHeapBytes(t *testing.T) {
+	payload := make([]byte, 256)
+	cycle := func() {
+		net := transport.NewInproc()
+		srv, err := orb.NewServer(orb.ServerConfig{Network: net, Synchronous: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		srv.RegisterServant("echo", corba.EchoServant{})
+		srv.ServeBackground()
+		cl, err := orb.DialClient(orb.ClientConfig{Network: net, Addr: srv.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if _, err := cl.Invoke("echo", "echo", payload, sched.NormPriority); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // the first pays for process-wide state: interned labels, pools
+	const cycles = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 1<<20 {
+		t.Errorf("one ORB set-up cycle allocates %d B of Go heap, want < 1 MiB", per)
 	}
 }
 

@@ -34,8 +34,9 @@ func (k Kind) String() string {
 
 // Config parameterises a Model.
 type Config struct {
-	// ImmortalSize is the byte budget of immortal memory.
-	// Zero selects DefaultImmortalSize.
+	// ImmortalSize is the byte budget of immortal memory: an allocation past
+	// it fails, but only the bytes allocated are committed. Zero selects
+	// DefaultImmortalSize.
 	ImmortalSize int64
 }
 
@@ -54,7 +55,8 @@ type Model struct {
 	nextID atomic.Uint64
 }
 
-// NewModel creates a memory model with the given configuration.
+// NewModel creates a memory model with the given configuration. It commits
+// no immortal memory: the budget is charged as allocations are made.
 func NewModel(cfg Config) *Model {
 	immortalSize := cfg.ImmortalSize
 	if immortalSize == 0 {
@@ -62,14 +64,8 @@ func NewModel(cfg Config) *Model {
 	}
 	m := &Model{}
 	m.heap = &Area{model: m, id: m.nextID.Add(1), name: "heap", kind: KindHeap}
-	m.immortal = &Area{
-		model:    m,
-		id:       m.nextID.Add(1),
-		name:     "immortal",
-		kind:     KindImmortal,
-		capacity: immortalSize,
-		buf:      make([]byte, immortalSize),
-	}
+	m.immortal = &Area{model: m, id: m.nextID.Add(1), name: "immortal",
+		kind: KindImmortal, capacity: immortalSize}
 	return m
 }
 
@@ -434,17 +430,18 @@ func (a *Area) alloc(n int) (Ref, error) {
 	if a.kind == KindScoped && a.holders() == 0 {
 		return Ref{}, fmt.Errorf("%w: allocation in %q", ErrInactive, a.name)
 	}
-	if a.kind == KindHeap {
-		// The heap is unbounded and garbage collected; every allocation is
-		// its own slice so the Go GC reclaims it naturally.
-		a.used += int64(n)
-		a.allocs++
-		return Ref{area: a, gen: a.genNow(), data: make([]byte, n)}, nil
+	if a.kind != KindHeap { // the heap is unbounded
+		if err := a.fitsLocked(n); err != nil {
+			return Ref{}, err
+		}
 	}
-	if err := a.fitsLocked(n); err != nil {
-		return Ref{}, err
+	if a.kind == KindScoped {
+		return a.carveLocked(n), nil
 	}
-	return a.carveLocked(n), nil
+	// Heap and immortal allocations are each their own zeroed slice.
+	a.used += int64(n)
+	a.allocs++
+	return Ref{area: a, gen: a.genNow(), data: make([]byte, n)}, nil
 }
 
 // tryAlloc is alloc on a scoped area its caller stands in (so it is held
@@ -461,10 +458,10 @@ func (a *Area) tryAlloc(n int) (Ref, bool) {
 	return ref, true
 }
 
-// roomLocked reports whether n more bytes fit the arena.
+// roomLocked reports whether n more bytes fit the budget.
 func (a *Area) roomLocked(n int) bool { return a.used+int64(n) <= a.capacity }
 
-// fitsLocked reports ErrOutOfMemory unless n more bytes fit the arena.
+// fitsLocked reports ErrOutOfMemory unless n more bytes fit the budget.
 func (a *Area) fitsLocked(n int) error {
 	if !a.roomLocked(n) {
 		return fmt.Errorf("%w: %q needs %d bytes, %d free",
@@ -479,7 +476,7 @@ func (a *Area) carveLocked(n int) Ref {
 	a.used += int64(n)
 	a.allocs++
 	data := a.buf[off : off+int64(n) : off+int64(n)]
-	if !a.linear && a.kind == KindScoped {
+	if !a.linear {
 		// VT areas zero lazily at allocation time.
 		zero(data)
 	}

@@ -65,6 +65,70 @@ func TestImmortalAllocationBudget(t *testing.T) {
 	}
 }
 
+var modelSink *Model
+
+// TestImmortalCommitsWhatItHolds pins the immortal area as a budget rather
+// than an arena: making a model commits none of it, each allocation is its
+// own zeroed slice, and the budget is still enforced to the byte.
+func TestImmortalCommitsWhatItHolds(t *testing.T) {
+	const budget = 1 << 20
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			modelSink = NewModel(Config{ImmortalSize: budget})
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 4<<10 {
+		t.Errorf("NewModel with a %d B immortal budget allocates %d B of Go heap, want < 4 KiB", budget, got)
+	}
+
+	m := NewModel(Config{ImmortalSize: budget})
+	imm, ctx := m.Immortal(), m.NewContext()
+	var held [][]byte
+	used := int64(0)
+	for i, n := range []int{budget / 2, budget / 4, budget/4 - 16, 16} {
+		ref, err := ctx.AllocIn(imm, n)
+		if err != nil {
+			t.Fatalf("alloc %d (%d B): %v", i, n, err)
+		}
+		b, err := ref.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != n || cap(b) != n {
+			t.Errorf("alloc %d: len %d cap %d, want both %d", i, len(b), cap(b), n)
+		}
+		for j, x := range b {
+			if x != 0 {
+				t.Fatalf("alloc %d: byte %d is %d, want zeroed", i, j, x)
+			}
+		}
+		for j := range b {
+			b[j] = byte(i + 1)
+		}
+		held = append(held, b)
+		used += int64(n)
+		if imm.Used() != used || imm.Free() != budget-used || imm.Allocations() != int64(i+1) {
+			t.Errorf("after alloc %d: used %d free %d allocations %d, want %d %d %d",
+				i, imm.Used(), imm.Free(), imm.Allocations(), used, budget-used, i+1)
+		}
+	}
+	for i, b := range held {
+		for j, x := range b {
+			if x != byte(i+1) {
+				t.Fatalf("alloc %d: byte %d is %d, want %d: immortal allocations overlap", i, j, x, i+1)
+			}
+		}
+	}
+	if _, err := ctx.AllocIn(imm, 1); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("one byte past the budget: err = %v, want ErrOutOfMemory", err)
+	}
+	if imm.Used() != budget || imm.Free() != 0 || imm.Allocations() != int64(len(held)) {
+		t.Errorf("after the refusal: used %d free %d allocations %d, want %d 0 %d",
+			imm.Used(), imm.Free(), imm.Allocations(), budget, len(held))
+	}
+}
+
 func TestHeapIsUnbounded(t *testing.T) {
 	m := NewModel(Config{})
 	ctx := m.NewContext()

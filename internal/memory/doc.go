@@ -8,10 +8,11 @@
 // regions at runtime:
 //
 //   - Area models a memory region. Immortal and scoped areas carry a fixed
-//     byte budget backed by an arena; allocations fail with
-//     ErrOutOfMemory when the budget is exhausted, exactly like an RTSJ
-//     region. Linear-time (LT) regions pay an allocation-proportional
-//     zeroing cost on creation and reuse, mirroring LTScopedMemory.
+//     byte budget; allocations fail with ErrOutOfMemory past it, exactly
+//     like an RTSJ region. A scoped area is backed by an arena made with it;
+//     linear-time (LT) ones pay an allocation-proportional zeroing cost on
+//     creation and reuse, mirroring LTScopedMemory. The immortal budget
+//     commits its bytes per allocation, so it costs only what it holds.
 //   - Context models a (real-time) thread's scope stack. Entering an area
 //     pushes it; the single-parent rule is enforced on entry; the area is
 //     reclaimed when the last entrant leaves and no wedge pins it. A thread

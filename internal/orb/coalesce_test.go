@@ -437,6 +437,42 @@ func TestBatchedEchoEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerBatchesOnlyItsOwnConnection pins what a server reply's write mode
+// is read from: the requests in flight on its own connection. A batch can
+// only merge frames bound for one connection, so a request parked in a
+// servant for client B must not send client A's lone reply down the batched
+// path — a copy into the batch buffer and a yield before the write.
+func TestServerBatchesOnlyItsOwnConnection(t *testing.T) {
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	parked := gatedServant{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	srv.RegisterServant("park", parked)
+	clA := dial(t, net, srv.Addr(), ClientConfig{})
+	clB := dial(t, net, srv.Addr(), ClientConfig{})
+	payload := []byte("lone caller")
+	if _, err := clA.Invoke("echo", "echo", payload, sched.NormPriority); err != nil {
+		t.Fatal(err)
+	}
+
+	errB := make(chan error, 1)
+	go func() {
+		_, err := clB.Invoke("park", "park", payload, sched.NormPriority)
+		errB <- err
+	}()
+	<-parked.entered
+	flushes := coalesceFlushTotal.Value()
+	if _, err := clA.Invoke("echo", "echo", payload, sched.NormPriority); err != nil {
+		t.Fatal(err)
+	}
+	if d := coalesceFlushTotal.Value() - flushes; d != 0 {
+		t.Errorf("a lone caller's round trip flushed %d batches while another connection had a request in flight, want 0", d)
+	}
+	close(parked.gate)
+	if err := <-errB; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestBatchedConnDeathFailsOnce is TestMuxConnDeathFailsAllPendingOnce for
 // the batched path: a wire cut stranding a whole batch of senders must still
 // count ONE breaker failure — the wire owner's — not one per sender.

@@ -96,8 +96,8 @@ type requestMsg struct {
 	frame *giop.FrameBuf
 	order giop.ByteOrder
 	// conn is the connection the request arrived on; set by dispatch, it also
-	// marks the message as counted in the server's in-flight total (Drain's
-	// quiescence signal) until it recycles.
+	// marks the message as counted in the connection's in-flight total and
+	// the server's (Drain's quiescence signal) until it recycles.
 	conn *serverConn
 	// ad is the request's admission. The slot it holds is settled by exactly
 	// one of execute, OnShed (expired or orphaned in the queue), or Reset (any
@@ -114,6 +114,7 @@ func (m *requestMsg) Reset() {
 	m.ad.drop()
 	m.ad = admission{}
 	if m.conn != nil {
+		m.conn.inflight.Add(-1)
 		m.conn.srv.settled()
 		m.conn = nil
 	}

@@ -123,23 +123,24 @@ type Server struct {
 
 // serverConn is the per-connection state owned by a Transport instance: name
 // is the connection's Transport child of the POA, toRP that Transport's port
-// into RequestProcessing.
+// into RequestProcessing, inflight its dispatched-but-not-recycled requests.
 type serverConn struct {
-	srv  *Server
-	conn transport.Conn
-	w    *connWriter
-	name string
-	toRP *core.OutPort
+	srv      *Server
+	conn     transport.Conn
+	w        *connWriter
+	name     string
+	toRP     *core.OutPort
+	inflight atomic.Int64
 }
 
 // write hands one framed message to the connection's writer. With no other
-// request in flight on the server it is written directly; otherwise it is
-// batched with the replies completing around it and write returns before it
-// is on the wire. inline (Locate replies) waits for the frame's own write.
-// The one caller that hits a write error records the fault and closes the
-// connection, which ends its reader loop.
+// request in flight on this connection (a batch merges one connection's
+// frames) it is written directly; otherwise it is batched with the replies
+// completing around it and returns before it is on the wire. inline (Locate
+// replies) waits for its own write. The one caller that hits a write error
+// records the fault and closes the connection, ending its reader loop.
 func (sc *serverConn) write(b []byte, inline bool) error {
-	err, owner := sc.w.write(b, modeFor(inline, sc.srv.inflight.Load()))
+	err, owner := sc.w.write(b, modeFor(inline, sc.inflight.Load()))
 	if owner {
 		if !cleanClose(err) {
 			telemetry.RecordFault("orb.server.write", wireErr("write", sc.srv.ln.Addr(), err))
@@ -346,10 +347,7 @@ func (s *Server) App() *core.App { return s.app }
 // messages".
 func (s *Server) ServeBackground() {
 	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.acceptLoop()
-	}()
+	go s.acceptLoop()
 }
 
 // wireErr normalises a raw transport failure into a *transport.OpError so
@@ -372,6 +370,7 @@ func cleanClose(err error) bool {
 }
 
 func (s *Server) acceptLoop() {
+	defer s.wg.Done()
 	for {
 		conn, err := s.ln.Accept()
 		if err != nil {
@@ -553,8 +552,7 @@ func (s *Server) readLoop(sc *serverConn, proc *core.Proc) {
 			// Locate is a transport-level probe; answer on the reader
 			// thread without entering the component structure.
 			var req giop.LocateRequest
-			err := giop.DecodeLocateRequest(h.Order, fb.Body(), &req)
-			if err != nil {
+			if err := giop.DecodeLocateRequest(h.Order, fb.Body(), &req); err != nil {
 				fb.Release()
 				sc.conn.Close()
 				return
@@ -565,7 +563,7 @@ func (s *Server) readLoop(sc *serverConn, proc *core.Proc) {
 			wb.B = giop.MarshalLocateReply(wb.B, h.Order, &giop.LocateReply{
 				RequestID: req.RequestID, Status: status, Forward: fwd,
 			})
-			err = sc.write(wb.B, true)
+			err := sc.write(wb.B, true)
 			giop.PutBuffer(wb)
 			if err != nil {
 				sc.conn.Close()
@@ -776,6 +774,7 @@ func (s *Server) dispatch(sc *serverConn, toRP *core.OutPort, proc *core.Proc, h
 	m := msg.(*requestMsg)
 	m.frame, m.req, m.order = fb, req, h.Order // the message adopts the frame reference
 	m.conn, m.ad = sc, ad
+	sc.inflight.Add(1)
 	s.inflight.Add(1)
 	// On a send error the port has already recycled the message (Reset),
 	// releasing the frame reference and the admission with it. proc is the

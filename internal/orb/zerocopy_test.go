@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/corba"
 	"repro/internal/giop"
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -65,6 +66,61 @@ func TestInvokeViewZeroPayloadCopies(t *testing.T) {
 	}
 	if d := payloadCopyTotal.Value() - copiesBefore; d != 10 {
 		t.Errorf("Invoke charged %d payload copies over 10 rounds, want 10", d)
+	}
+}
+
+// TestInvokeAllocsAreContractCopies attributes what a remote lock-step
+// invocation allocates (synchronous server, in-process transport): nothing
+// but the copies a contract asks for. Invoke hands back a slice its caller
+// keeps, so it copies the reply out of the frame (consumeReply); a
+// corba.EchoServant answers with a fresh copy of its input rather than the
+// input itself. A servant that returns its input leaves Invoke's one copy,
+// and InvokeView, which lends the reply in place, allocates nothing.
+func TestInvokeAllocsAreContractCopies(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; the counts hold in the non-race suite")
+	}
+	returnsInput := corba.ServantFunc(func(_ string, in []byte) ([]byte, error) { return in, nil })
+	payload := bytes.Repeat([]byte{0x5A}, 256)
+	for _, tc := range []struct {
+		name    string
+		servant corba.Servant
+		view    bool
+		want    float64
+	}{
+		{"Invoke/EchoServant", corba.EchoServant{}, false, 2},
+		{"Invoke/ReturnsInput", returnsInput, false, 1},
+		{"InvokeView/ReturnsInput", returnsInput, true, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net := transport.NewInproc()
+			srv, err := NewServer(ServerConfig{Network: net, Synchronous: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(srv.Close)
+			srv.RegisterServant("echo", tc.servant)
+			srv.ServeBackground()
+			cl := dial(t, net, srv.Addr(), ClientConfig{})
+			view := func(memory.Loan) error { return nil }
+			invoke := func() {
+				var err error
+				if tc.view {
+					err = cl.InvokeView("echo", "echo", payload, sched.NormPriority, view)
+				} else {
+					_, err = cl.Invoke("echo", "echo", payload, sched.NormPriority)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				invoke()
+			}
+			if got := testing.AllocsPerRun(200, invoke); got != tc.want {
+				t.Errorf("%.3f allocs/op, want %.0f", got, tc.want)
+			}
+		})
 	}
 }
 
