@@ -39,11 +39,14 @@ race: build vet
 # stands in or overflows into a nested pooled one, nor a sched.Signal Notify
 # with nobody waiting (every release of a component calls one), nor an
 # overload controller's Admit + Done, untiered or for a registered tenant.
+# A remote invocation allocates only the copies its contract asks for —
+# InvokeView none, on one connection or spread over four stripes.
 # Set-up is guarded too: standing an ORB server and client up over the
 # in-process transport, one Invoke and closing both allocates under 1 MiB,
 # because immortal memory commits only what it holds.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters|TestSetupHeapBytes' .
+	$(GO) test -run TestInvokeAllocsAreContractCopies ./internal/orb/
 	$(GO) test -run TestAdmitDoneAllocFree ./internal/overload/
 	$(GO) test -run TestScratchAllocFree ./internal/memory/
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
@@ -90,7 +93,7 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched internal/memory internal/giop; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		case $$d in internal/orb) max=3367;; internal/core) max=3115;; internal/sched) max=731;; \
+		case $$d in internal/orb) max=3297;; internal/core) max=3107;; internal/sched) max=731;; \
 			internal/memory) max=1233;; internal/giop) max=1557;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
@@ -117,7 +120,7 @@ no-poll:
 no-sleep:
 	@n=$$(grep -ro 'time\.Sleep(' --include='*_test.go' internal | wc -l); \
 	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
-	if [ $$n -gt 38 ]; then echo "over the ratchet of 38: wait on the condition instead"; exit 1; fi
+	if [ $$n -gt 37 ]; then echo "over the ratchet of 37: wait on the condition instead"; exit 1; fi
 
 verify: fmt-check vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -433,58 +434,88 @@ func TestPortValidation(t *testing.T) {
 	}
 }
 
+// TestFanOutDelivery sends one message to two receivers under each cross-scope
+// mechanism — one behind a synchronous port and one buffered, and, under the
+// shared object, also two buffered ones finished by two pool workers on one
+// envelope. Handoff sends through SendFrom, which it requires. Each handler
+// runs once, the message pool balances — the shared object's message comes
+// back after both receivers, serialization's at send time — and a buffered
+// port counts its arrival, also under handoff, which calls it like the
+// synchronous one.
 func TestFanOutDelivery(t *testing.T) {
-	app := newTestApp(t, AppConfig{})
-	got := make(chan string, 4)
-	mk := func(tag string) Handler {
-		return HandlerFunc(func(*Proc, Message) error {
-			got <- tag
-			return nil
+	for _, tc := range []struct {
+		mech  Mechanism
+		first Threading
+	}{
+		{MechanismSharedObject, ThreadingSynchronous},
+		{MechanismSerialization, ThreadingSynchronous},
+		{MechanismHandoff, ThreadingSynchronous},
+		{MechanismSharedObject, ThreadingShared},
+	} {
+		t.Run(tc.mech.String()+"/"+tc.first.String(), func(t *testing.T) {
+			app := newTestApp(t, AppConfig{})
+			var runs [2]atomic.Int32
+			mk := func(i int) Handler {
+				return HandlerFunc(func(*Proc, Message) error {
+					runs[i].Add(1)
+					return nil
+				})
+			}
+			comp, err := app.NewImmortalComponent("C", func(c *Component) error {
+				smm := c.SMM()
+				if _, err := AddInPort(c, smm, InPortConfig{Name: "a", Type: intType, Threading: tc.first, Handler: mk(0)}); err != nil {
+					return err
+				}
+				if _, err := AddInPort(c, smm, InPortConfig{Name: "b", Type: intType, Handler: mk(1)}); err != nil {
+					return err
+				}
+				_, err := AddOutPort(c, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"C.a", "C.b"}})
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			smm := comp.SMM()
+			smm.SetMechanism(tc.mech)
+			op, _ := smm.GetOutPort("out")
+			if tc.mech == MechanismHandoff {
+				err = comp.Exec(func(ctx *memory.Context) error {
+					m, err := op.GetMessage()
+					if err != nil {
+						return err
+					}
+					return op.SendFrom(NewProc(comp, smm, ctx, 1), m, 1)
+				})
+			} else {
+				m, _ := op.GetMessage()
+				err = op.Send(m, 1)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Drain returns once every buffered delivery released its owner,
+			// which it does after settling its share of the message.
+			if err := app.Drain(2 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			for i, name := range []string{"a", "b"} {
+				if n := runs[i].Load(); n != 1 {
+					t.Errorf("%s handler ran %d times, want 1", name, n)
+				}
+			}
+			if _, inFlight, gets, returns := smm.MsgPoolStats("Int"); inFlight != 0 || gets != 1 || returns != 1 {
+				t.Errorf("pool not balanced: inflight %d gets %d returns %d", inFlight, gets, returns)
+			}
+			for _, name := range []string{"a", "b"} {
+				if name == "a" && tc.first == ThreadingSynchronous {
+					continue
+				}
+				in, _ := smm.GetInPort(name)
+				if received, processed, _ := in.Stats(); received != 1 || processed != 1 {
+					t.Errorf("buffered port %s received %d, processed %d, want 1 and 1", name, received, processed)
+				}
+			}
 		})
-	}
-	comp, err := app.NewImmortalComponent("C", func(c *Component) error {
-		smm := c.SMM()
-		if _, err := AddInPort(c, smm, InPortConfig{Name: "in1", Type: intType, Handler: mk("one")}); err != nil {
-			return err
-		}
-		if _, err := AddInPort(c, smm, InPortConfig{Name: "in2", Type: intType, Handler: mk("two")}); err != nil {
-			return err
-		}
-		_, err := AddOutPort(c, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"C.in1", "C.in2"}})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	smm := comp.SMM()
-	op, _ := smm.GetOutPort("out")
-	m, _ := op.GetMessage()
-	if err := op.Send(m, 1); err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]bool{}
-	for i := 0; i < 2; i++ {
-		select {
-		case tag := <-got:
-			seen[tag] = true
-		case <-time.After(2 * time.Second):
-			t.Fatal("fan-out incomplete")
-		}
-	}
-	if !seen["one"] || !seen["two"] {
-		t.Errorf("seen = %v", seen)
-	}
-	// Message returns to the pool only after BOTH receivers processed it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		_, inFlight, gets, returns := smm.MsgPoolStats("Int")
-		if inFlight == 0 && gets == 1 && returns == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pool not balanced: inflight %d gets %d returns %d", inFlight, gets, returns)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -196,7 +196,7 @@ type InPort struct {
 	qname       string // "Component.Port"
 	short       string
 	typ         MessageType
-	synchronous bool // no buffer, pool or dispatchFn: SMM.call is the port
+	synchronous bool // no buffer, pool or dispatchFn: SMM.deliver is the port
 
 	// mu guards only the buffer; the binding and the stats counters are
 	// read and written without it.

@@ -272,7 +272,7 @@ func (s *SMM) registerIn(c *Component, cfg InPortConfig) (*InPort, error) {
 		p.pool = sched.NewPool(sched.PoolConfig{Name: qname, Min: minT, Max: maxT})
 		s.pools = append(s.pools, p.pool)
 	case ThreadingSynchronous:
-		// No pool, no dispatch: SMM.call is the whole port.
+		// No pool, no dispatch: SMM.deliver on the sender's thread is the whole port.
 	default:
 		return nil, fmt.Errorf("core: in port %q: unknown threading policy %v", qname, threading)
 	}
@@ -741,54 +741,26 @@ func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) err
 
 // sendShared implements the shared-object mechanism: the pooled message
 // itself goes to every receiver and returns to the pool after the last one
-// has processed it. A receiver behind a synchronous port — every receiver
-// when handoff is set — is called on the spot, the others get the message in
-// their buffer; only a send that buffers or fans out takes an envelope.
+// has processed it. Only a send that fans out takes an envelope up front;
+// a lone receiver that buffers takes one in sendTo.
 func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet, handoff bool) error {
-	pool := p.pool
 	var env *envelope
 	if len(rs.routes) > 1 {
-		env = newEnvelope(msg, pool, len(rs.routes))
+		env = newEnvelope(msg, p.pool, len(rs.routes))
 	}
 	var firstErr error
 	for i := range rs.routes {
-		in, owner, frame, err := s.receiver(p, &rs.routes[i], handoff)
-		switch {
-		case err != nil:
-			settle(env, pool, msg)
-		case in.synchronous || handoff:
-			if !in.synchronous {
-				in.received.Add(1) // a buffered port counts arrivals under handoff too
-			}
-			s.call(in, owner, frame, proc, msg, prio, deadline)
-			settle(env, pool, msg)
-			owner.release(pendingOne|frame, 0)
-		default:
-			if env == nil {
-				env = newEnvelope(msg, pool, 1)
-			}
-			err = s.enqueue(in, owner, env, msg, prio, deadline)
-		}
-		if err != nil && firstErr == nil {
+		if err := s.sendTo(p, &rs.routes[i], env, proc, msg, prio, deadline, handoff); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// settle records one receiver finished with msg: on the send's envelope, or,
-// the send's one receiver being a call, straight back into the pool.
-func settle(env *envelope, pool *msgPool, msg Message) {
-	if env != nil {
-		env.done()
-	} else {
-		pool.put(msg)
-	}
-}
-
 // sendSerialized implements the serialization mechanism: the message is
 // encoded once, returned to its pool immediately, and an independent copy
-// is rebuilt for every receiver and dropped once that receiver is done.
+// is rebuilt for every receiver, on an envelope of its own with no pool, so
+// it is dropped once that receiver is done.
 func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
 	bm, ok := msg.(encoding.BinaryMarshaler)
 	if !ok {
@@ -810,20 +782,48 @@ func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Pri
 		if err := um.UnmarshalBinary(data); err != nil {
 			return fmt.Errorf("deserialize %q: %w", p.typ.Name, err)
 		}
-		in, owner, frame, err := s.receiver(p, &rs.routes[i], false)
-		switch {
-		case err != nil:
-		case in.synchronous:
-			s.call(in, owner, frame, proc, fresh, prio, deadline)
-			owner.release(pendingOne|frame, 0)
-		default:
-			err = s.enqueue(in, owner, newEnvelope(fresh, nil, 1), fresh, prio, deadline)
-		}
-		if err != nil && firstErr == nil {
+		if err := s.sendTo(p, &rs.routes[i], newEnvelope(fresh, nil, 1), proc, fresh, prio, deadline, false); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
+}
+
+// sendTo hands msg to the receiver of one route. A receiver behind a
+// synchronous port — every receiver under handoff — is called on the spot:
+// deliver on the sender's thread, which holds the owner reserved until the
+// message is settled and runs the handler on the call frame its reservation
+// claimed, if any. Any other receiver gets the message in its buffer, on
+// env, or, env being nil, on an envelope of its own.
+func (s *SMM) sendTo(p *OutPort, r *route, env *envelope, proc *Proc, msg Message, prio sched.Priority, deadline int64, handoff bool) error {
+	in, owner, frame, err := s.receiver(p, r, handoff)
+	switch {
+	case err != nil:
+		settle(env, p.pool, msg)
+	case in.synchronous || handoff:
+		if !in.synchronous {
+			in.received.Add(1) // a buffered port counts arrivals under handoff too
+		}
+		s.deliver(in, owner, frame, proc, msg, prio.Clamp(), deadline)
+		settle(env, p.pool, msg)
+		owner.release(pendingOne|frame, 0)
+	default:
+		if env == nil {
+			env = newEnvelope(msg, p.pool, 1)
+		}
+		err = s.enqueue(in, owner, env, msg, prio, deadline)
+	}
+	return err
+}
+
+// settle records one receiver finished with msg: on its envelope, or, the
+// send's one receiver being a call, straight back into the pool.
+func settle(env *envelope, pool *msgPool, msg Message) {
+	if env != nil {
+		env.done()
+	} else {
+		pool.put(msg)
+	}
 }
 
 // receiver resolves one of p's routes to its In port and that port's owner,
@@ -905,15 +905,6 @@ func (s *SMM) dispatch(in *InPort, _ sched.Priority) {
 	it.owner.release(pendingOne, 0)
 }
 
-// call is a send to a synchronous port (or any port, under the handoff
-// mechanism): no buffer, no envelope, no pool — the sender's thread, which
-// holds owner reserved until the message is recycled, is the receiver's, and
-// runs the handler on the call frame its reservation claimed, if any. A
-// synchronous port counts the call once, as processed, when deliver returns.
-func (s *SMM) call(in *InPort, owner *Component, frame uint64, proc *Proc, msg Message, prio sched.Priority, deadline int64) {
-	s.deliver(in, owner, frame, proc, msg, prio.Clamp(), deadline)
-}
-
 // deliver is the one delivery routine behind every port: wait out the
 // reserved owner's start function, report a start past the deadline, stand in
 // the owner's scopes on its reservation — on the sender's context from
@@ -922,7 +913,8 @@ func (s *SMM) call(in *InPort, owner *Component, frame uint64, proc *Proc, msg M
 // message was delivered. Every caller holds owner reserved until deliver
 // returns; that hold is the scope hold, so no area word is written on the way
 // in or out. The call state is the owner's frame the reservation claimed, or,
-// with frame 0, one from App.calls.
+// with frame 0, one from App.calls. A synchronous port counts a call once, as
+// processed, when deliver returns.
 func (s *SMM) deliver(in *InPort, owner *Component, frame uint64, sender *Proc, msg Message, prio sched.Priority, deadline int64) {
 	// Never process a message before the owner finished initialising. (A
 	// synchronous port whose owner sends to itself from its own start

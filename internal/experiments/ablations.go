@@ -19,37 +19,11 @@ type AblationRow struct {
 // object is the most efficient, serialization pays per-copy encoding, and
 // handoff avoids copies but couples the sender to the scope structure.
 func RunAblationCrossScope(warmup, observations int) ([]AblationRow, error) {
-	variants := []struct {
-		name string
-		mech core.Mechanism
-	}{
-		{"shared-object", core.MechanismSharedObject},
-		{"serialization", core.MechanismSerialization},
-		{"handoff", core.MechanismHandoff},
-	}
-	var rows []AblationRow
-	for _, v := range variants {
-		pp, err := NewPingPong(PingPongConfig{
-			Synchronous: true, Persistent: true, Mechanism: v.mech,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		var i int64
-		restore := quiesceGC()
-		summary, err := metrics.RunSteadyState(warmup, observations, func() error {
-			i++
-			_, err := pp.RoundTrip(i)
-			return err
-		})
-		restore()
-		pp.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		rows = append(rows, AblationRow{Variant: v.name, Summary: summary})
-	}
-	return rows, nil
+	return runAblation([]ablation{
+		{"shared-object", pingPong(PingPongConfig{Synchronous: true, Persistent: true, Mechanism: core.MechanismSharedObject})},
+		{"serialization", pingPong(PingPongConfig{Synchronous: true, Persistent: true, Mechanism: core.MechanismSerialization})},
+		{"handoff", pingPong(PingPongConfig{Synchronous: true, Persistent: true, Mechanism: core.MechanismHandoff})},
+	}, warmup, observations)
 }
 
 // RunAblationScopePool compares transient component instantiation with and
@@ -57,36 +31,10 @@ func RunAblationCrossScope(warmup, observations int) ([]AblationRow, error) {
 // off, every round trip re-creates Client and Server, paying linear-time
 // area creation unless the pool recycles areas.
 func RunAblationScopePool(warmup, observations int) ([]AblationRow, error) {
-	variants := []struct {
-		name string
-		pool bool
-	}{
-		{"fresh-scopes", false},
-		{"scope-pool", true},
-	}
-	var rows []AblationRow
-	for _, v := range variants {
-		pp, err := NewPingPong(PingPongConfig{
-			Synchronous: true, Persistent: false, UseScopePool: v.pool,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		var i int64
-		restore := quiesceGC()
-		summary, err := metrics.RunSteadyState(warmup, observations, func() error {
-			i++
-			_, err := pp.RoundTrip(i)
-			return err
-		})
-		restore()
-		pp.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		rows = append(rows, AblationRow{Variant: v.name, Summary: summary})
-	}
-	return rows, nil
+	return runAblation([]ablation{
+		{"fresh-scopes", pingPong(PingPongConfig{Synchronous: true, Persistent: false, UseScopePool: false})},
+		{"scope-pool", pingPong(PingPongConfig{Synchronous: true, Persistent: false, UseScopePool: true})},
+	}, warmup, observations)
 }
 
 // RunAblationDispatch compares the CCL threading policies on the Fig. 6
@@ -94,16 +42,35 @@ func RunAblationScopePool(warmup, observations int) ([]AblationRow, error) {
 // the paper's terms) against thread-pool dispatch. Pools buy concurrency
 // and isolation at the price of per-hop wake-up latency.
 func RunAblationDispatch(warmup, observations int) ([]AblationRow, error) {
-	variants := []struct {
-		name string
-		sync bool
-	}{
-		{"synchronous", true},
-		{"thread-pool", false},
-	}
-	var rows []AblationRow
+	return runAblation([]ablation{
+		{"synchronous", pingPong(PingPongConfig{Synchronous: true, Persistent: true})},
+		{"thread-pool", pingPong(PingPongConfig{Synchronous: false, Persistent: true})},
+	}, warmup, observations)
+}
+
+// roundTripper is the system an ablation variant times.
+type roundTripper interface {
+	RoundTrip(v int64) (int64, error)
+	Close()
+}
+
+// ablation is one variant: its row's name and how to build what it times.
+type ablation struct {
+	name string
+	open func() (roundTripper, error)
+}
+
+// pingPong builds the Fig. 6 round trip under cfg.
+func pingPong(cfg PingPongConfig) func() (roundTripper, error) {
+	return func() (roundTripper, error) { return NewPingPong(cfg) }
+}
+
+// runAblation times each variant's round trip at steady state, in order,
+// with the collector held off, and closes it before building the next.
+func runAblation(variants []ablation, warmup, observations int) ([]AblationRow, error) {
+	rows := make([]AblationRow, 0, len(variants))
 	for _, v := range variants {
-		pp, err := NewPingPong(PingPongConfig{Synchronous: v.sync, Persistent: true})
+		rt, err := v.open()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -111,11 +78,11 @@ func RunAblationDispatch(warmup, observations int) ([]AblationRow, error) {
 		restore := quiesceGC()
 		summary, err := metrics.RunSteadyState(warmup, observations, func() error {
 			i++
-			_, err := pp.RoundTrip(i)
+			_, err := rt.RoundTrip(i)
 			return err
 		})
 		restore()
-		pp.Close()
+		rt.Close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
@@ -270,7 +237,7 @@ func newShadowApp(shadow bool) (*shadowApp, error) {
 	return sa, nil
 }
 
-func (sa *shadowApp) roundTrip(v int64) (int64, error) {
+func (sa *shadowApp) RoundTrip(v int64) (int64, error) {
 	msg, err := sa.out.GetMessage()
 	if err != nil {
 		return 0, err
@@ -287,38 +254,14 @@ func (sa *shadowApp) roundTrip(v int64) (int64, error) {
 	}
 }
 
-func (sa *shadowApp) close() { sa.app.Stop() }
+func (sa *shadowApp) Close() { sa.app.Stop() }
 
 // RunAblationShadowPort compares the shadow-port path (grandchild →
 // grandparent directly) against relaying through the parent, per Fig. 5 of
 // the paper.
 func RunAblationShadowPort(warmup, observations int) ([]AblationRow, error) {
-	variants := []struct {
-		name   string
-		shadow bool
-	}{
-		{"parent-relay", false},
-		{"shadow-port", true},
-	}
-	var rows []AblationRow
-	for _, v := range variants {
-		sa, err := newShadowApp(v.shadow)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		var i int64
-		restore := quiesceGC()
-		summary, err := metrics.RunSteadyState(warmup, observations, func() error {
-			i++
-			_, err := sa.roundTrip(i)
-			return err
-		})
-		restore()
-		sa.close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
-		}
-		rows = append(rows, AblationRow{Variant: v.name, Summary: summary})
-	}
-	return rows, nil
+	return runAblation([]ablation{
+		{"parent-relay", func() (roundTripper, error) { return newShadowApp(false) }},
+		{"shadow-port", func() (roundTripper, error) { return newShadowApp(true) }},
+	}, warmup, observations)
 }

@@ -64,10 +64,11 @@ type ClientConfig struct {
 	// opens its own circuit while the others keep serving.
 	Resilience *ResilienceConfig
 	// Channels opens that many multiplexed connections (stripes) to the
-	// server and spreads invocations across them: power-of-two-choices on
-	// in-flight count, sticky per priority band so RT-CORBA ordering within
-	// a band is preserved (stripe.go). Zero or one keeps the single
-	// connection; values above 32 clamp.
+	// server and spreads invocations across them by load alone:
+	// power-of-two-choices on in-flight count (stripe.go). Requests keep
+	// their submission order on one connection and have none across
+	// stripes. Zero or one keeps the single connection; values above 32
+	// clamp.
 	Channels int
 	// Coalesce is ignored: write batching is always on (coalesce.go).
 	//
@@ -136,15 +137,10 @@ type Client struct {
 	routeGen  atomic.Uint64
 
 	// stripes is the channel pool: each entry owns one multiplexed
-	// connection slot with its own redial lock and breaker. Selection state
-	// lives here: sticky maps a priority band to 1+the stripe it last rode
-	// (0 = unset) and bandInflight counts the band's in-flight invocations,
-	// so a busy band stays on one stripe (ordering) while an idle one
-	// re-balances; rng drives the two random choices.
-	stripes      []*stripe
-	sticky       [bandCount]atomic.Int32
-	bandInflight [bandCount]atomic.Int64
-	rng          atomic.Uint64
+	// connection slot with its own redial lock and breaker; rng drives the
+	// selector's two random choices.
+	stripes []*stripe
+	rng     atomic.Uint64
 
 	// Replica-set state (replica.go): members is the current address list,
 	// resolve the optional re-resolution hook (guarded by resolveMu with a
@@ -351,7 +347,7 @@ func (cl *Client) transportSetup(mpSize int64) func(*core.Component) error {
 func (cl *Client) processInvoke(p *core.Proc, msg core.Message) error {
 	in := msg.(*invokeMsg)
 	tabled := false
-	wireCap := giop.HeaderSize + 96 + len(in.key) + len(in.op) + len(in.payload)
+	wireCap := giop.HeaderSize + 96 + len(in.keyBuf) + len(in.op) + len(in.payload)
 	err := p.Context().Scratch(cl.reqPool, wireCap, func(buf memory.Ref) (err error) {
 		tabled, err = cl.submit(buf, in)
 		return err
@@ -601,7 +597,7 @@ const yieldEvery = 32
 // send is a call whose frame enters Transport and MessageProcessing in one
 // pinned enter.
 func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Priority, oneway bool, trace, span uint64) invokeResult {
-	st, err := cl.pickStripe(prio)
+	st, err := cl.pickStripe()
 	if err != nil {
 		return invokeResult{err: err}
 	}
@@ -615,11 +611,11 @@ func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Pri
 	}
 	m := msg.(*invokeMsg)
 	m.id = id
-	m.setKey(key)
+	m.keyBuf = append(m.keyBuf[:0], key...)
 	m.op, m.payload, m.prio = op, payload, prio
 	m.oneway = oneway
 	m.st = st
-	pe := getPending(id, bandOf(prio))
+	pe := getPending(id)
 	m.pe = pe
 	// The trace context rides the pooled message, which is recycled once its
 	// handler returns.

@@ -47,7 +47,6 @@ func (r *invokeResult) release() {
 // string→[]byte conversion.
 type invokeMsg struct {
 	id      uint32
-	key     string
 	keyBuf  []byte
 	op      string
 	payload []byte
@@ -71,13 +70,6 @@ func (m *invokeMsg) Reset() {
 	kb := m.keyBuf[:0]
 	*m = invokeMsg{}
 	m.keyBuf = kb
-}
-
-// setKey records the object key, copying its bytes into the message-owned
-// buffer.
-func (m *invokeMsg) setKey(key string) {
-	m.key = key
-	m.keyBuf = append(m.keyBuf[:0], key...)
 }
 
 var invokeType = core.MessageType{

@@ -58,11 +58,7 @@ const (
 // harmless, while a late write to a recycled one would hand some other
 // invocation a stranger's reply.
 type muxPending struct {
-	id uint32
-	// band is the priority band the invocation was routed under; the stripe
-	// selector's per-band in-flight accounting is decremented with it when
-	// the entry leaves the pending table.
-	band  int32
+	id    uint32
 	done  chan invokeResult
 	state atomic.Int32
 	// mc is the connection the entry registered on, nil until then: its
@@ -90,10 +86,9 @@ var pendingPool = sync.Pool{New: func() any {
 }}
 
 // getPending returns an armed entry.
-func getPending(id uint32, band int32) *muxPending {
+func getPending(id uint32) *muxPending {
 	pe := pendingPool.Get().(*muxPending)
 	pe.id = id
-	pe.band = band
 	pe.mc = nil
 	pe.state.Store(pendingArmed)
 	return pe
@@ -164,15 +159,6 @@ func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
 	return mc
 }
 
-// account moves the stripe's and the priority band's in-flight counts, which
-// follow an entry's time in the pending table: the stripe selector reads
-// the first to find the least loaded stripe, the second to keep a busy band
-// on one stripe.
-func (mc *muxConn) account(band int32, delta int64) {
-	mc.st.inflight.Add(delta)
-	mc.cl.bandInflight[band].Add(delta)
-}
-
 // register places an armed entry in the pending table and notes the
 // connection on it. It fails if the connection already died; the entry is then
 // still owned by the caller.
@@ -186,7 +172,7 @@ func (mc *muxConn) register(pe *muxPending) error {
 	pe.mc = mc
 	mc.pend[pe.id] = pe
 	mc.mu.Unlock()
-	mc.account(pe.band, 1)
+	mc.st.inflight.Add(1)
 	return nil
 }
 
@@ -204,7 +190,7 @@ func (mc *muxConn) take(id uint32, want *muxPending) *muxPending {
 	delete(mc.pend, id)
 	emptied := len(mc.pend) == 0
 	mc.mu.Unlock()
-	mc.account(pe.band, -1)
+	mc.st.inflight.Add(-1)
 	if emptied {
 		mc.quiet.Notify()
 	}
@@ -307,7 +293,7 @@ func (mc *muxConn) fail(err error) {
 		telemetry.Record(telemetry.EvState, muxLabel, 0, 0, uint64(n))
 	}
 	for _, pe := range victims {
-		mc.account(pe.band, -1)
+		mc.st.inflight.Add(-1)
 		pe.complete(invokeResult{err: err})
 	}
 }

@@ -81,7 +81,7 @@ type ResilienceConfig struct {
 	// disables jitter so every delay is the exact doubling ceiling.
 	Seed uint64
 	// ReconnectBase/ReconnectMax bound the redial/retry backoff; zero
-	// selects 1ms and 250ms.
+	// selects 1ms and 250ms, sched.Backoff's defaults.
 	ReconnectBase, ReconnectMax time.Duration
 	// MaxRetries bounds retry attempts beyond the first try for idempotent
 	// operations (InvokeIdempotent, InvokeOneway); zero selects 3.
@@ -104,12 +104,6 @@ type ResilienceConfig struct {
 
 // withDefaults fills zero fields.
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
-	if c.ReconnectBase <= 0 {
-		c.ReconnectBase = time.Millisecond
-	}
-	if c.ReconnectMax <= 0 {
-		c.ReconnectMax = 250 * time.Millisecond
-	}
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
 	}

@@ -6,30 +6,21 @@ import (
 	"sync/atomic"
 
 	"repro/internal/corba"
-	"repro/internal/sched"
 	"repro/internal/telemetry"
 )
 
 // This file is the striped channel pool: ClientConfig.Channels = N opens N
 // multiplexed connections ("stripes") to the same server and spreads
-// invocations across them. Selection is power-of-two-choices on per-stripe
-// in-flight count, made sticky per priority band: while a band has
-// invocations in flight its traffic stays on one stripe, so the RT-CORBA
-// guarantee that a stripe's writer serialises same-priority requests in
-// submission order is preserved — striping reorders traffic between bands,
-// never within one. Resilience state is per stripe: each has its own
-// circuit breaker and single-flight redial, so one dead stripe sheds its
-// load onto the others without tripping the whole client open.
-
-// bandCount is the number of priority bands (sched.MaxPriority plus the
-// unused zero slot).
-const bandCount = int(sched.MaxPriority) + 1
+// invocations across them by in-flight load alone (pickStripe). Requests keep
+// their submission order on one connection — the default — and have none
+// across stripes: two invocations at the same priority may ride different
+// stripes and reach the server in either order. Resilience state is per
+// stripe: each has its own circuit breaker and single-flight redial, so one
+// dead stripe sheds its load onto the others without tripping the whole
+// client open.
 
 // maxChannels bounds ClientConfig.Channels.
 const maxChannels = 32
-
-// bandOf maps a priority to its band index; out-of-band priorities clamp.
-func bandOf(prio sched.Priority) int32 { return int32(prio.Clamp()) }
 
 // stripe is one multiplexed connection slot: the live connection (nil when
 // disconnected), its single-flight redial lock, its in-flight count, and —
@@ -50,6 +41,8 @@ type stripe struct {
 	cur atomic.Pointer[muxConn]
 	cmu sync.Mutex
 
+	// inflight counts the stripe's entries in its connections' pending
+	// tables: the load pickStripe compares.
 	inflight atomic.Int64
 	// sent counts invocations routed to this stripe (selection
 	// observability, exercised by the stripe tests).
@@ -119,74 +112,37 @@ func (st *stripe) detach(mc *muxConn) {
 	st.cur.CompareAndSwap(mc, nil)
 }
 
-// pickStripe selects the stripe an invocation at prio rides. The single
-// Allow() call of the whole invoke path lives here: when the chosen
-// stripe's breaker is open the caller fails fast with ErrCircuitOpen, and
-// half-open probe admission is consumed exactly once per attempt.
-func (cl *Client) pickStripe(prio sched.Priority) (*stripe, error) {
+// pickStripe selects the stripe an invocation rides by in-flight load alone:
+// the less loaded of two random eligible stripes (power-of-two-choices), or
+// the only eligible one. Eligible means reachable — a live connection, or
+// supervision to redial one — and, under supervision, a breaker that is not
+// refusing traffic (a read-only check: disconnected stripes stay eligible so
+// load drifts back and triggers their redial). The single Allow() call of
+// the whole invoke path is made here, on the stripe chosen: when no stripe
+// admits traffic the caller fails fast with ErrCircuitOpen, and a half-open
+// probe is consumed exactly once per attempt.
+func (cl *Client) pickStripe() (*stripe, error) {
 	sts := cl.stripes
-	if len(sts) == 1 {
-		st := sts[0]
-		if cl.res != nil && !st.brk.Allow() {
-			return nil, ErrCircuitOpen
-		}
-		st.sent.Add(1)
-		return st, nil
-	}
-	b := bandOf(prio)
-	// Sticky hit: while the band has invocations in flight, follow them —
-	// same-band requests must share a stripe so its writer serialises them
-	// in submission order. An idle band owes no ordering to anyone and
-	// re-balances via power-of-two-choices below.
-	if i := cl.sticky[b].Load(); i > 0 {
-		st := sts[i-1]
-		if cl.bandInflight[b].Load() > 0 && st.live() &&
-			(cl.res == nil || st.brk.Allow()) {
-			st.sent.Add(1)
-			return st, nil
-		}
-	}
-	st, err := cl.chooseStripe()
-	if err != nil {
-		return nil, err
-	}
-	cl.sticky[b].Store(int32(st.idx + 1))
-	st.sent.Add(1)
-	return st, nil
-}
-
-// chooseStripe picks the least-loaded of two random eligible stripes.
-// Eligible means reachable — a live connection, or supervision to redial
-// one — and, under supervision, a breaker that is not refusing traffic
-// (read-only check; disconnected stripes stay eligible so load drifts back
-// and triggers their redial). The winner still has to pass its breaker's
-// Allow(), which is what consumes a half-open probe.
-func (cl *Client) chooseStripe() (*stripe, error) {
-	sts := cl.stripes
-	elig := make([]*stripe, 0, len(sts))
+	var buf [maxChannels]*stripe
+	elig := buf[:0]
 	for _, st := range sts {
-		if !st.live() && cl.res == nil {
-			continue
-		}
-		if cl.res != nil && !st.brk.mayAllow() {
+		if cl.res == nil && !st.live() || cl.res != nil && !st.brk.mayAllow() {
 			continue
 		}
 		elig = append(elig, st)
 	}
 	if len(elig) == 0 {
-		if cl.res == nil {
-			// Every stripe is dead and nothing can redial: surface ErrClosed
-			// through the normal conn() path.
-			return sts[0], nil
+		if cl.res != nil {
+			return nil, ErrCircuitOpen
 		}
-		return nil, ErrCircuitOpen
+		// Every stripe is dead and nothing can redial: surface ErrClosed
+		// through the normal conn() path.
+		elig = append(elig, sts[0])
 	}
-	var pick *stripe
-	if len(elig) == 1 {
-		pick = elig[0]
-	} else {
-		i := int(cl.rand() % uint64(len(elig)))
-		j := int(cl.rand() % uint64(len(elig)-1))
+	pick := elig[0]
+	if n := uint64(len(elig)); n > 1 {
+		i := cl.rand() % n
+		j := cl.rand() % (n - 1)
 		if j >= i {
 			j++
 		}
@@ -195,17 +151,23 @@ func (cl *Client) chooseStripe() (*stripe, error) {
 			pick = elig[j]
 		}
 	}
-	if cl.res == nil || pick.brk.Allow() {
-		return pick, nil
-	}
-	// Lost the half-open probe race (or the breaker flipped): any other
-	// eligible stripe that admits traffic will do.
-	for _, st := range elig {
-		if st != pick && st.brk.Allow() {
-			return st, nil
+	if cl.res != nil && !pick.brk.Allow() {
+		// Lost the half-open probe race (or the breaker flipped): any other
+		// eligible stripe that admits traffic will do.
+		alt := pick
+		for _, st := range elig {
+			if st != pick && st.brk.Allow() {
+				alt = st
+				break
+			}
 		}
+		if alt == pick {
+			return nil, ErrCircuitOpen
+		}
+		pick = alt
 	}
-	return nil, ErrCircuitOpen
+	pick.sent.Add(1)
+	return pick, nil
 }
 
 // rand steps the client's splitmix64 state: cheap, lock-free randomness for

@@ -2,10 +2,13 @@ package orb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/corba"
 	"repro/internal/sched"
 	"repro/internal/transport"
 )
@@ -22,9 +25,9 @@ func stripesWithTraffic(cl *Client) int {
 }
 
 // TestStripesSpreadBands drives traffic across every priority band through
-// a 4-stripe pool and demands the load lands on more than one stripe:
-// band-sticky selection pins a band while it has work in flight, but idle
-// bands re-balance via power-of-two-choices.
+// a 4-stripe pool and demands the load lands on more than one stripe: the
+// selector picks by in-flight load alone, and between idle stripes its two
+// random choices spread the calls.
 func TestStripesSpreadBands(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{Concurrency: 8})
@@ -159,5 +162,52 @@ func TestStripedStorm(t *testing.T) {
 	}
 	if n := stripesWithTraffic(cl); n < 2 {
 		t.Errorf("storm used %d stripe(s); expected the pool to spread", n)
+	}
+}
+
+// TestOnewaysKeepOrderOnOneConnection pins the ordering contract the ORB
+// keeps: on one connection (the default client) a caller's sequential
+// oneways at one priority reach a Synchronous server, which runs each
+// request on its connection's reader, in the order they were sent. Stripes
+// promise no order between them, so the contract is the single connection's.
+func TestOnewaysKeepOrderOnOneConnection(t *testing.T) {
+	const n = 2000
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{Synchronous: true})
+	var mu sync.Mutex
+	got := make([]uint32, 0, n)
+	all := make(chan struct{})
+	srv.RegisterServant("sink", corba.ServantFunc(func(_ string, in []byte) ([]byte, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if got = append(got, binary.BigEndian.Uint32(in)); len(got) == n {
+			close(all)
+		}
+		return nil, nil
+	}))
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
+	var payload [4]byte
+	for i := uint32(0); i < n; i++ {
+		binary.BigEndian.PutUint32(payload[:], i)
+		if err := cl.InvokeOneway("sink", "push", payload[:], sched.NormPriority); err != nil {
+			t.Fatalf("oneway %d: %v", i, err)
+		}
+	}
+	// Oneways complete at write time; wait for the servant to see the last.
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("servant saw %d of %d oneways", len(got), n)
+	}
+	descents := 0
+	for i := 1; i < n; i++ {
+		if got[i] < got[i-1] {
+			descents++
+		}
+	}
+	if descents != 0 {
+		t.Errorf("%d of %d oneways arrived before one sent ahead of them", descents, n)
 	}
 }

@@ -75,7 +75,9 @@ func TestInvokeViewZeroPayloadCopies(t *testing.T) {
 // keeps, so it copies the reply out of the frame (consumeReply); a
 // corba.EchoServant answers with a fresh copy of its input rather than the
 // input itself. A servant that returns its input leaves Invoke's one copy,
-// and InvokeView, which lends the reply in place, allocates nothing.
+// and InvokeView, which lends the reply in place, allocates nothing — on
+// one connection or spread over four stripes, whose selector collects its
+// candidates on the stack.
 func TestInvokeAllocsAreContractCopies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; the counts hold in the non-race suite")
@@ -83,14 +85,16 @@ func TestInvokeAllocsAreContractCopies(t *testing.T) {
 	returnsInput := corba.ServantFunc(func(_ string, in []byte) ([]byte, error) { return in, nil })
 	payload := bytes.Repeat([]byte{0x5A}, 256)
 	for _, tc := range []struct {
-		name    string
-		servant corba.Servant
-		view    bool
-		want    float64
+		name     string
+		servant  corba.Servant
+		view     bool
+		channels int
+		want     float64
 	}{
-		{"Invoke/EchoServant", corba.EchoServant{}, false, 2},
-		{"Invoke/ReturnsInput", returnsInput, false, 1},
-		{"InvokeView/ReturnsInput", returnsInput, true, 0},
+		{"Invoke/EchoServant", corba.EchoServant{}, false, 1, 2},
+		{"Invoke/ReturnsInput", returnsInput, false, 1, 1},
+		{"InvokeView/ReturnsInput", returnsInput, true, 1, 0},
+		{"InvokeView/ReturnsInput/Channels4", returnsInput, true, 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := transport.NewInproc()
@@ -101,7 +105,7 @@ func TestInvokeAllocsAreContractCopies(t *testing.T) {
 			t.Cleanup(srv.Close)
 			srv.RegisterServant("echo", tc.servant)
 			srv.ServeBackground()
-			cl := dial(t, net, srv.Addr(), ClientConfig{})
+			cl := dial(t, net, srv.Addr(), ClientConfig{Channels: tc.channels})
 			view := func(memory.Loan) error { return nil }
 			invoke := func() {
 				var err error

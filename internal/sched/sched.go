@@ -9,7 +9,7 @@
 // starts with Min workers and grows on backlog up to Max. The paper's "if
 // these values are 0, the calling thread executes the process() method of the
 // In port synchronously" is not a pool at all: such a port calls its handler
-// itself (core.SMM.call) and owns none.
+// itself (core.SMM.deliver) and owns none.
 //
 // The pending queue is a fixed array of per-priority FIFO rings — one ring
 // per RTSJ priority level — plus a bitmask of non-empty levels. Selecting
