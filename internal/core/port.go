@@ -439,9 +439,6 @@ type OutPort struct {
 	smm   *SMM
 	pool  *msgPool // resolved once at registration; pools are never removed
 
-	mu    sync.Mutex // guards owner
-	owner *Component
-
 	dests  atomic.Pointer[[]string] // immutable destination list
 	routes atomic.Pointer[routeSet] // cached resolution, see SMM.routesFor
 	sent   atomic.Int64

@@ -330,9 +330,6 @@ func (s *SMM) registerOut(c *Component, cfg OutPortConfig) (*OutPort, error) {
 			return nil, fmt.Errorf("%w: port %q re-registered as %q, was %q",
 				ErrTypeMismatch, qname, cfg.Type.Name, existing.typ.Name)
 		}
-		existing.mu.Lock()
-		existing.owner = c
-		existing.mu.Unlock()
 		if destsEqual(existing.Dests(), cfg.Dests) {
 			// A pooled component re-registering the same wiring (the common
 			// per-request re-instantiation) changes no routes: keep the
@@ -367,7 +364,7 @@ func (s *SMM) registerOut(c *Component, cfg OutPortConfig) (*OutPort, error) {
 		return nil, err
 	}
 
-	p := &OutPort{qname: qname, short: cfg.Name, typ: cfg.Type, smm: s, owner: c, pool: pool}
+	p := &OutPort{qname: qname, short: cfg.Name, typ: cfg.Type, smm: s, pool: pool}
 	p.label = telemetry.Label(qname)
 	p.setDests(dests)
 	s.mu.Lock()
@@ -571,7 +568,7 @@ func (s *SMM) build(def *ChildDef) (*Component, error) {
 	return child, nil
 }
 
-// detach unbinds a disposed child's ports and forgets the instance. The
+// detach unbinds a disposed child's In ports and forgets the instance. The
 // port structures stay registered so a future instantiation reuses them.
 func (s *SMM) detach(c *Component) {
 	s.mu.Lock()
@@ -581,13 +578,6 @@ func (s *SMM) detach(c *Component) {
 	}
 	for _, p := range s.in {
 		p.unbind(c)
-	}
-	for _, p := range s.out {
-		p.mu.Lock()
-		if p.owner == c {
-			p.owner = nil
-		}
-		p.mu.Unlock()
 	}
 }
 

@@ -17,23 +17,19 @@ import (
 // past a function boundary Retains it and Releases when done; the last
 // Release revokes all outstanding loans and gives the bytes back.
 //
-// A frame's bytes live in one of two places. A frame carved by a
-// FrameReader is a view into the reader's read-ahead slab: the frame holds
-// one reference on the slab, and the slab — not the frame — is the pooled
-// buffer. A frame from AcquireFrame (one that straddled a slab end, one
-// larger than a slab, or a caller's own) has a buffer of its own from a
-// size-classed pool.
+// Every frame is a view into a slab: the frame holds one reference on the
+// slab, and the slab — not the frame — is the buffer that goes back to its
+// pool. A FrameReader carves its frames out of its read-ahead slab;
+// AcquireFrame carves one out of a slab of its own.
 //
 // A frame starts with one reference, owned by whoever acquired it (usually
 // a FrameReader). Retain and Release may be called from any goroutine.
 // Using a frame after its final Release is a bug; the loan mechanism turns
-// the common variant of that bug (a held byte view) into ErrStale instead
-// of silent corruption.
+// the common variant of that bug (a byte view kept past the release) into
+// ErrStale instead of silent corruption.
 type FrameBuf struct {
-	buf   []byte // own buffer (capacity fixed by size class), or a window of slab
-	n     int    // body length of the frame currently held
-	class int32  // index into framePools; -1 = oversized or a slab view, not pooled by class
-	slab  *slab  // non-nil for a view: the slab buf points into
+	buf   []byte // the frame's body: a window of slab.buf
+	slab  *slab
 	refs  atomic.Int32
 	owner memory.LoanOwner
 }
@@ -43,22 +39,35 @@ type FrameBuf struct {
 // another syscall or copy.
 const slabSize = 16 << 10
 
-// slab is a pooled read-ahead buffer shared by the FrameReader filling it
-// and the frames carved out of it. It returns to the pool when the reader
-// has moved on and the last carved frame is released.
+// slab is a read-ahead buffer shared by the FrameReader filling it and the
+// frames carved out of it. It is slabSize bytes and pooled, or sized to one
+// frame longer than that and left to the collector. It is given back when
+// the reader has moved on and the last carved frame is released.
 type slab struct {
-	buf  [slabSize]byte
+	buf  []byte
 	refs atomic.Int32
 }
 
 var (
-	slabPool = sync.Pool{New: func() any { return new(slab) }}
-	viewPool sync.Pool // *FrameBuf headers of released slab views
+	// slabPool keeps read-ahead slabs warm: a reader whose slab is used up
+	// while frames still view it moves on to a fresh one, so a connection
+	// whose consumers hold frames draws one per slab's worth of traffic.
+	slabPool = sync.Pool{New: func() any { return &slab{buf: make([]byte, slabSize)} }}
+	// viewPool keeps the *FrameBuf headers of released frames, so carving
+	// a frame allocates nothing at steady state.
+	viewPool sync.Pool
 )
 
-// acquireSlab returns an empty slab with one reference, the reader's.
-func acquireSlab() *slab {
-	s := slabPool.Get().(*slab)
+// acquireSlab returns an empty slab of at least size bytes with one
+// reference, the caller's: a pooled one, or for size over slabSize an
+// unpooled one of exactly size bytes.
+func acquireSlab(size int) *slab {
+	var s *slab
+	if size <= slabSize {
+		s = slabPool.Get().(*slab)
+	} else {
+		s = &slab{buf: make([]byte, size)}
+	}
 	s.refs.Store(1)
 	if leakCheck.Load() {
 		leakRegister(s)
@@ -66,7 +75,7 @@ func acquireSlab() *slab {
 	return s
 }
 
-// release drops one reference; the last one returns the slab to the pool.
+// release drops one reference; the last one gives the slab back.
 func (s *slab) release() {
 	if s.refs.Add(-1) > 0 {
 		return
@@ -74,21 +83,23 @@ func (s *slab) release() {
 	if leakCheck.Load() {
 		leakUnregister(s)
 	}
-	slabPool.Put(s)
+	if len(s.buf) == slabSize {
+		slabPool.Put(s)
+	}
 }
 
-// carve returns a frame viewing s.buf[off:off+n] with one reference held by
-// the caller. The view keeps the slab alive until its final Release.
+// carve returns a frame viewing s.buf[off:off+n] with one reference, the
+// caller's. The view keeps the slab alive until its final Release.
 func (s *slab) carve(off, n int) *FrameBuf {
 	frameAcquires.Add(1)
 	f, _ := viewPool.Get().(*FrameBuf)
 	if f == nil {
-		f = &FrameBuf{class: -1}
+		f = new(FrameBuf)
 	} else {
 		frameRecycles.Add(1)
 	}
 	s.refs.Add(1)
-	f.slab, f.buf, f.n = s, s.buf[off:off+n:off+n], n
+	f.slab, f.buf = s, s.buf[off:off+n:off+n]
 	f.refs.Store(1)
 	if leakCheck.Load() {
 		leakRegister(f)
@@ -96,16 +107,8 @@ func (s *slab) carve(off, n int) *FrameBuf {
 	return f
 }
 
-// frameClassSizes are the pooled body capacities. The ladder matches the
-// traffic the ORBs see: echo benchmarks live in the first two classes, bulk
-// payloads climb the rest, and MaxMessageSize caps the top so any frame the
-// protocol admits is poolable.
-var frameClassSizes = [...]int{256, 1024, 4096, 16384, 65536, 262144, MaxMessageSize}
-
-var framePools [len(frameClassSizes)]sync.Pool
-
 // Frame telemetry: acquires, pool recycles, explicit Detach copies, and the
-// bytes a FrameReader had to move because a frame did not fit its slab. The
+// bytes a FrameReader had to move to keep a frame whole in one slab. The
 // detach and move counters are the honest ledger of the zero-copy design —
 // every byte that is copied between the socket and the consumer is counted
 // here.
@@ -121,13 +124,16 @@ type FrameStats struct {
 	// Acquired counts frames handed out: one per AcquireFrame call and one
 	// per frame a FrameReader delivers from its slab.
 	Acquired int64
-	// Recycled counts frames returned by a pool rather than freshly
-	// allocated (a lower bound: sync.Pool may drop buffers under GC).
+	// Recycled counts frames whose header came back from the pool rather
+	// than being freshly allocated (a lower bound: sync.Pool may drop them
+	// under GC).
 	Recycled int64
 	// Detached counts explicit Detach copies out of frames.
 	Detached int64
-	// MovedBytes counts bytes a FrameReader copied from a slab because the
-	// frame they belong to ran past the slab's end.
+	// MovedBytes counts bytes a FrameReader copied within or between slabs:
+	// the received part of a frame that would have run past its slab's end,
+	// header included, and header bytes it carried to a slab's start
+	// between frames.
 	MovedBytes int64
 }
 
@@ -141,53 +147,19 @@ func ReadFrameStats() FrameStats {
 	}
 }
 
-// frameClassFor returns the pool class index for a body of n bytes, or -1
-// when n exceeds every class (possible only for callers that bypass the
-// protocol cap).
-func frameClassFor(n int) int {
-	for i, sz := range frameClassSizes {
-		if n <= sz {
-			return i
-		}
-	}
-	return -1
-}
-
-// AcquireFrame returns a frame whose buffer holds at least n bytes, with
-// one reference held by the caller. Frames come from a per-size-class pool;
-// an oversized request (beyond MaxMessageSize) is satisfied with an
-// unpooled buffer.
+// AcquireFrame returns a frame whose body is n bytes, carved from a slab of
+// its own, with one reference, the caller's. The slab is a pooled one up to
+// slabSize bytes and an unpooled one beyond.
 func AcquireFrame(n int) *FrameBuf {
-	frameAcquires.Add(1)
-	class := frameClassFor(n)
-	var f *FrameBuf
-	if class >= 0 {
-		if v := framePools[class].Get(); v != nil {
-			f = v.(*FrameBuf)
-			frameRecycles.Add(1)
-		} else {
-			f = &FrameBuf{buf: make([]byte, frameClassSizes[class]), class: int32(class)}
-		}
-	} else {
-		f = &FrameBuf{buf: make([]byte, n), class: -1}
-	}
-	f.n = 0
-	f.refs.Store(1)
-	if leakCheck.Load() {
-		leakRegister(f)
-	}
+	s := acquireSlab(n)
+	f := s.carve(0, n)
+	s.release()
 	return f
 }
 
 // Body returns the frame's bytes. The slice is valid while the caller holds
 // a reference; after the final Release it may be recycled at any moment.
-func (f *FrameBuf) Body() []byte { return f.buf[:f.n] }
-
-// Cap returns the frame buffer's capacity.
-func (f *FrameBuf) Cap() int { return len(f.buf) }
-
-// setLen records the body length after the reader filled the buffer.
-func (f *FrameBuf) setLen(n int) { f.n = n }
+func (f *FrameBuf) Body() []byte { return f.buf }
 
 // Retain adds a reference. Each Retain must be paired with exactly one
 // Release.
@@ -198,8 +170,8 @@ func (f *FrameBuf) Retain() {
 }
 
 // Release drops one reference. The final Release revokes every loan issued
-// from the frame and returns the buffer to its pool; any Bytes() on a
-// still-held view fails with memory.ErrStale from that point on.
+// from the frame and gives its slab reference back; any Bytes() on a
+// view still in use fails with memory.ErrStale from that point on.
 func (f *FrameBuf) Release() {
 	switch v := f.refs.Add(-1); {
 	case v > 0:
@@ -211,14 +183,10 @@ func (f *FrameBuf) Release() {
 	if leakCheck.Load() {
 		leakUnregister(f)
 	}
-	f.n = 0
-	if s := f.slab; s != nil {
-		f.slab, f.buf = nil, nil
-		viewPool.Put(f)
-		s.release()
-	} else if f.class >= 0 {
-		framePools[f.class].Put(f)
-	}
+	s := f.slab
+	f.slab, f.buf = nil, nil
+	viewPool.Put(f)
+	s.release()
 }
 
 // Lend issues a revocable loan of b, which must alias the frame's buffer.
@@ -231,8 +199,8 @@ func (f *FrameBuf) Lend(b []byte) memory.Loan { return f.owner.Lend(b) }
 // (and past the frame's release). The copy is counted in FrameStats.
 func (f *FrameBuf) Detach() []byte {
 	frameDetaches.Add(1)
-	out := make([]byte, f.n)
-	copy(out, f.Body())
+	out := make([]byte, len(f.buf))
+	copy(out, f.buf)
 	return out
 }
 
@@ -259,9 +227,11 @@ func SetFrameLeakCheck(on bool) {
 	leakCheck.Store(on)
 }
 
+// leakRegister records f with the site that asked for it: the caller of the
+// function that called carve or acquireSlab.
 func leakRegister(f any) {
 	site := "unknown"
-	if _, file, line, ok := runtime.Caller(2); ok {
+	if _, file, line, ok := runtime.Caller(3); ok {
 		site = fmt.Sprintf("%s:%d", file, line)
 	}
 	leakMu.Lock()
@@ -280,7 +250,7 @@ func leakUnregister(f any) {
 }
 
 // CheckFrameLeaks returns the acquire sites of frames still unreleased and
-// slabs still held, one string per live object. Tests enable leak-check
+// slabs not yet given back, one string per live object. Tests enable leak-check
 // mode, run a workload to quiescence, and fail on a non-empty result.
 func CheckFrameLeaks() []string {
 	leakMu.Lock()

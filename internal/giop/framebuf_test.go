@@ -5,39 +5,27 @@ import (
 	"errors"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/memory"
 )
 
-func TestFrameClassLadder(t *testing.T) {
-	cases := []struct {
-		n    int
-		want int // expected capacity class
-	}{
-		{0, 256}, {1, 256}, {256, 256},
-		{257, 1024}, {1024, 1024},
-		{1025, 4096}, {65536, 65536},
-		{65537, 262144}, {262145, MaxMessageSize}, {MaxMessageSize, MaxMessageSize},
-	}
-	for _, c := range cases {
-		f := AcquireFrame(c.n)
-		if f.Cap() != c.want {
-			t.Errorf("AcquireFrame(%d).Cap() = %d, want %d", c.n, f.Cap(), c.want)
+// TestAcquireFrameHoldsN pins AcquireFrame's one rule: the frame's body is
+// n bytes, carved from a slab of its own — a pooled one up to a slab's size,
+// one sized to the frame beyond it, up to the protocol's cap and past it.
+func TestAcquireFrameHoldsN(t *testing.T) {
+	for _, n := range []int{0, 1, 256, slabSize - 1, slabSize, slabSize + 1, 3 * slabSize, MaxMessageSize, MaxMessageSize + 1} {
+		f := AcquireFrame(n)
+		if f.slab == nil {
+			t.Fatalf("AcquireFrame(%d) has no slab", n)
+		}
+		if len(f.Body()) != n || len(f.slab.buf) != max(n, slabSize) {
+			t.Errorf("AcquireFrame(%d): %d-byte body in a %d-byte slab", n, len(f.Body()), len(f.slab.buf))
 		}
 		f.Release()
 	}
-
-	// Oversized requests bypass the pool but still work.
-	f := AcquireFrame(MaxMessageSize + 1)
-	if f.Cap() != MaxMessageSize+1 {
-		t.Errorf("oversized cap = %d", f.Cap())
-	}
-	if f.class != -1 {
-		t.Errorf("oversized class = %d, want -1", f.class)
-	}
-	f.Release()
 }
 
 func TestFramePoolRecycles(t *testing.T) {
@@ -56,11 +44,10 @@ func TestFramePoolRecycles(t *testing.T) {
 }
 
 func TestFrameRefcount(t *testing.T) {
-	f := AcquireFrame(16)
+	f := AcquireFrame(5)
 	f.Retain()
 	f.Release() // back to 1; body still valid
-	copy(f.buf, "hello")
-	f.setLen(5)
+	copy(f.Body(), "hello")
 	if string(f.Body()) != "hello" {
 		t.Errorf("body = %q", f.Body())
 	}
@@ -77,8 +64,7 @@ func TestFrameRefcount(t *testing.T) {
 }
 
 func TestFrameRetainAfterReleasePanics(t *testing.T) {
-	f := &FrameBuf{buf: make([]byte, 8), class: -1}
-	f.refs.Store(1)
+	f := AcquireFrame(8)
 	f.Release()
 	defer func() {
 		if recover() == nil {
@@ -90,8 +76,7 @@ func TestFrameRetainAfterReleasePanics(t *testing.T) {
 
 func TestFrameLoansGoStaleAtRelease(t *testing.T) {
 	f := AcquireFrame(8)
-	copy(f.buf, "payload!")
-	f.setLen(8)
+	copy(f.Body(), "payload!")
 
 	view := f.Lend(f.Body())
 	window := f.Lend(f.Body()[2:5])
@@ -125,8 +110,7 @@ func TestFrameLoansGoStaleAtRelease(t *testing.T) {
 
 func TestFrameDetachCounted(t *testing.T) {
 	f := AcquireFrame(4)
-	copy(f.buf, "abcd")
-	f.setLen(4)
+	copy(f.Body(), "abcd")
 	before := ReadFrameStats().Detached
 	out := f.Detach()
 	f.Release()
@@ -146,12 +130,10 @@ func TestFrameLeakCheck(t *testing.T) {
 	released := AcquireFrame(16)
 	released.Release()
 
+	// The held frame and the slab it views: the frame names this file.
 	leaks := CheckFrameLeaks()
-	if len(leaks) != 1 {
-		t.Fatalf("leaks = %v, want exactly the held frame", leaks)
-	}
-	if !strings.Contains(leaks[0], "framebuf_test.go") {
-		t.Errorf("leak site = %q, want this test file", leaks[0])
+	if len(leaks) != 2 || !slices.ContainsFunc(leaks, func(site string) bool { return strings.Contains(site, "framebuf_test.go") }) {
+		t.Fatalf("leaks = %v, want the held frame, acquired in this file, and its slab", leaks)
 	}
 	held.Release()
 	if leaks := CheckFrameLeaks(); len(leaks) != 0 {
@@ -288,14 +270,14 @@ func TestFrameReaderCloseReleasesPartialFrame(t *testing.T) {
 	defer SetFrameLeakCheck(false)
 
 	wire := MarshalRequest(nil, LittleEndian, &Request{RequestID: 9, Operation: "x", ObjectKey: []byte("k"), Payload: []byte("abcdefgh")})
-	// Stop the stream partway through the body: the reader holds a partial
-	// frame that only Close can give back.
+	// Stop the stream partway through the body: the reader keeps the slab
+	// with the partial frame in it, which only Close can give back.
 	fr := NewFrameReader(bytes.NewReader(wire[:HeaderSize+4]), 0)
 	if _, _, err := fr.NextFrame(); err == nil {
 		t.Fatal("truncated frame succeeded")
 	}
 	if len(CheckFrameLeaks()) != 1 {
-		t.Fatal("expected the partial frame to be live")
+		t.Fatal("expected the slab with the partial frame to be live")
 	}
 	fr.Close()
 	if leaks := CheckFrameLeaks(); len(leaks) != 0 {

@@ -18,25 +18,29 @@ var wireReadFrames = telemetry.NewHistogram("wire_read_frames")
 const slabLowWater = 1 << 10
 
 // FrameReader reads framed GIOP messages from one stream. It reads ahead:
-// one Read takes whatever the stream has into a pooled slab, and every frame
-// that arrived whole in it is delivered without another Read — NextFrame as
-// a refcounted zero-copy view of the slab, Next as a plain slice of it. Both
+// one Read takes whatever the stream has into a slab, and every frame that
+// arrived whole in it is delivered without another Read — NextFrame as a
+// refcounted zero-copy view of the slab, Next as a plain slice of it. Both
 // demultiplexing endpoints — the client's leading caller and the server's
 // per-connection read loop — and the RTZen baseline sit in a tight
 // frame-at-a-time loop over one connection; a burst of pipelined frames
 // costs them one syscall, a lone frame one instead of two.
 //
-// A frame that runs past the end of the slab (or is larger than a slab)
-// finishes in a buffer of its own: only the bytes already received are
-// moved (FrameStats.MovedBytes counts them) and the rest is read straight
-// into that buffer.
+// Every frame is delivered whole from one slab. When a frame would run past
+// the end of the slab, the reader moves the bytes already received of it to
+// the start of a slab that holds it and keeps reading there: the same slab
+// if no frame still views it, else a fresh pooled one, or an unpooled one
+// sized to a frame longer than a slab. Only received bytes move
+// (FrameStats.MovedBytes counts them), and the Read that finishes the frame
+// also takes whatever follows it.
 //
 // The reader is resumable: a deadline expiry or injected short read in the
 // middle of a header or body leaves the partial bytes in the reader, and
 // the following call continues exactly where the stream stopped. That lets a
 // reader bound its reads with deadlines (the client's leader, by its invoke
-// deadline) without ever tearing a half-received frame. Close gives back the slab and any partial frame;
-// a reader abandoned without it leaves them to the collector.
+// deadline) without ever tearing a half-received frame. Close gives back the
+// slab, and with it any partial frame; a reader abandoned without it leaves
+// them to the collector.
 type FrameReader struct {
 	r       io.Reader
 	maxBody uint32
@@ -46,15 +50,6 @@ type FrameReader struct {
 	s      *slab
 	rd, wr int
 	carved int64
-
-	// cur is a frame finishing in its own buffer: its header and the body
-	// bytes filled so far.
-	cur *FrameBuf
-	h   Header
-	bn  int
-
-	// held is an own-buffer frame lent out by Next until the following call.
-	held *FrameBuf
 }
 
 // NewFrameReader returns a FrameReader over r enforcing maxBody on frame
@@ -71,23 +66,15 @@ func NewFrameReader(r io.Reader, maxBody uint32) *FrameReader {
 // over-limit frame fails with ErrTooLarge before any body byte is read,
 // exactly as ReadMessageLimited does.
 //
-// Ownership contract: the returned body aliases the reader's internal
-// buffer and is valid only until the following Next or NextFrame call; a
-// caller that hands the bytes to another goroutine, or needs them past the
-// next frame, must copy them first (or use NextFrame, which makes the
-// lifetime explicit through refcounting).
+// Ownership contract: the returned body aliases the reader's slab and is
+// valid only until the following Next or NextFrame call; a caller that hands
+// the bytes to another goroutine, or needs them past the next frame, must
+// copy them first (or use NextFrame, which makes the lifetime explicit
+// through refcounting).
 func (fr *FrameReader) Next() (Header, []byte, error) {
-	if fr.held != nil {
-		fr.held.Release()
-		fr.held = nil
-	}
-	h, off, own, err := fr.next()
+	h, off, err := fr.next()
 	if err != nil {
 		return Header{}, nil, err
-	}
-	if own != nil {
-		fr.held = own
-		return h, own.Body(), nil
 	}
 	end := off + int(h.Size)
 	return h, fr.s.buf[off:end:end], nil
@@ -99,43 +86,21 @@ func (fr *FrameReader) Next() (Header, []byte, error) {
 // frame go stale at that Release. Errors before any byte of a frame arrives
 // surface as bare io.EOF on clean close, matching ReadMessageLimited.
 func (fr *FrameReader) NextFrame() (Header, *FrameBuf, error) {
-	h, off, own, err := fr.next()
+	h, off, err := fr.next()
 	if err != nil {
 		return Header{}, nil, err
 	}
-	if own == nil {
-		own = fr.s.carve(off, int(h.Size))
-	}
-	return h, own, nil
+	return h, fr.s.carve(off, int(h.Size)), nil
 }
 
-// next makes one complete frame available and consumes it from the stream:
-// either its body sits in the slab at off, or own holds it in a buffer of
-// its own. It issues a Read only when the bytes already received do not hold
-// a complete frame, and returns a Read's error only when the frame is still
-// incomplete after it.
-func (fr *FrameReader) next() (h Header, off int, own *FrameBuf, err error) {
+// next makes one complete frame available in the slab at off and consumes
+// it from the stream. It issues a Read only when the bytes already received
+// do not hold a complete frame, and returns a Read's error only when the
+// frame is still incomplete after it.
+func (fr *FrameReader) next() (h Header, off int, err error) {
 	var rerr error
 	for {
-		if fr.cur != nil {
-			// Finish the body in the frame's own buffer.
-			body := fr.cur.buf[:fr.h.Size]
-			if fr.bn == len(body) {
-				own, h = fr.cur, fr.h
-				own.setLen(len(body))
-				fr.cur, fr.bn = nil, 0
-				fr.carved++
-				return h, 0, own, nil
-			}
-			if rerr != nil {
-				return Header{}, 0, nil, fr.fail("body", rerr)
-			}
-			var n int
-			n, rerr = fr.read(body[fr.bn:])
-			fr.bn += n
-			continue
-		}
-		avail := fr.wr - fr.rd
+		avail, need := fr.wr-fr.rd, HeaderSize
 		if avail >= HeaderSize {
 			h, err = ParseHeader(fr.s.buf[fr.rd : fr.rd+HeaderSize])
 			if err == nil && h.Size > fr.maxBody {
@@ -143,23 +108,14 @@ func (fr *FrameReader) next() (h Header, off int, own *FrameBuf, err error) {
 			}
 			if err != nil {
 				fr.rd += HeaderSize
-				return Header{}, 0, nil, err
+				return Header{}, 0, err
 			}
-			total := HeaderSize + int(h.Size)
-			if avail >= total {
+			need += int(h.Size)
+			if avail >= need {
 				off = fr.rd + HeaderSize
-				fr.rd += total
+				fr.rd += need
 				fr.carved++
-				return h, off, nil, nil
-			}
-			if fr.rd+total > slabSize {
-				// The frame runs past the slab: move what has arrived of its
-				// body into a buffer of its own and finish reading there.
-				fr.h, fr.cur = h, AcquireFrame(int(h.Size))
-				fr.bn = copy(fr.cur.buf, fr.s.buf[fr.rd+HeaderSize:fr.wr])
-				frameMoved.Add(int64(fr.bn))
-				fr.rd = fr.wr
-				continue
+				return h, off, nil
 			}
 		}
 		if rerr != nil {
@@ -167,45 +123,44 @@ func (fr *FrameReader) next() (h Header, off int, own *FrameBuf, err error) {
 			if avail < HeaderSize {
 				stage = "header"
 			}
-			return Header{}, 0, nil, fr.fail(stage, rerr)
+			return Header{}, 0, fr.fail(stage, rerr)
 		}
-		rerr = fr.fill(avail)
+		rerr = fr.fill(avail, need)
 	}
 }
 
-// fill reads once into the slab's free tail. Between frames (avail is less
-// than a header) it first makes room: a slab no frame still views is reused
-// from its start, and one with little tail left is swapped for a fresh slab;
-// either way the few header bytes already received move along.
-func (fr *FrameReader) fill(avail int) error {
-	if avail < HeaderSize {
-		switch old := fr.s; {
-		case old == nil:
-			fr.s = acquireSlab()
-		case old.refs.Load() == 1:
-			// Only the reader holds the slab, and no other holder can appear
-			// without the reader carving one.
-			fr.rewind(old)
-		case slabSize-fr.rd < slabLowWater:
-			fr.s = acquireSlab()
-			fr.rewind(old)
-			old.release()
-		}
+// fill reads once into the slab's free tail, first making room for the
+// need bytes from rd on that the frame being received takes. Between frames
+// (avail is less than a header) it also makes room for a burst: a slab no
+// frame still views is reused from its start, and one with little tail left
+// is swapped for a fresh slab.
+func (fr *FrameReader) fill(avail, need int) error {
+	if s := fr.s; s == nil || fr.rd+need > len(s.buf) ||
+		avail < HeaderSize && (s.refs.Load() == 1 || len(s.buf)-fr.rd < slabLowWater) {
+		fr.relocate(need)
 	}
 	n, err := fr.read(fr.s.buf[fr.wr:])
 	fr.wr += n
 	return err
 }
 
-// rewind moves the undelivered bytes of from to the start of the current
-// slab.
-func (fr *FrameReader) rewind(from *slab) {
-	if from == fr.s && fr.rd == 0 {
-		return // already there
+// relocate moves the undelivered bytes to the start of a slab that holds
+// need bytes: the current one if only the reader holds it — no other holder
+// can appear without the reader carving one — else a fresh one, pooled, or
+// unpooled and need bytes long for a frame longer than a slab.
+func (fr *FrameReader) relocate(need int) {
+	from, to, n := fr.s, fr.s, fr.wr-fr.rd
+	if from == nil || from.refs.Load() != 1 || len(from.buf) != max(need, slabSize) {
+		to = acquireSlab(need)
 	}
-	n := copy(fr.s.buf[:], from.buf[fr.rd:fr.wr])
-	frameMoved.Add(int64(n))
-	fr.rd, fr.wr = 0, n
+	if n > 0 && (to != from || fr.rd > 0) {
+		copy(to.buf, from.buf[fr.rd:fr.wr])
+		frameMoved.Add(int64(n))
+	}
+	if from != nil && from != to {
+		from.release()
+	}
+	fr.s, fr.rd, fr.wr = to, 0, n
 }
 
 // read issues one Read and records how many frames the previous one yielded.
@@ -221,7 +176,7 @@ func (fr *FrameReader) read(p []byte) (int, error) {
 // close between frames is bare io.EOF (callers match on it); anything else
 // keeps the partial frame for the next call and wraps the cause.
 func (fr *FrameReader) fail(stage string, err error) error {
-	idle := fr.cur == nil && fr.rd == fr.wr
+	idle := fr.rd == fr.wr
 	if idle && fr.s != nil {
 		// Nothing buffered: an errored reader that is never called again
 		// holds no slab.
@@ -237,18 +192,12 @@ func (fr *FrameReader) fail(stage string, err error) error {
 	return fmt.Errorf("giop: %s: %w", stage, err)
 }
 
-// Close gives back the slab and any partially-received or lent-out frame. A
-// reader being abandoned should be closed so its buffers return to their
-// pools (and do not trip the leak detector in tests).
+// Close gives back the slab, and with it any partially-received frame. A
+// reader being abandoned should be closed so its slab returns to the pool
+// (and does not trip the leak detector in tests).
 func (fr *FrameReader) Close() {
-	for _, f := range [...]*FrameBuf{fr.cur, fr.held} {
-		if f != nil {
-			f.Release()
-		}
-	}
 	if fr.s != nil {
 		fr.s.release()
 	}
-	fr.cur, fr.held, fr.s = nil, nil, nil
-	fr.rd, fr.wr, fr.bn = 0, 0, 0
+	fr.s, fr.rd, fr.wr = nil, 0, 0
 }

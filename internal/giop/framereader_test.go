@@ -3,6 +3,7 @@ package giop
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
@@ -208,6 +209,10 @@ func (r *expiringReader) Read(p []byte) (int, error) {
 	return r.conn.Read(p)
 }
 
+// propertyMaxBody bounds frame bodies in the property: larger than two
+// slabs, so streams carry frames no pooled slab holds.
+const propertyMaxBody = 96 << 10
+
 // frameReaderProperty checks the property over 300 seeded streams; source
 // turns a stream into the reader under test's input and a function that
 // releases it.
@@ -215,88 +220,11 @@ func frameReaderProperty(t *testing.T, source func(rng *rand.Rand, wire []byte) 
 	SetFrameLeakCheck(true)
 	defer SetFrameLeakCheck(false)
 
-	const maxBody = 96 << 10
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		wire := randomStream(rng, maxBody)
-
-		type frame struct {
-			h    Header
-			body []byte
-		}
-		var want []frame
-		var wantErr error
-		for oracle := bytes.NewReader(wire); ; {
-			h, body, err := ReadMessageLimited(oracle, nil, maxBody)
-			if err != nil {
-				wantErr = err
-				break
-			}
-			want = append(want, frame{h, body})
-		}
-
-		useNext := seed%2 == 0
+		wire := randomStream(rng, propertyMaxBody)
 		src, done := source(rng, wire)
-		fr := NewFrameReader(src, maxBody)
-		// Frames held across later reads, released out of order: their bytes
-		// must still be the oracle's when they go.
-		type heldFrame struct {
-			fb  *FrameBuf
-			idx int
-		}
-		var held []heldFrame
-		release := func(i int) {
-			if hf := held[i]; !bytes.Equal(hf.fb.Body(), want[hf.idx].body) {
-				t.Fatalf("seed %d: held frame %d changed under its holder", seed, hf.idx)
-			}
-			held[i].fb.Release()
-			held = append(held[:i], held[i+1:]...)
-		}
-		var gotErr error
-		got := 0
-		for {
-			var (
-				h    Header
-				body []byte
-				err  error
-			)
-			if useNext {
-				h, body, err = fr.Next()
-			} else {
-				var fb *FrameBuf
-				if h, fb, err = fr.NextFrame(); err == nil {
-					body = fb.Body()
-					held = append(held, heldFrame{fb, got})
-					for len(held) > 0 && rng.Intn(3) > 0 {
-						release(rng.Intn(len(held)))
-					}
-				}
-			}
-			if errors.Is(err, os.ErrDeadlineExceeded) {
-				continue
-			}
-			if err != nil {
-				gotErr = err
-				break
-			}
-			if got >= len(want) {
-				t.Fatalf("seed %d: frame %d delivered past the oracle's %d", seed, got, len(want))
-			}
-			if w := want[got]; h != w.h || !bytes.Equal(body, w.body) {
-				t.Fatalf("seed %d: frame %d = %+v (%d bytes), want %+v (%d bytes)", seed, got, h, len(body), w.h, len(w.body))
-			}
-			got++
-		}
-		if got != len(want) {
-			t.Fatalf("seed %d: %d frames before %v, want %d before %v", seed, got, gotErr, len(want), wantErr)
-		}
-		if errClass(gotErr) != errClass(wantErr) {
-			t.Fatalf("seed %d: stream ended with %v, want %v", seed, gotErr, wantErr)
-		}
-		for len(held) > 0 {
-			release(0)
-		}
-		fr.Close()
+		checkFrameReader(t, fmt.Sprintf("seed %d", seed), wire, src, rng, seed%2 == 0)
 		done()
 		if leaks := CheckFrameLeaks(); len(leaks) != 0 {
 			t.Fatalf("seed %d: %d buffers never returned: %v", seed, len(leaks), leaks)
@@ -304,23 +232,158 @@ func frameReaderProperty(t *testing.T, source func(rng *rand.Rand, wire []byte) 
 	}
 }
 
+// FuzzFrameReader is the property as a fuzz target: arbitrary bytes, cut
+// into Reads by cuts with deadline expiries between them, come out of Next
+// (even seed) or NextFrame (odd seed, held frames released in an order the
+// seed draws) as the same frames and the same class of error as
+// ReadMessageLimited reads from the whole stream, without a panic, and
+// every slab and frame is given back. The seeds are the property's streams
+// of up to two slabs.
+func FuzzFrameReader(f *testing.F) {
+	for seed, added := int64(1), 0; added < 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		wire := randomStream(rng, propertyMaxBody)
+		if len(wire) > 2*slabSize {
+			continue // small inputs keep the fuzzer fast
+		}
+		cuts := make([]byte, 1+rng.Intn(64))
+		rng.Read(cuts)
+		f.Add(wire, cuts, seed)
+		added++
+	}
+	f.Fuzz(func(t *testing.T, wire, cuts []byte, seed int64) {
+		SetFrameLeakCheck(true)
+		defer SetFrameLeakCheck(false)
+		src := &scriptReader{steps: cutScript(wire, cuts)}
+		checkFrameReader(t, "", wire, src, rand.New(rand.NewSource(seed)), seed%2 == 0)
+		if leaks := CheckFrameLeaks(); len(leaks) != 0 {
+			t.Fatalf("%d buffers never returned: %v", len(leaks), leaks)
+		}
+	})
+}
+
+// cutScript cuts wire into Reads by cuts, one byte a chunk and the rest of
+// the stream after the last: bits 0-4 give a length of 1 to 32 and bits 5-6
+// scale it by 1, 16, 256 or 4096 (single bytes to several slabs), and bit 7
+// expires a read deadline after the chunk.
+func cutScript(wire, cuts []byte) []readStep {
+	var steps []readStep
+	for _, c := range cuts {
+		if len(wire) == 0 {
+			break
+		}
+		n := min(int(c&31+1)<<(4*(c>>5&3)), len(wire))
+		st := readStep{data: wire[:n]}
+		if c&0x80 != 0 {
+			st.err = os.ErrDeadlineExceeded
+		}
+		steps = append(steps, st)
+		wire = wire[n:]
+	}
+	return append(steps, readStep{data: wire})
+}
+
+// checkFrameReader reads wire from src through a FrameReader and fails t,
+// naming the stream by name, unless it yields what ReadMessageLimited does
+// on the whole stream. Frames from NextFrame are held across later reads
+// and released in an order rng draws: their bytes must still be the
+// oracle's when they go. The reader is closed on return.
+func checkFrameReader(t *testing.T, name string, wire []byte, src io.Reader, rng *rand.Rand, useNext bool) {
+	t.Helper()
+	type frame struct {
+		h    Header
+		body []byte
+	}
+	var want []frame
+	var wantErr error
+	for oracle := bytes.NewReader(wire); ; {
+		h, body, err := ReadMessageLimited(oracle, nil, propertyMaxBody)
+		if err != nil {
+			wantErr = err
+			break
+		}
+		want = append(want, frame{h, body})
+	}
+
+	fr := NewFrameReader(src, propertyMaxBody)
+	defer fr.Close()
+	type heldFrame struct {
+		fb  *FrameBuf
+		idx int
+	}
+	var held []heldFrame
+	release := func(i int) {
+		if hf := held[i]; !bytes.Equal(hf.fb.Body(), want[hf.idx].body) {
+			t.Fatalf("%s: held frame %d changed under its holder", name, hf.idx)
+		}
+		held[i].fb.Release()
+		held = append(held[:i], held[i+1:]...)
+	}
+	var gotErr error
+	got := 0
+	for {
+		var (
+			h    Header
+			body []byte
+			err  error
+		)
+		if useNext {
+			h, body, err = fr.Next()
+		} else {
+			var fb *FrameBuf
+			if h, fb, err = fr.NextFrame(); err == nil {
+				body = fb.Body()
+				held = append(held, heldFrame{fb, got})
+				for len(held) > 0 && rng.Intn(3) > 0 {
+					release(rng.Intn(len(held)))
+				}
+			}
+		}
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			continue
+		}
+		if err != nil {
+			gotErr = err
+			break
+		}
+		if got >= len(want) {
+			t.Fatalf("%s: frame %d delivered past the oracle's %d", name, got, len(want))
+		}
+		if w := want[got]; h != w.h || !bytes.Equal(body, w.body) {
+			t.Fatalf("%s: frame %d = %+v (%d bytes), want %+v (%d bytes)", name, got, h, len(body), w.h, len(w.body))
+		}
+		got++
+	}
+	if got != len(want) {
+		t.Fatalf("%s: %d frames before %v, want %d before %v", name, got, gotErr, len(want), wantErr)
+	}
+	if errClass(gotErr) != errClass(wantErr) {
+		t.Fatalf("%s: stream ended with %v, want %v", name, gotErr, wantErr)
+	}
+	for len(held) > 0 {
+		release(0)
+	}
+}
+
 // TestFrameReaderOneReadPerBurst pins the read-ahead: a burst of frames
 // that arrives together is one Read, delivered as views of one slab, and
-// the one frame that runs off the slab's end moves only its received prefix.
+// the one frame that runs off the slab's end moves only its received part
+// to a fresh slab, where the Read that finishes it also takes the frames
+// behind it.
 func TestFrameReaderOneReadPerBurst(t *testing.T) {
 	SetFrameLeakCheck(true)
 	defer SetFrameLeakCheck(false)
 
-	one := MarshalReply(nil, BigEndian, &Reply{RequestID: 1, Payload: bytes.Repeat([]byte{7}, 256)})
+	one := MarshalReply(nil, BigEndian, &Reply{RequestID: 1, Payload: bytes.Repeat([]byte{7}, 240)})
 	perSlab := slabSize / len(one)
-	burst := bytes.Repeat(one, perSlab+1) // the last frame straddles the slab end
+	burst := bytes.Repeat(one, perSlab+4) // frame perSlab straddles the slab end
 	src := &scriptReader{steps: []readStep{{data: burst}}}
 	fr := NewFrameReader(src, 0)
 	defer fr.Close()
 
 	before := ReadFrameStats()
 	var frames []*FrameBuf
-	for i := 0; i <= perSlab; i++ {
+	for i := 0; i < perSlab+4; i++ {
 		_, fb, err := fr.NextFrame()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -331,15 +394,18 @@ func TestFrameReaderOneReadPerBurst(t *testing.T) {
 		frames = append(frames, fb)
 	}
 	after := ReadFrameStats()
-	if d := after.Acquired - before.Acquired; d != int64(perSlab+1) {
-		t.Errorf("Acquired moved by %d for %d delivered frames", d, perSlab+1)
+	if d := after.Acquired - before.Acquired; d != int64(perSlab+4) {
+		t.Errorf("Acquired moved by %d for %d delivered frames", d, perSlab+4)
 	}
-	wantMoved := int64(slabSize - perSlab*len(one) - HeaderSize)
+	wantMoved := int64(slabSize - perSlab*len(one))
 	if d := after.MovedBytes - before.MovedBytes; d != wantMoved {
-		t.Errorf("MovedBytes moved by %d, want the straddling frame's %d received body bytes", d, wantMoved)
+		t.Errorf("MovedBytes moved by %d, want the straddling frame's %d received bytes", d, wantMoved)
 	}
 	if src.reads != 2 {
-		t.Errorf("burst of %d frames took %d Reads, want 2 (the slab, then the straddler's tail)", perSlab+1, src.reads)
+		t.Errorf("burst of %d frames took %d Reads, want 2 (the slab, then the straddler's tail with the 3 frames behind it)", perSlab+4, src.reads)
+	}
+	if frames[perSlab].slab == frames[0].slab || frames[perSlab].slab != frames[perSlab+3].slab {
+		t.Error("the straddler is not in a slab of its own shared with the frames behind it")
 	}
 	for i, fb := range frames {
 		if !bytes.Equal(fb.Body(), one[HeaderSize:]) {

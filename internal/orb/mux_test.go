@@ -2,7 +2,6 @@ package orb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -302,60 +301,6 @@ func TestMuxUnsolicitedLocateReplyFailsConnection(t *testing.T) {
 	}
 	if got := cl.Inflight(); got != 0 {
 		t.Errorf("inflight = %d after the connection failed", got)
-	}
-}
-
-// TestMuxSubmissionOrderPerBand pins the RT-CORBA ordering contract of one
-// connection: a single submitter's requests are processed in submission order
-// within each priority band. Two bands are interleaved; each band's sequence
-// numbers must arrive strictly increasing.
-func TestMuxSubmissionOrderPerBand(t *testing.T) {
-	net := transport.NewInproc()
-	// Inline dispatch on the connection's reader: any cross-request reorder
-	// would be the dispatch path's fault, not a worker pool's.
-	srv := startEchoServer(t, net, "", ServerConfig{Synchronous: true})
-
-	var mu sync.Mutex
-	arrivals := map[sched.Priority][]uint64{}
-	srv.RegisterServant("order", corba.ServantFunc(func(op string, payload []byte) ([]byte, error) {
-		seq := binary.BigEndian.Uint64(payload[:8])
-		prio := sched.Priority(payload[8])
-		mu.Lock()
-		arrivals[prio] = append(arrivals[prio], seq)
-		mu.Unlock()
-		return nil, nil
-	}))
-	cl := dial(t, net, srv.Addr(), ClientConfig{})
-
-	const perBand = 40
-	bands := []sched.Priority{sched.NormPriority, sched.MaxPriority - 1}
-	var payload [9]byte
-	for seq := 0; seq < perBand; seq++ {
-		for _, prio := range bands {
-			binary.BigEndian.PutUint64(payload[:8], uint64(seq))
-			payload[8] = byte(prio)
-			// Two-way invokes from one goroutine: each submission is
-			// acknowledged before the next, so arrival order at the servant
-			// is the submission order — unless something scrambled the
-			// connection's stream.
-			if _, err := cl.Invoke("order", "mark", payload[:], prio); err != nil {
-				t.Fatalf("seq %d prio %d: %v", seq, prio, err)
-			}
-		}
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	for _, prio := range bands {
-		got := arrivals[prio]
-		if len(got) != perBand {
-			t.Fatalf("band %d: %d arrivals, want %d", prio, len(got), perBand)
-		}
-		for i, seq := range got {
-			if seq != uint64(i) {
-				t.Fatalf("band %d: arrival %d has seq %d; the connection's requests were reordered", prio, i, seq)
-			}
-		}
 	}
 }
 

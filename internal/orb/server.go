@@ -517,8 +517,8 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 }
 
 // readLoop frames inbound GIOP messages and relays each into the
-// RequestProcessing scope through the component port. Frames are read
-// directly into pooled, refcounted buffers (giop.AcquireFrame) and the
+// RequestProcessing scope through the component port. Frames arrive as
+// refcounted views of the reader's pooled slabs (giop.FrameReader) and the
 // request bytes are never copied again: the dispatched message's raw slice
 // aliases the frame, and the frame reference is released when the pooled
 // message is recycled after its handler returns. Requests dispatch

@@ -167,47 +167,71 @@ func TestStripedStorm(t *testing.T) {
 
 // TestOnewaysKeepOrderOnOneConnection pins the ordering contract the ORB
 // keeps: on one connection (the default client) a caller's sequential
-// oneways at one priority reach a Synchronous server, which runs each
-// request on its connection's reader, in the order they were sent. Stripes
-// promise no order between them, so the contract is the single connection's.
+// oneways reach a Synchronous server, which runs each request on its
+// connection's reader, in the order they were sent — at one priority, and
+// alternating two, where each band's arrivals and all of them keep
+// submission order. Stripes promise no order between them, so the contract
+// is the single connection's.
 func TestOnewaysKeepOrderOnOneConnection(t *testing.T) {
-	const n = 2000
-	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{Synchronous: true})
-	var mu sync.Mutex
-	got := make([]uint32, 0, n)
-	all := make(chan struct{})
-	srv.RegisterServant("sink", corba.ServantFunc(func(_ string, in []byte) ([]byte, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if got = append(got, binary.BigEndian.Uint32(in)); len(got) == n {
-			close(all)
-		}
-		return nil, nil
-	}))
-	cl := dial(t, net, srv.Addr(), ClientConfig{})
-	var payload [4]byte
-	for i := uint32(0); i < n; i++ {
-		binary.BigEndian.PutUint32(payload[:], i)
-		if err := cl.InvokeOneway("sink", "push", payload[:], sched.NormPriority); err != nil {
-			t.Fatalf("oneway %d: %v", i, err)
-		}
-	}
-	// Oneways complete at write time; wait for the servant to see the last.
-	select {
-	case <-all:
-	case <-time.After(10 * time.Second):
-		mu.Lock()
-		defer mu.Unlock()
-		t.Fatalf("servant saw %d of %d oneways", len(got), n)
-	}
-	descents := 0
-	for i := 1; i < n; i++ {
-		if got[i] < got[i-1] {
-			descents++
-		}
-	}
-	if descents != 0 {
-		t.Errorf("%d of %d oneways arrived before one sent ahead of them", descents, n)
+	for _, row := range []struct {
+		name  string
+		bands []sched.Priority
+	}{
+		{"one_band", []sched.Priority{sched.NormPriority}},
+		{"two_bands", []sched.Priority{sched.NormPriority, sched.MaxPriority - 1}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			const n = 2000
+			net := transport.NewInproc()
+			srv := startEchoServer(t, net, "", ServerConfig{Synchronous: true})
+			var mu sync.Mutex
+			all := make([]uint32, 0, n)
+			perBand := map[byte][]uint32{}
+			done := make(chan struct{})
+			srv.RegisterServant("sink", corba.ServantFunc(func(_ string, in []byte) ([]byte, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				seq := binary.BigEndian.Uint32(in)
+				perBand[in[4]] = append(perBand[in[4]], seq)
+				if all = append(all, seq); len(all) == n {
+					close(done)
+				}
+				return nil, nil
+			}))
+			cl := dial(t, net, srv.Addr(), ClientConfig{})
+			var payload [5]byte
+			for i := uint32(0); i < n; i++ {
+				prio := row.bands[int(i)%len(row.bands)]
+				binary.BigEndian.PutUint32(payload[:4], i)
+				payload[4] = byte(prio)
+				if err := cl.InvokeOneway("sink", "push", payload[:], prio); err != nil {
+					t.Fatalf("oneway %d: %v", i, err)
+				}
+			}
+			// Oneways complete at write time; wait for the servant to see the last.
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				mu.Lock()
+				defer mu.Unlock()
+				t.Fatalf("servant saw %d of %d oneways", len(all), n)
+			}
+			descents := func(seqs []uint32) (d int) {
+				for i := 1; i < len(seqs); i++ {
+					if seqs[i] < seqs[i-1] {
+						d++
+					}
+				}
+				return d
+			}
+			if d := descents(all); d != 0 {
+				t.Errorf("%d of %d oneways arrived before one sent ahead of them", d, n)
+			}
+			for band, seqs := range perBand {
+				if d := descents(seqs); d != 0 {
+					t.Errorf("band %d: %d of %d oneways arrived before one of the band sent ahead of them", band, d, len(seqs))
+				}
+			}
+		})
 	}
 }
