@@ -42,10 +42,17 @@ race: build vet
 # A remote invocation allocates only the copies its contract asks for —
 # InvokeView none, on one connection or spread over four stripes.
 # Set-up is guarded too: standing an ORB server and client up over the
-# in-process transport, one Invoke and closing both allocates under 1 MiB,
-# because immortal memory commits only what it holds.
+# in-process transport, one Invoke and closing both allocates under 256 KiB,
+# because immortal and scoped memory commit only what they hold; a scoped
+# area with a 1 MiB budget costs under 4 KiB to make, and one reclaimed
+# through the same allocations stops allocating once warm. The scoped carve
+# on every request, and the room check before it, must stay inlinable.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters|TestSetupHeapBytes' .
+	$(GO) test -run TestScopedCommitsWhatItHolds ./internal/memory/
+	@out=$$($(GO) build -gcflags=-m ./internal/memory/ 2>&1); for f in carveLocked ensureLocked; do \
+		echo "$$out" | grep -q "can inline (\*Area).$$f" || { echo "(*Area).$$f is no longer inlinable"; exit 1; }; \
+	done
 	$(GO) test -run TestInvokeAllocsAreContractCopies ./internal/orb/
 	$(GO) test -run TestAdmitDoneAllocFree ./internal/overload/
 	$(GO) test -run TestScratchAllocFree ./internal/memory/
@@ -99,7 +106,7 @@ orb-loc:
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
 		case $$d in internal/orb) max=3297;; internal/core) max=3094;; internal/sched) max=731;; \
-			internal/memory) max=1233;; internal/giop) max=1476;; *) max=;; esac; \
+			internal/memory) max=1230;; internal/giop) max=1476;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \

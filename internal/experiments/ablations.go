@@ -28,8 +28,9 @@ func RunAblationCrossScope(warmup, observations int) ([]AblationRow, error) {
 
 // RunAblationScopePool compares transient component instantiation with and
 // without the scope-pool optimisation (CCL <ScopedPool>): with Persistent
-// off, every round trip re-creates Client and Server, paying linear-time
-// area creation unless the pool recycles areas.
+// off, every round trip re-creates Client and Server, each in a fresh area
+// that commits its first segment, unless the pool recycles areas that keep
+// theirs.
 func RunAblationScopePool(warmup, observations int) ([]AblationRow, error) {
 	return runAblation([]ablation{
 		{"fresh-scopes", pingPong(PingPongConfig{Synchronous: true, Persistent: false, UseScopePool: false})},
@@ -65,28 +66,44 @@ func pingPong(cfg PingPongConfig) func() (roundTripper, error) {
 	return func() (roundTripper, error) { return NewPingPong(cfg) }
 }
 
-// runAblation times each variant's round trip at steady state, in order,
-// with the collector held off, and closes it before building the next.
+// runAblation times each variant's round trip at steady state, with the
+// collector held off. The variants are open side by side and take turns,
+// one observation each, so a slow spell of the host falls on all of them
+// alike rather than on whichever was running through it: the ablations
+// compare medians a few microseconds apart.
 func runAblation(variants []ablation, warmup, observations int) ([]AblationRow, error) {
-	rows := make([]AblationRow, 0, len(variants))
+	rts := make([]roundTripper, 0, len(variants))
+	defer func() {
+		for _, rt := range rts {
+			rt.Close()
+		}
+	}()
 	for _, v := range variants {
 		rt, err := v.open()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}
-		var i int64
-		restore := quiesceGC()
-		summary, err := metrics.RunSteadyState(warmup, observations, func() error {
-			i++
-			_, err := rt.RoundTrip(i)
-			return err
-		})
-		restore()
-		rt.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", v.name, err)
+		rts = append(rts, rt)
+	}
+	cs := make([]*metrics.Collector, len(rts))
+	for j := range cs {
+		cs[j] = metrics.NewCollector(observations)
+	}
+	defer quiesceGC()()
+	for i := 0; i < warmup+observations; i++ {
+		for j, rt := range rts {
+			start := time.Now()
+			if _, err := rt.RoundTrip(int64(i + 1)); err != nil {
+				return nil, fmt.Errorf("%s: %w", variants[j].name, err)
+			}
+			if i >= warmup {
+				cs[j].Record(time.Since(start))
+			}
 		}
-		rows = append(rows, AblationRow{Variant: v.name, Summary: summary})
+	}
+	rows := make([]AblationRow, len(variants))
+	for j, v := range variants {
+		rows[j] = AblationRow{Variant: v.name, Summary: cs[j].Summarize()}
 	}
 	return rows, nil
 }

@@ -158,8 +158,8 @@ func TestAblationScopePool(t *testing.T) {
 	for _, r := range rows {
 		byName[r.Variant] = r
 	}
-	// Pooled scopes avoid linear-time creation; fresh scopes must not be
-	// faster.
+	// Pooled scopes skip creating an area and committing its first segment;
+	// fresh scopes must not be faster.
 	if byName["fresh-scopes"].Summary.Median < byName["scope-pool"].Summary.Median {
 		t.Errorf("fresh scopes (%v) beat the scope pool (%v)",
 			byName["fresh-scopes"].Summary.Median, byName["scope-pool"].Summary.Median)

@@ -75,36 +75,14 @@ func (m *Model) Heap() *Area { return m.heap }
 // Immortal returns the model's immortal area.
 func (m *Model) Immortal() *Area { return m.immortal }
 
-// NewLTScoped creates a linear-time scoped area with the given byte budget.
-// Creation cost is proportional to size (the backing arena is zeroed),
-// mirroring LTScopedMemory. The area's parent is fixed when the first
+// NewLTScoped creates a linear-time scoped area with the given byte budget,
+// mirroring LTScopedMemory: the budget bounds what may be allocated, and
+// allocation and reuse cost time linear in what is allocated. Creation
+// commits no memory; the arena grows by doubling segments as allocations
+// need it (see grow). The area's parent is fixed when the first
 // context enters it.
 func (m *Model) NewLTScoped(name string, size int64) *Area {
-	return m.newScoped(name, size, true)
-}
-
-// NewVTScoped creates a variable-time scoped area with the given byte
-// budget. Unlike LT areas it does not pre-zero its arena, so creation is
-// cheap but allocation latency is less predictable — provided for
-// completeness; Compadres itself only uses LT areas.
-func (m *Model) NewVTScoped(name string, size int64) *Area {
-	return m.newScoped(name, size, false)
-}
-
-func (m *Model) newScoped(name string, size int64, linear bool) *Area {
-	a := &Area{
-		model:    m,
-		id:       m.nextID.Add(1),
-		name:     name,
-		kind:     KindScoped,
-		capacity: size,
-		linear:   linear,
-		buf:      make([]byte, size),
-	}
-	if linear {
-		zero(a.buf) // linear-time creation cost
-	}
-	return a
+	return &Area{model: m, id: m.nextID.Add(1), name: name, kind: KindScoped, capacity: size}
 }
 
 // Scoped-area lifecycle state is packed into one atomic word so the
@@ -140,7 +118,6 @@ type Area struct {
 	name     string
 	kind     Kind
 	capacity int64
-	linear   bool
 
 	// state packs generation|wedges|entrants (see the bit layout above). It
 	// is the sole source of truth for all three; fast enter/exit paths CAS
@@ -400,17 +377,14 @@ func (a *Area) reclaimLocked(keep uint64) []func() {
 	}
 	fins := a.finalizers
 	a.finalizers = nil
-	used := a.used
 	a.used = 0
 	a.allocs = 0
-	if a.linear {
-		// Linear-time reuse cost, like LTScopedMemory — but proportional to
-		// what the scope actually allocated, not its capacity. alloc hands
-		// out three-index slices (buf[off:end:end]), so nothing can write
-		// past the high-water mark: bytes beyond `used` are still zero from
-		// creation (or the previous reclaim) and need no re-zeroing.
-		zero(a.buf[:used])
-	}
+	// Linear-time reuse cost, like LTScopedMemory — but proportional to what
+	// the scope allocated in its newest segment, the one kept. Carves are
+	// three-index slices, so nothing wrote past len(a.buf): the rest of the
+	// segment is still zero. Older segments go with the Refs into them.
+	clear(a.buf)
+	a.buf = a.buf[:0]
 	return fins
 }
 
@@ -436,6 +410,7 @@ func (a *Area) alloc(n int) (Ref, error) {
 		}
 	}
 	if a.kind == KindScoped {
+		a.ensureLocked(n)
 		return a.carveLocked(n), nil
 	}
 	// Heap and immortal allocations are each their own zeroed slice.
@@ -453,6 +428,7 @@ func (a *Area) tryAlloc(n int) (Ref, bool) {
 		a.mu.Unlock()
 		return Ref{}, false
 	}
+	a.ensureLocked(n)
 	ref := a.carveLocked(n)
 	a.mu.Unlock()
 	return ref, true
@@ -470,21 +446,37 @@ func (a *Area) fitsLocked(n int) error {
 	return nil
 }
 
-// carveLocked hands out the next n bytes of the arena; fitsLocked passed.
-func (a *Area) carveLocked(n int) Ref {
-	off := a.used
-	a.used += int64(n)
-	a.allocs++
-	data := a.buf[off : off+int64(n) : off+int64(n)]
-	if !a.linear {
-		// VT areas zero lazily at allocation time.
-		zero(data)
+// ensureLocked makes room for n more bytes in the arena's newest segment,
+// a.buf, whose length is the part carved. It is apart from carveLocked so
+// that both inline at the carve sites on every request, and growth does not.
+func (a *Area) ensureLocked(n int) {
+	if len(a.buf)+n > cap(a.buf) {
+		a.grow(n)
 	}
-	return Ref{area: a, gen: a.genNow(), data: data}
 }
 
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
+// carveLocked hands out the next n bytes of the arena's newest segment; the
+// caller has checked the budget (fitsLocked) and made room (ensureLocked).
+func (a *Area) carveLocked(n int) Ref {
+	off := len(a.buf)
+	a.buf = a.buf[:off+n]
+	a.used += int64(n)
+	a.allocs++
+	return Ref{area: a, gen: a.genNow(), data: a.buf[off : off+n : off+n]}
+}
+
+// grow commits a fresh segment for a carve of n bytes that does not fit the
+// newest one, so an area commits what it holds, not its budget. The segment
+// is at least 1 KiB, twice the last one and twice n (a large carve leaves as
+// much room behind it), and never more than the budget. The last segment
+// stays with the Refs carved from it. An area cycled through the same
+// allocations therefore stops growing once one segment holds them all,
+// within 1 + log2(capacity / 1 KiB) cycles; capping at what is left of the
+// budget instead would make an area near its budget commit a short segment
+// every cycle. Growth is rare, so it stays out of line.
+//
+//go:noinline
+func (a *Area) grow(n int) {
+	size := min(2*max(int64(n), int64(cap(a.buf)), 512), a.capacity)
+	a.buf = make([]byte, 0, size)
 }

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -126,6 +127,115 @@ func TestImmortalCommitsWhatItHolds(t *testing.T) {
 	if imm.Used() != budget || imm.Free() != 0 || imm.Allocations() != int64(len(held)) {
 		t.Errorf("after the refusal: used %d free %d allocations %d, want %d 0 %d",
 			imm.Used(), imm.Free(), imm.Allocations(), budget, len(held))
+	}
+}
+
+var areaSink *Area
+
+// TestScopedCommitsWhatItHolds pins a scoped area's budget as a bound rather
+// than an arena: making one commits none of it, carving k bytes commits
+// O(k), reuse zeroes what was carved and stales its Refs, and the budget is
+// still enforced to the byte. An area reclaimed through the same allocations
+// stops allocating once a segment holds them all — also when they end just
+// short of the budget, where a segment capped at what is left of the budget
+// would be made again every cycle.
+func TestScopedCommitsWhatItHolds(t *testing.T) {
+	const budget = 1 << 20
+	m := NewModel(Config{})
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			areaSink = m.NewLTScoped("s", budget)
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 4<<10 {
+		t.Errorf("NewLTScoped with a %d B budget allocates %d B of Go heap, want < 4 KiB", budget, got)
+	}
+
+	a := m.NewLTScoped("s", budget)
+	w, err := newWedge(a, m.Immortal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, piece = 64 << 10, 64
+	refs := make([]Ref, 0, k/piece)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for len(refs) < cap(refs) {
+		ref, err := a.alloc(piece)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := ref.Bytes()
+		for j := range b {
+			b[j] = 0xAB
+		}
+		refs = append(refs, ref)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*k {
+		t.Errorf("carving %d B committed %d B of Go heap, want at most %d", k, got, 4*k)
+	}
+	if a.Used() != k || a.Allocations() != k/piece {
+		t.Errorf("used %d in %d allocations, want %d in %d", a.Used(), a.Allocations(), k, k/piece)
+	}
+
+	if !w.Reclaim(0) {
+		t.Fatal("the sole wedge could not reclaim its area")
+	}
+	for i, ref := range refs {
+		if _, err := ref.Bytes(); !errors.Is(err, ErrStale) {
+			t.Fatalf("ref %d after reclaim: err = %v, want ErrStale", i, err)
+		}
+	}
+	ref, err := a.alloc(k) // lands in the newest segment, whose head was dirtied
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := ref.Bytes()
+	for j, x := range b {
+		if x != 0 {
+			t.Fatalf("reused byte %d is %#x, want 0", j, x)
+		}
+	}
+	if _, err := a.alloc(budget - k); err != nil {
+		t.Errorf("allocation to exactly the budget: %v", err)
+	}
+	if _, err := a.alloc(1); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("one byte past the budget: err = %v, want ErrOutOfMemory", err)
+	}
+	w.Release()
+
+	for _, tc := range []struct {
+		name     string
+		capacity int64
+		pattern  []int
+	}{
+		{"small", budget, []int{64, 200, 512}},
+		{"near budget", 10<<10 + 300, []int{3 << 10, 3 << 10, 4 << 10}},
+	} {
+		a := m.NewLTScoped(tc.name, tc.capacity)
+		w, err := newWedge(a, m.Immortal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := func() {
+			for _, n := range tc.pattern {
+				if _, err := a.alloc(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !w.Reclaim(0) {
+				t.Fatal("the sole wedge could not reclaim its area")
+			}
+		}
+		for i := 0; i < 12; i++ { // growth stops within log2(capacity/1 KiB) cycles
+			cycle()
+		}
+		if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+			t.Errorf("%s: a warm area reclaimed through one pattern allocates %v objects a cycle, want 0", tc.name, allocs)
+		}
+		w.Release()
 	}
 }
 
@@ -370,47 +480,6 @@ func TestAreaStringAndAccessors(t *testing.T) {
 		}
 		return nil
 	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVTScopedZeroesOnAlloc(t *testing.T) {
-	m := NewModel(Config{})
-	ctx := m.NewContext()
-	a := m.NewVTScoped("vt", 64)
-	err := ctx.Enter(a, func(c *Context) error {
-		ref, err := c.Alloc(32)
-		if err != nil {
-			return err
-		}
-		b, _ := ref.Bytes()
-		for i := range b {
-			if b[i] != 0 {
-				t.Fatalf("byte %d not zeroed", i)
-			}
-			b[i] = 0xAB
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reuse: VT does not re-zero the arena at reclaim, but allocations
-	// themselves are zeroed.
-	err = ctx.Enter(a, func(c *Context) error {
-		ref, err := c.Alloc(32)
-		if err != nil {
-			return err
-		}
-		b, _ := ref.Bytes()
-		for i := range b {
-			if b[i] != 0 {
-				t.Fatalf("reused byte %d = %x, want 0", i, b[i])
-			}
-		}
-		return nil
-	})
-	if err != nil {
 		t.Fatal(err)
 	}
 }

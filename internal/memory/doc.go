@@ -9,10 +9,11 @@
 //
 //   - Area models a memory region. Immortal and scoped areas carry a fixed
 //     byte budget; allocations fail with ErrOutOfMemory past it, exactly
-//     like an RTSJ region. A scoped area is backed by an arena made with it;
-//     linear-time (LT) ones pay an allocation-proportional zeroing cost on
-//     creation and reuse, mirroring LTScopedMemory. The immortal budget
-//     commits its bytes per allocation, so it costs only what it holds.
+//     like an RTSJ region. Neither commits its budget up front: the immortal
+//     area commits each allocation as it is made, and a scoped area's arena
+//     grows by doubling segments as carves need them, so each costs what it
+//     holds. Reuse of a scoped area zeroes what was carved, mirroring
+//     LTScopedMemory's linear-time cost.
 //   - Context models a (real-time) thread's scope stack. Entering an area
 //     pushes it; the single-parent rule is enforced on entry; the area is
 //     reclaimed when the last entrant leaves and no wedge pins it. A thread

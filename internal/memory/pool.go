@@ -10,11 +10,13 @@ import (
 // scopePoolGrows counts pooled areas created beyond the pre-created set.
 var scopePoolGrows = telemetry.NewCounter("scope_pool_grow_total")
 
-// ScopePool is a pool of same-sized linear-time scoped areas, pre-created so
-// that component instantiation at runtime does not pay LT creation cost.
-// It models the Compadres CCL <ScopedPool> attribute: "further optimization
-// of component instantiation can be achieved by creating pools of scoped
-// memory areas in immortal memory and reusing these areas at runtime."
+// ScopePool is a pool of same-sized linear-time scoped areas, pre-created and
+// reused across component instantiations. It models the Compadres CCL
+// <ScopedPool> attribute: "further optimization of component instantiation
+// can be achieved by creating pools of scoped memory areas in immortal
+// memory and reusing these areas at runtime." Creating an area commits no
+// memory here, so creation is not the cost a pool saves: it bounds how many
+// areas exist, and a reused area keeps the segment its arena grew to.
 //
 // The pool's bookkeeping is charged against immortal memory (a small header
 // per pooled area), as in the paper.

@@ -70,6 +70,7 @@ func (a *Area) pin(from *Area, header int) error {
 		}
 	}
 	if header > 0 {
+		a.ensureLocked(header)
 		a.carveLocked(header)
 	}
 	return nil
@@ -96,6 +97,7 @@ func (w *Wedge) Reclaim(header int) bool {
 	}
 	// No holder left: lock-free enters fail and slow ones wait on mu.
 	fins := a.reclaimLocked(wedgeDelta)
+	a.ensureLocked(header)
 	a.carveLocked(header)
 	a.mu.Unlock()
 	runFinalizers(fins)
