@@ -40,7 +40,9 @@ race: build vet
 # with nobody waiting (every release of a component calls one), nor an
 # overload controller's Admit + Done, untiered or for a registered tenant.
 # A remote invocation allocates only the copies its contract asks for —
-# InvokeView none, on one connection or spread over four stripes.
+# InvokeView none, on one connection or spread over four stripes. Parsing
+# the paper's CDL and CCL listings stays under a few dozen allocations, so
+# a reflective decoder (192 and 323) cannot come back unseen.
 # Set-up is guarded too: standing an ORB server and client up over the
 # in-process transport, one Invoke and closing both allocates under 256 KiB,
 # because immortal and scoped memory commit only what they hold; a scoped
@@ -59,6 +61,7 @@ allocguard:
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
 	$(GO) test -run 'TestInPortPushPopAllocFree|TestSyncPortCallAllocFree' ./internal/core/
 	$(GO) test -run TestSignalNotifyAllocFree ./internal/sched/
+	$(GO) test -run TestParseAllocs ./internal/cdl/ ./internal/ccl/
 	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
 	$(GO) test -run='^$$' -bench=BenchmarkSyncPortCall -benchtime=20000x ./internal/core/
 
@@ -68,11 +71,13 @@ allocguard:
 zerocopy-guard:
 	$(GO) test -run 'TestInvokeViewZeroPayloadCopies|TestInvokeViewLoanScope' -count=1 ./internal/orb/
 
-# fuzz-smoke explores the GIOP request and reply decoders and the frame
-# reader for five seconds each (-fuzz takes one target a run): never a
-# panic, every body a decoder accepts re-marshals to one that decodes to an
-# equal message, and the frame reader, fed any bytes in any chunks, reads
-# what ReadMessageLimited reads and gives every slab back. Minimizing one of
+# fuzz-smoke explores the GIOP request and reply decoders, the frame
+# reader and the CDL and CCL decoders for five seconds each (-fuzz takes one
+# target a run): never a panic, every body a GIOP decoder accepts
+# re-marshals to one that decodes to an equal message, the frame reader,
+# fed any bytes in any chunks, reads what ReadMessageLimited reads and gives
+# every slab back, and every document the CDL or CCL decoder accepts,
+# encoding/xml accepts too and reads to an equal value. Minimizing one of
 # the reader's stream inputs takes longer than the run, so new inputs are
 # minimized for at most 100 executions. The seed corpora alone run with the
 # tier-1 tests.
@@ -80,6 +85,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/giop/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReply -fuzztime 5s ./internal/giop/
 	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 5s -fuzzminimizetime 100x ./internal/giop/
+	$(GO) test -run '^$$' -fuzz FuzzParseCDL -fuzztime 5s ./internal/cdl/
+	$(GO) test -run '^$$' -fuzz FuzzParseCCL -fuzztime 5s ./internal/ccl/
 
 # bench-smoke runs every benchmark a handful of iterations — enough to
 # catch a bench that no longer compiles or errors out, without the cost of

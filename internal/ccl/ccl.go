@@ -20,12 +20,13 @@
 package ccl
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+
+	"repro/internal/xmldoc"
 )
 
 // ComponentType is an instance's memory binding.
@@ -62,9 +63,11 @@ const (
 // ErrValidation is wrapped by every validation failure.
 var ErrValidation = errors.New("ccl: validation error")
 
-// Application is the document root.
+// Application is the document root. The xml tags are the schema: Parse
+// reads what encoding/xml would decode into these structs. XMLName holds no
+// value; its tag names the root element.
 type Application struct {
-	XMLName    xml.Name       `xml:"Application"`
+	XMLName    struct{}       `xml:"Application"`
 	Name       string         `xml:"ApplicationName"`
 	Components []Instance     `xml:"Component"`
 	RTSJ       RTSJAttributes `xml:"RTSJAttributes"`
@@ -140,14 +143,159 @@ type ScopedPool struct {
 
 // Parse reads and validates a CCL document.
 func Parse(r io.Reader) (*Application, error) {
-	var app Application
-	if err := xml.NewDecoder(r).Decode(&app); err != nil {
+	app, err := decode(r)
+	if err != nil {
 		return nil, fmt.Errorf("ccl: parse: %w", err)
 	}
 	if err := app.Validate(); err != nil {
 		return nil, err
 	}
+	return app, nil
+}
+
+// decode reads a CCL document into its structs, element by element. An
+// element that repeats where the schema has one value overwrites a scalar
+// and adds to a struct, as encoding/xml does.
+func decode(r io.Reader) (*Application, error) {
+	d, err := xmldoc.Open(r, "Application")
+	if err != nil {
+		return nil, err
+	}
+	var app Application
+	for d.Next() {
+		switch d.Name() {
+		case "ApplicationName":
+			app.Name = d.Text()
+		case "Component":
+			app.Components = append(app.Components, Instance{})
+			decodeInstance(d, &app.Components[len(app.Components)-1])
+		case "RTSJAttributes":
+			decodeRTSJ(d, &app.RTSJ)
+		default:
+			d.Skip()
+		}
+	}
+	if err := d.End(); err != nil {
+		return nil, err
+	}
 	return &app, nil
+}
+
+func decodeInstance(d *xmldoc.Decoder, inst *Instance) {
+	for d.Next() {
+		switch d.Name() {
+		case "InstanceName":
+			inst.InstanceName = d.Text()
+		case "ClassName":
+			inst.ClassName = d.Text()
+		case "ComponentType":
+			inst.Type = ComponentType(d.Text())
+		case "ScopeLevel":
+			inst.ScopeLevel = d.Int()
+		case "MemorySize":
+			inst.MemorySize = d.Int64()
+		case "UsePool":
+			inst.UsePool = d.Bool()
+		case "Persistent":
+			inst.Persistent = d.Bool()
+		case "Node":
+			inst.Node = d.Text()
+		case "Replicas":
+			inst.Replicas = d.Int()
+		case "Connection":
+			for d.Next() {
+				if d.Name() != "Port" {
+					d.Skip()
+					continue
+				}
+				inst.Connection.Ports = append(inst.Connection.Ports, PortSpec{})
+				decodePortSpec(d, &inst.Connection.Ports[len(inst.Connection.Ports)-1])
+			}
+		case "Component":
+			inst.Children = append(inst.Children, Instance{})
+			decodeInstance(d, &inst.Children[len(inst.Children)-1])
+		default:
+			d.Skip()
+		}
+	}
+}
+
+func decodePortSpec(d *xmldoc.Decoder, ps *PortSpec) {
+	for d.Next() {
+		switch d.Name() {
+		case "PortName":
+			ps.Name = d.Text()
+		case "PortAttributes":
+			if ps.Attributes == nil {
+				ps.Attributes = new(PortAttributes)
+			}
+			decodePortAttributes(d, ps.Attributes)
+		case "Exported":
+			ps.Exported = d.Bool()
+		case "Link":
+			var l Link
+			for d.Next() {
+				switch d.Name() {
+				case "PortType":
+					l.Type = LinkType(d.Text())
+				case "ToComponent":
+					l.ToComponent = d.Text()
+				case "ToPort":
+					l.ToPort = d.Text()
+				case "RemoteAddr":
+					l.RemoteAddr = d.Text()
+				default:
+					d.Skip()
+				}
+			}
+			ps.Links = append(ps.Links, l)
+		default:
+			d.Skip()
+		}
+	}
+}
+
+func decodePortAttributes(d *xmldoc.Decoder, a *PortAttributes) {
+	for d.Next() {
+		switch d.Name() {
+		case "BufferSize":
+			a.BufferSize = d.Int()
+		case "Threadpool":
+			a.Threadpool = Threadpool(d.Text())
+		case "MinThreadpoolSize":
+			a.MinThreadpoolSize = d.Int()
+		case "MaxThreadpoolSize":
+			a.MaxThreadpoolSize = d.Int()
+		default:
+			d.Skip()
+		}
+	}
+}
+
+func decodeRTSJ(d *xmldoc.Decoder, rt *RTSJAttributes) {
+	for d.Next() {
+		switch d.Name() {
+		case "ImmortalSize":
+			rt.ImmortalSize = d.Int64()
+		case "ScopedPool":
+			var p ScopedPool
+			for d.Next() {
+				switch d.Name() {
+				case "ScopeLevel":
+					p.Level = d.Int()
+				case "ScopeSize":
+					p.Size = d.Int64()
+				case "PoolSize":
+					p.PoolSize = d.Int()
+				default:
+					d.Skip()
+				}
+			}
+			rt.ScopedPools = append(rt.ScopedPools, p)
+		default:
+			d.Skip()
+		}
+	}
 }
 
 // ParseFile reads and validates the CCL document at path.
@@ -331,33 +479,6 @@ func (inst *Instance) validate(level int, names map[string]bool) error {
 		}
 		if err := child.validate(level+1, names); err != nil {
 			return err
-		}
-	}
-	return nil
-}
-
-// Instances returns every instance in the application, parents before
-// children, in document order.
-func (a *Application) Instances() []*Instance {
-	var out []*Instance
-	var walk func(inst *Instance)
-	walk = func(inst *Instance) {
-		out = append(out, inst)
-		for i := range inst.Children {
-			walk(&inst.Children[i])
-		}
-	}
-	for i := range a.Components {
-		walk(&a.Components[i])
-	}
-	return out
-}
-
-// Instance returns the instance with the given name, or nil.
-func (a *Application) Instance(name string) *Instance {
-	for _, inst := range a.Instances() {
-		if inst.InstanceName == name {
-			return inst
 		}
 	}
 	return nil

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/xmldoc"
 )
 
 // paperCCL mirrors Listing 1.2 of the paper (with MemorySize added for the
@@ -64,7 +66,7 @@ func TestParsePaperListing(t *testing.T) {
 		t.Errorf("scoped pools = %+v", app.RTSJ.ScopedPools)
 	}
 
-	server := app.Instance("MyServer")
+	server := instance(app, "MyServer")
 	if server == nil || server.ClassName != "Server" || server.Type != Immortal {
 		t.Fatalf("MyServer = %+v", server)
 	}
@@ -80,18 +82,45 @@ func TestParsePaperListing(t *testing.T) {
 		t.Errorf("link = %+v", ps.Links)
 	}
 
-	calc := app.Instance("MyCalculator")
+	calc := instance(app, "MyCalculator")
 	if calc == nil || calc.Type != Scoped || !calc.UsePool || calc.ScopeLevel != 1 {
 		t.Fatalf("MyCalculator = %+v", calc)
 	}
 
-	all := app.Instances()
+	all := instances(app)
 	if len(all) != 2 || all[0].InstanceName != "MyServer" || all[1].InstanceName != "MyCalculator" {
 		t.Errorf("instances = %v", all)
 	}
-	if app.Instance("Nope") != nil {
+	if instance(app, "Nope") != nil {
 		t.Error("missing instance lookup returned non-nil")
 	}
+}
+
+// instances returns every instance in a, parents before children, in
+// document order.
+func instances(a *Application) []*Instance {
+	var out []*Instance
+	var walk func(inst *Instance)
+	walk = func(inst *Instance) {
+		out = append(out, inst)
+		for i := range inst.Children {
+			walk(&inst.Children[i])
+		}
+	}
+	for i := range a.Components {
+		walk(&a.Components[i])
+	}
+	return out
+}
+
+// instance returns the instance of a with the given name, or nil.
+func instance(a *Application, name string) *Instance {
+	for _, inst := range instances(a) {
+		if inst.InstanceName == name {
+			return inst
+		}
+	}
+	return nil
 }
 
 func wrap(inner string) string {
@@ -150,15 +179,48 @@ func TestDeepNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(app.Instances()); got != 4 {
+	if got := len(instances(app)); got != 4 {
 		t.Errorf("instances = %d, want 4", got)
 	}
 }
 
 func TestParseMalformed(t *testing.T) {
-	if _, err := Parse(strings.NewReader("<oops")); err == nil {
-		t.Error("malformed accepted")
+	head := "<Application>\n<ApplicationName>App</ApplicationName>\n<Component>\n"
+	tail := "\n</Component>\n</Application>\n"
+	tests := []struct {
+		name, xml string
+		line      int    // where the fault is
+		msg       string // part of the error
+	}{
+		{"unclosed element", head + "<InstanceName>A</InstanceName>", 4, "unexpected EOF"},
+		{"mismatched end tag", head + "<InstanceName>A</Instance>" + tail, 4, "element <InstanceName> closed by </Instance>"},
+		{"undefined entity", head + "<ClassName>&nbsp;</ClassName>" + tail, 4, "invalid character entity &nbsp;"},
+		{"control character", head + "<ClassName>C\x01</ClassName>" + tail, 4, "illegal character code U+0001"},
+		{"invalid UTF-8", head + "<ClassName>C\xff</ClassName>" + tail, 4, "invalid UTF-8"},
+		{"-- in a comment", head + "<!-- a -- b -->" + tail, 4, `"--" not allowed in comments`},
+		{"wrong root", "<!-- app -->\n<App></App>", 2, "expected element type <Application> but have <App>"},
+		{"integer not a number", head + "<ScopeLevel>x</ScopeLevel>" + tail, 4, `<ScopeLevel>: strconv.ParseInt: parsing "x": invalid syntax`},
+		{"integer only whitespace", head + "<MemorySize> \n </MemorySize>" + tail, 4, `<MemorySize>: strconv.ParseInt: parsing "": invalid syntax`},
+		{"boolean not a boolean", head + "<UsePool>maybe</UsePool>" + tail, 4, `<UsePool>: strconv.ParseBool: parsing "maybe": invalid syntax`},
+		{"start tag not closed", "<oops", 1, "unexpected EOF"},
+		{"nested past the bound", "<Application>" + strings.Repeat("\n<Component>", xmldoc.MaxDepth) +
+			strings.Repeat("</Component>", xmldoc.MaxDepth) + "</Application>", xmldoc.MaxDepth + 1, "nest deeper than"},
 	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := Parse(strings.NewReader(tt.xml))
+			var syn *xmldoc.SyntaxError
+			if err == nil || !strings.HasPrefix(err.Error(), "ccl: parse: ") || !errors.As(err, &syn) {
+				t.Fatalf("err = %v, want a ccl: parse: syntax error", err)
+			}
+			if syn.Line != tt.line || !strings.Contains(syn.Msg, tt.msg) {
+				t.Errorf("err = %v, want %q on line %d", err, tt.msg, tt.line)
+			}
+		})
+	}
+}
+
+func TestParseFileMissing(t *testing.T) {
 	if _, err := ParseFile("/nonexistent/app.xml"); err == nil {
 		t.Error("missing file accepted")
 	}

@@ -9,12 +9,13 @@
 package cdl
 
 import (
-	"encoding/xml"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+
+	"repro/internal/xmldoc"
 )
 
 // Direction is a port's direction relative to its component.
@@ -31,9 +32,11 @@ const (
 var ErrValidation = errors.New("cdl: validation error")
 
 // Definitions is the document root: the set of component classes available
-// to an application.
+// to an application. The xml tags are the schema: Parse reads what
+// encoding/xml would decode into these structs. XMLName holds no value; its
+// tag names the root element.
 type Definitions struct {
-	XMLName    xml.Name    `xml:"ComponentDefinitions"`
+	XMLName    struct{}    `xml:"ComponentDefinitions"`
 	Components []Component `xml:"Component"`
 }
 
@@ -52,15 +55,62 @@ type Port struct {
 
 // Parse reads and validates a CDL document.
 func Parse(r io.Reader) (*Definitions, error) {
-	var defs Definitions
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&defs); err != nil {
+	defs, err := decode(r)
+	if err != nil {
 		return nil, fmt.Errorf("cdl: parse: %w", err)
 	}
 	if err := defs.Validate(); err != nil {
 		return nil, err
 	}
+	return defs, nil
+}
+
+// decode reads a CDL document into its structs, element by element.
+func decode(r io.Reader) (*Definitions, error) {
+	d, err := xmldoc.Open(r, "ComponentDefinitions")
+	if err != nil {
+		return nil, err
+	}
+	var defs Definitions
+	for d.Next() {
+		if d.Name() != "Component" {
+			d.Skip()
+			continue
+		}
+		var c Component
+		for d.Next() {
+			switch d.Name() {
+			case "ComponentName":
+				c.Name = d.Text()
+			case "Port":
+				c.Ports = append(c.Ports, decodePort(d))
+			default:
+				d.Skip()
+			}
+		}
+		defs.Components = append(defs.Components, c)
+	}
+	if err := d.End(); err != nil {
+		return nil, err
+	}
 	return &defs, nil
+}
+
+func decodePort(d *xmldoc.Decoder) Port {
+	var p Port
+	for d.Next() {
+		switch d.Name() {
+		case "PortName":
+			p.Name = d.Text()
+		case "PortType":
+			p.Type = Direction(d.Text())
+		case "MessageType":
+			p.MessageType = d.Text()
+		default:
+			d.Skip()
+		}
+	}
+	return p
 }
 
 // ParseFile reads and validates the CDL document at path.
@@ -146,19 +196,14 @@ func (c *Component) Port(name string) *Port {
 }
 
 // InPorts returns the component's In ports in declaration order.
-func (c *Component) InPorts() []Port { return c.portsByDir(In) }
-
-// OutPorts returns the component's Out ports in declaration order.
-func (c *Component) OutPorts() []Port { return c.portsByDir(Out) }
-
-func (c *Component) portsByDir(d Direction) []Port {
-	var out []Port
+func (c *Component) InPorts() []Port {
+	var in []Port
 	for _, p := range c.Ports {
-		if p.Type == d {
-			out = append(out, p)
+		if p.Type == In {
+			in = append(in, p)
 		}
 	}
-	return out
+	return in
 }
 
 // MessageTypes returns the distinct message type names referenced by the

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"repro/internal/xmldoc"
 )
 
 // paperCDL mirrors Listing 1.1 of the paper.
@@ -59,7 +61,7 @@ func TestParsePaperListing(t *testing.T) {
 	if got := len(server.InPorts()); got != 1 {
 		t.Errorf("in ports = %d, want 1", got)
 	}
-	if got := len(server.OutPorts()); got != 1 {
+	if got := len(outPorts(server)); got != 1 {
 		t.Errorf("out ports = %d, want 1", got)
 	}
 	types := defs.MessageTypes()
@@ -136,9 +138,47 @@ func TestValidationErrors(t *testing.T) {
 	}
 }
 
+// outPorts returns c's Out ports in declaration order.
+func outPorts(c *Component) []Port {
+	var out []Port
+	for _, p := range c.Ports {
+		if p.Type == Out {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 func TestParseMalformedXML(t *testing.T) {
-	if _, err := Parse(strings.NewReader("<not-closed")); err == nil {
-		t.Error("malformed XML accepted")
+	head := "<ComponentDefinitions>\n<Component>\n"
+	tail := "\n</Component>\n</ComponentDefinitions>\n"
+	tests := []struct {
+		name, xml string
+		line      int    // where the fault is
+		msg       string // part of the error
+	}{
+		{"unclosed element", head + "<ComponentName>A</ComponentName>", 3, "unexpected EOF"},
+		{"mismatched end tag", head + "<ComponentName>A</Component>" + tail, 3, "element <ComponentName> closed by </Component>"},
+		{"undefined entity", head + "<ComponentName>&nbsp;</ComponentName>" + tail, 3, "invalid character entity &nbsp;"},
+		{"control character", head + "<ComponentName>A\x01</ComponentName>" + tail, 3, "illegal character code U+0001"},
+		{"invalid UTF-8", head + "<ComponentName>A\xff</ComponentName>" + tail, 3, "invalid UTF-8"},
+		{"-- in a comment", head + "<!-- a -- b -->" + tail, 3, `"--" not allowed in comments`},
+		{"wrong root", "<!-- defs -->\n<Definitions></Definitions>", 2, "expected element type <ComponentDefinitions> but have <Definitions>"},
+		{"start tag not closed", "<not-closed", 1, "unexpected EOF"},
+		{"nested past the bound", "<ComponentDefinitions>" + strings.Repeat("\n<Component>", xmldoc.MaxDepth) +
+			strings.Repeat("</Component>", xmldoc.MaxDepth) + "</ComponentDefinitions>", xmldoc.MaxDepth + 1, "nest deeper than"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			_, err := Parse(strings.NewReader(tt.xml))
+			var syn *xmldoc.SyntaxError
+			if err == nil || !strings.HasPrefix(err.Error(), "cdl: parse: ") || !errors.As(err, &syn) {
+				t.Fatalf("err = %v, want a cdl: parse: syntax error", err)
+			}
+			if syn.Line != tt.line || !strings.Contains(syn.Msg, tt.msg) {
+				t.Errorf("err = %v, want %q on line %d", err, tt.msg, tt.line)
+			}
+		})
 	}
 }
 

@@ -73,6 +73,23 @@ func genTree(rng *rand.Rand, n int) (*ccl.Application, map[string]string) {
 	return app, parents
 }
 
+// findInstance returns the instance of app with the given name, or nil.
+func findInstance(app *ccl.Application, name string) *ccl.Instance {
+	var find func(insts []ccl.Instance) *ccl.Instance
+	find = func(insts []ccl.Instance) *ccl.Instance {
+		for i := range insts {
+			if insts[i].InstanceName == name {
+				return &insts[i]
+			}
+			if inst := find(insts[i].Children); inst != nil {
+				return inst
+			}
+		}
+		return nil
+	}
+	return find(app.Components)
+}
+
 // relationship classifies two instances the way the compiler must.
 func relationship(parents map[string]string, from, to string) (kind ConnKind, mediator string, legal bool) {
 	anc := func(a, b string) bool { // a is strict ancestor of b
@@ -132,7 +149,7 @@ func TestPropertyTopologyClassification(t *testing.T) {
 		if legal {
 			link.Type = declaredLinkType(wantKind)
 		}
-		inst := app.Instance(from)
+		inst := findInstance(app, from)
 		inst.Connection.Ports = []ccl.PortSpec{{Name: "out", Links: []ccl.Link{link}}}
 
 		plan, err := Compile(defs, app)
@@ -201,7 +218,7 @@ func TestPropertyDeclaredDirectionIrrelevant(t *testing.T) {
 		}
 		lt := declaredLinkType(kind)
 
-		appA.Instance(from).Connection.Ports = []ccl.PortSpec{{
+		findInstance(appA, from).Connection.Ports = []ccl.PortSpec{{
 			Name: "out", Links: []ccl.Link{{Type: lt, ToComponent: to, ToPort: "in"}},
 		}}
 		planA, err := Compile(defs, appA)
@@ -210,8 +227,8 @@ func TestPropertyDeclaredDirectionIrrelevant(t *testing.T) {
 		}
 
 		// Same tree, same connection, declared on the In side instead.
-		appA.Instance(from).Connection.Ports = nil
-		appA.Instance(to).Connection.Ports = []ccl.PortSpec{{
+		findInstance(appA, from).Connection.Ports = nil
+		findInstance(appA, to).Connection.Ports = []ccl.PortSpec{{
 			Name: "in", Links: []ccl.Link{{Type: lt, ToComponent: from, ToPort: "out"}},
 		}}
 		planB, err := Compile(defs, appA)
