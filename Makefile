@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench-smoke bench-build orb-loc no-poll no-sleep verify bench5 bench6 bench7 allocguard zerocopy-guard chaos fuzz-smoke
+.PHONY: all build vet fmt-check test race bench-smoke bench-build orb-loc no-poll no-sleep api-census verify bench5 bench6 bench7 allocguard zerocopy-guard chaos fuzz-smoke
 
 all: build
 
@@ -71,19 +71,21 @@ allocguard:
 zerocopy-guard:
 	$(GO) test -run 'TestInvokeViewZeroPayloadCopies|TestInvokeViewLoanScope' -count=1 ./internal/orb/
 
-# fuzz-smoke explores the GIOP request and reply decoders, the frame
+# fuzz-smoke explores the GIOP request, reply and locate decoders, the frame
 # reader and the CDL and CCL decoders for five seconds each (-fuzz takes one
 # target a run): never a panic, every body a GIOP decoder accepts
-# re-marshals to one that decodes to an equal message, the frame reader,
-# fed any bytes in any chunks, reads what ReadMessageLimited reads and gives
-# every slab back, and every document the CDL or CCL decoder accepts,
-# encoding/xml accepts too and reads to an equal value. Minimizing one of
-# the reader's stream inputs takes longer than the run, so new inputs are
-# minimized for at most 100 executions. The seed corpora alone run with the
-# tier-1 tests.
+# re-marshals to one that decodes to an equal message, a locate reply's
+# hostile forwarding count is refused before a list is built, the frame
+# reader, fed any bytes in any chunks, reads what ReadMessageLimited reads
+# and gives every slab back, and every document the CDL or CCL decoder
+# accepts, encoding/xml accepts too and reads to an equal value. Minimizing
+# one of the reader's stream inputs, or a locate reply with many addresses,
+# takes longer than the run, so their new inputs are minimized for at most
+# 100 executions. The seed corpora alone run with the tier-1 tests.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 5s ./internal/giop/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeReply -fuzztime 5s ./internal/giop/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeLocate -fuzztime 5s -fuzzminimizetime 100x ./internal/giop/
 	$(GO) test -run '^$$' -fuzz FuzzFrameReader -fuzztime 5s -fuzzminimizetime 100x ./internal/giop/
 	$(GO) test -run '^$$' -fuzz FuzzParseCDL -fuzztime 5s ./internal/cdl/
 	$(GO) test -run '^$$' -fuzz FuzzParseCCL -fuzztime 5s ./internal/ccl/
@@ -112,8 +114,8 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched internal/memory internal/giop; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		case $$d in internal/orb) max=3297;; internal/core) max=3094;; internal/sched) max=731;; \
-			internal/memory) max=1230;; internal/giop) max=1476;; *) max=;; esac; \
+		case $$d in internal/orb) max=3297;; internal/core) max=2965;; internal/sched) max=728;; \
+			internal/memory) max=1119;; internal/giop) max=1410;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \
@@ -139,9 +141,16 @@ no-poll:
 no-sleep:
 	@n=$$(grep -ro 'time\.Sleep(' --include='*_test.go' internal | wc -l); \
 	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
-	if [ $$n -gt 37 ]; then echo "over the ratchet of 37: wait on the condition instead"; exit 1; fi
+	if [ $$n -gt 36 ]; then echo "over the ratchet of 36: wait on the condition instead"; exit 1; fi
 
-verify: fmt-check vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep
+# api-census lists the exported identifiers under internal/ that no program
+# (internal/, cmd/, examples/, bench/) names, each survivor with its reason.
+# TestAPICensus fails on a new one, and on a survivor that has gained a
+# caller or gone, so its table only shrinks; it runs with the tier-1 tests.
+api-census:
+	$(GO) test -count=1 -run '^TestAPICensus$$' -v .
+
+verify: fmt-check vet build race bench-smoke bench-build zerocopy-guard allocguard orb-loc no-poll no-sleep api-census
 
 # chaos is the resilience gate: the fault-injection suite — seeded fault
 # network, circuit breaker, reconnect/retry, deadline teardown, overload
@@ -175,14 +184,15 @@ verify: fmt-check vet build race bench-smoke bench-build zerocopy-guard allocgua
 # still retiring, and connection churn that interns no new labels, and the
 # pinned scope entry a delivery makes on its reservation (refusals, no holder
 # moves, the stack restored), Exec refusing a disposed instance, what each
-# kind of In port counts, and the GIOP decoders' and frame reader's fuzz
-# seeds — under the race detector.
+# kind of In port counts, and the fuzz seeds of the GIOP decoders (request,
+# reply, locate), the frame reader and the CDL and CCL decoders — under the
+# race detector.
 # Every fault schedule and history in these tests is seeded, so failures
 # replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzDecode|FuzzFrameReader' \
-		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/ ./internal/giop/
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzDecode|FuzzFrameReader|FuzzParseCDL|FuzzParseCCL' \
+		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/ ./internal/giop/ ./internal/cdl/ ./internal/ccl/
 
 # bench5 regenerates BENCH_5.json, the cluster-failover snapshot: three
 # replicas under sustained load with one member killed and re-added

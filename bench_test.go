@@ -560,7 +560,7 @@ func BenchmarkAblationDispatch(b *testing.B) {
 // reclaiming a scoped region.
 func BenchmarkFrameworkScopeEnterExit(b *testing.B) {
 	model := memory.NewModel(memory.Config{})
-	ctx := model.NewContext()
+	ctx := model.NewNoHeapContext()
 	area := model.NewLTScoped("bench", 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -580,7 +580,7 @@ func BenchmarkFrameworkScopePoolAcquire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ctx := model.NewContext()
+	ctx := model.NewNoHeapContext()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		area, err := pool.Acquire()

@@ -143,7 +143,7 @@ func TestFullStackXMLToRunningApp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const burst = 50
+	const burst = 16 // two hops in flight each fit the default message pool
 	got := make(chan int64, burst)
 	reg := compiler.NewRegistry()
 	if err := reg.RegisterType(tickType); err != nil {
@@ -209,7 +209,7 @@ func TestFullStackXMLToRunningApp(t *testing.T) {
 		t.Fatalf("Mid.out plan = %+v", pp)
 	}
 
-	runApp, err := compiler.Assemble(plan, reg, compiler.WithMsgPoolCapacity(2*burst))
+	runApp, err := compiler.Assemble(plan, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

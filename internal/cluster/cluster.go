@@ -20,7 +20,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/giop"
@@ -90,18 +89,6 @@ func (d *Directory) Members(group string) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]string(nil), d.groups[group]...)
-}
-
-// Groups returns the group keys, sorted.
-func (d *Directory) Groups() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]string, 0, len(d.groups))
-	for g := range d.groups {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Forwarder returns the locate-forwarder function serving this directory:

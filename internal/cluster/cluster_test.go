@@ -90,8 +90,8 @@ func TestClusterDirectory(t *testing.T) {
 		t.Errorf("members after remove = %v, want [a c]", got)
 	}
 	d.Set("h", "x")
-	if got := d.Groups(); len(got) != 2 || got[0] != "g" || got[1] != "h" {
-		t.Errorf("groups = %v, want [g h]", got)
+	if got := d.Members("h"); len(d.groups) != 2 || len(got) != 1 || got[0] != "x" {
+		t.Errorf("%d groups, h = %v; want 2 groups, h = [x]", len(d.groups), got)
 	}
 
 	fwd := d.Forwarder()

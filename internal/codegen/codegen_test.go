@@ -121,12 +121,12 @@ func TestGenerateGlue(t *testing.T) {
 	src := string(glue.Source)
 	for _, want := range []string{
 		"package myapp",
-		"func NewApp(opts ...compiler.AssembleOption) (*core.App, error)",
+		"func NewApp() (*core.App, error)",
 		"reg.RegisterType(stringMsgType)",
 		"reg.RegisterType(customTypeType)",
 		`reg.RegisterClass("Server", NewServer().Binding())`,
 		`reg.RegisterClass("Calculator", NewCalculator().Binding())`,
-		"compiler.Assemble(plan, reg, opts...)",
+		"compiler.Assemble(plan, reg)",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("glue missing %q", want)
@@ -220,8 +220,8 @@ func TestGenerateGlueDistributed(t *testing.T) {
 	src := string(glue.Source)
 	for _, want := range []string{
 		`"repro/internal/deploy"`,
-		"func NewDeployment(cfg deploy.Config, opts ...compiler.AssembleOption) (*deploy.Deployment, error)",
-		"deploy.Run(plan, reg, cfg, opts...)",
+		"func NewDeployment(cfg deploy.Config) (*deploy.Deployment, error)",
+		"deploy.Run(plan, reg, cfg)",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("distributed glue missing %q", want)

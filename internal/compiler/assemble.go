@@ -91,12 +91,7 @@ func (r *Registry) check(plan *Plan, name string) error {
 // programmer-supplied implementations — the runtime equivalent of the RTSJ
 // glue code the paper's compiler generates. The returned app has not been
 // started; call App.Start.
-func Assemble(plan *Plan, reg *Registry, opts ...AssembleOption) (*core.App, error) {
-	var cfg assembleConfig
-	for _, o := range opts {
-		o.apply(&cfg)
-	}
-
+func Assemble(plan *Plan, reg *Registry) (*core.App, error) {
 	// Up-front checks so failures surface before any instantiation.
 	for _, name := range plan.Order {
 		if plan.Instances[name].Parent != "" {
@@ -108,10 +103,8 @@ func Assemble(plan *Plan, reg *Registry, opts ...AssembleOption) (*core.App, err
 	}
 
 	appCfg := core.AppConfig{
-		Name:            plan.AppName,
-		ImmortalSize:    plan.RTSJ.ImmortalSize,
-		MsgPoolCapacity: cfg.msgPoolCapacity,
-		OnError:         cfg.onError,
+		Name:         plan.AppName,
+		ImmortalSize: plan.RTSJ.ImmortalSize,
 	}
 	for _, sp := range plan.RTSJ.ScopedPools {
 		appCfg.ScopePools = append(appCfg.ScopePools, core.ScopePoolSpec{
@@ -146,28 +139,6 @@ func Assemble(plan *Plan, reg *Registry, opts ...AssembleOption) (*core.App, err
 	}
 	return app, nil
 }
-
-// AssembleOption customises Assemble.
-type AssembleOption interface{ apply(*assembleConfig) }
-
-type assembleConfig struct {
-	msgPoolCapacity int
-	onError         func(error)
-}
-
-type msgPoolCapacityOption int
-
-func (o msgPoolCapacityOption) apply(c *assembleConfig) { c.msgPoolCapacity = int(o) }
-
-// WithMsgPoolCapacity overrides the per-type message pool capacity.
-func WithMsgPoolCapacity(n int) AssembleOption { return msgPoolCapacityOption(n) }
-
-type onErrorOption func(error)
-
-func (o onErrorOption) apply(c *assembleConfig) { c.onError = o }
-
-// WithOnError installs an asynchronous handler-error callback.
-func WithOnError(fn func(error)) AssembleOption { return onErrorOption(fn) }
 
 type assembler struct {
 	plan *Plan

@@ -196,15 +196,15 @@ func TestAssembleClientServerEndToEnd(t *testing.T) {
 	}
 
 	done := make(chan int64, 1)
-	app, err := Assemble(plan, figSixRegistry(t, done), WithMsgPoolCapacity(16))
+	app, err := Assemble(plan, figSixRegistry(t, done))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer app.Stop()
 
 	// The immortal size from the CCL is honoured.
-	if got := app.Model().Immortal().Capacity(); got != 400000 {
-		t.Errorf("immortal capacity = %d, want 400000", got)
+	if got := app.Model().Immortal().String(); !strings.Contains(got, "/400000 bytes") {
+		t.Errorf("immortal area %s, want a budget of 400000 bytes", got)
 	}
 	if app.ScopePool(1) == nil {
 		t.Error("scope pool for level 1 not created")

@@ -522,19 +522,6 @@ func setMediator(pp *PortPlan, mediator string) error {
 	return nil
 }
 
-// Connection lookups for tests and tools.
-
-// ConnectionsFrom returns the connections whose Out side is inst.
-func (p *Plan) ConnectionsFrom(inst string) []Connection {
-	var out []Connection
-	for _, c := range p.Connections {
-		if c.FromInstance == inst {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Port returns the plan for inst.port, or nil.
 func (p *Plan) Port(inst, port string) *PortPlan {
 	ip := p.Instances[inst]

@@ -96,7 +96,12 @@ func TestCompileParentChild(t *testing.T) {
 		}
 	}
 	// Orientation: link declared on the In side still yields Out->In.
-	from := plan.ConnectionsFrom("Kid")
+	var from []Connection
+	for _, c := range plan.Connections {
+		if c.FromInstance == "Kid" {
+			from = append(from, c)
+		}
+	}
 	if len(from) != 1 || from[0].ToInstance != "Top" || from[0].ToPort != "fromChild" {
 		t.Errorf("Kid connections = %+v", from)
 	}

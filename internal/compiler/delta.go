@@ -68,9 +68,6 @@ type Delta struct {
 	Steps []DeltaStep
 }
 
-// Empty reports a no-op delta (the plans are live-equivalent).
-func (d *Delta) Empty() bool { return len(d.Steps) == 0 }
-
 // Diff computes the ordered swap script from old to new, rejecting any
 // change a live assembly cannot absorb:
 //

@@ -95,7 +95,7 @@ func TestDiffEmptyForIdenticalPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Empty() {
+	if len(d.Steps) != 0 {
 		t.Fatalf("identical plans produced steps: %+v", d.Steps)
 	}
 }

@@ -72,8 +72,8 @@ type App struct {
 	errCount int64
 	lastErr  error
 
-	// phase is the mission-style lifecycle state (see Phase); Start, Drain,
-	// Terminate, and Stop drive it, under mu, and anyone may read it.
+	// phase is the mission-style lifecycle state (see Phase); Start, Drain
+	// and Stop drive it, under mu, and anyone may read it.
 	phase atomic.Int32
 
 	// calls recycles callStates — a no-heap memory context and the state of
@@ -232,13 +232,6 @@ func (a *App) Stop() {
 	for _, c := range top {
 		c.shutdown()
 	}
-}
-
-// Stopped reports whether Stop has been called.
-func (a *App) Stopped() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.stopped
 }
 
 // Errors reports the number of asynchronous handler errors observed and the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,23 +9,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// missCollector installs a process-wide miss handler for the test's duration
-// and returns an accessor for the misses seen.
-func missCollector(t *testing.T) func() []telemetry.Miss {
-	t.Helper()
-	var mu sync.Mutex
-	var got []telemetry.Miss
-	telemetry.SetDeadlineMissHandler(func(m telemetry.Miss) {
-		mu.Lock()
-		got = append(got, m)
-		mu.Unlock()
-	})
-	t.Cleanup(func() { telemetry.SetDeadlineMissHandler(nil) })
-	return func() []telemetry.Miss {
-		mu.Lock()
-		defer mu.Unlock()
-		out := make([]telemetry.Miss, len(got))
-		copy(out, got)
+// missEvents returns a reader of the EvDeadlineMiss events the flight
+// recorder holds for label, counting only those recorded after the call.
+func missEvents(label string) func() []telemetry.Event {
+	ring := telemetry.Default.Ring()
+	from := ring.Len()
+	return func() []telemetry.Event {
+		var out []telemetry.Event
+		for _, ev := range ring.Snapshot() {
+			if ev.Seq > from && ev.Kind == telemetry.EvDeadlineMiss && ev.Label == label {
+				out = append(out, ev)
+			}
+		}
 		return out
 	}
 }
@@ -37,7 +31,7 @@ func missCollector(t *testing.T) func() []telemetry.Miss {
 func TestDeadlineMissSynchronousDispatch(t *testing.T) {
 	telemetry.Verbose(true)
 	defer telemetry.Verbose(false)
-	misses := missCollector(t)
+	misses := missEvents("SyncDL.in")
 	app := newTestApp(t, AppConfig{})
 	done := make(chan struct{}, 1)
 
@@ -67,9 +61,6 @@ func TestDeadlineMissSynchronousDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	out.SetSendDeadline(time.Nanosecond)
-	if got := out.SendDeadline(); got != time.Nanosecond {
-		t.Fatalf("SendDeadline = %v", got)
-	}
 
 	before := telemetry.DeadlineMisses()
 	m, err := out.GetMessage()
@@ -85,27 +76,26 @@ func TestDeadlineMissSynchronousDispatch(t *testing.T) {
 		t.Errorf("global misses = %d, want %d", telemetry.DeadlineMisses(), before+1)
 	}
 	ms := misses()
-	if len(ms) != 1 || ms[0].Label != "SyncDL.in" || ms[0].Priority != int(sched.NormPriority) {
-		t.Fatalf("misses = %+v", ms)
+	if len(ms) != 1 {
+		t.Fatalf("miss events = %+v", ms)
 	}
-	if ms[0].Lateness() <= 0 {
-		t.Errorf("lateness = %d, want > 0", ms[0].Lateness())
+	if ms[0].Arg == 0 {
+		t.Errorf("lateness = %d, want > 0", ms[0].Arg)
 	}
 
-	// The flight recorder must hold the miss (and the send/dispatch pair).
-	var sawMiss, sawSend, sawDispatch bool
+	// The flight recorder holds the send/dispatch pair too, the dispatch at
+	// the message's priority.
+	var sawSend, sawDispatch bool
 	for _, ev := range telemetry.Default.Ring().Snapshot() {
 		switch {
-		case ev.Kind == telemetry.EvDeadlineMiss && ev.Label == "SyncDL.in":
-			sawMiss = true
 		case ev.Kind == telemetry.EvSend && ev.Label == "SyncDL.out":
 			sawSend = true
-		case ev.Kind == telemetry.EvDispatch && ev.Label == "SyncDL.in":
+		case ev.Kind == telemetry.EvDispatch && ev.Label == "SyncDL.in" && ev.Arg == uint64(sched.NormPriority):
 			sawDispatch = true
 		}
 	}
-	if !sawMiss || !sawSend || !sawDispatch {
-		t.Errorf("ring events: miss=%v send=%v dispatch=%v, want all", sawMiss, sawSend, sawDispatch)
+	if !sawSend || !sawDispatch {
+		t.Errorf("ring events: send=%v dispatch=%v, want both", sawSend, sawDispatch)
 	}
 
 	// An on-time send must not add a miss.
@@ -127,7 +117,7 @@ func TestDeadlineMissSynchronousDispatch(t *testing.T) {
 // worker is pinned by the first message, so the second waits in the buffer
 // past its deadline and the miss is detected when its dispatch finally runs.
 func TestDeadlineMissAsyncDispatch(t *testing.T) {
-	misses := missCollector(t)
+	misses := missEvents("AsyncDL.in")
 	app := newTestApp(t, AppConfig{})
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -191,22 +181,22 @@ func TestDeadlineMissAsyncDispatch(t *testing.T) {
 	<-done
 
 	ms := misses()
-	if len(ms) != 1 || ms[0].Label != "AsyncDL.in" {
-		t.Fatalf("misses = %+v", ms)
+	if len(ms) != 1 {
+		t.Fatalf("miss events = %+v", ms)
 	}
-	if late := ms[0].Lateness(); late < int64(10*time.Millisecond) {
-		t.Errorf("lateness = %v, want >= 10ms", time.Duration(late))
+	if late := time.Duration(ms[0].Arg); late < 10*time.Millisecond {
+		t.Errorf("lateness = %v, want >= 10ms", late)
 	}
 }
 
 // TestDeadlineShedAtDequeue pins the accounting fix for work shed at
 // dequeue: a ShedExpired port drops a message whose deadline already passed
 // WITHOUT running the handler, counts it as deadline_shed_total (not
-// deadline_miss_total), fires the message's OnShed hook, never invokes the
-// miss handler — a shed is not a late execution — and leaves the owner's
+// deadline_miss_total), fires the message's OnShed hook, records no
+// EvDeadlineMiss — a shed is not a late execution — and leaves the owner's
 // pending count and the message pool at rest.
 func TestDeadlineShedAtDequeue(t *testing.T) {
-	misses := missCollector(t)
+	misses := missEvents("ShedDL.in")
 	app := newTestApp(t, AppConfig{})
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -245,10 +235,7 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in, err := comp.SMM().GetInPort("ShedDL.in")
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := comp.SMM().inPort("ShedDL.in")
 
 	// First message pins the worker (no deadline).
 	m1, err := out.GetMessage()
@@ -297,7 +284,7 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 		t.Errorf("deadline_miss_total moved to %d (was %d): a shed is not a miss", got, missesBefore)
 	}
 	if got := len(misses()); got != 0 {
-		t.Errorf("miss handler invoked %d times for shed work, want 0", got)
+		t.Errorf("%d EvDeadlineMiss events for shed work, want 0", got)
 	}
 	if got := onShed.Load(); got != 1 {
 		t.Errorf("OnShed fired %d times, want 1", got)
@@ -320,8 +307,8 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 	if !comp.changed.Wait(func() bool { return comp.life.Load()&pendingMask == 0 }, time.Now().Add(5*time.Second)) {
 		t.Fatalf("owner still holds %d pending deliveries after the shed", comp.life.Load()&pendingMask)
 	}
-	if _, inFlight, gets, returns := comp.SMM().MsgPoolStats(classedType.Name); inFlight != 0 || gets != returns {
-		t.Errorf("message pool: %d in flight, %d gets vs %d returns after the shed, want none in flight", inFlight, gets, returns)
+	if _, inFlight := msgPoolStats(comp.SMM(), classedType.Name); inFlight != 0 {
+		t.Errorf("message pool: %d in flight after the shed, want none", inFlight)
 	}
 	app.Stop()
 }
@@ -329,7 +316,7 @@ func TestDeadlineShedAtDequeue(t *testing.T) {
 // TestDeadlineMissStillExecutesWithoutShedExpired pins the default: without
 // ShedExpired, a late message is counted as a miss and still processed.
 func TestDeadlineMissStillExecutesWithoutShedExpired(t *testing.T) {
-	misses := missCollector(t)
+	misses := missEvents("LateDL.in")
 	app := newTestApp(t, AppConfig{})
 	handled := make(chan struct{}, 1)
 
@@ -370,7 +357,7 @@ func TestDeadlineMissStillExecutesWithoutShedExpired(t *testing.T) {
 	}
 	<-handled // late, but executed
 	if got := len(misses()); got != 1 {
-		t.Errorf("miss handler invoked %d times, want 1", got)
+		t.Errorf("%d EvDeadlineMiss events, want 1", got)
 	}
 	if got := telemetry.DeadlineSheds(); got != shedsBefore {
 		t.Errorf("deadline_shed_total moved without ShedExpired")

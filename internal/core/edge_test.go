@@ -55,15 +55,14 @@ func TestAmbiguousShortNameLookups(t *testing.T) {
 	app := newTestApp(t, AppConfig{})
 	parent, err := app.NewImmortalComponent("P", func(c *Component) error {
 		smm := c.SMM()
-		h := HandlerFunc(func(*Proc, Message) error { return nil })
-		if _, err := AddInPort(c, smm, InPortConfig{Name: "data", Type: intType, Handler: h}); err != nil {
+		if _, err := AddOutPort(c, smm, OutPortConfig{Name: "data", Type: intType}); err != nil {
 			return err
 		}
 		return c.DefineChild(ChildDef{
 			Name: "Kid", MemorySize: 1 << 13, Persistent: true,
 			Setup: func(k *Component) error {
 				// Same short name "data" as the parent's port, same SMM.
-				_, err := AddInPort(k, smm, InPortConfig{Name: "data", Type: intType, Handler: h})
+				_, err := AddOutPort(k, smm, OutPortConfig{Name: "data", Type: intType})
 				return err
 			},
 		})
@@ -77,13 +76,13 @@ func TestAmbiguousShortNameLookups(t *testing.T) {
 	}
 	defer h.Disconnect()
 
-	if _, err := parent.SMM().GetInPort("data"); !errors.Is(err, ErrUnknownPort) {
+	if _, err := parent.SMM().GetOutPort("data"); !errors.Is(err, ErrUnknownPort) {
 		t.Errorf("ambiguous short lookup err = %v", err)
 	}
-	if _, err := parent.SMM().GetInPort("P.data"); err != nil {
+	if _, err := parent.SMM().GetOutPort("P.data"); err != nil {
 		t.Errorf("qualified lookup: %v", err)
 	}
-	if _, err := parent.SMM().GetInPort("Kid.data"); err != nil {
+	if _, err := parent.SMM().GetOutPort("Kid.data"); err != nil {
 		t.Errorf("qualified child lookup: %v", err)
 	}
 }
@@ -180,7 +179,7 @@ func TestHandoffFanOut(t *testing.T) {
 		t.Errorf("got = %v, want [7 700]", got)
 	}
 	// The message went back to the pool.
-	if _, inFlight, _, _ := smm.MsgPoolStats("Int"); inFlight != 0 {
+	if _, inFlight := msgPoolStats(smm, "Int"); inFlight != 0 {
 		t.Errorf("in flight = %d", inFlight)
 	}
 }
@@ -223,7 +222,7 @@ func TestSerializationFanOut(t *testing.T) {
 	// independent, so the pool balances immediately.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		_, inFlight, _, _ := smm.MsgPoolStats("Int")
+		_, inFlight := msgPoolStats(smm, "Int")
 		if inFlight == 0 {
 			break
 		}
@@ -380,8 +379,7 @@ func TestBufferedDeliveryRunsAtMessagePriority(t *testing.T) {
 		t.Fatalf("parking message handled at %d, want 10", p)
 	}
 	send(2, 25)
-	in, _ := comp.SMM().GetInPort("C.in")
-	comp.SMM().dispatch(in, 5)
+	comp.SMM().dispatch(comp.SMM().inPort("C.in"), 5)
 	if p := <-got; p != 25 {
 		t.Errorf("priority-25 message handled at %d by a priority-5 task's dispatch", p)
 	}

@@ -44,7 +44,7 @@ var (
 	// stack).
 	ErrNeedsCallerContext = errors.New("core: handoff mechanism requires the sender's context")
 
-	// ErrDrainTimeout reports a Drain, Terminate, or Swap whose bounded
+	// ErrDrainTimeout reports a Drain or Swap whose bounded
 	// wait for quiescence expired with work still in flight.
 	ErrDrainTimeout = errors.New("core: drain timed out")
 )

@@ -2,7 +2,7 @@ package core
 
 // Live reconfiguration: the mission-style lifecycle of SCJ Level 2 promoted
 // into a first-class operation on a running assembly. An App moves through
-// Start → (Drain | Swap | Rewire)* → Terminate; a Swap replaces a live child
+// Start → (Drain | Swap | Rewire)* → Stop; a Swap replaces a live child
 // component's blueprint and drains the outgoing instance under a bounded
 // pause, a Rewire atomically re-points an Out port's destination list, and
 // both republish the SMM's route caches with one generation flip — no
@@ -25,7 +25,6 @@ package core
 //     version through the ordinary resolveIn slow path.
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -128,18 +127,6 @@ func (a *App) Drain(timeout time.Duration) error {
 	drainTotal.Inc()
 	telemetry.Record(telemetry.EvDrain, telemetry.Label(a.name), 0, 0, uint64(telemetry.Now()-start))
 	return nil
-}
-
-// Terminate drains the assembly and then stops it — SCJ's controlled
-// mission termination. The App stops even when the drain times out; the
-// timeout is reported so the caller knows work was cut off.
-func (a *App) Terminate(timeout time.Duration) error {
-	err := a.Drain(timeout)
-	if errors.Is(err, ErrStopped) {
-		err = nil // already stopped: Terminate is idempotent
-	}
-	a.Stop()
-	return err
 }
 
 // childShells snapshots the SMM's child shells, live or parked.

@@ -5,13 +5,15 @@ package core
 //
 // The implementation is driven with seeded random concurrent histories of
 // {send, Connect/Disconnect, Swap, Stop}; every point where user code can
-// see the lifecycle — Setup, the start function, a handler's entry and exit,
-// the area's finalizer — appends an event to one totally ordered log. Those
-// points nest strictly inside the real transitions (a handler runs between
-// its message's reserve and release, the start function after the claim and
-// before any handler, the finalizer between the last release and the park),
+// see the lifecycle — Setup, the start function, a handler's entry and exit —
+// appends an event to one totally ordered log, with the generation of the
+// area it ran in, read off the area's String form. Those points nest strictly
+// inside the real transitions (a handler runs between its message's reserve
+// and release, the start function after the claim and before any handler),
 // so replaying the log through the sequential model below accepts it only
-// if the concurrent execution kept the lifecycle's rules.
+// if the concurrent execution kept the lifecycle's rules. A reclaim has no
+// event of its own: the model infers it when a shell, or its area, shows up
+// one generation on, and requires no handler to be inside at that point.
 //
 // A handler stands in its owner's area on the delivery's reservation alone
 // (memory.Context.EnterBelow moves no holder count), so the handler logs the
@@ -20,8 +22,8 @@ package core
 // Mutation check: a delivery that gives its reservation back before deliver
 // returns fails this model.
 //
-// A parked Reusable shell keeps its area, reclaimed in place under its wedge
-// (the finalizer logs that reclaim), so each revival must come back in the
+// A parked Reusable shell keeps its area, reclaimed in place under its wedge,
+// so each revival must come back in the
 // same area one generation on, and no shell may open in an area another
 // shell still holds: open, or parked and not yet swapped out. At rest every
 // parked shell holds its area with its wedge alone, and the pool's free
@@ -32,13 +34,12 @@ package core
 //
 // A handler also logs the call state it runs on — one of its owner's two
 // call frames, or one from App.calls — and the frame bits of the owner's
-// life word, at entry and at exit; the area's finalizer logs the frame bits
-// too. No call state may carry two handlers at once, a handler's frame must
-// be held in the word for its whole span, and no frame may be held across a
-// park (the word the last release installed) or a swap (the outgoing
-// version's handlers have all returned). Mutation check: a release that
-// does not clear the frame bit its reserve claimed, or that clears one it
-// did not claim, fails this model.
+// life word, at entry and at exit. No call state may carry two handlers at
+// once, a handler's frame must be held in the word for its whole span, no
+// frame may be held past a swap (the outgoing version's handlers have all
+// returned), and at rest no word holds a frame bit. Mutation check: a
+// release that does not clear the frame bit its reserve claimed fails this
+// model at rest; one that clears a bit it did not claim hangs the histories.
 
 import (
 	"errors"
@@ -62,7 +63,6 @@ const (
 	evOpen                    // the start function ran: the shell is live
 	evBegin                   // a handler entered
 	evEnd                     // the handler returned
-	evReclaim                 // the area's finalizer ran: one area reclaimed
 	evSent                    // a send returned nil
 	evSwapBegin               // Swap away from `version` was called
 	evSwapEnd                 // ... and returned
@@ -86,7 +86,7 @@ type event struct {
 	pinned  bool   // evBegin/evEnd: a wedge held the handler's area
 	proc    *Proc  // evBegin/evEnd: the handler's call state
 	frame   int    // evBegin/evEnd: frameOf(proc)
-	held    uint64 // evBegin/evEnd/evReclaim: the frame bits of the shell's life word
+	held    uint64 // evBegin/evEnd: the frame bits of the shell's life word
 }
 
 // span is one handler running on a call state.
@@ -146,6 +146,21 @@ func frameHeld(s *modelShell, e event) error {
 	return nil
 }
 
+// reclaimed infers the reclaim a live shell went through when it shows up in
+// a later incarnation than its open one: it parked in between, so no handler
+// was inside it.
+func (m *lifecycleModel) reclaimed(s *modelShell, inc incarnation) error {
+	if !s.open || inc == s.inc {
+		return nil
+	}
+	if s.handlers > 0 && !m.stopping {
+		return fmt.Errorf("%s reclaimed with %d handlers inside", key(s.child, s.version), s.handlers)
+	}
+	s.open = false
+	s.reclaims++
+	return nil
+}
+
 // openShell is the parked→live transition. A revival comes back in the area
 // the shell parked with, one reclaim on; a shell's first open takes an area
 // no other shell holds.
@@ -161,6 +176,12 @@ func (m *lifecycleModel) openShell(s *modelShell, inc incarnation) error {
 			key(s.child, s.version), inc.area.Name(), inc.gen, s.inc.area.Name(), s.inc.gen)
 	}
 	for _, o := range m.shells {
+		// A later incarnation of an area ends every earlier one.
+		if o.inc.area == inc.area && inc.gen > o.inc.gen {
+			if err := m.reclaimed(o, inc); err != nil {
+				return err
+			}
+		}
 		// A shell holds its area while open, and while parked unless a swap
 		// or Stop may have disposed of it.
 		holds := o.open || o.opens > 0 && !m.swapBegun[key(o.child, o.version)] && !m.stopping
@@ -201,11 +222,17 @@ func (m *lifecycleModel) apply(e event) error {
 		}
 		m.shells[e.shell] = &modelShell{child: e.child, version: e.version}
 	case evOpen:
+		if err := m.reclaimed(s, e.inc); err != nil {
+			return err
+		}
 		return m.openShell(s, e.inc)
 	case evBegin:
 		if !e.pinned {
 			return fmt.Errorf("handler of %s entered %s@%d with no wedge holding it",
 				key(s.child, s.version), e.inc.area.Name(), e.inc.gen)
+		}
+		if err := m.reclaimed(s, e.inc); err != nil {
+			return err
 		}
 		if !s.open {
 			// A child without a start function shows its revival only
@@ -254,18 +281,6 @@ func (m *lifecycleModel) apply(e event) error {
 		if s.handlers--; s.handlers < 0 {
 			return fmt.Errorf("%s: pending went negative", key(s.child, s.version))
 		}
-	case evReclaim:
-		if !s.open || s.inc != e.inc {
-			return fmt.Errorf("%s reclaimed %s@%d twice, or while parked", key(s.child, s.version), e.inc.area.Name(), e.inc.gen)
-		}
-		if s.handlers > 0 && !m.stopping {
-			return fmt.Errorf("%s reclaimed with %d handlers inside", key(s.child, s.version), s.handlers)
-		}
-		if e.held != 0 {
-			return fmt.Errorf("%s parked with frame bits %#x held", key(s.child, s.version), e.held)
-		}
-		s.open = false
-		s.reclaims++
 	case evSent:
 		m.sent[e.val] = true
 	case evSwapBegin:
@@ -293,10 +308,9 @@ type modelRig struct {
 	parent *Component
 	log    *eventLog
 
-	swapMu    sync.Mutex
-	version   map[string]int
-	nextVal   atomic.Int64
-	finalized sync.Map // incarnation → struct{}: Bare hooks its finalizer from the handler
+	swapMu  sync.Mutex
+	version map[string]int
+	nextVal atomic.Int64
 }
 
 func (r *modelRig) def(child string, version int) ChildDef {
@@ -308,16 +322,9 @@ func (r *modelRig) def(child string, version int) ChildDef {
 		Name: child, UsePool: true, Reusable: true,
 		Setup: func(c *Component) error {
 			r.log.add(event{kind: evSetup, child: child, shell: c, version: version})
-			hook := func(c *Component) incarnation {
-				inc := incarnation{c.Area(), c.Area().Generation()}
-				c.Area().AddFinalizer(func() {
-					r.log.add(event{kind: evReclaim, child: child, shell: c, inc: inc, held: c.life.Load() & frameMask})
-				})
-				return inc
-			}
 			if start {
 				c.SetStart(func(p *Proc) error {
-					r.log.add(event{kind: evOpen, child: child, shell: c, inc: hook(c)})
+					r.log.add(event{kind: evOpen, child: child, shell: c, inc: incarnationOf(c.Area())})
 					return nil
 				})
 			}
@@ -329,18 +336,13 @@ func (r *modelRig) def(child string, version int) ChildDef {
 					// a swap can be the outgoing one under the incoming handler.
 					owner := p.Component()
 					area := owner.Area()
-					inc := incarnation{area, area.Generation()}
-					if !start {
-						if _, hooked := r.finalized.LoadOrStore(inc, struct{}{}); !hooked {
-							hook(owner)
-						}
-					}
+					inc := incarnationOf(area)
 					v, f := m.(*intMsg).value, frameOf(p)
 					r.log.add(event{kind: evBegin, child: child, shell: owner, inc: inc, val: v, pinned: area.Pinned(),
 						proc: p, frame: f, held: owner.life.Load() & frameMask})
 					runtime.Gosched() // widen the window a quiesce could wrongly slip into
 					r.log.add(event{kind: evEnd, child: child, shell: owner,
-						inc: incarnation{area, area.Generation()}, val: v, pinned: area.Pinned(),
+						inc: incarnationOf(area), val: v, pinned: area.Pinned(),
 						proc: p, frame: f, held: owner.life.Load() & frameMask})
 					return nil
 				}),
@@ -460,6 +462,19 @@ func (r *modelRig) replay(t *testing.T) *lifecycleModel {
 	return m
 }
 
+// lastReclaims infers the reclaim that ended each shell's last incarnation
+// once the history is over: its area has moved past it.
+func (m *lifecycleModel) lastReclaims(t *testing.T) {
+	t.Helper()
+	for _, s := range m.shells {
+		if s.open {
+			if err := m.reclaimed(s, incarnationOf(s.inc.area)); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+}
+
 // atRest checks what must hold once every operation has returned and every
 // message has been handled: all shells closed, counts zero, every parked
 // shell holding its area with its wedge alone, and the pool's areas all
@@ -471,13 +486,14 @@ func (r *modelRig) atRest(t *testing.T, m *lifecycleModel) {
 			t.Errorf("message %d was sent and handled %d times", v, m.handled[v])
 		}
 	}
+	m.lastReclaims(t)
 	held := 0
 	for c, s := range m.shells {
 		if s.open || s.opens != s.reclaims {
 			t.Errorf("%s: %d opens, %d reclaims, open=%v at rest", key(s.child, s.version), s.opens, s.reclaims, s.open)
 		}
 		w := c.life.Load()
-		if w&countMask != 0 || w&lifeDisposed == 0 {
+		if w&(countMask|frameMask) != 0 || w&lifeDisposed == 0 {
 			t.Errorf("%s: life word %#x at rest, want disposed with zero counts", key(s.child, s.version), w)
 		}
 		current := s.version == r.version[s.child]
@@ -487,7 +503,7 @@ func (r *modelRig) atRest(t *testing.T, m *lifecycleModel) {
 		}
 		if parked {
 			held++
-			if entrants, wedges := holders(c.Area()); c.wedge.Area() != c.Area() || entrants != 0 || wedges != 1 {
+			if st := stateOf(c.Area()); c.wedge.Area() != c.Area() || st.entrants != 0 || st.wedges != 1 || st.gen != s.inc.gen+1 {
 				t.Errorf("%s parked in %v, its wedge holding %v: want its own wedge alone", key(s.child, s.version), c.Area(), c.wedge.Area())
 			}
 		}
@@ -505,14 +521,29 @@ func (r *modelRig) atRest(t *testing.T, m *lifecycleModel) {
 	}
 }
 
-// holders reads an area's entrant and wedge counts off its String form.
-func holders(a *memory.Area) (entrants, wedges int) {
-	s := a.String()
-	if _, err := fmt.Sscanf(s[strings.LastIndex(s, "entrants"):], "entrants %d, wedges %d)", &entrants, &wedges); err != nil {
-		panic(err)
-	}
-	return entrants, wedges
+// areaState is what an area's String form shows.
+type areaState struct {
+	used, capacity int64
+	level          int
+	entrants       int
+	wedges         int
+	gen            uint64
 }
+
+// stateOf reads an area's bytes, holders and reuse generation off its
+// String form.
+func stateOf(a *memory.Area) (st areaState) {
+	s := a.String()
+	var kind string
+	if _, err := fmt.Sscanf(s[strings.LastIndex(s, "(")+1:], "%s %d/%d bytes, level %d, entrants %d, wedges %d, generation %d)",
+		&kind, &st.used, &st.capacity, &st.level, &st.entrants, &st.wedges, &st.gen); err != nil {
+		panic(fmt.Sprintf("%q: %v", s, err))
+	}
+	return st
+}
+
+// incarnationOf names the area's current incarnation.
+func incarnationOf(a *memory.Area) incarnation { return incarnation{a, stateOf(a).gen} }
 
 // settle waits for the assembly to come to rest: Drain for every delivery
 // the senders queued, then the parent's child count for the last close to
@@ -610,6 +641,7 @@ func TestLifecycleModelRandomHistories(t *testing.T) {
 				r.storm(t, seed+100, 4, 1<<20, false, true)
 				<-stopped
 				m = r.replay(t)
+				m.lastReclaims(t)
 				for c, s := range m.shells {
 					if !c.Disposed() || s.open {
 						t.Errorf("%s survived Stop (open=%v, life %#x)", key(s.child, s.version), s.open, c.life.Load())
@@ -690,7 +722,7 @@ func TestReviveQuiesceLockBudget(t *testing.T) {
 	pool := app.ScopePool(1)
 	_, reusedBefore, _ := pool.Stats()
 	area := shell.Area()
-	gen := area.Generation()
+	gen := stateOf(area).gen
 	app.mu.Lock()
 	smm.mu.Lock()
 	smm.instMu.Lock()
@@ -720,7 +752,7 @@ func TestReviveQuiesceLockBudget(t *testing.T) {
 	if shell.Area() != area {
 		t.Errorf("the shell moved from %v to %v", area, shell.Area())
 	}
-	if g := area.Generation() - gen; g != cycles {
+	if g := stateOf(area).gen - gen; g != cycles {
 		t.Errorf("area reclaimed %d times over %d cycles, want one reclaim per quiesce", g, cycles)
 	}
 	// (The whole send is pinned at 0 allocs/op by the repo-level

@@ -219,7 +219,7 @@ func TestSetupFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := app.Model().Immortal().Used()
+	before := stateOf(app.Model().Immortal()).used
 	if _, err := parent.SMM().Connect("Broken"); !errors.Is(err, boom) {
 		t.Errorf("connect err = %v", err)
 	}
@@ -227,7 +227,7 @@ func TestSetupFailureRollsBack(t *testing.T) {
 		t.Error("broken child registered")
 	}
 	// No immortal leak beyond the failed attempt's header-free rollback.
-	after := app.Model().Immortal().Used()
+	after := stateOf(app.Model().Immortal()).used
 	if after != before {
 		t.Logf("immortal delta after failed setup: %d bytes (allowed: setup-time charges persist)", after-before)
 	}

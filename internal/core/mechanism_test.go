@@ -112,7 +112,7 @@ func TestMechanismSerialization(t *testing.T) {
 	// in-flight drains to zero.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		_, inFlight, _, _ := p.SMM().MsgPoolStats("Int")
+		_, inFlight := msgPoolStats(p.SMM(), "Int")
 		if inFlight == 0 {
 			break
 		}
@@ -331,10 +331,10 @@ func TestShadowPortSkipsIntermediateAllocation(t *testing.T) {
 	}
 	defer hc.Disconnect()
 
-	if capacity, _, _, _ := a.SMM().MsgPoolStats("String"); capacity == 0 {
+	if capacity, _ := msgPoolStats(a.SMM(), "String"); capacity == 0 {
 		t.Error("grandparent SMM has no pool for the shadow type")
 	}
-	if capacity, _, _, _ := bSMM.MsgPoolStats("String"); capacity != 0 {
+	if capacity, _ := msgPoolStats(bSMM, "String"); capacity != 0 {
 		t.Error("intermediate SMM allocated a pool for shadow traffic")
 	}
 }
@@ -416,21 +416,12 @@ func TestPortValidation(t *testing.T) {
 	if _, err := AddInPort(c, smm, InPortConfig{Name: "real", Type: intType, Handler: h}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := smm.GetInPort("C.real"); err != nil {
-		t.Errorf("qualified lookup: %v", err)
-	}
-	if _, err := smm.GetInPort("real"); err != nil {
-		t.Errorf("short lookup: %v", err)
-	}
-	if _, err := smm.GetInPort("nope"); !errors.Is(err, ErrUnknownPort) {
-		t.Errorf("missing in port err = %v", err)
-	}
 	if _, err := smm.GetOutPort("nope"); !errors.Is(err, ErrUnknownPort) {
 		t.Errorf("missing out port err = %v", err)
 	}
-	ip, _ := smm.GetInPort("real")
-	if ip.Name() != "C.real" || ip.Type().Name != "Int" || ip.Capacity() != DefaultBufferSize {
-		t.Errorf("in-port accessors: %q %q %d", ip.Name(), ip.Type().Name, ip.Capacity())
+	ip := smm.inPort("C.real")
+	if ip.Name() != "C.real" || ip.Type().Name != "Int" || ip.capacity != DefaultBufferSize {
+		t.Errorf("in-port accessors: %q %q %d", ip.Name(), ip.Type().Name, ip.capacity)
 	}
 }
 
@@ -503,15 +494,14 @@ func TestFanOutDelivery(t *testing.T) {
 					t.Errorf("%s handler ran %d times, want 1", name, n)
 				}
 			}
-			if _, inFlight, gets, returns := smm.MsgPoolStats("Int"); inFlight != 0 || gets != 1 || returns != 1 {
-				t.Errorf("pool not balanced: inflight %d gets %d returns %d", inFlight, gets, returns)
+			if _, inFlight := msgPoolStats(smm, "Int"); inFlight != 0 {
+				t.Errorf("pool not balanced: %d in flight", inFlight)
 			}
 			for _, name := range []string{"a", "b"} {
 				if name == "a" && tc.first == ThreadingSynchronous {
 					continue
 				}
-				in, _ := smm.GetInPort(name)
-				if received, processed, _ := in.Stats(); received != 1 || processed != 1 {
+				if received, processed, _ := smm.inPort("C." + name).Stats(); received != 1 || processed != 1 {
 					t.Errorf("buffered port %s received %d, processed %d, want 1 and 1", name, received, processed)
 				}
 			}

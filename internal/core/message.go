@@ -50,13 +50,11 @@ type msgPool struct {
 	area *memory.Area
 	ref  memory.Ref // the arena charge for the pooled instances
 
-	// mu guards free and the two counts: a get or a put is one lock pair
-	// and no other atomic read-modify-write.
-	mu      sync.Mutex
-	free    []Message
-	total   int
-	gets    int64
-	returns int64
+	// mu guards free: a get or a put is one lock pair and no other atomic
+	// read-modify-write.
+	mu    sync.Mutex
+	free  []Message
+	total int
 
 	inFlightMax atomic.Int64 // high-water mark of outstanding instances
 
@@ -94,7 +92,6 @@ func (p *msgPool) get() (Message, error) {
 	if f := int64(p.total - n + 1); f > p.inFlightMax.Load() {
 		p.inFlightMax.Store(f) // still under mu, so load+store cannot regress
 	}
-	p.gets++
 	p.mu.Unlock()
 	return m, nil
 }
@@ -104,15 +101,7 @@ func (p *msgPool) put(m Message) {
 	m.Reset()
 	p.mu.Lock()
 	p.free = append(p.free, m)
-	p.returns++
 	p.mu.Unlock()
-}
-
-// stats reports (capacity, in-flight, gets, returns).
-func (p *msgPool) stats() (capacity, inFlight int, gets, returns int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total, p.total - len(p.free), p.gets, p.returns
 }
 
 // envelope tracks one sent message through all of its receivers so it can

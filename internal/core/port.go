@@ -235,9 +235,6 @@ func (p *InPort) Name() string { return p.qname }
 // Type returns the port's message type.
 func (p *InPort) Type() MessageType { return p.typ }
 
-// Capacity returns the buffer capacity: zero for a synchronous port.
-func (p *InPort) Capacity() int { return p.capacity }
-
 // Stats reports messages received (enqueued), processed, and dropped
 // (buffer full). A synchronous port has nothing to enqueue: it counts a call
 // once, when the handler returns, and reports that count as both received
@@ -256,9 +253,6 @@ func (p *InPort) Shed() int64 { return p.shed.Load() }
 
 // Overflow returns the port's buffer-full policy.
 func (p *InPort) Overflow() Overflow { return p.overflow }
-
-// QueueMax reports the buffer's depth high-water mark.
-func (p *InPort) QueueMax() int64 { return p.depthMax.Load() }
 
 // newInPort builds a port and, unless it is synchronous, its buffer from an
 // already-defaulted config; the caller attaches the dispatch pool and binding.
@@ -480,18 +474,13 @@ func (p *OutPort) Sent() int64 {
 // SetSendDeadline gives every subsequent send through this port a relative
 // deadline: the receiver's handler must start within d of the Send call.
 // A message that starts late is still processed, but the miss is counted
-// (see telemetry.DeadlineMisses), recorded in the flight recorder, and
-// reported to the registered miss handler. d <= 0 removes the deadline.
+// (see telemetry.DeadlineMisses) and recorded in the flight recorder.
+// d <= 0 removes the deadline.
 func (p *OutPort) SetSendDeadline(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	p.sendDeadline.Store(int64(d))
-}
-
-// SendDeadline returns the configured relative deadline (0 = none).
-func (p *OutPort) SendDeadline() time.Duration {
-	return time.Duration(p.sendDeadline.Load())
 }
 
 // GetMessage takes a message instance from the SMM's pool for this port's

@@ -122,10 +122,7 @@ func TestSwapReplacesLiveChildUnderTraffic(t *testing.T) {
 		t.Fatalf("processed %d (v1=%d v2=%d) != sent %d: messages dropped across the swap",
 			got, v1.Load(), v2.Load(), want)
 	}
-	in, err := hub.SMM().GetInPort("Worker.in")
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := hub.SMM().inPort("Worker.in")
 	if _, _, dropped := in.Stats(); dropped != 0 {
 		t.Fatalf("port dropped %d messages", dropped)
 	}
@@ -347,11 +344,7 @@ func TestChaosRouteRebuildStorm(t *testing.T) {
 		t.Fatalf("%d send errors during the storm", sendErrs.Load())
 	}
 	for _, q := range []string{"A.in", "B.in", "C.in"} {
-		in, err := smm.GetInPort(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, dropped := in.Stats(); dropped != 0 {
+		if _, _, dropped := smm.inPort(q).Stats(); dropped != 0 {
 			t.Fatalf("%s dropped %d messages", q, dropped)
 		}
 	}
@@ -522,7 +515,8 @@ func TestRouteGenPropertyFlips(t *testing.T) {
 }
 
 // TestDrainAndTerminate exercises the mission lifecycle: phases, bounded
-// drain of queued work, drain timeout on stuck work, and terminate.
+// drain of queued work, drain timeout on stuck work, and the Stop that
+// terminates it.
 func TestDrainAndTerminate(t *testing.T) {
 	app := newTestApp(t, AppConfig{MsgPoolCapacity: 64})
 	release := make(chan struct{})
@@ -583,18 +577,12 @@ func TestDrainAndTerminate(t *testing.T) {
 		t.Fatalf("drained with %d/%d processed", done.Load(), n)
 	}
 
-	if err := app.Terminate(time.Second); err != nil {
-		t.Fatalf("terminate: %v", err)
-	}
+	app.Stop()
 	if got := app.Phase(); got != PhaseTerminated {
-		t.Fatalf("phase after terminate = %v", got)
+		t.Fatalf("phase after stop = %v", got)
 	}
-	if !app.Stopped() {
-		t.Fatal("terminate did not stop the app")
-	}
-	// Idempotent on a dead app.
-	if err := app.Terminate(time.Second); err != nil {
-		t.Fatalf("second terminate: %v", err)
+	if err := app.Drain(time.Second); !errors.Is(err, ErrStopped) {
+		t.Fatalf("drain after stop = %v, want ErrStopped", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -169,7 +170,7 @@ func TestReusableChildRevivesShell(t *testing.T) {
 	if created, reused, free := app.ScopePool(1).Stats(); created != 2 || reused != 1 || free != 1 {
 		t.Errorf("pool: %d created, %d acquired, %d free; want 2, 1, 1", created, reused, free)
 	}
-	if g := h.shells[0].Area().Generation(); g != rounds {
+	if g := stateOf(h.shells[0].Area()).gen; g != rounds {
 		t.Errorf("area generation %d after %d quiescences, want one reclaim each", g, rounds)
 	}
 	if n, err := app.Errors(); n != 0 {
@@ -223,9 +224,9 @@ func TestReusableChildConcurrentStorm(t *testing.T) {
 	}
 }
 
-// TestReusableQuiesceAtomicAgainstInstantiate opens the window inside a
-// Reusable shell's quiescence — forgotten by the SMM, not yet stashed; the
-// area's finalizer runs exactly there — and lets a sender arrive in it. The
+// TestReusableQuiesceAtomicAgainstInstantiate races a sender against the
+// last Disconnect of a Reusable shell, round after round, so that senders
+// land inside its quiescence — forgotten by the SMM, not yet stashed. Such a
 // sender must wait for the stash and revive that shell. If it could
 // instantiate instead, it would build a second shell and rebind the port to
 // it, the first would land in the stash behind it, and the next revival
@@ -240,26 +241,27 @@ func TestReusableQuiesceAtomicAgainstInstantiate(t *testing.T) {
 		t.Fatal(err)
 	}
 	smm := h.parent.SMM()
-	pin, err := smm.Connect("Worker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sent := make(chan error, 1)
-	pin.Component().Area().AddFinalizer(func() {
-		go func() { sent <- h.sendErr(1) }()
-		select {
-		case err := <-sent:
-			sent <- err // the sender got through the window; keep its result
-		case <-time.After(100 * time.Millisecond):
-			// The sender is parked until the stash lands.
+	for round := int64(0); round < 200; round++ {
+		pin, err := smm.Connect("Worker")
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	pin.Disconnect()
-	if err := <-sent; err != nil {
-		t.Fatal(err)
+		sent, gate := make(chan error, 1), make(chan struct{})
+		go func() {
+			<-gate
+			sent <- h.sendErr(round)
+		}()
+		close(gate)
+		if round%2 == 0 {
+			runtime.Gosched()
+		}
+		pin.Disconnect()
+		if err := <-sent; err != nil {
+			t.Fatal(err)
+		}
+		waitRecv(t, h.served)
+		waitGone(t, smm, "Worker")
 	}
-	waitRecv(t, h.served)
-	waitGone(t, smm, "Worker")
 
 	live, err := smm.Connect("Worker")
 	if err != nil {
@@ -348,8 +350,8 @@ func TestExecRefusesDisposedInstance(t *testing.T) {
 	area := shell.Area()
 	untouched := func(when string, gen uint64) {
 		t.Helper()
-		if entrants, wedges := holders(area); entrants != 0 || wedges != 1 || area.Generation() != gen {
-			t.Errorf("%s: %d entrants, %d wedges, generation %d; want the wedge alone at %d", when, entrants, wedges, area.Generation(), gen)
+		if st := stateOf(area); st.entrants != 0 || st.wedges != 1 || st.gen != gen {
+			t.Errorf("%s: %d entrants, %d wedges, generation %d; want the wedge alone at %d", when, st.entrants, st.wedges, st.gen, gen)
 		}
 		if created, reused, free := pool.Stats(); created != 1 || reused != 1 || free != 0 {
 			t.Errorf("%s: scope pool %d created, %d acquired, %d free; want the shell's one area", when, created, reused, free)
@@ -418,9 +420,9 @@ func TestReusableParkedShellOwnsItsArea(t *testing.T) {
 				t.Errorf("%s: %s and %s both hold %v", when, other, name, a)
 			}
 			seen[a] = name
-			if entrants, wedges := holders(a); c.wedge.Area() != a || entrants != 0 || wedges != 1 {
+			if st := stateOf(a); c.wedge.Area() != a || st.entrants != 0 || st.wedges != 1 {
 				t.Errorf("%s: %s's area %v has %d entrants and %d wedges, its wedge holds %v; want its own wedge alone",
-					when, name, a, entrants, wedges, c.wedge.Area())
+					when, name, a, st.entrants, st.wedges, c.wedge.Area())
 			}
 		}
 		if created, _, free := pool.Stats(); int64(free+len(names)) != created {

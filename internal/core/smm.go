@@ -119,32 +119,20 @@ func (s *SMM) SetMechanism(m Mechanism) {
 func (s *SMM) GetOutPort(name string) (*OutPort, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return findPort(s.out, "out", name, func(p *OutPort) string { return p.short })
-}
-
-// GetInPort looks an In port up by qualified or unambiguous short name.
-func (s *SMM) GetInPort(name string) (*InPort, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return findPort(s.in, "in", name, func(p *InPort) string { return p.short })
-}
-
-// findPort is the lookup behind GetOutPort and GetInPort.
-func findPort[P *InPort | *OutPort](ports map[string]P, kind, name string, short func(P) string) (P, error) {
-	if p, ok := ports[name]; ok {
+	if p, ok := s.out[name]; ok {
 		return p, nil
 	}
-	var found P
-	for _, p := range ports {
-		if short(p) == name {
+	var found *OutPort
+	for _, p := range s.out {
+		if p.short == name {
 			if found != nil {
-				return nil, fmt.Errorf("%w: %s port %q is ambiguous", ErrUnknownPort, kind, name)
+				return nil, fmt.Errorf("%w: out port %q is ambiguous", ErrUnknownPort, name)
 			}
 			found = p
 		}
 	}
 	if found == nil {
-		return nil, fmt.Errorf("%w: %s port %q", ErrUnknownPort, kind, name)
+		return nil, fmt.Errorf("%w: out port %q", ErrUnknownPort, name)
 	}
 	return found, nil
 }
@@ -155,18 +143,6 @@ func (s *SMM) Child(name string) *Component {
 		return c
 	}
 	return nil
-}
-
-// MsgPoolStats reports (capacity, in-flight, gets, returns) for the pool of
-// the given message type, or zeros if no pool exists yet.
-func (s *SMM) MsgPoolStats(typeName string) (capacity, inFlight int, gets, returns int64) {
-	s.mu.Lock()
-	p := s.msgPools[typeName]
-	s.mu.Unlock()
-	if p == nil {
-		return 0, 0, 0, 0
-	}
-	return p.stats()
 }
 
 // checkMediation verifies that this SMM may mediate ports of component c:
@@ -412,8 +388,6 @@ func (s *SMM) ensurePool(typ MessageType) (*msgPool, error) {
 	}
 	s.msgPools[typ.Name] = p
 	p.gauges = telemetry.Default.RegisterGauges(s.owner.name+"/"+typ.Name, map[string]func() int64{
-		"msgpool_gets":          func() int64 { _, _, gets, _ := p.stats(); return gets },
-		"msgpool_returns":       func() int64 { _, _, _, returns := p.stats(); return returns },
 		"msgpool_in_flight_max": p.inFlightMax.Load,
 	})
 	return p, nil
@@ -883,7 +857,7 @@ func (s *SMM) dispatch(in *InPort, _ sched.Priority) {
 	// dispatch latency, because the handler never ran.
 	if in.shedExpired && it.deadline > 0 {
 		if now := telemetry.Now(); now > it.deadline {
-			telemetry.ReportDeadlineShed(in.label, it.deadline, now, 0, int(it.prio))
+			telemetry.ReportDeadlineShed(in.label, it.deadline, now, 0)
 			in.dropped.Add(1)
 			in.recordShed(it.prio)
 			it.drop()
@@ -915,7 +889,7 @@ func (s *SMM) deliver(in *InPort, owner *Component, frame uint64, sender *Proc, 
 	// message is late no matter how fast processing is.
 	if deadline > 0 {
 		if now := telemetry.Now(); now > deadline {
-			telemetry.ReportDeadlineMiss(in.label, deadline, now, 0, int(prio))
+			telemetry.ReportDeadlineMiss(in.label, deadline, now, 0)
 		}
 	}
 	_, handler := in.binding()

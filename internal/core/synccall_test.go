@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +15,14 @@ import (
 
 // connectChild instantiates the named child of parent and pins it for the
 // test's lifetime.
+// scopeTop is where a context stands: its scope stack's depth and top.
+type scopeTop struct {
+	depth int
+	cur   *memory.Area
+}
+
+func stackTop(ctx *memory.Context) scopeTop { return scopeTop{ctx.Depth(), ctx.Current()} }
+
 func connectChild(t *testing.T, parent *Component, name string) *Component {
 	t.Helper()
 	h, err := parent.SMM().Connect(name)
@@ -118,7 +125,7 @@ func TestSyncCallScopes(t *testing.T) {
 				return enters.Value() - before, err
 			}
 			got = seen{}
-			allocs := c.Area().Allocations()
+			used := stateOf(c.Area()).used
 			errsBefore, _ := app.Errors()
 			var entered int64
 			var err error
@@ -126,10 +133,10 @@ func TestSyncCallScopes(t *testing.T) {
 				entered, err = send(nil)
 			} else {
 				err = tc.sender.Exec(func(ctx *memory.Context) error {
-					before := ctx.Stack()
+					before := stackTop(ctx)
 					var err error
 					entered, err = send(NewProc(tc.sender, tc.sender.SMM(), ctx, sched.NormPriority))
-					if after := ctx.Stack(); !slices.Equal(before, after) {
+					if after := stackTop(ctx); before != after {
 						t.Errorf("%s (%d): sender's scope stack %v became %v", tc.name, value, before, after)
 					}
 					return err
@@ -141,9 +148,9 @@ func TestSyncCallScopes(t *testing.T) {
 			if got.current != c.Area() || got.area != c.Area() {
 				t.Errorf("%s (%d): handler current in %v, component area %v, want %v", tc.name, value, got.current, got.area, c.Area())
 			}
-			if got.allocErr != nil || c.Area().Allocations() != allocs+1 {
-				t.Errorf("%s (%d): allocation in the handler: err %v, area count %d → %d",
-					tc.name, value, got.allocErr, allocs, c.Area().Allocations())
+			if now := stateOf(c.Area()).used; got.allocErr != nil || now != used+32 {
+				t.Errorf("%s (%d): allocation in the handler: err %v, area holds %d → %d bytes",
+					tc.name, value, got.allocErr, used, now)
 			}
 			if entered != tc.enters {
 				t.Errorf("%s (%d): entered %d scopes, want %d", tc.name, value, entered, tc.enters)
@@ -234,8 +241,8 @@ func TestSyncCallConcurrentSenders(t *testing.T) {
 		t.Errorf("received %d, processed %d, sent %d, dropped %d; want %d, %d, %d, 0",
 			received, processed, out.Sent(), dropped, want, want, want)
 	}
-	if in.QueueMax() != 0 || in.Capacity() != 0 {
-		t.Errorf("a synchronous port buffered: queue max %d, capacity %d", in.QueueMax(), in.Capacity())
+	if in.depthMax.Load() != 0 || in.capacity != 0 {
+		t.Errorf("a synchronous port buffered: queue max %d, capacity %d", in.depthMax.Load(), in.capacity)
 	}
 	if n, err := app.Errors(); n != 0 {
 		t.Errorf("%d handler errors, last: %v", n, err)
@@ -357,14 +364,14 @@ func TestSyncCallNested(t *testing.T) {
 					if left == 0 {
 						return nil
 					}
-					before := p.Context().Stack()
+					before := stackTop(p.Context())
 					fwd, err := out.GetMessage()
 					if err != nil {
 						return err
 					}
 					fwd.(*intMsg).value = left - 1
 					err = out.SendFrom(p, fwd, p.Priority())
-					if after := p.Context().Stack(); !slices.Equal(before, after) {
+					if after := stackTop(p.Context()); before != after {
 						t.Errorf("hop %d: scope stack %v became %v", left, before, after)
 					}
 					return err
@@ -429,7 +436,7 @@ func TestSyncCallNested(t *testing.T) {
 			t.Errorf("%s (transient) still live after the chain unwound: life %#x", c.Name(), c.life.Load())
 		}
 	}
-	if _, inFlight, _, _ := inject.smm.MsgPoolStats("Int"); inFlight != 0 {
+	if _, inFlight := msgPoolStats(inject.smm, "Int"); inFlight != 0 {
 		t.Errorf("%d messages still out of the pool", inFlight)
 	}
 }

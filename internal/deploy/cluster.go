@@ -37,7 +37,7 @@ type Replica struct {
 	// Index is the replica ordinal, unique per node across the cluster's
 	// lifetime (a re-added member gets a fresh index).
 	Index int
-	// Dep is the process itself; nil after KillReplica.
+	// Dep is the process itself; nil once it is taken down.
 	Dep *Deployment
 
 	groups []string // directory groups this replica's exports joined
@@ -63,7 +63,6 @@ type ClusterDeployment struct {
 	plan *compiler.Plan
 	reg  *compiler.Registry
 	cfg  ClusterConfig
-	opts []compiler.AssembleOption
 
 	mu       sync.Mutex
 	replicas []*Replica
@@ -76,7 +75,7 @@ type ClusterDeployment struct {
 // endpoint maps each exported port's group (remote.PortKey of the qualified
 // name) to the live replica addresses. Unreplicated nodes run once and are
 // still registered — a singleton group resolves like any other.
-func RunCluster(plan *compiler.Plan, reg *compiler.Registry, cfg ClusterConfig, opts ...compiler.AssembleOption) (*ClusterDeployment, error) {
+func RunCluster(plan *compiler.Plan, reg *compiler.Registry, cfg ClusterConfig) (*ClusterDeployment, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("%w: cluster needs a network", ErrDeploy)
 	}
@@ -85,7 +84,6 @@ func RunCluster(plan *compiler.Plan, reg *compiler.Registry, cfg ClusterConfig, 
 		plan:      plan,
 		reg:       reg,
 		cfg:       cfg,
-		opts:      opts,
 		next:      make(map[string]int),
 	}
 	srv, err := orb.NewServer(orb.ServerConfig{Network: cfg.Network, Addr: cfg.DirectoryAddr})
@@ -136,7 +134,7 @@ func (d *ClusterDeployment) startReplicaLocked(node string, plan *compiler.Plan,
 	if d.cfg.NodeAddr != nil {
 		addr = d.cfg.NodeAddr(node, idx)
 	}
-	dep, err := Run(sub, reg, Config{Network: d.cfg.Network, ListenAddr: addr}, d.opts...)
+	dep, err := Run(sub, reg, Config{Network: d.cfg.Network, ListenAddr: addr})
 	if err != nil {
 		return nil, fmt.Errorf("%w: node %q replica %d: %v", ErrDeploy, node, idx, err)
 	}
@@ -148,25 +146,6 @@ func (d *ClusterDeployment) startReplicaLocked(node string, plan *compiler.Plan,
 	}
 	d.replicas = append(d.replicas, r)
 	return r, nil
-}
-
-// KillReplica takes one replica of the node down: membership first (so
-// clients resolving mid-kill see only survivors), then the process.
-func (d *ClusterDeployment) KillReplica(node string, index int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, r := range d.replicas {
-		if r.Node != node || r.Index != index || r.Dep == nil {
-			continue
-		}
-		for _, g := range r.groups {
-			d.Directory.Remove(g, r.Dep.Addr())
-		}
-		r.Dep.Close()
-		r.Dep = nil
-		return nil
-	}
-	return fmt.Errorf("%w: node %q has no live replica %d", ErrDeploy, node, index)
 }
 
 // Replicas returns the node's live replicas.

@@ -56,13 +56,13 @@ type Deployment struct {
 // Run assembles the plan, starts the application, publishes its exported
 // ports, and bridges its remote links. The remote endpoints need not be up
 // yet: ORB clients dial lazily, on the first message crossing the link.
-func Run(plan *compiler.Plan, reg *compiler.Registry, cfg Config, opts ...compiler.AssembleOption) (*Deployment, error) {
+func Run(plan *compiler.Plan, reg *compiler.Registry, cfg Config) (*Deployment, error) {
 	needsNet := len(plan.Exports) > 0 || len(plan.RemoteConnections) > 0
 	if needsNet && cfg.Network == nil {
 		return nil, fmt.Errorf("%w: plan is distributed but no network configured", ErrDeploy)
 	}
 
-	app, err := compiler.Assemble(plan, reg, opts...)
+	app, err := compiler.Assemble(plan, reg)
 	if err != nil {
 		return nil, err
 	}

@@ -146,7 +146,16 @@ func TestTwoProcessDeployment(t *testing.T) {
 	}
 	// An exported port parks its sender on a full buffer: over a buffered
 	// wire that, not a failed send, is what holds a remote sender back.
-	in, err := serverDep.App.Component("Collector").SMM().GetInPort("Collector.in")
+	// Registering the port again, as a re-instantiated child does, hands
+	// back the port the assembly made, with its handler rebound.
+	collector := serverDep.App.Component("Collector")
+	in, err := core.AddInPort(collector, collector.SMM(), core.InPortConfig{
+		Name: "in", Type: sampleType,
+		Handler: core.HandlerFunc(func(p *core.Proc, m core.Message) error {
+			got <- m.(*sample).v
+			return nil
+		}),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,7 +378,7 @@ func TestRollingUpgradeThreeReplicasZeroErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cd.KillReplica("backend", r.Index); err != nil {
+	if err := killReplica(cd, "backend", r.Index); err != nil {
 		t.Fatal(err)
 	}
 }

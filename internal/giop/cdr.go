@@ -113,35 +113,17 @@ func (e *Encoder) WriteBool(v bool) {
 	}
 }
 
-// WriteUShort appends an unsigned short with 2-byte alignment.
-func (e *Encoder) WriteUShort(v uint16) {
-	e.align(2)
-	e.buf = e.order.order().AppendUint16(e.buf, v)
-}
-
-// WriteShort appends a signed short with 2-byte alignment.
-func (e *Encoder) WriteShort(v int16) { e.WriteUShort(uint16(v)) }
-
 // WriteULong appends an unsigned long with 4-byte alignment.
 func (e *Encoder) WriteULong(v uint32) {
 	e.align(4)
 	e.buf = e.order.order().AppendUint32(e.buf, v)
 }
 
-// WriteLong appends a signed long with 4-byte alignment.
-func (e *Encoder) WriteLong(v int32) { e.WriteULong(uint32(v)) }
-
 // WriteULongLong appends an unsigned long long with 8-byte alignment.
 func (e *Encoder) WriteULongLong(v uint64) {
 	e.align(8)
 	e.buf = e.order.order().AppendUint64(e.buf, v)
 }
-
-// WriteLongLong appends a signed long long with 8-byte alignment.
-func (e *Encoder) WriteLongLong(v int64) { e.WriteULongLong(uint64(v)) }
-
-// WriteFloat appends an IEEE 754 float with 4-byte alignment.
-func (e *Encoder) WriteFloat(v float32) { e.WriteULong(math.Float32bits(v)) }
 
 // WriteDouble appends an IEEE 754 double with 8-byte alignment.
 func (e *Encoder) WriteDouble(v float64) { e.WriteULongLong(math.Float64bits(v)) }
@@ -207,23 +189,6 @@ func (d *Decoder) ReadBool() (bool, error) {
 	return v != 0, err
 }
 
-// ReadUShort reads an unsigned short.
-func (d *Decoder) ReadUShort() (uint16, error) {
-	d.align(2)
-	if err := d.need(2); err != nil {
-		return 0, err
-	}
-	v := d.order.order().Uint16(d.buf[d.pos:])
-	d.pos += 2
-	return v, nil
-}
-
-// ReadShort reads a signed short.
-func (d *Decoder) ReadShort() (int16, error) {
-	v, err := d.ReadUShort()
-	return int16(v), err
-}
-
 // ReadULong reads an unsigned long.
 func (d *Decoder) ReadULong() (uint32, error) {
 	d.align(4)
@@ -235,12 +200,6 @@ func (d *Decoder) ReadULong() (uint32, error) {
 	return v, nil
 }
 
-// ReadLong reads a signed long.
-func (d *Decoder) ReadLong() (int32, error) {
-	v, err := d.ReadULong()
-	return int32(v), err
-}
-
 // ReadULongLong reads an unsigned long long.
 func (d *Decoder) ReadULongLong() (uint64, error) {
 	d.align(8)
@@ -250,18 +209,6 @@ func (d *Decoder) ReadULongLong() (uint64, error) {
 	v := d.order.order().Uint64(d.buf[d.pos:])
 	d.pos += 8
 	return v, nil
-}
-
-// ReadLongLong reads a signed long long.
-func (d *Decoder) ReadLongLong() (int64, error) {
-	v, err := d.ReadULongLong()
-	return int64(v), err
-}
-
-// ReadFloat reads an IEEE 754 float.
-func (d *Decoder) ReadFloat() (float32, error) {
-	v, err := d.ReadULong()
-	return math.Float32frombits(v), err
 }
 
 // ReadDouble reads an IEEE 754 double.

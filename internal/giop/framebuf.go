@@ -9,29 +9,28 @@ import (
 	"repro/internal/memory"
 )
 
-// FrameBuf is a refcounted holder of one GIOP frame body as it arrived from
-// the wire. It is the unit of zero-copy delivery: the demultiplexer hands
-// the frame to whoever consumes the message, and the decoded views (object
-// key, payload) alias the frame's bytes rather than copying them. Reference
-// counting makes the handoff explicit — every party that holds the frame
-// past a function boundary Retains it and Releases when done; the last
-// Release revokes all outstanding loans and gives the bytes back.
+// FrameBuf holds one GIOP frame body as it arrived from the wire. It is the
+// unit of zero-copy delivery: the demultiplexer hands the frame to whoever
+// consumes the message, and the decoded views (object key, payload) alias
+// the frame's bytes rather than copying them. A frame has one owner at a
+// time, and handing it on hands on the duty to Release it; the Release
+// revokes all outstanding loans and gives the bytes back.
 //
 // Every frame is a view into a slab: the frame holds one reference on the
 // slab, and the slab — not the frame — is the buffer that goes back to its
 // pool. A FrameReader carves its frames out of its read-ahead slab;
 // AcquireFrame carves one out of a slab of its own.
 //
-// A frame starts with one reference, owned by whoever acquired it (usually
-// a FrameReader). Retain and Release may be called from any goroutine.
-// Using a frame after its final Release is a bug; the loan mechanism turns
-// the common variant of that bug (a byte view kept past the release) into
-// ErrStale instead of silent corruption.
+// A frame's first owner is whoever acquired it (usually a FrameReader);
+// Release may be called from any goroutine, once. Using a frame after its
+// Release is a bug: a second Release panics, and the loan mechanism turns
+// the common variant (a byte view kept past the release) into ErrStale
+// instead of silent corruption.
 type FrameBuf struct {
-	buf   []byte // the frame's body: a window of slab.buf
-	slab  *slab
-	refs  atomic.Int32
-	owner memory.LoanOwner
+	buf      []byte // the frame's body: a window of slab.buf
+	slab     *slab
+	released atomic.Bool
+	owner    memory.LoanOwner
 }
 
 // slabSize is the read-ahead unit: one Read fills as much of a slab as the
@@ -88,8 +87,8 @@ func (s *slab) release() {
 	}
 }
 
-// carve returns a frame viewing s.buf[off:off+n] with one reference, the
-// caller's. The view keeps the slab alive until its final Release.
+// carve returns a frame viewing s.buf[off:off+n], owned by the caller. The
+// view keeps the slab alive until its Release.
 func (s *slab) carve(off, n int) *FrameBuf {
 	frameAcquires.Add(1)
 	f, _ := viewPool.Get().(*FrameBuf)
@@ -100,7 +99,7 @@ func (s *slab) carve(off, n int) *FrameBuf {
 	}
 	s.refs.Add(1)
 	f.slab, f.buf = s, s.buf[off:off+n:off+n]
-	f.refs.Store(1)
+	f.released.Store(false)
 	if leakCheck.Load() {
 		leakRegister(f)
 	}
@@ -148,7 +147,7 @@ func ReadFrameStats() FrameStats {
 }
 
 // AcquireFrame returns a frame whose body is n bytes, carved from a slab of
-// its own, with one reference, the caller's. The slab is a pooled one up to
+// its own, owned by the caller. The slab is a pooled one up to
 // slabSize bytes and an unpooled one beyond.
 func AcquireFrame(n int) *FrameBuf {
 	s := acquireSlab(n)
@@ -157,26 +156,15 @@ func AcquireFrame(n int) *FrameBuf {
 	return f
 }
 
-// Body returns the frame's bytes. The slice is valid while the caller holds
-// a reference; after the final Release it may be recycled at any moment.
+// Body returns the frame's bytes. The slice is valid until the frame's
+// Release; after it the bytes may be recycled at any moment.
 func (f *FrameBuf) Body() []byte { return f.buf }
 
-// Retain adds a reference. Each Retain must be paired with exactly one
-// Release.
-func (f *FrameBuf) Retain() {
-	if f.refs.Add(1) <= 1 {
-		panic("giop: Retain of a released FrameBuf")
-	}
-}
-
-// Release drops one reference. The final Release revokes every loan issued
-// from the frame and gives its slab reference back; any Bytes() on a
-// view still in use fails with memory.ErrStale from that point on.
+// Release ends the frame: it revokes every loan issued from the frame and
+// gives its slab reference back; any Bytes() on a view still in use fails
+// with memory.ErrStale from that point on. A second Release panics.
 func (f *FrameBuf) Release() {
-	switch v := f.refs.Add(-1); {
-	case v > 0:
-		return
-	case v < 0:
+	if f.released.Swap(true) {
 		panic("giop: Release of an already-released FrameBuf")
 	}
 	f.owner.Revoke()
@@ -190,7 +178,7 @@ func (f *FrameBuf) Release() {
 }
 
 // Lend issues a revocable loan of b, which must alias the frame's buffer.
-// The loan fails with memory.ErrStale once the frame is fully released —
+// The loan fails with memory.ErrStale once the frame is released —
 // the scope rule that makes borrowed decode views safe to hand to handlers.
 func (f *FrameBuf) Lend(b []byte) memory.Loan { return f.owner.Lend(b) }
 

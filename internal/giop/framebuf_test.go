@@ -43,35 +43,22 @@ func TestFramePoolRecycles(t *testing.T) {
 	}
 }
 
-func TestFrameRefcount(t *testing.T) {
+// A frame has one owner: its body is valid until the Release, and a second
+// Release panics.
+func TestFrameSecondReleasePanics(t *testing.T) {
 	f := AcquireFrame(5)
-	f.Retain()
-	f.Release() // back to 1; body still valid
 	copy(f.Body(), "hello")
 	if string(f.Body()) != "hello" {
 		t.Errorf("body = %q", f.Body())
 	}
-	f.Release() // final
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Release past zero did not panic")
-			}
-		}()
-		f.Release()
-	}()
-}
-
-func TestFrameRetainAfterReleasePanics(t *testing.T) {
-	f := AcquireFrame(8)
 	f.Release()
+
 	defer func() {
 		if recover() == nil {
-			t.Error("Retain of a released frame did not panic")
+			t.Error("a second Release did not panic")
 		}
 	}()
-	f.Retain()
+	f.Release()
 }
 
 func TestFrameLoansGoStaleAtRelease(t *testing.T) {

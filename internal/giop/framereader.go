@@ -20,7 +20,7 @@ const slabLowWater = 1 << 10
 // FrameReader reads framed GIOP messages from one stream. It reads ahead:
 // one Read takes whatever the stream has into a slab, and every frame that
 // arrived whole in it is delivered without another Read — NextFrame as a
-// refcounted zero-copy view of the slab, Next as a plain slice of it. Both
+// zero-copy view of the slab owned by the caller, Next as a plain slice of it. Both
 // demultiplexing endpoints — the client's leading caller and the server's
 // per-connection read loop — and the RTZen baseline sit in a tight
 // frame-at-a-time loop over one connection; a burst of pipelined frames
@@ -69,8 +69,7 @@ func NewFrameReader(r io.Reader, maxBody uint32) *FrameReader {
 // Ownership contract: the returned body aliases the reader's slab and is
 // valid only until the following Next or NextFrame call; a caller that hands
 // the bytes to another goroutine, or needs them past the next frame, must
-// copy them first (or use NextFrame, which makes the lifetime explicit
-// through refcounting).
+// copy them first (or use NextFrame, whose frame lives until its Release).
 func (fr *FrameReader) Next() (Header, []byte, error) {
 	h, off, err := fr.next()
 	if err != nil {

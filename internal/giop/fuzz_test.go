@@ -2,6 +2,7 @@ package giop
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -84,6 +85,77 @@ func FuzzDecodeReply(f *testing.F) {
 		rep.Payload, again.Payload = nil, nil
 		if !reflect.DeepEqual(again, rep) {
 			t.Fatalf("decoded %+v, re-marshalled and decoded %+v", rep, again)
+		}
+	})
+}
+
+// FuzzDecodeLocate: the header parser and the locate readers, on whole
+// messages. A header that parses re-encodes to itself; a LocateRequest or
+// LocateReply body that decodes re-marshals to one that decodes to an equal
+// message; and a forwarding count past MaxForwardAddrs, or past what the
+// bytes after it could hold (a ulong length each), is refused with no list
+// built.
+func FuzzDecodeLocate(f *testing.F) {
+	addrs := make([]string, MaxForwardAddrs)
+	for i := range addrs {
+		addrs[i] = fmt.Sprintf("replica-%d:2809", i)
+	}
+	for _, order := range []ByteOrder{BigEndian, LittleEndian} {
+		f.Add(MarshalLocateRequest(nil, order, &LocateRequest{RequestID: 5, ObjectKey: []byte("echo")}))
+		f.Add(MarshalLocateReply(nil, order, &LocateReply{RequestID: 5, Status: LocateObjectHere}))
+		for _, n := range []int{0, 1, MaxForwardAddrs} {
+			f.Add(MarshalLocateReply(nil, order, &LocateReply{RequestID: 5, Status: LocateObjectForward, Forward: addrs[:n]}))
+		}
+		hostile := MarshalLocateReply(nil, order, &LocateReply{RequestID: 5, Status: LocateObjectForward, Forward: addrs[:1]})
+		order.order().PutUint32(hostile[HeaderSize+8:], MaxForwardAddrs+1)
+		f.Add(hostile)
+	}
+	f.Fuzz(func(t *testing.T, msg []byte) {
+		h, err := ParseHeader(msg)
+		if err != nil {
+			return
+		}
+		if again, err := ParseHeader(AppendHeader(nil, h)); err != nil || again != h {
+			t.Fatalf("header %+v re-encoded parses as %+v, %v", h, again, err)
+		}
+		body := msg[HeaderSize:]
+		if int(h.Size) < len(body) {
+			body = body[:h.Size]
+		}
+		switch h.Type {
+		case MsgLocateRequest:
+			var req, again LocateRequest
+			if DecodeLocateRequest(h.Order, body, &req) != nil {
+				return
+			}
+			if err := DecodeLocateRequest(h.Order, MarshalLocateRequest(nil, h.Order, &req)[HeaderSize:], &again); err != nil {
+				t.Fatalf("re-marshalled %+v does not decode: %v", req, err)
+			}
+			if again.RequestID != req.RequestID || !bytes.Equal(again.ObjectKey, req.ObjectKey) {
+				t.Fatalf("decoded %+v, re-marshalled and decoded %+v", req, again)
+			}
+		case MsgLocateReply:
+			rep := LocateReply{Forward: []string{"stale"}}
+			err := DecodeLocateReply(h.Order, body, &rep)
+			if len(body) >= 12 && LocateStatus(h.Order.order().Uint32(body[4:])) == LocateObjectForward {
+				n := h.Order.order().Uint32(body[8:])
+				if n > MaxForwardAddrs || int(n) > (len(body)-12)/4 {
+					if err == nil || rep.Forward != nil {
+						t.Fatalf("forward count %d over %d bytes: err %v, list %q; want refused with no list", n, len(body)-12, err, rep.Forward)
+					}
+					return
+				}
+			}
+			if err != nil {
+				return
+			}
+			var again LocateReply
+			if err := DecodeLocateReply(h.Order, MarshalLocateReply(nil, h.Order, &rep)[HeaderSize:], &again); err != nil {
+				t.Fatalf("re-marshalled %+v does not decode: %v", rep, err)
+			}
+			if !reflect.DeepEqual(again, rep) {
+				t.Fatalf("decoded %+v, re-marshalled and decoded %+v", rep, again)
+			}
 		}
 	})
 }

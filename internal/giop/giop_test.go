@@ -23,13 +23,8 @@ func TestCDRPrimitivesRoundTrip(t *testing.T) {
 			e.WriteOctet(0xAB)
 			e.WriteBool(true)
 			e.WriteBool(false)
-			e.WriteShort(-1234)
-			e.WriteUShort(65000)
-			e.WriteLong(-123456789)
 			e.WriteULong(4000000000)
-			e.WriteLongLong(-1234567890123456789)
 			e.WriteULongLong(18000000000000000000)
-			e.WriteFloat(3.25)
 			e.WriteDouble(-2.718281828)
 			e.WriteString("hello, CDR")
 			e.WriteOctetSeq([]byte{1, 2, 3})
@@ -47,26 +42,11 @@ func TestCDRPrimitivesRoundTrip(t *testing.T) {
 			if v, err := d.ReadBool(); err != nil || v {
 				t.Errorf("bool false = %v, %v", v, err)
 			}
-			if v, err := d.ReadShort(); err != nil || v != -1234 {
-				t.Errorf("short = %d, %v", v, err)
-			}
-			if v, err := d.ReadUShort(); err != nil || v != 65000 {
-				t.Errorf("ushort = %d, %v", v, err)
-			}
-			if v, err := d.ReadLong(); err != nil || v != -123456789 {
-				t.Errorf("long = %d, %v", v, err)
-			}
 			if v, err := d.ReadULong(); err != nil || v != 4000000000 {
 				t.Errorf("ulong = %d, %v", v, err)
 			}
-			if v, err := d.ReadLongLong(); err != nil || v != -1234567890123456789 {
-				t.Errorf("longlong = %d, %v", v, err)
-			}
 			if v, err := d.ReadULongLong(); err != nil || v != 18000000000000000000 {
 				t.Errorf("ulonglong = %d, %v", v, err)
-			}
-			if v, err := d.ReadFloat(); err != nil || v != 3.25 {
-				t.Errorf("float = %v, %v", v, err)
 			}
 			if v, err := d.ReadDouble(); err != nil || v != -2.718281828 {
 				t.Errorf("double = %v, %v", v, err)

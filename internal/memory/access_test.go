@@ -6,11 +6,11 @@ import (
 )
 
 // TestAccessRulesTable1 reproduces Table 1 of the paper: the scope structure
-// of Fig. 3 (A entered from immortal context... here from heap, with B and C
-// siblings inside A) and the full from×to access matrix.
+// of Fig. 3 (A entered from an immortal context, with B and C siblings
+// inside A) and the full from×to access matrix.
 func TestAccessRulesTable1(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a := m.NewLTScoped("A", 64)
 	b := m.NewLTScoped("B", 64)
 	c := m.NewLTScoped("C", 64)
@@ -106,7 +106,7 @@ func TestAccessErrorMessage(t *testing.T) {
 
 func TestCheckStore(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a := m.NewLTScoped("a", 64)
 
 	err := ctx.Enter(a, func(c *Context) error {
@@ -139,7 +139,7 @@ func TestCheckStore(t *testing.T) {
 
 func TestDeepDescendantMayReferenceAncestor(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	l1 := m.NewLTScoped("l1", 64)
 	l2 := m.NewLTScoped("l2", 64)
 	l3 := m.NewLTScoped("l3", 64)
@@ -164,16 +164,16 @@ func TestDeepDescendantMayReferenceAncestor(t *testing.T) {
 
 func TestRefAccessors(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	ref, err := ctx.Alloc(5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Area() != m.Heap() {
-		t.Error("ref area != heap")
+	if ref.Area() != m.Immortal() {
+		t.Error("ref area != immortal")
 	}
 	if !ref.Valid() {
-		t.Error("heap ref must stay valid")
+		t.Error("immortal ref must stay valid")
 	}
 	var zero Ref
 	if zero.Valid() {

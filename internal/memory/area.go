@@ -9,9 +9,9 @@ import (
 // Kind identifies the RTSJ region kind of an Area.
 type Kind int
 
-// Region kinds. Heap is garbage collected (and forbidden to no-heap
-// contexts); Immortal lives for the lifetime of the Model; Scoped is
-// reclaimed when its last entrant leaves.
+// Region kinds. Heap is garbage collected, and no Context can enter it:
+// every one models a NoHeapRealtimeThread. Immortal lives for the lifetime
+// of the Model; Scoped is reclaimed when its last entrant leaves.
 const (
 	KindHeap Kind = iota + 1
 	KindImmortal
@@ -69,9 +69,6 @@ func NewModel(cfg Config) *Model {
 	return m
 }
 
-// Heap returns the model's garbage-collected heap area.
-func (m *Model) Heap() *Area { return m.heap }
-
 // Immortal returns the model's immortal area.
 func (m *Model) Immortal() *Area { return m.immortal }
 
@@ -127,13 +124,11 @@ type Area struct {
 	// mu), and read lock-free by the enter fast path and CheckAccess.
 	parent atomic.Pointer[Area]
 
-	mu         sync.Mutex
-	level      int
-	used       int64
-	allocs     int64
-	buf        []byte
-	finalizers []func()
-	pool       *ScopePool
+	mu    sync.Mutex
+	level int
+	used  int64
+	buf   []byte
+	pool  *ScopePool
 }
 
 // Name returns the area's diagnostic name.
@@ -142,40 +137,11 @@ func (a *Area) Name() string { return a.name }
 // Kind returns the area's region kind.
 func (a *Area) Kind() Kind { return a.kind }
 
-// Capacity returns the area's byte budget; zero means unbounded (heap).
-func (a *Area) Capacity() int64 { return a.capacity }
-
 // genNow returns the current reuse generation (lock-free).
 func (a *Area) genNow() uint64 { return a.state.Load() >> genShift }
 
 // holders returns entrants+wedges (lock-free).
 func (a *Area) holders() uint64 { return a.state.Load() & holderMask }
-
-// Used returns the bytes currently allocated in the area.
-func (a *Area) Used() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.used
-}
-
-// Free returns the bytes still available in the area. Unbounded areas
-// report a negative value.
-func (a *Area) Free() int64 {
-	if a.capacity == 0 {
-		return -1
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.capacity - a.used
-}
-
-// Allocations returns the number of allocations served since the last
-// reclamation.
-func (a *Area) Allocations() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.allocs
-}
 
 // Level returns the area's depth in the scope tree: 0 for heap, immortal,
 // and inactive scoped areas; parent level + 1 for active scoped areas.
@@ -189,22 +155,6 @@ func (a *Area) Level() int {
 // primordial and inactive areas.
 func (a *Area) Parent() *Area {
 	return a.parent.Load()
-}
-
-// Active reports whether the area may be allocated from: heap and immortal
-// always are; a scoped area is active while at least one entrant or wedge
-// holds it open.
-func (a *Area) Active() bool {
-	if a.kind != KindScoped {
-		return true
-	}
-	return a.holders() > 0
-}
-
-// Generation returns the area's reuse generation. It increments every time
-// a scoped area is reclaimed, invalidating outstanding Refs.
-func (a *Area) Generation() uint64 {
-	return a.genNow()
 }
 
 // Pinned reports whether at least one wedge holds the scoped area open.
@@ -227,23 +177,15 @@ func (a *Area) standIn(from *Area) error {
 	return nil
 }
 
-// AddFinalizer registers fn to run (LIFO) when the area is next reclaimed.
-// It is the analogue of scoped-object finalisation; no runtime code registers
-// one, but tests observe reclamation through it. Registering on heap or
-// immortal areas is allowed but the finalizer will never run.
-func (a *Area) AddFinalizer(fn func()) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.finalizers = append(a.finalizers, fn)
-}
-
-// String summarises the area for diagnostics.
+// String summarises the area for diagnostics: its bytes used of its budget,
+// its level, its holders, and its reuse generation, which every reclamation
+// bumps.
 func (a *Area) String() string {
 	s := a.state.Load()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return fmt.Sprintf("%s(%s, %d/%d bytes, level %d, entrants %d, wedges %d)",
-		a.name, a.kind, a.used, a.capacity, a.level, s&entrantMask, (s&wedgeMask)>>wedgeShift)
+	return fmt.Sprintf("%s(%s, %d/%d bytes, level %d, entrants %d, wedges %d, generation %d)",
+		a.name, a.kind, a.used, a.capacity, a.level, s&entrantMask, (s&wedgeMask)>>wedgeShift, s>>genShift)
 }
 
 // enter records a context entering the area from the given current area,
@@ -343,9 +285,8 @@ func (a *Area) dropSlow(delta uint64) {
 	// Dropped to zero holders. Once that CAS landed no lock-free enter can
 	// succeed (they require holders > 0) and slow enters are blocked on mu,
 	// so reclaimLocked runs with the area quiescent.
-	fins := a.reclaimLocked(0)
+	a.reclaimLocked(0)
 	a.mu.Unlock()
-	runFinalizers(fins)
 	if a.pool != nil {
 		a.pool.put(a)
 	}
@@ -362,36 +303,25 @@ func (a *Area) scopeLevel() int {
 	return a.level
 }
 
-// reclaimLocked resets the area for reuse and returns the finalizers to run
-// (callers must run them after releasing the lock, LIFO order preserved by
-// runFinalizers). Callers guarantee holders == 0 and hold mu. The
-// generation bump is published first so lock-free Ref checks go stale
-// before the arena is rezeroed. keep is the holder count the area comes
-// out with: none leaves it unparented, a wedge keeps parent and level.
-func (a *Area) reclaimLocked(keep uint64) []func() {
+// reclaimLocked resets the area for reuse. Callers guarantee holders == 0
+// and hold mu. The generation bump is published first so lock-free Ref
+// checks go stale before the arena is rezeroed. keep is the holder count the
+// area comes out with: none leaves it unparented, a wedge keeps parent and
+// level.
+func (a *Area) reclaimLocked(keep uint64) {
 	s := a.state.Load()
 	a.state.Store((s>>genShift+1)<<genShift | keep)
 	if keep == 0 {
 		a.parent.Store(nil)
 		a.level = 0
 	}
-	fins := a.finalizers
-	a.finalizers = nil
 	a.used = 0
-	a.allocs = 0
 	// Linear-time reuse cost, like LTScopedMemory — but proportional to what
 	// the scope allocated in its newest segment, the one kept. Carves are
 	// three-index slices, so nothing wrote past len(a.buf): the rest of the
 	// segment is still zero. Older segments go with the Refs into them.
 	clear(a.buf)
 	a.buf = a.buf[:0]
-	return fins
-}
-
-func runFinalizers(fins []func()) {
-	for i := len(fins) - 1; i >= 0; i-- {
-		fins[i]()
-	}
 }
 
 // alloc carves n bytes out of the area, or reports ErrOutOfMemory.
@@ -415,7 +345,6 @@ func (a *Area) alloc(n int) (Ref, error) {
 	}
 	// Heap and immortal allocations are each their own zeroed slice.
 	a.used += int64(n)
-	a.allocs++
 	return Ref{area: a, gen: a.genNow(), data: make([]byte, n)}, nil
 }
 
@@ -461,7 +390,6 @@ func (a *Area) carveLocked(n int) Ref {
 	off := len(a.buf)
 	a.buf = a.buf[:off+n]
 	a.used += int64(n)
-	a.allocs++
 	return Ref{area: a, gen: a.genNow(), data: a.buf[off : off+n : off+n]}
 }
 

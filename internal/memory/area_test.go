@@ -41,7 +41,7 @@ func TestKindString(t *testing.T) {
 
 func TestImmortalAllocationBudget(t *testing.T) {
 	m := NewModel(Config{ImmortalSize: 100})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 
 	ref, err := ctx.AllocIn(m.Immortal(), 60)
 	if err != nil {
@@ -84,7 +84,7 @@ func TestImmortalCommitsWhatItHolds(t *testing.T) {
 	}
 
 	m := NewModel(Config{ImmortalSize: budget})
-	imm, ctx := m.Immortal(), m.NewContext()
+	imm, ctx := m.Immortal(), m.NewNoHeapContext()
 	var held [][]byte
 	used := int64(0)
 	for i, n := range []int{budget / 2, budget / 4, budget/4 - 16, 16} {
@@ -109,9 +109,9 @@ func TestImmortalCommitsWhatItHolds(t *testing.T) {
 		}
 		held = append(held, b)
 		used += int64(n)
-		if imm.Used() != used || imm.Free() != budget-used || imm.Allocations() != int64(i+1) {
-			t.Errorf("after alloc %d: used %d free %d allocations %d, want %d %d %d",
-				i, imm.Used(), imm.Free(), imm.Allocations(), used, budget-used, i+1)
+		if imm.Used() != used || imm.Free() != budget-used {
+			t.Errorf("after alloc %d: used %d free %d, want %d %d",
+				i, imm.Used(), imm.Free(), used, budget-used)
 		}
 	}
 	for i, b := range held {
@@ -124,9 +124,8 @@ func TestImmortalCommitsWhatItHolds(t *testing.T) {
 	if _, err := ctx.AllocIn(imm, 1); !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("one byte past the budget: err = %v, want ErrOutOfMemory", err)
 	}
-	if imm.Used() != budget || imm.Free() != 0 || imm.Allocations() != int64(len(held)) {
-		t.Errorf("after the refusal: used %d free %d allocations %d, want %d 0 %d",
-			imm.Used(), imm.Free(), imm.Allocations(), budget, len(held))
+	if imm.Used() != budget || imm.Free() != 0 {
+		t.Errorf("after the refusal: used %d free %d, want %d 0", imm.Used(), imm.Free(), budget)
 	}
 }
 
@@ -176,8 +175,8 @@ func TestScopedCommitsWhatItHolds(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got > 4*k {
 		t.Errorf("carving %d B committed %d B of Go heap, want at most %d", k, got, 4*k)
 	}
-	if a.Used() != k || a.Allocations() != k/piece {
-		t.Errorf("used %d in %d allocations, want %d in %d", a.Used(), a.Allocations(), k, k/piece)
+	if a.Used() != k {
+		t.Errorf("used %d, want %d", a.Used(), k)
 	}
 
 	if !w.Reclaim(0) {
@@ -240,21 +239,17 @@ func TestScopedCommitsWhatItHolds(t *testing.T) {
 }
 
 func TestHeapIsUnbounded(t *testing.T) {
-	m := NewModel(Config{})
-	ctx := m.NewContext()
+	heap := NewModel(Config{}).Heap()
 	for i := 0; i < 10; i++ {
-		if _, err := ctx.Alloc(1 << 20); err != nil {
+		if _, err := heap.alloc(1 << 20); err != nil {
 			t.Fatalf("heap alloc %d: %v", i, err)
 		}
-	}
-	if m.Heap().Free() != -1 {
-		t.Errorf("heap Free() = %d, want -1 (unbounded)", m.Heap().Free())
 	}
 }
 
 func TestNegativeAllocRejected(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	if _, err := ctx.Alloc(-1); err == nil {
 		t.Error("negative alloc succeeded")
 	}
@@ -270,7 +265,7 @@ func TestScopedAllocRequiresActive(t *testing.T) {
 
 func TestScopedLifecycle(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a := m.NewLTScoped("s", 128)
 
 	if a.Active() {
@@ -283,8 +278,8 @@ func TestScopedLifecycle(t *testing.T) {
 		if !a.Active() {
 			t.Error("scope inactive while entered")
 		}
-		if a.Parent() != m.Heap() {
-			t.Errorf("parent = %v, want heap", a.Parent())
+		if a.Parent() != m.Immortal() {
+			t.Errorf("parent = %v, want immortal", a.Parent())
 		}
 		if a.Level() != 1 {
 			t.Errorf("level = %d, want 1", a.Level())
@@ -323,7 +318,7 @@ func TestScopedLifecycle(t *testing.T) {
 
 func TestScopedReuseAfterReclaim(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a := m.NewLTScoped("s", 64)
 
 	for i := 0; i < 3; i++ {
@@ -354,7 +349,7 @@ func TestScopedReuseAfterReclaim(t *testing.T) {
 
 func TestNestedScopesLevels(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a := m.NewLTScoped("a", 64)
 	b := m.NewLTScoped("b", 64)
 	c := m.NewLTScoped("c", 64)
@@ -365,7 +360,7 @@ func TestNestedScopesLevels(t *testing.T) {
 				if a.Level() != 1 || b.Level() != 2 || c.Level() != 3 {
 					t.Errorf("levels = %d,%d,%d want 1,2,3", a.Level(), b.Level(), c.Level())
 				}
-				if c.Parent() != b || b.Parent() != a || a.Parent() != m.Heap() {
+				if c.Parent() != b || b.Parent() != a || a.Parent() != m.Immortal() {
 					t.Error("parent chain wrong")
 				}
 				if c3.Depth() != 4 {
@@ -386,7 +381,7 @@ func TestSingleParentRule(t *testing.T) {
 	b := m.NewLTScoped("b", 64)
 	shared := m.NewLTScoped("shared", 64)
 
-	ctx1 := m.NewContext()
+	ctx1 := m.NewNoHeapContext()
 	errCh := make(chan error, 1)
 	hold := make(chan struct{})
 	release := make(chan struct{})
@@ -403,7 +398,7 @@ func TestSingleParentRule(t *testing.T) {
 	<-hold
 
 	// While shared is parented under a, entering it from b must fail.
-	ctx2 := m.NewContext()
+	ctx2 := m.NewNoHeapContext()
 	err := ctx2.Enter(b, func(c *Context) error {
 		return c.Enter(shared, func(*Context) error { return nil })
 	})
@@ -412,7 +407,7 @@ func TestSingleParentRule(t *testing.T) {
 	}
 
 	// Entering from the *same* parent concurrently is fine.
-	ctx3 := m.NewContext()
+	ctx3 := m.NewNoHeapContext()
 	err = ctx3.Enter(a, func(c *Context) error {
 		return c.Enter(shared, func(*Context) error { return nil })
 	})
@@ -439,25 +434,6 @@ func TestSingleParentRule(t *testing.T) {
 	}
 }
 
-func TestFinalizersRunLIFOOnReclaim(t *testing.T) {
-	m := NewModel(Config{})
-	ctx := m.NewContext()
-	a := m.NewLTScoped("s", 64)
-
-	var order []int
-	err := ctx.Enter(a, func(*Context) error {
-		a.AddFinalizer(func() { order = append(order, 1) })
-		a.AddFinalizer(func() { order = append(order, 2) })
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
-		t.Errorf("finalizer order = %v, want [2 1]", order)
-	}
-}
-
 func TestAreaStringAndAccessors(t *testing.T) {
 	m := NewModel(Config{})
 	a := m.NewLTScoped("demo", 256)
@@ -467,19 +443,19 @@ func TestAreaStringAndAccessors(t *testing.T) {
 	if a.Capacity() != 256 {
 		t.Errorf("capacity = %d", a.Capacity())
 	}
-	if s := a.String(); s == "" {
-		t.Error("empty String()")
-	}
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	if err := ctx.Enter(a, func(c *Context) error {
 		if _, err := c.Alloc(10); err != nil {
 			return err
 		}
-		if a.Allocations() != 1 {
-			t.Errorf("allocations = %d, want 1", a.Allocations())
+		if s, want := a.String(), "demo(scoped, 10/256 bytes, level 1, entrants 1, wedges 0, generation 0)"; s != want {
+			t.Errorf("String() = %q, want %q", s, want)
 		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+	if s, want := a.String(), "demo(scoped, 0/256 bytes, level 0, entrants 0, wedges 0, generation 1)"; s != want {
+		t.Errorf("String() after reclaim = %q, want %q", s, want)
 	}
 }

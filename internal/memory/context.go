@@ -22,9 +22,8 @@ var (
 // it models; the areas it enters are themselves safe for concurrent entry by
 // other contexts.
 type Context struct {
-	model  *Model
-	stack  []*Area
-	noHeap bool
+	model *Model
+	stack []*Area
 
 	// execArea/execIdx cache the stack position where the last
 	// ExecuteInArea target was found; validated against the live stack, so
@@ -33,24 +32,15 @@ type Context struct {
 	execIdx  int
 }
 
-// NewContext returns a context modelling a RealtimeThread: its scope stack
-// starts at the heap and it may reference heap memory.
-func (m *Model) NewContext() *Context {
-	return &Context{model: m, stack: []*Area{m.heap}}
-}
-
-// NewNoHeapContext returns a context modelling a NoHeapRealtimeThread: its
-// scope stack starts at immortal memory and any heap access fails with
-// ErrHeapAccess.
+// NewNoHeapContext returns a context modelling a NoHeapRealtimeThread, the
+// only kind of thread a Compadres component runs on: its scope stack starts
+// at immortal memory, and nothing it can reach enters the heap.
 func (m *Model) NewNoHeapContext() *Context {
-	return &Context{model: m, stack: []*Area{m.immortal}, noHeap: true}
+	return &Context{model: m, stack: []*Area{m.immortal}}
 }
 
 // Model returns the memory model this context belongs to.
 func (c *Context) Model() *Model { return c.model }
-
-// NoHeap reports whether the context forbids heap access.
-func (c *Context) NoHeap() bool { return c.noHeap }
 
 // Current returns the context's allocation area (the top of its scope
 // stack).
@@ -63,14 +53,9 @@ func (c *Context) Depth() int { return len(c.stack) }
 // Enter pushes the area onto the scope stack, runs fn, then pops it. For a
 // scoped area the single-parent rule is enforced: if the area is already
 // active its parent must equal the context's current area. When the last
-// holder leaves a scoped area it is reclaimed (finalizers run, arena reset,
-// generation bumped).
-//
-// Entering the heap from a no-heap context fails with ErrHeapAccess.
+// holder leaves a scoped area it is reclaimed (arena reset, generation
+// bumped).
 func (c *Context) Enter(a *Area, fn func(*Context) error) error {
-	if c.noHeap && a.kind == KindHeap {
-		return fmt.Errorf("%w: enter %q", ErrHeapAccess, a.name)
-	}
 	if err := a.enter(c.Current()); err != nil {
 		return err
 	}
@@ -101,10 +86,6 @@ func (c *Context) EnterChain(areas []*Area, fn func(*Context) error) (err error)
 		}
 	}()
 	for _, a := range areas {
-		if c.noHeap && a.kind == KindHeap {
-			err = fmt.Errorf("%w: enter %q", ErrHeapAccess, a.name)
-			break
-		}
 		if err = a.enter(c.Current()); err != nil {
 			break
 		}
@@ -168,9 +149,6 @@ func (c *Context) EnterBelow(chain []*Area, fn func(*Context) error) error {
 // handoff pattern: a thread deep in a child scope executes code "in" an
 // ancestor area to deposit a message there.
 func (c *Context) ExecuteInArea(a *Area, fn func(*Context) error) error {
-	if c.noHeap && a.kind == KindHeap {
-		return fmt.Errorf("%w: execute in %q", ErrHeapAccess, a.name)
-	}
 	if a.kind == KindScoped && !c.onStack(a) {
 		return fmt.Errorf("%w: %q", ErrNotOnStack, a.name)
 	}
@@ -200,11 +178,7 @@ func (c *Context) onStack(a *Area) bool {
 
 // Alloc allocates n bytes in the context's current area.
 func (c *Context) Alloc(n int) (Ref, error) {
-	cur := c.Current()
-	if c.noHeap && cur.kind == KindHeap {
-		return Ref{}, fmt.Errorf("%w: alloc in %q", ErrHeapAccess, cur.name)
-	}
-	return cur.alloc(n)
+	return c.Current().alloc(n)
 }
 
 // Scratch runs fn with n bytes that live no longer than the call, in the area
@@ -250,12 +224,4 @@ func (c *Context) AllocIn(a *Area, n int) (Ref, error) {
 		return aerr
 	})
 	return ref, err
-}
-
-// Stack returns a snapshot of the scope stack from primordial (index 0) to
-// current area, for diagnostics.
-func (c *Context) Stack() []*Area {
-	out := make([]*Area, len(c.stack))
-	copy(out, c.stack)
-	return out
 }

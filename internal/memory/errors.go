@@ -26,10 +26,6 @@ var (
 	// since the Ref was created, the analogue of a dangling scoped reference.
 	ErrStale = errors.New("memory: stale reference")
 
-	// ErrHeapAccess reports a no-heap context touching heap memory, the
-	// analogue of RTSJ's MemoryAccessError for NoHeapRealtimeThread.
-	ErrHeapAccess = errors.New("memory: heap access from no-heap context")
-
 	// ErrNotOnStack reports ExecuteInArea on an area that is not on the
 	// context's scope stack and is not a primordial (heap/immortal) area.
 	ErrNotOnStack = errors.New("memory: area not on scope stack")

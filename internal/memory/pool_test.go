@@ -15,7 +15,7 @@ func TestScopePoolAcquireReuse(t *testing.T) {
 		t.Errorf("accessors: %q %d", p.Name(), p.AreaSize())
 	}
 
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a1, err := p.Acquire()
 	if err != nil {
 		t.Fatal(err)

@@ -81,7 +81,7 @@ func (w *Wedge) Area() *Area { return w.area }
 
 // Reclaim resets the scoped area the wedge alone holds, in place and in one
 // critical section, as if reclaimed and pinned again: the generation bumps
-// (every Ref into it goes stale), finalizers run, the used bytes are zeroed
+// (every Ref into it goes stale), the used bytes are zeroed
 // and header bytes charged afresh; parent and level stay. With any other
 // holder it reports false and changes nothing.
 func (w *Wedge) Reclaim(header int) bool {
@@ -96,11 +96,10 @@ func (w *Wedge) Reclaim(header int) bool {
 		return false
 	}
 	// No holder left: lock-free enters fail and slow ones wait on mu.
-	fins := a.reclaimLocked(wedgeDelta)
+	a.reclaimLocked(wedgeDelta)
 	a.ensureLocked(header)
 	a.carveLocked(header)
 	a.mu.Unlock()
-	runFinalizers(fins)
 	return true
 }
 

@@ -17,17 +17,17 @@ func newWedge(a, from *Area) (*Wedge, error) {
 
 func TestWedgeKeepsScopeAlive(t *testing.T) {
 	m := NewModel(Config{})
-	ctx := m.NewContext()
+	ctx := m.NewNoHeapContext()
 	a := m.NewLTScoped("a", 64)
 
-	w, err := newWedge(a, m.Heap())
+	w, err := newWedge(a, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Active() {
 		t.Fatal("pinned area inactive")
 	}
-	if a.Parent() != m.Heap() || a.Level() != 1 {
+	if a.Parent() != m.Immortal() || a.Level() != 1 {
 		t.Errorf("parent/level = %v/%d", a.Parent(), a.Level())
 	}
 
@@ -60,12 +60,12 @@ func TestWedgeSingleParentRule(t *testing.T) {
 	b := m.NewLTScoped("b", 64)
 	shared := m.NewLTScoped("s", 64)
 
-	wa, err := newWedge(a, m.Heap())
+	wa, err := newWedge(a, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wa.Release()
-	wb, err := newWedge(b, m.Heap())
+	wb, err := newWedge(b, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,11 +92,11 @@ func TestWedgeSingleParentRule(t *testing.T) {
 func TestWedgeReleaseIdempotent(t *testing.T) {
 	m := NewModel(Config{})
 	a := m.NewLTScoped("a", 64)
-	w1, err := newWedge(a, m.Heap())
+	w1, err := newWedge(a, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := newWedge(a, m.Heap())
+	w2, err := newWedge(a, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,18 +126,21 @@ func TestWedgeOnPrimordialIsNoOp(t *testing.T) {
 	}
 }
 
-func TestWedgeRunsFinalizers(t *testing.T) {
+// The last wedge's release reclaims the area: a Ref into it goes stale.
+func TestWedgeReleaseReclaims(t *testing.T) {
 	m := NewModel(Config{})
 	a := m.NewLTScoped("a", 64)
-	w, err := newWedge(a, m.Heap())
+	w, err := newWedge(a, m.Immortal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ran := false
-	a.AddFinalizer(func() { ran = true })
+	ref, err := a.alloc(8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	w.Release()
-	if !ran {
-		t.Error("finalizer not run on wedge-triggered reclamation")
+	if _, err := ref.Bytes(); !errors.Is(err, ErrStale) {
+		t.Errorf("ref into the area after the wedge-triggered reclamation: err = %v, want ErrStale", err)
 	}
 }
 
@@ -166,8 +169,8 @@ func TestWedgeRepinRacingReleases(t *testing.T) {
 		if err := w.Pin(a, m.Immortal(), 128); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if a.Used() != 128 || a.Allocations() != 1 {
-			t.Fatalf("round %d: header charge used %d bytes in %d allocations, want 128 in 1", round, a.Used(), a.Allocations())
+		if a.Used() != 128 {
+			t.Fatalf("round %d: header charge used %d bytes, want 128", round, a.Used())
 		}
 		if err := w.Pin(a, m.Immortal(), 0); err == nil {
 			t.Fatal("an armed wedge pinned again")
@@ -213,7 +216,7 @@ func TestWedgePinHeaderMustFit(t *testing.T) {
 
 // TestWedgeReclaimInPlace pins the in-place reclaim a parked component shell
 // makes: the area stays held and parented, its generation moves by one (a Ref
-// into the old contents goes stale), its finalizers run, its bytes are zeroed
+// into the old contents goes stale), its bytes are zeroed
 // and the header is charged again. With another holder it refuses and
 // changes nothing, and an unarmed wedge reclaims nothing.
 func TestWedgeReclaimInPlace(t *testing.T) {
@@ -247,19 +250,17 @@ func TestWedgeReclaimInPlace(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	finalized := 0
-	a.AddFinalizer(func() { finalized++ })
 	gen := a.Generation()
 	if !w.Reclaim(32) {
 		t.Fatal("the sole wedge could not reclaim its area")
 	}
-	if a.Generation() != gen+1 || ref.Valid() || finalized != 1 {
-		t.Errorf("after reclaim: generation +%d, old ref valid %v, finalizers run %d; want +1, false, 1",
-			a.Generation()-gen, ref.Valid(), finalized)
+	if a.Generation() != gen+1 || ref.Valid() {
+		t.Errorf("after reclaim: generation +%d, old ref valid %v; want +1, false",
+			a.Generation()-gen, ref.Valid())
 	}
-	if !a.Pinned() || a.Parent() != parent || a.Level() != 2 || a.Used() != 32 || a.Allocations() != 1 {
-		t.Errorf("after reclaim: pinned %v, parent %v, level %d, %d bytes in %d allocations; want the header alone, parent and level kept",
-			a.Pinned(), a.Parent(), a.Level(), a.Used(), a.Allocations())
+	if !a.Pinned() || a.Parent() != parent || a.Level() != 2 || a.Used() != 32 {
+		t.Errorf("after reclaim: pinned %v, parent %v, level %d, %d bytes; want the header alone, parent and level kept",
+			a.Pinned(), a.Parent(), a.Level(), a.Used())
 	}
 	for i, b := range a.buf[32:48] {
 		if b != 0 {

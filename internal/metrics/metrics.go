@@ -126,17 +126,6 @@ func Summarize(samples []time.Duration) Summary {
 	}
 }
 
-// Percentile returns the p-th percentile (0 < p <= 100) of the recorded
-// observations.
-func (c *Collector) Percentile(p float64) time.Duration {
-	sorted := c.Samples()
-	if len(sorted) == 0 {
-		return 0
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return percentileSorted(sorted, p)
-}
-
 // percentileSorted uses the nearest-rank method on a sorted sample.
 func percentileSorted(sorted []time.Duration, p float64) time.Duration {
 	if p <= 0 {

@@ -55,21 +55,22 @@ func TestCollector(t *testing.T) {
 	if got := c.Summarize().Median; got != ms(2) {
 		t.Errorf("median = %v", got)
 	}
-	if got := c.Percentile(100); got != ms(4) {
+	sorted := c.Samples()
+	if got := percentileSorted(sorted, 100); got != ms(4) {
 		t.Errorf("p100 = %v", got)
 	}
-	if got := c.Percentile(0); got != ms(1) {
+	if got := percentileSorted(sorted, 0); got != ms(1) {
 		t.Errorf("p0 = %v", got)
 	}
-	if got := c.Percentile(50); got != ms(2) {
+	if got := percentileSorted(sorted, 50); got != ms(2) {
 		t.Errorf("p50 = %v", got)
 	}
 	c.Reset()
 	if c.Count() != 0 {
 		t.Error("reset did not clear")
 	}
-	if c.Percentile(50) != 0 {
-		t.Error("percentile on empty != 0")
+	if c.Summarize().Median != 0 {
+		t.Error("median of an empty collector != 0")
 	}
 }
 

@@ -146,14 +146,15 @@ func TestIdleClientOwnsNoThread(t *testing.T) {
 // TestDeprecatedConfigIsInert pins that the fields the endpoints ignore select
 // nothing. Set or not, the client ORB has no In port (callers send straight
 // into MessageProcessing on Transport's port), MessageProcessing's port is a
-// call (no buffer to have a capacity), the connection hands out a leader
+// call (no buffer, so its queue high-water mark stays 0 on every client the
+// test builds; /metrics shows all of them), the connection hands out a leader
 // token, neither endpoint has a scope pool at its per-request component's
 // level (each shell makes its own area), and both have used the same immortal
 // bytes after the first invocation.
 func TestDeprecatedConfigIsInert(t *testing.T) {
 	type shape struct {
 		ORBInPort            bool
-		MPCap                int
+		MPQueueMax           int64
 		Token                bool
 		MPPool, RPPool       bool
 		ClientImm, ServerImm int64
@@ -165,18 +166,14 @@ func TestDeprecatedConfigIsInert(t *testing.T) {
 		if _, err := cl.Invoke("echo", "echo", []byte("x"), sched.NormPriority); err != nil {
 			t.Fatal(err)
 		}
-		orbSMM := cl.App().Component("ORB").SMM()
-		_, err := orbSMM.GetInPort("Transport.request")
-		mp, merr := orbSMM.Child("Transport").SMM().GetInPort("MessageProcessing.request")
-		if merr != nil {
-			t.Fatal(merr)
-		}
+		_, orbInPort := portGauge("port_received", "Transport.request")
+		mpQueueMax, _ := portGauge("port_queue_max", "MessageProcessing.request")
 		return shape{
-			ORBInPort: err == nil, MPCap: mp.Capacity(),
+			ORBInPort: orbInPort, MPQueueMax: mpQueueMax,
 			Token:  cl.stripes[0].cur.Load().leaderCh != nil,
 			MPPool: cl.App().ScopePool(2) != nil, RPPool: srv.App().ScopePool(3) != nil,
-			ClientImm: cl.App().Model().Immortal().Used(),
-			ServerImm: srv.App().Model().Immortal().Used(),
+			ClientImm: stateOf(cl.App().Model().Immortal()).used,
+			ServerImm: stateOf(srv.App().Model().Immortal()).used,
 		}
 	}
 	unset := build(ClientConfig{}, ServerConfig{})

@@ -300,7 +300,7 @@ func (mc *muxConn) fail(err error) {
 
 // handleFrame demultiplexes one inbound frame for the leader whose entry is
 // own: decode, match, complete. A reply's payload still aliases the arrival
-// frame (pooled, refcounted) — the frame reference transfers to the caller on
+// frame (pooled, one owner) — ownership of the frame transfers to the caller on
 // a successful complete, and the bytes are not copied on this path. If the
 // frame resolves own, the result is returned directly with mine=true instead
 // of taking the completion-channel rendezvous. Replies bearing unknown ids —

@@ -225,7 +225,7 @@ func TestServerComponentTopology(t *testing.T) {
 	if cl.transport == nil || cl.transport.Component() != clTr {
 		t.Error("the client's handle does not hold the live Transport")
 	}
-	if _, err := clOrb.SMM().GetInPort("Transport.request"); err == nil {
+	if _, ok := portGauge("port_received", "Transport.request"); ok {
 		t.Error("the client ORB still has an In port")
 	}
 	if out, err := clTr.SMM().GetOutPort("Transport.toMP"); err != nil || cl.invoke.Load() != out {

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/corba"
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -37,6 +40,53 @@ func dial(t *testing.T, net transport.Network, addr string, cfg ClientConfig) *C
 	}
 	t.Cleanup(cl.Close)
 	return cl
+}
+
+// areaState is what an area's String form shows.
+type areaState struct {
+	used, capacity int64
+	gen            uint64
+}
+
+// stateOf reads an area's bytes and reuse generation off its String form.
+func stateOf(a *memory.Area) (st areaState) {
+	s := a.String()
+	var kind string
+	var level, entrants, wedges int
+	if _, err := fmt.Sscanf(s[strings.LastIndex(s, "(")+1:], "%s %d/%d bytes, level %d, entrants %d, wedges %d, generation %d)",
+		&kind, &st.used, &st.capacity, &level, &entrants, &wedges, &st.gen); err != nil {
+		panic(fmt.Sprintf("%q: %v", s, err))
+	}
+	return st
+}
+
+// portGauge reads gauge name of the live In ports called qname, as /metrics
+// lists them: the largest value (they are never negative), and whether any
+// port has it.
+func portGauge(name, qname string) (top int64, ok bool) {
+	for _, g := range telemetry.Default.Snapshot(telemetry.SnapshotOptions{}).Gauges {
+		if g.Name == name && g.Label == qname {
+			top, ok = max(top, g.Value), true
+		}
+	}
+	return top, ok
+}
+
+// pooledInFlight reports how many of the capacity messages in out's pool are
+// taken: it takes every free one and puts them back.
+func pooledInFlight(out *core.OutPort, capacity int) int {
+	var free []core.Message
+	for {
+		m, err := out.GetMessage()
+		if err != nil {
+			break
+		}
+		free = append(free, m)
+	}
+	for _, m := range free {
+		out.PutBack(m)
+	}
+	return capacity - len(free)
 }
 
 func TestEchoRoundTripInproc(t *testing.T) {
@@ -109,7 +159,7 @@ func TestEchoWithScopePoolsAndSynchronous(t *testing.T) {
 		{"server RP", srv.poa.SMM().Child("Transport1").SMM(), "RequestProcessing"},
 	} {
 		// Twenty invocations, and the probe's own revival.
-		if gen := perRequestArea(t, side.smm, side.comp).Generation(); gen != 21 {
+		if gen := stateOf(perRequestArea(t, side.smm, side.comp)).gen; gen != 21 {
 			t.Errorf("%s area reclaimed %d times by 20 invocations and one probe, want 21", side.name, gen)
 		}
 	}

@@ -50,13 +50,13 @@ func TestScopeOverflowServerParkedRequests(t *testing.T) {
 		if err != nil || len(got) != len(payload) {
 			t.Fatalf("invocation %d past the parked ones: %d bytes, err %v", i, len(got), err)
 		}
-		if used := area.Used(); used > area.Capacity() {
-			t.Fatalf("RequestProcessing's area holds %d of %d bytes", used, area.Capacity())
+		if st := stateOf(area); st.used > st.capacity {
+			t.Fatalf("RequestProcessing's area holds %d of %d bytes", st.used, st.capacity)
 		}
 	}
 	// A reply needs giop.HeaderSize + 64 + 256 bytes; those the area had room
 	// for stayed in it, the rest overflowed.
-	fit := area.Capacity() / (12 + 64 + 256)
+	fit := stateOf(area).capacity / (12 + 64 + 256)
 	if d := reusedOf(srv.repPool) - drawn; d < ops-fit || d > ops {
 		t.Errorf("overflow areas drawn = %d of %d replies, want all but the %d or fewer that fit", d, ops, fit)
 	}
@@ -100,7 +100,8 @@ func TestScopeOverflowClientPinnedComponent(t *testing.T) {
 	overflows := telemetry.NewCounter("scope_overflow_total")
 	// What submit asks for: header, fixed request fields, key, operation, payload.
 	wireCap := int64(12 + 96 + len("echo") + len("echo") + len(payload))
-	fit := (area.Capacity() - area.Used()) / wireCap
+	st := stateOf(area)
+	fit := (st.capacity - st.used) / wireCap
 
 	const ops = 200
 	drawn, spilled := reusedOf(cl.reqPool), overflows.Value()
@@ -108,12 +109,12 @@ func TestScopeOverflowClientPinnedComponent(t *testing.T) {
 		if err := invoke(payload); err != nil {
 			t.Fatalf("invocation %d: %v", i, err)
 		}
-		if used := area.Used(); used > area.Capacity() {
-			t.Fatalf("MessageProcessing's area holds %d of %d bytes", used, area.Capacity())
+		if st := stateOf(area); st.used > st.capacity {
+			t.Fatalf("MessageProcessing's area holds %d of %d bytes", st.used, st.capacity)
 		}
 	}
-	if free := area.Capacity() - area.Used(); free >= wireCap {
-		t.Errorf("MessageProcessing's area has %d bytes free, room for another %d-byte request", free, wireCap)
+	if st := stateOf(area); st.capacity-st.used >= wireCap {
+		t.Errorf("MessageProcessing's area has %d bytes free, room for another %d-byte request", st.capacity-st.used, wireCap)
 	}
 	if d := reusedOf(cl.reqPool) - drawn; d != ops-fit {
 		t.Errorf("overflow areas drawn = %d of %d requests, want %d (%d fit the component)", d, ops, ops-fit, fit)

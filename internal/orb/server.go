@@ -518,9 +518,9 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 
 // readLoop frames inbound GIOP messages and relays each into the
 // RequestProcessing scope through the component port. Frames arrive as
-// refcounted views of the reader's pooled slabs (giop.FrameReader) and the
+// views of the reader's pooled slabs (giop.FrameReader) and the
 // request bytes are never copied again: the dispatched message's raw slice
-// aliases the frame, and the frame reference is released when the pooled
+// aliases the frame, and the frame is released when the pooled
 // message is recycled after its handler returns. Requests dispatch
 // concurrently (up to the configured Concurrency) and each reply goes to the
 // connection's writer as its servant finishes — out of order when

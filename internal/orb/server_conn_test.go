@@ -179,7 +179,7 @@ func TestDispatchLosingToStopReleasesTheRequest(t *testing.T) {
 		t.Fatal(err)
 	}
 	var toRP *core.OutPort
-	comp, err := app.NewImmortalComponent("T", func(c *core.Component) (err error) {
+	_, err = app.NewImmortalComponent("T", func(c *core.Component) (err error) {
 		toRP, err = core.AddOutPort(c, c.SMM(), core.OutPortConfig{Name: "toRP", Type: requestType, Dests: []string{"T.request"}})
 		return err
 	})
@@ -210,7 +210,7 @@ func TestDispatchLosingToStopReleasesTheRequest(t *testing.T) {
 	if n := ctrl.Inflight(); n != 0 {
 		t.Errorf("admission slots held = %d after the failed relay", n)
 	}
-	if _, inFlight, _, _ := comp.SMM().MsgPoolStats(requestType.Name); inFlight != 0 {
+	if inFlight := pooledInFlight(toRP, core.DefaultMsgPoolCapacity); inFlight != 0 {
 		t.Errorf("request messages in flight = %d", inFlight)
 	}
 	if leaks := giop.CheckFrameLeaks(); len(leaks) != 0 {

@@ -3,6 +3,7 @@ package orb
 import (
 	"testing"
 
+	"repro/internal/corba"
 	"repro/internal/core"
 	"repro/internal/memory"
 	"repro/internal/sched"
@@ -66,17 +67,37 @@ func TestSteadyStateMemory(t *testing.T) {
 				}
 			}
 
+			// RequestProcessing's generation is read from inside a request: a
+			// synchronous server's reader finished the request before it,
+			// reclaim included, before reading this one, while a read after
+			// Invoke returns can come before the last reclaim, which follows
+			// the reply.
+			var rpArea *memory.Area
+			rpGens := make(chan uint64, 1)
+			srv.RegisterServant("rpgen", corba.ServantFunc(func(string, []byte) ([]byte, error) {
+				rpGens <- stateOf(rpArea).gen
+				return nil, nil
+			}))
+			rpGenNow := func() uint64 {
+				t.Helper()
+				if _, err := cl.Invoke("rpgen", "gen", nil, sched.NormPriority); err != nil {
+					t.Fatal(err)
+				}
+				return <-rpGens
+			}
+
 			// Warm up until every lazy structure exists.
 			for i := 0; i < 50; i++ {
 				invoke()
 			}
-			clientImmortal := cl.App().Model().Immortal().Used()
-			serverImmortal := srv.App().Model().Immortal().Used()
-			reqReused, repReused := reusedOf(cl.reqPool), reusedOf(srv.repPool)
+			clientImmortal := stateOf(cl.App().Model().Immortal()).used
+			serverImmortal := stateOf(srv.App().Model().Immortal()).used
 			tSMM := cl.App().Component("ORB").SMM().Child("Transport").SMM()
 			mpArea := perRequestArea(t, tSMM, "MessageProcessing")
-			rpArea := perRequestArea(t, srv.poa.SMM().Child("Transport1").SMM(), "RequestProcessing")
-			mpGen, rpGen := mpArea.Generation(), rpArea.Generation()
+			rpArea = perRequestArea(t, srv.poa.SMM().Child("Transport1").SMM(), "RequestProcessing")
+			rpGen := rpGenNow()
+			mpGen := stateOf(mpArea).gen
+			reqReused, repReused := reusedOf(cl.reqPool), reusedOf(srv.repPool)
 			overflows := telemetry.NewCounter("scope_overflow_total")
 			spilled := overflows.Value()
 
@@ -85,10 +106,10 @@ func TestSteadyStateMemory(t *testing.T) {
 				invoke()
 			}
 
-			if got := cl.App().Model().Immortal().Used(); got != clientImmortal {
+			if got := stateOf(cl.App().Model().Immortal()).used; got != clientImmortal {
 				t.Errorf("client immortal grew: %d -> %d bytes", clientImmortal, got)
 			}
-			if got := srv.App().Model().Immortal().Used(); got != serverImmortal {
+			if got := stateOf(srv.App().Model().Immortal()).used; got != serverImmortal {
 				t.Errorf("server immortal grew: %d -> %d bytes", serverImmortal, got)
 			}
 
@@ -97,13 +118,14 @@ func TestSteadyStateMemory(t *testing.T) {
 			if d := reusedOf(cl.reqPool) - reqReused; d != 0 {
 				t.Errorf("client overflow areas drawn by a lone caller = %d", d)
 			}
-			if d := mpArea.Generation() - mpGen; d != ops {
+			if d := stateOf(mpArea).gen - mpGen; d != ops {
 				t.Errorf("client MP area reclaimed %d times across %d invocations", d, ops)
 			}
 
-			// The server: the same, exactly, when its port is a call.
+			// The server: the same, exactly, when its port is a call. The
+			// first read's own request was reclaimed once too.
 			repDrawn := reusedOf(srv.repPool) - repReused
-			rpReclaims := rpArea.Generation() - rpGen
+			rpReclaims := rpGenNow() - rpGen - 1
 			if row.synchronous {
 				if repDrawn != 0 || overflows.Value() != spilled {
 					t.Errorf("server overflow areas drawn by a lone caller = %d (scope_overflow_total +%d)", repDrawn, overflows.Value()-spilled)
@@ -116,7 +138,7 @@ func TestSteadyStateMemory(t *testing.T) {
 			}
 
 			// All pooled messages are back home.
-			if _, inFlight, _, _ := tSMM.MsgPoolStats("InvokeRequest"); inFlight != 0 {
+			if inFlight := pooledInFlight(cl.invoke.Load(), clientMsgPoolCapacity); inFlight != 0 {
 				t.Errorf("client invocation pool in flight = %d", inFlight)
 			}
 		})

@@ -241,7 +241,7 @@ func TestDeadlineShedBurstCutsLimit(t *testing.T) {
 	c.limit.Store(64)
 	admitN(t, c, 16, 100*time.Microsecond)
 	for i := 0; i < 10; i++ {
-		telemetry.ReportDeadlineShed(telemetry.Label("test.port"), 0, 1, 0, 15)
+		telemetry.ReportDeadlineShed(telemetry.Label("test.port"), 0, 1, 0)
 	}
 	c.Tick()
 	if got := c.Limit(); got != 48 {

@@ -83,10 +83,6 @@ func JDK14() Model {
 	}
 }
 
-// Ideal is a no-noise platform for overhead-only measurements (the
-// framework benches and ablations run on it).
-func Ideal() Model { return Model{Name: "Ideal"} }
-
 // Models returns the three paper platforms in Table 2 order.
 func Models() []Model {
 	return []Model{Mackinac(), TimesysRI(), JDK14()}

@@ -38,7 +38,7 @@ func TestInjectorDeterminism(t *testing.T) {
 }
 
 func TestIdealInjectsNothing(t *testing.T) {
-	inj := NewInjector(Ideal(), 1)
+	inj := NewInjector(Model{Name: "Ideal"}, 1) // no noise
 	start := time.Now()
 	for i := 0; i < 10000; i++ {
 		inj.Operation()

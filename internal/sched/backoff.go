@@ -114,6 +114,3 @@ func (b *RetryBudget) Earn() {
 		}
 	}
 }
-
-// Tokens returns the current token count.
-func (b *RetryBudget) Tokens() int64 { return b.tokens.Load() }

@@ -70,7 +70,7 @@ func TestRetryBudgetCapped(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Earn()
 	}
-	if got := b.Tokens(); got != 1 {
+	if got := b.tokens.Load(); got != 1 {
 		t.Errorf("tokens = %d, want capped at 1", got)
 	}
 }

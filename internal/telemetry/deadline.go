@@ -1,33 +1,5 @@
 package telemetry
 
-import "sync/atomic"
-
-// Miss describes one deadline miss: a message whose handler ran after the
-// deadline it was sent with.
-type Miss struct {
-	// Label names the port (or pool) where the miss was detected.
-	Label string
-	// Deadline and Detected are telemetry timestamps (ns since process
-	// start); Detected - Deadline is the lateness.
-	Deadline, Detected int64
-	// Trace correlates the miss with a distributed trace, when present.
-	Trace uint64
-	// Priority is the message's scheduling priority.
-	Priority int
-}
-
-// Lateness returns how far past the deadline the miss was detected.
-func (m Miss) Lateness() int64 { return m.Detected - m.Deadline }
-
-// MissHandler observes deadline misses. Handlers run synchronously on the
-// dispatching goroutine, after the miss is counted and recorded but before
-// the late message is processed — keep them short. A handler must not
-// panic; panics are swallowed so a broken observer cannot take down the
-// dispatch path.
-type MissHandler func(Miss)
-
-var missHandler atomic.Pointer[MissHandler]
-
 // deadlineMisses is the global miss counter ("deadline_miss_total").
 var deadlineMisses = NewCounter("deadline_miss_total")
 
@@ -37,16 +9,6 @@ var deadlineMisses = NewCounter("deadline_miss_total")
 // event — conflating the two made shed storms read as latency regressions.
 var deadlineSheds = NewCounter("deadline_shed_total")
 
-// SetDeadlineMissHandler installs the process-wide miss handler; nil
-// removes it.
-func SetDeadlineMissHandler(fn MissHandler) {
-	if fn == nil {
-		missHandler.Store(nil)
-		return
-	}
-	missHandler.Store(&fn)
-}
-
 // DeadlineMisses returns the total number of misses reported so far.
 func DeadlineMisses() int64 { return deadlineMisses.Value() }
 
@@ -55,45 +17,27 @@ func DeadlineMisses() int64 { return deadlineMisses.Value() }
 func DeadlineSheds() int64 { return deadlineSheds.Value() }
 
 // ReportDeadlineShed counts a message dropped at dequeue because its
-// deadline had already passed, and records an EvDeadlineShed event. The
-// registered miss handler is NOT invoked and no dispatch latency is
-// recorded: the message was never executed, so there is no handler run to
-// observe and no latency sample to take.
-func ReportDeadlineShed(label LabelID, deadline, detected int64, trace uint64, prio int) {
-	deadlineSheds.Inc()
-	lateness := detected - deadline
-	if lateness < 0 {
-		lateness = 0
-	}
-	if enabled.Load() {
-		Default.ring.Record(EvDeadlineShed, label, trace, 0, uint64(lateness))
-	}
+// deadline had already passed, and records an EvDeadlineShed event. It is
+// not a miss and no dispatch latency is recorded: the message was never
+// executed, so there is no handler run to observe and no latency sample to
+// take.
+func ReportDeadlineShed(label LabelID, deadline, detected int64, trace uint64) {
+	reportLate(deadlineSheds, EvDeadlineShed, label, deadline, detected, trace)
 }
 
-// ReportDeadlineMiss counts a miss, records an EvDeadlineMiss event, and
-// invokes the registered miss handler. The dispatch path calls this instead
-// of letting a late message complete silently. detected should be the
-// moment the miss was noticed (conventionally Now() read just before the
-// check).
-func ReportDeadlineMiss(label LabelID, deadline, detected int64, trace uint64, prio int) {
-	deadlineMisses.Inc()
-	lateness := detected - deadline
-	if lateness < 0 {
-		lateness = 0
-	}
+// ReportDeadlineMiss counts a miss and records an EvDeadlineMiss event whose
+// argument is the lateness. The dispatch path calls this instead of letting
+// a late message complete silently. detected should be the moment the miss
+// was noticed (conventionally Now() read just before the check).
+func ReportDeadlineMiss(label LabelID, deadline, detected int64, trace uint64) {
+	reportLate(deadlineMisses, EvDeadlineMiss, label, deadline, detected, trace)
+}
+
+// reportLate counts one late message on c and records a kind event whose
+// argument is its lateness, never negative.
+func reportLate(c *Counter, kind EventKind, label LabelID, deadline, detected int64, trace uint64) {
+	c.Inc()
 	if enabled.Load() {
-		Default.ring.Record(EvDeadlineMiss, label, trace, 0, uint64(lateness))
-	}
-	if hp := missHandler.Load(); hp != nil {
-		func() {
-			defer func() { _ = recover() }()
-			(*hp)(Miss{
-				Label:    label.Name(),
-				Deadline: deadline,
-				Detected: detected,
-				Trace:    trace,
-				Priority: prio,
-			})
-		}()
+		Default.ring.Record(kind, label, trace, 0, uint64(max(detected-deadline, 0)))
 	}
 }

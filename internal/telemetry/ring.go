@@ -145,10 +145,7 @@ func NewRing(capacity int) *Ring {
 	return &Ring{mask: uint64(n - 1), slots: make([]ringSlot, n)}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Len returns the number of events recorded so far (not clamped to Cap).
+// Len returns the number of events recorded so far (not clamped to the ring size).
 func (r *Ring) Len() uint64 { return r.pos.Load() }
 
 // Record appends one event, overwriting the oldest when the ring is full.

@@ -9,8 +9,8 @@ func TestRingCapacityRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, 16}, {1, 16}, {16, 16}, {17, 32}, {100, 128}, {4096, 4096},
 	} {
-		if got := NewRing(tc.in).Cap(); got != tc.want {
-			t.Errorf("NewRing(%d).Cap() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewRing(tc.in).slots); got != tc.want {
+			t.Errorf("NewRing(%d) has %d slots, want %d", tc.in, got, tc.want)
 		}
 	}
 }

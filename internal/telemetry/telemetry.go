@@ -11,7 +11,7 @@
 //   - a fixed-size lock-free event Ring (the flight recorder) holding the
 //     most recent dispatch/send/recv/span events with monotonic timestamps,
 //     dumpable on demand or on fault;
-//   - deadline-miss accounting with a registered miss handler;
+//   - deadline-miss accounting: a counter and a flight-recorder event;
 //   - trace/span ids propagated across the ORB wire protocol so a
 //     client→server→client round trip stitches into one trace;
 //   - exporters: a JSON snapshot and a text /metrics-style rendering.

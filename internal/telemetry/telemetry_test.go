@@ -121,38 +121,30 @@ func TestHistogramRecordNoAlloc(t *testing.T) {
 	}
 }
 
-func TestDeadlineMissHandler(t *testing.T) {
-	var mu sync.Mutex
-	var got []Miss
-	SetDeadlineMissHandler(func(m Miss) {
-		mu.Lock()
-		got = append(got, m)
-		mu.Unlock()
-	})
-	defer SetDeadlineMissHandler(nil)
-
+// A miss is counted and recorded as an EvDeadlineMiss ring event carrying
+// its label, trace and lateness.
+func TestReportDeadlineMiss(t *testing.T) {
+	was := Enabled()
+	Enable(true)
+	defer Enable(was)
 	before := DeadlineMisses()
-	lbl := Label("test.port")
 	now := Now()
-	ReportDeadlineMiss(lbl, now-1000, now, 42, 15)
+	ReportDeadlineMiss(Label("miss.port"), now-1000, now, 42)
 	if DeadlineMisses() != before+1 {
 		t.Errorf("miss counter = %d, want %d", DeadlineMisses(), before+1)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 {
-		t.Fatalf("handler calls = %d, want 1", len(got))
+	var seen int
+	for _, ev := range Default.Ring().Snapshot() {
+		if ev.Label == "miss.port" && ev.Kind == EvDeadlineMiss {
+			seen++
+			if ev.Trace != 42 || ev.Arg != 1000 {
+				t.Errorf("miss event = %+v, want trace 42, lateness 1000", ev)
+			}
+		}
 	}
-	m := got[0]
-	if m.Label != "test.port" || m.Trace != 42 || m.Priority != 15 || m.Lateness() != 1000 {
-		t.Errorf("miss = %+v", m)
+	if seen != 1 {
+		t.Errorf("%d EvDeadlineMiss events for miss.port, want 1", seen)
 	}
-}
-
-func TestDeadlineMissHandlerPanicSwallowed(t *testing.T) {
-	SetDeadlineMissHandler(func(Miss) { panic("observer broke") })
-	defer SetDeadlineMissHandler(nil)
-	ReportDeadlineMiss(0, 0, 1, 0, 1) // must not propagate the panic
 }
 
 func TestSnapshotAndMetricsText(t *testing.T) {
