@@ -33,7 +33,7 @@ race: build vet
 # enter exactly 3 scopes and overflow into none. Under them all, a buffered
 # write and the read that drains it on the in-process transport allocate
 # nothing, deadline set or not, and neither does an In port's push + pop,
-# keyed or not, nor a send to a synchronous port, with the sender's context
+# plain, tenant-classed or contested, nor a send to a synchronous port, with the sender's context
 # or without or three nested in the Fig. 6 shape (each on a call frame, so
 # the same guard holds under -race in `make race`), nor a scratch buffer, whether it fits the area its thread
 # stands in or overflows into a nested pooled one, nor a sched.Signal Notify
@@ -106,16 +106,15 @@ bench-build:
 # orb-loc prints the size of the component-structured ORB next to the
 # hand-coded baseline it is judged against (ROADMAP aim 2), and of the
 # component runtime, the scheduler, the memory model and the GIOP codec under
-# it, non-test lines — and is a ratchet: it fails when internal/orb,
-# internal/core, internal/sched, internal/memory or internal/giop is larger
+# it, non-test lines — and is a ratchet: it fails when any of them is larger
 # than its figure below, the size the last PR that shrank it landed at. A PR that shrinks one further lowers its figure; one that has to grow
 # it deletes something first.
 orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched internal/memory internal/giop; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		case $$d in internal/orb) max=3297;; internal/core) max=2965;; internal/sched) max=728;; \
-			internal/memory) max=1119;; internal/giop) max=1410;; *) max=;; esac; \
+		case $$d in internal/orb) max=3292;; internal/rtzen) max=453;; internal/core) max=2830;; \
+			internal/sched) max=728;; internal/memory) max=1119;; internal/giop) max=1410;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \
 		fi; \
@@ -141,7 +140,7 @@ no-poll:
 no-sleep:
 	@n=$$(grep -ro 'time\.Sleep(' --include='*_test.go' internal | wc -l); \
 	printf 'time.Sleep calls in internal/ tests: %d\n' $$n; \
-	if [ $$n -gt 36 ]; then echo "over the ratchet of 36: wait on the condition instead"; exit 1; fi
+	if [ $$n -gt 34 ]; then echo "over the ratchet of 34: wait on the condition instead"; exit 1; fi
 
 # api-census lists the exported identifiers under internal/ that no program
 # (internal/, cmd/, examples/, bench/) names, each survivor with its reason.

@@ -26,6 +26,23 @@ var censusSurvivors = map[string]string{
 	"overload.Controller.Counts": "test seam for the control step until the clock of ROADMAP 2 lands",
 }
 
+// fieldSurvivors are the exported fields of exported …Config and …Options
+// structs under internal/ that no program sets and that stay anyway, each
+// with the reason it stays. Like censusSurvivors the table only shrinks.
+var fieldSurvivors = map[string]string{
+	"orb.ClientConfig.MaxMessage":        "a protocol limit only tests set; ROADMAP 8 moves it into CDL",
+	"orb.ServerConfig.MaxMessage":        "a protocol limit only tests set; ROADMAP 8 moves it into CDL",
+	"orb.ResilienceConfig.ReconnectBase": "tests shorten it until the clock of ROADMAP 2 lands",
+	"orb.ResilienceConfig.ReconnectMax":  "tests shorten it until the clock of ROADMAP 2 lands",
+	"core.SwapOptions.DrainTimeout":      "tests lengthen or shorten it until the clock of ROADMAP 2 lands",
+	"fault.Config.DialRefusals":          "a fault the transport tests turn on",
+	"fault.Config.PartialReadProb":       "a fault the transport tests turn on",
+	"fault.Config.CorruptProb":           "a fault the transport tests turn on",
+	"fault.Config.WrapAccepted":          "a fault the transport tests turn on",
+	"deploy.ClusterConfig.DirectoryAddr": "a deployment address; the examples let it default",
+	"deploy.ClusterConfig.NodeAddr":      "a deployment address; the examples let it default",
+}
+
 // implicitMethods are called through interfaces the standard library
 // defines (error and its Unwrap, which errors.Is and errors.As call; io;
 // net.Conn), so a program reaches them without naming them.
@@ -45,6 +62,13 @@ var implicitMethods = map[string]bool{
 // packages named *test are test helpers and count for neither side. It
 // matches names, not types, so a method counts as reached when any
 // selector anywhere spells its name.
+//
+// It also lists the exported fields of exported …Config and …Options
+// structs under internal/ that no program sets: a field is set where a
+// composite literal of its struct type names it as a key (the type read from
+// the literal's package qualifier, or from the enclosing slice or map
+// literal when elided) or where any assignment's target selects a field of
+// its name.
 func TestAPICensus(t *testing.T) {
 	fset := token.NewFileSet()
 	type decl struct {
@@ -52,6 +76,7 @@ func TestAPICensus(t *testing.T) {
 		name string
 	}
 	var decls []decl
+	var fields []string // pkg.Type.Field of every option field
 	declIdents := map[*ast.Ident]bool{}
 	uses := map[string]int{}
 	var files []*ast.File
@@ -105,6 +130,7 @@ func TestAPICensus(t *testing.T) {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						add(s.Name, pkg+"."+s.Name.Name)
+						fields = append(fields, optionFields(pkg, s)...)
 					case *ast.ValueSpec:
 						for _, n := range s.Names {
 							add(n, pkg+"."+n.Name)
@@ -149,6 +175,117 @@ func TestAPICensus(t *testing.T) {
 		}
 	}
 	t.Logf("%d survivors, %d declarations scanned", len(censusSurvivors), len(decls))
+
+	set := setFields(files)
+	isUnset := map[string]bool{}
+	for _, key := range fields {
+		if set[key] || set[key[strings.LastIndex(key, ".")+1:]] {
+			continue
+		}
+		isUnset[key] = true
+		if reason, ok := fieldSurvivors[key]; ok {
+			t.Logf("unset field %-36s %s", key, reason)
+		} else {
+			t.Errorf("%s: an option no program sets; delete it, or give it a setter", key)
+		}
+	}
+	for k := range fieldSurvivors {
+		if !isUnset[k] {
+			t.Errorf("%s: listed as an unset field, but a program sets it now or it is gone; take it out of fieldSurvivors", k)
+		}
+	}
+	t.Logf("%d unset fields listed, %d option fields scanned", len(fieldSurvivors), len(fields))
+}
+
+// optionFields returns pkg.Type.Field for each exported field of s when s
+// declares an exported struct named …Config or …Options.
+func optionFields(pkg string, s *ast.TypeSpec) []string {
+	st, ok := s.Type.(*ast.StructType)
+	name := s.Name.Name
+	if !ok || !ast.IsExported(name) || !(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")) {
+		return nil
+	}
+	var keys []string
+	for _, f := range st.Fields.List {
+		for _, n := range f.Names {
+			if n.IsExported() {
+				keys = append(keys, pkg+"."+name+"."+n.Name)
+			}
+		}
+	}
+	return keys
+}
+
+// setFields returns what the files set: pkg.Type.Field for each key of a
+// composite literal whose type it can read, and the bare field name for each
+// selector an assignment writes to.
+func setFields(files []*ast.File) map[string]bool {
+	set := map[string]bool{}
+	for _, f := range files {
+		pkgOf := map[string]string{} // import name → package name
+		for _, imp := range f.Imports {
+			path := strings.Trim(imp.Path.Value, `"`)
+			pkg := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				pkgOf[imp.Name.Name] = pkg
+			} else {
+				pkgOf[pkg] = pkg
+			}
+		}
+		// typeName reads a literal's type: T in the file's own package, or
+		// q.T through the file's imports; "" when it is neither.
+		var typeName func(e ast.Expr) string
+		typeName = func(e ast.Expr) string {
+			switch x := e.(type) {
+			case *ast.StarExpr:
+				return typeName(x.X)
+			case *ast.Ident:
+				return f.Name.Name + "." + x.Name
+			case *ast.SelectorExpr:
+				if q, ok := x.X.(*ast.Ident); ok && pkgOf[q.Name] != "" {
+					return pkgOf[q.Name] + "." + x.Sel.Name
+				}
+			}
+			return ""
+		}
+		elided := map[*ast.CompositeLit]string{} // element literal → its slice or map's element type
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+					}
+				}
+			case *ast.CompositeLit:
+				typ := elided[n]
+				var elt ast.Expr
+				switch x := n.Type.(type) {
+				case nil:
+				case *ast.ArrayType:
+					elt = x.Elt
+				case *ast.MapType:
+					elt = x.Value
+				default:
+					typ = typeName(x)
+				}
+				for _, e := range n.Elts {
+					kv, isKV := e.(*ast.KeyValueExpr)
+					if isKV {
+						if key, ok := kv.Key.(*ast.Ident); ok && typ != "" {
+							set[typ+"."+key.Name] = true
+						}
+						e = kv.Value
+					}
+					if lit, ok := e.(*ast.CompositeLit); ok && lit.Type == nil && elt != nil {
+						elided[lit] = typeName(elt)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return set
 }
 
 // recvType is the name of a method receiver's type, without pointer or

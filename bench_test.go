@@ -164,17 +164,16 @@ func BenchmarkSteadyStateRoundTrip(b *testing.B) {
 			telemetry.Enable(variant.on)
 			defer telemetry.Enable(true)
 			pp, err := experiments.NewPingPong(experiments.PingPongConfig{
-				Synchronous: true, Persistent: true, Fair: variant.overload,
+				Synchronous: true, Persistent: true,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer pp.Close()
-			// The OverloadOn variant runs the round trip exactly the way an
-			// overload-controlled server does: tenant-fair in ports, and the
-			// controller's Admit and settle bracketing every operation (a
-			// single untiered tenant, id 0). The acceptance bar: still 0
-			// allocs/op.
+			// The OverloadOn variant brackets every operation with the
+			// controller's Admit and settle, the way an overload-controlled
+			// server does (a single untiered tenant, id 0). The acceptance
+			// bar: still 0 allocs/op.
 			var ctrl *overload.Controller
 			if variant.overload {
 				ctrl = overload.NewController(overload.Config{})
@@ -346,7 +345,7 @@ func TestSteadyStateRoundTripAllocFree(t *testing.T) {
 			telemetry.Enable(variant.on)
 			defer telemetry.Enable(true)
 			pp, err := experiments.NewPingPong(experiments.PingPongConfig{
-				Synchronous: true, Persistent: true, Fair: variant.overload,
+				Synchronous: true, Persistent: true,
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -325,7 +325,7 @@ func runBench7Swap(out *bench7Swap) error {
 			wg.Wait()
 			return err
 		}
-		st, err := dep.Apply(delta, deploy.ApplyOptions{})
+		st, err := dep.Apply(delta)
 		if err != nil {
 			stop.Store(true)
 			wg.Wait()

@@ -33,15 +33,6 @@ type ClientConfig struct {
 	// waiting for a dial failure. Zero disables the refresher (failover
 	// still works through the dial-failure Resolve path).
 	RefreshInterval time.Duration
-	// MaxMessage bounds a reply body; zero selects orb.DefaultMaxMessage.
-	MaxMessage int
-	// Collocate opts the client into the direct transport (see
-	// orb.ClientConfig.Collocate): when a resolved group member is an
-	// orb.Server in this process on this Network, invocations dispatch the
-	// servant directly. The decision is re-detected after every retarget —
-	// refresher-driven, failover-driven, or explicit — so replica moves and
-	// rolling upgrades fall back to the wire path, never a stale pointer.
-	Collocate bool
 }
 
 // Client is an orb.Client bound to a replica group instead of one server:
@@ -85,8 +76,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		},
 		Channels:   cfg.Channels,
 		Resilience: res,
-		MaxMessage: cfg.MaxMessage,
-		Collocate:  cfg.Collocate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial group %q: %w", cfg.Group, err)

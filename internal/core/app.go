@@ -24,9 +24,6 @@ type AppConfig struct {
 	// MsgPoolCapacity is the number of pooled instances per message type
 	// per SMM; zero selects DefaultMsgPoolCapacity.
 	MsgPoolCapacity int
-	// OnError receives asynchronous handler errors. Nil errors are never
-	// delivered. When nil, errors are counted but otherwise dropped.
-	OnError func(error)
 }
 
 // ScopePoolSpec describes one CCL <ScopedPool> entry.
@@ -57,11 +54,10 @@ const (
 // App is one Compadres application: a memory model, scope pools, and a tree
 // of components rooted at immortal top-level components.
 type App struct {
-	name    string
-	model   *memory.Model
-	pools   map[int]*memory.ScopePool // written only by NewApp
-	msgCap  int
-	onError func(error)
+	name   string
+	model  *memory.Model
+	pools  map[int]*memory.ScopePool // written only by NewApp
+	msgCap int
 
 	mu       sync.Mutex
 	top      []*Component
@@ -107,7 +103,6 @@ func NewApp(cfg AppConfig) (*App, error) {
 		name:     cfg.Name,
 		model:    model,
 		msgCap:   msgCap,
-		onError:  cfg.OnError,
 		topNames: make(map[string]*Component),
 		pools:    make(map[int]*memory.ScopePool),
 	}
@@ -242,7 +237,7 @@ func (a *App) Errors() (int64, error) {
 	return a.errCount, a.lastErr
 }
 
-// reportError records (and forwards) an asynchronous handler error.
+// reportError records an asynchronous handler error (see Errors).
 func (a *App) reportError(err error) {
 	if err == nil {
 		return
@@ -250,11 +245,7 @@ func (a *App) reportError(err error) {
 	a.mu.Lock()
 	a.errCount++
 	a.lastErr = err
-	cb := a.onError
 	a.mu.Unlock()
-	if cb != nil {
-		cb(err)
-	}
 }
 
 // checkName rejects empty names and names containing the qualifier

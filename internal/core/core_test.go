@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -584,7 +583,7 @@ func TestBufferFull(t *testing.T) {
 	if err := send(); !errors.Is(err, ErrBufferFull) {
 		t.Errorf("overflow err = %v, want ErrBufferFull", err)
 	}
-	if _, _, dropped := comp.SMM().inPort("C.in").Stats(); dropped != 1 {
+	if _, _, dropped := portStats(comp.SMM().inPort("C.in")); dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
 	close(block)
@@ -685,38 +684,6 @@ func TestHandlerPanicIsolatedAndReported(t *testing.T) {
 	// The message still returned to its pool.
 	if _, inFlight := msgPoolStats(comp.SMM(), "Int"); inFlight != 0 {
 		t.Errorf("in flight = %d after panic, want 0", inFlight)
-	}
-}
-
-func TestOnErrorCallback(t *testing.T) {
-	errCh := make(chan error, 1)
-	app := newTestApp(t, AppConfig{OnError: func(err error) { errCh <- err }})
-	comp, err := app.NewImmortalComponent("C", func(c *Component) error {
-		smm := c.SMM()
-		if _, err := AddInPort(c, smm, InPortConfig{
-			Name: "in", Type: intType,
-			Handler: HandlerFunc(func(*Proc, Message) error { return fmt.Errorf("handler failure") }),
-		}); err != nil {
-			return err
-		}
-		_, err := AddOutPort(c, smm, OutPortConfig{Name: "out", Type: intType, Dests: []string{"C.in"}})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := comp.SMM().GetOutPort("out")
-	m, _ := out.GetMessage()
-	if err := out.Send(m, 1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-errCh:
-		if err == nil {
-			t.Error("nil error delivered")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("error callback not invoked")
 	}
 }
 

@@ -18,13 +18,17 @@ func TestDuplicatePortRegistrationRejected(t *testing.T) {
 	smm := c.SMM()
 	h := HandlerFunc(func(*Proc, Message) error { return nil })
 
-	if _, err := AddInPort(c, smm, InPortConfig{Name: "p", Type: intType, Handler: h}); err != nil {
+	first, err := AddInPort(c, smm, InPortConfig{Name: "p", Type: intType, Handler: h})
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-registering the same port name with the SAME type rebinds (the
-	// transient-child path) rather than erroring...
-	if _, err := AddInPort(c, smm, InPortConfig{Name: "p", Type: intType, Handler: h}); err != nil {
+	// transient-child path) rather than erroring, and hands back the port
+	// the first registration made, buffer and overflow policy included...
+	if again, err := AddInPort(c, smm, InPortConfig{Name: "p", Type: intType, Handler: h, Overflow: OverflowBlock}); err != nil {
 		t.Errorf("same-type rebind rejected: %v", err)
+	} else if again != first || again.overflow != OverflowReject {
+		t.Errorf("rebind returned a new port (%p, was %p) or changed its policy to %v", again, first, again.overflow)
 	}
 	// ...but a different type is a contract violation.
 	if _, err := AddInPort(c, smm, InPortConfig{Name: "p", Type: stringType, Handler: h}); !errors.Is(err, ErrTypeMismatch) {

@@ -501,7 +501,7 @@ func TestFanOutDelivery(t *testing.T) {
 				if name == "a" && tc.first == ThreadingSynchronous {
 					continue
 				}
-				if received, processed, _ := smm.inPort("C." + name).Stats(); received != 1 || processed != 1 {
+				if received, processed, _ := portStats(smm.inPort("C." + name)); received != 1 || processed != 1 {
 					t.Errorf("buffered port %s received %d, processed %d, want 1 and 1", name, received, processed)
 				}
 			}

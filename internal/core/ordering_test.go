@@ -21,7 +21,7 @@ func TestInPortConcurrentProducersFIFO(t *testing.T) {
 		producers = 5
 		perProd   = 200
 	)
-	p := newTestPort(producers*perProd, OverflowReject, false)
+	p := newTestPort(producers*perProd, OverflowReject)
 
 	type tag struct{ prod, seq, prio int }
 	var pushWG sync.WaitGroup

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -15,13 +14,40 @@ import (
 var overflowType = MessageType{Name: "OverflowTest", Size: 16, New: func() Message { return &testMsg{} }}
 
 // newTestPort builds a bare InPort (no SMM, pool or binding) for white-box
-// buffer tests, through the constructor registerIn uses. keyed is
-// InPortConfig.Fair.
-func newTestPort(capacity int, policy Overflow, keyed bool, weights ...int32) *InPort {
+// buffer tests, through the constructor registerIn uses.
+func newTestPort(capacity int, policy Overflow) *InPort {
 	return newInPort("T.in", InPortConfig{
-		Name: "in", Type: overflowType, BufferSize: capacity,
-		Overflow: policy, Fair: keyed, FairWeights: weights,
+		Name: "in", Type: overflowType, BufferSize: capacity, Overflow: policy,
 	})
+}
+
+// portStats reports what a port counted: messages received (enqueued),
+// processed, and dropped (buffer full). A synchronous port has nothing to
+// enqueue: it counts a call once, when the handler returns, and reports
+// that count as both received and processed.
+func portStats(p *InPort) (received, processed, dropped int64) {
+	if p.synchronous {
+		n := p.processed.Load()
+		return n, n, p.dropped.Load()
+	}
+	return p.received.Load(), p.processed.Load(), p.dropped.Load()
+}
+
+// testItem is a delivery of value v: a plain message, or, keyed, one that
+// rides tenant lane 1 (TenantClassed).
+func testItem(v int, prio sched.Priority, keyed bool) bufItem {
+	if keyed {
+		return bufItem{msg: &classedMsg{testMsg: testMsg{v: v}, class: 1}, prio: prio}
+	}
+	return bufItem{msg: &testMsg{v: v}, prio: prio}
+}
+
+// valueOf is the value a testItem carries.
+func valueOf(m Message) int {
+	if cm, ok := m.(*classedMsg); ok {
+		return cm.v
+	}
+	return m.(*testMsg).v
 }
 
 func mustPush(t *testing.T, p *InPort, v int, prio sched.Priority) {
@@ -38,7 +64,7 @@ func popValues(p *InPort) []int {
 		if !ok {
 			return out
 		}
-		out = append(out, it.msg.(*testMsg).v)
+		out = append(out, valueOf(it.msg))
 	}
 }
 
@@ -53,11 +79,13 @@ func wantQueue(t *testing.T, p *InPort, want ...int) {
 // blockedPush fills a one-slot Block port and parks a second sender on it.
 func blockedPush(t *testing.T, keyed bool) (*InPort, <-chan error) {
 	t.Helper()
-	p := newTestPort(1, OverflowBlock, keyed)
-	mustPush(t, p, 1, sched.NormPriority)
+	p := newTestPort(1, OverflowBlock)
+	if err := p.push(testItem(1, sched.NormPriority, keyed)); err != nil {
+		t.Fatal(err)
+	}
 	pushed := make(chan error, 1)
 	go func() {
-		pushed <- p.push(bufItem{msg: &testMsg{v: 2}, prio: sched.NormPriority})
+		pushed <- p.push(testItem(2, sched.NormPriority, keyed))
 	}()
 	select {
 	case err := <-pushed:
@@ -69,32 +97,32 @@ func blockedPush(t *testing.T, keyed bool) (*InPort, <-chan error) {
 
 // TestOverflowPolicies is the one table of buffer behaviour: both overflow
 // policies' contracts, the retraction the send path relies on and the hook a
-// delivery dropped unhandled fires, run over an un-keyed and a keyed
-// (InPortConfig.Fair) port — there is one buffer, so there is one set of
-// rules.
+// delivery dropped unhandled fires, run over plain messages and keyed ones
+// that ride a tenant lane (TenantClassed) — there is one buffer, so there is
+// one set of rules.
 func TestOverflowPolicies(t *testing.T) {
 	rows := []struct {
 		name string
 		run  func(t *testing.T, keyed bool)
 	}{
 		{"Reject", func(t *testing.T, keyed bool) {
-			p := newTestPort(2, OverflowReject, keyed)
-			mustPush(t, p, 1, sched.NormPriority)
-			mustPush(t, p, 2, sched.NormPriority)
-			if err := p.push(bufItem{msg: &testMsg{v: 3}, prio: sched.NormPriority}); !errors.Is(err, ErrBufferFull) {
+			p := newTestPort(2, OverflowReject)
+			for v := 1; v <= 2; v++ {
+				if err := p.push(testItem(v, sched.NormPriority, keyed)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := p.push(testItem(3, sched.NormPriority, keyed)); !errors.Is(err, ErrBufferFull) {
 				t.Fatalf("err = %v, want ErrBufferFull", err)
 			}
-			if _, _, dropped := p.Stats(); dropped != 1 {
+			if _, _, dropped := portStats(p); dropped != 1 {
 				t.Errorf("dropped = %d, want 1", dropped)
-			}
-			if p.Shed() != 0 {
-				t.Errorf("a refused newcomer counted as shed = %d, want 0", p.Shed())
 			}
 			wantQueue(t, p, 1, 2)
 		}},
 		{"BlockUnblocksOnPop", func(t *testing.T, keyed bool) {
 			p, pushed := blockedPush(t, keyed)
-			if it, ok := p.pop(); !ok || it.msg.(*testMsg).v != 1 {
+			if it, ok := p.pop(); !ok || valueOf(it.msg) != 1 {
 				t.Fatal("pop failed")
 			}
 			select {
@@ -124,20 +152,21 @@ func TestOverflowPolicies(t *testing.T) {
 			// that exact delivery, not whichever message is next in queue order
 			// (which could orphan another sender's delivery while the failed one
 			// stayed queued against a recycled completion channel).
-			p := newTestPort(4, OverflowReject, keyed)
-			envs := [3]*envelope{{}, {}, {}}
-			msgs := [3]*testMsg{{v: 1}, {v: 2}, {v: 3}}
+			p := newTestPort(4, OverflowReject)
+			var items [3]bufItem
 			prios := [3]sched.Priority{5, 25, 5} // v2 is what a naive pop returns
-			for i := range envs {
-				if err := p.push(bufItem{env: envs[i], msg: msgs[i], prio: prios[i]}); err != nil {
+			for i := range items {
+				items[i] = testItem(i+1, prios[i], keyed)
+				items[i].env = &envelope{}
+				if err := p.push(items[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			it, ok := p.removeItem(envs[2], msgs[2])
-			if !ok || it.msg.(*testMsg).v != 3 {
+			it, ok := p.removeItem(items[2].env, items[2].msg)
+			if !ok || valueOf(it.msg) != 3 {
 				t.Fatalf("removeItem = (%+v, %v), want the exact (env2, v3) delivery", it.msg, ok)
 			}
-			if _, ok := p.removeItem(envs[2], msgs[2]); ok {
+			if _, ok := p.removeItem(items[2].env, items[2].msg); ok {
 				t.Fatal("removeItem found an already-retracted delivery")
 			}
 			wantQueue(t, p, 2, 1)
@@ -151,17 +180,6 @@ func TestOverflowPolicies(t *testing.T) {
 		}{{"unkeyed", false}, {"keyed", true}} {
 			t.Run(row.name+"/"+kind.name, func(t *testing.T) { row.run(t, kind.keyed) })
 		}
-	}
-}
-
-// Out-of-range priorities clamp into the shed-counter table instead of
-// panicking.
-func TestShedBandCounterClamps(t *testing.T) {
-	if c := shedBandCounter(-3); c != shedBandCounter(0) {
-		t.Error("negative priority did not clamp to band 0")
-	}
-	if c := shedBandCounter(99); c != shedBandCounter(sched.MaxPriority) {
-		t.Error("oversized priority did not clamp to the top band")
 	}
 }
 
@@ -182,11 +200,10 @@ func (m *classedMsg) OnShed() {
 // classedType is the pooled message type for ShedAware end-to-end tests.
 var classedType = MessageType{Name: "ClassedTest", Size: 32, New: func() Message { return &classedMsg{} }}
 
-// A keyed port divides a contested band across tenant classes where an
-// un-keyed one serves pure FIFO within the band — the starvation the key
-// exists to fix.
+// A port divides a contested band across tenant lanes: a tenant that floods
+// the band first does not starve one that arrives behind it.
 func TestFairPortDividesBandAcrossClasses(t *testing.T) {
-	p := newTestPort(16, OverflowReject, true)
+	p := newTestPort(16, OverflowReject)
 	// Tenant A floods 12 messages before tenant B's 4 arrive.
 	for i := 0; i < 12; i++ {
 		mustPush(t, p, 100+i, 10)
@@ -212,16 +229,12 @@ func TestFairPortDividesBandAcrossClasses(t *testing.T) {
 	}
 }
 
-// A queued delivery dropped unhandled — here expired at dequeue on a
-// ShedExpired port — fires its OnShed hook exactly once, before release, so
-// admission accounting can return its in-flight slot, and the shed is
-// attributed to its band.
+// A queued delivery orphaned by a shutdown — its dispatch lost to the
+// pool's — fires its OnShed hook exactly once, before release, so admission
+// accounting can return its in-flight slot; the handler never runs, and the
+// owner and the message pool get their reservation and message back.
 func testShedAwareOnShed(t *testing.T, keyed bool) {
 	app := newTestApp(t, AppConfig{})
-	block := make(chan struct{})
-	release := sync.OnceFunc(func() { close(block) })
-	t.Cleanup(release) // before app.Stop: a parked handler would hold it
-	started := make(chan struct{})
 	var handled, shed atomic.Int32
 	var out *OutPort
 	comp, err := app.NewImmortalComponent("SA", func(c *Component) error {
@@ -234,12 +247,8 @@ func testShedAwareOnShed(t *testing.T, keyed bool) {
 		_, aerr = AddInPort(c, smm, InPortConfig{
 			Name: "in", Type: classedType, BufferSize: 1,
 			Threading: ThreadingDedicated, MinThreads: 1, MaxThreads: 1,
-			Fair: keyed, ShedExpired: true,
-			Handler: HandlerFunc(func(p *Proc, m Message) error {
-				if handled.Add(1) == 1 {
-					close(started)
-					<-block
-				}
+			Handler: HandlerFunc(func(*Proc, Message) error {
+				handled.Add(1)
 				return nil
 			}),
 		})
@@ -252,33 +261,35 @@ func testShedAwareOnShed(t *testing.T, keyed bool) {
 		t.Fatal(err)
 	}
 
-	send := func(prio sched.Priority) {
-		m, err := out.GetMessage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.(*classedMsg).onShed = func() { shed.Add(1) }
-		if err := out.Send(m, prio); err != nil {
-			t.Fatal(err)
-		}
+	m, err := out.GetMessage()
+	if err != nil {
+		t.Fatal(err)
 	}
-	const band = 3
-	before := shedBandCounter(band).Value()
-	send(sched.NormPriority) // pins the worker
-	<-started
-	out.SetSendDeadline(time.Nanosecond)
-	send(band) // waits in the buffer, expired by the time the worker pops it
-	release()
-	if !comp.changed.Wait(func() bool { return comp.life.Load()&pendingMask == 0 }, time.Now().Add(5*time.Second)) {
-		t.Fatal("the expired delivery was never released")
+	cm := m.(*classedMsg)
+	cm.onShed = func() { shed.Add(1) }
+	if keyed {
+		cm.class = 1
 	}
+	// Queue the delivery as enqueue does, without the dispatch Submit: the
+	// shutdown finds it buffered with nothing scheduled to run it.
+	if _, err := comp.reserve(false); err != nil {
+		t.Fatal(err)
+	}
+	in := comp.SMM().inPort("SA.in")
+	if err := in.push(bufItem{env: newEnvelope(m, out.pool, 1), msg: m, prio: sched.NormPriority, owner: comp}); err != nil {
+		t.Fatal(err)
+	}
+	app.Stop()
 	if got := shed.Load(); got != 1 {
-		t.Errorf("OnShed fired %d times after one expired shed, want 1", got)
+		t.Errorf("OnShed fired %d times for one orphaned delivery, want 1", got)
 	}
-	if got := handled.Load(); got != 1 {
-		t.Errorf("handler ran %d times, want 1: the expired delivery must not run", got)
+	if got := handled.Load(); got != 0 {
+		t.Errorf("handler ran %d times, want 0: an orphaned delivery must not run", got)
 	}
-	if got := shedBandCounter(band).Value(); got != before+1 {
-		t.Errorf("shed_expired_band_%d_total = %d, want %d", band, got, before+1)
+	if pending := comp.life.Load() & pendingMask; pending != 0 {
+		t.Errorf("owner still holds %d pending reservations", pending/pendingOne)
+	}
+	if _, inFlight := msgPoolStats(comp.SMM(), classedType.Name); inFlight != 0 {
+		t.Errorf("%d messages in flight after the orphan was dropped, want 0", inFlight)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -68,47 +67,16 @@ func (o Overflow) String() string {
 	}
 }
 
-// shedTotal counts messages a ShedExpired port dropped at dequeue across
-// all ports, exported at /metrics as compadres_shed_total.
-var shedTotal = telemetry.NewCounter("shed_total")
-
-// shedBandCounters caches the per-priority-band expired-shed counters, which
-// let an overload controller attribute what it is dropping. Counters are
-// created lazily — shedding is a cold path and most of the 31 bands never
-// fire. Racing creations agree: the registry dedups by name, so every racer
-// caches the same *Counter.
-var shedBandCounters [numShedBands]atomic.Pointer[telemetry.Counter]
-
-// numShedBands covers priorities 0 (unknown) through sched.MaxPriority.
-const numShedBands = int(sched.MaxPriority) + 1
-
-// shedBandCounter returns the counter "shed_expired_band_<prio>_total".
-func shedBandCounter(prio sched.Priority) *telemetry.Counter {
-	b := int(prio)
-	if b < 0 {
-		b = 0
-	}
-	if b >= numShedBands {
-		b = numShedBands - 1
-	}
-	if c := shedBandCounters[b].Load(); c != nil {
-		return c
-	}
-	c := telemetry.NewCounter(fmt.Sprintf("shed_expired_band_%d_total", b))
-	shedBandCounters[b].Store(c)
-	return c
-}
-
 // TenantClassed is implemented by messages that carry a tenant fairness
-// class (see sched.MaxTenantClasses); a Fair In port queues them in that
+// class (see sched.MaxTenantClasses); a buffered In port queues them in that
 // class's lane. Messages without it ride class 0.
 type TenantClassed interface{ TenantClass() uint8 }
 
 // ShedAware is implemented by messages that must observe being dropped
-// unhandled after they were queued — shed at dequeue past their deadline, or
-// orphaned by a shutdown — so upstream accounting (admission controllers,
-// in-flight limiters) can release the resources reserved for them. OnShed
-// runs before the message's envelope is released, at most once per delivery.
+// unhandled after they were queued — orphaned by a shutdown — so upstream
+// accounting (admission controllers, in-flight limiters) can release the
+// resources reserved for them. OnShed runs before the message's envelope is
+// released, at most once per delivery.
 type ShedAware interface{ OnShed() }
 
 // InPortConfig parameterises AddInPort. It mirrors the paper's
@@ -120,9 +88,8 @@ type InPortConfig struct {
 	// Type is the message type accepted by the port.
 	Type MessageType
 	// BufferSize bounds the port's message buffer; zero selects
-	// DefaultBufferSize. It, Overflow, Fair, FairWeights and ShedExpired
-	// describe a buffered port; a Synchronous port has nothing to overflow,
-	// order or let expire, and ignores them.
+	// DefaultBufferSize. It and Overflow describe a buffered port; a
+	// Synchronous port has nothing to overflow and ignores them.
 	BufferSize int
 	// Threading selects the dispatch policy; zero selects ThreadingShared.
 	Threading Threading
@@ -131,21 +98,6 @@ type InPortConfig struct {
 	MinThreads, MaxThreads int
 	// Overflow selects the buffer-full policy; zero selects OverflowReject.
 	Overflow Overflow
-	// Fair keys the port's buffer by tenant and deadline. Every port drains
-	// strict priority across bands; a Fair port also divides a band across
-	// tenant classes by deficit-weighted round robin (messages report their
-	// class via TenantClassed) and runs earliest-deadline-first inside a
-	// class. Without it every message rides class 0 with no deadline key:
-	// FIFO within a priority, the paper's order.
-	Fair bool
-	// FairWeights are the per-class DRR weights for a Fair port (see
-	// sched.NewFairQueue); nil shares the band equally.
-	FairWeights []int32
-	// ShedExpired drops a message whose send deadline has already passed at
-	// dequeue instead of executing it late: the drop is counted as
-	// deadline_shed_total (never as a deadline miss or dispatch latency)
-	// and the message's OnShed hook fires if it has one.
-	ShedExpired bool
 	// Handler processes arriving messages. Required.
 	Handler Handler
 }
@@ -164,15 +116,14 @@ type OutPortConfig struct {
 
 // bufItem is one queued delivery.
 type bufItem struct {
-	env      *envelope
-	msg      Message
-	prio     sched.Priority
-	owner    *Component
-	deadline int64 // telemetry timestamp; 0 = none
+	env   *envelope
+	msg   Message
+	prio  sched.Priority
+	owner *Component
 }
 
-// drop releases a queued delivery that will never be handled: expired at
-// dequeue or orphaned by a shutdown.
+// drop releases a queued delivery that a shutdown orphaned: it will never be
+// handled.
 func (it bufItem) drop() {
 	if sa, ok := it.msg.(ShedAware); ok {
 		sa.OnShed()
@@ -201,28 +152,25 @@ type InPort struct {
 	// mu guards only the buffer; the binding and the stats counters are
 	// read and written without it.
 	// The buffer: queued items sit in slab, preallocated at the declared
-	// capacity; queue orders their slab indices and free recycles vacated
-	// ones. keyed (InPortConfig.Fair) says whether a push keys the queue by
-	// the message's tenant class and deadline or by priority alone.
-	mu          sync.Mutex
-	queue       sched.FairQueue
-	slab        []bufItem
-	free        []uint32
-	capacity    int
-	keyed       bool
-	closed      bool
-	overflow    Overflow
-	notFull     *sync.Cond // non-nil only for OverflowBlock ports
-	shedExpired bool
+	// capacity; queue orders their slab indices — by priority band, then by
+	// the message's tenant lane, FIFO within a lane — and free recycles
+	// vacated ones.
+	mu       sync.Mutex
+	queue    sched.FairQueue
+	slab     []bufItem
+	free     []uint32
+	capacity int
+	closed   bool
+	overflow Overflow
+	notFull  *sync.Cond // non-nil only for OverflowBlock ports
 
 	bound      atomic.Pointer[portBinding]
 	pool       *sched.Pool
 	dispatchFn func(sched.Priority) // created once; avoids a closure per send
 
-	received  atomic.Int64 // buffered ports only; see Stats
+	received  atomic.Int64 // buffered ports; a synchronous port counts only processed
 	processed atomic.Int64
 	dropped   atomic.Int64
-	shed      atomic.Int64 // subset of dropped: expired at dequeue
 	depthMax  atomic.Int64 // queue depth high-water mark
 
 	label  telemetry.LabelID
@@ -235,25 +183,6 @@ func (p *InPort) Name() string { return p.qname }
 // Type returns the port's message type.
 func (p *InPort) Type() MessageType { return p.typ }
 
-// Stats reports messages received (enqueued), processed, and dropped
-// (buffer full). A synchronous port has nothing to enqueue: it counts a call
-// once, when the handler returns, and reports that count as both received
-// and processed.
-func (p *InPort) Stats() (received, processed, dropped int64) {
-	if p.synchronous {
-		n := p.processed.Load()
-		return n, n, p.dropped.Load()
-	}
-	return p.received.Load(), p.processed.Load(), p.dropped.Load()
-}
-
-// Shed reports how many messages a ShedExpired port dropped at dequeue (a
-// subset of dropped).
-func (p *InPort) Shed() int64 { return p.shed.Load() }
-
-// Overflow returns the port's buffer-full policy.
-func (p *InPort) Overflow() Overflow { return p.overflow }
-
 // newInPort builds a port and, unless it is synchronous, its buffer from an
 // already-defaulted config; the caller attaches the dispatch pool and binding.
 func newInPort(qname string, cfg InPortConfig) *InPort {
@@ -264,17 +193,15 @@ func newInPort(qname string, cfg InPortConfig) *InPort {
 		}
 	}
 	p := &InPort{
-		qname:       qname,
-		short:       cfg.Name,
-		typ:         cfg.Type,
-		queue:       *sched.NewFairQueue(cfg.FairWeights),
-		slab:        make([]bufItem, cfg.BufferSize),
-		free:        make([]uint32, cfg.BufferSize),
-		capacity:    cfg.BufferSize,
-		keyed:       cfg.Fair,
-		overflow:    cfg.Overflow,
-		shedExpired: cfg.ShedExpired,
-		label:       telemetry.Label(qname),
+		qname:    qname,
+		short:    cfg.Name,
+		typ:      cfg.Type,
+		queue:    *sched.NewFairQueue(nil),
+		slab:     make([]bufItem, cfg.BufferSize),
+		free:     make([]uint32, cfg.BufferSize),
+		capacity: cfg.BufferSize,
+		overflow: cfg.Overflow,
+		label:    telemetry.Label(qname),
 	}
 	for i := range p.free {
 		p.free[i] = uint32(cfg.BufferSize - 1 - i)
@@ -287,10 +214,10 @@ func newInPort(qname string, cfg InPortConfig) *InPort {
 
 // push enqueues an item, applying the port's overflow policy (refuse or
 // wait) when the buffer is at capacity. The buffer is a priority queue: pop
-// hands out the highest-priority pending message (FIFO within a priority; a
-// Fair port shares the band across tenants and runs the nearest deadline
-// first), so the pool worker that dequeues — itself scheduled at the
-// message's priority — processes the message that justified its priority.
+// hands out the highest-priority pending message (a band shared across
+// tenant lanes by deficit round robin, FIFO within a lane), so the pool
+// worker that dequeues — itself scheduled at the message's priority —
+// processes the message that justified its priority.
 // Slab and queue are preallocated at the port's declared capacity, so push
 // never allocates once a priority level has been used.
 func (p *InPort) push(it bufItem) error {
@@ -314,33 +241,19 @@ func (p *InPort) push(it bufItem) error {
 		}
 	}
 	var class uint8
-	var deadline int64
-	if p.keyed {
-		deadline = it.deadline
-		if tc, ok := it.msg.(TenantClassed); ok {
-			class = tc.TenantClass()
-		}
+	if tc, ok := it.msg.(TenantClassed); ok {
+		class = tc.TenantClass()
 	}
 	h := p.free[len(p.free)-1]
 	p.free = p.free[:len(p.free)-1]
 	p.slab[h] = it
-	p.queue.Push(h, class, it.prio, deadline)
+	p.queue.Push(h, class, it.prio, 0)
 	if d := int64(p.queue.Len()); d > p.depthMax.Load() {
 		p.depthMax.Store(d) // still under mu, so load+store cannot regress
 	}
 	p.mu.Unlock()
 	p.received.Add(1)
 	return nil
-}
-
-// recordShed accounts one message dropped at dequeue past its deadline: the
-// port's shed stat, the aggregate shed_total, the per-band attribution
-// counter, and an EvShed ring event.
-func (p *InPort) recordShed(prio sched.Priority) {
-	p.shed.Add(1)
-	shedTotal.Inc()
-	shedBandCounter(prio).Inc()
-	telemetry.Record(telemetry.EvShed, p.label, 0, 0, uint64(prio))
 }
 
 // takeSlotLocked vacates slab slot h, which the queue no longer holds, and
@@ -437,9 +350,8 @@ type OutPort struct {
 	routes atomic.Pointer[routeSet] // cached resolution, see SMM.routesFor
 	sent   atomic.Int64
 
-	sendDeadline atomic.Int64 // relative deadline (ns) stamped on every send; 0 = none
-	label        telemetry.LabelID
-	gauges       *telemetry.GaugeHandle
+	label  telemetry.LabelID
+	gauges *telemetry.GaugeHandle
 }
 
 // Name returns the qualified port name ("Component.Port").
@@ -469,18 +381,6 @@ func (p *OutPort) setDests(dests []string) {
 // Sent reports the number of successful Send calls.
 func (p *OutPort) Sent() int64 {
 	return p.sent.Load()
-}
-
-// SetSendDeadline gives every subsequent send through this port a relative
-// deadline: the receiver's handler must start within d of the Send call.
-// A message that starts late is still processed, but the miss is counted
-// (see telemetry.DeadlineMisses) and recorded in the flight recorder.
-// d <= 0 removes the deadline.
-func (p *OutPort) SetSendDeadline(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.sendDeadline.Store(int64(d))
 }
 
 // GetMessage takes a message instance from the SMM's pool for this port's

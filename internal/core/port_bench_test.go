@@ -8,32 +8,36 @@ import (
 )
 
 // portPushPop returns one steady-state buffer cycle — push a message, pop
-// one — for each way a port can be keyed. The contested variant keeps a
-// standing backlog of four tenant classes in the band, so every pop is a DRR
-// turn; the other two pop straight from the band's one occupied class.
+// one — for each kind of traffic a port carries: a plain message, which
+// rides tenant lane 0, one tenant-classed message, and a contested band. The
+// contested variant keeps a standing backlog of four tenant lanes in the
+// band, so every pop is a DRR turn; the other two pop straight from the
+// band's one occupied lane.
 func portPushPop(variant string) func() {
-	keyed := variant != "unkeyed"
-	p := newTestPort(8, OverflowReject, keyed)
-	var msgs [4]*classedMsg
-	for c := range msgs {
+	p := newTestPort(8, OverflowReject)
+	msgs := [5]Message{&testMsg{}}
+	for c := 1; c < len(msgs); c++ {
 		msgs[c] = &classedMsg{class: uint8(c)}
 	}
-	push := func(c int) {
-		if err := p.push(bufItem{msg: msgs[c], prio: sched.NormPriority}); err != nil {
+	push := func(i int) {
+		if err := p.push(bufItem{msg: msgs[i], prio: sched.NormPriority}); err != nil {
 			panic(err)
 		}
 	}
-	if variant != "keyed_contested" {
+	switch variant {
+	case "plain":
 		return func() { push(0); p.pop() }
+	case "classed":
+		return func() { push(1); p.pop() }
 	}
-	for c := range msgs {
-		push(c)
+	for i := 1; i < len(msgs); i++ {
+		push(i)
 	}
-	next := 0
-	return func() { push(next); next = (next + 1) % len(msgs); p.pop() }
+	next := 1
+	return func() { push(next); next = next%(len(msgs)-1) + 1; p.pop() }
 }
 
-var portPushPopVariants = []string{"unkeyed", "keyed_one_class", "keyed_contested"}
+var portPushPopVariants = []string{"plain", "classed", "contested"}
 
 func BenchmarkInPortPushPop(b *testing.B) {
 	for _, v := range portPushPopVariants {

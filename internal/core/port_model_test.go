@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/sched"
@@ -13,28 +11,17 @@ import (
 
 // refItem is one delivery queued in the reference buffer.
 type refItem struct {
-	id       int
-	band     sched.Priority // clamped, as the queue files it
-	class    int
-	deadline int64
+	id    int
+	band  sched.Priority // clamped, as the queue files it
+	class int
 }
 
-// due is the EDF key: no deadline sorts after every real one.
-func (it refItem) due() int64 {
-	if it.deadline == 0 {
-		return math.MaxInt64
-	}
-	return it.deadline
-}
-
-// refPort is the oracle the port buffer is replayed against: the deleted
-// binary heap's order written as a sort. items stay in arrival order, so a
-// stable sort is FIFO among equals and items[0] is the oldest.
+// refPort is the oracle the port buffer is replayed against: the order
+// written as a scan over the items. items stay in arrival order, so the
+// first match is the oldest: FIFO within a lane.
 type refPort struct {
-	keyed   bool
-	weights [sched.MaxTenantClasses]int32
-	items   []refItem
-	drr     map[sched.Priority]*refDRR
+	items []refItem
+	drr   map[sched.Priority]*refDRR
 }
 
 // refDRR is one band's round-robin state.
@@ -43,26 +30,20 @@ type refDRR struct {
 	cursor  int
 }
 
-// next returns the item a pop must hand out: highest band, then FIFO — and
-// on a keyed port the band's DRR winner class, earliest deadline first.
+// next returns the item a pop must hand out: highest band, then the band's
+// DRR winner lane, then FIFO.
 func (r *refPort) next() refItem {
-	s := slices.Clone(r.items)
-	sort.SliceStable(s, func(i, j int) bool {
-		if s[i].band != s[j].band {
-			return s[i].band > s[j].band
-		}
-		return r.keyed && s[i].due() < s[j].due()
-	})
-	if !r.keyed {
-		return s[0]
+	top := r.items[0].band
+	for _, it := range r.items {
+		top = max(top, it.band)
 	}
 	var lanes [sched.MaxTenantClasses][]refItem
-	for _, it := range s {
-		if it.band == s[0].band {
+	for _, it := range r.items {
+		if it.band == top {
 			lanes[it.class] = append(lanes[it.class], it)
 		}
 	}
-	return lanes[r.turn(s[0].band, &lanes)][0]
+	return lanes[r.turn(top, &lanes)][0]
 }
 
 // turn picks the class whose turn it is in a band, charging its deficit. A
@@ -93,7 +74,7 @@ func (r *refPort) turn(band sched.Priority, lanes *[sched.MaxTenantClasses][]ref
 		}
 		for c := range lanes {
 			if len(lanes[c]) > 0 {
-				d.deficit[c] = r.weights[c]
+				d.deficit[c] = 1 // every lane weighs the same
 			}
 		}
 	}
@@ -117,31 +98,23 @@ func (r *refPort) uncontested(top refItem) bool {
 }
 
 // TestPortBufferModel replays seeded random push/pop/remove histories
-// through a real Reject port and the reference, item for item. An un-keyed
-// port must dequeue (priority descending, FIFO) whatever class and deadline
-// its messages carry; a keyed port band ▸ DRR ▸ EDF. Both refuse a push to a
-// full buffer. A failure prints seed and step; the same seed replays it.
+// through a real Reject port and the reference, item for item: a port must
+// dequeue band ▸ DRR across tenant lanes ▸ FIFO, whatever lanes its messages
+// ride, and refuse a push to a full buffer. A failure prints seed and step;
+// the same seed replays it.
 func TestPortBufferModel(t *testing.T) {
 	prios := []sched.Priority{-2, 1, 5, 5, 10, 15, 15, 31, 40}
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		keyed := seed%2 == 0
 		capacity := 2 + rng.Intn(10)
-		weights := []int32{int32(1 + rng.Intn(3)), 1, int32(1 + rng.Intn(2))}
-		p := newTestPort(capacity, OverflowReject, keyed, weights...)
-		ref := &refPort{keyed: keyed, drr: map[sched.Priority]*refDRR{}}
-		for c := range ref.weights {
-			ref.weights[c] = 1
-			if c < len(weights) {
-				ref.weights[c] = weights[c]
-			}
-		}
+		p := newTestPort(capacity, OverflowReject)
+		ref := &refPort{drr: map[sched.Priority]*refDRR{}}
 		envs := map[int]*envelope{}
 		msgs := map[int]*classedMsg{}
 		fail := func(step int, format string, args ...any) {
 			t.Helper()
-			t.Fatalf("seed %d (keyed=%v, cap %d) step %d: "+format,
-				append([]any{seed, keyed, capacity, step}, args...)...)
+			t.Fatalf("seed %d (cap %d) step %d: "+format,
+				append([]any{seed, capacity, step}, args...)...)
 		}
 		idOf := func(it bufItem) int { return it.msg.(*classedMsg).v }
 
@@ -153,18 +126,11 @@ func TestPortBufferModel(t *testing.T) {
 				if rng.Intn(8) == 0 {
 					class = 200 // folds into the last lane
 				}
-				var deadline int64
-				if rng.Intn(2) == 0 {
-					deadline = 1 + rng.Int63n(50)
-				}
 				prio := prios[rng.Intn(len(prios))]
 				envs[id], msgs[id] = &envelope{}, &classedMsg{testMsg: testMsg{v: id}, class: uint8(class)}
-				err := p.push(bufItem{env: envs[id], msg: msgs[id], prio: prio, deadline: deadline})
+				err := p.push(bufItem{env: envs[id], msg: msgs[id], prio: prio})
 
-				nw := refItem{id: id, band: prio.Clamp()}
-				if keyed {
-					nw.class, nw.deadline = min(class, sched.MaxTenantClasses-1), deadline
-				}
+				nw := refItem{id: id, band: prio.Clamp(), class: min(class, sched.MaxTenantClasses-1)}
 				if ref.drr[nw.band] == nil {
 					ref.drr[nw.band] = &refDRR{}
 				}

@@ -123,7 +123,7 @@ func TestSwapReplacesLiveChildUnderTraffic(t *testing.T) {
 			got, v1.Load(), v2.Load(), want)
 	}
 	in := hub.SMM().inPort("Worker.in")
-	if _, _, dropped := in.Stats(); dropped != 0 {
+	if _, _, dropped := portStats(in); dropped != 0 {
 		t.Fatalf("port dropped %d messages", dropped)
 	}
 }
@@ -344,7 +344,7 @@ func TestChaosRouteRebuildStorm(t *testing.T) {
 		t.Fatalf("%d send errors during the storm", sendErrs.Load())
 	}
 	for _, q := range []string{"A.in", "B.in", "C.in"} {
-		if _, _, dropped := smm.inPort(q).Stats(); dropped != 0 {
+		if _, _, dropped := portStats(smm.inPort(q)); dropped != 0 {
 			t.Fatalf("%s dropped %d messages", q, dropped)
 		}
 	}

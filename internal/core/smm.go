@@ -261,13 +261,12 @@ func (s *SMM) registerIn(c *Component, cfg InPortConfig) (*InPort, error) {
 	s.routeGen.Add(1) // a new In port may resolve a previously dangling route
 	received := p.received.Load
 	if p.synchronous {
-		received = p.processed.Load // see InPort.Stats
+		received = p.processed.Load // a call is received as it is processed
 	}
 	p.gauges = telemetry.Default.RegisterGauges(qname, map[string]func() int64{
 		"port_received":  received,
 		"port_processed": p.processed.Load,
 		"port_dropped":   p.dropped.Load,
-		"port_shed":      p.shed.Load,
 		"port_queue_max": p.depthMax.Load,
 	})
 	return p, nil
@@ -676,12 +675,6 @@ func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) err
 		return p.refuse(msg, fmt.Errorf("%w: out port %q has no destinations", ErrUnknownPort, p.qname))
 	}
 
-	// Stamp the absolute deadline once per send; every receiver inherits it.
-	var deadline int64
-	if d := p.sendDeadline.Load(); d > 0 {
-		deadline = telemetry.Now() + d
-	}
-
 	var err error
 	switch mech {
 	case MechanismSharedObject, MechanismHandoff:
@@ -690,9 +683,9 @@ func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) err
 		if mech == MechanismHandoff && proc == nil {
 			return p.refuse(msg, fmt.Errorf("%w: out port %q", ErrNeedsCallerContext, p.qname))
 		}
-		err = s.sendShared(p, proc, msg, prio, deadline, rs, mech == MechanismHandoff)
+		err = s.sendShared(p, proc, msg, prio, rs, mech == MechanismHandoff)
 	case MechanismSerialization:
-		err = s.sendSerialized(p, proc, msg, prio, deadline, rs)
+		err = s.sendSerialized(p, proc, msg, prio, rs)
 	default:
 		err = p.refuse(msg, fmt.Errorf("core: unknown mechanism %v", mech))
 	}
@@ -707,14 +700,14 @@ func (s *SMM) send(p *OutPort, proc *Proc, msg Message, prio sched.Priority) err
 // itself goes to every receiver and returns to the pool after the last one
 // has processed it. Only a send that fans out takes an envelope up front;
 // a lone receiver that buffers takes one in sendTo.
-func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet, handoff bool) error {
+func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priority, rs *routeSet, handoff bool) error {
 	var env *envelope
 	if len(rs.routes) > 1 {
 		env = newEnvelope(msg, p.pool, len(rs.routes))
 	}
 	var firstErr error
 	for i := range rs.routes {
-		if err := s.sendTo(p, &rs.routes[i], env, proc, msg, prio, deadline, handoff); err != nil && firstErr == nil {
+		if err := s.sendTo(p, &rs.routes[i], env, proc, msg, prio, handoff); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -725,7 +718,7 @@ func (s *SMM) sendShared(p *OutPort, proc *Proc, msg Message, prio sched.Priorit
 // encoded once, returned to its pool immediately, and an independent copy
 // is rebuilt for every receiver, on an envelope of its own with no pool, so
 // it is dropped once that receiver is done.
-func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Priority, deadline int64, rs *routeSet) error {
+func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Priority, rs *routeSet) error {
 	bm, ok := msg.(encoding.BinaryMarshaler)
 	if !ok {
 		return p.refuse(msg, fmt.Errorf("%w: %q", ErrNotSerializable, p.typ.Name))
@@ -746,7 +739,7 @@ func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Pri
 		if err := um.UnmarshalBinary(data); err != nil {
 			return fmt.Errorf("deserialize %q: %w", p.typ.Name, err)
 		}
-		if err := s.sendTo(p, &rs.routes[i], newEnvelope(fresh, nil, 1), proc, fresh, prio, deadline, false); err != nil && firstErr == nil {
+		if err := s.sendTo(p, &rs.routes[i], newEnvelope(fresh, nil, 1), proc, fresh, prio, false); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -759,7 +752,7 @@ func (s *SMM) sendSerialized(p *OutPort, proc *Proc, msg Message, prio sched.Pri
 // message is settled and runs the handler on the call frame its reservation
 // claimed, if any. Any other receiver gets the message in its buffer, on
 // env, or, env being nil, on an envelope of its own.
-func (s *SMM) sendTo(p *OutPort, r *route, env *envelope, proc *Proc, msg Message, prio sched.Priority, deadline int64, handoff bool) error {
+func (s *SMM) sendTo(p *OutPort, r *route, env *envelope, proc *Proc, msg Message, prio sched.Priority, handoff bool) error {
 	in, owner, frame, err := s.receiver(p, r, handoff)
 	switch {
 	case err != nil:
@@ -768,14 +761,14 @@ func (s *SMM) sendTo(p *OutPort, r *route, env *envelope, proc *Proc, msg Messag
 		if !in.synchronous {
 			in.received.Add(1) // a buffered port counts arrivals under handoff too
 		}
-		s.deliver(in, owner, frame, proc, msg, prio.Clamp(), deadline)
+		s.deliver(in, owner, frame, proc, msg, prio.Clamp())
 		settle(env, p.pool, msg)
 		owner.release(pendingOne|frame, 0)
 	default:
 		if env == nil {
 			env = newEnvelope(msg, p.pool, 1)
 		}
-		err = s.enqueue(in, owner, env, msg, prio, deadline)
+		err = s.enqueue(in, owner, env, msg, prio)
 	}
 	return err
 }
@@ -825,8 +818,8 @@ func (s *SMM) receiver(p *OutPort, r *route, handoff bool) (*InPort, *Component,
 
 // enqueue buffers one delivery, its owner reserved, and schedules a dispatch at
 // the message priority; on failure it gives reservation and envelope share back.
-func (s *SMM) enqueue(in *InPort, owner *Component, env *envelope, msg Message, prio sched.Priority, deadline int64) error {
-	if err := in.push(bufItem{env: env, msg: msg, prio: prio, owner: owner, deadline: deadline}); err != nil {
+func (s *SMM) enqueue(in *InPort, owner *Component, env *envelope, msg Message, prio sched.Priority) error {
+	if err := in.push(bufItem{env: env, msg: msg, prio: prio, owner: owner}); err != nil {
 		owner.release(pendingOne, 0)
 		env.done()
 		return err
@@ -852,46 +845,27 @@ func (s *SMM) dispatch(in *InPort, _ sched.Priority) {
 	if !ok {
 		return
 	}
-	// A ShedExpired port drops a message already dead at dequeue instead of
-	// executing it — counted as a deadline shed, never as a miss or a
-	// dispatch latency, because the handler never ran.
-	if in.shedExpired && it.deadline > 0 {
-		if now := telemetry.Now(); now > it.deadline {
-			telemetry.ReportDeadlineShed(in.label, it.deadline, now, 0)
-			in.dropped.Add(1)
-			in.recordShed(it.prio)
-			it.drop()
-			return
-		}
-	}
-	s.deliver(in, it.owner, 0, nil, it.msg, it.prio.Clamp(), it.deadline)
+	s.deliver(in, it.owner, 0, nil, it.msg, it.prio.Clamp())
 	it.env.done()
 	it.owner.release(pendingOne, 0)
 }
 
 // deliver is the one delivery routine behind every port: wait out the
-// reserved owner's start function, report a start past the deadline, stand in
-// the owner's scopes on its reservation — on the sender's context from
-// wherever it stands, or, when the sender lent none, on the call state's own
-// from the top — and run the handler, whose error goes to the app: the
-// message was delivered. Every caller holds owner reserved until deliver
-// returns; that hold is the scope hold, so no area word is written on the way
-// in or out. The call state is the owner's frame the reservation claimed, or,
-// with frame 0, one from App.calls. A synchronous port counts a call once, as
-// processed, when deliver returns.
-func (s *SMM) deliver(in *InPort, owner *Component, frame uint64, sender *Proc, msg Message, prio sched.Priority, deadline int64) {
+// reserved owner's start function, stand in the owner's scopes on its
+// reservation — on the sender's context from wherever it stands, or, when
+// the sender lent none, on the call state's own from the top — and run the
+// handler, whose error goes to the app: the message was delivered. Every
+// caller holds owner reserved until deliver returns; that hold is the scope
+// hold, so no area word is written on the way in or out. The call state is
+// the owner's frame the reservation claimed, or, with frame 0, one from
+// App.calls. A synchronous port counts a call once, as processed, when
+// deliver returns.
+func (s *SMM) deliver(in *InPort, owner *Component, frame uint64, sender *Proc, msg Message, prio sched.Priority) {
 	// Never process a message before the owner finished initialising. (A
 	// synchronous port whose owner sends to itself from its own start
 	// function would deadlock here; send asynchronously or after Start.)
 	owner.waitStarted()
 	telemetry.RecordVerbose(telemetry.EvDispatch, in.label, 0, 0, uint64(prio))
-	// The handler is about to start; if the deadline already passed, the
-	// message is late no matter how fast processing is.
-	if deadline > 0 {
-		if now := telemetry.Now(); now > deadline {
-			telemetry.ReportDeadlineMiss(in.label, deadline, now, 0)
-		}
-	}
 	_, handler := in.binding()
 	if handler == nil {
 		// Owner disposed since it was reserved with no rebinding; the message

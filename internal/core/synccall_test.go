@@ -236,7 +236,7 @@ func TestSyncCallConcurrentSenders(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	received, processed, dropped := in.Stats()
+	received, processed, dropped := portStats(in)
 	if want := int64(senders * each); received != want || processed != want || out.Sent() != want || dropped != 0 {
 		t.Errorf("received %d, processed %d, sent %d, dropped %d; want %d, %d, %d, 0",
 			received, processed, out.Sent(), dropped, want, want, want)
@@ -311,7 +311,7 @@ func TestInPortStatsByPortKind(t *testing.T) {
 			if len(handled) != sends {
 				t.Fatalf("%d of %d messages handled", len(handled), sends)
 			}
-			received, processed, dropped := in.Stats()
+			received, processed, dropped := portStats(in)
 			if received != sends || processed != sends || dropped != 0 || out.Sent() != sends {
 				t.Errorf("received %d, processed %d, dropped %d, sent %d; want %d, %d, 0, %d",
 					received, processed, dropped, out.Sent(), sends, sends, sends)

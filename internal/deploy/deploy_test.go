@@ -3,7 +3,9 @@ package deploy
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,7 +40,8 @@ func (m *sample) UnmarshalBinary(b []byte) error {
 
 var sampleType = core.MessageType{Name: "Sample", Size: 32, New: func() core.Message { return &sample{} }}
 
-// The serving process: a Sink whose In port is exported.
+// The serving process: a Sink whose In port is exported, with one thread and
+// a one-slot buffer, so that a few messages fill it.
 const serverDefs = `
 <ComponentDefinitions>
   <Component>
@@ -57,6 +60,12 @@ const serverApp = `
     <Connection>
       <Port>
         <PortName>in</PortName>
+        <PortAttributes>
+          <BufferSize>1</BufferSize>
+          <Threadpool>Dedicated</Threadpool>
+          <MinThreadpoolSize>1</MinThreadpoolSize>
+          <MaxThreadpoolSize>1</MaxThreadpoolSize>
+        </PortAttributes>
         <Exported>true</Exported>
       </Port>
     </Connection>
@@ -114,6 +123,11 @@ func compilePlan(t *testing.T, defsDoc, appDoc string) *compiler.Plan {
 func TestTwoProcessDeployment(t *testing.T) {
 	net := transport.NewInproc()
 	got := make(chan int64, 32)
+	// The first delivery holds the sink's one thread until the gate opens.
+	gate := make(chan struct{})
+	open := sync.OnceFunc(func() { close(gate) })
+	var first sync.Once
+	entered := make(chan struct{})
 
 	// --- Process B: the sink, exporting Collector.in at "sink-process".
 	serverPlan := compilePlan(t, serverDefs, serverApp)
@@ -128,6 +142,10 @@ func TestTwoProcessDeployment(t *testing.T) {
 		NewHandlers: func(c *core.Component) (map[string]core.Handler, error) {
 			return map[string]core.Handler{
 				"in": core.HandlerFunc(func(p *core.Proc, m core.Message) error {
+					first.Do(func() {
+						close(entered)
+						<-gate
+					})
 					got <- m.(*sample).v
 					return nil
 				}),
@@ -141,26 +159,9 @@ func TestTwoProcessDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer serverDep.Close()
+	defer open() // a failed check must not leave the sink's thread held
 	if serverDep.Addr() != "sink-process" {
 		t.Errorf("server addr = %q", serverDep.Addr())
-	}
-	// An exported port parks its sender on a full buffer: over a buffered
-	// wire that, not a failed send, is what holds a remote sender back.
-	// Registering the port again, as a re-instantiated child does, hands
-	// back the port the assembly made, with its handler rebound.
-	collector := serverDep.App.Component("Collector")
-	in, err := core.AddInPort(collector, collector.SMM(), core.InPortConfig{
-		Name: "in", Type: sampleType,
-		Handler: core.HandlerFunc(func(p *core.Proc, m core.Message) error {
-			got <- m.(*sample).v
-			return nil
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Overflow() != core.OverflowBlock {
-		t.Errorf("exported port overflow = %v, want %v", in.Overflow(), core.OverflowBlock)
 	}
 
 	// --- Process A: the source, bridging Emitter.out across the network.
@@ -205,6 +206,21 @@ func TestTwoProcessDeployment(t *testing.T) {
 	if clientDep.Addr() != "" {
 		t.Errorf("client addr = %q, want empty (no exports)", clientDep.Addr())
 	}
+
+	// An exported port parks its sender on a full buffer: over a buffered
+	// wire that, not a failed send, is what holds a remote sender back.
+	// With the sink's thread held and its one slot taken, a later remote
+	// send waits in the server, in flight, until the thread lets go; had
+	// the port refused it, the send would fail and its value never arrive.
+	<-entered
+	parked := time.Now().Add(5 * time.Second)
+	for serverDep.Server.Inflight() == 0 {
+		if time.Now().After(parked) {
+			t.Fatal("no remote send waited on the full exported port")
+		}
+		runtime.Gosched()
+	}
+	open()
 
 	seen := map[int64]bool{}
 	for i := 0; i < 5; i++ {

@@ -16,16 +16,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ApplyOptions tunes Deployment.Apply.
-type ApplyOptions struct {
-	// DrainTimeout bounds each swap's pause while the outgoing instance
-	// drains; zero selects core.DefaultDrainTimeout.
-	DrainTimeout time.Duration
-	// Registry supplies the class bindings for swapped-in subtrees (the new
-	// version's handlers); nil keeps the deployment's current registry.
-	Registry *compiler.Registry
-}
-
 // ApplyStats reports what an Apply did.
 type ApplyStats struct {
 	// Swaps and Rewires count the committed steps.
@@ -40,17 +30,13 @@ type ApplyStats struct {
 // apply in the delta's order; a failing step stops the script and reports
 // how far it got (each committed step remains committed — steps are
 // individually atomic). On success the deployment tracks the new plan.
-func (d *Deployment) Apply(delta *compiler.Delta, opts ApplyOptions) (ApplyStats, error) {
+func (d *Deployment) Apply(delta *compiler.Delta) (ApplyStats, error) {
 	var st ApplyStats
 	if delta == nil || delta.New == nil {
 		return st, fmt.Errorf("%w: nil delta", ErrDeploy)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	reg := opts.Registry
-	if reg == nil {
-		reg = d.reg
-	}
 	// Revalidate against what this process actually runs: the caller may
 	// have diffed a stale plan.
 	if delta.Old != d.plan {
@@ -67,11 +53,11 @@ func (d *Deployment) Apply(delta *compiler.Delta, opts ApplyOptions) (ApplyStats
 			if parent == nil {
 				return st, fmt.Errorf("%w: apply: no live component %q", ErrDeploy, step.Parent)
 			}
-			def, err := compiler.ChildDefFor(delta.New, reg, d.App, step.Child)
+			def, err := compiler.ChildDefFor(delta.New, d.reg, d.App, step.Child)
 			if err != nil {
 				return st, fmt.Errorf("apply swap %q: %w", step.Child, err)
 			}
-			sw, err := parent.SMM().Swap(def, core.SwapOptions{DrainTimeout: opts.DrainTimeout})
+			sw, err := parent.SMM().Swap(def, core.SwapOptions{})
 			if err != nil {
 				return st, fmt.Errorf("apply swap %q: %w", step.Child, err)
 			}
@@ -93,7 +79,6 @@ func (d *Deployment) Apply(delta *compiler.Delta, opts ApplyOptions) (ApplyStats
 		}
 	}
 	d.plan = delta.New
-	d.reg = reg
 	return st, nil
 }
 

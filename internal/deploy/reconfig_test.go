@@ -187,7 +187,7 @@ func TestApplySwapThenRewireUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := dep.Apply(delta, ApplyOptions{})
+	st, err := dep.Apply(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestApplySwapThenRewireUnderTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := dep.Apply(delta2, ApplyOptions{})
+	st2, err := dep.Apply(delta2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestApplyStaleDeltaRevalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := dep.Apply(delta, ApplyOptions{})
+	st, err := dep.Apply(delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestApplyStaleDeltaRevalidates(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 
-	if _, err := dep.Apply(nil, ApplyOptions{}); !errors.Is(err, ErrDeploy) {
+	if _, err := dep.Apply(nil); !errors.Is(err, ErrDeploy) {
 		t.Errorf("nil delta err = %v", err)
 	}
 }

@@ -90,11 +90,6 @@ type PingPongConfig struct {
 	// Mechanism overrides the cross-scope mechanism; zero keeps the
 	// default shared object.
 	Mechanism core.Mechanism
-	// Fair keys every in port by tenant class and deadline (DRR across
-	// tenant classes, EDF within a class — how an overload-controlled ORB
-	// server queues), so the steady-state benches can pin that the keyed
-	// dispatch path costs no allocations either.
-	Fair bool
 }
 
 // NewPingPong builds the Fig. 6 application.
@@ -117,7 +112,6 @@ func NewPingPong(cfg PingPongConfig) (*PingPong, error) {
 		return core.InPortConfig{
 			Type: pingType, BufferSize: buf, Threading: threading,
 			MinThreads: 1, MaxThreads: 5, Handler: h,
-			Fair: cfg.Fair,
 		}
 	}
 

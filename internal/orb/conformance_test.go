@@ -56,6 +56,18 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// deadlineShedEvents counts the EvDeadlineShed events recorded after ring
+// position from.
+func deadlineShedEvents(from uint64) int {
+	n := 0
+	for _, ev := range telemetry.Default.Ring().Snapshot() {
+		if ev.Seq > from && ev.Kind == telemetry.EvDeadlineShed {
+			n++
+		}
+	}
+	return n
+}
+
 // spanCounts tallies the client and server span events recorded under trace.
 func spanCounts(trace uint64) (clientStart, clientEnd, serverStart, serverEnd int) {
 	for _, ev := range telemetry.Default.Ring().TraceEvents(trace) {
@@ -78,11 +90,14 @@ func spanCounts(trace uint64) (clientStart, clientEnd, serverStart, serverEnd in
 // the caller-visible outcome, what the overload controller was told (one
 // completion, one Dropped or one admission shed per call — never two, never
 // none), the server's in-flight count afterwards, and the spans of a traced
-// call are asserted identically over the inproc wire, the TCP wire and the
-// direct (collocated) transport. A oneway reports nothing to its caller on
-// any of them; everything else about it is the same. The "sampled" row runs
-// once the controller times only some admissions: the server must still
-// stamp every one for its queueing deadline.
+// call are asserted identically over the inproc wire, the TCP wire, the
+// inproc wire to a Synchronous server (requests run on its reading thread)
+// and the direct (collocated) transport. A oneway reports nothing to its
+// caller on any of them; everything else about it is the same. A request past
+// its queueing deadline is one deadline shed — one deadline_shed_total and
+// one EvDeadlineShed — whichever transport carried it, and no other request
+// is one. The "sampled" row runs once the controller times only some
+// admissions: the server must still keep every one's queueing deadline.
 func TestInvokeConformance(t *testing.T) {
 	type outcome int
 	const (
@@ -121,14 +136,16 @@ func TestInvokeConformance(t *testing.T) {
 		{name: "traced", key: "probe", prio: sched.NormPriority, traced: true, want: wantEcho, fate: fateDone},
 	}
 	transports := []struct {
-		name      string
-		net       func() transport.Network
-		addr      string
-		collocate bool
+		name        string
+		net         func() transport.Network
+		addr        string
+		synchronous bool
+		collocate   bool
 	}{
-		{"inproc wire", func() transport.Network { return transport.NewInproc() }, "", false},
-		{"tcp wire", func() transport.Network { return transport.TCP{} }, "127.0.0.1:0", false},
-		{"collocated", func() transport.Network { return transport.NewInproc() }, "", true},
+		{"inproc wire", func() transport.Network { return transport.NewInproc() }, "", false, false},
+		{"tcp wire", func() transport.Network { return transport.TCP{} }, "127.0.0.1:0", false, false},
+		{"synchronous wire", func() transport.Network { return transport.NewInproc() }, "", true, false},
+		{"collocated", func() transport.Network { return transport.NewInproc() }, "", false, true},
 	}
 	entries := []struct {
 		name   string
@@ -163,7 +180,9 @@ func TestInvokeConformance(t *testing.T) {
 				// resilience, so every entry point makes exactly one attempt.
 				ctrl := overload.NewController(overload.Config{Window: time.Hour, MinLimit: 1, MaxLimit: 1})
 				defer ctrl.Close()
-				srv := startEchoServer(t, tr.net(), tr.addr, ServerConfig{Overload: ctrl, RequestDeadline: sc.deadline})
+				srv := startEchoServer(t, tr.net(), tr.addr, ServerConfig{
+					Overload: ctrl, RequestDeadline: sc.deadline, Synchronous: tr.synchronous,
+				})
 				probe := &probeServant{srv: srv, ctrl: ctrl}
 				srv.RegisterServant("probe", probe)
 				srv.RegisterServant("fail", corba.ServantFunc(func(string, []byte) ([]byte, error) {
@@ -200,6 +219,7 @@ func TestInvokeConformance(t *testing.T) {
 					done0, dropped0, shed0 := ctrl.Counts()
 					calls0 := probe.calls.Load()
 					direct0 := collocatedInvokeTotal.Value()
+					sheds0, ring0 := telemetry.DeadlineSheds(), telemetry.Default.Ring().Len()
 					payload := []byte(ep.name + " over " + tr.name)
 
 					out, err := ep.call(cl, sc.key, payload, sc.prio)
@@ -242,6 +262,19 @@ func TestInvokeConformance(t *testing.T) {
 					eventually(t, ep.name+": slots and in-flight counts drain", func() bool {
 						return ctrl.Inflight() == held && srv.Inflight() == 0 && cl.Inflight() == 0
 					})
+
+					// A queueing deadline is kept in one place, and a shed
+					// counted the same on every transport.
+					wantSheds := 0
+					if sc.deadline > 0 {
+						wantSheds = 1
+					}
+					if got := telemetry.DeadlineSheds() - sheds0; got != int64(wantSheds) {
+						t.Errorf("%s: deadline_shed_total moved by %d, want %d", ep.name, got, wantSheds)
+					}
+					if got := deadlineShedEvents(ring0); got != wantSheds {
+						t.Errorf("%s: %d EvDeadlineShed events, want %d", ep.name, got, wantSheds)
+					}
 
 					// Which transport carried it.
 					wantDirect := int64(0)

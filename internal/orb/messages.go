@@ -92,7 +92,7 @@ type requestMsg struct {
 	// the server's (Drain's quiescence signal) until it recycles.
 	conn *serverConn
 	// ad is the request's admission. The slot it holds is settled by exactly
-	// one of execute, OnShed (expired or orphaned in the queue), or Reset (any
+	// one of execute, OnShed (orphaned in the queue), or Reset (any
 	// other unwind — a failed Send).
 	ad admission
 }
@@ -118,13 +118,12 @@ func (m *requestMsg) Reset() {
 	m.order = giop.BigEndian
 }
 
-// TenantClass implements core.TenantClassed: a Fair request port divides a
+// TenantClass implements core.TenantClassed: the request port divides a
 // priority band's bandwidth across these lanes.
 func (m *requestMsg) TenantClass() uint8 { return m.ad.class }
 
-// OnShed implements core.ShedAware: the port shed this request at dequeue
-// (deadline already passed) or a shutdown orphaned it queued. The slot releases
-// as a drop — shed work never executed, so it is not a latency signal — and,
+// OnShed implements core.ShedAware: a shutdown orphaned this request queued.
+// The slot releases as a drop — shed work never executed, so it is not a latency signal — and,
 // when the client expects a response, a shed reply tells it so rather than
 // leaving the call to hang until its invoke timeout.
 func (m *requestMsg) OnShed() {

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -292,22 +291,5 @@ func TestNilNetworkRejected(t *testing.T) {
 	}
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("nil network server accepted")
-	}
-}
-
-// TestConfigSurface pins the number of independently settable values an ORB
-// endpoint has. Every field is a configuration the tests and the benchmark
-// must cover; adding one should be a conscious diff here, not a side effect.
-func TestConfigSurface(t *testing.T) {
-	for _, c := range []struct {
-		cfg  any
-		want int
-	}{
-		{ClientConfig{}, 12},
-		{ServerConfig{}, 9},
-	} {
-		if typ := reflect.TypeOf(c.cfg); typ.NumField() != c.want {
-			t.Errorf("%s has %d fields, want %d", typ.Name(), typ.NumField(), c.want)
-		}
 	}
 }

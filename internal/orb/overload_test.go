@@ -56,19 +56,17 @@ func TestOverloadTenantRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOverloadRTZenClientCarriesTenant: the hand-coded baseline client stamps
-// the same tenant service context, and a controller-equipped Compadres server
-// classifies and serves it — the wire dialect is shared end to end.
+// TestOverloadRTZenClientCarriesTenant: the hand-coded baseline client, which
+// stamps no tenant, is classified as unclassified traffic and served by a
+// controller-equipped Compadres server — the wire dialect is shared end to
+// end.
 func TestOverloadRTZenClientCarriesTenant(t *testing.T) {
 	ctrl := overload.NewController(overload.Config{})
 	defer ctrl.Close()
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{Overload: ctrl})
 
-	cl, err := rtzen.DialClient(rtzen.ClientConfig{
-		Network: net, Addr: srv.Addr(),
-		TenantID: 7, TenantTier: uint8(overload.TierBestEffort),
-	})
+	cl, err := rtzen.DialClient(rtzen.ClientConfig{Network: net, Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,15 +49,17 @@ type ServerConfig struct {
 	// Overload opts the server into closed-loop overload control (see
 	// internal/overload): every request is classified by its tenant service
 	// context and admitted, credited, or shed before demarshalling; admitted
-	// requests queue on a tenant-fair port (DRR across tenant classes within
-	// each priority band, EDF within a class) and their completion latency
-	// drives the AIMD in-flight limit and the brown-out ladder. Nil (the
-	// default) dispatches every request uncontrolled.
+	// requests queue in their tenant's lane of the request port (DRR across
+	// tenant classes within each priority band, FIFO within a lane) and
+	// their completion latency drives the AIMD in-flight limit and the
+	// brown-out ladder. Nil (the default) dispatches every request
+	// uncontrolled.
 	Overload *overload.Controller
-	// RequestDeadline, with Overload set, stamps every admitted request with
-	// a relative queueing deadline: work still queued past it is shed at
-	// dequeue (counted as deadline_shed_total, answered with a shed reply)
-	// instead of executing late. Zero stamps no deadline.
+	// RequestDeadline, with Overload set, gives every admitted request a
+	// queueing deadline relative to its arrival: a request that comes up for
+	// execution past it is shed unrun (counted as deadline_shed_total,
+	// answered with a shed reply), whichever transport carried it. Zero
+	// sets no deadline.
 	RequestDeadline time.Duration
 }
 
@@ -116,7 +118,7 @@ type Server struct {
 	concurrency int
 
 	// ctrl is the overload controller (nil = uncontrolled); reqDeadline the
-	// queueing deadline stamped on admitted requests when ctrl is set.
+	// queueing deadline of admitted requests when ctrl is set.
 	ctrl        *overload.Controller
 	reqDeadline time.Duration
 }
@@ -475,11 +477,6 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 		if err != nil {
 			return err
 		}
-		if s.ctrl != nil && s.reqDeadline > 0 {
-			// Stamp every admitted request's queueing deadline; the fair
-			// port's ShedExpired sheds what outlives it at dequeue.
-			toRP.SetSendDeadline(s.reqDeadline)
-		}
 		if err := tc.DefineChild(core.ChildDef{
 			Name:       "RequestProcessing",
 			MemorySize: s.rpSize,
@@ -492,19 +489,15 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 				// into the reader loop parking, which in turn stops reading
 				// the socket — wire-level backpressure instead of a dropped
 				// connection when a pipelined client runs ahead of the
-				// servants.
-				// With overload control the queue turns tenant-fair: DRR
-				// across tenant classes within each priority band, EDF
-				// within a class, and already-dead work shed at dequeue
-				// instead of executed.
+				// servants. Requests queue in their tenant's lane
+				// (requestMsg.TenantClass): DRR across the lanes within
+				// each priority band, FIFO within a lane.
 				_, err := core.AddInPort(rp, tSMM, core.InPortConfig{
 					Name: "request", Type: requestType, Threading: s.threading,
 					MinThreads: 1, MaxThreads: s.concurrency,
-					BufferSize:  2 * s.concurrency,
-					Overflow:    core.OverflowBlock,
-					Fair:        s.ctrl != nil,
-					ShedExpired: s.ctrl != nil,
-					Handler:     core.HandlerFunc(s.processRequest),
+					BufferSize: 2 * s.concurrency,
+					Overflow:   core.OverflowBlock,
+					Handler:    core.HandlerFunc(s.processRequest),
 				})
 				return err
 			},
@@ -675,14 +668,16 @@ func lookup[V any, K string | []byte](p *atomic.Pointer[map[string]V], key K) (V
 
 // execute is the execution stage of an admitted request, on whichever
 // goroutine the transport runs it: a RequestProcessing port thread for the
-// wire, the caller's own for the direct transport. It sheds work that
-// outlived its queueing deadline, opens the server span under the caller's
-// trace (corr is the request id), resolves the servant — a key a drain
-// unbound is shed with the back-off hint, so the caller's directory re-routes
-// the retry to a surviving replica — runs it, and settles ad's slot exactly
-// once. The answer is the (status, payload, retryAfter) triple a GIOP reply
-// carries on the wire and the direct transport hands over as it is; span is
-// the server span id, zero when untraced.
+// wire, the caller's own for the direct transport. It is the one place the
+// queueing deadline is kept: work that outlived it is shed and reported
+// through telemetry.ReportDeadlineShed, on every transport alike. It opens
+// the server span under the caller's trace (corr is the request id),
+// resolves the servant — a key a drain unbound is shed with the back-off
+// hint, so the caller's directory re-routes the retry to a surviving replica
+// — runs it, and settles ad's slot exactly once. The answer is the (status,
+// payload, retryAfter) triple a GIOP reply carries on the wire and the
+// direct transport hands over as it is; span is the server span id, zero
+// when untraced.
 func execute[K string | []byte](s *Server, ad *admission, key K, op string, payload []byte, rawPrio byte, trace, corr uint64) (status giop.ReplyStatus, out []byte, retryAfter int64, span uint64) {
 	var started int64
 	if trace != 0 && telemetry.VerboseEnabled() {
@@ -690,7 +685,8 @@ func execute[K string | []byte](s *Server, ad *admission, key K, op string, payl
 		telemetry.Record(telemetry.EvSpanStart, serverSpanLabel, trace, span, corr)
 		started = telemetry.Now()
 	}
-	if ad.at != 0 && s.reqDeadline > 0 && telemetry.Now() > ad.at+int64(s.reqDeadline) {
+	if deadline := ad.at + int64(s.reqDeadline); ad.at != 0 && s.reqDeadline > 0 && telemetry.Now() > deadline {
+		telemetry.ReportDeadlineShed(serverSpanLabel, deadline, telemetry.Now(), trace)
 		ad.drop()
 		status, out, retryAfter = s.shed()
 	} else if sv, ok := lookup(&s.servants, key); ok {

@@ -25,7 +25,7 @@
 //     window in proportion to the tenant's tier weight — deficit-style
 //     weighted fair sharing of the contested headroom, so a best-effort
 //     tenant exhausts its share long before a tier-0 tenant feels pressure.
-//   - Sustained overload (p99 breach, deadline-miss bursts, or shedding
+//   - Sustained overload (p99 breach, deadline-shed bursts, or shedding
 //     outpacing completions) escalates the brown-out ladder:
 //     ShedLowest → reject-best-effort-tenant → reject-by-tier, and
 //     de-escalates with hysteresis once the signal clears.
@@ -133,9 +133,9 @@ const (
 	// minSamples is the minimum completions in a window for its p99 to move
 	// the limit either way.
 	minSamples = 16
-	// missBurst is the deadline-miss (or dequeue-shed) count within one
-	// window treated as a breach regardless of p99.
-	missBurst = 8
+	// shedBurst is the deadline-shed count within one window treated as a
+	// breach regardless of p99.
+	shedBurst = 8
 	// escalateAfter is how many consecutive overloaded windows raise the
 	// brown-out ladder one level.
 	escalateAfter = 3
@@ -256,7 +256,6 @@ type Controller struct {
 	// Control-loop state, guarded by stepMu.
 	overloadRun int
 	healthyRun  int
-	lastMisses  int64
 	lastSheds   int64
 
 	// def is the implicit state for unclassified traffic (tenant id 0);
@@ -289,9 +288,8 @@ func NewController(cfg Config) *Controller {
 		s.tier, s.class = Tier(t), uint8(sched.MaxTenantClasses-1-t)
 		s.credit.Store(int64(c.cfg.MaxLimit))
 	}
-	// Baseline the process-wide deadline counters: only misses from this
+	// Baseline the process-wide deadline-shed counter: only sheds from this
 	// controller's lifetime count toward its burst signal.
-	c.lastMisses = telemetry.DeadlineMisses()
 	c.lastSheds = telemetry.DeadlineSheds()
 	c.windowEnd.Store(telemetry.Now() + int64(c.cfg.Window))
 	c.gauges = telemetry.Default.RegisterGauges("overload", map[string]func() int64{
@@ -510,23 +508,22 @@ func (c *Controller) step() {
 	// a shed (or is still in flight): their sum sizes the next sample.
 	c.shift.Store(sampleShift(done + dropped + shed))
 
-	// Deadline misses and dequeue sheds this window, from the process-wide
-	// counters (the dispatch path reports there; the controller only needs
-	// the delta).
-	misses := telemetry.DeadlineMisses()
+	// Deadline sheds this window, from the process-wide counter (the
+	// server's execution stage reports there; the controller only needs the
+	// delta).
 	sheds := telemetry.DeadlineSheds()
-	missDelta := (misses - c.lastMisses) + (sheds - c.lastSheds)
-	c.lastMisses, c.lastSheds = misses, sheds
+	shedDelta := sheds - c.lastSheds
+	c.lastSheds = sheds
 
 	// AIMD: additive raise while the window's p99 holds the target,
-	// multiplicative cut on breach or a deadline-miss burst. Windows with
+	// multiplicative cut on breach or a deadline-shed burst. Windows with
 	// too few samples move nothing — a rejection burst with no completions
 	// is not a latency signal.
 	breach := false
 	if samples >= minSamples && p99 > int64(c.cfg.TargetP99) {
 		breach = true
 	}
-	if missDelta >= missBurst {
+	if shedDelta >= shedBurst {
 		breach = true
 	}
 	lim := c.limit.Load()

@@ -187,10 +187,10 @@ func TestAIMDBounds(t *testing.T) {
 }
 
 // Satellite: rejections are not a latency signal. A burst of downstream
-// failures — circuit-breaker opens (orb.ErrCircuitOpen), shed-at-dequeue
-// drops, admission rejections — reaches the controller as Dropped calls and
-// must leave the AIMD limit alone. Only completion latency and deadline
-// misses may cut it. Table-driven over signal mixes.
+// failures — circuit-breaker opens (orb.ErrCircuitOpen), requests dropped
+// unrun, admission rejections — reaches the controller as Dropped calls and
+// must leave the AIMD limit alone. Only completion latency and deadline-shed
+// bursts may cut it. Table-driven over signal mixes.
 func TestRejectionsAreNotLatencySignal(t *testing.T) {
 	for _, tc := range []struct {
 		name      string

@@ -62,7 +62,7 @@ func TestEchoRoundTripTCP(t *testing.T) {
 func TestScopePoolRecycling(t *testing.T) {
 	net := transport.NewInproc()
 	srv := startEcho(t, net, "")
-	cl, err := DialClient(ClientConfig{Network: net, Addr: srv.Addr(), ScopePoolCount: 2})
+	cl, err := DialClient(ClientConfig{Network: net, Addr: srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +73,14 @@ func TestScopePoolRecycling(t *testing.T) {
 		}
 	}
 	created, reused, free := cl.ScopePool().Stats()
-	if created != 2 {
-		t.Errorf("client scopes created = %d, want 2 (pooled)", created)
+	if created != defaultScopePool {
+		t.Errorf("client scopes created = %d, want %d (pooled)", created, defaultScopePool)
 	}
 	if reused < 25 {
 		t.Errorf("client scopes reused = %d", reused)
 	}
-	if free != 2 {
-		t.Errorf("free = %d, want 2 (all returned)", free)
+	if free != defaultScopePool {
+		t.Errorf("free = %d, want %d (all returned)", free, defaultScopePool)
 	}
 	sc, sr, _ := srv.ScopePool().Stats()
 	if sc > 4 || sr < 25 {

@@ -2,17 +2,16 @@ package telemetry
 
 import "testing"
 
-// ReportDeadlineShed counts on the shed counter only: no miss counter
-// movement and an EvDeadlineShed (not
-// EvDeadlineMiss) ring event. Shed work never executed, so treating it as
-// a miss (or as dispatch latency) would poison every latency-driven control
-// loop downstream.
+// ReportDeadlineShed counts on the shed counter and records one
+// EvDeadlineShed ring event carrying the label, the trace and the lateness.
+// It is the only deadline report: shed work never executed, so there is no
+// miss counter and no dispatch-latency sample beside it to poison the
+// latency-driven control loops downstream.
 func TestReportDeadlineShedIsNotAMiss(t *testing.T) {
 	was := Enabled()
 	Enable(true)
 	defer Enable(was)
 
-	missesBefore := DeadlineMisses()
 	shedsBefore := DeadlineSheds()
 	label := Label("shed.port")
 	ReportDeadlineShed(label, 100, 250, 7)
@@ -20,26 +19,28 @@ func TestReportDeadlineShedIsNotAMiss(t *testing.T) {
 	if got := DeadlineSheds(); got != shedsBefore+1 {
 		t.Errorf("DeadlineSheds = %d, want %d", got, shedsBefore+1)
 	}
-	if got := DeadlineMisses(); got != missesBefore {
-		t.Errorf("DeadlineMisses moved to %d (was %d)", got, missesBefore)
-	}
-	var sawShed bool
+	var seen int
 	for _, ev := range Default.Ring().Snapshot() {
 		if ev.Label != "shed.port" {
 			continue
 		}
-		if ev.Kind == EvDeadlineMiss {
-			t.Error("shed recorded an EvDeadlineMiss ring event")
+		if ev.Kind != EvDeadlineShed {
+			t.Errorf("shed recorded a %v ring event", ev.Kind)
+			continue
 		}
-		if ev.Kind == EvDeadlineShed {
-			sawShed = true
-			if ev.Arg != 150 {
-				t.Errorf("EvDeadlineShed lateness arg = %d, want 150", ev.Arg)
-			}
+		seen++
+		if ev.Trace != 7 || ev.Arg != 150 {
+			t.Errorf("EvDeadlineShed = %+v, want trace 7, lateness 150", ev)
 		}
 	}
-	if !sawShed {
-		t.Error("no EvDeadlineShed ring event recorded")
+	if seen != 1 {
+		t.Errorf("%d EvDeadlineShed events for shed.port, want 1", seen)
+	}
+	// A shed detected before its deadline (clock skew between readers)
+	// records no negative lateness.
+	ReportDeadlineShed(label, 300, 250, 0)
+	if got := Default.Ring().Snapshot(); got[len(got)-1].Arg != 0 {
+		t.Errorf("early shed lateness = %d, want 0", got[len(got)-1].Arg)
 	}
 	if got := EvDeadlineShed.String(); got != "deadline_shed" {
 		t.Errorf("EvDeadlineShed.String() = %q", got)

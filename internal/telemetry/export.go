@@ -40,8 +40,6 @@ type Snapshot struct {
 type SnapshotOptions struct {
 	// Events includes the flight-recorder contents.
 	Events bool
-	// HistogramBuckets includes raw non-empty buckets, not just summaries.
-	HistogramBuckets bool
 }
 
 // Snapshot captures the registry's current state. Counters and gauges are
@@ -71,7 +69,7 @@ func (r *Registry) Snapshot(opts SnapshotOptions) Snapshot {
 		return s.Gauges[i].Label < s.Gauges[j].Label
 	})
 	for _, h := range hists {
-		s.Histograms = append(s.Histograms, h.Snapshot(opts.HistogramBuckets))
+		s.Histograms = append(s.Histograms, h.Snapshot())
 	}
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	s.Faults, s.FaultsTotal = r.Faults()

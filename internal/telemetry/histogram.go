@@ -120,31 +120,21 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// HistogramBucket is one non-empty bucket in a snapshot.
-type HistogramBucket struct {
-	// Low is the bucket's inclusive lower bound.
-	Low int64 `json:"low"`
-	// Count is the number of observations in the bucket.
-	Count int64 `json:"count"`
-}
-
 // HistogramSnapshot is an exportable view of a histogram.
 type HistogramSnapshot struct {
-	Name    string            `json:"name"`
-	Count   int64             `json:"count"`
-	Sum     int64             `json:"sum"`
-	Max     int64             `json:"max"`
-	P50     int64             `json:"p50"`
-	P90     int64             `json:"p90"`
-	P99     int64             `json:"p99"`
-	Buckets []HistogramBucket `json:"buckets,omitempty"`
+	Name  string `json:"name"`
+	Count int64  `json:"count"`
+	Sum   int64  `json:"sum"`
+	Max   int64  `json:"max"`
+	P50   int64  `json:"p50"`
+	P90   int64  `json:"p90"`
+	P99   int64  `json:"p99"`
 }
 
-// Snapshot captures the histogram's current state. withBuckets includes the
-// non-empty buckets (for offline analysis); percentile summaries are always
-// present.
-func (h *Histogram) Snapshot(withBuckets bool) HistogramSnapshot {
-	s := HistogramSnapshot{
+// Snapshot captures the histogram's current state: its count, sum, maximum
+// and percentile summaries.
+func (h *Histogram) Snapshot() HistogramSnapshot {
+	return HistogramSnapshot{
 		Name:  h.name,
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
@@ -153,12 +143,4 @@ func (h *Histogram) Snapshot(withBuckets bool) HistogramSnapshot {
 		P90:   h.Quantile(0.90),
 		P99:   h.Quantile(0.99),
 	}
-	if withBuckets {
-		for i := range h.buckets {
-			if c := h.buckets[i].Load(); c > 0 {
-				s.Buckets = append(s.Buckets, HistogramBucket{Low: bucketLow(i), Count: c})
-			}
-		}
-	}
-	return s
 }

@@ -13,9 +13,6 @@ const (
 	EvSend
 	// EvDispatch is a port dispatch (arg = priority).
 	EvDispatch
-	// EvDeadlineMiss is a message processed after its deadline
-	// (arg = lateness in nanoseconds).
-	EvDeadlineMiss
 	// EvSpanStart opens a span (arg = request id or similar correlator).
 	EvSpanStart
 	// EvSpanEnd closes a span (arg = duration in nanoseconds).
@@ -33,12 +30,8 @@ const (
 	// open/half-open/close, connection supervisor reconnect (arg = new
 	// state code, subsystem-defined).
 	EvState
-	// EvShed is a message a ShedExpired port dropped at dequeue (arg = the
-	// shed message's priority).
-	EvShed
-	// EvDeadlineShed is a message dropped at dequeue because its deadline
-	// had already passed — never executed, unlike EvDeadlineMiss
-	// (arg = lateness in nanoseconds).
+	// EvDeadlineShed is a request dropped unrun because its queueing
+	// deadline had already passed (arg = lateness in nanoseconds).
 	EvDeadlineShed
 	// EvSwap is a live component swap: the blueprint was replaced, the old
 	// instance drained, and the route-cache generation flipped
@@ -61,8 +54,6 @@ func (k EventKind) String() string {
 		return "send"
 	case EvDispatch:
 		return "dispatch"
-	case EvDeadlineMiss:
-		return "deadline_miss"
 	case EvSpanStart:
 		return "span_start"
 	case EvSpanEnd:
@@ -77,8 +68,6 @@ func (k EventKind) String() string {
 		return "pool_grow"
 	case EvState:
 		return "state"
-	case EvShed:
-		return "shed"
 	case EvDeadlineShed:
 		return "deadline_shed"
 	case EvSwap:

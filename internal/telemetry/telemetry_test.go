@@ -121,32 +121,6 @@ func TestHistogramRecordNoAlloc(t *testing.T) {
 	}
 }
 
-// A miss is counted and recorded as an EvDeadlineMiss ring event carrying
-// its label, trace and lateness.
-func TestReportDeadlineMiss(t *testing.T) {
-	was := Enabled()
-	Enable(true)
-	defer Enable(was)
-	before := DeadlineMisses()
-	now := Now()
-	ReportDeadlineMiss(Label("miss.port"), now-1000, now, 42)
-	if DeadlineMisses() != before+1 {
-		t.Errorf("miss counter = %d, want %d", DeadlineMisses(), before+1)
-	}
-	var seen int
-	for _, ev := range Default.Ring().Snapshot() {
-		if ev.Label == "miss.port" && ev.Kind == EvDeadlineMiss {
-			seen++
-			if ev.Trace != 42 || ev.Arg != 1000 {
-				t.Errorf("miss event = %+v, want trace 42, lateness 1000", ev)
-			}
-		}
-	}
-	if seen != 1 {
-		t.Errorf("%d EvDeadlineMiss events for miss.port, want 1", seen)
-	}
-}
-
 func TestSnapshotAndMetricsText(t *testing.T) {
 	r := NewRegistry(16)
 	r.Counter("sends_total").Add(7)
