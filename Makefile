@@ -40,7 +40,7 @@ race: build vet
 # with nobody waiting (every release of a component calls one), nor an
 # overload controller's Admit + Done, untiered or for a registered tenant.
 # A remote invocation allocates only the copies its contract asks for —
-# InvokeView none, on one connection or spread over four stripes. Parsing
+# InvokeView none, on one connection or spread over two members. Parsing
 # the paper's CDL and CCL listings stays under a few dozen allocations, so
 # a reflective decoder (192 and 323) cannot come back unseen.
 # Set-up is guarded too: standing an ORB server and client up over the
@@ -113,7 +113,7 @@ orb-loc:
 	@fail=0; for d in internal/orb internal/rtzen internal/core internal/sched internal/memory internal/giop; do \
 		n=$$(ls $$d/*.go | grep -v _test | xargs cat | wc -l); \
 		printf '%-16s %5d lines\n' $$d $$n; \
-		case $$d in internal/orb) max=3292;; internal/rtzen) max=453;; internal/core) max=2830;; \
+		case $$d in internal/orb) max=3217;; internal/rtzen) max=453;; internal/core) max=2830;; \
 			internal/sched) max=728;; internal/memory) max=1119;; internal/giop) max=1410;; *) max=;; esac; \
 		if [ -n "$$max" ] && [ $$n -gt $$max ]; then \
 			echo "$$d is over the ratchet of $$max non-test lines"; fail=1; \

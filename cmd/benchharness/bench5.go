@@ -35,14 +35,13 @@ import (
 //   - breaker_trips must be 0: a member death is a clean close plus one
 //     failed redial, never five consecutive breaker charges.
 //   - readd_sent proves the re-added member took real traffic after the
-//     refresh retargeted stripes back onto it.
+//     refresh named it again: its servant counts what it served.
 //
 // Durations are nanoseconds so the file diffs cleanly across runs.
 type bench5Snapshot struct {
 	Meta         benchMeta     `json:"meta"`
 	Replicas     int           `json:"replicas"`
 	Workers      int           `json:"workers"`
-	Channels     int           `json:"channels"`
 	PayloadBytes int           `json:"payload_bytes"`
 	PhaseNs      int64         `json:"phase_ns"`
 	Phases       []bench5Phase `json:"phases"`
@@ -83,7 +82,6 @@ type bench5Sample struct {
 const (
 	bench5Replicas  = 3
 	bench5Workers   = 8
-	bench5Channels  = 6
 	bench5Payload   = 256
 	bench5PhaseDur  = 250 * time.Millisecond
 	bench5WindowNs  = int64(10 * time.Millisecond)
@@ -99,12 +97,16 @@ func runBench5(warmup, obs int, outPath string) error {
 	net := transport.NewInproc()
 	group := remote.PortKey("Bench5.In")
 
-	startReplica := func(addr string) (*orb.Server, error) {
+	// served counts the invocations each replica's servant answers.
+	startReplica := func(addr string, served *atomic.Int64) (*orb.Server, error) {
 		srv, err := orb.NewServer(orb.ServerConfig{Network: net, Addr: addr})
 		if err != nil {
 			return nil, err
 		}
-		srv.RegisterServant(group, corba.EchoServant{})
+		srv.RegisterServant(group, corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
+			served.Add(1)
+			return corba.EchoServant{}.Invoke(op, in)
+		}))
 		srv.ServeBackground()
 		return srv, nil
 	}
@@ -113,7 +115,7 @@ func runBench5(warmup, obs int, outPath string) error {
 	servers := make([]*orb.Server, bench5Replicas)
 	for i := range addrs {
 		addrs[i] = fmt.Sprintf("b5-m%d", i)
-		srv, err := startReplica(addrs[i])
+		srv, err := startReplica(addrs[i], new(atomic.Int64))
 		if err != nil {
 			return err
 		}
@@ -132,7 +134,7 @@ func runBench5(warmup, obs int, outPath string) error {
 	dirSrv.ServeBackground()
 
 	c, err := cluster.Dial(cluster.ClientConfig{
-		Network: net, Directory: "b5-dir", Group: group, Channels: bench5Channels,
+		Network: net, Directory: "b5-dir", Group: group,
 	})
 	if err != nil {
 		return err
@@ -140,7 +142,7 @@ func runBench5(warmup, obs int, outPath string) error {
 	defer c.Close()
 
 	payload := make([]byte, bench5Payload)
-	for i := 0; i < 256; i++ { // warm every stripe and scope pool
+	for i := 0; i < 256; i++ { // warm every member and scope pool
 		if _, err := c.InvokeIdempotent(group, "echo", payload, sched.NormPriority); err != nil {
 			return fmt.Errorf("warmup: %w", err)
 		}
@@ -183,7 +185,8 @@ func runBench5(warmup, obs int, outPath string) error {
 
 	time.Sleep(bench5PhaseDur)
 	readdAt := time.Since(t0).Nanoseconds()
-	srv, err := startReplica(addrs[1])
+	var readdServed atomic.Int64
+	srv, err := startReplica(addrs[1], &readdServed)
 	if err != nil {
 		return err
 	}
@@ -192,7 +195,6 @@ func runBench5(warmup, obs int, outPath string) error {
 	if err := c.Refresh(); err != nil {
 		return fmt.Errorf("refresh after re-add: %w", err)
 	}
-	sentAtReadd := c.MemberLoads()[addrs[1]].Sent
 
 	time.Sleep(bench5PhaseDur)
 	stop.Store(true)
@@ -208,11 +210,10 @@ func runBench5(warmup, obs int, outPath string) error {
 		Meta:         currentBenchMeta(),
 		Replicas:     bench5Replicas,
 		Workers:      bench5Workers,
-		Channels:     bench5Channels,
 		PayloadBytes: bench5Payload,
 		PhaseNs:      bench5PhaseDur.Nanoseconds(),
 		BreakerTrips: breakerTrips.Load(),
-		ReaddSent:    c.MemberLoads()[addrs[1]].Sent - sentAtReadd,
+		ReaddSent:    readdServed.Load(),
 	}
 	phases := []struct {
 		name     string

@@ -408,7 +408,6 @@ func runBench7Rolling(out *bench7Rolling) error {
 	tripsBefore := telemetry.Default.Counter("breaker_open_total").Value()
 	c, err := cluster.Dial(cluster.ClientConfig{
 		Network: net, Directory: cd.DirectoryAddr(), Group: group,
-		Channels:        6,
 		RefreshInterval: 2 * time.Millisecond,
 		Resilience:      &orb.ResilienceConfig{MaxRetries: 8, BreakerThreshold: 4},
 	})
@@ -421,7 +420,7 @@ func runBench7Rolling(out *bench7Rolling) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < 128; i++ { // warm every stripe
+	for i := 0; i < 128; i++ { // warm every member
 		if _, err := c.Invoke(group, "send", wire, sched.NormPriority); err != nil {
 			return fmt.Errorf("warmup: %w", err)
 		}

@@ -19,26 +19,22 @@ type ClientConfig struct {
 	// Group is the group key to resolve, conventionally
 	// remote.PortKey("Instance.Port").
 	Group string
-	// Channels is the stripe count; orb.DialClient raises it to at least the
-	// member count so every replica gets a stripe. Zero lets the member
-	// count decide.
-	Channels int
 	// Resilience tunes retries/breakers. Nil selects the defaults
 	// (&orb.ResilienceConfig{}: 3 retries, breaker threshold 5) — a cluster
 	// client without retries cannot fail over transparently, so unlike
 	// orb.ClientConfig the zero value opts IN to supervision.
 	Resilience *orb.ResilienceConfig
-	// RefreshInterval re-resolves the group periodically and retargets
-	// stripes on membership change, healing re-added members without
-	// waiting for a dial failure. Zero disables the refresher (failover
+	// RefreshInterval re-resolves the group periodically and retargets the
+	// client to it, healing re-added and skipped members without waiting
+	// for a dial failure. Zero disables the refresher (failover
 	// still works through the dial-failure Resolve path).
 	RefreshInterval time.Duration
 }
 
 // Client is an orb.Client bound to a replica group instead of one server:
-// membership comes from a Directory, stripes spread across the members, a
-// dead member's stripes fail over through re-resolution, and the optional
-// refresher heals re-added members back into rotation. All orb.Client
+// membership comes from a Directory, the client holds one connection per
+// member, a dead member's invocations fail over through re-resolution, and
+// the optional refresher heals re-added members back into rotation. All orb.Client
 // methods (Invoke, InvokeIdempotent, ...) are promoted unchanged.
 type Client struct {
 	*orb.Client
@@ -74,7 +70,6 @@ func Dial(cfg ClientConfig) (*Client, error) {
 		Resolve: func() ([]string, error) {
 			return Resolve(cfg.Network, cfg.Directory, cfg.Group)
 		},
-		Channels:   cfg.Channels,
 		Resilience: res,
 	})
 	if err != nil {
@@ -94,11 +89,12 @@ func Dial(cfg ClientConfig) (*Client, error) {
 	return c, nil
 }
 
-// refresher periodically re-resolves the group and retargets the stripes to
-// it; orb.Client.Retarget does nothing while the membership stands and every
-// stripe targets its round-robin member. This is the heal-forward path: a
-// member re-added to the directory starts receiving stripes within one
-// interval, without waiting for a survivor to die first.
+// refresher periodically re-resolves the group and retargets the client to
+// it; orb.Client.Retarget stores nothing while the membership stands, and
+// un-skips a member it names. This is the heal-forward path: a member
+// re-added to the directory, or one skipped after a refused dial, takes
+// invocations again within one interval, without waiting for a survivor to
+// die first.
 func (c *Client) refresher(every time.Duration) {
 	defer c.wg.Done()
 	tick := time.NewTicker(every)
@@ -136,34 +132,4 @@ func (c *Client) Close() {
 	c.once.Do(func() { close(c.stop) })
 	c.wg.Wait()
 	c.Client.Close()
-}
-
-// MemberLoad aggregates the stripes targeting one member.
-type MemberLoad struct {
-	// Stripes is how many stripes currently target the member.
-	Stripes int
-	// Live is how many of those hold a live connection.
-	Live int
-	// Inflight is the member's total in-flight invocations.
-	Inflight int64
-	// Sent is the member's cumulative invocation count.
-	Sent int64
-}
-
-// MemberLoads folds StripeStates by target address — the per-replica gauge
-// a failover test (or dashboard) reads to prove a re-added member actually
-// receives traffic.
-func (c *Client) MemberLoads() map[string]MemberLoad {
-	out := make(map[string]MemberLoad)
-	for _, st := range c.StripeStates() {
-		ml := out[st.Addr]
-		ml.Stripes++
-		if st.Live {
-			ml.Live++
-		}
-		ml.Inflight += st.Inflight
-		ml.Sent += st.Sent
-		out[st.Addr] = ml
-	}
-	return out
 }

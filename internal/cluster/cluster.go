@@ -1,11 +1,12 @@
 // Package cluster is the fabric that backs an exported servant with a
 // *group* of server processes. It composes the machinery of the ORB —
-// forwarding Locate replies (giop.LocateObjectForward), the replica-aware
-// striped channel pool (orb.ClientConfig.Addrs/Resolve), per-stripe breakers
-// and single-flight redial — into a horizontal-scale-out story:
+// forwarding Locate replies (giop.LocateObjectForward), the multi-member
+// client (orb.ClientConfig.Addrs/Resolve: one connection per member),
+// per-member breakers and single-flight redial — into a
+// horizontal-scale-out story:
 //
 //	directory ──(LocateObjectForward: m0,m1,m2)──> cluster.Client
-//	                                                   │ stripes spread P2C
+//	                                                   │ members picked P2C
 //	                                       ┌───────────┼───────────┐
 //	                                    replica m0  replica m1  replica m2
 //
@@ -117,7 +118,7 @@ func (d *Directory) Attach(srv *orb.Server) {
 
 // Resolve asks the directory endpoint at addr for the members of group: one
 // raw LocateRequest/LocateReply exchange on a fresh connection (no client
-// machinery — resolution must work while every replica stripe is down). A
+// machinery — resolution must work while every member connection is down). A
 // LocateObjectHere answer means addr itself serves the group (a directory
 // co-hosted with a singleton servant) and resolves to [addr].
 func Resolve(network transport.Network, addr, group string) ([]string, error) {

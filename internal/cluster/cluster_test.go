@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,23 +21,46 @@ import (
 var testGroup = remote.PortKey("Echo.In")
 
 // startReplica runs an orb server at addr serving the test group's echo
-// servant — one member of the replica group.
+// servant — one member of the replica group. The servant counts the
+// invocations it answers (served).
 func startReplica(t *testing.T, net transport.Network, addr string) *orb.Server {
 	t.Helper()
 	srv, err := orb.NewServer(orb.ServerConfig{Network: net, Addr: addr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.RegisterServant(testGroup, corba.EchoServant{})
+	n := new(atomic.Int64)
+	srv.RegisterServant(testGroup, corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
+		n.Add(1)
+		return corba.EchoServant{}.Invoke(op, in)
+	}))
 	srv.ServeBackground()
 	t.Cleanup(srv.Close)
 	testServers.Store(addr, srv)
+	testServed.Store(addr, n)
 	return srv
 }
 
 // testServers tracks started replicas by address: inproc networks have no
 // process handles, so tests that kill a replica look its server up here.
-var testServers sync.Map // addr -> *orb.Server
+// testServed holds the invocation count of the replica last started at each
+// address.
+var testServers, testServed sync.Map // addr -> *orb.Server, *atomic.Int64
+
+// served reports how many invocations the replica last started at addr has
+// answered.
+func served(addr string) int64 {
+	n, ok := testServed.Load(addr)
+	if !ok {
+		return 0
+	}
+	return n.(*atomic.Int64).Load()
+}
+
+// isMember reports whether the client currently spreads over addr.
+func isMember(c *Client, addr string) bool {
+	return slices.Contains(c.Members(), addr)
+}
 
 func serverAt(t *testing.T, addr string) *orb.Server {
 	t.Helper()
@@ -166,9 +190,7 @@ func TestClusterInvokeSpreadsMembers(t *testing.T) {
 	}
 	_, dsrv := startDirectory(t, net, "dir", "m0", "m1", "m2")
 
-	c, err := Dial(ClientConfig{
-		Network: net, Directory: dsrv.Addr(), Group: testGroup, Channels: 6,
-	})
+	c, err := Dial(ClientConfig{Network: net, Directory: dsrv.Addr(), Group: testGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,13 +210,12 @@ func TestClusterInvokeSpreadsMembers(t *testing.T) {
 			t.Fatalf("echo = %q", got)
 		}
 	}
-	loads := c.MemberLoads()
+	if got := c.Members(); len(got) != 3 {
+		t.Errorf("members = %v, want the directory's three", got)
+	}
 	for _, m := range []string{"m0", "m1", "m2"} {
-		if loads[m].Stripes != 2 {
-			t.Errorf("member %s stripes = %d, want 2 (6 channels / 3 members)", m, loads[m].Stripes)
-		}
-		if loads[m].Sent == 0 {
-			t.Errorf("member %s received no traffic: %+v", m, loads)
+		if served(m) == 0 {
+			t.Errorf("member %s received no traffic", m)
 		}
 	}
 }
@@ -210,9 +231,7 @@ func TestClusterFailoverSoak(t *testing.T) {
 	}
 	dir, dsrv := startDirectory(t, net, "dir", "m0", "m1", "m2")
 
-	c, err := Dial(ClientConfig{
-		Network: net, Directory: dsrv.Addr(), Group: testGroup, Channels: 6,
-	})
+	c, err := Dial(ClientConfig{Network: net, Directory: dsrv.Addr(), Group: testGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,8 +263,8 @@ func TestClusterFailoverSoak(t *testing.T) {
 		}(w)
 	}
 
-	// Let the load establish, then kill m1: membership first (so failing
-	// stripes resolve to survivors), then the process.
+	// Let the load establish, then kill m1: membership first (so a refused
+	// dial resolves to the survivors), then the process.
 	waitFor(t, "warm-up traffic", func() bool { return ok.Load() > 200 })
 	dir.Remove(testGroup, "m1")
 	serverAt(t, "m1").Close()
@@ -258,10 +277,7 @@ func TestClusterFailoverSoak(t *testing.T) {
 	if err := c.Refresh(); err != nil {
 		t.Fatalf("refresh after re-add: %v", err)
 	}
-	sentBefore := c.MemberLoads()["m1"].Sent
-	waitFor(t, "re-added member traffic", func() bool {
-		return c.MemberLoads()["m1"].Sent > sentBefore
-	})
+	waitFor(t, "re-added member traffic", func() bool { return served("m1") > 0 })
 
 	stop.Store(true)
 	wg.Wait()
@@ -273,25 +289,21 @@ func TestClusterFailoverSoak(t *testing.T) {
 	if rate := float64(ok.Load()) / float64(total); rate < 0.99 {
 		t.Errorf("success rate %.4f (%d/%d), want >= 0.99", rate, ok.Load(), total)
 	}
-	// The invoke that bumped m1's Sent dialed it; that stripe's connection
-	// stays live. (Other m1 stripes may still be lazily undialed.)
-	if m1 := c.MemberLoads()["m1"]; m1.Live == 0 {
-		t.Errorf("no live stripe on the re-added member: %+v", m1)
-	}
 }
 
-// TestClusterFailedOverStripesReturn pins the re-added member contract with
-// no clock: the directory answers [m0 m1 m2] throughout, m1 dies,
-// invocations fail each of its stripes over to a survivor, m1 comes back,
-// and one Refresh gives it its round-robin stripes again although the member
-// list never changed. Every wait is a bounded count of invocations.
-func TestClusterFailedOverStripesReturn(t *testing.T) {
+// TestClusterFailedOverMemberReturns pins the returned member contract with
+// no clock: the directory answers [m0 m1 m2] throughout, m1 dies, the
+// invocations that find it refusing ride the survivors and m1 is skipped, m1
+// comes back and stays skipped, and one Refresh — naming the member list
+// that never changed — gives it invocations again. Every wait is a bounded
+// count of invocations.
+func TestClusterFailedOverMemberReturns(t *testing.T) {
 	net := transport.NewInproc()
 	for _, addr := range []string{"m0", "m1", "m2"} {
 		startReplica(t, net, addr)
 	}
 	_, dsrv := startDirectory(t, net, "dir", "m0", "m1", "m2")
-	c, err := Dial(ClientConfig{Network: net, Directory: dsrv.Addr(), Group: testGroup, Channels: 6})
+	c, err := Dial(ClientConfig{Network: net, Directory: dsrv.Addr(), Group: testGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,21 +321,22 @@ func TestClusterFailedOverStripesReturn(t *testing.T) {
 		return done()
 	}
 	serverAt(t, "m1").Close()
-	if !invokeUntil(func() bool { return c.MemberLoads()["m1"].Stripes == 0 }) {
-		t.Fatalf("m1's stripes did not fail over in 1000 invocations: %+v", c.MemberLoads())
-	}
+	// Every invocation succeeds: the ones that find m1 refusing ride a
+	// survivor. Picked at random among three, m1 is found within these.
+	invokeUntil(func() bool { return false })
 
 	startReplica(t, net, "m1")
+	if invokeUntil(func() bool { return served("m1") > 0 }) {
+		t.Fatal("the skipped member took invocations before a refresh named it")
+	}
 	if err := c.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	loads := c.MemberLoads()
-	if loads["m1"].Stripes < 1 {
-		t.Fatalf("after the refresh the returned member holds no stripe: %+v (members %v)", loads, c.Members())
+	if !isMember(c, "m1") {
+		t.Fatalf("members after the refresh = %v", c.Members())
 	}
-	sent := loads["m1"].Sent
-	if !invokeUntil(func() bool { return c.MemberLoads()["m1"].Sent > sent }) {
-		t.Fatalf("the returned member took no invocation in 1000: %+v", c.MemberLoads())
+	if !invokeUntil(func() bool { return served("m1") > 0 }) {
+		t.Fatal("the returned member took no invocation in 1000")
 	}
 }
 
@@ -338,7 +351,7 @@ func TestClusterRefresherHealsReaddedMember(t *testing.T) {
 	dir, dsrv := startDirectory(t, net, "dir", "m0", "m1")
 
 	c, err := Dial(ClientConfig{
-		Network: net, Directory: dsrv.Addr(), Group: testGroup, Channels: 4,
+		Network: net, Directory: dsrv.Addr(), Group: testGroup,
 		RefreshInterval: 2 * time.Millisecond,
 	})
 	if err != nil {
@@ -360,23 +373,19 @@ func TestClusterRefresherHealsReaddedMember(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drop m1 from the directory; the refresher should pull its stripes
-	// over to m0 without any invocation failing against it first.
+	// Drop m1 from the directory; the refresher should remove it without
+	// any invocation failing against it first.
 	dir.Remove(testGroup, "m1")
-	waitFor(t, "stripes drained off removed member", func() bool {
-		return c.MemberLoads()["m1"].Stripes == 0
-	})
+	waitFor(t, "removed member dropped", func() bool { return !isMember(c, "m1") })
 
-	// Re-add; the refresher must spread stripes back.
+	// Re-add; the refresher must bring it back.
 	dir.Add(testGroup, "m1")
-	waitFor(t, "stripes returned to re-added member", func() bool {
-		return c.MemberLoads()["m1"].Stripes > 0
-	})
-	sentBefore := c.MemberLoads()["m1"].Sent
+	waitFor(t, "re-added member restored", func() bool { return isMember(c, "m1") })
+	servedBefore := served("m1")
 	waitFor(t, "re-added member traffic", func() bool {
 		if err := invokeAll(); err != nil {
 			t.Logf("invoke during heal: %v", err)
 		}
-		return c.MemberLoads()["m1"].Sent > sentBefore
+		return served("m1") > servedBefore
 	})
 }

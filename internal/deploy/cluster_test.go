@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,7 +37,6 @@ const replicatedApp = `
   </Component>
 </Application>`
 
-// sinkRegistry binds the Sink class, counting deliveries.
 // killReplica takes one replica of the node down: membership first (so
 // clients resolving mid-kill see only survivors), then the process.
 func killReplica(d *ClusterDeployment, node string, index int) error {
@@ -56,7 +56,15 @@ func killReplica(d *ClusterDeployment, node string, index int) error {
 	return fmt.Errorf("%w: node %q has no live replica %d", ErrDeploy, node, index)
 }
 
+// sinkRegistry binds the Sink class, counting deliveries.
 func sinkRegistry(t *testing.T, delivered *atomic.Int64) *compiler.Registry {
+	t.Helper()
+	return sinkRegistryPer(t, func(*core.Component) *atomic.Int64 { return delivered })
+}
+
+// sinkRegistryPer binds the Sink class, each instance counting its
+// deliveries into the counter counter hands it.
+func sinkRegistryPer(t *testing.T, counter func(*core.Component) *atomic.Int64) *compiler.Registry {
 	t.Helper()
 	reg := compiler.NewRegistry()
 	if err := reg.RegisterType(sampleType); err != nil {
@@ -64,6 +72,7 @@ func sinkRegistry(t *testing.T, delivered *atomic.Int64) *compiler.Registry {
 	}
 	if err := reg.RegisterClass("Sink", compiler.ClassBinding{
 		NewHandlers: func(c *core.Component) (map[string]core.Handler, error) {
+			delivered := counter(c)
 			return map[string]core.Handler{
 				"in": core.HandlerFunc(func(p *core.Proc, m core.Message) error {
 					delivered.Add(1)
@@ -80,9 +89,27 @@ func sinkRegistry(t *testing.T, delivered *atomic.Int64) *compiler.Registry {
 func TestRunClusterReplicatedSinks(t *testing.T) {
 	net := transport.NewInproc()
 	plan := compilePlan(t, serverDefs, replicatedApp)
-	var delivered atomic.Int64
+	// Each replica's sink counts what it was delivered.
+	var (
+		mu      sync.Mutex
+		perSink []*atomic.Int64
+	)
+	delivered := func() (sum int64) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, n := range perSink {
+			sum += n.Load()
+		}
+		return sum
+	}
+	reg := sinkRegistryPer(t, func(*core.Component) *atomic.Int64 {
+		mu.Lock()
+		defer mu.Unlock()
+		perSink = append(perSink, new(atomic.Int64))
+		return perSink[len(perSink)-1]
+	})
 
-	cd, err := RunCluster(plan, sinkRegistry(t, &delivered), ClusterConfig{Network: net})
+	cd, err := RunCluster(plan, reg, ClusterConfig{Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +126,7 @@ func TestRunClusterReplicatedSinks(t *testing.T) {
 	// A cluster client resolves the group through the directory and spreads
 	// "send" invocations (the remote-port wire op) across the replicas.
 	c, err := cluster.Dial(cluster.ClientConfig{
-		Network: net, Directory: cd.DirectoryAddr(), Group: group, Channels: 6,
+		Network: net, Directory: cd.DirectoryAddr(), Group: group,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,16 +143,20 @@ func TestRunClusterReplicatedSinks(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for delivered.Load() < 60 {
+	for delivered() < 60 {
 		if time.Now().After(deadline) {
-			t.Fatalf("delivered %d/60", delivered.Load())
+			t.Fatalf("delivered %d/60", delivered())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	loads := c.MemberLoads()
-	for _, m := range cd.Directory.Members(group) {
-		if loads[m].Sent == 0 {
-			t.Errorf("replica %s received no traffic: %+v", m, loads)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(perSink) != 3 {
+		t.Fatalf("%d sinks instantiated, want one per replica", len(perSink))
+	}
+	for i, n := range perSink {
+		if n.Load() == 0 {
+			t.Errorf("replica sink %d received no traffic", i)
 		}
 	}
 }

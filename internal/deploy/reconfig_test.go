@@ -290,7 +290,6 @@ func TestRollingUpgradeThreeReplicasZeroErrors(t *testing.T) {
 
 	c, err := cluster.Dial(cluster.ClientConfig{
 		Network: net, Directory: cd.DirectoryAddr(), Group: group,
-		Channels:        6,
 		RefreshInterval: 2 * time.Millisecond,
 		Resilience:      &orb.ResilienceConfig{MaxRetries: 8, BreakerThreshold: 4},
 	})
@@ -422,7 +421,6 @@ func TestChaosRollingUpgradeSoak(t *testing.T) {
 	group := remote.PortKey("Collector.in")
 	c, err := cluster.Dial(cluster.ClientConfig{
 		Network: net, Directory: cd.DirectoryAddr(), Group: group,
-		Channels:        6,
 		RefreshInterval: 2 * time.Millisecond,
 		Resilience:      &orb.ResilienceConfig{MaxRetries: 8, BreakerThreshold: 4},
 	})

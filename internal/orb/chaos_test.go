@@ -147,8 +147,8 @@ func TestResilientClientSurvivesServerRestart(t *testing.T) {
 	if reconnectTotal.Value() <= reconnBefore {
 		t.Error("reconnect_total did not advance")
 	}
-	if cl.stripes[0].brk.State() != breakerClosed {
-		t.Errorf("breaker state = %d after recovery, want closed", cl.stripes[0].brk.State())
+	if members(cl)[0].brk.State() != breakerClosed {
+		t.Errorf("breaker state = %d after recovery, want closed", members(cl)[0].brk.State())
 	}
 }
 
@@ -382,7 +382,7 @@ func TestChaosSoak(t *testing.T) {
 	// A death is survived by a redial, always; by a retry too only if it
 	// stranded an invocation. Over a buffered wire a connection severed after
 	// a read that delivered every outstanding reply strands nothing: the next
-	// invoke finds the stripe detached and redials.
+	// invoke finds the member detached and redials.
 	if st.ConnsDropped > 0 && reconnectTotal.Value() == reconnBefore {
 		t.Error("connections died but reconnect_total never advanced")
 	}

@@ -31,18 +31,17 @@ type ClientConfig struct {
 	Network transport.Network
 	Addr    string
 	// Addrs, when non-empty, lists the addresses of a replicated server
-	// group; stripes spread round-robin across the members (Channels is
-	// raised to at least len(Addrs) so every member gets a stripe) and Addr
-	// is ignored. The striped pool then balances across replicas the same
-	// way it balances across connections — P2C on in-flight count with
-	// per-stripe breakers — and a dead member's stripes fail over to the
-	// survivors (replica.go).
+	// group and Addr is ignored. The client holds one multiplexed connection
+	// per distinct member and balances across them by in-flight load — P2C
+	// with a breaker per member — and the invocations a dead member refuses
+	// ride the survivors (member.go).
 	Addrs []string
 	// Resolve, when set, re-resolves the group membership: it is consulted
-	// (single-flight, rate-limited) when a stripe's dial target refuses the
-	// dial, and may be invoked any time via Retarget-driven refreshers. It
-	// returns the current member addresses; errors and empty lists leave the
-	// previous membership in place.
+	// (single-flight, rate-limited) when a member refuses a dial, and the
+	// client retargets to its answer. It returns the current member
+	// addresses; errors and empty lists leave the previous membership in
+	// place. Without it a refused member is never skipped: its breaker is
+	// charged instead.
 	Resolve func() ([]string, error)
 	// MaxMessage bounds a reply body; zero selects DefaultMaxMessage.
 	MaxMessage int
@@ -59,17 +58,10 @@ type ClientConfig struct {
 	// Resilience opts the client into supervised-connection behaviour:
 	// redial with backoff, per-invoke deadlines, retry budgets for
 	// idempotent operations, and a circuit breaker. Nil (the default)
-	// keeps the original semantics — one dial, every error surfaces.
-	// With Channels > 1 the breaker is per stripe: one dead connection
-	// opens its own circuit while the others keep serving.
+	// keeps the original semantics — one dial per member, every error
+	// surfaces. The breaker is per member: one dead member opens its own
+	// circuit while the others keep serving.
 	Resilience *ResilienceConfig
-	// Channels opens that many multiplexed connections (stripes) to the
-	// server and spreads invocations across them by load alone:
-	// power-of-two-choices on in-flight count (stripe.go). Requests keep
-	// their submission order on one connection and have none across
-	// stripes. Zero or one keeps the single connection; values above 32
-	// clamp.
-	Channels int
 	// Coalesce is ignored: write batching is always on (coalesce.go).
 	//
 	// Deprecated: kept so that existing configurations compile.
@@ -85,7 +77,7 @@ type ClientConfig struct {
 	// the target set is an orb.Server in this process on this same Network
 	// (local.go), every invocation runs the server's admit and execute stages
 	// inline on the caller's goroutine — no GIOP encode/decode, no connection
-	// writer, no stripes, no demux. It is the same pipeline a wire request
+	// writer, no connection, no demux. It is the same pipeline a wire request
 	// passes through, so server-side policy cannot differ between the two. The
 	// collocation decision is re-validated per invoke against the process
 	// registry and the client's route generation, so a server swap or a
@@ -125,7 +117,6 @@ type Client struct {
 	tenant   overload.Tenant
 	closed   atomic.Bool
 	network  transport.Network
-	addr     string
 	res      *resilience // nil unless ClientConfig.Resilience was set
 	inflight atomic.Int64
 	gauge    *telemetry.GaugeHandle
@@ -136,25 +127,20 @@ type Client struct {
 	local     atomic.Pointer[localBinding]
 	routeGen  atomic.Uint64
 
-	// stripes is the channel pool: each entry owns one multiplexed
-	// connection slot with its own redial lock and breaker; rng drives the
-	// selector's two random choices.
-	stripes []*stripe
-	rng     atomic.Uint64
-
-	// Replica-set state (replica.go): members is the current address list,
-	// resolve the optional re-resolution hook (guarded by resolveMu with a
-	// lastResolve rate limit so a burst of failing stripes triggers one
-	// directory round trip, not one each), retargetMu serialises Retarget
-	// sweeps and Close and guards retiring (connections a Retarget took out of
-	// service, not yet closed), and rotate spreads failed-over stripes.
-	members     atomic.Pointer[[]string]
+	// Membership (member.go): members is the copy-on-write slot list, one
+	// connection slot per member with its own dial lock and breaker; rng
+	// drives the selector's two random choices; resolve is the optional
+	// re-resolution hook (guarded by resolveMu with a lastResolve rate limit
+	// so a burst of refused dials triggers one directory round trip, not one
+	// each); retargetMu serialises Retargets, skips and Close and guards
+	// retiring (connections a Retarget took out of service, not yet closed).
+	members     atomic.Pointer[[]*member]
+	rng         atomic.Uint64
 	resolve     func() ([]string, error)
 	resolveMu   sync.Mutex
 	lastResolve int64
 	retargetMu  sync.Mutex
 	retiring    map[*muxConn]struct{}
-	rotate      atomic.Uint32
 
 	// transport is the handle that keeps the Transport instance — and with
 	// it the invoke port — alive until Close; transportMu serialises its
@@ -202,55 +188,26 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 
-	addrs := append([]string(nil), cfg.Addrs...)
-	if len(addrs) == 0 {
-		addrs = []string{cfg.Addr}
-	}
 	cl := &Client{
 		app:       app,
 		reqPool:   reqPool,
 		maxMsg:    maxMsg,
 		tenant:    cfg.Tenant,
 		network:   cfg.Network,
-		addr:      addrs[0],
 		resolve:   cfg.Resolve,
 		collocate: cfg.Collocate,
 		retiring:  make(map[*muxConn]struct{}),
 	}
-	cl.members.Store(&addrs)
 	if cfg.Resilience != nil {
 		cl.res = newResilience(*cfg.Resilience)
 	}
-	channels := cfg.Channels
-	if channels <= 0 {
-		channels = 1
+	addrs := cfg.Addrs
+	if len(addrs) == 0 {
+		addrs = []string{cfg.Addr}
 	}
-	if channels < len(addrs) {
-		// Every member of the replica set gets at least one stripe.
-		channels = len(addrs)
-	}
-	if channels > maxChannels {
-		channels = maxChannels
-	}
-	for i := 0; i < channels; i++ {
-		st := &stripe{cl: cl, idx: i}
-		st.setTarget(addrs[i%len(addrs)])
-		if cl.res != nil {
-			cl.res.initBreaker(&st.brk)
-		}
-		cl.stripes = append(cl.stripes, st)
-	}
-	cl.gauge = telemetry.Default.RegisterGauge("inflight", "orb.client", func() int64 {
-		return cl.inflight.Load()
-	})
-	if channels > 1 {
-		for _, st := range cl.stripes {
-			st := st
-			st.gauge = telemetry.Default.RegisterGauge("inflight",
-				fmt.Sprintf("orb.client.stripe%d", st.idx),
-				func() int64 { return st.inflight.Load() })
-		}
-	}
+	cl.members.Store(&[]*member{})
+	cl.Retarget(addrs)
+	cl.gauge = telemetry.Default.RegisterGauge("inflight", "orb.client", cl.Inflight)
 
 	_, err = app.NewImmortalComponent("ORB", func(c *core.Component) error {
 		return c.DefineChild(core.ChildDef{
@@ -273,7 +230,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 
 // transportSetup wires one Transport instance: the Out port feeding
 // MessageProcessing, on which callers send their invocations, the per-request
-// child definition, and the start function that dials every stripe's
+// child definition, and the start function that dials every member's
 // connection. MessageProcessing's In port is synchronous — the paper's pool
 // size 0, "on the calling thread" (§2.2): a caller blocks for its reply
 // either way, so a thread pool in front of the wire would buy no concurrency.
@@ -303,21 +260,12 @@ func (cl *Client) transportSetup(mpSize int64) func(*core.Component) error {
 		}
 
 		tc.SetStart(func(p *core.Proc) error {
-			for _, st := range cl.stripes {
-				conn, err := cl.network.Dial(st.target())
-				if err != nil {
-					if cl.res != nil {
-						// Supervised mode: leave this stripe's connection
-						// nil and let the next invoke routed to it redial
-						// with backoff; the failure still counts toward the
-						// stripe's breaker.
-						telemetry.RecordFault("orb.client.dial", err)
-						st.brk.Failure()
-						continue
-					}
-					return fmt.Errorf("orb client dial %q: %w", st.target(), err)
+			for _, m := range *cl.members.Load() {
+				// Supervised, a refused member is left for the next invoke
+				// routed to it to redial (conn charged or skipped it).
+				if _, err := m.conn(); err != nil && cl.res == nil {
+					return err
 				}
-				st.cur.Store(newMuxConn(st, conn))
 			}
 			return nil
 		})
@@ -356,16 +304,16 @@ func (cl *Client) processInvoke(p *core.Proc, msg core.Message) error {
 		return err
 	}
 	if err == nil && cl.res != nil {
-		in.st.brk.Success()
+		in.m.brk.Success()
 	}
 	in.pe.complete(invokeResult{err: err})
 	return err
 }
 
 // submit marshals one request into buf, registers its pending entry with the
-// live connection (redialling under supervision if none is up), and writes the
-// frame. tabled reports that the entry entered the connection's pending table,
-// whatever happened next.
+// member's live connection (dialling if none is up, and moving to another
+// member if that one is skipped), and writes the frame. tabled reports that
+// the entry entered the connection's pending table, whatever happened next.
 func (cl *Client) submit(buf memory.Ref, in *invokeMsg) (tabled bool, err error) {
 	wireBuf, err := buf.Bytes()
 	if err != nil {
@@ -384,7 +332,12 @@ func (cl *Client) submit(buf memory.Ref, in *invokeMsg) (tabled bool, err error)
 		Payload:          in.payload,
 	})
 
-	mc, err := in.st.conn()
+	mc, err := in.m.conn()
+	for err == errSkipped {
+		if in.m, err = cl.pickMember(); err == nil {
+			mc, err = in.m.conn()
+		}
+	}
 	if err != nil {
 		return false, err
 	}
@@ -590,14 +543,14 @@ func (cl *Client) InvokeOneway(key, op string, payload []byte, prio sched.Priori
 // invocation.
 const yieldEvery = 32
 
-// wire is the wire transport: pick a stripe, then one pass through the
+// wire is the wire transport: pick a member, then one pass through the
 // component pipeline — arm a pending entry, send the invocation into
-// MessageProcessing, which carries it to the stripe's connection on this
+// MessageProcessing, which carries it to the member's connection on this
 // goroutine, and wait for the demux (or a failure path) to complete it. The
 // send is a call whose frame enters Transport and MessageProcessing in one
 // pinned enter.
 func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Priority, oneway bool, trace, span uint64) invokeResult {
-	st, err := cl.pickStripe()
+	m, err := cl.pickMember()
 	if err != nil {
 		return invokeResult{err: err}
 	}
@@ -609,17 +562,17 @@ func (cl *Client) wire(id uint32, key, op string, payload []byte, prio sched.Pri
 	if err != nil {
 		return invokeResult{err: err}
 	}
-	m := msg.(*invokeMsg)
-	m.id = id
-	m.keyBuf = append(m.keyBuf[:0], key...)
-	m.op, m.payload, m.prio = op, payload, prio
-	m.oneway = oneway
-	m.st = st
+	in := msg.(*invokeMsg)
+	in.id = id
+	in.keyBuf = append(in.keyBuf[:0], key...)
+	in.op, in.payload, in.prio = op, payload, prio
+	in.oneway = oneway
+	in.m = m
 	pe := getPending(id)
-	m.pe = pe
+	in.pe = pe
 	// The trace context rides the pooled message, which is recycled once its
 	// handler returns.
-	m.trace, m.span = trace, span
+	in.trace, in.span = trace, span
 	if id%yieldEvery == 1 {
 		runtime.Gosched()
 	}
@@ -728,8 +681,8 @@ func (cl *Client) expire(pe *muxPending) invokeResult {
 
 // withRetry runs op and, when resilience is enabled, retries retriable
 // failures within the retry budget. Breaker gating happens inside op —
-// stripe selection (pickStripe) fails fast with ErrCircuitOpen when no
-// stripe admits traffic, and ErrCircuitOpen is retriable, so a later
+// member selection (pickMember) fails fast with ErrCircuitOpen when no
+// member admits traffic, and ErrCircuitOpen is retriable, so a later
 // attempt can ride a half-open probe.
 func (cl *Client) withRetry(op func() ([]byte, error)) ([]byte, error) {
 	r := cl.res
@@ -789,7 +742,7 @@ func (cl *Client) Inflight() int64 { return cl.inflight.Load() }
 // harness).
 func (cl *Client) App() *core.App { return cl.app }
 
-// Close shuts the client down: every connection is closed — each stripe's
+// Close shuts the client down: every connection is closed — each member's
 // and each one a Retarget is still retiring — failing any in-flight
 // invocations with ErrClosed, and the component application stopped.
 func (cl *Client) Close() {
@@ -797,12 +750,9 @@ func (cl *Client) Close() {
 		return
 	}
 	closed := fmt.Errorf("orb client: %w", corba.ErrClosed)
-	for _, st := range cl.stripes {
-		if mc := st.cur.Load(); mc != nil {
+	for _, m := range *cl.members.Load() {
+		if mc := m.cur.Load(); mc != nil {
 			mc.fail(closed)
-		}
-		if st.gauge != nil {
-			st.gauge.Unregister()
 		}
 	}
 	cl.retargetMu.Lock()

@@ -14,14 +14,15 @@ import (
 	"repro/internal/transport"
 )
 
-// wireSent sums the stripe Sent counters — the number of invocations that
-// actually took the wire path. Collocated invokes must not move it.
-func wireSent(cl *Client) int64 {
-	var n int64
-	for _, st := range cl.StripeStates() {
-		n += st.Sent
+// wired reports whether any member of the client has had a connection: the
+// wire path dials the member an invocation rides, the direct transport none.
+func wired(cl *Client) bool {
+	for _, m := range members(cl) {
+		if m.dialled.Load() {
+			return true
+		}
 	}
-	return n
+	return false
 }
 
 // netAlias wraps a Network in a distinct dynamic type so a server listening
@@ -33,7 +34,7 @@ type netAlias struct{ transport.Network }
 
 // TestCollocatedInvokeBasic pins the direct transport end to end: an opted-in
 // client resolves the in-process server, every entry point answers, the
-// collocated counter moves, and the stripes never see a request. (That the
+// collocated counter moves, and no connection is ever dialled. (That the
 // answers match the wire's in every scenario is TestInvokeConformance's job.)
 func TestCollocatedInvokeBasic(t *testing.T) {
 	net := transport.NewInproc()
@@ -70,8 +71,8 @@ func TestCollocatedInvokeBasic(t *testing.T) {
 	if got := collocatedInvokeTotal.Value() - before; got != 4 {
 		t.Errorf("collocated_invoke_total moved by %d, want 4", got)
 	}
-	if got := wireSent(cl); got != 0 {
-		t.Errorf("wire path carried %d invocations; collocated calls must bypass the stripes", got)
+	if wired(cl) {
+		t.Error("a collocated client dialled a connection; collocated calls must bypass the wire")
 	}
 
 	// Error shape parity: a user exception through the fast path is the same
@@ -101,7 +102,7 @@ func TestCollocatedOptOut(t *testing.T) {
 	if got := collocatedInvokeTotal.Value() - before; got != 0 {
 		t.Errorf("opt-out client took the collocated path %d times", got)
 	}
-	if got := wireSent(cl); got == 0 {
+	if !wired(cl) {
 		t.Error("opt-out client sent nothing over the wire")
 	}
 }
@@ -124,7 +125,6 @@ func TestCollocatedRetargetInvalidation(t *testing.T) {
 	}
 
 	cl.Retarget([]string{remote.Addr()})
-	wireBefore := wireSent(cl)
 	out, err := cl.Invoke("echo", "echo", []byte("b"), sched.NormPriority)
 	if err != nil || string(out) != "b" {
 		t.Fatalf("post-retarget invoke = (%q, %v)", out, err)
@@ -132,7 +132,7 @@ func TestCollocatedRetargetInvalidation(t *testing.T) {
 	if got := collocatedInvokeTotal.Value() - before; got != 1 {
 		t.Errorf("collocated counter moved to %d after retarget to a remote-only member", got)
 	}
-	if wireSent(cl) == wireBefore {
+	if !wired(cl) {
 		t.Error("post-retarget invoke did not take the wire path")
 	}
 
@@ -208,7 +208,7 @@ func TestChaosCollocatedSwapUnderTraffic(t *testing.T) {
 	if collocatedInvokeTotal.Value() == colBefore {
 		t.Error("storm never used the collocated path; swap was not exercised")
 	}
-	if wireSent(cl) == 0 {
+	if !wired(cl) {
 		t.Error("storm never reached the wire path after the swap")
 	}
 

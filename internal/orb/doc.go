@@ -3,10 +3,11 @@
 //
 // The client is a three-level scoped structure: the ORB component lives in
 // immortal memory; the Transport component is a scoped child the first wire
-// invocation instantiates, and holds the connection; a MessageProcessing
-// component is revived per request in the deepest scope, marshals the GIOP
-// request there, writes it, and quiesces — its scope is reclaimed in place,
-// kept by its parked shell for the next request. The invoking goroutine sends
+// invocation instantiates, and holds the connection — one per member of a
+// replicated server (member.go); a MessageProcessing component is revived per
+// request in the deepest scope, marshals the GIOP request there, writes it,
+// and quiesces — its scope is reclaimed in place, kept by its parked shell
+// for the next request. The invoking goroutine sends
 // each request on the Transport's port into MessageProcessing, a call (the
 // paper's pool size 0), then waits for its reply and, taking turns with the
 // other waiters, reads the connection. The client owns no thread.

@@ -99,9 +99,9 @@ func TestIdleConnectionDeathFoundByNextInvocation(t *testing.T) {
 	}
 }
 
-// TestIdleClientOwnsNoThread dials a client, uses it, and lets it go idle: it
-// must be holding no goroutine and no scheduler pool — its ports are calls and
-// its connection is read by whoever waits on it.
+// TestIdleClientOwnsNoThread dials a two-member client, uses it, and lets it
+// go idle: it must be holding no goroutine and no scheduler pool — its ports
+// are calls and each connection is read by whoever waits on it.
 func TestIdleClientOwnsNoThread(t *testing.T) {
 	poolGauges := func() map[string]bool {
 		labels := map[string]bool{}
@@ -113,12 +113,12 @@ func TestIdleClientOwnsNoThread(t *testing.T) {
 		return labels
 	}
 	net := transport.NewInproc()
-	rs := newRawServer(t, net)
-	rs.serve(echoUntilClosed) // one server goroutine per stripe,
-	rs.serve(echoUntilClosed) // both started before the count is taken
+	r0, r1 := newRawServer(t, net), newRawServer(t, net)
+	r0.serve(echoUntilClosed) // one server goroutine per member,
+	r1.serve(echoUntilClosed) // both started before the count is taken
 	goroutines, pools := runtime.NumGoroutine(), poolGauges()
 
-	cl := dial(t, net, rs.addr, ClientConfig{Channels: 2})
+	cl := dial(t, net, "", ClientConfig{Addrs: []string{r0.addr, r1.addr}})
 	for i := 0; i < 8; i++ {
 		if _, err := cl.Invoke("echo", "echo", []byte("used"), sched.MinPriority+sched.Priority(i)); err != nil {
 			t.Fatal(err)
@@ -127,9 +127,9 @@ func TestIdleClientOwnsNoThread(t *testing.T) {
 	if err := cl.InvokeOneway("echo", "echo", nil, sched.NormPriority); err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range cl.stripes {
-		if !st.live() {
-			t.Fatalf("stripe %d is not connected", st.idx)
+	for _, m := range members(cl) {
+		if !m.live() {
+			t.Fatalf("member %s is not connected", m.addr)
 		}
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
@@ -170,7 +170,7 @@ func TestDeprecatedConfigIsInert(t *testing.T) {
 		mpQueueMax, _ := portGauge("port_queue_max", "MessageProcessing.request")
 		return shape{
 			ORBInPort: orbInPort, MPQueueMax: mpQueueMax,
-			Token:  cl.stripes[0].cur.Load().leaderCh != nil,
+			Token:  members(cl)[0].cur.Load().leaderCh != nil,
 			MPPool: cl.App().ScopePool(2) != nil, RPPool: srv.App().ScopePool(3) != nil,
 			ClientImm: stateOf(cl.App().Model().Immortal()).used,
 			ServerImm: stateOf(srv.App().Model().Immortal()).used,
@@ -206,15 +206,15 @@ func TestRetriableBeforeFirstByte(t *testing.T) {
 		err  error
 		want bool
 	}{
-		{"pickStripe: every breaker open", ErrCircuitOpen, true},
+		{"pickMember: every breaker open", ErrCircuitOpen, true},
 		{"invoke.GetMessage: pool empty", fmt.Errorf("%w: type %q", core.ErrPoolEmpty, "InvokeRequest"), true},
 		{"toMP / invoke.Send: client stopped", core.ErrStopped, false},
 		{"toMP: unsupervised first dial", fmt.Errorf("child %q start: %w", "Transport", fmt.Errorf("orb client dial %q: %w", "a", dialErr)), true},
 		{"await: dropped in the pipeline", errUnbound, true},
 		{"reqPool.Acquire: scope pool exhausted", memory.ErrPoolExhausted, false},
 		{"submit: marshal buffer over budget", fmt.Errorf("orb client: marshal buffer: %w", memory.ErrOutOfMemory), false},
-		{"stripe.conn: no connection, unsupervised", corba.ErrClosed, true},
-		{"stripe.conn: redial refused", fmt.Errorf("orb client redial %q: %w", "a", dialErr), true},
+		{"member.conn: no connection, unsupervised", corba.ErrClosed, true},
+		{"member.conn: redial refused", fmt.Errorf("orb client dial %q: %w", "a", dialErr), true},
 		{"register: connection already dead", fmt.Errorf("orb client: read: %w", corba.ErrClosed), true},
 		{"a relay buffer the client no longer has", core.ErrBufferFull, false},
 	} {

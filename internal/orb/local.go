@@ -94,8 +94,8 @@ func (cl *Client) localServer() *Server {
 		return b.srv
 	}
 	var srv *Server
-	for _, addr := range cl.Members() {
-		if s := lookupLocal(cl.network, addr); s != nil && !s.closed.Load() {
+	for _, m := range *cl.members.Load() {
+		if s := lookupLocal(cl.network, m.addr); s != nil && !s.closed.Load() {
 			srv = s
 			break
 		}
@@ -104,14 +104,12 @@ func (cl *Client) localServer() *Server {
 	return srv
 }
 
-// setMembers installs a copy of addrs as the membership. It may gain or lose
-// an in-process member, so a collocating client bumps its route generation:
-// the next invoke re-detects instead of trusting the old decision.
-func (cl *Client) setMembers(addrs []string) []string {
-	list := append([]string(nil), addrs...)
-	cl.members.Store(&list)
+// setMembers installs ms as the membership. It may gain or lose an in-process
+// member, so a collocating client bumps its route generation: the next invoke
+// re-detects instead of trusting the old decision.
+func (cl *Client) setMembers(ms []*member) {
+	cl.members.Store(&ms)
 	if cl.collocate {
 		cl.routeGen.Add(1)
 	}
-	return list
 }

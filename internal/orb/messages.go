@@ -53,9 +53,9 @@ type invokeMsg struct {
 	oneway  bool
 	prio    sched.Priority
 	pe      *muxPending
-	// st is the stripe the invocation was routed to at Invoke time; the
-	// submit path dials/uses that stripe's connection.
-	st *stripe
+	// m is the member the invocation was routed to; the submit path uses
+	// that member's connection, and moves it to another if it is skipped.
+	m *member
 	// trace and span identify the caller's trace context; they ride the
 	// invocation through the component structure and onto the wire as a
 	// GIOP service context, so client and server flight recorders can be

@@ -111,13 +111,13 @@ func putPending(pe *muxPending) { pendingPool.Put(pe) }
 // the leader token its waiting callers pass around to demultiplex its replies.
 // A wire fault from either direction fails every pending entry exactly once
 // with a transport-level error, counts a single failure against the owning
-// stripe's breaker, and detaches the connection from its stripe so the next
+// member's breaker, and detaches the connection from its member so the next
 // invoke routed there triggers one supervised redial — not one per in-flight
 // caller. A connection that dies with nobody waiting on it is found dead by
 // the next invocation written to it, which fails the same way.
 type muxConn struct {
 	cl   *Client
-	st   *stripe
+	m    *member
 	conn transport.Conn
 	w    *connWriter
 
@@ -148,10 +148,10 @@ type muxConn struct {
 	maxDone uint32
 }
 
-// newMuxConn wraps conn for st, its leader token parked.
-func newMuxConn(st *stripe, conn transport.Conn) *muxConn {
-	cl := st.cl
-	mc := &muxConn{cl: cl, st: st, conn: conn, pend: make(map[uint32]*muxPending, 16)}
+// newMuxConn wraps conn for m, its leader token parked.
+func newMuxConn(m *member, conn transport.Conn) *muxConn {
+	cl := m.cl
+	mc := &muxConn{cl: cl, m: m, conn: conn, pend: make(map[uint32]*muxPending, 16)}
 	mc.w = newConnWriter(conn, cl.invokeTimeout)
 	mc.fr = giop.NewFrameReader(conn, uint32(cl.maxMsg))
 	mc.leaderCh = make(chan struct{}, 1)
@@ -172,7 +172,7 @@ func (mc *muxConn) register(pe *muxPending) error {
 	pe.mc = mc
 	mc.pend[pe.id] = pe
 	mc.mu.Unlock()
-	mc.st.inflight.Add(1)
+	mc.m.inflight.Add(1)
 	return nil
 }
 
@@ -190,25 +190,25 @@ func (mc *muxConn) take(id uint32, want *muxPending) *muxPending {
 	delete(mc.pend, id)
 	emptied := len(mc.pend) == 0
 	mc.mu.Unlock()
-	mc.st.inflight.Add(-1)
+	mc.m.inflight.Add(-1)
 	if emptied {
 		mc.quiet.Notify()
 	}
 	return pe
 }
 
-// retire drains the connection out of service: it detaches from the stripe
-// immediately — the next invoke routed there dials the stripe's (new) target
-// — and closes once the in-flight invocations drain, bounded by grace, or
+// retire drains the connection out of service: it detaches from its member
+// immediately — a removed member is routed no further invocation — and
+// closes once the in-flight invocations drain, bounded by grace, or
 // when the client closes. The eventual close is ErrClosed-classified, so
-// retiring a healthy connection during a Retarget never charges the stripe's
+// retiring a healthy connection during a Retarget never charges the member's
 // breaker and loses nothing that was already accepted onto the wire: a
 // tabled invocation is waited for, and a oneway — written, so buffered by
 // the transport, but in no table — is still read by the server, because a
 // closed end's bytes drain before its peer sees the end of the stream. The
 // caller holds retargetMu, and the client is not closed.
 func (mc *muxConn) retire(grace time.Duration) {
-	mc.st.detach(mc)
+	mc.m.detach(mc)
 	cl := mc.cl
 	cl.retiring[mc] = struct{}{}
 	go func() {
@@ -227,7 +227,7 @@ func (mc *muxConn) retire(grace time.Duration) {
 // send hands one request frame to the connection's writer. The client's only
 // caller writes directly; otherwise the frame is batched and send returns
 // before it is on the wire. "Only caller" counts everyone inside an
-// invocation, not the stripe's pending table: a caller whose reply was
+// invocation, not the member's pending table: a caller whose reply was
 // matched but who has not run again yet is about to send its next request,
 // and on one processor a sender that took itself for alone would hand the
 // thread on, hop by hop, for a whole time slice while the others starve
@@ -243,7 +243,7 @@ func (mc *muxConn) send(wire []byte, inline bool) error {
 	if err != nil {
 		// Classified like a read error: a write is how a connection that died
 		// with nobody waiting on it is found out.
-		err = wireErr("write", mc.cl.addr, err)
+		err = wireErr("write", mc.m.addr, err)
 	}
 	if owner {
 		mc.sendFailed(err)
@@ -252,12 +252,12 @@ func (mc *muxConn) send(wire []byte, inline bool) error {
 }
 
 // sendFailed records one write fault, charges one breaker failure to the
-// stripe, and kills the connection. The error a leader's read then ends with
+// member, and kills the connection. The error a leader's read then ends with
 // finds the connection already dead and is not counted again.
 func (mc *muxConn) sendFailed(err error) {
 	telemetry.RecordFault("orb.client.write", err)
 	if mc.cl.res != nil {
-		mc.st.brk.Failure()
+		mc.m.brk.Failure()
 	}
 	mc.fail(fmt.Errorf("orb client: write: %w", mc.cl.mapWireErr(err)))
 }
@@ -288,12 +288,12 @@ func (mc *muxConn) fail(err error) {
 		mc.leaderCh <- struct{}{}
 	default:
 	}
-	mc.st.detach(mc)
+	mc.m.detach(mc)
 	if n := len(victims); n > 0 {
 		telemetry.Record(telemetry.EvState, muxLabel, 0, 0, uint64(n))
 	}
 	for _, pe := range victims {
-		mc.st.inflight.Add(-1)
+		mc.m.inflight.Add(-1)
 		pe.complete(invokeResult{err: err})
 	}
 }
@@ -429,11 +429,11 @@ func (mc *muxConn) noteOrder(id uint32) {
 	mc.maxDone = id
 }
 
-// brkSuccess records a completed exchange with the stripe's breaker, if
+// brkSuccess records a completed exchange with the member's breaker, if
 // supervised.
 func (mc *muxConn) brkSuccess() {
 	if mc.cl.res != nil {
-		mc.st.brk.Success()
+		mc.m.brk.Success()
 	}
 }
 
@@ -449,9 +449,9 @@ func (mc *muxConn) readFailed(err error) {
 	}
 	telemetry.RecordFault("orb.client.read", err)
 	if mc.cl.res != nil {
-		mc.st.brk.Failure()
+		mc.m.brk.Failure()
 	}
-	mc.fail(fmt.Errorf("orb client: read: %w", mc.cl.mapWireErr(wireErr("read", mc.cl.addr, err))))
+	mc.fail(fmt.Errorf("orb client: read: %w", mc.cl.mapWireErr(wireErr("read", mc.m.addr, err))))
 }
 
 // replyResult turns a decoded reply into the caller's result. A success's

@@ -244,7 +244,7 @@ func TestMuxConnDeathFailsAllPendingOnce(t *testing.T) {
 	if got := cl.Inflight(); got != 0 {
 		t.Errorf("inflight = %d after connection death", got)
 	}
-	if st := cl.stripes[0].brk.State(); st != breakerClosed {
+	if st := members(cl)[0].brk.State(); st != breakerClosed {
 		t.Errorf("breaker state = %d after one wire event; %d victims were each counted as a failure", st, callers)
 	}
 }

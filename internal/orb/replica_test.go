@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/giop"
@@ -11,59 +12,12 @@ import (
 	"repro/internal/transport"
 )
 
-// sentByAddr folds StripeStates into per-member sent counts.
-func sentByAddr(cl *Client) map[string]int64 {
-	out := make(map[string]int64)
-	for _, ss := range cl.StripeStates() {
-		out[ss.Addr] += ss.Sent
-	}
-	return out
-}
-
-// TestReplicaStripesSpreadMembers dials a 2-member replica set and demands
-// both members carry traffic: stripes are assigned round-robin over Addrs,
-// and P2C keeps idle bands drifting between them.
-func TestReplicaStripesSpreadMembers(t *testing.T) {
-	net := transport.NewInproc()
-	startEchoServer(t, net, "r0", ServerConfig{Concurrency: 8})
-	startEchoServer(t, net, "r1", ServerConfig{Concurrency: 8})
-	cl := dial(t, net, "", ClientConfig{
-		Addrs: []string{"r0", "r1"}, Channels: 4,
-	})
-
-	if len(cl.stripes) != 4 {
-		t.Fatalf("Channels=4 built %d stripes", len(cl.stripes))
-	}
-	for i, st := range cl.stripes {
-		want := []string{"r0", "r1"}[i%2]
-		if got := st.target(); got != want {
-			t.Errorf("stripe %d targets %q, want %q", i, got, want)
-		}
-	}
-	for round := 0; round < 4; round++ {
-		for p := sched.MinPriority; p <= sched.MaxPriority; p++ {
-			payload := []byte(fmt.Sprintf("r%d-p%d", round, p))
-			got, err := cl.Invoke("echo", "echo", payload, p)
-			if err != nil {
-				t.Fatalf("round %d prio %d: %v", round, p, err)
-			}
-			if !bytes.Equal(got, payload) {
-				t.Fatalf("round %d prio %d: got %q", round, p, got)
-			}
-		}
-	}
-	by := sentByAddr(cl)
-	if by["r0"] == 0 || by["r1"] == 0 {
-		t.Errorf("traffic split %v; both members should carry load", by)
-	}
-}
-
 // TestReplicaFailoverAndReadd is the member-death story at the orb layer:
 // with 3 replicas and a Resolve hook, killing one member must (a) keep every
-// invocation succeeding, (b) never open any stripe's breaker — the dead
-// connection is a clean close and the one failed redial is under threshold —
-// and (c) once the member is restarted and Retarget runs, it must receive
-// traffic again.
+// invocation succeeding, (b) never open any member's breaker — the dead
+// connection is a clean close and the refused redial re-resolves the
+// membership without a charge — and (c) once the member is restarted and
+// Retarget runs, it must serve invocations again, counted at its servant.
 func TestReplicaFailoverAndReadd(t *testing.T) {
 	net := transport.NewInproc()
 	addrs := []string{"m0", "m1", "m2"}
@@ -76,8 +30,7 @@ func TestReplicaFailoverAndReadd(t *testing.T) {
 	setLive := func(a ...string) { mu.Lock(); live = a; mu.Unlock() }
 
 	cl := dial(t, net, "", ClientConfig{
-		Addrs:    addrs,
-		Channels: 3,
+		Addrs: addrs,
 		Resolve: func() ([]string, error) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -101,37 +54,36 @@ func TestReplicaFailoverAndReadd(t *testing.T) {
 	}
 	invokeSweep("warmup")
 
-	// Kill m1. Its stripe's connection dies cleanly; the next invocation
-	// routed there redials, fails once, resolves, and lands on a survivor.
+	// Kill m1. Its connection dies cleanly; the next invocation routed there
+	// redials, is refused, re-resolves, and lands on a survivor.
 	setLive("m0", "m2")
 	victim.Close()
 	for round := 0; round < 4; round++ {
 		invokeSweep(fmt.Sprintf("kill%d", round))
 	}
-	for i, st := range cl.stripes {
-		if s := st.brk.State(); s != breakerClosed {
-			t.Errorf("stripe %d breaker state = %d after member death, want closed", i, s)
-		}
-		if st.target() == "m1" {
-			t.Errorf("stripe %d still targets the dead member", i)
+	for _, m := range members(cl) {
+		if s := m.brk.State(); s != breakerClosed {
+			t.Errorf("member %s breaker state = %d after member death, want closed", m.addr, s)
 		}
 	}
+	if got := cl.Members(); len(got) != 2 || got[0] != "m0" || got[1] != "m2" {
+		t.Errorf("members after the death = %v, want [m0 m2]", got)
+	}
 
-	// Restart m1 and re-add it. Retarget reassigns stripes round-robin, so
-	// some stripe targets m1 again; the next sweeps must put traffic on it.
-	startEchoServer(t, net, "m1", ServerConfig{Concurrency: 8})
+	// Restart m1 and re-add it: it gets a fresh slot, and the next sweeps
+	// must put traffic on it.
+	_, served := startCountingServer(t, net, "m1", ServerConfig{Concurrency: 8})
 	setLive("m0", "m1", "m2")
-	before := sentByAddr(cl)["m1"]
 	cl.Retarget(addrs)
 	for round := 0; round < 4; round++ {
 		invokeSweep(fmt.Sprintf("readd%d", round))
 	}
-	if after := sentByAddr(cl)["m1"]; after <= before {
-		t.Errorf("re-added member got no traffic (sent %d -> %d)", before, after)
+	if served.Load() == 0 {
+		t.Error("re-added member served no invocation")
 	}
-	for i, st := range cl.stripes {
-		if s := st.brk.State(); s != breakerClosed {
-			t.Errorf("stripe %d breaker state = %d after re-add, want closed", i, s)
+	for _, m := range members(cl) {
+		if s := m.brk.State(); s != breakerClosed {
+			t.Errorf("member %s breaker state = %d after re-add, want closed", m.addr, s)
 		}
 	}
 }
@@ -173,75 +125,108 @@ func TestServerLocateForward(t *testing.T) {
 	}
 }
 
-// TestRetargetToCurrentMembershipIsNoop: Retarget owns the stripe-assignment
-// rule, so a caller may hand it the resolved membership on every refresh.
-// While that is the current membership as a set and every stripe targets its
-// round-robin share, it stores nothing, bumps no route generation and leaves
-// every stripe's connection where it is.
+// TestRetargetToCurrentMembershipIsNoop: a caller may hand Retarget the
+// resolved membership on every refresh. While that is the current membership
+// as a set, in any order, it stores nothing, bumps no route generation and
+// leaves every member's connection where it is; a changed set keeps the slots
+// — and connections — of the members it keeps.
 func TestRetargetToCurrentMembershipIsNoop(t *testing.T) {
 	net := transport.NewInproc()
 	startEchoServer(t, net, "r0", ServerConfig{})
 	startEchoServer(t, net, "r1", ServerConfig{})
+	startEchoServer(t, net, "r2", ServerConfig{})
 	cl := dial(t, net, "", ClientConfig{
-		Addrs: []string{"r0", "r1"}, Channels: 4, Collocate: true,
+		Addrs: []string{"r0", "r1"}, Collocate: true,
 		Resilience: &ResilienceConfig{},
 	})
-	conns := make([]*muxConn, len(cl.stripes))
-	for i, st := range cl.stripes {
-		mc, err := st.conn()
+	ms := members(cl)
+	conns := make([]*muxConn, len(ms))
+	for i, m := range ms {
+		mc, err := m.conn()
 		if err != nil {
-			t.Fatalf("stripe %d: %v", i, err)
+			t.Fatalf("member %s: %v", m.addr, err)
 		}
 		conns[i] = mc
 	}
-	members, gen := cl.Members(), cl.routeGen.Load()
+	list, gen := cl.members.Load(), cl.routeGen.Load()
 
-	for _, addrs := range [][]string{{"r0", "r1"}, {"r1", "r0"}} {
+	for _, addrs := range [][]string{{"r0", "r1"}, {"r1", "r0"}, {"r1", "r0", "r1"}} {
 		cl.Retarget(addrs)
 		if got := cl.routeGen.Load(); got != gen {
 			t.Errorf("Retarget(%v) moved the route generation %d -> %d", addrs, gen, got)
 		}
-		if got := cl.Members(); &got[0] != &members[0] {
-			t.Errorf("Retarget(%v) stored the membership again: %v", addrs, got)
+		if cl.members.Load() != list {
+			t.Errorf("Retarget(%v) stored the membership again: %v", addrs, cl.Members())
 		}
-		for i, st := range cl.stripes {
-			if st.cur.Load() != conns[i] || st.target() != members[i%2] {
-				t.Errorf("Retarget(%v) touched stripe %d (target %q)", addrs, i, st.target())
+		for i, m := range ms {
+			if m.cur.Load() != conns[i] {
+				t.Errorf("Retarget(%v) touched member %s's connection", addrs, m.addr)
 			}
 		}
 	}
 
-	// A stripe off its share is work for the same membership.
-	cl.stripes[1].setTarget("r0")
-	cl.Retarget([]string{"r0", "r1"})
-	if got := cl.stripes[1].target(); got != "r1" {
-		t.Errorf("stripe 1 targets %q after the retarget, want its share r1", got)
-	}
+	// A new member is work: r1 keeps its slot and connection, r2 gets a
+	// fresh slot, r0's connection retires.
+	cl.Retarget([]string{"r1", "r2"})
 	if cl.routeGen.Load() == gen {
-		t.Error("a retarget that moved a stripe did not bump the route generation")
+		t.Error("a retarget that changed the membership did not bump the route generation")
+	}
+	next := members(cl)
+	if len(next) != 2 || next[0] != ms[1] || next[1].addr != "r2" {
+		t.Fatalf("members after the retarget = %v, want r1's slot then r2's", cl.Members())
+	}
+	if next[0].cur.Load() != conns[1] {
+		t.Error("the kept member lost its connection")
+	}
+	if ms[0].live() {
+		t.Error("the removed member's connection was not retired")
 	}
 }
 
-// TestFailoverRefusedAlternateCountsNoRetarget: a stripe whose member
-// refuses the dial tries one alternate; when that refuses too the stripe
-// keeps its target, and stripe_retarget_total must not count a move that
-// did not happen.
+// TestFailoverRefusedAlternateCountsNoRetarget: a member whose dial is
+// refused while another survives is skipped, with no breaker charge, and the
+// invocation tries the survivor; when that refuses too nobody survives, so its
+// breaker is charged and its error surfaces. The membership the Resolve hook
+// answered is the one the client had: nothing is stored, and the next
+// Retarget that names the skipped member un-skips it.
 func TestFailoverRefusedAlternateCountsNoRetarget(t *testing.T) {
 	net := transport.NewInproc() // nobody listens: every dial is refused
+	var resolves atomic.Int64
 	cl := dial(t, net, "", ClientConfig{
-		Addrs:      []string{"gone0", "gone1"},
-		Resolve:    func() ([]string, error) { return []string{"gone0", "gone1"}, nil },
+		Addrs: []string{"gone0", "gone1"},
+		Resolve: func() ([]string, error) {
+			resolves.Add(1)
+			return []string{"gone0", "gone1"}, nil
+		},
 		Resilience: &ResilienceConfig{},
 	})
-	st := cl.stripes[0]
-	before := stripeRetargetTotal.Value()
-	if _, err := st.conn(); err == nil {
-		t.Fatal("dial succeeded with no listener")
+	list := cl.members.Load()
+	ms := *list
+	_, err := cl.Invoke("echo", "echo", nil, sched.NormPriority)
+	if err == nil {
+		t.Fatal("invocation succeeded with no listener")
 	}
-	if got := st.target(); got != "gone0" {
-		t.Errorf("stripe moved to %q on a refused failover, want it on gone0", got)
+	skipped, charged := ms[0], ms[1]
+	if !skipped.skip.Load() {
+		skipped, charged = charged, skipped
 	}
-	if got := stripeRetargetTotal.Value(); got != before {
-		t.Errorf("stripe_retarget_total = %d after a refused failover, want %d", got, before)
+	if !skipped.skip.Load() || charged.skip.Load() {
+		t.Fatalf("skip flags %v/%v, want exactly one member skipped", ms[0].skip.Load(), ms[1].skip.Load())
+	}
+	if got := skipped.brk.fails.Load(); got != 0 {
+		t.Errorf("the skipped member's breaker was charged %d times", got)
+	}
+	if charged.brk.fails.Load() == 0 {
+		t.Error("the last member's refused dial charged no breaker")
+	}
+	if resolves.Load() == 0 {
+		t.Error("a refused dial did not consult the Resolve hook")
+	}
+	if cl.members.Load() != list {
+		t.Errorf("a refused failover stored the membership again: %v", cl.Members())
+	}
+	cl.Retarget([]string{"gone1", "gone0"})
+	if skipped.skip.Load() {
+		t.Error("a Retarget naming the skipped member left it skipped")
 	}
 }

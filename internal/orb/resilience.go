@@ -196,9 +196,9 @@ func (b *breaker) Failure() {
 }
 
 // mayAllow reports whether Allow could currently admit an invocation,
-// without consuming a half-open probe. The stripe selector uses it to skip
-// refusing stripes while scanning candidates, reserving the probe-consuming
-// Allow() for the stripe actually chosen.
+// without consuming a half-open probe. The member selector uses it to skip
+// refusing members while scanning candidates, reserving the probe-consuming
+// Allow() for the member actually chosen.
 func (b *breaker) mayAllow() bool {
 	if b.state.Load() == breakerClosed {
 		return true
@@ -210,9 +210,9 @@ func (b *breaker) mayAllow() bool {
 func (b *breaker) State() int32 { return b.state.Load() }
 
 // resilience is the per-client runtime state behind a ResilienceConfig.
-// Circuit-breaker state is NOT here: each stripe of the channel pool
-// carries its own breaker (stripe.go), so one dead connection opens one
-// stripe's circuit while the rest keep serving.
+// Circuit-breaker state is NOT here: each member carries its own breaker
+// (member.go), so one dead member opens its own circuit while the rest keep
+// serving.
 type resilience struct {
 	cfg    ResilienceConfig
 	budget *sched.RetryBudget
@@ -231,7 +231,7 @@ func newResilience(cfg ResilienceConfig) *resilience {
 	return r
 }
 
-// initBreaker arms a stripe's breaker with this config's thresholds.
+// initBreaker arms a member's breaker with this config's thresholds.
 func (r *resilience) initBreaker(b *breaker) {
 	b.threshold = int32(r.cfg.BreakerThreshold)
 	b.cooldown = int64(r.cfg.BreakerCooldown)

@@ -219,7 +219,7 @@ func TestDispatchLosingToStopReleasesTheRequest(t *testing.T) {
 }
 
 // Close fails an invocation in flight on a connection a Retarget is still
-// retiring. Before, Close failed only the stripes' current connections, so the
+// retiring. Before, Close failed only the members' current connections, so the
 // caller stayed blocked until its reply came or the retire grace (2 s) ran
 // out, and the retiring connection outlived the client.
 func TestClientCloseFailsRetiringConnections(t *testing.T) {
@@ -235,7 +235,7 @@ func TestClientCloseFailsRetiringConnections(t *testing.T) {
 		errs <- err
 	}()
 	<-g.entered
-	cl.Retarget([]string{"elsewhere"}) // the stripe moves on; its connection retires with the call on it
+	cl.Retarget([]string{"elsewhere"}) // the member is removed; its connection retires with the call on it
 	cl.Close()
 	select {
 	case err := <-errs:

@@ -20,13 +20,13 @@ func TestConfigSurface(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{orb.ClientConfig{}, 12},
+		{orb.ClientConfig{}, 11},
 		{orb.ServerConfig{}, 9},
 		{core.InPortConfig{}, 8},
 		{core.AppConfig{}, 4},
 		{rtzen.ClientConfig{}, 2},
 		{rtzen.ServerConfig{}, 2},
-		{cluster.ClientConfig{}, 6},
+		{cluster.ClientConfig{}, 5},
 	} {
 		if typ := reflect.TypeOf(c.cfg); typ.NumField() != c.want {
 			t.Errorf("%s has %d fields, want %d", typ, typ.NumField(), c.want)

@@ -76,8 +76,8 @@ func TestInvokeViewZeroPayloadCopies(t *testing.T) {
 // corba.EchoServant answers with a fresh copy of its input rather than the
 // input itself. A servant that returns its input leaves Invoke's one copy,
 // and InvokeView, which lends the reply in place, allocates nothing — on
-// one connection or spread over four stripes, whose selector collects its
-// candidates on the stack.
+// one connection or spread over two members, whose selector draws its two
+// candidates straight from the member list.
 func TestInvokeAllocsAreContractCopies(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; the counts hold in the non-race suite")
@@ -85,27 +85,31 @@ func TestInvokeAllocsAreContractCopies(t *testing.T) {
 	returnsInput := corba.ServantFunc(func(_ string, in []byte) ([]byte, error) { return in, nil })
 	payload := bytes.Repeat([]byte{0x5A}, 256)
 	for _, tc := range []struct {
-		name     string
-		servant  corba.Servant
-		view     bool
-		channels int
-		want     float64
+		name    string
+		servant corba.Servant
+		view    bool
+		members int
+		want    float64
 	}{
 		{"Invoke/EchoServant", corba.EchoServant{}, false, 1, 2},
 		{"Invoke/ReturnsInput", returnsInput, false, 1, 1},
 		{"InvokeView/ReturnsInput", returnsInput, true, 1, 0},
-		{"InvokeView/ReturnsInput/Channels4", returnsInput, true, 4, 0},
+		{"InvokeView/ReturnsInput/TwoMembers", returnsInput, true, 2, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := transport.NewInproc()
-			srv, err := NewServer(ServerConfig{Network: net, Synchronous: true})
-			if err != nil {
-				t.Fatal(err)
+			var addrs []string
+			for i := 0; i < tc.members; i++ {
+				srv, err := NewServer(ServerConfig{Network: net, Synchronous: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(srv.Close)
+				srv.RegisterServant("echo", tc.servant)
+				srv.ServeBackground()
+				addrs = append(addrs, srv.Addr())
 			}
-			t.Cleanup(srv.Close)
-			srv.RegisterServant("echo", tc.servant)
-			srv.ServeBackground()
-			cl := dial(t, net, srv.Addr(), ClientConfig{Channels: tc.channels})
+			cl := dial(t, net, "", ClientConfig{Addrs: addrs})
 			view := func(memory.Loan) error { return nil }
 			invoke := func() {
 				var err error
