@@ -85,9 +85,9 @@ func runAblation(variants []ablation, warmup, observations int) ([]AblationRow, 
 		}
 		rts = append(rts, rt)
 	}
-	cs := make([]*metrics.Collector, len(rts))
-	for j := range cs {
-		cs[j] = metrics.NewCollector(observations)
+	samples := make([][]time.Duration, len(rts))
+	for j := range samples {
+		samples[j] = make([]time.Duration, 0, observations)
 	}
 	defer quiesceGC()()
 	for i := 0; i < warmup+observations; i++ {
@@ -97,13 +97,13 @@ func runAblation(variants []ablation, warmup, observations int) ([]AblationRow, 
 				return nil, fmt.Errorf("%s: %w", variants[j].name, err)
 			}
 			if i >= warmup {
-				cs[j].Record(time.Since(start))
+				samples[j] = append(samples[j], time.Since(start))
 			}
 		}
 	}
 	rows := make([]AblationRow, len(variants))
 	for j, v := range variants {
-		rows[j] = AblationRow{Variant: v.name, Summary: cs[j].Summarize()}
+		rows[j] = AblationRow{Variant: v.name, Summary: metrics.Summarize(samples[j])}
 	}
 	return rows, nil
 }

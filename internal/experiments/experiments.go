@@ -268,7 +268,7 @@ func runPlatform(model platform.Model, warmup, observations int) (PlatformRow, e
 
 	inj := platform.NewInjector(model, 1)
 	var i int64
-	c := metrics.NewCollector(observations)
+	samples := make([]time.Duration, 0, observations)
 	op := func() error {
 		i++
 		_, err := pp.RoundTrip(i)
@@ -285,9 +285,9 @@ func runPlatform(model platform.Model, warmup, observations int) (PlatformRow, e
 		if err := op(); err != nil {
 			return PlatformRow{}, err
 		}
-		c.Record(time.Since(start))
+		samples = append(samples, time.Since(start))
 	}
-	return PlatformRow{Platform: model.Name, Summary: c.Summarize(), Samples: c.Samples()}, nil
+	return PlatformRow{Platform: model.Name, Summary: metrics.Summarize(samples), Samples: samples}, nil
 }
 
 // Fig11Point is one (ORB, message size) cell of Fig. 11.
@@ -403,14 +403,14 @@ func measureEcho(warmup, observations int, op func() error) (metrics.Summary, er
 			return metrics.Summary{}, err
 		}
 	}
-	c := metrics.NewCollector(observations)
+	samples := make([]time.Duration, 0, observations)
 	for i := 0; i < observations; i++ {
 		start := time.Now()
 		inj.Operation()
 		if err := op(); err != nil {
 			return metrics.Summary{}, err
 		}
-		c.Record(time.Since(start))
+		samples = append(samples, time.Since(start))
 	}
-	return c.Summarize(), nil
+	return metrics.Summarize(samples), nil
 }

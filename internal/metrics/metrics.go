@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -21,51 +20,6 @@ const DefaultObservations = 10000
 // DefaultWarmup is the number of iterations discarded before measuring,
 // "run until the transitory effects of cold starts are eliminated".
 const DefaultWarmup = 1000
-
-// Collector accumulates duration observations. The zero value is ready to
-// use, and all methods are safe for concurrent use: recorders on multiple
-// threads can feed one collector without torn appends (an unguarded
-// append from two goroutines can drop samples or panic on the shared
-// backing array).
-type Collector struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// NewCollector returns a collector pre-sized for n observations.
-func NewCollector(n int) *Collector {
-	return &Collector{samples: make([]time.Duration, 0, n)}
-}
-
-// Record adds one observation.
-func (c *Collector) Record(d time.Duration) {
-	c.mu.Lock()
-	c.samples = append(c.samples, d)
-	c.mu.Unlock()
-}
-
-// Count returns the number of observations recorded.
-func (c *Collector) Count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.samples)
-}
-
-// Samples returns a snapshot copy of the observations.
-func (c *Collector) Samples() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]time.Duration, len(c.samples))
-	copy(out, c.samples)
-	return out
-}
-
-// Reset discards all observations, keeping capacity.
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.samples = c.samples[:0]
-	c.mu.Unlock()
-}
 
 // Summary reports the statistics the paper's tables and figures use.
 type Summary struct {
@@ -81,14 +35,6 @@ type Summary struct {
 	Mean, StdDev time.Duration
 	// P99 is the 99th percentile.
 	P99 time.Duration
-}
-
-// Summarize computes a Summary over the recorded observations.
-func (c *Collector) Summarize() Summary {
-	c.mu.Lock()
-	samples := c.samples
-	c.mu.Unlock()
-	return Summarize(samples)
 }
 
 // Summarize computes a Summary over samples. An empty input yields a zero
@@ -200,13 +146,13 @@ func RunSteadyState(warmup, n int, op func() error) (Summary, error) {
 			return Summary{}, fmt.Errorf("warmup iteration %d: %w", i, err)
 		}
 	}
-	c := NewCollector(n)
+	samples := make([]time.Duration, 0, n)
 	for i := 0; i < n; i++ {
 		start := time.Now()
 		if err := op(); err != nil {
 			return Summary{}, fmt.Errorf("iteration %d: %w", i, err)
 		}
-		c.Record(time.Since(start))
+		samples = append(samples, time.Since(start))
 	}
-	return c.Summarize(), nil
+	return Summarize(samples), nil
 }

@@ -56,6 +56,10 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// deadlineShedTotal is the process-wide deadline_shed_total counter that
+// telemetry.ReportDeadlineShed counts on.
+var deadlineShedTotal = telemetry.Default.Counter("deadline_shed_total")
+
 // deadlineShedEvents counts the EvDeadlineShed events recorded after ring
 // position from.
 func deadlineShedEvents(from uint64) int {
@@ -219,7 +223,7 @@ func TestInvokeConformance(t *testing.T) {
 					done0, dropped0, shed0 := ctrl.Counts()
 					calls0 := probe.calls.Load()
 					direct0 := collocatedInvokeTotal.Value()
-					sheds0, ring0 := telemetry.DeadlineSheds(), telemetry.Default.Ring().Len()
+					sheds0, ring0 := deadlineShedTotal.Value(), telemetry.Default.Ring().Len()
 					payload := []byte(ep.name + " over " + tr.name)
 
 					out, err := ep.call(cl, sc.key, payload, sc.prio)
@@ -269,7 +273,7 @@ func TestInvokeConformance(t *testing.T) {
 					if sc.deadline > 0 {
 						wantSheds = 1
 					}
-					if got := telemetry.DeadlineSheds() - sheds0; got != int64(wantSheds) {
+					if got := deadlineShedTotal.Value() - sheds0; got != int64(wantSheds) {
 						t.Errorf("%s: deadline_shed_total moved by %d, want %d", ep.name, got, wantSheds)
 					}
 					if got := deadlineShedEvents(ring0); got != wantSheds {

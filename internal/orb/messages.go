@@ -131,10 +131,7 @@ func (m *requestMsg) OnShed() {
 		return
 	}
 	m.ad.drop()
-	if m.conn == nil {
-		return
-	}
-	if m.req.ResponseExpected {
+	if m.conn != nil && m.req.ResponseExpected {
 		writeShedReply(m.conn, m.order, m.req.RequestID)
 	}
 }

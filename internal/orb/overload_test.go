@@ -13,6 +13,7 @@ import (
 	"repro/internal/overload"
 	"repro/internal/rtzen"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -56,13 +57,36 @@ func TestOverloadTenantRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOverloadRTZenClientCarriesTenant: the hand-coded baseline client, which
-// stamps no tenant, is classified as unclassified traffic and served by a
-// controller-equipped Compadres server — the wire dialect is shared end to
-// end.
-func TestOverloadRTZenClientCarriesTenant(t *testing.T) {
-	ctrl := overload.NewController(overload.Config{})
+// windowP99Gauges reads the window_p99_ns gauge of every live overload
+// controller, keyed by its label.
+func windowP99Gauges() map[string]int64 {
+	m := map[string]int64{}
+	for _, g := range telemetry.Default.Snapshot(telemetry.SnapshotOptions{}).Gauges {
+		if g.Name == "window_p99_ns" {
+			m[g.Label] = g.Value
+		}
+	}
+	return m
+}
+
+// TestOverloadRTZenClientAdmittedAsDefaultTenant: the hand-coded baseline
+// client stamps no tenant, and a controller-equipped Compadres server admits
+// its call as the default tenant — the wire dialect is shared end to end.
+// The call settles as a latency sample: the controller's window_p99_ns gauge
+// reads it after the next step, and no slot is left held.
+func TestOverloadRTZenClientAdmittedAsDefaultTenant(t *testing.T) {
+	before := windowP99Gauges()
+	ctrl := overload.NewController(overload.Config{Window: time.Hour})
 	defer ctrl.Close()
+	var label string
+	for l := range windowP99Gauges() {
+		if _, ok := before[l]; !ok {
+			label = l
+		}
+	}
+	if label == "" {
+		t.Fatal("the controller registered no window_p99_ns gauge")
+	}
 	net := transport.NewInproc()
 	srv := startEchoServer(t, net, "", ServerConfig{Overload: ctrl})
 
@@ -77,6 +101,45 @@ func TestOverloadRTZenClientCarriesTenant(t *testing.T) {
 		t.Fatalf("rtzen invoke via controlled server = (%q, %v)", out, err)
 	}
 	drainControlled(t, srv, ctrl)
+	if done, dropped, shed := ctrl.Counts(); done != 1 || dropped != 0 || shed != 0 {
+		t.Errorf("Counts = (%d, %d, %d), want one completion", done, dropped, shed)
+	}
+	ctrl.Tick()
+	if got := windowP99Gauges()[label]; got <= 0 {
+		t.Errorf("window_p99_ns = %d after the step, want the call's latency", got)
+	}
+}
+
+// TestOverloadDeadlineShedCrossTalk: a controller closes its loop over its
+// own server. Server A sheds a burst of requests past a 1 ns queueing
+// deadline on the network it shares with server B; A's next step cuts A's
+// limit, and B's — with nothing shed on B — leaves B's at MaxLimit.
+func TestOverloadDeadlineShedCrossTalk(t *testing.T) {
+	cfg := overload.Config{Window: time.Hour, MaxLimit: 64}
+	ctrlA, ctrlB := overload.NewController(cfg), overload.NewController(cfg)
+	defer ctrlA.Close()
+	defer ctrlB.Close()
+	net := transport.NewInproc()
+	srvA := startEchoServer(t, net, "", ServerConfig{Overload: ctrlA, RequestDeadline: time.Nanosecond})
+	startEchoServer(t, net, "", ServerConfig{Overload: ctrlB})
+
+	cl := dial(t, net, srvA.Addr(), ClientConfig{})
+	const burst = 16 // twice the controller's shed burst
+	for i := 0; i < burst; i++ {
+		if _, err := cl.Invoke("echo", "echo", []byte("late"), sched.NormPriority); !errors.Is(err, ErrShed) {
+			t.Fatalf("invoke %d past a 1 ns deadline = %v, want a shed", i, err)
+		}
+	}
+	drainControlled(t, srvA, ctrlA)
+
+	ctrlB.Tick()
+	if got := ctrlB.Limit(); got != cfg.MaxLimit {
+		t.Errorf("B's limit = %d after A shed %d requests, want B's MaxLimit %d", got, burst, cfg.MaxLimit)
+	}
+	ctrlA.Tick()
+	if got := ctrlA.Limit(); got != cfg.MaxLimit*3/4 {
+		t.Errorf("A's limit = %d after its own %d deadline sheds, want %d", got, burst, cfg.MaxLimit*3/4)
+	}
 }
 
 // TestOverloadShedsAboveHardCap pins the reject path end to end: with the

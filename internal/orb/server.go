@@ -669,15 +669,16 @@ func lookup[V any, K string | []byte](p *atomic.Pointer[map[string]V], key K) (V
 // execute is the execution stage of an admitted request, on whichever
 // goroutine the transport runs it: a RequestProcessing port thread for the
 // wire, the caller's own for the direct transport. It is the one place the
-// queueing deadline is kept: work that outlived it is shed and reported
-// through telemetry.ReportDeadlineShed, on every transport alike. It opens
-// the server span under the caller's trace (corr is the request id),
-// resolves the servant — a key a drain unbound is shed with the back-off
-// hint, so the caller's directory re-routes the retry to a surviving replica
-// — runs it, and settles ad's slot exactly once. The answer is the (status,
-// payload, retryAfter) triple a GIOP reply carries on the wire and the
-// direct transport hands over as it is; span is the server span id, zero
-// when untraced.
+// queueing deadline (kept only under a controller) is: work that outlived it
+// is shed, reported through telemetry.ReportDeadlineShed and settled as the
+// controller's Expired, on every transport alike. It opens the server span
+// under the caller's trace (corr is the request id), resolves the servant —
+// a key a drain unbound is shed with the back-off hint, so the caller's
+// directory re-routes the retry to a surviving replica — runs it, and
+// settles ad's slot exactly once. The answer is the (status, payload,
+// retryAfter) triple a GIOP reply carries on the wire and the direct
+// transport hands over as it is; span is the server span id, zero when
+// untraced.
 func execute[K string | []byte](s *Server, ad *admission, key K, op string, payload []byte, rawPrio byte, trace, corr uint64) (status giop.ReplyStatus, out []byte, retryAfter int64, span uint64) {
 	var started int64
 	if trace != 0 && telemetry.VerboseEnabled() {
@@ -687,7 +688,8 @@ func execute[K string | []byte](s *Server, ad *admission, key K, op string, payl
 	}
 	if deadline := ad.at + int64(s.reqDeadline); ad.at != 0 && s.reqDeadline > 0 && telemetry.Now() > deadline {
 		telemetry.ReportDeadlineShed(serverSpanLabel, deadline, telemetry.Now(), trace)
-		ad.drop()
+		ad.ctrl.Expired()
+		ad.ctrl = nil
 		status, out, retryAfter = s.shed()
 	} else if sv, ok := lookup(&s.servants, key); ok {
 		var err error

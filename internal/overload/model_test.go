@@ -37,10 +37,14 @@ func newRefModel(cfg Config) *refModel {
 		tiers: map[uint64]Tier{0: Tier1}, credit: map[uint64]int64{}}
 }
 
-// bucketCeil is the top of v's quarter-octave bucket, the bound the
-// controller reports a p99 sample as (v >= 4).
+// bucketCeil is the top of v's bucket, the bound the controller reports a
+// p99 sample as: one nanosecond wide below 32, then sixteen buckets to an
+// octave.
 func bucketCeil(v int64) int64 {
-	s := bits.Len64(uint64(v)) - 3 // v>>s is in [4, 8)
+	if v < 32 {
+		return v + 1
+	}
+	s := bits.Len64(uint64(v)) - 5 // v>>s is in [16, 32)
 	return (v>>s + 1) << s
 }
 

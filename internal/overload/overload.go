@@ -7,14 +7,18 @@
 // not every one. While the previous control window saw at most 2,048
 // arrivals every arrival is sampled; above that an arrival is sampled with
 // probability 2^-k, k sized so a steady rate yields 1,024–2,047 samples a
-// window — enough for the p99 the control law reads from 25%-wide buckets.
+// window — enough for the p99 the control law reads from telemetry's
+// log-linear buckets, ~6% wide.
 // Only a sampled arrival reads the clock: when the current window has
 // elapsed, the sampled arrival that wins the window CAS runs one control
 // step on its own goroutine before deciding — no background ticker, no
 // lifecycle to leak — and the timestamp goes back in Decision.At, so the
 // server times the request without a clock read of its own. Completions
 // (Done for a sampled request, Completed for any other, Dropped for work
-// that never ran) only release the slot, count and record. The admission
+// that never ran, Expired for work whose queueing deadline passed) only
+// release the slot, count and record. Both signals are this controller's
+// own: the latency samples and the deadline sheds of the server it admits
+// for, never another server's. The admission
 // fast path is allocation-free: for an untiered tenant under the limit, one
 // atomic add and, at rate, usually no clock read.
 //
@@ -144,7 +148,7 @@ const (
 	deescalateAfter = 8
 	// sampleBudget is the fewest latency samples a window aims for once it
 	// stops sampling every arrival, at twice this many arrivals: the p99 is
-	// then about the tenth-largest sample, which the 25% buckets resolve.
+	// then about the tenth-largest sample, which the ~6% buckets resolve.
 	sampleBudget = 1024
 )
 
@@ -239,14 +243,18 @@ type Controller struct {
 	shift atomic.Uint32
 
 	// win is the two-phase latency histogram of the sampled completions
-	// behind the p99 control signal.
-	win latencyWindow
+	// behind the p99 control signal; windowP99 is the last window's, for
+	// the window_p99_ns gauge.
+	win       telemetry.Window
+	windowP99 atomic.Int64
 
 	// Window accumulators, swapped out by each control step. doneCount
-	// counts every completion, sampled or not.
-	doneCount atomic.Int64
-	shedCount atomic.Int64
-	dropCount atomic.Int64
+	// counts every completion, sampled or not; dropCount every slot released
+	// unrun, expired ones too; expiredCount the deadline sheds among them.
+	doneCount    atomic.Int64
+	shedCount    atomic.Int64
+	dropCount    atomic.Int64
+	expiredCount atomic.Int64
 
 	// windowEnd is the telemetry timestamp at which the next arrival runs a
 	// control step; stepMu serialises the step itself.
@@ -256,7 +264,6 @@ type Controller struct {
 	// Control-loop state, guarded by stepMu.
 	overloadRun int
 	healthyRun  int
-	lastSheds   int64
 
 	// def is the implicit state for unclassified traffic (tenant id 0);
 	// tenants maps explicit tenant ids copy-on-write, with mu guarding
@@ -274,8 +281,8 @@ type Controller struct {
 }
 
 // NewController builds a controller and registers its gauges
-// (limit_current, brownout_level, overload_inflight). Call Close to
-// unregister them.
+// (limit_current, brownout_level, overload_inflight, window_p99_ns). Call
+// Close to unregister them.
 func NewController(cfg Config) *Controller {
 	c := &Controller{cfg: cfg.withDefaults()}
 	c.limit.Store(int64(c.cfg.MaxLimit))
@@ -288,14 +295,12 @@ func NewController(cfg Config) *Controller {
 		s.tier, s.class = Tier(t), uint8(sched.MaxTenantClasses-1-t)
 		s.credit.Store(int64(c.cfg.MaxLimit))
 	}
-	// Baseline the process-wide deadline-shed counter: only sheds from this
-	// controller's lifetime count toward its burst signal.
-	c.lastSheds = telemetry.DeadlineSheds()
 	c.windowEnd.Store(telemetry.Now() + int64(c.cfg.Window))
 	c.gauges = telemetry.Default.RegisterGauges("overload", map[string]func() int64{
 		"limit_current":     c.limit.Load,
 		"brownout_level":    func() int64 { return int64(c.level.Load()) },
 		"overload_inflight": c.inflight.Load,
+		"window_p99_ns":     c.windowP99.Load,
 	})
 	return c
 }
@@ -317,8 +322,8 @@ func (c *Controller) Inflight() int64 { return c.inflight.Load() }
 
 // Counts returns the current control window's accumulators since the last
 // control step: completions (Done and Completed alike — every completion,
-// not the samples among them), slots released without running (Dropped)
-// and admission sheds.
+// not the samples among them), slots released without running (Dropped and
+// Expired) and admission sheds.
 func (c *Controller) Counts() (done, dropped, shed int64) {
 	return c.doneCount.Load(), c.dropCount.Load(), c.shedCount.Load()
 }
@@ -465,7 +470,7 @@ func (c *Controller) shed(id uint64, tier Tier) Decision {
 // no clock and never steps.
 func (c *Controller) Done(latency int64) {
 	c.Completed()
-	c.win.record(latency)
+	c.win.Record(latency)
 }
 
 // Completed settles a completion that was not sampled (Decision.At 0): it
@@ -485,6 +490,15 @@ func (c *Controller) Dropped() {
 	c.dropCount.Add(1)
 }
 
+// Expired releases the slot of an admitted request shed unrun because its
+// queueing deadline passed. Like Dropped it records no latency; unlike it,
+// it counts toward this controller's deadline-shed burst, which cuts the
+// limit however fast the requests that do run complete.
+func (c *Controller) Expired() {
+	c.Dropped()
+	c.expiredCount.Add(1)
+}
+
 // Tick forces a control step immediately, regardless of the window clock.
 // Tests and callers that want an external cadence (a ticker goroutine) use
 // it; production servers rely on the steps arrivals run.
@@ -500,20 +514,15 @@ func (c *Controller) step() {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 
-	p99, samples := c.win.swap()
+	p99, samples := c.win.Swap()
+	c.windowP99.Store(p99)
 	done := c.doneCount.Swap(0)
 	shed := c.shedCount.Swap(0)
 	dropped := c.dropCount.Swap(0)
+	expired := c.expiredCount.Swap(0)
 	// Every arrival of the closing window ended as a completion, a drop or
 	// a shed (or is still in flight): their sum sizes the next sample.
 	c.shift.Store(sampleShift(done + dropped + shed))
-
-	// Deadline sheds this window, from the process-wide counter (the
-	// server's execution stage reports there; the controller only needs the
-	// delta).
-	sheds := telemetry.DeadlineSheds()
-	shedDelta := sheds - c.lastSheds
-	c.lastSheds = sheds
 
 	// AIMD: additive raise while the window's p99 holds the target,
 	// multiplicative cut on breach or a deadline-shed burst. Windows with
@@ -523,7 +532,7 @@ func (c *Controller) step() {
 	if samples >= minSamples && p99 > int64(c.cfg.TargetP99) {
 		breach = true
 	}
-	if shedDelta >= shedBurst {
+	if expired >= shedBurst {
 		breach = true
 	}
 	lim := c.limit.Load()
@@ -628,76 +637,4 @@ func (c *Controller) setLevel(lvl int32) {
 	}
 	brownoutTransitions.Inc()
 	telemetry.Record(telemetry.EvState, brownoutLabel, 0, 0, uint64(lvl))
-}
-
-// latencyWindow is a two-phase log-linear histogram: sampled completions
-// record into the active half, and each control step swaps halves and reads
-// the frozen one. Four sub-buckets per octave give ~25% quantile resolution
-// — plenty for a control signal. Records racing a swap may land in either half; the
-// smear is at most one window and biases nothing.
-type latencyWindow struct {
-	active  atomic.Uint32
-	buckets [2][winBuckets]atomic.Int64
-}
-
-// winBuckets covers 1ns..2^63ns at 4 sub-buckets per power of two.
-const winBuckets = 64 * 4
-
-// winIndex maps a non-negative latency to its bucket.
-func winIndex(v int64) int {
-	if v <= 0 {
-		return 0
-	}
-	u := uint64(v)
-	exp := bits.Len64(u) - 1
-	var sub uint64
-	if exp >= 2 {
-		sub = (u >> (exp - 2)) & 3
-	}
-	return exp*4 + int(sub)
-}
-
-// winLow returns the smallest value mapping to bucket i.
-func winLow(i int) int64 {
-	exp := i / 4
-	sub := int64(i % 4)
-	if exp < 2 {
-		return int64(i)
-	}
-	if exp >= 62 {
-		return 1 << 62
-	}
-	return (1 << exp) | (sub << (exp - 2))
-}
-
-// record adds one sample to the active half.
-func (w *latencyWindow) record(v int64) {
-	w.buckets[w.active.Load()&1][winIndex(v)].Add(1)
-}
-
-// swap freezes the active half, zeroing and returning its p99 upper bound
-// and sample count, and makes the other half active.
-func (w *latencyWindow) swap() (p99 int64, samples int64) {
-	old := w.active.Load() & 1
-	w.active.Store(1 - old)
-	var counts [winBuckets]int64
-	for i := range w.buckets[old] {
-		counts[i] = w.buckets[old][i].Swap(0)
-		samples += counts[i]
-	}
-	if samples == 0 {
-		return 0, 0
-	}
-	// The covering rank: the smallest count whose cumulative share strictly
-	// exceeds 99%. For a control signal the tail must register — with 100
-	// samples, one slow outlier IS the p99.
-	rank := samples*99/100 + 1
-	var seen int64
-	for i := range counts {
-		seen += counts[i]
-		if seen >= rank {
-			return winLow(i + 1), samples
-		}
-	}
-	return winLow(winBuckets - 1), samples
 }

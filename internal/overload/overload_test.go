@@ -232,16 +232,19 @@ func TestRejectionsAreNotLatencySignal(t *testing.T) {
 	}
 }
 
-// A deadline-shed storm (counted via telemetry.ReportDeadlineShed) IS a
-// breach signal: work is dying in queue even if the completions that do run
-// look fast.
+// A deadline-shed storm — this controller's own admitted requests settled
+// as Expired — IS a breach signal: work is dying in queue even if the
+// completions that do run look fast.
 func TestDeadlineShedBurstCutsLimit(t *testing.T) {
 	c := NewController(testConfig())
 	defer c.Close()
 	c.limit.Store(64)
 	admitN(t, c, 16, 100*time.Microsecond)
 	for i := 0; i < 10; i++ {
-		telemetry.ReportDeadlineShed(telemetry.Label("test.port"), 0, 1, 0)
+		if !c.Admit(0, Tier0, sched.NormPriority).OK {
+			t.Fatalf("admit %d rejected", i)
+		}
+		c.Expired()
 	}
 	c.Tick()
 	if got := c.Limit(); got != 48 {
@@ -560,32 +563,11 @@ func TestCompletedCountsWithoutSample(t *testing.T) {
 	if done, _, _ := c.Counts(); done != 4096 {
 		t.Errorf("done = %d, want every one of 4,096 completions", done)
 	}
-	if _, samples := c.win.swap(); samples != int64(sampled) {
+	if _, samples := c.win.Swap(); samples != int64(sampled) {
 		t.Errorf("histogram holds %d samples, want the %d sampled", samples, sampled)
 	}
 	if got := c.Inflight(); got != 0 {
 		t.Errorf("inflight = %d, want 0", got)
-	}
-}
-
-// The windowed histogram's p99 lands within one log-linear bucket of the
-// true quantile.
-func TestLatencyWindowP99(t *testing.T) {
-	var w latencyWindow
-	for i := 0; i < 99; i++ {
-		w.record(int64(time.Millisecond))
-	}
-	w.record(int64(100 * time.Millisecond))
-	p99, n := w.swap()
-	if n != 100 {
-		t.Fatalf("samples = %d, want 100", n)
-	}
-	if p99 < int64(100*time.Millisecond) || p99 > int64(150*time.Millisecond) {
-		t.Errorf("p99 = %v, want within a bucket above 100ms", time.Duration(p99))
-	}
-	// The swap zeroed the half: a second swap sees an empty window.
-	if _, n := w.swap(); n != 0 {
-		t.Errorf("second swap saw %d samples, want 0", n)
 	}
 }
 

@@ -62,11 +62,11 @@ func TestIdealInjectsNothing(t *testing.T) {
 func TestJitterOrdering(t *testing.T) {
 	measure := func(m Model) metrics.Summary {
 		inj := NewInjector(m, 7)
-		c := metrics.NewCollector(3000)
+		samples := make([]time.Duration, 0, 3000)
 		for i := 0; i < 3000; i++ {
-			c.Record(inj.Operation())
+			samples = append(samples, inj.Operation())
 		}
-		return c.Summarize()
+		return metrics.Summarize(samples)
 	}
 	ri, mack, jdk := measure(TimesysRI()), measure(Mackinac()), measure(JDK14())
 	if jdk.Jitter <= mack.Jitter {

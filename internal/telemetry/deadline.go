@@ -1,13 +1,10 @@
 package telemetry
 
 // deadlineSheds counts requests dropped unrun because their queueing
-// deadline had already passed ("deadline_shed_total"). The work never ran,
-// so a shed contributes no dispatch-latency sample.
+// deadline had already passed ("deadline_shed_total"), process-wide. The
+// work never ran, so a shed contributes no dispatch-latency sample; the
+// overload controller of the server that shed it counts it on its own.
 var deadlineSheds = NewCounter("deadline_shed_total")
-
-// DeadlineSheds returns the total number of already-dead requests shed so
-// far.
-func DeadlineSheds() int64 { return deadlineSheds.Value() }
 
 // ReportDeadlineShed counts a request dropped unrun because its deadline had
 // already passed when it came up for execution, and records an

@@ -12,12 +12,13 @@ func TestReportDeadlineShedIsNotAMiss(t *testing.T) {
 	Enable(true)
 	defer Enable(was)
 
-	shedsBefore := DeadlineSheds()
+	sheds := Default.Counter("deadline_shed_total")
+	shedsBefore := sheds.Value()
 	label := Label("shed.port")
 	ReportDeadlineShed(label, 100, 250, 7)
 
-	if got := DeadlineSheds(); got != shedsBefore+1 {
-		t.Errorf("DeadlineSheds = %d, want %d", got, shedsBefore+1)
+	if got := sheds.Value(); got != shedsBefore+1 {
+		t.Errorf("deadline_shed_total = %d, want %d", got, shedsBefore+1)
 	}
 	var seen int
 	for _, ev := range Default.Ring().Snapshot() {

@@ -105,19 +105,63 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := int64(q * float64(total-1))
-	var seen int64
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		seen += c
-		if seen > rank {
-			return bucketLow(i + 1)
-		}
+	if v, ok := rankEdge(func(i int) int64 { return h.buckets[i].Load() }, int64(q*float64(total-1))); ok {
+		return v
 	}
 	return h.max.Load()
+}
+
+// rankEdge scans the cumulative bucket counts count(0), count(1), … for the
+// bucket holding the observation of 0-based rank r and returns its upper
+// edge, the low edge of the bucket after it; ok is false when the counts hold
+// r or fewer observations.
+func rankEdge(count func(i int) int64, r int64) (edge int64, ok bool) {
+	var seen int64
+	for i := 0; i < histBuckets; i++ {
+		if seen += count(i); seen > r {
+			return bucketLow(i + 1), true
+		}
+	}
+	return 0, false
+}
+
+// Window is a two-phase histogram over the same layout, for a control loop
+// that reads one window at a time: Record adds to the active half, and Swap
+// freezes it and makes the other half active. A record racing a Swap may land
+// in either half; it is counted by exactly one Swap, at worst one window
+// late. The zero value is ready to use; it is not registered anywhere.
+type Window struct {
+	active  atomic.Uint32
+	buckets [2][histBuckets]atomic.Int64
+}
+
+// Record adds one observation to the active half: one atomic add. Negative
+// values count as zero.
+func (w *Window) Record(v int64) {
+	w.buckets[w.active.Load()&1][bucketIndex(v)].Add(1)
+}
+
+// Swap makes the other half active, zeroes the frozen one and returns its
+// observation count n and its p99 at the covering rank: the upper edge of
+// the bucket holding the (n*99/100+1)-th smallest observation, so with 100
+// observations one slow outlier is the p99 — for a control signal the tail
+// must register. An empty window returns zeros.
+func (w *Window) Swap() (p99, n int64) {
+	old := w.active.Load() & 1
+	w.active.Store(1 - old)
+	var counts [histBuckets]int64
+	for i := range w.buckets[old] {
+		// Most buckets are empty: a load is cheaper than a swap to zero.
+		if b := &w.buckets[old][i]; b.Load() != 0 {
+			counts[i] = b.Swap(0)
+			n += counts[i]
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	p99, _ = rankEdge(func(i int) int64 { return counts[i] }, n*99/100)
+	return p99, n
 }
 
 // HistogramSnapshot is an exportable view of a histogram.
