@@ -48,7 +48,9 @@ race: build vet
 # because immortal and scoped memory commit only what they hold; a scoped
 # area with a 1 MiB budget costs under 4 KiB to make, and one reclaimed
 # through the same allocations stops allocating once warm. The scoped carve
-# on every request, and the room check before it, must stay inlinable.
+# on every request, and the room check before it, must stay inlinable, and so
+# must the overload controller's Completed and Inflight, one atomic each; the
+# collocated round trip's benchmark must read 0 allocs/op.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters|TestSetupHeapBytes' .
 	$(GO) test -run TestScopedCommitsWhatItHolds ./internal/memory/
@@ -57,12 +59,16 @@ allocguard:
 	done
 	$(GO) test -run TestInvokeAllocsAreContractCopies ./internal/orb/
 	$(GO) test -run TestAdmitDoneAllocFree ./internal/overload/
+	@out=$$($(GO) build -gcflags=-m ./internal/overload/ 2>&1); for f in Completed Inflight; do \
+		echo "$$out" | grep -q "can inline (\*Controller).$$f" || { echo "(*Controller).$$f is no longer inlinable"; exit 1; }; \
+	done
 	$(GO) test -run TestScratchAllocFree ./internal/memory/
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
 	$(GO) test -run 'TestInPortPushPopAllocFree|TestSyncPortCallAllocFree' ./internal/core/
 	$(GO) test -run TestSignalNotifyAllocFree ./internal/sched/
 	$(GO) test -run TestParseAllocs ./internal/cdl/ ./internal/ccl/
-	$(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .
+	@out=$$($(GO) test -run='^$$' -bench=BenchmarkSteadyStateRoundTrip -benchtime=20000x .) || { echo "$$out"; exit 1; }; echo "$$out"; \
+	echo "$$out" | grep -q 'SteadyStateRoundTrip/Collocated.* 0 allocs/op' || { echo "the collocated round trip allocates"; exit 1; }
 	$(GO) test -run='^$$' -bench=BenchmarkSyncPortCall -benchtime=20000x ./internal/core/
 
 # zerocopy-guard pins the counted-copy contract: InvokeView delivers reply
@@ -187,13 +193,15 @@ verify: fmt-check vet build race bench-smoke bench-build zerocopy-guard allocgua
 # moves, the stack restored), Exec refusing a disposed instance, what each
 # kind of In port counts, and the fuzz seeds of the GIOP decoders (request,
 # reply, locate), the frame reader and the CDL and CCL decoders, and the
-# latency window's records racing its swaps (each counted by exactly one) —
-# under the race detector.
+# latency window's records racing its swaps (each counted by exactly one), and
+# the overload controller's packed in-flight and completion word racing its
+# control steps (every completion read by exactly one) — under the race
+# detector.
 # Every fault schedule and history in these tests is seeded, so failures
 # replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzDecode|FuzzFrameReader|FuzzParseCDL|FuzzParseCCL|WindowSwapStorm' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzDecode|FuzzFrameReader|FuzzParseCDL|FuzzParseCCL|WindowSwapStorm|FlowWordStorm' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/ ./internal/telemetry/ ./internal/giop/ ./internal/cdl/ ./internal/ccl/
 
 # bench5 regenerates BENCH_5.json, the cluster-failover snapshot: three

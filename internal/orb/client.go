@@ -407,47 +407,47 @@ var awaitUnbound = telemetry.NewCounter("await_unbound_total")
 var errUnbound = errors.New("orb client: invocation dropped before it reached a connection")
 
 // call is the client half of the invocation pipeline, the one path every
-// entry point takes: closed-check, request id, client span, in-flight count,
-// then the transport — direct when the collocation binding names a live
-// in-process server, the wire otherwise — and the server's answer mapped to
-// the caller's result. A binding found stale (the server shut down between
-// detection and dispatch) is dropped and the same call goes out over the wire,
-// so a hot swap of a collocated server never loses an invocation; detection
-// skips closed servers, so the next call lands on the wire even before the
-// registry bump is observed. A non-nil frame means payload aliases an arrival
-// buffer: the caller owns one reference and must release it. The results are
-// separate values, not an invokeResult, so that the direct transport's stay in
-// registers.
+// entry point takes: closed-check, the transport's choice — direct when the
+// collocation binding names a live in-process server, the wire otherwise —
+// client span, and the server's answer mapped to the caller's result. Only the
+// wire draws a request id and counts inflight; the direct transport's span id
+// is the server span's correlator. A binding found stale (the server shut down
+// between detection and dispatch) is dropped and the same call goes out over
+// the wire, drawing its id then, so a hot swap of a collocated server never
+// loses an invocation; detection skips closed servers, so the next call lands
+// on the wire even before the registry bump is observed. A non-nil frame means
+// payload aliases an arrival buffer: the caller owns one reference and must
+// release it. The results are separate values, not an invokeResult, so that
+// the direct transport's stay in registers.
 func (cl *Client) call(key, op string, payload []byte, prio sched.Priority, oneway bool) (reply []byte, frame *giop.FrameBuf, err error) {
 	if cl.closed.Load() {
 		return nil, nil, corba.ErrClosed
 	}
-	id := cl.nextID.Add(1)
-	trace, span, started := startSpan(uint64(id))
-	cl.inflight.Add(1)
 	srv := cl.localServer()
+	var id uint32
+	if srv == nil {
+		id = cl.nextID.Add(1)
+	}
+	trace, span, started := startSpan(uint64(id))
 	if srv != nil {
 		// The priority crosses as the byte the wire would carry.
-		status, out, retryAfter, ok := srv.direct(key, op, payload, byte(prio), cl.tenant, trace, uint64(id), oneway)
-		if !ok {
-			cl.local.Store(nil)
-			srv = nil
-		} else {
+		status, out, retryAfter, ok := srv.direct(key, op, payload, byte(prio), cl.tenant, trace, span, oneway)
+		if ok {
 			collocatedInvokeTotal.Inc()
-			if status == giop.ReplyNoException {
-				reply = out
-			} else {
-				err = exception(status, out, retryAfter)
+			if status != giop.ReplyNoException {
+				out, err = nil, exception(status, out, retryAfter)
 			}
+			endSpan(trace, span, started)
+			return out, nil, err
 		}
+		cl.local.Store(nil)
+		id = cl.nextID.Add(1)
 	}
-	if srv == nil {
-		res := cl.wire(id, key, op, payload, prio, oneway, trace, span)
-		reply, frame, err = res.payload, res.frame, res.err
-	}
+	cl.inflight.Add(1)
+	res := cl.wire(id, key, op, payload, prio, oneway, trace, span)
 	cl.inflight.Add(-1)
 	endSpan(trace, span, started)
-	return reply, frame, err
+	return res.payload, res.frame, res.err
 }
 
 // Invoke performs one synchronous request/reply at the given priority. The
@@ -734,8 +734,8 @@ func endSpan(trace, span uint64, started int64) {
 	telemetry.Record(telemetry.EvSpanEnd, clientSpanLabel, trace, span, uint64(telemetry.Now()-started))
 }
 
-// Inflight reports the number of invocations in progress on either transport
-// (also exported as the `inflight` gauge).
+// Inflight reports the wire invocations in progress (the `inflight` gauge); a
+// collocated call is counted by its server's and its controller's Inflight.
 func (cl *Client) Inflight() int64 { return cl.inflight.Load() }
 
 // App exposes the underlying component application (for tests and the bench

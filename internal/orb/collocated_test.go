@@ -7,10 +7,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/corba"
 	"repro/internal/memory"
+	"repro/internal/overload"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -142,6 +145,86 @@ func TestCollocatedRetargetInvalidation(t *testing.T) {
 	}
 	if got := collocatedInvokeTotal.Value() - before; got != 2 {
 		t.Errorf("retarget back to the local member did not re-detect collocation (counter delta %d, want 2)", got)
+	}
+}
+
+// TestCollocatedCountingContract pins who counts an invocation in flight.
+// A collocated call parked in its servant is counted once by the server —
+// what Drain waits on — and once by its controller, and not by the client,
+// whose Inflight counts wire invocations only; a wire call parked in the same
+// servant is the client's. Traced, the server span of a collocated call names
+// the client span as its correlator, since the direct transport draws no
+// request id.
+func TestCollocatedCountingContract(t *testing.T) {
+	ctrl := overload.NewController(overload.Config{Window: time.Hour})
+	defer ctrl.Close()
+	net := transport.NewInproc()
+	srv := startEchoServer(t, net, "", ServerConfig{Overload: ctrl})
+	entered, release := make(chan struct{}), make(chan struct{})
+	srv.RegisterServant("park", corba.ServantFunc(func(op string, in []byte) ([]byte, error) {
+		entered <- struct{}{}
+		<-release
+		return in, nil
+	}))
+	local := dial(t, net, srv.Addr(), ClientConfig{Collocate: true})
+	remote := dial(t, net, srv.Addr(), ClientConfig{})
+
+	// park sends one invocation into the parking servant and returns once
+	// the servant holds it, with the channel its error arrives on.
+	park := func(cl *Client) chan error {
+		errc := make(chan error, 1)
+		go func() {
+			_, err := cl.Invoke("park", "op", []byte("x"), sched.NormPriority)
+			errc <- err
+		}()
+		<-entered
+		return errc
+	}
+
+	errc := park(local)
+	if s, c, l := srv.Inflight(), ctrl.Inflight(), local.Inflight(); s != 1 || c != 1 || l != 0 {
+		t.Errorf("collocated call parked: server %d, controller %d, client %d in flight; want 1, 1, 0", s, c, l)
+	}
+	if err := srv.Drain(20 * time.Millisecond); err == nil {
+		t.Error("Drain returned while a collocated call was in its servant")
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(5 * time.Second) }()
+	release <- struct{}{}
+	if err := <-errc; err != nil {
+		t.Fatalf("collocated call: %v", err)
+	}
+	if err := <-drained; err != nil {
+		t.Errorf("Drain once the collocated call returned: %v", err)
+	}
+
+	errc = park(remote)
+	if got := remote.Inflight(); got != 1 {
+		t.Errorf("wire call parked: client %d in flight, want 1", got)
+	}
+	release <- struct{}{}
+	if err := <-errc; err != nil {
+		t.Fatalf("wire call: %v", err)
+	}
+
+	telemetry.Verbose(true)
+	defer telemetry.Verbose(false)
+	if _, err := local.Invoke("echo", "echo", []byte("traced"), sched.NormPriority); err != nil {
+		t.Fatal(err)
+	}
+	var trace, clientSpan, corr uint64
+	for _, ev := range telemetry.Default.Ring().Snapshot() {
+		if ev.Kind == telemetry.EvSpanStart && ev.Label == "orb.client.invoke" {
+			trace, clientSpan = ev.Trace, ev.Span // oldest→newest: keep this call's
+		}
+	}
+	for _, ev := range telemetry.Default.Ring().TraceEvents(trace) {
+		if ev.Kind == telemetry.EvSpanStart && ev.Label == "orb.server.request" {
+			corr = ev.Arg
+		}
+	}
+	if clientSpan == 0 || corr != clientSpan {
+		t.Errorf("collocated server span correlator = %x, want the client span id %x", corr, clientSpan)
 	}
 }
 

@@ -234,9 +234,14 @@ type Decision struct {
 type Controller struct {
 	cfg Config
 
-	limit    atomic.Int64
-	inflight atomic.Int64
-	level    atomic.Int32
+	limit atomic.Int64
+	// flow packs the in-flight count (low 32 bits) and the window's
+	// completions, sampled or not (high 32 bits), so that a completion is one
+	// add of 1<<32-1. The low half never borrows: every settle follows its own
+	// admit. step subtracts exactly the completions it read, never stores, so
+	// none racing it is lost.
+	flow  atomic.Int64
+	level atomic.Int32
 	// shift is the window's sampling exponent k: Admit samples one arrival
 	// in 2^k. Each control step sets it from the arrivals of the window it
 	// closes.
@@ -248,10 +253,9 @@ type Controller struct {
 	win       telemetry.Window
 	windowP99 atomic.Int64
 
-	// Window accumulators, swapped out by each control step. doneCount
-	// counts every completion, sampled or not; dropCount every slot released
-	// unrun, expired ones too; expiredCount the deadline sheds among them.
-	doneCount    atomic.Int64
+	// Window accumulators, swapped out by each control step. dropCount
+	// counts every slot released unrun, expired ones too; expiredCount the
+	// deadline sheds among them.
 	shedCount    atomic.Int64
 	dropCount    atomic.Int64
 	expiredCount atomic.Int64
@@ -299,7 +303,7 @@ func NewController(cfg Config) *Controller {
 	c.gauges = telemetry.Default.RegisterGauges("overload", map[string]func() int64{
 		"limit_current":     c.limit.Load,
 		"brownout_level":    func() int64 { return int64(c.level.Load()) },
-		"overload_inflight": c.inflight.Load,
+		"overload_inflight": c.Inflight,
 		"window_p99_ns":     c.windowP99.Load,
 	})
 	return c
@@ -318,14 +322,14 @@ func (c *Controller) Close() {
 func (c *Controller) Limit() int { return int(c.limit.Load()) }
 
 // Inflight returns the admitted-but-not-completed count.
-func (c *Controller) Inflight() int64 { return c.inflight.Load() }
+func (c *Controller) Inflight() int64 { return int64(uint32(c.flow.Load())) }
 
 // Counts returns the current control window's accumulators since the last
 // control step: completions (Done and Completed alike — every completion,
 // not the samples among them), slots released without running (Dropped and
 // Expired) and admission sheds.
 func (c *Controller) Counts() (done, dropped, shed int64) {
-	return c.doneCount.Load(), c.dropCount.Load(), c.shedCount.Load()
+	return c.flow.Load() >> 32, c.dropCount.Load(), c.shedCount.Load()
 }
 
 // Level returns the current brown-out ladder level (0..3).
@@ -396,7 +400,7 @@ func (c *Controller) spilled(tier Tier) *tenantState {
 // the limit — the LevelShedLowest trigger for priority- and tier-based
 // shedding ahead of the hard limit.
 func (c *Controller) congested() bool {
-	return c.inflight.Load()*4 >= c.limit.Load()*3
+	return c.Inflight()*4 >= c.limit.Load()*3
 }
 
 // Admit decides one request's fate before any demarshalling or queueing.
@@ -433,7 +437,7 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 			}
 		}
 	}
-	n := c.inflight.Add(1)
+	n := int64(uint32(c.flow.Add(1)))
 	lim := c.limit.Load()
 	if n <= lim {
 		if id == 0 {
@@ -445,14 +449,14 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 	// in-flight work may overshoot; inside it, admission spends the
 	// tenant's weighted credit for this window.
 	if n > lim+lim/4 {
-		c.inflight.Add(-1)
+		c.flow.Add(-1)
 		return c.shed(id, tier)
 	}
 	ts := c.state(id, tier)
 	if ts.credit.Add(-1) >= 0 {
 		return Decision{OK: true, Class: ts.class, At: now}
 	}
-	c.inflight.Add(-1)
+	c.flow.Add(-1)
 	return c.shed(id, tier)
 }
 
@@ -476,17 +480,14 @@ func (c *Controller) Done(latency int64) {
 // Completed settles a completion that was not sampled (Decision.At 0): it
 // releases the slot and counts the completion, which the ladder and the
 // credit refill need, without a latency. It reads no clock and never steps.
-func (c *Controller) Completed() {
-	c.inflight.Add(-1)
-	c.doneCount.Add(1)
-}
+func (c *Controller) Completed() { c.flow.Add(1<<32 - 1) }
 
 // Dropped releases an admitted request's in-flight slot without recording a
 // latency sample: work that was rejected downstream, shed at dequeue, or
 // failed by a breaker is not a latency signal, and feeding it to the
 // controller would drive the limit to its floor on rejection bursts.
 func (c *Controller) Dropped() {
-	c.inflight.Add(-1)
+	c.flow.Add(-1)
 	c.dropCount.Add(1)
 }
 
@@ -501,22 +502,24 @@ func (c *Controller) Expired() {
 
 // Tick forces a control step immediately, regardless of the window clock.
 // Tests and callers that want an external cadence (a ticker goroutine) use
-// it; production servers rely on the steps arrivals run.
-func (c *Controller) Tick() {
+// it; production servers rely on the steps arrivals run. It returns the
+// completions the step read.
+func (c *Controller) Tick() int64 {
 	c.windowEnd.Store(telemetry.Now() + int64(c.cfg.Window))
-	c.step()
+	return c.step()
 }
 
 // step is one control-loop iteration: read the window's signals, size the
 // next window's sample, move the AIMD limit, walk the brown-out ladder,
-// refill tenant credits.
-func (c *Controller) step() {
+// refill tenant credits. It returns the window's completions.
+func (c *Controller) step() (done int64) {
 	c.stepMu.Lock()
 	defer c.stepMu.Unlock()
 
 	p99, samples := c.win.Swap()
 	c.windowP99.Store(p99)
-	done := c.doneCount.Swap(0)
+	done = c.flow.Load() >> 32
+	c.flow.Add(-done << 32)
 	shed := c.shedCount.Swap(0)
 	dropped := c.dropCount.Swap(0)
 	expired := c.expiredCount.Swap(0)
@@ -582,10 +585,7 @@ func (c *Controller) step() {
 	// limit's worth of over-limit admissions per window, dealt to tenants
 	// in proportion to their tier weights. A live spill state is one more
 	// tenant of its tier.
-	refill := done
-	if refill < lim {
-		refill = lim
-	}
+	refill := max(done, lim)
 	credited := make([]*tenantState, 0, 1+NumTiers)
 	credited = append(credited, &c.def)
 	for t := range c.spill {
@@ -593,24 +593,24 @@ func (c *Controller) step() {
 			credited = append(credited, &c.spill[t])
 		}
 	}
-	m := c.tenants.Load()
+	var tenants map[uint64]*tenantState
+	if m := c.tenants.Load(); m != nil {
+		tenants = *m
+	}
 	var total int64
 	for _, ts := range credited {
 		total += int64(tierWeights[ts.tier])
 	}
-	if m != nil {
-		for _, ts := range *m {
-			total += int64(tierWeights[ts.tier])
-		}
+	for _, ts := range tenants {
+		total += int64(tierWeights[ts.tier])
 	}
 	for _, ts := range credited {
 		ts.credit.Store(int64(tierWeights[ts.tier]) * refill / total)
 	}
-	if m != nil {
-		for _, ts := range *m {
-			ts.credit.Store(int64(tierWeights[ts.tier]) * refill / total)
-		}
+	for _, ts := range tenants {
+		ts.credit.Store(int64(tierWeights[ts.tier]) * refill / total)
 	}
+	return done
 }
 
 // sampleShift returns the sampling exponent k for a window that follows one

@@ -2,7 +2,9 @@ package overload
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -612,6 +614,96 @@ func TestControllerStorm(t *testing.T) {
 	}
 	if got := c.Limit(); got < cfg.MinLimit || got > cfg.MaxLimit {
 		t.Errorf("limit = %d escaped [%d, %d]", got, cfg.MinLimit, cfg.MaxLimit)
+	}
+}
+
+// TestFlowWordStorm races settles of every kind against control steps on the
+// packed flow word: 8 goroutines admit and settle while another ticks in a
+// loop. Every completion is read by exactly one step or is still in the
+// window at the end, and every slot comes back. A step that cleared the
+// completions with a store instead of subtracting what it read would lose
+// those that raced it. Four processors, so that the race has room to happen
+// on a host with fewer.
+func TestFlowWordStorm(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	c := NewController(testConfig())
+	defer c.Close()
+
+	const workers, perWorker = 8, 20000
+	var made, read atomic.Int64
+	stop := make(chan struct{})
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				read.Add(c.Tick())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				if !c.Admit(0, Tier0, sched.NormPriority).OK {
+					continue
+				}
+				switch i % 4 {
+				case 0:
+					c.Completed()
+					made.Add(1)
+				case 1:
+					c.Done(1000)
+					made.Add(1)
+				case 2:
+					c.Dropped()
+				default:
+					c.Expired()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	<-ticked
+	if got := c.Inflight(); got != 0 {
+		t.Errorf("inflight = %d after the storm, want 0", got)
+	}
+	done, _, _ := c.Counts()
+	if got, want := read.Load()+done, made.Load(); got != want {
+		t.Errorf("steps read %d completions and %d are left in the window: %d, want the %d made",
+			read.Load(), done, got, want)
+	}
+}
+
+// TestManyControllersRegisterInConstantTime stands 400 controllers up at
+// once. They share the "overload" label, so the 400th registers its gauges as
+// "overload#400"; the gauge index finds that label in a lookup or two, so the
+// 400th controller costs about what the first does. (A registry that scanned
+// every gauge for every candidate label made it cost 0.5–1.5 ms against 3 µs.)
+// Each cost is the best of 20 fresh controllers, closed again.
+func TestManyControllersRegisterInConstantTime(t *testing.T) {
+	cost := func() time.Duration {
+		best := time.Hour
+		for i := 0; i < 20; i++ {
+			start := time.Now()
+			c := NewController(testConfig())
+			best = min(best, time.Since(start))
+			c.Close()
+		}
+		return best
+	}
+	first := cost()
+	for i := 0; i < 399; i++ {
+		defer NewController(testConfig()).Close()
+	}
+	if last := cost(); last > 8*first {
+		t.Errorf("the 400th controller took %v to stand up, the first %v: want at most 8×", last, first)
 	}
 }
 

@@ -46,21 +46,22 @@ type SnapshotOptions struct {
 // sorted by name (then label) so output is stable.
 func (r *Registry) Snapshot(opts SnapshotOptions) Snapshot {
 	r.mu.Lock()
-	counters := make([]*Counter, len(r.counters))
-	copy(counters, r.counters)
-	gauges := make([]gaugeEntry, len(r.gauges))
-	copy(gauges, r.gauges)
-	hists := make([]*Histogram, len(r.hists))
-	copy(hists, r.hists)
+	counters := append([]*Counter(nil), r.counters...)
+	s := Snapshot{UptimeNanos: Now()}
+	fns := make([]func() int64, 0, len(r.gauges))
+	for k, fn := range r.gauges {
+		s.Gauges = append(s.Gauges, GaugeValue{Name: k.name, Label: k.label})
+		fns = append(fns, fn)
+	}
+	hists := append([]*Histogram(nil), r.hists...)
 	r.mu.Unlock()
 
-	s := Snapshot{UptimeNanos: Now()}
 	for _, c := range counters {
 		s.Counters = append(s.Counters, CounterValue{Name: c.name, Value: c.Value()})
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	for _, g := range gauges {
-		s.Gauges = append(s.Gauges, GaugeValue{Name: g.name, Label: g.label, Value: g.fn()})
+	for i, fn := range fns {
+		s.Gauges[i].Value = fn()
 	}
 	sort.Slice(s.Gauges, func(i, j int) bool {
 		if s.Gauges[i].Name != s.Gauges[j].Name {
@@ -108,8 +109,8 @@ func (r *Registry) WriteMetricsText(w io.Writer) error {
 		}
 	}
 	for _, h := range s.Histograms {
-		if _, err := fmt.Fprintf(w, "compadres_%s_count %d\ncompadres_%s_sum %d\ncompadres_%s_max %d\ncompadres_%s_p50 %d\ncompadres_%s_p99 %d\n",
-			h.Name, h.Count, h.Name, h.Sum, h.Name, h.Max, h.Name, h.P50, h.Name, h.P99); err != nil {
+		if _, err := fmt.Fprintf(w, "compadres_%s_count %d\ncompadres_%s_sum %d\ncompadres_%s_min %d\ncompadres_%s_max %d\ncompadres_%s_p50 %d\ncompadres_%s_p99 %d\n",
+			h.Name, h.Count, h.Name, h.Sum, h.Name, h.Min, h.Name, h.Max, h.Name, h.P50, h.Name, h.P99); err != nil {
 			return err
 		}
 	}

@@ -21,13 +21,16 @@ const (
 
 // Histogram is a lock-free log-linear histogram of int64 observations
 // (conventionally nanoseconds). Record is wait-free: one atomic add into a
-// fixed bucket array plus count/sum/max maintenance. The zero value is not
-// registered; obtain instances from a Registry so exporters see them.
+// fixed bucket array plus count/sum/min/max maintenance. The zero value is
+// not registered; obtain instances from a Registry so exporters see them.
 type Histogram struct {
-	name    string
-	count   atomic.Int64
-	sum     atomic.Int64
-	max     atomic.Int64
+	name  string
+	count atomic.Int64
+	sum   atomic.Int64
+	max   atomic.Int64
+	// negMin is MaxInt64 minus the smallest observation, so that it rises
+	// like max and its zero value means none yet.
+	negMin  atomic.Int64
 	buckets [histBuckets]atomic.Int64
 }
 
@@ -73,11 +76,14 @@ func (h *Histogram) Record(v int64) {
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		m := h.max.Load()
-		if v <= m || h.max.CompareAndSwap(m, v) {
-			break
-		}
+	raise(&h.max, v)
+	raise(&h.negMin, math.MaxInt64-v)
+}
+
+// raise lifts a to v when v is larger: a load and a compare, and a CAS only
+// on a new extreme.
+func raise(a *atomic.Int64, v int64) {
+	for m := a.Load(); v > m && !a.CompareAndSwap(m, v); m = a.Load() {
 	}
 }
 
@@ -89,6 +95,14 @@ func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Max returns the largest observation.
 func (h *Histogram) Max() int64 { return h.max.Load() }
+
+// min returns the smallest observation, 0 on an empty histogram.
+func (h *Histogram) min() int64 {
+	if h.count.Load() == 0 {
+		return 0
+	}
+	return math.MaxInt64 - h.negMin.Load()
+}
 
 // Quantile returns an upper bound on the q-th quantile (0 ≤ q ≤ 1) from the
 // bucket counts: the low edge of the bucket after the one holding the
@@ -169,19 +183,21 @@ type HistogramSnapshot struct {
 	Name  string `json:"name"`
 	Count int64  `json:"count"`
 	Sum   int64  `json:"sum"`
+	Min   int64  `json:"min"`
 	Max   int64  `json:"max"`
 	P50   int64  `json:"p50"`
 	P90   int64  `json:"p90"`
 	P99   int64  `json:"p99"`
 }
 
-// Snapshot captures the histogram's current state: its count, sum, maximum
-// and percentile summaries.
+// Snapshot captures the histogram's current state: its count, sum, minimum,
+// maximum and percentile summaries; max − min is the jitter of Table 2.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	return HistogramSnapshot{
 		Name:  h.name,
 		Count: h.count.Load(),
 		Sum:   h.sum.Load(),
+		Min:   h.min(),
 		Max:   h.max.Load(),
 		P50:   h.Quantile(0.50),
 		P90:   h.Quantile(0.90),

@@ -23,6 +23,8 @@ package telemetry
 
 import (
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,9 +121,7 @@ func Label(s string) LabelID {
 		return id
 	}
 	old := *labelNames.Load()
-	names := make([]string, len(old)+1)
-	copy(names, old)
-	names[len(old)] = s
+	names := append(old[:len(old):len(old)], s) // a copy: readers keep old
 	id := LabelID(len(old))
 	labelIndex[s] = id
 	labelNames.Store(&names)
@@ -186,39 +186,36 @@ func (c *Counter) Value() int64 {
 // ---------------------------------------------------------------------------
 // Registry
 
-// gaugeEntry is one registered callback gauge. Gauges bridge existing
-// atomic statistics (port counters, pool stats, message pools) into
+// gaugeKey names one registered callback gauge: its metric family (e.g.
+// "port_received") and instance label (e.g. "Pong.in"). Gauges bridge
+// existing atomic statistics (port counters, pool stats, message pools) into
 // snapshots without adding any cost to the code paths that maintain them.
-type gaugeEntry struct {
-	id    uint64
-	name  string // metric family, e.g. "port_received"
-	label string // instance label, e.g. "Pong.in"
-	fn    func() int64
-}
+type gaugeKey struct{ name, label string }
 
 // GaugeHandle unregisters a gauge (or a group registered together).
 type GaugeHandle struct {
-	r   *Registry
-	ids []uint64
+	r    *Registry
+	keys []gaugeKey
 }
 
 // Unregister removes the gauge(s) from the registry. Safe to call more than
-// once.
+// once. A freed "#n" label lowers its base label's first candidate to n.
 func (h *GaugeHandle) Unregister() {
 	if h == nil || h.r == nil {
 		return
 	}
 	h.r.mu.Lock()
 	defer h.r.mu.Unlock()
-	for _, id := range h.ids {
-		for i, g := range h.r.gauges {
-			if g.id == id {
-				h.r.gauges = append(h.r.gauges[:i], h.r.gauges[i+1:]...)
-				break
+	for _, k := range h.keys {
+		delete(h.r.gauges, k)
+		if i := strings.LastIndexByte(k.label, '#'); i >= 0 {
+			base := gaugeKey{k.name, k.label[:i]}
+			if n, err := strconv.Atoi(k.label[i+1:]); err == nil && n < h.r.gaugeNext[base] {
+				h.r.gaugeNext[base] = n
 			}
 		}
 	}
-	h.ids = nil
+	h.keys = nil
 }
 
 // faultKeep bounds the recent-fault list kept for snapshots.
@@ -242,12 +239,14 @@ type Registry struct {
 	mu       sync.Mutex
 	counters []*Counter
 	byName   map[string]*Counter
-	gauges   []gaugeEntry
-	gaugeSeq uint64
 	hists    []*Histogram
 	histBy   map[string]*Histogram
 	faults   []Fault
 	faultCtr Counter
+	// gauges indexes the callback gauges by (name, label); every "#n" suffix
+	// of label k.label below gaugeNext[k] is taken.
+	gauges    map[gaugeKey]func() int64
+	gaugeNext map[gaugeKey]int
 
 	ring *Ring
 }
@@ -259,9 +258,11 @@ const DefaultRingSize = 4096
 // capacity (rounded up to a power of two; minimum 16).
 func NewRegistry(ringSize int) *Registry {
 	return &Registry{
-		byName: map[string]*Counter{},
-		histBy: map[string]*Histogram{},
-		ring:   NewRing(ringSize),
+		byName:    map[string]*Counter{},
+		histBy:    map[string]*Histogram{},
+		gauges:    map[gaugeKey]func() int64{},
+		gaugeNext: map[gaugeKey]int{},
+		ring:      NewRing(ringSize),
 	}
 }
 
@@ -302,12 +303,12 @@ func NewHistogram(name string) *Histogram { return Default.Histogram(name) }
 
 // RegisterGauge registers a callback gauge under (name, label). The
 // callback must be safe for concurrent use and must not block. If the
-// (name, label) pair is already taken, the label is suffixed "#n" so every
-// instance stays visible.
+// (name, label) pair is already taken, the label is suffixed with the lowest
+// free "#n" (n from 2), so every instance stays visible.
 func (r *Registry) RegisterGauge(name, label string, fn func() int64) *GaugeHandle {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return &GaugeHandle{r: r, ids: []uint64{r.registerGaugeLocked(name, label, fn)}}
+	return &GaugeHandle{r: r, keys: []gaugeKey{r.registerGaugeLocked(name, label, fn)}}
 }
 
 // RegisterGauges registers several gauges that share one label (one
@@ -317,30 +318,28 @@ func (r *Registry) RegisterGauges(label string, gauges map[string]func() int64) 
 	defer r.mu.Unlock()
 	h := &GaugeHandle{r: r}
 	for name, fn := range gauges {
-		h.ids = append(h.ids, r.registerGaugeLocked(name, label, fn))
+		h.keys = append(h.keys, r.registerGaugeLocked(name, label, fn))
 	}
 	return h
 }
 
-func (r *Registry) registerGaugeLocked(name, label string, fn func() int64) uint64 {
-	unique := label
-	for n := 2; ; n++ {
-		taken := false
-		for _, g := range r.gauges {
-			if g.name == name && g.label == unique {
-				taken = true
+// registerGaugeLocked probes the index from the label's first candidate, so
+// a taken label costs a map lookup per suffix registered since the last free.
+func (r *Registry) registerGaugeLocked(name, label string, fn func() int64) gaugeKey {
+	k := gaugeKey{name, label}
+	if _, taken := r.gauges[k]; taken {
+		base, n := k, max(r.gaugeNext[k], 2)
+		for {
+			k.label = label + "#" + strconv.Itoa(n)
+			if _, taken := r.gauges[k]; !taken {
 				break
 			}
+			n++
 		}
-		if !taken {
-			break
-		}
-		unique = label + "#" + itoa(n)
+		r.gaugeNext[base] = n + 1
 	}
-	r.gaugeSeq++
-	id := r.gaugeSeq
-	r.gauges = append(r.gauges, gaugeEntry{id: id, name: name, label: unique, fn: fn})
-	return id
+	r.gauges[k] = fn
+	return k
 }
 
 // RecordFault counts a fault, keeps it in the recent-fault list, and (when
@@ -396,20 +395,4 @@ func RecordVerbose(kind EventKind, label LabelID, trace, span, arg uint64) {
 	if verbose.Load() && enabled.Load() {
 		Default.ring.Record(kind, label, trace, span, arg)
 	}
-}
-
-// itoa converts small positive ints without fmt (avoids pulling fmt into
-// tiny paths; registration only).
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(b[i:])
 }

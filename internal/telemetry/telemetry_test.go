@@ -113,6 +113,83 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramMin keeps the smallest observation beside the largest, so
+// that jitter (max − min) reads off a histogram: 0 while empty, then the
+// minimum in the snapshot and in the metrics text, however the records race.
+func TestHistogramMin(t *testing.T) {
+	r := NewRegistry(16)
+	h := r.Histogram("rt")
+	if s := h.Snapshot(); s.Min != 0 || s.Max != 0 {
+		t.Errorf("empty histogram min/max = %d/%d, want 0/0", s.Min, s.Max)
+	}
+	var wg sync.WaitGroup
+	for w := int64(0); w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1000); i > 0; i-- {
+				h.Record(300 + w + i)
+			}
+		}()
+	}
+	wg.Wait()
+	h.Record(-5) // clamps to 0, like every observation
+	if s := h.Snapshot(); s.Min != 0 || s.Max != 1303 {
+		t.Errorf("min/max = %d/%d, want 0/1303", s.Min, s.Max)
+	}
+	h = r.Histogram("jitter")
+	h.Record(9000)
+	h.Record(300)
+	h.Record(5000)
+	var buf bytes.Buffer
+	if err := r.WriteMetricsText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"compadres_jitter_min 300\n", "compadres_jitter_max 9000\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics text missing %q:\n%s", want, buf.String())
+		}
+	}
+}
+
+// TestGaugeLabelsLowestFree pins the label a taken (name, label) pair gets:
+// the lowest free "#n", whether the labels above it are still registered or
+// not, and the bare label again once it is free.
+func TestGaugeLabelsLowestFree(t *testing.T) {
+	r := NewRegistry(16)
+	zero := func() int64 { return 0 }
+	reg := func() (*GaugeHandle, string) {
+		h := r.RegisterGauge("g", "x", zero)
+		return h, h.keys[0].label
+	}
+	var hs []*GaugeHandle
+	for i, want := range []string{"x", "x#2", "x#3", "x#4"} {
+		h, got := reg()
+		if got != want {
+			t.Errorf("registration %d labelled %q, want %q", i, got, want)
+		}
+		hs = append(hs, h)
+	}
+	direct := r.RegisterGauge("g", "x#5", zero) // a label that looks like a suffix
+	if got := r.RegisterGauge("other", "x", zero).keys[0].label; got != "x" {
+		t.Errorf("another family's label = %q, want x", got)
+	}
+	hs[2].Unregister()
+	hs[1].Unregister()
+	for _, want := range []string{"x#2", "x#3", "x#6"} {
+		if _, got := reg(); got != want {
+			t.Errorf("after freeing #2 and #3: labelled %q, want %q", got, want)
+		}
+	}
+	direct.Unregister()
+	hs[0].Unregister()
+	for _, want := range []string{"x", "x#5", "x#7"} {
+		if _, got := reg(); got != want {
+			t.Errorf("after freeing x and x#5: labelled %q, want %q", got, want)
+		}
+	}
+}
+
 func TestHistogramRecordNoAlloc(t *testing.T) {
 	h := NewRegistry(16).Histogram("alloc")
 	allocs := testing.AllocsPerRun(1000, func() { h.Record(12345) })
