@@ -49,8 +49,9 @@ race: build vet
 # area with a 1 MiB budget costs under 4 KiB to make, and one reclaimed
 # through the same allocations stops allocating once warm. The scoped carve
 # on every request, and the room check before it, must stay inlinable, and so
-# must the overload controller's Completed and Inflight, one atomic each; the
-# collocated round trip's benchmark must read 0 allocs/op.
+# must the overload controller's Completed and Inflight, one atomic each, the
+# sample's hash (mix) and the servant table's lookup (resolve, for string and
+# []byte keys); the collocated round trip's benchmark must read 0 allocs/op.
 allocguard:
 	$(GO) test -run 'TestSteadyStateRoundTripAllocFree|TestWireRoundTripScopeEnters|TestSetupHeapBytes' .
 	$(GO) test -run TestScopedCommitsWhatItHolds ./internal/memory/
@@ -58,9 +59,12 @@ allocguard:
 		echo "$$out" | grep -q "can inline (\*Area).$$f" || { echo "(*Area).$$f is no longer inlinable"; exit 1; }; \
 	done
 	$(GO) test -run TestInvokeAllocsAreContractCopies ./internal/orb/
+	@out=$$($(GO) build -gcflags=-m ./internal/orb/ 2>&1); for f in 'resolve\[go.shape.string\]' 'resolve\[go.shape.\[\]uint8\]'; do \
+		echo "$$out" | grep -q "can inline $$f\$$" || { echo "$$f is no longer inlinable"; exit 1; }; \
+	done
 	$(GO) test -run TestAdmitDoneAllocFree ./internal/overload/
-	@out=$$($(GO) build -gcflags=-m ./internal/overload/ 2>&1); for f in Completed Inflight; do \
-		echo "$$out" | grep -q "can inline (\*Controller).$$f" || { echo "(*Controller).$$f is no longer inlinable"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m ./internal/overload/ 2>&1); for f in '(\*Controller).Completed' '(\*Controller).Inflight' mix; do \
+		echo "$$out" | grep -q "can inline $$f\$$" || { echo "$$f is no longer inlinable"; exit 1; }; \
 	done
 	$(GO) test -run TestScratchAllocFree ./internal/memory/
 	$(GO) test -run TestInprocStreamAllocFree ./internal/transport/
@@ -195,13 +199,16 @@ verify: fmt-check vet build race bench-smoke bench-build zerocopy-guard allocgua
 # reply, locate), the frame reader and the CDL and CCL decoders, and the
 # latency window's records racing its swaps (each counted by exactly one), and
 # the overload controller's packed in-flight and completion word racing its
-# control steps (every completion read by exactly one) — under the race
-# detector.
+# control steps (every completion read by exactly one), its sample draw (the
+# rate, periodic streams, every kind of stream still stepping, replay under
+# one salt) and its tenant registry's newest entry, and the ORB's servant
+# table (re-binding one key under collocated and wire traffic, retiring
+# sheds, Locate, the raw priority) — under the race detector.
 # Every fault schedule and history in these tests is seeded, so failures
 # replay.
 chaos:
 	$(GO) test -race -count=1 \
-		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzDecode|FuzzFrameReader|FuzzParseCDL|FuzzParseCCL|WindowSwapStorm|FlowWordStorm' \
+		-run 'Fault|Chaos|Breaker|Restart|Deadline|CrossTalk|Idle|Retriable|Backoff|RetryBudget|Overflow|RemoveItem|OpError|ListenerCloseRace|Mux|Cluster|Replica|Overload|Brownout|AIMD|Swap|Rolling|Reconfig|RouteGen|Drain|Collocated|Conformance|Lifecycle|Reusable|ConcurrentInvokers|Stream|Inproc|PortBufferModel|SyncCall|Scratch|ScopeOverflow|SteadyStateMemory|SendConsumes|DispatchLosingToStop|Signal|ClientCloseFails|ConnectionLabels|EnterBelow|ExecRefuses|InPortStats|FuzzDecode|FuzzFrameReader|FuzzParseCDL|FuzzParseCCL|WindowSwapStorm|FlowWordStorm|SampleDraw|TenantNewest|ServantTable' \
 		./internal/fault/ ./internal/orb/ ./internal/core/ ./internal/memory/ ./internal/sched/ ./internal/transport/ ./internal/cluster/ ./internal/deploy/ ./internal/overload/ ./internal/telemetry/ ./internal/giop/ ./internal/cdl/ ./internal/ccl/
 
 # bench5 regenerates BENCH_5.json, the cluster-failover snapshot: three

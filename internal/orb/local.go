@@ -60,14 +60,6 @@ func unregisterLocal(net transport.Network, addr string, s *Server) {
 	localReg.gen.Add(1)
 }
 
-// lookupLocal resolves an endpoint to an in-process server, nil when the
-// endpoint is remote (or the server is gone).
-func lookupLocal(net transport.Network, addr string) *Server {
-	localReg.mu.Lock()
-	defer localReg.mu.Unlock()
-	return localReg.m[localKey{net: net, addr: addr}]
-}
-
 // localBinding is a client's cached collocation decision: the in-process
 // server serving its current membership (nil = every member is remote),
 // valid only while both generations stand. reg is the registry generation
@@ -94,12 +86,14 @@ func (cl *Client) localServer() *Server {
 		return b.srv
 	}
 	var srv *Server
+	localReg.mu.Lock()
 	for _, m := range *cl.members.Load() {
-		if s := lookupLocal(cl.network, m.addr); s != nil && !s.closed.Load() {
+		if s := localReg.m[localKey{net: cl.network, addr: m.addr}]; s != nil && !s.closed.Load() {
 			srv = s
 			break
 		}
 	}
+	localReg.mu.Unlock()
 	cl.local.Store(&localBinding{srv: srv, reg: reg, route: route})
 	return srv
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -78,22 +79,15 @@ type Server struct {
 	net    transport.Network // the listen network, for the collocation registry
 	maxMsg int
 
-	// servants is copy-on-write: lookups (per request, keyed by the raw
-	// ObjectKey bytes) read a plain map through one atomic load, which lets
-	// the compiler elide the []byte→string conversion; registration swaps in
-	// a fresh copy under mu.
-	servants atomic.Pointer[map[string]corba.Servant]
+	// servants is the copy-on-write servant table (see servantTable):
+	// lookups, per request, read it through one atomic load; registration
+	// swaps in an edited copy under mu.
+	servants atomic.Pointer[servantTable]
 
 	// locateFwd, when set, answers Locate probes for keys with no local
 	// servant: a non-empty address list becomes a LocateObjectForward reply.
 	// This is how a group directory redirects clients to live replicas.
 	locateFwd atomic.Pointer[func(key []byte) []string]
-
-	// retiring is the copy-on-write set of object keys whose servants were
-	// unregistered by a drain: stragglers addressing them get a shed reply
-	// with a retry-after hint (pointing them at their directory's surviving
-	// replicas) instead of the terminal ErrNoServant.
-	retiring atomic.Pointer[map[string]struct{}]
 
 	// inflight counts dispatched-but-not-recycled requests across every
 	// connection; quiet is notified when it reaches zero.
@@ -248,12 +242,54 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return srv, nil
 }
 
-// RegisterServant binds a servant to an object key.
-func (s *Server) RegisterServant(key string, sv corba.Servant) {
+// servantEntry is one key's binding: the servant with its PrioritizedServant
+// view (nil if none), asserted once here, not per call — or the retiring mark
+// a drain leaves, which sheds stragglers with a retry-after hint (their
+// directory re-routes them) instead of the terminal ErrNoServant.
+type servantEntry struct {
+	key      string
+	sv       corba.Servant
+	ps       corba.PrioritizedServant
+	retiring bool
+}
+
+// servantTable is an immutable snapshot of the bindings. newest, the entry its
+// edit bound, is tried before the map: one servant resolves with one compare,
+// and a memo inside the snapshot cannot disagree with the map.
+type servantTable struct {
+	m      map[string]*servantEntry
+	newest *servantEntry
+}
+
+// resolve returns key's entry, live or retiring, or nil if it was never bound.
+// Neither wire bytes nor a direct caller's string is converted on the heap.
+func resolve[K string | []byte](p *atomic.Pointer[servantTable], key K) *servantEntry {
+	t := p.Load()
+	if t == nil {
+		return nil
+	}
+	if string(key) == t.newest.key {
+		return t.newest
+	}
+	return t.m[string(key)]
+}
+
+// bind publishes a copy of the servant table with e as its newest entry.
+func (s *Server) bind(e *servantEntry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	copyOnWrite(&s.servants, func(m map[string]corba.Servant) { m[key] = sv })
-	copyOnWrite(&s.retiring, func(m map[string]struct{}) { delete(m, key) })
+	m := map[string]*servantEntry{}
+	if t := s.servants.Load(); t != nil {
+		m = maps.Clone(t.m)
+	}
+	m[e.key] = e
+	s.servants.Store(&servantTable{m: m, newest: e})
+}
+
+// RegisterServant binds a servant to an object key.
+func (s *Server) RegisterServant(key string, sv corba.Servant) {
+	ps, _ := sv.(corba.PrioritizedServant)
+	s.bind(&servantEntry{key: key, sv: sv, ps: ps})
 }
 
 // UnregisterServant unbinds a servant and marks its key retiring: requests
@@ -262,24 +298,7 @@ func (s *Server) RegisterServant(key string, sv corba.Servant) {
 // re-route through their directory rather than surfacing errors. Pair with
 // Drain to wait out the in-flight tail.
 func (s *Server) UnregisterServant(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	copyOnWrite(&s.servants, func(m map[string]corba.Servant) { delete(m, key) })
-	copyOnWrite(&s.retiring, func(m map[string]struct{}) { m[key] = struct{}{} })
-}
-
-// copyOnWrite swaps the map behind p for an edited copy; callers hold mu.
-func copyOnWrite[V any](p *atomic.Pointer[map[string]V], edit func(map[string]V)) {
-	var old map[string]V
-	if cur := p.Load(); cur != nil {
-		old = *cur
-	}
-	m := make(map[string]V, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	edit(m)
-	p.Store(&m)
+	s.bind(&servantEntry{key: key, retiring: true})
 }
 
 // Inflight returns the dispatched-but-not-completed request count.
@@ -327,7 +346,7 @@ func (s *Server) SetLocateForwarder(fn func(key []byte) []string) {
 // forwarder hit is OBJECT_FORWARD with the group's addresses, anything else
 // UNKNOWN_OBJECT.
 func (s *Server) locateStatus(key []byte) (giop.LocateStatus, []string) {
-	if _, ok := lookup(&s.servants, key); ok {
+	if e := resolve(&s.servants, key); e != nil && !e.retiring {
 		return giop.LocateObjectHere, nil
 	}
 	if p := s.locateFwd.Load(); p != nil {
@@ -654,18 +673,6 @@ func (s *Server) admit(rawPrio byte, tenantID uint64, tier uint8) (ad admission,
 	return ad, true
 }
 
-// lookup reads a copy-on-write map keyed by object key. Keys arrive as the
-// raw ObjectKey bytes off the wire or as the caller's string on the direct
-// transport; neither is converted on the heap.
-func lookup[V any, K string | []byte](p *atomic.Pointer[map[string]V], key K) (V, bool) {
-	if m := p.Load(); m != nil {
-		v, ok := (*m)[string(key)]
-		return v, ok
-	}
-	var zero V
-	return zero, false
-}
-
 // execute is the execution stage of an admitted request, on whichever
 // goroutine the transport runs it: a RequestProcessing port thread for the
 // wire, the caller's own for the direct transport. It is the one place the
@@ -673,12 +680,10 @@ func lookup[V any, K string | []byte](p *atomic.Pointer[map[string]V], key K) (V
 // is shed, reported through telemetry.ReportDeadlineShed and settled as the
 // controller's Expired, on every transport alike. It opens the server span
 // under the caller's trace (corr is the wire's request id, the direct
-// transport's client span id), resolves the servant — a key a drain unbound
-// is shed with the back-off hint, so the caller's directory re-routes the
-// retry to a surviving replica — runs it, and settles ad's slot exactly once.
-// The answer is the (status, payload, retryAfter) triple a GIOP reply carries
-// on the wire and the direct transport hands over as it is; span is the
-// server span id, zero when untraced.
+// transport's client span id), resolves the servant, shedding a retiring key,
+// runs it, and settles ad's slot exactly once. The answer is the (status,
+// payload, retryAfter) triple a GIOP reply carries on the wire and the direct
+// transport hands over as it is; span is the server span id, zero if untraced.
 func execute[K string | []byte](s *Server, ad *admission, key K, op string, payload []byte, rawPrio byte, trace, corr uint64) (status giop.ReplyStatus, out []byte, retryAfter int64, span uint64) {
 	var started int64
 	if trace != 0 && telemetry.VerboseEnabled() {
@@ -691,19 +696,19 @@ func execute[K string | []byte](s *Server, ad *admission, key K, op string, payl
 		ad.ctrl.Expired()
 		ad.ctrl = nil
 		status, out, retryAfter = s.shed()
-	} else if sv, ok := lookup(&s.servants, key); ok {
+	} else if e := resolve(&s.servants, key); e != nil && !e.retiring {
 		var err error
-		if ps, ok := sv.(corba.PrioritizedServant); ok {
-			out, err = ps.InvokeWithPriority(op, payload, rawPrio)
+		if e.ps != nil {
+			out, err = e.ps.InvokeWithPriority(op, payload, rawPrio)
 		} else {
-			out, err = sv.Invoke(op, payload)
+			out, err = e.sv.Invoke(op, payload)
 		}
 		// A user exception is a completion like any other.
 		ad.done()
 		if err != nil {
 			status, out = giop.ReplyUserException, []byte(err.Error())
 		}
-	} else if _, retiring := lookup(&s.retiring, key); retiring {
+	} else if e != nil {
 		ad.drop()
 		status, out, retryAfter = s.shed()
 	} else {

@@ -36,6 +36,7 @@
 package overload
 
 import (
+	"maps"
 	"math/bits"
 	"math/rand/v2"
 	"sync"
@@ -244,8 +245,9 @@ type Controller struct {
 	level atomic.Int32
 	// shift is the window's sampling exponent k: Admit samples one arrival
 	// in 2^k. Each control step sets it from the arrivals of the window it
-	// closes.
+	// closes, and draws the window's salt, which keys the sample's hash.
 	shift atomic.Uint32
+	salt  atomic.Uint64
 
 	// win is the two-phase latency histogram of the sampled completions
 	// behind the p99 control signal; windowP99 is the last window's, for
@@ -265,19 +267,23 @@ type Controller struct {
 	windowEnd atomic.Int64
 	stepMu    sync.Mutex
 
-	// Control-loop state, guarded by stepMu.
+	// Control-loop state, guarded by stepMu; credited is the refill's
+	// scratch list of tenant states.
 	overloadRun int
 	healthyRun  int
+	credited    []*tenantState
 
 	// def is the implicit state for unclassified traffic (tenant id 0);
 	// tenants maps explicit tenant ids copy-on-write, with mu guarding
-	// inserts, up to maxTenants. Ids past the cap share spill[tier], which
-	// joins the credit refill once spillLive[tier] is set. classSeq hands
-	// out fair-queue classes round-robin.
+	// inserts, up to maxTenants, and newest is the last one inserted, tried
+	// before the map. Ids past the cap share spill[tier], which joins the
+	// credit refill once spillLive[tier] is set. classSeq hands out
+	// fair-queue classes round-robin.
 	def       tenantState
 	spill     [NumTiers]tenantState
 	spillLive [NumTiers]atomic.Bool
 	tenants   atomic.Pointer[map[uint64]*tenantState]
+	newest    atomic.Pointer[tenantState]
 	mu        sync.Mutex
 	classSeq  atomic.Uint32
 
@@ -299,6 +305,8 @@ func NewController(cfg Config) *Controller {
 		s.tier, s.class = Tier(t), uint8(sched.MaxTenantClasses-1-t)
 		s.credit.Store(int64(c.cfg.MaxLimit))
 	}
+	c.tenants.Store(&map[uint64]*tenantState{})
+	c.salt.Store(rand.Uint64())
 	c.windowEnd.Store(telemetry.Now() + int64(c.cfg.Window))
 	c.gauges = telemetry.Default.RegisterGauges("overload", map[string]func() int64{
 		"limit_current":     c.limit.Load,
@@ -343,33 +351,35 @@ func (c *Controller) RetryAfter() time.Duration {
 	return c.cfg.Window << c.level.Load()
 }
 
-// state resolves a tenant's accounting, registering unseen tenants on a
-// copy-on-write map (cold path) until it holds maxTenants; later unseen ids
-// share their tier's spill state, with neither lock nor allocation. Tenant id
-// 0 is the implicit default.
+// state resolves a tenant's accounting: id 0 is the implicit default, the
+// newest registered tenant costs one compare, and any other goes to register.
+// Resolving is also what enrols a tenant in the next step's credit refill.
 func (c *Controller) state(id uint64, tier Tier) *tenantState {
 	if id == 0 {
 		return &c.def
 	}
-	if m := c.tenants.Load(); m != nil {
-		if ts, ok := (*m)[id]; ok {
-			return ts
-		}
-		if len(*m) >= maxTenants {
-			return c.spilled(tier)
-		}
+	if ts := c.newest.Load(); ts != nil && ts.id == id {
+		return ts
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var old map[uint64]*tenantState
-	if m := c.tenants.Load(); m != nil {
-		if ts, ok := (*m)[id]; ok {
-			return ts
-		}
-		if len(*m) >= maxTenants {
-			return c.spilled(tier)
-		}
-		old = *m
+	return c.register(id, tier, false)
+}
+
+// register finds id in the copy-on-write map or, re-entered holding mu, looks
+// again and inserts it as the newest tenant, up to maxTenants; later unseen ids
+// share their tier's spill state, lock- and allocation-free. It is kept out of
+// state so that a hit on the newest entry runs in a small frame.
+func (c *Controller) register(id uint64, tier Tier, locked bool) *tenantState {
+	m := *c.tenants.Load()
+	if ts, ok := m[id]; ok {
+		return ts
+	}
+	if len(m) >= maxTenants {
+		return c.spilled(tier)
+	}
+	if !locked {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.register(id, tier, true)
 	}
 	ts := &tenantState{id: id, tier: tier}
 	// Classes 1..MaxTenantClasses-1 are dealt round-robin to explicit
@@ -378,12 +388,10 @@ func (c *Controller) state(id uint64, tier Tier) *tenantState {
 	// never against other lanes.
 	ts.class = uint8(1 + c.classSeq.Add(1)%uint32(sched.MaxTenantClasses-1))
 	ts.credit.Store(int64(c.cfg.MaxLimit))
-	m := make(map[uint64]*tenantState, len(old)+1)
-	for k, v := range old {
-		m[k] = v
-	}
-	m[id] = ts
-	c.tenants.Store(&m)
+	grown := maps.Clone(m)
+	grown[id] = ts
+	c.tenants.Store(&grown)
+	c.newest.Store(ts)
 	return ts
 }
 
@@ -409,14 +417,18 @@ func (c *Controller) congested() bool {
 // window has elapsed it steps the controller first, so the arrival is judged
 // by the fresh limit and ladder level. Any other arrival reads no clock and
 // gets At 0. The fast path — unclassified tenant, ladder at LevelNormal,
-// under the limit — is one atomic add, a draw from the runtime's per-thread
-// generator while sampling one in 2^k, and no allocation. A false decision is
-// already fully accounted; the caller just rejects the request.
+// under the limit — is one atomic add, no allocation and, while sampling one
+// in 2^k, a hash of plain loads. A false decision is already fully
+// accounted; the caller just rejects the request.
+//
+// The sample is an arrival whose window index, hashed under the window's salt,
+// has its top k bits zero. The index (arrivals) moves by exactly one per admit
+// or shed and not at all on a settle, so a periodic stream cannot alias with
+// the sample, a fresh salt per step samples fresh positions, and a run replays
+// for given salts. Concurrent arrivals that read the same index decide alike.
 func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 	var now int64
-	// The draw, not a shared counter, picks the sample: it costs no
-	// contended atomic and cannot alias with a periodic request stream.
-	if k := c.shift.Load(); k == 0 || rand.Uint64()>>(64-k) == 0 {
+	if k := c.shift.Load(); k == 0 || mix(c.salt.Load(), c.arrivals())>>(64-k) == 0 {
 		now = telemetry.Now()
 		// The CAS on windowEnd elects one arrival to step; everyone else
 		// proceeds.
@@ -440,9 +452,6 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 	n := int64(uint32(c.flow.Add(1)))
 	lim := c.limit.Load()
 	if n <= lim {
-		if id == 0 {
-			return Decision{OK: true, At: now}
-		}
 		return Decision{OK: true, Class: c.state(id, tier).class, At: now}
 	}
 	// Over the limit: the headroom is contested. A hard cap bounds how far
@@ -458,6 +467,21 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 	}
 	c.flow.Add(-1)
 	return c.shed(id, tier)
+}
+
+// arrivals is the window index: completed + in flight + dropped + shed.
+func (c *Controller) arrivals() uint64 {
+	f := c.flow.Load()
+	return uint64(f>>32 + int64(uint32(f)) + c.dropCount.Load() + c.shedCount.Load())
+}
+
+// mix is splitmix64's i-th output from seed salt: the generator's state after
+// i golden-ratio increments, through its finalizer.
+func mix(salt, i uint64) uint64 {
+	z := salt + i*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // shed accounts one rejected request.
@@ -526,31 +550,20 @@ func (c *Controller) step() (done int64) {
 	// Every arrival of the closing window ended as a completion, a drop or
 	// a shed (or is still in flight): their sum sizes the next sample.
 	c.shift.Store(sampleShift(done + dropped + shed))
+	c.salt.Store(rand.Uint64())
 
 	// AIMD: additive raise while the window's p99 holds the target,
 	// multiplicative cut on breach or a deadline-shed burst. Windows with
 	// too few samples move nothing — a rejection burst with no completions
 	// is not a latency signal.
-	breach := false
-	if samples >= minSamples && p99 > int64(c.cfg.TargetP99) {
-		breach = true
-	}
-	if expired >= shedBurst {
-		breach = true
-	}
+	breach := samples >= minSamples && p99 > int64(c.cfg.TargetP99) || expired >= shedBurst
 	lim := c.limit.Load()
 	switch {
 	case breach:
-		lim = lim * backoffPct / 100
-		if lim < int64(c.cfg.MinLimit) {
-			lim = int64(c.cfg.MinLimit)
-		}
+		lim = max(lim*backoffPct/100, int64(c.cfg.MinLimit))
 		c.limit.Store(lim)
 	case samples >= minSamples:
-		lim += raiseStep
-		if lim > int64(c.cfg.MaxLimit) {
-			lim = int64(c.cfg.MaxLimit)
-		}
+		lim = min(lim+raiseStep, int64(c.cfg.MaxLimit))
 		c.limit.Store(lim)
 	}
 
@@ -586,28 +599,20 @@ func (c *Controller) step() (done int64) {
 	// in proportion to their tier weights. A live spill state is one more
 	// tenant of its tier.
 	refill := max(done, lim)
-	credited := make([]*tenantState, 0, 1+NumTiers)
-	credited = append(credited, &c.def)
+	c.credited = append(c.credited[:0], &c.def)
 	for t := range c.spill {
 		if c.spillLive[t].Load() {
-			credited = append(credited, &c.spill[t])
+			c.credited = append(c.credited, &c.spill[t])
 		}
 	}
-	var tenants map[uint64]*tenantState
-	if m := c.tenants.Load(); m != nil {
-		tenants = *m
+	for _, ts := range *c.tenants.Load() {
+		c.credited = append(c.credited, ts)
 	}
 	var total int64
-	for _, ts := range credited {
+	for _, ts := range c.credited {
 		total += int64(tierWeights[ts.tier])
 	}
-	for _, ts := range tenants {
-		total += int64(tierWeights[ts.tier])
-	}
-	for _, ts := range credited {
-		ts.credit.Store(int64(tierWeights[ts.tier]) * refill / total)
-	}
-	for _, ts := range tenants {
+	for _, ts := range c.credited {
 		ts.credit.Store(int64(tierWeights[ts.tier]) * refill / total)
 	}
 	return done
@@ -625,12 +630,7 @@ func sampleShift(n int64) uint32 {
 
 // setLevel clamps and applies a ladder transition, recording it.
 func (c *Controller) setLevel(lvl int32) {
-	if lvl < LevelNormal {
-		lvl = LevelNormal
-	}
-	if lvl > maxLevel {
-		lvl = maxLevel
-	}
+	lvl = min(max(lvl, LevelNormal), maxLevel)
 	old := c.level.Swap(lvl)
 	if old == lvl {
 		return
