@@ -205,7 +205,13 @@ func TestFullStackXMLToRunningApp(t *testing.T) {
 
 	// Mid's out port mediates through Root (sibling connection), so the
 	// handler's p.SMM() must resolve it; confirm the plan agrees.
-	if pp := plan.Port("Mid", "out"); pp == nil || pp.Mediator != "Root" {
+	var pp *compiler.PortPlan
+	for _, p := range plan.Instances["Mid"].Ports {
+		if p.Port == "out" {
+			pp = p
+		}
+	}
+	if pp == nil || pp.Mediator != "Root" {
 		t.Fatalf("Mid.out plan = %+v", pp)
 	}
 

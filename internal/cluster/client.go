@@ -124,9 +124,6 @@ func (c *Client) Refresh() error {
 	return nil
 }
 
-// Group returns the group key this client resolves.
-func (c *Client) Group() string { return c.group }
-
 // Close stops the refresher and closes the underlying client.
 func (c *Client) Close() {
 	c.once.Do(func() { close(c.stop) })

@@ -133,7 +133,7 @@ func Resolve(network transport.Network, addr, group string) ([]string, error) {
 	if _, err := conn.Write(wire); err != nil {
 		return nil, fmt.Errorf("cluster: resolve %q at %q: %w", group, addr, err)
 	}
-	fr := giop.NewFrameReader(conn, uint32(orb.DefaultMaxMessage))
+	fr := giop.NewFrameReader(conn, giop.DefaultMaxMessage)
 	defer fr.Close()
 	h, fb, err := fr.NextFrame()
 	if err != nil {

@@ -195,8 +195,8 @@ func TestClusterInvokeSpreadsMembers(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Group() != testGroup {
-		t.Errorf("group = %q", c.Group())
+	if c.group != testGroup {
+		t.Errorf("group = %q", c.group)
 	}
 
 	payload := []byte("spread me")

@@ -521,17 +521,3 @@ func setMediator(pp *PortPlan, mediator string) error {
 	}
 	return nil
 }
-
-// Port returns the plan for inst.port, or nil.
-func (p *Plan) Port(inst, port string) *PortPlan {
-	ip := p.Instances[inst]
-	if ip == nil {
-		return nil
-	}
-	for _, pp := range ip.Ports {
-		if pp.Port == port {
-			return pp
-		}
-	}
-	return nil
-}

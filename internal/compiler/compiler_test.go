@@ -106,18 +106,18 @@ func TestCompileParentChild(t *testing.T) {
 		t.Errorf("Kid connections = %+v", from)
 	}
 	// Port plans carry attributes and destinations.
-	pp := plan.Port("Top", "fromChild")
+	pp := planPort(plan, "Top", "fromChild")
 	if pp == nil || !pp.HasAttrs || pp.Buffer != 4 || pp.Threadpool != ccl.Dedicated || pp.Min != 1 || pp.Max != 2 {
 		t.Errorf("fromChild plan = %+v", pp)
 	}
 	if pp.QualifiedName() != "Top.fromChild" {
 		t.Errorf("qualified name = %q", pp.QualifiedName())
 	}
-	out := plan.Port("Top", "toChild")
+	out := planPort(plan, "Top", "toChild")
 	if out == nil || len(out.Dests) != 1 || out.Dests[0] != "Kid.in" {
 		t.Errorf("toChild plan = %+v", out)
 	}
-	if plan.Port("Top", "none") != nil || plan.Port("None", "x") != nil {
+	if planPort(plan, "Top", "none") != nil || planPort(plan, "None", "x") != nil {
 		t.Error("missing port lookups returned non-nil")
 	}
 	if plan.Instances["Kid"].Level != 1 || plan.Instances["Kid"].Parent != "Top" {
@@ -216,7 +216,7 @@ func TestCompileShadowDetection(t *testing.T) {
 		t.Errorf("orientation = %s -> %s", c.FromInstance, c.ToInstance)
 	}
 	// The grandchild's out port registers with the grandparent's SMM.
-	if pp := plan.Port("GC", "out"); pp == nil || pp.Mediator != "GP" {
+	if pp := planPort(plan, "GC", "out"); pp == nil || pp.Mediator != "GP" {
 		t.Errorf("GC.out plan = %+v", pp)
 	}
 }
@@ -371,4 +371,16 @@ func TestCompileDuplicateLinkBothEndsDeduped(t *testing.T) {
 	if len(plan.Connections) != 1 {
 		t.Errorf("connections = %d, want 1 (deduped)", len(plan.Connections))
 	}
+}
+
+// planPort returns the plan for inst.port, or nil.
+func planPort(p *Plan, inst, port string) *PortPlan {
+	if ip := p.Instances[inst]; ip != nil {
+		for _, pp := range ip.Ports {
+			if pp.Port == port {
+				return pp
+			}
+		}
+	}
+	return nil
 }

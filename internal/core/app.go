@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/memory"
 )
@@ -64,13 +63,8 @@ type App struct {
 	topNames map[string]*Component
 	started  bool
 	stopped  bool
-	drainers int // Drains in progress
 	errCount int64
 	lastErr  error
-
-	// phase is the mission-style lifecycle state (see Phase); Start, Drain
-	// and Stop drive it, under mu, and anyone may read it.
-	phase atomic.Int32
 
 	// calls recycles callStates — a no-heap memory context and the state of
 	// one handler invocation — across Exec calls and deliveries, so the
@@ -127,9 +121,6 @@ func NewApp(cfg AppConfig) (*App, error) {
 	}
 	return a, nil
 }
-
-// Name returns the application name.
-func (a *App) Name() string { return a.name }
 
 // Model returns the application's memory model.
 func (a *App) Model() *memory.Model { return a.model }
@@ -196,7 +187,6 @@ func (a *App) Start() error {
 		return nil
 	}
 	a.started = true
-	a.phase.Store(int32(PhaseRunning))
 	top := make([]*Component, len(a.top))
 	copy(top, a.top)
 	a.mu.Unlock()
@@ -219,7 +209,6 @@ func (a *App) Stop() {
 		return
 	}
 	a.stopped = true
-	a.phase.Store(int32(PhaseTerminated))
 	top := make([]*Component, len(a.top))
 	copy(top, a.top)
 	a.mu.Unlock()

@@ -142,9 +142,6 @@ func (c *Component) Path() string {
 	return c.parent.Path() + "/" + c.name
 }
 
-// App returns the owning application.
-func (c *Component) App() *App { return c.app }
-
 // Parent returns the parent component, or nil for top-level components.
 func (c *Component) Parent() *Component { return c.parent }
 
@@ -533,9 +530,6 @@ func (c *Component) retire(handles uint64) bool {
 		}
 	}
 }
-
-// busy reports in-flight work anywhere in the component's subtree.
-func (c *Component) busy() bool { return c.firstBusy() != nil }
 
 // firstBusy returns the first component in c's subtree, parents first, with
 // a delivery pending on it — buffered or in its handler, either holds the

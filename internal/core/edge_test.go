@@ -39,8 +39,8 @@ func TestDuplicatePortRegistrationRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op.Name() != "C.q" || op.Type().Name != "Int" {
-		t.Errorf("out-port accessors: %q %q", op.Name(), op.Type().Name)
+	if op.qname != "C.q" || op.typ.Name != "Int" {
+		t.Errorf("out-port accessors: %q %q", op.qname, op.typ.Name)
 	}
 	if _, err := AddOutPort(c, smm, OutPortConfig{Name: "q", Type: stringType}); !errors.Is(err, ErrTypeMismatch) {
 		t.Errorf("out type change err = %v", err)
@@ -101,7 +101,7 @@ func TestSMMAreaAndOwnerAccessors(t *testing.T) {
 	if smm.Owner() != c {
 		t.Error("owner accessor wrong")
 	}
-	if smm.Area() != app.Model().Immortal() {
+	if smm.area != app.Model().Immortal() {
 		t.Error("area accessor wrong")
 	}
 	if smm.Mechanism() != MechanismSharedObject {
@@ -142,7 +142,7 @@ func TestHandoffFanOut(t *testing.T) {
 		return HandlerFunc(func(p *Proc, m Message) error {
 			// The handler's memory context is current in the component's
 			// area.
-			if p.Context().Current() != p.Component().Area() {
+			if p.Context().Current() != p.comp.Area() {
 				t.Error("handler context not in component area")
 			}
 			got = append(got, m.(*intMsg).value*mul)
@@ -282,8 +282,7 @@ func TestConnectIdempotentForLiveChild(t *testing.T) {
 	if h1.Component() != h2.Component() {
 		t.Error("second connect created a new instance")
 	}
-	// Paper-style spelling.
-	smm.Disconnect(h1)
+	h1.Disconnect()
 	if h1.Component().Disposed() {
 		t.Error("disposed while second handle held")
 	}

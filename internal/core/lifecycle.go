@@ -32,36 +32,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Phase is an assembly's lifecycle state.
-type Phase int32
-
-const (
-	// PhaseNew is an assembled but not yet started App.
-	PhaseNew Phase = iota
-	// PhaseRunning is a started App processing traffic.
-	PhaseRunning
-	// PhaseDraining is an App waiting for in-flight work to quiesce.
-	PhaseDraining
-	// PhaseTerminated is a stopped App.
-	PhaseTerminated
-)
-
-// String returns the phase name.
-func (p Phase) String() string {
-	switch p {
-	case PhaseNew:
-		return "new"
-	case PhaseRunning:
-		return "running"
-	case PhaseDraining:
-		return "draining"
-	case PhaseTerminated:
-		return "terminated"
-	default:
-		return fmt.Sprintf("Phase(%d)", int32(p))
-	}
-}
-
 // DefaultDrainTimeout bounds the wait for quiescence when a SwapOptions or
 // Drain timeout is zero.
 const DefaultDrainTimeout = time.Second
@@ -76,9 +46,6 @@ var (
 	drainTotal    = telemetry.NewCounter("drain_total")
 )
 
-// Phase returns the App's lifecycle state.
-func (a *App) Phase() Phase { return Phase(a.phase.Load()) }
-
 // Drain waits — bounded by timeout (zero selects DefaultDrainTimeout) — for
 // the assembly to quiesce: no delivery pending, buffered or in a handler, on
 // any component of any top-level subtree. It walks the tree to the first
@@ -86,8 +53,7 @@ func (a *App) Phase() Phase { return Phase(a.phase.Load()) }
 // observes; it does not gate new sends — the caller pauses its producers
 // (or has removed the assembly from its directory) first, which is what
 // keeps in-flight handlers free to send downstream while the level drops.
-// A running App reads PhaseDraining while any Drain waits; Drains may
-// overlap, and a Stop that lands meanwhile is never undone.
+// Drains may overlap.
 func (a *App) Drain(timeout time.Duration) error {
 	if timeout == 0 {
 		timeout = DefaultDrainTimeout
@@ -99,17 +65,7 @@ func (a *App) Drain(timeout time.Duration) error {
 	}
 	top := make([]*Component, len(a.top))
 	copy(top, a.top)
-	if a.drainers++; a.drainers == 1 {
-		a.phase.CompareAndSwap(int32(PhaseRunning), int32(PhaseDraining))
-	}
 	a.mu.Unlock()
-	defer func() {
-		a.mu.Lock()
-		if a.drainers--; a.drainers == 0 {
-			a.phase.CompareAndSwap(int32(PhaseDraining), int32(PhaseRunning))
-		}
-		a.mu.Unlock()
-	}()
 
 	start := telemetry.Now()
 	deadline := time.Now().Add(timeout)

@@ -334,7 +334,7 @@ func (r *modelRig) def(child string, version int) ChildDef {
 				Handler: HandlerFunc(func(p *Proc, m Message) error {
 					// The owner is the shell the message reserved, which during
 					// a swap can be the outgoing one under the incoming handler.
-					owner := p.Component()
+					owner := p.comp
 					area := owner.Area()
 					inc := incarnationOf(area)
 					v, f := m.(*intMsg).value, frameOf(p)

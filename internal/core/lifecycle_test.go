@@ -283,8 +283,8 @@ func TestDeepNestingFourLevels(t *testing.T) {
 								_, err := AddInPort(l3, l2SMM, InPortConfig{
 									Name: "in", Type: intType,
 									Handler: HandlerFunc(func(p *Proc, m Message) error {
-										if p.Component().Level() != 3 {
-											t.Errorf("L3 level = %d", p.Component().Level())
+										if p.comp.Level() != 3 {
+											t.Errorf("L3 level = %d", p.comp.Level())
 										}
 										got <- m.(*intMsg).value
 										return nil

@@ -420,8 +420,8 @@ func TestPortValidation(t *testing.T) {
 		t.Errorf("missing out port err = %v", err)
 	}
 	ip := smm.inPort("C.real")
-	if ip.Name() != "C.real" || ip.Type().Name != "Int" || ip.capacity != DefaultBufferSize {
-		t.Errorf("in-port accessors: %q %q %d", ip.Name(), ip.Type().Name, ip.capacity)
+	if ip.qname != "C.real" || ip.typ.Name != "Int" || ip.capacity != DefaultBufferSize {
+		t.Errorf("in-port accessors: %q %q %d", ip.qname, ip.typ.Name, ip.capacity)
 	}
 }
 

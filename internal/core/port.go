@@ -177,12 +177,6 @@ type InPort struct {
 	gauges *telemetry.GaugeHandle
 }
 
-// Name returns the qualified port name ("Component.Port").
-func (p *InPort) Name() string { return p.qname }
-
-// Type returns the port's message type.
-func (p *InPort) Type() MessageType { return p.typ }
-
 // newInPort builds a port and, unless it is synchronous, its buffer from an
 // already-defaulted config; the caller attaches the dispatch pool and binding.
 func newInPort(qname string, cfg InPortConfig) *InPort {
@@ -354,12 +348,6 @@ type OutPort struct {
 	gauges *telemetry.GaugeHandle
 }
 
-// Name returns the qualified port name ("Component.Port").
-func (p *OutPort) Name() string { return p.qname }
-
-// Type returns the port's message type.
-func (p *OutPort) Type() MessageType { return p.typ }
-
 // Dests returns the destination port names. The returned slice is shared
 // and immutable: callers must not modify it. It is replaced wholesale (and
 // the port's route cache invalidated) only when the port is re-registered
@@ -376,11 +364,6 @@ func (p *OutPort) Dests() []string {
 func (p *OutPort) setDests(dests []string) {
 	p.dests.Store(&dests)
 	p.routes.Store(nil)
-}
-
-// Sent reports the number of successful Send calls.
-func (p *OutPort) Sent() int64 {
-	return p.sent.Load()
 }
 
 // GetMessage takes a message instance from the SMM's pool for this port's

@@ -24,9 +24,6 @@ func NewProc(comp *Component, smm *SMM, ctx *memory.Context, prio sched.Priority
 	return &Proc{comp: comp, smm: smm, ctx: ctx, prio: prio}
 }
 
-// Component returns the component whose port is being processed.
-func (p *Proc) Component() *Component { return p.comp }
-
 // SMM returns the scoped memory manager mediating the port — the manager the
 // paper passes to every process() invocation.
 func (p *Proc) SMM() *SMM { return p.smm }

@@ -51,8 +51,8 @@ func newReusableHarness(t *testing.T, app *App) *reusableHarness {
 					BufferSize: 32, Overflow: OverflowBlock,
 					Handler: HandlerFunc(func(p *Proc, m Message) error {
 						h.mu.Lock()
-						h.shells = append(h.shells, p.Component())
-						h.areaName = append(h.areaName, p.Component().Area().Name())
+						h.shells = append(h.shells, p.comp)
+						h.areaName = append(h.areaName, p.comp.Area().Name())
 						h.mu.Unlock()
 						h.served <- m.(*intMsg).value
 						return nil

@@ -100,10 +100,6 @@ func newSMM(owner *Component) *SMM {
 // Owner returns the parent component this SMM belongs to.
 func (s *SMM) Owner() *Component { return s.owner }
 
-// Area returns the memory area backing the SMM's pools and buffers (the
-// owner's area).
-func (s *SMM) Area() *memory.Area { return s.area }
-
 // Mechanism returns the configured cross-scope mechanism.
 func (s *SMM) Mechanism() Mechanism {
 	return Mechanism(s.mechanism.Load())
@@ -411,10 +407,6 @@ func (s *SMM) Connect(name string) (*Handle, error) {
 	}
 	return h, nil
 }
-
-// Disconnect releases a handle obtained from Connect (paper-style spelling;
-// equivalent to h.Disconnect).
-func (s *SMM) Disconnect(h *Handle) { h.Disconnect() }
 
 // Handle keeps a child component instance alive.
 type Handle struct {

@@ -87,7 +87,7 @@ func TestSyncCallScopes(t *testing.T) {
 	if _, err := AddInPort(c, p.SMM(), InPortConfig{
 		Name: "in", Type: intType, Threading: ThreadingSynchronous,
 		Handler: HandlerFunc(func(pr *Proc, m Message) error {
-			got.current, got.area = pr.Context().Current(), pr.Component().Area()
+			got.current, got.area = pr.Context().Current(), pr.comp.Area()
 			_, got.allocErr = pr.Context().Alloc(32)
 			if m.(*intMsg).value < 0 {
 				panic("asked to")
@@ -237,9 +237,9 @@ func TestSyncCallConcurrentSenders(t *testing.T) {
 	}
 	wg.Wait()
 	received, processed, dropped := portStats(in)
-	if want := int64(senders * each); received != want || processed != want || out.Sent() != want || dropped != 0 {
+	if want := int64(senders * each); received != want || processed != want || out.sent.Load() != want || dropped != 0 {
 		t.Errorf("received %d, processed %d, sent %d, dropped %d; want %d, %d, %d, 0",
-			received, processed, out.Sent(), dropped, want, want, want)
+			received, processed, out.sent.Load(), dropped, want, want, want)
 	}
 	if in.depthMax.Load() != 0 || in.capacity != 0 {
 		t.Errorf("a synchronous port buffered: queue max %d, capacity %d", in.depthMax.Load(), in.capacity)
@@ -312,13 +312,13 @@ func TestInPortStatsByPortKind(t *testing.T) {
 				t.Fatalf("%d of %d messages handled", len(handled), sends)
 			}
 			received, processed, dropped := portStats(in)
-			if received != sends || processed != sends || dropped != 0 || out.Sent() != sends {
+			if received != sends || processed != sends || dropped != 0 || out.sent.Load() != sends {
 				t.Errorf("received %d, processed %d, dropped %d, sent %d; want %d, %d, 0, %d",
-					received, processed, dropped, out.Sent(), sends, sends, sends)
+					received, processed, dropped, out.sent.Load(), sends, sends, sends)
 			}
 			gauge := int64(-1)
 			for _, g := range telemetry.Default.Snapshot(telemetry.SnapshotOptions{}).Gauges {
-				if g.Name == "port_received" && g.Label == in.Name() {
+				if g.Name == "port_received" && g.Label == in.qname {
 					gauge = g.Value
 				}
 			}
@@ -355,8 +355,8 @@ func TestSyncCallNested(t *testing.T) {
 				Handler: HandlerFunc(func(p *Proc, m Message) error {
 					left := m.(*intMsg).value
 					frames[left] = frameOf(p)
-					if p.Context().Current() != p.Component().Area() {
-						t.Errorf("hop %d: current in %v, want %v", left, p.Context().Current(), p.Component().Area())
+					if p.Context().Current() != p.comp.Area() {
+						t.Errorf("hop %d: current in %v, want %v", left, p.Context().Current(), p.comp.Area())
 					}
 					if d := p.Context().Depth(); d > deepest {
 						deepest = d

@@ -43,14 +43,6 @@ type Replica struct {
 	groups []string // directory groups this replica's exports joined
 }
 
-// Addr returns the replica's exported-ports endpoint ("" once killed).
-func (r *Replica) Addr() string {
-	if r.Dep == nil {
-		return ""
-	}
-	return r.Dep.Addr()
-}
-
 // ClusterDeployment is a running replicated deployment: the directory
 // endpoint plus every replica process.
 type ClusterDeployment struct {

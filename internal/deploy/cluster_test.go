@@ -192,8 +192,8 @@ func TestRunClusterKillAndReaddReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Index != 3 || r.Addr() != "backend-3" {
-		t.Errorf("re-added replica = %+v (addr %q), want fresh index 3", r, r.Addr())
+	if r.Index != 3 || r.Dep.Addr() != "backend-3" {
+		t.Errorf("re-added replica = %+v (addr %q), want fresh index 3", r, r.Dep.Addr())
 	}
 	if members := cd.Directory.Members(group); len(members) != 3 {
 		t.Errorf("post-readd members = %v, want 3", members)

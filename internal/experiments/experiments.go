@@ -207,9 +207,6 @@ func NewPingPong(cfg PingPongConfig) (*PingPong, error) {
 	return pp, nil
 }
 
-// App exposes the underlying application.
-func (pp *PingPong) App() *core.App { return pp.app }
-
 // RoundTrip performs one trigger→request→reply cycle and returns the value
 // observed at P6.
 func (pp *PingPong) RoundTrip(v int64) (int64, error) {

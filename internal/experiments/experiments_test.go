@@ -22,7 +22,7 @@ func TestPingPongRoundTrip(t *testing.T) {
 			t.Errorf("round trip %d = %d, want %d", i, got, i+1)
 		}
 	}
-	if n, err := pp.App().Errors(); n != 0 {
+	if n, err := pp.app.Errors(); n != 0 {
 		t.Errorf("handler errors: %d (%v)", n, err)
 	}
 }

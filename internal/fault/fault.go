@@ -134,13 +134,7 @@ func (n *Network) Stats() Stats {
 }
 
 // draw consumes one value from the seeded splitmix64 stream.
-func (n *Network) draw() uint64 {
-	i := n.draws.Add(1)
-	z := n.cfg.Seed + i*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
+func (n *Network) draw() uint64 { return telemetry.Mix(n.cfg.Seed, n.draws.Add(1)) }
 
 // roll consumes one draw and reports true with probability p.
 func (n *Network) roll(p float64) bool {

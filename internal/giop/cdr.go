@@ -87,12 +87,6 @@ func (e *Encoder) Reset(order ByteOrder, buf []byte) {
 // the stream origin.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the number of bytes encoded since the stream origin.
-func (e *Encoder) Len() int { return len(e.buf) - e.base }
-
-// Order returns the encoder's byte order.
-func (e *Encoder) Order() ByteOrder { return e.order }
-
 // align pads the stream so the next value starts at a multiple of n from the
 // stream origin.
 func (e *Encoder) align(n int) {

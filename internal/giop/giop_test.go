@@ -28,8 +28,8 @@ func TestCDRPrimitivesRoundTrip(t *testing.T) {
 			e.WriteDouble(-2.718281828)
 			e.WriteString("hello, CDR")
 			e.WriteOctetSeq([]byte{1, 2, 3})
-			if e.Order() != order {
-				t.Fatalf("Order() = %v", e.Order())
+			if e.order != order {
+				t.Fatalf("order = %v", e.order)
 			}
 
 			d := NewDecoder(order, e.Bytes())
@@ -68,13 +68,13 @@ func TestCDRAlignment(t *testing.T) {
 	e := NewEncoder(BigEndian, nil)
 	e.WriteOctet(1) // offset 0
 	e.WriteULong(7) // must align to 4
-	if e.Len() != 8 {
-		t.Errorf("encoded len = %d, want 8 (3 pad bytes)", e.Len())
+	if n := len(e.Bytes()); n != 8 {
+		t.Errorf("encoded len = %d, want 8 (3 pad bytes)", n)
 	}
 	e.WriteOctet(2)    // offset 8
 	e.WriteDouble(1.5) // must align to 16
-	if e.Len() != 24 {
-		t.Errorf("encoded len = %d, want 24", e.Len())
+	if n := len(e.Bytes()); n != 24 {
+		t.Errorf("encoded len = %d, want 24", n)
 	}
 
 	d := NewDecoder(BigEndian, e.Bytes())

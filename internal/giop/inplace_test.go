@@ -18,7 +18,7 @@ func referenceMarshalRequest(buf []byte, order ByteOrder, req *Request) []byte {
 	body.WriteULong(0)
 	body.WriteOctet(req.Priority)
 	body.align(8)
-	bodyLen := body.Len() + len(req.Payload)
+	bodyLen := len(body.Bytes()) + len(req.Payload)
 	buf = AppendHeader(buf, Header{Type: MsgRequest, Order: order, Size: uint32(bodyLen)})
 	buf = append(buf, body.Bytes()...)
 	return append(buf, req.Payload...)
@@ -30,7 +30,7 @@ func referenceMarshalReply(buf []byte, order ByteOrder, rep *Reply) []byte {
 	body.WriteULong(rep.RequestID)
 	body.WriteULong(uint32(rep.Status))
 	body.align(8)
-	bodyLen := body.Len() + len(rep.Payload)
+	bodyLen := len(body.Bytes()) + len(rep.Payload)
 	buf = AppendHeader(buf, Header{Type: MsgReply, Order: order, Size: uint32(bodyLen)})
 	buf = append(buf, body.Bytes()...)
 	return append(buf, rep.Payload...)
@@ -101,8 +101,8 @@ func TestEncoderReset(t *testing.T) {
 	e.Reset(BigEndian, prefix)
 	e.WriteOctet(1)
 	e.WriteULong(0xAABBCCDD)
-	if e.Len() != 8 {
-		t.Fatalf("Len after Reset = %d, want 8", e.Len())
+	if n := len(e.Bytes()) - len(prefix); n != 8 {
+		t.Fatalf("length after Reset = %d, want 8", n)
 	}
 	if !bytes.Equal(e.Bytes()[3:], first) {
 		t.Errorf("stream after Reset differs: %x vs %x", e.Bytes()[3:], first)

@@ -77,6 +77,10 @@ const (
 	// MaxMessageSize bounds accepted message bodies, protecting fixed-size
 	// scoped regions from hostile or corrupt length fields.
 	MaxMessageSize = 1 << 20
+	// DefaultMaxMessage is the body bound every endpoint here reads with —
+	// the ORB's client and server, RTZen and the cluster resolver — and the
+	// unit their scoped areas are sized in.
+	DefaultMaxMessage = 4096
 )
 
 var giopMagic = [4]byte{'G', 'I', 'O', 'P'}

@@ -22,7 +22,6 @@ var (
 // it models; the areas it enters are themselves safe for concurrent entry by
 // other contexts.
 type Context struct {
-	model *Model
 	stack []*Area
 
 	// execArea/execIdx cache the stack position where the last
@@ -36,11 +35,8 @@ type Context struct {
 // only kind of thread a Compadres component runs on: its scope stack starts
 // at immortal memory, and nothing it can reach enters the heap.
 func (m *Model) NewNoHeapContext() *Context {
-	return &Context{model: m, stack: []*Area{m.immortal}}
+	return &Context{stack: []*Area{m.immortal}}
 }
-
-// Model returns the memory model this context belongs to.
-func (c *Context) Model() *Model { return c.model }
 
 // Current returns the context's allocation area (the top of its scope
 // stack).

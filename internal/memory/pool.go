@@ -82,12 +82,6 @@ func (m *Model) NewScopePool(cfg ScopePoolConfig) (*ScopePool, error) {
 	return p, nil
 }
 
-// Name returns the pool's name.
-func (p *ScopePool) Name() string { return p.name }
-
-// AreaSize returns the byte budget of each pooled area.
-func (p *ScopePool) AreaSize() int64 { return p.size }
-
 // Acquire takes a free area from the pool, creating a new one when empty if
 // growth is enabled. The returned area is inactive; the caller parents it by
 // entering or pinning it, and it returns to the pool automatically when

@@ -11,8 +11,8 @@ func TestScopePoolAcquireReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name() != "pool" || p.AreaSize() != 128 {
-		t.Errorf("accessors: %q %d", p.Name(), p.AreaSize())
+	if p.name != "pool" || p.size != 128 {
+		t.Errorf("accessors: %q %d", p.name, p.size)
 	}
 
 	ctx := m.NewNoHeapContext()

@@ -43,8 +43,6 @@ type ClientConfig struct {
 	// place. Without it a refused member is never skipped: its breaker is
 	// charged instead.
 	Resolve func() ([]string, error)
-	// MaxMessage bounds a reply body; zero selects DefaultMaxMessage.
-	MaxMessage int
 	// ScopePoolCount is ignored: MessageProcessing keeps the area it makes
 	// when first built (a Reusable shell), so there is no pool to size.
 	//
@@ -88,9 +86,6 @@ type ClientConfig struct {
 	Collocate bool
 }
 
-// DefaultMaxMessage is the default bound on message bodies.
-const DefaultMaxMessage = 4096
-
 // clientMsgPoolCapacity is the pool of invocation messages. A caller holds
 // one only while it is inside the pipeline — marshalling, or blocked on the
 // wire — not while it awaits its reply, so this bounds the callers submitting
@@ -113,7 +108,6 @@ type Client struct {
 	invoke   atomic.Pointer[core.OutPort]
 	reqPool  *memory.ScopePool
 	nextID   atomic.Uint32
-	maxMsg   int
 	tenant   overload.Tenant
 	closed   atomic.Bool
 	network  transport.Network
@@ -157,17 +151,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("orb: nil network")
 	}
-	maxMsg := cfg.MaxMessage
-	if maxMsg == 0 {
-		maxMsg = DefaultMaxMessage
-	}
-
-	// Area budgets: the Transport holds port structures and pools; each
-	// MessageProcessing marshals the requests that pass through it until it
-	// next quiesces — one, for a lone caller — as far as they fit.
-	mpSize := int64(4*maxMsg + 8192)
-	transportSize := int64(8*maxMsg + 32768)
-
 	app, err := core.NewApp(core.AppConfig{Name: "CompadresORBClient", ImmortalSize: 1 << 20, MsgPoolCapacity: clientMsgPoolCapacity})
 	if err != nil {
 		return nil, err
@@ -179,7 +162,7 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	// nested under it (the RTZen per-request scope pattern).
 	reqPool, err := app.Model().NewScopePool(memory.ScopePoolConfig{
 		Name:     "orb.client.request",
-		AreaSize: int64(3*maxMsg + 4096),
+		AreaSize: 3*giop.DefaultMaxMessage + 4096,
 		Count:    4,
 		Grow:     true,
 	})
@@ -191,7 +174,6 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	cl := &Client{
 		app:       app,
 		reqPool:   reqPool,
-		maxMsg:    maxMsg,
 		tenant:    cfg.Tenant,
 		network:   cfg.Network,
 		resolve:   cfg.Resolve,
@@ -209,12 +191,13 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 	cl.Retarget(addrs)
 	cl.gauge = telemetry.Default.RegisterGauge("inflight", "orb.client", cl.Inflight)
 
+	// The Transport's area holds port structures and pools.
 	_, err = app.NewImmortalComponent("ORB", func(c *core.Component) error {
 		return c.DefineChild(core.ChildDef{
 			Name:       "Transport",
-			MemorySize: transportSize,
+			MemorySize: 8*giop.DefaultMaxMessage + 32768,
 			Persistent: true,
-			Setup:      cl.transportSetup(mpSize),
+			Setup:      cl.transportSetup,
 		})
 	})
 	if err == nil {
@@ -234,43 +217,44 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 // connection. MessageProcessing's In port is synchronous — the paper's pool
 // size 0, "on the calling thread" (§2.2): a caller blocks for its reply
 // either way, so a thread pool in front of the wire would buy no concurrency.
-func (cl *Client) transportSetup(mpSize int64) func(*core.Component) error {
-	return func(tc *core.Component) error {
-		tSMM := tc.SMM()
-		if _, err := core.AddOutPort(tc, tSMM, core.OutPortConfig{
-			Name: "toMP", Type: invokeType, Dests: []string{"MessageProcessing.request"},
-		}); err != nil {
-			return err
-		}
-		if err := tc.DefineChild(core.ChildDef{
-			Name:       "MessageProcessing",
-			MemorySize: mpSize,
-			// Setup is pure declaration (one In port on the parent's SMM), so
-			// the shell survives quiescence, its own area reclaimed in place.
-			Reusable: true,
-			Setup: func(mp *core.Component) error {
-				_, err := core.AddInPort(mp, tSMM, core.InPortConfig{
-					Name: "request", Type: invokeType, Threading: core.ThreadingSynchronous,
-					Handler: core.HandlerFunc(cl.processInvoke),
-				})
-				return err
-			},
-		}); err != nil {
-			return err
-		}
-
-		tc.SetStart(func(p *core.Proc) error {
-			for _, m := range *cl.members.Load() {
-				// Supervised, a refused member is left for the next invoke
-				// routed to it to redial (conn charged or skipped it).
-				if _, err := m.conn(); err != nil && cl.res == nil {
-					return err
-				}
-			}
-			return nil
-		})
-		return nil
+func (cl *Client) transportSetup(tc *core.Component) error {
+	tSMM := tc.SMM()
+	if _, err := core.AddOutPort(tc, tSMM, core.OutPortConfig{
+		Name: "toMP", Type: invokeType, Dests: []string{"MessageProcessing.request"},
+	}); err != nil {
+		return err
 	}
+	// Each MessageProcessing marshals the requests that pass through it
+	// until it next quiesces — one, for a lone caller — as far as they
+	// fit in its area.
+	if err := tc.DefineChild(core.ChildDef{
+		Name:       "MessageProcessing",
+		MemorySize: 4*giop.DefaultMaxMessage + 8192,
+		// Setup is pure declaration (one In port on the parent's SMM), so
+		// the shell survives quiescence, its own area reclaimed in place.
+		Reusable: true,
+		Setup: func(mp *core.Component) error {
+			_, err := core.AddInPort(mp, tSMM, core.InPortConfig{
+				Name: "request", Type: invokeType, Threading: core.ThreadingSynchronous,
+				Handler: core.HandlerFunc(cl.processInvoke),
+			})
+			return err
+		},
+	}); err != nil {
+		return err
+	}
+
+	tc.SetStart(func(p *core.Proc) error {
+		for _, m := range *cl.members.Load() {
+			// Supervised, a refused member is left for the next invoke
+			// routed to it to redial (conn charged or skipped it).
+			if _, err := m.conn(); err != nil && cl.res == nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return nil
 }
 
 // processInvoke runs in the MessageProcessing component's scope, on the

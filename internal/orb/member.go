@@ -196,16 +196,9 @@ func (cl *Client) pickMember() (*member, error) {
 	return pick, nil
 }
 
-// rand steps the client's splitmix64 state: cheap, lock-free randomness for
-// the two choices.
-func (cl *Client) rand() uint64 {
-	s := cl.rng.Add(0x9e3779b97f4a7c15)
-	s ^= s >> 30
-	s *= 0xbf58476d1ce4e5b9
-	s ^= s >> 27
-	s *= 0x94d049bb133111eb
-	return s ^ (s >> 31)
-}
+// rand steps the client's splitmix64 stream: cheap, lock-free randomness
+// for the two choices.
+func (cl *Client) rand() uint64 { return telemetry.Mix(0, cl.rng.Add(1)) }
 
 // Members returns the member addresses the client currently spreads over.
 func (cl *Client) Members() []string {

@@ -153,7 +153,7 @@ func newMuxConn(m *member, conn transport.Conn) *muxConn {
 	cl := m.cl
 	mc := &muxConn{cl: cl, m: m, conn: conn, pend: make(map[uint32]*muxPending, 16)}
 	mc.w = newConnWriter(conn, cl.invokeTimeout)
-	mc.fr = giop.NewFrameReader(conn, uint32(cl.maxMsg))
+	mc.fr = giop.NewFrameReader(conn, giop.DefaultMaxMessage)
 	mc.leaderCh = make(chan struct{}, 1)
 	mc.leaderCh <- struct{}{}
 	return mc

@@ -12,14 +12,16 @@ import (
 	"repro/internal/transport"
 )
 
+// TestOversizedReplyFailsCleanly has a servant answer a small request with
+// a reply body past giop.DefaultMaxMessage, which the client refuses.
 func TestOversizedReplyFailsCleanly(t *testing.T) {
 	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{MaxMessage: 16384})
-	// The client only accepts 1 KiB bodies; ask the server to echo 4 KiB.
-	cl := dial(t, net, srv.Addr(), ClientConfig{MaxMessage: 1024})
-
-	payload := bytes.Repeat([]byte{1}, 4096)
-	if _, err := cl.Invoke("echo", "echo", payload, sched.NormPriority); err == nil {
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	srv.RegisterServant("grow", corba.ServantFunc(func(string, []byte) ([]byte, error) {
+		return bytes.Repeat([]byte{1}, giop.DefaultMaxMessage), nil
+	}))
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
+	if _, err := cl.Invoke("grow", "echo", []byte("x"), sched.NormPriority); err == nil {
 		t.Error("oversized reply accepted")
 	}
 }
@@ -58,7 +60,7 @@ func rawRoundTrip(t *testing.T, conn transport.Conn, wire []byte) (giop.Header, 
 	if _, err := conn.Write(wire); err != nil {
 		t.Fatal(err)
 	}
-	h, body, err := giop.ReadMessageLimited(conn, nil, DefaultMaxMessage)
+	h, body, err := giop.ReadMessageLimited(conn, nil, giop.DefaultMaxMessage)
 	if err != nil {
 		t.Fatal(err)
 	}

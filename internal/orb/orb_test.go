@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/corba"
 	"repro/internal/core"
+	"repro/internal/giop"
 	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -270,18 +271,26 @@ func TestServerCloseIsClean(t *testing.T) {
 	}
 }
 
+// TestLargePayloadWithinBound echoes the largest payload whose request body
+// fits giop.DefaultMaxMessage, then one a byte longer, which the server's
+// frame reader refuses.
 func TestLargePayloadWithinBound(t *testing.T) {
 	net := transport.NewInproc()
-	srv := startEchoServer(t, net, "", ServerConfig{MaxMessage: 8192})
-	cl := dial(t, net, srv.Addr(), ClientConfig{MaxMessage: 8192})
-	_ = srv
-	payload := bytes.Repeat([]byte{0xA5}, 4096)
+	srv := startEchoServer(t, net, "", ServerConfig{})
+	cl := dial(t, net, srv.Addr(), ClientConfig{})
+	overhead := len(giop.MarshalRequest(nil, giop.BigEndian, &giop.Request{
+		RequestID: 1, ResponseExpected: true, ObjectKey: []byte("echo"), Operation: "echo",
+	})) - giop.HeaderSize
+	payload := bytes.Repeat([]byte{0xA5}, giop.DefaultMaxMessage-overhead)
 	got, err := cl.Invoke("echo", "echo", payload, sched.NormPriority)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, payload) {
 		t.Error("large payload corrupted")
+	}
+	if _, err := cl.Invoke("echo", "echo", append(payload, 0xA5), sched.NormPriority); err == nil {
+		t.Error("a request body past the bound was served")
 	}
 }
 

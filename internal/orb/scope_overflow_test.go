@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/giop"
 	"repro/internal/memory"
 	"repro/internal/sched"
 	"repro/internal/telemetry"
@@ -127,7 +128,7 @@ func TestScopeOverflowClientPinnedComponent(t *testing.T) {
 	}
 
 	// Larger than what is left of the component's area and than a nested one.
-	err = invoke(make([]byte, 5*DefaultMaxMessage))
+	err = invoke(make([]byte, 5*giop.DefaultMaxMessage))
 	if !errors.Is(err, memory.ErrOutOfMemory) {
 		t.Errorf("oversized request: err = %v, want ErrOutOfMemory", err)
 	}

@@ -28,8 +28,6 @@ type ServerConfig struct {
 	// Network and Addr select where to listen.
 	Network transport.Network
 	Addr    string
-	// MaxMessage bounds a request body; zero selects DefaultMaxMessage.
-	MaxMessage int
 	// ScopePoolCount is ignored: each connection's RequestProcessing keeps
 	// the area it makes when first built, so there is no pool to size.
 	//
@@ -73,11 +71,10 @@ const DefaultConcurrency = 8
 // ORB → POA/Acceptor → per-connection Transport → per-request
 // RequestProcessing.
 type Server struct {
-	app    *core.App
-	poa    *core.Component
-	ln     transport.Listener
-	net    transport.Network // the listen network, for the collocation registry
-	maxMsg int
+	app *core.App
+	poa *core.Component
+	ln  transport.Listener
+	net transport.Network // the listen network, for the collocation registry
 
 	// servants is the copy-on-write servant table (see servantTable):
 	// lookups, per request, read it through one atomic load; registration
@@ -107,7 +104,6 @@ type Server struct {
 	wg        sync.WaitGroup
 
 	threading   core.Threading
-	rpSize      int64
 	repPool     *memory.ScopePool
 	concurrency int
 
@@ -152,11 +148,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Network == nil {
 		return nil, fmt.Errorf("orb: nil network")
 	}
-	maxMsg := cfg.MaxMessage
-	if maxMsg == 0 {
-		maxMsg = DefaultMaxMessage
-	}
-	rpSize := int64(4*maxMsg + 8192)
 	concurrency := cfg.Concurrency
 	if concurrency <= 0 {
 		concurrency = DefaultConcurrency
@@ -180,7 +171,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	// of these, nested under it.
 	repPool, err := app.Model().NewScopePool(memory.ScopePoolConfig{
 		Name:     "orb.server.reply",
-		AreaSize: int64(2*maxMsg + 4096),
+		AreaSize: 2*giop.DefaultMaxMessage + 4096,
 		Count:    4,
 		Grow:     true,
 	})
@@ -191,10 +182,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 
 	srv := &Server{
 		app:         app,
-		maxMsg:      maxMsg,
 		conns:       make(map[*serverConn]struct{}),
 		threading:   core.ThreadingShared,
-		rpSize:      rpSize,
 		repPool:     repPool,
 		concurrency: concurrency,
 		ctrl:        cfg.Overload,
@@ -429,7 +418,7 @@ func (s *Server) addConnection(conn transport.Conn) error {
 	s.mu.Unlock()
 	if err := s.poa.DefineChild(core.ChildDef{
 		Name:       sc.name,
-		MemorySize: int64(8*s.maxMsg + 32768),
+		MemorySize: 8*giop.DefaultMaxMessage + 32768,
 		Persistent: true,
 		Setup:      s.transportSetup(sc),
 	}); err != nil {
@@ -498,7 +487,7 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 		}
 		if err := tc.DefineChild(core.ChildDef{
 			Name:       "RequestProcessing",
-			MemorySize: s.rpSize,
+			MemorySize: 4*giop.DefaultMaxMessage + 8192,
 			// Pure-declaration Setup: the shell is revived across requests,
 			// its area created when first built and reclaimed in place.
 			Reusable: true,
@@ -539,7 +528,7 @@ func (s *Server) transportSetup(sc *serverConn) func(*core.Component) error {
 // completions cross — while the demultiplexing client matches them back to
 // callers by request id.
 func (s *Server) readLoop(sc *serverConn, proc *core.Proc) {
-	fr := giop.NewFrameReader(sc.conn, uint32(s.maxMsg))
+	fr := giop.NewFrameReader(sc.conn, giop.DefaultMaxMessage)
 	defer fr.Close()
 	for {
 		h, fb, err := fr.NextFrame()

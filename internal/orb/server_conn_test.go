@@ -194,7 +194,7 @@ func TestDispatchLosingToStopReleasesTheRequest(t *testing.T) {
 	wire := giop.MarshalRequest(nil, giop.BigEndian, &giop.Request{
 		RequestID: 7, ResponseExpected: true, ObjectKey: []byte("echo"), Operation: "echo", Payload: []byte("x"),
 	})
-	fr := giop.NewFrameReader(bytes.NewReader(wire), DefaultMaxMessage)
+	fr := giop.NewFrameReader(bytes.NewReader(wire), giop.DefaultMaxMessage)
 	h, fb, err := fr.NextFrame()
 	if err != nil {
 		t.Fatal(err)

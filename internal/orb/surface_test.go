@@ -20,8 +20,8 @@ func TestConfigSurface(t *testing.T) {
 		cfg  any
 		want int
 	}{
-		{orb.ClientConfig{}, 11},
-		{orb.ServerConfig{}, 9},
+		{orb.ClientConfig{}, 10},
+		{orb.ServerConfig{}, 8},
 		{core.InPortConfig{}, 8},
 		{core.AppConfig{}, 4},
 		{rtzen.ClientConfig{}, 2},

@@ -428,7 +428,7 @@ func (c *Controller) congested() bool {
 // for given salts. Concurrent arrivals that read the same index decide alike.
 func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 	var now int64
-	if k := c.shift.Load(); k == 0 || mix(c.salt.Load(), c.arrivals())>>(64-k) == 0 {
+	if k := c.shift.Load(); k == 0 || telemetry.Mix(c.salt.Load(), c.arrivals())>>(64-k) == 0 {
 		now = telemetry.Now()
 		// The CAS on windowEnd elects one arrival to step; everyone else
 		// proceeds.
@@ -473,15 +473,6 @@ func (c *Controller) Admit(id uint64, tier Tier, prio sched.Priority) Decision {
 func (c *Controller) arrivals() uint64 {
 	f := c.flow.Load()
 	return uint64(f>>32 + int64(uint32(f)) + c.dropCount.Load() + c.shedCount.Load())
-}
-
-// mix is splitmix64's i-th output from seed salt: the generator's state after
-// i golden-ratio increments, through its finalizer.
-func mix(salt, i uint64) uint64 {
-	z := salt + i*0x9e3779b97f4a7c15
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
 }
 
 // shed accounts one rejected request.

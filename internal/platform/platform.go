@@ -109,12 +109,6 @@ func NewInjector(model Model, seed int64) *Injector {
 	return inj
 }
 
-// Model returns the injector's platform model.
-func (i *Injector) Model() Model { return i.model }
-
-// Stats reports the number of preemption and GC events injected.
-func (i *Injector) Stats() (preempts, gcPauses int64) { return i.preempts, i.gcPauses }
-
 // Operation injects the model's noise for one operation: base scheduling
 // jitter always, plus a preemption or GC pause when due. It returns the
 // total pause it injected, a pure function of the model, the seed and the

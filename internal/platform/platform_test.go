@@ -24,8 +24,7 @@ func TestInjectorDeterminism(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			total += inj.Operation()
 		}
-		p, g := inj.Stats()
-		return p, g, total
+		return inj.preempts, inj.gcPauses, total
 	}
 	p1, g1, d1 := run()
 	p2, g2, d2 := run()
@@ -46,10 +45,10 @@ func TestIdealInjectsNothing(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
 		t.Errorf("ideal platform spent %v on 10k ops", elapsed)
 	}
-	if p, g := inj.Stats(); p != 0 || g != 0 {
+	if p, g := inj.preempts, inj.gcPauses; p != 0 || g != 0 {
 		t.Errorf("ideal injected events: %d, %d", p, g)
 	}
-	if inj.Model().Name != "Ideal" {
+	if inj.model.Name != "Ideal" {
 		t.Error("model accessor wrong")
 	}
 }

@@ -132,11 +132,6 @@ func NewProxy(cl *orb.Client, dest string, typ core.MessageType, ackd bool) (*Pr
 	return &Proxy{cl: cl, key: keyPrefix + dest, typ: typ, sync: ackd}, nil
 }
 
-// GetMessage returns a fresh message instance to fill and Send. Proxy
-// messages are plain instances (they leave the address space, so pooling in
-// a memory area would not help the receiver).
-func (p *Proxy) GetMessage() core.Message { return p.typ.New() }
-
 // Send marshals the message and delivers it to the remote port at the given
 // priority.
 func (p *Proxy) Send(msg core.Message, prio sched.Priority) error {

@@ -109,7 +109,7 @@ func TestProxySendReachesExportedPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	msg := proxy.GetMessage()
+	msg := proxy.typ.New()
 	msg.(*wireMsg).value = 77
 	if err := proxy.Send(msg, 9); err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestOnewayProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 3; i++ {
-		msg := proxy.GetMessage()
+		msg := proxy.typ.New()
 		msg.(*wireMsg).value = i
 		if err := proxy.Send(msg, sched.NormPriority); err != nil {
 			t.Fatal(err)
@@ -301,7 +301,7 @@ func TestProxyConcurrentSendsPipeline(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				msg := proxy.GetMessage()
+				msg := proxy.typ.New()
 				msg.(*wireMsg).value = int64(w)<<16 | int64(i)
 				if err := proxy.Send(msg, sched.NormPriority); err != nil {
 					errs[w] = err

@@ -20,7 +20,7 @@ func TestAckdProxyRepeatedSends(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(1); i <= 5; i++ {
-		msg := proxy.GetMessage()
+		msg := proxy.typ.New()
 		msg.(*wireMsg).value = i
 		if err := proxy.Send(msg, 9); err != nil {
 			t.Fatalf("send %d: %v", i, err)

@@ -35,15 +35,12 @@ var (
 	rtzenServerSpanLabel = telemetry.Label("rtzen.server.request")
 )
 
-// DefaultMaxMessage bounds message bodies.
-const DefaultMaxMessage = 4096
-
 // Each end pre-creates defaultScopePool request scopes of scopeSize bytes,
 // room for a message body at the limit several times over, and grows the
 // pool past them on demand (RTZen always pools).
 const (
 	defaultScopePool = 4
-	scopeSize        = 4*DefaultMaxMessage + 4096
+	scopeSize        = 4*giop.DefaultMaxMessage + 4096
 )
 
 // ClientConfig parameterises an RTZen client.
@@ -56,8 +53,7 @@ type ClientConfig struct {
 // Client is the hand-coded ORB client. It marshals big-endian and stamps no
 // tenant: the baseline measures the invocation path, not overload control.
 type Client struct {
-	model *memory.Model
-	pool  *memory.ScopePool
+	pool *memory.ScopePool
 
 	// ctxPool recycles no-heap contexts across Invoke calls.
 	ctxPool sync.Pool
@@ -91,10 +87,9 @@ func DialClient(cfg ClientConfig) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		model: model,
-		pool:  pool,
-		conn:  conn,
-		fr:    giop.NewFrameReader(conn, DefaultMaxMessage),
+		pool: pool,
+		conn: conn,
+		fr:   giop.NewFrameReader(conn, giop.DefaultMaxMessage),
 	}
 	c.ctxPool.New = func() any { return model.NewNoHeapContext() }
 	return c, nil
@@ -141,11 +136,12 @@ func (c *Client) exchange(ctx *memory.Context, key, op string, payload []byte, p
 	id := c.nextID
 	c.keyBuf = append(c.keyBuf[:0], key...)
 
-	// Same trace propagation as the component ORB: open a trace, carry it
-	// as a GIOP service context, and stitch the reply's server span in.
+	// Same trace propagation as the component ORB, under the same verbose
+	// gate: open a trace, carry it as a GIOP service context, and stitch the
+	// reply's server span in.
 	var trace, span uint64
 	var spanStart int64
-	if telemetry.Enabled() {
+	if telemetry.VerboseEnabled() {
 		trace, span = telemetry.NewID(), telemetry.NewID()
 		telemetry.Record(telemetry.EvSpanStart, rtzenClientSpanLabel, trace, span, uint64(id))
 		spanStart = telemetry.Now()
@@ -316,7 +312,7 @@ func (s *Server) ServeBackground() {
 // serveConn reads framed requests and processes each inside a pooled scope.
 func (s *Server) serveConn(conn transport.Conn) {
 	defer conn.Close()
-	fr := giop.NewFrameReader(conn, DefaultMaxMessage)
+	fr := giop.NewFrameReader(conn, giop.DefaultMaxMessage)
 	defer fr.Close()
 	ctx := s.model.NewNoHeapContext()
 	var wmu sync.Mutex
@@ -372,7 +368,7 @@ func (s *Server) processRequest(ctx *memory.Context, conn transport.Conn, wmu *s
 	}
 	var serverSpan uint64
 	var spanStart int64
-	if req.TraceID != 0 && telemetry.Enabled() {
+	if req.TraceID != 0 && telemetry.VerboseEnabled() {
 		serverSpan = telemetry.NewID()
 		telemetry.Record(telemetry.EvSpanStart, rtzenServerSpanLabel, req.TraceID, serverSpan, uint64(req.RequestID))
 		spanStart = telemetry.Now()
@@ -429,12 +425,6 @@ func invokeServant(sv corba.Servant, req *giop.Request) ([]byte, error) {
 	}
 	return sv.Invoke(req.Operation, req.Payload)
 }
-
-// ScopePool exposes the request scope pool (for tests and benches).
-func (s *Server) ScopePool() *memory.ScopePool { return s.pool }
-
-// ScopePool exposes the request scope pool (for tests and benches).
-func (c *Client) ScopePool() *memory.ScopePool { return c.pool }
 
 // Close shuts the server down.
 func (s *Server) Close() {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/corba"
 	"repro/internal/sched"
+	"repro/internal/telemetry"
 	"repro/internal/transport"
 )
 
@@ -72,7 +73,7 @@ func TestScopePoolRecycling(t *testing.T) {
 			t.Fatalf("invoke %d: %v", i, err)
 		}
 	}
-	created, reused, free := cl.ScopePool().Stats()
+	created, reused, free := cl.pool.Stats()
 	if created != defaultScopePool {
 		t.Errorf("client scopes created = %d, want %d (pooled)", created, defaultScopePool)
 	}
@@ -82,7 +83,7 @@ func TestScopePoolRecycling(t *testing.T) {
 	if free != defaultScopePool {
 		t.Errorf("free = %d, want %d (all returned)", free, defaultScopePool)
 	}
-	sc, sr, _ := srv.ScopePool().Stats()
+	sc, sr, _ := srv.pool.Stats()
 	if sc > 4 || sr < 25 {
 		t.Errorf("server scopes: created %d reused %d", sc, sr)
 	}
@@ -170,5 +171,56 @@ func TestNilNetworkRejected(t *testing.T) {
 	}
 	if _, err := NewServer(ServerConfig{}); err == nil {
 		t.Error("nil network server accepted")
+	}
+}
+
+// TestTracingFollowsVerbose holds RTZen to the component ORB's tracing gate:
+// with telemetry on but verbose off a round trip records no span, and with
+// verbose on the client's and the server's spans open under one trace. (That
+// the untraced request carries no trace context on the wire is checked
+// against the ORB's frame in orb's TestRequestFrameMatchesRTZen.)
+func TestTracingFollowsVerbose(t *testing.T) {
+	net := transport.NewInproc()
+	srv := startEcho(t, net, "")
+	cl, err := DialClient(ClientConfig{Network: net, Addr: srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	spans := func() (n int, clientTrace, serverTrace uint64) {
+		for _, ev := range telemetry.Default.Ring().Snapshot() {
+			if ev.Kind != telemetry.EvSpanStart {
+				continue
+			}
+			switch ev.Label {
+			case "rtzen.client.invoke":
+				n, clientTrace = n+1, ev.Trace
+			case "rtzen.server.request":
+				n, serverTrace = n+1, ev.Trace
+			}
+		}
+		return n, clientTrace, serverTrace
+	}
+
+	if !telemetry.Enabled() || telemetry.VerboseEnabled() {
+		t.Fatal("the test expects telemetry on and verbose off")
+	}
+	before, _, _ := spans()
+	if _, err := cl.Invoke("echo", "echo", []byte("quiet"), sched.NormPriority); err != nil {
+		t.Fatal(err)
+	}
+	if after, _, _ := spans(); after != before {
+		t.Errorf("verbose off: %d span starts recorded, want none", after-before)
+	}
+
+	telemetry.Verbose(true)
+	defer telemetry.Verbose(false)
+	if _, err := cl.Invoke("echo", "echo", []byte("traced"), sched.NormPriority); err != nil {
+		t.Fatal(err)
+	}
+	after, clientTrace, serverTrace := spans()
+	if after != before+2 || clientTrace == 0 || clientTrace != serverTrace {
+		t.Errorf("verbose on: %d span starts, client trace %x, server trace %x; want 2 under one trace",
+			after-before, clientTrace, serverTrace)
 	}
 }

@@ -3,6 +3,8 @@ package sched
 import (
 	"sync/atomic"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Backoff produces capped exponential delays with deterministic jitter: the
@@ -47,11 +49,7 @@ func (b *Backoff) Next() time.Duration {
 	}
 	half := ceil / 2
 	b.draws++
-	z := b.Seed + b.draws*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	return half + time.Duration(z%uint64(half+1))
+	return half + time.Duration(telemetry.Mix(b.Seed, b.draws)%uint64(half+1))
 }
 
 // Reset restarts the schedule from Base (the jitter stream continues).

@@ -146,9 +146,6 @@ func NewPool(cfg PoolConfig) *Pool {
 	return p
 }
 
-// Name returns the pool's diagnostic name.
-func (p *Pool) Name() string { return p.name }
-
 // Submit schedules fn at the given priority. The worker that eventually runs
 // fn passes the (clamped) priority through, modelling priority inheritance
 // from the message.

@@ -181,7 +181,7 @@ func TestNegativeConfigNormalised(t *testing.T) {
 func TestPoolString(t *testing.T) {
 	p := NewPool(PoolConfig{Name: "str", Min: 1, Max: 1})
 	defer p.Shutdown()
-	if p.String() == "" || p.Name() != "str" {
+	if p.String() == "" || p.name != "str" {
 		t.Error("diagnostics empty")
 	}
 }

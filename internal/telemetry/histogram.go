@@ -34,9 +34,6 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Int64
 }
 
-// Name returns the histogram's registered name.
-func (h *Histogram) Name() string { return h.name }
-
 // bucketIndex maps a non-negative value to its bucket.
 func bucketIndex(v int64) int {
 	if v < 0 {
@@ -89,9 +86,6 @@ func raise(a *atomic.Int64, v int64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Max returns the largest observation.
 func (h *Histogram) Max() int64 { return h.max.Load() }

@@ -80,14 +80,21 @@ var (
 // It is a splitmix64 step over a seeded counter: allocation-free,
 // contention is a single atomic add.
 func NewID() uint64 {
-	z := idSeed + idCtr.Add(1)*0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	z ^= z >> 31
-	if z == 0 {
-		z = 1
+	if z := Mix(idSeed, idCtr.Add(1)); z != 0 {
+		return z
 	}
-	return z
+	return 1
+}
+
+// Mix is splitmix64's i-th output from seed: the generator's state after i
+// golden-ratio increments, through its finalizer. It is the one seeded
+// stream in the repository (trace ids, replica picks, backoff jitter, the
+// overload sample, fault draws) and stays small enough to inline.
+func Mix(seed, i uint64) uint64 {
+	z := seed + i*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // ---------------------------------------------------------------------------
@@ -164,9 +171,6 @@ func shardIdx() int {
 	var probe byte
 	return int((uintptr(unsafe.Pointer(&probe)) >> 9) & (counterShards - 1))
 }
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
 
 // Add increments the counter by n.
 func (c *Counter) Add(n int64) { c.shards[shardIdx()].v.Add(n) }
